@@ -289,8 +289,8 @@ func BenchmarkAblationDeque(b *testing.B) {
 
 // BenchmarkAblationYield compares yield vs no-yield in the native runner
 // (design choice 2). The dramatic version of this ablation — unbounded
-// starvation — lives in the simulator (E8), since Go's preemptive runtime
-// bounds the damage here.
+// starvation — lives in the simulator (E8): here idle pool workers park
+// whether or not they yield, and Go's preemptive runtime bounds the rest.
 func BenchmarkAblationYield(b *testing.B) {
 	g := workload.FibDag(15)
 	for _, disable := range []bool{false, true} {

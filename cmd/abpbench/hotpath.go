@@ -17,23 +17,18 @@ import (
 	"worksteal/internal/workload"
 )
 
-// The hotpath experiment is the measurement half of the abporder analyzer:
-// it times the deque owner operations (PushBottom/PopBottom, the paper's
-// Figure 5 fast path) and the thief's PopTop CAS with sequentially
-// consistent atomics versus the proof-gated RelaxedAtomics downgrades, and
-// then runs a full spawn-tree graph under both modes so the microbenchmark
-// delta can be read against end-to-end effect. Go's sync/atomic is always
-// sequentially consistent, so the only instruction-level difference is the
-// handful of owner loads and owner counter RMWs demoted to plain accesses;
-// the expected delta is small and that smallness is itself the result.
+// The hotpath experiment times the deque owner operations
+// (PushBottom/PopBottom, the paper's Figure 5 fast path) and the thief's
+// PopTop CAS for both lock-free deques, then runs a full spawn-tree graph
+// on each so the microbenchmark numbers can be read against end-to-end
+// effect.
 //
 // The -check flag turns the run into a regression gate: push/pop ns/op is
 // compared against a previously written snapshot (BENCH_hotpath.json) and
-// the process exits 1 if any (deque, mode) pair slowed by more than 10%.
+// the process exits 1 if any deque slowed by more than 10%.
 
 type hotpathOpRow struct {
 	Deque     string  `json:"deque"` // abp | chaselev
-	Mode      string  `json:"mode"`  // seqcst | relaxed
 	PushPopNs float64 `json:"pushpop_ns_per_op"`
 	StealNs   float64 `json:"steal_ns_per_op"`
 	// MultiStealNs is the contended counterpart of StealNs: GOMAXPROCS
@@ -57,8 +52,7 @@ type hotpathContended struct {
 }
 
 type hotpathGraphRow struct {
-	Deque       string  `json:"deque"`
-	Mode        string  `json:"mode"`
+	Deque       string  `json:"deque"` // abp | chaselev | stdlib (the goroutines+channel contender)
 	ElapsedNs   int64   `json:"elapsed_ns"`
 	Steals      int64   `json:"steals"`
 	TasksPerSec float64 `json:"tasks_per_sec"`
@@ -109,16 +103,12 @@ type ownerDeque interface {
 	PopTop() *int
 }
 
-func newHotpathDeque(kind string, relaxed bool) ownerDeque {
+func newHotpathDeque(kind string, capacity int) ownerDeque {
 	switch kind {
 	case "abp":
-		d := deque.NewWithCapacity[int](1 << 10)
-		d.SetRelaxed(relaxed)
-		return d
+		return deque.NewWithCapacity[int](capacity)
 	case "chaselev":
-		d := deque.NewChaseLev[int]()
-		d.SetRelaxed(relaxed)
-		return d
+		return deque.NewChaseLev[int]()
 	}
 	panic("unknown deque kind " + kind)
 }
@@ -128,13 +118,13 @@ func newHotpathDeque(kind string, relaxed bool) ownerDeque {
 // handshake run against a non-empty deque. Best of reps wins.
 //
 //abp:owner the benchmark goroutine is the deque's only accessor
-func benchPushPop(kind string, relaxed bool, reps int) float64 {
+func benchPushPop(kind string, reps int) float64 {
 	const batch = 64
 	const iters = 1 << 14 // 64 * 16384 = ~1M pushes and ~1M pops per rep
 	node := new(int)
 	best := 0.0
 	for r := 0; r < reps; r++ {
-		d := newHotpathDeque(kind, relaxed)
+		d := newHotpathDeque(kind, 1<<10)
 		start := time.Now()
 		for i := 0; i < iters; i++ {
 			for j := 0; j < batch; j++ {
@@ -156,13 +146,10 @@ func benchPushPop(kind string, relaxed bool, reps int) float64 {
 	return best
 }
 
-// benchSteal times the thief's PopTop CAS against a pre-filled deque. The
-// steal path is deliberately untouched by RelaxedAtomics (the top/age CAS
-// is the arbitration the paper's Figure 5 depends on), so this column
-// doubles as a control: seqcst and relaxed should coincide.
+// benchSteal times the thief's PopTop CAS against a pre-filled deque.
 //
 //abp:owner the benchmark goroutine fills the deque it then steals from
-func benchSteal(kind string, relaxed bool, reps int) float64 {
+func benchSteal(kind string, reps int) float64 {
 	const n = 1 << 10
 	node := new(int)
 	best := 0.0
@@ -173,7 +160,7 @@ func benchSteal(kind string, relaxed bool, reps int) float64 {
 			// Fresh deque per round: the ABP array is not circular, so a
 			// fully stolen deque cannot be refilled from the bottom. The
 			// allocation and the refill stay outside the timed section.
-			d := newHotpathDeque(kind, relaxed)
+			d := newHotpathDeque(kind, n)
 			for j := 0; j < n; j++ {
 				if !d.PushBottom(node) {
 					panic("hotpath: push refused below capacity")
@@ -206,7 +193,7 @@ func benchSteal(kind string, relaxed bool, reps int) float64 {
 // thief-vs-thief arbitration, the §3.2 popTop contention.
 //
 //abp:owner the benchmark goroutine fills the deque before any thief starts
-func benchStealContended(kind string, relaxed bool, reps int) (float64, int) {
+func benchStealContended(kind string, reps int) (float64, int) {
 	const n = 1 << 14
 	thieves := runtime.GOMAXPROCS(0)
 	if thieves < 2 {
@@ -220,19 +207,7 @@ func benchStealContended(kind string, relaxed bool, reps int) (float64, int) {
 	node := new(int)
 	best := 0.0
 	for r := 0; r < reps*rounds; r++ {
-		var d ownerDeque
-		switch kind {
-		case "abp":
-			abp := deque.NewWithCapacity[int](n + 1)
-			abp.SetRelaxed(relaxed)
-			d = abp
-		case "chaselev":
-			cl := deque.NewChaseLev[int]()
-			cl.SetRelaxed(relaxed)
-			d = cl
-		default:
-			panic("unknown deque kind " + kind)
-		}
+		d := newHotpathDeque(kind, n)
 		for j := 0; j < n; j++ {
 			if !d.PushBottom(node) {
 				panic("hotpath: push refused below capacity")
@@ -428,40 +403,33 @@ func stdlibGraphRow(nodeWork, reps int) hotpathGraphRow {
 	}
 	return hotpathGraphRow{
 		Deque:       "stdlib",
-		Mode:        "goch",
 		ElapsedNs:   int64(bestD),
 		Steals:      0,
 		TasksPerSec: float64(g.Work()) / bestD.Seconds(),
 	}
 }
 
-// hotpathGraph runs the end-to-end spawn tree under one (deque, mode)
-// configuration and reports best-of-reps wall time.
-func hotpathGraph(kindName string, kind sched.DequeKind, relaxed bool, nodeWork, reps int) hotpathGraphRow {
+// hotpathGraph runs the end-to-end spawn tree on one deque and reports
+// best-of-reps wall time.
+func hotpathGraph(kindName string, kind sched.DequeKind, nodeWork, reps int) hotpathGraphRow {
 	g := workload.FibDag(18)
 	res := bestGraphRun(sched.GraphConfig{
-		Graph:          g,
-		Workers:        runtime.GOMAXPROCS(0),
-		NodeWork:       nodeWork,
-		Deque:          kind,
-		RelaxedAtomics: relaxed,
+		Graph:    g,
+		Workers:  runtime.GOMAXPROCS(0),
+		NodeWork: nodeWork,
+		Deque:    kind,
 	}, reps)
-	mode := "seqcst"
-	if relaxed {
-		mode = "relaxed"
-	}
 	return hotpathGraphRow{
 		Deque:       kindName,
-		Mode:        mode,
 		ElapsedNs:   int64(res.Elapsed),
 		Steals:      res.Steals,
 		TasksPerSec: float64(g.Work()) / res.Elapsed.Seconds(),
 	}
 }
 
-// hotpathExperiment measures every (deque, mode) pair, renders the tables,
-// writes the JSON snapshot, and — when checkPath names a previous snapshot
-// — enforces the 10% push/pop regression gate against it.
+// hotpathExperiment measures both deques, renders the tables, writes the
+// JSON snapshot, and — when checkPath names a previous snapshot — enforces
+// the 10% push/pop regression gate against it.
 func hotpathExperiment(nodeWork, reps int, outPath, checkPath string) {
 	// In gate mode (-check without an explicit -out) the committed snapshot
 	// is the baseline being compared against, so it must not be rewritten
@@ -482,24 +450,17 @@ func hotpathExperiment(nodeWork, reps int, outPath, checkPath string) {
 
 	thieves := 0
 	otb := table.New(fmt.Sprintf("deque hot path (best of %d reps)", reps),
-		"deque", "mode", "push+pop ns/op", "steal ns/op", "contended steal ns/op")
+		"deque", "push+pop ns/op", "steal ns/op", "contended steal ns/op")
 	for _, kind := range []string{"abp", "chaselev"} {
-		for _, relaxed := range []bool{false, true} {
-			mode := "seqcst"
-			if relaxed {
-				mode = "relaxed"
-			}
-			row := hotpathOpRow{
-				Deque:     kind,
-				Mode:      mode,
-				PushPopNs: benchPushPop(kind, relaxed, reps),
-				StealNs:   benchSteal(kind, relaxed, reps),
-			}
-			row.MultiStealNs, thieves = benchStealContended(kind, relaxed, reps)
-			rep.Ops = append(rep.Ops, row)
-			otb.Row(kind, mode, fmt.Sprintf("%.2f", row.PushPopNs), fmt.Sprintf("%.2f", row.StealNs),
-				fmt.Sprintf("%.2f", row.MultiStealNs))
+		row := hotpathOpRow{
+			Deque:     kind,
+			PushPopNs: benchPushPop(kind, reps),
+			StealNs:   benchSteal(kind, reps),
 		}
+		row.MultiStealNs, thieves = benchStealContended(kind, reps)
+		rep.Ops = append(rep.Ops, row)
+		otb.Row(kind, fmt.Sprintf("%.2f", row.PushPopNs), fmt.Sprintf("%.2f", row.StealNs),
+			fmt.Sprintf("%.2f", row.MultiStealNs))
 	}
 	otb.Render(os.Stdout)
 
@@ -510,29 +471,24 @@ func hotpathExperiment(nodeWork, reps int, outPath, checkPath string) {
 
 	gtb := table.New(fmt.Sprintf("end to end: fib(18) spawn tree (workers=%d, nodework=%d)",
 		runtime.GOMAXPROCS(0), nodeWork),
-		"deque", "mode", "time", "steals", "tasks/s")
+		"deque", "time", "steals", "tasks/s")
 	for _, k := range []struct {
 		name string
 		kind sched.DequeKind
 	}{{"abp", sched.DequeABP}, {"chaselev", sched.DequeChaseLev}} {
-		for _, relaxed := range []bool{false, true} {
-			row := hotpathGraph(k.name, k.kind, relaxed, nodeWork, reps)
-			rep.Graph = append(rep.Graph, row)
-			gtb.Row(row.Deque, row.Mode, time.Duration(row.ElapsedNs).Round(time.Microsecond),
-				row.Steals, fmt.Sprintf("%.0f", row.TasksPerSec))
-		}
+		row := hotpathGraph(k.name, k.kind, nodeWork, reps)
+		rep.Graph = append(rep.Graph, row)
+		gtb.Row(row.Deque, time.Duration(row.ElapsedNs).Round(time.Microsecond),
+			row.Steals, fmt.Sprintf("%.0f", row.TasksPerSec))
 	}
 	// The contender: same dag, same spin, GOMAXPROCS goroutines draining
 	// one shared channel instead of per-worker deques. Published alongside
 	// the stealing rows (graph rows are reported, not gated).
 	stdRow := stdlibGraphRow(nodeWork, reps)
 	rep.Graph = append(rep.Graph, stdRow)
-	gtb.Row(stdRow.Deque, stdRow.Mode, time.Duration(stdRow.ElapsedNs).Round(time.Microsecond),
+	gtb.Row(stdRow.Deque, time.Duration(stdRow.ElapsedNs).Round(time.Microsecond),
 		stdRow.Steals, fmt.Sprintf("%.0f", stdRow.TasksPerSec))
 	gtb.Render(os.Stdout)
-	fmt.Println("Go's sync/atomic is sequentially consistent, so RelaxedAtomics only demotes")
-	fmt.Println("the statically proven owner-side loads and counter RMWs to plain accesses;")
-	fmt.Println("steal ns/op is a control column (the top/age CAS is never relaxed).")
 
 	if writeOut {
 		blob, err := json.MarshalIndent(rep, "", "  ")
@@ -595,15 +551,15 @@ func hotpathCheck(cur hotpathReport, checkPath string) bool {
 	}
 	baseline := map[string]hotpathOpRow{}
 	for _, row := range base.Ops {
-		baseline[row.Deque+"/"+row.Mode] = row
+		baseline[row.Deque] = row
 	}
 	for _, row := range cur.Ops {
-		b, found := baseline[row.Deque+"/"+row.Mode]
+		b, found := baseline[row.Deque]
 		if !found {
 			continue
 		}
-		gate(row.Deque+"/"+row.Mode+" push+pop", row.PushPopNs, b.PushPopNs)
-		gate(row.Deque+"/"+row.Mode+" contended steal", row.MultiStealNs, b.MultiStealNs)
+		gate(row.Deque+" push+pop", row.PushPopNs, b.PushPopNs)
+		gate(row.Deque+" contended steal", row.MultiStealNs, b.MultiStealNs)
 	}
 	if cur.Contended != nil && base.Contended != nil {
 		gate("contended submit", cur.Contended.SubmitNs, base.Contended.SubmitNs)

@@ -156,9 +156,10 @@ func ablation(nodeWork, reps int) {
 	tb.Row("no yield", noYield.Elapsed.Round(time.Microsecond),
 		float64(noYield.Elapsed)/float64(full.Elapsed), noYield.Steals, noYield.Yields)
 	tb.Render(os.Stdout)
-	fmt.Println("Note: Go's runtime preempts goroutines asynchronously, so the no-yield")
-	fmt.Println("degradation is bounded here, unlike on the paper's 1998 kernels where it")
-	fmt.Println("meant unbounded starvation (see the simulator ablation, cmd/figures E8).")
+	fmt.Println("Note: idle pool workers back off and park whether or not they yield, and")
+	fmt.Println("Go's runtime preempts asynchronously, so removing yields costs little here;")
+	fmt.Println("on the paper's 1998 kernels it meant unbounded starvation (see the simulator")
+	fmt.Println("ablation, cmd/figures E8).")
 }
 
 // tasks exercises the task-parallel API (Fork/Join, ParallelFor, Reduce).

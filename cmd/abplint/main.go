@@ -4,9 +4,8 @@
 // analyses, the whole-package race detector, and the memory-ordering,
 // cache-layout, and liveness analyzers — in one run, in the manner of a
 // golang.org/x/tools/go/analysis multichecker but with zero dependencies
-// outside the standard library. cmd/abpvet (the historical name for the
-// same suite) and cmd/abprace (the race detector alone) remain as thin
-// aliases over the same engine; CI runs abplint.
+// outside the standard library. -only runs a subset: -only abprace is the
+// race detector alone.
 //
 // Usage:
 //

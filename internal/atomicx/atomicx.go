@@ -24,15 +24,9 @@
 // Go's sync/atomic exposes only sequentially consistent operations, so SC
 // and Publish compile to identical instructions today: the distinction is
 // declarative, kept honest by abporder, and ready for a future runtime
-// with weaker orderings. The relaxations that are real at runtime are the
-// *Owner methods (LoadOwner, AddOwner): on their relaxed path they replace
-// an atomic read with a plain one, which is sound only under the paper's
-// owner contract — the calling goroutine is the sole writer of the word,
-// so it reads back its own last store. The race detector agrees: a plain
-// read may race an atomic write, but the sole writer's own reads cannot,
-// and concurrent atomic readers of the same word are unaffected. abporder
-// rejects any *Owner call site it cannot prove is receiver-direct inside
-// an audited //abp:owner context with all writers owned.
+// with weaker orderings. A runtime mode that downgraded owner-side reloads
+// and counter increments to plain accesses was measured (EXPERIMENTS.md
+// E15) and removed: on amd64 it bought nothing.
 //
 // Every method is small enough for the inliner (verified by the package
 // test), so declaring a discipline costs nothing over raw sync/atomic.
@@ -42,10 +36,7 @@
 // repository targets.
 package atomicx
 
-import (
-	"sync/atomic"
-	"unsafe"
-)
+import "sync/atomic"
 
 // CacheLineSize is the coherence granule the layout discipline assumes:
 // 64 bytes on every architecture this repository targets (x86-64, and
@@ -83,16 +74,6 @@ func (x *SCUint32) CompareAndSwap(old, new uint32) bool {
 	return atomic.CompareAndSwapUint32(&x.v, old, new)
 }
 
-// LoadOwner is the owner's read: with relaxed set it is a plain load,
-// sound only when the caller is the word's sole writer (it reads back its
-// own last store); otherwise it is the full atomic load.
-func (x *SCUint32) LoadOwner(relaxed bool) uint32 {
-	if relaxed {
-		return x.v
-	}
-	return atomic.LoadUint32(&x.v)
-}
-
 // SCUint64 is a sequentially consistent uint64 (e.g. the ABP age word and
 // the injector's CAS-arbitrated positions).
 type SCUint64 struct{ v uint64 }
@@ -109,14 +90,6 @@ func (x *SCUint64) Add(delta uint64) uint64 { return atomic.AddUint64(&x.v, delt
 // CompareAndSwap executes the compare-and-swap operation.
 func (x *SCUint64) CompareAndSwap(old, new uint64) bool {
 	return atomic.CompareAndSwapUint64(&x.v, old, new)
-}
-
-// LoadOwner is the owner's read (see SCUint32.LoadOwner).
-func (x *SCUint64) LoadOwner(relaxed bool) uint64 {
-	if relaxed {
-		return x.v
-	}
-	return atomic.LoadUint64(&x.v)
 }
 
 // SCInt32 is a sequentially consistent int32 (e.g. the pool's idle count,
@@ -155,14 +128,6 @@ func (x *SCInt64) CompareAndSwap(old, new int64) bool {
 	return atomic.CompareAndSwapInt64(&x.v, old, new)
 }
 
-// LoadOwner is the owner's read (see SCUint32.LoadOwner).
-func (x *SCInt64) LoadOwner(relaxed bool) int64 {
-	if relaxed {
-		return x.v
-	}
-	return atomic.LoadInt64(&x.v)
-}
-
 // SCBool is a sequentially consistent bool (e.g. the parked flag: its
 // store must not pass the work re-scan that follows it).
 type SCBool struct{ v uint32 }
@@ -187,27 +152,19 @@ func b32(v bool) uint32 {
 
 // SCPointer is a sequentially consistent typed pointer (e.g. deque cells,
 // whose steal-side read is ordered inside the age-CAS arbitration window).
-type SCPointer[T any] struct{ p ptr[T] }
+type SCPointer[T any] struct{ p atomic.Pointer[T] }
 
 // Load atomically loads the pointer.
-func (x *SCPointer[T]) Load() *T { return x.p.load() }
+func (x *SCPointer[T]) Load() *T { return x.p.Load() }
 
 // Store atomically stores v.
-func (x *SCPointer[T]) Store(v *T) { x.p.store(v) }
+func (x *SCPointer[T]) Store(v *T) { x.p.Store(v) }
 
 // Swap atomically stores v and returns the previous value.
-func (x *SCPointer[T]) Swap(v *T) *T { return x.p.swap(v) }
+func (x *SCPointer[T]) Swap(v *T) *T { return x.p.Swap(v) }
 
 // CompareAndSwap executes the compare-and-swap operation.
-func (x *SCPointer[T]) CompareAndSwap(old, new *T) bool { return x.p.cas(old, new) }
-
-// LoadOwner is the owner's read (see SCUint32.LoadOwner).
-func (x *SCPointer[T]) LoadOwner(relaxed bool) *T {
-	if relaxed {
-		return x.p.v
-	}
-	return x.p.load()
-}
+func (x *SCPointer[T]) CompareAndSwap(old, new *T) bool { return x.p.CompareAndSwap(old, new) }
 
 // Publish32 is a release/acquire int32: a value one side writes and the
 // other observes, with no cross-variable ordering claim (e.g. a run's
@@ -234,27 +191,6 @@ func (x *Publish64) Store(v int64) { atomic.StoreInt64(&x.v, v) }
 // Add atomically adds delta and returns the new value.
 func (x *Publish64) Add(delta int64) int64 { return atomic.AddInt64(&x.v, delta) }
 
-// AddOwner is the owner's increment: with relaxed set it is a plain read
-// of the caller's own last store followed by an atomic store, replacing
-// the locked RMW — sound only when the caller is the word's sole writer.
-// Concurrent atomic readers still see each published value. Without
-// relaxed it is the full atomic add.
-func (x *Publish64) AddOwner(relaxed bool, delta int64) {
-	if relaxed {
-		atomic.StoreInt64(&x.v, x.v+delta)
-		return
-	}
-	atomic.AddInt64(&x.v, delta)
-}
-
-// LoadOwner is the owner's read (see SCUint32.LoadOwner).
-func (x *Publish64) LoadOwner(relaxed bool) int64 {
-	if relaxed {
-		return x.v
-	}
-	return atomic.LoadInt64(&x.v)
-}
-
 // PublishUint64 is a release/acquire uint64 (e.g. the injector's per-cell
 // sequence words: Vyukov's design needs exactly release on publication and
 // acquire on the consumer's check).
@@ -278,21 +214,13 @@ func (x *PublishBool) Store(v bool) { atomic.StoreUint32(&x.v, b32(v)) }
 
 // PublishPointer is a release/acquire typed pointer (e.g. the Chase-Lev
 // ring pointer: the owner publishes a grown ring, thieves acquire it).
-type PublishPointer[T any] struct{ p ptr[T] }
+type PublishPointer[T any] struct{ p atomic.Pointer[T] }
 
 // Load atomically loads the pointer (acquire).
-func (x *PublishPointer[T]) Load() *T { return x.p.load() }
+func (x *PublishPointer[T]) Load() *T { return x.p.Load() }
 
 // Store atomically stores v (release).
-func (x *PublishPointer[T]) Store(v *T) { x.p.store(v) }
-
-// LoadOwner is the owner's read (see SCUint32.LoadOwner).
-func (x *PublishPointer[T]) LoadOwner(relaxed bool) *T {
-	if relaxed {
-		return x.p.v
-	}
-	return x.p.load()
-}
+func (x *PublishPointer[T]) Store(v *T) { x.p.Store(v) }
 
 // PlainPointer is a declared-unsynchronized typed pointer: every
 // conflicting access pair is ordered by real happens-before edges
@@ -307,17 +235,3 @@ func (x *PlainPointer[T]) Get() *T { return x.p }
 
 // Set stores v with a plain store.
 func (x *PlainPointer[T]) Set(v *T) { x.p = v }
-
-// ptr is the shared representation of the atomic pointer wrappers. Like
-// sync/atomic's own Pointer it is a single pointer word routed through
-// the atomic pointer intrinsics; unlike it, the word keeps its typed form
-// so the owner's relaxed read is a plain typed load with no conversion.
-type ptr[T any] struct{ v *T }
-
-func (p *ptr[T]) word() *unsafe.Pointer { return (*unsafe.Pointer)(unsafe.Pointer(&p.v)) }
-func (p *ptr[T]) load() *T              { return (*T)(atomic.LoadPointer(p.word())) }
-func (p *ptr[T]) store(v *T)            { atomic.StorePointer(p.word(), unsafe.Pointer(v)) }
-func (p *ptr[T]) swap(v *T) *T          { return (*T)(atomic.SwapPointer(p.word(), unsafe.Pointer(v))) }
-func (p *ptr[T]) cas(old, new *T) bool {
-	return atomic.CompareAndSwapPointer(p.word(), unsafe.Pointer(old), unsafe.Pointer(new))
-}

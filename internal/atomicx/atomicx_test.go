@@ -4,12 +4,10 @@ import (
 	"os"
 	"os/exec"
 	"strings"
-	"sync"
 	"testing"
 )
 
-// TestSCUint32 exercises every SCUint32 operation, LoadOwner on both the
-// atomic and the relaxed path.
+// TestSCUint32 exercises every SCUint32 operation.
 func TestSCUint32(t *testing.T) {
 	var x SCUint32
 	x.Store(7)
@@ -22,11 +20,6 @@ func TestSCUint32(t *testing.T) {
 	if !x.CompareAndSwap(10, 11) || x.CompareAndSwap(10, 12) {
 		t.Fatal("CompareAndSwap: success/failure arms inverted")
 	}
-	for _, relaxed := range []bool{false, true} {
-		if got := x.LoadOwner(relaxed); got != 11 {
-			t.Fatalf("LoadOwner(%v) = %d, want 11", relaxed, got)
-		}
-	}
 }
 
 func TestSCUint64(t *testing.T) {
@@ -37,11 +30,6 @@ func TestSCUint64(t *testing.T) {
 	}
 	if !x.CompareAndSwap(1<<40+2, 5) || x.Load() != 5 {
 		t.Fatal("CompareAndSwap/Load mismatch")
-	}
-	for _, relaxed := range []bool{false, true} {
-		if got := x.LoadOwner(relaxed); got != 5 {
-			t.Fatalf("LoadOwner(%v) = %d, want 5", relaxed, got)
-		}
 	}
 }
 
@@ -64,11 +52,6 @@ func TestSCInt64(t *testing.T) {
 	}
 	if !x.CompareAndSwap(-1, 6) || x.Load() != 6 {
 		t.Fatal("CompareAndSwap/Load mismatch")
-	}
-	for _, relaxed := range []bool{false, true} {
-		if got := x.LoadOwner(relaxed); got != 6 {
-			t.Fatalf("LoadOwner(%v) = %d, want 6", relaxed, got)
-		}
 	}
 }
 
@@ -102,11 +85,6 @@ func TestSCPointer(t *testing.T) {
 	if !x.CompareAndSwap(b, a) || x.CompareAndSwap(b, a) {
 		t.Fatal("CompareAndSwap: success/failure arms inverted")
 	}
-	for _, relaxed := range []bool{false, true} {
-		if got := x.LoadOwner(relaxed); got != a {
-			t.Fatalf("LoadOwner(%v) != stored pointer", relaxed)
-		}
-	}
 }
 
 func TestPublish32(t *testing.T) {
@@ -122,16 +100,6 @@ func TestPublish64(t *testing.T) {
 	x.Store(5)
 	if got := x.Add(2); got != 7 {
 		t.Fatalf("Add = %d, want 7", got)
-	}
-	x.AddOwner(false, 1)
-	x.AddOwner(true, 1)
-	if got := x.Load(); got != 9 {
-		t.Fatalf("after AddOwner both paths: Load = %d, want 9", got)
-	}
-	for _, relaxed := range []bool{false, true} {
-		if got := x.LoadOwner(relaxed); got != 9 {
-			t.Fatalf("LoadOwner(%v) = %d, want 9", relaxed, got)
-		}
 	}
 }
 
@@ -162,11 +130,6 @@ func TestPublishPointer(t *testing.T) {
 	if got := x.Load(); got != &s {
 		t.Fatal("Load != stored pointer")
 	}
-	for _, relaxed := range []bool{false, true} {
-		if got := x.LoadOwner(relaxed); got != &s {
-			t.Fatalf("LoadOwner(%v) != stored pointer", relaxed)
-		}
-	}
 }
 
 func TestPlainPointer(t *testing.T) {
@@ -178,53 +141,6 @@ func TestPlainPointer(t *testing.T) {
 	x.Set(v)
 	if x.Get() != v {
 		t.Fatal("Get != Set value")
-	}
-}
-
-// TestOwnerOpsRaceClean is the race-detector shape of every relaxed owner
-// op in the scheduler: one owner goroutine doing relaxed LoadOwner/AddOwner
-// while observers use the full atomic loads. Under -race this asserts the
-// central soundness claim — the owner's plain read of its own last store
-// does not race concurrent atomic readers, because the only writes are the
-// owner's own atomic stores.
-func TestOwnerOpsRaceClean(t *testing.T) {
-	var (
-		counter Publish64
-		idx     SCUint64
-		slot    SCPointer[int]
-		ring    PublishPointer[int]
-	)
-	slot.Store(new(int))
-	ring.Store(new(int))
-
-	const iters = 2000
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { // the owner
-		defer wg.Done()
-		for i := 0; i < iters; i++ {
-			counter.AddOwner(true, 1)
-			_ = counter.LoadOwner(true)
-			idx.Store(idx.LoadOwner(true) + 1)
-			_ = slot.LoadOwner(true)
-			_ = ring.LoadOwner(true)
-		}
-	}()
-	go func() { // a concurrent observer: atomic reads only
-		defer wg.Done()
-		for i := 0; i < iters; i++ {
-			_ = counter.Load()
-			_ = idx.Load()
-			_ = slot.Load()
-			_ = ring.Load()
-		}
-	}()
-	wg.Wait()
-	if got := counter.Load(); got != iters {
-		t.Fatalf("owner counter = %d, want %d", got, iters)
-	}
-	if got := idx.Load(); got != iters {
-		t.Fatalf("owner index = %d, want %d", got, iters)
 	}
 }
 
@@ -247,18 +163,17 @@ func TestZeroOverheadInlining(t *testing.T) {
 	diag := string(out)
 	methods := []string{
 		"(*SCUint32).Load", "(*SCUint32).Store", "(*SCUint32).Add",
-		"(*SCUint32).CompareAndSwap", "(*SCUint32).LoadOwner",
+		"(*SCUint32).CompareAndSwap",
 		"(*SCUint64).Load", "(*SCUint64).Store", "(*SCUint64).Add",
-		"(*SCUint64).CompareAndSwap", "(*SCUint64).LoadOwner",
+		"(*SCUint64).CompareAndSwap",
 		"(*SCInt32).Load", "(*SCInt32).Store", "(*SCInt32).Add",
 		"(*SCInt32).CompareAndSwap",
 		"(*SCInt64).Load", "(*SCInt64).Store", "(*SCInt64).Add",
-		"(*SCInt64).CompareAndSwap", "(*SCInt64).LoadOwner",
+		"(*SCInt64).CompareAndSwap",
 		"(*SCBool).Load", "(*SCBool).Store", "(*SCBool).CompareAndSwap",
 		"b32",
 		"(*Publish32).Load", "(*Publish32).Store",
 		"(*Publish64).Load", "(*Publish64).Store", "(*Publish64).Add",
-		"(*Publish64).AddOwner", "(*Publish64).LoadOwner",
 		"(*PublishUint64).Load", "(*PublishUint64).Store",
 		"(*PublishBool).Load", "(*PublishBool).Store",
 	}

@@ -70,18 +70,12 @@ type Deque[T any] struct {
 	// hand-counted complement arithmetic.
 	_ atomicx.CacheLinePad
 	// bot is written only by the owner but participates in the same Dekker
-	// handshake (store bot, then load age), so its stores stay sc; the
-	// owner's own reloads of it are downgradeable (LoadOwner below).
+	// handshake (store bot, then load age), so it is declared sc.
 	bot atomicx.SCUint32 // index below the bottom item
 	_   atomicx.CacheLinePad
 	// deq slots only ever publish a node from one process to another; the
 	// surrounding age/bot protocol supplies all cross-slot ordering.
 	deq []atomicx.PublishPointer[T]
-	// relaxed gates the proof-checked owner-side downgrades (the abporder
-	// owner-op proof: every write of bot sits in an //abp:owner function).
-	// Set via SetRelaxed before the deque is shared; plumbed from
-	// sched.Config.RelaxedAtomics.
-	relaxed bool
 }
 
 // New returns an empty deque with DefaultCapacity slots.
@@ -97,12 +91,6 @@ func NewWithCapacity[T any](capacity int) *Deque[T] {
 	}
 	return &Deque[T]{deq: make([]atomicx.PublishPointer[T], capacity)}
 }
-
-// SetRelaxed toggles the proof-gated owner-side atomics downgrades
-// (plain reloads of bot on the owner paths). It must be called before the
-// deque is shared — typically right after construction — because the flag
-// itself is read without synchronization on every hot-path operation.
-func (d *Deque[T]) SetRelaxed(relaxed bool) { d.relaxed = relaxed }
 
 // Cap returns the deque's capacity.
 func (d *Deque[T]) Cap() int { return len(d.deq) }
@@ -141,14 +129,10 @@ func (d *Deque[T]) Empty() bool { return d.Len() == 0 }
 // preserves depth-first semantics in the scheduler. Only the owner may call
 // PushBottom.
 //
-// The bot reload is owner-relaxed: bot is written by no one else, so the
-// owner re-reads its own last store (the paper's owner/thief asymmetry —
-// Figure 5's pushBottom issues no synchronizing instruction at all).
-//
 //abp:owner deque owner: the worker this deque belongs to
 //abp:nonblocking
 func (d *Deque[T]) PushBottom(node *T) bool {
-	localBot := d.bot.LoadOwner(d.relaxed) // load localBot <- bot
+	localBot := d.bot.Load() // load localBot <- bot
 	if localBot >= uint32(len(d.deq)) {
 		return false
 	}
@@ -184,15 +168,14 @@ func (d *Deque[T]) PopTop() *T {
 // PopBottom pops the bottommost item (Figure 5, popBottom). It returns nil
 // when the deque is empty. Only the owner may call PopBottom.
 //
-// The initial bot reload is owner-relaxed (see PushBottom); the bot STORE
-// below must remain sequentially consistent — it is the first half of the
-// store(bot)→load(age) Dekker handshake against popTop's
+// The bot STORE below must be sequentially consistent — it is the first
+// half of the store(bot)→load(age) Dekker handshake against popTop's
 // store(age)→load(bot), the ordering §3.2's last-item race depends on.
 //
 //abp:owner deque owner: the worker this deque belongs to
 //abp:nonblocking
 func (d *Deque[T]) PopBottom() *T {
-	localBot := d.bot.LoadOwner(d.relaxed) // load localBot <- bot
+	localBot := d.bot.Load() // load localBot <- bot
 	if localBot == 0 {
 		return nil
 	}

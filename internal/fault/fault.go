@@ -29,7 +29,7 @@
 //
 // Arming a point deliberately suspends the non-blocking property — that is
 // the experiment, not a bug: an armed Point may sleep, panic, or block
-// until Resume. The abpvet nonblocking analyzer therefore permits exactly
+// until Resume. The abplint nonblocking analyzer therefore permits exactly
 // the Point call (the disabled fast path) inside //abp:nonblocking
 // functions and flags every other use of this package there.
 //

@@ -32,9 +32,8 @@ var AtomicMix = &Analyzer{
 func runAtomicMix(pass *Pass) error {
 	// The atomicx package IS the wrapper layer: its method bodies are the
 	// one place function-style atomics on raw fields are the point (each
-	// wrapper routes every access of its word through them, and the owner
-	// accessors' relaxed plain reads are the audited exception the package
-	// exists to declare). Exempt it rather than litter it with ignores.
+	// wrapper routes every access of its word through them). Exempt it
+	// rather than litter it with ignores.
 	if pass.Pkg.Name() == "atomicx" {
 		return nil
 	}

@@ -40,9 +40,9 @@ func BenchmarkAbpvetColdLoader(b *testing.B) {
 }
 
 // BenchmarkAbpvetSharedLoader is the same full-tree load through the
-// process-wide LoaderFor cache — the abpvet-then-abprace (or repeated
-// in-process test) scenario: after the first iteration only the `go list`
-// subprocess remains; parse and type-check are cache hits.
+// process-wide LoaderFor cache — the repeated in-process invocation
+// scenario: after the first iteration only the `go list` subprocess
+// remains; parse and type-check are cache hits.
 func BenchmarkAbpvetSharedLoader(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := LoaderFor("../..").Load("../..", "./..."); err != nil {

@@ -12,15 +12,13 @@ import (
 
 // A Tool is one command-line front end over the analyzer suite. The whole
 // CLI (flag parsing, loading, running, emitting, exit status) lives here in
-// the library so cmd/abpvet and cmd/abprace are one-line wrappers and tests
-// drive the commands in-process.
+// the library so cmd/abplint is a one-line wrapper and tests drive the
+// command in-process.
 type Tool struct {
 	// Name prefixes diagnostics and names the SARIF driver.
 	Name string
-	// Analyzers is the suite this tool runs by default. It also scopes
-	// -unused-ignores: only directives addressed to one of these analyzers
-	// can be judged stale by this tool — a directive for an analyzer that
-	// did not run might well suppress one of its findings.
+	// Analyzers is the suite this tool runs by default; -only selects a
+	// subset of it.
 	Analyzers []*Analyzer
 }
 
@@ -36,7 +34,7 @@ func (t *Tool) Main(args []string, stdout, stderr io.Writer) int {
 	sarifPath := fs.String("sarif", "", "write findings as SARIF 2.1.0 to this `file` (\"-\" for stdout)")
 	baselinePath := fs.String("baseline", "", "drop findings recorded in this baseline `file` (a previous -json report)")
 	writeBaseline := fs.String("write-baseline", "", "write the current findings to this `file` as a baseline and exit 0")
-	unusedIgnores := fs.Bool("unused-ignores", false, "also report stale ignore directives addressed to this tool's analyzers (incompatible with -only)")
+	unusedIgnores := fs.Bool("unused-ignores", false, "also report stale ignore directives addressed to the analyzers that ran")
 	dir := fs.String("C", ".", "load packages as if launched from `dir`")
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(), "usage: %s [flags] [packages]\n\n", t.Name)
@@ -62,10 +60,6 @@ func (t *Tool) Main(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	if *only != "" {
-		if *unusedIgnores {
-			fmt.Fprintf(stderr, "%s: -unused-ignores judges staleness against the tool's whole analyzer set and cannot be combined with -only\n", t.Name)
-			return 2
-		}
 		byName := map[string]*Analyzer{}
 		for _, a := range analyzers {
 			byName[a.Name] = a
@@ -97,8 +91,8 @@ func (t *Tool) Main(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// ran scopes -unused-ignores: a directive addressed to an analyzer
-	// outside this tool's suite is not judged (it may suppress a finding
-	// the tool never computed).
+	// that did not run is not judged (it may suppress a finding this run
+	// never computed).
 	ran := map[string]bool{}
 	for _, a := range analyzers {
 		ran[a.Name] = true

@@ -1,4 +1,4 @@
-// Package lint implements abpvet, a static-analysis suite that mechanically
+// Package lint implements abplint, a static-analysis suite that mechanically
 // enforces the concurrency contracts this repository's correctness rests on:
 // the deque's "good set of invocations" (owner-only PushBottom/PopBottom,
 // paper Section 3.2), the non-blocking property of the Figure 5 operations,
@@ -43,12 +43,12 @@ import (
 	"strings"
 )
 
-// An Analyzer describes one abpvet check.
+// An Analyzer describes one abplint check.
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and //abp:ignore
 	// directives.
 	Name string
-	// Doc is a one-paragraph description shown by `abpvet -help`.
+	// Doc is a one-paragraph description shown by `abplint -help`.
 	Doc string
 	// Run performs the check on one package, reporting findings via
 	// pass.Reportf.
@@ -77,7 +77,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.diags = append(p.diags, Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
 
-// All returns the abpvet analyzer suite: PR 2's four syntactic analyzers,
+// All returns the abplint analyzer suite: PR 2's four syntactic analyzers,
 // PR 3's four flow-aware ones, PR 4's whole-package race detector, PR 7's
 // memory-ordering necessity analyzer, PR 8's cache-layout analyzer, and
 // PR 9's liveness analyzer, in alphabetical order.
@@ -263,12 +263,9 @@ func isAtomicFunc(fn *types.Func) bool {
 // isAtomicMethod reports whether fn is a fully atomic method of one of
 // sync/atomic's wrapper types (atomic.Int64, atomic.Pointer, ...) or of
 // the ordering-annotated atomicx wrappers (internal/atomicx; matched by
-// package name so testdata fixture copies resolve too). atomicx's
-// owner/plain accessors (LoadOwner, AddOwner, Get, Set) are deliberately
-// excluded: their read/write classification differs from the name-based
-// rule the atomic analyzers use (LoadOwner is a read despite not being
-// named "Load" exactly; Set is a plain write, not an atomic one) — see
-// isAtomicxOwnerMethod and isAtomicxPlainMethod.
+// package name so testdata fixture copies resolve too). atomicx's plain
+// accessors (Get, Set) are deliberately excluded: Set is a plain write, not
+// an atomic one — see isAtomicxPlainMethod.
 func isAtomicMethod(fn *types.Func) bool {
 	named := recvNamed(fn)
 	if named == nil {
@@ -282,22 +279,6 @@ func isAtomicMethod(fn *types.Func) bool {
 		case "Load", "Store", "Add", "Swap", "CompareAndSwap":
 			return true
 		}
-	}
-	return false
-}
-
-// isAtomicxOwnerMethod reports whether fn is one of atomicx's relaxable
-// owner accessors (LoadOwner, AddOwner): reads (and, for AddOwner, a
-// read-modify-write) that are sound only when the calling goroutine is the
-// word's sole writer. abporder demands a proof at every call site.
-func isAtomicxOwnerMethod(fn *types.Func) bool {
-	named := recvNamed(fn)
-	if named == nil || named.Obj().Pkg().Name() != "atomicx" {
-		return false
-	}
-	switch fn.Name() {
-	case "LoadOwner", "AddOwner":
-		return true
 	}
 	return false
 }

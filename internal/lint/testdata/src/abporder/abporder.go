@@ -4,8 +4,7 @@
 // over-synchronized, sc declarations with no arbitration or handshake
 // evidence are demoted to publish, publish/plain declarations with hard
 // sc evidence are reported as under-synchronized, loop-invariant atomic
-// loads of never-written variables are flagged at the load site, owner
-// accessors outside a proven single-writer context are rejected — while
+// loads of never-written variables are flagged at the load site — while
 // the paper's two load-bearing shapes (CAS arbitration and the Dekker
 // store→load handshake, §3.2/Figure 5) are accepted as sc, and the
 // //abp:order-ignore escape hatch suppresses.
@@ -210,30 +209,6 @@ func (s *spinner) Spin(n int) int64 {
 		sum += s.limit.Load() // want `loop-invariant atomic load`
 	}
 	return sum
-}
-
-// --- owner accessors: proven inside //abp:owner, rejected outside ---
-
-type ownerBox struct {
-	pos atomicx.SCUint32
-}
-
-// Bump reads the cursor with the relaxed owner accessor — sound here
-// because every write of pos sits in an owner context — and advances it
-// with a CAS (the arbitration that keeps pos at sc).
-//
-//abp:owner the box's single mutating goroutine
-func (b *ownerBox) Bump() uint32 {
-	cur := b.pos.LoadOwner(true)
-	if !b.pos.CompareAndSwap(cur, cur+1) {
-		return 0
-	}
-	return cur
-}
-
-// Peek uses the owner accessor from plain shared code.
-func (b *ownerBox) Peek() uint32 {
-	return b.pos.LoadOwner(true) // want `unproven owner accessor`
 }
 
 // --- flagged: a read-only package variable behind function-style atomics ---

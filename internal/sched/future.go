@@ -14,6 +14,20 @@ type poolAbortedError struct{ cause any }
 
 func (e poolAbortedError) Error() string { return "sched: pool run aborted" }
 
+// panicAborted unwinds a Join or Group.Wait that observed its submission's
+// abort channel closed while what it waits for is still pending. The
+// receive (immediate: the channel is closed) orders the cause reads after
+// the aborter's writes: panicVal for a task panic, err for a cancellation
+// or service stop.
+func (r *run) panicAborted() {
+	<-r.abort
+	cause := any(r.panicVal)
+	if cause == nil {
+		cause = r.err
+	}
+	panic(poolAbortedError{cause: cause})
+}
+
 // Future is the result of a Fork: a value that becomes available when the
 // forked task completes. Join retrieves it, executing other tasks while it
 // waits (the "work-first" help protocol), so waiting never wastes a worker.
@@ -61,14 +75,7 @@ func (f *Future[T]) Join(w *Worker) T {
 		select {
 		case <-r.abort:
 			if !f.done.Load() {
-				// The abort-channel receive orders the cause reads after
-				// the aborter's writes: panicVal for a task panic, err for
-				// a cancellation or service stop.
-				cause := any(r.panicVal)
-				if cause == nil {
-					cause = r.err
-				}
-				panic(poolAbortedError{cause: cause})
+				r.panicAborted()
 			}
 		default:
 		}
@@ -88,11 +95,7 @@ func (f *Future[T]) Join(w *Worker) T {
 		case <-f.ch:
 		case <-r.abort:
 			if !f.done.Load() {
-				cause := any(r.panicVal)
-				if cause == nil {
-					cause = r.err
-				}
-				panic(poolAbortedError{cause: cause})
+				r.panicAborted()
 			}
 		default:
 			runtime.Gosched()
@@ -103,11 +106,7 @@ func (f *Future[T]) Join(w *Worker) T {
 			case <-f.ch:
 			case <-r.abort:
 				if !f.done.Load() {
-					cause := any(r.panicVal)
-					if cause == nil {
-						cause = r.err
-					}
-					panic(poolAbortedError{cause: cause})
+					r.panicAborted()
 				}
 			}
 		}

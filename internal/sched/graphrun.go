@@ -2,9 +2,6 @@ package sched
 
 import (
 	"fmt"
-	"math/rand"
-	"runtime"
-	"sync"
 	"time"
 
 	"worksteal/internal/atomicx"
@@ -33,14 +30,10 @@ type GraphConfig struct {
 	// dag predecessors have completed before it runs, so it can implement
 	// real computations structured as dags (see examples/wavefront).
 	// NodeFunc must be safe for concurrent invocation on different nodes.
+	// A panic in NodeFunc aborts the run and resurfaces from RunGraph.
 	NodeFunc func(u dag.NodeID)
 	// Seed seeds victim selection.
 	Seed int64
-	// Pin locks each worker to an OS thread.
-	Pin bool
-	// RelaxedAtomics enables the proof-gated owner-side deque downgrades
-	// (see Config.RelaxedAtomics); the E15 ablation toggles it.
-	RelaxedAtomics bool
 }
 
 // GraphResult reports a native dag execution.
@@ -56,158 +49,88 @@ type GraphResult struct {
 
 // graphRun holds the shared state of one native dag execution. The join
 // counters (remaining) are sc — the decrement result is consumed, and
-// exactly one decrementer enables each node — while the statistics and the
-// done flag are blind publications read after the join (or, for done, a
-// gate whose ordering the enabling decrements already provide).
+// exactly one decrementer enables each node. Each worker counts the nodes
+// it executes in its own line-sized slot, read after the run has joined.
 type graphRun struct {
 	cfg       GraphConfig
 	g         *dag.Graph
 	remaining []atomicx.SCInt32
-	executed  atomicx.Publish64
-	done      atomicx.PublishBool
-	ids       []dag.NodeID // stable backing storage for deque pointers
-	deques    []deque.Dequer[dag.NodeID]
-	perWorker []atomicx.Publish64
-	steals    atomicx.Publish64
-	attempts  atomicx.Publish64
-	yields    atomicx.Publish64
+	perWorker []nodeCount
 }
 
-// RunGraph executes the dag with the Figure 3 scheduling loop on native
-// goroutine workers and returns timing and distribution statistics. It
-// panics if the execution ends without every node executed (which would
-// indicate a scheduler bug; this cannot happen).
+// nodeCount is one worker's executed-node count, alone on its cache line:
+// every node execution increments one, so packed counters would bounce a
+// line between workers.
+type nodeCount struct {
+	n atomicx.Publish64
+	_ [atomicx.CacheLineSize - 8]byte
+}
+
+// RunGraph executes the dag as ordinary tasks on a fresh Pool and returns
+// timing and distribution statistics: the root node is the run's root task,
+// and a node that enables two children spawns one and continues into the
+// other — Figure 3's "push one, run the other" — so the Pool's worker loop
+// is the scheduling loop, and the run ends when the Pool's termination
+// accounting does. A NodeFunc panic resurfaces here, on the caller's
+// goroutine. RunGraph panics if the run ends without every node executed
+// (which would indicate a scheduler bug; this cannot happen).
 func RunGraph(cfg GraphConfig) GraphResult {
 	if cfg.Graph == nil {
 		panic("sched: GraphConfig.Graph is nil")
 	}
-	if cfg.Workers == 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.Workers < 1 {
-		panic(fmt.Sprintf("sched: %d workers", cfg.Workers))
-	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 0xAB9
-	}
 	n := cfg.Graph.NumNodes()
+	p := New(Config{
+		Workers: cfg.Workers,
+		Deque:   cfg.Deque,
+		// A deque never holds more than the dag's nodes, so small dags get
+		// small deques: setup stays proportional to the run.
+		DequeCapacity: min(n+1, deque.DefaultCapacity),
+		DisableYield:  cfg.DisableYield,
+		Seed:          cfg.Seed,
+	})
 	r := &graphRun{
 		cfg:       cfg,
 		g:         cfg.Graph,
 		remaining: make([]atomicx.SCInt32, n),
-		ids:       make([]dag.NodeID, n),
-		perWorker: make([]atomicx.Publish64, cfg.Workers),
+		perWorker: make([]nodeCount, p.Workers()),
 	}
-	for i := 0; i < n; i++ {
+	for i := range r.remaining {
 		r.remaining[i].Store(int32(cfg.Graph.InDegree(dag.NodeID(i))))
-		r.ids[i] = dag.NodeID(i)
-	}
-	for i := 0; i < cfg.Workers; i++ {
-		// The bounded deques can hold at most the number of nodes.
-		switch cfg.Deque {
-		case DequeMutex:
-			r.deques = append(r.deques, deque.NewMutexWithCapacity[dag.NodeID](n+1))
-		case DequeChaseLev:
-			cl := deque.NewChaseLev[dag.NodeID]()
-			cl.SetRelaxed(cfg.RelaxedAtomics)
-			r.deques = append(r.deques, cl)
-		default:
-			abp := deque.NewWithCapacity[dag.NodeID](n + 1)
-			abp.SetRelaxed(cfg.RelaxedAtomics)
-			r.deques = append(r.deques, abp)
-		}
 	}
 
 	start := time.Now()
-	var wg sync.WaitGroup
-	wg.Add(cfg.Workers)
-	for i := 0; i < cfg.Workers; i++ {
-		go r.worker(i, seed+int64(i)*7_919, &wg)
-	}
-	wg.Wait()
+	p.Run(func(w *Worker) { r.runFrom(w, r.g.Root()) })
 	elapsed := time.Since(start)
 
-	if got := r.executed.Load(); got != int64(n) {
-		panic(fmt.Sprintf("sched: graph run executed %d of %d nodes", got, n))
-	}
+	st := p.Stats()
 	res := GraphResult{
-		Elapsed:       elapsed,
-		NodesExecuted: r.executed.Load(),
-		Steals:        r.steals.Load(),
-		StealAttempts: r.attempts.Load(),
-		Yields:        r.yields.Load(),
+		Elapsed:        elapsed,
+		Steals:         st.Steals,
+		StealAttempts:  st.StealAttempts,
+		Yields:         st.Yields,
+		NodesPerWorker: make([]int64, len(r.perWorker)),
 	}
 	for i := range r.perWorker {
-		res.NodesPerWorker = append(res.NodesPerWorker, r.perWorker[i].Load())
+		res.NodesPerWorker[i] = r.perWorker[i].n.Load()
+		res.NodesExecuted += res.NodesPerWorker[i]
+	}
+	if res.NodesExecuted != int64(n) {
+		panic(fmt.Sprintf("sched: graph run executed %d of %d nodes", res.NodesExecuted, n))
 	}
 	return res
 }
 
-// worker runs the Figure 3 loop: execute the assigned node, then pop, push
-// or steal according to how many children the execution enabled.
-//
-//abp:owner the worker goroutine is deques[id]'s single owner for the run
-func (r *graphRun) worker(id int, seed int64, wg *sync.WaitGroup) {
-	defer wg.Done()
-	if r.cfg.Pin {
-		runtime.LockOSThread()
-		defer runtime.UnlockOSThread()
-	}
-	rng := rand.New(rand.NewSource(seed))
-	dq := r.deques[id]
-	assigned := dag.None
-	if id == 0 {
-		assigned = r.g.Root() // root node assigned to process zero
-	}
-	var localSteals, localAttempts, localYields, localNodes int64
-	defer func() {
-		r.steals.Add(localSteals)
-		r.attempts.Add(localAttempts)
-		r.yields.Add(localYields)
-		r.perWorker[id].Add(localNodes)
-	}()
-
-	for !r.done.Load() {
-		if assigned != dag.None {
-			u := assigned
-			assigned = dag.None
-			c0, c1 := r.execute(u)
-			localNodes++
-			switch {
-			case c0 == dag.None: // died or blocked: pop
-				if t := dq.PopBottom(); t != nil {
-					assigned = *t
-				}
-			case c1 == dag.None: // one child: continue into it
-				assigned = c0
-			default: // two children: push one, run the other
-				if !dq.PushBottom(&r.ids[c1]) {
-					// Full deque cannot happen (capacity = n), but stay safe:
-					// run both in sequence by keeping c1 ready via c0 path.
-					panic("sched: graph deque overflow")
-				}
-				assigned = c0
-			}
-			continue
+// runFrom is the body of one task: execute u, then follow the chain of
+// enabled children — continuing into the first and spawning the second —
+// until a node enables none (it died or blocked), at which point the task
+// ends and the worker loop pops or steals the next one.
+func (r *graphRun) runFrom(w *Worker, u dag.NodeID) {
+	for u != dag.None {
+		c0, c1 := r.execute(w, u)
+		if c1 != dag.None {
+			w.Spawn(func(w *Worker) { r.runFrom(w, c1) })
 		}
-		// Thief: yield, then one steal attempt on a random victim.
-		if !r.cfg.DisableYield {
-			localYields++
-			runtime.Gosched()
-		}
-		if len(r.deques) == 1 {
-			continue
-		}
-		v := rng.Intn(len(r.deques) - 1)
-		if v >= id {
-			v++
-		}
-		localAttempts++
-		if t := r.deques[v].PopTop(); t != nil {
-			localSteals++
-			assigned = *t
-		}
+		u = c0
 	}
 }
 
@@ -215,13 +138,13 @@ func (r *graphRun) worker(id int, seed int64, wg *sync.WaitGroup) {
 // decrementing successor join counters; the last decrementer of a node
 // enables it (exactly-once, via atomics). Returns up to two enabled
 // children (c0 filled first).
-func (r *graphRun) execute(u dag.NodeID) (c0, c1 dag.NodeID) {
+func (r *graphRun) execute(w *Worker, u dag.NodeID) (c0, c1 dag.NodeID) {
 	c0, c1 = dag.None, dag.None
 	spin(r.cfg.NodeWork)
 	if r.cfg.NodeFunc != nil {
 		r.cfg.NodeFunc(u)
 	}
-	r.executed.Add(1)
+	r.perWorker[w.ID()].n.Add(1)
 	for _, e := range r.g.Succs(u) {
 		if r.remaining[e.To].Add(-1) == 0 {
 			if c0 == dag.None {
@@ -230,9 +153,6 @@ func (r *graphRun) execute(u dag.NodeID) (c0, c1 dag.NodeID) {
 				c1 = e.To
 			}
 		}
-	}
-	if u == r.g.Final() {
-		r.done.Store(true)
 	}
 	return c0, c1
 }

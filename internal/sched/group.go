@@ -68,13 +68,7 @@ func (g *Group) Wait(w *Worker) {
 		select {
 		case <-r.abort:
 			if g.pending.Load() > 0 {
-				// The abort-channel receive orders the cause reads after
-				// the aborter's writes (see Future.Join).
-				cause := any(r.panicVal)
-				if cause == nil {
-					cause = r.err
-				}
-				panic(poolAbortedError{cause: cause})
+				r.panicAborted()
 			}
 		default:
 		}
@@ -94,11 +88,7 @@ func (g *Group) Wait(w *Worker) {
 		case <-*ch:
 		case <-r.abort:
 			if g.pending.Load() > 0 {
-				cause := any(r.panicVal)
-				if cause == nil {
-					cause = r.err
-				}
-				panic(poolAbortedError{cause: cause})
+				r.panicAborted()
 			}
 		}
 	}

@@ -78,10 +78,6 @@ const (
 func (w *Worker) loop() {
 	defer w.pool.wg.Done()
 	defer w.recoverLoopPanic()
-	if w.pool.cfg.Pin {
-		runtime.LockOSThread()
-		defer runtime.UnlockOSThread()
-	}
 	fault.Point(fpLoopEnter)
 	// Root fallback from startSession. execOrDrop keeps an aborted session's
 	// root (e.g. a pre-cancelled RunContext) from executing into a dead
@@ -102,7 +98,7 @@ func (w *Worker) loop() {
 		if w.state.Load() == workerRetiring && w.retire() {
 			return
 		}
-		w.progress.AddOwner(w.relaxed, 1)
+		w.progress.Add(1)
 		ticks++
 		var t *Task
 		if ticks%injectorPollPeriod == 0 {
@@ -115,7 +111,7 @@ func (w *Worker) loop() {
 		}
 		if t == nil {
 			if !w.pool.cfg.DisableYield {
-				w.yields.AddOwner(w.relaxed, 1)
+				w.yields.Add(1)
 				runtime.Gosched()
 			}
 			fault.Point(fpLoopBeforeSteal)
@@ -176,7 +172,7 @@ func (w *Worker) idleWait(fails int) bool {
 // until signalled — and reports whether it was woken by a work signal. Both
 // variants run the full Dekker protocol with signalWork: publish the idle
 // count and the parked flag, then re-check for work, and only then sleep on
-// the wake token. The handshake directive makes abpvet verify that
+// the wake token. The handshake directive makes abplint verify that
 // ordering: the parked store must dominate the anyVisibleWork re-scan, and
 // every access to the flag must be atomic. The session quit channel
 // (closed by endSession) bounds every sleep at shutdown.

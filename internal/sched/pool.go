@@ -9,17 +9,20 @@
 // appears (see lifecycle.go for the protocol and why it preserves the
 // paper's yield semantics).
 //
-// Three APIs are provided:
+// Two APIs are provided over the one worker loop:
 //
 //   - a task API (Spawn, Fork/Join futures, ParallelFor/Reduce) in the style
-//     of the Hood threads library the authors built on this scheduler,
-//   - a dag runner (RunGraph) that executes an explicit computation dag with
-//     known work and critical-path length, for benchmark experiments that
-//     check the paper's T1/P_A + Tinf*P/P_A bound on real hardware, and
+//     of the Hood threads library the authors built on this scheduler, and
 //   - a service API (Serve, Submit, Handle — serve.go) that keeps the
 //     workers alive across submissions arriving concurrently from any
 //     goroutine, with bounded-injector admission control. Run and
 //     RunContext are one-submission sessions of the same engine.
+//
+// The dag runner (RunGraph — graphrun.go), which executes an explicit
+// computation dag with known work and critical-path length for the
+// experiments that check the paper's T1/P_A + Tinf*P/P_A bound on real
+// hardware, is a client of the task API: a node that enables two children
+// continues into one and Spawns the other.
 //
 // For the paper's ablations, the pool can be configured with a mutex-guarded
 // deque instead of the non-blocking one, with yields disabled, and with
@@ -121,15 +124,6 @@ type Config struct {
 	DisableParking bool
 	// Seed seeds victim selection; 0 means a fixed default.
 	Seed int64
-	// Pin calls runtime.LockOSThread in each worker, approximating the
-	// paper's one-process-per-kernel-thread model.
-	Pin bool
-	// RoundRobinVictim replaces uniformly random victim selection with a
-	// deterministic rotation (the design-choice-5 ablation; the paper's
-	// analysis requires random victims). The rotation cursors are reset at
-	// session start so identical seeded runs see identical victim
-	// sequences.
-	RoundRobinVictim bool
 	// StallTimeout enables the stall watchdog (watchdog.go): a worker
 	// goroutine that makes no scheduler-visible progress for this window
 	// while unparked is surfaced via OnStall and Stats.StallsDetected
@@ -139,15 +133,6 @@ type Config struct {
 	// detected stall episode. It must be safe to call concurrently with
 	// the run and must not block for long (it delays later detections).
 	OnStall func(StallReport)
-	// RelaxedAtomics enables the proof-gated hot-path downgrades: owner-side
-	// reloads of deque bottom indexes and per-worker counter updates use
-	// plain accesses instead of atomics where the abporder analyzer proves
-	// every write sits in a single-owner context (//abp:owner). Correctness
-	// is unaffected — the Dekker stores, CAS arbitration, and all
-	// cross-goroutine publication stay sequentially consistent; only
-	// owner-private re-reads and owner-private read-modify-writes relax.
-	// The E15 ablation (EXPERIMENTS.md) measures the difference.
-	RelaxedAtomics bool
 }
 
 // Task is the unit of work handled by the scheduler. Every task belongs to
@@ -264,7 +249,6 @@ type Worker struct {
 	id   int
 	dq   deque.Dequer[Task]
 	rng  *rand.Rand
-	rr   int // round-robin victim cursor; reset each session (determinism)
 	// handoff is the root task fallback slot (startSession), consumed by
 	// loop; declared plain because every access pair is ordered by the
 	// session fork/join edges — for loops the fleet manager forks
@@ -272,9 +256,6 @@ type Worker struct {
 	// the static analyses do not chase (hence the waiver).
 	handoff atomicx.PlainPointer[Task] //abp:order-ignore ordered by the composed startSession->fleetManager->loop fork edges; the analyzer does not chase nested fork chains
 	run     *run                       // submission of the task currently executing (exec)
-	// relaxed mirrors Config.RelaxedAtomics: gates the owner-side counter
-	// downgrades (AddOwner below). Written once in New, before any sharing.
-	relaxed bool
 
 	parkCh chan struct{} // capacity-1 wake token (lifecycle.go)
 	// parked is half of the park/wake Dekker handshake
@@ -302,16 +283,14 @@ type Worker struct {
 	// progress ticks on every loop iteration and task completion; the
 	// stall watchdog (watchdog.go) reads it to tell a live worker from one
 	// frozen mid-operation. Written only by the worker's own goroutine
-	// (loop/exec/execOrDrop, all //abp:owner), so the increment relaxes to
-	// an owner read-modify-write under RelaxedAtomics; the store half stays
-	// atomic so the watchdog's reads are always safe.
+	// (loop/exec/execOrDrop, all //abp:owner).
 	progress atomicx.Publish64
 
 	// Per-worker counters, summed by Pool.Stats. Atomics so Stats is safe
 	// to call while the run is in flight. The Publish-declared ones are
-	// owner-only blind increments (AddOwner under RelaxedAtomics); the
-	// SC-declared ones are updated inside //abp:handshake carrier functions
-	// (Spawn, park), which abporder pins to full ordering.
+	// owner-only blind increments; the SC-declared ones are updated inside
+	// //abp:handshake carrier functions (Spawn, park), which abporder pins
+	// to full ordering.
 	tasksRun      atomicx.Publish64
 	spawns        atomicx.SCInt64
 	inlineRuns    atomicx.SCInt64
@@ -378,21 +357,16 @@ func New(cfg Config) *Pool {
 		case DequeMutex:
 			dq = deque.NewMutexWithCapacity[Task](cfg.DequeCapacity)
 		case DequeChaseLev:
-			cl := deque.NewChaseLev[Task]()
-			cl.SetRelaxed(cfg.RelaxedAtomics)
-			dq = cl
+			dq = deque.NewChaseLev[Task]()
 		default:
-			abp := deque.NewWithCapacity[Task](cfg.DequeCapacity)
-			abp.SetRelaxed(cfg.RelaxedAtomics)
-			dq = abp
+			dq = deque.NewWithCapacity[Task](cfg.DequeCapacity)
 		}
 		w := &Worker{
-			pool:    p,
-			id:      i,
-			dq:      dq,
-			rng:     rand.New(rand.NewSource(seed + int64(i)*1_000_003)),
-			parkCh:  make(chan struct{}, 1),
-			relaxed: cfg.RelaxedAtomics,
+			pool:   p,
+			id:     i,
+			dq:     dq,
+			rng:    rand.New(rand.NewSource(seed + int64(i)*1_000_003)),
+			parkCh: make(chan struct{}, 1),
 		}
 		if i >= cfg.Workers {
 			w.state.Store(workerRetired)
@@ -501,11 +475,10 @@ func (p *Pool) RunContext(ctx context.Context, root func(*Worker)) error {
 // aborted session left behind — deque tasks, injector carcasses, stranded
 // handoff roots, stale wake tokens — so stale work can neither execute in
 // the new session nor corrupt its accounting, delivers the batch API's
-// root (if any), and forks the worker loops. It also resets the
-// round-robin victim cursors, so two identical seeded sessions see
-// identical victim sequences (the rng deliberately is not reset: random
-// victim selection is the paper's stochastic model, and reseeding it would
-// only launder scheduling nondeterminism into false reproducibility).
+// root (if any), and forks the worker loops. The victim rng deliberately is
+// not reset: random victim selection is the paper's stochastic model, and
+// reseeding it would only launder scheduling nondeterminism into false
+// reproducibility.
 //
 // Reset, root delivery, and fork deliberately share one function body: the
 // caller holds the running guard and no workers exist yet, so the calling
@@ -547,16 +520,12 @@ func (p *Pool) startSession(root *Task) {
 	// submission: a panic's leftovers are drops, a cancelled or stopped
 	// submission's are cancellations.
 	p.drainByRun()
-	// Reset the rotation cursors along with the per-worker ones: a restarted
-	// Serve must behave like a fresh pool, not inherit the previous
-	// session's submission-shard and wake-scan positions (the Serve→Stop→
-	// Serve restartability regression pins this).
+	// Reset the rotation cursors: a restarted Serve must behave like a
+	// fresh pool, not inherit the previous session's submission-shard and
+	// wake-scan positions (the Serve→Stop→Serve restartability regression
+	// pins this).
 	p.shardRR.Store(0)
 	p.wakeRR.Store(0)
-	for _, w := range p.workers {
-		//abp:race-ignore written before the fleet-manager fork below, which forks every mid-session loop: the composed fork edges order this write before the owning worker's accesses; the analyzer does not chase nested fork chains
-		w.rr = 0
-	}
 	if root != nil {
 		if !p.workers[0].dq.PushBottom(root) {
 			p.workers[0].handoff.Set(root)
@@ -700,10 +669,9 @@ func (p *Pool) injectorBacklog() int64 {
 	return n
 }
 
-// stealOnce performs one steal attempt against a victim chosen per the
-// configured policy (uniformly random by default, Figure 3 line 16). The
-// steal counters are owner-only (this worker's goroutine is their sole
-// writer), so their increments relax under RelaxedAtomics.
+// stealOnce performs one steal attempt against a uniformly random victim
+// (Figure 3 line 16). The steal counters are owner-only: this worker's
+// goroutine is their sole writer.
 //
 //abp:owner steal counters belong to the stealing worker's own goroutine
 //abp:nonblocking
@@ -722,21 +690,15 @@ func (w *Worker) stealOnce() *Task {
 	if pick == 0 {
 		return nil
 	}
-	var v int
-	if w.pool.cfg.RoundRobinVictim {
-		w.rr++
-		v = w.rr % pick
-	} else {
-		v = w.rng.Intn(pick)
-	}
+	v := w.rng.Intn(pick)
 	if w.id < n && v >= w.id {
 		v++
 	}
-	w.stealAttempts.AddOwner(w.relaxed, 1)
+	w.stealAttempts.Add(1)
 	fault.Point(fpStealBeforePopTop)
 	t := w.pool.workers[v].dq.PopTop()
 	if t != nil {
-		w.steals.AddOwner(w.relaxed, 1)
+		w.steals.Add(1)
 	}
 	return t
 }
@@ -757,7 +719,7 @@ func (w *Worker) execOrDrop(t *Task) {
 		} else {
 			w.pool.cancelledN.Add(1)
 		}
-		w.progress.AddOwner(w.relaxed, 1)
+		w.progress.Add(1)
 		if r.pending.Add(-1) == 0 {
 			r.complete() // no-op: the abort already finished the run
 		}
@@ -780,8 +742,8 @@ func (w *Worker) exec(t *Task) {
 	w.run = r
 	w.runTask(t, r)
 	w.run = prev
-	w.tasksRun.AddOwner(w.relaxed, 1)
-	w.progress.AddOwner(w.relaxed, 1)
+	w.tasksRun.Add(1)
+	w.progress.Add(1)
 	if r.pending.Add(-1) == 0 {
 		r.complete()
 	}
@@ -820,7 +782,7 @@ func (w *Worker) Pool() *Pool { return w.pool }
 // submission. It pushes the task onto the bottom of the caller's deque,
 // where it is available to thieves, and wakes a parked worker if one
 // exists; if the deque is full the task runs inline instead (correct, just
-// not stealable). The handshake directive makes abpvet verify the producer
+// not stealable). The handshake directive makes abplint verify the producer
 // half of the Dekker protocol: the push (PushBottom's internal atomic
 // store) must dominate the signalWork scan of the parked flags.
 //

@@ -262,15 +262,6 @@ func TestDisableYieldStillCompletes(t *testing.T) {
 	}
 }
 
-func TestPinnedWorkers(t *testing.T) {
-	p := New(Config{Workers: 2, Pin: true})
-	var got int
-	p.Run(func(w *Worker) { got = fibPar(w, 15, 5) })
-	if got != fibSerial(15) {
-		t.Fatal("wrong result with pinned workers")
-	}
-}
-
 func TestChaseLevPool(t *testing.T) {
 	// The unbounded deque never runs tasks inline, even with a flood of
 	// spawns from one worker.
@@ -333,15 +324,6 @@ func TestJoinUnblocksOnAbort(t *testing.T) {
 	}()
 	if recovered == nil {
 		t.Fatal("no panic surfaced")
-	}
-}
-
-func TestRoundRobinVictims(t *testing.T) {
-	p := New(Config{Workers: 4, RoundRobinVictim: true})
-	var got int
-	p.Run(func(w *Worker) { got = fibPar(w, 18, 5) })
-	if want := fibSerial(18); got != want {
-		t.Fatalf("fib = %d, want %d", got, want)
 	}
 }
 

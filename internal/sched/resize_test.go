@@ -354,7 +354,7 @@ func TestDrainConcurrentLoses(t *testing.T) {
 // white-box half) and submissions complete exactly as in the first (the
 // behavioral half).
 func TestServeStopServeRestart(t *testing.T) {
-	p := New(Config{Workers: 4, ParkThreshold: 2, RoundRobinVictim: true})
+	p := New(Config{Workers: 4, ParkThreshold: 2})
 	for session := 0; session < 3; session++ {
 		stop := startServing(t, p)
 		if got := p.shardRR.Load(); got != 0 {

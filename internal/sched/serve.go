@@ -291,7 +291,7 @@ func (p *Pool) Submit(fn func(*Worker)) (*Handle, error) {
 // Tasks of the submission already executing finish; tasks not yet started
 // are discarded and counted in Stats.TasksCancelled.
 //
-// The handshake directive makes abpvet verify the producer half of the
+// The handshake directive makes abplint verify the producer half of the
 // injector's Dekker wake protocol end to end: the enqueue (pushInjector's
 // reservation CAS, visible to a parking worker's Len re-scan from that
 // instant) must dominate the signalWork scan of the parked flags. The

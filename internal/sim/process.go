@@ -80,7 +80,7 @@ type process struct {
 // step executes exactly one instruction of the process. The engine calls it
 // only for scheduled, non-halted processes. The engine is single-threaded,
 // so its goroutine is the single owner of every simulated deque; the
-// directive puts the simulator's deque traffic under abpvet's
+// directive puts the simulator's deque traffic under abplint's
 // ownerescape/owneronly audit.
 //
 //abp:owner the single-threaded engine goroutine owns every simulated deque
