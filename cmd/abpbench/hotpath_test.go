@@ -37,7 +37,8 @@ func hotpathFixture() hotpathReport {
 // The gate keys rows by deque alone; each gated column — push+pop and
 // contended steal per deque, contended submit once — fails on its own when
 // it slows by more than the 10 % budget, and the ungated single-thief steal
-// column never does.
+// column never does. Contended submit is inconclusive, not failed, when the
+// run's own reps spread wider than the budget.
 func TestHotpathCheck(t *testing.T) {
 	base := writeSnapshot(t, hotpathFixture())
 	for _, tc := range []struct {
@@ -51,6 +52,18 @@ func TestHotpathCheck(t *testing.T) {
 		{"chaselev push+pop +11%", func(r *hotpathReport) { r.Ops[1].PushPopNs *= 1.11 }, false},
 		{"contended steal +11%", func(r *hotpathReport) { r.Ops[1].MultiStealNs *= 1.11 }, false},
 		{"contended submit +11%", func(r *hotpathReport) { r.Contended.SubmitNs *= 1.11 }, false},
+		{"contended submit +11%, reps within the budget", func(r *hotpathReport) {
+			r.Contended.SubmitNs *= 1.11
+			r.Contended.SubmitRepSpread = 0.10
+		}, false},
+		{"contended submit 2x, reps too far apart to tell", func(r *hotpathReport) {
+			r.Contended.SubmitNs *= 2
+			r.Contended.SubmitRepSpread = 0.62
+		}, true},
+		{"wide submit reps excuse no other column", func(r *hotpathReport) {
+			r.Contended.SubmitRepSpread = 0.62
+			r.Ops[0].PushPopNs *= 1.11
+		}, false},
 		{"ungated steal column", func(r *hotpathReport) { r.Ops[0].StealNs *= 3 }, true},
 		{"column absent in the run", func(r *hotpathReport) { r.Ops[0].MultiStealNs = 0 }, true},
 		{"contended block absent in the run", func(r *hotpathReport) { r.Contended = nil }, true},

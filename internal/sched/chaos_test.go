@@ -385,6 +385,12 @@ func TestChaosSuspendedThiefMidInjectorPoll(t *testing.T) {
 	// shards through the same TryPop, and freezing the Serve goroutine
 	// there would be a different (and broken) experiment.
 	fault.Enable(fpInjectorBeforePop, fault.Rule{Action: fault.ActionSuspend, OneShot: true})
+	// By now every worker may have parked, and a parked worker polls
+	// nothing: one submission wakes one, which freezes entering the poll.
+	// (The submission itself is drained with the burst below.)
+	if _, err := p.Submit(func(*Worker) {}); err != nil {
+		t.Fatalf("Submit to wake a poller: %v", err)
+	}
 	waitFor(t, 10*time.Second, "a worker frozen entering the injector poll", func() bool {
 		return fault.Suspended(fpInjectorBeforePop) == 1
 	})
@@ -483,9 +489,13 @@ func TestChaosBackoffNapVisibleToSignal(t *testing.T) {
 	if !ran.Load() {
 		t.Fatal("submission never ran")
 	}
-	if got := p.Stats().Wakes; got <= wakes0 {
-		t.Fatalf("Stats.Wakes = %d, want > %d: the nap was slept out rather than cut short by the wake token", got, wakes0)
-	}
+	// The token is there from the Submit on. The resumed worker's select
+	// takes it at once unless the 1us nap timer is ready too and wins the
+	// coin toss; the next nap takes it then. Without the fix there is no
+	// token and this never holds.
+	waitFor(t, 10*time.Second, "the napping worker to take the wake token Submit left it", func() bool {
+		return p.Stats().Wakes > wakes0
+	})
 	if err := stop(); err == nil {
 		t.Fatal("Serve returned nil after cancellation")
 	}

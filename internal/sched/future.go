@@ -28,15 +28,40 @@ func (r *run) panicAborted() {
 	panic(poolAbortedError{cause: cause})
 }
 
+// waitChan returns the channel a waiter about to block on *p selects on,
+// installing one if none is there: completers only close what a waiter
+// installed, so a fork or a group that nobody blocks on never allocates a
+// channel. It is the store half of the waiter's side of the wait
+// handshake — install the channel, then re-load done/pending — against
+// the completer's store done/pending, then load the channel and close it
+// (Future.runTask, Group.done): the same Dekker shape as park against
+// signalWork, so a waiter either sees the completion on its re-load or
+// the completer sees its channel.
+func waitChan(p *atomicx.SCPointer[chan struct{}]) chan struct{} {
+	for {
+		if ch := p.Load(); ch != nil {
+			return *ch
+		}
+		ch := make(chan struct{})
+		if p.CompareAndSwap(nil, &ch) {
+			return ch
+		}
+	}
+}
+
 // Future is the result of a Fork: a value that becomes available when the
 // forked task completes. Join retrieves it, executing other tasks while it
 // waits (the "work-first" help protocol), so waiting never wastes a worker.
+// The Future is also the forked task: it holds its Task inline and is that
+// task's body, so Fork allocates nothing else.
 type Future[T any] struct {
+	task   Task
+	fn     func(*Worker) T
 	result T
-	// done is a one-way completion publication (the forked task stores, the
-	// joiner loads); release/acquire covers the result handoff.
-	done atomicx.PublishBool
-	ch   chan struct{}
+	// done and ch are the two words of the wait handshake (waitChan), hence
+	// sc; done's store also publishes result to the joiner.
+	done atomicx.SCBool
+	ch   atomicx.SCPointer[chan struct{}]
 }
 
 // Fork spawns fn and returns a Future for its result. The spawned task goes
@@ -45,19 +70,29 @@ type Future[T any] struct {
 // it on the same worker — the depth-first execution order the paper notes
 // is "often used" (lazy task creation).
 func Fork[T any](w *Worker, fn func(*Worker) T) *Future[T] {
-	f := &Future[T]{ch: make(chan struct{})}
-	w.Spawn(func(inner *Worker) {
-		f.result = fn(inner)
-		f.done.Store(true)
-		close(f.ch)
-	})
+	f := &Future[T]{fn: fn}
+	f.task = w.newTask(f)
+	w.spawn(&f.task)
 	return f
+}
+
+// runTask is the forked task: compute, publish, wake. A panic in fn leaves
+// the future forever un-done; its joiners unwind through the submission's
+// abort.
+//
+//abp:handshake store=done load=ch
+func (f *Future[T]) runTask(w *Worker) {
+	f.result = f.fn(w)
+	f.done.Store(true)
+	if ch := f.ch.Load(); ch != nil {
+		close(*ch)
+	}
 }
 
 // Join returns the future's result, helping to run other tasks until it is
 // available. It must be called from a task running on the pool (pass the
 // current worker). When no runnable work is visible anywhere, Join blocks
-// on the future's channel rather than spinning — the same
+// on a channel it installs in the future rather than spinning — the same
 // park-instead-of-spin discipline as the worker loop (lifecycle.go) — and
 // is woken by the forked task's completion or, if the joiner's submission
 // aborts (another of its tasks panicked, its context was cancelled, the
@@ -67,8 +102,8 @@ func Fork[T any](w *Worker, fn func(*Worker) T) *Future[T] {
 // tasks: a joiner with a deep backlog unwinds at the next task boundary
 // instead of draining the backlog first (the worker loop makes the same
 // between-tasks check). In serve mode a helped task may belong to a
-// different submission — execOrDrop charges and aborts per the helped
-// task's own run, and exec restores the joiner's run afterwards.
+// different submission — execOrDrop releases and aborts per the helped
+// task's own scope, and exec restores the joiner's scope afterwards.
 func (f *Future[T]) Join(w *Worker) T {
 	r := w.currentRun()
 	for !f.done.Load() {
@@ -79,39 +114,45 @@ func (f *Future[T]) Join(w *Worker) T {
 			}
 		default:
 		}
-		if t := w.tryGetTask(); t != nil {
-			w.execOrDrop(t)
+		if t, stolen := w.tryGetTask(); t != nil {
+			w.execOrDrop(t, stolen)
 			continue
 		}
 		// No runnable work found. If some deque still appears non-empty a
 		// retry may find it; otherwise the forked task (or an ancestor it
 		// waits on) is running on another worker and blocking is safe and
-		// cheap.
+		// cheap — after one more yield, which usually lets that worker
+		// finish and spares the channel.
 		if w.anyVisibleWork() {
 			runtime.Gosched()
 			continue
 		}
-		select {
-		case <-f.ch:
-		case <-r.abort:
-			if !f.done.Load() {
-				r.panicAborted()
-			}
-		default:
-			runtime.Gosched()
-			if f.done.Load() || w.anyVisibleWork() {
-				continue
-			}
-			select {
-			case <-f.ch:
-			case <-r.abort:
-				if !f.done.Load() {
-					r.panicAborted()
-				}
-			}
+		runtime.Gosched()
+		if f.done.Load() || w.anyVisibleWork() {
+			continue
 		}
+		f.block(r)
 	}
 	return f.result
+}
+
+// block parks the joiner until the future completes or r aborts. The
+// caller's loop re-checks done, so a wake for any other reason is
+// harmless.
+//
+//abp:handshake store=waitChan load=done
+func (f *Future[T]) block(r *run) {
+	ch := waitChan(&f.ch)
+	if f.done.Load() {
+		return
+	}
+	select {
+	case <-ch:
+	case <-r.abort:
+		if !f.done.Load() {
+			r.panicAborted()
+		}
+	}
 }
 
 // Done reports whether the result is available without blocking.

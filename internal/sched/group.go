@@ -11,50 +11,63 @@ import (
 // known up front (tree searches, graph traversals). Wait helps execute
 // other tasks while waiting, like Future.Join.
 //
-// A Group may be reused after Wait returns. Spawning from inside member
-// tasks is allowed (the count covers them transitively).
+// The zero Group is ready to use, and a Group may be reused after Wait
+// returns. Spawning from inside member tasks is allowed (the count covers
+// them transitively).
 type Group struct {
 	// pending's decrement result is consumed (exactly one decrementer
-	// observes zero and wakes the waiters): sc arbitration.
+	// observes zero and wakes the waiters), and it is the word Wait
+	// re-loads after installing ch (the wait handshake, waitChan): sc.
 	pending atomicx.SCInt64
-	// ch is swapped out by the waker — an atomic read-modify-write that
-	// exactly one caller wins per generation, hence sc. It shares
-	// pending's cache line on purpose: the decrementer that wins pending's
-	// zero race immediately swaps ch, so the two words are dirtied in one
-	// ordered sequence by the same goroutine — one invalidation, not two —
-	// and a Group is a small user-allocated value not worth a 64-byte pad.
+	// ch is the wait channel of the current generation, installed by a
+	// waiter about to block and taken by the decrementer that reaches
+	// zero. It shares pending's cache line on purpose: that decrementer
+	// takes ch right after winning pending's zero race, so the two words
+	// are dirtied in one ordered sequence by the same goroutine — one
+	// invalidation, not two — and a Group is a small user-allocated value
+	// not worth a 64-byte pad.
 	//abp:layout-ignore pending and ch are co-written by the single winning waker per generation; padding would double a user-visible struct for one saved invalidation
 	ch atomicx.SCPointer[chan struct{}]
 }
 
 // NewGroup returns an empty group.
-func NewGroup() *Group {
-	g := &Group{}
-	ch := make(chan struct{})
-	g.ch.Store(&ch)
-	return g
+func NewGroup() *Group { return &Group{} }
+
+// groupTask is a group member: the task, its body and its group in one
+// allocation.
+type groupTask struct {
+	task Task
+	g    *Group
+	fn   func(*Worker)
+}
+
+func (t *groupTask) runTask(w *Worker) {
+	defer t.g.done()
+	t.fn(w)
 }
 
 // Spawn schedules fn as part of the group.
 func (g *Group) Spawn(w *Worker, fn func(*Worker)) {
 	g.pending.Add(1)
-	w.Spawn(func(inner *Worker) {
-		defer g.done()
-		fn(inner)
-	})
+	t := &groupTask{g: g, fn: fn}
+	t.task = w.newTask(t)
+	w.spawn(&t.task)
 }
 
+// done ends one member. The one that empties the group takes the channel
+// the waiters installed, if any, and closes it; the slot is left empty for
+// the next generation (the CAS picks one closer per channel). A done
+// delayed past its own generation's Wait may take the next generation's
+// channel instead: that waiter wakes, finds pending above zero, and
+// installs another.
+//
+//abp:handshake store=pending load=ch
 func (g *Group) done() {
 	if g.pending.Add(-1) == 0 {
-		// Wake waiters; swap in a fresh channel for reuse.
-		old := g.ch.Swap(newGroupChan())
-		close(*old)
+		if ch := g.ch.Load(); ch != nil && g.ch.CompareAndSwap(ch, nil) {
+			close(*ch)
+		}
 	}
-}
-
-func newGroupChan() *chan struct{} {
-	ch := make(chan struct{})
-	return &ch
 }
 
 // Wait blocks until every task spawned into the group (so far) has
@@ -72,24 +85,33 @@ func (g *Group) Wait(w *Worker) {
 			}
 		default:
 		}
-		if t := w.tryGetTask(); t != nil {
-			w.execOrDrop(t)
+		if t, stolen := w.tryGetTask(); t != nil {
+			w.execOrDrop(t, stolen)
 			continue
 		}
 		if w.anyVisibleWork() {
 			runtime.Gosched()
 			continue
 		}
-		ch := g.ch.Load()
-		if g.pending.Load() == 0 {
-			return
-		}
-		select {
-		case <-*ch:
-		case <-r.abort:
-			if g.pending.Load() > 0 {
-				r.panicAborted()
-			}
+		g.block(r)
+	}
+}
+
+// block parks the waiter until the group empties or r aborts; Wait's loop
+// re-checks pending, so a wake meant for an earlier generation is
+// harmless.
+//
+//abp:handshake store=waitChan load=pending
+func (g *Group) block(r *run) {
+	ch := waitChan(&g.ch)
+	if g.pending.Load() == 0 {
+		return
+	}
+	select {
+	case <-ch:
+	case <-r.abort:
+		if g.pending.Load() > 0 {
+			r.panicAborted()
 		}
 	}
 }

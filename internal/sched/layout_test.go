@@ -34,11 +34,11 @@ func TestWorkerLayoutPins(t *testing.T) {
 	var w Worker
 	parked := unsafe.Offsetof(w.parked)
 	parkCh := unsafe.Offsetof(w.parkCh)
-	run := unsafe.Offsetof(w.run)
+	scope := unsafe.Offsetof(w.scope)
 	progress := unsafe.Offsetof(w.progress)
 	tasksRun := unsafe.Offsetof(w.tasksRun)
-	if layoutLine(parked) == layoutLine(parkCh) || layoutLine(parked) == layoutLine(run) {
-		t.Errorf("parked (offset %d) shares a line with the worker wiring (parkCh %d, run %d)", parked, parkCh, run)
+	if layoutLine(parked) == layoutLine(parkCh) || layoutLine(parked) == layoutLine(scope) {
+		t.Errorf("parked (offset %d) shares a line with the worker wiring (parkCh %d, scope %d)", parked, parkCh, scope)
 	}
 	if layoutLine(parked) == layoutLine(progress) || layoutLine(parked) == layoutLine(tasksRun) {
 		t.Errorf("parked (offset %d) shares a line with the owner counters (progress %d, tasksRun %d)", parked, progress, tasksRun)
@@ -76,6 +76,35 @@ func TestPoolLayoutPins(t *testing.T) {
 			if layoutLine(offs[hot]) == layoutLine(off) {
 				t.Errorf("%s (offset %d) shares a cache line with %s (offset %d)", hot, offs[hot], name, off)
 			}
+		}
+	}
+}
+
+// TestRunLayoutPins asserts the root scope's refs — written at every spawn
+// and task end of the worker running in the root scope — has a cache line
+// to itself: scope is exactly one line, it leads the run record, and the
+// record is a whole number of lines (so the allocator keeps it
+// line-aligned), which leaves state and abort, read by every worker for
+// every task of the submission, on other lines.
+func TestRunLayoutPins(t *testing.T) {
+	var r run
+	if sz := unsafe.Sizeof(r.scope); sz != atomicx.CacheLineSize {
+		t.Errorf("scope is %d bytes, want exactly one cache line", sz)
+	}
+	if off := unsafe.Offsetof(r.scope) + unsafe.Offsetof(r.scope.refs); off != 0 {
+		t.Errorf("root refs at offset %d, want 0", off)
+	}
+	if sz := unsafe.Sizeof(r); sz%atomicx.CacheLineSize != 0 {
+		t.Errorf("run is %d bytes, not a whole number of cache lines", sz)
+	}
+	for name, off := range map[string]uintptr{
+		"state":    unsafe.Offsetof(r.state),
+		"abort":    unsafe.Offsetof(r.abort),
+		"finished": unsafe.Offsetof(r.finished),
+		"root":     unsafe.Offsetof(r.root),
+	} {
+		if layoutLine(off) == 0 {
+			t.Errorf("%s (offset %d) shares the root refs line", name, off)
 		}
 	}
 }

@@ -85,7 +85,7 @@ func (w *Worker) loop() {
 	//abp:race-ignore startSession writes handoff before forking the fleet manager, and the manager forks every mid-session loop: the composed fork edges (Go MM transitivity) order the write before this read; the analyzer does not chase nested fork chains
 	if t := w.handoff.Get(); t != nil {
 		w.handoff.Set(nil)
-		w.execOrDrop(t)
+		w.execOrDrop(t, false)
 	}
 	fails := 0
 	ticks := 0
@@ -100,7 +100,11 @@ func (w *Worker) loop() {
 		}
 		w.progress.Add(1)
 		ticks++
+		// stolen travels with t to exec: true only for a task taken from
+		// another worker's deque. What the injector hands over — a root, or
+		// a task republish re-scoped — runs in the scope it carries.
 		var t *Task
+		stolen := false
 		if ticks%injectorPollPeriod == 0 {
 			// Fairness poll: with a non-empty local deque the injector
 			// would otherwise only be drained by idle workers.
@@ -118,12 +122,12 @@ func (w *Worker) loop() {
 			// Idle: drain submissions ahead of stealing — an injected root
 			// is the oldest work in the system — then try one victim.
 			if t = w.pollInjector(); t == nil {
-				t = w.stealOnce()
+				t, stolen = w.stealOnce(), true
 			}
 		}
 		if t != nil {
 			fails = 0
-			w.execOrDrop(t)
+			w.execOrDrop(t, stolen)
 			continue
 		}
 		fails++
@@ -137,7 +141,7 @@ func (w *Worker) loop() {
 // the loop machinery itself — outside exec's per-task recover, e.g. an
 // injected fault.Point panic between tasks. Without it such a panic would
 // escape the worker goroutine and crash the process (and, were it somehow
-// swallowed, strand pending counters above zero and wedge every waiter).
+// swallowed, strand scope counters above zero and wedge every waiter).
 // Instead it is treated as an engine failure: every in-flight submission
 // aborts with the panic value (waking parked workers, blocked Joins, and
 // Handle waiters), and the session controller — Run's waiter or Serve's

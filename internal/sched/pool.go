@@ -18,6 +18,12 @@
 //     goroutine, with bounded-injector admission control. Run and
 //     RunContext are one-submission sessions of the same engine.
 //
+// The spawn path writes no word that another worker writes: a fork is one
+// allocation (the Future is the task), one push, one pop, and two counter
+// updates on a line of the executing worker's own. The count of un-ended
+// tasks that ends a run is kept in scopes split at steals (scope.go), so
+// workers meet where the paper's processes do — at steals.
+//
 // The dag runner (RunGraph — graphrun.go), which executes an explicit
 // computation dag with known work and critical-path length for the
 // experiments that check the paper's T1/P_A + Tinf*P/P_A bound on real
@@ -135,14 +141,28 @@ type Config struct {
 	OnStall func(StallReport)
 }
 
-// Task is the unit of work handled by the scheduler. Every task belongs to
-// exactly one submission (its run record): spawned tasks inherit the
-// spawner's, so a worker executing tasks of interleaved submissions always
-// charges the right pending counter and observes the right abort.
+// Task is the unit of work handled by the scheduler: a body and the
+// termination scope (scope.go) the spawn counted it in. The scope leads to
+// the task's submission, so a worker executing tasks of interleaved
+// submissions always releases the right counter and observes the right
+// abort. Only a bare Spawn allocates a Task by itself: Future, groupTask
+// and the run record each hold theirs inline (and the first two are its
+// body), so a fork is one allocation.
 type Task struct {
-	fn  func(*Worker)
-	run *run
+	body  taskBody
+	scope *scope
 }
+
+// taskBody is what a task runs. The two pointer-shaped implementations —
+// a record that holds its Task inline (Future, groupTask) and taskFunc —
+// convert to the interface without allocating.
+type taskBody interface{ runTask(w *Worker) }
+
+// taskFunc is the body of a task that is just a function: Spawn's, and a
+// submission's root.
+type taskFunc func(*Worker)
+
+func (fn taskFunc) runTask(w *Worker) { fn(w) }
 
 // Pool is a work-stealing scheduler instance. Create one with New, then
 // either use the batch API — Run or RunContext, possibly several times in
@@ -255,7 +275,7 @@ type Worker struct {
 	// mid-session, by the composed startSession→manager→loop fork chain
 	// the static analyses do not chase (hence the waiver).
 	handoff atomicx.PlainPointer[Task] //abp:order-ignore ordered by the composed startSession->fleetManager->loop fork edges; the analyzer does not chase nested fork chains
-	run     *run                       // submission of the task currently executing (exec)
+	scope   *scope                     // termination scope of the task currently executing (exec)
 
 	parkCh chan struct{} // capacity-1 wake token (lifecycle.go)
 	// parked is half of the park/wake Dekker handshake
@@ -413,14 +433,14 @@ func (p *Pool) RunContext(ctx context.Context, root func(*Worker)) error {
 		panic("sched: Pool.Run/RunContext called concurrently with a run already in flight on this pool (a Pool serves one run at a time)")
 	}
 	defer p.running.Store(false)
-	r := newRun(p)
+	r := newRun(p, root)
 	p.register(r)
 	if err := ctx.Err(); err != nil {
 		// Already cancelled: abort before any worker starts, so the root
 		// handoff/push is discarded (and counted) rather than executed.
 		r.abortWith(runCancelled, err, nil)
 	}
-	p.startSession(&Task{fn: root, run: r})
+	p.startSession(&r.root)
 
 	// Auxiliary goroutines: the context watcher and the stall watchdog.
 	// Both exit when the run ends (stopAux) or the run aborts.
@@ -491,8 +511,8 @@ func (p *Pool) RunContext(ctx context.Context, root func(*Worker)) error {
 // quiescent — the batch API's fast path, bypassing the injector the way
 // the paper hands the root thread to process zero before the loop starts.
 // The fresh deque cannot refuse it with the stock deques, but a refusal
-// must not be silently dropped (it would strand the submission's pending
-// counter at 1): fall back to the direct handoff slot, which worker 0's
+// must not be silently dropped (it would strand the submission's root
+// scope at 1): fall back to the direct handoff slot, which worker 0's
 // loop consumes before its first pop — the same run-it-anyway guarantee
 // Spawn provides via inline execution.
 //
@@ -583,8 +603,8 @@ func (p *Pool) endSession() {
 // the deques, and the handoff slots, accounting every leftover task under
 // the counter its submission's abort cause selects — TasksDropped for a
 // panic, TasksCancelled for a cancellation or service stop. Leftovers can
-// only belong to aborted submissions (a completed one has, by definition
-// of its pending counter, no tasks left anywhere).
+// only belong to aborted submissions (a completed one has, by the scope
+// invariant, no tasks left anywhere).
 //
 //abp:owner quiescent phase: every worker has exited before the sweep
 func (p *Pool) drainByRun() {
@@ -594,7 +614,7 @@ func (p *Pool) drainByRun() {
 	// against the dead worker goroutines for the static race detector.
 	p.wg.Wait()
 	account := func(t *Task) {
-		if t.run.state.Load() == runPanicked {
+		if t.scope.run.state.Load() == runPanicked {
 			p.dropped.Add(1)
 		} else {
 			p.cancelledN.Add(1)
@@ -708,59 +728,63 @@ func (w *Worker) stealOnce() *Task {
 // accounted under the abort cause's counter. This is the service-mode
 // replacement for the old between-runs drain: tasks of interleaved
 // submissions share the deques, so staleness is decided per task at pop
-// time, not per pool at session boundaries.
+// time, not per pool at session boundaries. stolen says how the task
+// reached this worker (see exec); a discarded task releases the scope it
+// carries either way.
 //
 //abp:owner runs only on the goroutine that owns the worker (its loop, a helping Join on it, or the submitter for the ephemeral caller-runs worker)
-func (w *Worker) execOrDrop(t *Task) {
-	r := t.run
-	if s := r.state.Load(); s != runLive {
+func (w *Worker) execOrDrop(t *Task, stolen bool) {
+	if s := t.scope.run.state.Load(); s != runLive {
 		if s == runPanicked {
 			w.pool.dropped.Add(1)
 		} else {
 			w.pool.cancelledN.Add(1)
 		}
 		w.progress.Add(1)
-		if r.pending.Add(-1) == 0 {
-			r.complete() // no-op: the abort already finished the run
-		}
+		t.scope.release() // a zero here is a no-op: the abort already finished the run
 		return
 	}
-	w.exec(t)
+	w.exec(t, stolen)
 }
 
-// exec runs a task and performs termination accounting against the task's
-// submission. A panicking task aborts its submission (and only it); the
-// panic value surfaces from Run or from the submission's Handle. The
-// worker whose decrement drives the submission's pending counter to zero
-// completes it, which closes its finished channel — waking its Handle and,
-// for a batch session, the Run goroutine that brings the session down.
+// exec runs a task and performs termination accounting (scope.go). A task
+// this worker popped from its own deque, or runs inline on a full one,
+// runs in the scope it carries — the scope this worker was in when it
+// spawned the task — as does a task from the injector, which carries a
+// scope nobody runs in (a root's, or the one republish gave it). A stolen
+// task runs in the scope split makes for it, so this worker's spawns and
+// task ends count on a word only it writes, and the scope the task was
+// spawned in hears from this worker once, when the child empties. A
+// panicking task aborts its submission (and only it); the panic value
+// surfaces from Run or from the submission's Handle.
 //
 //abp:owner exec runs only on the goroutine that owns the worker (its loop, or the submitter for the ephemeral caller-runs worker)
-func (w *Worker) exec(t *Task) {
-	r := t.run
-	prev := w.run
-	w.run = r
-	w.runTask(t, r)
-	w.run = prev
+func (w *Worker) exec(t *Task, stolen bool) {
+	s := t.scope
+	if stolen {
+		s = s.split()
+	}
+	prev := w.scope
+	w.scope = s
+	w.runTask(t)
+	w.scope = prev
 	w.tasksRun.Add(1)
 	w.progress.Add(1)
-	if r.pending.Add(-1) == 0 {
-		r.complete()
-	}
+	s.release()
 }
 
 // runTask invokes the task body under the per-task recover. A panic is
 // swallowed here — recorded as the submission's abort cause — so exec's
 // termination accounting above always runs and the worker loop survives
 // the task.
-func (w *Worker) runTask(t *Task, r *run) {
+func (w *Worker) runTask(t *Task) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			r.abortWith(runPanicked, nil, rec)
+			t.scope.run.abortWith(runPanicked, nil, rec)
 		}
 	}()
 	fault.Point(fpExecBeforeRun)
-	t.fn(w)
+	t.body.runTask(w)
 }
 
 // ID returns the worker's index in [0, Workers).
@@ -768,12 +792,19 @@ func (w *Worker) ID() int { return w.id }
 
 // currentRun returns the run record of the task currently executing on
 // this worker. Join and Group.Wait read it to watch their own
-// submission's abort; like the deque, the field belongs to the goroutine
-// running the worker (set and restored only by exec), which is exactly
-// the goroutine those helpers document they must be called from.
+// submission's abort; like the deque, the scope field belongs to the
+// goroutine running the worker (set and restored only by exec), which is
+// exactly the goroutine those helpers document they must be called from.
 //
-//abp:owner only the goroutine running the worker reads its current run
-func (w *Worker) currentRun() *run { return w.run }
+//abp:owner only the goroutine running the worker reads its current scope
+func (w *Worker) currentRun() *run { return w.scope.run }
+
+// newTask returns a task with the given body that carries the scope of the
+// task currently executing on this worker — what Fork, Group.Spawn and
+// Spawn store in the record they allocate before handing it to spawn.
+//
+//abp:owner only the goroutine running the worker reads its current scope
+func (w *Worker) newTask(body taskBody) Task { return Task{body: body, scope: w.scope} }
 
 // Pool returns the owning pool.
 func (w *Worker) Pool() *Pool { return w.pool }
@@ -782,34 +813,41 @@ func (w *Worker) Pool() *Pool { return w.pool }
 // submission. It pushes the task onto the bottom of the caller's deque,
 // where it is available to thieves, and wakes a parked worker if one
 // exists; if the deque is full the task runs inline instead (correct, just
-// not stealable). The handshake directive makes abplint verify the producer
-// half of the Dekker protocol: the push (PushBottom's internal atomic
-// store) must dominate the signalWork scan of the parked flags.
+// not stealable).
+func (w *Worker) Spawn(fn func(*Worker)) {
+	t := w.newTask(taskFunc(fn))
+	w.spawn(&t)
+}
+
+// spawn publishes a task made by newTask: it counts the task in the scope
+// it carries, the spawner's — a word no other worker writes between steals
+// — and pushes it. The handshake directive makes abplint verify the
+// producer half of the Dekker protocol: the push (PushBottom's internal
+// atomic store) must dominate the signalWork scan of the parked flags.
 //
 //abp:owner tasks execute only on worker goroutines, so the receiver owns w.dq
 //abp:handshake store=PushBottom load=signalWork
-func (w *Worker) Spawn(fn func(*Worker)) {
+func (w *Worker) spawn(t *Task) {
 	w.spawns.Add(1)
-	r := w.run
-	r.pending.Add(1)
-	t := &Task{fn: fn, run: r}
+	t.scope.refs.Add(1)
 	if !w.dq.PushBottom(t) {
 		w.inlineRuns.Add(1)
-		w.exec(t)
+		w.exec(t, false)
 		return
 	}
 	w.pool.signalWork()
 }
 
-// tryGetTask pops local work, or failing that makes one steal attempt.
-// Used by Future.Join to make progress while waiting.
+// tryGetTask pops local work, or failing that makes one steal attempt;
+// stolen reports which. Used by Future.Join and Group.Wait to make
+// progress while waiting.
 //
 //abp:owner tasks execute only on worker goroutines, so the receiver owns w.dq
-func (w *Worker) tryGetTask() *Task {
+func (w *Worker) tryGetTask() (t *Task, stolen bool) {
 	if t := w.dq.PopBottom(); t != nil {
-		return t
+		return t, false
 	}
-	return w.stealOnce()
+	return w.stealOnce(), true
 }
 
 // anyVisibleWork reports whether any injector shard or deque in the pool

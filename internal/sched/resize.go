@@ -171,7 +171,7 @@ func (w *Worker) retire() bool {
 		// Every shard full: run the task here instead of losing it. The
 		// task may Spawn (refilling this deque), which is why the drain is
 		// a loop and not a single sweep.
-		w.execOrDrop(t)
+		w.execOrDrop(t, false)
 	}
 	if !w.state.CompareAndSwap(workerRetiring, workerRetired) {
 		// A grow reactivated this worker mid-retirement.
@@ -189,10 +189,16 @@ func (w *Worker) retire() bool {
 // republish hands one drained task back through the injector, running the
 // producer side of the park/wake Dekker handshake: the push must be
 // visible before the wake scan reads parked flags, the same contract
-// Submit and Spawn honor. Reports whether the injector accepted the task.
+// Submit and Spawn honor. The task leaves this worker for good, so it goes
+// out in the scope a thief would run it in (split): whoever polls it
+// counts on a word of its own, like the poller of a root. Reports whether
+// the injector accepted the task.
 //
 //abp:handshake store=pushInjector load=signalWork
 func (w *Worker) republish(t *Task) bool {
+	if s := t.scope.split(); s != t.scope {
+		t = &Task{body: t.body, scope: s}
+	}
 	if !w.pool.pushInjector(t) {
 		return false
 	}

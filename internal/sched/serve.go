@@ -6,8 +6,8 @@
 // scheduling loops once and keeps them alive across submissions; Submit
 // may be called from any goroutine and enqueues a new root onto the
 // bounded injector shards (injector.go), which workers poll between local
-// pops and steals. Each submission carries its own run record — pending
-// counter, abort cause, completion future — so cancellation, panic
+// pops and steals. Each submission carries its own run record — root
+// termination scope, abort cause, completion future — so cancellation, panic
 // isolation, the stall watchdog, and the chaos failpoints all apply per
 // submission instead of per batch. Run and RunContext are reimplemented on
 // top of the same session machinery (pool.go), so the entire pre-existing
@@ -81,16 +81,20 @@ const (
 
 // run is the per-submission record: everything that used to live on Pool
 // for the one batch run now lives here, one instance per Submit (and one
-// per Run/RunContext call). Tasks carry a pointer to their run, so a
-// worker executing tasks of interleaved submissions always charges the
-// right pending counter and observes the right abort.
+// per Run/RunContext call) — and one allocation: the root task, the root
+// termination scope and the Handle are part of it. Every scope of the
+// submission points here, so a worker executing tasks of interleaved
+// submissions always observes the right abort.
+//
+// Layout: scope comes first and is exactly one cache line (scope.go), and
+// the record is sized to a whole number of lines, which the allocator's
+// size classes keep line-aligned — so the root refs word, written at every
+// spawn and task end of the worker running in the root scope, never shares
+// a line with state and abort, which every worker reads for every task of
+// the submission (layout_test.go pins offsets and size).
 type run struct {
-	pool *Pool
-	// pending counts the root plus every transitively spawned task not
-	// yet executed or discarded; the decrement that reaches zero
-	// completes the submission. sc: the decrement's result is consumed —
-	// exactly one decrementer observes zero, an arbitration.
-	pending atomicx.SCInt64
+	scope scope // the root scope: refs starts at 1, the root task
+	pool  *Pool
 	// state gates execution (see the constants above). It is written
 	// inside finishOnce before the abort channel closes, so a worker that
 	// observes an aborted state can rely on err/panicVal being set.
@@ -98,7 +102,7 @@ type run struct {
 	// store→load shape involves it.
 	state atomicx.Publish32
 	// finishOnce arbitrates the submission's single outcome: completion
-	// (pending hit zero) or abort (task panic, cancellation, engine
+	// (the root scope emptied) or abort (task panic, cancellation, engine
 	// failure) — first caller wins, exactly like the old Pool.abortOnce.
 	finishOnce sync.Once
 	err        error
@@ -117,16 +121,23 @@ type run struct {
 	// sits inside the SubmitContext handshake carrier, whose store→load
 	// protocol abporder pins to full ordering.
 	stopWatch atomicx.SCPointer[func() bool]
+	handle    Handle // what Submit returns a pointer to
+	root      Task   // carries &scope
+	_         [16]byte
 }
 
-func newRun(p *Pool) *run {
+// newRun returns the record of a submission whose root task runs fn.
+func newRun(p *Pool, fn func(*Worker)) *run {
 	r := &run{pool: p, abort: make(chan struct{}), finished: make(chan struct{})}
-	r.pending.Store(1) // the root
+	r.scope.run = r
+	r.scope.refs.Store(1) // the root
+	r.root = Task{body: taskFunc(fn), scope: &r.scope}
+	r.handle.r = r
 	return r
 }
 
-// complete ends the submission successfully. Called by the worker whose
-// pending decrement reached zero; a lost race against an abort is a no-op.
+// complete ends the submission successfully. Called by the release that
+// empties the root scope; a lost race against an abort is a no-op.
 func (r *run) complete() {
 	r.finishOnce.Do(func() {
 		if f := r.stopWatch.Load(); f != nil {
@@ -309,8 +320,8 @@ func (p *Pool) SubmitContext(ctx context.Context, fn func(*Worker)) (*Handle, er
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	r := newRun(p)
-	t := &Task{fn: fn, run: r}
+	r := newRun(p, fn)
+	t := &r.root
 	// Arm the cancellation watcher before the task is published: a
 	// worker may pop and complete the submission the instant the push
 	// lands, and r's fields must be quiescent by then.
@@ -326,7 +337,7 @@ func (p *Pool) SubmitContext(ctx context.Context, fn func(*Worker)) (*Handle, er
 		if p.cfg.Overload == ShedCallerRuns {
 			p.callerRuns.Add(1)
 			p.runOnCaller(t)
-			return &Handle{r: r}, nil
+			return &r.handle, nil
 		}
 		r.abortWith(runCancelled, ErrOverloaded, nil)
 		p.rejected.Add(1)
@@ -354,7 +365,7 @@ func (p *Pool) SubmitContext(ctx context.Context, fn func(*Worker)) (*Handle, er
 		// counted) when a later session pops or drains it.
 		r.abortWith(runCancelled, ErrStopped, nil)
 	}
-	return &Handle{r: r}, nil
+	return &r.handle, nil
 }
 
 // runOnCaller executes a shed submission synchronously on the submitting
@@ -370,7 +381,7 @@ func (p *Pool) runOnCaller(t *Task) {
 		id:   len(p.workers), // out of the victim range; never steals, never stolen from
 		dq:   refuseDeque{},
 	}
-	w.exec(t)
+	w.exec(t, false)
 }
 
 // refuseDeque is the caller-runs worker's deque: capacity zero, so every
