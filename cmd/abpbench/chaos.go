@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"sync/atomic"
 	"time"
 
 	"worksteal/internal/fault"
@@ -16,18 +15,6 @@ import (
 // steals only, so the root task helping inside Group.Wait can never freeze
 // itself — it is the one that must stay alive to resume the others.
 const chaosPoint = "sched.loop.beforeSteal"
-
-var chaosSink atomic.Uint64
-
-func chaosSpin(n int) {
-	x := uint64(n) | 1
-	for i := 0; i < n; i++ {
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-	}
-	chaosSink.Store(x)
-}
 
 // chaos is the native fault-injection experiment (the dynamic mirror of the
 // simulator's adversary experiment E8). It prints the compiled-in failpoint
@@ -73,7 +60,7 @@ func chaos(reps int, spec string, showStats bool) {
 			p.Run(func(w *sched.Worker) {
 				g := sched.NewGroup()
 				for i := 0; i < tasks; i++ {
-					g.Spawn(w, func(*sched.Worker) { chaosSpin(taskWork) })
+					g.Spawn(w, func(*sched.Worker) { spin(taskWork) })
 				}
 				g.Wait(w)
 				// Every task is done; release the frozen workers so the run

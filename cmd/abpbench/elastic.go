@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
@@ -31,11 +30,10 @@ import (
 // which must complete with every accepted submission intact.
 //
 // The -check flag gates the ladder phases against a committed snapshot
-// (BENCH_elastic.json) with the same calibration-normalized 10% budget as
-// the hotpath gate. Because the multi-worker phases' shape depends on the
-// host's core count (calibration normalizes instruction speed, not
-// parallelism), those rows are gated only when the baseline was recorded
-// at the same GOMAXPROCS; the single-worker phase — the whole
+// (BENCH_elastic.json) through the same comparator as the hotpath gate
+// (gate.go). Because the multi-worker phases' shape depends on the host's
+// core count, those rows need a baseline recorded at the same GOMAXPROCS and
+// read inconclusive without one; the single-worker phase — the whole
 // submit/spawn/steal/retire path at serial speed, core-count independent —
 // is gated unconditionally.
 
@@ -50,19 +48,23 @@ type elasticPhaseRow struct {
 	// PerWorkerNs is the gated figure: aggregate worker-nanoseconds per
 	// task (elapsed * P_A / tasks), the inverse of per-worker throughput.
 	PerWorkerNs float64 `json:"per_worker_ns_per_task"`
+	// RepSpread is how far the phase's reps disagreed: slowest over fastest,
+	// minus one. With GOMAXPROCS > 1 a phase needs every core for its whole
+	// length, so on a shared host one rep can lose a core to a neighbour;
+	// the gate reads the spread to say the phase cannot resolve its budget.
+	RepSpread float64 `json:"rep_spread"`
 }
 
 type elasticReport struct {
-	Experiment    string            `json:"experiment"`
-	GOMAXPROCS    int               `json:"gomaxprocs"`
-	MaxWorkers    int               `json:"max_workers"`
-	Reps          int               `json:"reps"`
-	NodeWork      int               `json:"nodework"`
-	CalibrationNs float64           `json:"calibration_ns_per_op"`
-	Phases        []elasticPhaseRow `json:"phases"`
-	DrainNs       int64             `json:"drain_ns"`
-	Resizes       int64             `json:"resizes"`
-	Retired       int64             `json:"workers_retired"`
+	Experiment string `json:"experiment"`
+	benchHost
+	MaxWorkers int               `json:"max_workers"`
+	Reps       int               `json:"reps"`
+	NodeWork   int               `json:"nodework"`
+	Phases     []elasticPhaseRow `json:"phases"`
+	DrainNs    int64             `json:"drain_ns"`
+	Resizes    int64             `json:"resizes"`
+	Retired    int64             `json:"workers_retired"`
 }
 
 // tasksPerSubmission is the fan-out of one benchmark submission: the root
@@ -78,11 +80,15 @@ const tasksPerSubmission = 8
 // tracking P_A is exactly what the gate verifies.
 const elasticWindow = 16
 
+// elasticPerSubmitter is how many submissions each submitter makes per
+// stream: with maxW submitters, the same total in every phase.
+const elasticPerSubmitter = 256
+
 // elasticLoad drives the saturating stream: `submitters` goroutines each
-// submit perSubmitter fan-out submissions, never holding more than
+// submit elasticPerSubmitter fan-out submissions, never holding more than
 // elasticWindow outstanding, and wait out the stragglers. Returns the wall
 // time for the whole stream.
-func elasticLoad(p *sched.Pool, submitters, perSubmitter, nodeWork int) time.Duration {
+func elasticLoad(p *sched.Pool, submitters, nodeWork int) time.Duration {
 	release := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(submitters)
@@ -91,13 +97,13 @@ func elasticLoad(p *sched.Pool, submitters, perSubmitter, nodeWork int) time.Dur
 			defer wg.Done()
 			<-release
 			window := make([]*sched.Handle, 0, elasticWindow)
-			for i := 0; i < perSubmitter; i++ {
+			for i := 0; i < elasticPerSubmitter; i++ {
 				for {
 					h, err := p.Submit(func(w *sched.Worker) {
 						for j := 0; j < tasksPerSubmission-1; j++ {
-							w.Spawn(func(*sched.Worker) { stdlibSpin(nodeWork) })
+							w.Spawn(func(*sched.Worker) { spin(nodeWork) })
 						}
-						stdlibSpin(nodeWork)
+						spin(nodeWork)
 					})
 					if err == nil {
 						window = append(window, h)
@@ -138,13 +144,14 @@ func elasticPhase(p *sched.Pool, name string, pa, maxW, nodeWork, reps int) elas
 	for p.Stats().ActiveWorkers != int64(pa) {
 		time.Sleep(100 * time.Microsecond)
 	}
-	perSubmitter := 256
-	subs := int64(maxW * perSubmitter)
-	var bestD time.Duration
+	subs := int64(maxW * elasticPerSubmitter)
+	var bestD, worstD time.Duration
 	for r := 0; r < reps; r++ {
-		if d := elasticLoad(p, maxW, perSubmitter, nodeWork); r == 0 || d < bestD {
+		d := elasticLoad(p, maxW, nodeWork)
+		if r == 0 || d < bestD {
 			bestD = d
 		}
+		worstD = max(worstD, d)
 	}
 	tasks := subs * tasksPerSubmission
 	return elasticPhaseRow{
@@ -154,6 +161,7 @@ func elasticPhase(p *sched.Pool, name string, pa, maxW, nodeWork, reps int) elas
 		ElapsedNs:   int64(bestD),
 		TasksPerSec: float64(tasks) / bestD.Seconds(),
 		PerWorkerNs: float64(bestD) * float64(pa) / float64(tasks),
+		RepSpread:   float64(worstD)/float64(bestD) - 1,
 	}
 }
 
@@ -162,8 +170,7 @@ func elasticPhase(p *sched.Pool, name string, pa, maxW, nodeWork, reps int) elas
 // the same saturating stream runs. Reported, not gated.
 func elasticChurn(p *sched.Pool, maxW, nodeWork, reps int) elasticPhaseRow {
 	rng := rand.New(rand.NewSource(0xE1A5))
-	perSubmitter := 256
-	subs := int64(maxW * perSubmitter)
+	subs := int64(maxW * elasticPerSubmitter)
 	var bestD time.Duration
 	for r := 0; r < reps; r++ {
 		stopResizer := make(chan struct{})
@@ -183,7 +190,7 @@ func elasticChurn(p *sched.Pool, maxW, nodeWork, reps int) elasticPhaseRow {
 				time.Sleep(time.Duration(200+rng.Intn(400)) * time.Microsecond)
 			}
 		}()
-		d := elasticLoad(p, maxW, perSubmitter, nodeWork)
+		d := elasticLoad(p, maxW, nodeWork)
 		close(stopResizer)
 		<-resizerDone
 		if r == 0 || d < bestD {
@@ -201,16 +208,9 @@ func elasticChurn(p *sched.Pool, maxW, nodeWork, reps int) elasticPhaseRow {
 }
 
 // elasticExperiment runs the resize ladder plus the churn phase on one
-// Serve session, exits it through a graceful drain, renders the table,
-// writes the snapshot, and optionally gates against a committed baseline.
+// Serve session, exits it through a graceful drain, renders the table, and
+// hands the report to finish with the gated phases.
 func elasticExperiment(nodeWork, reps int, outPath, checkPath string) {
-	writeOut := true
-	if outPath == "" {
-		if checkPath != "" {
-			writeOut = false
-		}
-		outPath = "BENCH_elastic.json"
-	}
 	maxW := runtime.GOMAXPROCS(0)
 	if maxW < 4 {
 		maxW = 4
@@ -221,12 +221,11 @@ func elasticExperiment(nodeWork, reps int, outPath, checkPath string) {
 	// plumbing instead of fleet capacity and every P_A looks the same.
 	nodeWork *= 10
 	rep := elasticReport{
-		Experiment:    "elastic",
-		GOMAXPROCS:    runtime.GOMAXPROCS(0),
-		MaxWorkers:    maxW,
-		Reps:          reps,
-		NodeWork:      nodeWork,
-		CalibrationNs: benchCalibrate(reps),
+		Experiment: "elastic",
+		benchHost:  benchHost{GOMAXPROCS: runtime.GOMAXPROCS(0), CalibrationNs: benchCalibrate(reps)},
+		MaxWorkers: maxW,
+		Reps:       reps,
+		NodeWork:   nodeWork,
 	}
 
 	p := sched.New(sched.Config{Workers: maxW, MaxWorkers: maxW, ParkThreshold: 2, InjectorCapacity: 1 << 15})
@@ -241,6 +240,13 @@ func elasticExperiment(nodeWork, reps int, outPath, checkPath string) {
 			break
 		}
 		runtime.Gosched()
+	}
+	// Untimed warm-up. A microVM host can leave a new process on one core
+	// for most of its first second however many it asks for (two plain
+	// spinning goroutines take 2x as long over that stretch), which the
+	// first phase — the one that needs every core — would record as its own.
+	for start := time.Now(); time.Since(start) < time.Second; {
+		elasticLoad(p, maxW, nodeWork)
 	}
 
 	quarter := maxW / 4
@@ -293,79 +299,28 @@ func elasticExperiment(nodeWork, reps int, outPath, checkPath string) {
 	fmt.Printf("drain: %v; resizes=%d workers-retired=%d; per-worker throughput is the gated column\n",
 		time.Duration(rep.DrainNs).Round(time.Microsecond), rep.Resizes, rep.Retired)
 
-	if writeOut {
-		blob, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "abpbench: marshal report: %v\n", err)
-			os.Exit(1)
-		}
-		blob = append(blob, '\n')
-		if err := os.WriteFile(outPath, blob, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "abpbench: write %s: %v\n", outPath, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", outPath)
-	}
-	if checkPath != "" && !elasticCheck(rep, checkPath) {
-		os.Exit(1)
-	}
+	finish("elastic", outPath, checkPath, rep, elasticGate)
 }
 
-// elasticCheck gates the ladder phases' per-worker ns/task against a
-// committed snapshot, calibration-normalized exactly like hotpathCheck.
-// The churn phase (Workers == 0) is reported, not gated. Missing baseline
-// phases are skipped (a new phase is not a regression).
-func elasticCheck(cur elasticReport, checkPath string) bool {
-	data, err := os.ReadFile(checkPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "abpbench: read baseline %s: %v\n", checkPath, err)
-		os.Exit(2)
-	}
-	var base elasticReport
-	if err := json.Unmarshal(data, &base); err != nil {
-		fmt.Fprintf(os.Stderr, "abpbench: parse baseline %s: %v\n", checkPath, err)
-		os.Exit(2)
-	}
-	curCal, baseCal := cur.CalibrationNs, base.CalibrationNs
-	if curCal <= 0 || baseCal <= 0 {
-		curCal, baseCal = 1, 1
-	}
-	const budget = 1.10
-	ok := true
+// elasticGate judges the ladder phases' per-worker ns/task against a
+// baseline. The churn phase (Workers == 0) is reported, not gated.
+func elasticGate(cur, base elasticReport) (bool, map[string]string) {
 	baseline := map[string]elasticPhaseRow{}
 	for _, row := range base.Phases {
 		baseline[row.Phase] = row
 	}
-	sameShape := cur.GOMAXPROCS == base.GOMAXPROCS
+	var rows []gateRow
 	for _, row := range cur.Phases {
 		if row.Workers == 0 {
 			continue
 		}
-		if row.Workers > 1 && !sameShape {
-			// Multi-worker phases divide work across real cores; comparing
-			// them across hosts with different core counts gates the
-			// machine, not the scheduler. The single-worker phase carries
-			// the cross-machine gate.
-			fmt.Printf("check elastic/%s: skipped (baseline GOMAXPROCS %d != %d)\n",
-				row.Phase, base.GOMAXPROCS, cur.GOMAXPROCS)
-			continue
-		}
-		b, found := baseline[row.Phase]
-		if !found || b.PerWorkerNs <= 0 || row.PerWorkerNs <= 0 {
-			continue
-		}
-		want := b.PerWorkerNs / baseCal
-		ratio := (row.PerWorkerNs / curCal) / want
-		verdict := "ok"
-		if ratio > budget {
-			verdict = "REGRESSION"
-			ok = false
-		}
-		fmt.Printf("check elastic/%s per-worker ns/task: %.2f/spin vs baseline %.2f (%.2fx, budget %.2fx): %s\n",
-			row.Phase, row.PerWorkerNs/curCal, want, ratio, budget, verdict)
+		rows = append(rows, gateRow{
+			name:           "elastic/" + row.Phase + " per-worker ns/task",
+			cur:            row.PerWorkerNs,
+			base:           baseline[row.Phase].PerWorkerNs,
+			repSpread:      row.RepSpread,
+			needsSameProcs: row.Workers > 1,
+		})
 	}
-	if !ok {
-		fmt.Fprintf(os.Stderr, "abpbench: elastic per-worker throughput regressed beyond 10%% of %s\n", checkPath)
-	}
-	return ok
+	return gate(cur.benchHost, base.benchHost, rows)
 }

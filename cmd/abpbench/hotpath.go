@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"os"
 	"runtime"
@@ -10,24 +9,18 @@ import (
 	"sync/atomic"
 	"time"
 
-	"worksteal/internal/dag"
 	"worksteal/internal/deque"
 	"worksteal/internal/sched"
 	"worksteal/internal/table"
-	"worksteal/internal/workload"
 )
 
 // The hotpath experiment times the deque owner operations
 // (PushBottom/PopBottom, the paper's Figure 5 fast path) and the thief's
-// PopTop CAS for both lock-free deques, then runs a full spawn-tree graph
-// on each so the microbenchmark numbers can be read against end-to-end
-// effect.
-//
-// The -check flag turns the run into a regression gate: push/pop ns/op is
-// compared against a previously written snapshot (BENCH_hotpath.json) and
-// the process exits 1 if any deque slowed by more than 10%. A column whose
-// own reps disagree by more than that cannot resolve such a difference: it
-// is reported inconclusive and does not fail the gate.
+// PopTop CAS for both lock-free deques, alone and contended, and the public
+// Submit path under producer contention. What these cost inside a run is
+// the benchmark's business (BENCHMARK.json: graphrun.ns_per_node,
+// baseline.goroutine_tasks_per_s); this experiment is the 10 % gate on the
+// columns themselves (gate.go).
 
 type hotpathOpRow struct {
 	Deque     string  `json:"deque"` // abp | chaselev
@@ -45,8 +38,8 @@ type hotpathOpRow struct {
 // hotpathContended reports the multi-producer submission measurement: the
 // public Submit path (shardRR rotation, injector reservation CAS, parked
 // scan) under GOMAXPROCS concurrent producers, aggregate producer time
-// per accepted submission. A pointer field in the report so pre-PR-8
-// baselines unmarshal it as nil and the gate skips it.
+// per accepted submission. A pointer field in the report so a baseline
+// without it unmarshals as nil and gates nothing on it.
 type hotpathContended struct {
 	Thieves   int     `json:"thieves"`
 	Producers int     `json:"producers"`
@@ -59,25 +52,12 @@ type hotpathContended struct {
 	SubmitRepSpread float64 `json:"submit_rep_spread"`
 }
 
-type hotpathGraphRow struct {
-	Deque       string  `json:"deque"` // abp | chaselev | stdlib (the goroutines+channel contender)
-	ElapsedNs   int64   `json:"elapsed_ns"`
-	Steals      int64   `json:"steals"`
-	TasksPerSec float64 `json:"tasks_per_sec"`
-}
-
 type hotpathReport struct {
 	Experiment string `json:"experiment"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	Reps       int    `json:"reps"`
-	// CalibrationNs is the ns/op of a fixed serial spin measured in the
-	// same run: the regression gate compares push/pop ns normalized by it,
-	// so a snapshot from one machine remains a usable baseline on another
-	// (and uniform container slowdowns cancel out).
-	CalibrationNs float64           `json:"calibration_ns_per_op"`
-	Ops           []hotpathOpRow    `json:"ops"`
-	Contended     *hotpathContended `json:"contended,omitempty"`
-	Graph         []hotpathGraphRow `json:"graph"`
+	benchHost
+	Reps      int               `json:"reps"`
+	Ops       []hotpathOpRow    `json:"ops"`
+	Contended *hotpathContended `json:"contended,omitempty"`
 }
 
 // benchCalibrate times a fixed xorshift spin: a machine-speed yardstick
@@ -341,125 +321,13 @@ func benchSubmitContended(reps int) (best, spread float64, producers int) {
 	return best, worst/best - 1, producers
 }
 
-// stdlibSpin mirrors sched's per-node synthetic work for the stdlib
-// contender (same xorshift loop, same dead-code-elimination sink).
-var stdlibSpinSink atomic.Uint64
-
-func stdlibSpin(n int) {
-	if n <= 0 {
-		return
-	}
-	x := uint64(n) | 1
-	for i := 0; i < n; i++ {
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-	}
-	stdlibSpinSink.Store(x)
-}
-
-// stdlibGraphRun executes the dag with the obvious non-stealing Go
-// idiom: GOMAXPROCS worker goroutines ranging over one buffered channel
-// of ready nodes, join counters enabling each node exactly once. This is
-// the contender baseline the paper's per-processor-deque design is
-// arguing against — every enqueue and dequeue crosses the same shared
-// channel. The channel's capacity is the node count, so enabling sends
-// never block; the worker that executes the final node closes the
-// channel (every node's enabling sends happen before its own counted
-// completion, so no send can follow the close).
-func stdlibGraphRun(g *dag.Graph, workers, nodeWork int) time.Duration {
-	n := g.NumNodes()
-	remaining := make([]atomic.Int32, n)
-	for i := 0; i < n; i++ {
-		remaining[i].Store(int32(g.InDegree(dag.NodeID(i))))
-	}
-	ready := make(chan dag.NodeID, n)
-	ready <- g.Root()
-	var executed atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	start := time.Now()
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for u := range ready {
-				stdlibSpin(nodeWork)
-				for _, e := range g.Succs(u) {
-					if remaining[e.To].Add(-1) == 0 {
-						ready <- e.To
-					}
-				}
-				if executed.Add(1) == int64(n) {
-					close(ready)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	if got := executed.Load(); got != int64(n) {
-		panic(fmt.Sprintf("hotpath: stdlib run executed %d of %d nodes", got, n))
-	}
-	return elapsed
-}
-
-// stdlibGraphRow is the GOMAXPROCS-matched goroutines+channel contender
-// for the fib table: same dag, same per-node spin, no work stealing.
-func stdlibGraphRow(nodeWork, reps int) hotpathGraphRow {
-	g := workload.FibDag(18)
-	workers := runtime.GOMAXPROCS(0)
-	var bestD time.Duration
-	for r := 0; r < reps; r++ {
-		d := stdlibGraphRun(g, workers, nodeWork)
-		if r == 0 || d < bestD {
-			bestD = d
-		}
-	}
-	return hotpathGraphRow{
-		Deque:       "stdlib",
-		ElapsedNs:   int64(bestD),
-		Steals:      0,
-		TasksPerSec: float64(g.Work()) / bestD.Seconds(),
-	}
-}
-
-// hotpathGraph runs the end-to-end spawn tree on one deque and reports
-// best-of-reps wall time.
-func hotpathGraph(kindName string, kind sched.DequeKind, nodeWork, reps int) hotpathGraphRow {
-	g := workload.FibDag(18)
-	res := bestGraphRun(sched.GraphConfig{
-		Graph:    g,
-		Workers:  runtime.GOMAXPROCS(0),
-		NodeWork: nodeWork,
-		Deque:    kind,
-	}, reps)
-	return hotpathGraphRow{
-		Deque:       kindName,
-		ElapsedNs:   int64(res.Elapsed),
-		Steals:      res.Steals,
-		TasksPerSec: float64(g.Work()) / res.Elapsed.Seconds(),
-	}
-}
-
-// hotpathExperiment measures both deques, renders the tables, writes the
-// JSON snapshot, and — when checkPath names a previous snapshot — enforces
-// the 10% push/pop regression gate against it.
-func hotpathExperiment(nodeWork, reps int, outPath, checkPath string) {
-	// In gate mode (-check without an explicit -out) the committed snapshot
-	// is the baseline being compared against, so it must not be rewritten
-	// by the same run that judges it.
-	writeOut := true
-	if outPath == "" {
-		if checkPath != "" {
-			writeOut = false
-		}
-		outPath = "BENCH_hotpath.json"
-	}
+// hotpathExperiment measures both deques, renders the table, and hands the
+// report to finish with the gated columns.
+func hotpathExperiment(reps int, outPath, checkPath string) {
 	rep := hotpathReport{
-		Experiment:    "hotpath",
-		GOMAXPROCS:    runtime.GOMAXPROCS(0),
-		Reps:          reps,
-		CalibrationNs: benchCalibrate(reps),
+		Experiment: "hotpath",
+		benchHost:  benchHost{GOMAXPROCS: runtime.GOMAXPROCS(0), CalibrationNs: benchCalibrate(reps)},
+		Reps:       reps,
 	}
 
 	thieves := 0
@@ -483,107 +351,28 @@ func hotpathExperiment(nodeWork, reps int, outPath, checkPath string) {
 	fmt.Printf("contended submit: %.2f ns/op aggregate across %d producers, reps within %.0f%% (%d thieves in the steal column)\n",
 		submitNs, producers, 100*submitSpread, thieves)
 
-	gtb := table.New(fmt.Sprintf("end to end: fib(18) spawn tree (workers=%d, nodework=%d)",
-		runtime.GOMAXPROCS(0), nodeWork),
-		"deque", "time", "steals", "tasks/s")
-	for _, k := range []struct {
-		name string
-		kind sched.DequeKind
-	}{{"abp", sched.DequeABP}, {"chaselev", sched.DequeChaseLev}} {
-		row := hotpathGraph(k.name, k.kind, nodeWork, reps)
-		rep.Graph = append(rep.Graph, row)
-		gtb.Row(row.Deque, time.Duration(row.ElapsedNs).Round(time.Microsecond),
-			row.Steals, fmt.Sprintf("%.0f", row.TasksPerSec))
-	}
-	// The contender: same dag, same spin, GOMAXPROCS goroutines draining
-	// one shared channel instead of per-worker deques. Published alongside
-	// the stealing rows (graph rows are reported, not gated).
-	stdRow := stdlibGraphRow(nodeWork, reps)
-	rep.Graph = append(rep.Graph, stdRow)
-	gtb.Row(stdRow.Deque, time.Duration(stdRow.ElapsedNs).Round(time.Microsecond),
-		stdRow.Steals, fmt.Sprintf("%.0f", stdRow.TasksPerSec))
-	gtb.Render(os.Stdout)
-
-	if writeOut {
-		blob, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "abpbench: marshal report: %v\n", err)
-			os.Exit(1)
-		}
-		blob = append(blob, '\n')
-		if err := os.WriteFile(outPath, blob, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "abpbench: write %s: %v\n", outPath, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", outPath)
-	}
-
-	if checkPath != "" && !hotpathCheck(rep, checkPath) {
-		os.Exit(1)
-	}
+	finish("hotpath", outPath, checkPath, rep, hotpathGate)
 }
 
-// hotpathCheck compares the fresh measurements — single-threaded push/pop
-// plus the contended multi-thief steal and multi-producer submit columns —
-// against a committed snapshot and reports pairs that slowed by more than
-// the 10% budget. Both sides are normalized by their own run's calibration
-// spin, so the comparison survives a change of machine; a snapshot without
-// calibration falls back to raw ns. Missing baseline columns are skipped
-// (new configurations are not regressions), which is also what carries the
-// gate across the snapshot transition that introduced the contended
-// columns. A column that carries the spread of its own reps is inconclusive
-// when that spread exceeds the budget: printed as such, never a failure.
-func hotpathCheck(cur hotpathReport, checkPath string) bool {
-	data, err := os.ReadFile(checkPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "abpbench: read baseline %s: %v\n", checkPath, err)
-		os.Exit(2)
-	}
-	var base hotpathReport
-	if err := json.Unmarshal(data, &base); err != nil {
-		fmt.Fprintf(os.Stderr, "abpbench: parse baseline %s: %v\n", checkPath, err)
-		os.Exit(2)
-	}
-	curCal, baseCal := cur.CalibrationNs, base.CalibrationNs
-	if curCal <= 0 || baseCal <= 0 {
-		curCal, baseCal = 1, 1
-	}
-	const budget = 1.10
-	ok := true
-	gate := func(name string, curNs, baseNs, repSpread float64) {
-		if baseNs <= 0 || curNs <= 0 {
-			return // column absent on one side: not a comparison
-		}
-		want := baseNs / baseCal
-		ratio := (curNs / curCal) / want
-		verdict := "ok"
-		switch {
-		case repSpread > budget-1:
-			verdict = fmt.Sprintf("inconclusive (this run's reps spread %.0f%%)", 100*repSpread)
-		case ratio > budget:
-			verdict = "REGRESSION"
-			ok = false
-		}
-		fmt.Printf("check %s: %.2f/spin vs baseline %.2f (%.2fx, budget %.2fx): %s\n",
-			name, curNs/curCal, want, ratio, budget, verdict)
-	}
+// hotpathGate judges a run against a baseline on the gated columns: push+pop
+// and contended steal per deque (rows keyed by deque name), contended submit
+// once, which also carries the spread of its own reps. The single-thief
+// steal column is reported only.
+func hotpathGate(cur, base hotpathReport) (bool, map[string]string) {
 	baseline := map[string]hotpathOpRow{}
 	for _, row := range base.Ops {
 		baseline[row.Deque] = row
 	}
+	var rows []gateRow
 	for _, row := range cur.Ops {
-		b, found := baseline[row.Deque]
-		if !found {
-			continue
-		}
-		gate(row.Deque+" push+pop", row.PushPopNs, b.PushPopNs, 0)
-		gate(row.Deque+" contended steal", row.MultiStealNs, b.MultiStealNs, 0)
+		b := baseline[row.Deque]
+		rows = append(rows,
+			gateRow{name: row.Deque + " push+pop", cur: row.PushPopNs, base: b.PushPopNs},
+			gateRow{name: row.Deque + " contended steal", cur: row.MultiStealNs, base: b.MultiStealNs})
 	}
 	if cur.Contended != nil && base.Contended != nil {
-		gate("contended submit", cur.Contended.SubmitNs, base.Contended.SubmitNs, cur.Contended.SubmitRepSpread)
+		rows = append(rows, gateRow{name: "contended submit", cur: cur.Contended.SubmitNs,
+			base: base.Contended.SubmitNs, repSpread: cur.Contended.SubmitRepSpread})
 	}
-	if !ok {
-		fmt.Fprintf(os.Stderr, "abpbench: hot-path columns regressed beyond 10%% of %s\n", checkPath)
-	}
-	return ok
+	return gate(cur.benchHost, base.benchHost, rows)
 }

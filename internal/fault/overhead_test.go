@@ -27,8 +27,9 @@ func BenchmarkPointArmedOtherPoint(b *testing.B) {
 
 // TestDisabledPointOverheadGate is the CI gate for the zero-overhead-when-
 // disabled claim (DESIGN.md §9): the disabled fast path must stay within
-// the noise of BenchmarkDequePushPopBottom's seed numbers. An atomic load
-// plus a predicted branch is ~1-2ns on any supported hardware; the bound
+// the noise of a deque push+pop pair (~15 ns; abpbench -experiment
+// hotpath). An atomic load plus a predicted branch is ~1-2ns on any
+// supported hardware; the bound
 // is set an order of magnitude above that so the gate catches structural
 // regressions (a map lookup, an allocation, a lock on the fast path)
 // without flaking on loaded CI runners. Skipped under -race, whose

@@ -19,8 +19,6 @@ type GraphConfig struct {
 	Workers int
 	// Deque selects the deque implementation (default DequeABP).
 	Deque DequeKind
-	// DisableYield removes the runtime.Gosched between steal attempts.
-	DisableYield bool
 	// NodeWork is the synthetic cost of executing one node, in iterations
 	// of a small arithmetic loop; 0 means nodes are nearly free and
 	// scheduling overhead dominates.
@@ -85,7 +83,6 @@ func RunGraph(cfg GraphConfig) GraphResult {
 		// A deque never holds more than the dag's nodes, so small dags get
 		// small deques: setup stays proportional to the run.
 		DequeCapacity: min(n+1, deque.DefaultCapacity),
-		DisableYield:  cfg.DisableYield,
 		Seed:          cfg.Seed,
 	})
 	r := &graphRun{

@@ -108,14 +108,6 @@ func TestRunGraphMutexDeque(t *testing.T) {
 	}
 }
 
-func TestRunGraphNoYield(t *testing.T) {
-	g := workload.FibDag(12)
-	res := RunGraph(GraphConfig{Graph: g, Workers: 4, DisableYield: true, Seed: 2})
-	if res.NodesExecuted != int64(g.NumNodes()) || res.Yields != 0 {
-		t.Fatalf("executed %d, yields %d", res.NodesExecuted, res.Yields)
-	}
-}
-
 func TestRunGraphWithNodeWork(t *testing.T) {
 	g := workload.SpawnSpine(8, 16)
 	res := RunGraph(GraphConfig{Graph: g, Workers: 4, NodeWork: 200, Seed: 3})

@@ -114,10 +114,8 @@ func (w *Worker) loop() {
 			t = w.dq.PopBottom()
 		}
 		if t == nil {
-			if !w.pool.cfg.DisableYield {
-				w.yields.Add(1)
-				runtime.Gosched()
-			}
+			w.yields.Add(1)
+			runtime.Gosched()
 			fault.Point(fpLoopBeforeSteal)
 			// Idle: drain submissions ahead of stealing — an injected root
 			// is the oldest work in the system — then try one victim.
@@ -159,9 +157,6 @@ func (w *Worker) recoverLoopPanic() {
 // returns false so the escalation continues.
 func (w *Worker) idleWait(fails int) bool {
 	p := w.pool
-	if p.cfg.DisableParking {
-		return false
-	}
 	step := fails - p.parkThreshold
 	if step < 0 {
 		return false

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -135,12 +136,20 @@ func TestParkedWorkersDoNotSpin(t *testing.T) {
 }
 
 // Spawning after the other workers have parked must wake them and the
-// spawned work must still all run.
+// spawned work must still all run. The root waits on the park counter.
 func TestParkedWorkersWakeForNewWork(t *testing.T) {
-	p := New(Config{Workers: 4})
+	const workers = 4
+	p := New(Config{Workers: workers})
 	var count atomic.Int64
 	p.Run(func(w *Worker) {
-		time.Sleep(50 * time.Millisecond) // every other worker parks
+		deadline := time.Now().Add(30 * time.Second)
+		for p.Stats().Parks < workers-1 {
+			if time.Now().After(deadline) {
+				t.Errorf("%d of %d idle workers parked within 30s", p.Stats().Parks, workers-1)
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
 		for i := 0; i < 100; i++ {
 			w.Spawn(func(*Worker) {
 				time.Sleep(time.Millisecond)
@@ -151,21 +160,18 @@ func TestParkedWorkersWakeForNewWork(t *testing.T) {
 	if count.Load() != 100 {
 		t.Fatalf("ran %d of 100 tasks spawned after workers parked", count.Load())
 	}
-	s := p.Stats()
-	if s.Parks == 0 {
-		t.Fatal("no worker parked before the spawn burst")
-	}
-	if s.Wakes == 0 {
+	if s := p.Stats(); s.Wakes == 0 {
 		t.Fatal("no parked worker was woken by Spawn")
 	}
 }
 
-// DisableParking preserves the paper's pure spinning loop for ablations.
-func TestDisableParkingNeverParks(t *testing.T) {
-	p := New(Config{Workers: 4, DisableParking: true})
+// A threshold no count of failed steals reaches is the paper's pure spinning
+// loop: no nap, no park.
+func TestParkThresholdMaxIntNeverParks(t *testing.T) {
+	p := New(Config{Workers: 4, ParkThreshold: math.MaxInt})
 	p.Run(func(w *Worker) { time.Sleep(5 * time.Millisecond) })
 	if s := p.Stats(); s.Parks != 0 || s.BackoffNanos != 0 {
-		t.Fatalf("parks=%d backoff=%d with DisableParking", s.Parks, s.BackoffNanos)
+		t.Fatalf("parks=%d backoff=%d with ParkThreshold: math.MaxInt", s.Parks, s.BackoffNanos)
 	}
 }
 

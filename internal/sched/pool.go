@@ -73,7 +73,7 @@ type DequeKind uint8
 const (
 	// DequeABP is the paper's non-blocking deque (the default).
 	DequeABP DequeKind = iota
-	// DequeMutex is the blocking baseline for ablation benchmarks.
+	// DequeMutex is the blocking reference deque the tests compare against.
 	DequeMutex
 	// DequeChaseLev is the unbounded growable successor design (Chase and
 	// Lev, SPAA 2005) — the paper's natural extension: no capacity bound,
@@ -113,21 +113,14 @@ type Config struct {
 	// injector shard full: ShedReject (default) returns ErrOverloaded,
 	// ShedCallerRuns executes the submission on the submitting goroutine.
 	Overload OverloadPolicy
-	// DisableYield removes the runtime.Gosched call between steal attempts
-	// (the paper's yield ablation). Only for experiments: under
-	// multiprogramming (more workers than GOMAXPROCS) disabling yields lets
-	// spinning thieves starve workers that hold all the work.
-	DisableYield bool
 	// ParkThreshold is the number of consecutive failed steal attempts
 	// after which an idle worker starts backing off toward parking
 	// (lifecycle.go). 0 means the default, max(8, 2*Workers), enough hot
 	// rounds that a random thief has touched most victims before giving up.
+	// math.MaxInt is never reached, so it is the paper's pure spinning loop
+	// — yield and steal forever, no nap, no park — at a full core per idle
+	// worker.
 	ParkThreshold int
-	// DisableParking keeps idle workers in the paper's pure spinning loop —
-	// yield and steal forever — instead of backing off and parking. Only
-	// for experiments (the idle-overhead ablation): each idle spinning
-	// worker burns a full core.
-	DisableParking bool
 	// Seed seeds victim selection; 0 means a fixed default.
 	Seed int64
 	// StallTimeout enables the stall watchdog (watchdog.go): a worker

@@ -250,18 +250,6 @@ func TestNewPanics(t *testing.T) {
 	}
 }
 
-func TestDisableYieldStillCompletes(t *testing.T) {
-	p := New(Config{Workers: 4, DisableYield: true})
-	var got int
-	p.Run(func(w *Worker) { got = fibPar(w, 18, 5) })
-	if want := fibSerial(18); got != want {
-		t.Fatalf("fib = %d, want %d", got, want)
-	}
-	if p.Stats().Yields != 0 {
-		t.Fatalf("yields = %d with DisableYield", p.Stats().Yields)
-	}
-}
-
 func TestChaseLevPool(t *testing.T) {
 	// The unbounded deque never runs tasks inline, even with a flood of
 	// spawns from one worker.

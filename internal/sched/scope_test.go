@@ -8,6 +8,7 @@ package sched
 import (
 	"context"
 	"errors"
+	"math"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -388,7 +389,7 @@ func TestSpawnPathAllocations(t *testing.T) {
 	})
 
 	// An idle worker that naps allocates timers; one that spins does not.
-	p = New(Config{Workers: 1, DisableParking: true})
+	p = New(Config{Workers: 1, ParkThreshold: math.MaxInt})
 	stop := startServing(t, p)
 	submit := testing.AllocsPerRun(200, func() {
 		h, err := p.Submit(nop)
