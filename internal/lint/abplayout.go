@@ -6,8 +6,8 @@
 // positions, the parked flags every producer scans — staying off the
 // cache lines other parties write. abplayout computes each declared
 // struct's concrete layout with go/types Sizes (under both the amd64 and
-// arm64 gc models), classifies every atomic field's writer role by
-// reusing the abprace/abporder access collection, and reports:
+// arm64 gc models), classifies every atomic field's writer role from
+// the fact layer's access set, and reports:
 //
 //	(a) false sharing — an arbitration-hot field (CAS/Swap target or a
 //	    declared-handshake word) sharing a 64-byte line with any other
@@ -23,7 +23,7 @@
 //	    line boundary, splitting one CAS target across two lines.
 //
 // Findings are waived with a justified //abp:layout-ignore directive on
-// or above the flagged line. DESIGN.md §12 maps each check to the paper
+// or above the flagged line. DESIGN.md §8 maps each check to the paper
 // claim it guards and records the deliberate over-approximations.
 package lint
 
@@ -75,73 +75,45 @@ func arbitrationRole(role string) bool {
 }
 
 type layoutAnalysis struct {
-	*raceAnalysis
+	*pkgFacts
+	pass  *Pass
 	roles map[*types.Var]string
 }
 
 func runAbpLayout(pass *Pass) error {
-	l := &layoutAnalysis{
-		raceAnalysis: newRaceAnalysis(pass),
-		roles:        map[*types.Var]string{},
-	}
-	// Collect over every function, context-less ones included: a hidden
-	// writer must still make its field's line hot (same reasoning as
-	// abporder's collection).
-	for _, n := range l.graph.nodes {
-		l.collect(n)
-	}
-	// Canonicalize by Origin so a generic struct's accesses, collected on
-	// instantiation variables, land on the declaration's field objects.
-	merged := map[*types.Var][]*raceAccess{}
-	for v, accs := range l.accesses {
-		merged[v.Origin()] = append(merged[v.Origin()], accs...)
-	}
-	l.accesses = merged
+	l := &layoutAnalysis{pkgFacts: pass.facts, pass: pass, roles: map[*types.Var]string{}}
 	l.classifyRoles()
 	l.checkStructs()
 	return nil
 }
 
 // classifyRoles assigns each atomically declared field a writer role from
-// its collected accesses and the package's handshake directives.
+// its collected accesses (over every function, context-less ones included:
+// a hidden writer must still make its field's line hot) and the package's
+// handshake table.
 func (l *layoutAnalysis) classifyRoles() {
-	// Handshake protocol names: store=/load= operands either name a
+	// Handshake protocol words: a store=/load= operand either names a
 	// function (its body's atomic writes/reads are the protocol's words)
 	// or, when no function in the package matches, a field the carrier
 	// itself accesses (store=parked names Worker.parked).
 	storeFns := map[*funcNode]bool{}
 	loadFns := map[*funcNode]bool{}
-	type carrierOperand struct {
-		carrier *funcNode
-		field   string
-	}
-	var fieldOperands []carrierOperand
-	fnByName := map[string][]*funcNode{}
-	for _, n := range l.graph.nodes {
-		if n.decl != nil {
-			fnByName[n.decl.Name.Name] = append(fnByName[n.decl.Name.Name], n)
+	words := map[*types.Var]bool{}
+	operand := func(d *handshakeDecl, name string, fns []*funcNode, set map[*funcNode]bool) {
+		for _, fn := range fns {
+			set[fn] = true
 		}
-	}
-	for _, n := range l.graph.nodes {
-		if n.decl == nil {
-			continue
-		}
-		dirs, _ := parseHandshakeDirectives(n.decl.Doc)
-		for _, d := range dirs {
-			for i, operand := range []string{d.store, d.load} {
-				if targets := fnByName[operand]; len(targets) > 0 {
-					for _, t := range targets {
-						if i == 0 {
-							storeFns[t] = true
-						} else {
-							loadFns[t] = true
-						}
-					}
-				} else {
-					fieldOperands = append(fieldOperands, carrierOperand{carrier: n, field: operand})
+		if len(fns) == 0 {
+			for _, acc := range l.accessesNamed(d.carrier, name) {
+				if acc.atomic {
+					words[acc.v] = true
 				}
 			}
 		}
+	}
+	for _, d := range l.handshakes.decls {
+		operand(d, d.store, d.storeFns, storeFns)
+		operand(d, d.load, d.loadFns, loadFns)
 	}
 
 	for v, accs := range l.accesses {
@@ -152,7 +124,8 @@ func (l *layoutAnalysis) classifyRoles() {
 			// Either way they are layout-cold.
 			continue
 		}
-		var cas, handshake, write, read, sharedWrite bool
+		var cas, write, read, sharedWrite bool
+		handshake := words[v]
 		for _, acc := range accs {
 			if !acc.atomic {
 				continue
@@ -160,27 +133,17 @@ func (l *layoutAnalysis) classifyRoles() {
 			if strings.HasPrefix(acc.op, "CompareAndSwap") || strings.HasPrefix(acc.op, "Swap") {
 				cas = true
 			}
-			if acc.write {
-				write = true
-				if storeFns[acc.fn] || !(l.owned[acc.fn] && acc.recvDirect) {
-					// A write inside a store= function is part of the
-					// declared protocol even when owner-performed.
-					if storeFns[acc.fn] {
-						handshake = true
-					} else {
-						sharedWrite = true
-					}
-				}
-			} else {
+			switch {
+			case !acc.write:
 				read = true
-				if loadFns[acc.fn] {
-					handshake = true
-				}
-			}
-			for _, fo := range fieldOperands {
-				if acc.fn == fo.carrier && v.Name() == fo.field {
-					handshake = true
-				}
+				handshake = handshake || loadFns[acc.fn]
+			case storeFns[acc.fn]:
+				// A write inside a store= function is part of the
+				// declared protocol even when owner-performed.
+				write, handshake = true, true
+			default:
+				write = true
+				sharedWrite = sharedWrite || !(l.owned[acc.fn] && acc.recvDirect)
 			}
 		}
 		switch {
@@ -215,7 +178,7 @@ type layoutField struct {
 // layout checks under each size model, deduplicating findings that both
 // models agree on.
 func (l *layoutAnalysis) checkStructs() {
-	info := l.pass.TypesInfo
+	info := l.info
 
 	type finding struct {
 		pos    token.Pos
@@ -319,7 +282,7 @@ func linesOverlap(a, b layoutField) bool {
 // the arbitration's contenders are spinning on (and an arbitration write
 // invalidates the partner's readers). Owner-vs-owner and blind-counter
 // clusters are tolerated — co-written statistics sharing a line is the
-// idiom, not the bug (DESIGN.md §12 records the over-approximation).
+// idiom, not the bug (DESIGN.md §8 records the over-approximation).
 func (l *layoutAnalysis) checkFalseSharing(sname string, fields []layoutField, arch string, add func(string, token.Pos, string, string)) {
 	for j := 1; j < len(fields); j++ {
 		fj := fields[j]
@@ -416,7 +379,7 @@ func (l *layoutAnalysis) checkElementPacking(sname string, fields []layoutField,
 		}
 		key := fmt.Sprintf("pack:%s.%s", sname, f.v.Name())
 		msg := fmt.Sprintf("element packing in %s: %d-byte %s elements of %s pack %d per cache line, so neighbors written by different parties false-share; pad the element to a line multiple or waive with //abp:layout-ignore",
-			sname, esize, named.Obj().Name(), f.v.Name(), max64(1, cacheLineSize/esize))
+			sname, esize, named.Obj().Name(), f.v.Name(), max(1, cacheLineSize/esize))
 		add(key, f.v.Pos(), arch, msg)
 	}
 }
@@ -466,11 +429,4 @@ func sizeComputable(t types.Type, depth int) bool {
 	default:
 		return true
 	}
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
@@ -17,9 +16,9 @@ import (
 // Dekker store→load handshake, the two shapes the paper's §3.2/Figure 5
 // proof leans on) — and cross-checks that classification against the
 // discipline the declaration states (the atomicx wrapper types; raw
-// sync/atomic counts as an undeclared sc). It reuses abprace's machinery
-// wholesale: goroutine-context inference, field-sensitive access
-// collection, and the happens-before fact extractors.
+// sync/atomic counts as an undeclared sc). It reads the fact
+// layer (facts.go) — goroutine contexts, the access set, the sync facts —
+// and runs the happens-before engine it shares with abprace.
 //
 // The two directions are deliberately asymmetric:
 //
@@ -46,7 +45,7 @@ import (
 //
 // Findings are suppressed with a justified //abp:order-ignore comment on
 // or above the flagged line. abporder inherits abprace's deliberate
-// over-approximations (DESIGN.md §11 lists them against §8).
+// over-approximations (DESIGN.md §8 lists both).
 
 // AbpOrder reports atomic variables whose declared ordering discipline is
 // stronger than the proven requirement (over-synchronized) or weaker than
@@ -66,17 +65,9 @@ type orderDecl struct {
 }
 
 type orderAnalysis struct {
-	*raceAnalysis
+	*pkgFacts
+	pass     *Pass
 	declared map[*types.Var]*orderDecl
-	// hsFns holds the handshake-involved functions: carriers of an
-	// //abp:handshake directive and functions named by a store=/load=
-	// operand of one. Atomic accesses inside them are sc-justified — the
-	// declared protocol is audited by the handshake analyzer.
-	hsFns map[*funcNode]bool
-	// rmwConsumed marks variables with an atomic Add whose result is
-	// consumed: "pending.Add(-1) == 0" is an arbitration (exactly one
-	// caller observes zero and acts), unlike a blind counter increment.
-	rmwConsumed map[*types.Var]bool
 	// dekker marks variables whose atomic store can be followed, in the
 	// same function, by an atomic load of a different variable: the
 	// store→load fence shape that only sequential consistency provides.
@@ -85,38 +76,16 @@ type orderAnalysis struct {
 
 func runAbpOrder(pass *Pass) error {
 	o := &orderAnalysis{
-		raceAnalysis: newRaceAnalysis(pass),
-		declared:     map[*types.Var]*orderDecl{},
-		hsFns:        map[*funcNode]bool{},
-		rmwConsumed:  map[*types.Var]bool{},
-		dekker:       map[*types.Var]bool{},
+		pkgFacts: pass.facts,
+		pass:     pass,
+		declared: map[*types.Var]*orderDecl{},
+		dekker:   map[*types.Var]bool{},
 	}
-	// Unlike abprace, collect over every function including context-less
-	// ones: hidden writers must be visible to the no-writer proof, and the
-	// mention-guard needs to know they exist.
-	for _, n := range o.graph.nodes {
-		o.collect(n)
-	}
-	o.canonicalize()
 	o.findDecls()
-	o.findHandshakeFns()
-	o.findConsumedRMWs()
 	o.findDekkerStores()
 	o.checkVars()
 	o.checkSites()
 	return nil
-}
-
-// canonicalize re-keys the collected accesses by types.Var.Origin. In a
-// generic type the same field surfaces as distinct instantiation
-// variables at different use sites; left split, each partition of the
-// accesses can look safely ordered when the union is not.
-func (o *orderAnalysis) canonicalize() {
-	merged := map[*types.Var][]*raceAccess{}
-	for v, accs := range o.accesses {
-		merged[v.Origin()] = append(merged[v.Origin()], accs...)
-	}
-	o.accesses = merged
 }
 
 // --- scope discovery ---
@@ -155,7 +124,7 @@ func declDiscipline(t types.Type) (disc, name string, ok bool) {
 // findDecls indexes every struct field and package-level variable whose
 // declared type is a sync/atomic or atomicx wrapper.
 func (o *orderAnalysis) findDecls() {
-	info := o.pass.TypesInfo
+	info := o.info
 	record := func(name *ast.Ident) {
 		v, ok := info.Defs[name].(*types.Var)
 		if !ok || v == nil {
@@ -195,78 +164,6 @@ func (o *orderAnalysis) findDecls() {
 	}
 }
 
-// findHandshakeFns marks directive carriers and the functions their
-// store=/load= operands name.
-func (o *orderAnalysis) findHandshakeFns() {
-	names := map[string]bool{}
-	for _, n := range o.graph.nodes {
-		if n.decl == nil {
-			continue
-		}
-		if hasDirective(n.decl.Doc, "//abp:handshake") {
-			o.hsFns[n] = true
-		}
-		dirs, _ := parseHandshakeDirectives(n.decl.Doc)
-		for _, d := range dirs {
-			names[d.store] = true
-			names[d.load] = true
-		}
-	}
-	for _, n := range o.graph.nodes {
-		if n.decl != nil && names[n.decl.Name.Name] {
-			o.hsFns[n] = true
-		}
-	}
-}
-
-// findConsumedRMWs marks variables with an atomic Add whose result is
-// used. Calls hanging directly off an ExprStmt (or as a go/defer call)
-// discard their result; anything else consumes it.
-func (o *orderAnalysis) findConsumedRMWs() {
-	info := o.pass.TypesInfo
-	for _, f := range o.pass.Files {
-		discarded := map[*ast.CallExpr]bool{}
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch x := n.(type) {
-			case *ast.ExprStmt:
-				if c, ok := ast.Unparen(x.X).(*ast.CallExpr); ok {
-					discarded[c] = true
-				}
-			case *ast.GoStmt:
-				discarded[x.Call] = true
-			case *ast.DeferStmt:
-				discarded[x.Call] = true
-			}
-			return true
-		})
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || discarded[call] {
-				return true
-			}
-			callee := calleeFunc(info, call)
-			if callee == nil || !strings.HasPrefix(callee.Name(), "Add") {
-				return true
-			}
-			var v *types.Var
-			switch {
-			case isAtomicMethod(callee):
-				if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-					v = leafVar(info, elemBase(ast.Unparen(sel.X)))
-				}
-			case isAtomicFunc(callee) && len(call.Args) > 0:
-				if ue, ok := ast.Unparen(call.Args[0]).(*ast.UnaryExpr); ok && ue.Op == token.AND {
-					v = leafVar(info, elemBase(ast.Unparen(ue.X)))
-				}
-			}
-			if v != nil {
-				o.rmwConsumed[v.Origin()] = true
-			}
-			return true
-		})
-	}
-}
-
 // findDekkerStores marks every variable atomically stored at a point from
 // which an atomic load of a DIFFERENT variable is reachable in the same
 // function: the store→load sequence whose ordering is exactly what
@@ -277,7 +174,7 @@ func (o *orderAnalysis) findConsumedRMWs() {
 // extractor cannot follow, and missing one would demote a load-bearing
 // fence.
 func (o *orderAnalysis) findDekkerStores() {
-	for fn, facts := range o.facts {
+	for fn, facts := range o.sync {
 		cfg := o.cfg(fn)
 		for _, rel := range facts.atomicW {
 			if rel.node == nil || rel.v == nil {
@@ -299,16 +196,8 @@ func (o *orderAnalysis) findDekkerStores() {
 // --- per-variable classification ---
 
 func (o *orderAnalysis) checkVars() {
-	vars := make([]*types.Var, 0, len(o.accesses))
-	for v := range o.accesses {
-		vars = append(vars, v)
-	}
-	sort.Slice(vars, func(i, j int) bool { return vars[i].Pos() < vars[j].Pos() })
-
-	for _, v := range vars {
+	for _, v := range o.vars {
 		accs := o.accesses[v]
-		sort.SliceStable(accs, func(i, j int) bool { return accs[i].pos < accs[j].pos })
-
 		decl := o.declared[v]
 		hasAtomic := false
 		for _, acc := range accs {
@@ -325,12 +214,12 @@ func (o *orderAnalysis) checkVars() {
 			// undeclared sc discipline, checkable all the same.
 			decl = &orderDecl{pos: v.Pos(), disc: "raw", typ: types.TypeString(v.Type(), func(p *types.Package) string { return p.Name() })}
 		}
-		if v.Pkg() != o.pass.Pkg {
+		if v.Pkg() != o.pkg {
 			continue // another package's declaration is its own analyzer run's job
 		}
 
 		desc := accs[0].desc
-		scEvidence := o.scEvidence(v, accs)
+		scEvidence := o.scEvidence(accs)
 
 		// Under-synchronization: hard evidence the declaration is too
 		// weak. Hidden writers only add requirements, so this check
@@ -342,49 +231,63 @@ func (o *orderAnalysis) checkVars() {
 			continue
 		}
 		if decl.disc == "plain" {
-			o.checkPlainDecl(v, decl, desc, accs)
+			// A declared-plain variable is verified the way abprace
+			// verifies a raw field: under the standard concurrency model
+			// with the full suppression set. A surviving conflicting pair
+			// means plain was the wrong declaration.
+			if x, y, _, _ := o.unorderedPair(accs, false, false); x != nil {
+				o.pass.Reportf(decl.pos,
+					"%s declares plain ordering (%s) but has concurrent conflicting accesses with no happens-before edge (%s in %s vs %s in %s): publish or sc discipline is required (suppress with //abp:order-ignore <justification>)",
+					desc, decl.typ, x.kind(), x.fn.name(), y.kind(), y.fn.name())
+			}
 			continue
 		}
 
 		// Downgrade proofs from here on: skip any variable with an
 		// access in a context-less function (a potential hidden writer
 		// the pair analysis cannot see) or visible outside the package.
-		if v.Exported() || o.mentionGuarded(accs) {
+		// Both downgrades also need the absence of sc evidence.
+		if v.Exported() || o.mentionGuarded(accs) || scEvidence != "" || o.dekker[v] {
 			continue
 		}
-		if o.plainProven(accs) && scEvidence == "" && !o.dekker[v] {
-			if decl.disc == "raw" {
+		// Plain is proven when EVERY conflicting pair (atomicity of the ops
+		// themselves is what is on trial, so atomic-atomic pairs are not
+		// exempt) is ordered under the adversarial rules.
+		if x, _, _, _ := o.unorderedPair(accs, true, false); x != nil {
+			if decl.disc == "sc" {
 				o.pass.Reportf(decl.pos,
-					"%s is accessed through sync/atomic but every conflicting access pair is ordered by happens-before edges even under adversarial caller concurrency: plain access suffices (suppress with //abp:order-ignore <justification>)",
-					desc)
-			} else {
-				o.pass.Reportf(decl.pos,
-					"%s declares %s ordering (%s) but every conflicting access pair is ordered by happens-before edges even under adversarial caller concurrency: plain discipline suffices (suppress with //abp:order-ignore <justification>)",
-					desc, decl.disc, decl.typ)
+					"%s declares sc ordering (%s) but participates in no CAS arbitration, consumed-result RMW, store→load sequence, or declared handshake: publish (release/acquire) discipline suffices (suppress with //abp:order-ignore <justification>)",
+					desc, decl.typ)
 			}
-			continue
-		}
-		if decl.disc == "sc" && scEvidence == "" && !o.dekker[v] {
+		} else if decl.disc == "raw" {
 			o.pass.Reportf(decl.pos,
-				"%s declares sc ordering (%s) but participates in no CAS arbitration, consumed-result RMW, store→load sequence, or declared handshake: publish (release/acquire) discipline suffices (suppress with //abp:order-ignore <justification>)",
-				desc, decl.typ)
+				"%s is accessed through sync/atomic but every conflicting access pair is ordered by happens-before edges even under adversarial caller concurrency: plain access suffices (suppress with //abp:order-ignore <justification>)",
+				desc)
+		} else {
+			o.pass.Reportf(decl.pos,
+				"%s declares %s ordering (%s) but every conflicting access pair is ordered by happens-before edges even under adversarial caller concurrency: plain discipline suffices (suppress with //abp:order-ignore <justification>)",
+				desc, decl.disc, decl.typ)
 		}
 	}
 }
 
 // scEvidence returns a human-readable reason the variable needs sc
 // discipline, or "" when no hard evidence exists.
-func (o *orderAnalysis) scEvidence(v *types.Var, accs []*raceAccess) string {
+func (o *orderAnalysis) scEvidence(accs []*raceAccess) string {
 	for _, acc := range accs {
 		if strings.HasPrefix(acc.op, "CompareAndSwap") || strings.HasPrefix(acc.op, "Swap") {
 			return fmt.Sprintf("is arbitrated by %s", acc.op)
 		}
 	}
-	if o.rmwConsumed[v] {
-		return "an atomic Add's result is consumed (an arbitration, not a blind increment)"
+	// "pending.Add(-1) == 0" is an arbitration (exactly one caller
+	// observes zero and acts), unlike a blind counter increment.
+	for _, acc := range accs {
+		if acc.atomic && acc.used && strings.HasPrefix(acc.op, "Add") {
+			return "an atomic Add's result is consumed (an arbitration, not a blind increment)"
+		}
 	}
 	for _, acc := range accs {
-		if o.hsFns[acc.fn] {
+		if o.handshakes.involved[acc.fn] {
 			return fmt.Sprintf("participates in the //abp:handshake protocol through %s", acc.fn.name())
 		}
 	}
@@ -402,141 +305,25 @@ func (o *orderAnalysis) mentionGuarded(accs []*raceAccess) bool {
 	return false
 }
 
-// plainProven reports whether EVERY conflicting access pair (at least one
-// side writing — atomicity of the ops themselves is what is on trial, so
-// atomic-atomic pairs are not exempt) is ordered under the adversarial
-// rules: external self-concurrency, no credit for the trusted-handshake
-// suppression, and no credit for atomic release/acquire edges.
-func (o *orderAnalysis) plainProven(accs []*raceAccess) bool {
-	for i := 0; i < len(accs); i++ {
-		for j := i; j < len(accs); j++ {
-			x, y := accs[i], accs[j]
-			if !x.write && !y.write {
-				continue
-			}
-			for _, rx := range o.gs.ctx[x.fn] {
-				for _, ry := range o.gs.ctx[y.fn] {
-					if !rx.concurrentAdversarial(ry) {
-						continue
-					}
-					if !o.plainSuppressed(x, y, rx, ry) {
-						return false
-					}
-				}
-			}
-		}
-	}
-	return true
-}
-
-// plainSuppressed is raceAnalysis.suppressed restricted to the facts a
-// plain access may rely on: owner discipline, sync.Once, locksets, and
-// the fork/join/channel edges — NOT the trusted-handshake waiver (those
-// accesses are the opposite of plain-safe) and NOT atomic release/acquire
-// pairing (circular when the atomics themselves are on trial).
-func (o *orderAnalysis) plainSuppressed(x, y *raceAccess, rx, ry *gRoot) bool {
-	// Owner discipline serializes accesses only while there is a SINGLE
-	// owner instance. A go root that may run as several concurrent copies
-	// (launched in a loop) makes "owned" mean "owned by one of N workers",
-	// which orders nothing on receiver-shared state — so a multi go-root
-	// forfeits the owner suppression. The external root keeps it: the
-	// owner contract is exactly the documented serialization external
-	// callers sign up for, and the owneronly analyzer audits it.
-	ownerTrust := func(r *gRoot) bool { return r.external || !r.multi }
-	if x.recvDirect && y.recvDirect && o.owned[x.fn] && o.owned[y.fn] &&
-		ownerTrust(rx) && ownerTrust(ry) {
-		return true
-	}
-	if x.onceVar != nil && x.onceVar == y.onceVar {
-		return true
-	}
-	if o.lockExcluded(x, y) {
-		return true
-	}
-	return o.plainOrdered(x, rx, y, ry) || o.plainOrdered(y, ry, x, rx)
-}
-
-func (o *orderAnalysis) plainOrdered(x *raceAccess, rx *gRoot, y *raceAccess, ry *gRoot) bool {
-	if !ry.external && rx != ry && o.beforeLaunch(x, ry) {
-		return true
-	}
-	if !rx.external && rx != ry && o.afterJoin(y, rx) {
-		return true
-	}
-	return o.pairedVia(x, y, o.factsOf(x.fn).sends, o.factsOf(y.fn).recvs)
-}
-
-// checkPlainDecl verifies a declared-plain variable the way abprace
-// verifies a raw field: under the standard concurrency model with the
-// full suppression set. A surviving conflicting pair means plain was the
-// wrong declaration.
-func (o *orderAnalysis) checkPlainDecl(v *types.Var, decl *orderDecl, desc string, accs []*raceAccess) {
-	for i := 0; i < len(accs); i++ {
-		for j := i; j < len(accs); j++ {
-			x, y := accs[i], accs[j]
-			if !x.write && !y.write {
-				continue
-			}
-			for _, rx := range o.gs.ctx[x.fn] {
-				for _, ry := range o.gs.ctx[y.fn] {
-					if !rx.concurrent(ry) {
-						continue
-					}
-					if o.suppressed(x, y, rx, ry) {
-						continue
-					}
-					o.pass.Reportf(decl.pos,
-						"%s declares plain ordering (%s) but has concurrent conflicting accesses with no happens-before edge (%s in %s vs %s in %s): publish or sc discipline is required (suppress with //abp:order-ignore <justification>)",
-						desc, decl.typ, x.kind(), x.fn.name(), y.kind(), y.fn.name())
-					return
-				}
-			}
-		}
-	}
-}
-
 // --- per-site checks ---
 
 func (o *orderAnalysis) checkSites() {
-	type site struct {
-		acc *raceAccess
-		v   *types.Var
-	}
-	var sites []site
-	for v, accs := range o.accesses {
-		for _, acc := range accs {
-			sites = append(sites, site{acc, v})
+	for _, v := range o.vars {
+		if v.Pkg() != o.pkg || v.Exported() || o.anyWrite(v) {
+			continue
 		}
-	}
-	sort.Slice(sites, func(i, j int) bool { return sites[i].acc.pos < sites[j].acc.pos })
-
-	for _, s := range sites {
-		acc, v := s.acc, s.v
 		// Loop-invariant atomic load: an atomic Load inside a CFG cycle
 		// of a variable nothing in the package ever writes (hidden
 		// writers included — context-less functions were collected). The
 		// load's value cannot change across iterations; hoist it.
-		if acc.atomic && !acc.write && strings.HasPrefix(acc.op, "Load") &&
-			v.Pkg() == o.pass.Pkg && !v.Exported() &&
-			o.onCycle(acc) && !o.anyWrite(v) {
-			o.pass.Reportf(acc.pos,
-				"loop-invariant atomic load of %s: nothing in the package writes it, so the load can be hoisted out of the loop (suppress with //abp:order-ignore <justification>)",
-				acc.desc)
+		for _, acc := range o.accesses[v] {
+			if acc.atomic && strings.HasPrefix(acc.op, "Load") && o.cfg(acc.fn).onCycle(acc.node) {
+				o.pass.Reportf(acc.pos,
+					"loop-invariant atomic load of %s: nothing in the package writes it, so the load can be hoisted out of the loop (suppress with //abp:order-ignore <justification>)",
+					acc.desc)
+			}
 		}
 	}
-}
-
-// onCycle reports whether the access's CFG block lies on a cycle.
-func (o *orderAnalysis) onCycle(acc *raceAccess) bool {
-	if acc.node == nil {
-		return false
-	}
-	cfg := o.cfg(acc.fn)
-	blk, ok := cfg.nodeBlock[acc.node]
-	if !ok {
-		return false
-	}
-	return cfg.reachability()[blk.index][blk.index]
 }
 
 func (o *orderAnalysis) anyWrite(v *types.Var) bool {

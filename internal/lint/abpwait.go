@@ -54,7 +54,7 @@
 // term. Those channels are also exempt from naked-wait — they are
 // runtime- or shutdown-signalled by construction.
 //
-// Over-approximations, both deliberate (DESIGN.md §13): waits inside
+// Over-approximations, both deliberate (DESIGN.md §8): waits inside
 // function literals that only escape as values have no goroutine context
 // and are skipped (abprace's silence rule); signals in such literals
 // conservatively count as present for naked-wait (their eventual caller
@@ -131,12 +131,11 @@ type signalSite struct {
 	op       string
 }
 
-// waitAnalysis is the whole-package wait/signal graph.
-type waitAnalysis struct {
+// A waitGraph is the package's wait and signal sites over the fact
+// layer's call graph, goroutine roots and CFGs.
+type waitGraph struct {
+	*pkgFacts
 	pass    *Pass
-	graph   *callGraph
-	gs      *goroutineSet
-	cfgs    map[*funcNode]*funcCFG
 	waits   []*waitSite
 	signals []*signalSite
 	byVar   map[*types.Var][]*signalSite
@@ -146,7 +145,7 @@ type waitAnalysis struct {
 }
 
 func runAbpWait(pass *Pass) error {
-	a := newWaitAnalysis(pass)
+	a := collectWaits(pass)
 	a.reportNakedWaits()
 	a.reportMissedSignals()
 	a.reportWaitCycles()
@@ -154,20 +153,13 @@ func runAbpWait(pass *Pass) error {
 	return nil
 }
 
-// newWaitAnalysis builds the graph: call graph, goroutine roots, and the
-// wait/signal site collections over every function node (declarations and
-// literals alike — a signal in an escaping literal still counts).
-func newWaitAnalysis(pass *Pass) *waitAnalysis {
-	g := newCallGraph(pass.TypesInfo, pass.Files)
-	a := &waitAnalysis{
-		pass:  pass,
-		graph: g,
-		cfgs:  map[*funcNode]*funcCFG{},
-		byVar: map[*types.Var][]*signalSite{},
-	}
-	a.gs = inferGoroutines(g, a.cfg)
-	for _, n := range g.nodes {
-		a.collect(n)
+// collectWaits records the wait and signal sites of every function node
+// (declarations and literals alike — a signal in an escaping literal still
+// counts).
+func collectWaits(pass *Pass) *waitGraph {
+	a := &waitGraph{pkgFacts: pass.facts, pass: pass, byVar: map[*types.Var][]*signalSite{}}
+	for _, n := range a.graph.nodes {
+		a.scan(n)
 	}
 	for _, s := range a.signals {
 		if s.v != nil {
@@ -178,21 +170,8 @@ func newWaitAnalysis(pass *Pass) *waitAnalysis {
 	return a
 }
 
-func (a *waitAnalysis) cfg(fn *funcNode) *funcCFG {
-	if g, ok := a.cfgs[fn]; ok {
-		return g
-	}
-	body := fn.body()
-	if body == nil {
-		return nil
-	}
-	g := buildCFG(body)
-	a.cfgs[fn] = g
-	return g
-}
-
 // roots returns the goroutine roots that can be executing fn.
-func (a *waitAnalysis) roots(fn *funcNode) []*gRoot { return a.gs.ctx[fn] }
+func (a *waitGraph) roots(fn *funcNode) []*gRoot { return a.gs.ctx[fn] }
 
 // escapeNameParts are the substrings that mark a channel as a shutdown/
 // completion escape by naming convention (quitCh, stopAux, abort, failCh,
@@ -214,8 +193,8 @@ func escapeName(name string) bool {
 
 // timerChan reports whether e denotes a runtime-signalled timer channel:
 // the C field of a time.Timer/Ticker, or a time.After/time.Tick call.
-func (a *waitAnalysis) timerChan(e ast.Expr) bool {
-	info := a.pass.TypesInfo
+func (a *waitGraph) timerChan(e ast.Expr) bool {
+	info := a.info
 	switch x := ast.Unparen(e).(type) {
 	case *ast.SelectorExpr:
 		if v := leafVar(info, x); v != nil && v.Name() == "C" &&
@@ -237,20 +216,20 @@ func (a *waitAnalysis) timerChan(e ast.Expr) bool {
 // doneCall reports whether e is a call to a method named Done — the
 // ctx.Done() / Handle.Done() shape, a channel whose closer is the
 // runtime's cancellation machinery or the completion path.
-func (a *waitAnalysis) doneCall(e ast.Expr) bool {
+func (a *waitGraph) doneCall(e ast.Expr) bool {
 	call, ok := ast.Unparen(e).(*ast.CallExpr)
 	if !ok {
 		return false
 	}
-	fn := calleeFunc(a.pass.TypesInfo, call)
+	fn := calleeFunc(a.info, call)
 	return fn != nil && fn.Name() == "Done" &&
 		fn.Type().(*types.Signature).Recv() != nil
 }
 
 // chanObj resolves the channel expression of a receive into a waitObj.
-func (a *waitAnalysis) chanObj(e ast.Expr) waitObj {
-	info := a.pass.TypesInfo
-	o := waitObj{typ: info.TypeOf(e), name: renderExpr(e)}
+func (a *waitGraph) chanObj(e ast.Expr) waitObj {
+	info := a.info
+	o := waitObj{typ: info.TypeOf(e), name: exprString(e)}
 	if a.timerChan(e) || a.doneCall(e) {
 		o.exempt = true
 		return o
@@ -265,41 +244,13 @@ func (a *waitAnalysis) chanObj(e ast.Expr) waitObj {
 	return o
 }
 
-// renderExpr prints a short source-ish form of an expression for
-// diagnostics when no identity variable resolves.
-func renderExpr(e ast.Expr) string {
-	switch x := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		return x.Name
-	case *ast.SelectorExpr:
-		return renderExpr(x.X) + "." + x.Sel.Name
-	case *ast.CallExpr:
-		return renderExpr(x.Fun) + "()"
-	case *ast.StarExpr:
-		return renderExpr(x.X)
-	case *ast.IndexExpr:
-		return renderExpr(x.X) + "[...]"
-	default:
-		return fmt.Sprintf("%T", e)
-	}
-}
-
-// isChanType reports whether t's core type is a channel.
-func isChanType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	_, ok := t.Underlying().(*types.Chan)
-	return ok
-}
-
-// collect walks fn's own body (nested literals are their own nodes) and
+// scan walks fn's own body (nested literals are their own nodes) and
 // records its wait and signal sites.
-func (a *waitAnalysis) collect(fn *funcNode) {
+func (a *waitGraph) scan(fn *funcNode) {
 	if fn.body() == nil {
 		return
 	}
-	info := a.pass.TypesInfo
+	info := a.info
 	// Receives that are comm clauses of a select belong to the select's
 	// site, not to a standalone recv site; deferred calls are signals that
 	// fire at return, not at their lexical position.
@@ -351,7 +302,7 @@ func (a *waitAnalysis) collect(fn *funcNode) {
 // non-blocking (its sends still register via the SendStmt walk); without
 // one it is a wait on every received object, escaped when any case is an
 // escape channel.
-func (a *waitAnalysis) collectSelect(fn *funcNode, sel *ast.SelectStmt, inSelect map[ast.Node]bool) {
+func (a *waitGraph) collectSelect(fn *funcNode, sel *ast.SelectStmt, inSelect map[ast.Node]bool) {
 	hasDefault := false
 	var objs []waitObj
 	escape := false
@@ -393,15 +344,13 @@ func (a *waitAnalysis) collectSelect(fn *funcNode, sel *ast.SelectStmt, inSelect
 
 // classifyCall records close(), time.Sleep, WaitGroup Wait/Add/Done, and
 // opaque Wait/Join-shaped calls.
-func (a *waitAnalysis) classifyCall(fn *funcNode, call *ast.CallExpr, deferred bool) {
-	info := a.pass.TypesInfo
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "close" {
-		if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin && len(call.Args) == 1 {
-			a.signals = append(a.signals, &signalSite{
-				fn: fn, node: call, v: leafVar(info, call.Args[0]),
-				typ: info.TypeOf(call.Args[0]), deferred: deferred, op: "close",
-			})
-		}
+func (a *waitGraph) classifyCall(fn *funcNode, call *ast.CallExpr, deferred bool) {
+	info := a.info
+	if isBuiltinClose(info, call) {
+		a.signals = append(a.signals, &signalSite{
+			fn: fn, node: call, v: leafVar(info, call.Args[0]),
+			typ: info.TypeOf(call.Args[0]), deferred: deferred, op: "close",
+		})
 		return
 	}
 	callee := calleeFunc(info, call)
@@ -418,10 +367,8 @@ func (a *waitAnalysis) classifyCall(fn *funcNode, call *ast.CallExpr, deferred b
 	if sig.Recv() == nil {
 		return
 	}
-	named := recvNamed(callee)
 	sel, _ := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if named != nil && named.Obj().Pkg() != nil &&
-		named.Obj().Pkg().Path() == "sync" && named.Obj().Name() == "WaitGroup" {
+	if syncMethodRecv(callee) == "WaitGroup" {
 		var v *types.Var
 		if sel != nil {
 			v = leafVar(info, sel.X)
@@ -430,8 +377,8 @@ func (a *waitAnalysis) classifyCall(fn *funcNode, call *ast.CallExpr, deferred b
 		case "Wait":
 			a.waits = append(a.waits, &waitSite{
 				fn: fn, node: call, kind: waitWG,
-				objs: []waitObj{{v: v, name: renderExpr(sel.X)}},
-				desc: renderExpr(sel.X) + ".Wait",
+				objs: []waitObj{{v: v, name: exprString(sel.X)}},
+				desc: exprString(sel.X) + ".Wait",
 			})
 		case "Add", "Done":
 			a.signals = append(a.signals, &signalSite{
@@ -452,11 +399,11 @@ func (a *waitAnalysis) classifyCall(fn *funcNode, call *ast.CallExpr, deferred b
 	}
 	var obj waitObj
 	if sel != nil {
-		obj = waitObj{v: leafVar(info, sel.X), name: renderExpr(sel.X)}
+		obj = waitObj{v: leafVar(info, sel.X), name: exprString(sel.X)}
 	}
 	a.waits = append(a.waits, &waitSite{
 		fn: fn, node: call, kind: waitOpaque, objs: []waitObj{obj},
-		desc: renderExpr(call.Fun),
+		desc: exprString(call.Fun),
 	})
 }
 
@@ -465,18 +412,12 @@ func (a *waitAnalysis) classifyCall(fn *funcNode, call *ast.CallExpr, deferred b
 // or any static call from a function already loopy. go edges do not
 // count — a launch site in a loop multiplies roots (gRoot.multi), not
 // iterations within one goroutine.
-func (a *waitAnalysis) computeLoopy() {
+func (a *waitGraph) computeLoopy() {
 	a.loopy = map[*funcNode]bool{}
 	for _, from := range a.graph.nodes {
 		g := a.cfg(from)
-		if g == nil {
-			continue
-		}
 		for _, e := range a.graph.edges[from] {
-			if e.kind == callGo || e.site == nil {
-				continue
-			}
-			if a.nodeInCycle(g, e.site.Pos()) {
+			if e.kind != callGo && e.site != nil && g.onCycle(g.blockNodeAt(e.site.Pos())) {
 				a.loopy[e.to] = true
 			}
 		}
@@ -497,20 +438,6 @@ func (a *waitAnalysis) computeLoopy() {
 	}
 }
 
-// nodeInCycle reports whether the innermost CFG node at pos lies on a
-// cycle of g.
-func (a *waitAnalysis) nodeInCycle(g *funcCFG, pos token.Pos) bool {
-	n := g.blockNodeAt(pos)
-	if n == nil {
-		return false
-	}
-	blk, ok := g.nodeBlock[n]
-	if !ok {
-		return false
-	}
-	return g.reachability()[blk.index][blk.index]
-}
-
 // --- Class 1: naked-wait ---
 
 // signalsFor returns the signal sites that can release a wait on obj:
@@ -521,12 +448,12 @@ func (a *waitAnalysis) nodeInCycle(g *funcCFG, pos token.Pos) bool {
 // identity — signals on them would have matched by identity, so an
 // unsignalled one stays naked rather than being excused by any same-typed
 // close in the package. WaitGroup waits never fall back.
-func (a *waitAnalysis) signalsFor(w *waitSite, obj waitObj) []*signalSite {
+func (a *waitGraph) signalsFor(w *waitSite, obj waitObj) []*signalSite {
 	if obj.v != nil {
 		if sigs := a.byVar[obj.v]; len(sigs) > 0 {
 			return sigs
 		}
-		if obj.v.IsField() || (obj.v.Parent() != nil && obj.v.Parent() == a.pass.Pkg.Scope()) {
+		if obj.v.IsField() || (obj.v.Parent() != nil && obj.v.Parent() == a.pkg.Scope()) {
 			return nil
 		}
 	}
@@ -548,7 +475,7 @@ func (a *waitAnalysis) signalsFor(w *waitSite, obj waitObj) []*signalSite {
 // is concurrent with some waiting root. Concurrency is adversarial —
 // proving a wake CAN arrive must not lean on the external-serialization
 // assumption.
-func releasableBy(sigs []*signalSite, a *waitAnalysis, waitRoots []*gRoot) bool {
+func releasableBy(sigs []*signalSite, a *waitGraph, waitRoots []*gRoot) bool {
 	for _, s := range sigs {
 		sigRoots := a.roots(s.fn)
 		if len(sigRoots) == 0 {
@@ -556,7 +483,7 @@ func releasableBy(sigs []*signalSite, a *waitAnalysis, waitRoots []*gRoot) bool 
 		}
 		for _, sr := range sigRoots {
 			for _, wr := range waitRoots {
-				if sr.concurrentAdversarial(wr) {
+				if sr.concurrent(wr, true) {
 					return true
 				}
 			}
@@ -565,7 +492,7 @@ func releasableBy(sigs []*signalSite, a *waitAnalysis, waitRoots []*gRoot) bool 
 	return false
 }
 
-func (a *waitAnalysis) reportNakedWaits() {
+func (a *waitGraph) reportNakedWaits() {
 	for _, w := range a.waits {
 		if w.kind == waitSleep || w.kind == waitOpaque || w.escape {
 			continue
@@ -596,7 +523,7 @@ func (a *waitAnalysis) reportNakedWaits() {
 
 // --- Class 2: missed-signal ---
 
-func (a *waitAnalysis) reportMissedSignals() {
+func (a *waitGraph) reportMissedSignals() {
 	for _, w := range a.waits {
 		if w.kind != waitSleep {
 			continue
@@ -613,10 +540,7 @@ func (a *waitAnalysis) reportMissedSignals() {
 			continue // only external callers nap here: their latency, their call
 		}
 		g := a.cfg(w.fn)
-		if g == nil {
-			continue
-		}
-		if !a.nodeInCycle(g, w.node.Pos()) && !a.loopy[w.fn] {
+		if !g.onCycle(g.blockNodeAt(w.node.Pos())) && !a.loopy[w.fn] {
 			continue // a one-shot delay, not a polling loop
 		}
 		a.pass.Reportf(w.node.Pos(),
@@ -638,7 +562,7 @@ type waitEdge struct {
 	obj      string
 }
 
-func (a *waitAnalysis) reportWaitCycles() {
+func (a *waitGraph) reportWaitCycles() {
 	// hard: per function, the escape-less blocking sites (selects with no
 	// escape case, bare receives on non-escape channels, WaitGroup and
 	// opaque waits) of functions with known goroutine context.
@@ -658,15 +582,12 @@ func (a *waitAnalysis) reportWaitCycles() {
 	// same way — the direction that avoids false deadlock reports.
 	blockers := func(s *signalSite) []*waitSite {
 		g := a.cfg(s.fn)
-		if g == nil {
-			return nil
-		}
 		if s.deferred {
 			return hard[s.fn]
 		}
 		var out []*waitSite
 		for _, w := range hard[s.fn] {
-			if g.dominates(cfgNodeAt(g, w.node), cfgNodeAt(g, s.node)) {
+			if g.dominates(g.blockNodeAt(w.node.Pos()), g.blockNodeAt(s.node.Pos())) {
 				out = append(out, w)
 			}
 		}
@@ -746,7 +667,7 @@ func (a *waitAnalysis) reportWaitCycles() {
 	}
 }
 
-func (a *waitAnalysis) reportCycle(cycle []waitEdge, seen map[string]bool) {
+func (a *waitGraph) reportCycle(cycle []waitEdge, seen map[string]bool) {
 	keys := make([]string, 0, len(cycle))
 	for _, e := range cycle {
 		keys = append(keys, fmt.Sprint(e.from.node.Pos()))
@@ -770,18 +691,9 @@ func (a *waitAnalysis) reportCycle(cycle []waitEdge, seen map[string]bool) {
 		b.String())
 }
 
-// cfgNodeAt maps an AST node to its innermost registered CFG node (the
-// node itself when registered, else the enclosing block-level statement).
-func cfgNodeAt(g *funcCFG, n ast.Node) ast.Node {
-	if _, ok := g.nodeBlock[n]; ok {
-		return n
-	}
-	return g.blockNodeAt(n.Pos())
-}
-
 // --- Class 4: unbounded-block ---
 
-func (a *waitAnalysis) reportUnboundedBlocks() {
+func (a *waitGraph) reportUnboundedBlocks() {
 	for _, w := range a.waits {
 		if w.kind != waitSelect || w.escape {
 			continue

@@ -12,7 +12,8 @@ import (
 )
 
 // FuzzWaitGraph feeds arbitrary goroutine/channel programs to abpwait's
-// wait/signal graph builder and asserts its contract: newWaitAnalysis and
+// wait/signal graph builder and asserts its contract: the fact pass,
+// collectWaits and
 // the four report passes never panic, the graph and the findings are
 // deterministic (two builds serialize identically), every collected site
 // is well-formed (attributed to a function node, with a registered node
@@ -69,15 +70,16 @@ func FuzzWaitGraph(f *testing.F) {
 			return
 		}
 
-		build := func() (*waitAnalysis, []string) {
+		build := func() (*waitGraph, []string) {
 			pass := &Pass{
 				Analyzer:  AbpWait,
 				Fset:      fset,
 				Files:     []*ast.File{file},
 				Pkg:       pkg,
 				TypesInfo: info,
+				facts:     buildFacts([]*ast.File{file}, pkg, info), // must not panic
 			}
-			a := newWaitAnalysis(pass) // must not panic
+			a := collectWaits(pass) // must not panic
 			a.reportNakedWaits()
 			a.reportMissedSignals()
 			a.reportWaitCycles()

@@ -1,12 +1,5 @@
 package lint
 
-import (
-	"go/ast"
-	"go/token"
-	"go/types"
-	"strings"
-)
-
 // AtomicMix enforces the all-atomic access discipline on shared struct
 // fields. The parking handshake (sched/lifecycle.go) and the deque's
 // correctness argument both lean on Go atomics' sequential consistency; a
@@ -37,84 +30,43 @@ func runAtomicMix(pass *Pass) error {
 	if pass.Pkg.Name() == "atomicx" {
 		return nil
 	}
-	type fieldUse struct {
-		pos token.Pos // first atomic use, for the cross-reference
-		fn  string    // the sync/atomic function involved
-	}
-	atomicFields := map[*types.Var]fieldUse{}
-	consumed := map[ast.Node]bool{} // selectors that ARE the atomic operand
-
-	// Pass 1: find &s.f operands of sync/atomic function calls.
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
+	f := pass.facts
+	for _, v := range f.vars {
+		if !v.IsField() {
+			continue
+		}
+		// Function-style atomics on the field itself (&s.f, not an
+		// element of it); the first is the cross-reference.
+		var first *raceAccess
+		for _, acc := range f.accesses[v] {
+			if !acc.fnStyle {
+				continue
 			}
-			fn := calleeFunc(pass.TypesInfo, call)
-			if !isAtomicFunc(fn) || len(call.Args) == 0 {
-				return true
+			if first == nil {
+				first = acc
 			}
-			switch {
-			case strings.HasPrefix(fn.Name(), "Load"),
-				strings.HasPrefix(fn.Name(), "Store"),
-				strings.HasPrefix(fn.Name(), "Add"),
-				strings.HasPrefix(fn.Name(), "Swap"),
-				strings.HasPrefix(fn.Name(), "CompareAndSwap"),
-				strings.HasPrefix(fn.Name(), "And"),
-				strings.HasPrefix(fn.Name(), "Or"):
-			default:
-				return true
-			}
-			addr, ok := ast.Unparen(call.Args[0]).(*ast.UnaryExpr)
-			if !ok || addr.Op != token.AND {
-				return true
-			}
-			sel, ok := ast.Unparen(addr.X).(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			s, ok := pass.TypesInfo.Selections[sel]
-			if !ok || s.Kind() != types.FieldVal {
-				return true
-			}
-			field := s.Obj().(*types.Var)
-			consumed[sel] = true
-			if _, seen := atomicFields[field]; !seen {
-				atomicFields[field] = fieldUse{pos: call.Pos(), fn: fn.Name()}
-			}
-			pass.Reportf(call.Pos(),
+			pass.Reportf(acc.call.Pos(),
 				"field %s is manipulated with atomic.%s; use a sync/atomic wrapper type (atomic.Int64 et al.) so plain access is impossible",
-				field.Name(), fn.Name())
-			return true
-		})
-	}
-	if len(atomicFields) == 0 {
-		return nil
-	}
-
-	// Pass 2: any other selection of those fields is a plain access.
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok || consumed[sel] {
-				return true
-			}
-			s, ok := pass.TypesInfo.Selections[sel]
-			if !ok || s.Kind() != types.FieldVal {
-				return true
-			}
-			field, ok := s.Obj().(*types.Var)
-			if !ok {
-				return true
-			}
-			if use, isAtomic := atomicFields[field]; isAtomic {
-				pass.Reportf(sel.Pos(),
+				v.Name(), acc.op)
+		}
+		if first == nil {
+			continue
+		}
+		// Any other selection of the field is a plain access, unshared
+		// fresh objects included: the contract is syntactic.
+		plain := func(acc *raceAccess) {
+			if acc.v == v && !acc.atomic {
+				pass.Reportf(acc.pos,
 					"plain access to field %s, which is accessed atomically at %s; every access must go through sync/atomic",
-					field.Name(), pass.Fset.Position(use.pos))
+					v.Name(), pass.Fset.Position(first.call.Pos()))
 			}
-			return true
-		})
+		}
+		for _, acc := range f.accesses[v] {
+			plain(acc)
+		}
+		for _, acc := range f.fresh {
+			plain(acc)
+		}
 	}
 	return nil
 }

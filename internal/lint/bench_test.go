@@ -18,11 +18,8 @@ func BenchmarkAbpvet(b *testing.B) {
 			if pkg.Standard {
 				continue
 			}
-			ignores := CollectIgnores(pkg)
-			for _, a := range All() {
-				if _, err := RunWith(a, pkg, ignores); err != nil {
-					b.Fatal(err)
-				}
+			if _, err := RunSuite(All(), pkg, CollectIgnores(pkg)); err != nil {
+				b.Fatal(err)
 			}
 		}
 	}

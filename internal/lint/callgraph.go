@@ -3,7 +3,6 @@ package lint
 import (
 	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 )
@@ -98,10 +97,8 @@ type callGraph struct {
 	captured map[*ast.FuncLit][]*types.Var
 }
 
-// newCallGraph builds the call graph of one or more type-checked packages'
-// files (the usual client passes one package; the constructor is
-// multi-package-capable for module-wide queries).
-func newCallGraph(info *types.Info, files ...[]*ast.File) *callGraph {
+// newCallGraph builds the call graph of one type-checked package's files.
+func newCallGraph(info *types.Info, files []*ast.File) *callGraph {
 	g := &callGraph{
 		info:     info,
 		declNode: map[*types.Func]*funcNode{},
@@ -110,15 +107,12 @@ func newCallGraph(info *types.Info, files ...[]*ast.File) *callGraph {
 		captured: map[*ast.FuncLit][]*types.Var{},
 	}
 	// Phase 1: register every declaration so forward references resolve.
-	var decls []*ast.FuncDecl
-	for _, fs := range files {
-		for _, fd := range declsOf(fs) {
-			node := &funcNode{decl: fd}
-			g.nodes = append(g.nodes, node)
-			if fn, ok := info.Defs[fd.Name].(*types.Func); ok {
-				g.declNode[fn] = node
-			}
-			decls = append(decls, fd)
+	decls := declsOf(files)
+	for _, fd := range decls {
+		node := &funcNode{decl: fd}
+		g.nodes = append(g.nodes, node)
+		if fn, ok := info.Defs[fd.Name].(*types.Func); ok {
+			g.declNode[fn] = node
 		}
 	}
 	// Phase 2: walk bodies, creating literal nodes and edges.
@@ -279,15 +273,6 @@ func (g *callGraph) ownedNodes() map[*funcNode]bool {
 	return g.reachable(g.ownerRoots(), func(k callKind) bool { return k != callGo })
 }
 
-// selectorFieldName resolves the field name a selector like w.parked (or a
-// chain ending in it) denotes, or "" when sel is not a field selection.
-func selectorFieldName(info *types.Info, sel *ast.SelectorExpr) string {
-	if s, ok := info.Selections[sel]; ok && s.Kind() == types.FieldVal {
-		return s.Obj().Name()
-	}
-	return ""
-}
-
 // isCASShaped reports whether fn is a compare-and-swap-shaped or
 // PushBottom-shaped call: a function whose single boolean result signals
 // whether the operation took effect and must therefore be consulted.
@@ -306,41 +291,10 @@ func isCASShaped(fn *types.Func) bool {
 
 // isOnceDo reports whether fn is (*sync.Once).Do.
 func isOnceDo(fn *types.Func) bool {
-	if fn == nil || fn.Name() != "Do" {
-		return false
-	}
-	sig := fn.Type().(*types.Signature)
-	if sig.Recv() == nil {
-		return false
-	}
-	t := sig.Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	return ok && named.Obj().Pkg() != nil &&
-		named.Obj().Pkg().Path() == "sync" && named.Obj().Name() == "Once"
+	return fn != nil && fn.Name() == "Do" && syncMethodRecv(fn) == "Once"
 }
 
 func isBool(t types.Type) bool {
 	b, ok := t.Underlying().(*types.Basic)
 	return ok && b.Info()&types.IsBoolean != 0
-}
-
-// enclosingFuncNode returns the innermost funcNode whose body lexically
-// contains pos, or nil.
-func (g *callGraph) enclosingFuncNode(pos token.Pos) *funcNode {
-	var best *funcNode
-	bestSize := token.Pos(-1)
-	for _, n := range g.nodes {
-		body := n.body()
-		if body == nil || pos < body.Pos() || pos >= body.End() {
-			continue
-		}
-		size := body.End() - body.Pos()
-		if best == nil || size < bestSize {
-			best, bestSize = n, size
-		}
-	}
-	return best
 }

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // CASLoop flags compare-and-swap retry loops whose expected-value operand
@@ -54,7 +53,7 @@ func runCASLoop(pass *Pass) error {
 				if len(loops) == 0 {
 					return true
 				}
-				oldArg := casExpectedArg(pass.TypesInfo, n)
+				oldArg, _ := casOperands(pass.TypesInfo, n)
 				if oldArg == nil {
 					return true
 				}
@@ -76,22 +75,6 @@ func runCASLoop(pass *Pass) error {
 			return true
 		}
 		ast.Inspect(f, walk)
-	}
-	return nil
-}
-
-// casExpectedArg returns the expected-value ("old") operand of a
-// compare-and-swap call, or nil if the call is not a CAS.
-func casExpectedArg(info *types.Info, call *ast.CallExpr) ast.Expr {
-	fn := calleeFunc(info, call)
-	if fn == nil {
-		return nil
-	}
-	switch {
-	case isAtomicMethod(fn) && fn.Name() == "CompareAndSwap" && len(call.Args) == 2:
-		return call.Args[0]
-	case isAtomicFunc(fn) && strings.HasPrefix(fn.Name(), "CompareAndSwap") && len(call.Args) == 3:
-		return call.Args[1]
 	}
 	return nil
 }

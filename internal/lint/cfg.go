@@ -476,6 +476,13 @@ func (g *funcCFG) canReach(a, b ast.Node) bool {
 	return g.reachability()[ba.index][bb.index]
 }
 
+// onCycle reports whether block node n lies on a cycle of the CFG; a node
+// the CFG did not index (nil included) does not.
+func (g *funcCFG) onCycle(n ast.Node) bool {
+	blk, ok := g.nodeBlock[n]
+	return ok && g.reachability()[blk.index][blk.index]
+}
+
 // blockNodeAt returns the block node lexically containing pos, or nil. A
 // node "contains" pos when pos lies in [Pos, End); the innermost (latest
 // appended, smallest) match wins because blocks never hold overlapping

@@ -104,13 +104,13 @@ func (t *Tool) Main(args []string, stdout, stderr io.Writer) int {
 			continue
 		}
 		ignores := CollectIgnores(pkg)
-		for _, a := range analyzers {
-			diags, err := RunWith(a, pkg, ignores)
-			if err != nil {
-				fmt.Fprintf(stderr, "%s: %s: %v\n", t.Name, pkg.ImportPath, err)
-				return 2
-			}
-			for _, d := range diags {
+		results, err := RunSuite(analyzers, pkg, ignores)
+		if err != nil {
+			fmt.Fprintf(stderr, "%s: %s: %v\n", t.Name, pkg.ImportPath, err)
+			return 2
+		}
+		for i, a := range analyzers {
+			for _, d := range results[i] {
 				findings = append(findings, MakeFinding(a.Name, pkg.Fset, d.Pos, d.Message, root))
 			}
 		}

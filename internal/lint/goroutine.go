@@ -2,7 +2,6 @@ package lint
 
 import (
 	"go/ast"
-	"sort"
 	"strings"
 )
 
@@ -84,28 +83,19 @@ func (r *gRoot) chain(n *funcNode) string {
 // concurrent reports whether an access on root r can run concurrently
 // with an access on root o. Distinct roots are always concurrent. A go
 // root is self-concurrent when it may have two live instances. The
-// external root is never self-concurrent: the package's documented usage
-// contracts serialize external calls — the one assumption the analyzer
-// takes on faith (DESIGN.md §8).
-func (r *gRoot) concurrent(o *gRoot) bool {
+// external root is self-concurrent only under the adversarial rules: the
+// package's documented usage contracts serialize external calls — the one
+// assumption the analyzers take on faith (DESIGN.md §8). abprace keeps it
+// because it reports races — dropping it would flood every exported entry
+// point with findings. abporder must drop it when PROVING an atomic
+// unnecessary ("no concurrent access" established only by assuming callers
+// serialize is not a license to remove the synchronization those callers
+// may in fact be relying on), and abpwait when proving a wake can arrive.
+func (r *gRoot) concurrent(o *gRoot, adversarial bool) bool {
 	if r != o {
 		return true
 	}
-	return !r.external && r.multi
-}
-
-// concurrentAdversarial is concurrent with the external-serialization
-// assumption dropped: the external root is treated as racing itself.
-// abprace keeps the assumption because it reports races — dropping it
-// would flood every exported entry point with findings. abporder must
-// drop it when PROVING an atomic unnecessary: "no concurrent access"
-// established only by assuming callers serialize is not a license to
-// remove the synchronization those callers may in fact be relying on.
-func (r *gRoot) concurrentAdversarial(o *gRoot) bool {
-	if r != o {
-		return true
-	}
-	return r.external || r.multi
+	return r.multi || adversarial && r.external
 }
 
 // A goroutineSet is the result of inference: the roots, and for each
@@ -156,8 +146,7 @@ func inferGoroutines(g *callGraph, cfgOf func(*funcNode) *funcCFG) *goroutineSet
 			if l.stmt == nil {
 				continue
 			}
-			cfg := cfgOf(l.fn)
-			if blk, ok := cfg.nodeBlock[l.stmt]; ok && cfg.reachability()[blk.index][blk.index] {
+			if cfgOf(l.fn).onCycle(l.stmt) {
 				r.multi = true // launched on a loop
 			}
 		}
@@ -194,19 +183,4 @@ func (s *goroutineSet) propagate(g *callGraph, r *gRoot) {
 			queue = append(queue, e.to)
 		}
 	}
-}
-
-// sharedNodes returns, in deterministic order, the functions reachable
-// from at least one root (callers iterate this instead of the ctx map).
-func (s *goroutineSet) sharedNodes(g *callGraph) []*funcNode {
-	var out []*funcNode
-	for _, n := range g.nodes {
-		if len(s.ctx[n]) > 0 {
-			out = append(out, n)
-		}
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		return out[i].body() != nil && out[j].body() != nil && out[i].body().Pos() < out[j].body().Pos()
-	})
-	return out
 }

@@ -3,7 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/token"
-	"go/types"
+	"sort"
 	"strings"
 )
 
@@ -28,11 +28,13 @@ import (
 //     anyVisibleWork, signalWork, ...), for sides whose memory operation is
 //     delegated to an audited callee.
 //
-// The analyzer builds the function's control-flow graph (cfg.go) and
-// reports: a declared store or load that matches nothing; a load that is
-// not dominated by a store (some path checks before publishing); and any
-// plain, non-atomic read or write of a named field inside the region (a
-// single plain access voids sequential consistency). Operations inside
+// The directives are parsed and resolved once per suite run (the fact
+// layer's handshake table, below); the matched operations are the carrier's
+// entries in the access set plus its calls, ordered over its CFG. The
+// analyzer reports: a declared store or load that matches nothing; a load
+// that is not dominated by a store (some path checks before publishing);
+// and any plain, non-atomic read or write of a named field inside the
+// region (a single plain access voids sequential consistency). Operations in
 // nested function literals run at unknown times and neither satisfy nor
 // violate the ordering; annotate the literal's own context instead.
 var Handshake = &Analyzer{
@@ -41,52 +43,121 @@ var Handshake = &Analyzer{
 	Run:  runHandshake,
 }
 
-// handshakeDirective is one parsed store=/load= pair.
-type handshakeDirective struct {
-	store, load string
+// A handshakeDecl is one well-formed directive, its operands resolved
+// against the package: each of store= and load= either names declared
+// functions (storeFns, loadFns: a delegated operation) or, when nothing in
+// the package carries that name, a field the carrier itself accesses (or a
+// cross-package callee).
+type handshakeDecl struct {
+	carrier           *funcNode
+	store, load       string
+	storeFns, loadFns []*funcNode
+}
+
+// A handshakeTable is the package's //abp:handshake directives, parsed and
+// resolved once by the fact pass. handshake checks each declaration,
+// abprace trusts pairs of carriers, abporder holds every involved
+// function's atomics to sc, and abplayout reads the protocol's words off
+// the resolved operands.
+type handshakeTable struct {
+	decls []*handshakeDecl
+	// carriers are the functions carrying the directive, well-formed or
+	// not; malformed maps a carrier to the text of its bad directives.
+	carriers  map[*funcNode]bool
+	malformed map[*funcNode][]string
+	// involved are the carriers plus every function an operand names:
+	// atomic accesses inside them are sc-justified — the declared
+	// protocol is audited by the handshake analyzer.
+	involved map[*funcNode]bool
+}
+
+// parseHandshakes builds the table from the doc comments of g's
+// declarations.
+func parseHandshakes(g *callGraph) *handshakeTable {
+	t := &handshakeTable{
+		carriers:  map[*funcNode]bool{},
+		malformed: map[*funcNode][]string{},
+		involved:  map[*funcNode]bool{},
+	}
+	byName := map[string][]*funcNode{}
+	for _, n := range g.nodes {
+		if n.decl != nil {
+			byName[n.decl.Name.Name] = append(byName[n.decl.Name.Name], n)
+		}
+	}
+	for _, n := range g.nodes {
+		if n.decl == nil || n.decl.Doc == nil {
+			continue
+		}
+		for _, c := range n.decl.Doc.List {
+			rest, ok := strings.CutPrefix(c.Text, "//abp:handshake")
+			if !ok || rest != "" && rest[0] != ' ' {
+				continue
+			}
+			t.carriers[n], t.involved[n] = true, true
+			d := &handshakeDecl{carrier: n}
+			fields := strings.Fields(rest)
+			for _, f := range fields {
+				if v, ok := strings.CutPrefix(f, "store="); ok {
+					d.store = v
+				} else if v, ok := strings.CutPrefix(f, "load="); ok {
+					d.load = v
+				}
+			}
+			if d.store == "" || d.load == "" || len(fields) != 2 {
+				t.malformed[n] = append(t.malformed[n], strings.TrimSpace(c.Text))
+				continue
+			}
+			d.storeFns, d.loadFns = byName[d.store], byName[d.load]
+			for _, fns := range [][]*funcNode{d.storeFns, d.loadFns} {
+				for _, fn := range fns {
+					t.involved[fn] = true
+				}
+			}
+			t.decls = append(t.decls, d)
+		}
+	}
+	return t
 }
 
 func runHandshake(pass *Pass) error {
-	for _, fd := range declsOf(pass.Files) {
-		if fd.Body == nil {
+	f := pass.facts
+	for n, bad := range f.handshakes.malformed {
+		for _, text := range bad {
+			pass.Reportf(n.decl.Pos(),
+				"malformed //abp:handshake directive %q: want //abp:handshake store=<name> load=<name>", text)
+		}
+	}
+	for _, d := range f.handshakes.decls {
+		fn := d.carrier
+		if fn.body() == nil {
 			continue
 		}
-		dirs, malformed := parseHandshakeDirectives(fd.Doc)
-		for _, bad := range malformed {
-			pass.Reportf(fd.Pos(),
-				"malformed //abp:handshake directive %q: want //abp:handshake store=<name> load=<name>", bad)
+		cfg, name := f.cfg(fn), fn.name()
+		stores := f.handshakeOps(fn, d.store, true)
+		loads := f.handshakeOps(fn, d.load, false)
+		if len(stores) == 0 {
+			pass.Reportf(fn.decl.Pos(),
+				"//abp:handshake store=%s matches no store or call in %s: the publish side of the handshake is missing", d.store, name)
 		}
-		if len(dirs) == 0 {
+		if len(loads) == 0 {
+			pass.Reportf(fn.decl.Pos(),
+				"//abp:handshake load=%s matches no load or call in %s: the check side of the handshake is missing", d.load, name)
+		}
+		for _, op := range append(append([]handshakeOp(nil), stores...), loads...) {
+			if op.plain {
+				pass.Reportf(op.pos,
+					"plain (non-atomic) access to handshake variable %s in %s: every access must be a seq-cst sync/atomic operation for the Dekker argument to hold", op.name, name)
+			}
+		}
+		if len(stores) == 0 {
 			continue
 		}
-		cfg := buildCFG(fd.Body)
-		name := funcName(fd)
-		for _, dir := range dirs {
-			stores := findHandshakeOps(pass, cfg, dir.store, true)
-			loads := findHandshakeOps(pass, cfg, dir.load, false)
-			if len(stores) == 0 {
-				pass.Reportf(fd.Pos(),
-					"//abp:handshake store=%s matches no store or call in %s: the publish side of the handshake is missing", dir.store, name)
-			}
-			if len(loads) == 0 {
-				pass.Reportf(fd.Pos(),
-					"//abp:handshake load=%s matches no load or call in %s: the check side of the handshake is missing", dir.load, name)
-			}
-			for _, op := range append(append([]handshakeOp(nil), stores...), loads...) {
-				if op.plain {
-					pass.Reportf(op.pos,
-						"plain (non-atomic) access to handshake variable %s in %s: every access must be a seq-cst sync/atomic operation for the Dekker argument to hold", op.name, name)
-				}
-			}
-			if len(stores) == 0 {
-				continue
-			}
-			for _, l := range loads {
-				if !storeDominatesLoad(cfg, stores, l) {
-					pass.Reportf(l.pos,
-						"handshake load of %s is not dominated by the store of %s in %s: on some path the check runs before the publish, so a concurrent peer can be missed (Dekker order, DESIGN.md §7)",
-						dir.load, dir.store, name)
-				}
+		for _, l := range loads {
+			if !storeDominatesLoad(cfg, stores, l) {
+				pass.Reportf(l.pos,
+					"handshake load of %s is not dominated by the store of %s in %s: on some path the check runs before the publish, so a concurrent peer can be missed (Dekker order, DESIGN.md §7)",
+					d.load, d.store, name)
 			}
 		}
 	}
@@ -118,210 +189,50 @@ func storeDominatesLoad(cfg *funcCFG, stores []handshakeOp, l handshakeOp) bool 
 	return false
 }
 
-// findHandshakeOps scans every CFG block node for operations matching name.
-// isStore selects the write-side operation set (Store/Swap/Add/Or/And/
-// CompareAndSwap and plain assignments) versus the read side (Load and
-// plain reads). Calls to functions named name match either side.
-func findHandshakeOps(pass *Pass, cfg *funcCFG, name string, isStore bool) []handshakeOp {
+// handshakeOps returns the operations in fn's own body matching name, in
+// position order: the collected accesses of a field or package variable of
+// that name — atomic operations of the right side (isStore selects
+// Store/Swap/Add/Or/And/CompareAndSwap, else Load), and plain writes or
+// reads, which count as operations (so the ordering is still checked) but
+// are flagged — plus calls to a function or method of that name, which
+// match either side.
+func (f *pkgFacts) handshakeOps(fn *funcNode, name string, isStore bool) []handshakeOp {
 	var ops []handshakeOp
-	for _, blk := range cfg.blocks {
-		for _, node := range blk.nodes {
-			// consumed marks selectors that are operands of a matched atomic
-			// operation, so the plain-access scan below does not re-flag them.
-			consumed := map[ast.Node]bool{}
-			inspectSkippingFuncLits(node, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				fn := calleeFunc(pass.TypesInfo, call)
-				if fn == nil {
-					return true
-				}
-				switch {
-				case isAtomicMethod(fn) && atomicOpMatchesSide(fn.Name(), isStore):
-					// w.parked.Store(true): the receiver selector names the field.
-					sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-					if !ok {
-						return true
-					}
-					recv := ast.Unparen(sel.X)
-					if fieldName(pass.TypesInfo, recv) == name {
-						consumed[recv] = true
-						ops = append(ops, handshakeOp{node: node, pos: call.Pos(), name: name})
-					}
-				case isAtomicFunc(fn) && atomicOpMatchesSide(fn.Name(), isStore) && len(call.Args) > 0:
-					// atomic.StoreUint32(&s.f, 1): arg 0 names the field.
-					if addr, ok := ast.Unparen(call.Args[0]).(*ast.UnaryExpr); ok && addr.Op == token.AND {
-						target := ast.Unparen(addr.X)
-						if fieldName(pass.TypesInfo, target) == name {
-							consumed[target] = true
-							ops = append(ops, handshakeOp{node: node, pos: call.Pos(), name: name})
-						}
-					}
-				case fn.Name() == name:
-					// Delegated operation: a call to a function of that name.
-					ops = append(ops, handshakeOp{node: node, pos: call.Pos(), name: name})
-				}
-				return true
-			})
-			// Plain accesses to a field with the declared name: writes when
-			// isStore, reads otherwise. They count as operations (so the
-			// ordering is still checked) but are flagged as non-atomic.
-			inspectSkippingFuncLits(node, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.AssignStmt:
-					if !isStore {
-						return true
-					}
-					for _, lhs := range n.Lhs {
-						target := ast.Unparen(lhs)
-						if fieldName(pass.TypesInfo, target) == name {
-							ops = append(ops, handshakeOp{node: node, pos: lhs.Pos(), name: name, plain: true})
-						}
-					}
-				case *ast.SelectorExpr:
-					if isStore || consumed[n] {
-						return true
-					}
-					if isAssignTarget(node, n) {
-						return true
-					}
-					if s, ok := pass.TypesInfo.Selections[n]; ok && s.Kind() == types.FieldVal && n.Sel.Name == name {
-						// Not a receiver of an atomic call (consumed) and not a
-						// write target: a plain read.
-						if !isAtomicOperand(pass.TypesInfo, node, n) {
-							ops = append(ops, handshakeOp{node: node, pos: n.Pos(), name: name, plain: true})
-						}
-					}
-				}
-				return true
-			})
+	for _, acc := range f.accessesNamed(fn, name) {
+		switch {
+		case acc.atomic && acc.write == isStore:
+			ops = append(ops, handshakeOp{node: acc.node, pos: acc.call.Pos(), name: name})
+		case !acc.atomic && acc.write == isStore:
+			ops = append(ops, handshakeOp{node: acc.node, pos: acc.pos, name: name, plain: true})
 		}
 	}
+	cfg := f.cfg(fn)
+	fn.inspectOwn(func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			if callee := calleeFunc(f.info, call); callee != nil && callee.Name() == name {
+				ops = append(ops, handshakeOp{node: cfg.blockNodeAt(call.Pos()), pos: call.Pos(), name: name})
+			}
+		}
+		return true
+	})
+	sort.SliceStable(ops, func(i, j int) bool { return ops[i].pos < ops[j].pos })
 	return ops
 }
 
-// atomicOpMatchesSide reports whether the sync/atomic operation opName
-// belongs to the store side (anything that writes) or the load side.
-func atomicOpMatchesSide(opName string, isStore bool) bool {
-	isWrite := false
-	for _, p := range []string{"Store", "Swap", "Add", "And", "Or", "CompareAndSwap"} {
-		if strings.HasPrefix(opName, p) {
-			isWrite = true
-			break
-		}
-	}
-	if isStore {
-		return isWrite
-	}
-	return strings.HasPrefix(opName, "Load")
-}
-
-// fieldName resolves the name a field-selecting expression denotes: x.f
-// yields "f"; a bare identifier yields its name only when it denotes a
-// variable (handshake fields are normally struct fields, but package-level
-// shared variables work the same way).
-func fieldName(info *types.Info, e ast.Expr) string {
-	switch e := e.(type) {
-	case *ast.SelectorExpr:
-		if s, ok := info.Selections[e]; ok && s.Kind() == types.FieldVal {
-			return s.Obj().Name()
-		}
-		// Package-qualified identifier (pkg.Var): still a variable name.
-		if _, ok := info.Uses[e.Sel].(*types.Var); ok {
-			return e.Sel.Name
-		}
-	case *ast.Ident:
-		if _, ok := info.Uses[e].(*types.Var); ok {
-			return e.Name
-		}
-	}
-	return ""
-}
-
-// isAssignTarget reports whether sel is an assignment LHS within root.
-func isAssignTarget(root ast.Node, sel *ast.SelectorExpr) bool {
-	found := false
-	ast.Inspect(root, func(n ast.Node) bool {
-		if as, ok := n.(*ast.AssignStmt); ok {
-			for _, lhs := range as.Lhs {
-				if ast.Unparen(lhs) == sel {
-					found = true
-				}
-			}
-		}
-		return !found
-	})
-	return found
-}
-
-// isAtomicOperand reports whether sel appears as the receiver of a wrapper
-// atomic method call or the &-operand of a function-style atomic call
-// anywhere under root — those accesses are atomic, not plain.
-func isAtomicOperand(info *types.Info, root ast.Node, sel *ast.SelectorExpr) bool {
-	found := false
-	ast.Inspect(root, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return !found
-		}
-		fn := calleeFunc(info, call)
-		switch {
-		case isAtomicMethod(fn):
-			if recv, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && ast.Unparen(recv.X) == sel {
-				found = true
-			}
-		case isAtomicFunc(fn) && len(call.Args) > 0:
-			if addr, ok := ast.Unparen(call.Args[0]).(*ast.UnaryExpr); ok && addr.Op == token.AND && ast.Unparen(addr.X) == sel {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
-}
-
-// inspectSkippingFuncLits walks n without descending into function
-// literals: their bodies execute at unknown times relative to the region.
-func inspectSkippingFuncLits(n ast.Node, f func(ast.Node) bool) {
-	ast.Inspect(n, func(x ast.Node) bool {
-		if _, ok := x.(*ast.FuncLit); ok {
-			return false
-		}
-		return f(x)
-	})
-}
-
-// parseHandshakeDirectives extracts well-formed store=/load= pairs from a
-// doc comment and returns the raw text of malformed ones.
-func parseHandshakeDirectives(doc *ast.CommentGroup) (dirs []handshakeDirective, malformed []string) {
-	if doc == nil {
-		return nil, nil
-	}
-	for _, c := range doc.List {
-		rest, ok := strings.CutPrefix(c.Text, "//abp:handshake")
-		if !ok {
+// accessesNamed returns the accesses in fn's own body of variables called
+// name: how a handshake operand that names no function picks out the
+// protocol's words.
+func (f *pkgFacts) accessesNamed(fn *funcNode, name string) []*raceAccess {
+	var out []*raceAccess
+	for _, v := range f.vars {
+		if v.Name() != name {
 			continue
 		}
-		var d handshakeDirective
-		ok = true
-		fields := strings.Fields(rest)
-		for _, f := range fields {
-			switch {
-			case strings.HasPrefix(f, "store="):
-				d.store = strings.TrimPrefix(f, "store=")
-			case strings.HasPrefix(f, "load="):
-				d.load = strings.TrimPrefix(f, "load=")
-			default:
-				ok = false
+		for _, acc := range f.accesses[v] {
+			if acc.fn == fn {
+				out = append(out, acc)
 			}
 		}
-		if !ok || d.store == "" || d.load == "" || len(fields) != 2 {
-			malformed = append(malformed, strings.TrimSpace(c.Text))
-			continue
-		}
-		dirs = append(dirs, d)
 	}
-	return dirs, malformed
+	return out
 }

@@ -13,25 +13,35 @@
 // vet suite runs offline. Should x/tools ever become a dependency, each
 // Analyzer.Run ports mechanically.
 //
-// Two comment directives put code in scope:
+// A suite run over a package (RunSuite) starts with one fact pass
+// (facts.go): the call graph with its caller index and //abp:owner closure,
+// the goroutine roots and per-function contexts, memoized per-function CFGs
+// and reaching definitions, the access set over every function, the
+// per-function synchronization operations, and the resolved //abp:handshake
+// table. The twelve analyzers read those facts and build none of their own.
+//
+// Three comment directives put code in scope:
 //
 //	//abp:owner        the function is an audited deque-owner context; the
 //	                   owner-only operations may be called from it and from
 //	                   any function it (transitively, statically) calls.
 //	//abp:nonblocking  the function must not perform blocking operations.
+//	//abp:handshake store=<name> load=<name>
+//	                   the function is one side of a Dekker store→load
+//	                   protocol (handshake.go).
 //
-// And these take findings out of scope:
+// And one family takes findings out of scope, placed on (or on the line
+// directly above) the flagged line:
 //
 //	//abp:ignore <analyzer> <justification>
-//	//abp:race-ignore <justification>
-//	//abp:order-ignore <justification>
-//	//abp:layout-ignore <justification>
-//	//abp:wait-ignore <justification>
+//	//abp:<race|order|layout|wait>-ignore <justification>
 //
-// placed on (or on the line directly above) the flagged line. The last
-// four forms are shorthands scoped to the abprace, abporder, abplayout
-// and abpwait analyzers respectively. The justification text is
-// mandatory in every form: a bare ignore does not suppress.
+// The second form is shorthand for the first with the analyzer abprace,
+// abporder, abplayout or abpwait (ignoreShorthands is the whole table). A
+// directive is its exact spelling alone or followed by a space — a
+// misspelled //abp:race-ignored is no directive at all — and the
+// justification text is mandatory in every form: a bare ignore does not
+// suppress.
 package lint
 
 import (
@@ -69,6 +79,9 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
+	// facts is the suite run's shared fact layer (facts.go): read-only to
+	// the analyzer.
+	facts *pkgFacts
 	diags []Diagnostic
 }
 
@@ -89,19 +102,40 @@ func All() []*Analyzer {
 // with //abp:ignore-suppressed diagnostics removed and the rest sorted by
 // position.
 func Run(a *Analyzer, pkg *Package) ([]Diagnostic, error) {
-	return RunWith(a, pkg, CollectIgnores(pkg))
+	diags, err := RunSuite([]*Analyzer{a}, pkg, CollectIgnores(pkg))
+	if err != nil {
+		return nil, err
+	}
+	return diags[0], nil
 }
 
-// RunWith is Run with a caller-held ignore index, so one index can span a
-// whole suite run over the package and afterwards report which directives
-// never suppressed anything (Ignores.Unused).
-func RunWith(a *Analyzer, pkg *Package, ignores *Ignores) ([]Diagnostic, error) {
+// RunSuite applies analyzers to a loaded package, in order, over one fact
+// pass, and returns each one's findings as Run would. The ignore index is
+// the caller's, so it can afterwards report which directives never
+// suppressed anything (Ignores.Unused). Every way into the suite — the
+// Tool driver, Run, the fixture harness, BenchmarkAbpvet — is this
+// function: the facts live exactly as long as the call.
+func RunSuite(analyzers []*Analyzer, pkg *Package, ignores *Ignores) ([][]Diagnostic, error) {
+	facts := buildFacts(pkg.Files, pkg.Types, pkg.Info)
+	out := make([][]Diagnostic, len(analyzers))
+	for i, a := range analyzers {
+		diags, err := runOne(a, pkg, facts, ignores)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = diags
+	}
+	return out, nil
+}
+
+func runOne(a *Analyzer, pkg *Package, facts *pkgFacts, ignores *Ignores) ([]Diagnostic, error) {
 	pass := &Pass{
 		Analyzer:  a,
 		Fset:      pkg.Fset,
 		Files:     pkg.Files,
 		Pkg:       pkg.Types,
 		TypesInfo: pkg.Info,
+		facts:     facts,
 	}
 	if err := a.Run(pass); err != nil {
 		return nil, fmt.Errorf("%s: %v", a.Name, err)
@@ -124,8 +158,7 @@ type ignoreKey struct {
 	analyzer string
 }
 
-// An IgnoreDirective is one justified //abp:ignore or //abp:race-ignore
-// comment.
+// An IgnoreDirective is one justified ignore comment.
 type IgnoreDirective struct {
 	Pos      token.Pos
 	File     string
@@ -138,50 +171,57 @@ type IgnoreDirective struct {
 	used bool
 }
 
-// Ignores indexes a package's //abp:ignore directives and records which of
-// them actually suppressed a finding.
+// Ignores indexes a package's ignore directives and records which of them
+// actually suppressed a finding.
 type Ignores struct {
 	byKey map[ignoreKey]*IgnoreDirective
 	all   []*IgnoreDirective
 }
 
-// CollectIgnores indexes every justified //abp:ignore and //abp:race-ignore
-// directive by the file and line it appears on. Directives without a
-// justification are inert and not indexed (and so can never be reported as
-// unused either: they already do not suppress).
+// ignoreShorthands maps X in //abp:X-ignore to the analyzer that form
+// addresses.
+var ignoreShorthands = map[string]string{
+	"race":   "abprace",
+	"order":  "abporder",
+	"layout": "abplayout",
+	"wait":   "abpwait",
+}
+
+// parseIgnore parses one comment as an ignore directive, any of the five
+// forms. The directive word must stand alone or be followed by a space
+// (hasDirective's rule), and a justification must follow; anything else is
+// no directive.
+func parseIgnore(text string) (analyzer, form string, ok bool) {
+	body, ok := strings.CutPrefix(text, "//abp:")
+	if !ok {
+		return "", "", false
+	}
+	word, rest, _ := strings.Cut(body, " ")
+	fields := strings.Fields(rest)
+	if word == "ignore" {
+		if len(fields) < 2 {
+			return "", "", false // no justification: directive is inert
+		}
+		return fields[0], "//abp:ignore " + fields[0], true
+	}
+	if short, isShort := strings.CutSuffix(word, "-ignore"); isShort && len(fields) > 0 {
+		analyzer, ok = ignoreShorthands[short]
+		return analyzer, "//abp:" + word, ok
+	}
+	return "", "", false
+}
+
+// CollectIgnores indexes every justified ignore directive by the file and
+// line it appears on. Directives without a justification are inert and not
+// indexed (and so can never be reported as unused either: they already do
+// not suppress).
 func CollectIgnores(pkg *Package) *Ignores {
 	ig := &Ignores{byKey: map[ignoreKey]*IgnoreDirective{}}
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				var analyzer, form string
-				if rest, ok := strings.CutPrefix(c.Text, "//abp:race-ignore"); ok {
-					if len(strings.Fields(rest)) < 1 {
-						continue // no justification: directive is inert
-					}
-					analyzer, form = AbpRace.Name, "//abp:race-ignore"
-				} else if rest, ok := strings.CutPrefix(c.Text, "//abp:order-ignore"); ok {
-					if len(strings.Fields(rest)) < 1 {
-						continue // no justification: directive is inert
-					}
-					analyzer, form = AbpOrder.Name, "//abp:order-ignore"
-				} else if rest, ok := strings.CutPrefix(c.Text, "//abp:layout-ignore"); ok {
-					if len(strings.Fields(rest)) < 1 {
-						continue // no justification: directive is inert
-					}
-					analyzer, form = AbpLayout.Name, "//abp:layout-ignore"
-				} else if rest, ok := strings.CutPrefix(c.Text, "//abp:wait-ignore"); ok {
-					if len(strings.Fields(rest)) < 1 {
-						continue // no justification: directive is inert
-					}
-					analyzer, form = AbpWait.Name, "//abp:wait-ignore"
-				} else if rest, ok := strings.CutPrefix(c.Text, "//abp:ignore"); ok {
-					fields := strings.Fields(rest)
-					if len(fields) < 2 {
-						continue // no justification: directive is inert
-					}
-					analyzer, form = fields[0], "//abp:ignore "+fields[0]
-				} else {
+				analyzer, form, ok := parseIgnore(c.Text)
+				if !ok {
 					continue
 				}
 				pos := pkg.Fset.Position(c.Pos())
@@ -210,7 +250,7 @@ func (ig *Ignores) suppress(file string, line int, analyzer string) bool {
 }
 
 // Unused returns the directives that suppressed nothing across every
-// RunWith sharing this index — stale suppressions that should be deleted
+// RunSuite sharing this index — stale suppressions that should be deleted
 // before they hide a future regression. Callers must scope the result to
 // the analyzers that actually ran (each directive names its analyzer): a
 // directive for an analyzer that did not run is unjudgeable, not stale —

@@ -29,52 +29,48 @@ var MustCheck = &Analyzer{
 }
 
 func runMustCheck(pass *Pass) error {
-	for _, fd := range declsOf(pass.Files) {
-		if fd.Body == nil {
-			continue
+	// Every function — declaration or literal — is checked against its
+	// own CFG: a literal's body is a separate function with separate flow.
+	for _, fn := range pass.facts.graph.nodes {
+		if fn.body() != nil {
+			checkMustCheckBody(pass, fn)
 		}
-		parents := parentMap(fd.Body)
-		checkMustCheckBody(pass, fd.Body, funcParams(pass.TypesInfo, fd.Type, fd.Recv), parents)
-		// Function literals get their own CFG: their bodies are separate
-		// functions with separate flow.
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			if lit, ok := n.(*ast.FuncLit); ok {
-				checkMustCheckBody(pass, lit.Body, funcParams(pass.TypesInfo, lit.Type, nil), parents)
-			}
-			return true
-		})
 	}
 	return nil
 }
 
-// checkMustCheckBody analyzes one function body (declaration or literal),
-// skipping calls that belong to nested literals — those are analyzed with
-// their own body's CFG.
-func checkMustCheckBody(pass *Pass, body *ast.BlockStmt, params []*types.Var, parents map[ast.Node]ast.Node) {
-	var cfg *funcCFG // built lazily: most bodies have no CAS-shaped calls
-	var reach *reachInfo
-	flow := func() (*funcCFG, *reachInfo) {
-		if cfg == nil {
-			cfg = buildCFG(body)
-			reach = cfg.reachingDefs(pass.TypesInfo, params)
+// checkMustCheckBody analyzes one function's own body; calls inside nested
+// literals belong to those literals' nodes.
+func checkMustCheckBody(pass *Pass, fn *funcNode) {
+	body := fn.body()
+	// holder maps a call to the statement that receives (or drops) its
+	// result, parentheses aside; statements are visited before the calls
+	// they hold.
+	holder := map[*ast.CallExpr]ast.Stmt{}
+	hold := func(e ast.Expr, s ast.Stmt) {
+		if call, ok := ast.Unparen(e).(*ast.CallExpr); ok {
+			holder[call] = s
 		}
-		return cfg, reach
 	}
-
-	ast.Inspect(body, func(n ast.Node) bool {
-		if lit, ok := n.(*ast.FuncLit); ok && lit.Body != body {
-			return false
+	fn.inspectOwn(func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.ExprStmt:
+			hold(n.X, n)
+		case *ast.GoStmt:
+			hold(n.Call, n)
+		case *ast.DeferStmt:
+			hold(n.Call, n)
+		case *ast.AssignStmt:
+			for _, rhs := range n.Rhs {
+				hold(rhs, n)
+			}
 		}
 		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		fn := calleeFunc(pass.TypesInfo, call)
-		if !isCASShaped(fn) {
+		if !ok || !isCASShaped(calleeFunc(pass.TypesInfo, call)) {
 			return true
 		}
 		what := exprString(call.Fun)
-		switch p := enclosingNonParen(parents, call).(type) {
+		switch p := holder[call].(type) {
 		case *ast.ExprStmt:
 			pass.Reportf(call.Pos(),
 				"boolean result of %s is discarded: a refused push or failed CAS must be handled, not dropped (the PR-1 submitRoot deadlock class)", what)
@@ -102,7 +98,7 @@ func checkMustCheckBody(pass *Pass, body *ast.BlockStmt, params []*types.Var, pa
 			if v == nil {
 				return true
 			}
-			g, r := flow()
+			g, r := pass.facts.cfg(fn), pass.facts.reach(fn)
 			defNode := g.blockNodeAt(p.Pos())
 			if defNode == nil {
 				return true // assignment not in this body's CFG: be quiet
@@ -182,36 +178,6 @@ func assignTargetFor(as *ast.AssignStmt, call *ast.CallExpr) ast.Expr {
 		}
 	}
 	return nil
-}
-
-// parentMap records the syntactic parent of every node under root.
-func parentMap(root ast.Node) map[ast.Node]ast.Node {
-	parents := map[ast.Node]ast.Node{}
-	var stack []ast.Node
-	ast.Inspect(root, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		if len(stack) > 0 {
-			parents[n] = stack[len(stack)-1]
-		}
-		stack = append(stack, n)
-		return true
-	})
-	return parents
-}
-
-// enclosingNonParen walks up past parenthesized expressions.
-func enclosingNonParen(parents map[ast.Node]ast.Node, n ast.Node) ast.Node {
-	p := parents[n]
-	for {
-		pe, ok := p.(*ast.ParenExpr)
-		if !ok {
-			return p
-		}
-		p = parents[pe]
-	}
 }
 
 // varOfIdent resolves an identifier to the variable it denotes, through

@@ -34,11 +34,7 @@ var OwnerEscape = &Analyzer{
 }
 
 func runOwnerEscape(pass *Pass) error {
-	cg := newCallGraph(pass.TypesInfo, pass.Files)
-	owned := cg.ownedNodes()
-	if len(owned) == 0 {
-		return nil
-	}
+	cg, owned := pass.facts.graph, pass.facts.owned
 
 	typeOf := func(e ast.Expr) types.Type {
 		if tv, ok := pass.TypesInfo.Types[e]; ok {

@@ -33,11 +33,8 @@ var OwnerOnly = &Analyzer{
 }
 
 func runOwnerOnly(pass *Pass) error {
-	cg := newCallGraph(pass.TypesInfo, pass.Files)
-	owned := cg.ownedNodes()
-
-	for _, node := range cg.nodes {
-		if owned[node] {
+	for _, node := range pass.facts.graph.nodes {
+		if pass.facts.owned[node] {
 			continue
 		}
 		node.inspectOwn(func(n ast.Node) bool {

@@ -43,35 +43,28 @@ var TagABA = &Analyzer{
 }
 
 func runTagABA(pass *Pass) error {
-	for _, fd := range declsOf(pass.Files) {
-		if fd.Body == nil {
+	for _, fn := range pass.facts.graph.nodes {
+		if fn.decl == nil || fn.decl.Body == nil {
 			continue
 		}
-		var cfg *funcCFG
-		var reach *reachInfo
-		flow := func() (*funcCFG, *reachInfo) {
-			if cfg == nil {
-				cfg = buildCFG(fd.Body)
-				reach = cfg.reachingDefs(pass.TypesInfo, funcParams(pass.TypesInfo, fd.Type, fd.Recv))
-			}
-			return cfg, reach
-		}
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
+		// Nested literals are walked under the declaration's own CFG: a
+		// CAS inside one resolves to the block node the literal sits in.
+		ast.Inspect(fn.decl.Body, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true
 			}
-			newExpr := casNewValue(pass.TypesInfo, call)
+			_, newExpr := casOperands(pass.TypesInfo, call)
 			if newExpr == nil {
 				return true
 			}
-			g, r := flow()
+			g, r := pass.facts.cfg(fn), pass.facts.reach(fn)
 			casNode := g.blockNodeAt(call.Pos())
 			if casNode == nil {
-				return true // inside a nested literal: out of this CFG's scope
+				return true
 			}
-			for _, cand := range resolveBuilds(pass.TypesInfo, g, r, newExpr, casNode) {
-				checkAgeBuild(pass, g, r, cand)
+			for _, cand := range resolveBuilds(pass.TypesInfo, r, newExpr, casNode) {
+				checkAgeBuild(pass, r, cand)
 			}
 			return true
 		})
@@ -87,27 +80,28 @@ type ageBuild struct {
 	at       ast.Node
 }
 
-// casNewValue returns the new-value operand of a sync/atomic CompareAndSwap
-// call, or nil when call is not one: wrapper form x.CompareAndSwap(old,
-// new) or function form atomic.CompareAndSwapT(&addr, old, new).
-func casNewValue(info *types.Info, call *ast.CallExpr) ast.Expr {
+// casOperands returns the expected ("old") and new-value operands of a
+// sync/atomic compare-and-swap — wrapper form x.CompareAndSwap(old, new) or
+// function form atomic.CompareAndSwapT(&addr, old, new) — or nils when call
+// is not one.
+func casOperands(info *types.Info, call *ast.CallExpr) (old, new ast.Expr) {
 	fn := calleeFunc(info, call)
 	if fn == nil || !strings.HasPrefix(fn.Name(), "CompareAndSwap") {
-		return nil
+		return nil, nil
 	}
 	switch {
 	case isAtomicMethod(fn) && len(call.Args) == 2:
-		return call.Args[1]
+		return call.Args[0], call.Args[1]
 	case isAtomicFunc(fn) && len(call.Args) == 3:
-		return call.Args[2]
+		return call.Args[1], call.Args[2]
 	}
-	return nil
+	return nil, nil
 }
 
 // resolveBuilds resolves the CAS new-value expression to the age-build
 // expressions that may flow into it: the expression itself, or — when it is
 // a plain identifier — the right-hand sides of its reaching definitions.
-func resolveBuilds(info *types.Info, g *funcCFG, r *reachInfo, e ast.Expr, casNode ast.Node) []ageBuild {
+func resolveBuilds(info *types.Info, r *reachInfo, e ast.Expr, casNode ast.Node) []ageBuild {
 	e = ast.Unparen(e)
 	if b, ok := asAgeBuild(info, e); ok {
 		b.at = casNode
@@ -210,7 +204,7 @@ func asAgeBuild(info *types.Info, e ast.Expr) (ageBuild, bool) {
 // checkAgeBuild applies the two Figure 5 requirements to one top-resetting
 // age build. Builds whose top operand is not the constant 0 are not resets
 // (PopTop advances top; only resets recycle indexes) and are skipped.
-func checkAgeBuild(pass *Pass, g *funcCFG, r *reachInfo, b ageBuild) {
+func checkAgeBuild(pass *Pass, r *reachInfo, b ageBuild) {
 	if !isConstZero(pass.TypesInfo, b.top) {
 		return
 	}

@@ -158,3 +158,90 @@ func SpawnSloppy(s *sloppy) int {
 	go s.bump()
 	return s.n
 }
+
+// --- ignore grammar: a misspelled directive is no directive at all, and
+// text glued to the directive word is not a justification ---
+
+type typo struct {
+	n int
+}
+
+func (s *typo) bump() {
+	//abp:race-ignored fixture: the word is misspelled, so nothing is waived
+	s.n++ // want `possible data race on field n of abprace.typo`
+}
+
+// SpawnTypo is SpawnSloppy under the misspelled directive.
+func SpawnTypo(s *typo) int {
+	go s.bump()
+	go s.bump()
+	return s.n
+}
+
+type glued struct {
+	n int
+}
+
+func (s *glued) bump() {
+	//abp:race-ignoreXYZ
+	s.n++ // want `possible data race on field n of abprace.glued`
+}
+
+// SpawnGlued is SpawnSloppy under a directive with its reason glued on.
+func SpawnGlued(s *glued) int {
+	go s.bump()
+	go s.bump()
+	return s.n
+}
+
+// --- accepted: fork edges compose — the write precedes the manager's
+// launch, and the worker is launched only by the manager ---
+
+type fleet struct {
+	cfg int
+}
+
+// StartFleet configures the fleet, then forks the manager that forks the
+// worker: write -> go manager -> go worker orders the write before the read.
+func StartFleet(f *fleet) {
+	f.cfg = 1
+	go f.manager()
+}
+
+func (f *fleet) manager() { go f.worker() }
+
+func (f *fleet) worker() int { return f.cfg }
+
+// --- flagged: the manager also runs on the external caller, so a worker
+// can be launched by a call that no write precedes ---
+
+type leakyFleet struct {
+	cfg int
+}
+
+func StartLeakyFleet(f *leakyFleet) {
+	f.cfg = 1 // want `possible data race on field cfg of abprace.leakyFleet`
+	go f.manager()
+}
+
+func (f *leakyFleet) manager() { go f.worker() }
+
+func (f *leakyFleet) worker() int { return f.cfg }
+
+// Kick runs the manager on the caller's goroutine.
+func Kick(f *leakyFleet) { f.manager() }
+
+// --- flagged: the write follows the manager's launch ---
+
+type lateFleet struct {
+	cfg int
+}
+
+func StartLateFleet(f *lateFleet) {
+	go f.manager()
+	f.cfg = 1 // want `possible data race on field cfg of abprace.lateFleet`
+}
+
+func (f *lateFleet) manager() { go f.worker() }
+
+func (f *lateFleet) worker() int { return f.cfg }

@@ -82,7 +82,6 @@ func (w *Worker) loop() {
 	// Root fallback from startSession. execOrDrop keeps an aborted session's
 	// root (e.g. a pre-cancelled RunContext) from executing into a dead
 	// run: it is discarded and counted instead.
-	//abp:race-ignore startSession writes handoff before forking the fleet manager, and the manager forks every mid-session loop: the composed fork edges (Go MM transitivity) order the write before this read; the analyzer does not chase nested fork chains
 	if t := w.handoff.Get(); t != nil {
 		w.handoff.Set(nil)
 		w.execOrDrop(t, false)
@@ -201,7 +200,6 @@ func (w *Worker) park(d time.Duration) bool {
 			woke = true
 		case <-timer.C:
 		// Session shutdown: don't sleep out the nap.
-		//abp:race-ignore quitCh is written in startSession before the fleet manager fork, and every mid-session loop is forked by the manager: the composed fork edges order the write before this read; the analyzer does not chase nested fork chains
 		case <-p.quitCh:
 		}
 		timer.Stop()

@@ -176,7 +176,7 @@ type Pool struct {
 	// full ordering). The Publish-declared counters are blind increments
 	// read only by Stats — release/acquire publication suffices.
 	//
-	// Layout discipline (abplayout, DESIGN.md §12): the three arbitration
+	// Layout discipline (abplayout, DESIGN.md §8): the three arbitration
 	// words below — running's session CAS, shardRR's per-submission Add,
 	// wakeRR's per-signal Add, idle's park/signal Dekker reads — each sit
 	// on their own cache line so none is invalidated by writes to the
@@ -265,10 +265,10 @@ type Worker struct {
 	// handoff is the root task fallback slot (startSession), consumed by
 	// loop; declared plain because every access pair is ordered by the
 	// session fork/join edges — for loops the fleet manager forks
-	// mid-session, by the composed startSession→manager→loop fork chain
-	// the static analyses do not chase (hence the waiver).
-	handoff atomicx.PlainPointer[Task] //abp:order-ignore ordered by the composed startSession->fleetManager->loop fork edges; the analyzer does not chase nested fork chains
-	scope   *scope                     // termination scope of the task currently executing (exec)
+	// mid-session, by the composed startSession→manager→loop fork chain,
+	// which abprace and abporder follow (launchedAfter).
+	handoff atomicx.PlainPointer[Task]
+	scope   *scope // termination scope of the task currently executing (exec)
 
 	parkCh chan struct{} // capacity-1 wake token (lifecycle.go)
 	// parked is half of the park/wake Dekker handshake
@@ -517,14 +517,12 @@ func (p *Pool) startSession(root *Task) {
 	// they are published under runMu, the lock those readers take.
 	p.runMu.Lock()
 	p.quitCh = make(chan struct{})
-	//abp:race-ignore written before the fleet-manager fork below, which forks every mid-session loop: the composed fork edges order this write before any worker read; the analyzer does not chase nested fork chains
 	p.failCh = make(chan struct{})
 	p.drainReq = make(chan struct{})
 	p.drainIdle = make(chan struct{})
 	p.drainSignaled = false
 	p.runMu.Unlock()
 	p.failOnce = sync.Once{}
-	//abp:race-ignore written before the fleet-manager fork below, which forks every mid-session loop: the composed fork edges order this write before any worker access; the analyzer does not chase nested fork chains
 	p.failVal = nil
 	p.draining.Store(false)
 	// Sweep carcasses a previous aborted session left behind (including a
