@@ -31,12 +31,13 @@ func (r *run) panicAborted() {
 // waitChan returns the channel a waiter about to block on *p selects on,
 // installing one if none is there: completers only close what a waiter
 // installed, so a fork or a group that nobody blocks on never allocates a
-// channel. It is the store half of the waiter's side of the wait
-// handshake — install the channel, then re-load done/pending — against
-// the completer's store done/pending, then load the channel and close it
-// (Future.runTask, Group.done): the same Dekker shape as park against
-// signalWork, so a waiter either sees the completion on its re-load or
-// the completer sees its channel.
+// channel. For a Group it is the store half of the waiter's side of the
+// wait handshake — install the channel, then re-load pending — against
+// Group.done's store pending, then load the channel and close it: the same
+// Dekker shape as park against signalWork. A Future needs no second word:
+// its completer swaps doneWait into *p, so the install either precedes the
+// swap, which then hands the channel to the completer to close, or fails
+// against it and finds doneWait's channel, which is closed already.
 func waitChan(p *atomicx.SCPointer[chan struct{}]) chan struct{} {
 	for {
 		if ch := p.Load(); ch != nil {
@@ -49,6 +50,20 @@ func waitChan(p *atomicx.SCPointer[chan struct{}]) chan struct{} {
 	}
 }
 
+// doneWait is the completed state of a Future's completion word: a pointer
+// no waiter installs, to a channel that is closed from the start, so a
+// waiter that loads it (waitChan) falls through its select.
+var doneWait = func() *chan struct{} {
+	ch := make(chan struct{})
+	close(ch)
+	return &ch
+}()
+
+// maxFreeRecords bounds each of a worker's two free lists (DESIGN.md §7,
+// "Record recycling"): deep enough for the joins a fork-join recursion has
+// in flight on one worker and for a wide Group fan-out, and 4 KB a list.
+const maxFreeRecords = 64
+
 // Future is the result of a Fork: a value that becomes available when the
 // forked task completes. Join retrieves it, executing other tasks while it
 // waits (the "work-first" help protocol), so waiting never wastes a worker.
@@ -58,33 +73,83 @@ type Future[T any] struct {
 	task   Task
 	fn     func(*Worker) T
 	result T
-	// done and ch are the two words of the wait handshake (waitChan), hence
-	// sc; done's store also publishes result to the joiner.
-	done atomicx.SCBool
-	ch   atomicx.SCPointer[chan struct{}]
+	// ch is the whole completion state: nil while the task is pending and
+	// nobody waits, a channel a blocked waiter installed (waitChan), or
+	// doneWait once the task has completed. The completer's one Swap
+	// publishes result and takes the waiter's channel; after it the
+	// completer never touches the Future again, which is what lets Join2,
+	// Reduce and ParallelFor recycle theirs (free).
+	ch atomicx.SCPointer[chan struct{}]
+	// next links the Future into its worker's free list, and is nil in one
+	// that is in use: a Future left to the collector holds on to nothing.
+	next *Future[T]
 }
 
 // Fork spawns fn and returns a Future for its result. The spawned task goes
 // to the bottom of the caller's deque (or runs inline if the deque is
 // full), so in the common un-stolen case Join pops it right back and runs
 // it on the same worker — the depth-first execution order the paper notes
-// is "often used" (lazy task creation).
+// is "often used" (lazy task creation). The caller keeps the Future, so it
+// is the collector's; the forks inside Join2, Reduce and ParallelFor take
+// theirs from the worker's free list (takeFuture) and are otherwise this.
 func Fork[T any](w *Worker, fn func(*Worker) T) *Future[T] {
-	f := &Future[T]{fn: fn}
+	return new(Future[T]).fork(w, fn)
+}
+
+// fork makes the pending Future f the task that runs fn, and spawns it.
+func (f *Future[T]) fork(w *Worker, fn func(*Worker) T) *Future[T] {
+	f.fn = fn
 	f.task = w.newTask(f)
 	w.spawn(&f.task)
 	return f
 }
 
-// runTask is the forked task: compute, publish, wake. A panic in fn leaves
-// the future forever un-done; its joiners unwind through the submission's
-// abort.
+// takeFuture returns a pending Future for a fork whose Future never reaches
+// user code: the one w freed last, or a new one when the list is empty or
+// holds Futures of another result type.
 //
-//abp:handshake store=done load=ch
+//abp:owner the free lists belong to the goroutine running the worker
+func takeFuture[T any](w *Worker) *Future[T] {
+	f, _ := w.freeFutures.(*Future[T])
+	if f == nil {
+		return new(Future[T])
+	}
+	w.freeFutures, f.next = f.next, nil
+	w.nFreeFutures--
+	return f
+}
+
+// free returns f, which takeFuture handed out and whose Join has returned
+// on w, to w's free list. Join saw doneWait, so the completer's Swap has
+// returned and nothing but this call refers to f: a Future whose task
+// panicked, was discarded or is still running when its joiner unwinds
+// never comes here and is left to the collector. The user's function and
+// result are dropped either way; a Future over the bound is too, and so is
+// a list of another result type, which f replaces.
+//
+//abp:owner the free lists belong to the goroutine running the worker
+func (f *Future[T]) free(w *Worker) {
+	var zero T
+	f.fn, f.result = nil, zero
+	f.ch.Store(nil)
+	head, ok := w.freeFutures.(*Future[T])
+	if !ok {
+		w.nFreeFutures = 0
+	}
+	if w.nFreeFutures == maxFreeRecords {
+		return
+	}
+	f.next = head
+	w.freeFutures = f
+	w.nFreeFutures++
+}
+
+// runTask is the forked task: compute, then publish and wake in one step.
+// A panic in fn leaves the future forever pending; its joiners unwind
+// through the submission's abort.
 func (f *Future[T]) runTask(w *Worker) {
 	f.result = f.fn(w)
-	f.done.Store(true)
-	if ch := f.ch.Load(); ch != nil {
+	if ch := f.ch.Swap(doneWait); ch != nil {
 		close(*ch)
 	}
 }
@@ -106,10 +171,10 @@ func (f *Future[T]) runTask(w *Worker) {
 // task's own scope, and exec restores the joiner's scope afterwards.
 func (f *Future[T]) Join(w *Worker) T {
 	r := w.currentRun()
-	for !f.done.Load() {
+	for !f.Done() {
 		select {
 		case <-r.abort:
-			if !f.done.Load() {
+			if !f.Done() {
 				r.panicAborted()
 			}
 		default:
@@ -128,7 +193,7 @@ func (f *Future[T]) Join(w *Worker) T {
 			continue
 		}
 		runtime.Gosched()
-		if f.done.Load() || w.anyVisibleWork() {
+		if f.Done() || w.anyVisibleWork() {
 			continue
 		}
 		f.block(r)
@@ -137,32 +202,33 @@ func (f *Future[T]) Join(w *Worker) T {
 }
 
 // block parks the joiner until the future completes or r aborts. The
-// caller's loop re-checks done, so a wake for any other reason is
-// harmless.
-//
-//abp:handshake store=waitChan load=done
+// caller's loop re-checks the completion word, so a wake for any other
+// reason is harmless.
 func (f *Future[T]) block(r *run) {
-	ch := waitChan(&f.ch)
-	if f.done.Load() {
-		return
-	}
 	select {
-	case <-ch:
+	case <-waitChan(&f.ch):
 	case <-r.abort:
-		if !f.done.Load() {
+		if !f.Done() {
 			r.panicAborted()
 		}
 	}
 }
 
 // Done reports whether the result is available without blocking.
-func (f *Future[T]) Done() bool { return f.done.Load() }
+func (f *Future[T]) Done() bool { return f.ch.Load() == doneWait }
+
+// joinFree is Join for a Future from takeFuture: the Future goes back to
+// w's free list once its result is out.
+func (f *Future[T]) joinFree(w *Worker) T {
+	v := f.Join(w)
+	f.free(w)
+	return v
+}
 
 // Join2 forks fa and runs fb inline, then joins: the classic binary
 // fork-join (for example fib(n-1) in parallel with fib(n-2)).
 func Join2[A, B any](w *Worker, fa func(*Worker) A, fb func(*Worker) B) (A, B) {
-	fut := Fork(w, fa)
+	fut := takeFuture[A](w).fork(w, fa)
 	b := fb(w)
-	a := fut.Join(w)
-	return a, b
+	return fut.joinFree(w), b
 }

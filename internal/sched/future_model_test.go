@@ -1,0 +1,287 @@
+package sched
+
+import (
+	"fmt"
+	"testing"
+)
+
+// This file model-checks the completion word of a recycled Future
+// (future.go) by exhaustive interleaving enumeration, in the shape of
+// scope_model_test.go: one record lives through two generations — forked,
+// joined and freed by its owner, forked again — while each generation's
+// task completes on another worker, and every atomic operation of the real
+// protocol is one step of one party. The joiner's steps are Join's load,
+// waitChan's load and CAS, the block on the channel, the read of the
+// result, free's reset of the word and the next fork; the completer's are
+// the write of the result, the Swap and the close. Checked on every path:
+//
+//   - a channel is closed at most once, and only by the completer of the
+//     generation whose joiner installed it;
+//   - the joiner of a generation reads that generation's result;
+//   - no completer takes a step once the joiner has freed its generation —
+//     the property that makes the record the owner's to reuse;
+//   - at quiescence both generations are joined: no waiter is left blocked.
+//
+// The same search runs the two-word protocol this one replaced (store
+// done, then load the channel and close it) under the same recycling, as
+// the negative control.
+
+const (
+	fmDone  int8 = -1 // the word holds doneWait
+	fmMaxCh      = 4  // channels one search may install
+	fmGens       = 2
+)
+
+// Joiner program counters.
+const (
+	fjLoad     int8 = iota // Join's loop: load the word (two-word: the done flag)
+	fjInstLoad             // waitChan: load the word
+	fjInstCAS              // waitChan: install a new channel against nil
+	fjRecheck              // two-word only: re-load done after the install
+	fjBlock                // blocked on the channel in hand
+	fjObserve              // done seen: read the result
+	fjFree                 // free: reset the word (two-word: the channel word)
+	fjFree2                // two-word only: reset the done flag
+	fjRefork               // fork the next generation
+	fjFinished
+)
+
+// Completer program counters.
+const (
+	fcUnforked int8 = iota
+	fcWrite         // write the result
+	fcPublish       // Swap doneWait in (two-word: store done)
+	fcLoadCh        // two-word only: load the channel word
+	fcClose         // close the channel taken
+	fcFinished
+)
+
+type fmCompleter struct {
+	pc int8
+	ch int8 // the channel it took and must close
+}
+
+// fmState is the whole model, comparable so that visited states prune the
+// search.
+type fmState struct {
+	word   int8 // 0 nil, fmDone, or a channel's number
+	done   bool // two-word only
+	result int8 // the generation that wrote it last
+	gen    int8 // the generation in flight
+	jpc    int8
+	jch    int8 // the channel the joiner blocks on
+	nch    int8
+	closed [fmMaxCh + 1]int8
+	maker  [fmMaxCh + 1]int8 // the generation whose joiner installed the channel
+	freed  [fmGens + 1]bool
+	c      [fmGens + 1]fmCompleter
+}
+
+type futureModel struct {
+	// twoWord selects the replaced protocol: a done flag beside the channel
+	// word. ignoreLate lets the search run on past a completer's step on a
+	// freed record, to show what such a step goes on to break.
+	twoWord, ignoreLate bool
+	seen                map[fmState]bool
+	// What the search came across, so the test can tell it covered the
+	// joiner blocking, losing the install to the Swap, and never waiting.
+	terminals, blocks, lostInstalls, neverWaited int
+}
+
+func (m *futureModel) initial() fmState {
+	var s fmState
+	s.gen = 1
+	s.c[1].pc = fcWrite
+	return s
+}
+
+// joinerStep moves the joiner one step, or reports that it cannot move
+// (blocked, or finished).
+func (m *futureModel) joinerStep(s fmState) (next fmState, moved bool, err error) {
+	switch s.jpc {
+	case fjLoad:
+		if done := s.word == fmDone || (m.twoWord && s.done); done {
+			s.jpc = fjObserve
+		} else {
+			s.jpc = fjInstLoad
+		}
+	case fjInstLoad:
+		switch {
+		case s.word == fmDone: // doneWait's channel is closed: the select falls through
+			m.lostInstalls++
+			s.jpc = fjLoad
+		case s.word != 0:
+			s.jch, s.jpc = s.word, fjBlock
+		default:
+			s.jpc = fjInstCAS
+		}
+	case fjInstCAS:
+		if s.word != 0 {
+			s.jpc = fjInstLoad
+			break
+		}
+		if s.nch == fmMaxCh {
+			return s, false, fmt.Errorf("more than %d channels installed", fmMaxCh)
+		}
+		s.nch++
+		s.word, s.jch, s.maker[s.nch] = s.nch, s.nch, s.gen
+		s.jpc = fjBlock
+		if m.twoWord {
+			s.jpc = fjRecheck
+		}
+	case fjRecheck:
+		s.jpc = fjBlock
+		if s.done {
+			s.jpc = fjLoad
+		}
+	case fjBlock:
+		if s.closed[s.jch] == 0 {
+			return s, false, nil
+		}
+		m.blocks++
+		s.jpc = fjLoad
+	case fjObserve:
+		if s.result != s.gen {
+			return s, false, fmt.Errorf("generation %d's joiner read generation %d's result", s.gen, s.result)
+		}
+		if s.jch == 0 || s.maker[s.jch] != s.gen {
+			m.neverWaited++
+		}
+		s.jpc = fjFree
+	case fjFree:
+		s.freed[s.gen] = true
+		s.word = 0
+		s.jpc = fjRefork
+		if m.twoWord {
+			s.jpc = fjFree2
+		}
+	case fjFree2:
+		s.done = false
+		s.jpc = fjRefork
+	case fjRefork:
+		s.gen++
+		s.jpc = fjFinished
+		if s.gen <= fmGens {
+			s.jpc, s.c[s.gen].pc = fjLoad, fcWrite
+		}
+	case fjFinished:
+		return s, false, nil
+	}
+	return s, true, nil
+}
+
+// completerStep moves generation g's completer one step, if it has one.
+func (m *futureModel) completerStep(s fmState, g int8) (next fmState, moved bool, err error) {
+	c := &s.c[g]
+	if c.pc == fcUnforked || c.pc == fcFinished {
+		return s, false, nil
+	}
+	if s.freed[g] && !m.ignoreLate {
+		return s, false, fmt.Errorf("generation %d's completer takes step %d after the joiner freed the record", g, c.pc)
+	}
+	switch c.pc {
+	case fcWrite:
+		s.result = g
+		c.pc = fcPublish
+	case fcPublish:
+		if m.twoWord {
+			s.done = true
+			c.pc = fcLoadCh
+			break
+		}
+		c.ch, s.word = s.word, fmDone
+		c.pc = fcFinished
+		if c.ch > 0 {
+			c.pc = fcClose
+		}
+	case fcLoadCh:
+		c.ch = s.word
+		c.pc = fcFinished
+		if c.ch > 0 {
+			c.pc = fcClose
+		}
+	case fcClose:
+		s.closed[c.ch]++
+		if s.closed[c.ch] > 1 {
+			return s, false, fmt.Errorf("channel %d closed twice", c.ch)
+		}
+		if s.maker[c.ch] != g {
+			return s, false, fmt.Errorf("generation %d's completer closed the channel of generation %d's joiner", g, s.maker[c.ch])
+		}
+		c.pc = fcFinished
+	}
+	return s, true, nil
+}
+
+// explore visits every state reachable from s, returning the first
+// violation with the trail of parties (0 the joiner, g a completer) that
+// led to it.
+func (m *futureModel) explore(s fmState, trail []int8) error {
+	if m.seen[s] {
+		return nil
+	}
+	m.seen[s] = true
+	stuck := true
+	for party := int8(0); party <= fmGens; party++ {
+		var next fmState
+		var moved bool
+		var err error
+		if party == 0 {
+			next, moved, err = m.joinerStep(s)
+		} else {
+			next, moved, err = m.completerStep(s, party)
+		}
+		if err != nil {
+			return fmt.Errorf("%v (schedule %v)", err, append(trail, party))
+		}
+		if !moved {
+			continue
+		}
+		stuck = false
+		if err := m.explore(next, append(trail, party)); err != nil {
+			return err
+		}
+	}
+	if !stuck {
+		return nil
+	}
+	m.terminals++
+	if s.jpc != fjFinished {
+		return fmt.Errorf("generation %d's joiner is left at step %d with nothing to wake it (schedule %v)", s.gen, s.jpc, trail)
+	}
+	for g := int8(1); g <= fmGens; g++ {
+		if s.c[g].pc != fcFinished {
+			return fmt.Errorf("quiescent with generation %d's completer at step %d (schedule %v)", g, s.c[g].pc, trail)
+		}
+	}
+	return nil
+}
+
+func TestFutureModelExhaustive(t *testing.T) {
+	m := &futureModel{seen: map[fmState]bool{}}
+	if err := m.explore(m.initial(), nil); err != nil {
+		t.Fatal(err)
+	}
+	if m.terminals == 0 || m.blocks == 0 || m.lostInstalls == 0 || m.neverWaited == 0 {
+		t.Fatalf("the search reached %d quiescent states, %d blocked joins, %d installs lost to the Swap and %d joins that never waited; want some of each",
+			m.terminals, m.blocks, m.lostInstalls, m.neverWaited)
+	}
+	t.Logf("%d states, %d quiescent", len(m.seen), m.terminals)
+}
+
+// The negative control: with completion on two words, the completer loads
+// the channel word after the store that lets the joiner go, so it steps on
+// a record that may already be freed and forked again — and, followed
+// further, closes the next generation's channel, which that generation's
+// own completer then closes a second time. The search must find both, or
+// its passing above would mean little.
+func TestFutureModelCatchesTwoWordCompletion(t *testing.T) {
+	for _, ignoreLate := range []bool{false, true} {
+		m := &futureModel{twoWord: true, ignoreLate: ignoreLate, seen: map[fmState]bool{}}
+		err := m.explore(m.initial(), nil)
+		if err == nil {
+			t.Fatalf("the two-word protocol passed every schedule (ignoreLate=%v)", ignoreLate)
+		}
+		t.Log(err)
+	}
+}

@@ -34,24 +34,60 @@ type Group struct {
 func NewGroup() *Group { return &Group{} }
 
 // groupTask is a group member: the task, its body and its group in one
-// allocation.
+// record, which never reaches user code and is recycled through the
+// workers' free lists (DESIGN.md §7, "Record recycling").
 type groupTask struct {
 	task Task
 	g    *Group
 	fn   func(*Worker)
+	next *groupTask // free-list link; nil in a record that is in use
 }
 
+// runTask runs the member and, if it returns, gives the record to the
+// worker that ran it: popping the task made this worker its only holder,
+// and exec does not look at the task again. A member that panics leaves
+// its record to the collector.
 func (t *groupTask) runTask(w *Worker) {
 	defer t.g.done()
 	t.fn(w)
+	w.freeGroupTask(t)
 }
 
 // Spawn schedules fn as part of the group.
 func (g *Group) Spawn(w *Worker, fn func(*Worker)) {
 	g.pending.Add(1)
-	t := &groupTask{g: g, fn: fn}
+	t := w.takeGroupTask()
+	t.g, t.fn = g, fn
 	t.task = w.newTask(t)
 	w.spawn(&t.task)
+}
+
+// takeGroupTask returns an empty record: the one w freed last, or a new one.
+//
+//abp:owner the free lists belong to the goroutine running the worker
+func (w *Worker) takeGroupTask() *groupTask {
+	t := w.freeGroupTasks
+	if t == nil {
+		return new(groupTask)
+	}
+	w.freeGroupTasks, t.next = t.next, nil
+	w.nFreeGroupTasks--
+	return t
+}
+
+// freeGroupTask puts a record whose member has returned on w's list, or
+// drops it when the list is at its bound — which is what keeps a thief
+// that runs a long burst of another worker's members from hoarding them.
+//
+//abp:owner the free lists belong to the goroutine running the worker
+func (w *Worker) freeGroupTask(t *groupTask) {
+	t.g, t.fn = nil, nil
+	if w.nFreeGroupTasks == maxFreeRecords {
+		return
+	}
+	t.next = w.freeGroupTasks
+	w.freeGroupTasks = t
+	w.nFreeGroupTasks++
 }
 
 // done ends one member. The one that empties the group takes the channel

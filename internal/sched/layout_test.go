@@ -29,7 +29,8 @@ func TestInjectorLayoutPins(t *testing.T) {
 // TestWorkerLayoutPins asserts the parked flag — the word every
 // producer's signalWork scans — is isolated from both the cold
 // per-worker wiring before it and the owner-hot progress/stat counters
-// after it.
+// after it, and that the owner's plain per-task state is clear of
+// everything other workers read.
 func TestWorkerLayoutPins(t *testing.T) {
 	var w Worker
 	parked := unsafe.Offsetof(w.parked)
@@ -49,6 +50,23 @@ func TestWorkerLayoutPins(t *testing.T) {
 	state := unsafe.Offsetof(w.state)
 	if layoutLine(state) == layoutLine(parked) || layoutLine(state) == layoutLine(progress) {
 		t.Errorf("state (offset %d) shares a line with parked (%d) or progress (%d)", state, parked, progress)
+	}
+	// Every thief and every anyVisibleWork scan reads dq, so what the owner
+	// writes per task — scope twice in exec, a free-list head per fork and
+	// per join — is on none of the lines other workers read; and the two
+	// heads, the interface's two words included, lie on one line.
+	futures := unsafe.Offsetof(w.freeFutures)
+	futuresEnd := futures + unsafe.Sizeof(w.freeFutures) - 1
+	groupTasks := unsafe.Offsetof(w.freeGroupTasks)
+	for _, shared := range []uintptr{unsafe.Offsetof(w.dq), parkCh, parked, state} {
+		for _, own := range []uintptr{scope, futures, groupTasks, unsafe.Offsetof(w.napTimer)} {
+			if layoutLine(own) == layoutLine(shared) {
+				t.Errorf("owner-written offset %d is on the line of offset %d, which other workers read", own, shared)
+			}
+		}
+	}
+	if layoutLine(futures) != layoutLine(futuresEnd) || layoutLine(futures) != layoutLine(groupTasks) {
+		t.Errorf("the free-list heads span lines: freeFutures %d..%d, freeGroupTasks %d", futures, futuresEnd, groupTasks)
 	}
 }
 

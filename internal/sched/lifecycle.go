@@ -193,16 +193,35 @@ func (w *Worker) park(d time.Duration) bool {
 		// signallable (the satellite-1 regression test freezes here).
 		fault.Point(fpBackoffBeforeSleep)
 		start := time.Now()
-		timer := time.NewTimer(d)
+		// One timer serves all of the worker's naps: the last one left it
+		// stopped with its channel empty (below).
+		timer := w.napTimer
+		if timer == nil {
+			timer = time.NewTimer(d)
+			w.napTimer = timer
+		} else {
+			timer.Reset(d)
+		}
+		timedOut := false
 		select {
 		case <-w.parkCh:
 			w.wakes.Add(1)
 			woke = true
 		case <-timer.C:
+			timedOut = true
 		// Session shutdown: don't sleep out the nap.
 		case <-p.quitCh:
 		}
-		timer.Stop()
+		// Leave the timer stopped and its channel empty for the next nap: a
+		// nap cut short has not received the tick, so a Stop that comes too
+		// late to prevent it waits for it (it is sent by then, or about to
+		// be) instead of leaving it for the next nap to read as its timeout.
+		// That is the idiom for the timer channels go.mod's go 1.22 selects;
+		// with the unbuffered ones of go 1.23 Stop discards a tick nobody
+		// received and reports true, so the receive is never reached.
+		if !timedOut && !timer.Stop() {
+			<-timer.C
+		}
 		w.backoffNanos.Add(int64(time.Since(start)))
 	} else {
 		w.parks.Add(1)

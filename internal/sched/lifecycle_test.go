@@ -274,3 +274,35 @@ func TestParkThresholdValidation(t *testing.T) {
 	}()
 	New(Config{Workers: 2, ParkThreshold: -1})
 }
+
+// The one nap timer a worker re-arms: a nap of a nanosecond that a wake
+// token ends leaves a timer that has fired, or is about to, with a tick
+// nobody received; one that times out leaves it expired. Either way the
+// nap after it must last its length, not read a leftover tick as its own
+// timeout, and it makes no second timer.
+func TestNapTimerLeftoverTickIsNotTheNextTimeout(t *testing.T) {
+	p := New(Config{Workers: 1})
+	w := p.workers[0] // no session: the test goroutine stands in for the worker's
+	const long = 2 * time.Millisecond
+	for i := 0; i < 100; i++ {
+		if i%2 == 0 {
+			w.parkCh <- struct{}{}
+		}
+		w.park(time.Nanosecond)
+		select {
+		case <-w.parkCh: // both were ready and the select took the tick
+		default:
+		}
+		first := w.napTimer
+		start := time.Now()
+		if w.park(long) {
+			t.Fatalf("nap %d was woken with no token sent", i)
+		}
+		if took := time.Since(start); took < long {
+			t.Fatalf("nap %d of %v ended after %v: it read the tick the nap before it left behind", i, long, took)
+		}
+		if w.napTimer != first {
+			t.Fatalf("nap %d made a second timer", i)
+		}
+	}
+}

@@ -8,18 +8,19 @@ func ParallelFor(w *Worker, lo, hi, grain int, body func(i int)) {
 	if grain < 1 {
 		grain = 1
 	}
-	for hi-lo > grain {
-		mid, end := lo+(hi-lo)/2, hi // copies: the closure must not see hi's mutation below
-		right := Fork(w, func(inner *Worker) struct{} {
-			ParallelFor(inner, mid, end, grain, body)
-			return struct{}{}
-		})
-		hi = mid
-		defer right.Join(w)
+	if hi-lo <= grain {
+		for i := lo; i < hi; i++ {
+			body(i)
+		}
+		return
 	}
-	for i := lo; i < hi; i++ {
-		body(i)
-	}
+	mid := lo + (hi-lo)/2
+	right := takeFuture[struct{}](w).fork(w, func(inner *Worker) struct{} {
+		ParallelFor(inner, mid, hi, grain, body)
+		return struct{}{}
+	})
+	ParallelFor(w, lo, mid, grain, body)
+	right.joinFree(w)
 }
 
 // Reduce computes combine over leaf(i) for i in [lo, hi) with a parallel
@@ -41,11 +42,11 @@ func Reduce[T any](w *Worker, lo, hi, grain int, leaf func(i int) T, combine fun
 		return acc
 	}
 	mid := lo + (hi-lo)/2
-	right := Fork(w, func(inner *Worker) T {
+	right := takeFuture[T](w).fork(w, func(inner *Worker) T {
 		return Reduce(inner, mid, hi, grain, leaf, combine)
 	})
 	left := Reduce(w, lo, mid, grain, leaf, combine)
-	return combine(left, right.Join(w))
+	return combine(left, right.joinFree(w))
 }
 
 // Map fills out[i] = fn(i) for i in [0, len(out)) in parallel.

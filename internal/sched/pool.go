@@ -19,10 +19,12 @@
 //     RunContext are one-submission sessions of the same engine.
 //
 // The spawn path writes no word that another worker writes: a fork is one
-// allocation (the Future is the task), one push, one pop, and two counter
-// updates on a line of the executing worker's own. The count of un-ended
-// tasks that ends a run is kept in scopes split at steals (scope.go), so
-// workers meet where the paper's processes do — at steals.
+// record (the Future is the task) that Join2, Reduce, ParallelFor and
+// Group.Spawn take from and return to a free list of the worker's own, one
+// push, one pop, and two counter updates on a line of the executing
+// worker's own. The count of un-ended tasks that ends a run is kept in
+// scopes split at steals (scope.go), so workers meet where the paper's
+// processes do — at steals.
 //
 // The dag runner (RunGraph — graphrun.go), which executes an explicit
 // computation dag with known work and critical-path length for the
@@ -31,8 +33,8 @@
 // continues into one and Spawns the other.
 //
 // For the paper's ablations, the pool can be configured with a mutex-guarded
-// deque instead of the non-blocking one, with yields disabled, and with
-// parking disabled (the pure spinning loop of Figure 3).
+// deque instead of the non-blocking one, and with a ParkThreshold that is
+// never reached (the pure spinning loop of Figure 3).
 package sched
 
 import (
@@ -140,7 +142,8 @@ type Config struct {
 // submissions always releases the right counter and observes the right
 // abort. Only a bare Spawn allocates a Task by itself: Future, groupTask
 // and the run record each hold theirs inline (and the first two are its
-// body), so a fork is one allocation.
+// body), so a fork is one record, and a recycled one where the record
+// never reaches user code.
 type Task struct {
 	body  taskBody
 	scope *scope
@@ -258,6 +261,10 @@ type Pool struct {
 // Worker is the execution context passed to every task; it identifies the
 // worker goroutine running the task and provides the spawning operations.
 type Worker struct {
+	// The wiring: set by New and only read afterwards (handoff apart, which
+	// a session start writes if a fresh deque refuses the root), because
+	// every thief's stealOnce and every anyVisibleWork scan comes through
+	// this line for dq.
 	pool *Pool
 	id   int
 	dq   deque.Dequer[Task]
@@ -268,9 +275,7 @@ type Worker struct {
 	// mid-session, by the composed startSession→manager→loop fork chain,
 	// which abprace and abporder follow (launchedAfter).
 	handoff atomicx.PlainPointer[Task]
-	scope   *scope // termination scope of the task currently executing (exec)
-
-	parkCh chan struct{} // capacity-1 wake token (lifecycle.go)
+	parkCh  chan struct{} // capacity-1 wake token (lifecycle.go)
 	// parked is half of the park/wake Dekker handshake
 	// (//abp:handshake store=parked load=anyVisibleWork): sc required.
 	// Every producer's signalWork scans every worker's parked flag, so the
@@ -292,6 +297,21 @@ type Worker struct {
 	// both need full ordering.
 	state atomicx.SCInt32
 	_     atomicx.CacheLinePad
+
+	// What only the goroutine running the worker touches, with plain
+	// accesses, on the line its counters start on: exec stores scope twice
+	// a task, and a fork or Group.Spawn and its join pop and push a free
+	// list.
+	scope *scope // termination scope of the task currently executing (exec)
+	// freeFutures and freeGroupTasks head the LIFO lists of records this
+	// worker may reuse (takeFuture, takeGroupTask; DESIGN.md §7): Futures
+	// of one result type — held as any, the Worker not being generic — and
+	// group members, each list at most maxFreeRecords long.
+	freeFutures     any
+	freeGroupTasks  *groupTask
+	nFreeFutures    int32
+	nFreeGroupTasks int32
+	napTimer        *time.Timer // park's backoff naps re-arm this one timer
 
 	// progress ticks on every loop iteration and task completion; the
 	// stall watchdog (watchdog.go) reads it to tell a live worker from one

@@ -130,6 +130,32 @@ func TestParallelFor(t *testing.T) {
 	}
 }
 
+// With nothing stolen, ParallelFor is a left-to-right loop: it forks the
+// right half, descends into the left, and only then joins — popping the
+// right half back. Map is ParallelFor and visits in the same order.
+func TestParallelForUnstolenVisitsLeftToRight(t *testing.T) {
+	forEachDeque(t, func(t *testing.T, kind DequeKind) {
+		p := New(Config{Workers: 1, Deque: kind})
+		const n = 1000
+		var visited, mapped []int
+		out := make([]int, n)
+		p.Run(func(w *Worker) {
+			ParallelFor(w, 0, n, 3, func(i int) { visited = append(visited, i) })
+			Map(w, out, 7, func(i int) int { mapped = append(mapped, i); return i })
+		})
+		for _, order := range [][]int{visited, mapped} {
+			if len(order) != n {
+				t.Fatalf("visited %d of %d indices", len(order), n)
+			}
+			for i, v := range order {
+				if v != i {
+					t.Fatalf("visit %d was index %d", i, v)
+				}
+			}
+		}
+	})
+}
+
 func TestParallelForEdgeCases(t *testing.T) {
 	p := New(Config{Workers: 2})
 	var ran atomic.Int32

@@ -370,25 +370,40 @@ func TestSpawnPathAllocations(t *testing.T) {
 	}
 	p := New(Config{Workers: 1})
 	p.Run(func(w *Worker) {
+		// The caller holds what Fork returns, so that Future is the
+		// collector's; the one inside Join2, Reduce and ParallelFor and the
+		// record of a Group member come off the worker's free lists
+		// (AllocsPerRun's warm-up call stocks them).
 		pin("Fork+Join", testing.AllocsPerRun(200, func() { Fork(w, one).Join(w) }), 1)
 		k := 0
 		pin("Fork+Join of a capturing closure", testing.AllocsPerRun(200, func() {
 			k++
 			Fork(w, func(*Worker) int { return k }).Join(w)
 		}), 2)
+		pin("Join2", testing.AllocsPerRun(200, func() { Join2(w, one, one) }), 0)
+		pin("Join2 of a capturing closure", testing.AllocsPerRun(200, func() {
+			k++
+			Join2(w, func(*Worker) int { return k }, one)
+		}), 1)
+		const leaves = 64 // 63 splits, each one closure over the right half
+		leaf := func(i int) int { return i }
+		add := func(a, b int) int { return a + b }
+		pin("Reduce over 64 leaves", testing.AllocsPerRun(50, func() { Reduce(w, 0, leaves, 1, leaf, add) }), leaves-1)
+		pin("ParallelFor over 64 pieces", testing.AllocsPerRun(50, func() { ParallelFor(w, 0, leaves, 1, func(int) {}) }), leaves-1)
 		g := NewGroup()
-		pin("Group.Spawn", testing.AllocsPerRun(200, func() { g.Spawn(w, nop); g.Wait(w) }), 1)
+		pin("Group.Spawn", testing.AllocsPerRun(200, func() { g.Spawn(w, nop); g.Wait(w) }), 0)
 		pin("NewGroup + 4 x Spawn + Wait", testing.AllocsPerRun(200, func() {
 			g := NewGroup()
 			for i := 0; i < 4; i++ {
 				g.Spawn(w, nop)
 			}
 			g.Wait(w)
-		}), 5)
+		}), 1)
 		pin("Spawn", testing.AllocsPerRun(200, func() { w.Spawn(nop) }), 1)
 	})
 
-	// An idle worker that naps allocates timers; one that spins does not.
+	// A worker that spins never naps, so the pin does not depend on whether
+	// this run made the one nap timer.
 	p = New(Config{Workers: 1, ParkThreshold: math.MaxInt})
 	stop := startServing(t, p)
 	submit := testing.AllocsPerRun(200, func() {
