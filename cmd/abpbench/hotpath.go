@@ -36,7 +36,7 @@ type hotpathOpRow struct {
 }
 
 // hotpathContended reports the multi-producer submission measurement: the
-// public Submit path (shardRR rotation, injector reservation CAS, parked
+// public Submit path (phase gate, injector reservation CAS, parked
 // scan) under GOMAXPROCS concurrent producers, aggregate producer time
 // per accepted submission. A pointer field in the report so a baseline
 // without it unmarshals as nil and gates nothing on it.

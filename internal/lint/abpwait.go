@@ -174,7 +174,7 @@ func collectWaits(pass *Pass) *waitGraph {
 func (a *waitGraph) roots(fn *funcNode) []*gRoot { return a.gs.ctx[fn] }
 
 // escapeNameParts are the substrings that mark a channel as a shutdown/
-// completion escape by naming convention (quitCh, stopAux, abort, failCh,
+// completion escape by naming convention (quit, stopCh, abort, fail,
 // finished, cancel, exitC, ...).
 var escapeNameParts = []string{
 	"quit", "stop", "abort", "cancel", "done", "fail", "finish",

@@ -22,6 +22,12 @@ import (
 	"worksteal/internal/fault"
 )
 
+// inPhase is the one way tests read the session phase: a waitFor condition
+// that holds while p's session is in phase ph.
+func inPhase(p *Pool, ph uint32) func() bool {
+	return func() bool { return p.phase.Load() == ph }
+}
+
 // waitFor polls cond every millisecond until it holds or the deadline
 // passes, failing the test (after a fault.Reset so no worker stays
 // stranded) on timeout.
@@ -270,7 +276,7 @@ func TestAbortWakesWorkerSuspendedEnteringPark(t *testing.T) {
 	// Wait until both halves of the race are in place: the worker frozen
 	// short of its select, and the abort already published.
 	waitFor(t, 10*time.Second, "worker frozen entering park and run aborted", func() bool {
-		return fault.Suspended(fpParkBeforeSleep) == 1 && p.stopped.Load()
+		return fault.Suspended(fpParkBeforeSleep) == 1 && inPhase(p, phaseStopping)()
 	})
 	fault.Resume(fpParkBeforeSleep)
 	select {
@@ -379,10 +385,10 @@ func TestChaosRandomSoak(t *testing.T) {
 // submissions enter through.
 func TestChaosSuspendedThiefMidInjectorPoll(t *testing.T) {
 	defer fault.Reset()
-	p := New(Config{Workers: 4, InjectorShards: 1})
+	p := New(Config{Workers: 4})
 	stop := startServing(t, p)
 	// Arm the point only now: Serve's own startSession sweeps the injector
-	// shards through the same TryPop, and freezing the Serve goroutine
+	// through the same TryPop, and freezing the Serve goroutine
 	// there would be a different (and broken) experiment.
 	fault.Enable(fpInjectorBeforePop, fault.Rule{Action: fault.ActionSuspend, OneShot: true})
 	// By now every worker may have parked, and a parked worker polls
@@ -415,7 +421,7 @@ func TestChaosSuspendedThiefMidInjectorPoll(t *testing.T) {
 		handles = append(handles, h)
 	}
 	// The claim under test: every submission completes while the poller is
-	// still frozen mid-TryPop on the single shard they all flow through.
+	// still frozen mid-TryPop on the one ring they all flow through.
 	waitFor(t, 20*time.Second, "all submissions done while a poller is frozen mid-TryPop", func() bool {
 		if fault.Suspended(fpInjectorBeforePop) != 1 {
 			return false

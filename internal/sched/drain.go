@@ -1,36 +1,41 @@
 // Graceful drain: stop accepting, finish everything accepted, then stop
-// the fleet (DESIGN.md §14).
+// the fleet (DESIGN.md §7, "Drain").
 //
 // Serve's context cancellation is an abort: every in-flight submission
 // completes with ErrStopped and its unexecuted tasks are discarded. A
 // production service wants the other shutdown too — the load balancer
 // stops sending, accepted requests finish, then the fleet comes down.
-// Pool.Drain(ctx) is that path, a three-step state machine:
+// Pool.Drain(ctx) is that path, three steps:
 //
-//  1. Close admission: the draining flag flips (CAS — one Drain wins per
-//     session) and Submit starts returning ErrDraining.
+//  1. Close admission: the CAS serving → draining on the phase word (one
+//     Drain wins per session; one that loses to a stop fails it) and
+//     Submit starts returning ErrDraining.
 //  2. Wait for the accepted set to empty: the active-run registry shrinks
 //     as submissions complete; the unregister that empties it while
 //     draining closes drainIdle. ctx bounds the wait — on expiry Drain
-//     proceeds immediately and the leftover submissions meet step 3's
-//     abort sweep instead, completing with ErrStopped exactly as a
-//     cancelled Serve would leave them.
+//     proceeds immediately and the leftover submissions meet endSession's
+//     abort instead, completing with ErrStopped exactly as a cancelled
+//     Serve would leave them.
 //  3. Stop the fleet: closing drainReq wakes Serve's select; Serve runs
-//     its normal teardown (the abort sweep is a no-op on the happy path —
-//     the set is already empty) and returns nil, distinguishing a
-//     completed drain from a cancellation. The pool is reusable: the next
-//     Serve resets the drain state like every other session field.
+//     the one teardown (its abort is a no-op on the happy path — the set
+//     is already empty) and returns nil, distinguishing a completed drain
+//     from a cancellation. The pool is reusable: the next Serve makes a
+//     session record of its own.
 //
-// The no-lost-submission argument is a Dekker pairing over the SC draining
-// flag and the runMu-guarded registry. Submit orders gate-load(draining) →
-// register → push → re-load(draining); Drain orders store(draining) →
-// read(registry). If Submit's re-load still sees no drain, the store
-// hadn't happened, so Drain's registry read is after this run's register
-// and waits for it. If the re-load sees the drain, Submit can't know
-// whether Drain's snapshot caught the run, so it self-aborts and reports
-// ErrDraining — the submission counts as rejected, never as an accepted
-// handle that later fails. Either way, every Submit that returned a
+// The no-lost-submission argument is a Dekker pairing over one SC word,
+// the phase, and the runMu-guarded registry. Submit orders
+// load(phase) = serving → register → push → re-load(phase); Drain orders
+// CAS(phase: serving → draining) → read(registry). If Submit's re-load
+// still reads serving, the CAS hadn't happened, so Drain's registry read is
+// after this run's register and waits for it. If the re-load reads
+// draining, Submit can't know whether Drain's look caught the run, so it
+// self-aborts and reports ErrDraining — the submission counts as rejected,
+// never as an accepted handle that later fails. A stop is the same pairing
+// with endSession's store of stopping in the CAS's place and its abort of
+// the registry in the wait's. Either way, every Submit that returned a
 // handle and nil error before Drain began is completed, not aborted.
+// phase_model_test.go checks the argument over every interleaving of a
+// Submit, two Drains, a stop and a restart.
 package sched
 
 import (
@@ -50,46 +55,64 @@ var ErrDraining = errors.New("sched: pool is draining: submission rejected")
 // anyway and the submissions still in flight abort with ErrStopped (their
 // Handles complete either way), exactly the sweep a cancelled Serve runs.
 // Drain returns nil if everything accepted completed, ctx.Err() on a
-// deadline fallback, ErrNotServing when no Serve is up, and ErrDraining if
-// it lost the race to a concurrent Drain. It returns once the fleet stop
-// is signalled; join the Serve goroutine itself to observe full teardown,
-// after which the pool is reusable (Serve restarts cleanly).
+// deadline fallback, ErrNotServing when no Serve is up (or Serve's own
+// context stopped the session under the drain, aborting what was still in
+// flight), and ErrDraining if it lost the race to a concurrent Drain. It
+// returns once the fleet stop is signalled; join the Serve goroutine itself
+// to observe full teardown, after which the pool is reusable (Serve
+// restarts cleanly).
 func (p *Pool) Drain(ctx context.Context) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if !p.serving.Load() {
-		return ErrNotServing
-	}
-	if !p.draining.CompareAndSwap(false, true) {
-		return ErrDraining
-	}
-	// Admission is closed. Snapshot this session's channels and settle the
-	// already-idle case under the registry lock: if nothing is in flight,
-	// the drain is trivially complete — and because the flag was stored
-	// before this look, any submission the look misses will see the flag
-	// on its post-push re-check and self-reject (the package comment's
-	// Dekker pairing).
+	// The CAS and the look at the registry share one critical section with
+	// the read of the session record: a session publishes its record under
+	// runMu before it reaches serving, so the record read here is the one
+	// the CAS drained, whatever stops and restarts around this call. If
+	// nothing is in flight the drain is trivially complete — and because
+	// the CAS came before the look, any submission the look misses reads
+	// draining on its post-push re-check and rejects itself (the file
+	// comment's pairing).
 	p.runMu.Lock()
-	req, idle, quit := p.drainReq, p.drainIdle, p.quitCh
-	if len(p.active) == 0 && !p.drainSignaled {
-		p.drainSignaled = true
-		close(idle)
+	s := p.sess
+	won := p.phase.CompareAndSwap(phaseServing, phaseDraining)
+	if won && len(p.active) == 0 {
+		s.signalIdle()
 	}
 	p.runMu.Unlock()
+	if !won {
+		if p.phase.Load() == phaseDraining {
+			return ErrDraining
+		}
+		return ErrNotServing
+	}
 
 	var err error
 	select {
-	case <-idle:
+	case <-s.drainIdle:
 		// Every accepted submission completed.
 	case <-ctx.Done():
-		// Deadline: fall back to the abort sweep — Serve's teardown below
+		// Deadline: fall back to the abort — Serve's teardown below
 		// completes the stragglers with ErrStopped.
 		err = ctx.Err()
+	case <-s.quit:
+		// Serve was stopped under the drain (its context cancelled), and
+		// what was still in flight met the abort: not a drain that may
+		// report success.
+		return ErrNotServing
 	}
-	close(req)
+	close(s.drainReq)
 	// Wait for the session to acknowledge (endSession closes quit as the
 	// workers are told to stop); the fleet stop is then underway.
-	<-quit
+	<-s.quit
 	return err
+}
+
+// signalIdle closes drainIdle, once. The caller holds runMu and has seen
+// the registry empty while the session is draining.
+func (s *session) signalIdle() {
+	if !s.drainSignaled {
+		s.drainSignaled = true
+		close(s.drainIdle)
+	}
 }

@@ -6,8 +6,8 @@ import (
 )
 
 // This file model-checks the completion word of a recycled Future
-// (future.go) by exhaustive interleaving enumeration, in the shape of
-// scope_model_test.go: one record lives through two generations — forked,
+// (future.go) by exhaustive interleaving enumeration (the explorer of
+// model_test.go): one record lives through two generations — forked,
 // joined and freed by its owner, forked again — while each generation's
 // task completes on another worker, and every atomic operation of the real
 // protocol is one step of one party. The joiner's steps are Join's load,
@@ -61,8 +61,7 @@ type fmCompleter struct {
 	ch int8 // the channel it took and must close
 }
 
-// fmState is the whole model, comparable so that visited states prune the
-// search.
+// fmState is the whole model.
 type fmState struct {
 	word   int8 // 0 nil, fmDone, or a channel's number
 	done   bool // two-word only
@@ -82,10 +81,9 @@ type futureModel struct {
 	// word. ignoreLate lets the search run on past a completer's step on a
 	// freed record, to show what such a step goes on to break.
 	twoWord, ignoreLate bool
-	seen                map[fmState]bool
 	// What the search came across, so the test can tell it covered the
 	// joiner blocking, losing the install to the Swap, and never waiting.
-	terminals, blocks, lostInstalls, neverWaited int
+	blocks, lostInstalls, neverWaited int
 }
 
 func (m *futureModel) initial() fmState {
@@ -95,9 +93,9 @@ func (m *futureModel) initial() fmState {
 	return s
 }
 
-// joinerStep moves the joiner one step, or reports that it cannot move
-// (blocked, or finished).
-func (m *futureModel) joinerStep(s fmState) (next fmState, moved bool, err error) {
+// joinerStep moves the joiner one step, if it can move (it is not blocked,
+// nor finished).
+func (m *futureModel) joinerStep(s fmState) ([]fmState, error) {
 	switch s.jpc {
 	case fjLoad:
 		if done := s.word == fmDone || (m.twoWord && s.done); done {
@@ -121,7 +119,7 @@ func (m *futureModel) joinerStep(s fmState) (next fmState, moved bool, err error
 			break
 		}
 		if s.nch == fmMaxCh {
-			return s, false, fmt.Errorf("more than %d channels installed", fmMaxCh)
+			return nil, fmt.Errorf("more than %d channels installed", fmMaxCh)
 		}
 		s.nch++
 		s.word, s.jch, s.maker[s.nch] = s.nch, s.nch, s.gen
@@ -136,13 +134,13 @@ func (m *futureModel) joinerStep(s fmState) (next fmState, moved bool, err error
 		}
 	case fjBlock:
 		if s.closed[s.jch] == 0 {
-			return s, false, nil
+			return nil, nil
 		}
 		m.blocks++
 		s.jpc = fjLoad
 	case fjObserve:
 		if s.result != s.gen {
-			return s, false, fmt.Errorf("generation %d's joiner read generation %d's result", s.gen, s.result)
+			return nil, fmt.Errorf("generation %d's joiner read generation %d's result", s.gen, s.result)
 		}
 		if s.jch == 0 || s.maker[s.jch] != s.gen {
 			m.neverWaited++
@@ -165,19 +163,19 @@ func (m *futureModel) joinerStep(s fmState) (next fmState, moved bool, err error
 			s.jpc, s.c[s.gen].pc = fjLoad, fcWrite
 		}
 	case fjFinished:
-		return s, false, nil
+		return nil, nil
 	}
-	return s, true, nil
+	return []fmState{s}, nil
 }
 
 // completerStep moves generation g's completer one step, if it has one.
-func (m *futureModel) completerStep(s fmState, g int8) (next fmState, moved bool, err error) {
+func (m *futureModel) completerStep(s fmState, g int8) ([]fmState, error) {
 	c := &s.c[g]
 	if c.pc == fcUnforked || c.pc == fcFinished {
-		return s, false, nil
+		return nil, nil
 	}
 	if s.freed[g] && !m.ignoreLate {
-		return s, false, fmt.Errorf("generation %d's completer takes step %d after the joiner freed the record", g, c.pc)
+		return nil, fmt.Errorf("generation %d's completer takes step %d after the joiner freed the record", g, c.pc)
 	}
 	switch c.pc {
 	case fcWrite:
@@ -203,85 +201,58 @@ func (m *futureModel) completerStep(s fmState, g int8) (next fmState, moved bool
 	case fcClose:
 		s.closed[c.ch]++
 		if s.closed[c.ch] > 1 {
-			return s, false, fmt.Errorf("channel %d closed twice", c.ch)
+			return nil, fmt.Errorf("channel %d closed twice", c.ch)
 		}
 		if s.maker[c.ch] != g {
-			return s, false, fmt.Errorf("generation %d's completer closed the channel of generation %d's joiner", g, s.maker[c.ch])
+			return nil, fmt.Errorf("generation %d's completer closed the channel of generation %d's joiner", g, s.maker[c.ch])
 		}
 		c.pc = fcFinished
 	}
-	return s, true, nil
+	return []fmState{s}, nil
 }
 
-// explore visits every state reachable from s, returning the first
-// violation with the trail of parties (0 the joiner, g a completer) that
-// led to it.
-func (m *futureModel) explore(s fmState, trail []int8) error {
-	if m.seen[s] {
-		return nil
+// explorer searches over the parties: 0 the joiner, g generation g's
+// completer.
+func (m *futureModel) explorer() *explorer[fmState] {
+	return &explorer[fmState]{
+		actors: fmGens + 1,
+		step: func(s fmState, party int) ([]fmState, error) {
+			if party == 0 {
+				return m.joinerStep(s)
+			}
+			return m.completerStep(s, int8(party))
+		},
+		final: func(s fmState) error {
+			if s.jpc != fjFinished {
+				return fmt.Errorf("generation %d's joiner is left at step %d with nothing to wake it", s.gen, s.jpc)
+			}
+			for g := int8(1); g <= fmGens; g++ {
+				if s.c[g].pc != fcFinished {
+					return fmt.Errorf("quiescent with generation %d's completer at step %d", g, s.c[g].pc)
+				}
+			}
+			return nil
+		},
 	}
-	m.seen[s] = true
-	stuck := true
-	for party := int8(0); party <= fmGens; party++ {
-		var next fmState
-		var moved bool
-		var err error
-		if party == 0 {
-			next, moved, err = m.joinerStep(s)
-		} else {
-			next, moved, err = m.completerStep(s, party)
-		}
-		if err != nil {
-			return fmt.Errorf("%v (schedule %v)", err, append(trail, party))
-		}
-		if !moved {
-			continue
-		}
-		stuck = false
-		if err := m.explore(next, append(trail, party)); err != nil {
-			return err
-		}
-	}
-	if !stuck {
-		return nil
-	}
-	m.terminals++
-	if s.jpc != fjFinished {
-		return fmt.Errorf("generation %d's joiner is left at step %d with nothing to wake it (schedule %v)", s.gen, s.jpc, trail)
-	}
-	for g := int8(1); g <= fmGens; g++ {
-		if s.c[g].pc != fcFinished {
-			return fmt.Errorf("quiescent with generation %d's completer at step %d (schedule %v)", g, s.c[g].pc, trail)
-		}
-	}
-	return nil
 }
 
 func TestFutureModelExhaustive(t *testing.T) {
-	m := &futureModel{seen: map[fmState]bool{}}
-	if err := m.explore(m.initial(), nil); err != nil {
-		t.Fatal(err)
+	m := &futureModel{}
+	m.explorer().verify(t, m.initial())
+	if m.blocks == 0 || m.lostInstalls == 0 || m.neverWaited == 0 {
+		t.Fatalf("the search reached %d blocked joins, %d installs lost to the Swap and %d joins that never waited; want some of each",
+			m.blocks, m.lostInstalls, m.neverWaited)
 	}
-	if m.terminals == 0 || m.blocks == 0 || m.lostInstalls == 0 || m.neverWaited == 0 {
-		t.Fatalf("the search reached %d quiescent states, %d blocked joins, %d installs lost to the Swap and %d joins that never waited; want some of each",
-			m.terminals, m.blocks, m.lostInstalls, m.neverWaited)
-	}
-	t.Logf("%d states, %d quiescent", len(m.seen), m.terminals)
 }
 
 // The negative control: with completion on two words, the completer loads
 // the channel word after the store that lets the joiner go, so it steps on
 // a record that may already be freed and forked again — and, followed
 // further, closes the next generation's channel, which that generation's
-// own completer then closes a second time. The search must find both, or
-// its passing above would mean little.
+// own completer then closes a second time. The search must find both.
 func TestFutureModelCatchesTwoWordCompletion(t *testing.T) {
 	for _, ignoreLate := range []bool{false, true} {
-		m := &futureModel{twoWord: true, ignoreLate: ignoreLate, seen: map[fmState]bool{}}
-		err := m.explore(m.initial(), nil)
-		if err == nil {
-			t.Fatalf("the two-word protocol passed every schedule (ignoreLate=%v)", ignoreLate)
-		}
-		t.Log(err)
+		m := &futureModel{twoWord: true, ignoreLate: ignoreLate}
+		m.explorer().refute(t, m.initial())
 	}
 }

@@ -1,4 +1,4 @@
-// External submission injector: the bounded MPMC queues that carry root
+// External submission injector: the bounded MPMC queue that carries root
 // tasks from client goroutines into the worker loops.
 //
 // The paper's model has a single root task handed to process zero before
@@ -7,10 +7,11 @@
 // assumption: submissions arrive concurrently from arbitrary goroutines
 // that own no deque. The standard remedy — the one the Go runtime
 // (globrunqget polled from findRunnable) and Tokio's global injector queue
-// use atop the same work-stealing deques — is a small set of shared MPMC
-// queues that workers poll between local pops and steals. Each intra-task
-// DAG still executes through the deques, so the paper's structural lemma
-// and steal-bound analysis apply per submission (DESIGN.md §10).
+// use atop the same work-stealing deques — is a shared MPMC queue that
+// workers poll between local pops and steals. Each intra-task DAG still
+// executes through the deques, so the paper's structural lemma and
+// steal-bound analysis apply per submission (DESIGN.md §7, "The multi-root
+// delta").
 //
 // The queue is the classic bounded MPMC ring of per-cell sequence numbers
 // (Vyukov's design, also the shape of Go's runtime.poolDequeue): cell i
@@ -36,7 +37,8 @@ import (
 	"worksteal/internal/fault"
 )
 
-// Failpoints in the injector hot paths (internal/fault, DESIGN.md §9).
+// Failpoints in the injector hot paths (internal/fault; DESIGN.md §7,
+// "Fault injection").
 // Both sit before the reservation CAS, where a frozen goroutine holds no
 // cell and therefore — per the chaos tests — cannot wedge anyone else.
 var (
@@ -67,7 +69,7 @@ type injectorCell struct {
 	_   [atomicx.CacheLineSize - 16]byte
 }
 
-// injector is one bounded MPMC shard. enq and deq are the producer and
+// injector is the bounded MPMC ring. enq and deq are the producer and
 // consumer positions; they sit on separate cache lines so a submission
 // burst and a draining worker do not false-share.
 // enq and deq are CAS-arbitrated between producers/consumers and carry
@@ -85,7 +87,7 @@ type injector struct {
 	cells []injectorCell
 }
 
-// newInjector returns an empty shard with at least the requested capacity
+// newInjector returns an empty ring with at least the requested capacity
 // (rounded up to a power of two, minimum 2). The floor is load-bearing:
 // the full test below is seq < pos, i.e. the producer one lap ahead sees
 // last lap's not-yet-consumed seq, which requires positions p and p+n to
@@ -139,7 +141,7 @@ func (q *injector) TryPush(t *Task) bool {
 	}
 }
 
-// TryPop dequeues one task, returning nil if the shard is empty — or, per
+// TryPop dequeues one task, returning nil if the ring is empty — or, per
 // the relaxed semantics shared with deque.PopTop, if the next cell is
 // reserved but not yet published by a mid-flight producer (the task is
 // still visible to Len, so no parking decision can miss it).
@@ -172,7 +174,7 @@ func (q *injector) TryPop() *Task {
 	}
 }
 
-// Len estimates the number of submissions in the shard, counting reserved
+// Len estimates the number of submissions in the ring, counting reserved
 // cells whose publication is still in flight. Like deque.Dequer.Len it is
 // read with atomic loads so the parking protocol's pre-block re-scan
 // (Worker.anyVisibleWork) gets sequentially consistent visibility of any
@@ -185,35 +187,10 @@ func (q *injector) Len() int {
 	return int(e - d)
 }
 
-// pushInjector offers t to the injector shards, starting at a rotating
-// shard so concurrent submitters spread across them, and trying every
-// shard before giving up. A false return means every shard is full: the
-// pool is overloaded and the caller applies the shed policy.
+// pushInjector offers t to the injector; a false return means it is full:
+// the pool is overloaded and the caller applies the shed policy. It is the
+// store the producers' //abp:handshake directives name (SubmitContext,
+// republish): the reservation CAS inside must come before their signalWork.
 //
 //abp:nonblocking
-func (p *Pool) pushInjector(t *Task) bool {
-	n := len(p.inject)
-	start := int(p.shardRR.Add(1)-1) % n
-	for i := 0; i < n; i++ {
-		if p.inject[(start+i)%n].TryPush(t) {
-			return true
-		}
-	}
-	return false
-}
-
-// pollInjector is the worker-side drain: scan every shard once, starting
-// at a per-worker home shard so workers do not all hammer shard 0.
-//
-//abp:nonblocking
-func (w *Worker) pollInjector() *Task {
-	p := w.pool
-	n := len(p.inject)
-	start := w.id % n
-	for i := 0; i < n; i++ {
-		if t := p.inject[(start+i)%n].TryPop(); t != nil {
-			return t
-		}
-	}
-	return nil
-}
+func (p *Pool) pushInjector(t *Task) bool { return p.inject.TryPush(t) }

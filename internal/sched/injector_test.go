@@ -1,4 +1,4 @@
-// Unit tests for the bounded MPMC injector shard (injector.go): FIFO
+// Unit tests for the bounded MPMC injector ring (injector.go): FIFO
 // order, the full/empty boundary conditions, lap wrap-around, and
 // exactly-once delivery under concurrent producers and consumers.
 package sched

@@ -70,23 +70,20 @@ func TestWorkerLayoutPins(t *testing.T) {
 	}
 }
 
-// TestPoolLayoutPins asserts the four arbitration words — running's
-// session CAS, shardRR's per-submission Add, wakeRR's per-signal Add,
-// idle's park/signal reads — each sit on their own line, clear of each
-// other and of the shared counters.
+// TestPoolLayoutPins asserts that no frequently written word — wakeRR's
+// per-signal Add, idle's park/signal pair — shares a line with a word
+// every worker reads per iteration — phase, fleet — and that all four are
+// clear of each other and of the shared counters.
 func TestPoolLayoutPins(t *testing.T) {
 	var p Pool
 	offs := map[string]uintptr{
-		"running":  unsafe.Offsetof(p.running),
-		"shardRR":  unsafe.Offsetof(p.shardRR),
-		"wakeRR":   unsafe.Offsetof(p.wakeRR),
-		"idle":     unsafe.Offsetof(p.idle),
-		"stopped":  unsafe.Offsetof(p.stopped),
-		"dropped":  unsafe.Offsetof(p.dropped),
-		"draining": unsafe.Offsetof(p.draining),
-		"fleet":    unsafe.Offsetof(p.fleet),
+		"phase":   unsafe.Offsetof(p.phase),
+		"wakeRR":  unsafe.Offsetof(p.wakeRR),
+		"idle":    unsafe.Offsetof(p.idle),
+		"fleet":   unsafe.Offsetof(p.fleet),
+		"dropped": unsafe.Offsetof(p.dropped),
 	}
-	for _, hot := range []string{"running", "shardRR", "wakeRR", "idle", "draining", "fleet"} {
+	for _, hot := range []string{"phase", "wakeRR", "idle", "fleet"} {
 		for name, off := range offs {
 			if name == hot {
 				continue

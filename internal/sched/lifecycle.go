@@ -25,7 +25,7 @@
 // consistent atomics: a producer publishes work (an atomic store inside the
 // deque's PushBottom, or the injector's reservation CAS) and then reads the
 // parked flags; an idle worker publishes its parked flag and then re-scans
-// every injector shard and deque. Whichever order the two interleave in,
+// the injector and every deque. Whichever order the two interleave in,
 // one side must observe the other, so work published while a worker is
 // going to sleep either earns that worker a wake token or is seen by its
 // pre-block recheck. Spurious wake tokens are harmless (the worker scans,
@@ -36,12 +36,12 @@
 // Termination needs no flag-spinning either: the session teardown
 // (Pool.endSession) closes the session's quit channel, waking every
 // parked or napping worker at once so the pool shuts down cleanly — the
-// stopped flag is only the loop-exit condition, never a spin target.
+// stopping phase is only the loop-exit condition, never a spin target.
 //
 // The paper's yield discipline is preserved where it matters: in the hot
 // phase (below the threshold) a thief still calls runtime.Gosched between
 // steal attempts, exactly Figure 3's yield-then-steal round. Parking only
-// ever happens when every injector shard and deque is observably empty,
+// ever happens when the injector and every deque are observably empty,
 // i.e. when the steal the paper would have made was guaranteed to fail
 // anyway.
 package sched
@@ -62,7 +62,7 @@ const (
 	backoffBase  = time.Microsecond
 
 	// injectorPollPeriod is how often (in loop iterations) a busy worker
-	// checks the injector shards ahead of its local deque, bounding how
+	// checks the injector ahead of its local deque, bounding how
 	// long a deep local backlog can starve external submissions — the Go
 	// runtime's schedule()-checks-the-global-queue-every-61-ticks idiom,
 	// prime for the same reason (avoids resonance with task-tree shapes).
@@ -88,7 +88,7 @@ func (w *Worker) loop() {
 	}
 	fails := 0
 	ticks := 0
-	for !w.pool.stopped.Load() {
+	for w.pool.phase.Load() != phaseStopping {
 		// The shrink safe point (resize.go): a worker marked retiring
 		// re-publishes its deque through the injector and exits — unless a
 		// concurrent grow reactivated it, in which case retire reports
@@ -107,7 +107,7 @@ func (w *Worker) loop() {
 		if ticks%injectorPollPeriod == 0 {
 			// Fairness poll: with a non-empty local deque the injector
 			// would otherwise only be drained by idle workers.
-			t = w.pollInjector()
+			t = w.pool.inject.TryPop()
 		}
 		if t == nil {
 			t = w.dq.PopBottom()
@@ -118,7 +118,7 @@ func (w *Worker) loop() {
 			fault.Point(fpLoopBeforeSteal)
 			// Idle: drain submissions ahead of stealing — an injected root
 			// is the oldest work in the system — then try one victim.
-			if t = w.pollInjector(); t == nil {
+			if t = w.pool.inject.TryPop(); t == nil {
 				t, stolen = w.stealOnce(), true
 			}
 		}
@@ -180,7 +180,7 @@ func (w *Worker) park(d time.Duration) bool {
 	p := w.pool
 	p.idle.Add(1)
 	w.parked.Store(true)
-	if p.stopped.Load() || w.anyVisibleWork() {
+	if p.phase.Load() == phaseStopping || w.anyVisibleWork() {
 		w.parked.Store(false)
 		p.idle.Add(-1)
 		return false
@@ -210,7 +210,7 @@ func (w *Worker) park(d time.Duration) bool {
 		case <-timer.C:
 			timedOut = true
 		// Session shutdown: don't sleep out the nap.
-		case <-p.quitCh:
+		case <-p.sess.quit:
 		}
 		// Leave the timer stopped and its channel empty for the next nap: a
 		// nap cut short has not received the tick, so a Stop that comes too
@@ -235,7 +235,7 @@ func (w *Worker) park(d time.Duration) bool {
 		case <-w.parkCh:
 			w.wakes.Add(1)
 			woke = true
-		case <-p.quitCh: // session shutdown (run ended, Serve stopping, or abort)
+		case <-p.sess.quit: // session shutdown (run ended, Serve stopping, or abort)
 		}
 	}
 	w.parked.Store(false)
@@ -254,8 +254,10 @@ func (w *Worker) park(d time.Duration) bool {
 // start always wakes the lowest-indexed parked worker, so under a trickle
 // of submissions worker 0 absorbs every wake while the rest of the fleet
 // sleeps cold (stale deque affinity, cold stacks). Rotating spreads wakes
-// across the fleet; the cursor is a plain consumed Add like shardRR's,
-// with no fairness guarantee needed beyond breaking the fixed bias.
+// across the fleet; the cursor is a plain consumed Add, with no fairness
+// guarantee needed beyond breaking the fixed bias. It wraps: the modulo is
+// taken before the conversion, which on a 32-bit int would go negative
+// past 2^31 signals.
 //
 //abp:nonblocking
 func (p *Pool) signalWork() {
@@ -263,7 +265,7 @@ func (p *Pool) signalWork() {
 		return
 	}
 	n := len(p.workers)
-	start := int(p.wakeRR.Add(1)-1) % n
+	start := int((p.wakeRR.Add(1) - 1) % uint32(n))
 	for i := 0; i < n; i++ {
 		w := p.workers[(start+i)%n]
 		// Only active workers are wake targets: a token delivered to a

@@ -117,16 +117,31 @@ func TestStatsConcurrentWithRun(t *testing.T) {
 	wg.Wait()
 }
 
+// awaitParks blocks the calling task until n parks are on the counter —
+// with a root that spawns nothing, until n idle workers have parked — and
+// reports whether that happened within 30 s.
+func awaitParks(t *testing.T, p *Pool, n int64) bool {
+	deadline := time.Now().Add(30 * time.Second)
+	for p.Stats().Parks < n {
+		if time.Now().After(deadline) {
+			t.Errorf("%d of %d idle workers parked within 30s", p.Stats().Parks, n)
+			return false
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return true
+}
+
 // While one worker runs a long serial task, the rest must park rather
 // than spin: a spinning worker makes millions of steal attempts per
-// second, a parked one makes roughly parkThreshold + backoffSteps.
+// second, a parked one makes roughly parkThreshold + backoffSteps on its
+// way there and none after. The root holds the run open until every idle
+// worker has parked, however long the host takes to let them.
 func TestParkedWorkersDoNotSpin(t *testing.T) {
-	p := New(Config{Workers: 4})
-	p.Run(func(w *Worker) { time.Sleep(50 * time.Millisecond) })
+	const workers = 4
+	p := New(Config{Workers: workers})
+	p.Run(func(w *Worker) { awaitParks(t, p, workers-1) })
 	s := p.Stats()
-	if s.Parks == 0 {
-		t.Fatal("no worker parked during a 50ms idle window")
-	}
 	if s.StealAttempts > 100_000 {
 		t.Fatalf("%d steal attempts during an idle run: workers are spinning, not parking", s.StealAttempts)
 	}
@@ -142,13 +157,8 @@ func TestParkedWorkersWakeForNewWork(t *testing.T) {
 	p := New(Config{Workers: workers})
 	var count atomic.Int64
 	p.Run(func(w *Worker) {
-		deadline := time.Now().Add(30 * time.Second)
-		for p.Stats().Parks < workers-1 {
-			if time.Now().After(deadline) {
-				t.Errorf("%d of %d idle workers parked within 30s", p.Stats().Parks, workers-1)
-				return
-			}
-			time.Sleep(time.Millisecond)
+		if !awaitParks(t, p, workers-1) {
+			return
 		}
 		for i := 0; i < 100; i++ {
 			w.Spawn(func(*Worker) {
@@ -282,7 +292,8 @@ func TestParkThresholdValidation(t *testing.T) {
 // timeout, and it makes no second timer.
 func TestNapTimerLeftoverTickIsNotTheNextTimeout(t *testing.T) {
 	p := New(Config{Workers: 1})
-	w := p.workers[0] // no session: the test goroutine stands in for the worker's
+	p.sess = &session{} // a session nothing ends: the test goroutine stands in for its one worker's
+	w := p.workers[0]
 	const long = 2 * time.Millisecond
 	for i := 0; i < 100; i++ {
 		if i%2 == 0 {

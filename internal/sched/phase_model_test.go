@@ -1,0 +1,224 @@
+package sched
+
+import (
+	"fmt"
+	"testing"
+)
+
+// This file model-checks the session phase word (pool.go, serve.go,
+// drain.go) on the explorer of model_test.go. The actors: a Submit (gate
+// load, register, push, re-load); two Drains (the CAS with the look at the
+// registry — one critical section, as in Drain — then the wait, which its
+// deadline may end at any time); a Serve that stops at any time — its
+// context may be cancelled, which covers the stop a Drain asks for — and
+// starts once more; a worker that pops the submission and ends it. Checked
+// on every path:
+//
+//   - the phase only moves along the diagram, and one Drain wins a session;
+//   - a live handle is returned under serving only — none once a Drain's
+//     CAS or the store of stopping has closed admission;
+//   - a handle that was out and standing at a Drain's CAS is completed,
+//     never aborted, if that Drain reports success;
+//   - at quiescence no returned handle is left unfinished.
+
+// How the submission ended.
+const (
+	pmLive int8 = iota
+	pmCompleted
+	pmAborted
+)
+
+type pmState struct {
+	phase   uint32
+	pc      [4]int8 // steps taken by: the Submit, the two Drains, Serve
+	sess    int8    // session records published so far; the live one is the last
+	workers bool    // the live session's workers exist
+	// The submission: in the registry, its root in the injector, its handle
+	// returned to the caller, its outcome.
+	reg, queued, handle bool
+	out                 int8
+	// Per session record (Serve runs twice): drainIdle closed, and the Drains
+	// that won it.
+	idle [3]bool
+	wins [3]int8
+	// Per Drain: the session it won, and whether a handle was out and
+	// standing at its CAS.
+	dsess   [2]int8
+	covered [2]bool
+}
+
+type phaseModel struct {
+	noReload bool // the negative control: Submit returns right after its push
+	// What the search came across, so the test can tell what it covered.
+	accepted, selfRejected, won, lost, okDrains, sweepAborts int
+}
+
+// pmEdges is the diagram above the phase constants in pool.go.
+var pmEdges = map[[2]uint32]bool{
+	{phaseIdle, phaseBatch}: true, {phaseBatch, phaseServing}: true, {phaseBatch, phaseStopping}: true,
+	{phaseServing, phaseDraining}: true, {phaseServing, phaseStopping}: true, {phaseDraining, phaseStopping}: true,
+	{phaseStopping, phaseIdle}: true,
+}
+
+// move is a store, or a CAS that wins, on the phase word.
+func (s *pmState) move(to uint32) error {
+	from := s.phase
+	s.phase = to
+	if !pmEdges[[2]uint32{from, to}] {
+		return fmt.Errorf("the phase moved %d → %d, off the diagram", from, to)
+	}
+	return nil
+}
+
+// finish ends the submission if nothing has yet: finishOnce, and the
+// unregister inside it, which signals a waiting Drain.
+func (s *pmState) finish(out int8) {
+	if s.out != pmLive {
+		return
+	}
+	s.out, s.reg = out, false
+	if s.phase == phaseDraining {
+		s.idle[s.sess] = true
+	}
+}
+
+// sweep is drainByRun: the root it finds it discards, aborting its run.
+func (m *phaseModel) sweep(s *pmState) {
+	if !s.queued {
+		return
+	}
+	if s.out == pmLive {
+		m.sweepAborts++
+	}
+	s.queued = false
+	s.finish(pmAborted)
+}
+
+// step is one step of actor a: 0 the Submit (SubmitContext), 1 and 2 the
+// Drains, 3 Serve — enter, startSession, open, and, whenever the search
+// schedules it, the four steps of endSession — and 4 a worker.
+func (m *phaseModel) step(s pmState, a int) ([]pmState, error) {
+	if a == 4 { // pop the root and run it — or discard it, its run aborted
+		if !s.workers || !s.queued {
+			return nil, nil
+		}
+		s.queued = false
+		s.finish(pmCompleted)
+		return []pmState{s}, nil
+	}
+	var err error
+	hand := func() { // Submit returns the handle to its caller
+		s.handle = true
+		if s.out == pmLive && s.phase != phaseServing {
+			err = fmt.Errorf("a live handle was returned in phase %d", s.phase)
+		}
+	}
+	pc, d := &s.pc[a], a-1 // d: which Drain, if a is one
+	switch {
+	case a == 0:
+		switch *pc {
+		case 0: // the gate: anything but serving is an error return
+			if s.phase != phaseServing {
+				*pc = 3
+			}
+		case 1:
+			s.reg = true
+		case 2: // the push
+			s.queued = true
+			if m.noReload {
+				hand()
+				*pc = 3
+			}
+		case 3: // the re-load
+			switch s.phase {
+			case phaseServing:
+				m.accepted++
+				hand()
+			case phaseDraining: // rejects itself: no handle
+				m.selfRejected++
+				s.finish(pmAborted)
+			default: // stopped: a handle, already aborted
+				s.finish(pmAborted)
+				hand()
+			}
+		default:
+			return nil, nil
+		}
+	case a <= 2:
+		switch *pc {
+		case 0: // the CAS and the look at the registry
+			if s.phase != phaseServing { // lost: to the other Drain, or to a stop
+				m.lost++
+				*pc = 1
+				break
+			}
+			m.won++
+			err = s.move(phaseDraining)
+			s.dsess[d], s.covered[d] = s.sess, s.handle && s.out != pmAborted
+			s.idle[s.sess] = !s.reg
+			if s.wins[s.sess]++; s.wins[s.sess] > 1 {
+				err = fmt.Errorf("two Drains won session %d", s.sess)
+			}
+		case 1: // the wait ends: on drainIdle in success; on quit or the deadline promising nothing
+			if !s.idle[s.dsess[d]] {
+				break
+			}
+			m.okDrains++
+			if s.covered[d] && s.out != pmCompleted {
+				err = fmt.Errorf("a Drain reports success, and the handle that was out at its CAS ended %d", s.out)
+			}
+		default:
+			return nil, nil
+		}
+	default:
+		switch *pc {
+		case 0:
+			err = s.move(phaseBatch)
+		case 1: // startSession: sweep, publish the record, fork
+			m.sweep(&s)
+			s.sess, s.workers = s.sess+1, true
+		case 2:
+			err = s.move(phaseServing)
+		case 3:
+			err = s.move(phaseStopping)
+		case 4: // abort the registry
+			if s.reg {
+				s.finish(pmAborted)
+			}
+		case 5: // quit, join, sweep
+			s.workers = false
+			m.sweep(&s)
+		case 6:
+			if err = s.move(phaseIdle); s.sess < 2 {
+				*pc = -1 // Serve again
+			}
+		default:
+			return nil, nil
+		}
+	}
+	*pc++
+	return []pmState{s}, err
+}
+
+func (m *phaseModel) explorer() *explorer[pmState] {
+	return &explorer[pmState]{actors: 5, step: m.step, final: func(s pmState) error {
+		if s.handle && s.out == pmLive {
+			return fmt.Errorf("quiescent with the returned handle unfinished")
+		}
+		return nil
+	}}
+}
+
+func TestPhaseModelExhaustive(t *testing.T) {
+	m := &phaseModel{}
+	m.explorer().verify(t, pmState{})
+	if m.accepted == 0 || m.selfRejected == 0 || m.won == 0 || m.lost == 0 || m.okDrains == 0 || m.sweepAborts == 0 {
+		t.Fatalf("the search covered %+v; want some of each", *m)
+	}
+}
+
+// The negative control: without the post-push re-load, a Submit whose gate
+// read serving returns its handle whatever a Drain or a stop did since.
+func TestPhaseModelCatchesMissingRecheck(t *testing.T) {
+	(&phaseModel{noReload: true}).explorer().refute(t, pmState{})
+}

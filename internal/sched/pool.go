@@ -50,7 +50,8 @@ import (
 	"worksteal/internal/fault"
 )
 
-// Failpoints compiled into the scheduler (internal/fault, DESIGN.md §9).
+// Failpoints compiled into the scheduler (internal/fault; DESIGN.md §7,
+// "Fault injection").
 // sched.loop.beforeSteal fires only for loop-level steals (never for a
 // Join helping itself to work), so a chaos run can freeze thieves without
 // ever freezing the joiner that must later resume them.
@@ -101,18 +102,13 @@ type Config struct {
 	// order at the cost of stealable parallelism. Defaults to
 	// deque.DefaultCapacity.
 	DequeCapacity int
-	// InjectorShards is the number of bounded MPMC injector queues external
-	// submissions (Pool.Submit) are spread over. More shards cost workers a
-	// slightly longer poll scan but cut contention between concurrent
-	// submitters. Defaults to max(1, min(8, Workers/4)).
-	InjectorShards int
-	// InjectorCapacity bounds each injector shard (rounded up to a power of
-	// two, minimum 2); a submission finding every shard full is shed per
-	// Overload.
+	// InjectorCapacity bounds the injector, the MPMC ring external
+	// submissions (Pool.Submit) enter through (rounded up to a power of
+	// two, minimum 2); a submission finding it full is shed per Overload.
 	// This is the service mode's admission-control knob. Defaults to 1024.
 	InjectorCapacity int
-	// Overload selects the shed policy for submissions that find every
-	// injector shard full: ShedReject (default) returns ErrOverloaded,
+	// Overload selects the shed policy for submissions that find the
+	// injector full: ShedReject (default) returns ErrOverloaded,
 	// ShedCallerRuns executes the submission on the submitting goroutine.
 	Overload OverloadPolicy
 	// ParkThreshold is the number of consecutive failed steal attempts
@@ -163,48 +159,46 @@ func (fn taskFunc) runTask(w *Worker) { fn(w) }
 // Pool is a work-stealing scheduler instance. Create one with New, then
 // either use the batch API — Run or RunContext, possibly several times in
 // sequence — or start the service engine with Serve and feed it with
-// Submit from any goroutine (serve.go). A Pool hosts one engine at a time;
-// overlapping Run/RunContext/Serve calls panic with a clear error rather
-// than corrupting the session state.
+// Submit from any goroutine (serve.go). Either way the pool hosts one
+// session at a time: the workers, from startSession to endSession. What is
+// true of the session that is live right now is two fields — phase, the
+// one word that says how far it has got, and sess, the record of what
+// lives exactly as long as its workers do — and everything else here
+// outlives sessions. Overlapping Run/RunContext/Serve calls fail the
+// entry CAS on phase and panic with a clear error rather than corrupting
+// the session.
 type Pool struct {
 	cfg           Config
 	parkThreshold int
 	workers       []*Worker
-	inject        []*injector
+	inject        *injector
 	// Ordering disciplines (internal/atomicx, checked by abporder): the
-	// SC-declared fields either arbitrate (shardRR's consumed Add, running's
-	// CAS) or participate in the park/submit handshakes (stopped, serving,
-	// idle, and the submission counters are all read or written inside
-	// //abp:handshake carrier functions, whose store→load shape needs the
-	// full ordering). The Publish-declared counters are blind increments
-	// read only by Stats — release/acquire publication suffices.
+	// SC-declared fields either arbitrate (phase's entry and drain CASes,
+	// wakeRR's consumed Add) or participate in the park/submit handshakes
+	// (phase, idle, and the submission counters are all read or written
+	// inside //abp:handshake carrier functions, whose store→load shape
+	// needs the full ordering). The Publish-declared counters are blind
+	// increments read only by Stats — release/acquire publication suffices.
 	//
-	// Layout discipline (abplayout, DESIGN.md §8): the three arbitration
-	// words below — running's session CAS, shardRR's per-submission Add,
-	// wakeRR's per-signal Add, idle's park/signal Dekker reads — each sit
-	// on their own cache line so none is invalidated by writes to the
-	// others or to the counters; the cold flags and the blindly
-	// incremented counters may share lines freely among themselves.
-	stopped atomicx.SCBool // session shutdown flag: the loop-exit condition
-	serving atomicx.SCBool // a Serve is accepting Submits
-	_       atomicx.CacheLinePad
-	// draining is the admission gate a Drain closes (drain.go); sc because
-	// it is Dekker-paired with Submit's post-push re-check, and CAS'd (one
-	// Drain wins per session) — an arbitration word, so its own line.
-	draining atomicx.SCBool
-	_        atomicx.CacheLinePad
-	running  atomicx.SCBool // guards against concurrent Run/RunContext/Serve
-	_        atomicx.CacheLinePad
-	shardRR  atomicx.SCUint32 // submission shard rotation (injector.go)
-	_        atomicx.CacheLinePad
-	wakeRR   atomicx.SCUint32 // wake scan rotation (signalWork, lifecycle.go)
-	_        atomicx.CacheLinePad
-	idle     atomicx.SCInt32 // workers parked or in a backoff nap (lifecycle.go)
-	_        atomicx.CacheLinePad
+	// Layout discipline (abplayout, DESIGN.md §8): the words written often
+	// — wakeRR's per-signal Add, idle's park/signal Dekker pair — and the
+	// words every worker reads on every loop iteration and steal — phase,
+	// fleet — each sit on a cache line of their own, so a read-mostly word
+	// is never invalidated by the written ones or by the counters; the
+	// blindly incremented counters may share lines freely among themselves.
+	//
+	// phase is the session's state (the phase constants below): written
+	// only at a session's few transitions, read by the worker loop's exit
+	// test, park's re-check, and Submit's gate and post-push re-check.
+	phase  atomicx.SCUint32
+	_      atomicx.CacheLinePad
+	wakeRR atomicx.SCUint32 // wake scan rotation (signalWork, lifecycle.go)
+	_      atomicx.CacheLinePad
+	idle   atomicx.SCInt32 // workers parked or in a backoff nap (lifecycle.go)
+	_      atomicx.CacheLinePad
 	// fleet is the elastic-fleet size: workers [0, fleet) are the active
 	// prefix victim selection draws from (stealOnce). Written rarely — by
-	// Resize under resizeMu — and read on every steal attempt, so it gets
-	// its own line away from the mutated arbitration words and counters.
+	// Resize under resizeMu — and read on every steal attempt.
 	// publish: readers only gate victim ranges on the value; the per-worker
 	// state words (CAS'd, sc) carry the retire arbitration.
 	fleet      atomicx.Publish32
@@ -217,45 +211,66 @@ type Pool struct {
 	submitted  atomicx.SCInt64   // submissions accepted onto the injector
 	rejected   atomicx.SCInt64   // submissions rejected with ErrOverloaded
 	callerRuns atomicx.SCInt64   // submissions shed to the caller (ShedCallerRuns)
-	wg         sync.WaitGroup
+	wg         sync.WaitGroup    // the session's goroutines: workers, fleet manager, watchdog
 
-	// Elastic-fleet control (resize.go): resizeMu serializes Resize calls
-	// against each other and against session start/stop; sessionLive tells
-	// Resize whether the session's fleet manager exists right now. growCh
-	// feeds worker-slot activations to the manager goroutine startSession
-	// forks — worker loops are only ever launched from startSession's
-	// subtree, which keeps the session fork edge the single publication
-	// root for the workers' plain fields. All three are accessed under
-	// resizeMu (the manager holds only its own local copies).
-	resizeMu    sync.Mutex
-	sessionLive bool
-	growCh      chan int
+	// resizeMu serializes Resize calls against each other and against a
+	// session start (resize.go).
+	resizeMu sync.Mutex
 
 	// Active-submission registry: every in-flight run, registered at
-	// submission and removed by its finishOnce. The shutdown and
-	// engine-failure paths abort the whole set.
+	// submission and removed by its finishOnce. endSession and engineFail
+	// abort the whole set.
 	runMu  sync.Mutex
 	active map[*run]struct{}
 
-	// Per-session channels, created by startSession before any worker
-	// starts (the go statement is the publication edge). quit is closed by
-	// endSession to wake parked workers for shutdown; fail is closed by
-	// engineFail when a worker loop dies, with failVal readable after.
-	quitCh   chan struct{}
-	failCh   chan struct{}
-	failOnce sync.Once
-	failVal  any
+	// sess is the live session's record, or the last one's between
+	// sessions (nil before the first). startSession replaces it holding
+	// both runMu and resizeMu, so either lock makes a read safe: Drain,
+	// unregister and engineFail hold runMu, Resize holds resizeMu. The
+	// session's own goroutines read it with neither — the go statements
+	// that start them are after the write, and the next write is after
+	// endSession has joined them.
+	sess *session
+}
 
-	// Graceful-drain plumbing (drain.go), per session like quitCh/failCh.
-	// All three fields are written by startSession and read by Drain under
-	// runMu (the mutex is the happens-before edge for the external Drain
-	// goroutine). drainReq is closed by the winning Drain to bring Serve
-	// down; drainIdle is closed — by unregister or by Drain itself — when
-	// the active set empties while draining; drainSignaled guards that
-	// close.
+// The session phases, stored in Pool.phase:
+//
+//	idle → batch ─────────────────────────→ stopping → idle   (Run, RunContext)
+//	idle → batch → serving [→ draining] ──→ stopping → idle   (Serve)
+//
+// Every edge has one writer. idle → batch is the entry CAS (enter), the
+// overlapping-Run/Serve check. batch → serving is Serve's store once its
+// workers exist; serving → draining is the winning Drain's CAS (drain.go);
+// the edges into and out of stopping are endSession's two stores. Submit
+// admits in serving only, the worker loop and park leave on stopping, and
+// nothing else branches on the word.
+const (
+	phaseIdle     uint32 = iota // no session: Run, RunContext or Serve may enter
+	phaseBatch                  // workers may run, admission closed: a Run throughout, a Serve while it starts
+	phaseServing                // Submit admits
+	phaseDraining               // a Drain closed admission; what was accepted is finishing
+	phaseStopping               // endSession: workers exit, in-flight submissions abort
+)
+
+// session is what lives exactly as long as one session's workers do, made
+// by startSession and immutable from then on apart from the two words
+// runMu guards.
+type session struct {
+	// quit is closed by endSession: it wakes every parked or napping worker
+	// and stops the fleet manager and the watchdog.
+	quit chan struct{}
+	// fail is closed by the first engineFail, after it stored failVal.
+	fail    chan struct{}
+	failVal any // guarded by runMu until fail is closed
+	// The drain pair (drain.go): drainIdle is closed, once — drainSignaled,
+	// guarded by runMu — when the registry is empty while draining;
+	// drainReq is closed by the winning Drain to bring Serve down.
 	drainReq      chan struct{}
 	drainIdle     chan struct{}
 	drainSignaled bool
+	// grow carries the worker slots a mid-session Resize activates to the
+	// fleet manager (resize.go).
+	grow chan int
 }
 
 // Worker is the execution context passed to every task; it identifies the
@@ -268,7 +283,7 @@ type Worker struct {
 	pool *Pool
 	id   int
 	dq   deque.Dequer[Task]
-	rng  *rand.Rand
+	rng  *rand.Rand // victim selection; nil on the caller-runs worker (stealOnce)
 	// handoff is the root task fallback slot (startSession), consumed by
 	// loop; declared plain because every access pair is ordered by the
 	// session fork/join edges — for loops the fleet manager forks
@@ -358,12 +373,6 @@ func New(cfg Config) *Pool {
 	if cfg.MaxWorkers < cfg.Workers {
 		panic(fmt.Sprintf("sched: MaxWorkers %d below Workers %d", cfg.MaxWorkers, cfg.Workers))
 	}
-	if cfg.InjectorShards == 0 {
-		cfg.InjectorShards = max(1, min(8, cfg.Workers/4))
-	}
-	if cfg.InjectorShards < 1 {
-		panic(fmt.Sprintf("sched: %d injector shards", cfg.InjectorShards))
-	}
 	if cfg.InjectorCapacity == 0 {
 		cfg.InjectorCapacity = 1024
 	}
@@ -374,12 +383,14 @@ func New(cfg Config) *Pool {
 	if seed == 0 {
 		seed = 0x5EED
 	}
-	p := &Pool{cfg: cfg, parkThreshold: cfg.ParkThreshold, active: map[*run]struct{}{}}
+	p := &Pool{
+		cfg:           cfg,
+		parkThreshold: cfg.ParkThreshold,
+		inject:        newInjector(cfg.InjectorCapacity),
+		active:        map[*run]struct{}{},
+	}
 	if p.parkThreshold == 0 {
 		p.parkThreshold = max(8, 2*cfg.Workers)
-	}
-	for i := 0; i < cfg.InjectorShards; i++ {
-		p.inject = append(p.inject, newInjector(cfg.InjectorCapacity))
 	}
 	// The whole [0, MaxWorkers) fleet is allocated up front; slots beyond
 	// the initial Workers begin retired and cost nothing until a Resize
@@ -437,88 +448,51 @@ func (p *Pool) Run(root func(*Worker)) {
 // original value, exactly like Run. The pool remains reusable after either
 // outcome.
 //
-// Since the service refactor (serve.go), Run and RunContext are
-// one-submission sessions of the service engine: the same worker loops,
-// run records, and abort plumbing serve both APIs, so the batch tests and
-// chaos suite exercise the engine Submit feeds.
+// Run and RunContext are one-submission sessions of the service engine
+// (serve.go): the controller below is Serve's with another event to wait
+// for, so the batch tests and chaos suite exercise the engine Submit feeds.
 func (p *Pool) RunContext(ctx context.Context, root func(*Worker)) error {
-	if !p.running.CompareAndSwap(false, true) {
-		panic("sched: Pool.Run/RunContext called concurrently with a run already in flight on this pool (a Pool serves one run at a time)")
-	}
-	defer p.running.Store(false)
+	p.enter("Run/RunContext")
 	r := newRun(p, root)
 	p.register(r)
 	if err := ctx.Err(); err != nil {
 		// Already cancelled: abort before any worker starts, so the root
-		// handoff/push is discarded (and counted) rather than executed.
+		// is discarded (and counted) rather than executed.
 		r.abortWith(runCancelled, err, nil)
+	} else {
+		r.watch(ctx)
 	}
-	p.startSession(&r.root)
-
-	// Auxiliary goroutines: the context watcher and the stall watchdog.
-	// Both exit when the run ends (stopAux) or the run aborts.
-	stopAux := make(chan struct{})
-	var aux sync.WaitGroup
-	if ctx.Done() != nil {
-		aux.Add(1)
-		go func() {
-			defer aux.Done()
-			select {
-			case <-ctx.Done():
-				r.abortWith(runCancelled, ctx.Err(), nil)
-			case <-r.finished:
-			case <-stopAux:
-			}
-		}()
-	}
-	if p.cfg.StallTimeout > 0 {
-		aux.Add(1)
-		go func() {
-			defer aux.Done()
-			p.watchdog(stopAux)
-		}()
-	}
-
+	s := p.startSession(&r.root)
 	// The run ends — every task executed, or the submission aborted by a
 	// panic, a cancellation, or an engine failure — and the session comes
 	// down with it.
 	<-r.finished
-	p.endSession()
-	close(stopAux)
-	aux.Wait()
-
-	if r.state.Load() == runCancelled {
-		// Quiescent again: every worker has exited (endSession), so the
-		// run goroutine may drain what the cancelled run left behind —
-		// including a root the abort stranded in its handoff slot.
-		p.drainByRun()
-		return r.err
-	}
-	if r.panicVal != nil {
-		// A panic-aborted run deliberately leaves its carcass for the
-		// next session's begin-drain (startSession), preserving the
-		// historical TasksDropped accounting and the lexical ordering the
-		// static race analysis of the handoff slot relies on.
-		panic(r.panicVal)
-	}
-	return nil
+	p.endSession(s, r.panicVal)
+	return r.err
 }
 
-// startSession resets the per-session state, drains everything a previous
-// aborted session left behind — deque tasks, injector carcasses, stranded
-// handoff roots, stale wake tokens — so stale work can neither execute in
-// the new session nor corrupt its accounting, delivers the batch API's
-// root (if any), and forks the worker loops. The victim rng deliberately is
-// not reset: random victim selection is the paper's stochastic model, and
-// reseeding it would only launder scheduling nondeterminism into false
-// reproducibility.
+// enter claims the pool for a new session: the CAS out of idle that only
+// one of any overlapping Run, RunContext and Serve calls can win.
+func (p *Pool) enter(api string) {
+	if !p.phase.CompareAndSwap(phaseIdle, phaseBatch) {
+		panic("sched: Pool." + api + " called concurrently with a run or serve already in flight on this pool (a Pool hosts one session at a time)")
+	}
+}
+
+// startSession makes the session record, sweeps what raced the previous
+// session's stop (a Submit that pushed after the end sweep; the carcass a
+// panicked session leaves — see endSession), so stale work can neither
+// execute in the new session nor corrupt its accounting, delivers the
+// batch API's root (if any), and forks the session's goroutines. The victim
+// rng deliberately is not reset: random victim selection is the paper's
+// stochastic model, and reseeding it would only launder scheduling
+// nondeterminism into false reproducibility.
 //
-// Reset, root delivery, and fork deliberately share one function body: the
-// caller holds the running guard and no workers exist yet, so the calling
-// goroutine is a legitimate owner for every deque, and every plain write
-// here is ordered against the worker goroutines by the lexical fork edge
-// of the go statements below — the ordering the static race detector
-// checks.
+// Sweep, root delivery, and fork deliberately share one function body: the
+// caller has won enter and no workers exist yet, so the calling goroutine
+// is a legitimate owner for every deque, and every plain write here is
+// ordered against the worker goroutines by the lexical fork edge of the go
+// statements below — the ordering the static race detector checks.
 //
 // The root, when non-nil, goes to worker 0 while the pool is still
 // quiescent — the batch API's fast path, bypassing the injector the way
@@ -530,45 +504,35 @@ func (p *Pool) RunContext(ctx context.Context, root func(*Worker)) error {
 // Spawn provides via inline execution.
 //
 //abp:owner quiescent phase: workers have not been started yet
-func (p *Pool) startSession(root *Task) {
-	p.stopped.Store(false)
-	// The session channels — quit/fail and the drain pair — are read by
-	// goroutines outside the session's fork edges (Drain most of all), so
-	// they are published under runMu, the lock those readers take.
-	p.runMu.Lock()
-	p.quitCh = make(chan struct{})
-	p.failCh = make(chan struct{})
-	p.drainReq = make(chan struct{})
-	p.drainIdle = make(chan struct{})
-	p.drainSignaled = false
-	p.runMu.Unlock()
-	p.failOnce = sync.Once{}
-	p.failVal = nil
-	p.draining.Store(false)
-	// Sweep carcasses a previous aborted session left behind (including a
-	// root stranded in a handoff slot, which must not execute as a ghost
-	// of the session that submitted it), accounted per each task's own
-	// submission: a panic's leftovers are drops, a cancelled or stopped
-	// submission's are cancellations.
+func (p *Pool) startSession(root *Task) *session {
+	s := &session{
+		quit:      make(chan struct{}),
+		fail:      make(chan struct{}),
+		drainReq:  make(chan struct{}),
+		drainIdle: make(chan struct{}),
+		grow:      make(chan int),
+	}
 	p.drainByRun()
-	// Reset the rotation cursors: a restarted Serve must behave like a
-	// fresh pool, not inherit the previous session's submission-shard and
-	// wake-scan positions (the Serve→Stop→Serve restartability regression
-	// pins this).
-	p.shardRR.Store(0)
+	// A restarted Serve behaves like a fresh pool: it does not inherit the
+	// previous session's wake-scan position (the Serve→Stop→Serve
+	// restartability regression pins this).
 	p.wakeRR.Store(0)
 	if root != nil {
 		if !p.workers[0].dq.PushBottom(root) {
 			p.workers[0].handoff.Set(root)
 		}
 	}
-	// Fork exactly the active prefix, normalizing the state words first: a
+	// Publish the record and fork exactly the active prefix under resizeMu,
+	// so a concurrent Resize sees either the old session (ended: its grow
+	// is dropped, and the fleet it stored is the one forked here) or this
+	// one with its manager running. The state words are normalized first: a
 	// shrink in a previous session (or between sessions) may have left
 	// suffix workers marked retiring without ever completing retirement —
-	// their goroutines exited through the stopped flag instead. resizeMu
-	// orders this against any concurrent Resize, and sessionLive re-arms
-	// Resize's ability to start goroutines.
+	// their goroutines exited through the stopping phase instead.
 	p.resizeMu.Lock()
+	p.runMu.Lock()
+	p.sess = s
+	p.runMu.Unlock()
 	fleet := int(p.fleet.Load())
 	for i, w := range p.workers {
 		if i < fleet {
@@ -577,45 +541,67 @@ func (p *Pool) startSession(root *Task) {
 			w.state.Store(workerRetired)
 		}
 	}
-	p.growCh = make(chan int)
-	p.wg.Add(fleet + 1) // +1: the fleet manager holds a slot of its own
+	// Every goroutine of the session holds a slot of wg and leaves on quit
+	// (the workers: on the stopping phase quit wakes them to see). The
+	// fleet manager is the only place a worker loop is ever launched
+	// mid-session (Resize feeds it slot indices over grow): keeping every
+	// launch inside this function's fork subtree preserves the lexical fork
+	// edge that orders its plain writes before any worker goroutine —
+	// including ones started long after, by a grow.
+	p.wg.Add(fleet + 1)
 	for _, w := range p.workers[:fleet] {
 		go w.loop()
 	}
-	// The fleet manager is the only place a worker loop is ever launched
-	// mid-session (Resize feeds it slot indices over growCh). Keeping every
-	// launch inside startSession's fork subtree preserves the lexical fork
-	// edge that orders this function's plain writes before any worker
-	// goroutine — including ones started long after, by a grow.
-	go p.fleetManager(p.quitCh, p.growCh)
-	p.sessionLive = true
+	go p.fleetManager(s)
+	if p.cfg.StallTimeout > 0 {
+		p.wg.Add(1)
+		go p.watchdog(s.quit)
+	}
 	p.resizeMu.Unlock()
+	return s
 }
 
-// endSession stops the worker loops and waits for them: stopped is the
-// loop-exit condition, and the quit close wakes every parked or napping
-// worker so none sleeps through shutdown.
-func (p *Pool) endSession() {
-	// Disarm Resize before waiting: once sessionLive drops, Resize no
-	// longer feeds the fleet manager, and the manager itself holds a
-	// WaitGroup slot until the quit close below retires it — so its
-	// wg.Add(1) per grow can never race a Wait at zero (the classic
-	// Add-after-Wait hazard).
-	p.resizeMu.Lock()
-	p.sessionLive = false
-	p.resizeMu.Unlock()
-	p.stopped.Store(true)
-	close(p.quitCh)
+// endSession is the one teardown: it closes admission and tells the
+// workers to leave (the stopping phase), aborts whatever is still in
+// flight — with panicVal if the session is ending in a panic, else
+// ErrStopped; first abort wins, so a cause recorded earlier is preserved,
+// and after a Run, a completed Drain or an engine failure the set is
+// already empty — wakes every sleeper (quit), joins the session's
+// goroutines, sweeps, and returns the pool to idle. A non-nil panicVal — a
+// task panic of a Run, a worker-loop failure of either API — is re-raised
+// once the pool is reusable.
+//
+// The sweep rule: every session ends swept — the deques, the injector and
+// the handoff slots hold nothing when the pool is idle — except one that
+// ends in a panic, whose carcass is left for the next startSession to sweep
+// and count (TestPoolReuseAfterAbortDropsStaleHandoff reads the stranded
+// root in between).
+func (p *Pool) endSession(s *session, panicVal any) {
+	p.phase.Store(phaseStopping)
+	if panicVal != nil {
+		p.abortAll(runPanicked, nil, panicVal)
+	} else {
+		p.abortAll(runCancelled, ErrStopped, nil)
+	}
+	close(s.quit)
 	p.wg.Wait()
+	if panicVal == nil {
+		p.drainByRun()
+	}
+	p.phase.Store(phaseIdle)
+	if panicVal != nil {
+		panic(panicVal)
+	}
 }
 
-// drainByRun is the quiescent-phase sweep — run at the end of a cancelled
-// session and again at the start of every session: it empties the injector shards,
-// the deques, and the handoff slots, accounting every leftover task under
-// the counter its submission's abort cause selects — TasksDropped for a
-// panic, TasksCancelled for a cancellation or service stop. Leftovers can
-// only belong to aborted submissions (a completed one has, by the scope
-// invariant, no tasks left anywhere).
+// drainByRun is the quiescent-phase sweep (endSession states the rule): it
+// empties the injector, the deques, and the handoff slots, accounting every
+// leftover task under the counter its submission's abort cause selects —
+// TasksDropped for a panic, TasksCancelled for a cancellation or service
+// stop. Leftovers can only belong to aborted submissions (a completed one
+// has, by the scope invariant, no tasks left anywhere); the one a Submit
+// pushed so late that no abort sweep saw its run is aborted here, so its
+// Handle reports ErrStopped instead of waiting on a task nobody holds.
 //
 //abp:owner quiescent phase: every worker has exited before the sweep
 func (p *Pool) drainByRun() {
@@ -625,27 +611,19 @@ func (p *Pool) drainByRun() {
 	// against the dead worker goroutines for the static race detector.
 	p.wg.Wait()
 	account := func(t *Task) {
-		if t.scope.run.state.Load() == runPanicked {
+		r := t.scope.run
+		r.abortWith(runCancelled, ErrStopped, nil)
+		if r.state.Load() == runPanicked {
 			p.dropped.Add(1)
 		} else {
 			p.cancelledN.Add(1)
 		}
 	}
-	for _, q := range p.inject {
-		for {
-			t := q.TryPop()
-			if t == nil {
-				break
-			}
-			account(t)
-		}
+	for t := p.inject.TryPop(); t != nil; t = p.inject.TryPop() {
+		account(t)
 	}
 	for _, w := range p.workers {
-		for {
-			t := w.dq.PopBottom()
-			if t == nil {
-				break
-			}
+		for t := w.dq.PopBottom(); t != nil; t = w.dq.PopBottom() {
 			account(t)
 		}
 		if t := w.handoff.Get(); t != nil {
@@ -671,7 +649,7 @@ func (p *Pool) Stats() Stats {
 		Submitted:        p.submitted.Load(),
 		SubmitsRejected:  p.rejected.Load(),
 		SubmitsCallerRun: p.callerRuns.Load(),
-		InjectorBacklog:  p.injectorBacklog(),
+		InjectorBacklog:  int64(p.inject.Len()), // momentary, like every mid-flight Stats read
 	}
 	for _, w := range p.workers {
 		if w.state.Load() == workerActive {
@@ -690,19 +668,13 @@ func (p *Pool) Stats() Stats {
 	return s
 }
 
-// injectorBacklog sums the momentary shard occupancy (an estimate, like
-// every mid-flight Stats read).
-func (p *Pool) injectorBacklog() int64 {
-	var n int64
-	for _, q := range p.inject {
-		n += int64(q.Len())
-	}
-	return n
-}
-
 // stealOnce performs one steal attempt against a uniformly random victim
 // (Figure 3 line 16). The steal counters are owner-only: this worker's
-// goroutine is their sole writer.
+// goroutine is their sole writer. The caller-runs worker (runOnCaller) has
+// no rng — a rand.Source per shed submission would cost more than the
+// submission — and rotates through the victims by its attempt count
+// instead: it steals only to help a Join or Wait along, which needs a
+// victim that holds work, not a uniformly drawn one.
 //
 //abp:owner steal counters belong to the stealing worker's own goroutine
 //abp:nonblocking
@@ -721,7 +693,12 @@ func (w *Worker) stealOnce() *Task {
 	if pick == 0 {
 		return nil
 	}
-	v := w.rng.Intn(pick)
+	var v int
+	if w.rng != nil {
+		v = w.rng.Intn(pick)
+	} else {
+		v = int(w.stealAttempts.Load() % int64(pick))
+	}
 	if w.id < n && v >= w.id {
 		v++
 	}
@@ -798,7 +775,9 @@ func (w *Worker) runTask(t *Task) {
 	t.body.runTask(w)
 }
 
-// ID returns the worker's index in [0, Workers).
+// ID returns the worker's index in [0, MaxWorkers). The worker a shed
+// submission runs on under ShedCallerRuns — the submitter's goroutine, not
+// one of the pool's — reports MaxWorkers.
 func (w *Worker) ID() int { return w.id }
 
 // currentRun returns the run record of the task currently executing on
@@ -861,17 +840,15 @@ func (w *Worker) tryGetTask() (t *Task, stolen bool) {
 	return w.stealOnce(), true
 }
 
-// anyVisibleWork reports whether any injector shard or deque in the pool
+// anyVisibleWork reports whether the injector or any deque in the pool
 // appears non-empty. A false return together with an incomplete future
 // means the future's task is currently running on some worker, so blocking
 // is safe. The parking protocol relies on the same property: see park in
 // lifecycle.go and the memory-ordering notes on deque.Dequer.Len and
 // injector.Len.
 func (w *Worker) anyVisibleWork() bool {
-	for _, q := range w.pool.inject {
-		if q.Len() > 0 {
-			return true
-		}
+	if w.pool.inject.Len() > 0 {
+		return true
 	}
 	for _, o := range w.pool.workers {
 		if o.dq.Len() > 0 {

@@ -339,10 +339,10 @@ func fibAndFanOut(ok *atomic.Int64) func(*Worker) {
 // pool's.
 func TestRecycleCallerRunsKeepsItsLists(t *testing.T) {
 	forEachDeque(t, func(t *testing.T, kind DequeKind) {
-		p := New(Config{Workers: 2, InjectorShards: 1, InjectorCapacity: 2, Overload: ShedCallerRuns, Deque: kind})
+		p := New(Config{Workers: 2, InjectorCapacity: 2, Overload: ShedCallerRuns, Deque: kind})
 		stop := startServing(t, p)
 		release := plugWorkers(t, p)
-		for i := 0; i < 2; i++ { // fill the one two-slot shard
+		for i := 0; i < 2; i++ { // fill the two-slot injector
 			if _, err := p.Submit(func(*Worker) {}); err != nil {
 				t.Fatalf("fill Submit %d: %v", i, err)
 			}

@@ -1,4 +1,5 @@
-// Elastic fleet: runtime resize with safe-point retirement (DESIGN.md §14).
+// Elastic fleet: runtime resize with safe-point retirement (DESIGN.md §7,
+// "Retire and reactivate").
 //
 // The paper's whole premise is that the kernel grows and shrinks the
 // granted processor set P_A at will while the scheduler stays live and
@@ -13,7 +14,7 @@
 //   - Shrink marks suffix workers retiring and wakes them. A retiring
 //     worker retires itself at a safe point — the top of its loop, never
 //     mid-task: it drains its own deque into the injector (running tasks
-//     inline if every shard is full, so nothing is ever lost), then
+//     inline if the injector is full, so nothing is ever lost), then
 //     publishes workerRetired by CAS and exits.
 //
 // The retire/reactivate race is settled by that CAS: a Resize that grows
@@ -113,12 +114,15 @@ func (p *Pool) Resize(n int) error {
 		// manager to start one. The failed CAS above read the retired state
 		// — the edge that orders the dead goroutine's plain-field writes
 		// before the new goroutine's reads. The send cannot block
-		// indefinitely: sessionLive is true under resizeMu, so endSession
-		// (which takes resizeMu to clear it before closing quit) has not
-		// begun, and the manager is still in its receive loop.
+		// indefinitely: the manager receives until quit closes, and a
+		// session that has ended — or is ending — drops the grow, which the
+		// next startSession makes good from the fleet stored above.
 		w.state.Store(workerActive)
-		if p.sessionLive {
-			p.growCh <- i
+		if s := p.sess; s != nil {
+			select {
+			case s.grow <- i:
+			case <-s.quit:
+			}
 		}
 	}
 	return nil
@@ -126,20 +130,21 @@ func (p *Pool) Resize(n int) error {
 
 // fleetManager is the session goroutine that launches worker loops for
 // mid-session grows. It exists so that every `go w.loop()` in the package
-// sits inside startSession's fork subtree: the plain per-worker fields
-// startSession writes (rr, handoff, the session channels) are ordered
-// before any worker goroutine by the lexical fork edges alone, no matter
-// when a grow later starts the worker. The manager holds its own WaitGroup
-// slot (startSession adds it), so its wg.Add(1) per launch always runs
-// with a non-zero counter, never racing endSession's Wait.
-func (p *Pool) fleetManager(quit <-chan struct{}, grow <-chan int) {
+// sits inside startSession's fork subtree: the plain fields startSession
+// writes (handoff, the session record) are ordered before any worker
+// goroutine by the lexical fork edges alone, no matter when a grow later
+// starts the worker. The manager holds its own WaitGroup slot
+// (startSession adds it), so its wg.Add(1) per launch always runs with a
+// non-zero counter, never racing endSession's Wait — even for a grow it
+// receives after quit closed, whose worker reads stopping and leaves.
+func (p *Pool) fleetManager(s *session) {
 	defer p.wg.Done()
 	for {
 		select {
-		case i := <-grow:
+		case i := <-s.grow:
 			p.wg.Add(1)
 			go p.workers[i].loop()
-		case <-quit:
+		case <-s.quit:
 			return
 		}
 	}
@@ -168,7 +173,7 @@ func (w *Worker) retire() bool {
 		if w.republish(t) {
 			continue
 		}
-		// Every shard full: run the task here instead of losing it. The
+		// Injector full: run the task here instead of losing it. The
 		// task may Spawn (refilling this deque), which is why the drain is
 		// a loop and not a single sweep.
 		w.execOrDrop(t, false)

@@ -213,7 +213,7 @@ func TestDrainHappyPath(t *testing.T) {
 	defer cancel()
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- p.Serve(ctx) }()
-	waitFor(t, 10*time.Second, "pool to start serving", p.serving.Load)
+	waitFor(t, 10*time.Second, "pool to start serving", inPhase(p, phaseServing))
 
 	gate := make(chan struct{})
 	var ran atomic.Int64
@@ -280,7 +280,7 @@ func TestDrainDeadlineFallback(t *testing.T) {
 	defer cancel()
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- p.Serve(ctx) }()
-	waitFor(t, 10*time.Second, "pool to start serving", p.serving.Load)
+	waitFor(t, 10*time.Second, "pool to start serving", inPhase(p, phaseServing))
 
 	gate := make(chan struct{})
 	started := make(chan struct{}, 1)
@@ -324,7 +324,7 @@ func TestDrainConcurrentLoses(t *testing.T) {
 	defer cancel()
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- p.Serve(ctx) }()
-	waitFor(t, 10*time.Second, "pool to start serving", p.serving.Load)
+	waitFor(t, 10*time.Second, "pool to start serving", inPhase(p, phaseServing))
 
 	gate := make(chan struct{})
 	started := make(chan struct{}, 1)
@@ -334,9 +334,7 @@ func TestDrainConcurrentLoses(t *testing.T) {
 	<-started
 	first := make(chan error, 1)
 	go func() { first <- p.Drain(context.Background()) }()
-	waitFor(t, 10*time.Second, "first drain to close admission", func() bool {
-		return p.draining.Load()
-	})
+	waitFor(t, 10*time.Second, "first drain to close admission", inPhase(p, phaseDraining))
 	if err := p.Drain(context.Background()); !errors.Is(err, ErrDraining) {
 		t.Fatalf("second Drain = %v, want ErrDraining", err)
 	}
@@ -349,17 +347,49 @@ func TestDrainConcurrentLoses(t *testing.T) {
 	}
 }
 
+// A Drain may not report success over a submission the session aborted:
+// when Serve's own context stops the session under a waiting Drain, the
+// accepted handle resolves ErrStopped and the Drain says the pool is no
+// longer serving — not nil, which promises that everything accepted ran.
+func TestDrainLosesToServeStop(t *testing.T) {
+	p := New(Config{Workers: 2, ParkThreshold: 2})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- p.Serve(ctx) }()
+	waitFor(t, 10*time.Second, "pool to start serving", inPhase(p, phaseServing))
+
+	gate := make(chan struct{})
+	started := make(chan struct{}, 1)
+	h, err := p.Submit(func(*Worker) { started <- struct{}{}; <-gate })
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	<-started
+	drained := make(chan error, 1)
+	go func() { drained <- p.Drain(context.Background()) }()
+	waitFor(t, 10*time.Second, "the drain to close admission", inPhase(p, phaseDraining))
+	cancel()
+	if err := h.Wait(); !errors.Is(err, ErrStopped) {
+		t.Fatalf("Wait = %v for a submission in flight at the stop, want ErrStopped", err)
+	}
+	if err := <-drained; !errors.Is(err, ErrNotServing) {
+		t.Fatalf("Drain = %v with its session stopped and a submission aborted, want ErrNotServing", err)
+	}
+	close(gate)
+	if err := <-serveErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("Serve returned %v, want context.Canceled", err)
+	}
+}
+
 // The satellite-1 regression: a Serve→stop→Serve cycle must behave like a
-// fresh pool. The second session's rotation cursors start from zero (the
+// fresh pool. The second session's wake-scan cursor starts from zero (the
 // white-box half) and submissions complete exactly as in the first (the
 // behavioral half).
 func TestServeStopServeRestart(t *testing.T) {
 	p := New(Config{Workers: 4, ParkThreshold: 2})
 	for session := 0; session < 3; session++ {
 		stop := startServing(t, p)
-		if got := p.shardRR.Load(); got != 0 {
-			t.Fatalf("session %d: shardRR = %d at session start, want 0", session, got)
-		}
 		if got := p.wakeRR.Load(); got != 0 {
 			t.Fatalf("session %d: wakeRR = %d at session start, want 0", session, got)
 		}

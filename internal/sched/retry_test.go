@@ -1,5 +1,5 @@
 // Tests for SubmitWithRetry (retry.go) against a genuinely saturated
-// injector: a single two-slot shard whose only worker is plugged, so
+// injector: a two-slot ring whose only worker is plugged, so
 // ErrOverloaded is real backpressure, not a simulation.
 package sched
 
@@ -10,7 +10,7 @@ import (
 	"time"
 )
 
-// saturate plugs the one-worker pool and fills its single injector shard;
+// saturate plugs the one-worker pool and fills its injector;
 // the returned release unplugs the worker so the backlog drains.
 func saturate(t *testing.T, p *Pool) (handles []*Handle, release func()) {
 	t.Helper()
@@ -23,7 +23,7 @@ func saturate(t *testing.T, p *Pool) (handles []*Handle, release func()) {
 		handles = append(handles, h)
 	}
 	if _, err := p.Submit(func(*Worker) {}); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("probe Submit = %v, want ErrOverloaded (the shard is not saturated)", err)
+		t.Fatalf("probe Submit = %v, want ErrOverloaded (the injector is not saturated)", err)
 	}
 	return handles, release
 }
@@ -31,7 +31,7 @@ func saturate(t *testing.T, p *Pool) (handles []*Handle, release func()) {
 // The retry loop outlasts a transient overload: the injector is full when
 // the call starts and drains while it is backing off.
 func TestSubmitWithRetryOutlastsOverload(t *testing.T) {
-	p := New(Config{Workers: 1, InjectorShards: 1, InjectorCapacity: 2})
+	p := New(Config{Workers: 1, InjectorCapacity: 2})
 	stop := startServing(t, p)
 	fills, release := saturate(t, p)
 
@@ -65,7 +65,7 @@ func TestSubmitWithRetryOutlastsOverload(t *testing.T) {
 // A persistent overload exhausts the attempt budget and surfaces
 // ErrOverloaded — the caller's signal that backpressure is not transient.
 func TestSubmitWithRetryExhaustsAttempts(t *testing.T) {
-	p := New(Config{Workers: 1, InjectorShards: 1, InjectorCapacity: 2})
+	p := New(Config{Workers: 1, InjectorCapacity: 2})
 	stop := startServing(t, p)
 	fills, release := saturate(t, p)
 
@@ -93,7 +93,7 @@ func TestSubmitWithRetryExhaustsAttempts(t *testing.T) {
 // promptly instead of sleeping out its schedule, and the submission never
 // runs.
 func TestSubmitWithRetryCancelledMidBackoff(t *testing.T) {
-	p := New(Config{Workers: 1, InjectorShards: 1, InjectorCapacity: 2})
+	p := New(Config{Workers: 1, InjectorCapacity: 2})
 	stop := startServing(t, p)
 	fills, release := saturate(t, p)
 

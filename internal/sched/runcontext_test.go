@@ -170,7 +170,7 @@ func TestConcurrentRunPanics(t *testing.T) {
 		defer close(done)
 		p.Run(func(*Worker) { <-release })
 	}()
-	waitFor(t, 10*time.Second, "first run in flight", func() bool { return p.running.Load() })
+	waitFor(t, 10*time.Second, "first run in flight", inPhase(p, phaseBatch))
 	var recovered any
 	func() {
 		defer func() { recovered = recover() }()

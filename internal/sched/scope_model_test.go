@@ -6,14 +6,14 @@ import (
 )
 
 // This file model-checks the termination accounting of scope.go by
-// exhaustive interleaving enumeration, in the style of
-// internal/sim/exhaustive_test.go: a few workers execute a small task tree
-// over abstract counters, every atomic operation of the real protocol —
-// the spawn's Add, the push that makes the task stealable, the thief's
-// load in split, each decrement of a release chain — is one step of one
-// worker, and every interleaving of those steps is explored. The deque
-// operations themselves are single steps here (their own interleavings are
-// internal/sim's subject). Checked on every path:
+// exhaustive interleaving enumeration (the explorer of model_test.go): a
+// few workers execute a small task tree over abstract counters, every
+// atomic operation of the real protocol — the spawn's Add, the push that
+// makes the task stealable, the thief's load in split, each decrement of a
+// release chain — is one step of one worker, and every interleaving of
+// those steps is explored. The deque operations themselves are single steps
+// here (their own interleavings are internal/sim's subject). Checked on
+// every path:
 //
 //   - complete fires at most once, and only when every task has ended;
 //   - at quiescence it has fired exactly once and every scope is at zero;
@@ -53,8 +53,7 @@ type mWorker struct {
 	dlen    int8
 }
 
-// mState is the whole model: a comparable value, so visited states prune
-// the search.
+// mState is the whole model.
 type mState struct {
 	refs      [mMaxScopes]int8
 	parent    [mMaxScopes]int8
@@ -72,10 +71,9 @@ type scopeModel struct {
 	// moves the stolen task's count into the child scope at once instead of
 	// leaving it in the parent to stand for the child.
 	moveCount bool
-	seen      map[mState]bool
 	// What the search came across, so the test can tell it covered both
-	// arms of split and reached quiescence.
-	terminals, splits, takeovers int
+	// arms of split.
+	splits, takeovers int
 }
 
 func (m *scopeModel) initial() mState {
@@ -185,31 +183,9 @@ func (m *scopeModel) release(s mState, i int) ([]mState, error) {
 	return []mState{s}, nil
 }
 
-// explore visits every state reachable from s, returning the first
-// violation with the trail of worker indices that led to it.
-func (m *scopeModel) explore(s mState, trail []int8) error {
-	if m.seen[s] {
-		return nil
-	}
-	m.seen[s] = true
-	moved := false
-	for i := 0; i < m.workers; i++ {
-		next, err := m.successors(s, i)
-		if err != nil {
-			return fmt.Errorf("%v (schedule %v)", err, append(trail, int8(i)))
-		}
-		for _, n := range next {
-			moved = true
-			if err := m.explore(n, append(trail, int8(i))); err != nil {
-				return err
-			}
-		}
-	}
-	if moved {
-		return nil
-	}
-	// Quiescent: no worker holds a task and no deque has one.
-	m.terminals++
+// quiescent checks a state no worker can leave: no worker holds a task and
+// no deque has one.
+func (m *scopeModel) quiescent(s mState) error {
 	want := int8(0)
 	for d, width := 0, int8(1); ; d++ {
 		want += width
@@ -219,17 +195,21 @@ func (m *scopeModel) explore(s mState, trail []int8) error {
 		width *= m.fan[d]
 	}
 	if s.ntasks != want {
-		return fmt.Errorf("quiescent with %d of %d tasks spawned (schedule %v)", s.ntasks, want, trail)
+		return fmt.Errorf("quiescent with %d of %d tasks spawned", s.ntasks, want)
 	}
 	if s.completes != 1 {
-		return fmt.Errorf("quiescent with complete fired %d times (schedule %v)", s.completes, trail)
+		return fmt.Errorf("quiescent with complete fired %d times", s.completes)
 	}
 	for c := int8(0); c < s.nscopes; c++ {
 		if s.refs[c] != 0 {
-			return fmt.Errorf("quiescent with scope %d at %d (schedule %v)", c, s.refs[c], trail)
+			return fmt.Errorf("quiescent with scope %d at %d", c, s.refs[c])
 		}
 	}
 	return nil
+}
+
+func (m *scopeModel) explorer() *explorer[mState] {
+	return &explorer[mState]{actors: m.workers, step: m.successors, final: m.quiescent}
 }
 
 func TestScopeModelExhaustive(t *testing.T) {
@@ -245,27 +225,19 @@ func TestScopeModelExhaustive(t *testing.T) {
 		{2, []int8{2, 2, 0}},
 	} {
 		t.Run(fmt.Sprintf("P=%d/fan=%v", tc.workers, tc.fan), func(t *testing.T) {
-			m := &scopeModel{workers: tc.workers, fan: tc.fan, seen: map[mState]bool{}}
-			if err := m.explore(m.initial(), nil); err != nil {
-				t.Fatal(err)
+			m := &scopeModel{workers: tc.workers, fan: tc.fan}
+			m.explorer().verify(t, m.initial())
+			if m.splits == 0 || m.takeovers == 0 {
+				t.Fatalf("the search reached %d splits and %d take-overs; want some of each", m.splits, m.takeovers)
 			}
-			if m.terminals == 0 || m.splits == 0 || m.takeovers == 0 {
-				t.Fatalf("the search reached %d quiescent states, %d splits and %d take-overs; want some of each", m.terminals, m.splits, m.takeovers)
-			}
-			t.Logf("%d states, %d quiescent", len(m.seen), m.terminals)
 		})
 	}
 }
 
 // The negative control: a protocol that moves the stolen task's count out
 // of the parent scope at the steal lets the parent reach zero — and the
-// run complete — while the stolen subtree still runs. The search must find
-// that schedule, or its passing above would mean little.
+// run complete — while the stolen subtree still runs.
 func TestScopeModelCatchesEarlyRelease(t *testing.T) {
-	m := &scopeModel{workers: 2, fan: []int8{2, 1, 0}, moveCount: true, seen: map[mState]bool{}}
-	err := m.explore(m.initial(), nil)
-	if err == nil {
-		t.Fatal("the broken protocol passed every schedule")
-	}
-	t.Log(err)
+	m := &scopeModel{workers: 2, fan: []int8{2, 1, 0}, moveCount: true}
+	m.explorer().refute(t, m.initial())
 }

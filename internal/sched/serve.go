@@ -1,24 +1,21 @@
 // Pool-as-a-service: the long-lived Serve/Submit engine.
 //
-// PRs 1–5 hardened a batch engine: Run(root) started the workers, ran one
-// root to completion behind a barrier, and shut them down. This file turns
-// the same workers into a persistent service. Serve(ctx) starts the
-// scheduling loops once and keeps them alive across submissions; Submit
-// may be called from any goroutine and enqueues a new root onto the
-// bounded injector shards (injector.go), which workers poll between local
-// pops and steals. Each submission carries its own run record — root
-// termination scope, abort cause, completion future — so cancellation, panic
-// isolation, the stall watchdog, and the chaos failpoints all apply per
-// submission instead of per batch. Run and RunContext are reimplemented on
-// top of the same session machinery (pool.go), so the entire pre-existing
-// test, chaos, and bench surface exercises this engine.
+// Serve(ctx) starts the scheduling loops once and keeps them alive across
+// submissions; Submit may be called from any goroutine and enqueues a new
+// root onto the bounded injector (injector.go), which workers poll between
+// local pops and steals. Each submission carries its own run record — root
+// termination scope, abort cause, completion future — so cancellation,
+// panic isolation, the stall watchdog, and the chaos failpoints all apply
+// per submission instead of per batch. Run and RunContext (pool.go) are the
+// same session with one submission, so the entire batch test, chaos, and
+// bench surface exercises this engine.
 //
 // The deviation from the paper's single-root model is bounded and
-// documented in DESIGN.md §10: every submission is the root of its own
-// fully-strict intra-task DAG executed through the deques, so the
-// structural lemma and the steal-bound analysis hold per submission; only
-// the arrival of roots is new, and it enters through queues (not deques)
-// the paper's deque invariants never speak about.
+// documented in DESIGN.md §7 ("The multi-root delta"): every submission is
+// the root of its own fully-strict intra-task DAG executed through the
+// deques, so the structural lemma and the steal-bound analysis hold per
+// submission; only the arrival of roots is new, and it enters through a
+// queue (not a deque) the paper's deque invariants never speak about.
 package sched
 
 import (
@@ -32,8 +29,8 @@ import (
 
 // Errors returned by Submit and Handle.Wait.
 var (
-	// ErrOverloaded reports that every injector shard was full at
-	// submission time and Config.Overload is ShedReject: the submission
+	// ErrOverloaded reports that the injector was full at submission
+	// time and Config.Overload is ShedReject: the submission
 	// was not enqueued and will never run. Rejection is the backpressure
 	// signal — a rejected submission is never silently dropped into a
 	// wedged Handle, it simply has no Handle.
@@ -53,8 +50,7 @@ type PanicError struct{ Value any }
 
 func (e PanicError) Error() string { return fmt.Sprintf("sched: task panicked: %v", e.Value) }
 
-// OverloadPolicy selects what Submit does when every injector shard is
-// full.
+// OverloadPolicy selects what Submit does when the injector is full.
 type OverloadPolicy uint8
 
 const (
@@ -113,14 +109,14 @@ type run struct {
 	// finished is closed when the submission ends either way; it is what
 	// Handle.Wait and the Run session controller block on.
 	finished chan struct{}
-	// stopWatch holds the cancel function of a SubmitContext submission's
-	// context.AfterFunc watcher; empty otherwise. Stored before the run is
-	// published to workers and called inside finishOnce; atomic because
-	// the submitter's store races the worker that pops, completes, and
-	// finishes the submission in the same instant. sc because the store
-	// sits inside the SubmitContext handshake carrier, whose store→load
-	// protocol abporder pins to full ordering.
-	stopWatch atomicx.SCPointer[func() bool]
+	// stopWatch holds the cancel function of the context.AfterFunc watcher
+	// of a submission with a cancellable context (watch); empty otherwise.
+	// Stored before the run is published to workers and called inside
+	// finishOnce; atomic because an abort from another goroutine (an engine
+	// failure, a session stop) may finish the submission while its
+	// submitter is still arming it. Publication ordering suffices: the
+	// finisher only calls what it loads.
+	stopWatch atomicx.PublishPointer[func() bool]
 	handle    Handle // what Submit returns a pointer to
 	root      Task   // carries &scope
 	_         [16]byte
@@ -164,6 +160,20 @@ func (r *run) abortWith(state int32, err error, panicVal any) {
 		close(r.abort)
 		close(r.finished)
 	})
+}
+
+// watch arms the submission's cancellation: when ctx is cancelled the
+// submission — and only it — aborts with ctx.Err(). It must run before the
+// root is published to workers: one may pop and complete the submission
+// the instant the push lands, and r's fields must be quiescent by then.
+func (r *run) watch(ctx context.Context) {
+	if ctx.Done() == nil {
+		return
+	}
+	stop := context.AfterFunc(ctx, func() {
+		r.abortWith(runCancelled, ctx.Err(), nil)
+	})
+	r.stopWatch.Store(&stop)
 }
 
 // Handle is the completion future of one submission.
@@ -214,84 +224,41 @@ func (h *Handle) Err() error {
 // e.g. an injected fault), every in-flight submission aborts with the
 // panic value and Serve re-panics with it, mirroring Run.
 //
-// A Pool runs one engine at a time: starting Serve while another Serve,
+// A Pool runs one session at a time: starting Serve while another Serve,
 // Run, or RunContext is in flight panics, exactly like overlapping Runs.
 func (p *Pool) Serve(ctx context.Context) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if !p.running.CompareAndSwap(false, true) {
-		panic("sched: Pool.Serve called concurrently with a run or serve already in flight on this pool (a Pool hosts one engine at a time)")
-	}
-	defer p.running.Store(false)
-	p.startSession(nil)
-	// This session's drain-request channel (drain.go), read under the same
-	// lock startSession published it under.
-	p.runMu.Lock()
-	drainReq := p.drainReq
-	p.runMu.Unlock()
+	p.enter("Serve")
+	s := p.startSession(nil)
+	// Open for business only now that the workers exist — and the start
+	// sweep is over, which would discard a submission pushed under it.
+	p.phase.Store(phaseServing)
 
-	stopAux := make(chan struct{})
-	var aux sync.WaitGroup
-	if p.cfg.StallTimeout > 0 {
-		aux.Add(1)
-		go func() {
-			defer aux.Done()
-			p.watchdog(stopAux)
-		}()
-	}
-
-	// Open for business only after the workers exist; Submit checks this
-	// flag before enqueueing.
-	p.serving.Store(true)
-
+	var err error
 	var failVal any
-	drained := false
 	select {
 	case <-ctx.Done():
-	case <-drainReq:
-		// A completed Drain (drain.go): admission is already closed and —
-		// unless the drain's deadline expired first — every accepted
-		// submission has completed, so the abort sweep below is a no-op on
-		// the happy path and exactly the ErrStopped fallback on expiry.
-		drained = true
-	case <-p.failCh:
-		// A worker loop died. failVal is safe to read after the channel
-		// close (engineFail writes it first).
-		failVal = p.failVal
+		err = ctx.Err()
+	case <-s.drainReq:
+		// A Drain (drain.go): admission is already closed and — unless the
+		// drain's deadline expired first — every accepted submission has
+		// completed, so endSession's abort is a no-op on the happy path
+		// and exactly the ErrStopped fallback on expiry.
+	case <-s.fail:
+		// A worker loop died; engineFail stored failVal before the close.
+		failVal = s.failVal
 	}
-	p.serving.Store(false)
-
-	// Abort whatever is still in flight. On engine failure engineFail
-	// already aborted the registered runs; this sweep also catches
-	// submissions that raced the serving flag. First abort wins, so a
-	// panic cause recorded earlier is preserved.
-	if failVal != nil {
-		p.abortAll(runPanicked, nil, failVal)
-	} else {
-		p.abortAll(runCancelled, ErrStopped, nil)
-	}
-	p.endSession()
-	close(stopAux)
-	aux.Wait()
-	// Quiescent: every worker has exited, so draining the deques, the
-	// injector shards, and the handoff slots is owner-safe. Leftover
-	// tasks all belong to aborted submissions; account them by cause.
-	p.drainByRun()
-	if failVal != nil {
-		panic(failVal)
-	}
-	if drained {
-		return nil
-	}
-	return ctx.Err()
+	p.endSession(s, failVal)
+	return err
 }
 
 // Submit enqueues fn as the root of a new submission and returns its
 // Handle. It is callable from any goroutine, including from tasks already
 // running on the pool. The returned Handle is nil exactly when the error
 // is non-nil: ErrNotServing if no Serve is in flight, ErrOverloaded if
-// every injector shard is full under the default ShedReject policy.
+// the injector is full under the default ShedReject policy.
 func (p *Pool) Submit(fn func(*Worker)) (*Handle, error) {
 	return p.SubmitContext(context.Background(), fn)
 }
@@ -302,38 +269,35 @@ func (p *Pool) Submit(fn func(*Worker)) (*Handle, error) {
 // Tasks of the submission already executing finish; tasks not yet started
 // are discarded and counted in Stats.TasksCancelled.
 //
+// Admission is two loads of the phase word around the push: the gate, and
+// a re-check that settles what a Drain or a stop did in between (drain.go
+// has the argument).
+//
 // The handshake directive makes abplint verify the producer half of the
 // injector's Dekker wake protocol end to end: the enqueue (pushInjector's
 // reservation CAS, visible to a parking worker's Len re-scan from that
 // instant) must dominate the signalWork scan of the parked flags. The
-// consumer half is park's existing store=parked load=anyVisibleWork
-// contract, whose re-scan now covers the injector shards.
+// consumer half is park's store=parked load=anyVisibleWork contract, whose
+// re-scan covers the injector.
 //
 //abp:handshake store=pushInjector load=signalWork
 func (p *Pool) SubmitContext(ctx context.Context, fn func(*Worker)) (*Handle, error) {
-	if !p.serving.Load() {
-		return nil, ErrNotServing
-	}
-	if p.draining.Load() {
+	switch p.phase.Load() {
+	case phaseServing:
+	case phaseDraining:
 		return nil, ErrDraining
+	default:
+		return nil, ErrNotServing
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	r := newRun(p, fn)
 	t := &r.root
-	// Arm the cancellation watcher before the task is published: a
-	// worker may pop and complete the submission the instant the push
-	// lands, and r's fields must be quiescent by then.
-	if ctx.Done() != nil {
-		stop := context.AfterFunc(ctx, func() {
-			r.abortWith(runCancelled, ctx.Err(), nil)
-		})
-		r.stopWatch.Store(&stop)
-	}
+	r.watch(ctx)
 	p.register(r)
 	if !p.pushInjector(t) {
-		// Every shard full: shed.
+		// Full: shed.
 		if p.cfg.Overload == ShedCallerRuns {
 			p.callerRuns.Add(1)
 			p.runOnCaller(t)
@@ -345,24 +309,25 @@ func (p *Pool) SubmitContext(ctx context.Context, fn func(*Worker)) (*Handle, er
 	}
 	p.submitted.Add(1)
 	p.signalWork()
-	if p.draining.Load() {
-		// A Drain closed admission between the gate above and the push.
-		// Its registry snapshot may or may not have seen this run, so the
-		// submission must not stand: abort it and report a rejection —
-		// never an accepted handle a drain then fails. (If the re-check
-		// instead finds no drain, the sc flag order guarantees the drain's
-		// snapshot runs after our register and waits for us; see drain.go.)
-		// The task carcass is discarded, and counted, at pop or drain time.
+	switch p.phase.Load() {
+	case phaseServing:
+		// No Drain's CAS and no stop came before this load, so whichever
+		// comes next reads the registry after our register: a Drain waits
+		// for this run, a stop aborts it.
+	case phaseDraining:
+		// A Drain closed admission between the gate and here. Its look at
+		// the registry may or may not have seen this run, so the submission
+		// must not stand: abort it and report a rejection — never an
+		// accepted handle a drain then fails. The task carcass is
+		// discarded, and counted, at pop or sweep time.
 		r.abortWith(runCancelled, ErrDraining, nil)
 		p.submitted.Add(-1)
 		p.rejected.Add(1)
 		return nil, ErrDraining
-	}
-	if !p.serving.Load() {
-		// The pool stopped serving between the check above and the push:
-		// the shutdown sweep may have missed this run. Abort it so its
-		// Handle can never wedge; the task carcass is discarded (and
-		// counted) when a later session pops or drains it.
+	default:
+		// The session stopped between the gate and here, and its abort of
+		// the registry may have missed this run. Abort it so its Handle can
+		// never wedge; the carcass goes the same way.
 		r.abortWith(runCancelled, ErrStopped, nil)
 	}
 	return &r.handle, nil
@@ -374,11 +339,13 @@ func (p *Pool) SubmitContext(ctx context.Context, fn func(*Worker)) (*Handle, er
 // completion before Submit returns (its Handle is already Done). The
 // ephemeral worker is not in Pool.workers: nothing steals from it and its
 // per-task counters are not folded into Stats — Stats.SubmitsCallerRun
-// counts the shed submissions themselves.
+// counts the shed submissions themselves. It may still have to wait — a
+// Join or a Group.Wait on work a pool worker holds — and then it helps like
+// any worker, stealing from the fleet's deques (stealOnce).
 func (p *Pool) runOnCaller(t *Task) {
 	w := &Worker{
 		pool: p,
-		id:   len(p.workers), // out of the victim range; never steals, never stolen from
+		id:   len(p.workers), // out of the victim range: never stolen from, excludes no victim
 		dq:   refuseDeque{},
 	}
 	w.exec(t, false)
@@ -401,14 +368,13 @@ func (p *Pool) register(r *run) {
 }
 
 // unregister removes a finished run. Called from finishOnce only. The
-// completion that empties the registry while a drain is waiting closes
-// the session's drainIdle channel (drain.go), exactly once.
+// completion that empties the registry while a drain is waiting signals it
+// (drain.go).
 func (p *Pool) unregister(r *run) {
 	p.runMu.Lock()
 	delete(p.active, r)
-	if len(p.active) == 0 && p.draining.Load() && !p.drainSignaled {
-		p.drainSignaled = true
-		close(p.drainIdle)
+	if len(p.active) == 0 && p.phase.Load() == phaseDraining {
+		p.sess.signalIdle()
 	}
 	p.runMu.Unlock()
 }
@@ -432,9 +398,11 @@ func (p *Pool) abortAll(state int32, err error, panicVal any) {
 // any one task — aborts every in-flight submission with it, and wakes the
 // session controller (Run's waiter or Serve's select). First failure wins.
 func (p *Pool) engineFail(v any) {
-	p.failOnce.Do(func() {
-		p.failVal = v
-		close(p.failCh)
-	})
+	p.runMu.Lock()
+	if s := p.sess; s.failVal == nil {
+		s.failVal = v
+		close(s.fail)
+	}
+	p.runMu.Unlock()
 	p.abortAll(runPanicked, nil, v)
 }

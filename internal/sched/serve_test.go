@@ -25,7 +25,7 @@ func startServing(t *testing.T, p *Pool) (stop func() error) {
 	go func() {
 		errCh <- p.Serve(ctx)
 	}()
-	waitFor(t, 10*time.Second, "pool to start serving", p.serving.Load)
+	waitFor(t, 10*time.Second, "pool to start serving", inPhase(p, phaseServing))
 	return func() error {
 		cancel()
 		select {
@@ -331,13 +331,13 @@ func plugWorkers(t *testing.T, p *Pool) func() {
 // drop — and every accepted submission still completes (never a wedged
 // Wait).
 func TestSubmitOverloadReject(t *testing.T) {
-	p := New(Config{Workers: 2, InjectorShards: 1, InjectorCapacity: 2})
+	p := New(Config{Workers: 2, InjectorCapacity: 2})
 	stop := startServing(t, p)
 	release := plugWorkers(t, p)
 
 	var done atomic.Int64
 	accepted := make([]*Handle, 0, 2)
-	for i := 0; i < 2; i++ { // fill the single two-slot shard
+	for i := 0; i < 2; i++ { // fill the two-slot injector
 		h, err := p.Submit(func(*Worker) { done.Add(1) })
 		if err != nil {
 			t.Fatalf("fill Submit %d: %v", i, err)
@@ -370,7 +370,7 @@ func TestSubmitOverloadReject(t *testing.T) {
 // the submitting goroutine — spawns and all, depth-first — and its Handle
 // is already resolved when Submit returns.
 func TestSubmitOverloadCallerRuns(t *testing.T) {
-	p := New(Config{Workers: 2, InjectorShards: 1, InjectorCapacity: 2, Overload: ShedCallerRuns})
+	p := New(Config{Workers: 2, InjectorCapacity: 2, Overload: ShedCallerRuns})
 	stop := startServing(t, p)
 	release := plugWorkers(t, p)
 
@@ -403,6 +403,78 @@ func TestSubmitOverloadCallerRuns(t *testing.T) {
 	release()
 	if err := stop(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Serve returned %v", err)
+	}
+}
+
+// A shed submission's root may have to wait for work a pool worker holds:
+// the caller-runs worker must help like any worker, though it has no
+// victim rng — a Wait or a Join on it reaches stealOnce, and a nil
+// dereference there would surface as a PanicError from the shed Handle.
+// The one pool worker is blocked on a gate with the awaited task still in
+// its deque, so the only way the shed root can return is to steal that
+// task and run it.
+func TestCallerRunsWorkerHelpsWhileItWaits(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		// fork makes the awaited task on the pool worker; the wait it
+		// returns is what the shed root then runs on the caller.
+		fork func(w *Worker, body func()) (wait func(*Worker))
+	}{
+		{"Group.Wait", func(w *Worker, body func()) func(*Worker) {
+			g := NewGroup()
+			g.Spawn(w, func(*Worker) { body() })
+			return g.Wait
+		}},
+		{"Future.Join", func(w *Worker, body func()) func(*Worker) {
+			f := Fork(w, func(*Worker) int { body(); return 7 })
+			return func(w *Worker) {
+				if got := f.Join(w); got != 7 {
+					t.Errorf("Join on the caller-runs worker = %d, want 7", got)
+				}
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := New(Config{Workers: 1, InjectorCapacity: 2, Overload: ShedCallerRuns})
+			stop := startServing(t, p)
+			gate := make(chan struct{})
+			forked := make(chan func(*Worker), 1)
+			var ran atomic.Int64
+			first, err := p.Submit(func(w *Worker) {
+				forked <- tc.fork(w, func() { ran.Add(1) })
+				<-gate
+			})
+			if err != nil {
+				t.Fatalf("Submit: %v", err)
+			}
+			wait := <-forked
+			for i := 0; i < 2; i++ { // fill the two-slot injector behind the blocked worker
+				if _, err := p.Submit(func(*Worker) {}); err != nil {
+					t.Fatalf("fill Submit %d: %v", i, err)
+				}
+			}
+			var shedID int
+			h, err := p.Submit(func(w *Worker) { shedID = w.ID(); wait(w) })
+			if err != nil {
+				t.Fatalf("caller-runs Submit: %v", err)
+			}
+			if err := h.Wait(); err != nil {
+				t.Fatalf("caller-runs Handle.Wait = %v", err)
+			}
+			if got := ran.Load(); got != 1 {
+				t.Fatalf("the awaited task ran %d times before the shed root returned, want 1", got)
+			}
+			if shedID != 1 {
+				t.Fatalf("caller-runs Worker.ID = %d, want MaxWorkers (1)", shedID)
+			}
+			close(gate)
+			if err := first.Wait(); err != nil {
+				t.Fatalf("first submission: Wait = %v", err)
+			}
+			if err := stop(); !errors.Is(err, context.Canceled) {
+				t.Fatalf("Serve returned %v", err)
+			}
+		})
 	}
 }
 

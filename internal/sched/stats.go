@@ -26,7 +26,7 @@ type Stats struct {
 	BackoffNanos   int64 // total time idle workers spent in backoff naps
 
 	// Service-mode counters (serve.go).
-	Submitted        int64 // submissions accepted onto the injector shards
+	Submitted        int64 // submissions accepted onto the injector
 	SubmitsRejected  int64 // submissions rejected (ErrOverloaded under ShedReject, or ErrDraining)
 	SubmitsCallerRun int64 // submissions shed to the caller (ShedCallerRuns)
 	InjectorBacklog  int64 // momentary injector occupancy at the Stats call

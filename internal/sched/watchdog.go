@@ -36,10 +36,12 @@ type StallReport struct {
 	Stalled time.Duration
 }
 
-// watchdog polls worker progress until stop closes, reporting stalls per
-// the package comment. It runs on its own goroutine, started by the
-// session controller (RunContext or Serve) when Config.StallTimeout > 0.
-func (p *Pool) watchdog(stop <-chan struct{}) {
+// watchdog polls worker progress until the session's quit closes,
+// reporting stalls per the file comment. It is one of the session's
+// goroutines — startSession starts it when Config.StallTimeout > 0 and
+// endSession joins it, like the fleet manager.
+func (p *Pool) watchdog(quit <-chan struct{}) {
+	defer p.wg.Done()
 	window := p.cfg.StallTimeout
 	interval := window / 4
 	if interval < time.Millisecond {
@@ -59,7 +61,7 @@ func (p *Pool) watchdog(stop <-chan struct{}) {
 	}
 	for {
 		select {
-		case <-stop:
+		case <-quit:
 			return
 		case now = <-ticker.C:
 		}
