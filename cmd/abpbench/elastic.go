@@ -30,12 +30,11 @@ import (
 // which must complete with every accepted submission intact.
 //
 // The -check flag gates the ladder phases against a committed snapshot
-// (BENCH_elastic.json) through the same comparator as the hotpath gate
-// (gate.go). Because the multi-worker phases' shape depends on the host's
-// core count, those rows need a baseline recorded at the same GOMAXPROCS and
-// read inconclusive without one; the single-worker phase — the whole
-// submit/spawn/steal/retire path at serial speed, core-count independent —
-// is gated unconditionally.
+// (BENCH_elastic.json) through gate (gate.go). Because the multi-worker
+// phases' shape depends on the host's core count, those rows need a baseline
+// recorded at the same GOMAXPROCS and read inconclusive without one; the
+// single-worker phase — the whole submit/spawn/steal/retire path at serial
+// speed, core-count independent — is gated unconditionally.
 
 type elasticPhaseRow struct {
 	Phase string `json:"phase"`
@@ -299,7 +298,7 @@ func elasticExperiment(nodeWork, reps int, outPath, checkPath string) {
 	fmt.Printf("drain: %v; resizes=%d workers-retired=%d; per-worker throughput is the gated column\n",
 		time.Duration(rep.DrainNs).Round(time.Microsecond), rep.Resizes, rep.Retired)
 
-	finish("elastic", outPath, checkPath, rep, elasticGate)
+	finish(outPath, checkPath, rep)
 }
 
 // elasticGate judges the ladder phases' per-worker ns/task against a

@@ -4,16 +4,17 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"time"
 )
 
-// The -check flag turns -experiment hotpath|elastic into a regression gate:
-// the run's gated figures are compared with a committed snapshot
-// (BENCH_<experiment>.json) and the process exits 1 if one slowed by more
-// than 10 %. Each experiment declares its gated columns as gateRows; gate is
-// the one comparator.
+// The -check flag turns -experiment elastic into a regression gate: the
+// run's gated figures are compared with a committed snapshot
+// (BENCH_elastic.json) and the process exits 1 if one slowed by more than
+// 10 %. The experiment declares its gated columns as gateRows; gate is the
+// comparator.
 
-// benchHost is what a snapshot records about the host it was taken on. Both
-// reports embed it, so its two fields sit at the top level of their JSON.
+// benchHost is what a snapshot records about the host it was taken on. The
+// report embeds it, so its two fields sit at the top level of the JSON.
 type benchHost struct {
 	GOMAXPROCS int `json:"gomaxprocs"`
 	// CalibrationNs is the ns/op of a fixed serial spin measured in the
@@ -21,6 +22,30 @@ type benchHost struct {
 	// from one machine remains a usable baseline on another (and uniform
 	// container slowdowns cancel out).
 	CalibrationNs float64 `json:"calibration_ns_per_op"`
+}
+
+// benchCalibrate times a fixed xorshift spin: a machine-speed yardstick
+// with the in-core, no-memory-traffic profile of the streams' task bodies.
+func benchCalibrate(reps int) float64 {
+	const iters = 1 << 22
+	best := 0.0
+	for r := 0; r < reps; r++ {
+		x := uint64(2463534242)
+		start := time.Now()
+		for i := 0; i < iters; i++ {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+		}
+		ns := float64(time.Since(start)) / float64(iters)
+		if x == 0 { // defeat dead-code elimination
+			panic("xorshift reached zero")
+		}
+		if r == 0 || ns < best {
+			best = ns
+		}
+	}
+	return best
 }
 
 // gateRow is one gated column: the same figure from this run and from the
@@ -84,14 +109,14 @@ func gate(cur, base benchHost, rows []gateRow) (ok bool, verdicts map[string]str
 	return ok, verdicts
 }
 
-// finish writes rep as the experiment's JSON snapshot and, when checkPath
-// names a baseline snapshot, judges rep against it and exits 1 on a
-// regression. A -check run without an explicit -out writes nothing: the
-// committed snapshot is the baseline being compared against, so the run that
-// judges it must not rewrite it.
-func finish[R any](experiment, outPath, checkPath string, rep R, judge func(cur, base R) (bool, map[string]string)) {
+// finish writes rep as the JSON snapshot and, when checkPath names a
+// baseline snapshot, judges rep against it and exits 1 on a regression. A
+// -check run without an explicit -out writes nothing: the committed snapshot
+// is the baseline being compared against, so the run that judges it must not
+// rewrite it.
+func finish(outPath, checkPath string, rep elasticReport) {
 	if outPath == "" && checkPath == "" {
-		outPath = "BENCH_" + experiment + ".json"
+		outPath = "BENCH_elastic.json"
 	}
 	if outPath != "" {
 		blob, err := json.MarshalIndent(rep, "", "  ")
@@ -113,13 +138,13 @@ func finish[R any](experiment, outPath, checkPath string, rep R, judge func(cur,
 		fmt.Fprintf(os.Stderr, "abpbench: read baseline %s: %v\n", checkPath, err)
 		os.Exit(2)
 	}
-	var base R
+	var base elasticReport
 	if err := json.Unmarshal(data, &base); err != nil {
 		fmt.Fprintf(os.Stderr, "abpbench: parse baseline %s: %v\n", checkPath, err)
 		os.Exit(2)
 	}
-	if ok, _ := judge(rep, base); !ok {
-		fmt.Fprintf(os.Stderr, "abpbench: %s regressed beyond 10%% of %s\n", experiment, checkPath)
+	if ok, _ := elasticGate(rep, base); !ok {
+		fmt.Fprintf(os.Stderr, "abpbench: elastic regressed beyond 10%% of %s\n", checkPath)
 		os.Exit(1)
 	}
 }

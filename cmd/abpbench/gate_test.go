@@ -33,26 +33,6 @@ func runGateCases(t *testing.T, cases []gateCase) {
 	}
 }
 
-func hotpathFixture() hotpathReport {
-	return hotpathReport{
-		Experiment: "hotpath",
-		benchHost:  benchHost{GOMAXPROCS: 2, CalibrationNs: 2},
-		Ops: []hotpathOpRow{
-			{Deque: "abp", PushPopNs: 15, StealNs: 14, MultiStealNs: 40},
-			{Deque: "chaselev", PushPopNs: 16, StealNs: 15, MultiStealNs: 42},
-		},
-		Contended: &hotpathContended{Thieves: 2, Producers: 2, SubmitNs: 500},
-	}
-}
-
-func hotpathCase(doctor func(cur, base *hotpathReport)) func() (bool, map[string]string) {
-	return func() (bool, map[string]string) {
-		cur, base := hotpathFixture(), hotpathFixture()
-		doctor(&cur, &base)
-		return hotpathGate(cur, base)
-	}
-}
-
 func elasticFixture() elasticReport {
 	return elasticReport{
 		Experiment: "elastic",
@@ -65,144 +45,83 @@ func elasticFixture() elasticReport {
 	}
 }
 
-func elasticCase(doctor func(cur *elasticReport)) func() (bool, map[string]string) {
+func elasticCase(doctor func(cur, base *elasticReport)) func() (bool, map[string]string) {
 	return func() (bool, map[string]string) {
-		cur := elasticFixture()
-		doctor(&cur)
-		return elasticGate(cur, elasticFixture())
+		cur, base := elasticFixture(), elasticFixture()
+		doctor(&cur, &base)
+		return elasticGate(cur, base)
 	}
 }
 
 const (
-	submitRow = "contended submit"
 	multiRow  = "elastic/P=4 per-worker ns/task"
 	singleRow = "elastic/P=1 per-worker ns/task"
 )
 
-// The hotpath rows are keyed by deque alone; each gated column — push+pop
-// and contended steal per deque, contended submit once — fails on its own
-// when it slows by more than the 10 % budget, and the ungated single-thief
-// steal column never does. Contended submit is inconclusive, not failed, when
-// the run's own reps spread wider than the budget.
-func TestHotpathCheck(t *testing.T) {
-	runGateCases(t, []gateCase{
-		{name: "identical", judge: hotpathCase(func(_, _ *hotpathReport) {}), want: true,
-			row: submitRow, verdict: verdictOK},
-		{name: "within budget", judge: hotpathCase(func(r, _ *hotpathReport) { r.Ops[0].PushPopNs *= 1.09 }), want: true,
-			row: "abp push+pop", verdict: verdictOK},
-		{name: "abp push+pop +11%", judge: hotpathCase(func(r, _ *hotpathReport) { r.Ops[0].PushPopNs *= 1.11 }),
-			row: "abp push+pop", verdict: verdictRegression},
-		{name: "chaselev push+pop +11%", judge: hotpathCase(func(r, _ *hotpathReport) { r.Ops[1].PushPopNs *= 1.11 }),
-			row: "chaselev push+pop", verdict: verdictRegression},
-		{name: "contended steal +11%", judge: hotpathCase(func(r, _ *hotpathReport) { r.Ops[1].MultiStealNs *= 1.11 }),
-			row: "chaselev contended steal", verdict: verdictRegression},
-		{name: "contended submit +11%", judge: hotpathCase(func(r, _ *hotpathReport) { r.Contended.SubmitNs *= 1.11 }),
-			row: submitRow, verdict: verdictRegression},
-		{name: "contended submit +11%, reps within the budget", judge: hotpathCase(func(r, _ *hotpathReport) {
-			r.Contended.SubmitNs *= 1.11
-			r.Contended.SubmitRepSpread = 0.10
-		}), row: submitRow, verdict: verdictRegression},
-		{name: "contended submit 2x, reps too far apart to tell", judge: hotpathCase(func(r, _ *hotpathReport) {
-			r.Contended.SubmitNs *= 2
-			r.Contended.SubmitRepSpread = 0.62
-		}), want: true, row: submitRow, verdict: verdictInconclusive},
-		{name: "wide submit reps excuse no other column", judge: hotpathCase(func(r, _ *hotpathReport) {
-			r.Contended.SubmitRepSpread = 0.62
-			r.Ops[0].PushPopNs *= 1.11
-		}), row: "abp push+pop", verdict: verdictRegression},
-		{name: "ungated steal column", judge: hotpathCase(func(r, _ *hotpathReport) { r.Ops[0].StealNs *= 3 }), want: true},
-		{name: "column absent in the run", judge: hotpathCase(func(r, _ *hotpathReport) { r.Ops[0].MultiStealNs = 0 }), want: true,
-			row: "abp contended steal"},
-		{name: "contended block absent in the run", judge: hotpathCase(func(r, _ *hotpathReport) { r.Contended = nil }), want: true,
-			row: submitRow},
-		{name: "deque absent from the baseline", judge: hotpathCase(func(r, _ *hotpathReport) {
-			r.Ops = append(r.Ops, hotpathOpRow{Deque: "other", PushPopNs: 1e6, MultiStealNs: 1e6})
-		}), want: true, row: "other push+pop"},
-		{name: "slower host, same ratio to its spin", judge: hotpathCase(func(r, _ *hotpathReport) {
-			r.CalibrationNs *= 2
-			for i := range r.Ops {
-				r.Ops[i].PushPopNs *= 2
-				r.Ops[i].MultiStealNs *= 2
-			}
-			r.Contended.SubmitNs *= 2
-		}), want: true},
-		{name: "faster host hiding a regression", judge: hotpathCase(func(r, _ *hotpathReport) {
-			r.CalibrationNs /= 2
-			r.Ops[0].PushPopNs *= 0.6 // raw ns fell, but 1.2x per spin
-		}), row: "abp push+pop", verdict: verdictRegression},
-	})
-}
-
-// A baseline that lacks a column (an older snapshot) gates nothing on it,
-// and one without a calibration spin falls back to raw nanoseconds.
-func TestHotpathCheckOlderBaselines(t *testing.T) {
-	runGateCases(t, []gateCase{
-		{name: "columns absent from the baseline", judge: hotpathCase(func(cur, old *hotpathReport) {
-			old.Ops[0].MultiStealNs = 0
-			old.Contended = nil
-			cur.Ops[0].MultiStealNs *= 5
-			cur.Contended.SubmitNs *= 5
-		}), want: true, row: "abp contended steal"},
-		{name: "baseline without calibration", judge: hotpathCase(func(cur, raw *hotpathReport) {
-			raw.CalibrationNs = 0
-			cur.CalibrationNs = 4 // would halve every normalized figure if honoured
-			cur.Ops[0].PushPopNs *= 1.11
-		}), row: "abp push+pop", verdict: verdictRegression},
-	})
-}
-
-// The ladder phases are gated per worker-ns/task; the churn phase is
-// reported only, and a multi-worker phase is inconclusive — printed, never a
-// failure — against a baseline from a host with a different GOMAXPROCS.
+// The ladder phases are gated per worker-ns/task, each failing on its own
+// when it slows by more than the 10 % budget per calibration spin; the churn
+// phase is reported only. A phase is inconclusive — printed, never a failure
+// — when the run's own reps spread wider than the budget, and a multi-worker
+// phase also against a baseline from a host with a different GOMAXPROCS. A
+// figure absent on either side (an older snapshot, a new phase) gates
+// nothing, and a baseline without a calibration spin is compared in raw ns.
 func TestElasticCheck(t *testing.T) {
 	runGateCases(t, []gateCase{
-		{name: "identical", judge: elasticCase(func(*elasticReport) {}), want: true,
+		{name: "identical", judge: elasticCase(func(_, _ *elasticReport) {}), want: true,
 			row: multiRow, verdict: verdictOK},
-		{name: "single-worker phase +11%", judge: elasticCase(func(r *elasticReport) { r.Phases[0].PerWorkerNs *= 1.11 }),
+		{name: "within budget", judge: elasticCase(func(r, _ *elasticReport) { r.Phases[0].PerWorkerNs *= 1.09 }), want: true,
+			row: singleRow, verdict: verdictOK},
+		{name: "single-worker phase +11%", judge: elasticCase(func(r, _ *elasticReport) { r.Phases[0].PerWorkerNs *= 1.11 }),
 			row: singleRow, verdict: verdictRegression},
-		{name: "multi-worker phase +11%", judge: elasticCase(func(r *elasticReport) { r.Phases[1].PerWorkerNs *= 1.11 }),
+		{name: "multi-worker phase +11%", judge: elasticCase(func(r, _ *elasticReport) { r.Phases[1].PerWorkerNs *= 1.11 }),
 			row: multiRow, verdict: verdictRegression},
-		{name: "churn phase is not gated", judge: elasticCase(func(r *elasticReport) { r.Phases[2].PerWorkerNs *= 3 }), want: true,
+		{name: "churn phase is not gated", judge: elasticCase(func(r, _ *elasticReport) { r.Phases[2].PerWorkerNs *= 3 }), want: true,
 			row: "elastic/churn per-worker ns/task"},
-		{name: "multi-worker phase on a different host shape", judge: elasticCase(func(r *elasticReport) {
+		{name: "multi-worker phase on a different host shape", judge: elasticCase(func(r, _ *elasticReport) {
 			r.GOMAXPROCS = 8
 			r.Phases[1].PerWorkerNs *= 3
 		}), want: true, row: multiRow, verdict: verdictInconclusive},
-		{name: "single-worker phase still gated across host shapes", judge: elasticCase(func(r *elasticReport) {
+		{name: "single-worker phase still gated across host shapes", judge: elasticCase(func(r, _ *elasticReport) {
 			r.GOMAXPROCS = 8
 			r.Phases[0].PerWorkerNs *= 1.11
 		}), row: singleRow, verdict: verdictRegression},
-		{name: "phase absent from the baseline", judge: elasticCase(func(r *elasticReport) {
+		{name: "+11%, reps within the budget", judge: elasticCase(func(r, _ *elasticReport) {
+			r.Phases[1].PerWorkerNs *= 1.11
+			r.Phases[1].RepSpread = 0.10
+		}), row: multiRow, verdict: verdictRegression},
+		{name: "2x, reps too far apart to tell", judge: elasticCase(func(r, _ *elasticReport) {
+			r.Phases[1].PerWorkerNs *= 2
+			r.Phases[1].RepSpread = 0.62
+		}), want: true, row: multiRow, verdict: verdictInconclusive},
+		{name: "wide reps excuse no other phase", judge: elasticCase(func(r, _ *elasticReport) {
+			r.Phases[1].RepSpread = 0.62
+			r.Phases[0].PerWorkerNs *= 1.11
+		}), row: singleRow, verdict: verdictRegression},
+		{name: "phase absent from the run", judge: elasticCase(func(r, _ *elasticReport) { r.Phases[1].PerWorkerNs = 0 }), want: true,
+			row: multiRow},
+		{name: "phase absent from the baseline", judge: elasticCase(func(r, _ *elasticReport) {
 			r.Phases = append(r.Phases, elasticPhaseRow{Phase: "P=16", Workers: 16, PerWorkerNs: 1e6})
 		}), want: true, row: "elastic/P=16 per-worker ns/task"},
-		{name: "slower host, same ratio to its spin", judge: elasticCase(func(r *elasticReport) {
+		{name: "slower host, same ratio to its spin", judge: elasticCase(func(r, _ *elasticReport) {
 			r.CalibrationNs *= 2
 			r.Phases[0].PerWorkerNs *= 2
 			r.Phases[1].PerWorkerNs *= 2
 		}), want: true},
+		{name: "faster host hiding a regression", judge: elasticCase(func(r, _ *elasticReport) {
+			r.CalibrationNs /= 2
+			r.Phases[0].PerWorkerNs *= 0.6 // raw ns fell, but 1.2x per spin
+		}), row: singleRow, verdict: verdictRegression},
+		{name: "baseline without calibration", judge: elasticCase(func(cur, raw *elasticReport) {
+			raw.CalibrationNs = 0
+			cur.CalibrationNs = 4 // would halve every normalized figure if honoured
+			cur.Phases[0].PerWorkerNs *= 1.11
+		}), row: singleRow, verdict: verdictRegression},
 	})
 }
 
-// The committed snapshots must parse into the schema the gates key on, be
-// taken on a host that grants parallelism, and gate clean against
-// themselves.
+// The committed snapshot must parse into the schema the gate keys on, be
+// taken on a host that grants parallelism, and gate clean against itself.
 func TestCommittedSnapshotsSelfCheck(t *testing.T) {
-	var hp hotpathReport
-	readSnapshot(t, "../../BENCH_hotpath.json", &hp)
-	if len(hp.Ops) == 0 {
-		t.Fatal("BENCH_hotpath.json has no ops rows")
-	}
-	seen := map[string]bool{}
-	for _, row := range hp.Ops {
-		if row.Deque == "" || seen[row.Deque] {
-			t.Fatalf("BENCH_hotpath.json ops rows are not one per deque: %+v", hp.Ops)
-		}
-		seen[row.Deque] = true
-	}
-	if ok, _ := hotpathGate(hp, hp); !ok {
-		t.Fatal("BENCH_hotpath.json fails its own gate")
-	}
-
 	var el elasticReport
 	readSnapshot(t, "../../BENCH_elastic.json", &el)
 	if len(el.Phases) == 0 {

@@ -1,10 +1,11 @@
 // Command abpbench runs the native (real goroutine) experiments the
 // repository's benchmark does not: speedup curves on dag workloads, the
 // same dag under background spinners, the frozen-worker chaos sweep, and
-// the two snapshot-gated experiments (the deque hot path and the elastic
-// fleet). The Pool path itself — fork-join, multiprogramming, Serve, idle
-// cost — is measured by benchmark/ (BENCHMARK.json), and the paper's
-// adversaries live in the instruction-level simulator (cmd/abpsim).
+// the snapshot-gated elastic fleet. The Pool path itself — fork-join,
+// multiprogramming, Serve, idle cost — and the deque operations are
+// measured by benchmark/ (BENCHMARK.json: the five workloads, deque.*_ns),
+// and the paper's adversaries live in the instruction-level simulator
+// (cmd/abpsim).
 //
 // Examples:
 //
@@ -12,8 +13,6 @@
 //	abpbench -experiment contention
 //	abpbench -experiment chaos
 //	abpbench -experiment chaos -faults 'deque.popTop.beforeCAS=delay:p=0.01:d=200us'
-//	abpbench -experiment hotpath
-//	abpbench -experiment hotpath -check BENCH_hotpath.json
 //	abpbench -experiment elastic
 //	abpbench -experiment elastic -check BENCH_elastic.json
 package main
@@ -35,13 +34,13 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("experiment", "speedup", "speedup|contention|chaos|hotpath|elastic")
+		exp      = flag.String("experiment", "speedup", "speedup|contention|chaos|elastic")
 		nodeWork = flag.Int("nodework", 2000, "synthetic work per dag node (spin iterations)")
 		reps     = flag.Int("reps", 3, "repetitions per configuration (best time kept)")
 		stats    = flag.Bool("stats", false, "print the scheduler counter table (parks, wakes, backoff, ...) after each -experiment chaos row")
 		faults   = flag.String("faults", "", "fault spec to arm for -experiment chaos (default: the ABP_FAULTS environment variable)")
-		out      = flag.String("out", "", "JSON snapshot path (default BENCH_<experiment>.json) for -experiment hotpath|elastic; with -check, nothing is written unless -out is given")
-		check    = flag.String("check", "", "baseline BENCH_<experiment>.json to gate -experiment hotpath|elastic against (exit 1 on a >10% regression)")
+		out      = flag.String("out", "", "JSON snapshot path (default BENCH_elastic.json) for -experiment elastic; with -check, nothing is written unless -out is given")
+		check    = flag.String("check", "", "baseline BENCH_elastic.json to gate -experiment elastic against (exit 1 on a >10% regression)")
 	)
 	flag.Parse()
 
@@ -52,8 +51,6 @@ func main() {
 		contention(*nodeWork, *reps)
 	case "chaos":
 		chaos(*reps, *faults, *stats)
-	case "hotpath":
-		hotpathExperiment(*reps, *out, *check)
 	case "elastic":
 		elasticExperiment(*nodeWork, *reps, *out, *check)
 	default:

@@ -10,8 +10,7 @@
 // Usage:
 //
 //	go run ./cmd/abplint [-only abpwait,abprace] [-list] [-json]
-//	                     [-sarif file] [-baseline file]
-//	                     [-write-baseline file] [-unused-ignores]
+//	                     [-sarif file] [-unused-ignores]
 //	                     [-C dir] [packages]
 //
 // Packages default to ./... . Test files and testdata directories are not
@@ -24,9 +23,7 @@
 // directive — //abp:ignore for the suite, or the analyzer-specific
 // //abp:race-ignore, //abp:order-ignore, //abp:layout-ignore, and
 // //abp:wait-ignore forms (see package internal/lint); -unused-ignores
-// reports directives that no longer suppress anything, -baseline drops
-// findings recorded in a previous report, and -write-baseline records the
-// current findings as that report.
+// reports directives that no longer suppress anything.
 package main
 
 import (

@@ -80,7 +80,6 @@ func TestExitOperationalErrorIsTwo(t *testing.T) {
 		{"unknown analyzer", []string{"-only", "nosuch", "."}, "unknown analyzer"},
 		{"bad flag", []string{"-definitely-not-a-flag"}, "flag provided but not defined"},
 		{"load failure", []string{"./no/such/dir"}, "abplint:"},
-		{"missing baseline", []string{"-baseline", filepath.Join(t.TempDir(), "absent.json"), "."}, "abplint:"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -272,75 +271,6 @@ func TestLivenessFindingsFlowThrough(t *testing.T) {
 	if waitFindings < 2 {
 		t.Fatalf("abpwait findings = %d, want >= 2 (naked wait and missed signal): %+v",
 			waitFindings, rep.Findings)
-	}
-}
-
-func TestBaselineSuppressesKnownFindings(t *testing.T) {
-	// First run records the findings; the second, given that record as a
-	// baseline, exits clean.
-	_, stdout, _ := runCLI(t, "-json", "-C", seededDir, ".")
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	if err := os.WriteFile(path, []byte(stdout), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	code, out, stderr := runCLI(t, "-baseline", path, "-C", seededDir, ".")
-	if code != 0 {
-		t.Fatalf("baselined run: exit = %d, want 0; stderr: %s", code, stderr)
-	}
-	if out != "" {
-		t.Errorf("baselined run still printed findings: %q", out)
-	}
-}
-
-func TestWriteBaselineRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "baseline.json")
-
-	// Recording exits 0 even though findings exist: refreshing a baseline
-	// is an accept-the-world operation, not a failed check.
-	code, stdout, stderr := runCLI(t, "-write-baseline", path, "-C", seededDir, ".")
-	if code != 0 {
-		t.Fatalf("write-baseline run: exit = %d, want 0; stderr: %s", code, stderr)
-	}
-	if stdout != "" {
-		t.Errorf("write-baseline run printed findings: %q", stdout)
-	}
-	if !strings.Contains(stderr, "wrote baseline with 1 finding(s)") {
-		t.Errorf("summary missing from stderr: %q", stderr)
-	}
-
-	// The file is the -json Report format with the expected finding.
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep lint.Report
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("baseline file does not parse as a Report: %v\n%s", err, data)
-	}
-	if len(rep.Findings) != 1 || rep.Findings[0].Analyzer != "mustcheck" {
-		t.Fatalf("unexpected baseline contents: %+v", rep.Findings)
-	}
-
-	// Round trip: feeding the written baseline back suppresses everything.
-	code, stdout, stderr = runCLI(t, "-baseline", path, "-C", seededDir, ".")
-	if code != 0 {
-		t.Fatalf("baselined run: exit = %d, want 0; stderr: %s", code, stderr)
-	}
-	if stdout != "" {
-		t.Errorf("baselined run still printed findings: %q", stdout)
-	}
-}
-
-func TestWriteBaselineIncompatibleWithBaseline(t *testing.T) {
-	dir := t.TempDir()
-	code, _, stderr := runCLI(t,
-		"-write-baseline", filepath.Join(dir, "new.json"),
-		"-baseline", filepath.Join(dir, "old.json"), ".")
-	if code != 2 {
-		t.Fatalf("exit = %d, want 2; stderr: %s", code, stderr)
-	}
-	if !strings.Contains(stderr, "cannot be combined with -baseline") {
-		t.Errorf("stderr %q does not explain the flag conflict", stderr)
 	}
 }
 

@@ -57,7 +57,7 @@ func runAbpRace(pass *Pass) error {
 		return nil // no go statements: one context, nothing is concurrent
 	}
 	// One finding per location (the first unordered conflicting pair)
-	// keeps output and baselines stable.
+	// keeps output stable.
 	for _, v := range f.vars {
 		if x, y, rx, ry := f.unorderedPair(f.accesses[v], false, true); x != nil {
 			reportRace(pass, x, y, rx, ry)

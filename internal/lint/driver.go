@@ -30,10 +30,8 @@ func (t *Tool) Main(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	only := fs.String("only", "", "comma-separated subset of analyzers to run (default all)")
 	list := fs.Bool("list", false, "list available analyzers and exit")
-	jsonOut := fs.Bool("json", false, "write findings to stdout as a JSON report (the -baseline input format)")
+	jsonOut := fs.Bool("json", false, "write findings to stdout as a JSON report")
 	sarifPath := fs.String("sarif", "", "write findings as SARIF 2.1.0 to this `file` (\"-\" for stdout)")
-	baselinePath := fs.String("baseline", "", "drop findings recorded in this baseline `file` (a previous -json report)")
-	writeBaseline := fs.String("write-baseline", "", "write the current findings to this `file` as a baseline and exit 0")
 	unusedIgnores := fs.Bool("unused-ignores", false, "also report stale ignore directives addressed to the analyzers that ran")
 	dir := fs.String("C", ".", "load packages as if launched from `dir`")
 	fs.Usage = func() {
@@ -54,10 +52,6 @@ func (t *Tool) Main(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "%-12s %s\n", a.Name, a.Doc)
 		}
 		return 0
-	}
-	if *writeBaseline != "" && *baselinePath != "" {
-		fmt.Fprintf(stderr, "%s: -write-baseline refreshes a baseline from scratch and cannot be combined with -baseline\n", t.Name)
-		return 2
 	}
 	if *only != "" {
 		byName := map[string]*Analyzer{}
@@ -136,34 +130,6 @@ func (t *Tool) Main(args []string, stdout, stderr io.Writer) int {
 		}
 		return a.Analyzer < b.Analyzer
 	})
-
-	if *writeBaseline != "" {
-		f, err := os.Create(*writeBaseline)
-		if err != nil {
-			fmt.Fprintf(stderr, "%s: %v\n", t.Name, err)
-			return 2
-		}
-		if err := WriteJSON(f, findings); err != nil {
-			f.Close()
-			fmt.Fprintf(stderr, "%s: %v\n", t.Name, err)
-			return 2
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(stderr, "%s: %v\n", t.Name, err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "%s: wrote baseline with %d finding(s) to %s\n", t.Name, len(findings), *writeBaseline)
-		return 0
-	}
-
-	if *baselinePath != "" {
-		baseline, err := ReadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintf(stderr, "%s: %v\n", t.Name, err)
-			return 2
-		}
-		findings = baseline.Filter(findings)
-	}
 
 	if *jsonOut {
 		if err := WriteJSON(stdout, findings); err != nil {

@@ -5,16 +5,14 @@ import (
 	"fmt"
 	"go/token"
 	"io"
-	"os"
 	"path/filepath"
 	"strings"
 )
 
 // This file is abplint's machine-readable output layer: a position-resolved
-// Finding record, a JSON report (which doubles as the -baseline file
-// format), and a minimal SARIF 2.1.0 emitter for code-scanning upload. The
-// emitters live in the library, not the command, so tests can round-trip
-// them without spawning processes.
+// Finding record, a JSON report, and a minimal SARIF 2.1.0 emitter for
+// code-scanning upload. The emitters live in the library, not the command,
+// so tests can round-trip them without spawning processes.
 
 // A Finding is one diagnostic resolved to a concrete location. File is
 // slash-separated and relative to the module root when the position falls
@@ -54,7 +52,7 @@ func relPath(root, file string) string {
 	return filepath.ToSlash(file)
 }
 
-// A Report is the JSON document -json emits and -baseline consumes.
+// A Report is the JSON document -json emits.
 type Report struct {
 	Findings []Finding `json:"findings"`
 }
@@ -64,53 +62,6 @@ func WriteJSON(w io.Writer, findings []Finding) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(Report{Findings: findings})
-}
-
-// --- Baseline ---
-
-// A baselineKey identifies a finding across runs. Line and column are
-// deliberately excluded: unrelated edits shift them, and a baseline that
-// churns on every edit gets deleted, not maintained.
-type baselineKey struct {
-	analyzer, file, message string
-}
-
-// A Baseline is a set of previously accepted findings, read from a file in
-// the -json Report format. Findings matching the baseline are dropped from
-// output and do not affect the exit status.
-type Baseline struct {
-	keys map[baselineKey]bool
-}
-
-// ReadBaseline loads a baseline file written by -json.
-func ReadBaseline(path string) (*Baseline, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var rep Report
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return nil, fmt.Errorf("baseline %s: %v", path, err)
-	}
-	b := &Baseline{keys: map[baselineKey]bool{}}
-	for _, f := range rep.Findings {
-		b.keys[baselineKey{f.Analyzer, f.File, f.Message}] = true
-	}
-	return b, nil
-}
-
-// Filter returns the findings not covered by the baseline.
-func (b *Baseline) Filter(findings []Finding) []Finding {
-	if b == nil {
-		return findings
-	}
-	var kept []Finding
-	for _, f := range findings {
-		if !b.keys[baselineKey{f.Analyzer, f.File, f.Message}] {
-			kept = append(kept, f)
-		}
-	}
-	return kept
 }
 
 // --- SARIF ---

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"go/token"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -66,58 +65,6 @@ func TestWriteJSONRoundTrip(t *testing.T) {
 		if rep.Findings[i] != in[i] {
 			t.Errorf("finding %d: got %+v, want %+v", i, rep.Findings[i], in[i])
 		}
-	}
-}
-
-func TestBaselineFilter(t *testing.T) {
-	accepted := []Finding{
-		{Analyzer: "mustcheck", File: "a.go", Line: 10, Column: 2, Message: "old finding"},
-	}
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, accepted); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	b, err := ReadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	kept := b.Filter([]Finding{
-		// Same analyzer+file+message at a shifted line: still baselined.
-		{Analyzer: "mustcheck", File: "a.go", Line: 99, Column: 1, Message: "old finding"},
-		// New message: survives the filter.
-		{Analyzer: "mustcheck", File: "a.go", Line: 11, Column: 2, Message: "new finding"},
-		// Same message in another file: survives.
-		{Analyzer: "mustcheck", File: "b.go", Line: 10, Column: 2, Message: "old finding"},
-	})
-	if len(kept) != 2 {
-		t.Fatalf("Filter kept %d findings, want 2: %v", len(kept), kept)
-	}
-	if kept[0].Message != "new finding" || kept[1].File != "b.go" {
-		t.Errorf("Filter kept the wrong findings: %v", kept)
-	}
-
-	// A nil baseline passes everything through.
-	var nb *Baseline
-	if got := nb.Filter(accepted); len(got) != 1 {
-		t.Errorf("nil baseline filtered findings: %v", got)
-	}
-}
-
-func TestReadBaselineErrors(t *testing.T) {
-	if _, err := ReadBaseline(filepath.Join(t.TempDir(), "absent.json")); err == nil {
-		t.Error("ReadBaseline on a missing file: want error, got nil")
-	}
-	bad := filepath.Join(t.TempDir(), "bad.json")
-	if err := os.WriteFile(bad, []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadBaseline(bad); err == nil {
-		t.Error("ReadBaseline on malformed JSON: want error, got nil")
 	}
 }
 

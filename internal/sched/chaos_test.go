@@ -131,7 +131,7 @@ func TestChaosMutexDequeControlStalls(t *testing.T) {
 	const pt = "mutexdeque.popTop.locked" // registered in internal/deque
 	fault.Enable(pt, fault.Rule{Action: fault.ActionSuspend, OneShot: true})
 	const tasks = 500
-	p := New(Config{Workers: 2, Deque: DequeMutex})
+	p := New(Config{Workers: 2, Deque: dequeMutex})
 	var count atomic.Int64
 	done := make(chan struct{})
 	go func() {
@@ -208,16 +208,16 @@ func TestChaosLoopPanicTerminatesRun(t *testing.T) {
 	}
 }
 
-// Regression test for the drain bug: an abort that fires before worker 0
-// consumes the root handoff slot used to leave the stale root there, and
-// the next Run would execute it as a ghost. drainDeques must clear the
-// handoff and count it in TasksDropped.
+// Regression test for the drain bug: an abort that fires before any worker
+// takes a root that a refused push handed off used to leave the stale root
+// there, and the next Run would execute it as a ghost. The start sweep must
+// clear it and count it in TasksDropped.
 func TestPoolReuseAfterAbortDropsStaleHandoff(t *testing.T) {
 	defer fault.Reset()
 	p := New(Config{Workers: 1})
 	p.workers[0].dq = &rejectFirstPush{Dequer: p.workers[0].dq}
-	// Crash the worker loop at entry — after submitRoot parked the refused
-	// root in the handoff slot, before the loop consumes it.
+	// Crash the worker loop at entry — after startSession handed the refused
+	// root to the injector, before the loop polls it.
 	fault.Enable(fpLoopEnter, fault.Rule{Action: fault.ActionPanic, OneShot: true})
 	var stale atomic.Int64
 	var recovered any
@@ -228,8 +228,8 @@ func TestPoolReuseAfterAbortDropsStaleHandoff(t *testing.T) {
 	if ip, ok := recovered.(fault.InjectedPanic); !ok || ip.Point != fpLoopEnter {
 		t.Fatalf("recovered %v, want InjectedPanic at %s", recovered, fpLoopEnter)
 	}
-	if p.workers[0].handoff.Get() == nil {
-		t.Fatal("test premise broken: the aborted run did not strand a root in the handoff slot")
+	if p.inject.Len() != 1 {
+		t.Fatal("test premise broken: the aborted run did not strand a root in the injector")
 	}
 	dropped0 := p.Stats().TasksDropped
 	var count atomic.Int64
@@ -456,8 +456,8 @@ func TestChaosSuspendedThiefMidInjectorPoll(t *testing.T) {
 // be invisible to signalWork — not counted idle, parked flag never set —
 // so a submission arriving mid-nap waited out the rest of the sleep
 // instead of being picked up immediately. The unified park path publishes
-// the idle count and parked flag for naps too; this test freezes the
-// worker in the nap window (flags published, sleep not begun) and proves a
+// the idle count and status for naps too; this test freezes the
+// worker in the nap window (both published, sleep not begun) and proves a
 // Submit finds it signallable and its wake token cuts the nap short.
 func TestChaosBackoffNapVisibleToSignal(t *testing.T) {
 	defer fault.Reset()
@@ -470,13 +470,12 @@ func TestChaosBackoffNapVisibleToSignal(t *testing.T) {
 		return fault.Suspended(fpBackoffBeforeSleep) == 1
 	})
 	// The fix under test: mid-backoff the worker is visible to producers —
-	// counted idle and flying its parked flag — exactly like a fully
-	// parked one.
+	// counted idle and reading idle — exactly like a fully parked one.
 	if got := p.idle.Load(); got < 1 {
 		t.Fatalf("idle count = %d with a worker in the backoff window, want >= 1", got)
 	}
-	if !p.workers[0].parked.Load() {
-		t.Fatal("parked flag down in the backoff window: the napping worker is invisible to signalWork")
+	if !isIdle(p.workers[0]) {
+		t.Fatal("status not idle in the backoff window: the napping worker is invisible to signalWork")
 	}
 
 	wakes0 := p.Stats().Wakes

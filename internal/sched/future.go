@@ -1,8 +1,6 @@
 package sched
 
 import (
-	"runtime"
-
 	"worksteal/internal/atomicx"
 )
 
@@ -156,8 +154,8 @@ func (f *Future[T]) runTask(w *Worker) {
 
 // Join returns the future's result, helping to run other tasks until it is
 // available. It must be called from a task running on the pool (pass the
-// current worker). When no runnable work is visible anywhere, Join blocks
-// on a channel it installs in the future rather than spinning — the same
+// current worker). When no deque holds work it could take (settle), Join
+// blocks on a channel it installs in the future rather than spinning — the same
 // park-instead-of-spin discipline as the worker loop (lifecycle.go) — and
 // is woken by the forked task's completion or, if the joiner's submission
 // aborts (another of its tasks panicked, its context was cancelled, the
@@ -183,20 +181,9 @@ func (f *Future[T]) Join(w *Worker) T {
 			w.execOrDrop(t, stolen)
 			continue
 		}
-		// No runnable work found. If some deque still appears non-empty a
-		// retry may find it; otherwise the forked task (or an ancestor it
-		// waits on) is running on another worker and blocking is safe and
-		// cheap — after one more yield, which usually lets that worker
-		// finish and spares the channel.
-		if w.anyVisibleWork() {
-			runtime.Gosched()
-			continue
+		if w.settle() {
+			f.block(r)
 		}
-		runtime.Gosched()
-		if f.Done() || w.anyVisibleWork() {
-			continue
-		}
-		f.block(r)
 	}
 	return f.result
 }

@@ -18,7 +18,7 @@ func TestRunGraphAllWorkloads(t *testing.T) {
 	deques := []struct {
 		name string
 		kind DequeKind
-	}{{"abp", DequeABP}, {"chaselev", DequeChaseLev}, {"mutex", DequeMutex}}
+	}{{"abp", DequeABP}, {"chaselev", DequeChaseLev}, {"mutex", dequeMutex}}
 	workerCounts := []int{1, 2, 4, 8}
 	if m := 4 * runtime.GOMAXPROCS(0); m > 8 {
 		workerCounts = append(workerCounts, m)
@@ -102,7 +102,7 @@ func TestRunGraphFigure1(t *testing.T) {
 
 func TestRunGraphMutexDeque(t *testing.T) {
 	g := workload.FibDag(12)
-	res := RunGraph(GraphConfig{Graph: g, Workers: 4, Deque: DequeMutex, Seed: 2})
+	res := RunGraph(GraphConfig{Graph: g, Workers: 4, Deque: dequeMutex, Seed: 2})
 	if res.NodesExecuted != int64(g.NumNodes()) {
 		t.Fatalf("executed %d of %d", res.NodesExecuted, g.NumNodes())
 	}

@@ -1,8 +1,6 @@
 package sched
 
 import (
-	"runtime"
-
 	"worksteal/internal/atomicx"
 )
 
@@ -125,11 +123,9 @@ func (g *Group) Wait(w *Worker) {
 			w.execOrDrop(t, stolen)
 			continue
 		}
-		if w.anyVisibleWork() {
-			runtime.Gosched()
-			continue
+		if w.settle() {
+			g.block(r)
 		}
-		g.block(r)
 	}
 }
 

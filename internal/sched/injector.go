@@ -178,7 +178,7 @@ func (q *injector) TryPop() *Task {
 // cells whose publication is still in flight. Like deque.Dequer.Len it is
 // read with atomic loads so the parking protocol's pre-block re-scan
 // (Worker.anyVisibleWork) gets sequentially consistent visibility of any
-// reservation that precedes a parked-flag read.
+// reservation that precedes a status-word read.
 func (q *injector) Len() int {
 	e, d := q.enq.Load(), q.deq.Load()
 	if e <= d {

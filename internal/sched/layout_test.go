@@ -26,47 +26,47 @@ func TestInjectorLayoutPins(t *testing.T) {
 	}
 }
 
-// TestWorkerLayoutPins asserts the parked flag — the word every
-// producer's signalWork scans — is isolated from both the cold
-// per-worker wiring before it and the owner-hot progress/stat counters
-// after it, and that the owner's plain per-task state is clear of
-// everything other workers read.
+// TestWorkerLayoutPins asserts the status word — which every producer's
+// signalWork scans, parkers CAS, and Resize arbitrates retirement on — has
+// a cache line to itself, clear of the wiring every thief reads and of the
+// block only the owner writes, and that the owner's block starts on a line
+// boundary with both free-list heads on its first line.
 func TestWorkerLayoutPins(t *testing.T) {
 	var w Worker
-	parked := unsafe.Offsetof(w.parked)
-	parkCh := unsafe.Offsetof(w.parkCh)
+	status := unsafe.Offsetof(w.status)
 	scope := unsafe.Offsetof(w.scope)
-	progress := unsafe.Offsetof(w.progress)
-	tasksRun := unsafe.Offsetof(w.tasksRun)
-	if layoutLine(parked) == layoutLine(parkCh) || layoutLine(parked) == layoutLine(scope) {
-		t.Errorf("parked (offset %d) shares a line with the worker wiring (parkCh %d, scope %d)", parked, parkCh, scope)
-	}
-	if layoutLine(parked) == layoutLine(progress) || layoutLine(parked) == layoutLine(tasksRun) {
-		t.Errorf("parked (offset %d) shares a line with the owner counters (progress %d, tasksRun %d)", parked, progress, tasksRun)
-	}
-	// state is the fleet-membership word Resize CASes against the worker's
-	// own retire CAS — an arbitration word like parked, and like parked it
-	// must not share a line with the wake flag or the owner counters.
-	state := unsafe.Offsetof(w.state)
-	if layoutLine(state) == layoutLine(parked) || layoutLine(state) == layoutLine(progress) {
-		t.Errorf("state (offset %d) shares a line with parked (%d) or progress (%d)", state, parked, progress)
-	}
-	// Every thief and every anyVisibleWork scan reads dq, so what the owner
-	// writes per task — scope twice in exec, a free-list head per fork and
-	// per join — is on none of the lines other workers read; and the two
-	// heads, the interface's two words included, lie on one line.
 	futures := unsafe.Offsetof(w.freeFutures)
 	futuresEnd := futures + unsafe.Sizeof(w.freeFutures) - 1
 	groupTasks := unsafe.Offsetof(w.freeGroupTasks)
-	for _, shared := range []uintptr{unsafe.Offsetof(w.dq), parkCh, parked, state} {
-		for _, own := range []uintptr{scope, futures, groupTasks, unsafe.Offsetof(w.napTimer)} {
-			if layoutLine(own) == layoutLine(shared) {
-				t.Errorf("owner-written offset %d is on the line of offset %d, which other workers read", own, shared)
+	others := map[string]uintptr{
+		"pool": unsafe.Offsetof(w.pool), "dq": unsafe.Offsetof(w.dq), "parkCh": unsafe.Offsetof(w.parkCh),
+		"scope": scope, "freeFutures": futures, "napTimer": unsafe.Offsetof(w.napTimer),
+		"progress": unsafe.Offsetof(w.progress), "tasksRun": unsafe.Offsetof(w.tasksRun),
+		"backoffNanos": unsafe.Offsetof(w.backoffNanos),
+	}
+	for name, off := range others {
+		if layoutLine(off) == layoutLine(status) {
+			t.Errorf("status (offset %d) shares a cache line with %s (offset %d)", status, name, off)
+		}
+	}
+	// Every thief and every deque scan reads dq, so what the owner writes
+	// per task — scope twice in exec, a free-list head per fork and per
+	// join — is on none of the lines other workers read; and the two heads,
+	// the interface's two words included, lie on one line.
+	for _, shared := range []string{"pool", "dq", "parkCh"} {
+		for _, own := range []string{"scope", "freeFutures", "napTimer", "backoffNanos"} {
+			if layoutLine(others[own]) == layoutLine(others[shared]) {
+				t.Errorf("owner-written %s (offset %d) is on the line of %s (offset %d), which other workers read",
+					own, others[own], shared, others[shared])
 			}
 		}
 	}
-	if layoutLine(futures) != layoutLine(futuresEnd) || layoutLine(futures) != layoutLine(groupTasks) {
-		t.Errorf("the free-list heads span lines: freeFutures %d..%d, freeGroupTasks %d", futures, futuresEnd, groupTasks)
+	if scope%atomicx.CacheLineSize != 0 {
+		t.Errorf("the owner-written block starts at offset %d, not on a line boundary", scope)
+	}
+	if layoutLine(scope) != layoutLine(futuresEnd) || layoutLine(scope) != layoutLine(groupTasks) {
+		t.Errorf("the free-list heads leave the block's first line: scope %d, freeFutures %d..%d, freeGroupTasks %d",
+			scope, futures, futuresEnd, groupTasks)
 	}
 }
 

@@ -12,26 +12,27 @@
 // Spawn and Submit wake one idle worker whenever they make new work
 // available.
 //
-// Both idle phases — the timed backoff naps and the final park — block in
-// the same place (park) and are equally interruptible: the worker counts
-// itself idle, publishes its parked flag, re-checks for work, and only then
-// sleeps, selecting on its wake token. Before this was unified, a worker
-// napping in backoff was invisible to signalWork (not parked, idle at 0),
-// so a submission arriving mid-nap silently waited out the remaining sleep
-// — up to ~127µs of per-request wake latency in serve mode, the satellite
-// bug this file's history fixed.
+// A nap and a park are one sleep (park) and equally interruptible: the
+// worker moves its status word from running to idle (pool.go has the
+// word's diagram), counts itself in Pool.idle, re-checks for work, and only
+// then blocks, selecting on its wake token, the session's quit channel and —
+// for a nap — its timer. A napping worker is therefore as visible to
+// signalWork as a parked one.
 //
 // Lost-wakeup freedom is the usual Dekker argument over Go's sequentially
 // consistent atomics: a producer publishes work (an atomic store inside the
 // deque's PushBottom, or the injector's reservation CAS) and then reads the
-// parked flags; an idle worker publishes its parked flag and then re-scans
-// the injector and every deque. Whichever order the two interleave in,
-// one side must observe the other, so work published while a worker is
-// going to sleep either earns that worker a wake token or is seen by its
-// pre-block recheck. Spurious wake tokens are harmless (the worker scans,
-// finds nothing, and goes back to sleep); only lost ones would be fatal.
-// The argument is indifferent to whether the sleep is timed: a nap that
-// can only be cut short errs on the side of waking, never of sleeping.
+// idle count and the status words; an idle worker publishes its status and
+// the count and then re-scans the injector and every deque. Whichever order
+// the two interleave in, one side must observe the other, so work published
+// while a worker is going to sleep either earns that worker a wake token or
+// is seen by its pre-block re-check. Spurious wake tokens are harmless (the
+// worker scans, finds nothing, and goes back to sleep); only lost ones
+// would be fatal. The argument is indifferent to whether the sleep is
+// timed: a nap that can only be cut short errs on the side of waking,
+// never of sleeping. status_model_test.go explores the protocol, Resize's
+// edges of the word included, and catches the re-check moved ahead of the
+// publication.
 //
 // Termination needs no flag-spinning either: the session teardown
 // (Pool.endSession) closes the session's quit channel, waking every
@@ -79,22 +80,15 @@ func (w *Worker) loop() {
 	defer w.pool.wg.Done()
 	defer w.recoverLoopPanic()
 	fault.Point(fpLoopEnter)
-	// Root fallback from startSession. execOrDrop keeps an aborted session's
-	// root (e.g. a pre-cancelled RunContext) from executing into a dead
-	// run: it is discarded and counted instead.
-	if t := w.handoff.Get(); t != nil {
-		w.handoff.Set(nil)
-		w.execOrDrop(t, false)
-	}
 	fails := 0
 	ticks := 0
 	for w.pool.phase.Load() != phaseStopping {
 		// The shrink safe point (resize.go): a worker marked retiring
 		// re-publishes its deque through the injector and exits — unless a
 		// concurrent grow reactivated it, in which case retire reports
-		// false and the loop carries on. Checked every iteration, so a
-		// retiring worker never parks without first noticing the mark.
-		if w.state.Load() == workerRetiring && w.retire() {
+		// false and the loop carries on. A marked worker that gets as far
+		// as park fails its entry CAS and comes back here.
+		if w.status.Load() == workerRetiring && w.retire() {
 			return
 		}
 		w.progress.Add(1)
@@ -167,78 +161,75 @@ func (w *Worker) idleWait(fails int) bool {
 }
 
 // park blocks the worker — for at most d if d > 0 (a backoff nap), else
-// until signalled — and reports whether it was woken by a work signal. Both
-// variants run the full Dekker protocol with signalWork: publish the idle
-// count and the parked flag, then re-check for work, and only then sleep on
-// the wake token. The handshake directive makes abplint verify that
-// ordering: the parked store must dominate the anyVisibleWork re-scan, and
-// every access to the flag must be atomic. The session quit channel
-// (closed by endSession) bounds every sleep at shutdown.
+// until signalled — and reports whether it was woken by a work signal. It is
+// the consumer half of the Dekker protocol with signalWork: publish the idle
+// status and count, then re-check for work, and only then sleep on the wake
+// token. The handshake directive makes abplint verify that ordering: the
+// status CAS must dominate the anyVisibleWork re-scan, and every access to
+// the word must be atomic. The entry CAS fails only against a retire mark:
+// a marked worker does not fall asleep, its loop retires it. The exit CAS
+// fails only against one set during the sleep, by a Resize that also sent
+// a token: whatever ended the select, that sleep ends as a wake does, at
+// the loop top, which acts on the mark. The session quit channel (closed by
+// endSession) bounds every sleep at shutdown.
 //
-//abp:handshake store=parked load=anyVisibleWork
+//abp:handshake store=status load=anyVisibleWork
 func (w *Worker) park(d time.Duration) bool {
 	p := w.pool
-	p.idle.Add(1)
-	w.parked.Store(true)
-	if p.phase.Load() == phaseStopping || w.anyVisibleWork() {
-		w.parked.Store(false)
-		p.idle.Add(-1)
+	if !w.status.CompareAndSwap(workerRunning, workerIdle) {
 		return false
 	}
+	p.idle.Add(1)
 	woke := false
-	if d > 0 {
-		// The backoff-visibility chaos window: idle count and parked flag
-		// are published and the re-check passed, but the nap has not
-		// begun. A submission arriving now must find this worker
-		// signallable (the satellite-1 regression test freezes here).
-		fault.Point(fpBackoffBeforeSleep)
-		start := time.Now()
-		// One timer serves all of the worker's naps: the last one left it
-		// stopped with its channel empty (below).
-		timer := w.napTimer
-		if timer == nil {
-			timer = time.NewTimer(d)
-			w.napTimer = timer
+	if p.phase.Load() != phaseStopping && !w.anyVisibleWork() {
+		// The two chaos windows: status and count are published and the
+		// re-check passed, but the worker is not yet blocked — a suspension
+		// here models preemption between those instructions. A submission
+		// arriving now must find the worker signallable, and a shutdown
+		// must still wake it.
+		var timeout <-chan time.Time // nil for a park: never ready
+		var start time.Time
+		if d > 0 {
+			fault.Point(fpBackoffBeforeSleep)
+			start = time.Now()
+			// One timer serves all of the worker's naps: the last one left it
+			// stopped with its channel empty (below).
+			if w.napTimer == nil {
+				w.napTimer = time.NewTimer(d)
+			} else {
+				w.napTimer.Reset(d)
+			}
+			timeout = w.napTimer.C
 		} else {
-			timer.Reset(d)
+			w.parks.Add(1)
+			fault.Point(fpParkBeforeSleep)
 		}
 		timedOut := false
 		select {
 		case <-w.parkCh:
 			w.wakes.Add(1)
 			woke = true
-		case <-timer.C:
+		case <-timeout:
 			timedOut = true
-		// Session shutdown: don't sleep out the nap.
-		case <-p.sess.quit:
+		case <-p.sess.quit: // session shutdown: run ended, Serve stopping, or abort
 		}
-		// Leave the timer stopped and its channel empty for the next nap: a
-		// nap cut short has not received the tick, so a Stop that comes too
-		// late to prevent it waits for it (it is sent by then, or about to
-		// be) instead of leaving it for the next nap to read as its timeout.
-		// That is the idiom for the timer channels go.mod's go 1.22 selects;
-		// with the unbuffered ones of go 1.23 Stop discards a tick nobody
-		// received and reports true, so the receive is never reached.
-		if !timedOut && !timer.Stop() {
-			<-timer.C
-		}
-		w.backoffNanos.Add(int64(time.Since(start)))
-	} else {
-		w.parks.Add(1)
-		// The window the abort/park chaos test targets: parked is
-		// published and the re-check passed, but the worker is not yet
-		// blocked. A suspension here models preemption between those two
-		// instructions; a shutdown arriving meanwhile must still wake the
-		// worker.
-		fault.Point(fpParkBeforeSleep)
-		select {
-		case <-w.parkCh:
-			w.wakes.Add(1)
-			woke = true
-		case <-p.sess.quit: // session shutdown (run ended, Serve stopping, or abort)
+		if d > 0 {
+			// Leave the timer stopped and its channel empty for the next nap: a
+			// nap cut short has not received the tick, so a Stop that comes too
+			// late to prevent it waits for it (it is sent by then, or about to
+			// be) instead of leaving it for the next nap to read as its timeout.
+			// That is the idiom for the timer channels go.mod's go 1.22 selects;
+			// with the unbuffered ones of go 1.23 Stop discards a tick nobody
+			// received and reports true, so the receive is never reached.
+			if !timedOut && !w.napTimer.Stop() {
+				<-w.napTimer.C
+			}
+			w.backoffNanos.Add(int64(time.Since(start)))
 		}
 	}
-	w.parked.Store(false)
+	if !w.status.CompareAndSwap(workerIdle, workerRunning) {
+		woke = true
+	}
 	p.idle.Add(-1)
 	return woke
 }
@@ -268,13 +259,10 @@ func (p *Pool) signalWork() {
 	start := int((p.wakeRR.Add(1) - 1) % uint32(n))
 	for i := 0; i < n; i++ {
 		w := p.workers[(start+i)%n]
-		// Only active workers are wake targets: a token delivered to a
-		// parked-but-retiring worker could be consumed by a wake that ends
-		// in retirement rather than work — a lost wakeup for the rest of
-		// the (still-parked) fleet. Retiring workers are woken by Resize
-		// itself, and a completed retire passes any absorbed signal on
-		// (retire's final signalWork in resize.go).
-		if w.state.Load() == workerActive && w.parked.Load() {
+		// A retiring worker reads retiring, never idle, so no token goes to
+		// a wake that would end in retirement rather than work; one marked
+		// after its token was sent passes the baton on (retire, resize.go).
+		if w.status.Load() == workerIdle {
 			select {
 			case w.parkCh <- struct{}{}:
 			default:

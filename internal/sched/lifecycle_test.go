@@ -64,9 +64,13 @@ func (r *rejectFirstPush) PushBottom(t *Task) bool {
 	return r.Dequer.PushBottom(t)
 }
 
+// isIdle reports whether w is a wake target as signalWork sees it: asleep
+// in a nap or a park, or committed to one.
+func isIdle(w *Worker) bool { return w.status.Load() == workerIdle }
+
 // Run used to ignore PushBottom's boolean for the root task; a refusal
-// left pending stuck at 1 and wg.Wait deadlocked. The handoff fallback
-// must run the root anyway.
+// left pending stuck at 1 and wg.Wait deadlocked. The root must run anyway:
+// it is handed off through the injector.
 func TestRootPushRefusalFallsBackToHandoff(t *testing.T) {
 	p := New(Config{Workers: 2})
 	p.workers[0].dq = &rejectFirstPush{Dequer: p.workers[0].dq}
@@ -147,6 +151,73 @@ func TestParkedWorkersDoNotSpin(t *testing.T) {
 	}
 	if s.BackoffNanos == 0 {
 		t.Fatal("no backoff recorded before parking")
+	}
+}
+
+// A helping waiter must not spin on work it never takes: with its child
+// held by the other worker and submissions queued in the injector — which
+// only worker loops pop — Join and Group.Wait used to see "visible work",
+// fail to get any, and retry, at a steal attempt per turn for as long as
+// both lasted (1.9 M attempts in 300 ms). The child is pinned on the other
+// worker by a channel and the injector filled before the root reaches its
+// wait; once the waiter has settled, StealAttempts stands still.
+func TestWaiterBlocksWhileInjectorHoldsWork(t *testing.T) {
+	forks := map[string]func(w *Worker, child func()) (wait func()){
+		"Join": func(w *Worker, child func()) func() {
+			f := Fork(w, func(*Worker) (_ struct{}) { child(); return })
+			return func() { f.Join(w) }
+		},
+		"Group.Wait": func(w *Worker, child func()) func() {
+			g := NewGroup()
+			g.Spawn(w, func(*Worker) { child() })
+			return func() { g.Wait(w) }
+		},
+	}
+	for name, fork := range forks {
+		t.Run(name, func(t *testing.T) {
+			p := New(Config{Workers: 2})
+			stop := startServing(t, p)
+			started, queued, release := make(chan struct{}), make(chan struct{}), make(chan struct{})
+			submit := func(fn func(*Worker)) *Handle {
+				h, err := p.Submit(fn)
+				if err != nil {
+					t.Fatalf("Submit: %v", err)
+				}
+				return h
+			}
+			handles := []*Handle{submit(func(w *Worker) {
+				wait := fork(w, func() {
+					close(started)
+					<-release
+				})
+				<-started // the root is not waiting yet, so the other worker stole the child
+				<-queued
+				wait()
+			})}
+			<-started
+			for i := 0; i < 8; i++ { // both workers are inside tasks: these stay in the injector
+				handles = append(handles, submit(func(*Worker) {}))
+			}
+			close(queued)
+			settled := false
+			for deadline := time.Now().Add(3 * time.Second); !settled && time.Now().Before(deadline); {
+				attempts := p.Stats().StealAttempts
+				time.Sleep(20 * time.Millisecond)
+				settled = p.Stats().StealAttempts == attempts
+			}
+			if !settled {
+				t.Errorf("the waiter is still making steal attempts (%d so far) with nothing but the injector to look at", p.Stats().StealAttempts)
+			}
+			close(release)
+			for i, h := range handles {
+				if err := h.Wait(); err != nil {
+					t.Errorf("submission %d: %v", i, err)
+				}
+			}
+			if err := stop(); err == nil {
+				t.Error("Serve returned nil after cancellation")
+			}
+		})
 	}
 }
 
@@ -244,7 +315,7 @@ func TestSignalWorkWakeFairness(t *testing.T) {
 	stop := startServing(t, p)
 	allParked := func() bool {
 		for _, w := range p.workers {
-			if !w.parked.Load() {
+			if !isIdle(w) {
 				return false
 			}
 		}

@@ -32,9 +32,9 @@
 // hardware, is a client of the task API: a node that enables two children
 // continues into one and Spawns the other.
 //
-// For the paper's ablations, the pool can be configured with a mutex-guarded
-// deque instead of the non-blocking one, and with a ParkThreshold that is
-// never reached (the pure spinning loop of Figure 3).
+// A ParkThreshold that is never reached gives the pure spinning loop of
+// Figure 3; the mutex-guarded reference deque is a kind only this package's
+// tests can select.
 package sched
 
 import (
@@ -57,7 +57,7 @@ import (
 // ever freezing the joiner that must later resume them.
 var (
 	fpLoopEnter = fault.Register("sched.loop.enter",
-		"worker loop: before the handoff check and first pop (crash here strands the root handoff)")
+		"worker loop: before the first pop (a crash here strands the root where startSession put it)")
 	fpLoopBeforeSteal = fault.Register("sched.loop.beforeSteal",
 		"worker loop: idle, about to poll the injector and attempt a steal (loop-level steals only)")
 	fpStealBeforePopTop = fault.Register("sched.steal.beforePopTop",
@@ -65,9 +65,9 @@ var (
 	fpExecBeforeRun = fault.Register("sched.exec.beforeRun",
 		"exec: termination accounting armed, task function not yet entered")
 	fpParkBeforeSleep = fault.Register("sched.park.beforeSleep",
-		"park: parked flag published and re-check passed, not yet blocked on the token channel")
+		"park: idle status published and re-check passed, not yet blocked on the token channel")
 	fpBackoffBeforeSleep = fault.Register("sched.backoff.beforeSleep",
-		"backoff: idle flags published and re-check passed, timed nap not yet entered")
+		"backoff: idle status published and re-check passed, timed nap not yet entered")
 )
 
 // DequeKind selects the deque implementation workers use.
@@ -76,8 +76,9 @@ type DequeKind uint8
 const (
 	// DequeABP is the paper's non-blocking deque (the default).
 	DequeABP DequeKind = iota
-	// DequeMutex is the blocking reference deque the tests compare against.
-	DequeMutex
+	// dequeMutex is the blocking reference deque (deque.Mutex) this
+	// package's tests run beside the other two; nothing else can name it.
+	dequeMutex
 	// DequeChaseLev is the unbounded growable successor design (Chase and
 	// Lev, SPAA 2005) — the paper's natural extension: no capacity bound,
 	// no tag needed. Spawns never fall back to inline execution.
@@ -123,7 +124,7 @@ type Config struct {
 	Seed int64
 	// StallTimeout enables the stall watchdog (watchdog.go): a worker
 	// goroutine that makes no scheduler-visible progress for this window
-	// while unparked is surfaced via OnStall and Stats.StallsDetected
+	// while running is surfaced via OnStall and Stats.StallsDetected
 	// instead of hanging silently. 0 disables the watchdog.
 	StallTimeout time.Duration
 	// OnStall, if non-nil, is called by the watchdog goroutine once per
@@ -273,46 +274,32 @@ type session struct {
 	grow chan int
 }
 
+// The worker statuses, stored in Worker.status — the one word that says
+// whether a worker may be woken, may fall asleep, and counts as a member of
+// the fleet:
+//
+//	running ⇄ idle              the worker: park's entry and exit CAS
+//	running | idle → retiring   Resize shrinking, by CAS (and a token if idle)
+//	retiring → running          Resize growing back before the worker got there, by CAS
+//	retiring → retired          the worker, by CAS, its deque drained (retire)
+//	retired → running           Resize growing, or startSession: a store, no goroutine holds the slot
+//
+// Only an idle worker is a wake target (signalWork), and only a running
+// one can become idle: park's entry CAS fails against a retire mark, so a
+// marked worker cannot fall asleep, and one marked in its sleep is woken by
+// the Resize that marked it. Running and idle are the fleet's members
+// (Stats.ActiveWorkers). workerRunning is the zero value, so New's workers
+// start running.
+const (
+	workerRunning uint32 = iota
+	workerIdle
+	workerRetiring
+	workerRetired
+)
+
 // Worker is the execution context passed to every task; it identifies the
 // worker goroutine running the task and provides the spawning operations.
 type Worker struct {
-	// The wiring: set by New and only read afterwards (handoff apart, which
-	// a session start writes if a fresh deque refuses the root), because
-	// every thief's stealOnce and every anyVisibleWork scan comes through
-	// this line for dq.
-	pool *Pool
-	id   int
-	dq   deque.Dequer[Task]
-	rng  *rand.Rand // victim selection; nil on the caller-runs worker (stealOnce)
-	// handoff is the root task fallback slot (startSession), consumed by
-	// loop; declared plain because every access pair is ordered by the
-	// session fork/join edges — for loops the fleet manager forks
-	// mid-session, by the composed startSession→manager→loop fork chain,
-	// which abprace and abporder follow (launchedAfter).
-	handoff atomicx.PlainPointer[Task]
-	parkCh  chan struct{} // capacity-1 wake token (lifecycle.go)
-	// parked is half of the park/wake Dekker handshake
-	// (//abp:handshake store=parked load=anyVisibleWork): sc required.
-	// Every producer's signalWork scans every worker's parked flag, so the
-	// flag gets its own cache line — neither the cold per-worker wiring
-	// above nor the owner-hot counters below may dirty the line the whole
-	// pool polls (the abplayout Worker finding; reverting either pad
-	// re-flags the live tree).
-	_      atomicx.CacheLinePad
-	parked atomicx.SCBool
-	_      atomicx.CacheLinePad
-
-	// state is the elastic-fleet membership word (resize.go):
-	// workerActive / workerRetiring / workerRetired. Every producer's
-	// signalWork scans it right next to parked, and Resize and the retiring
-	// worker arbitrate retirement on it by CAS (retire vs reactivate), so —
-	// like parked — it sits on its own cache line, clear of both the
-	// pool-scanned flag above and the owner-hot counters below. sc: the CAS
-	// arbitration and the reads inside the signalWork handshake carrier
-	// both need full ordering.
-	state atomicx.SCInt32
-	_     atomicx.CacheLinePad
-
 	// What only the goroutine running the worker touches, with plain
 	// accesses, on the line its counters start on: exec stores scope twice
 	// a task, and a fork or Group.Spawn and its join pop and push a free
@@ -348,6 +335,24 @@ type Worker struct {
 	parks         atomicx.SCInt64
 	wakes         atomicx.SCInt64
 	backoffNanos  atomicx.SCInt64
+
+	// status (the constants above) is park's half of the wake handshake
+	// (//abp:handshake store=status load=anyVisibleWork) and the word
+	// Resize and the worker arbitrate retirement on, hence sc. Every
+	// producer's signalWork scans it, so it has a cache line to itself:
+	// neither the owner-hot block above nor the wiring below, which every
+	// thief reads, may share the line the whole pool polls.
+	_      atomicx.CacheLinePad
+	status atomicx.SCUint32
+	_      atomicx.CacheLinePad
+
+	// The wiring: set by New and only read afterwards. Every thief's
+	// stealOnce and every deque scan comes through this line for dq.
+	pool   *Pool
+	id     int
+	dq     deque.Dequer[Task]
+	rng    *rand.Rand    // victim selection; nil on the caller-runs worker (stealOnce)
+	parkCh chan struct{} // capacity-1 wake token (lifecycle.go)
 }
 
 // New builds a pool. The zero Config is valid.
@@ -398,7 +403,7 @@ func New(cfg Config) *Pool {
 	for i := 0; i < cfg.MaxWorkers; i++ {
 		var dq deque.Dequer[Task]
 		switch cfg.Deque {
-		case DequeMutex:
+		case dequeMutex:
 			dq = deque.NewMutexWithCapacity[Task](cfg.DequeCapacity)
 		case DequeChaseLev:
 			dq = deque.NewChaseLev[Task]()
@@ -413,7 +418,7 @@ func New(cfg Config) *Pool {
 			parkCh: make(chan struct{}, 1),
 		}
 		if i >= cfg.Workers {
-			w.state.Store(workerRetired)
+			w.status.Store(workerRetired)
 		}
 		p.workers = append(p.workers, w)
 	}
@@ -497,11 +502,10 @@ func (p *Pool) enter(api string) {
 // The root, when non-nil, goes to worker 0 while the pool is still
 // quiescent — the batch API's fast path, bypassing the injector the way
 // the paper hands the root thread to process zero before the loop starts.
-// The fresh deque cannot refuse it with the stock deques, but a refusal
-// must not be silently dropped (it would strand the submission's root
-// scope at 1): fall back to the direct handoff slot, which worker 0's
-// loop consumes before its first pop — the same run-it-anyway guarantee
-// Spawn provides via inline execution.
+// A swept deque of the stock kinds cannot refuse it, but a refusal must not
+// be silently dropped (it would strand the submission's root scope at 1):
+// the root goes through the injector the sweep has just emptied instead,
+// like a submission's.
 //
 //abp:owner quiescent phase: workers have not been started yet
 func (p *Pool) startSession(root *Task) *session {
@@ -517,15 +521,13 @@ func (p *Pool) startSession(root *Task) *session {
 	// previous session's wake-scan position (the Serve→Stop→Serve
 	// restartability regression pins this).
 	p.wakeRR.Store(0)
-	if root != nil {
-		if !p.workers[0].dq.PushBottom(root) {
-			p.workers[0].handoff.Set(root)
-		}
+	if root != nil && !p.workers[0].dq.PushBottom(root) && !p.pushInjector(root) {
+		panic("sched: a swept deque and the swept injector both refused the root")
 	}
 	// Publish the record and fork exactly the active prefix under resizeMu,
 	// so a concurrent Resize sees either the old session (ended: its grow
 	// is dropped, and the fleet it stored is the one forked here) or this
-	// one with its manager running. The state words are normalized first: a
+	// one with its manager running. The status words are normalized first: a
 	// shrink in a previous session (or between sessions) may have left
 	// suffix workers marked retiring without ever completing retirement —
 	// their goroutines exited through the stopping phase instead.
@@ -536,9 +538,9 @@ func (p *Pool) startSession(root *Task) *session {
 	fleet := int(p.fleet.Load())
 	for i, w := range p.workers {
 		if i < fleet {
-			w.state.Store(workerActive)
+			w.status.Store(workerRunning)
 		} else {
-			w.state.Store(workerRetired)
+			w.status.Store(workerRetired)
 		}
 	}
 	// Every goroutine of the session holds a slot of wg and leaves on quit
@@ -571,11 +573,11 @@ func (p *Pool) startSession(root *Task) *session {
 // task panic of a Run, a worker-loop failure of either API — is re-raised
 // once the pool is reusable.
 //
-// The sweep rule: every session ends swept — the deques, the injector and
-// the handoff slots hold nothing when the pool is idle — except one that
-// ends in a panic, whose carcass is left for the next startSession to sweep
-// and count (TestPoolReuseAfterAbortDropsStaleHandoff reads the stranded
-// root in between).
+// The sweep rule: every session ends swept — the deques and the injector
+// hold nothing when the pool is idle — except one that ends in a panic,
+// whose carcass is left for the next startSession to sweep and count
+// (TestPoolReuseAfterAbortDropsStaleHandoff reads the stranded root in
+// between).
 func (p *Pool) endSession(s *session, panicVal any) {
 	p.phase.Store(phaseStopping)
 	if panicVal != nil {
@@ -595,21 +597,16 @@ func (p *Pool) endSession(s *session, panicVal any) {
 }
 
 // drainByRun is the quiescent-phase sweep (endSession states the rule): it
-// empties the injector, the deques, and the handoff slots, accounting every
-// leftover task under the counter its submission's abort cause selects —
-// TasksDropped for a panic, TasksCancelled for a cancellation or service
-// stop. Leftovers can only belong to aborted submissions (a completed one
-// has, by the scope invariant, no tasks left anywhere); the one a Submit
-// pushed so late that no abort sweep saw its run is aborted here, so its
-// Handle reports ErrStopped instead of waiting on a task nobody holds.
+// empties the injector and the deques, accounting every leftover task under
+// the counter its submission's abort cause selects — TasksDropped for a
+// panic, TasksCancelled for a cancellation or service stop. Leftovers can
+// only belong to aborted submissions (a completed one has, by the scope
+// invariant, no tasks left anywhere); the one a Submit pushed so late that
+// no abort sweep saw its run is aborted here, so its Handle reports
+// ErrStopped instead of waiting on a task nobody holds.
 //
 //abp:owner quiescent phase: every worker has exited before the sweep
 func (p *Pool) drainByRun() {
-	// Re-assert quiescence: every worker loop has exited (endSession ran
-	// their deferred wg.Done), so this Wait returns immediately — and it
-	// is the lexical join edge that orders the plain handoff writes below
-	// against the dead worker goroutines for the static race detector.
-	p.wg.Wait()
 	account := func(t *Task) {
 		r := t.scope.run
 		r.abortWith(runCancelled, ErrStopped, nil)
@@ -624,10 +621,6 @@ func (p *Pool) drainByRun() {
 	}
 	for _, w := range p.workers {
 		for t := w.dq.PopBottom(); t != nil; t = w.dq.PopBottom() {
-			account(t)
-		}
-		if t := w.handoff.Get(); t != nil {
-			w.handoff.Set(nil)
 			account(t)
 		}
 		select {
@@ -652,7 +645,7 @@ func (p *Pool) Stats() Stats {
 		InjectorBacklog:  int64(p.inject.Len()), // momentary, like every mid-flight Stats read
 	}
 	for _, w := range p.workers {
-		if w.state.Load() == workerActive {
+		if st := w.status.Load(); st == workerRunning || st == workerIdle {
 			s.ActiveWorkers++
 		}
 		s.TasksRun += w.tasksRun.Load()
@@ -813,7 +806,7 @@ func (w *Worker) Spawn(fn func(*Worker)) {
 // it carries, the spawner's — a word no other worker writes between steals
 // — and pushes it. The handshake directive makes abplint verify the
 // producer half of the Dekker protocol: the push (PushBottom's internal
-// atomic store) must dominate the signalWork scan of the parked flags.
+// atomic store) must dominate the signalWork scan of the status words.
 //
 //abp:owner tasks execute only on worker goroutines, so the receiver owns w.dq
 //abp:handshake store=PushBottom load=signalWork
@@ -840,20 +833,35 @@ func (w *Worker) tryGetTask() (t *Task, stolen bool) {
 	return w.stealOnce(), true
 }
 
-// anyVisibleWork reports whether the injector or any deque in the pool
-// appears non-empty. A false return together with an incomplete future
-// means the future's task is currently running on some worker, so blocking
-// is safe. The parking protocol relies on the same property: see park in
-// lifecycle.go and the memory-ordering notes on deque.Dequer.Len and
-// injector.Len.
-func (w *Worker) anyVisibleWork() bool {
-	if w.pool.inject.Len() > 0 {
-		return true
-	}
+// anyStealableWork reports whether any deque in the pool appears non-empty:
+// the work tryGetTask can reach. A false return together with an incomplete
+// future means the future's task is currently running on some worker, so
+// blocking is safe (see the memory-ordering notes on deque.Dequer.Len).
+func (w *Worker) anyStealableWork() bool {
 	for _, o := range w.pool.workers {
 		if o.dq.Len() > 0 {
 			return true
 		}
 	}
 	return false
+}
+
+// anyVisibleWork is what a worker loop can reach — the injector, which only
+// loops pop, as well as the deques — and so park's re-check (lifecycle.go;
+// injector.Len has the ordering notes).
+func (w *Worker) anyVisibleWork() bool {
+	return w.pool.inject.Len() > 0 || w.anyStealableWork()
+}
+
+// settle is what a helping waiter (Future.Join, Group.Wait) does when
+// tryGetTask came back empty, and reports whether it may block. While some
+// deque holds work a retry may find it; once none does, what the waiter
+// waits for is running on another worker, and one more yield usually lets
+// that worker finish and spares the channel. The injector does not count:
+// a waiter never pops it, and one that spun on it would burn its core
+// for as long as the loops leave submissions queued.
+func (w *Worker) settle() bool {
+	busy := w.anyStealableWork()
+	runtime.Gosched()
+	return !busy && !w.anyStealableWork()
 }

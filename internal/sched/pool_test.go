@@ -87,7 +87,7 @@ func fibPar(w *Worker, n, cutoff int) int {
 
 func TestForkJoinFib(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {
-		for _, deq := range []DequeKind{DequeABP, DequeMutex} {
+		for _, deq := range []DequeKind{DequeABP, dequeMutex} {
 			t.Run(fmt.Sprintf("workers=%d/deque=%d", workers, deq), func(t *testing.T) {
 				p := New(Config{Workers: workers, Deque: deq})
 				var got int

@@ -17,23 +17,22 @@
 //     inline if the injector is full, so nothing is ever lost), then
 //     publishes workerRetired by CAS and exits.
 //
-// The retire/reactivate race is settled by that CAS: a Resize that grows
-// the fleet back while a worker is still mid-retirement CASes
-// retiring→active, the worker's own retiring→retired CAS then fails, and
-// the worker simply resumes its loop — no blocking wait anywhere, on
-// either side. Only after a successful retiring→retired CAS does Resize
-// start a fresh goroutine for the slot; the SC state word orders the dying
-// goroutine's plain-field writes (rng, rr) before the new goroutine's
-// reads.
+// The retire/reactivate race is settled on the worker's status word
+// (pool.go has its diagram): a Resize that grows the fleet back while a
+// worker is still mid-retirement CASes retiring→running, the worker's own
+// retiring→retired CAS then fails, and the worker simply resumes its loop —
+// no blocking wait anywhere, on either side. Only after a successful
+// retiring→retired CAS does Resize start a fresh goroutine for the slot;
+// the SC status word orders the dying goroutine's plain-field writes (rng,
+// the free lists) before the new goroutine's reads.
 //
 // Retired workers are invisible to the rest of the machine: signalWork
-// skips their state word in the wake scan (a wake token delivered to a
-// worker that retires without taking the work would be a lost wakeup — the
-// retiring worker's final signalWork hands the baton on instead), victim
-// selection draws only from the active prefix [0, fleet), and the stall
-// watchdog exempts them like parked workers. Worker 0 never retires
-// (fleet >= 1 always), which keeps the batch API's root handoff target and
-// the session's WaitGroup floor intact.
+// wakes idle workers only, victim selection draws only from the active
+// prefix [0, fleet), and the stall watchdog looks at running workers only.
+// A worker that took a wake token and then retires hands the baton on with
+// a signalWork of its own. Worker 0 never retires (fleet >= 1 always),
+// which keeps the batch API's root target and the session's WaitGroup
+// floor intact.
 package sched
 
 import (
@@ -48,17 +47,6 @@ var (
 		"retire: the worker observed its retiring mark at the loop safe point, deque drain not yet begun")
 	fpResizeBeforeHandoff = fault.Register("sched.resize.beforeHandoff",
 		"retire: a task popped off the retiring deque, injector handoff not yet offered (the task is invisible here)")
-)
-
-// Worker fleet-membership states (Worker.state). Transitions:
-// active→retiring (Resize shrink), retiring→retired (the worker's own
-// retire CAS), retiring→active (Resize grow reactivating mid-retirement),
-// retired→active (Resize grow; plus a fresh goroutine while a session is
-// live). workerActive is the zero value so New's workers start active.
-const (
-	workerActive int32 = iota
-	workerRetiring
-	workerRetired
 )
 
 // Resize retargets the fleet to n active workers, within [1, MaxWorkers].
@@ -83,12 +71,19 @@ func (p *Pool) Resize(n int) error {
 	p.resizes.Add(1)
 	if n < cur {
 		// Shrink: mark the suffix retiring before narrowing the victim
-		// range, then wake each marked worker so a parked one notices
-		// promptly. The token send is non-blocking (capacity-1 channel):
-		// an already-pending token wakes the worker just as well.
+		// range. The mark is a CAS from whichever of running and idle the
+		// worker is in, retried when the worker moves between the two
+		// meanwhile. A worker marked running cannot fall asleep any more; one
+		// marked idle is woken so that it notices. The token send is non-
+		// blocking (capacity-1 channel): an already-pending token wakes the
+		// worker just as well.
 		for i := n; i < cur; i++ {
 			w := p.workers[i]
-			if w.state.CompareAndSwap(workerActive, workerRetiring) {
+			s := w.status.Load()
+			for (s == workerRunning || s == workerIdle) && !w.status.CompareAndSwap(s, workerRetiring) {
+				s = w.status.Load()
+			}
+			if s == workerIdle {
 				select {
 				case w.parkCh <- struct{}{}:
 				default:
@@ -103,7 +98,7 @@ func (p *Pool) Resize(n int) error {
 	p.fleet.Store(int32(n))
 	for i := cur; i < n; i++ {
 		w := p.workers[i]
-		if w.state.CompareAndSwap(workerRetiring, workerActive) {
+		if w.status.CompareAndSwap(workerRetiring, workerRunning) {
 			// Still mid-retirement: reactivated in place. The live
 			// goroutine's own retiring→retired CAS now fails and it resumes
 			// looping — no second goroutine, no wait on either side.
@@ -111,13 +106,13 @@ func (p *Pool) Resize(n int) error {
 		}
 		// Fully retired (or was never started this session): the slot has
 		// no goroutine, so hand the slot index to the session's fleet
-		// manager to start one. The failed CAS above read the retired state
+		// manager to start one. The failed CAS above read the retired status
 		// — the edge that orders the dead goroutine's plain-field writes
 		// before the new goroutine's reads. The send cannot block
 		// indefinitely: the manager receives until quit closes, and a
 		// session that has ended — or is ending — drops the grow, which the
 		// next startSession makes good from the fleet stored above.
-		w.state.Store(workerActive)
+		w.status.Store(workerRunning)
 		if s := p.sess; s != nil {
 			select {
 			case s.grow <- i:
@@ -131,9 +126,9 @@ func (p *Pool) Resize(n int) error {
 // fleetManager is the session goroutine that launches worker loops for
 // mid-session grows. It exists so that every `go w.loop()` in the package
 // sits inside startSession's fork subtree: the plain fields startSession
-// writes (handoff, the session record) are ordered before any worker
-// goroutine by the lexical fork edges alone, no matter when a grow later
-// starts the worker. The manager holds its own WaitGroup slot
+// writes (the session record) are ordered before any worker goroutine by
+// the lexical fork edges alone, no matter when a grow later starts the
+// worker. The manager holds its own WaitGroup slot
 // (startSession adds it), so its wg.Add(1) per launch always runs with a
 // non-zero counter, never racing endSession's Wait — even for a grow it
 // receives after quit closed, whose worker reads stopping and leaves.
@@ -151,14 +146,12 @@ func (p *Pool) fleetManager(s *session) {
 }
 
 // retire is the shrink safe point, entered from the worker loop when the
-// state word reads retiring. The worker re-publishes every task its deque
+// status word reads retiring. The worker re-publishes every task its deque
 // still holds through the injector so the remaining fleet picks the work
 // up; a full injector falls back to executing the task inline right here,
-// so shrinking can never lose or drop a submission's task. (The handoff
-// slot needs no sweep: only worker 0 receives root handoffs, and worker 0
-// never retires — fleet >= 1 always.) It reports whether retirement
-// completed (the loop returns) or a concurrent grow reactivated the
-// worker (the loop continues).
+// so shrinking can never lose or drop a submission's task. It reports
+// whether retirement completed (the loop returns) or a concurrent grow
+// reactivated the worker (the loop continues).
 //
 //abp:owner the retiring worker's goroutine is still its deque's only owner
 func (w *Worker) retire() bool {
@@ -178,7 +171,7 @@ func (w *Worker) retire() bool {
 		// a loop and not a single sweep.
 		w.execOrDrop(t, false)
 	}
-	if !w.state.CompareAndSwap(workerRetiring, workerRetired) {
+	if !w.status.CompareAndSwap(workerRetiring, workerRetired) {
 		// A grow reactivated this worker mid-retirement.
 		return false
 	}
@@ -193,7 +186,7 @@ func (w *Worker) retire() bool {
 
 // republish hands one drained task back through the injector, running the
 // producer side of the park/wake Dekker handshake: the push must be
-// visible before the wake scan reads parked flags, the same contract
+// visible before the wake scan reads the status words, the same contract
 // Submit and Spawn honor. The task leaves this worker for good, so it goes
 // out in the scope a thief would run it in (split): whoever polls it
 // counts on a word of its own, like the poller of a root. Reports whether

@@ -164,7 +164,7 @@ func TestResizeShrinkMidServe(t *testing.T) {
 }
 
 // A shrink immediately regrown reactivates workers mid-retirement (the
-// retiring→active CAS path): run it many times so both the reactivation
+// retiring→running CAS path): run it many times so both the reactivation
 // and the fresh-goroutine path get exercised, and assert no work is ever
 // lost and the fleet lands on the final target.
 func TestResizeShrinkGrowRace(t *testing.T) {
@@ -199,6 +199,39 @@ func TestResizeShrinkGrowRace(t *testing.T) {
 	waitFor(t, 10*time.Second, "fleet to settle on the final target", func() bool {
 		return p.Stats().ActiveWorkers == 8
 	})
+	if err := stop(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Serve returned %v", err)
+	}
+}
+
+// A worker Resize has marked cannot fall asleep: park's entry CAS is from
+// running, so against the mark it fails and the worker goes back to its
+// loop top — without counting itself idle, parking, or touching the session
+// (there is none here: a park that got past its CAS would dereference it).
+// And a worker marked in its sleep is woken by the Resize that marked it.
+func TestRetiringWorkerCannotPark(t *testing.T) {
+	p := New(Config{Workers: 2})
+	if err := p.Resize(1); err != nil {
+		t.Fatal(err)
+	}
+	w := p.workers[1]
+	if got := w.status.Load(); got != workerRetiring {
+		t.Fatalf("status %d after the shrink, want retiring", got)
+	}
+	if w.park(0) || w.park(time.Microsecond) {
+		t.Fatal("park reported a wake")
+	}
+	if s := p.Stats(); w.status.Load() != workerRetiring || p.idle.Load() != 0 || s.Parks != 0 || s.BackoffNanos != 0 {
+		t.Fatalf("a marked worker's park left status %d, idle %d, %d parks, %d ns of naps", w.status.Load(), p.idle.Load(), s.Parks, s.BackoffNanos)
+	}
+
+	p = New(Config{Workers: 3, ParkThreshold: 2})
+	stop := startServing(t, p)
+	waitFor(t, 10*time.Second, "the fleet to park", func() bool { return p.Stats().Parks >= 3 && isIdle(p.workers[2]) })
+	if err := p.Resize(2); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 10*time.Second, "the worker marked in its sleep to retire", func() bool { return p.Stats().WorkersRetired == 1 })
 	if err := stop(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Serve returned %v", err)
 	}

@@ -93,7 +93,7 @@ func TestRunContextDeadlineExpires(t *testing.T) {
 
 // A context that is already cancelled must abort before any worker runs
 // anything: the root is discarded and counted, whether it landed in the
-// deque or (via a refused push) in the handoff slot.
+// deque or (via a refused push) was handed off through the injector.
 func TestRunContextPreCancelled(t *testing.T) {
 	cases := []struct {
 		name  string

@@ -22,7 +22,7 @@ func forEachDeque(t *testing.T, f func(t *testing.T, kind DequeKind)) {
 	for _, dq := range []struct {
 		name string
 		kind DequeKind
-	}{{"ABP", DequeABP}, {"ChaseLev", DequeChaseLev}, {"Mutex", DequeMutex}} {
+	}{{"ABP", DequeABP}, {"ChaseLev", DequeChaseLev}, {"Mutex", dequeMutex}} {
 		t.Run(dq.name, func(t *testing.T) { f(t, dq.kind) })
 	}
 }

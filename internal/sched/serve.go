@@ -276,8 +276,8 @@ func (p *Pool) Submit(fn func(*Worker)) (*Handle, error) {
 // The handshake directive makes abplint verify the producer half of the
 // injector's Dekker wake protocol end to end: the enqueue (pushInjector's
 // reservation CAS, visible to a parking worker's Len re-scan from that
-// instant) must dominate the signalWork scan of the parked flags. The
-// consumer half is park's store=parked load=anyVisibleWork contract, whose
+// instant) must dominate the signalWork scan of the status words. The
+// consumer half is park's store=status load=anyVisibleWork contract, whose
 // re-scan covers the injector.
 //
 //abp:handshake store=pushInjector load=signalWork

@@ -1,0 +1,257 @@
+package sched
+
+import (
+	"fmt"
+	"testing"
+)
+
+// This file model-checks the worker status word (pool.go, lifecycle.go,
+// resize.go) on the explorer of model_test.go. The actors: two workers
+// (loop top with its retire check, a search that takes the work if there
+// is any, park — entry CAS, idle count, re-check, a sleep that is a nap or
+// a park, exit CAS — and retire with its baton); a producer (push, idle
+// load, status scan in either rotation, token); and a Resize that shrinks
+// worker 1 away and grows it back, at any time. Checked:
+//
+//   - the status words only move along the diagram;
+//   - no lost wakeup: once the producer has returned, unclaimed work never
+//     coexists with a fleet of which every member is asleep — a nap counts —
+//     without a token. That is also what a worker which takes a token and
+//     then retires without passing the baton leaves behind;
+//   - at quiescence no worker sleeps on without being a wake target.
+//
+// One simplification: the goroutine a grow starts for a retired slot starts
+// once the retired one has passed its baton; the real one may start earlier.
+
+// Worker steps.
+const (
+	smTop     int8 = iota // loop top: the retire check
+	smSearch              // pop, poll, steal
+	smEnter               // park: the entry CAS
+	smCount               // idle.Add(1)
+	smRecheck             // anyVisibleWork
+	smSleep               // blocked in the select
+	smExit                // the exit CAS
+	smUncount             // idle.Add(-1)
+	smRetire              // retire: the CAS to retired
+	smBaton               // retire's signalWork, and the producer's: the idle load, then smScan's status loads
+	smDone    = smBaton + 5
+)
+
+// smScan is whom a signalWork's status loads read, in either rotation of
+// wakeRR: worker 0 then 1 (steps smBaton+1, +2), or 1 then 0 (+3, +4).
+var smScan = [4]int{0, 1, 1, 0}
+
+type smState struct {
+	status             [2]uint32
+	pc                 [2]int8
+	timed, token, gone [2]bool // the sleep is a nap; a token is in parkCh; the slot has no goroutine
+	idle, work         int8
+	prod, res          int8   // steps of the producer (from smBaton-1: the push) and of the Resize
+	loaded             uint32 // the status the Resize's CAS expects
+}
+
+type statusModel struct {
+	recheckFirst bool // negative control: park's only look for work is the one before it publishes idle
+	noBaton      bool // negative control: retire does not pass the baton
+	// What the search came across, so the test can tell what it covered.
+	refused, markedAsleep, reactivated, regrown int
+}
+
+// smEdges is the diagram above the status constants in pool.go.
+var smEdges = map[[2]uint32]bool{
+	{workerRunning, workerIdle}: true, {workerIdle, workerRunning}: true,
+	{workerRunning, workerRetiring}: true, {workerIdle, workerRetiring}: true,
+	{workerRetiring, workerRunning}: true, {workerRetiring, workerRetired}: true,
+	{workerRetired, workerRunning}: true,
+}
+
+// cas is a CompareAndSwap on worker w's status.
+func (s *smState) cas(w int, from, to uint32) bool {
+	if s.status[w] != from {
+		return false
+	}
+	s.status[w] = to
+	return true
+}
+
+// signal is one step of the signalWork whose step counter pc finds in a
+// state; an idle load that finds sleepers leads into either rotation.
+func signal(s smState, pc func(*smState) *int8) []smState {
+	switch k := *pc(&s) - smBaton; {
+	case k == 0 && s.idle > 0:
+		rot := s
+		*pc(&s), *pc(&rot) = smBaton+1, smBaton+3
+		return []smState{s, rot}
+	case k > 0 && s.status[smScan[k-1]] == workerIdle:
+		s.token[smScan[k-1]] = true
+		*pc(&s) = smDone
+	case k%2 == 0: // no sleepers, or the scan's second load found none
+		*pc(&s) = smDone
+	default:
+		*pc(&s)++
+	}
+	return []smState{s}
+}
+
+func (m *statusModel) step(s smState, a int) ([]smState, error) {
+	before := s.status
+	var next []smState
+	switch {
+	case a < 2 && !s.gone[a]:
+		next = m.worker(s, a)
+	case a == 2 && s.prod < smBaton:
+		s.work, s.prod = s.work+1, smBaton
+		next = []smState{s}
+	case a == 2 && s.prod < smDone:
+		next = signal(s, func(s *smState) *int8 { return &s.prod })
+	case a == 3:
+		next = m.resize(s)
+	}
+	for _, n := range next {
+		for w, st := range n.status {
+			if st != before[w] && !smEdges[[2]uint32{before[w], st}] {
+				return nil, fmt.Errorf("worker %d's status moved %d → %d, off the diagram", w, before[w], st)
+			}
+		}
+		if n.work > 0 && n.prod == smDone && n.asleep(0) && n.asleep(1) {
+			return nil, fmt.Errorf("lost wakeup: work is queued, the producer has returned, and no worker is awake or holds a token: %+v", n)
+		}
+	}
+	return next, nil
+}
+
+// asleep: worker w will not look for work unless something wakes it.
+func (s *smState) asleep(w int) bool { return s.gone[w] || s.pc[w] == smSleep && !s.token[w] }
+
+func (m *statusModel) worker(s smState, w int) []smState {
+	pc := &s.pc[w]
+	switch *pc {
+	case smTop:
+		if *pc = smSearch; s.status[w] == workerRetiring {
+			*pc = smRetire
+		}
+	case smSearch:
+		if *pc = smEnter; s.work > 0 {
+			s.work, *pc = s.work-1, smTop
+		}
+	case smEnter:
+		if !s.cas(w, workerRunning, workerIdle) {
+			m.refused++
+			*pc = smTop
+			break
+		}
+		*pc = smCount
+		nap := s
+		s.timed[w], nap.timed[w] = false, true
+		return []smState{s, nap}
+	case smCount:
+		if s.idle, *pc = s.idle+1, smRecheck; m.recheckFirst {
+			*pc = smSleep
+		}
+	case smRecheck:
+		if *pc = smSleep; s.work > 0 {
+			*pc = smExit
+		}
+	case smSleep: // the select: the token, the nap's timer, or neither yet
+		var out []smState
+		if s.token[w] {
+			n := s
+			n.token[w], n.pc[w] = false, smExit
+			out = append(out, n)
+		}
+		if s.timed[w] {
+			n := s
+			n.pc[w] = smExit
+			out = append(out, n)
+		}
+		return out
+	case smExit:
+		s.cas(w, workerIdle, workerRunning)
+		s.timed[w], *pc = false, smUncount
+	case smUncount:
+		s.idle, *pc = s.idle-1, smTop
+	case smRetire:
+		switch {
+		case !s.cas(w, workerRetiring, workerRetired):
+			m.reactivated++
+			*pc = smTop
+		case m.noBaton:
+			s.gone[w] = true
+		default:
+			*pc = smBaton
+		}
+	default:
+		next := signal(s, func(s *smState) *int8 { return &s.pc[w] })
+		for i := range next {
+			next[i].gone[w] = next[i].pc[w] == smDone
+		}
+		return next
+	}
+	return []smState{s}
+}
+
+// resize is Resize(1) then Resize(2) of a fleet of two: the mark's load,
+// its CAS, the token for a worker marked asleep; then the reactivating CAS
+// or, against a retired slot, the store and the new goroutine.
+func (m *statusModel) resize(s smState) []smState {
+	switch s.res {
+	case 0:
+		s.loaded = s.status[1]
+	case 1:
+		switch {
+		case !s.cas(1, s.loaded, workerRetiring):
+			s.res = -1
+		case s.loaded == workerIdle:
+			m.markedAsleep++
+		default:
+			s.res++ // marked running: no token
+		}
+	case 2:
+		s.token[1] = true
+	case 3:
+		if s.cas(1, workerRetiring, workerRunning) {
+			s.res = 5
+		}
+	case 4:
+		s.status[1] = workerRunning
+	case 5:
+		if !s.gone[1] {
+			return nil
+		}
+		m.regrown++
+		s.gone[1], s.pc[1] = false, smTop
+	default:
+		return nil
+	}
+	s.res++
+	return []smState{s}
+}
+
+func (m *statusModel) explorer() *explorer[smState] {
+	return &explorer[smState]{actors: 4, step: m.step, final: func(s smState) error {
+		if s.work > 0 || s.pc[1] == smSleep && s.status[1] != workerIdle {
+			return fmt.Errorf("quiescent with work queued, or with worker 1 asleep for good and not a wake target: %+v", s)
+		}
+		return nil
+	}}
+}
+
+func TestStatusModelExhaustive(t *testing.T) {
+	m := &statusModel{}
+	m.explorer().verify(t, smState{})
+	if m.refused == 0 || m.markedAsleep == 0 || m.reactivated == 0 || m.regrown == 0 {
+		t.Fatalf("the search covered %+v; want some of each", *m)
+	}
+}
+
+// The negative controls: a park whose last look for work comes before its
+// running → idle CAS sleeps through a push whose scan came in between, and
+// a retire that passes no baton takes the fleet's one token with it.
+func TestStatusModelCatchesRecheckBeforeCAS(t *testing.T) {
+	(&statusModel{recheckFirst: true}).explorer().refute(t, smState{})
+}
+
+func TestStatusModelCatchesMissingBaton(t *testing.T) {
+	(&statusModel{noBaton: true}).explorer().refute(t, smState{})
+}

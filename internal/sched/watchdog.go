@@ -8,15 +8,15 @@
 // watchdog closes the gap: when Config.StallTimeout is set, a monitor
 // goroutine runs alongside each session — a batch Run or a whole Serve —
 // and reports any worker goroutine that makes no scheduler-visible
-// progress for a full window while unparked. In serve mode one watchdog
+// progress for a full window while running. In serve mode one watchdog
 // covers every submission at once: a stall is a property of a worker, not
 // of any particular submission, and the report carries the worker index.
 //
 // Progress is the per-worker progress counter, ticked on every loop
-// iteration and every task completion. Parked workers are exempt (waiting
+// iteration and every task completion. Idle workers are exempt (waiting
 // for work is the healthy idle state, and the Dekker handshake in
 // lifecycle.go guarantees they cannot be waiting on lost work). What
-// remains — unparked and motionless — is either a worker frozen
+// remains — running and motionless — is either a worker frozen
 // mid-operation (the chaos scenario) or a single task running (or blocked
 // in a Join) longer than the window; both are exactly what an operator
 // wants surfaced. Detection is intentionally report-only: the watchdog
@@ -67,13 +67,13 @@ func (p *Pool) watchdog(quit <-chan struct{}) {
 		}
 		for i, w := range p.workers {
 			cur := w.progress.Load()
-			// Retiring and retired workers are exempt like parked ones: a
-			// retired slot has no goroutine to make progress, and a
+			// Only a running worker can stall: an idle one is waiting for
+			// work, a retired slot has no goroutine to make progress, and a
 			// retiring worker may legitimately sit motionless at the
 			// retire safe point (e.g. suspended by the kernel adversary at
 			// sched.resize.beforeRetire) without that being a stall of the
 			// serving fleet.
-			if cur != last[i] || w.parked.Load() || w.state.Load() != workerActive {
+			if cur != last[i] || w.status.Load() != workerRunning {
 				last[i] = cur
 				since[i] = now
 				reported[i] = false

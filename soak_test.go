@@ -70,13 +70,15 @@ func TestSoakLargeSim(t *testing.T) {
 	}
 }
 
-// TestSoakNativeLargeGraph runs a large dag natively with all deque kinds.
+// TestSoakNativeLargeGraph runs a large dag natively with both deque kinds
+// (the mutex reference deque is internal/sched's tests' own; its
+// TestRunGraphAllWorkloads runs every workload shape on it).
 func TestSoakNativeLargeGraph(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test")
 	}
 	g := workload.UnbalancedTree(5, 200000)
-	for _, kind := range []sched.DequeKind{sched.DequeABP, sched.DequeChaseLev, sched.DequeMutex} {
+	for _, kind := range []sched.DequeKind{sched.DequeABP, sched.DequeChaseLev} {
 		res := sched.RunGraph(sched.GraphConfig{Graph: g, Workers: 8, Deque: kind, Seed: 7})
 		if res.NodesExecuted != int64(g.NumNodes()) {
 			t.Fatalf("deque %d: executed %d of %d", kind, res.NodesExecuted, g.NumNodes())
