@@ -1,5 +1,5 @@
 // Command abplint is the canonical front end for the repository's
-// concurrency-contract analyzer suite (package internal/lint): all twelve
+// concurrency-contract analyzer suite (package internal/lint): all ten
 // analyzers — the syntactic contract checks, the flow-aware owner/CAS
 // analyses, the whole-package race detector, and the memory-ordering,
 // cache-layout, and liveness analyzers — in one run, in the manner of a

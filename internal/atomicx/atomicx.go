@@ -128,28 +128,6 @@ func (x *SCInt64) CompareAndSwap(old, new int64) bool {
 	return atomic.CompareAndSwapInt64(&x.v, old, new)
 }
 
-// SCBool is a sequentially consistent bool (e.g. the parked flag: its
-// store must not pass the work re-scan that follows it).
-type SCBool struct{ v uint32 }
-
-// Load atomically loads the value.
-func (x *SCBool) Load() bool { return atomic.LoadUint32(&x.v) != 0 }
-
-// Store atomically stores v.
-func (x *SCBool) Store(v bool) { atomic.StoreUint32(&x.v, b32(v)) }
-
-// CompareAndSwap executes the compare-and-swap operation.
-func (x *SCBool) CompareAndSwap(old, new bool) bool {
-	return atomic.CompareAndSwapUint32(&x.v, b32(old), b32(new))
-}
-
-func b32(v bool) uint32 {
-	if v {
-		return 1
-	}
-	return 0
-}
-
 // SCPointer is a sequentially consistent typed pointer (e.g. deque cells,
 // whose steal-side read is ordered inside the age-CAS arbitration window).
 type SCPointer[T any] struct{ p atomic.Pointer[T] }
@@ -201,16 +179,6 @@ func (x *PublishUint64) Load() uint64 { return atomic.LoadUint64(&x.v) }
 
 // Store atomically stores v (release).
 func (x *PublishUint64) Store(v uint64) { atomic.StoreUint64(&x.v, v) }
-
-// PublishBool is a release/acquire bool (e.g. a shutdown or completion
-// flag whose observers rely only on seeing the writes before the flip).
-type PublishBool struct{ v uint32 }
-
-// Load atomically loads the value (acquire).
-func (x *PublishBool) Load() bool { return atomic.LoadUint32(&x.v) != 0 }
-
-// Store atomically stores v (release).
-func (x *PublishBool) Store(v bool) { atomic.StoreUint32(&x.v, b32(v)) }
 
 // PublishPointer is a release/acquire typed pointer (e.g. the Chase-Lev
 // ring pointer: the owner publishes a grown ring, thieves acquire it).

@@ -55,23 +55,6 @@ func TestSCInt64(t *testing.T) {
 	}
 }
 
-func TestSCBool(t *testing.T) {
-	var x SCBool
-	if x.Load() {
-		t.Fatal("zero value not false")
-	}
-	x.Store(true)
-	if !x.Load() {
-		t.Fatal("Store(true) not observed")
-	}
-	if !x.CompareAndSwap(true, false) || x.Load() {
-		t.Fatal("CompareAndSwap(true,false) failed")
-	}
-	if x.CompareAndSwap(true, true) {
-		t.Fatal("CompareAndSwap succeeded with wrong old value")
-	}
-}
-
 func TestSCPointer(t *testing.T) {
 	var x SCPointer[int]
 	if x.Load() != nil {
@@ -108,18 +91,6 @@ func TestPublishUint64(t *testing.T) {
 	x.Store(1 << 50)
 	if got := x.Load(); got != 1<<50 {
 		t.Fatalf("Load = %d", got)
-	}
-}
-
-func TestPublishBool(t *testing.T) {
-	var x PublishBool
-	x.Store(true)
-	if !x.Load() {
-		t.Fatal("Store(true) not observed")
-	}
-	x.Store(false)
-	if x.Load() {
-		t.Fatal("Store(false) not observed")
 	}
 }
 
@@ -170,12 +141,9 @@ func TestZeroOverheadInlining(t *testing.T) {
 		"(*SCInt32).CompareAndSwap",
 		"(*SCInt64).Load", "(*SCInt64).Store", "(*SCInt64).Add",
 		"(*SCInt64).CompareAndSwap",
-		"(*SCBool).Load", "(*SCBool).Store", "(*SCBool).CompareAndSwap",
-		"b32",
 		"(*Publish32).Load", "(*Publish32).Store",
 		"(*Publish64).Load", "(*Publish64).Store", "(*Publish64).Add",
 		"(*PublishUint64).Load", "(*PublishUint64).Store",
-		"(*PublishBool).Load", "(*PublishBool).Store",
 	}
 	for _, m := range methods {
 		if !strings.Contains(diag, "can inline "+m) {

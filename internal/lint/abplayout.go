@@ -161,8 +161,24 @@ func (l *layoutAnalysis) classifyRoles() {
 	}
 }
 
-// roleOf returns the field's writer role (roleCold when unclassified).
-func (l *layoutAnalysis) roleOf(v *types.Var) string { return l.roles[v.Origin()] }
+// roleRank orders the roles by severity, roleCold lowest.
+var roleRank = map[string]int{roleReadMost: 1, roleOwnerHot: 2, roleSharedHot: 3, roleHandshake: 4, roleCASHot: 5}
+
+// roleOf returns the field's writer role (roleCold when unclassified). A
+// field of struct type is as hot as the hottest word inside it, so a
+// protocol's word wrapped in a small type of its own (sched's waitWord)
+// still counts on the line its holder puts it on.
+func (l *layoutAnalysis) roleOf(v *types.Var) string {
+	role := l.roles[v.Origin()]
+	if st, ok := v.Type().Underlying().(*types.Struct); ok {
+		for i := 0; i < st.NumFields(); i++ {
+			if r := l.roleOf(st.Field(i)); roleRank[r] > roleRank[role] {
+				role = r
+			}
+		}
+	}
+	return role
+}
 
 // layoutField is one struct field under one size model.
 type layoutField struct {

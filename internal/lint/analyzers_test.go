@@ -1,22 +1,38 @@
 package lint
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
 
-func TestAtomicMix(t *testing.T)   { runAnalyzerTest(t, AtomicMix, "atomicmix") }
-func TestOwnerOnly(t *testing.T)   { runAnalyzerTest(t, OwnerOnly, "owneronly") }
+func TestAtomicMix(t *testing.T) { runAnalyzerTest(t, AtomicMix, "atomicmix") }
+func TestOwnerOnly(t *testing.T) {
+	runAnalyzerTest(t, onlyMatching(Owner, "outside an owner context"), "owneronly")
+}
 func TestNonBlocking(t *testing.T) { runAnalyzerTest(t, NonBlocking, "nonblocking") }
-func TestCASLoop(t *testing.T)     { runAnalyzerTest(t, CASLoop, "casloop") }
-func TestOwnerEscape(t *testing.T) { runAnalyzerTest(t, OwnerEscape, "ownerescape") }
+func TestCASLoop(t *testing.T)     { runAnalyzerTest(t, CAS, "casloop") }
+func TestOwnerEscape(t *testing.T) { runAnalyzerTest(t, Owner, "ownerescape") }
 func TestHandshake(t *testing.T)   { runAnalyzerTest(t, Handshake, "handshake") }
 func TestMustCheck(t *testing.T)   { runAnalyzerTest(t, MustCheck, "mustcheck") }
-func TestTagABA(t *testing.T)      { runAnalyzerTest(t, TagABA, "tagaba") }
+func TestTagABA(t *testing.T)      { runAnalyzerTest(t, CAS, "tagaba") }
 func TestAbpRace(t *testing.T)     { runAnalyzerTest(t, AbpRace, "abprace") }
 func TestAbpOrder(t *testing.T)    { runAnalyzerTest(t, AbpOrder, "abporder") }
 func TestAbpLayout(t *testing.T)   { runAnalyzerTest(t, AbpLayout, "abplayout") }
 func TestAbpWait(t *testing.T)     { runAnalyzerTest(t, AbpWait, "abpwait") }
+
+// onlyMatching is a with its findings cut down to those whose message
+// contains substr: one check of a merged analyzer, for a fixture written
+// when that check was an analyzer of its own and which the other check has
+// findings on too (owneronly's spawner leaks its deque to show that
+// ownership stops at a go statement).
+func onlyMatching(a *Analyzer, substr string) *Analyzer {
+	return &Analyzer{Name: a.Name, Doc: a.Doc, Run: func(pass *Pass) error {
+		err := a.Run(pass)
+		pass.diags = slices.DeleteFunc(pass.diags, func(d Diagnostic) bool { return !strings.Contains(d.Message, substr) })
+		return err
+	}}
+}
 
 // TestSeededWait replays the two liveness bugs this repository shipped —
 // the PR-1 lost wakeup (a parked worker's token channel with no sender)

@@ -264,8 +264,8 @@ func (g *callGraph) ownerRoots() []*funcNode {
 	return roots
 }
 
-// ownedNodes is the ownership-propagation rule shared by owneronly and
-// ownerescape: starting from //abp:owner declarations, ownership extends
+// ownedNodes is the ownership-propagation rule of the owner analyzer:
+// starting from //abp:owner declarations, ownership extends
 // along static and defer edges (same goroutine) but never along go edges
 // (a new goroutine is by definition not the single owner) and never to a
 // literal that merely escapes as a value (no edge exists for those).

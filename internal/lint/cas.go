@@ -8,23 +8,37 @@ import (
 	"strings"
 )
 
-// TagABA mechanizes the ABA argument of paper Figure 5: the age word packs
-// (tag, top), and every CAS that RESETS top — PopBottom emptying the deque,
-// the queue-empty reset path — must simultaneously install an incremented
-// tag. If top returns to an old value with the tag unchanged, a thief that
-// loaded the age word before the reset can still CAS successfully and
-// "steal" an entry that was already popped: the classic ABA. The increment
+// CAS checks the two disciplines that keep a compare-and-swap from
+// succeeding against a value it never observed — the ABA failure class the
+// paper's tagged age word exists to prevent (Section 3.2, "bounded tags") —
+// in one walk over the package's CAS sites (wrapper-method CompareAndSwap
+// or function-style atomic.CompareAndSwapX; casOperands).
+//
+// The expected value is reloaded. Retrying a failed CAS with the same stale
+// expectation either spins forever or, worse, eventually succeeds against a
+// recycled value. The fix is mechanical: move the load of the expected
+// value inside the loop, as Figure 5's popTop does by re-reading age on
+// every attempt. A CAS inside a for loop is reported when its expected
+// operand is a variable that is not assigned anywhere in the loop's body or
+// post statement. Expected operands that are constants, fresh per-iteration
+// loads, or non-identifier expressions are never flagged, and a variable
+// whose address is taken inside the loop is conservatively assumed
+// reloaded.
+//
+// The tag is incremented — the ABA argument of Figure 5 itself: the age
+// word packs (tag, top), and every CAS that RESETS top — PopBottom emptying
+// the deque, the queue-empty reset path — must simultaneously install an
+// incremented tag. If top returns to an old value with the tag unchanged, a
+// thief that loaded the age word before the reset can still CAS
+// successfully and "steal" an entry that was already popped. The increment
 // makes every recycled top index distinguishable; TR-99-11's unbounded tag
 // (practically, a 32-bit wrap) is what lets the linearizability proof treat
-// each age value as unique.
-//
-// The analyzer finds every sync/atomic CompareAndSwap (wrapper method or
-// function form) whose new value is an age build that resets top to the
-// constant 0 — a call to a pack-style helper (any function whose name
-// contains "pack") with a constant-0 top argument, or a composite literal
-// with Tag/Top fields and Top: 0. The new value is resolved through
-// reaching definitions (cfg.go), so `newAge := packAge(...); CAS(old,
-// newAge)` is seen through. For every such reset it requires:
+// each age value as unique. A CAS whose new value is an age build that
+// resets top to the constant 0 — a call to a pack-style helper (any
+// function whose name contains "pack") with a constant-0 top argument, or a
+// composite literal with Tag/Top fields and Top: 0 — is held to two
+// requirements; the new value is resolved through reaching definitions
+// (cfg.go), so `newAge := packAge(...); CAS(old, newAge)` is seen through:
 //
 //  1. the tag operand is an increment (base + constant, optionally
 //     &-masked for wraparound), and
@@ -36,40 +50,148 @@ import (
 // Bases that are not plain identifiers (field reads, call results) are
 // accepted: the analyzer checks local staleness, not cross-function
 // provenance.
-var TagABA = &Analyzer{
-	Name: "tagaba",
-	Doc:  "requires every top-resetting CAS to install a freshly loaded, incremented tag (Figure 5 ABA guard)",
-	Run:  runTagABA,
+var CAS = &Analyzer{
+	Name: "cas",
+	Doc:  "flags CAS retry loops whose expected value is not reloaded inside the loop (stale read; ABA risk), and requires every top-resetting CAS to install a freshly loaded, incremented tag (Figure 5 ABA guard)",
+	Run:  runCAS,
 }
 
-func runTagABA(pass *Pass) error {
-	for _, fn := range pass.facts.graph.nodes {
-		if fn.decl == nil || fn.decl.Body == nil {
-			continue
+func runCAS(pass *Pass) error {
+	info, g := pass.TypesInfo, pass.facts.graph
+	// decl is the function declaration the walk is inside, nil in a
+	// package-level initializer: a CAS in a nested literal resolves to the
+	// block node the literal sits in, under the declaration's own CFG.
+	var decl *funcNode
+	var loops []*ast.ForStmt
+	var walk func(n ast.Node) bool
+	walk = func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.ForStmt:
+			loops = append(loops, n)
+			// Init runs once: CAS expectations loaded there are stale on
+			// retry, so only Cond/Body/Post count as inside the loop.
+			if n.Init != nil {
+				ast.Inspect(n.Init, walk)
+			}
+			if n.Cond != nil {
+				ast.Inspect(n.Cond, walk)
+			}
+			if n.Post != nil {
+				ast.Inspect(n.Post, walk)
+			}
+			ast.Inspect(n.Body, walk)
+			loops = loops[:len(loops)-1]
+			return false
+		case *ast.CallExpr:
+			oldArg, newArg := casOperands(info, n)
+			if oldArg == nil {
+				return true
+			}
+			if len(loops) > 0 {
+				checkReloaded(pass, loops[len(loops)-1], oldArg)
+			}
+			if decl != nil {
+				checkTagReset(pass, decl, n, newArg)
+			}
 		}
-		// Nested literals are walked under the declaration's own CFG: a
-		// CAS inside one resolves to the block node the literal sits in.
-		ast.Inspect(fn.decl.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
+		return true
+	}
+	for _, f := range pass.Files {
+		for _, d := range f.Decls {
+			decl = nil
+			if fd, ok := d.(*ast.FuncDecl); ok {
+				fn, _ := info.Defs[fd.Name].(*types.Func)
+				decl = g.declNode[fn]
 			}
-			_, newExpr := casOperands(pass.TypesInfo, call)
-			if newExpr == nil {
-				return true
-			}
-			g, r := pass.facts.cfg(fn), pass.facts.reach(fn)
-			casNode := g.blockNodeAt(call.Pos())
-			if casNode == nil {
-				return true
-			}
-			for _, cand := range resolveBuilds(pass.TypesInfo, r, newExpr, casNode) {
-				checkAgeBuild(pass, r, cand)
-			}
-			return true
-		})
+			ast.Inspect(d, walk)
+		}
 	}
 	return nil
+}
+
+// checkReloaded reports a CAS whose expected operand is a variable that
+// loop, the innermost around it, never assigns.
+func checkReloaded(pass *Pass, loop *ast.ForStmt, oldArg ast.Expr) {
+	ident, ok := ast.Unparen(oldArg).(*ast.Ident)
+	if !ok {
+		return
+	}
+	v, ok := pass.TypesInfo.Uses[ident].(*types.Var)
+	if !ok {
+		return // nil, constants, etc.
+	}
+	if !assignedIn(pass.TypesInfo, loop, v) {
+		pass.Reportf(oldArg.Pos(),
+			"CAS retry loop never reloads expected value %q: a failed CompareAndSwap retries with a stale read (ABA risk); load %q inside the loop",
+			v.Name(), v.Name())
+	}
+}
+
+// checkTagReset holds every age build that may flow into the new-value
+// operand of the CAS call, inside declaration fn, to the Figure 5
+// requirements.
+func checkTagReset(pass *Pass, fn *funcNode, call *ast.CallExpr, newArg ast.Expr) {
+	g, r := pass.facts.cfg(fn), pass.facts.reach(fn)
+	casNode := g.blockNodeAt(call.Pos())
+	if casNode == nil {
+		return
+	}
+	for _, cand := range resolveBuilds(pass.TypesInfo, r, newArg, casNode) {
+		checkAgeBuild(pass, r, cand)
+	}
+}
+
+// assignedIn reports whether v is (re)assigned inside loop's body or post
+// statement — by assignment, short declaration, declaration, inc/dec,
+// range binding, or (conservatively) having its address taken. The CAS
+// call's own position is irrelevant: an assignment anywhere in the body
+// reloads before the next retry.
+func assignedIn(info *types.Info, loop *ast.ForStmt, v *types.Var) bool {
+	found := false
+	objOf := func(e ast.Expr) types.Object {
+		ident, ok := ast.Unparen(e).(*ast.Ident)
+		if !ok {
+			return nil
+		}
+		if o := info.Defs[ident]; o != nil {
+			return o
+		}
+		return info.Uses[ident]
+	}
+	check := func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				if objOf(lhs) == v {
+					found = true
+				}
+			}
+		case *ast.IncDecStmt:
+			if objOf(n.X) == v {
+				found = true
+			}
+		case *ast.RangeStmt:
+			if objOf(n.Key) == v || objOf(n.Value) == v {
+				found = true
+			}
+		case *ast.ValueSpec:
+			for _, name := range n.Names {
+				if info.Defs[name] == v {
+					found = true
+				}
+			}
+		case *ast.UnaryExpr:
+			if n.Op == token.AND && objOf(n.X) == v {
+				found = true // address escapes; assume a reload happens
+			}
+		}
+		return !found
+	}
+	ast.Inspect(loop.Body, check)
+	if loop.Post != nil {
+		ast.Inspect(loop.Post, check)
+	}
+	return found
 }
 
 // ageBuild is one resolved construction of a CAS new-value: the expression,

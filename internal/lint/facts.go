@@ -410,9 +410,10 @@ func (c *collector) classifyCall(call *ast.CallExpr) {
 			atomicOperand(elemBase(ast.Unparen(sel.X)), callee.Name() != "Load", false)
 		}
 	case isAtomicxPlainMethod(callee):
-		// h.handoff.Set(t): a declared-plain access — the receiver chain
-		// is a plain write (Set) or plain read (Get), checked by the pair
-		// machinery exactly as a raw field access would be.
+		// x.f.Set(v) on an atomicx.PlainPointer field f: a declared-plain
+		// access — the receiver chain is a plain write (Set) or plain read
+		// (Get), checked by the pair machinery exactly as a raw field
+		// access would be.
 		if sel != nil {
 			mk := c.mark(elemBase(ast.Unparen(sel.X)))
 			mk.write = mk.write || callee.Name() == "Set"

@@ -28,7 +28,7 @@ func accessFingerprint(pkg *Package, f *pkgFacts) string {
 // analyzers only read it. Over every fixture package, the suite's findings
 // are identical whether the analyzers run in All() order, in reverse, or
 // one at a time over fresh facts, and the access set is byte-for-byte what
-// the fact pass built after all twelve have run over it.
+// the fact pass built after all ten have run over it.
 func TestFactsOrderIndependent(t *testing.T) {
 	dirs, err := filepath.Glob(filepath.Join("testdata", "src", "*"))
 	if err != nil || len(dirs) == 0 {
@@ -72,7 +72,7 @@ func TestFactsOrderIndependent(t *testing.T) {
 				alone[a.Name] = suite([]*Analyzer{a})[a.Name]
 			}
 			if !reflect.DeepEqual(forward, alone) {
-				t.Errorf("findings differ between one shared fact pass and twelve fresh ones:\nshared: %v\nfresh:  %v", forward, alone)
+				t.Errorf("findings differ between one shared fact pass and ten fresh ones:\nshared: %v\nfresh:  %v", forward, alone)
 			}
 
 			facts := buildFacts(pkg.Files, pkg.Types, pkg.Info)

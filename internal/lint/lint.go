@@ -18,7 +18,7 @@
 // the goroutine roots and per-function contexts, memoized per-function CFGs
 // and reaching definitions, the access set over every function, the
 // per-function synchronization operations, and the resolved //abp:handshake
-// table. The twelve analyzers read those facts and build none of their own.
+// table. The ten analyzers read those facts and build none of their own.
 //
 // Three comment directives put code in scope:
 //
@@ -90,12 +90,13 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.diags = append(p.diags, Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
 
-// All returns the abplint analyzer suite: PR 2's four syntactic analyzers,
-// PR 3's four flow-aware ones, PR 4's whole-package race detector, PR 7's
-// memory-ordering necessity analyzer, PR 8's cache-layout analyzer, and
-// PR 9's liveness analyzer, in alphabetical order.
+// All returns the abplint analyzer suite: the six contract analyzers of
+// PRs 2 and 3 (eight until PR 22 merged the two over the //abp:owner
+// closure and the two over CAS sites), PR 4's whole-package race detector,
+// PR 7's memory-ordering necessity analyzer, PR 8's cache-layout analyzer,
+// and PR 9's liveness analyzer, in alphabetical order.
 func All() []*Analyzer {
-	return []*Analyzer{AbpLayout, AbpOrder, AbpRace, AbpWait, AtomicMix, CASLoop, Handshake, MustCheck, NonBlocking, OwnerEscape, OwnerOnly, TagABA}
+	return []*Analyzer{AbpLayout, AbpOrder, AbpRace, AbpWait, AtomicMix, CAS, Handshake, MustCheck, NonBlocking, Owner}
 }
 
 // Run applies one analyzer to a loaded package and returns its findings,
@@ -164,7 +165,7 @@ type IgnoreDirective struct {
 	File     string
 	Line     int
 	Analyzer string
-	// Form is the directive as written ("//abp:ignore casloop" or
+	// Form is the directive as written ("//abp:ignore cas" or
 	// "//abp:race-ignore"), so unused-ignore findings quote the right
 	// spelling.
 	Form string

@@ -60,7 +60,7 @@ func inline(v *atomic.Int64) {
 func suppressed(v *atomic.Int64) bool {
 	old := v.Load()
 	for i := 0; i < 1; i++ {
-		//abp:ignore casloop single-attempt loop: the bound makes staleness harmless
+		//abp:ignore cas single-attempt loop: the bound makes staleness harmless
 		if v.CompareAndSwap(old, old+1) {
 			return true
 		}
@@ -72,7 +72,7 @@ func suppressed(v *atomic.Int64) bool {
 func bareIgnore(v *atomic.Int64) bool {
 	old := v.Load()
 	for i := 0; i < 1; i++ {
-		//abp:ignore casloop
+		//abp:ignore cas
 		if v.CompareAndSwap(old, old+1) { // want `never reloads expected value "old"`
 			return true
 		}

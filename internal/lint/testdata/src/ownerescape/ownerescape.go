@@ -46,7 +46,7 @@ func run(d *deque, ch chan *deque, r *registry) {
 	global = d                 // want `stores deque d into global`
 	_ = registry{d: d}         // want `embeds deque d in a composite literal`
 
-	//abp:ignore ownerescape the logger goroutine only reads Len, and joins before the run ends
+	//abp:ignore owner the logger goroutine only reads Len, and joins before the run ends
 	go worker(d) // accepted: justified ignore
 }
 

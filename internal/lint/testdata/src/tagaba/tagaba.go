@@ -112,7 +112,7 @@ func structNoIncrement(cur *atomic.Pointer[age]) {
 // suppressed is a boot-time reset justified with an ignore directive.
 func suppressed(d *deque, bootTag uint64) {
 	oldAge := d.age.Load()
-	//abp:ignore tagaba boot-time reset before any thief can exist
+	//abp:ignore cas boot-time reset before any thief can exist
 	newAge := packAge(bootTag+1, 0) // accepted: justified ignore
 	if d.age.CompareAndSwap(oldAge, newAge) {
 		return

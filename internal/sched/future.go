@@ -1,3 +1,6 @@
+// Futures, and the completion word a Future and a run record both end on
+// (waitWord): the one place the install-or-load, finish and is-done steps
+// of the lazy-wait protocol are written (DESIGN.md §7, "Lazy wait").
 package sched
 
 import (
@@ -12,50 +15,71 @@ type poolAbortedError struct{ cause any }
 
 func (e poolAbortedError) Error() string { return "sched: pool run aborted" }
 
-// panicAborted unwinds a Join or Group.Wait that observed its submission's
-// abort channel closed while what it waits for is still pending. The
-// receive (immediate: the channel is closed) orders the cause reads after
-// the aborter's writes: panicVal for a task panic, err for a cancellation
-// or service stop.
+// panicAborted unwinds a Join or Group.Wait whose submission has aborted
+// (help read a state that is not live) with the cause: the panic value of
+// a task panic, the error of a cancellation or service stop.
 func (r *run) panicAborted() {
-	<-r.abort
-	cause := any(r.panicVal)
+	err, cause := r.outcome()
 	if cause == nil {
-		cause = r.err
+		cause = err
 	}
 	panic(poolAbortedError{cause: cause})
 }
 
-// waitChan returns the channel a waiter about to block on *p selects on,
-// installing one if none is there: completers only close what a waiter
-// installed, so a fork or a group that nobody blocks on never allocates a
-// channel. For a Group it is the store half of the waiter's side of the
-// wait handshake — install the channel, then re-load pending — against
-// Group.done's store pending, then load the channel and close it: the same
-// Dekker shape as park against signalWork. A Future needs no second word:
-// its completer swaps doneWait into *p, so the install either precedes the
-// swap, which then hands the channel to the completer to close, or fails
-// against it and finds doneWait's channel, which is closed already.
-func waitChan(p *atomicx.SCPointer[chan struct{}]) chan struct{} {
-	for {
-		if ch := p.Load(); ch != nil {
-			return *ch
-		}
-		ch := make(chan struct{})
-		if p.CompareAndSwap(nil, &ch) {
-			return ch
-		}
-	}
+// waitWord is a completion word, the one wait protocol of a Future and of
+// a run record (and the slot a Group's waiters install into, group.go):
+// nil while what it stands for is pending and nobody waits, a channel a
+// waiter about to block installed, or doneWait once it has ended. The
+// completer's one Swap publishes what it wrote before and takes the
+// waiter's channel to close, so a channel exists only where somebody had
+// to block, and after the Swap the completer never touches the word's
+// record again. future_model_test.go and run_model_test.go check it over
+// every interleaving.
+type waitWord struct {
+	p atomicx.SCPointer[chan struct{}]
 }
 
-// doneWait is the completed state of a Future's completion word: a pointer
-// no waiter installs, to a channel that is closed from the start, so a
-// waiter that loads it (waitChan) falls through its select.
+// doneWait is the ended state of a waitWord: a pointer no waiter installs,
+// to a channel that is closed from the start, so a waiter that loads it
+// (waitChan) falls through its receive.
 var doneWait = func() *chan struct{} {
 	ch := make(chan struct{})
 	close(ch)
 	return &ch
 }()
+
+// waitChan returns the channel a waiter about to block receives from,
+// installing one if none is there: the install either precedes finish's
+// Swap, which then hands the channel to the completer to close, or fails
+// against it and finds doneWait's channel, which is closed already. For a
+// Group, whose completers empty the slot instead (take), it is the store
+// half of the waiter's side of the wait handshake — install the channel,
+// then re-load pending — against Group.done's store pending, then take:
+// the same Dekker shape as park against signalWork.
+func (x *waitWord) waitChan() chan struct{} {
+	for {
+		if ch := x.p.Load(); ch != nil {
+			return *ch
+		}
+		ch := make(chan struct{})
+		if x.p.CompareAndSwap(nil, &ch) {
+			return ch
+		}
+	}
+}
+
+// finish ends the word, once: whatever the caller wrote before is
+// published to every waiter and every isDone, and the channel a waiter
+// installed, if any, is closed.
+func (x *waitWord) finish() {
+	if ch := x.p.Swap(doneWait); ch != nil {
+		close(*ch)
+	}
+}
+
+// isDone reports whether finish has run, without blocking or installing
+// anything.
+func (x *waitWord) isDone() bool { return x.p.Load() == doneWait }
 
 // maxFreeRecords bounds each of a worker's two free lists (DESIGN.md §7,
 // "Record recycling"): deep enough for the joins a fork-join recursion has
@@ -71,13 +95,10 @@ type Future[T any] struct {
 	task   Task
 	fn     func(*Worker) T
 	result T
-	// ch is the whole completion state: nil while the task is pending and
-	// nobody waits, a channel a blocked waiter installed (waitChan), or
-	// doneWait once the task has completed. The completer's one Swap
-	// publishes result and takes the waiter's channel; after it the
-	// completer never touches the Future again, which is what lets Join2,
-	// Reduce and ParallelFor recycle theirs (free).
-	ch atomicx.SCPointer[chan struct{}]
+	// ch is the whole completion state. The completer's finish publishes
+	// result, and after it the completer never touches the Future again,
+	// which is what lets Join2, Reduce and ParallelFor recycle theirs (free).
+	ch waitWord
 	// next links the Future into its worker's free list, and is nil in one
 	// that is in use: a Future left to the collector holds on to nothing.
 	next *Future[T]
@@ -129,7 +150,7 @@ func takeFuture[T any](w *Worker) *Future[T] {
 func (f *Future[T]) free(w *Worker) {
 	var zero T
 	f.fn, f.result = nil, zero
-	f.ch.Store(nil)
+	f.ch.p.Store(nil)
 	head, ok := w.freeFutures.(*Future[T])
 	if !ok {
 		w.nFreeFutures = 0
@@ -147,62 +168,41 @@ func (f *Future[T]) free(w *Worker) {
 // through the submission's abort.
 func (f *Future[T]) runTask(w *Worker) {
 	f.result = f.fn(w)
-	if ch := f.ch.Swap(doneWait); ch != nil {
-		close(*ch)
-	}
+	f.ch.finish()
 }
 
 // Join returns the future's result, helping to run other tasks until it is
 // available. It must be called from a task running on the pool (pass the
-// current worker). When no deque holds work it could take (settle), Join
-// blocks on a channel it installs in the future rather than spinning — the same
+// current worker). When no deque holds work it could take, Join blocks on
+// a channel it installs in the future rather than spinning — the same
 // park-instead-of-spin discipline as the worker loop (lifecycle.go) — and
 // is woken by the forked task's completion or, if the joiner's submission
 // aborts (another of its tasks panicked, its context was cancelled, the
-// pool stopped), by the submission's abort channel, in which case it
+// pool stopped), by the submission's completion word, in which case it
 // panics with poolAbortedError so the abort also unwinds joiners that
-// could otherwise wait forever. The abort check also runs between helped
-// tasks: a joiner with a deep backlog unwinds at the next task boundary
-// instead of draining the backlog first (the worker loop makes the same
-// between-tasks check). In serve mode a helped task may belong to a
-// different submission — execOrDrop releases and aborts per the helped
-// task's own scope, and exec restores the joiner's scope afterwards.
+// could otherwise wait forever (help).
 func (f *Future[T]) Join(w *Worker) T {
 	r := w.currentRun()
 	for !f.Done() {
-		select {
-		case <-r.abort:
-			if !f.Done() {
-				r.panicAborted()
-			}
-		default:
-		}
-		if t, stolen := w.tryGetTask(); t != nil {
-			w.execOrDrop(t, stolen)
-			continue
-		}
-		if w.settle() {
+		if w.help(r) {
 			f.block(r)
 		}
 	}
 	return f.result
 }
 
-// block parks the joiner until the future completes or r aborts. The
-// caller's loop re-checks the completion word, so a wake for any other
-// reason is harmless.
+// block parks the joiner until the future completes or r ends — which,
+// under a live joiner, is r aborting (help). Join's loop re-checks both,
+// so a wake for any other reason is harmless.
 func (f *Future[T]) block(r *run) {
 	select {
-	case <-waitChan(&f.ch):
-	case <-r.abort:
-		if !f.Done() {
-			r.panicAborted()
-		}
+	case <-f.ch.waitChan():
+	case <-r.done.waitChan():
 	}
 }
 
 // Done reports whether the result is available without blocking.
-func (f *Future[T]) Done() bool { return f.ch.Load() == doneWait }
+func (f *Future[T]) Done() bool { return f.ch.isDone() }
 
 // joinFree is Join for a Future from takeFuture: the Future goes back to
 // w's free list once its result is out.

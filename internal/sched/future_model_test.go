@@ -61,16 +61,51 @@ type fmCompleter struct {
 	ch int8 // the channel it took and must close
 }
 
+// mWord models a waitWord and the channels installed in it; its methods
+// are the word's atomic operations, one model step each, shared with the
+// run record's model (run_model_test.go).
+type mWord struct {
+	word   int8 // 0 nil, fmDone, or a channel's number
+	nch    int8
+	closed [fmMaxCh + 1]int8
+}
+
+// install is waitChan's CAS of a new channel against nil; it fails, and
+// returns 0, if the word is not nil any more.
+func (x *mWord) install() (ch int8, err error) {
+	if x.word != 0 {
+		return 0, nil
+	}
+	if x.nch == fmMaxCh {
+		return 0, fmt.Errorf("more than %d channels installed", fmMaxCh)
+	}
+	x.nch++
+	x.word = x.nch
+	return x.nch, nil
+}
+
+// swapDone is finish's Swap: the channel a waiter installed, if any, is
+// the caller's to close.
+func (x *mWord) swapDone() (ch int8) {
+	ch, x.word = x.word, fmDone
+	return max(ch, 0)
+}
+
+func (x *mWord) close(ch int8) error {
+	if x.closed[ch]++; x.closed[ch] > 1 {
+		return fmt.Errorf("channel %d closed twice", ch)
+	}
+	return nil
+}
+
 // fmState is the whole model.
 type fmState struct {
-	word   int8 // 0 nil, fmDone, or a channel's number
+	mWord
 	done   bool // two-word only
 	result int8 // the generation that wrote it last
 	gen    int8 // the generation in flight
 	jpc    int8
-	jch    int8 // the channel the joiner blocks on
-	nch    int8
-	closed [fmMaxCh + 1]int8
+	jch    int8              // the channel the joiner blocks on
 	maker  [fmMaxCh + 1]int8 // the generation whose joiner installed the channel
 	freed  [fmGens + 1]bool
 	c      [fmGens + 1]fmCompleter
@@ -114,15 +149,15 @@ func (m *futureModel) joinerStep(s fmState) ([]fmState, error) {
 			s.jpc = fjInstCAS
 		}
 	case fjInstCAS:
-		if s.word != 0 {
+		ch, err := s.install()
+		if err != nil {
+			return nil, err
+		}
+		if ch == 0 {
 			s.jpc = fjInstLoad
 			break
 		}
-		if s.nch == fmMaxCh {
-			return nil, fmt.Errorf("more than %d channels installed", fmMaxCh)
-		}
-		s.nch++
-		s.word, s.jch, s.maker[s.nch] = s.nch, s.nch, s.gen
+		s.jch, s.maker[ch] = ch, s.gen
 		s.jpc = fjBlock
 		if m.twoWord {
 			s.jpc = fjRecheck
@@ -187,7 +222,7 @@ func (m *futureModel) completerStep(s fmState, g int8) ([]fmState, error) {
 			c.pc = fcLoadCh
 			break
 		}
-		c.ch, s.word = s.word, fmDone
+		c.ch = s.swapDone()
 		c.pc = fcFinished
 		if c.ch > 0 {
 			c.pc = fcClose
@@ -199,9 +234,8 @@ func (m *futureModel) completerStep(s fmState, g int8) ([]fmState, error) {
 			c.pc = fcClose
 		}
 	case fcClose:
-		s.closed[c.ch]++
-		if s.closed[c.ch] > 1 {
-			return nil, fmt.Errorf("channel %d closed twice", c.ch)
+		if err := s.close(c.ch); err != nil {
+			return nil, err
 		}
 		if s.maker[c.ch] != g {
 			return nil, fmt.Errorf("generation %d's completer closed the channel of generation %d's joiner", g, s.maker[c.ch])

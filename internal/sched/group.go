@@ -15,7 +15,7 @@ import (
 type Group struct {
 	// pending's decrement result is consumed (exactly one decrementer
 	// observes zero and wakes the waiters), and it is the word Wait
-	// re-loads after installing ch (the wait handshake, waitChan): sc.
+	// re-loads after installing ch (the wait handshake, waitWord.waitChan): sc.
 	pending atomicx.SCInt64
 	// ch is the wait channel of the current generation, installed by a
 	// waiter about to block and taken by the decrementer that reaches
@@ -25,7 +25,7 @@ type Group struct {
 	// invalidation, not two — and a Group is a small user-allocated value
 	// not worth a 64-byte pad.
 	//abp:layout-ignore pending and ch are co-written by the single winning waker per generation; padding would double a user-visible struct for one saved invalidation
-	ch atomicx.SCPointer[chan struct{}]
+	ch waitWord
 }
 
 // NewGroup returns an empty group.
@@ -95,56 +95,47 @@ func (w *Worker) freeGroupTask(t *groupTask) {
 // channel instead: that waiter wakes, finds pending above zero, and
 // installs another.
 //
-//abp:handshake store=pending load=ch
+//abp:handshake store=pending load=take
 func (g *Group) done() {
 	if g.pending.Add(-1) == 0 {
-		if ch := g.ch.Load(); ch != nil && g.ch.CompareAndSwap(ch, nil) {
-			close(*ch)
-		}
+		g.ch.take()
+	}
+}
+
+// take is the counted slot's completion, where a Future or a run has
+// finish: it closes the channel in the word, if any, and leaves the word
+// empty rather than ended, because a Group has generations.
+func (x *waitWord) take() {
+	if ch := x.p.Load(); ch != nil && x.p.CompareAndSwap(ch, nil) {
+		close(*ch)
 	}
 }
 
 // Wait blocks until every task spawned into the group (so far) has
-// finished, executing other tasks while it waits. Like Future.Join, Wait
-// checks its own submission's abort between helped tasks, so a cancelled
-// or panicked submission unwinds a helping waiter at the next task
-// boundary instead of after it drains its backlog.
+// finished, executing other tasks while it waits and unwinding if its
+// submission aborts, like Future.Join (help).
 func (g *Group) Wait(w *Worker) {
 	r := w.currentRun()
 	for g.pending.Load() > 0 {
-		select {
-		case <-r.abort:
-			if g.pending.Load() > 0 {
-				r.panicAborted()
-			}
-		default:
-		}
-		if t, stolen := w.tryGetTask(); t != nil {
-			w.execOrDrop(t, stolen)
-			continue
-		}
-		if w.settle() {
+		if w.help(r) {
 			g.block(r)
 		}
 	}
 }
 
-// block parks the waiter until the group empties or r aborts; Wait's loop
-// re-checks pending, so a wake meant for an earlier generation is
-// harmless.
+// block parks the waiter until the group empties or r ends; Wait's loop
+// re-checks pending and the abort, so a wake meant for an earlier
+// generation is harmless.
 //
 //abp:handshake store=waitChan load=pending
 func (g *Group) block(r *run) {
-	ch := waitChan(&g.ch)
+	ch := g.ch.waitChan()
 	if g.pending.Load() == 0 {
 		return
 	}
 	select {
 	case <-ch:
-	case <-r.abort:
-		if g.pending.Load() > 0 {
-			r.panicAborted()
-		}
+	case <-r.done.waitChan():
 	}
 }
 

@@ -99,8 +99,10 @@ func TestPoolLayoutPins(t *testing.T) {
 // and task end of the worker running in the root scope — has a cache line
 // to itself: scope is exactly one line, it leads the run record, and the
 // record is a whole number of lines (so the allocator keeps it
-// line-aligned), which leaves state and abort, read by every worker for
-// every task of the submission, on other lines.
+// line-aligned), which leaves state, read by every worker for every task
+// of the submission, on another line — and done, which a waiter's install
+// and the finisher's Swap write, on a third (abplayout flags state,
+// shared-write, beside done, cas-hot).
 func TestRunLayoutPins(t *testing.T) {
 	var r run
 	if sz := unsafe.Sizeof(r.scope); sz != atomicx.CacheLineSize {
@@ -112,14 +114,13 @@ func TestRunLayoutPins(t *testing.T) {
 	if sz := unsafe.Sizeof(r); sz%atomicx.CacheLineSize != 0 {
 		t.Errorf("run is %d bytes, not a whole number of cache lines", sz)
 	}
-	for name, off := range map[string]uintptr{
-		"state":    unsafe.Offsetof(r.state),
-		"abort":    unsafe.Offsetof(r.abort),
-		"finished": unsafe.Offsetof(r.finished),
-		"root":     unsafe.Offsetof(r.root),
-	} {
+	state, done := unsafe.Offsetof(r.state), unsafe.Offsetof(r.done)
+	for name, off := range map[string]uintptr{"state": state, "done": done, "root": unsafe.Offsetof(r.root)} {
 		if layoutLine(off) == 0 {
 			t.Errorf("%s (offset %d) shares the root refs line", name, off)
 		}
+	}
+	if layoutLine(state) == layoutLine(done) {
+		t.Errorf("state (offset %d) and done (offset %d) share a cache line", state, done)
 	}
 }

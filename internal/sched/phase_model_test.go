@@ -19,7 +19,8 @@ import (
 //     CAS or the store of stopping has closed admission;
 //   - a handle that was out and standing at a Drain's CAS is completed,
 //     never aborted, if that Drain reports success;
-//   - at quiescence no returned handle is left unfinished.
+//   - at quiescence no returned handle is left unfinished, and the
+//     registry, which every Drain to come waits on, is empty.
 
 // How the submission ended.
 const (
@@ -37,6 +38,9 @@ type pmState struct {
 	// returned to the caller, its outcome.
 	reg, queued, handle bool
 	out                 int8
+	// Its context: the watcher is armed, the context cancelled, and the
+	// cancellation is what ended the submission.
+	armed, cancelled, byCancel bool
 	// Per session record (Serve runs twice): drainIdle closed, and the Drains
 	// that won it.
 	idle [3]bool
@@ -48,9 +52,11 @@ type pmState struct {
 }
 
 type phaseModel struct {
-	noReload bool // the negative control: Submit returns right after its push
+	// The negative controls: Submit returns right after its push; Submit
+	// arms the cancellation before it registers (the order PR 22 fixed).
+	noReload, armFirst bool
 	// What the search came across, so the test can tell what it covered.
-	accepted, selfRejected, won, lost, okDrains, sweepAborts int
+	accepted, selfRejected, won, lost, okDrains, sweepAborts, cancelAborts int
 }
 
 // pmEdges is the diagram above the phase constants in pool.go.
@@ -96,8 +102,19 @@ func (m *phaseModel) sweep(s *pmState) {
 
 // step is one step of actor a: 0 the Submit (SubmitContext), 1 and 2 the
 // Drains, 3 Serve — enter, startSession, open, and, whenever the search
-// schedules it, the four steps of endSession — and 4 a worker.
+// schedules it, the four steps of endSession — 4 a worker, and 5 the
+// Submit's context.
 func (m *phaseModel) step(s pmState, a int) ([]pmState, error) {
+	if a == 5 { // cancelled: the watcher aborts the submission
+		if !s.armed || s.cancelled {
+			return nil, nil
+		}
+		if s.cancelled, s.byCancel = true, s.out == pmLive; s.byCancel {
+			m.cancelAborts++
+		}
+		s.finish(pmAborted)
+		return []pmState{s}, nil
+	}
 	if a == 4 { // pop the root and run it — or discard it, its run aborted
 		if !s.workers || !s.queued {
 			return nil, nil
@@ -119,17 +136,21 @@ func (m *phaseModel) step(s pmState, a int) ([]pmState, error) {
 		switch *pc {
 		case 0: // the gate: anything but serving is an error return
 			if s.phase != phaseServing {
-				*pc = 3
+				*pc = 4
 			}
-		case 1:
-			s.reg = true
-		case 2: // the push
+		case 1, 2: // register — whatever has happened to the run — then arm
+			if (*pc == 1) != m.armFirst {
+				s.reg = true
+			} else {
+				s.armed = true
+			}
+		case 3: // the push
 			s.queued = true
 			if m.noReload {
 				hand()
-				*pc = 3
+				*pc = 4
 			}
-		case 3: // the re-load
+		case 4: // the re-load
 			switch s.phase {
 			case phaseServing:
 				m.accepted++
@@ -164,7 +185,7 @@ func (m *phaseModel) step(s pmState, a int) ([]pmState, error) {
 				break
 			}
 			m.okDrains++
-			if s.covered[d] && s.out != pmCompleted {
+			if s.covered[d] && s.out != pmCompleted && !s.byCancel {
 				err = fmt.Errorf("a Drain reports success, and the handle that was out at its CAS ended %d", s.out)
 			}
 		default:
@@ -201,9 +222,12 @@ func (m *phaseModel) step(s pmState, a int) ([]pmState, error) {
 }
 
 func (m *phaseModel) explorer() *explorer[pmState] {
-	return &explorer[pmState]{actors: 5, step: m.step, final: func(s pmState) error {
+	return &explorer[pmState]{actors: 6, step: m.step, final: func(s pmState) error {
 		if s.handle && s.out == pmLive {
 			return fmt.Errorf("quiescent with the returned handle unfinished")
+		}
+		if s.reg {
+			return fmt.Errorf("quiescent with the run, which ended %d, still in the registry", s.out)
 		}
 		return nil
 	}}
@@ -212,7 +236,7 @@ func (m *phaseModel) explorer() *explorer[pmState] {
 func TestPhaseModelExhaustive(t *testing.T) {
 	m := &phaseModel{}
 	m.explorer().verify(t, pmState{})
-	if m.accepted == 0 || m.selfRejected == 0 || m.won == 0 || m.lost == 0 || m.okDrains == 0 || m.sweepAborts == 0 {
+	if m.accepted == 0 || m.selfRejected == 0 || m.won == 0 || m.lost == 0 || m.okDrains == 0 || m.sweepAborts == 0 || m.cancelAborts == 0 {
 		t.Fatalf("the search covered %+v; want some of each", *m)
 	}
 }
@@ -221,4 +245,11 @@ func TestPhaseModelExhaustive(t *testing.T) {
 // read serving returns its handle whatever a Drain or a stop did since.
 func TestPhaseModelCatchesMissingRecheck(t *testing.T) {
 	(&phaseModel{noReload: true}).explorer().refute(t, pmState{})
+}
+
+// The negative control of the order in SubmitContext: armed before it is
+// registered, a run whose context cancels in between is finished — its
+// unregister finds nothing — and then registered for good.
+func TestPhaseModelCatchesArmBeforeRegister(t *testing.T) {
+	(&phaseModel{armFirst: true}).explorer().refute(t, pmState{})
 }

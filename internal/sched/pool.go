@@ -463,7 +463,7 @@ func (p *Pool) RunContext(ctx context.Context, root func(*Worker)) error {
 	if err := ctx.Err(); err != nil {
 		// Already cancelled: abort before any worker starts, so the root
 		// is discarded (and counted) rather than executed.
-		r.abortWith(runCancelled, err, nil)
+		r.finish(runCancelled, err, nil)
 	} else {
 		r.watch(ctx)
 	}
@@ -471,9 +471,10 @@ func (p *Pool) RunContext(ctx context.Context, root func(*Worker)) error {
 	// The run ends — every task executed, or the submission aborted by a
 	// panic, a cancellation, or an engine failure — and the session comes
 	// down with it.
-	<-r.finished
-	p.endSession(s, r.panicVal)
-	return r.err
+	<-r.done.waitChan()
+	err, panicVal := r.outcome()
+	p.endSession(s, panicVal)
+	return err
 }
 
 // enter claims the pool for a new session: the CAS out of idle that only
@@ -609,7 +610,7 @@ func (p *Pool) endSession(s *session, panicVal any) {
 func (p *Pool) drainByRun() {
 	account := func(t *Task) {
 		r := t.scope.run
-		r.abortWith(runCancelled, ErrStopped, nil)
+		r.finish(runCancelled, ErrStopped, nil)
 		if r.state.Load() == runPanicked {
 			p.dropped.Add(1)
 		} else {
@@ -761,7 +762,7 @@ func (w *Worker) exec(t *Task, stolen bool) {
 func (w *Worker) runTask(t *Task) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			t.scope.run.abortWith(runPanicked, nil, rec)
+			t.scope.run.finish(runPanicked, nil, rec)
 		}
 	}()
 	fault.Point(fpExecBeforeRun)
@@ -821,20 +822,36 @@ func (w *Worker) spawn(t *Task) {
 	w.pool.signalWork()
 }
 
-// tryGetTask pops local work, or failing that makes one steal attempt;
-// stolen reports which. Used by Future.Join and Group.Wait to make
-// progress while waiting.
+// help is one round of the loop Future.Join and Group.Wait run while what
+// they wait for is pending; r is the waiter's own submission, and the
+// return says whether the waiter may now block. A waiter is a task of r, so
+// r cannot complete under it: once r has ended it has aborted, and the
+// state word every task start already loads (execOrDrop) is the whole test
+// — made between helped tasks, so a deep backlog is not drained first, and
+// after a block, whose wake through r's completion word follows the store
+// of state (finish). Otherwise the waiter runs its deque's bottom or one
+// steal, which may be a task of another submission (execOrDrop and exec
+// account for it by the task's own scope), and blocks once no deque holds
+// work (settle).
 //
 //abp:owner tasks execute only on worker goroutines, so the receiver owns w.dq
-func (w *Worker) tryGetTask() (t *Task, stolen bool) {
-	if t := w.dq.PopBottom(); t != nil {
-		return t, false
+func (w *Worker) help(r *run) (mayBlock bool) {
+	if r.state.Load() != runLive {
+		r.panicAborted()
 	}
-	return w.stealOnce(), true
+	t, stolen := w.dq.PopBottom(), false
+	if t == nil {
+		t, stolen = w.stealOnce(), true
+	}
+	if t != nil {
+		w.execOrDrop(t, stolen)
+		return false
+	}
+	return w.settle()
 }
 
 // anyStealableWork reports whether any deque in the pool appears non-empty:
-// the work tryGetTask can reach. A false return together with an incomplete
+// the work help can reach. A false return together with an incomplete
 // future means the future's task is currently running on some worker, so
 // blocking is safe (see the memory-ordering notes on deque.Dequer.Len).
 func (w *Worker) anyStealableWork() bool {
@@ -853,13 +870,13 @@ func (w *Worker) anyVisibleWork() bool {
 	return w.pool.inject.Len() > 0 || w.anyStealableWork()
 }
 
-// settle is what a helping waiter (Future.Join, Group.Wait) does when
-// tryGetTask came back empty, and reports whether it may block. While some
-// deque holds work a retry may find it; once none does, what the waiter
-// waits for is running on another worker, and one more yield usually lets
-// that worker finish and spares the channel. The injector does not count:
-// a waiter never pops it, and one that spun on it would burn its core
-// for as long as the loops leave submissions queued.
+// settle is what a helping waiter (help) does when it found no task, and
+// reports whether it may block. While some deque holds work a retry may
+// find it; once none does, what the waiter waits for is running on another
+// worker, and one more yield usually lets that worker finish and spares the
+// channel. The injector does not count: a waiter never pops it, and one
+// that spun on it would burn its core for as long as the loops leave
+// submissions queued.
 func (w *Worker) settle() bool {
 	busy := w.anyStealableWork()
 	runtime.Gosched()

@@ -37,7 +37,7 @@ func listedFutures[T any](t *testing.T, w *Worker, seen map[any]bool) bool {
 			t.Errorf("worker %d lists a Future that is listed already", w.id)
 		}
 		seen[f] = true
-		if f.fn != nil || f.ch.Load() != nil || !reflect.ValueOf(&f.result).Elem().IsZero() {
+		if f.fn != nil || f.ch.p.Load() != nil || !reflect.ValueOf(&f.result).Elem().IsZero() {
 			t.Errorf("worker %d lists a Future that is in use or still holds user data", w.id)
 		}
 	}

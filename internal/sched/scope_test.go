@@ -191,7 +191,7 @@ func TestJoinFromAnotherWorker(t *testing.T) {
 			var f *Future[int]
 			f = Fork(w, func(*Worker) int {
 				fut.Store(f)
-				spinUntil(t, "the joiner to install its wait channel", func() bool { return f.ch.Load() != nil })
+				spinUntil(t, "the joiner to install its wait channel", func() bool { return f.ch.p.Load() != nil })
 				return 42
 			})
 			if v := f.Join(w); v != 42 {
@@ -353,9 +353,9 @@ func TestGroupReuseAcrossGenerations(t *testing.T) {
 	})
 }
 
-// The allocation pins: what the fork, spawn and submit paths allocate,
-// measured on a one-worker pool (nothing is stolen, so no scope is split
-// off) from inside the root task, or for Submit from the test goroutine.
+// The allocation pins: what the fork and spawn paths allocate, measured on
+// a one-worker pool (nothing is stolen, so no scope is split off) from
+// inside the root task.
 func TestSpawnPathAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -401,22 +401,54 @@ func TestSpawnPathAllocations(t *testing.T) {
 		}), 1)
 		pin("Spawn", testing.AllocsPerRun(200, func() { w.Spawn(nop) }), 1)
 	})
+}
 
-	// A worker that spins never naps, so the pin does not depend on whether
+// What a submission allocates, measured from the test goroutine: the run
+// record, and a channel only if somebody has to block before the
+// submission ends — which the runtime counts as two objects, the channel
+// and the cell holding it that the word points to (waitChan).
+func TestSubmitAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	// A worker that spins never naps, so the pins do not depend on whether
 	// this run made the one nap timer.
-	p = New(Config{Workers: 1, ParkThreshold: math.MaxInt})
+	p := New(Config{Workers: 1, ParkThreshold: math.MaxInt})
 	stop := startServing(t, p)
-	submit := testing.AllocsPerRun(200, func() {
-		h, err := p.Submit(nop)
-		if err != nil {
-			t.Fatalf("Submit: %v", err)
-		}
-		if err := h.Wait(); err != nil {
-			t.Fatalf("Wait: %v", err)
+	submit := func(root func(*Worker), await func(*Handle)) float64 {
+		return testing.AllocsPerRun(200, func() {
+			h, err := p.Submit(root)
+			if err != nil {
+				t.Fatalf("Submit: %v", err)
+			}
+			await(h)
+			if err := h.Wait(); err != nil {
+				t.Fatalf("Wait: %v", err)
+			}
+		})
+	}
+	// Err installs nothing, so the Wait that follows finds the word ended.
+	polled := submit(func(*Worker) {}, func(h *Handle) {
+		for !h.r.done.isDone() {
+			if err := h.Err(); err != nil {
+				t.Fatalf("Err of a live submission = %v", err)
+			}
+			runtime.Gosched()
 		}
 	})
-	if submit > 3 { // the run record, its abort and finished channels
-		t.Errorf("Submit of an empty root allocates %v objects, want at most 3", submit)
+	if polled != 1 {
+		t.Errorf("Submit, then Wait on an ended handle, allocates %v objects, want 1 (the run record)", polled)
+	}
+	// The root does not return until a waiter's channel is in the word.
+	var cur atomic.Pointer[Handle]
+	blocked := submit(func(*Worker) {
+		for h := cur.Load(); h == nil || h.r.done.p.Load() == nil; h = cur.Load() {
+			runtime.Gosched()
+		}
+		cur.Store(nil)
+	}, func(h *Handle) { cur.Store(h) })
+	if blocked != 3 {
+		t.Errorf("Submit, then a Wait that blocks, allocates %v objects, want 3 (the run record, the waiter's channel and its cell)", blocked)
 	}
 	if err := stop(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Serve returned %v", err)

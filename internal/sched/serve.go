@@ -4,7 +4,8 @@
 // submissions; Submit may be called from any goroutine and enqueues a new
 // root onto the bounded injector (injector.go), which workers poll between
 // local pops and steals. Each submission carries its own run record — root
-// termination scope, abort cause, completion future — so cancellation,
+// termination scope, abort cause, and the one completion word everything
+// that waits for it waits on (waitWord, future.go) — so cancellation,
 // panic isolation, the stall watchdog, and the chaos failpoints all apply
 // per submission instead of per batch. Run and RunContext (pool.go) are the
 // same session with one submission, so the entire batch test, chaos, and
@@ -78,7 +79,8 @@ const (
 // run is the per-submission record: everything that used to live on Pool
 // for the one batch run now lives here, one instance per Submit (and one
 // per Run/RunContext call) — and one allocation: the root task, the root
-// termination scope and the Handle are part of it. Every scope of the
+// termination scope and the Handle are part of it, and it ends on a word,
+// so a channel is made only if somebody has to block. Every scope of the
 // submission points here, so a worker executing tasks of interleaved
 // submissions always observes the right abort.
 //
@@ -86,16 +88,18 @@ const (
 // the record is sized to a whole number of lines, which the allocator's
 // size classes keep line-aligned — so the root refs word, written at every
 // spawn and task end of the worker running in the root scope, never shares
-// a line with state and abort, which every worker reads for every task of
-// the submission (layout_test.go pins offsets and size).
+// a line with state, which every worker reads for every task of the
+// submission, nor state's line with done, which a waiter and the finisher
+// write (layout_test.go pins offsets and size).
 type run struct {
 	scope scope // the root scope: refs starts at 1, the root task
 	pool  *Pool
-	// state gates execution (see the constants above). It is written
-	// inside finishOnce before the abort channel closes, so a worker that
-	// observes an aborted state can rely on err/panicVal being set.
-	// Publication ordering suffices: readers only gate on the value, no
-	// store→load shape involves it.
+	// state gates execution (see the constants above), and is how a Join or
+	// a Group.Wait of the submission learns of its abort (help). finish
+	// stores it after the outcome and before it ends done, so whoever reads
+	// it aborted, or reads it after done has ended, can go on to read the
+	// outcome. Publication ordering suffices: readers only gate on the
+	// value, no store→load shape involves it.
 	state atomicx.Publish32
 	// finishOnce arbitrates the submission's single outcome: completion
 	// (the root scope emptied) or abort (task panic, cancellation, engine
@@ -103,12 +107,6 @@ type run struct {
 	finishOnce sync.Once
 	err        error
 	panicVal   any
-	// abort is closed only when the submission aborts; it unwinds
-	// blocked Joins and Group.Waits of this submission (future.go).
-	abort chan struct{}
-	// finished is closed when the submission ends either way; it is what
-	// Handle.Wait and the Run session controller block on.
-	finished chan struct{}
 	// stopWatch holds the cancel function of the context.AfterFunc watcher
 	// of a submission with a cancellable context (watch); empty otherwise.
 	// Stored before the run is published to workers and called inside
@@ -117,14 +115,19 @@ type run struct {
 	// submitter is still arming it. Publication ordering suffices: the
 	// finisher only calls what it loads.
 	stopWatch atomicx.PublishPointer[func() bool]
-	handle    Handle // what Submit returns a pointer to
-	root      Task   // carries &scope
-	_         [16]byte
+	// done ends when the submission does, either way: Handle.Wait,
+	// Handle.Done and the Run session controller block on it, and so do the
+	// submission's own Joins and Group.Waits, for which ended can only mean
+	// aborted (help).
+	done   waitWord
+	handle Handle // what Submit returns a pointer to
+	root   Task   // carries &scope
+	_      [24]byte
 }
 
 // newRun returns the record of a submission whose root task runs fn.
 func newRun(p *Pool, fn func(*Worker)) *run {
-	r := &run{pool: p, abort: make(chan struct{}), finished: make(chan struct{})}
+	r := &run{pool: p}
 	r.scope.run = r
 	r.scope.refs.Store(1) // the root
 	r.root = Task{body: taskFunc(fn), scope: &r.scope}
@@ -132,46 +135,53 @@ func newRun(p *Pool, fn func(*Worker)) *run {
 	return r
 }
 
-// complete ends the submission successfully. Called by the release that
-// empties the root scope; a lost race against an abort is a no-op.
-func (r *run) complete() {
-	r.finishOnce.Do(func() {
-		if f := r.stopWatch.Load(); f != nil {
-			(*f)()
-		}
-		r.pool.unregister(r)
-		close(r.finished)
-	})
-}
-
-// abortWith ends the submission with an abort cause. Whichever of panic,
+// finish ends the submission, once: completed, with state runLive and no
+// cause (complete), or aborted. Whichever of completion, panic,
 // cancellation, or engine failure arrives first wins; later calls are
 // no-ops, preserving the original cause (the batch API's panic-beats-
-// cancel priority falls out of call order, exactly as before).
-func (r *run) abortWith(state int32, err error, panicVal any) {
+// cancel priority falls out of call order). The cause is written first,
+// then state, then the completion word: a joiner woken through done must
+// find state aborted (help; run_model_test.go moves the Swap up and fails).
+func (r *run) finish(state int32, err error, panicVal any) {
 	r.finishOnce.Do(func() {
 		if f := r.stopWatch.Load(); f != nil {
 			(*f)()
 		}
 		r.err = err
 		r.panicVal = panicVal
-		r.state.Store(state)
 		r.pool.unregister(r)
-		close(r.abort)
-		close(r.finished)
+		r.state.Store(state)
+		r.done.finish()
 	})
+}
+
+// complete ends the submission successfully. Called by the release that
+// empties the root scope; a lost race against an abort is a no-op.
+func (r *run) complete() { r.finish(runLive, nil, nil) }
+
+// outcome returns the abort cause of a submission the caller has seen
+// ended — an error, or the value of a task panic — or nothing for one that
+// completed. The load of state orders the reads after finish's writes.
+func (r *run) outcome() (err error, panicVal any) {
+	if r.state.Load() == runLive {
+		return nil, nil
+	}
+	return r.err, r.panicVal
 }
 
 // watch arms the submission's cancellation: when ctx is cancelled the
 // submission — and only it — aborts with ctx.Err(). It must run before the
 // root is published to workers: one may pop and complete the submission
 // the instant the push lands, and r's fields must be quiescent by then.
+// And it must run after register: a context cancelled already finishes the
+// run from here, and a finish that found nothing to unregister would leave
+// the register that followed it in the registry for good.
 func (r *run) watch(ctx context.Context) {
 	if ctx.Done() == nil {
 		return
 	}
 	stop := context.AfterFunc(ctx, func() {
-		r.abortWith(runCancelled, ctx.Err(), nil)
+		r.finish(runCancelled, ctx.Err(), nil)
 	})
 	r.stopWatch.Store(&stop)
 }
@@ -180,8 +190,9 @@ func (r *run) watch(ctx context.Context) {
 type Handle struct{ r *run }
 
 // Done returns a channel closed when the submission has ended — every
-// task executed, or the submission aborted.
-func (h *Handle) Done() <-chan struct{} { return h.r.finished }
+// task executed, or the submission aborted. The first Done or Wait that
+// comes before the end makes the channel; Err never does.
+func (h *Handle) Done() <-chan struct{} { return h.r.done.waitChan() }
 
 // Wait blocks until the submission ends and reports its outcome: nil when
 // the root and every transitively spawned task completed; a PanicError
@@ -189,27 +200,26 @@ func (h *Handle) Done() <-chan struct{} { return h.r.finished }
 // context's error if it was cancelled; ErrStopped if the pool stopped
 // serving first. Wait is safe to call from any goroutine, repeatedly.
 func (h *Handle) Wait() error {
-	// The finished-channel receive orders the outcome reads below after
-	// the finisher's writes.
-	<-h.r.finished
-	if v := h.r.panicVal; v != nil {
-		return PanicError{Value: v}
-	}
-	return h.r.err
+	<-h.r.done.waitChan()
+	return h.result()
 }
 
 // Err returns the submission outcome without blocking: nil until Done,
 // then exactly what Wait reports.
 func (h *Handle) Err() error {
-	select {
-	case <-h.r.finished:
-		if v := h.r.panicVal; v != nil {
-			return PanicError{Value: v}
-		}
-		return h.r.err
-	default:
+	if !h.r.done.isDone() {
 		return nil
 	}
+	return h.result()
+}
+
+// result is the outcome of an ended submission as Wait and Err report it.
+func (h *Handle) result() error {
+	err, panicVal := h.r.outcome()
+	if panicVal != nil {
+		return PanicError{Value: panicVal}
+	}
+	return err
 }
 
 // Serve starts the workers and serves submissions until ctx is cancelled.
@@ -294,8 +304,8 @@ func (p *Pool) SubmitContext(ctx context.Context, fn func(*Worker)) (*Handle, er
 	}
 	r := newRun(p, fn)
 	t := &r.root
-	r.watch(ctx)
 	p.register(r)
+	r.watch(ctx)
 	if !p.pushInjector(t) {
 		// Full: shed.
 		if p.cfg.Overload == ShedCallerRuns {
@@ -303,7 +313,7 @@ func (p *Pool) SubmitContext(ctx context.Context, fn func(*Worker)) (*Handle, er
 			p.runOnCaller(t)
 			return &r.handle, nil
 		}
-		r.abortWith(runCancelled, ErrOverloaded, nil)
+		r.finish(runCancelled, ErrOverloaded, nil)
 		p.rejected.Add(1)
 		return nil, ErrOverloaded
 	}
@@ -320,7 +330,7 @@ func (p *Pool) SubmitContext(ctx context.Context, fn func(*Worker)) (*Handle, er
 		// must not stand: abort it and report a rejection — never an
 		// accepted handle a drain then fails. The task carcass is
 		// discarded, and counted, at pop or sweep time.
-		r.abortWith(runCancelled, ErrDraining, nil)
+		r.finish(runCancelled, ErrDraining, nil)
 		p.submitted.Add(-1)
 		p.rejected.Add(1)
 		return nil, ErrDraining
@@ -328,7 +338,7 @@ func (p *Pool) SubmitContext(ctx context.Context, fn func(*Worker)) (*Handle, er
 		// The session stopped between the gate and here, and its abort of
 		// the registry may have missed this run. Abort it so its Handle can
 		// never wedge; the carcass goes the same way.
-		r.abortWith(runCancelled, ErrStopped, nil)
+		r.finish(runCancelled, ErrStopped, nil)
 	}
 	return &r.handle, nil
 }
@@ -380,7 +390,7 @@ func (p *Pool) unregister(r *run) {
 }
 
 // abortAll aborts every registered run with the given cause. The active
-// set is snapshotted first so abortWith's unregister does not mutate the
+// set is snapshotted first so finish's unregister does not mutate the
 // map mid-iteration.
 func (p *Pool) abortAll(state int32, err error, panicVal any) {
 	p.runMu.Lock()
@@ -390,7 +400,7 @@ func (p *Pool) abortAll(state int32, err error, panicVal any) {
 	}
 	p.runMu.Unlock()
 	for _, r := range rs {
-		r.abortWith(state, err, panicVal)
+		r.finish(state, err, panicVal)
 	}
 }
 

@@ -9,6 +9,7 @@ package sched
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -170,6 +171,70 @@ func TestSubmitContextCancellation(t *testing.T) {
 	close(gate)
 	if err := stop(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Serve returned %v", err)
+	}
+}
+
+// lateCancelCtx is a context that is cancelled already but says so late: its
+// first Err — SubmitContext's admission check — reports nil, and its Done
+// channel is closed from the start, so the watcher SubmitContext arms fires
+// at once, on a goroutine of its own.
+type lateCancelCtx struct {
+	context.Context
+	asked atomic.Bool
+}
+
+func (c *lateCancelCtx) Err() error {
+	if c.asked.CompareAndSwap(false, true) {
+		return nil
+	}
+	return c.Context.Err()
+}
+
+// A submission whose context cancels while SubmitContext is still at work
+// must not stay in the registry: armed before it was registered, its
+// watcher could finish it first, the unregister found nothing, and the
+// register that followed left a finished run there for good — and every
+// later Drain, in this session or a later one, waiting for it.
+func TestCancelBetweenWatchAndRegisterDoesNotLeakRun(t *testing.T) {
+	// The window is a few instructions wide and the watcher has to be
+	// scheduled into it: before the fix a leak took 1 000 to 30 000
+	// submissions to show on two processors.
+	const subs = 100000
+	p := New(Config{Workers: 2})
+	stop := startServing(t, p)
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	registered := func() int {
+		p.runMu.Lock()
+		defer p.runMu.Unlock()
+		return len(p.active)
+	}
+	for i := 0; i < subs && !t.Failed(); i++ {
+		h, err := p.SubmitContext(&lateCancelCtx{Context: cancelled}, func(*Worker) {})
+		switch {
+		case errors.Is(err, ErrOverloaded):
+			// Carcasses: a Wait returns on the cancellation, not when a
+			// worker has discarded the root. A shed submission went through
+			// the same register and watch, and ended before Submit returned.
+			runtime.Gosched()
+		case err != nil:
+			t.Fatalf("SubmitContext %d: %v", i, err)
+		default:
+			if err := h.Wait(); err != nil && !errors.Is(err, context.Canceled) {
+				t.Fatalf("submission %d: Wait = %v", i, err)
+			}
+		}
+		if n := registered(); n != 0 {
+			t.Errorf("after submission %d, %d finished submissions are still registered", i, n)
+		}
+	}
+	dctx, dcancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer dcancel()
+	if err := p.Drain(dctx); err != nil {
+		t.Errorf("Drain with nothing in flight = %v", err)
+	}
+	if err := stop(); err != nil {
+		t.Errorf("Serve returned %v after a completed drain", err)
 	}
 }
 
