@@ -109,15 +109,12 @@ func gate(cur, base benchHost, rows []gateRow) (ok bool, verdicts map[string]str
 	return ok, verdicts
 }
 
-// finish writes rep as the JSON snapshot and, when checkPath names a
-// baseline snapshot, judges rep against it and exits 1 on a regression. A
-// -check run without an explicit -out writes nothing: the committed snapshot
-// is the baseline being compared against, so the run that judges it must not
-// rewrite it.
+// finish writes rep as a JSON snapshot when outPath names one — only then:
+// the committed snapshot is what CI gates against, and a run that neither
+// asked to record nor to judge must not rewrite it — and, when checkPath
+// names a baseline snapshot, judges rep against it and exits 1 on a
+// regression.
 func finish(outPath, checkPath string, rep elasticReport) {
-	if outPath == "" && checkPath == "" {
-		outPath = "BENCH_elastic.json"
-	}
 	if outPath != "" {
 		blob, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {

@@ -119,6 +119,32 @@ func TestElasticCheck(t *testing.T) {
 	})
 }
 
+// A snapshot is written only where -out says: a run given neither -out nor
+// -check prints its table and leaves the working directory — the committed
+// BENCH_elastic.json, when run from the repository root — alone.
+func TestFinishWritesOnlyWhereOutSays(t *testing.T) {
+	dir := t.TempDir()
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Chdir(wd)
+	finish("", "", elasticFixture())
+	if left, _ := os.ReadDir(dir); len(left) != 0 {
+		t.Fatalf("finish without -out left %v behind", left)
+	}
+	out := filepath.Join(dir, "snap.json")
+	finish(out, "", elasticFixture())
+	var got elasticReport
+	readSnapshot(t, out, &got)
+	if got.Experiment != "elastic" || len(got.Phases) != 3 {
+		t.Fatalf("the snapshot -out wrote does not read back as the report: %+v", got)
+	}
+}
+
 // The committed snapshot must parse into the schema the gate keys on, be
 // taken on a host that grants parallelism, and gate clean against itself.
 func TestCommittedSnapshotsSelfCheck(t *testing.T) {

@@ -15,6 +15,7 @@
 //	abpbench -experiment chaos -faults 'deque.popTop.beforeCAS=delay:p=0.01:d=200us'
 //	abpbench -experiment elastic
 //	abpbench -experiment elastic -check BENCH_elastic.json
+//	abpbench -experiment elastic -out BENCH_elastic.json
 package main
 
 import (
@@ -39,7 +40,7 @@ func main() {
 		reps     = flag.Int("reps", 3, "repetitions per configuration (best time kept)")
 		stats    = flag.Bool("stats", false, "print the scheduler counter table (parks, wakes, backoff, ...) after each -experiment chaos row")
 		faults   = flag.String("faults", "", "fault spec to arm for -experiment chaos (default: the ABP_FAULTS environment variable)")
-		out      = flag.String("out", "", "JSON snapshot path (default BENCH_elastic.json) for -experiment elastic; with -check, nothing is written unless -out is given")
+		out      = flag.String("out", "", "JSON snapshot path for -experiment elastic to write; without it the run prints its table and writes nothing")
 		check    = flag.String("check", "", "baseline BENCH_elastic.json to gate -experiment elastic against (exit 1 on a >10% regression)")
 	)
 	flag.Parse()

@@ -63,7 +63,7 @@ type fmCompleter struct {
 
 // mWord models a waitWord and the channels installed in it; its methods
 // are the word's atomic operations, one model step each, shared with the
-// run record's model (run_model_test.go).
+// run record's model (run_model_test.go) and Group's (group_model_test.go).
 type mWord struct {
 	word   int8 // 0 nil, fmDone, or a channel's number
 	nch    int8

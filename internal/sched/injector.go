@@ -23,7 +23,7 @@
 // non-empty-but-unpoppable. Len counts reserved cells, so the parking
 // protocol's visibility argument errs on the safe side — a worker deciding
 // whether to sleep sees the submission from the moment of reservation, not
-// publication (see the Dekker note on Pool.SubmitContext).
+// publication (see the Dekker note on Pool.offer).
 //
 // Capacity is the admission-control bound: a full ring makes TryPush
 // return false and Submit reject with ErrOverloaded (or shed to the
@@ -187,10 +187,29 @@ func (q *injector) Len() int {
 	return int(e - d)
 }
 
-// pushInjector offers t to the injector; a false return means it is full:
-// the pool is overloaded and the caller applies the shed policy. It is the
-// store the producers' //abp:handshake directives name (SubmitContext,
-// republish): the reservation CAS inside must come before their signalWork.
+// pushInjector is the injector's TryPush under the name the handshake
+// directive below calls its store: the reservation CAS inside is what a
+// parking worker's Len re-scan sees.
 //
 //abp:nonblocking
 func (p *Pool) pushInjector(t *Task) bool { return p.inject.TryPush(t) }
+
+// offer is the injector's producer half of the park/wake Dekker handshake,
+// written once for whoever puts a task in — a submission (SubmitContext), a
+// retiring worker's drain (republish), a root its deque refused
+// (startSession): push, then wake. A false return means the ring is full
+// and nothing was pushed; the caller sheds, runs the task itself or gives
+// up. The directive makes abplint verify the order end to end: the enqueue
+// (visible to a parking worker from the reservation on) must dominate the
+// signalWork scan of the status words. The consumer half is park's
+// store=status load=anyVisibleWork contract, whose re-scan covers the
+// injector.
+//
+//abp:handshake store=pushInjector load=signalWork
+func (p *Pool) offer(t *Task) bool {
+	if !p.pushInjector(t) {
+		return false
+	}
+	p.signalWork()
+	return true
+}

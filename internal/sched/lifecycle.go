@@ -36,8 +36,11 @@
 //
 // Termination needs no flag-spinning either: the session teardown
 // (Pool.endSession) closes the session's quit channel, waking every
-// parked or napping worker at once so the pool shuts down cleanly — the
-// stopping phase is only the loop-exit condition, never a spin target.
+// parked, napping or retired worker at once so the pool shuts down cleanly
+// — the stopping phase is only the loop-exit condition, never a spin
+// target. A retired worker's sleep (sleepRetired, resize.go) is the third
+// on the same two channels, and no part of the handshake: it is nobody's
+// wake target, and only the grow that stored running sends its token.
 //
 // The paper's yield discipline is preserved where it matters: in the hot
 // phase (below the threshold) a thief still calls runtime.Gosched between
@@ -84,12 +87,18 @@ func (w *Worker) loop() {
 	ticks := 0
 	for w.pool.phase.Load() != phaseStopping {
 		// The shrink safe point (resize.go): a worker marked retiring
-		// re-publishes its deque through the injector and exits — unless a
-		// concurrent grow reactivated it, in which case retire reports
-		// false and the loop carries on. A marked worker that gets as far
-		// as park fails its entry CAS and comes back here.
-		if w.status.Load() == workerRetiring && w.retire() {
-			return
+		// re-publishes its deque through the injector and retires, and a
+		// retired one sleeps in its slot until a grow wakes it; either way
+		// the loop reads the word again, which is also how it learns that a
+		// concurrent grow reactivated it mid-retirement. A marked worker that
+		// gets as far as park fails its entry CAS and comes back here.
+		switch w.status.Load() {
+		case workerRetiring:
+			w.retire()
+			continue
+		case workerRetired:
+			w.sleepRetired()
+			continue
 		}
 		w.progress.Add(1)
 		ticks++

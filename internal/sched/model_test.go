@@ -6,12 +6,11 @@ import (
 )
 
 // explorer is the exhaustive interleaving search the protocol models of
-// this package share (scope_model_test.go, future_model_test.go,
-// phase_model_test.go), in the style of internal/sim/exhaustive_test.go. A
-// model is a comparable state — so visited states prune the search — and a
-// few actors; every atomic operation of the real protocol is one step of
-// one actor, and the search takes every step of every actor from every
-// state it reaches.
+// this package share (the *_model_test.go files), in the style of
+// internal/sim/exhaustive_test.go. A model is a comparable state — so
+// visited states prune the search — and a few actors; every atomic
+// operation of the real protocol is one step of one actor, and the search
+// takes every step of every actor from every state it reaches.
 type explorer[S comparable] struct {
 	actors int
 	// step returns the states one step of actor a can move s to — none if

@@ -92,8 +92,9 @@ type Config struct {
 	Workers int
 	// MaxWorkers caps Pool.Resize growth (resize.go): worker structures —
 	// deque, rng, park channel — are pre-allocated up to this bound at New
-	// time, so a mid-Serve grow only has to start a goroutine. Slots in
-	// [Workers, MaxWorkers) begin retired. 0 defaults to Workers (a fixed
+	// time, and a session holds one goroutine per slot, MaxWorkers of them,
+	// the retired ones asleep: a mid-Serve grow is a store and a wake. Slots
+	// in [Workers, MaxWorkers) begin retired. 0 defaults to Workers (a fixed
 	// fleet, exactly the pre-elastic behavior); values below Workers panic.
 	MaxWorkers int
 	// Deque selects the deque implementation (default DequeABP).
@@ -175,11 +176,11 @@ type Pool struct {
 	inject        *injector
 	// Ordering disciplines (internal/atomicx, checked by abporder): the
 	// SC-declared fields either arbitrate (phase's entry and drain CASes,
-	// wakeRR's consumed Add) or participate in the park/submit handshakes
-	// (phase, idle, and the submission counters are all read or written
-	// inside //abp:handshake carrier functions, whose store→load shape
-	// needs the full ordering). The Publish-declared counters are blind
-	// increments read only by Stats — release/acquire publication suffices.
+	// wakeRR's consumed Add) or participate in the park/wake handshake
+	// (phase and idle are read or written inside //abp:handshake carrier
+	// functions, whose store→load shape needs the full ordering). The
+	// Publish-declared counters are blind increments read only by Stats —
+	// release/acquire publication suffices.
 	//
 	// Layout discipline (abplayout, DESIGN.md §8): the words written often
 	// — wakeRR's per-signal Add, idle's park/signal Dekker pair — and the
@@ -197,9 +198,10 @@ type Pool struct {
 	_      atomicx.CacheLinePad
 	idle   atomicx.SCInt32 // workers parked or in a backoff nap (lifecycle.go)
 	_      atomicx.CacheLinePad
-	// fleet is the elastic-fleet size: workers [0, fleet) are the active
-	// prefix victim selection draws from (stealOnce). Written rarely — by
-	// Resize under resizeMu — and read on every steal attempt.
+	// fleet bounds the victim range: stealOnce draws from workers
+	// [0, fleet), and every non-empty deque is inside it (resize.go has the
+	// invariant). Written rarely — under resizeMu, raised by a grow and
+	// lowered by trimVictims — and read on every steal attempt.
 	// publish: readers only gate victim ranges on the value; the per-worker
 	// state words (CAS'd, sc) carry the retire arbitration.
 	fleet      atomicx.Publish32
@@ -210,13 +212,17 @@ type Pool struct {
 	resizes    atomicx.Publish64 // Resize calls that changed the fleet target
 	retiredN   atomicx.Publish64 // workers that completed retirement (resize.go)
 	submitted  atomicx.SCInt64   // submissions accepted onto the injector
-	rejected   atomicx.SCInt64   // submissions rejected with ErrOverloaded
-	callerRuns atomicx.SCInt64   // submissions shed to the caller (ShedCallerRuns)
-	wg         sync.WaitGroup    // the session's goroutines: workers, fleet manager, watchdog
+	rejected   atomicx.Publish64 // submissions rejected with ErrOverloaded
+	callerRuns atomicx.Publish64 // submissions shed to the caller (ShedCallerRuns)
+	wg         sync.WaitGroup    // the session's goroutines: one per worker slot, and the watchdog
 
-	// resizeMu serializes Resize calls against each other and against a
-	// session start (resize.go).
+	// resizeMu serializes Resize calls against each other, against a session
+	// start and against a retiring worker's trimVictims (resize.go). target,
+	// which it guards, is the fleet size Resize was last asked for (New:
+	// Config.Workers): what startSession starts running, and the floor of
+	// fleet.
 	resizeMu sync.Mutex
+	target   int
 
 	// Active-submission registry: every in-flight run, registered at
 	// submission and removed by its finishOnce. endSession and engineFail
@@ -226,10 +232,9 @@ type Pool struct {
 
 	// sess is the live session's record, or the last one's between
 	// sessions (nil before the first). startSession replaces it holding
-	// both runMu and resizeMu, so either lock makes a read safe: Drain,
-	// unregister and engineFail hold runMu, Resize holds resizeMu. The
-	// session's own goroutines read it with neither — the go statements
-	// that start them are after the write, and the next write is after
+	// runMu, which Drain, unregister and engineFail read it under. The
+	// session's own goroutines read it without — the go statements that
+	// start them are after the write, and the next write is after
 	// endSession has joined them.
 	sess *session
 }
@@ -257,8 +262,8 @@ const (
 // by startSession and immutable from then on apart from the two words
 // runMu guards.
 type session struct {
-	// quit is closed by endSession: it wakes every parked or napping worker
-	// and stops the fleet manager and the watchdog.
+	// quit is closed by endSession: it wakes every worker asleep — parked,
+	// napping or retired — and stops the watchdog.
 	quit chan struct{}
 	// fail is closed by the first engineFail, after it stored failVal.
 	fail    chan struct{}
@@ -269,9 +274,6 @@ type session struct {
 	drainReq      chan struct{}
 	drainIdle     chan struct{}
 	drainSignaled bool
-	// grow carries the worker slots a mid-session Resize activates to the
-	// fleet manager (resize.go).
-	grow chan int
 }
 
 // The worker statuses, stored in Worker.status — the one word that says
@@ -282,14 +284,17 @@ type session struct {
 //	running | idle → retiring   Resize shrinking, by CAS (and a token if idle)
 //	retiring → running          Resize growing back before the worker got there, by CAS
 //	retiring → retired          the worker, by CAS, its deque drained (retire)
-//	retired → running           Resize growing, or startSession: a store, no goroutine holds the slot
+//	retired → running           Resize growing: a store and a token, the slot's goroutine is asleep
 //
 // Only an idle worker is a wake target (signalWork), and only a running
 // one can become idle: park's entry CAS fails against a retire mark, so a
 // marked worker cannot fall asleep, and one marked in its sleep is woken by
-// the Resize that marked it. Running and idle are the fleet's members
+// the Resize that marked it. A retired worker sleeps too (sleepRetired), but
+// as nobody's wake target: only a grow's token, sent after its store, ends
+// that sleep. Running and idle are the fleet's members
 // (Stats.ActiveWorkers). workerRunning is the zero value, so New's workers
-// start running.
+// start running. Between sessions no goroutine holds a slot, and
+// startSession stores every word afresh from the target.
 const (
 	workerRunning uint32 = iota
 	workerIdle
@@ -398,8 +403,8 @@ func New(cfg Config) *Pool {
 		p.parkThreshold = max(8, 2*cfg.Workers)
 	}
 	// The whole [0, MaxWorkers) fleet is allocated up front; slots beyond
-	// the initial Workers begin retired and cost nothing until a Resize
-	// activates them.
+	// the initial Workers begin retired and cost a sleeping goroutine per
+	// session until a Resize activates them.
 	for i := 0; i < cfg.MaxWorkers; i++ {
 		var dq deque.Dequer[Task]
 		switch cfg.Deque {
@@ -422,6 +427,7 @@ func New(cfg Config) *Pool {
 		}
 		p.workers = append(p.workers, w)
 	}
+	p.target = cfg.Workers
 	p.fleet.Store(int32(cfg.Workers))
 	return p
 }
@@ -515,47 +521,39 @@ func (p *Pool) startSession(root *Task) *session {
 		fail:      make(chan struct{}),
 		drainReq:  make(chan struct{}),
 		drainIdle: make(chan struct{}),
-		grow:      make(chan int),
 	}
 	p.drainByRun()
 	// A restarted Serve behaves like a fresh pool: it does not inherit the
 	// previous session's wake-scan position (the Serve→Stop→Serve
 	// restartability regression pins this).
 	p.wakeRR.Store(0)
-	if root != nil && !p.workers[0].dq.PushBottom(root) && !p.pushInjector(root) {
+	if root != nil && !p.workers[0].dq.PushBottom(root) && !p.offer(root) {
 		panic("sched: a swept deque and the swept injector both refused the root")
 	}
-	// Publish the record and fork exactly the active prefix under resizeMu,
-	// so a concurrent Resize sees either the old session (ended: its grow
-	// is dropped, and the fleet it stored is the one forked here) or this
-	// one with its manager running. The status words are normalized first: a
-	// shrink in a previous session (or between sessions) may have left
-	// suffix workers marked retiring without ever completing retirement —
-	// their goroutines exited through the stopping phase instead.
-	p.resizeMu.Lock()
 	p.runMu.Lock()
 	p.sess = s
 	p.runMu.Unlock()
-	fleet := int(p.fleet.Load())
+	// Store every status word and the victim range afresh from the target
+	// and fork one loop per slot, all under resizeMu: a concurrent Resize
+	// comes wholly before (its target is the one started here) or wholly
+	// after (it finds the goroutines it wakes). The words need the store: a
+	// shrink the previous session did not live to complete — or one made
+	// between sessions — left its suffix retiring. Every goroutine of the
+	// session holds a slot of wg and leaves on quit (the workers: on the
+	// stopping phase quit wakes them to see).
+	p.resizeMu.Lock()
 	for i, w := range p.workers {
-		if i < fleet {
+		if i < p.target {
 			w.status.Store(workerRunning)
 		} else {
 			w.status.Store(workerRetired)
 		}
 	}
-	// Every goroutine of the session holds a slot of wg and leaves on quit
-	// (the workers: on the stopping phase quit wakes them to see). The
-	// fleet manager is the only place a worker loop is ever launched
-	// mid-session (Resize feeds it slot indices over grow): keeping every
-	// launch inside this function's fork subtree preserves the lexical fork
-	// edge that orders its plain writes before any worker goroutine —
-	// including ones started long after, by a grow.
-	p.wg.Add(fleet + 1)
-	for _, w := range p.workers[:fleet] {
+	p.fleet.Store(int32(p.target))
+	p.wg.Add(len(p.workers))
+	for _, w := range p.workers {
 		go w.loop()
 	}
-	go p.fleetManager(s)
 	if p.cfg.StallTimeout > 0 {
 		p.wg.Add(1)
 		go p.watchdog(s.quit)
@@ -673,12 +671,13 @@ func (p *Pool) Stats() Stats {
 //abp:owner steal counters belong to the stealing worker's own goroutine
 //abp:nonblocking
 func (w *Worker) stealOnce() *Task {
-	// Victims are drawn from the active prefix [0, fleet): a retired slot's
-	// deque is empty by the retire protocol, so aiming steals at it would
-	// only waste attempts. A worker outside the prefix — retiring, or mid-
-	// shrink — steals from all fleet actives; an active worker excludes
-	// itself. The read races Resize harmlessly: a stale fleet at worst aims
-	// one steal at an emptying (or freshly re-activated) deque.
+	// Victims are drawn from [0, fleet), which holds every deque that may
+	// hold work (resize.go): a retiring worker's is not empty until it has
+	// retired, so the range keeps it; a retired slot's is, so aiming steals
+	// at it would only waste attempts. A worker outside the range — the
+	// caller-runs one — steals from all of it; one inside excludes itself.
+	// The read races Resize harmlessly: a stale fleet at worst aims one
+	// steal at an empty (or freshly re-activated) deque.
 	n := int(w.pool.fleet.Load())
 	pick := n
 	if w.id < n {

@@ -371,8 +371,9 @@ func TestRecycleCallerRunsKeepsItsLists(t *testing.T) {
 	})
 }
 
-// A worker that retires keeps its lists with its slot, a worker that comes
-// back finds them, and no record is ever on two workers' lists.
+// A worker that retires sleeps on its lists — the slot keeps its goroutine —
+// and has them when a grow wakes it, and no record is ever on two workers'
+// lists.
 func TestRecycleAcrossShrinkAndGrow(t *testing.T) {
 	forEachDeque(t, func(t *testing.T, kind DequeKind) {
 		p := New(Config{Workers: 4, ParkThreshold: 2, Deque: kind})

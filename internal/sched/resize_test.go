@@ -8,6 +8,7 @@ package sched
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -71,8 +72,8 @@ func TestResizeIdlePool(t *testing.T) {
 	}
 }
 
-// Growing mid-Serve starts real worker goroutines: the widened fleet must
-// both execute work and show up in the stats.
+// Growing mid-Serve wakes the slots' sleeping goroutines: the widened fleet
+// must both execute work and show up in the stats.
 func TestResizeGrowMidServe(t *testing.T) {
 	p := New(Config{Workers: 2, MaxWorkers: 8, ParkThreshold: 2})
 	stop := startServing(t, p)
@@ -165,7 +166,7 @@ func TestResizeShrinkMidServe(t *testing.T) {
 
 // A shrink immediately regrown reactivates workers mid-retirement (the
 // retiring→running CAS path): run it many times so both the reactivation
-// and the fresh-goroutine path get exercised, and assert no work is ever
+// and the woken-sleeper path get exercised, and assert no work is ever
 // lost and the fleet lands on the final target.
 func TestResizeShrinkGrowRace(t *testing.T) {
 	p := New(Config{Workers: 4, MaxWorkers: 8, ParkThreshold: 2})
@@ -235,6 +236,137 @@ func TestRetiringWorkerCannotPark(t *testing.T) {
 	if err := stop(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Serve returned %v", err)
 	}
+}
+
+// A worker marked retiring in the middle of a task keeps its deque, and
+// keeps pushing to it, until the task ends; the paper's premise is that a
+// descheduled process's deque stays stealable, so the victim range may not
+// narrow past the slot before it has retired. Worker 2 of three is marked
+// while it runs a task that then spawns four children and blocks: the two
+// workers left must run the four, and must be able to park afterwards (with
+// the range narrowed at the mark they saw the work, could not aim at it, and
+// yielded for as long as the task ran).
+func TestShrinkKeepsBusyWorkersDequeStealable(t *testing.T) {
+	p := New(Config{Workers: 3, ParkThreshold: 2})
+	stop := startServing(t, p)
+	shrunk, release := make(chan struct{}), make(chan struct{})
+	var children atomic.Int64
+	var long *Handle
+	for try := 0; long == nil; try++ {
+		if try == 1000 {
+			t.Fatal("no submission of 1000 landed on worker 2")
+		}
+		landed := make(chan bool, 1)
+		h, err := p.Submit(func(w *Worker) {
+			landed <- w.ID() == 2
+			if w.ID() != 2 {
+				return
+			}
+			<-shrunk
+			for i := 0; i < 4; i++ {
+				w.Spawn(func(*Worker) { children.Add(1) })
+			}
+			<-release
+		})
+		if err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		if <-landed {
+			long = h
+		} else if err := h.Wait(); err != nil {
+			t.Fatalf("Wait: %v", err)
+		}
+	}
+	if err := p.Resize(2); err != nil {
+		t.Fatalf("Resize(2): %v", err)
+	}
+	close(shrunk)
+	waitFor(t, 10*time.Second, "the marked worker's four children to run while its task is unreleased", func() bool {
+		return children.Load() == 4
+	})
+	waitFor(t, 10*time.Second, "the two workers left to stop yielding", func() bool {
+		y := p.Stats().Yields
+		time.Sleep(20 * time.Millisecond)
+		return p.Stats().Yields == y
+	})
+	if s := p.Stats(); s.WorkersRetired != 0 || s.ActiveWorkers != 2 {
+		t.Fatalf("%d retired, %d active with the marked worker still in its task; want 0 and 2", s.WorkersRetired, s.ActiveWorkers)
+	}
+	close(release)
+	if err := long.Wait(); err != nil {
+		t.Fatalf("Wait: %v", err)
+	}
+	waitFor(t, 10*time.Second, "worker 2 to retire and leave the victim range", func() bool {
+		return p.Stats().WorkersRetired == 1 && p.fleet.Load() == 2
+	})
+	if err := stop(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Serve returned %v", err)
+	}
+}
+
+// A session is one goroutine per worker slot, retired slots included, from
+// its start to its end: Resize starts none and ends none.
+func TestSessionGoroutines(t *testing.T) {
+	// Let what earlier tests left running finish leaving.
+	base := runtime.NumGoroutine()
+	for settled := false; !settled; {
+		time.Sleep(10 * time.Millisecond)
+		n := runtime.NumGoroutine()
+		settled, base = n == base, n
+	}
+	p := New(Config{Workers: 2, MaxWorkers: 4, ParkThreshold: 2})
+	backToBase := func(what string) {
+		t.Helper()
+		waitFor(t, 10*time.Second, what+"'s goroutines to have left", func() bool { return runtime.NumGoroutine() == base })
+	}
+
+	stop := startServing(t, p)
+	serving := base + 1 // the goroutine Serve is called on
+	if got := runtime.NumGoroutine(); got != serving+4 {
+		t.Fatalf("%d goroutines in a Serve of MaxWorkers 4, want %d", got-serving, 4)
+	}
+	var handles []*Handle
+	for cycle := 0; cycle < 100; cycle++ {
+		h, err := p.Submit(func(w *Worker) {
+			for i := 0; i < 4; i++ {
+				w.Spawn(func(*Worker) { chaosSpin(50) })
+			}
+		})
+		if err != nil {
+			t.Fatalf("cycle %d: Submit: %v", cycle, err)
+		}
+		handles = append(handles, h)
+		for _, n := range []int{4, 1} {
+			if err := p.Resize(n); err != nil {
+				t.Fatalf("cycle %d: Resize(%d): %v", cycle, n, err)
+			}
+			if got := runtime.NumGoroutine(); got != serving+4 {
+				t.Fatalf("cycle %d: %d goroutines after Resize(%d), want %d", cycle, got-serving, n, 4)
+			}
+		}
+	}
+	for i, h := range handles {
+		if err := h.Wait(); err != nil {
+			t.Fatalf("submission %d: %v", i, err)
+		}
+	}
+	if err := stop(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Serve returned %v", err)
+	}
+	backToBase("the Serve")
+
+	// The root may run on worker 0 while startSession is still forking the
+	// other three: give them a moment.
+	inRun := 0
+	p.Run(func(*Worker) {
+		for end := time.Now().Add(2 * time.Second); inRun != base+4 && time.Now().Before(end); runtime.Gosched() {
+			inRun = runtime.NumGoroutine()
+		}
+	})
+	if inRun != base+4 {
+		t.Fatalf("%d goroutines in a Run of MaxWorkers 4, want %d", inRun-base, 4)
+	}
+	backToBase("the Run")
 }
 
 // The happy-path drain contract: every handle accepted before Drain

@@ -282,15 +282,6 @@ func (p *Pool) Submit(fn func(*Worker)) (*Handle, error) {
 // Admission is two loads of the phase word around the push: the gate, and
 // a re-check that settles what a Drain or a stop did in between (drain.go
 // has the argument).
-//
-// The handshake directive makes abplint verify the producer half of the
-// injector's Dekker wake protocol end to end: the enqueue (pushInjector's
-// reservation CAS, visible to a parking worker's Len re-scan from that
-// instant) must dominate the signalWork scan of the status words. The
-// consumer half is park's store=status load=anyVisibleWork contract, whose
-// re-scan covers the injector.
-//
-//abp:handshake store=pushInjector load=signalWork
 func (p *Pool) SubmitContext(ctx context.Context, fn func(*Worker)) (*Handle, error) {
 	switch p.phase.Load() {
 	case phaseServing:
@@ -306,7 +297,7 @@ func (p *Pool) SubmitContext(ctx context.Context, fn func(*Worker)) (*Handle, er
 	t := &r.root
 	p.register(r)
 	r.watch(ctx)
-	if !p.pushInjector(t) {
+	if !p.offer(t) {
 		// Full: shed.
 		if p.cfg.Overload == ShedCallerRuns {
 			p.callerRuns.Add(1)
@@ -318,7 +309,6 @@ func (p *Pool) SubmitContext(ctx context.Context, fn func(*Worker)) (*Handle, er
 		return nil, ErrOverloaded
 	}
 	p.submitted.Add(1)
-	p.signalWork()
 	switch p.phase.Load() {
 	case phaseServing:
 		// No Drain's CAS and no stop came before this load, so whichever

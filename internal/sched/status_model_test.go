@@ -7,25 +7,24 @@ import (
 
 // This file model-checks the worker status word (pool.go, lifecycle.go,
 // resize.go) on the explorer of model_test.go. The actors: two workers
-// (loop top with its retire check, a search that takes the work if there
-// is any, park — entry CAS, idle count, re-check, a sleep that is a nap or
-// a park, exit CAS — and retire with its baton); a producer (push, idle
-// load, status scan in either rotation, token); and a Resize that shrinks
-// worker 1 away and grows it back, at any time. Checked:
+// (loop top with its read of the word, a search that takes the work if
+// there is any, park — entry CAS, idle count, re-check, a sleep that is a
+// nap or a park, exit CAS — retire with its baton, and the retired sleep);
+// a producer (push, idle load, status scan in either rotation, token); and
+// a Resize that shrinks worker 1 away and grows it back — the reactivating
+// CAS, or the store and then the token — at any time. Checked:
 //
 //   - the status words only move along the diagram;
 //   - no lost wakeup: once the producer has returned, unclaimed work never
 //     coexists with a fleet of which every member is asleep — a nap counts —
 //     without a token. That is also what a worker which takes a token and
 //     then retires without passing the baton leaves behind;
-//   - at quiescence no worker sleeps on without being a wake target.
-//
-// One simplification: the goroutine a grow starts for a retired slot starts
-// once the retired one has passed its baton; the real one may start earlier.
+//   - at quiescence no worker sleeps on without being a wake target, and
+//     worker 1, grown back, does not sleep retired.
 
 // Worker steps.
 const (
-	smTop     int8 = iota // loop top: the retire check
+	smTop     int8 = iota // loop top: the load of the status word
 	smSearch              // pop, poll, steal
 	smEnter               // park: the entry CAS
 	smCount               // idle.Add(1)
@@ -34,6 +33,7 @@ const (
 	smExit                // the exit CAS
 	smUncount             // idle.Add(-1)
 	smRetire              // retire: the CAS to retired
+	smRetired             // sleepRetired: blocked in the select
 	smBaton               // retire's signalWork, and the producer's: the idle load, then smScan's status loads
 	smDone    = smBaton + 5
 )
@@ -43,19 +43,20 @@ const (
 var smScan = [4]int{0, 1, 1, 0}
 
 type smState struct {
-	status             [2]uint32
-	pc                 [2]int8
-	timed, token, gone [2]bool // the sleep is a nap; a token is in parkCh; the slot has no goroutine
-	idle, work         int8
-	prod, res          int8   // steps of the producer (from smBaton-1: the push) and of the Resize
-	loaded             uint32 // the status the Resize's CAS expects
+	status       [2]uint32
+	pc           [2]int8
+	timed, token [2]bool // the sleep is a nap; a token is in parkCh
+	idle, work   int8
+	prod, res    int8   // steps of the producer (from smBaton-1: the push) and of the Resize
+	loaded       uint32 // the status the Resize's CAS expects
 }
 
 type statusModel struct {
 	recheckFirst bool // negative control: park's only look for work is the one before it publishes idle
 	noBaton      bool // negative control: retire does not pass the baton
+	tokenFirst   bool // negative control: a grow sends its token, then stores running
 	// What the search came across, so the test can tell what it covered.
-	refused, markedAsleep, reactivated, regrown int
+	refused, markedAsleep, reactivated, regrown, sleptAgain int
 }
 
 // smEdges is the diagram above the status constants in pool.go.
@@ -98,7 +99,7 @@ func (m *statusModel) step(s smState, a int) ([]smState, error) {
 	before := s.status
 	var next []smState
 	switch {
-	case a < 2 && !s.gone[a]:
+	case a < 2:
 		next = m.worker(s, a)
 	case a == 2 && s.prod < smBaton:
 		s.work, s.prod = s.work+1, smBaton
@@ -121,15 +122,21 @@ func (m *statusModel) step(s smState, a int) ([]smState, error) {
 	return next, nil
 }
 
-// asleep: worker w will not look for work unless something wakes it.
-func (s *smState) asleep(w int) bool { return s.gone[w] || s.pc[w] == smSleep && !s.token[w] }
+// asleep: worker w will not look for work unless something wakes it. A
+// token wakes a retired sleeper only to read its word and sleep again.
+func (s *smState) asleep(w int) bool {
+	return s.pc[w] == smSleep && !s.token[w] || s.pc[w] == smRetired && (!s.token[w] || s.status[w] == workerRetired)
+}
 
 func (m *statusModel) worker(s smState, w int) []smState {
 	pc := &s.pc[w]
 	switch *pc {
 	case smTop:
-		if *pc = smSearch; s.status[w] == workerRetiring {
+		switch *pc = smSearch; s.status[w] {
+		case workerRetiring:
 			*pc = smRetire
+		case workerRetired:
+			*pc = smRetired
 		}
 	case smSearch:
 		if *pc = smEnter; s.work > 0 {
@@ -177,14 +184,24 @@ func (m *statusModel) worker(s smState, w int) []smState {
 			m.reactivated++
 			*pc = smTop
 		case m.noBaton:
-			s.gone[w] = true
+			*pc = smTop
 		default:
 			*pc = smBaton
 		}
-	default:
+	case smRetired: // the select: the token, or not yet
+		if !s.token[w] {
+			return nil
+		}
+		if s.status[w] == workerRetired {
+			m.sleptAgain++
+		}
+		s.token[w], *pc = false, smTop
+	default: // the baton, and back to the loop top
 		next := signal(s, func(s *smState) *int8 { return &s.pc[w] })
 		for i := range next {
-			next[i].gone[w] = next[i].pc[w] == smDone
+			if next[i].pc[w] == smDone {
+				next[i].pc[w] = smTop
+			}
 		}
 		return next
 	}
@@ -193,7 +210,7 @@ func (m *statusModel) worker(s smState, w int) []smState {
 
 // resize is Resize(1) then Resize(2) of a fleet of two: the mark's load,
 // its CAS, the token for a worker marked asleep; then the reactivating CAS
-// or, against a retired slot, the store and the new goroutine.
+// or, against a retired slot, the store and the token for its sleeper.
 func (m *statusModel) resize(s smState) []smState {
 	switch s.res {
 	case 0:
@@ -212,15 +229,15 @@ func (m *statusModel) resize(s smState) []smState {
 	case 3:
 		if s.cas(1, workerRetiring, workerRunning) {
 			s.res = 5
+		} else {
+			m.regrown++
 		}
-	case 4:
-		s.status[1] = workerRunning
-	case 5:
-		if !s.gone[1] {
-			return nil
+	case 4, 5: // the store, then the token; the other way round under tokenFirst
+		if (s.res == 4) != m.tokenFirst {
+			s.status[1] = workerRunning
+		} else {
+			s.token[1] = true
 		}
-		m.regrown++
-		s.gone[1], s.pc[1] = false, smTop
 	default:
 		return nil
 	}
@@ -230,7 +247,7 @@ func (m *statusModel) resize(s smState) []smState {
 
 func (m *statusModel) explorer() *explorer[smState] {
 	return &explorer[smState]{actors: 4, step: m.step, final: func(s smState) error {
-		if s.work > 0 || s.pc[1] == smSleep && s.status[1] != workerIdle {
+		if s.work > 0 || s.pc[1] == smSleep && s.status[1] != workerIdle || s.pc[1] == smRetired {
 			return fmt.Errorf("quiescent with work queued, or with worker 1 asleep for good and not a wake target: %+v", s)
 		}
 		return nil
@@ -240,18 +257,24 @@ func (m *statusModel) explorer() *explorer[smState] {
 func TestStatusModelExhaustive(t *testing.T) {
 	m := &statusModel{}
 	m.explorer().verify(t, smState{})
-	if m.refused == 0 || m.markedAsleep == 0 || m.reactivated == 0 || m.regrown == 0 {
+	if m.refused == 0 || m.markedAsleep == 0 || m.reactivated == 0 || m.regrown == 0 || m.sleptAgain == 0 {
 		t.Fatalf("the search covered %+v; want some of each", *m)
 	}
 }
 
 // The negative controls: a park whose last look for work comes before its
-// running → idle CAS sleeps through a push whose scan came in between, and
-// a retire that passes no baton takes the fleet's one token with it.
+// running → idle CAS sleeps through a push whose scan came in between, a
+// retire that passes no baton takes the fleet's one token with it, and a
+// grow whose token comes before its store wakes a sleeper that reads retired
+// and sleeps on, in a slot marked running.
 func TestStatusModelCatchesRecheckBeforeCAS(t *testing.T) {
 	(&statusModel{recheckFirst: true}).explorer().refute(t, smState{})
 }
 
 func TestStatusModelCatchesMissingBaton(t *testing.T) {
 	(&statusModel{noBaton: true}).explorer().refute(t, smState{})
+}
+
+func TestStatusModelCatchesTokenBeforeStore(t *testing.T) {
+	(&statusModel{tokenFirst: true}).explorer().refute(t, smState{})
 }

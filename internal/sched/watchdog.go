@@ -39,7 +39,7 @@ type StallReport struct {
 // watchdog polls worker progress until the session's quit closes,
 // reporting stalls per the file comment. It is one of the session's
 // goroutines — startSession starts it when Config.StallTimeout > 0 and
-// endSession joins it, like the fleet manager.
+// endSession joins it, like the workers.
 func (p *Pool) watchdog(quit <-chan struct{}) {
 	defer p.wg.Done()
 	window := p.cfg.StallTimeout
@@ -68,7 +68,7 @@ func (p *Pool) watchdog(quit <-chan struct{}) {
 		for i, w := range p.workers {
 			cur := w.progress.Load()
 			// Only a running worker can stall: an idle one is waiting for
-			// work, a retired slot has no goroutine to make progress, and a
+			// work, a retired one is asleep until a grow wakes it, and a
 			// retiring worker may legitimately sit motionless at the
 			// retire safe point (e.g. suspended by the kernel adversary at
 			// sched.resize.beforeRetire) without that being a stall of the
