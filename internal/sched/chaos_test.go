@@ -10,7 +10,9 @@ package sched
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"strconv"
@@ -184,9 +186,19 @@ func TestChaosLoopPanicTerminatesRun(t *testing.T) {
 	go func() {
 		defer close(done)
 		defer func() { recovered = recover() }()
-		// Root sleeps so the idle workers reach their steal attempts and
-		// one of them trips the injected panic between tasks.
-		p.Run(func(*Worker) { time.Sleep(20 * time.Millisecond) })
+		// The root outlasts the idle workers' way to their steal attempts,
+		// where one of them trips the injected panic between tasks and
+		// stops the session.
+		p.Run(func(w *Worker) {
+			spinUntil(t, "a worker loop to die", func() bool {
+				select {
+				case <-w.pool.sess.stop:
+					return true
+				default:
+					return false
+				}
+			})
+		})
 	}()
 	select {
 	case <-done:
@@ -208,10 +220,62 @@ func TestChaosLoopPanicTerminatesRun(t *testing.T) {
 	}
 }
 
+// The same failure under Serve: the dying loop stops the session
+// (engineFail), Serve's controller brings it down, the submission in
+// flight aborts with the panic value while its task is still blocked, Serve
+// re-panics with the value, and the pool serves again.
+func TestChaosLoopPanicStopsServe(t *testing.T) {
+	defer fault.Reset()
+	// Spinning workers: the idle one reaches its next steal attempt, and the
+	// failpoint armed below, without having to be woken.
+	p := New(Config{Workers: 2, ParkThreshold: math.MaxInt})
+	var recovered any
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		defer func() { recovered = recover() }()
+		_ = p.Serve(context.Background())
+	}()
+	waitFor(t, 10*time.Second, "pool to start serving", inPhase(p, phaseServing))
+	gate := make(chan struct{})
+	started := make(chan struct{})
+	h, err := p.Submit(func(*Worker) { close(started); <-gate })
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	<-started
+	fault.Enable(fpLoopBeforeSteal, fault.Rule{Action: fault.ActionPanic, OneShot: true})
+	var pe PanicError
+	if err := h.Wait(); !errors.As(err, &pe) {
+		t.Fatalf("Wait = %v for a submission in flight at an engine failure, want a PanicError", err)
+	} else if ip, ok := pe.Value.(fault.InjectedPanic); !ok || ip.Point != fpLoopBeforeSteal {
+		t.Fatalf("Wait = %v, want the InjectedPanic at %s", err, fpLoopBeforeSteal)
+	}
+	close(gate)
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Serve did not return after an injected worker-loop panic")
+	}
+	if ip, ok := recovered.(fault.InjectedPanic); !ok || ip.Point != fpLoopBeforeSteal {
+		t.Fatalf("Serve panicked with %v, want InjectedPanic at %s", recovered, fpLoopBeforeSteal)
+	}
+	stop := startServing(t, p)
+	if h, err = p.Submit(func(*Worker) {}); err != nil {
+		t.Fatalf("Submit after an engine failure: %v", err)
+	}
+	if err := h.Wait(); err != nil {
+		t.Fatalf("Wait after an engine failure: %v", err)
+	}
+	if err := stop(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("restarted Serve returned %v", err)
+	}
+}
+
 // Regression test for the drain bug: an abort that fires before any worker
 // takes a root that a refused push handed off used to leave the stale root
-// there, and the next Run would execute it as a ghost. The start sweep must
-// clear it and count it in TasksDropped.
+// there, and the next Run would execute it as a ghost. The aborted session's
+// own end sweep must clear it and count it in TasksDropped.
 func TestPoolReuseAfterAbortDropsStaleHandoff(t *testing.T) {
 	defer fault.Reset()
 	p := New(Config{Workers: 1})
@@ -221,6 +285,7 @@ func TestPoolReuseAfterAbortDropsStaleHandoff(t *testing.T) {
 	fault.Enable(fpLoopEnter, fault.Rule{Action: fault.ActionPanic, OneShot: true})
 	var stale atomic.Int64
 	var recovered any
+	dropped0 := p.Stats().TasksDropped
 	func() {
 		defer func() { recovered = recover() }()
 		p.Run(func(*Worker) { stale.Add(1) })
@@ -228,10 +293,6 @@ func TestPoolReuseAfterAbortDropsStaleHandoff(t *testing.T) {
 	if ip, ok := recovered.(fault.InjectedPanic); !ok || ip.Point != fpLoopEnter {
 		t.Fatalf("recovered %v, want InjectedPanic at %s", recovered, fpLoopEnter)
 	}
-	if p.inject.Len() != 1 {
-		t.Fatal("test premise broken: the aborted run did not strand a root in the injector")
-	}
-	dropped0 := p.Stats().TasksDropped
 	var count atomic.Int64
 	p.Run(func(w *Worker) {
 		for i := 0; i < 50; i++ {

@@ -10,24 +10,25 @@
 //  1. Close admission: the CAS serving → draining on the phase word (one
 //     Drain wins per session; one that loses to a stop fails it) and
 //     Submit starts returning ErrDraining.
-//  2. Wait for the accepted set to empty: the active-run registry shrinks
-//     as submissions complete; the unregister that empties it while
-//     draining closes drainIdle. ctx bounds the wait — on expiry Drain
-//     proceeds immediately and the leftover submissions meet endSession's
-//     abort instead, completing with ErrStopped exactly as a cancelled
-//     Serve would leave them.
-//  3. Stop the fleet: closing drainReq wakes Serve's select; Serve runs
-//     the one teardown (its abort is a no-op on the happy path — the set
-//     is already empty) and returns nil, distinguishing a completed drain
-//     from a cancellation. The pool is reusable: the next Serve makes a
-//     session record of its own.
+//  2. Wait for the accepted set: the runs the registry held at the CAS,
+//     each on the completion word its Handle waits on. ctx bounds the wait
+//     — on expiry Drain proceeds immediately and the leftover submissions
+//     meet endSession's abort instead, completing with ErrStopped exactly
+//     as a cancelled Serve would leave them. A stop under the drain ends
+//     the wait too, through the same words: it aborts what is in flight,
+//     and a run that ended ErrStopped is a drain that failed.
+//  3. Stop the fleet: stopWith(nil) wakes Serve's select as an engine
+//     failure would, with no cause; Serve runs the one teardown (its abort
+//     is a no-op on the happy path — the set is already empty) and returns
+//     nil, distinguishing a completed drain from a cancellation. The pool
+//     is reusable: the next Serve makes a session record of its own.
 //
 // The no-lost-submission argument is a Dekker pairing over one SC word,
 // the phase, and the runMu-guarded registry. Submit orders
 // load(phase) = serving → register → push → re-load(phase); Drain orders
 // CAS(phase: serving → draining) → read(registry). If Submit's re-load
 // still reads serving, the CAS hadn't happened, so Drain's registry read is
-// after this run's register and waits for it. If the re-load reads
+// after this run's register and Drain waits for it. If the re-load reads
 // draining, Submit can't know whether Drain's look caught the run, so it
 // self-aborts and reports ErrDraining — the submission counts as rejected,
 // never as an accepted handle that later fails. A stop is the same pairing
@@ -68,17 +69,14 @@ func (p *Pool) Drain(ctx context.Context) error {
 	// The CAS and the look at the registry share one critical section with
 	// the read of the session record: a session publishes its record under
 	// runMu before it reaches serving, so the record read here is the one
-	// the CAS drained, whatever stops and restarts around this call. If
-	// nothing is in flight the drain is trivially complete — and because
-	// the CAS came before the look, any submission the look misses reads
+	// the CAS drained, whatever stops and restarts around this call. The
+	// CAS comes before the look, so a submission the look misses reads
 	// draining on its post-push re-check and rejects itself (the file
 	// comment's pairing).
 	p.runMu.Lock()
 	s := p.sess
 	won := p.phase.CompareAndSwap(phaseServing, phaseDraining)
-	if won && len(p.active) == 0 {
-		s.signalIdle()
-	}
+	accepted := p.inFlight()
 	p.runMu.Unlock()
 	if !won {
 		if p.phase.Load() == phaseDraining {
@@ -88,31 +86,26 @@ func (p *Pool) Drain(ctx context.Context) error {
 	}
 
 	var err error
-	select {
-	case <-s.drainIdle:
-		// Every accepted submission completed.
-	case <-ctx.Done():
-		// Deadline: fall back to the abort — Serve's teardown below
-		// completes the stragglers with ErrStopped.
-		err = ctx.Err()
-	case <-s.quit:
-		// Serve was stopped under the drain (its context cancelled), and
-		// what was still in flight met the abort: not a drain that may
-		// report success.
-		return ErrNotServing
+wait:
+	for _, r := range accepted {
+		select {
+		case <-r.done.waitChan():
+			// Completed, panicked or cancelled, a run is finished as far as a
+			// drain goes. One a stop aborted is not: Serve's context was
+			// cancelled under the drain, which may not report success.
+			if e, _ := r.outcome(); e == ErrStopped {
+				return ErrNotServing
+			}
+		case <-ctx.Done():
+			// Deadline: fall back to the abort — Serve's teardown below
+			// completes the stragglers with ErrStopped.
+			err = ctx.Err()
+			break wait
+		}
 	}
-	close(s.drainReq)
+	s.stopWith(nil)
 	// Wait for the session to acknowledge (endSession closes quit as the
 	// workers are told to stop); the fleet stop is then underway.
 	<-s.quit
 	return err
-}
-
-// signalIdle closes drainIdle, once. The caller holds runMu and has seen
-// the registry empty while the session is draining.
-func (s *session) signalIdle() {
-	if !s.drainSignaled {
-		s.drainSignaled = true
-		close(s.drainIdle)
-	}
 }

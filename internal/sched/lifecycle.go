@@ -7,7 +7,7 @@
 // program's problem: every idle worker pins a full core at 100%. This file
 // adds the standard remedy, the one Go's own runtime (findRunnable ->
 // stopm/wakep) and ForkJoinPool use atop the same ABP-style deques: after
-// parkThreshold consecutive failed steal attempts a worker backs off with
+// ParkThreshold consecutive failed steal attempts a worker backs off with
 // exponentially growing naps, then parks on a per-worker token channel.
 // Spawn and Submit wake one idle worker whenever they make new work
 // available.
@@ -142,10 +142,11 @@ func (w *Worker) loop() {
 // injected fault.Point panic between tasks. Without it such a panic would
 // escape the worker goroutine and crash the process (and, were it somehow
 // swallowed, strand scope counters above zero and wedge every waiter).
-// Instead it is treated as an engine failure: every in-flight submission
-// aborts with the panic value (waking parked workers, blocked Joins, and
-// Handle waiters), and the session controller — Run's waiter or Serve's
-// select — re-panics with the original value after the workers drain.
+// Instead it is treated as an engine failure: the session stops with the
+// panic value, so its controller — Run's select or Serve's — brings it down
+// (endSession): every in-flight submission aborts with the value (waking
+// parked workers, blocked Joins, and Handle waiters), and the controller
+// re-panics with it after the workers drain.
 func (w *Worker) recoverLoopPanic() {
 	if r := recover(); r != nil {
 		w.pool.engineFail(r)
@@ -153,13 +154,12 @@ func (w *Worker) recoverLoopPanic() {
 }
 
 // idleWait escalates an idle worker through the lifecycle: hot spinning
-// below parkThreshold, then exponentially growing interruptible naps, then
+// below ParkThreshold, then exponentially growing interruptible naps, then
 // parking outright. It reports whether the worker was woken by a work
 // signal (the caller restarts the hot phase); a nap that merely timed out
 // returns false so the escalation continues.
 func (w *Worker) idleWait(fails int) bool {
-	p := w.pool
-	step := fails - p.parkThreshold
+	step := fails - w.pool.cfg.ParkThreshold
 	if step < 0 {
 		return false
 	}
@@ -246,9 +246,7 @@ func (w *Worker) park(d time.Duration) bool {
 // signalWork wakes one idle worker — parked or napping in backoff — if any.
 // The caller must already have made the new work visible (pushed it onto a
 // deque or reserved an injector cell); see the Dekker argument in the file
-// comment. The token channel has capacity one, so a signal to a worker
-// with a pending token is absorbed rather than lost: the send sits in a
-// select with default and can never block the producer.
+// comment.
 //
 // The scan starts at a rotating cursor rather than index zero: a fixed
 // start always wakes the lowest-indexed parked worker, so under a trickle
@@ -272,11 +270,20 @@ func (p *Pool) signalWork() {
 		// a wake that would end in retirement rather than work; one marked
 		// after its token was sent passes the baton on (retire, resize.go).
 		if w.status.Load() == workerIdle {
-			select {
-			case w.parkCh <- struct{}{}:
-			default:
-			}
+			w.wake()
 			return
 		}
+	}
+}
+
+// wake leaves a token for the worker's sleep — park's or sleepRetired's — to
+// end on. The channel has capacity one, so a token sent to a worker with one
+// pending is absorbed rather than lost, and the send can never block.
+//
+//abp:nonblocking
+func (w *Worker) wake() {
+	select {
+	case w.parkCh <- struct{}{}:
+	default:
 	}
 }

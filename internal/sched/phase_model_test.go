@@ -8,8 +8,9 @@ import (
 // This file model-checks the session phase word (pool.go, serve.go,
 // drain.go) on the explorer of model_test.go. The actors: a Submit (gate
 // load, register, push, re-load); two Drains (the CAS with the look at the
-// registry — one critical section, as in Drain — then the wait, which its
-// deadline may end at any time); a Serve that stops at any time — its
+// registry — one critical section, as in Drain — then the wait for the run
+// it saw there to end, which its deadline may cut short at any time, and
+// the read of how the run ended); a Serve that stops at any time — its
 // context may be cancelled, which covers the stop a Drain asks for — and
 // starts once more; a worker that pops the submission and ends it. Checked
 // on every path:
@@ -22,11 +23,16 @@ import (
 //   - at quiescence no returned handle is left unfinished, and the
 //     registry, which every Drain to come waits on, is empty.
 
-// How the submission ended.
+// How the submission ended: completed, or aborted — by its context
+// (ctx.Err()), by its own Submit reading draining after the push
+// (ErrDraining), or by a stop: endSession's abort of the registry, a sweep,
+// or its own Submit reading a stopped session (ErrStopped).
 const (
 	pmLive int8 = iota
 	pmCompleted
-	pmAborted
+	pmCancelled
+	pmRejected
+	pmStopped
 )
 
 type pmState struct {
@@ -38,25 +44,23 @@ type pmState struct {
 	// returned to the caller, its outcome.
 	reg, queued, handle bool
 	out                 int8
-	// Its context: the watcher is armed, the context cancelled, and the
-	// cancellation is what ended the submission.
-	armed, cancelled, byCancel bool
-	// Per session record (Serve runs twice): drainIdle closed, and the Drains
-	// that won it.
-	idle [3]bool
+	// Its context: the watcher is armed, the context cancelled.
+	armed, cancelled bool
+	// Per session record (Serve runs twice): the Drains that won it.
 	wins [3]int8
-	// Per Drain: the session it won, and whether a handle was out and
-	// standing at its CAS.
-	dsess   [2]int8
-	covered [2]bool
+	// Per Drain: whether its look found the run in the registry — the run
+	// it then waits for — and whether a handle was out and standing at its
+	// CAS.
+	saw, covered [2]bool
 }
 
 type phaseModel struct {
 	// The negative controls: Submit returns right after its push; Submit
-	// arms the cancellation before it registers (the order PR 22 fixed).
-	noReload, armFirst bool
+	// arms the cancellation before it registers (the order PR 22 fixed); a
+	// Drain takes the end of the run it waited for as its completion.
+	noReload, armFirst, noOutcomeRead bool
 	// What the search came across, so the test can tell what it covered.
-	accepted, selfRejected, won, lost, okDrains, sweepAborts, cancelAborts int
+	accepted, selfRejected, won, lost, okDrains, stoppedDrains, sweepAborts, cancelAborts int
 }
 
 // pmEdges is the diagram above the phase constants in pool.go.
@@ -76,15 +80,11 @@ func (s *pmState) move(to uint32) error {
 	return nil
 }
 
-// finish ends the submission if nothing has yet: finishOnce, and the
-// unregister inside it, which signals a waiting Drain.
+// finish ends the submission if nothing has yet: finishOnce, with the
+// unregister inside it, and the completion word a Drain waits on.
 func (s *pmState) finish(out int8) {
-	if s.out != pmLive {
-		return
-	}
-	s.out, s.reg = out, false
-	if s.phase == phaseDraining {
-		s.idle[s.sess] = true
+	if s.out == pmLive {
+		s.out, s.reg = out, false
 	}
 }
 
@@ -97,7 +97,7 @@ func (m *phaseModel) sweep(s *pmState) {
 		m.sweepAborts++
 	}
 	s.queued = false
-	s.finish(pmAborted)
+	s.finish(pmStopped)
 }
 
 // step is one step of actor a: 0 the Submit (SubmitContext), 1 and 2 the
@@ -109,10 +109,10 @@ func (m *phaseModel) step(s pmState, a int) ([]pmState, error) {
 		if !s.armed || s.cancelled {
 			return nil, nil
 		}
-		if s.cancelled, s.byCancel = true, s.out == pmLive; s.byCancel {
+		if s.cancelled = true; s.out == pmLive {
 			m.cancelAborts++
 		}
-		s.finish(pmAborted)
+		s.finish(pmCancelled)
 		return []pmState{s}, nil
 	}
 	if a == 4 { // pop the root and run it — or discard it, its run aborted
@@ -157,9 +157,9 @@ func (m *phaseModel) step(s pmState, a int) ([]pmState, error) {
 				hand()
 			case phaseDraining: // rejects itself: no handle
 				m.selfRejected++
-				s.finish(pmAborted)
+				s.finish(pmRejected)
 			default: // stopped: a handle, already aborted
-				s.finish(pmAborted)
+				s.finish(pmStopped)
 				hand()
 			}
 		default:
@@ -175,17 +175,20 @@ func (m *phaseModel) step(s pmState, a int) ([]pmState, error) {
 			}
 			m.won++
 			err = s.move(phaseDraining)
-			s.dsess[d], s.covered[d] = s.sess, s.handle && s.out != pmAborted
-			s.idle[s.sess] = !s.reg
+			s.saw[d], s.covered[d] = s.reg, s.handle && (s.out == pmLive || s.out == pmCompleted)
 			if s.wins[s.sess]++; s.wins[s.sess] > 1 {
 				err = fmt.Errorf("two Drains won session %d", s.sess)
 			}
-		case 1: // the wait ends: on drainIdle in success; on quit or the deadline promising nothing
-			if !s.idle[s.dsess[d]] {
+		case 1: // the wait ends: the run it saw has ended, or the deadline cuts it short, promising nothing
+			if s.saw[d] && s.out == pmLive {
+				break
+			}
+			if s.saw[d] && s.out == pmStopped && !m.noOutcomeRead { // a stop ended the run: ErrNotServing
+				m.stoppedDrains++
 				break
 			}
 			m.okDrains++
-			if s.covered[d] && s.out != pmCompleted && !s.byCancel {
+			if s.covered[d] && s.out != pmCompleted && s.out != pmCancelled {
 				err = fmt.Errorf("a Drain reports success, and the handle that was out at its CAS ended %d", s.out)
 			}
 		default:
@@ -204,7 +207,7 @@ func (m *phaseModel) step(s pmState, a int) ([]pmState, error) {
 			err = s.move(phaseStopping)
 		case 4: // abort the registry
 			if s.reg {
-				s.finish(pmAborted)
+				s.finish(pmStopped)
 			}
 		case 5: // quit, join, sweep
 			s.workers = false
@@ -236,7 +239,7 @@ func (m *phaseModel) explorer() *explorer[pmState] {
 func TestPhaseModelExhaustive(t *testing.T) {
 	m := &phaseModel{}
 	m.explorer().verify(t, pmState{})
-	if m.accepted == 0 || m.selfRejected == 0 || m.won == 0 || m.lost == 0 || m.okDrains == 0 || m.sweepAborts == 0 || m.cancelAborts == 0 {
+	if m.accepted == 0 || m.selfRejected == 0 || m.won == 0 || m.lost == 0 || m.okDrains == 0 || m.stoppedDrains == 0 || m.sweepAborts == 0 || m.cancelAborts == 0 {
 		t.Fatalf("the search covered %+v; want some of each", *m)
 	}
 }
@@ -252,4 +255,11 @@ func TestPhaseModelCatchesMissingRecheck(t *testing.T) {
 // unregister finds nothing — and then registered for good.
 func TestPhaseModelCatchesArmBeforeRegister(t *testing.T) {
 	(&phaseModel{armFirst: true}).explorer().refute(t, pmState{})
+}
+
+// The negative control of the read in Drain's wait: a Drain that takes the
+// end of the run it waited for as its completion reports success over a
+// handle the stop aborted.
+func TestPhaseModelCatchesDrainOverAbort(t *testing.T) {
+	(&phaseModel{noOutcomeRead: true}).explorer().refute(t, pmState{})
 }

@@ -170,10 +170,9 @@ func (fn taskFunc) runTask(w *Worker) { fn(w) }
 // entry CAS on phase and panic with a clear error rather than corrupting
 // the session.
 type Pool struct {
-	cfg           Config
-	parkThreshold int
-	workers       []*Worker
-	inject        *injector
+	cfg     Config // New's argument with every default filled in
+	workers []*Worker
+	inject  *injector
 	// Ordering disciplines (internal/atomicx, checked by abporder): the
 	// SC-declared fields either arbitrate (phase's entry and drain CASes,
 	// wakeRR's consumed Add) or participate in the park/wake handshake
@@ -225,17 +224,16 @@ type Pool struct {
 	target   int
 
 	// Active-submission registry: every in-flight run, registered at
-	// submission and removed by its finishOnce. endSession and engineFail
-	// abort the whole set.
+	// submission and removed by its finishOnce. endSession aborts the whole
+	// set, and a Drain waits for the ones it found there (inFlight).
 	runMu  sync.Mutex
 	active map[*run]struct{}
 
 	// sess is the live session's record, or the last one's between
 	// sessions (nil before the first). startSession replaces it holding
-	// runMu, which Drain, unregister and engineFail read it under. The
-	// session's own goroutines read it without — the go statements that
-	// start them are after the write, and the next write is after
-	// endSession has joined them.
+	// runMu, which Drain reads it under. The session's own goroutines read
+	// it without — the go statements that start them are after the write,
+	// and the next write is after endSession has joined them.
 	sess *session
 }
 
@@ -259,21 +257,28 @@ const (
 )
 
 // session is what lives exactly as long as one session's workers do, made
-// by startSession and immutable from then on apart from the two words
-// runMu guards.
+// by startSession. Its channels are the two halves of a session's end: stop
+// asks the controller (Run's or Serve's select) to bring the session down,
+// quit is the controller, in endSession, telling everybody else that it is.
 type session struct {
+	// stop is closed by the first stopWith, after it wrote cause: the panic
+	// value of what failed — a worker loop (engineFail), a task of a Run — or
+	// nil: a finished Drain's stop, or endSession's own.
+	stop     chan struct{}
+	stopOnce sync.Once
+	cause    any
 	// quit is closed by endSession: it wakes every worker asleep — parked,
-	// napping or retired — and stops the watchdog.
+	// napping or retired — stops the watchdog and releases a Drain.
 	quit chan struct{}
-	// fail is closed by the first engineFail, after it stored failVal.
-	fail    chan struct{}
-	failVal any // guarded by runMu until fail is closed
-	// The drain pair (drain.go): drainIdle is closed, once — drainSignaled,
-	// guarded by runMu — when the registry is empty while draining;
-	// drainReq is closed by the winning Drain to bring Serve down.
-	drainReq      chan struct{}
-	drainIdle     chan struct{}
-	drainSignaled bool
+}
+
+// stopWith asks the session's controller to bring it down. First caller
+// wins: a later cause is dropped, as a run's later abort is (finish).
+func (s *session) stopWith(cause any) {
+	s.stopOnce.Do(func() {
+		s.cause = cause
+		close(s.stop)
+	})
 }
 
 // The worker statuses, stored in Worker.status — the one word that says
@@ -394,13 +399,14 @@ func New(cfg Config) *Pool {
 		seed = 0x5EED
 	}
 	p := &Pool{
-		cfg:           cfg,
-		parkThreshold: cfg.ParkThreshold,
-		inject:        newInjector(cfg.InjectorCapacity),
-		active:        map[*run]struct{}{},
+		cfg:    cfg,
+		inject: newInjector(cfg.InjectorCapacity),
+		active: map[*run]struct{}{},
 	}
-	if p.parkThreshold == 0 {
-		p.parkThreshold = max(8, 2*cfg.Workers)
+	if cfg.ParkThreshold == 0 {
+		// The one default a worker goroutine reads, so it is written through
+		// p, which nothing shares yet (abprace's fresh-object rule).
+		p.cfg.ParkThreshold = max(8, 2*cfg.Workers)
 	}
 	// The whole [0, MaxWorkers) fleet is allocated up front; slots beyond
 	// the initial Workers begin retired and cost a sleeping goroutine per
@@ -475,11 +481,19 @@ func (p *Pool) RunContext(ctx context.Context, root func(*Worker)) error {
 	}
 	s := p.startSession(&r.root)
 	// The run ends — every task executed, or the submission aborted by a
-	// panic, a cancellation, or an engine failure — and the session comes
-	// down with it.
-	<-r.done.waitChan()
-	err, panicVal := r.outcome()
-	p.endSession(s, panicVal)
+	// panic or a cancellation — or a worker loop dies (engineFail), and the
+	// session comes down: by then the run has ended, if only by endSession's
+	// abort. A task panic stops the session as a failed loop does, so that
+	// endSession re-raises it.
+	select {
+	case <-r.done.waitChan():
+		if _, panicVal := r.outcome(); panicVal != nil {
+			s.stopWith(panicVal)
+		}
+	case <-s.stop:
+	}
+	p.endSession(s)
+	err, _ := r.outcome()
 	return err
 }
 
@@ -492,13 +506,12 @@ func (p *Pool) enter(api string) {
 }
 
 // startSession makes the session record, sweeps what raced the previous
-// session's stop (a Submit that pushed after the end sweep; the carcass a
-// panicked session leaves — see endSession), so stale work can neither
-// execute in the new session nor corrupt its accounting, delivers the
-// batch API's root (if any), and forks the session's goroutines. The victim
-// rng deliberately is not reset: random victim selection is the paper's
-// stochastic model, and reseeding it would only launder scheduling
-// nondeterminism into false reproducibility.
+// session's stop (a Submit that pushed after the end sweep), so stale work
+// can neither execute in the new session nor corrupt its accounting,
+// delivers the batch API's root (if any), and forks the session's
+// goroutines. The victim rng deliberately is not reset: random victim
+// selection is the paper's stochastic model, and reseeding it would only
+// launder scheduling nondeterminism into false reproducibility.
 //
 // Sweep, root delivery, and fork deliberately share one function body: the
 // caller has won enter and no workers exist yet, so the calling goroutine
@@ -516,12 +529,7 @@ func (p *Pool) enter(api string) {
 //
 //abp:owner quiescent phase: workers have not been started yet
 func (p *Pool) startSession(root *Task) *session {
-	s := &session{
-		quit:      make(chan struct{}),
-		fail:      make(chan struct{}),
-		drainReq:  make(chan struct{}),
-		drainIdle: make(chan struct{}),
-	}
+	s := &session{stop: make(chan struct{}), quit: make(chan struct{})}
 	p.drainByRun()
 	// A restarted Serve behaves like a fresh pool: it does not inherit the
 	// previous session's wake-scan position (the Serve→Stop→Serve
@@ -562,36 +570,40 @@ func (p *Pool) startSession(root *Task) *session {
 	return s
 }
 
-// endSession is the one teardown: it closes admission and tells the
-// workers to leave (the stopping phase), aborts whatever is still in
-// flight — with panicVal if the session is ending in a panic, else
-// ErrStopped; first abort wins, so a cause recorded earlier is preserved,
-// and after a Run, a completed Drain or an engine failure the set is
-// already empty — wakes every sleeper (quit), joins the session's
-// goroutines, sweeps, and returns the pool to idle. A non-nil panicVal — a
-// task panic of a Run, a worker-loop failure of either API — is re-raised
-// once the pool is reusable.
+// endSession is the one teardown: it stops the session if nothing has yet
+// — which is also what lets it read the cause — closes admission and tells
+// the workers to leave (the stopping phase), aborts whatever is still in
+// flight — with the cause if the session is ending in a panic, else
+// ErrStopped; first abort wins, so a cause a run recorded earlier is
+// preserved, and after a Run or a completed Drain the set is already empty
+// — wakes every sleeper (quit), joins the session's goroutines, sweeps, and
+// returns the pool to idle. A non-nil cause — a task panic of a Run, a
+// worker-loop failure of either API — is re-raised once the pool is
+// reusable. This is the only place the registry is aborted.
 //
 // The sweep rule: every session ends swept — the deques and the injector
-// hold nothing when the pool is idle — except one that ends in a panic,
-// whose carcass is left for the next startSession to sweep and count
-// (TestPoolReuseAfterAbortDropsStaleHandoff reads the stranded root in
-// between).
-func (p *Pool) endSession(s *session, panicVal any) {
+// hold nothing when the pool is idle, but for what a Submit that lost its
+// race with the stop pushes afterwards, which startSession's sweep is for.
+func (p *Pool) endSession(s *session) {
+	s.stopWith(nil)
+	<-s.stop // closed by now, after the write of cause that is read below
 	p.phase.Store(phaseStopping)
-	if panicVal != nil {
-		p.abortAll(runPanicked, nil, panicVal)
-	} else {
-		p.abortAll(runCancelled, ErrStopped, nil)
+	state, err := runCancelled, ErrStopped
+	if s.cause != nil {
+		state, err = runPanicked, nil
+	}
+	p.runMu.Lock()
+	rs := p.inFlight()
+	p.runMu.Unlock()
+	for _, r := range rs {
+		r.finish(state, err, s.cause)
 	}
 	close(s.quit)
 	p.wg.Wait()
-	if panicVal == nil {
-		p.drainByRun()
-	}
+	p.drainByRun()
 	p.phase.Store(phaseIdle)
-	if panicVal != nil {
-		panic(panicVal)
+	if s.cause != nil {
+		panic(s.cause)
 	}
 }
 
@@ -711,10 +723,12 @@ func (w *Worker) stealOnce() *Task {
 // submissions share the deques, so staleness is decided per task at pop
 // time, not per pool at session boundaries. stolen says how the task
 // reached this worker (see exec); a discarded task releases the scope it
-// carries either way.
+// carries either way. Every task start comes through here — a pop, a steal,
+// an injector poll, and the inline run of a spawn no deque took — and the
+// return says whether the task ran.
 //
 //abp:owner runs only on the goroutine that owns the worker (its loop, a helping Join on it, or the submitter for the ephemeral caller-runs worker)
-func (w *Worker) execOrDrop(t *Task, stolen bool) {
+func (w *Worker) execOrDrop(t *Task, stolen bool) (ran bool) {
 	if s := t.scope.run.state.Load(); s != runLive {
 		if s == runPanicked {
 			w.pool.dropped.Add(1)
@@ -723,9 +737,10 @@ func (w *Worker) execOrDrop(t *Task, stolen bool) {
 		}
 		w.progress.Add(1)
 		t.scope.release() // a zero here is a no-op: the abort already finished the run
-		return
+		return false
 	}
 	w.exec(t, stolen)
+	return true
 }
 
 // exec runs a task and performs termination accounting (scope.go). A task
@@ -814,8 +829,9 @@ func (w *Worker) spawn(t *Task) {
 	w.spawns.Add(1)
 	t.scope.refs.Add(1)
 	if !w.dq.PushBottom(t) {
-		w.inlineRuns.Add(1)
-		w.exec(t, false)
+		if w.execOrDrop(t, false) {
+			w.inlineRuns.Add(1)
+		}
 		return
 	}
 	w.pool.signalWork()

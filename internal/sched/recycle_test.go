@@ -167,7 +167,7 @@ func TestRecycleAbortMidTreeAbandonsRecords(t *testing.T) {
 							panic("boom")
 						}
 						cancel()
-						spinUntil(t, "the cancellation to reach the run", func() bool { return w.currentRun().state.Load() != runLive })
+						awaitAbort(t, w)
 					}
 					if n == 7 {
 						var g Group

@@ -81,9 +81,7 @@ func (p *Pool) Resize(n int) error {
 		// of running and idle the worker is in, retried when the worker moves
 		// between the two meanwhile. A worker marked running cannot fall
 		// asleep any more; one marked idle is woken so that it notices. The
-		// token send is non-blocking (capacity-1 channel): an already-pending
-		// token wakes the worker just as well. The victim range follows only
-		// as far as the suffix is retired already.
+		// victim range follows only as far as the suffix is retired already.
 		for i := n; i < cur; i++ {
 			w := p.workers[i]
 			s := w.status.Load()
@@ -91,10 +89,7 @@ func (p *Pool) Resize(n int) error {
 				s = w.status.Load()
 			}
 			if s == workerIdle {
-				select {
-				case w.parkCh <- struct{}{}:
-				default:
-				}
+				w.wake()
 			}
 		}
 		p.trimVictims()
@@ -117,10 +112,7 @@ func (p *Pool) Resize(n int) error {
 		// when the token wakes it, and one that read retired would sleep on
 		// (status_model_test.go sends the token first and finds that).
 		w.status.Store(workerRunning)
-		select {
-		case w.parkCh <- struct{}{}:
-		default:
-		}
+		w.wake()
 	}
 	return nil
 }

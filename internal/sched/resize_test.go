@@ -547,6 +547,55 @@ func TestDrainLosesToServeStop(t *testing.T) {
 	}
 }
 
+// The same stop arriving as the drained submission completes: whichever
+// way the handle ended is what the Drain reports. A handle that completed
+// means the drain did, whatever Serve's context did since; one the stop
+// aborted means it did not, and then it is Serve's context that brought the
+// session down.
+func TestDrainRacesServeStop(t *testing.T) {
+	p := New(Config{Workers: 2, ParkThreshold: 2})
+	completed, stopped := 0, 0
+	for i := 0; i < 200; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		serveErr := make(chan error, 1)
+		go func() { serveErr <- p.Serve(ctx) }()
+		waitFor(t, 10*time.Second, "pool to start serving", inPhase(p, phaseServing))
+		gate := make(chan struct{})
+		started := make(chan struct{})
+		h, err := p.Submit(func(*Worker) { close(started); <-gate })
+		if err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		<-started
+		drained := make(chan error, 1)
+		go func() { drained <- p.Drain(context.Background()) }()
+		waitFor(t, 10*time.Second, "the drain to close admission", inPhase(p, phaseDraining))
+		if i%2 == 0 {
+			go cancel()
+			close(gate)
+		} else {
+			go close(gate)
+			cancel()
+		}
+		herr, derr, serr := h.Wait(), <-drained, <-serveErr
+		switch {
+		case herr == nil:
+			completed++
+			if derr != nil || serr != nil && !errors.Is(serr, context.Canceled) {
+				t.Fatalf("round %d: the handle completed, Drain = %v, Serve = %v", i, derr, serr)
+			}
+		case errors.Is(herr, ErrStopped):
+			stopped++
+			if !errors.Is(derr, ErrNotServing) || !errors.Is(serr, context.Canceled) {
+				t.Fatalf("round %d: the stop aborted the handle, Drain = %v, Serve = %v", i, derr, serr)
+			}
+		default:
+			t.Fatalf("round %d: Wait = %v", i, herr)
+		}
+	}
+	t.Logf("%d rounds completed under the drain, %d were stopped first", completed, stopped)
+}
+
 // The satellite-1 regression: a Serve→stop→Serve cycle must behave like a
 // fresh pool. The second session's wake-scan cursor starts from zero (the
 // white-box half) and submissions complete exactly as in the first (the

@@ -64,7 +64,9 @@ func (p *Pool) SubmitWithRetry(ctx context.Context, fn func(*Worker), pol RetryP
 	if seed == 0 {
 		seed = 0x5EED2E72
 	}
-	rng := rand.New(rand.NewSource(seed))
+	// The jitter source is made at the first retry: its state is 607 words,
+	// and the common call is admitted at once.
+	var rng *rand.Rand
 	for attempt := 1; ; attempt++ {
 		h, err := p.SubmitContext(ctx, fn)
 		if !errors.Is(err, ErrOverloaded) || attempt >= attempts {
@@ -73,6 +75,9 @@ func (p *Pool) SubmitWithRetry(ctx context.Context, fn func(*Worker), pol RetryP
 		d := base << (attempt - 1)
 		if d > maxD || d <= 0 { // <= 0: shift overflow at absurd attempt counts
 			d = maxD
+		}
+		if rng == nil {
+			rng = rand.New(rand.NewSource(seed))
 		}
 		d = d/2 + time.Duration(rng.Int63n(int64(d/2)+1))
 		timer := time.NewTimer(d)

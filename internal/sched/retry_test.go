@@ -34,6 +34,7 @@ func TestSubmitWithRetryOutlastsOverload(t *testing.T) {
 	p := New(Config{Workers: 1, InjectorCapacity: 2})
 	stop := startServing(t, p)
 	fills, release := saturate(t, p)
+	shed := p.Stats().SubmitsRejected
 
 	res := make(chan error, 1)
 	ran := make(chan struct{})
@@ -45,8 +46,8 @@ func TestSubmitWithRetryOutlastsOverload(t *testing.T) {
 		}
 		res <- err
 	}()
-	// Give the retrier time to be genuinely mid-backoff before the drain.
-	time.Sleep(5 * time.Millisecond)
+	// The retrier is mid-backoff before the drain: an attempt has been shed.
+	waitFor(t, 10*time.Second, "an attempt to be shed", func() bool { return p.Stats().SubmitsRejected > shed })
 	release()
 	if err := <-res; err != nil {
 		t.Fatalf("SubmitWithRetry = %v across a transient overload", err)
@@ -96,6 +97,7 @@ func TestSubmitWithRetryCancelledMidBackoff(t *testing.T) {
 	p := New(Config{Workers: 1, InjectorCapacity: 2})
 	stop := startServing(t, p)
 	fills, release := saturate(t, p)
+	shed := p.Stats().SubmitsRejected
 
 	ctx, cancel := context.WithCancel(context.Background())
 	res := make(chan error, 1)
@@ -106,7 +108,7 @@ func TestSubmitWithRetryCancelledMidBackoff(t *testing.T) {
 			RetryPolicy{MaxAttempts: 100, BaseDelay: 10 * time.Second, MaxDelay: 10 * time.Second})
 		res <- err
 	}()
-	time.Sleep(10 * time.Millisecond) // let the first attempt fail and the backoff start
+	waitFor(t, 10*time.Second, "the first attempt to be shed and the backoff to start", func() bool { return p.Stats().SubmitsRejected > shed })
 	cancel()
 	select {
 	case err := <-res:

@@ -27,16 +27,16 @@ func TestRunContextCancelMidRun(t *testing.T) {
 	go func() {
 		errCh <- p.RunContext(ctx, func(w *Worker) {
 			for i := 0; i < tasks; i++ {
-				w.Spawn(func(*Worker) {
+				w.Spawn(func(w *Worker) {
 					count.Add(1)
-					time.Sleep(2 * time.Millisecond)
+					awaitAbort(t, w) // a task in hand outlasts the cancellation, whenever that comes
 				})
 			}
 			close(started)
 		})
 	}()
 	<-started
-	time.Sleep(20 * time.Millisecond)
+	waitFor(t, 10*time.Second, "a spawned task to start", func() bool { return count.Load() > 0 })
 	cancel()
 	var err error
 	select {
@@ -49,7 +49,7 @@ func TestRunContextCancelMidRun(t *testing.T) {
 	}
 	ran, cancelled := count.Load(), p.Stats().TasksCancelled
 	if cancelled == 0 {
-		t.Fatalf("cancellation 380ms before the backlog could drain discarded no tasks (ran %d of %d)", ran, tasks)
+		t.Fatalf("a cancellation no task in hand could outrun discarded no tasks (ran %d of %d)", ran, tasks)
 	}
 	// Conservation: every spawned task either executed (workers finish the
 	// task in hand before stopping) or was drained and counted.
@@ -75,7 +75,7 @@ func TestRunContextDeadlineExpires(t *testing.T) {
 	defer cancel()
 	var ran atomic.Int64
 	err := p.RunContext(ctx, func(w *Worker) {
-		time.Sleep(120 * time.Millisecond) // outlives the deadline
+		awaitAbort(t, w) // outlive the deadline, and the watcher that aborts the run on it
 		for i := 0; i < 100; i++ {
 			w.Spawn(func(*Worker) { ran.Add(1) })
 		}
@@ -257,9 +257,9 @@ func TestRunContextCancelUnwindsHelpingWaiter(t *testing.T) {
 		errCh <- p.RunContext(ctx, func(w *Worker) {
 			g := NewGroup()
 			for i := 0; i < tasks; i++ {
-				g.Spawn(w, func(*Worker) {
+				g.Spawn(w, func(w *Worker) {
 					ran.Add(1)
-					time.Sleep(2 * time.Millisecond)
+					awaitAbort(t, w) // a task in hand outlasts the cancellation, whenever that comes
 				})
 			}
 			close(started)
@@ -267,7 +267,7 @@ func TestRunContextCancelUnwindsHelpingWaiter(t *testing.T) {
 		})
 	}()
 	<-started
-	time.Sleep(15 * time.Millisecond)
+	waitFor(t, 10*time.Second, "a member to start", func() bool { return ran.Load() > 0 })
 	cancel()
 	var err error
 	select {
@@ -284,5 +284,39 @@ func TestRunContextCancelUnwindsHelpingWaiter(t *testing.T) {
 	}
 	if got := ran.Load() + int64(cancelled); got != tasks {
 		t.Fatalf("ran %d + cancelled %d != %d spawned", ran.Load(), cancelled, tasks)
+	}
+}
+
+// A spawn that finds its deque full runs inline, and an inline run is a
+// task start like a pop: after the abort it is discarded and counted, as
+// the one spawn that fit the deque is — not run, and not an inline run —
+// and a Group.Wait on the discarded members unwinds through help.
+func TestRunContextCancelDropsInlineSpawns(t *testing.T) {
+	p := New(Config{Workers: 1, DequeCapacity: 1})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var ran, waited atomic.Int64
+	err := p.RunContext(ctx, func(w *Worker) {
+		cancel()
+		awaitAbort(t, w)
+		g := NewGroup()
+		for i := 0; i < 10; i++ {
+			g.Spawn(w, func(*Worker) { ran.Add(1) })
+		}
+		g.Wait(w)
+		waited.Add(1)
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if got := ran.Load(); got != 0 {
+		t.Errorf("%d of 10 children spawned after the abort ran", got)
+	}
+	if waited.Load() != 0 {
+		t.Error("a Group.Wait on discarded members returned instead of unwinding")
+	}
+	st := p.Stats()
+	if st.TasksCancelled != 10 || st.InlineRuns != 0 {
+		t.Errorf("TasksCancelled = %d, InlineRuns = %d; want 10 discarded spawns and no inline run", st.TasksCancelled, st.InlineRuns)
 	}
 }

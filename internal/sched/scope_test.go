@@ -41,6 +41,13 @@ func spinUntil(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// awaitAbort keeps the task running on w until its submission has aborted:
+// a cancellation lands from a goroutine of its own (run.watch), some time
+// after the context reads cancelled.
+func awaitAbort(t *testing.T, w *Worker) {
+	spinUntil(t, "the submission to abort", func() bool { return w.currentRun().state.Load() != runLive })
+}
+
 // scopeDepth counts the scopes between s and its submission's root.
 func scopeDepth(s *scope) int {
 	d := 0
@@ -238,7 +245,7 @@ func TestAbortMidTreeAccountsForEverySpawn(t *testing.T) {
 							// The watcher aborts on a goroutine of its own:
 							// keep the tree un-ended until it has.
 							cancel()
-							spinUntil(t, "the cancellation to reach the run", func() bool { return w.currentRun().state.Load() != runLive })
+							awaitAbort(t, w)
 						}
 					}
 				}
@@ -406,7 +413,9 @@ func TestSpawnPathAllocations(t *testing.T) {
 // What a submission allocates, measured from the test goroutine: the run
 // record, and a channel only if somebody has to block before the
 // submission ends — which the runtime counts as two objects, the channel
-// and the cell holding it that the word points to (waitChan).
+// and the cell holding it that the word points to (waitChan). A
+// SubmitWithRetry admitted at its first attempt is a Submit: the jitter
+// source it used to seed on every call was three more objects, 5 KB.
 func TestSubmitAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -415,9 +424,10 @@ func TestSubmitAllocations(t *testing.T) {
 	// this run made the one nap timer.
 	p := New(Config{Workers: 1, ParkThreshold: math.MaxInt})
 	stop := startServing(t, p)
-	submit := func(root func(*Worker), await func(*Handle)) float64 {
+	type submitFunc func(func(*Worker)) (*Handle, error)
+	submit := func(via submitFunc, root func(*Worker), await func(*Handle)) float64 {
 		return testing.AllocsPerRun(200, func() {
-			h, err := p.Submit(root)
+			h, err := via(root)
 			if err != nil {
 				t.Fatalf("Submit: %v", err)
 			}
@@ -428,20 +438,27 @@ func TestSubmitAllocations(t *testing.T) {
 		})
 	}
 	// Err installs nothing, so the Wait that follows finds the word ended.
-	polled := submit(func(*Worker) {}, func(h *Handle) {
+	poll := func(h *Handle) {
 		for !h.r.done.isDone() {
 			if err := h.Err(); err != nil {
 				t.Fatalf("Err of a live submission = %v", err)
 			}
 			runtime.Gosched()
 		}
-	})
+	}
+	polled := submit(p.Submit, func(*Worker) {}, poll)
 	if polled != 1 {
 		t.Errorf("Submit, then Wait on an ended handle, allocates %v objects, want 1 (the run record)", polled)
 	}
+	retried := submit(func(fn func(*Worker)) (*Handle, error) {
+		return p.SubmitWithRetry(context.Background(), fn, RetryPolicy{})
+	}, func(*Worker) {}, poll)
+	if retried != polled {
+		t.Errorf("SubmitWithRetry admitted at the first attempt allocates %v objects, Submit %v", retried, polled)
+	}
 	// The root does not return until a waiter's channel is in the word.
 	var cur atomic.Pointer[Handle]
-	blocked := submit(func(*Worker) {
+	blocked := submit(p.Submit, func(*Worker) {
 		for h := cur.Load(); h == nil || h.r.done.p.Load() == nil; h = cur.Load() {
 			runtime.Gosched()
 		}

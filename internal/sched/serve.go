@@ -247,20 +247,17 @@ func (p *Pool) Serve(ctx context.Context) error {
 	p.phase.Store(phaseServing)
 
 	var err error
-	var failVal any
 	select {
 	case <-ctx.Done():
 		err = ctx.Err()
-	case <-s.drainReq:
+	case <-s.stop:
 		// A Drain (drain.go): admission is already closed and — unless the
 		// drain's deadline expired first — every accepted submission has
-		// completed, so endSession's abort is a no-op on the happy path
-		// and exactly the ErrStopped fallback on expiry.
-	case <-s.fail:
-		// A worker loop died; engineFail stored failVal before the close.
-		failVal = s.failVal
+		// completed, so endSession's abort is a no-op on the happy path and
+		// exactly the ErrStopped fallback on expiry. Or a worker loop died
+		// (engineFail), and endSession re-raises what it died of.
 	}
-	p.endSession(s, failVal)
+	p.endSession(s)
 	return err
 }
 
@@ -348,7 +345,7 @@ func (p *Pool) runOnCaller(t *Task) {
 		id:   len(p.workers), // out of the victim range: never stolen from, excludes no victim
 		dq:   refuseDeque{},
 	}
-	w.exec(t, false)
+	w.execOrDrop(t, false)
 }
 
 // refuseDeque is the caller-runs worker's deque: capacity zero, so every
@@ -360,49 +357,31 @@ func (refuseDeque) PopBottom() *Task      { return nil }
 func (refuseDeque) PopTop() *Task         { return nil }
 func (refuseDeque) Len() int              { return 0 }
 
-// register adds a run to the active set the shutdown/failure paths abort.
+// register adds a run to the active set endSession aborts.
 func (p *Pool) register(r *run) {
 	p.runMu.Lock()
 	p.active[r] = struct{}{}
 	p.runMu.Unlock()
 }
 
-// unregister removes a finished run. Called from finishOnce only. The
-// completion that empties the registry while a drain is waiting signals it
-// (drain.go).
+// unregister removes a finished run. Called from finishOnce only.
 func (p *Pool) unregister(r *run) {
 	p.runMu.Lock()
 	delete(p.active, r)
-	if len(p.active) == 0 && p.phase.Load() == phaseDraining {
-		p.sess.signalIdle()
-	}
 	p.runMu.Unlock()
 }
 
-// abortAll aborts every registered run with the given cause. The active
-// set is snapshotted first so finish's unregister does not mutate the
-// map mid-iteration.
-func (p *Pool) abortAll(state int32, err error, panicVal any) {
-	p.runMu.Lock()
+// inFlight returns the registered runs: what endSession aborts and what a
+// Drain waits for. A snapshot, so that finish's unregister does not mutate
+// the map under the caller's loop. The caller holds runMu.
+func (p *Pool) inFlight() []*run {
 	rs := make([]*run, 0, len(p.active))
 	for r := range p.active {
 		rs = append(rs, r)
 	}
-	p.runMu.Unlock()
-	for _, r := range rs {
-		r.finish(state, err, panicVal)
-	}
+	return rs
 }
 
-// engineFail records a worker-loop panic — a failure of the engine, not of
-// any one task — aborts every in-flight submission with it, and wakes the
-// session controller (Run's waiter or Serve's select). First failure wins.
-func (p *Pool) engineFail(v any) {
-	p.runMu.Lock()
-	if s := p.sess; s.failVal == nil {
-		s.failVal = v
-		close(s.fail)
-	}
-	p.runMu.Unlock()
-	p.abortAll(runPanicked, nil, v)
-}
+// engineFail stops the session with a worker-loop panic — a failure of the
+// engine, not of any one task. First stop wins.
+func (p *Pool) engineFail(v any) { p.sess.stopWith(v) }

@@ -471,6 +471,59 @@ func TestSubmitOverloadCallerRuns(t *testing.T) {
 	}
 }
 
+// A shed submission is aborted like any other: its spawns run inline, the
+// caller-runs worker's deque refusing every push, and the inline run is a
+// task start, which the abort gate guards. The root cancels its own
+// context; the children it spawns afterwards are discarded and counted —
+// not run, and not counted as inline runs — and its Join on one of them
+// unwinds through help.
+func TestCallerRunsSpawnsMeetTheAbortGate(t *testing.T) {
+	p := New(Config{Workers: 1, InjectorCapacity: 2, Overload: ShedCallerRuns})
+	stop := startServing(t, p)
+	release := plugWorkers(t, p)
+	for i := 0; i < 2; i++ {
+		if _, err := p.Submit(func(*Worker) {}); err != nil {
+			t.Fatalf("fill Submit %d: %v", i, err)
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	before := p.Stats()
+	var ran, joined atomic.Int64
+	h, err := p.SubmitContext(ctx, func(w *Worker) {
+		cancel()
+		awaitAbort(t, w)
+		for i := 0; i < 10; i++ {
+			w.Spawn(func(*Worker) { ran.Add(1) })
+		}
+		Fork(w, func(*Worker) int { return int(ran.Add(1)) }).Join(w)
+		joined.Add(1)
+	})
+	if err != nil {
+		t.Fatalf("caller-runs SubmitContext: %v", err)
+	}
+	if err := h.Err(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Handle.Err = %v after Submit returned, want context.Canceled", err)
+	}
+	if got := ran.Load(); got != 0 {
+		t.Errorf("%d of 11 children spawned after the abort ran", got)
+	}
+	if joined.Load() != 0 {
+		t.Error("a Join on a discarded child returned instead of unwinding")
+	}
+	after := p.Stats()
+	if got := after.TasksCancelled - before.TasksCancelled; got != 11 {
+		t.Errorf("TasksCancelled grew by %d, want 11", got)
+	}
+	if got := after.InlineRuns - before.InlineRuns; got != 0 {
+		t.Errorf("InlineRuns grew by %d for spawns that were discarded", got)
+	}
+	release()
+	if err := stop(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Serve returned %v", err)
+	}
+}
+
 // A shed submission's root may have to wait for work a pool worker holds:
 // the caller-runs worker must help like any worker, though it has no
 // victim rng — a Wait or a Join on it reaches stealOnce, and a nil
