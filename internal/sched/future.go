@@ -5,6 +5,7 @@ package sched
 
 import (
 	"worksteal/internal/atomicx"
+	"worksteal/internal/fault"
 )
 
 // poolAbortedError is the panic value Join raises when the submission was
@@ -106,11 +107,11 @@ type Future[T any] struct {
 
 // Fork spawns fn and returns a Future for its result. The spawned task goes
 // to the bottom of the caller's deque (or runs inline if the deque is
-// full), so in the common un-stolen case Join pops it right back and runs
-// it on the same worker — the depth-first execution order the paper notes
-// is "often used" (lazy task creation). The caller keeps the Future, so it
-// is the collector's; the forks inside Join2, Reduce and ParallelFor take
-// theirs from the worker's free list (takeFuture) and are otherwise this.
+// full), so in the common un-stolen case Join pops it right back and calls
+// fn — the depth-first order the paper notes is "often used" (lazy task
+// creation). The caller keeps the Future, so it is the collector's; the
+// forks inside Join2, Reduce and ParallelFor take theirs from the worker's
+// free list (takeFuture) and are otherwise this.
 func Fork[T any](w *Worker, fn func(*Worker) T) *Future[T] {
 	return new(Future[T]).fork(w, fn)
 }
@@ -138,9 +139,8 @@ func takeFuture[T any](w *Worker) *Future[T] {
 	return f
 }
 
-// free returns f, which takeFuture handed out and whose Join has returned
-// on w, to w's free list. Join saw doneWait, so the completer's Swap has
-// returned and nothing but this call refers to f: a Future whose task
+// free returns f, which takeFuture handed out and joinFree is done with, its
+// word nil, to w's free list; nothing else refers to f: a Future whose task
 // panicked, was discarded or is still running when its joiner unwinds
 // never comes here and is left to the collector. The user's function and
 // result are dropped either way; a Future over the bound is too, and so is
@@ -150,7 +150,6 @@ func takeFuture[T any](w *Worker) *Future[T] {
 func (f *Future[T]) free(w *Worker) {
 	var zero T
 	f.fn, f.result = nil, zero
-	f.ch.p.Store(nil)
 	head, ok := w.freeFutures.(*Future[T])
 	if !ok {
 		w.nFreeFutures = 0
@@ -163,9 +162,9 @@ func (f *Future[T]) free(w *Worker) {
 	w.nFreeFutures++
 }
 
-// runTask is the forked task: compute, then publish and wake in one step.
-// A panic in fn leaves the future forever pending; its joiners unwind
-// through the submission's abort.
+// runTask is the forked task when its joiner does not call it: compute,
+// then publish and wake in one step. A panic in fn leaves the future
+// forever pending; its joiners unwind through the submission's abort.
 func (f *Future[T]) runTask(w *Worker) {
 	f.result = f.fn(w)
 	f.ch.finish()
@@ -173,15 +172,27 @@ func (f *Future[T]) runTask(w *Worker) {
 
 // Join returns the future's result, helping to run other tasks until it is
 // available. It must be called from a task running on the pool (pass the
-// current worker). When no deque holds work it could take, Join blocks on
-// a channel it installs in the future rather than spinning — the same
-// park-instead-of-spin discipline as the worker loop (lifecycle.go) — and
-// is woken by the forked task's completion or, if the joiner's submission
-// aborts (another of its tasks panicked, its context was cancelled, the
-// pool stopped), by the submission's completion word, in which case it
-// panics with poolAbortedError so the abort also unwinds joiners that
-// could otherwise wait forever (help).
+// current worker). A forked task still at the bottom of the joiner's deque
+// is popped back and called (DESIGN.md §7, "Work-first join"). When no
+// deque holds work it could take, Join blocks on a channel it installs in
+// the future rather than spinning — the same park-instead-of-spin
+// discipline as the worker loop (lifecycle.go) — and is woken by the forked
+// task's completion or, if the joiner's submission aborts (another of its
+// tasks panicked, its context was cancelled, the pool stopped), by the
+// submission's completion word, in which case it panics with
+// poolAbortedError so the abort also unwinds joiners that could otherwise
+// wait forever (help).
 func (f *Future[T]) Join(w *Worker) T {
+	if !f.Done() && w.popBack(&f.task) {
+		f.call(w)
+		f.ch.finish() // a public Future may have joiners on other workers
+		return f.result
+	}
+	return f.wait(w)
+}
+
+// wait is Join after its first round.
+func (f *Future[T]) wait(w *Worker) T {
 	r := w.currentRun()
 	for !f.Done() {
 		if w.help(r) {
@@ -189,6 +200,26 @@ func (f *Future[T]) Join(w *Worker) T {
 		}
 	}
 	return f.result
+}
+
+// call runs f's task, popped back by its joiner w, with execOrDrop's gate,
+// exec's accounting and runTask's recover but not their frames or w.scope
+// writes (w runs in the task's scope already). An abort unwinds as in help.
+func (f *Future[T]) call(w *Worker) {
+	s := f.task.scope
+	if s.run.state.Load() != runLive {
+		w.execOrDrop(&f.task, false) // discards it: a state never returns to live
+		s.run.panicAborted()
+	}
+	defer w.ended(s) // after the finish below, on a panic
+	defer func() {
+		if rec := recover(); rec != nil {
+			s.run.finish(runPanicked, nil, rec)
+			s.run.panicAborted()
+		}
+	}()
+	fault.Point(fpExecBeforeRun)
+	f.result = f.fn(w)
 }
 
 // block parks the joiner until the future completes or r ends — which,
@@ -205,9 +236,16 @@ func (f *Future[T]) block(r *run) {
 func (f *Future[T]) Done() bool { return f.ch.isDone() }
 
 // joinFree is Join for a Future from takeFuture: the Future goes back to
-// w's free list once its result is out.
+// w's free list once its result is out. A called task had no completer, so
+// the word is still nil; else the Swap has returned and the joiner resets it.
 func (f *Future[T]) joinFree(w *Worker) T {
-	v := f.Join(w)
+	if !f.Done() && w.popBack(&f.task) {
+		f.call(w)
+	} else {
+		f.wait(w)
+		f.ch.p.Store(nil)
+	}
+	v := f.result
 	f.free(w)
 	return v
 }

@@ -8,23 +8,31 @@ import (
 // This file model-checks the completion word of a recycled Future
 // (future.go) by exhaustive interleaving enumeration (the explorer of
 // model_test.go): one record lives through two generations — forked,
-// joined and freed by its owner, forked again — while each generation's
-// task completes on another worker, and every atomic operation of the real
-// protocol is one step of one party. The joiner's steps are Join's load,
-// waitChan's load and CAS, the block on the channel, the read of the
-// result, free's reset of the word and the next fork; the completer's are
-// the write of the result, the Swap and the close. Checked on every path:
+// joined and freed by its owner, forked again — and every atomic operation
+// of the real protocol is one step of one party. Each generation's task
+// sits in a one-item deque until one CAS decides its fate: a thief — the
+// generation's completer — steals it and completes it on another worker,
+// or the joiner's first round pops it back (popBack) and runs it as a
+// call, which writes the result and nothing else, and relists the record
+// without resetting the word. The joiner's steps are Join's load, the pop,
+// the call, waitChan's load and CAS, the block on the channel, the read of
+// the result, joinFree's reset of the word (after a stolen generation
+// only) and the next fork; the completer's are the steal, the write of the
+// result, the Swap and the close. Checked on every path:
 //
 //   - a channel is closed at most once, and only by the completer of the
 //     generation whose joiner installed it;
 //   - the joiner of a generation reads that generation's result;
-//   - no completer takes a step once the joiner has freed its generation —
-//     the property that makes the record the owner's to reuse;
+//   - no completer takes a step on the record once the joiner has freed
+//     its generation — the property that makes the record the owner's to
+//     reuse (a steal that lost to the pop touches only the deque);
+//   - a record relisted without a reset holds a nil word;
 //   - at quiescence both generations are joined: no waiter is left blocked.
 //
-// The same search runs the two-word protocol this one replaced (store
-// done, then load the channel and close it) under the same recycling, as
-// the negative control.
+// Two negative controls run the same search broken: the two-word protocol
+// the word replaced (store done, then load the channel and close it), and
+// a relist that skips the reset after a stolen generation too, whose next
+// joiner reads a stale doneWait and with it a stale result.
 
 const (
 	fmDone  int8 = -1 // the word holds doneWait
@@ -35,12 +43,14 @@ const (
 // Joiner program counters.
 const (
 	fjLoad     int8 = iota // Join's loop: load the word (two-word: the done flag)
+	fjPop                  // popBack, the first round only: take the task back from the deque
+	fjCall                 // call: the joiner runs the task, writing the result
 	fjInstLoad             // waitChan: load the word
 	fjInstCAS              // waitChan: install a new channel against nil
 	fjRecheck              // two-word only: re-load done after the install
 	fjBlock                // blocked on the channel in hand
 	fjObserve              // done seen: read the result
-	fjFree                 // free: reset the word (two-word: the channel word)
+	fjFree                 // joinFree: reset the word (two-word: the channel word) unless the task was called
 	fjFree2                // two-word only: reset the done flag
 	fjRefork               // fork the next generation
 	fjFinished
@@ -49,6 +59,7 @@ const (
 // Completer program counters.
 const (
 	fcUnforked int8 = iota
+	fcSteal         // PopTop: take the task from the deque, unless the joiner popped it back
 	fcWrite         // write the result
 	fcPublish       // Swap doneWait in (two-word: store done)
 	fcLoadCh        // two-word only: load the channel word
@@ -104,6 +115,9 @@ type fmState struct {
 	done   bool // two-word only
 	result int8 // the generation that wrote it last
 	gen    int8 // the generation in flight
+	dq     int8 // the generation whose task the one-item deque holds, or 0
+	popped bool // the joiner has made this generation's first-round pop
+	called bool // ... and it returned the task, which the joiner ran
 	jpc    int8
 	jch    int8              // the channel the joiner blocks on
 	maker  [fmMaxCh + 1]int8 // the generation whose joiner installed the channel
@@ -114,17 +128,19 @@ type fmState struct {
 type futureModel struct {
 	// twoWord selects the replaced protocol: a done flag beside the channel
 	// word. ignoreLate lets the search run on past a completer's step on a
-	// freed record, to show what such a step goes on to break.
-	twoWord, ignoreLate bool
+	// freed record, to show what such a step goes on to break. unreset
+	// relists every generation without a reset, a stolen one too.
+	twoWord, ignoreLate, unreset bool
 	// What the search came across, so the test can tell it covered the
-	// joiner blocking, losing the install to the Swap, and never waiting.
-	blocks, lostInstalls, neverWaited int
+	// joiner blocking, losing the install to the Swap, and never waiting,
+	// and both ends of the race for the task.
+	blocks, lostInstalls, neverWaited, poppedBack, stolen int
 }
 
 func (m *futureModel) initial() fmState {
 	var s fmState
-	s.gen = 1
-	s.c[1].pc = fcWrite
+	s.gen, s.dq = 1, 1
+	s.c[1].pc = fcSteal
 	return s
 }
 
@@ -133,11 +149,23 @@ func (m *futureModel) initial() fmState {
 func (m *futureModel) joinerStep(s fmState) ([]fmState, error) {
 	switch s.jpc {
 	case fjLoad:
-		if done := s.word == fmDone || (m.twoWord && s.done); done {
+		switch {
+		case s.word == fmDone || (m.twoWord && s.done):
 			s.jpc = fjObserve
-		} else {
+		case !s.popped:
+			s.jpc = fjPop
+		default:
 			s.jpc = fjInstLoad
 		}
+	case fjPop:
+		s.popped, s.jpc = true, fjLoad
+		if s.dq == s.gen {
+			m.poppedBack++
+			s.dq, s.called, s.jpc = 0, true, fjCall
+		}
+	case fjCall:
+		s.result = s.gen
+		s.jpc = fjObserve
 	case fjInstLoad:
 		switch {
 		case s.word == fmDone: // doneWait's channel is closed: the select falls through
@@ -183,8 +211,14 @@ func (m *futureModel) joinerStep(s fmState) ([]fmState, error) {
 		s.jpc = fjFree
 	case fjFree:
 		s.freed[s.gen] = true
-		s.word = 0
 		s.jpc = fjRefork
+		if s.called && (s.word != 0 || s.done) {
+			return nil, fmt.Errorf("generation %d, called by its joiner, is relisted unreset with its word set", s.gen)
+		}
+		if s.called || m.unreset {
+			break
+		}
+		s.word = 0
 		if m.twoWord {
 			s.jpc = fjFree2
 		}
@@ -195,7 +229,8 @@ func (m *futureModel) joinerStep(s fmState) ([]fmState, error) {
 		s.gen++
 		s.jpc = fjFinished
 		if s.gen <= fmGens {
-			s.jpc, s.c[s.gen].pc = fjLoad, fcWrite
+			s.jpc, s.c[s.gen].pc = fjLoad, fcSteal
+			s.dq, s.popped, s.called = s.gen, false, false
 		}
 	case fjFinished:
 		return nil, nil
@@ -209,10 +244,16 @@ func (m *futureModel) completerStep(s fmState, g int8) ([]fmState, error) {
 	if c.pc == fcUnforked || c.pc == fcFinished {
 		return nil, nil
 	}
-	if s.freed[g] && !m.ignoreLate {
+	if s.freed[g] && c.pc != fcSteal && !m.ignoreLate {
 		return nil, fmt.Errorf("generation %d's completer takes step %d after the joiner freed the record", g, c.pc)
 	}
 	switch c.pc {
+	case fcSteal:
+		c.pc = fcFinished
+		if s.dq == g {
+			m.stolen++
+			s.dq, c.pc = 0, fcWrite
+		}
 	case fcWrite:
 		s.result = g
 		c.pc = fcPublish
@@ -273,9 +314,9 @@ func (m *futureModel) explorer() *explorer[fmState] {
 func TestFutureModelExhaustive(t *testing.T) {
 	m := &futureModel{}
 	m.explorer().verify(t, m.initial())
-	if m.blocks == 0 || m.lostInstalls == 0 || m.neverWaited == 0 {
-		t.Fatalf("the search reached %d blocked joins, %d installs lost to the Swap and %d joins that never waited; want some of each",
-			m.blocks, m.lostInstalls, m.neverWaited)
+	if m.blocks == 0 || m.lostInstalls == 0 || m.neverWaited == 0 || m.poppedBack == 0 || m.stolen == 0 {
+		t.Fatalf("the search reached %d blocked joins, %d installs lost to the Swap, %d joins that never waited, %d tasks popped back and %d stolen; want some of each",
+			m.blocks, m.lostInstalls, m.neverWaited, m.poppedBack, m.stolen)
 	}
 }
 
@@ -289,4 +330,13 @@ func TestFutureModelCatchesTwoWordCompletion(t *testing.T) {
 		m := &futureModel{twoWord: true, ignoreLate: ignoreLate}
 		m.explorer().refute(t, m.initial())
 	}
+}
+
+// The negative control for the work-first join: only a generation its
+// joiner called may skip the reset. A stolen one leaves doneWait in the
+// word, so relisting it as it is lets the next generation's joiner take
+// the stale doneWait for its own completion and read the stale result.
+func TestFutureModelCatchesUnresetRelist(t *testing.T) {
+	m := &futureModel{unreset: true}
+	m.explorer().refute(t, m.initial())
 }

@@ -22,9 +22,10 @@
 // record (the Future is the task) that Join2, Reduce, ParallelFor and
 // Group.Spawn take from and return to a free list of the worker's own, one
 // push, one pop, and two counter updates on a line of the executing
-// worker's own. The count of un-ended tasks that ends a run is kept in
-// scopes split at steals (scope.go), so workers meet where the paper's
-// processes do — at steals.
+// worker's own; a fork its joiner pops back is a plain call (Join).
+// The count of un-ended tasks that ends a run is kept in scopes split at
+// steals (scope.go), so workers meet where the paper's processes do — at
+// steals.
 //
 // The dag runner (RunGraph — graphrun.go), which executes an explicit
 // computation dag with known work and critical-path length for the
@@ -328,7 +329,7 @@ type Worker struct {
 	// progress ticks on every loop iteration and task completion; the
 	// stall watchdog (watchdog.go) reads it to tell a live worker from one
 	// frozen mid-operation. Written only by the worker's own goroutine
-	// (loop/exec/execOrDrop, all //abp:owner).
+	// (loop/ended/execOrDrop, all //abp:owner).
 	progress atomicx.Publish64
 
 	// Per-worker counters, summed by Pool.Stats. Atomics so Stats is safe
@@ -723,9 +724,9 @@ func (w *Worker) stealOnce() *Task {
 // submissions share the deques, so staleness is decided per task at pop
 // time, not per pool at session boundaries. stolen says how the task
 // reached this worker (see exec); a discarded task releases the scope it
-// carries either way. Every task start comes through here — a pop, a steal,
-// an injector poll, and the inline run of a spawn no deque took — and the
-// return says whether the task ran.
+// carries either way. Every task start but Future.call's comes through
+// here — a pop, a steal, an injector poll, and the inline run of a spawn no
+// deque took — and the return says whether the task ran.
 //
 //abp:owner runs only on the goroutine that owns the worker (its loop, a helping Join on it, or the submitter for the ephemeral caller-runs worker)
 func (w *Worker) execOrDrop(t *Task, stolen bool) (ran bool) {
@@ -764,6 +765,13 @@ func (w *Worker) exec(t *Task, stolen bool) {
 	w.scope = s
 	w.runTask(t)
 	w.scope = prev
+	w.ended(s)
+}
+
+// ended counts a task that ran in s, returned or panicked, and releases s.
+//
+//abp:owner the counters are written only by the goroutine running the worker
+func (w *Worker) ended(s *scope) {
 	w.tasksRun.Add(1)
 	w.progress.Add(1)
 	s.release()
@@ -863,6 +871,19 @@ func (w *Worker) help(r *run) (mayBlock bool) {
 		return false
 	}
 	return w.settle()
+}
+
+// popBack pops w's deque bottom for a joiner: true if it was t, counted in
+// the scope w runs in, for the joiner to call; anything else starts here.
+//
+//abp:owner tasks execute only on worker goroutines, so the receiver owns w.dq
+func (w *Worker) popBack(t *Task) bool {
+	b := w.dq.PopBottom()
+	mine := b == t && t.scope == w.scope
+	if b != nil && !mine {
+		w.execOrDrop(b, false)
+	}
+	return mine
 }
 
 // anyStealableWork reports whether any deque in the pool appears non-empty:

@@ -34,7 +34,7 @@ type Stats struct {
 	// Elastic-fleet counters (resize.go).
 	Resizes        int64 // Resize calls that changed the fleet target
 	WorkersRetired int64 // workers that completed retirement (shrink safe points reached)
-	ActiveWorkers  int64 // workers in the active state at the Stats call
+	ActiveWorkers  int64 // workers running or idle — the fleet — at the Stats call
 }
 
 // String renders the counters as an aligned two-column table, one counter
