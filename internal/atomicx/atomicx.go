@@ -25,8 +25,12 @@
 // and Publish compile to identical instructions today: the distinction is
 // declarative, kept honest by abporder, and ready for a future runtime
 // with weaker orderings. A runtime mode that downgraded owner-side reloads
-// and counter increments to plain accesses was measured (EXPERIMENTS.md
-// E15) and removed: on amd64 it bought nothing.
+// and each counter increment to plain accesses was measured (EXPERIMENTS.md
+// E15) and removed: on amd64 a reload is a plain MOV either way, and an
+// increment became a load plus an XCHG store in place of one locked add.
+// Batching is another matter: a count kept in a plain owner field and added
+// to its atomic once per task (internal/sched's flush) removes the locked
+// instructions themselves, and does pay (EXPERIMENTS.md E26).
 //
 // Every method is small enough for the inliner (verified by the package
 // test), so declaring a discipline costs nothing over raw sync/atomic.

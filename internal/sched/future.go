@@ -82,10 +82,21 @@ func (x *waitWord) finish() {
 // anything.
 func (x *waitWord) isDone() bool { return x.p.Load() == doneWait }
 
-// maxFreeRecords bounds each of a worker's two free lists (DESIGN.md §7,
-// "Record recycling"): deep enough for the joins a fork-join recursion has
-// in flight on one worker and for a wide Group fan-out, and 4 KB a list.
+// maxFreeRecords is the slot count of each of a worker's two free lists
+// (DESIGN.md §7, "Record recycling"): deep enough for the joins a fork-join
+// recursion has in flight on one worker and for a wide Group fan-out.
+//
+// A list is a stack of slots: a take only lowers its depth, and a free
+// writes the slot only if it names another record, so a fork-join
+// recursion reuses its records without a pointer store. A slot at or above
+// the depth may still name a record — in use, or abandoned by a joiner
+// that unwound — which only a later free overwrites.
 const maxFreeRecords = 64
+
+// callFlushPeriod is how many popped-back calls a worker counts between
+// flushes inside one task, so that a long recursion of calls shows the
+// watchdog progress.
+const callFlushPeriod = 64
 
 // Future is the result of a Fork: a value that becomes available when the
 // forked task completes. Join retrieves it, executing other tasks while it
@@ -100,9 +111,6 @@ type Future[T any] struct {
 	// result, and after it the completer never touches the Future again,
 	// which is what lets Join2, Reduce and ParallelFor recycle theirs (free).
 	ch waitWord
-	// next links the Future into its worker's free list, and is nil in one
-	// that is in use: a Future left to the collector holds on to nothing.
-	next *Future[T]
 }
 
 // Fork spawns fn and returns a Future for its result. The spawned task goes
@@ -119,7 +127,7 @@ func Fork[T any](w *Worker, fn func(*Worker) T) *Future[T] {
 // fork makes the pending Future f the task that runs fn, and spawns it.
 func (f *Future[T]) fork(w *Worker, fn func(*Worker) T) *Future[T] {
 	f.fn = fn
-	f.task = w.newTask(f)
+	w.bind(&f.task, f)
 	w.spawn(&f.task)
 	return f
 }
@@ -130,36 +138,39 @@ func (f *Future[T]) fork(w *Worker, fn func(*Worker) T) *Future[T] {
 //
 //abp:owner the free lists belong to the goroutine running the worker
 func takeFuture[T any](w *Worker) *Future[T] {
-	f, _ := w.freeFutures.(*Future[T])
-	if f == nil {
-		return new(Future[T])
+	if n := w.nFutures; n > 0 {
+		if f, ok := w.futures[n-1].(*Future[T]); ok {
+			w.nFutures = n - 1
+			return f
+		}
 	}
-	w.freeFutures, f.next = f.next, nil
-	w.nFreeFutures--
-	return f
+	return new(Future[T])
 }
 
 // free returns f, which takeFuture handed out and joinFree is done with, its
 // word nil, to w's free list; nothing else refers to f: a Future whose task
 // panicked, was discarded or is still running when its joiner unwinds
-// never comes here and is left to the collector. The user's function and
-// result are dropped either way; a Future over the bound is too, and so is
-// a list of another result type, which f replaces.
+// never comes here and is the collector's once no slot names it. The
+// user's function and result are dropped either way; a Future over the
+// bound is too, and so is a list of another result type, which f replaces.
 //
 //abp:owner the free lists belong to the goroutine running the worker
 func (f *Future[T]) free(w *Worker) {
 	var zero T
 	f.fn, f.result = nil, zero
-	head, ok := w.freeFutures.(*Future[T])
-	if !ok {
-		w.nFreeFutures = 0
+	n := w.nFutures
+	if n > 0 {
+		if _, ok := w.futures[n-1].(*Future[T]); !ok {
+			n = 0
+		}
 	}
-	if w.nFreeFutures == maxFreeRecords {
+	if n == maxFreeRecords {
 		return
 	}
-	f.next = head
-	w.freeFutures = f
-	w.nFreeFutures++
+	if g, _ := w.futures[n].(*Future[T]); g != f {
+		w.futures[n] = f
+	}
+	w.nFutures = n + 1
 }
 
 // runTask is the forked task when its joiner does not call it: compute,
@@ -202,16 +213,26 @@ func (f *Future[T]) wait(w *Worker) T {
 	return f.result
 }
 
-// call runs f's task, popped back by its joiner w, with execOrDrop's gate,
-// exec's accounting and runTask's recover but not their frames or w.scope
-// writes (w runs in the task's scope already). An abort unwinds as in help.
+// call runs f's task, popped back by its joiner w, with execOrDrop's gate
+// and runTask's recover but not their frames or w.scope writes (w runs in
+// the task's scope already). The task is counted before it runs, as exec
+// counts one that panics, in w's owner block — flushed by exec, and by
+// every callFlushPeriod-th call — and its scope release is folded into
+// that of the exec w runs under, whose own task, counted in the same scope
+// until then, keeps this one from ever emptying it. An abort unwinds as in
+// help.
+//
+//abp:owner the counters are written only by the goroutine running the worker
 func (f *Future[T]) call(w *Worker) {
 	s := f.task.scope
 	if s.run.state.Load() != runLive {
 		w.execOrDrop(&f.task, false) // discards it: a state never returns to live
 		s.run.panicAborted()
 	}
-	defer w.ended(s) // after the finish below, on a panic
+	w.folded++
+	if w.runsDue++; w.runsDue == callFlushPeriod {
+		w.flush()
+	}
 	defer func() {
 		if rec := recover(); rec != nil {
 			s.run.finish(runPanicked, nil, rec)

@@ -38,7 +38,6 @@ type groupTask struct {
 	task Task
 	g    *Group
 	fn   func(*Worker)
-	next *groupTask // free-list link; nil in a record that is in use
 }
 
 // runTask runs the member and, if it returns, gives the record to the
@@ -56,7 +55,7 @@ func (g *Group) Spawn(w *Worker, fn func(*Worker)) {
 	g.pending.Add(1)
 	t := w.takeGroupTask()
 	t.g, t.fn = g, fn
-	t.task = w.newTask(t)
+	w.bind(&t.task, t)
 	w.spawn(&t.task)
 }
 
@@ -64,13 +63,11 @@ func (g *Group) Spawn(w *Worker, fn func(*Worker)) {
 //
 //abp:owner the free lists belong to the goroutine running the worker
 func (w *Worker) takeGroupTask() *groupTask {
-	t := w.freeGroupTasks
-	if t == nil {
+	if w.nGroupTasks == 0 {
 		return new(groupTask)
 	}
-	w.freeGroupTasks, t.next = t.next, nil
-	w.nFreeGroupTasks--
-	return t
+	w.nGroupTasks--
+	return w.groupTasks[w.nGroupTasks]
 }
 
 // freeGroupTask puts a record whose member has returned on w's list, or
@@ -80,12 +77,14 @@ func (w *Worker) takeGroupTask() *groupTask {
 //abp:owner the free lists belong to the goroutine running the worker
 func (w *Worker) freeGroupTask(t *groupTask) {
 	t.g, t.fn = nil, nil
-	if w.nFreeGroupTasks == maxFreeRecords {
+	n := w.nGroupTasks
+	if n == maxFreeRecords {
 		return
 	}
-	t.next = w.freeGroupTasks
-	w.freeGroupTasks = t
-	w.nFreeGroupTasks++
+	if w.groupTasks[n] != t {
+		w.groupTasks[n] = t
+	}
+	w.nGroupTasks = n + 1
 }
 
 // done ends one member. The one that empties the group takes the channel

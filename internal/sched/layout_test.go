@@ -30,17 +30,18 @@ func TestInjectorLayoutPins(t *testing.T) {
 // signalWork scans, parkers CAS, and Resize arbitrates retirement on — has
 // a cache line to itself, clear of the wiring every thief reads and of the
 // block only the owner writes, and that the owner's block starts on a line
-// boundary with both free-list heads on its first line.
+// boundary with the words a popped-back fork writes — both free-list
+// depths, the due counts and the fold count — on its first line.
 func TestWorkerLayoutPins(t *testing.T) {
 	var w Worker
 	status := unsafe.Offsetof(w.status)
 	scope := unsafe.Offsetof(w.scope)
-	futures := unsafe.Offsetof(w.freeFutures)
-	futuresEnd := futures + unsafe.Sizeof(w.freeFutures) - 1
-	groupTasks := unsafe.Offsetof(w.freeGroupTasks)
 	others := map[string]uintptr{
 		"pool": unsafe.Offsetof(w.pool), "dq": unsafe.Offsetof(w.dq), "parkCh": unsafe.Offsetof(w.parkCh),
-		"scope": scope, "freeFutures": futures, "napTimer": unsafe.Offsetof(w.napTimer),
+		"scope": scope, "nFutures": unsafe.Offsetof(w.nFutures), "nGroupTasks": unsafe.Offsetof(w.nGroupTasks),
+		"spawnsDue": unsafe.Offsetof(w.spawnsDue), "runsDue": unsafe.Offsetof(w.runsDue),
+		"folded": unsafe.Offsetof(w.folded), "napTimer": unsafe.Offsetof(w.napTimer),
+		"futures": unsafe.Offsetof(w.futures), "groupTasksEnd": unsafe.Offsetof(w.groupTasks) + unsafe.Sizeof(w.groupTasks) - 1,
 		"progress": unsafe.Offsetof(w.progress), "tasksRun": unsafe.Offsetof(w.tasksRun),
 		"backoffNanos": unsafe.Offsetof(w.backoffNanos),
 	}
@@ -50,11 +51,12 @@ func TestWorkerLayoutPins(t *testing.T) {
 		}
 	}
 	// Every thief and every deque scan reads dq, so what the owner writes
-	// per task — scope twice in exec, a free-list head per fork and per
-	// join — is on none of the lines other workers read; and the two heads,
-	// the interface's two words included, lie on one line.
+	// per task — scope and folded twice in exec, a count per fork and per
+	// call, a depth and a slot per fork and per join — is on none of the
+	// lines other workers read.
+	firstLine := []string{"scope", "nFutures", "nGroupTasks", "spawnsDue", "runsDue", "folded"}
 	for _, shared := range []string{"pool", "dq", "parkCh"} {
-		for _, own := range []string{"scope", "freeFutures", "napTimer", "backoffNanos"} {
+		for _, own := range append(firstLine, "napTimer", "futures", "groupTasksEnd", "backoffNanos") {
 			if layoutLine(others[own]) == layoutLine(others[shared]) {
 				t.Errorf("owner-written %s (offset %d) is on the line of %s (offset %d), which other workers read",
 					own, others[own], shared, others[shared])
@@ -64,9 +66,10 @@ func TestWorkerLayoutPins(t *testing.T) {
 	if scope%atomicx.CacheLineSize != 0 {
 		t.Errorf("the owner-written block starts at offset %d, not on a line boundary", scope)
 	}
-	if layoutLine(scope) != layoutLine(futuresEnd) || layoutLine(scope) != layoutLine(groupTasks) {
-		t.Errorf("the free-list heads leave the block's first line: scope %d, freeFutures %d..%d, freeGroupTasks %d",
-			scope, futures, futuresEnd, groupTasks)
+	for _, own := range firstLine {
+		if layoutLine(others[own]) != layoutLine(scope) {
+			t.Errorf("%s (offset %d) leaves the owner block's first line (scope at %d)", own, others[own], scope)
+		}
 	}
 }
 

@@ -21,8 +21,10 @@
 // The spawn path writes no word that another worker writes: a fork is one
 // record (the Future is the task) that Join2, Reduce, ParallelFor and
 // Group.Spawn take from and return to a free list of the worker's own, one
-// push, one pop, and two counter updates on a line of the executing
-// worker's own; a fork its joiner pops back is a plain call (Join).
+// push, one pop, and one count in the spawner's scope; a fork its joiner
+// pops back is a plain call (Join) whose counts stay in plain fields of the
+// worker's own until its joiner's task ends, and whose scope release is
+// that task's.
 // The count of un-ended tasks that ends a run is kept in scopes split at
 // steals (scope.go), so workers meet where the paper's processes do — at
 // steals.
@@ -312,24 +314,29 @@ const (
 // worker goroutine running the task and provides the spawning operations.
 type Worker struct {
 	// What only the goroutine running the worker touches, with plain
-	// accesses, on the line its counters start on: exec stores scope twice
-	// a task, and a fork or Group.Spawn and its join pop and push a free
-	// list.
+	// accesses — on the block's first line, what a popped-back fork writes:
+	// exec stores scope and folded twice a task, a fork counts itself in
+	// spawnsDue, a call in runsDue and folded, and a fork or Group.Spawn and
+	// its join move a free list's depth.
 	scope *scope // termination scope of the task currently executing (exec)
-	// freeFutures and freeGroupTasks head the LIFO lists of records this
-	// worker may reuse (takeFuture, takeGroupTask; DESIGN.md §7): Futures
-	// of one result type — held as any, the Worker not being generic — and
-	// group members, each list at most maxFreeRecords long.
-	freeFutures     any
-	freeGroupTasks  *groupTask
-	nFreeFutures    int32
-	nFreeGroupTasks int32
-	napTimer        *time.Timer // park's backoff naps re-arm this one timer
+	// nFutures and nGroupTasks are the depths of the stacks of records this
+	// worker may reuse (takeFuture, takeGroupTask; DESIGN.md §7): futures
+	// below nFutures are Futures of one result type — held as any, the
+	// Worker not being generic — and groupTasks below nGroupTasks are
+	// group members.
+	nFutures, nGroupTasks int32
+	// spawnsDue and runsDue are the spawns and popped-back calls not yet
+	// added to spawns, tasksRun and progress (flush); folded is the calls
+	// whose scope release the exec in flight makes for them (Future.call).
+	spawnsDue, runsDue, folded int64
+	napTimer                   *time.Timer // park's backoff naps re-arm this one timer
+	futures                    [maxFreeRecords]any
+	groupTasks                 [maxFreeRecords]*groupTask
 
 	// progress ticks on every loop iteration and task completion; the
 	// stall watchdog (watchdog.go) reads it to tell a live worker from one
 	// frozen mid-operation. Written only by the worker's own goroutine
-	// (loop/ended/execOrDrop, all //abp:owner).
+	// (loop/flush/execOrDrop, all //abp:owner).
 	progress atomicx.Publish64
 
 	// Per-worker counters, summed by Pool.Stats. Atomics so Stats is safe
@@ -338,7 +345,7 @@ type Worker struct {
 	// //abp:handshake carrier functions (Spawn, park), which abporder pins
 	// to full ordering.
 	tasksRun      atomicx.Publish64
-	spawns        atomicx.SCInt64
+	spawns        atomicx.Publish64
 	inlineRuns    atomicx.SCInt64
 	steals        atomicx.Publish64
 	stealAttempts atomicx.Publish64
@@ -737,7 +744,7 @@ func (w *Worker) execOrDrop(t *Task, stolen bool) (ran bool) {
 			w.pool.cancelledN.Add(1)
 		}
 		w.progress.Add(1)
-		t.scope.release() // a zero here is a no-op: the abort already finished the run
+		t.scope.release(1) // a zero here is a no-op: the abort already finished the run
 		return false
 	}
 	w.exec(t, stolen)
@@ -755,26 +762,40 @@ func (w *Worker) execOrDrop(t *Task, stolen bool) (ran bool) {
 // panicking task aborts its submission (and only it); the panic value
 // surfaces from Run or from the submission's Handle.
 //
+// The task's end, returned or panicked, is one release of s that also ends
+// the calls folded into it (Future.call), after the flush that publishes
+// every count: any release that can complete a run is an exec's, so a
+// run's counts are in Stats before it completes. folded is saved and reset
+// around the task like w.scope, since a Join's help runs tasks of other
+// scopes under it.
+//
 //abp:owner exec runs only on the goroutine that owns the worker (its loop, or the submitter for the ephemeral caller-runs worker)
 func (w *Worker) exec(t *Task, stolen bool) {
 	s := t.scope
 	if stolen {
 		s = s.split()
 	}
-	prev := w.scope
-	w.scope = s
+	prev, prevFolded := w.scope, w.folded
+	w.scope, w.folded = s, 0
 	w.runTask(t)
-	w.scope = prev
-	w.ended(s)
+	k := w.folded
+	w.scope, w.folded = prev, prevFolded
+	w.runsDue++
+	w.flush()
+	s.release(1 + k)
 }
 
-// ended counts a task that ran in s, returned or panicked, and releases s.
+// flush adds the counts kept in w's owner block to the atomics Stats reads.
 //
 //abp:owner the counters are written only by the goroutine running the worker
-func (w *Worker) ended(s *scope) {
-	w.tasksRun.Add(1)
-	w.progress.Add(1)
-	s.release()
+func (w *Worker) flush() {
+	if w.spawnsDue != 0 {
+		w.spawns.Add(w.spawnsDue)
+		w.spawnsDue = 0
+	}
+	w.tasksRun.Add(w.runsDue)
+	w.progress.Add(w.runsDue)
+	w.runsDue = 0
 }
 
 // runTask invokes the task body under the per-task recover. A panic is
@@ -805,12 +826,18 @@ func (w *Worker) ID() int { return w.id }
 //abp:owner only the goroutine running the worker reads its current scope
 func (w *Worker) currentRun() *run { return w.scope.run }
 
-// newTask returns a task with the given body that carries the scope of the
-// task currently executing on this worker — what Fork, Group.Spawn and
-// Spawn store in the record they allocate before handing it to spawn.
+// bind makes t a task with the given body that carries the scope of the
+// task currently executing on this worker — what Spawn, a fork and
+// Group.Spawn do before handing t to spawn. A recycled record's Task is
+// written only if it is new or was bound in another scope: its body is the
+// record itself.
 //
 //abp:owner only the goroutine running the worker reads its current scope
-func (w *Worker) newTask(body taskBody) Task { return Task{body: body, scope: w.scope} }
+func (w *Worker) bind(t *Task, body taskBody) {
+	if t.body == nil || t.scope != w.scope {
+		*t = Task{body: body, scope: w.scope}
+	}
+}
 
 // Pool returns the owning pool.
 func (w *Worker) Pool() *Pool { return w.pool }
@@ -821,20 +848,21 @@ func (w *Worker) Pool() *Pool { return w.pool }
 // exists; if the deque is full the task runs inline instead (correct, just
 // not stealable).
 func (w *Worker) Spawn(fn func(*Worker)) {
-	t := w.newTask(taskFunc(fn))
-	w.spawn(&t)
+	t := new(Task)
+	w.bind(t, taskFunc(fn))
+	w.spawn(t)
 }
 
-// spawn publishes a task made by newTask: it counts the task in the scope
-// it carries, the spawner's — a word no other worker writes between steals
-// — and pushes it. The handshake directive makes abplint verify the
+// spawn publishes a task made by bind: it counts the task in the scope it
+// carries, the spawner's — a word no other worker writes between steals —
+// and pushes it. The handshake directive makes abplint verify the
 // producer half of the Dekker protocol: the push (PushBottom's internal
 // atomic store) must dominate the signalWork scan of the status words.
 //
 //abp:owner tasks execute only on worker goroutines, so the receiver owns w.dq
 //abp:handshake store=PushBottom load=signalWork
 func (w *Worker) spawn(t *Task) {
-	w.spawns.Add(1)
+	w.spawnsDue++
 	t.scope.refs.Add(1)
 	if !w.dq.PushBottom(t) {
 		if w.execOrDrop(t, false) {

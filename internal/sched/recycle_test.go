@@ -20,19 +20,17 @@ import (
 	"worksteal/internal/fault"
 )
 
-// listedFutures walks w's list of free Futures as a list of *Future[T] and
-// reports false if it holds another result type. A listed Future is
-// pending, holds no function and no result, and is listed once (seen
-// spans the pool).
+// listedFutures walks the slots below w's depth of free Futures as
+// *Future[T] and reports false if they hold another result type. A listed
+// Future is pending, holds no function and no result, and is listed once
+// (seen spans the pool).
 func listedFutures[T any](t *testing.T, w *Worker, seen map[any]bool) bool {
 	t.Helper()
-	head, ok := w.freeFutures.(*Future[T])
-	if !ok {
-		return false
-	}
-	n := 0
-	for f := head; f != nil && n <= maxFreeRecords; f = f.next {
-		n++
+	for _, slot := range w.futures[:w.nFutures] {
+		f, ok := slot.(*Future[T])
+		if !ok {
+			return false
+		}
 		if seen[f] {
 			t.Errorf("worker %d lists a Future that is listed already", w.id)
 		}
@@ -41,31 +39,29 @@ func listedFutures[T any](t *testing.T, w *Worker, seen map[any]bool) bool {
 			t.Errorf("worker %d lists a Future that is in use or still holds user data", w.id)
 		}
 	}
-	if n != int(w.nFreeFutures) || n > maxFreeRecords {
-		t.Errorf("worker %d lists %d Futures and counts %d, bound %d", w.id, n, w.nFreeFutures, maxFreeRecords)
-	}
 	return true
 }
 
 // checkFreeLists inspects every worker's free lists once the pool's session
 // has ended (the workers have exited, so their plain fields are the
-// caller's to read): Futures as above, of one of the result types whose
-// listedFutures is given, or none at all; group records empty, listed
-// once, and as many as counted, within the bound.
+// caller's to read): depths within the bound; Futures as above, of one of
+// the result types whose listedFutures is given, or none at all; group
+// records empty and listed once.
 func checkFreeLists(t *testing.T, p *Pool, futures ...func(*testing.T, *Worker, map[any]bool) bool) {
 	t.Helper()
 	seen := map[any]bool{}
 	for _, w := range p.workers {
-		known := w.freeFutures == nil
+		if w.nFutures < 0 || w.nFutures > maxFreeRecords || w.nGroupTasks < 0 || w.nGroupTasks > maxFreeRecords {
+			t.Fatalf("worker %d lists %d Futures and %d group records, bound %d", w.id, w.nFutures, w.nGroupTasks, maxFreeRecords)
+		}
+		known := w.nFutures == 0
 		for _, listed := range futures {
 			known = known || listed(t, w, seen)
 		}
 		if !known {
-			t.Errorf("worker %d lists Futures as %T", w.id, w.freeFutures)
+			t.Errorf("worker %d lists Futures as %T", w.id, w.futures[0])
 		}
-		n := 0
-		for r := w.freeGroupTasks; r != nil && n <= maxFreeRecords; r = r.next {
-			n++
+		for _, r := range w.groupTasks[:w.nGroupTasks] {
 			if seen[r] {
 				t.Errorf("worker %d lists a group record that is listed already", w.id)
 			}
@@ -73,9 +69,6 @@ func checkFreeLists(t *testing.T, p *Pool, futures ...func(*testing.T, *Worker, 
 			if r.g != nil || r.fn != nil {
 				t.Errorf("worker %d lists a group record that still holds its group or function", w.id)
 			}
-		}
-		if n != int(w.nFreeGroupTasks) || n > maxFreeRecords {
-			t.Errorf("worker %d lists %d group records and counts %d, bound %d", w.id, n, w.nFreeGroupTasks, maxFreeRecords)
 		}
 	}
 }
@@ -311,7 +304,7 @@ func TestRecycleGroupBurstRunByThief(t *testing.T) {
 			t.Errorf("heap grew by %d bytes over a burst of %d members", grew, members)
 		}
 		checkFreeLists(t, p, listedFutures[int])
-		if n := spawner.nFreeGroupTasks; n != 0 {
+		if n := spawner.nGroupTasks; n != 0 {
 			t.Errorf("the spawner lists %d group records, having run none", n)
 		}
 	})
@@ -360,7 +353,7 @@ func TestRecycleCallerRunsKeepsItsLists(t *testing.T) {
 			t.Fatalf("Stats.SubmitsCallerRun = %d, want 3", got)
 		}
 		for _, w := range p.workers {
-			if w.freeFutures != nil || w.freeGroupTasks != nil || w.nFreeFutures != 0 || w.nFreeGroupTasks != 0 {
+			if w.futures[0] != nil || w.groupTasks[0] != nil || w.nFutures != 0 || w.nGroupTasks != 0 {
 				t.Errorf("worker %d, gated since the pool was made, has a free list", w.id)
 			}
 		}

@@ -16,17 +16,21 @@ import "worksteal/internal/atomicx"
 // that leaves the worker that spawned it: by a steal (exec) or by a
 // retiring worker's republish.
 //
-// Invariant: refs = the un-ended tasks that carry this scope + the child
-// scopes whose own refs is not yet zero. A task is counted from its spawn
+// Invariant: refs ≥ the un-ended tasks that carry this scope + the child
+// scopes whose own refs is not yet zero, with equality whenever no exec
+// running in the scope is in flight. A task is counted from its spawn
 // (or, for the root, from newRun) until exec or execOrDrop's discard
-// releases it; when it is stolen its count stays where it is and stands
-// for the child scope the thief runs it in. Zero is therefore final —
-// only a task counted in the scope can add to it, by spawning while it
-// runs there — and the release that reaches zero passes one release on to
-// the parent, or completes the run at the root.
+// releases it; a fork its joiner calls (Future.call) has ended before it
+// is released, by the exec it was called under, which releases it with
+// its own task in one step and still counts that task meanwhile. When a
+// task is stolen its count stays where it is and stands for the child
+// scope the thief runs it in. Zero is therefore final — only a task
+// counted in the scope can add to it, by spawning while it runs there —
+// and the release that reaches zero passes one release on to the parent,
+// or completes the run at the root.
 //
 // Writers: the one worker that runs in the scope (an Add per spawn, a
-// release per task end — only the worker that made the scope, first ran
+// release per exec — only the worker that made the scope, first ran
 // the root, or took the scope over (split) has it as Worker.scope, and
 // tasks that carry it are pushed on that worker's deque alone), plus each
 // thief once, when the child it split off empties. The trailing pad gives
@@ -46,7 +50,8 @@ type scope struct {
 // The exception keeps a chain of tasks that each spawn the next and end
 // from nesting one scope per steal: if refs is 1, the one is the task in
 // the caller's hands, so nothing else is counted in s — no task runs in
-// it, and none can start to — and the caller takes s over as it is.
+// it, and none can start to — and the caller takes s over as it is. A
+// count that still holds folded calls only makes the take-over rarer.
 func (s *scope) split() *scope {
 	if s.refs.Load() == 1 {
 		return s
@@ -56,15 +61,15 @@ func (s *scope) split() *scope {
 	return c
 }
 
-// release ends one task (or one emptied child) of s. The release that
-// empties a scope releases its parent in turn; emptying the root completes
-// the run, which is a no-op if an abort got there first.
-func (s *scope) release() {
-	for s.refs.Add(-1) == 0 {
+// release ends n tasks of s (or one emptied child). The release that
+// empties a scope releases its parent once in turn; emptying the root
+// completes the run, which is a no-op if an abort got there first.
+func (s *scope) release(n int64) {
+	for s.refs.Add(-n) == 0 {
 		if s.parent == nil {
 			s.run.complete()
 			return
 		}
-		s = s.parent
+		s, n = s.parent, 1
 	}
 }

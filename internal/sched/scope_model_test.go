@@ -22,11 +22,17 @@ import (
 // Any worker may steal from any other, so with three workers the tree is
 // split, split again under the split, and stolen back by the worker it was
 // first stolen from.
+//
+// A task may also pop back the child it pushed last, if no thief has taken
+// it, and run it as a call (Future.call) — which may pop back one of its
+// own — and a call ends with no decrement at all: the task it was called
+// under releases it, with itself, in one step of 1+k (exec's folded count).
 
 const (
 	mMaxTasks   = 8
 	mMaxScopes  = 8
 	mMaxWorkers = 3
+	mMaxFrames  = 3 // the task exec runs, a call, and a call inside the call
 )
 
 // Worker program counters.
@@ -43,14 +49,22 @@ type mTask struct {
 	ended bool
 }
 
+// mFrame is a task running on a worker: the one exec runs, or a call.
+type mFrame struct {
+	task    int8
+	spawned int8 // its children spawned so far
+	last    int8 // its child pushed last, which it may pop back; -1 if none
+}
+
 type mWorker struct {
-	pc      int8
-	task    int8 // the task in hand (mSplit, mBody)
-	scope   int8 // the scope the task runs in (mBody); the one being released (mReleasing)
-	spawned int8 // children of the task in hand spawned so far
-	unpub   int8 // a child counted by the Add but not yet pushed; -1 if none
-	deque   [mMaxTasks]int8
-	dlen    int8
+	pc     int8
+	scope  int8 // the scope the task runs in (mBody); the one being released (mReleasing)
+	frames [mMaxFrames]mFrame
+	nframe int8 // frames[0] holds the stolen task (mSplit) or the task exec runs (mBody)
+	folded int8 // calls ended since the exec began, released with its task
+	unpub  int8 // a child counted by the Add but not yet pushed; -1 if none
+	deque  [mMaxTasks]int8
+	dlen   int8
 }
 
 // mState is the whole model.
@@ -71,9 +85,12 @@ type scopeModel struct {
 	// moves the stolen task's count into the child scope at once instead of
 	// leaving it in the parent to stand for the child.
 	moveCount bool
+	// keepFold is another: an exec does not reset the fold count, so the
+	// calls an earlier task folded are released in the next task's scope.
+	keepFold bool
 	// What the search came across, so the test can tell it covered both
-	// arms of split.
-	splits, takeovers int
+	// arms of split and calls nested in calls.
+	splits, takeovers, nestedCalls int
 }
 
 func (m *scopeModel) initial() mState {
@@ -89,15 +106,16 @@ func (m *scopeModel) initial() mState {
 
 // successors returns the states worker i can move s to in one step: more
 // than one only when it is idle with an empty deque and several victims
-// have work. A violation of a per-step property comes back as err.
+// have work, or when it may pop a child back. A violation of a per-step
+// property comes back as err.
 func (m *scopeModel) successors(s mState, i int) (next []mState, err error) {
 	w := &s.w[i]
 	switch w.pc {
 	case mIdle:
 		if w.dlen > 0 { // PopBottom
 			w.dlen--
-			w.task = w.deque[w.dlen]
-			w.pc, w.scope, w.spawned = mBody, s.tasks[w.task].scope, 0
+			m.begin(w, w.deque[w.dlen])
+			w.pc, w.scope = mBody, s.tasks[w.frames[0].task].scope
 			return []mState{s}, nil
 		}
 		for v := 0; v < m.workers; v++ { // PopTop of each possible victim
@@ -106,7 +124,7 @@ func (m *scopeModel) successors(s mState, i int) (next []mState, err error) {
 			}
 			n := s
 			vw, tw := &n.w[v], &n.w[i]
-			tw.task = vw.deque[0]
+			m.begin(tw, vw.deque[0])
 			copy(vw.deque[:], vw.deque[1:vw.dlen])
 			vw.dlen--
 			tw.pc = mSplit
@@ -115,8 +133,8 @@ func (m *scopeModel) successors(s mState, i int) (next []mState, err error) {
 		return next, nil
 
 	case mSplit: // scope.split: one load, then (privately) a new scope
-		carried := s.tasks[w.task].scope
-		w.pc, w.spawned = mBody, 0
+		carried := s.tasks[w.frames[0].task].scope
+		w.pc = mBody
 		if s.refs[carried] == 1 && !m.moveCount {
 			m.takeovers++
 			w.scope = carried
@@ -133,34 +151,71 @@ func (m *scopeModel) successors(s mState, i int) (next []mState, err error) {
 		return []mState{s}, nil
 
 	case mBody:
-		t := &s.tasks[w.task]
-		switch {
-		case w.unpub >= 0: // PushBottom
+		f := &w.frames[w.nframe-1]
+		t := &s.tasks[f.task]
+		if w.unpub >= 0 { // PushBottom
 			w.deque[w.dlen] = w.unpub
+			f.last = w.unpub
 			w.dlen++
 			w.unpub = -1
-		case w.spawned < m.fan[t.depth]: // spawn: refs.Add(1)
+			return []mState{s}, nil
+		}
+		// popBack: the bottom is still the child this frame pushed last, so
+		// it carries the scope w runs in; a call of it is one more frame.
+		if w.nframe < mMaxFrames && w.dlen > 0 && w.deque[w.dlen-1] == f.last {
+			n := s
+			nw := &n.w[i]
+			nw.dlen--
+			nw.frames[nw.nframe-1].last = -1
+			nw.frames[nw.nframe] = mFrame{task: f.last, last: -1}
+			nw.nframe++
+			if nw.nframe == mMaxFrames {
+				m.nestedCalls++
+			}
+			next = append(next, n)
+		}
+		switch {
+		case f.spawned < m.fan[t.depth]: // spawn: refs.Add(1)
 			s.refs[w.scope]++
 			s.tasks[s.ntasks] = mTask{scope: w.scope, depth: t.depth + 1}
 			w.unpub = s.ntasks
 			s.ntasks++
-			w.spawned++
-		default: // the task ends: the first decrement of its release
+			f.spawned++
+		case w.nframe > 1: // a call ends, folded: no decrement
 			t.ended = true
-			return m.release(s, i)
+			w.nframe--
+			w.folded++
+		default: // the task ends: the first decrement of its release, 1+k
+			t.ended = true
+			after, err := m.release(s, i, 1+w.folded)
+			if err != nil {
+				return nil, err
+			}
+			return append(next, after...), nil
 		}
-		return []mState{s}, nil
+		return append(next, s), nil
 
 	case mReleasing:
-		return m.release(s, i)
+		return m.release(s, i, 1)
 	}
 	panic("unreachable")
 }
 
-// release is one iteration of scope.release's loop on worker i's scope.
-func (m *scopeModel) release(s mState, i int) ([]mState, error) {
+// begin is exec's entry: task is the one frame of w, and no call has been
+// folded yet — unless the control keeps the last task's count.
+func (m *scopeModel) begin(w *mWorker, task int8) {
+	w.frames[0] = mFrame{task: task, last: -1}
+	w.nframe = 1
+	if !m.keepFold {
+		w.folded = 0
+	}
+}
+
+// release is one iteration of scope.release's loop on worker i's scope: n
+// is 1+k at a task's end, and 1 up the chain.
+func (m *scopeModel) release(s mState, i int, n int8) ([]mState, error) {
 	w := &s.w[i]
-	s.refs[w.scope]--
+	s.refs[w.scope] -= n
 	switch {
 	case s.refs[w.scope] < 0:
 		return nil, fmt.Errorf("scope %d released below zero", w.scope)
@@ -227,8 +282,9 @@ func TestScopeModelExhaustive(t *testing.T) {
 		t.Run(fmt.Sprintf("P=%d/fan=%v", tc.workers, tc.fan), func(t *testing.T) {
 			m := &scopeModel{workers: tc.workers, fan: tc.fan}
 			m.explorer().verify(t, m.initial())
-			if m.splits == 0 || m.takeovers == 0 {
-				t.Fatalf("the search reached %d splits and %d take-overs; want some of each", m.splits, m.takeovers)
+			if m.splits == 0 || m.takeovers == 0 || m.nestedCalls == 0 {
+				t.Fatalf("the search reached %d splits, %d take-overs and %d calls inside calls; want some of each",
+					m.splits, m.takeovers, m.nestedCalls)
 			}
 		})
 	}
@@ -239,5 +295,13 @@ func TestScopeModelExhaustive(t *testing.T) {
 // run complete — while the stolen subtree still runs.
 func TestScopeModelCatchesEarlyRelease(t *testing.T) {
 	m := &scopeModel{workers: 2, fan: []int8{2, 1, 0}, moveCount: true}
+	m.explorer().refute(t, m.initial())
+}
+
+// The fold's control: an exec that does not reset the fold count releases
+// the calls the worker's previous task folded in the scope of the next one,
+// which drives it below zero, or to zero while a task it counts still runs.
+func TestScopeModelCatchesFoldKeptAcrossTasks(t *testing.T) {
+	m := &scopeModel{workers: 2, fan: []int8{2, 1, 0}, keepFold: true}
 	m.explorer().refute(t, m.initial())
 }

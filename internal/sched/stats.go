@@ -10,7 +10,11 @@ import (
 // across runs. The per-worker counters behind it are atomics, so
 // Pool.Stats is safe to call at any time, including concurrently with a
 // running Run (the snapshot is per-counter consistent, not a single
-// instant across counters).
+// instant across counters). A worker adds a task's spawns and popped-back
+// calls to TasksRun and Spawns when the task ends, before the release that
+// can end its submission, so both are exact once a Run has returned or a
+// Handle has resolved nil; a read mid-run, or after an abort, lags by the
+// tasks still executing.
 type Stats struct {
 	TasksRun       int64
 	Spawns         int64
