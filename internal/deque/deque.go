@@ -52,7 +52,9 @@ func packAge(tag, top uint32) uint64       { return uint64(tag)<<32 | uint64(top
 func unpackAge(a uint64) (tag, top uint32) { return uint32(a >> 32), uint32(a) }
 
 // Deque is the bounded ABP deque holding items of type *T.
-// The zero value is not usable; construct with New or NewWithCapacity.
+// The zero value is a deque of capacity zero: PushBottom returns false,
+// PopBottom and PopTop return nil, and Len and Cap are 0. Construct a
+// usable one with New or NewWithCapacity.
 //
 // Safety contract ("good set of invocations"): PushBottom and PopBottom must
 // be called only by the single owner; PopTop may be called concurrently by

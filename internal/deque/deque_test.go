@@ -107,6 +107,25 @@ func TestEmptyDeque(t *testing.T) {
 	}
 }
 
+// The zero Deque is a deque of capacity zero: it refuses every push and
+// pops nothing, without writing a word — the scheduler's caller-runs worker
+// runs every spawn inline on one.
+func TestZeroValueRefusesEveryPush(t *testing.T) {
+	var d Deque[int]
+	if d.PushBottom(intp(1)) {
+		t.Error("PushBottom on the zero deque succeeded")
+	}
+	if got := d.PopBottom(); got != nil {
+		t.Errorf("PopBottom on the zero deque = %v", got)
+	}
+	if got := d.PopTop(); got != nil {
+		t.Errorf("PopTop on the zero deque = %v", got)
+	}
+	if d.Len() != 0 || d.Cap() != 0 {
+		t.Errorf("zero deque: Len %d, Cap %d, want 0 and 0", d.Len(), d.Cap())
+	}
+}
+
 func TestCapacityBound(t *testing.T) {
 	d := NewWithCapacity[int](4)
 	if d.Cap() != 4 {

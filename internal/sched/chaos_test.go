@@ -66,18 +66,18 @@ func chaosSpin(n int) {
 func TestChaosSuspendedThiefMidPopTop(t *testing.T) {
 	cases := []struct {
 		name  string
-		kind  DequeKind
+		kind  dequeKind
 		point string // registered in internal/deque
 	}{
-		{"ABP", DequeABP, "deque.popTop.beforeCAS"},
-		{"ChaseLev", DequeChaseLev, "chaselev.popTop.beforeCAS"},
+		{"ABP", dequeABP, "deque.popTop.beforeCAS"},
+		{"ChaseLev", dequeChaseLev, "chaselev.popTop.beforeCAS"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			defer fault.Reset()
 			fault.Enable(tc.point, fault.Rule{Action: fault.ActionSuspend, OneShot: true})
 			const tasks = 2000
-			p := New(Config{Workers: 4, Deque: tc.kind})
+			p := newPool(tc.kind, Config{Workers: 4})
 			var count atomic.Int64
 			done := make(chan struct{})
 			go func() {
@@ -133,7 +133,7 @@ func TestChaosMutexDequeControlStalls(t *testing.T) {
 	const pt = "mutexdeque.popTop.locked" // registered in internal/deque
 	fault.Enable(pt, fault.Rule{Action: fault.ActionSuspend, OneShot: true})
 	const tasks = 500
-	p := New(Config{Workers: 2, Deque: dequeMutex})
+	p := newPool(dequeMutex, Config{Workers: 2})
 	var count atomic.Int64
 	done := make(chan struct{})
 	go func() {
@@ -415,8 +415,8 @@ func TestChaosRandomSoak(t *testing.T) {
 	want := fibSerial(20)
 	for _, kind := range []struct {
 		name string
-		k    DequeKind
-	}{{"ABP", DequeABP}, {"ChaseLev", DequeChaseLev}} {
+		k    dequeKind
+	}{{"ABP", dequeABP}, {"ChaseLev", dequeChaseLev}} {
 		t.Run(kind.name, func(t *testing.T) {
 			for r := 0; r < rounds; r++ {
 				for i, pt := range fault.Catalog() {
@@ -426,7 +426,7 @@ func TestChaosRandomSoak(t *testing.T) {
 					}
 					fault.Enable(pt.Name, rule)
 				}
-				p := New(Config{Workers: 4, Deque: kind.k, Seed: int64(r + 1)})
+				p := newPool(kind.k, Config{Workers: 4, Seed: int64(r + 1)})
 				var got int
 				p.Run(func(w *Worker) { got = fibPar(w, 20, 5) })
 				fault.Reset()
@@ -660,10 +660,10 @@ func TestChaosKernelAdversary(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name string
-		kind DequeKind
+		kind dequeKind
 	}{
-		{"ABP", DequeABP},
-		{"ChaseLev", DequeChaseLev},
+		{"ABP", dequeABP},
+		{"ChaseLev", dequeChaseLev},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			defer fault.Reset()
@@ -675,7 +675,7 @@ func TestChaosKernelAdversary(t *testing.T) {
 			if testing.Short() {
 				perSub = 400
 			}
-			p := New(Config{Workers: maxW / 2, MaxWorkers: maxW, ParkThreshold: 2, Deque: tc.kind})
+			p := newPool(tc.kind, Config{Workers: maxW / 2, MaxWorkers: maxW, ParkThreshold: 2})
 			stop := startServing(t, p)
 
 			// The adversary: a random walk over fleet sizes interleaved with

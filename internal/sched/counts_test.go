@@ -85,8 +85,8 @@ func runWithin(t *testing.T, p *Pool, root func(*Worker)) {
 // Once Run returns, TasksRun and Spawns have moved by exactly the tree's
 // counts, round after round on one pool with steals in play.
 func TestCountsExactAfterRun(t *testing.T) {
-	forEachDeque(t, func(t *testing.T, kind DequeKind) {
-		p := New(Config{Workers: 4, Deque: kind})
+	forEachDeque(t, func(t *testing.T, kind dequeKind) {
+		p := newPool(kind, Config{Workers: 4})
 		for round := 0; round < 3; round++ {
 			for _, tree := range countTrees() {
 				before := p.Stats()
@@ -112,8 +112,8 @@ func TestCountsExactAfterHandleWait(t *testing.T) {
 	if testing.Short() {
 		rounds = 20
 	}
-	forEachDeque(t, func(t *testing.T, kind DequeKind) {
-		p := New(Config{Workers: 1, Deque: kind})
+	forEachDeque(t, func(t *testing.T, kind dequeKind) {
+		p := newPool(kind, Config{Workers: 1})
 		stop := startServing(t, p)
 		for round := 0; round < rounds; round++ {
 			for _, tree := range countTrees() {
@@ -147,8 +147,8 @@ func TestCountsExactAfterHandleWait(t *testing.T) {
 // exec, which has calls of its own folded by then. Each exec releases its
 // own calls in its own scope: the run completes, with exact counts.
 func TestCountsNestedExecInJoin(t *testing.T) {
-	forEachDeque(t, func(t *testing.T, kind DequeKind) {
-		p := New(Config{Workers: 2, Deque: kind})
+	forEachDeque(t, func(t *testing.T, kind dequeKind) {
+		p := newPool(kind, Config{Workers: 2})
 		const pre, nested = 12, 14
 		var preOK, nestedOK, rootOn, nestedOn atomic.Int64
 		before := p.Stats()
@@ -199,10 +199,10 @@ func TestCountsNestedExecInJoin(t *testing.T) {
 // four StallTimeouts is making progress: its calls are flushed every
 // callFlushPeriod, so the watchdog never reports it.
 func TestCountsLongCallRecursionNoStall(t *testing.T) {
-	forEachDeque(t, func(t *testing.T, kind DequeKind) {
+	forEachDeque(t, func(t *testing.T, kind dequeKind) {
 		const window = 40 * time.Millisecond
 		var reports atomic.Int64
-		p := New(Config{Workers: 1, Deque: kind, StallTimeout: window, OnStall: func(StallReport) { reports.Add(1) }})
+		p := newPool(kind, Config{Workers: 1, StallTimeout: window, OnStall: func(StallReport) { reports.Add(1) }})
 		var calls int64
 		runWithin(t, p, func(w *Worker) {
 			for start := time.Now(); time.Since(start) < 5*window; {

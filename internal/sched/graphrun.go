@@ -17,8 +17,6 @@ type GraphConfig struct {
 	Graph *dag.Graph
 	// Workers is the number of worker goroutines (default GOMAXPROCS).
 	Workers int
-	// Deque selects the deque implementation (default DequeABP).
-	Deque DequeKind
 	// NodeWork is the synthetic cost of executing one node, in iterations
 	// of a small arithmetic loop; 0 means nodes are nearly free and
 	// scheduling overhead dominates.
@@ -73,18 +71,26 @@ type nodeCount struct {
 // goroutine. RunGraph panics if the run ends without every node executed
 // (which would indicate a scheduler bug; this cannot happen).
 func RunGraph(cfg GraphConfig) GraphResult {
+	return graphPool(cfg).runGraph(cfg)
+}
+
+// graphPool is the fresh Pool RunGraph executes cfg's dag on.
+func graphPool(cfg GraphConfig) *Pool {
 	if cfg.Graph == nil {
 		panic("sched: GraphConfig.Graph is nil")
 	}
-	n := cfg.Graph.NumNodes()
-	p := New(Config{
+	return New(Config{
 		Workers: cfg.Workers,
-		Deque:   cfg.Deque,
 		// A deque never holds more than the dag's nodes, so small dags get
 		// small deques: setup stays proportional to the run.
-		DequeCapacity: min(n+1, deque.DefaultCapacity),
+		DequeCapacity: min(cfg.Graph.NumNodes()+1, deque.DefaultCapacity),
 		Seed:          cfg.Seed,
 	})
+}
+
+// runGraph is RunGraph on p, a pool that has hosted no session.
+func (p *Pool) runGraph(cfg GraphConfig) GraphResult {
+	n := cfg.Graph.NumNodes()
 	r := &graphRun{
 		cfg:       cfg,
 		g:         cfg.Graph,

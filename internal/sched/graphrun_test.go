@@ -11,14 +11,19 @@ import (
 	"worksteal/internal/workload"
 )
 
+// runGraphOn is RunGraph with the pool's workers on deques of kind.
+func runGraphOn(kind dequeKind, cfg GraphConfig) GraphResult {
+	return withDeque(graphPool(cfg), kind).runGraph(cfg)
+}
+
 // Every catalog dag, on every deque, at worker counts from serial through
 // multiprogrammed (4 x GOMAXPROCS): each node runs exactly once, after all
 // of its predecessors, and the per-worker counts account for every node.
 func TestRunGraphAllWorkloads(t *testing.T) {
 	deques := []struct {
 		name string
-		kind DequeKind
-	}{{"abp", DequeABP}, {"chaselev", DequeChaseLev}, {"mutex", dequeMutex}}
+		kind dequeKind
+	}{{"abp", dequeABP}, {"chaselev", dequeChaseLev}, {"mutex", dequeMutex}}
 	workerCounts := []int{1, 2, 4, 8}
 	if m := 4 * runtime.GOMAXPROCS(0); m > 8 {
 		workerCounts = append(workerCounts, m)
@@ -29,7 +34,7 @@ func TestRunGraphAllWorkloads(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/%s/W=%d", spec.Name, dq.name, workers), func(t *testing.T) {
 					g := spec.Build()
 					ran := make([]atomic.Int32, g.NumNodes())
-					res := RunGraph(GraphConfig{Graph: g, Workers: workers, Deque: dq.kind, Seed: 11,
+					res := runGraphOn(dq.kind, GraphConfig{Graph: g, Workers: workers, Seed: 11,
 						NodeFunc: func(u dag.NodeID) {
 							for _, e := range g.Preds(u) {
 								if ran[e.From].Load() != 1 {
@@ -102,7 +107,7 @@ func TestRunGraphFigure1(t *testing.T) {
 
 func TestRunGraphMutexDeque(t *testing.T) {
 	g := workload.FibDag(12)
-	res := RunGraph(GraphConfig{Graph: g, Workers: 4, Deque: dequeMutex, Seed: 2})
+	res := runGraphOn(dequeMutex, GraphConfig{Graph: g, Workers: 4, Seed: 2})
 	if res.NodesExecuted != int64(g.NumNodes()) {
 		t.Fatalf("executed %d of %d", res.NodesExecuted, g.NumNodes())
 	}
@@ -162,7 +167,7 @@ func TestSpin(t *testing.T) {
 
 func TestRunGraphChaseLev(t *testing.T) {
 	g := workload.FibDag(13)
-	res := RunGraph(GraphConfig{Graph: g, Workers: 4, Deque: DequeChaseLev, Seed: 4})
+	res := runGraphOn(dequeChaseLev, GraphConfig{Graph: g, Workers: 4, Seed: 4})
 	if res.NodesExecuted != int64(g.NumNodes()) {
 		t.Fatalf("executed %d of %d", res.NodesExecuted, g.NumNodes())
 	}

@@ -36,8 +36,10 @@
 // continues into one and Spawns the other.
 //
 // A ParkThreshold that is never reached gives the pure spinning loop of
-// Figure 3; the mutex-guarded reference deque is a kind only this package's
-// tests can select.
+// Figure 3. Every worker's deque is the ABP deque; this package's tests
+// swap in the mutex-guarded reference deque (the negative control of the
+// non-blocking claim) and the unbounded Chase–Lev deque through the same
+// Worker.dq seam, which is the only reason it is an interface.
 package sched
 
 import (
@@ -73,21 +75,6 @@ var (
 		"backoff: idle status published and re-check passed, timed nap not yet entered")
 )
 
-// DequeKind selects the deque implementation workers use.
-type DequeKind uint8
-
-const (
-	// DequeABP is the paper's non-blocking deque (the default).
-	DequeABP DequeKind = iota
-	// dequeMutex is the blocking reference deque (deque.Mutex) this
-	// package's tests run beside the other two; nothing else can name it.
-	dequeMutex
-	// DequeChaseLev is the unbounded growable successor design (Chase and
-	// Lev, SPAA 2005) — the paper's natural extension: no capacity bound,
-	// no tag needed. Spawns never fall back to inline execution.
-	DequeChaseLev
-)
-
 // Config configures a Pool.
 type Config struct {
 	// Workers is the number of worker goroutines (the paper's P processes).
@@ -100,8 +87,6 @@ type Config struct {
 	// in [Workers, MaxWorkers) begin retired. 0 defaults to Workers (a fixed
 	// fleet, exactly the pre-elastic behavior); values below Workers panic.
 	MaxWorkers int
-	// Deque selects the deque implementation (default DequeABP).
-	Deque DequeKind
 	// DequeCapacity bounds each worker's deque; when a push finds the deque
 	// full the task runs inline, which preserves correctness and depth-first
 	// order at the cost of stealable parallelism. Defaults to
@@ -420,19 +405,10 @@ func New(cfg Config) *Pool {
 	// the initial Workers begin retired and cost a sleeping goroutine per
 	// session until a Resize activates them.
 	for i := 0; i < cfg.MaxWorkers; i++ {
-		var dq deque.Dequer[Task]
-		switch cfg.Deque {
-		case dequeMutex:
-			dq = deque.NewMutexWithCapacity[Task](cfg.DequeCapacity)
-		case DequeChaseLev:
-			dq = deque.NewChaseLev[Task]()
-		default:
-			dq = deque.NewWithCapacity[Task](cfg.DequeCapacity)
-		}
 		w := &Worker{
 			pool:   p,
 			id:     i,
-			dq:     dq,
+			dq:     deque.NewWithCapacity[Task](cfg.DequeCapacity),
 			rng:    rand.New(rand.NewSource(seed + int64(i)*1_000_003)),
 			parkCh: make(chan struct{}, 1),
 		}
@@ -477,6 +453,9 @@ func (p *Pool) Run(root func(*Worker)) {
 // (serve.go): the controller below is Serve's with another event to wait
 // for, so the batch tests and chaos suite exercise the engine Submit feeds.
 func (p *Pool) RunContext(ctx context.Context, root func(*Worker)) error {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	p.enter("Run/RunContext")
 	r := newRun(p, root)
 	p.register(r)

@@ -87,9 +87,9 @@ func fibPar(w *Worker, n, cutoff int) int {
 
 func TestForkJoinFib(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {
-		for _, deq := range []DequeKind{DequeABP, dequeMutex} {
+		for _, deq := range []dequeKind{dequeABP, dequeMutex} {
 			t.Run(fmt.Sprintf("workers=%d/deque=%d", workers, deq), func(t *testing.T) {
-				p := New(Config{Workers: workers, Deque: deq})
+				p := newPool(deq, Config{Workers: workers})
 				var got int
 				p.Run(func(w *Worker) { got = fibPar(w, 20, 5) })
 				if want := fibSerial(20); got != want {
@@ -134,8 +134,8 @@ func TestParallelFor(t *testing.T) {
 // right half, descends into the left, and only then joins — popping the
 // right half back. Map is ParallelFor and visits in the same order.
 func TestParallelForUnstolenVisitsLeftToRight(t *testing.T) {
-	forEachDeque(t, func(t *testing.T, kind DequeKind) {
-		p := New(Config{Workers: 1, Deque: kind})
+	forEachDeque(t, func(t *testing.T, kind dequeKind) {
+		p := newPool(kind, Config{Workers: 1})
 		const n = 1000
 		var visited, mapped []int
 		out := make([]int, n)
@@ -279,7 +279,7 @@ func TestNewPanics(t *testing.T) {
 func TestChaseLevPool(t *testing.T) {
 	// The unbounded deque never runs tasks inline, even with a flood of
 	// spawns from one worker.
-	p := New(Config{Workers: 2, Deque: DequeChaseLev})
+	p := newPool(dequeChaseLev, Config{Workers: 2})
 	var count atomic.Int64
 	p.Run(func(w *Worker) {
 		for i := 0; i < 50000; i++ {
@@ -295,7 +295,7 @@ func TestChaseLevPool(t *testing.T) {
 }
 
 func TestChaseLevPoolFib(t *testing.T) {
-	p := New(Config{Workers: 4, Deque: DequeChaseLev})
+	p := newPool(dequeChaseLev, Config{Workers: 4})
 	var got int
 	p.Run(func(w *Worker) { got = fibPar(w, 20, 5) })
 	if want := fibSerial(20); got != want {

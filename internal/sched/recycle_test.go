@@ -96,12 +96,12 @@ func stolenFib(t *testing.T, w *Worker, n, depth int) int {
 // failpoints in front of every steal varying where they land. Results and
 // task counts are exact round after round on one pool.
 func TestRecycleAcrossForcedSteals(t *testing.T) {
-	forEachDeque(t, func(t *testing.T, kind DequeKind) {
+	forEachDeque(t, func(t *testing.T, kind dequeKind) {
 		defer fault.Reset()
 		fault.Enable(fpStealBeforePopTop, fault.Rule{Action: fault.ActionYield})
 		fault.Enable(fpLoopBeforeSteal, fault.Rule{Action: fault.ActionDelay, Delay: 20 * time.Microsecond, EveryNth: 3})
 		const n, leaves = 16, 600
-		p := New(Config{Workers: 4, Deque: kind})
+		p := newPool(kind, Config{Workers: 4})
 		for round := 0; round < 3; round++ {
 			before := p.Stats()
 			var started [leaves]atomic.Bool
@@ -145,8 +145,8 @@ func TestRecycleAcrossForcedSteals(t *testing.T) {
 func TestRecycleAbortMidTreeAbandonsRecords(t *testing.T) {
 	for _, mode := range []string{"panic", "cancel"} {
 		t.Run(mode, func(t *testing.T) {
-			forEachDeque(t, func(t *testing.T, kind DequeKind) {
-				p := New(Config{Workers: 4, Deque: kind})
+			forEachDeque(t, func(t *testing.T, kind dequeKind) {
+				p := newPool(kind, Config{Workers: 4})
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()
 				var nodes atomic.Int64
@@ -223,9 +223,9 @@ func altFib(w *Worker, n int) int {
 // type allocates, and the Future it frees replaces the list. Results stay
 // right whichever way the types interleave.
 func TestRecycleJoin2AlternatingResultTypes(t *testing.T) {
-	forEachDeque(t, func(t *testing.T, kind DequeKind) {
+	forEachDeque(t, func(t *testing.T, kind dequeKind) {
 		for _, workers := range []int{1, 4} {
-			p := New(Config{Workers: workers, Deque: kind})
+			p := newPool(kind, Config{Workers: workers})
 			const n = 15
 			got := 0
 			p.Run(func(w *Worker) { got = altFib(w, n) })
@@ -263,8 +263,8 @@ func TestRecycleGroupBurstRunByThief(t *testing.T) {
 		members = 20_000
 	}
 	const batch = 1000 // inside every deque's capacity
-	forEachDeque(t, func(t *testing.T, kind DequeKind) {
-		p := New(Config{Workers: 2, Deque: kind})
+	forEachDeque(t, func(t *testing.T, kind dequeKind) {
+		p := newPool(kind, Config{Workers: 2})
 		var ran, elsewhere atomic.Int64
 		var before, after runtime.MemStats
 		var spawner *Worker
@@ -331,8 +331,8 @@ func fibAndFanOut(ok *atomic.Int64) func(*Worker) {
 // shed submission computes right and leaves their lists as empty as a new
 // pool's.
 func TestRecycleCallerRunsKeepsItsLists(t *testing.T) {
-	forEachDeque(t, func(t *testing.T, kind DequeKind) {
-		p := New(Config{Workers: 2, InjectorCapacity: 2, Overload: ShedCallerRuns, Deque: kind})
+	forEachDeque(t, func(t *testing.T, kind dequeKind) {
+		p := newPool(kind, Config{Workers: 2, InjectorCapacity: 2, Overload: ShedCallerRuns})
 		stop := startServing(t, p)
 		release := plugWorkers(t, p)
 		for i := 0; i < 2; i++ { // fill the two-slot injector
@@ -368,8 +368,8 @@ func TestRecycleCallerRunsKeepsItsLists(t *testing.T) {
 // and has them when a grow wakes it, and no record is ever on two workers'
 // lists.
 func TestRecycleAcrossShrinkAndGrow(t *testing.T) {
-	forEachDeque(t, func(t *testing.T, kind DequeKind) {
-		p := New(Config{Workers: 4, ParkThreshold: 2, Deque: kind})
+	forEachDeque(t, func(t *testing.T, kind dequeKind) {
+		p := newPool(kind, Config{Workers: 4, ParkThreshold: 2})
 		stop := startServing(t, p)
 		var ok atomic.Int64
 		submitted := int64(0)

@@ -14,6 +14,32 @@ import (
 	"time"
 )
 
+// A nil context means context.Background(), as it does for Serve and Drain:
+// a nil-context RunContext runs its root and leaves the pool free for the
+// next Run, and a nil-context Submit inside a Serve is admitted and runs.
+func TestNilContextIsBackground(t *testing.T) {
+	p := New(Config{Workers: 2})
+	var ran atomic.Int64
+	if err := p.RunContext(nil, func(*Worker) { ran.Add(1) }); err != nil {
+		t.Fatalf("RunContext(nil) = %v", err)
+	}
+	p.Run(func(*Worker) { ran.Add(1) })
+	stop := startServing(t, p)
+	h, err := p.SubmitContext(nil, func(*Worker) { ran.Add(1) })
+	if err != nil {
+		t.Fatalf("SubmitContext(nil) = %v", err)
+	}
+	if err := h.Wait(); err != nil {
+		t.Fatalf("Wait = %v", err)
+	}
+	if err := stop(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Serve returned %v", err)
+	}
+	if n := ran.Load(); n != 3 {
+		t.Fatalf("%d of 3 roots ran", n)
+	}
+}
+
 // Cancelling mid-run must abort promptly, return ctx.Err, account every
 // spawned task as either run or cancelled, and leave the pool reusable.
 func TestRunContextCancelMidRun(t *testing.T) {

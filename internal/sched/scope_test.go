@@ -14,15 +14,46 @@ import (
 	"testing"
 	"time"
 
+	"worksteal/internal/deque"
 	"worksteal/internal/fault"
 )
 
-// forEachDeque runs f as a subtest per deque implementation.
-func forEachDeque(t *testing.T, f func(t *testing.T, kind DequeKind)) {
+// dequeKind names a deque a test runs the pool's workers on: the ABP deque
+// New builds, or one withDeque swaps in — the unbounded Chase–Lev deque,
+// under which no spawn falls back to inline execution, or the blocking
+// mutex reference deque, the negative control of the non-blocking claim
+// (TestChaosMutexDequeControlStalls).
+type dequeKind uint8
+
+const (
+	dequeABP dequeKind = iota
+	dequeMutex
+	dequeChaseLev
+)
+
+// withDeque gives each of p's workers a fresh deque of kind, bounded as New
+// bounded the ABP one. p must not have hosted a session yet.
+func withDeque(p *Pool, kind dequeKind) *Pool {
+	for _, w := range p.workers {
+		switch kind {
+		case dequeChaseLev:
+			w.dq = deque.NewChaseLev[Task]()
+		case dequeMutex:
+			w.dq = deque.NewMutexWithCapacity[Task](p.cfg.DequeCapacity)
+		}
+	}
+	return p
+}
+
+// newPool is New(cfg) with its workers on deques of kind.
+func newPool(kind dequeKind, cfg Config) *Pool { return withDeque(New(cfg), kind) }
+
+// forEachDeque runs f as a subtest per deque.
+func forEachDeque(t *testing.T, f func(t *testing.T, kind dequeKind)) {
 	for _, dq := range []struct {
 		name string
-		kind DequeKind
-	}{{"ABP", DequeABP}, {"ChaseLev", DequeChaseLev}, {"Mutex", dequeMutex}} {
+		kind dequeKind
+	}{{"ABP", dequeABP}, {"ChaseLev", dequeChaseLev}, {"Mutex", dequeMutex}} {
 		t.Run(dq.name, func(t *testing.T) { f(t, dq.kind) })
 	}
 }
@@ -58,8 +89,8 @@ func scopeDepth(s *scope) int {
 }
 
 func TestForkNeverJoined(t *testing.T) {
-	forEachDeque(t, func(t *testing.T, kind DequeKind) {
-		p := New(Config{Workers: 4, Deque: kind})
+	forEachDeque(t, func(t *testing.T, kind dequeKind) {
+		p := newPool(kind, Config{Workers: 4})
 		var ran atomic.Int64
 		p.Run(func(w *Worker) {
 			for i := 0; i < 200; i++ {
@@ -77,8 +108,8 @@ func TestForkNeverJoined(t *testing.T) {
 }
 
 func TestSpawnerReturnsFirst(t *testing.T) {
-	forEachDeque(t, func(t *testing.T, kind DequeKind) {
-		p := New(Config{Workers: 2, Deque: kind})
+	forEachDeque(t, func(t *testing.T, kind dequeKind) {
+		p := newPool(kind, Config{Workers: 2})
 		var rootReturning, childRan atomic.Bool
 		p.Run(func(w *Worker) {
 			defer rootReturning.Store(true)
@@ -99,9 +130,9 @@ func TestSpawnerReturnsFirst(t *testing.T) {
 // the one live task takes its scope over (scope.split), so the scopes nest
 // no deeper than the steals that caught a spawner still running.
 func TestSpawnChainCompletesWithFlatHeap(t *testing.T) {
-	forEachDeque(t, func(t *testing.T, kind DequeKind) {
+	forEachDeque(t, func(t *testing.T, kind dequeKind) {
 		const n = 100_000
-		p := New(Config{Workers: 4, Deque: kind})
+		p := newPool(kind, Config{Workers: 4})
 		var before, after runtime.MemStats
 		depth := 0
 		var link func(i int) func(*Worker)
@@ -141,12 +172,12 @@ func TestSpawnChainCompletesWithFlatHeap(t *testing.T) {
 // releases have climbed the whole chain. The yield failpoint in front of
 // every PopTop varies where in the spawner's wait the steal lands.
 func TestScopesNestAcrossForcedSteals(t *testing.T) {
-	forEachDeque(t, func(t *testing.T, kind DequeKind) {
+	forEachDeque(t, func(t *testing.T, kind dequeKind) {
 		defer fault.Reset()
 		fault.Enable(fpStealBeforePopTop, fault.Rule{Action: fault.ActionYield})
 		fault.Enable(fpLoopBeforeSteal, fault.Rule{Action: fault.ActionDelay, Delay: 20 * time.Microsecond, EveryNth: 3})
 		const links = 6
-		p := New(Config{Workers: 2, Deque: kind})
+		p := newPool(kind, Config{Workers: 2})
 		var started [links + 1]atomic.Bool
 		var ranOn, depth [links + 1]int
 		var link func(i int) func(*Worker)
@@ -181,8 +212,8 @@ func TestScopesNestAcrossForcedSteals(t *testing.T) {
 // and must block — on the channel it installs then, which the forked task
 // waits to see before it completes.
 func TestJoinFromAnotherWorker(t *testing.T) {
-	forEachDeque(t, func(t *testing.T, kind DequeKind) {
-		p := New(Config{Workers: 2, Deque: kind})
+	forEachDeque(t, func(t *testing.T, kind dequeKind) {
+		p := newPool(kind, Config{Workers: 2})
 		var joinerUp atomic.Bool
 		var fut atomic.Pointer[Future[int]]
 		forker, joiner, got := -1, -1, 0
@@ -221,8 +252,8 @@ func TestJoinFromAnotherWorker(t *testing.T) {
 func TestAbortMidTreeAccountsForEverySpawn(t *testing.T) {
 	for _, mode := range []string{"panic", "cancel"} {
 		t.Run(mode, func(t *testing.T) {
-			forEachDeque(t, func(t *testing.T, kind DequeKind) {
-				p := New(Config{Workers: 4, Deque: kind})
+			forEachDeque(t, func(t *testing.T, kind dequeKind) {
+				p := newPool(kind, Config{Workers: 4})
 				stop := startServing(t, p)
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()
@@ -288,9 +319,9 @@ func TestAbortMidTreeAccountsForEverySpawn(t *testing.T) {
 // through the injector (resize.go): they run elsewhere, in scopes of their
 // own, and the run they belong to completes.
 func TestRetiringWorkerRepublishedTasksCompleteRun(t *testing.T) {
-	forEachDeque(t, func(t *testing.T, kind DequeKind) {
+	forEachDeque(t, func(t *testing.T, kind dequeKind) {
 		const children = 50
-		p := New(Config{Workers: 4, Deque: kind})
+		p := newPool(kind, Config{Workers: 4})
 		var ran, onRetiree atomic.Int64
 		retiree := -1
 		var hop func(w *Worker)

@@ -26,6 +26,7 @@ import (
 	"sync"
 
 	"worksteal/internal/atomicx"
+	"worksteal/internal/deque"
 )
 
 // Errors returned by Submit and Handle.Wait.
@@ -280,6 +281,9 @@ func (p *Pool) Submit(fn func(*Worker)) (*Handle, error) {
 // a re-check that settles what a Drain or a stop did in between (drain.go
 // has the argument).
 func (p *Pool) SubmitContext(ctx context.Context, fn func(*Worker)) (*Handle, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	switch p.phase.Load() {
 	case phaseServing:
 	case phaseDraining:
@@ -331,8 +335,8 @@ func (p *Pool) SubmitContext(ctx context.Context, fn func(*Worker)) (*Handle, er
 }
 
 // runOnCaller executes a shed submission synchronously on the submitting
-// goroutine: an ephemeral worker whose deque refuses every push makes all
-// spawns run inline, so the whole submission executes depth-first to
+// goroutine: an ephemeral worker whose deque is the zero deque.Deque, of
+// capacity zero, refuses every push and so makes all spawns run inline, so the whole submission executes depth-first to
 // completion before Submit returns (its Handle is already Done). The
 // ephemeral worker is not in Pool.workers: nothing steals from it and its
 // per-task counters are not folded into Stats — Stats.SubmitsCallerRun
@@ -343,19 +347,10 @@ func (p *Pool) runOnCaller(t *Task) {
 	w := &Worker{
 		pool: p,
 		id:   len(p.workers), // out of the victim range: never stolen from, excludes no victim
-		dq:   refuseDeque{},
+		dq:   &deque.Deque[Task]{},
 	}
 	w.execOrDrop(t, false)
 }
-
-// refuseDeque is the caller-runs worker's deque: capacity zero, so every
-// Spawn takes the inline-execution fallback.
-type refuseDeque struct{}
-
-func (refuseDeque) PushBottom(*Task) bool { return false }
-func (refuseDeque) PopBottom() *Task      { return nil }
-func (refuseDeque) PopTop() *Task         { return nil }
-func (refuseDeque) Len() int              { return 0 }
 
 // register adds a run to the active set endSession aborts.
 func (p *Pool) register(r *run) {

@@ -38,8 +38,8 @@ func panicFib(w *Worker, n int, tripped *bool) int {
 // poolAbortedError carrying it, and every spawn is accounted for once — run
 // (the panicking calls included, as exec counts them), or dropped.
 func TestWorkFirstPanicInPoppedBackChild(t *testing.T) {
-	forEachDeque(t, func(t *testing.T, kind DequeKind) {
-		p := New(Config{Workers: 1, Deque: kind})
+	forEachDeque(t, func(t *testing.T, kind dequeKind) {
+		p := newPool(kind, Config{Workers: 1})
 		var joinerSaw any
 		tripped := false
 		runPanic := func() (rec any) {
@@ -80,9 +80,9 @@ func TestWorkFirstPanicInPoppedBackChild(t *testing.T) {
 // discarded, not run, and counted under TasksCancelled — through Join2's
 // recycled Future and through a public Fork's.
 func TestWorkFirstCancelledJoinDropsPoppedBackFork(t *testing.T) {
-	forEachDeque(t, func(t *testing.T, kind DequeKind) {
+	forEachDeque(t, func(t *testing.T, kind dequeKind) {
 		for _, form := range []string{"Join2", "Fork"} {
-			p := New(Config{Workers: 1, Deque: kind})
+			p := newPool(kind, Config{Workers: 1})
 			ctx, cancel := context.WithCancel(context.Background())
 			var ran atomic.Bool
 			var joinerSaw any
@@ -121,8 +121,8 @@ func TestWorkFirstCancelledJoinDropsPoppedBackFork(t *testing.T) {
 // way help starts it, and the join carries on to its own fork. Every task
 // runs once, last in first out, and every result is right.
 func TestWorkFirstFallbackRunsTasksLeftAboveFork(t *testing.T) {
-	forEachDeque(t, func(t *testing.T, kind DequeKind) {
-		p := New(Config{Workers: 1, Deque: kind})
+	forEachDeque(t, func(t *testing.T, kind dequeKind) {
+		p := newPool(kind, Config{Workers: 1})
 		var order []string
 		var a, b, c int
 		p.Run(func(w *Worker) {
@@ -155,8 +155,8 @@ func TestWorkFirstFallbackRunsTasksLeftAboveFork(t *testing.T) {
 // fork takes the fallback and runs in the scope it carries, as exec runs
 // it, not in the joiner's.
 func TestWorkFirstForeignScopeForkTakesFallback(t *testing.T) {
-	forEachDeque(t, func(t *testing.T, kind DequeKind) {
-		p := New(Config{Workers: 2, Deque: kind})
+	forEachDeque(t, func(t *testing.T, kind dequeKind) {
+		p := newPool(kind, Config{Workers: 2})
 		var spawned, joined atomic.Bool
 		var fut *Future[int]
 		var ranIn, joinerIn *scope
@@ -206,16 +206,16 @@ func TestWorkFirstDequeCapacityLeafOrder(t *testing.T) {
 		3: {[]int{1, 0, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}, 1},
 	}
 	unbounded := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}
-	forEachDeque(t, func(t *testing.T, kind DequeKind) {
+	forEachDeque(t, func(t *testing.T, kind dequeKind) {
 		for capacity := 1; capacity <= 3; capacity++ {
-			p := New(Config{Workers: 1, Deque: kind, DequeCapacity: capacity})
+			p := newPool(kind, Config{Workers: 1, DequeCapacity: capacity})
 			var order []int
 			p.Run(func(w *Worker) {
 				ParallelFor(w, 0, 16, 1, func(i int) { order = append(order, i) })
 			})
 			s := p.Stats()
 			want, wantInline := bounded[capacity].order, bounded[capacity].inline
-			if kind == DequeChaseLev {
+			if kind == dequeChaseLev {
 				want, wantInline = unbounded, 0
 			}
 			if !reflect.DeepEqual(order, want) || s.InlineRuns != wantInline {
@@ -234,13 +234,13 @@ func TestWorkFirstDequeCapacityLeafOrder(t *testing.T) {
 // pop: the watchdog surfaces it, exempting the retired slot beside it, and
 // the run completes once it is resumed.
 func TestWorkFirstWatchdogSurfacesStalledJoin2Child(t *testing.T) {
-	forEachDeque(t, func(t *testing.T, kind DequeKind) {
+	forEachDeque(t, func(t *testing.T, kind dequeKind) {
 		defer fault.Reset()
 		reports := make(chan StallReport, 16)
 		const window = 25 * time.Millisecond
 		// One worker runs, so the child cannot be stolen; the second slot is
 		// retired, asleep and exempt.
-		p := New(Config{Workers: 1, MaxWorkers: 2, Deque: kind, StallTimeout: window, OnStall: func(r StallReport) {
+		p := newPool(kind, Config{Workers: 1, MaxWorkers: 2, StallTimeout: window, OnStall: func(r StallReport) {
 			select {
 			case reports <- r:
 			default:

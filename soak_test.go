@@ -70,19 +70,17 @@ func TestSoakLargeSim(t *testing.T) {
 	}
 }
 
-// TestSoakNativeLargeGraph runs a large dag natively with both deque kinds
-// (the mutex reference deque is internal/sched's tests' own; its
-// TestRunGraphAllWorkloads runs every workload shape on it).
+// TestSoakNativeLargeGraph runs a large dag natively on the pool's ABP
+// deque (the Chase–Lev and mutex deques are internal/sched's tests' own;
+// its TestRunGraphAllWorkloads runs every workload shape on them).
 func TestSoakNativeLargeGraph(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test")
 	}
 	g := workload.UnbalancedTree(5, 200000)
-	for _, kind := range []sched.DequeKind{sched.DequeABP, sched.DequeChaseLev} {
-		res := sched.RunGraph(sched.GraphConfig{Graph: g, Workers: 8, Deque: kind, Seed: 7})
-		if res.NodesExecuted != int64(g.NumNodes()) {
-			t.Fatalf("deque %d: executed %d of %d", kind, res.NodesExecuted, g.NumNodes())
-		}
+	res := sched.RunGraph(sched.GraphConfig{Graph: g, Workers: 8, Seed: 7})
+	if res.NodesExecuted != int64(g.NumNodes()) {
+		t.Fatalf("executed %d of %d", res.NodesExecuted, g.NumNodes())
 	}
 }
 
