@@ -38,7 +38,7 @@ func main() {
 		exp      = flag.String("experiment", "speedup", "speedup|contention|chaos|elastic")
 		nodeWork = flag.Int("nodework", 2000, "synthetic work per dag node (spin iterations)")
 		reps     = flag.Int("reps", 3, "repetitions per configuration (best time kept)")
-		stats    = flag.Bool("stats", false, "print the scheduler counter table (parks, wakes, backoff, ...) after each -experiment chaos row")
+		stats    = flag.Bool("stats", false, "print the scheduler counter table (parks, wakes, ...) after each -experiment chaos row")
 		faults   = flag.String("faults", "", "fault spec to arm for -experiment chaos (default: the ABP_FAULTS environment variable)")
 		out      = flag.String("out", "", "JSON snapshot path for -experiment elastic to write; without it the run prints its table and writes nothing")
 		check    = flag.String("check", "", "baseline BENCH_elastic.json to gate -experiment elastic against (exit 1 on a >10% regression)")

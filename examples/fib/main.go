@@ -60,6 +60,5 @@ func main() {
 	fmt.Printf("parallel %v on %d workers (speedup %.2f)\n",
 		parallel, pool.Workers(), float64(serial)/float64(parallel))
 	fmt.Printf("%d tasks, %d steals / %d attempts\n", s.TasksRun, s.Steals, s.StealAttempts)
-	fmt.Printf("idle lifecycle: %d parks, %d wakes, %v backing off\n",
-		s.Parks, s.Wakes, time.Duration(s.BackoffNanos).Round(time.Microsecond))
+	fmt.Printf("idle lifecycle: %d parks, %d wakes\n", s.Parks, s.Wakes)
 }

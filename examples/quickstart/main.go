@@ -42,7 +42,7 @@ func main() {
 	fmt.Println(hi, lo)
 
 	// The full counter table: besides tasks/steals it shows the idle
-	// lifecycle (parks, wakes, backoff) — idle workers park instead of
+	// lifecycle (parks, wakes) — idle workers park instead of
 	// spinning, so an idle pool costs ~0 CPU.
 	fmt.Print(pool.Stats())
 }

@@ -32,7 +32,8 @@
 //     call site on one). A sleeping poller is invisible to signallers: a
 //     wake arriving mid-nap silently waits out the remaining sleep, the
 //     exact PR-6 bug. The fix shape is park's register→re-check→block
-//     select on a wake token with a timer case (lifecycle.go).
+//     select on a wake token, plus a timer case if the wait is timed
+//     (lifecycle.go).
 //  3. wait-cycle — a cycle in the inter-root wait-for graph in which
 //     every signal that could release each wait is itself sequenced
 //     after the signaller's own escape-less wait, and no timeout/quit/
@@ -544,7 +545,7 @@ func (a *waitGraph) reportMissedSignals() {
 			continue // a one-shot delay, not a polling loop
 		}
 		a.pass.Reportf(w.node.Pos(),
-			"missed signal: bare time.Sleep in a polling loop on %s — a wake arriving mid-nap silently waits out the remaining sleep (the PR-6 invisible-nap bug); select on a wake token with a timer case instead (the park pattern, internal/sched/lifecycle.go) (//abp:wait-ignore with a justification to waive)",
+			"missed signal: bare time.Sleep in a polling loop on %s — a wake arriving mid-nap silently waits out the remaining sleep (the PR-6 invisible-nap bug); select on a wake token instead, with a timer case if the wait is timed (the park pattern, internal/sched/lifecycle.go) (//abp:wait-ignore with a justification to waive)",
 			goRoot.name())
 	}
 }

@@ -11,8 +11,8 @@
 //   - PR-6 invisible nap: backoff slept with a bare time.Sleep, so a
 //     napping worker was invisible to signalWork and a submission
 //     arriving mid-nap silently waited out the remaining sleep — up to
-//     ~127µs of wake latency. (The production fix selects on the wake
-//     token with a timer case; park in lifecycle.go.)
+//     ~127µs of wake latency. (The fix selected on the wake token with a
+//     timer case; park in lifecycle.go has since dropped the naps.)
 package seededwait
 
 import (

@@ -512,56 +512,48 @@ func TestChaosSuspendedThiefMidInjectorPoll(t *testing.T) {
 	}
 }
 
-// Regression test for the backoff-visibility bug (satellite fix in
-// lifecycle.go): a worker napping in the exponential-backoff phase used to
-// be invisible to signalWork — not counted idle, parked flag never set —
-// so a submission arriving mid-nap waited out the rest of the sleep
-// instead of being picked up immediately. The unified park path publishes
-// the idle count and status for naps too; this test freezes the
-// worker in the nap window (both published, sleep not begun) and proves a
-// Submit finds it signallable and its wake token cuts the nap short.
-func TestChaosBackoffNapVisibleToSignal(t *testing.T) {
+// A worker in the park window — status and idle count published, re-check
+// passed, not yet blocked in the select — is as visible to producers as one
+// asleep: otherwise a submission arriving in the window would wait for
+// whatever else woke the worker. Every idle episode crosses this window, so
+// the test freezes the worker there and proves a Submit finds it
+// signallable and its wake token ends the sleep at once.
+func TestChaosParkWindowVisibleToSignal(t *testing.T) {
 	defer fault.Reset()
-	fault.Enable(fpBackoffBeforeSleep, fault.Rule{Action: fault.ActionSuspend, OneShot: true})
+	fault.Enable(fpParkBeforeSleep, fault.Rule{Action: fault.ActionSuspend, OneShot: true})
 	p := New(Config{Workers: 1})
 	stop := startServing(t, p)
 	// The lone worker finds nothing, burns through the hot phase, and
-	// freezes entering its first backoff nap.
-	waitFor(t, 10*time.Second, "worker frozen entering its backoff nap", func() bool {
-		return fault.Suspended(fpBackoffBeforeSleep) == 1
+	// freezes entering its first park.
+	waitFor(t, 10*time.Second, "worker frozen entering its park", func() bool {
+		return fault.Suspended(fpParkBeforeSleep) == 1
 	})
-	// The fix under test: mid-backoff the worker is visible to producers —
-	// counted idle and reading idle — exactly like a fully parked one.
-	if got := p.idle.Load(); got < 1 {
-		t.Fatalf("idle count = %d with a worker in the backoff window, want >= 1", got)
+	if got := p.idle.Load(); got != 1 {
+		t.Fatalf("idle count = %d with the worker in the park window, want 1", got)
 	}
 	if !isIdle(p.workers[0]) {
-		t.Fatal("status not idle in the backoff window: the napping worker is invisible to signalWork")
+		t.Fatal("status not idle in the park window: the worker is invisible to signalWork")
 	}
 
-	wakes0 := p.Stats().Wakes
 	var ran atomic.Bool
 	h, err := p.Submit(func(*Worker) { ran.Store(true) })
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
-	// signalWork saw the flag and deposited a wake token; once resumed,
-	// the worker's select takes the token branch instead of sleeping out
-	// the nap, and the submission runs.
-	fault.Resume(fpBackoffBeforeSleep)
+	// signalWork read idle and left a token; once resumed, the worker's
+	// select takes it — the only other case is the session's quit, which
+	// nothing closes before the submission resolves — and the submission
+	// runs.
+	fault.Resume(fpParkBeforeSleep)
 	if werr := h.Wait(); werr != nil {
 		t.Fatalf("Wait: %v", werr)
 	}
 	if !ran.Load() {
 		t.Fatal("submission never ran")
 	}
-	// The token is there from the Submit on. The resumed worker's select
-	// takes it at once unless the 1us nap timer is ready too and wins the
-	// coin toss; the next nap takes it then. Without the fix there is no
-	// token and this never holds.
-	waitFor(t, 10*time.Second, "the napping worker to take the wake token Submit left it", func() bool {
-		return p.Stats().Wakes > wakes0
-	})
+	if s := p.Stats(); s.Wakes != 1 {
+		t.Fatalf("%d wakes: the sleep the worker was frozen entering did not end on the token Submit left it", s.Wakes)
+	}
 	if err := stop(); err == nil {
 		t.Fatal("Serve returned nil after cancellation")
 	}

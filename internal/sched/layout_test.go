@@ -40,10 +40,9 @@ func TestWorkerLayoutPins(t *testing.T) {
 		"pool": unsafe.Offsetof(w.pool), "dq": unsafe.Offsetof(w.dq), "parkCh": unsafe.Offsetof(w.parkCh),
 		"scope": scope, "nFutures": unsafe.Offsetof(w.nFutures), "nGroupTasks": unsafe.Offsetof(w.nGroupTasks),
 		"spawnsDue": unsafe.Offsetof(w.spawnsDue), "runsDue": unsafe.Offsetof(w.runsDue),
-		"folded": unsafe.Offsetof(w.folded), "napTimer": unsafe.Offsetof(w.napTimer),
-		"futures": unsafe.Offsetof(w.futures), "groupTasksEnd": unsafe.Offsetof(w.groupTasks) + unsafe.Sizeof(w.groupTasks) - 1,
+		"folded": unsafe.Offsetof(w.folded), "futures": unsafe.Offsetof(w.futures), "groupTasksEnd": unsafe.Offsetof(w.groupTasks) + unsafe.Sizeof(w.groupTasks) - 1,
 		"progress": unsafe.Offsetof(w.progress), "tasksRun": unsafe.Offsetof(w.tasksRun),
-		"backoffNanos": unsafe.Offsetof(w.backoffNanos),
+		"wakes": unsafe.Offsetof(w.wakes),
 	}
 	for name, off := range others {
 		if layoutLine(off) == layoutLine(status) {
@@ -56,7 +55,7 @@ func TestWorkerLayoutPins(t *testing.T) {
 	// lines other workers read.
 	firstLine := []string{"scope", "nFutures", "nGroupTasks", "spawnsDue", "runsDue", "folded"}
 	for _, shared := range []string{"pool", "dq", "parkCh"} {
-		for _, own := range append(firstLine, "napTimer", "futures", "groupTasksEnd", "backoffNanos") {
+		for _, own := range append(firstLine, "futures", "groupTasksEnd", "wakes") {
 			if layoutLine(others[own]) == layoutLine(others[shared]) {
 				t.Errorf("owner-written %s (offset %d) is on the line of %s (offset %d), which other workers read",
 					own, others[own], shared, others[shared])

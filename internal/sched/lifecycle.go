@@ -1,4 +1,4 @@
-// Worker lifecycle: backoff and parking for idle workers.
+// Worker lifecycle: parking for idle workers.
 //
 // The paper's Figure 3 loop spins forever — pop, yield, steal — because in
 // its model the kernel already charges a spinning thief's steal attempts
@@ -7,17 +7,14 @@
 // program's problem: every idle worker pins a full core at 100%. This file
 // adds the standard remedy, the one Go's own runtime (findRunnable ->
 // stopm/wakep) and ForkJoinPool use atop the same ABP-style deques: after
-// ParkThreshold consecutive failed steal attempts a worker backs off with
-// exponentially growing naps, then parks on a per-worker token channel.
-// Spawn and Submit wake one idle worker whenever they make new work
-// available.
+// ParkThreshold consecutive failed steal attempts a worker parks on a
+// per-worker token channel. Spawn and Submit wake one idle worker whenever
+// they make new work available.
 //
-// A nap and a park are one sleep (park) and equally interruptible: the
-// worker moves its status word from running to idle (pool.go has the
-// word's diagram), counts itself in Pool.idle, re-checks for work, and only
-// then blocks, selecting on its wake token, the session's quit channel and —
-// for a nap — its timer. A napping worker is therefore as visible to
-// signalWork as a parked one.
+// To park, the worker moves its status word from running to idle (pool.go
+// has the word's diagram), counts itself in Pool.idle, re-checks for work,
+// and only then blocks, selecting on its wake token and the session's quit
+// channel.
 //
 // Lost-wakeup freedom is the usual Dekker argument over Go's sequentially
 // consistent atomics: a producer publishes work (an atomic store inside the
@@ -28,19 +25,17 @@
 // while a worker is going to sleep either earns that worker a wake token or
 // is seen by its pre-block re-check. Spurious wake tokens are harmless (the
 // worker scans, finds nothing, and goes back to sleep); only lost ones
-// would be fatal. The argument is indifferent to whether the sleep is
-// timed: a nap that can only be cut short errs on the side of waking,
-// never of sleeping. status_model_test.go explores the protocol, Resize's
+// would be fatal. status_model_test.go explores the protocol, Resize's
 // edges of the word included, and catches the re-check moved ahead of the
 // publication.
 //
 // Termination needs no flag-spinning either: the session teardown
 // (Pool.endSession) closes the session's quit channel, waking every
-// parked, napping or retired worker at once so the pool shuts down cleanly
-// — the stopping phase is only the loop-exit condition, never a spin
-// target. A retired worker's sleep (sleepRetired, resize.go) is the third
-// on the same two channels, and no part of the handshake: it is nobody's
-// wake target, and only the grow that stored running sends its token.
+// parked or retired worker at once so the pool shuts down cleanly — the
+// stopping phase is only the loop-exit condition, never a spin target. A
+// retired worker's sleep (sleepRetired, resize.go) is the second on the same
+// two channels, and no part of the handshake: it is nobody's wake target,
+// and only the grow that stored running sends its token.
 //
 // The paper's yield discipline is preserved where it matters: in the hot
 // phase (below the threshold) a thief still calls runtime.Gosched between
@@ -52,31 +47,21 @@ package sched
 
 import (
 	"runtime"
-	"time"
 
 	"worksteal/internal/fault"
 )
 
-const (
-	// backoffSteps naps of backoffBase<<step precede parking
-	// (1us..64us, ~127us total): work arriving shortly after a worker
-	// goes idle is picked up with microsecond latency, while longer
-	// idle gaps cost one park/wake round trip.
-	backoffSteps = 7
-	backoffBase  = time.Microsecond
-
-	// injectorPollPeriod is how often (in loop iterations) a busy worker
-	// checks the injector ahead of its local deque, bounding how
-	// long a deep local backlog can starve external submissions — the Go
-	// runtime's schedule()-checks-the-global-queue-every-61-ticks idiom,
-	// prime for the same reason (avoids resonance with task-tree shapes).
-	injectorPollPeriod = 61
-)
+// injectorPollPeriod is how often (in loop iterations) a busy worker
+// checks the injector ahead of its local deque, bounding how long a deep
+// local backlog can starve external submissions — the Go runtime's
+// schedule()-checks-the-global-queue-every-61-ticks idiom, prime for the
+// same reason (avoids resonance with task-tree shapes).
+const injectorPollPeriod = 61
 
 // loop is the Figure 3 scheduling loop — pop the bottom of the local
 // deque; when empty, yield and steal from the top of a random victim —
 // extended with the injector polls that feed external submissions in and
-// wrapped in the backoff/parking lifecycle described above.
+// wrapped in the parking lifecycle described above.
 //
 //abp:owner the worker goroutine is its deque's single owner for the run
 func (w *Worker) loop() {
@@ -153,37 +138,30 @@ func (w *Worker) recoverLoopPanic() {
 	}
 }
 
-// idleWait escalates an idle worker through the lifecycle: hot spinning
-// below ParkThreshold, then exponentially growing interruptible naps, then
-// parking outright. It reports whether the worker was woken by a work
-// signal (the caller restarts the hot phase); a nap that merely timed out
-// returns false so the escalation continues.
+// idleWait is an idle worker's lifecycle: hot rounds below ParkThreshold,
+// then a park. It reports whether the worker was woken by a work signal (the
+// caller restarts the hot phase); a park that ended otherwise — the re-check
+// saw work, a retire mark, the session's end — leaves the count where it
+// is, so the next failed round parks again.
 func (w *Worker) idleWait(fails int) bool {
-	step := fails - w.pool.cfg.ParkThreshold
-	if step < 0 {
-		return false
-	}
-	if step < backoffSteps {
-		return w.park(backoffBase << step)
-	}
-	return w.park(0)
+	return fails >= w.pool.cfg.ParkThreshold && w.park()
 }
 
-// park blocks the worker — for at most d if d > 0 (a backoff nap), else
-// until signalled — and reports whether it was woken by a work signal. It is
-// the consumer half of the Dekker protocol with signalWork: publish the idle
-// status and count, then re-check for work, and only then sleep on the wake
-// token. The handshake directive makes abplint verify that ordering: the
-// status CAS must dominate the anyVisibleWork re-scan, and every access to
-// the word must be atomic. The entry CAS fails only against a retire mark:
-// a marked worker does not fall asleep, its loop retires it. The exit CAS
-// fails only against one set during the sleep, by a Resize that also sent
-// a token: whatever ended the select, that sleep ends as a wake does, at
-// the loop top, which acts on the mark. The session quit channel (closed by
-// endSession) bounds every sleep at shutdown.
+// park blocks the worker until signalled and reports whether it was woken
+// by a work signal. It is the consumer half of the Dekker protocol with
+// signalWork: publish the idle status and count, then re-check for work,
+// and only then sleep on the wake token. The handshake directive makes
+// abplint verify that ordering: the status CAS must dominate the
+// anyVisibleWork re-scan, and every access to the word must be atomic. The
+// entry CAS fails only against a retire mark: a marked worker does not fall
+// asleep, its loop retires it. The exit CAS fails only against one set
+// during the sleep, by a Resize that also sent a token: whatever ended the
+// select, that sleep ends as a wake does, at the loop top, which acts on
+// the mark. The session quit channel (closed by endSession) bounds every
+// sleep at shutdown.
 //
 //abp:handshake store=status load=anyVisibleWork
-func (w *Worker) park(d time.Duration) bool {
+func (w *Worker) park() bool {
 	p := w.pool
 	if !w.status.CompareAndSwap(workerRunning, workerIdle) {
 		return false
@@ -191,49 +169,18 @@ func (w *Worker) park(d time.Duration) bool {
 	p.idle.Add(1)
 	woke := false
 	if p.phase.Load() != phaseStopping && !w.anyVisibleWork() {
-		// The two chaos windows: status and count are published and the
-		// re-check passed, but the worker is not yet blocked — a suspension
-		// here models preemption between those instructions. A submission
+		w.parks.Add(1)
+		// The chaos window: status and count are published and the re-check
+		// passed, but the worker is not yet blocked — a suspension here
+		// models preemption between those instructions. A submission
 		// arriving now must find the worker signallable, and a shutdown
 		// must still wake it.
-		var timeout <-chan time.Time // nil for a park: never ready
-		var start time.Time
-		if d > 0 {
-			fault.Point(fpBackoffBeforeSleep)
-			start = time.Now()
-			// One timer serves all of the worker's naps: the last one left it
-			// stopped with its channel empty (below).
-			if w.napTimer == nil {
-				w.napTimer = time.NewTimer(d)
-			} else {
-				w.napTimer.Reset(d)
-			}
-			timeout = w.napTimer.C
-		} else {
-			w.parks.Add(1)
-			fault.Point(fpParkBeforeSleep)
-		}
-		timedOut := false
+		fault.Point(fpParkBeforeSleep)
 		select {
 		case <-w.parkCh:
 			w.wakes.Add(1)
 			woke = true
-		case <-timeout:
-			timedOut = true
 		case <-p.sess.quit: // session shutdown: run ended, Serve stopping, or abort
-		}
-		if d > 0 {
-			// Leave the timer stopped and its channel empty for the next nap: a
-			// nap cut short has not received the tick, so a Stop that comes too
-			// late to prevent it waits for it (it is sent by then, or about to
-			// be) instead of leaving it for the next nap to read as its timeout.
-			// That is the idiom for the timer channels go.mod's go 1.22 selects;
-			// with the unbuffered ones of go 1.23 Stop discards a tick nobody
-			// received and reports true, so the receive is never reached.
-			if !timedOut && !w.napTimer.Stop() {
-				<-w.napTimer.C
-			}
-			w.backoffNanos.Add(int64(time.Since(start)))
 		}
 	}
 	if !w.status.CompareAndSwap(workerIdle, workerRunning) {
@@ -243,10 +190,9 @@ func (w *Worker) park(d time.Duration) bool {
 	return woke
 }
 
-// signalWork wakes one idle worker — parked or napping in backoff — if any.
-// The caller must already have made the new work visible (pushed it onto a
-// deque or reserved an injector cell); see the Dekker argument in the file
-// comment.
+// signalWork wakes one idle worker, if any. The caller must already have
+// made the new work visible (pushed it onto a deque or reserved an injector
+// cell); see the Dekker argument in the file comment.
 //
 // The scan starts at a rotating cursor rather than index zero: a fixed
 // start always wakes the lowest-indexed parked worker, so under a trickle

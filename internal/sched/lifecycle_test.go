@@ -64,8 +64,8 @@ func (r *rejectFirstPush) PushBottom(t *Task) bool {
 	return r.Dequer.PushBottom(t)
 }
 
-// isIdle reports whether w is a wake target as signalWork sees it: asleep
-// in a nap or a park, or committed to one.
+// isIdle reports whether w is a wake target as signalWork sees it: parked,
+// or on the way in or out of a park.
 func isIdle(w *Worker) bool { return w.status.Load() == workerIdle }
 
 // Run used to ignore PushBottom's boolean for the root task; a refusal
@@ -138,9 +138,9 @@ func awaitParks(t *testing.T, p *Pool, n int64) bool {
 
 // While one worker runs a long serial task, the rest must park rather
 // than spin: a spinning worker makes millions of steal attempts per
-// second, a parked one makes roughly parkThreshold + backoffSteps on its
-// way there and none after. The root holds the run open until every idle
-// worker has parked, however long the host takes to let them.
+// second, a parked one makes roughly ParkThreshold on its way there and
+// none after. The root holds the run open until every idle worker has
+// parked, however long the host takes to let them.
 func TestParkedWorkersDoNotSpin(t *testing.T) {
 	const workers = 4
 	p := New(Config{Workers: workers})
@@ -149,8 +149,8 @@ func TestParkedWorkersDoNotSpin(t *testing.T) {
 	if s.StealAttempts > 100_000 {
 		t.Fatalf("%d steal attempts during an idle run: workers are spinning, not parking", s.StealAttempts)
 	}
-	if s.BackoffNanos == 0 {
-		t.Fatal("no backoff recorded before parking")
+	if s.Parks < workers-1 {
+		t.Fatalf("%d parks during an idle run of %d workers, want at least %d", s.Parks, workers, workers-1)
 	}
 }
 
@@ -247,12 +247,12 @@ func TestParkedWorkersWakeForNewWork(t *testing.T) {
 }
 
 // A threshold no count of failed steals reaches is the paper's pure spinning
-// loop: no nap, no park.
+// loop: no park.
 func TestParkThresholdMaxIntNeverParks(t *testing.T) {
 	p := New(Config{Workers: 4, ParkThreshold: math.MaxInt})
 	p.Run(func(w *Worker) { time.Sleep(5 * time.Millisecond) })
-	if s := p.Stats(); s.Parks != 0 || s.BackoffNanos != 0 {
-		t.Fatalf("parks=%d backoff=%d with ParkThreshold: math.MaxInt", s.Parks, s.BackoffNanos)
+	if s := p.Stats(); s.Parks != 0 {
+		t.Fatalf("parks=%d with ParkThreshold: math.MaxInt", s.Parks)
 	}
 }
 
@@ -294,7 +294,7 @@ func TestStatsString(t *testing.T) {
 	p := New(Config{Workers: 2})
 	p.Run(func(w *Worker) { _ = fibPar(w, 15, 5) })
 	out := p.Stats().String()
-	for _, field := range []string{"tasks-run", "spawns", "steals", "parks", "wakes", "backoff", "tasks-dropped", "tasks-cancelled", "stalls"} {
+	for _, field := range []string{"tasks-run", "spawns", "steals", "parks", "wakes", "tasks-dropped", "tasks-cancelled", "stalls"} {
 		if !strings.Contains(out, field) {
 			t.Fatalf("Stats.String missing %q:\n%s", field, out)
 		}
@@ -306,9 +306,9 @@ func TestStatsString(t *testing.T) {
 // woke worker 0 every single time while the rest slept cold. The rotating
 // cursor spreads wakes; this test submits one task per fully-parked
 // round and asserts the wakes land on (nearly) the whole fleet. The
-// tolerance of one worker absorbs timer-expiry races: a napping worker
-// whose timer fires just before the token arrives leaves the token to be
-// absorbed by its own next park rather than the rotation's choice.
+// tolerance of one worker absorbs a token left to a worker on its way out
+// of a park — its re-check saw the submission — which its next park then
+// absorbs in place of the rotation's choice.
 func TestSignalWorkWakeFairness(t *testing.T) {
 	const workers = 4
 	p := New(Config{Workers: workers, ParkThreshold: 2})
@@ -354,37 +354,4 @@ func TestParkThresholdValidation(t *testing.T) {
 		}
 	}()
 	New(Config{Workers: 2, ParkThreshold: -1})
-}
-
-// The one nap timer a worker re-arms: a nap of a nanosecond that a wake
-// token ends leaves a timer that has fired, or is about to, with a tick
-// nobody received; one that times out leaves it expired. Either way the
-// nap after it must last its length, not read a leftover tick as its own
-// timeout, and it makes no second timer.
-func TestNapTimerLeftoverTickIsNotTheNextTimeout(t *testing.T) {
-	p := New(Config{Workers: 1})
-	p.sess = &session{} // a session nothing ends: the test goroutine stands in for its one worker's
-	w := p.workers[0]
-	const long = 2 * time.Millisecond
-	for i := 0; i < 100; i++ {
-		if i%2 == 0 {
-			w.parkCh <- struct{}{}
-		}
-		w.park(time.Nanosecond)
-		select {
-		case <-w.parkCh: // both were ready and the select took the tick
-		default:
-		}
-		first := w.napTimer
-		start := time.Now()
-		if w.park(long) {
-			t.Fatalf("nap %d was woken with no token sent", i)
-		}
-		if took := time.Since(start); took < long {
-			t.Fatalf("nap %d of %v ended after %v: it read the tick the nap before it left behind", i, long, took)
-		}
-		if w.napTimer != first {
-			t.Fatalf("nap %d made a second timer", i)
-		}
-	}
 }

@@ -5,7 +5,7 @@
 // steals from the top of a uniformly random victim's deque — exactly the
 // Figure 3 scheduling loop, with Go's runtime playing the kernel. Unlike
 // Figure 3, an idle worker does not spin forever: after repeated failed
-// steals it backs off and parks, and Spawn wakes it when stealable work
+// steals it parks, and Spawn wakes it when stealable work
 // appears (see lifecycle.go for the protocol and why it preserves the
 // paper's yield semantics).
 //
@@ -71,8 +71,6 @@ var (
 		"exec: termination accounting armed, task function not yet entered")
 	fpParkBeforeSleep = fault.Register("sched.park.beforeSleep",
 		"park: idle status published and re-check passed, not yet blocked on the token channel")
-	fpBackoffBeforeSleep = fault.Register("sched.backoff.beforeSleep",
-		"backoff: idle status published and re-check passed, timed nap not yet entered")
 )
 
 // Config configures a Pool.
@@ -102,11 +100,11 @@ type Config struct {
 	// ShedCallerRuns executes the submission on the submitting goroutine.
 	Overload OverloadPolicy
 	// ParkThreshold is the number of consecutive failed steal attempts
-	// after which an idle worker starts backing off toward parking
-	// (lifecycle.go). 0 means the default, max(8, 2*Workers), enough hot
-	// rounds that a random thief has touched most victims before giving up.
+	// after which an idle worker parks (lifecycle.go). 0 means the
+	// default, max(8, 2*Workers), enough hot rounds that a random thief
+	// has touched most victims before giving up.
 	// math.MaxInt is never reached, so it is the paper's pure spinning loop
-	// — yield and steal forever, no nap, no park — at a full core per idle
+	// — yield and steal forever, no park — at a full core per idle
 	// worker.
 	ParkThreshold int
 	// Seed seeds victim selection; 0 means a fixed default.
@@ -183,7 +181,7 @@ type Pool struct {
 	_      atomicx.CacheLinePad
 	wakeRR atomicx.SCUint32 // wake scan rotation (signalWork, lifecycle.go)
 	_      atomicx.CacheLinePad
-	idle   atomicx.SCInt32 // workers parked or in a backoff nap (lifecycle.go)
+	idle   atomicx.SCInt32 // workers parked or on the way in or out of park (lifecycle.go)
 	_      atomicx.CacheLinePad
 	// fleet bounds the victim range: stealOnce draws from workers
 	// [0, fleet), and every non-empty deque is inside it (resize.go has the
@@ -255,8 +253,8 @@ type session struct {
 	stop     chan struct{}
 	stopOnce sync.Once
 	cause    any
-	// quit is closed by endSession: it wakes every worker asleep — parked,
-	// napping or retired — stops the watchdog and releases a Drain.
+	// quit is closed by endSession: it wakes every worker asleep — parked
+	// or retired — stops the watchdog and releases a Drain.
 	quit chan struct{}
 }
 
@@ -314,7 +312,6 @@ type Worker struct {
 	// added to spawns, tasksRun and progress (flush); folded is the calls
 	// whose scope release the exec in flight makes for them (Future.call).
 	spawnsDue, runsDue, folded int64
-	napTimer                   *time.Timer // park's backoff naps re-arm this one timer
 	futures                    [maxFreeRecords]any
 	groupTasks                 [maxFreeRecords]*groupTask
 
@@ -337,7 +334,6 @@ type Worker struct {
 	yields        atomicx.Publish64
 	parks         atomicx.SCInt64
 	wakes         atomicx.SCInt64
-	backoffNanos  atomicx.SCInt64
 
 	// status (the constants above) is park's half of the wake handshake
 	// (//abp:handshake store=status load=anyVisibleWork) and the word
@@ -654,7 +650,6 @@ func (p *Pool) Stats() Stats {
 		s.Yields += w.yields.Load()
 		s.Parks += w.parks.Load()
 		s.Wakes += w.wakes.Load()
-		s.BackoffNanos += w.backoffNanos.Load()
 	}
 	return s
 }

@@ -451,8 +451,8 @@ func TestSubmitAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	// A worker that spins never naps, so the pins do not depend on whether
-	// this run made the one nap timer.
+	// A worker that spins never parks, so each submission is picked up
+	// without a wake whatever the host's timing.
 	p := New(Config{Workers: 1, ParkThreshold: math.MaxInt})
 	stop := startServing(t, p)
 	type submitFunc func(func(*Worker)) (*Handle, error)

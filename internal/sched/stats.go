@@ -3,7 +3,6 @@ package sched
 import (
 	"fmt"
 	"strings"
-	"time"
 )
 
 // Stats aggregates per-worker scheduler counters. All counters accumulate
@@ -25,9 +24,15 @@ type Stats struct {
 	Steals         int64
 	StealAttempts  int64
 	Yields         int64
-	Parks          int64 // times a worker blocked outright on its park channel
-	Wakes          int64 // idle workers (parked or napping) woken by a work signal
-	BackoffNanos   int64 // total time idle workers spent in backoff naps
+	Parks          int64 // times an idle worker blocked on its park channel
+	Wakes          int64 // parked workers woken by a work signal
+	// BackoffNanos is always 0. It was the time idle workers spent in
+	// timed naps on their way to a park; a worker now parks straight after
+	// its hot rounds, with no nap to time.
+	//
+	// Deprecated: kept so that readers which compute a share from it still
+	// build; Parks and Wakes describe the idle path.
+	BackoffNanos int64
 
 	// Service-mode counters (serve.go).
 	Submitted        int64 // submissions accepted onto the injector
@@ -57,7 +62,6 @@ func (s Stats) String() string {
 	row("yields", s.Yields)
 	row("parks", s.Parks)
 	row("wakes", s.Wakes)
-	row("backoff", time.Duration(s.BackoffNanos).Round(time.Microsecond))
 	row("submitted", s.Submitted)
 	row("submits-rejected", s.SubmitsRejected)
 	row("submits-callerrun", s.SubmitsCallerRun)

@@ -8,16 +8,16 @@ import (
 // This file model-checks the worker status word (pool.go, lifecycle.go,
 // resize.go) on the explorer of model_test.go. The actors: two workers
 // (loop top with its read of the word, a search that takes the work if
-// there is any, park — entry CAS, idle count, re-check, a sleep that is a
-// nap or a park, exit CAS — retire with its baton, and the retired sleep);
+// there is any, park — entry CAS, idle count, re-check, sleep, exit CAS —
+// retire with its baton, and the retired sleep);
 // a producer (push, idle load, status scan in either rotation, token); and
 // a Resize that shrinks worker 1 away and grows it back — the reactivating
 // CAS, or the store and then the token — at any time. Checked:
 //
 //   - the status words only move along the diagram;
 //   - no lost wakeup: once the producer has returned, unclaimed work never
-//     coexists with a fleet of which every member is asleep — a nap counts —
-//     without a token. That is also what a worker which takes a token and
+//     coexists with a fleet of which every member is asleep without a
+//     token. That is also what a worker which takes a token and
 //     then retires without passing the baton leaves behind;
 //   - at quiescence no worker sleeps on without being a wake target, and
 //     worker 1, grown back, does not sleep retired.
@@ -43,12 +43,12 @@ const (
 var smScan = [4]int{0, 1, 1, 0}
 
 type smState struct {
-	status       [2]uint32
-	pc           [2]int8
-	timed, token [2]bool // the sleep is a nap; a token is in parkCh
-	idle, work   int8
-	prod, res    int8   // steps of the producer (from smBaton-1: the push) and of the Resize
-	loaded       uint32 // the status the Resize's CAS expects
+	status     [2]uint32
+	pc         [2]int8
+	token      [2]bool // a token is in parkCh
+	idle, work int8
+	prod, res  int8   // steps of the producer (from smBaton-1: the push) and of the Resize
+	loaded     uint32 // the status the Resize's CAS expects
 }
 
 type statusModel struct {
@@ -149,9 +149,6 @@ func (m *statusModel) worker(s smState, w int) []smState {
 			break
 		}
 		*pc = smCount
-		nap := s
-		s.timed[w], nap.timed[w] = false, true
-		return []smState{s, nap}
 	case smCount:
 		if s.idle, *pc = s.idle+1, smRecheck; m.recheckFirst {
 			*pc = smSleep
@@ -160,22 +157,14 @@ func (m *statusModel) worker(s smState, w int) []smState {
 		if *pc = smSleep; s.work > 0 {
 			*pc = smExit
 		}
-	case smSleep: // the select: the token, the nap's timer, or neither yet
-		var out []smState
-		if s.token[w] {
-			n := s
-			n.token[w], n.pc[w] = false, smExit
-			out = append(out, n)
+	case smSleep: // the select: the token, or not yet
+		if !s.token[w] {
+			return nil
 		}
-		if s.timed[w] {
-			n := s
-			n.pc[w] = smExit
-			out = append(out, n)
-		}
-		return out
+		s.token[w], *pc = false, smExit
 	case smExit:
 		s.cas(w, workerIdle, workerRunning)
-		s.timed[w], *pc = false, smUncount
+		*pc = smUncount
 	case smUncount:
 		s.idle, *pc = s.idle-1, smTop
 	case smRetire:

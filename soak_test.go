@@ -86,10 +86,10 @@ func TestSoakNativeLargeGraph(t *testing.T) {
 
 // TestSoakServeParkWakeChurn drives a long-lived Serve session through
 // many burst/idle cycles: each idle gap is long enough for the whole
-// fleet to back off and park, so every burst must win the park/wake
+// fleet to park, so every burst must win the park/wake
 // Dekker handshake again from a cold start. This is the liveness property
-// abpwait checks statically — no submission may be lost to a parked or
-// napping fleet — exercised dynamically a few hundred times in one
+// abpwait checks statically — no submission may be lost to a parked
+// fleet — exercised dynamically a few hundred times in one
 // session. Every handle completing is the whole assertion; the stats
 // checks only confirm the test really parked and woke workers rather
 // than catching the fleet hot.
@@ -152,7 +152,7 @@ func TestSoakServeParkWakeChurn(t *testing.T) {
 			}
 		}
 		if round%3 == 0 {
-			// Longer than the full backoff ladder: the fleet ends the gap
+			// Longer than the hot rounds before a park: the fleet ends the gap
 			// parked, and the next burst starts from a cold handshake.
 			time.Sleep(2 * time.Millisecond)
 		}
