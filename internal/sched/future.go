@@ -82,7 +82,7 @@ func (x *waitWord) finish() {
 // anything.
 func (x *waitWord) isDone() bool { return x.p.Load() == doneWait }
 
-// maxFreeRecords is the slot count of each of a worker's two free lists
+// maxFreeRecords is the slot count of each of a worker's three free lists
 // (DESIGN.md §7, "Record recycling"): deep enough for the joins a fork-join
 // recursion has in flight on one worker and for a wide Group fan-out.
 //
@@ -92,6 +92,40 @@ func (x *waitWord) isDone() bool { return x.p.Load() == doneWait }
 // the depth may still name a record — in use, or abandoned by a joiner
 // that unwound — which only a later free overwrites.
 const maxFreeRecords = 64
+
+// takeRecord pops the record on top of a free list — the slots below depth —
+// if it is an R. The lists of generic records (Futures, range records) hold
+// one type at a time, in slots of type any: the Worker is not generic.
+//
+//abp:owner the free lists belong to the goroutine running the worker
+func takeRecord[R comparable](slots *[maxFreeRecords]any, depth *int32) (r R, ok bool) {
+	if n := *depth; n > 0 {
+		if r, ok = slots[n-1].(R); ok {
+			*depth = n - 1
+		}
+	}
+	return r, ok
+}
+
+// putRecord pushes r on a free list, emptying the list first if it holds
+// records of another type, and drops r when the list is at its bound.
+//
+//abp:owner the free lists belong to the goroutine running the worker
+func putRecord[R comparable](slots *[maxFreeRecords]any, depth *int32, r R) {
+	n := *depth
+	if n > 0 {
+		if _, ok := slots[n-1].(R); !ok {
+			n = 0
+		}
+	}
+	if n == maxFreeRecords {
+		return
+	}
+	if g, _ := slots[n].(R); g != r {
+		slots[n] = r
+	}
+	*depth = n + 1
+}
 
 // callFlushPeriod is how many popped-back calls a worker counts between
 // flushes inside one task, so that a long recursion of calls shows the
@@ -118,8 +152,9 @@ type Future[T any] struct {
 // full), so in the common un-stolen case Join pops it right back and calls
 // fn — the depth-first order the paper notes is "often used" (lazy task
 // creation). The caller keeps the Future, so it is the collector's; the
-// forks inside Join2, Reduce and ParallelFor take theirs from the worker's
-// free list (takeFuture) and are otherwise this.
+// fork inside Join2 takes its Future from the worker's free list
+// (takeFuture), and the forks of Reduce and ParallelFor are range records
+// that embed theirs (parallel.go); each is otherwise this.
 func Fork[T any](w *Worker, fn func(*Worker) T) *Future[T] {
 	return new(Future[T]).fork(w, fn)
 }
@@ -127,22 +162,22 @@ func Fork[T any](w *Worker, fn func(*Worker) T) *Future[T] {
 // fork makes the pending Future f the task that runs fn, and spawns it.
 func (f *Future[T]) fork(w *Worker, fn func(*Worker) T) *Future[T] {
 	f.fn = fn
+	f.start(w)
+	return f
+}
+
+// start spawns the pending Future f as the task that runs f.fn.
+func (f *Future[T]) start(w *Worker) {
 	w.bind(&f.task, f)
 	w.spawn(&f.task)
-	return f
 }
 
 // takeFuture returns a pending Future for a fork whose Future never reaches
 // user code: the one w freed last, or a new one when the list is empty or
 // holds Futures of another result type.
-//
-//abp:owner the free lists belong to the goroutine running the worker
 func takeFuture[T any](w *Worker) *Future[T] {
-	if n := w.nFutures; n > 0 {
-		if f, ok := w.futures[n-1].(*Future[T]); ok {
-			w.nFutures = n - 1
-			return f
-		}
+	if f, ok := takeRecord[*Future[T]](&w.futures, &w.nFutures); ok {
+		return f
 	}
 	return new(Future[T])
 }
@@ -158,19 +193,7 @@ func takeFuture[T any](w *Worker) *Future[T] {
 func (f *Future[T]) free(w *Worker) {
 	var zero T
 	f.fn, f.result = nil, zero
-	n := w.nFutures
-	if n > 0 {
-		if _, ok := w.futures[n-1].(*Future[T]); !ok {
-			n = 0
-		}
-	}
-	if n == maxFreeRecords {
-		return
-	}
-	if g, _ := w.futures[n].(*Future[T]); g != f {
-		w.futures[n] = f
-	}
-	w.nFutures = n + 1
+	putRecord(&w.futures, &w.nFutures, f)
 }
 
 // runTask is the forked task when its joiner does not call it: compute,
@@ -259,6 +282,7 @@ func (f *Future[T]) Done() bool { return f.ch.isDone() }
 // joinFree is Join for a Future from takeFuture: the Future goes back to
 // w's free list once its result is out. A called task had no completer, so
 // the word is still nil; else the Swap has returned and the joiner resets it.
+// rangeTask.joinFree is this join with the range record's free.
 func (f *Future[T]) joinFree(w *Worker) T {
 	if !f.Done() && w.popBack(&f.task) {
 		f.call(w)

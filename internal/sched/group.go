@@ -31,21 +31,24 @@ type Group struct {
 // NewGroup returns an empty group.
 func NewGroup() *Group { return &Group{} }
 
-// groupTask is a group member: the task, its body and its group in one
-// record, which never reaches user code and is recycled through the
-// workers' free lists (DESIGN.md §7, "Record recycling").
+// groupTask is a spawned task: the task, its body and its group — nil for
+// Worker.Spawn's — in one record, which never reaches user code and is
+// recycled through the workers' free lists (DESIGN.md §7, "Record
+// recycling").
 type groupTask struct {
 	task Task
 	g    *Group
 	fn   func(*Worker)
 }
 
-// runTask runs the member and, if it returns, gives the record to the
-// worker that ran it: popping the task made this worker its only holder,
-// and exec does not look at the task again. A member that panics leaves
-// its record to the collector.
+// runTask runs the task and, if it returns, gives the record to the worker
+// that ran it: popping the task made this worker its only holder, and exec
+// does not look at the task again. A task that panics leaves its record to
+// the collector; a member ends in its group either way.
 func (t *groupTask) runTask(w *Worker) {
-	defer t.g.done()
+	if t.g != nil {
+		defer t.g.done()
+	}
 	t.fn(w)
 	w.freeGroupTask(t)
 }
@@ -53,10 +56,7 @@ func (t *groupTask) runTask(w *Worker) {
 // Spawn schedules fn as part of the group.
 func (g *Group) Spawn(w *Worker, fn func(*Worker)) {
 	g.pending.Add(1)
-	t := w.takeGroupTask()
-	t.g, t.fn = g, fn
-	w.bind(&t.task, t)
-	w.spawn(&t.task)
+	w.spawnMember(g, fn)
 }
 
 // takeGroupTask returns an empty record: the one w freed last, or a new one.
@@ -70,9 +70,9 @@ func (w *Worker) takeGroupTask() *groupTask {
 	return w.groupTasks[w.nGroupTasks]
 }
 
-// freeGroupTask puts a record whose member has returned on w's list, or
+// freeGroupTask puts a record whose task has returned on w's list, or
 // drops it when the list is at its bound — which is what keeps a thief
-// that runs a long burst of another worker's members from hoarding them.
+// that runs a long burst of another worker's spawns from hoarding them.
 //
 //abp:owner the free lists belong to the goroutine running the worker
 func (w *Worker) freeGroupTask(t *groupTask) {

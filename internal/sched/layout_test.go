@@ -30,7 +30,7 @@ func TestInjectorLayoutPins(t *testing.T) {
 // signalWork scans, parkers CAS, and Resize arbitrates retirement on — has
 // a cache line to itself, clear of the wiring every thief reads and of the
 // block only the owner writes, and that the owner's block starts on a line
-// boundary with the words a popped-back fork writes — both free-list
+// boundary with the words a popped-back fork writes — the free-list
 // depths, the due counts and the fold count — on its first line.
 func TestWorkerLayoutPins(t *testing.T) {
 	var w Worker
@@ -38,8 +38,8 @@ func TestWorkerLayoutPins(t *testing.T) {
 	scope := unsafe.Offsetof(w.scope)
 	others := map[string]uintptr{
 		"pool": unsafe.Offsetof(w.pool), "dq": unsafe.Offsetof(w.dq), "parkCh": unsafe.Offsetof(w.parkCh),
-		"scope": scope, "nFutures": unsafe.Offsetof(w.nFutures), "nGroupTasks": unsafe.Offsetof(w.nGroupTasks),
-		"spawnsDue": unsafe.Offsetof(w.spawnsDue), "runsDue": unsafe.Offsetof(w.runsDue),
+		"scope": scope, "nFutures": unsafe.Offsetof(w.nFutures), "nRanges": unsafe.Offsetof(w.nRanges),
+		"nGroupTasks": unsafe.Offsetof(w.nGroupTasks), "spawnsDue": unsafe.Offsetof(w.spawnsDue), "runsDue": unsafe.Offsetof(w.runsDue),
 		"folded": unsafe.Offsetof(w.folded), "futures": unsafe.Offsetof(w.futures), "groupTasksEnd": unsafe.Offsetof(w.groupTasks) + unsafe.Sizeof(w.groupTasks) - 1,
 		"progress": unsafe.Offsetof(w.progress), "tasksRun": unsafe.Offsetof(w.tasksRun),
 		"wakes": unsafe.Offsetof(w.wakes),
@@ -53,7 +53,7 @@ func TestWorkerLayoutPins(t *testing.T) {
 	// per task — scope and folded twice in exec, a count per fork and per
 	// call, a depth and a slot per fork and per join — is on none of the
 	// lines other workers read.
-	firstLine := []string{"scope", "nFutures", "nGroupTasks", "spawnsDue", "runsDue", "folded"}
+	firstLine := []string{"scope", "nFutures", "nRanges", "nGroupTasks", "spawnsDue", "runsDue", "folded"}
 	for _, shared := range []string{"pool", "dq", "parkCh"} {
 		for _, own := range append(firstLine, "futures", "groupTasksEnd", "wakes") {
 			if layoutLine(others[own]) == layoutLine(others[shared]) {

@@ -157,8 +157,9 @@ func (w *Worker) idleWait(fails int) bool {
 // asleep, its loop retires it. The exit CAS fails only against one set
 // during the sleep, by a Resize that also sent a token: whatever ended the
 // select, that sleep ends as a wake does, at the loop top, which acts on
-// the mark. The session quit channel (closed by endSession) bounds every
-// sleep at shutdown.
+// the mark. An exit CAS that succeeds drops a pending token instead. The
+// session quit channel (closed by endSession) bounds every sleep at
+// shutdown.
 //
 //abp:handshake store=status load=anyVisibleWork
 func (w *Worker) park() bool {
@@ -185,6 +186,17 @@ func (w *Worker) park() bool {
 	}
 	if !w.status.CompareAndSwap(workerIdle, workerRunning) {
 		woke = true
+	} else {
+		// A token still in the channel was sent by a signalWork that read
+		// this worker idle after it was woken, or while its re-check saw
+		// the work, and before the CAS above. The work it stood for is this
+		// running worker's to find, and the next park's re-check sees
+		// whatever is left of it; left in the channel, the token would end
+		// that park at once, for a full set of hot rounds.
+		select {
+		case <-w.parkCh:
+		default:
+		}
 	}
 	p.idle.Add(-1)
 	return woke

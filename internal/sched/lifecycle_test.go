@@ -306,9 +306,10 @@ func TestStatsString(t *testing.T) {
 // woke worker 0 every single time while the rest slept cold. The rotating
 // cursor spreads wakes; this test submits one task per fully-parked
 // round and asserts the wakes land on (nearly) the whole fleet. The
-// tolerance of one worker absorbs a token left to a worker on its way out
-// of a park — its re-check saw the submission — which its next park then
-// absorbs in place of the rotation's choice.
+// tolerance of one worker absorbs a token sent by a signaller that read a
+// worker idle just before that worker left its park — its re-check saw the
+// submission — and sent after the exit had dropped what was pending: the
+// worker's next park then takes it in place of the rotation's choice.
 func TestSignalWorkWakeFairness(t *testing.T) {
 	const workers = 4
 	p := New(Config{Workers: workers, ParkThreshold: 2})
@@ -345,6 +346,35 @@ func TestSignalWorkWakeFairness(t *testing.T) {
 	if err := stop(); err == nil {
 		t.Fatal("Serve returned nil after cancellation")
 	}
+}
+
+// A parked worker woken by a burst of spawns is the target of every
+// signalWork that reads it idle before it runs again: the first spawn's
+// token wakes it, and the second finds the channel empty and leaves one
+// there. Unless park's exit drops that token, the worker's next park ends
+// on it at once — a wake with no work, and a second park, for one burst.
+func TestWokenWorkerBlocksAtNextPark(t *testing.T) {
+	p := New(Config{Workers: 2})
+	var ran atomic.Int64
+	p.Run(func(w *Worker) {
+		other := p.workers[1-w.id]
+		spinUntil(t, "the other worker to park", func() bool { return isIdle(other) && other.parks.Load() > 0 })
+		time.Sleep(5 * time.Millisecond) // past the re-check, into the select
+		parks, wakes := other.parks.Load(), other.wakes.Load()
+		for i := 0; i < 4; i++ {
+			w.Spawn(func(*Worker) { ran.Add(1) })
+		}
+		spinUntil(t, "the woken worker to run the burst and park again", func() bool {
+			return ran.Load() == 4 && isIdle(other) && other.parks.Load() > parks
+		})
+		time.Sleep(20 * time.Millisecond) // room for a stale token's wake and its hot rounds
+		if got := other.wakes.Load() - wakes; got != 1 {
+			t.Errorf("the burst woke the parked worker %d times, want 1", got)
+		}
+		if got := other.parks.Load() - parks; got != 1 {
+			t.Errorf("the woken worker parked %d times after the burst, want 1", got)
+		}
+	})
 }
 
 func TestParkThresholdValidation(t *testing.T) {

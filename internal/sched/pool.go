@@ -19,12 +19,14 @@
 //     RunContext are one-submission sessions of the same engine.
 //
 // The spawn path writes no word that another worker writes: a fork is one
-// record (the Future is the task) that Join2, Reduce, ParallelFor and
-// Group.Spawn take from and return to a free list of the worker's own, one
-// push, one pop, and one count in the spawner's scope; a fork its joiner
-// pops back is a plain call (Join) whose counts stay in plain fields of the
-// worker's own until its joiner's task ends, and whose scope release is
-// that task's.
+// record (the Future is the task) that Join2, Reduce, ParallelFor, Spawn
+// and Group.Spawn take from and return to a free list of the worker's own
+// — Reduce's and ParallelFor's a range record that holds the right half's
+// arguments, so the library's own forks allocate nothing — one push, one
+// pop, and one count in the spawner's scope; a fork its joiner pops back
+// is a plain call (Join) whose counts stay in plain fields of the worker's
+// own until its joiner's task ends, and whose scope release is that
+// task's.
 // The count of un-ended tasks that ends a run is kept in scopes split at
 // steals (scope.go), so workers meet where the paper's processes do — at
 // steals.
@@ -124,10 +126,10 @@ type Config struct {
 // termination scope (scope.go) the spawn counted it in. The scope leads to
 // the task's submission, so a worker executing tasks of interleaved
 // submissions always releases the right counter and observes the right
-// abort. Only a bare Spawn allocates a Task by itself: Future, groupTask
-// and the run record each hold theirs inline (and the first two are its
-// body), so a fork is one record, and a recycled one where the record
-// never reaches user code.
+// abort. No Task is allocated by itself: Future, groupTask and the run
+// record each hold theirs inline (and the first two are its body), so a
+// fork or a spawn is one record, and a recycled one where the record never
+// reaches user code.
 type Task struct {
 	body  taskBody
 	scope *scope
@@ -138,8 +140,8 @@ type Task struct {
 // convert to the interface without allocating.
 type taskBody interface{ runTask(w *Worker) }
 
-// taskFunc is the body of a task that is just a function: Spawn's, and a
-// submission's root.
+// taskFunc is the body of a task that is just a function: a submission's
+// root.
 type taskFunc func(*Worker)
 
 func (fn taskFunc) runTask(w *Worker) { fn(w) }
@@ -299,20 +301,22 @@ type Worker struct {
 	// What only the goroutine running the worker touches, with plain
 	// accesses — on the block's first line, what a popped-back fork writes:
 	// exec stores scope and folded twice a task, a fork counts itself in
-	// spawnsDue, a call in runsDue and folded, and a fork or Group.Spawn and
-	// its join move a free list's depth.
+	// spawnsDue, a call in runsDue and folded, and a fork or a spawn and its
+	// join or run move a free list's depth.
 	scope *scope // termination scope of the task currently executing (exec)
-	// nFutures and nGroupTasks are the depths of the stacks of records this
-	// worker may reuse (takeFuture, takeGroupTask; DESIGN.md §7): futures
-	// below nFutures are Futures of one result type — held as any, the
-	// Worker not being generic — and groupTasks below nGroupTasks are
-	// group members.
-	nFutures, nGroupTasks int32
+	// nFutures, nRanges and nGroupTasks are the depths of the stacks of
+	// records this worker may reuse (takeFuture, takeRange, takeGroupTask;
+	// DESIGN.md §7): futures below nFutures are Join2's Futures of one
+	// result type and ranges below nRanges are Reduce's and ParallelFor's
+	// range records of one result type — each held as any, the Worker not
+	// being generic — and groupTasks below nGroupTasks are spawned tasks.
+	nFutures, nRanges, nGroupTasks int32
 	// spawnsDue and runsDue are the spawns and popped-back calls not yet
 	// added to spawns, tasksRun and progress (flush); folded is the calls
 	// whose scope release the exec in flight makes for them (Future.call).
 	spawnsDue, runsDue, folded int64
 	futures                    [maxFreeRecords]any
+	ranges                     [maxFreeRecords]any
 	groupTasks                 [maxFreeRecords]*groupTask
 
 	// progress ticks on every loop iteration and task completion; the
@@ -821,10 +825,15 @@ func (w *Worker) Pool() *Pool { return w.pool }
 // where it is available to thieves, and wakes a parked worker if one
 // exists; if the deque is full the task runs inline instead (correct, just
 // not stealable).
-func (w *Worker) Spawn(fn func(*Worker)) {
-	t := new(Task)
-	w.bind(t, taskFunc(fn))
-	w.spawn(t)
+func (w *Worker) Spawn(fn func(*Worker)) { w.spawnMember(nil, fn) }
+
+// spawnMember spawns fn on a record from w's free list (group.go), as a
+// member of g, or of no group when g is nil.
+func (w *Worker) spawnMember(g *Group, fn func(*Worker)) {
+	t := w.takeGroupTask()
+	t.g, t.fn = g, fn
+	w.bind(&t.task, t)
+	w.spawn(&t.task)
 }
 
 // spawn publishes a task made by bind: it counts the task in the scope it

@@ -1,10 +1,11 @@
-// Tests for record recycling (future.go, group.go; DESIGN.md §7, "Record
-// recycling"): the Futures inside Join2, Reduce and ParallelFor and the
-// records of Group members are reused by the worker that freed them, so
-// these tests reuse them across steals, aborts, result types, a thief's
-// long burst, the caller-runs worker and a fleet that shrinks and grows —
-// on all three deques, and meant for the race detector: a record touched
-// after it was freed is a data race with its next user.
+// Tests for record recycling (future.go, parallel.go, group.go; DESIGN.md
+// §7, "Record recycling"): the Futures inside Join2, the range records of
+// Reduce and ParallelFor and the records of spawned tasks are reused by the
+// worker that freed them, so these tests reuse them across steals, aborts,
+// result types, a thief's long burst, the caller-runs worker and a fleet
+// that shrinks and grows — on all three deques, and meant for the race
+// detector: a record touched after it was freed is a data race with its
+// next user.
 package sched
 
 import (
@@ -20,46 +21,68 @@ import (
 	"worksteal/internal/fault"
 )
 
-// listedFutures walks the slots below w's depth of free Futures as
-// *Future[T] and reports false if they hold another result type. A listed
-// Future is pending, holds no function and no result, and is listed once
-// (seen spans the pool).
-func listedFutures[T any](t *testing.T, w *Worker, seen map[any]bool) bool {
+// listed walks the slots below w's depths of free Futures and of free range
+// records as records of result type T, and reports for each list whether
+// it holds them (an empty one does). A listed record is pending, holds no
+// result and no user function — a range record's fn is its own compute —
+// and is listed once (seen spans the pool).
+func listed[T any](t *testing.T, w *Worker, seen map[any]bool) (futures, ranges bool) {
 	t.Helper()
-	for _, slot := range w.futures[:w.nFutures] {
-		f, ok := slot.(*Future[T])
-		if !ok {
-			return false
-		}
+	check := func(f *Future[T], ownFn bool) {
 		if seen[f] {
-			t.Errorf("worker %d lists a Future that is listed already", w.id)
+			t.Errorf("worker %d lists a record that is listed already", w.id)
 		}
 		seen[f] = true
-		if f.fn != nil || f.ch.p.Load() != nil || !reflect.ValueOf(&f.result).Elem().IsZero() {
-			t.Errorf("worker %d lists a Future that is in use or still holds user data", w.id)
+		if (f.fn != nil) != ownFn || f.ch.p.Load() != nil || !reflect.ValueOf(&f.result).Elem().IsZero() {
+			t.Errorf("worker %d lists a record that is in use or still holds user data", w.id)
 		}
 	}
-	return true
+	futures, ranges = true, true
+	for _, slot := range w.futures[:w.nFutures] {
+		f, ok := slot.(*Future[T])
+		if futures = ok; !ok {
+			break
+		}
+		check(f, false)
+	}
+	for _, slot := range w.ranges[:w.nRanges] {
+		r, ok := slot.(*rangeTask[T])
+		if ranges = ok; !ok {
+			break
+		}
+		check(&r.Future, true)
+		if r.leaf != nil || r.combine != nil || r.body != nil {
+			t.Errorf("worker %d lists a range record that still holds a function of its split", w.id)
+		}
+	}
+	return futures, ranges
 }
 
 // checkFreeLists inspects every worker's free lists once the pool's session
 // has ended (the workers have exited, so their plain fields are the
-// caller's to read): depths within the bound; Futures as above, of one of
-// the result types whose listedFutures is given, or none at all; group
-// records empty and listed once.
-func checkFreeLists(t *testing.T, p *Pool, futures ...func(*testing.T, *Worker, map[any]bool) bool) {
+// caller's to read): depths within the bound; Futures and range records as
+// above, each list of one of the result types whose listed is given; the
+// records of spawned tasks empty and listed once.
+func checkFreeLists(t *testing.T, p *Pool, types ...func(*testing.T, *Worker, map[any]bool) (bool, bool)) {
 	t.Helper()
 	seen := map[any]bool{}
 	for _, w := range p.workers {
-		if w.nFutures < 0 || w.nFutures > maxFreeRecords || w.nGroupTasks < 0 || w.nGroupTasks > maxFreeRecords {
-			t.Fatalf("worker %d lists %d Futures and %d group records, bound %d", w.id, w.nFutures, w.nGroupTasks, maxFreeRecords)
+		for _, n := range []int32{w.nFutures, w.nRanges, w.nGroupTasks} {
+			if n < 0 || n > maxFreeRecords {
+				t.Fatalf("worker %d lists %d Futures, %d range records and %d group records, bound %d",
+					w.id, w.nFutures, w.nRanges, w.nGroupTasks, maxFreeRecords)
+			}
 		}
-		known := w.nFutures == 0
-		for _, listed := range futures {
-			known = known || listed(t, w, seen)
+		knownFutures, knownRanges := false, false
+		for _, listed := range types {
+			f, r := listed(t, w, seen)
+			knownFutures, knownRanges = knownFutures || f, knownRanges || r
 		}
-		if !known {
+		if !knownFutures {
 			t.Errorf("worker %d lists Futures as %T", w.id, w.futures[0])
+		}
+		if !knownRanges {
+			t.Errorf("worker %d lists range records as %T", w.id, w.ranges[0])
 		}
 		for _, r := range w.groupTasks[:w.nGroupTasks] {
 			if seen[r] {
@@ -91,7 +114,7 @@ func stolenFib(t *testing.T, w *Worker, n, depth int) int {
 	return a + b
 }
 
-// Recycled Futures across steals: three forced in the fib, one in the
+// Recycled records across steals: three forced in the fib, one in the
 // Reduce (leaf 0 stays put until the right half has started), with the
 // failpoints in front of every steal varying where they land. Results and
 // task counts are exact round after round on one pool.
@@ -134,7 +157,82 @@ func TestRecycleAcrossForcedSteals(t *testing.T) {
 				t.Errorf("round %d: %d steals, want the 4 forced at least", round, got)
 			}
 		}
-		checkFreeLists(t, p, listedFutures[int], listedFutures[struct{}])
+		checkFreeLists(t, p, listed[int], listed[struct{}])
+	})
+}
+
+// A range fork stolen mid-tree whose subtree panics: its task ends in the
+// thief's recover, never finished, and its joiner unwinds through the
+// abort, so the record is abandoned — on no worker's list afterwards — and
+// the pool computes right again.
+func TestRecycleStolenRangePanicAbandonsRecord(t *testing.T) {
+	forEachDeque(t, func(t *testing.T, kind dequeKind) {
+		const leaves = 64
+		p := newPool(kind, Config{Workers: 2})
+		ident := func(i int) int { return i }
+		add := func(a, b int) int { return a + b }
+		var started [leaves]atomic.Bool
+		leaf := func(i int) int {
+			started[i].Store(true)
+			switch i {
+			case 0: // the right half leaves the worker only by a steal
+				spinUntil(t, "the right half to be stolen", started[leaves/2].Load)
+			case leaves / 2: // the stolen half's first leaf
+				panic("boom")
+			}
+			return i
+		}
+		var stolen any
+		rec := func() (rec any) {
+			defer func() { rec = recover() }()
+			p.Run(func(w *Worker) {
+				Reduce(w, 0, 2, 1, ident, add) // stocks w's list with one range record
+				stolen = w.ranges[w.nRanges-1] // the one the first split takes
+				Reduce(w, 0, leaves, 1, leaf, add)
+			})
+			return nil
+		}()
+		if rec != "boom" {
+			t.Fatalf("Run panicked with %v, want the leaf's panic", rec)
+		}
+		for _, w := range p.workers {
+			for _, r := range w.ranges[:w.nRanges] {
+				if r == stolen {
+					t.Errorf("worker %d lists the range record whose task panicked", w.id)
+				}
+			}
+		}
+		checkFreeLists(t, p, listed[int])
+		for round := 0; round < 3; round++ {
+			got := 0
+			p.Run(func(w *Worker) { got = Reduce(w, 0, leaves, 1, ident, add) })
+			if got != leaves*(leaves-1)/2 {
+				t.Fatalf("after the panic, round %d: sum = %d", round, got)
+			}
+		}
+		checkFreeLists(t, p, listed[int])
+	})
+}
+
+// A Reduce whose leaves Join2 over its own result type takes range records
+// and Futures of one type from two lists: neither empties the other, so
+// once both are stocked nothing is allocated.
+func TestRecycleReduceOfJoin2AllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const leaves = 64
+	one := func(*Worker) int { return 1 }
+	add := func(a, b int) int { return a + b }
+	New(Config{Workers: 1}).Run(func(w *Worker) {
+		leaf := func(int) int { return add(Join2(w, one, one)) } // one worker: w runs every leaf
+		got := 0
+		if allocs := testing.AllocsPerRun(50, func() { got = Reduce(w, 0, leaves, 1, leaf, add) }); allocs != 0 {
+			t.Errorf("a Reduce over %d leaves that Join2 allocates %v objects, want 0", leaves, allocs)
+		}
+		if got != 2*leaves {
+			t.Errorf("sum = %d, want %d", got, 2*leaves)
+		}
 	})
 }
 
@@ -186,7 +284,7 @@ func TestRecycleAbortMidTreeAbandonsRecords(t *testing.T) {
 				if mode == "cancel" && (rec != nil || !errors.Is(err, context.Canceled)) {
 					t.Fatalf("RunContext = %v (panic %v), want context.Canceled", err, rec)
 				}
-				checkFreeLists(t, p, listedFutures[int])
+				checkFreeLists(t, p, listed[int])
 				for i := 0; i < 3; i++ {
 					got := 0
 					p.Run(func(w *Worker) { got = fibPar(w, 15, 2) })
@@ -194,7 +292,7 @@ func TestRecycleAbortMidTreeAbandonsRecords(t *testing.T) {
 						t.Fatalf("after the abort, fib(15) = %d", got)
 					}
 				}
-				checkFreeLists(t, p, listedFutures[int])
+				checkFreeLists(t, p, listed[int])
 			})
 		})
 	}
@@ -235,7 +333,7 @@ func TestRecycleJoin2AlternatingResultTypes(t *testing.T) {
 			if ran := p.Stats().TasksRun; ran != int64(fibSerial(n+1)) {
 				t.Errorf("%d workers: ran %d tasks, want %d", workers, ran, fibSerial(n+1))
 			}
-			checkFreeLists(t, p, listedFutures[int], listedFutures[string])
+			checkFreeLists(t, p, listed[int], listed[string])
 		}
 	})
 	if raceEnabled {
@@ -303,7 +401,7 @@ func TestRecycleGroupBurstRunByThief(t *testing.T) {
 		if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > 256<<10 {
 			t.Errorf("heap grew by %d bytes over a burst of %d members", grew, members)
 		}
-		checkFreeLists(t, p, listedFutures[int])
+		checkFreeLists(t, p, listed[int])
 		if n := spawner.nGroupTasks; n != 0 {
 			t.Errorf("the spawner lists %d group records, having run none", n)
 		}
@@ -353,7 +451,7 @@ func TestRecycleCallerRunsKeepsItsLists(t *testing.T) {
 			t.Fatalf("Stats.SubmitsCallerRun = %d, want 3", got)
 		}
 		for _, w := range p.workers {
-			if w.futures[0] != nil || w.groupTasks[0] != nil || w.nFutures != 0 || w.nGroupTasks != 0 {
+			if w.futures[0] != nil || w.ranges[0] != nil || w.groupTasks[0] != nil || w.nFutures != 0 || w.nRanges != 0 || w.nGroupTasks != 0 {
 				t.Errorf("worker %d, gated since the pool was made, has a free list", w.id)
 			}
 		}
@@ -406,6 +504,6 @@ func TestRecycleAcrossShrinkAndGrow(t *testing.T) {
 		if err := stop(); !errors.Is(err, context.Canceled) {
 			t.Fatalf("Serve returned %v", err)
 		}
-		checkFreeLists(t, p, listedFutures[int])
+		checkFreeLists(t, p, listed[int])
 	})
 }

@@ -20,7 +20,12 @@ import (
 //     token. That is also what a worker which takes a token and
 //     then retires without passing the baton leaves behind;
 //   - at quiescence no worker sleeps on without being a wake target, and
-//     worker 1, grown back, does not sleep retired.
+//     worker 1, grown back, does not sleep retired;
+//   - no stale wake: a park never ends on a token a signalWork sent into the
+//     worker's previous idle episode. The exit drops such a token; the
+//     model's status load and token send are one step, so it does not see
+//     a signaller stalled between the two, whose late token is spurious —
+//     harmless, like any other.
 
 // Worker steps.
 const (
@@ -31,6 +36,7 @@ const (
 	smRecheck             // anyVisibleWork
 	smSleep               // blocked in the select
 	smExit                // the exit CAS
+	smDrain               // the exit CAS succeeded: drop a pending token
 	smUncount             // idle.Add(-1)
 	smRetire              // retire: the CAS to retired
 	smRetired             // sleepRetired: blocked in the select
@@ -46,6 +52,8 @@ type smState struct {
 	status     [2]uint32
 	pc         [2]int8
 	token      [2]bool // a token is in parkCh
+	sent       [2]bool // ... and a signalWork sent it, into an idle episode
+	stale      [2]bool // ... and that episode has ended
 	idle, work int8
 	prod, res  int8   // steps of the producer (from smBaton-1: the push) and of the Resize
 	loaded     uint32 // the status the Resize's CAS expects
@@ -55,6 +63,7 @@ type statusModel struct {
 	recheckFirst bool // negative control: park's only look for work is the one before it publishes idle
 	noBaton      bool // negative control: retire does not pass the baton
 	tokenFirst   bool // negative control: a grow sends its token, then stores running
+	keepToken    bool // negative control: park's exit leaves a pending token in the channel
 	// What the search came across, so the test can tell what it covered.
 	refused, markedAsleep, reactivated, regrown, sleptAgain int
 }
@@ -65,6 +74,12 @@ var smEdges = map[[2]uint32]bool{
 	{workerRunning, workerRetiring}: true, {workerIdle, workerRetiring}: true,
 	{workerRetiring, workerRunning}: true, {workerRetiring, workerRetired}: true,
 	{workerRetired, workerRunning}: true,
+}
+
+// send leaves a token for worker w: a signalWork's, or a Resize's. It
+// renews a pending one, which now stands for this send.
+func (s *smState) send(w int, signal bool) {
+	s.token[w], s.sent[w], s.stale[w] = true, signal, false
 }
 
 // cas is a CompareAndSwap on worker w's status.
@@ -85,7 +100,7 @@ func signal(s smState, pc func(*smState) *int8) []smState {
 		*pc(&s), *pc(&rot) = smBaton+1, smBaton+3
 		return []smState{s, rot}
 	case k > 0 && s.status[smScan[k-1]] == workerIdle:
-		s.token[smScan[k-1]] = true
+		s.send(smScan[k-1], true)
 		*pc(&s) = smDone
 	case k%2 == 0: // no sleepers, or the scan's second load found none
 		*pc(&s) = smDone
@@ -100,6 +115,9 @@ func (m *statusModel) step(s smState, a int) ([]smState, error) {
 	var next []smState
 	switch {
 	case a < 2:
+		if s.pc[a] == smSleep && s.token[a] && s.stale[a] {
+			return nil, fmt.Errorf("worker %d's park ends on a token sent into its previous idle episode: %+v", a, s)
+		}
 		next = m.worker(s, a)
 	case a == 2 && s.prod < smBaton:
 		s.work, s.prod = s.work+1, smBaton
@@ -163,8 +181,15 @@ func (m *statusModel) worker(s smState, w int) []smState {
 		}
 		s.token[w], *pc = false, smExit
 	case smExit:
-		s.cas(w, workerIdle, workerRunning)
 		*pc = smUncount
+		if s.cas(w, workerIdle, workerRunning) {
+			s.stale[w] = s.token[w] && s.sent[w]
+			if !m.keepToken {
+				*pc = smDrain
+			}
+		}
+	case smDrain:
+		s.token[w], s.stale[w], *pc = false, false, smUncount
 	case smUncount:
 		s.idle, *pc = s.idle-1, smTop
 	case smRetire:
@@ -184,7 +209,7 @@ func (m *statusModel) worker(s smState, w int) []smState {
 		if s.status[w] == workerRetired {
 			m.sleptAgain++
 		}
-		s.token[w], *pc = false, smTop
+		s.token[w], s.stale[w], *pc = false, false, smTop
 	default: // the baton, and back to the loop top
 		next := signal(s, func(s *smState) *int8 { return &s.pc[w] })
 		for i := range next {
@@ -214,7 +239,7 @@ func (m *statusModel) resize(s smState) []smState {
 			s.res++ // marked running: no token
 		}
 	case 2:
-		s.token[1] = true
+		s.send(1, false)
 	case 3:
 		if s.cas(1, workerRetiring, workerRunning) {
 			s.res = 5
@@ -225,7 +250,7 @@ func (m *statusModel) resize(s smState) []smState {
 		if (s.res == 4) != m.tokenFirst {
 			s.status[1] = workerRunning
 		} else {
-			s.token[1] = true
+			s.send(1, false)
 		}
 	default:
 		return nil
@@ -266,4 +291,11 @@ func TestStatusModelCatchesMissingBaton(t *testing.T) {
 
 func TestStatusModelCatchesTokenBeforeStore(t *testing.T) {
 	(&statusModel{tokenFirst: true}).explorer().refute(t, smState{})
+}
+
+// A park whose exit keeps a pending token: the worker parks, the producer's
+// push and signal land while its re-check already sees the work, and the
+// token the signal sent outlives the episode — the next park ends on it.
+func TestStatusModelCatchesStaleToken(t *testing.T) {
+	(&statusModel{keepToken: true}).explorer().refute(t, smState{})
 }

@@ -67,7 +67,7 @@ func TestWorkFirstPanicInPoppedBackChild(t *testing.T) {
 			t.Errorf("TasksDropped = %d, InlineRuns = %d; want the forks the unwound joins left in the deque dropped, none inline",
 				s.TasksDropped, s.InlineRuns)
 		}
-		checkFreeLists(t, p, listedFutures[int])
+		checkFreeLists(t, p, listed[int])
 		got := 0
 		p.Run(func(w *Worker) { got = fibPar(w, 15, 2) })
 		if got != fibSerial(15) {
@@ -145,7 +145,7 @@ func TestWorkFirstFallbackRunsTasksLeftAboveFork(t *testing.T) {
 		if s := p.Stats(); s.TasksRun != 4 || s.Spawns != 3 || s.InlineRuns != 0 {
 			t.Errorf("TasksRun = %d, Spawns = %d, InlineRuns = %d; want 4, 3, 0", s.TasksRun, s.Spawns, s.InlineRuns)
 		}
-		checkFreeLists(t, p, listedFutures[int])
+		checkFreeLists(t, p, listed[int])
 	})
 }
 
