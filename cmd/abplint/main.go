@@ -1,5 +1,5 @@
 // Command abplint is the canonical front end for the repository's
-// concurrency-contract analyzer suite (package internal/lint): all ten
+// concurrency-contract analyzer suite (package internal/lint): all eight
 // analyzers — the syntactic contract checks, the flow-aware owner/CAS
 // analyses, the whole-package race detector, and the memory-ordering,
 // cache-layout, and liveness analyzers — in one run, in the manner of a
@@ -9,7 +9,7 @@
 //
 // Usage:
 //
-//	go run ./cmd/abplint [-only abpwait,abprace] [-list] [-json]
+//	go run ./cmd/abplint [-only abpwait,abprace] [-list]
 //	                     [-sarif file] [-unused-ignores]
 //	                     [-C dir] [packages]
 //
@@ -23,7 +23,8 @@
 // directive — //abp:ignore for the suite, or the analyzer-specific
 // //abp:race-ignore, //abp:order-ignore, //abp:layout-ignore, and
 // //abp:wait-ignore forms (see package internal/lint); -unused-ignores
-// reports directives that no longer suppress anything.
+// reports directives that no longer suppress anything or that name no
+// analyzer.
 package main
 
 import (

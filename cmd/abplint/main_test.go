@@ -94,39 +94,22 @@ func TestExitOperationalErrorIsTwo(t *testing.T) {
 	}
 }
 
-// The name is from when the suite had twelve analyzers; PR 22 merged two
-// pairs, and the floor list keeps the name.
+// The name is from when the suite had twelve analyzers; two pairs were
+// merged, then atomicmix and nonblocking folded into abporder and abpwait,
+// and the name stayed.
 func TestListNamesAllTwelve(t *testing.T) {
 	code, stdout, _ := runCLI(t, "-list")
 	if code != 0 {
 		t.Fatalf("exit = %d, want 0", code)
 	}
 	all := lint.All()
-	if len(all) != 10 {
-		t.Fatalf("suite has %d analyzers, want 10", len(all))
+	if len(all) != 8 {
+		t.Fatalf("suite has %d analyzers, want 8", len(all))
 	}
 	for _, a := range all {
 		if !strings.Contains(stdout, a.Name) {
 			t.Errorf("-list output missing analyzer %s", a.Name)
 		}
-	}
-}
-
-func TestJSONOutput(t *testing.T) {
-	code, stdout, _ := runCLI(t, "-json", "-C", seededDir, ".")
-	if code != 1 {
-		t.Fatalf("exit = %d, want 1", code)
-	}
-	var rep lint.Report
-	if err := json.Unmarshal([]byte(stdout), &rep); err != nil {
-		t.Fatalf("-json output does not parse: %v\n%s", err, stdout)
-	}
-	if len(rep.Findings) != 1 {
-		t.Fatalf("findings = %d, want 1: %+v", len(rep.Findings), rep.Findings)
-	}
-	f := rep.Findings[0]
-	if f.Analyzer != "mustcheck" || f.File != "seeded.go" {
-		t.Errorf("unexpected finding %+v", f)
 	}
 }
 
@@ -144,6 +127,13 @@ type sarifLog struct {
 			Message struct {
 				Text string `json:"text"`
 			} `json:"message"`
+			Locations []struct {
+				PhysicalLocation struct {
+					ArtifactLocation struct {
+						URI string `json:"uri"`
+					} `json:"artifactLocation"`
+				} `json:"physicalLocation"`
+			} `json:"locations"`
 		} `json:"results"`
 	} `json:"runs"`
 }
@@ -172,8 +162,9 @@ func TestSARIFToFileAndStdout(t *testing.T) {
 	if name := log.Runs[0].Tool.Driver.Name; name != "abplint" {
 		t.Errorf("SARIF driver name = %q, want abplint", name)
 	}
-	if log.Runs[0].Results[0].RuleID != "mustcheck" {
-		t.Errorf("ruleId = %q, want mustcheck", log.Runs[0].Results[0].RuleID)
+	res := log.Runs[0].Results[0]
+	if res.RuleID != "mustcheck" || res.Locations[0].PhysicalLocation.ArtifactLocation.URI != "seeded.go" {
+		t.Errorf("unexpected result %+v", res)
 	}
 
 	// With -sarif -, the log goes to stdout and replaces the text lines.
@@ -196,20 +187,6 @@ func TestSeededRaceEveryRendering(t *testing.T) {
 		}
 		return stdout
 	}
-	jsonMsg := func(t *testing.T, stdout string) string {
-		var rep lint.Report
-		if err := json.Unmarshal([]byte(stdout), &rep); err != nil {
-			t.Fatalf("-json output does not parse: %v\n%s", err, stdout)
-		}
-		if len(rep.Findings) != 1 {
-			t.Fatalf("findings = %d, want 1: %+v", len(rep.Findings), rep.Findings)
-		}
-		f := rep.Findings[0]
-		if f.Analyzer != "abprace" || f.File != "seededrace.go" {
-			t.Errorf("unexpected finding %+v", f)
-		}
-		return f.Message
-	}
 	sarifMsg := func(t *testing.T, stdout string) string {
 		var log sarifLog
 		if err := json.Unmarshal([]byte(stdout), &log); err != nil {
@@ -219,8 +196,8 @@ func TestSeededRaceEveryRendering(t *testing.T) {
 			t.Fatalf("unexpected SARIF shape: %s", stdout)
 		}
 		res := log.Runs[0].Results[0]
-		if res.RuleID != "abprace" {
-			t.Errorf("ruleId = %q, want abprace", res.RuleID)
+		if res.RuleID != "abprace" || res.Locations[0].PhysicalLocation.ArtifactLocation.URI != "seededrace.go" {
+			t.Errorf("unexpected result %+v", res)
 		}
 		return res.Message.Text
 	}
@@ -230,7 +207,6 @@ func TestSeededRaceEveryRendering(t *testing.T) {
 		message func(*testing.T, string) string
 	}{
 		{"text", nil, text},
-		{"json", []string{"-json"}, jsonMsg},
 		{"sarif", []string{"-sarif", "-"}, sarifMsg},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -256,30 +232,32 @@ func TestSeededRaceEveryRendering(t *testing.T) {
 // liveness fixture: the abpwait findings must surface through this front
 // end with their analyzer name attached, alongside the rest of the suite.
 func TestLivenessFindingsFlowThrough(t *testing.T) {
-	code, stdout, _ := runCLI(t, "-json", "-C", seededWaitDir, ".")
+	code, stdout, _ := runCLI(t, "-sarif", "-", "-C", seededWaitDir, ".")
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1; stdout: %s", code, stdout)
 	}
-	var rep lint.Report
-	if err := json.Unmarshal([]byte(stdout), &rep); err != nil {
-		t.Fatalf("-json output does not parse: %v\n%s", err, stdout)
+	var log sarifLog
+	if err := json.Unmarshal([]byte(stdout), &log); err != nil || len(log.Runs) != 1 {
+		t.Fatalf("-sarif - stdout is not one SARIF run: %v\n%s", err, stdout)
 	}
 	waitFindings := 0
-	for _, f := range rep.Findings {
-		if f.Analyzer == "abpwait" {
+	for _, res := range log.Runs[0].Results {
+		if res.RuleID == "abpwait" {
 			waitFindings++
 		}
 	}
 	if waitFindings < 2 {
-		t.Fatalf("abpwait findings = %d, want >= 2 (naked wait and missed signal): %+v",
-			waitFindings, rep.Findings)
+		t.Fatalf("abpwait findings = %d, want >= 2 (naked wait and missed signal): %s",
+			waitFindings, stdout)
 	}
 }
 
-// TestUnusedIgnoresScopedByOnly: the fixture holds two stale directives.
-// The full suite judges both; restricted to abprace, only the
-// //abp:race-ignore is judged — mustcheck did not run, so the staleness of
-// the directive addressed to it is undecidable there.
+// TestUnusedIgnoresScopedByOnly: the fixture holds three stale directives.
+// The full suite judges all three; restricted to abprace, the
+// //abp:race-ignore is judged and the //abp:ignore mustcheck is not —
+// mustcheck did not run, so the staleness of the directive addressed to it
+// is undecidable there. The //abp:ignore atomicmix names no analyzer of
+// the suite, so every run reports it, whatever -only selected.
 func TestUnusedIgnoresScopedByOnly(t *testing.T) {
 	code, stdout, stderr := runCLI(t, "-unused-ignores", "-C", "testdata/unusedignore", ".")
 	if code != 1 {
@@ -291,6 +269,10 @@ func TestUnusedIgnoresScopedByOnly(t *testing.T) {
 	if !strings.Contains(stdout, "//abp:race-ignore") || !strings.Contains(stdout, "mustcheck") {
 		t.Errorf("full suite did not judge both stale directives: %q", stdout)
 	}
+	const unknown = "//abp:ignore atomicmix names no analyzer"
+	if !strings.Contains(stdout, unknown) {
+		t.Errorf("full suite did not report the directive naming no analyzer: %q", stdout)
+	}
 
 	code, stdout, stderr = runCLI(t, "-only", "abprace", "-unused-ignores", "-C", "testdata/unusedignore", ".")
 	if code != 1 {
@@ -301,5 +283,8 @@ func TestUnusedIgnoresScopedByOnly(t *testing.T) {
 	}
 	if strings.Contains(stdout, "mustcheck") {
 		t.Errorf("-only abprace judged a directive outside the analyzers that ran: %q", stdout)
+	}
+	if !strings.Contains(stdout, unknown) {
+		t.Errorf("-only abprace did not report the directive naming no analyzer: %q", stdout)
 	}
 }

@@ -4,7 +4,7 @@
 // and the abporder analyzer (internal/lint) can cross-check that role
 // against the happens-before edges the code actually needs.
 //
-// The three disciplines mirror the needs of the paper's deque (Arora,
+// The two disciplines mirror the needs of the paper's deque (Arora,
 // Blumofe, Plaxton, "Thread Scheduling for Multiprogrammed
 // Multiprocessors", Section 3.2):
 //
@@ -17,9 +17,10 @@
 //     readers — a flag flip, a counter a monitor samples, a pointer to an
 //     initialized structure. The write releases what preceded it, the read
 //     acquires it; no cross-variable store/load ordering is promised.
-//   - Plain: no concurrent access at all — every conflicting pair is
-//     ordered by fork/join or other real happens-before edges. The type
-//     exists so the discipline is declared and auditable, not implied.
+//
+// A word with no concurrent access at all — every conflicting pair ordered
+// by fork/join or other real happens-before edges — needs neither and is a
+// plain field; abporder reports an atomic one whose accesses prove that.
 //
 // Go's sync/atomic exposes only sequentially consistent operations, so SC
 // and Publish compile to identical instructions today: the distinction is
@@ -193,17 +194,3 @@ func (x *PublishPointer[T]) Load() *T { return x.p.Load() }
 
 // Store atomically stores v (release).
 func (x *PublishPointer[T]) Store(v *T) { x.p.Store(v) }
-
-// PlainPointer is a declared-unsynchronized typed pointer: every
-// conflicting access pair is ordered by real happens-before edges
-// (fork/join, channel, lock), which abporder verifies. Its accessors are
-// deliberately plain loads and stores — the type exists to make the
-// "plain is enough here" claim explicit and mechanically checkable, not
-// to synchronize anything.
-type PlainPointer[T any] struct{ p *T }
-
-// Get returns the pointer with a plain load.
-func (x *PlainPointer[T]) Get() *T { return x.p }
-
-// Set stores v with a plain store.
-func (x *PlainPointer[T]) Set(v *T) { x.p = v }

@@ -103,18 +103,6 @@ func TestPublishPointer(t *testing.T) {
 	}
 }
 
-func TestPlainPointer(t *testing.T) {
-	var x PlainPointer[int]
-	if x.Get() != nil {
-		t.Fatal("zero value not nil")
-	}
-	v := new(int)
-	x.Set(v)
-	if x.Get() != v {
-		t.Fatal("Get != Set value")
-	}
-}
-
 // TestZeroOverheadInlining shells out to the compiler with -gcflags=-m and
 // asserts every non-generic method is inlinable, so declaring a discipline
 // through atomicx costs nothing over raw sync/atomic. Generic methods are

@@ -105,8 +105,8 @@ func (d *Deque[T]) Cap() int { return len(d.deq) }
 // sequentially consistent, so a PushBottom that is ordered before some
 // other atomic operation X is visible to any Len ordered after X. The
 // scheduler's park/wake protocol (sched/lifecycle.go) depends on exactly
-// this: a worker publishes its parked flag and then calls Len on every
-// deque, while a producer pushes and then reads the parked flags —
+// this: a worker publishes its parked status and then calls Len on every
+// deque, while a producer pushes and then reads the status words —
 // whichever interleaving occurs, a freshly pushed task is either seen by
 // the parker's Len scan or earns it a wake signal.
 //

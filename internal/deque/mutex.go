@@ -30,7 +30,7 @@ type Dequer[T any] interface {
 	// read their indices with atomic (or lock-protected) loads: the
 	// scheduler's parking protocol calls Len concurrently with owner
 	// pushes and relies on sequentially consistent visibility of a
-	// PushBottom that precedes a parked-flag read (see Deque.Len).
+	// PushBottom that precedes a status-word read (see Deque.Len).
 	Len() int
 }
 

@@ -3,10 +3,10 @@
 // the scheduler. The paper's performance argument (Section 3.2 and the
 // Figure 5 fast path) rests on a handful of hot shared words — the
 // (tag, top) age word thieves CAS, the owner's bot, the injector
-// positions, the parked flags every producer scans — staying off the
-// cache lines other parties write. abplayout computes each declared
-// struct's concrete layout with go/types Sizes (under both the amd64 and
-// arm64 gc models), classifies every atomic field's writer role from
+// positions, the worker status words every producer scans — staying off
+// the cache lines other parties write. abplayout computes each declared
+// struct's concrete layout with go/types Sizes (the gc amd64 model; every
+// 64-bit gc target lays structs out the same way), classifies every atomic field's writer role from
 // the fact layer's access set, and reports:
 //
 //	(a) false sharing — an arbitration-hot field (CAS/Swap target or a
@@ -28,31 +28,21 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
 var AbpLayout = &Analyzer{
 	Name: "abplayout",
-	Doc:  "computes concrete struct layouts (amd64 and arm64 Sizes) and flags false sharing between arbitration-hot and other atomic fields, miscounted pads, contention-hot element packing, and line-straddling CAS words",
+	Doc:  "computes concrete struct layouts (gc amd64 Sizes) and flags false sharing between arbitration-hot and other atomic fields, miscounted pads, contention-hot element packing, and line-straddling CAS words",
 	Run:  runAbpLayout,
 }
 
-// layoutModels are the two concrete size models every layout is checked
-// under. Both are 64-bit gc layouts today, so they usually agree — the
-// point of carrying both is that a divergence (a future model, a field
-// whose size differs) is caught rather than assumed away.
-var layoutModels = []struct {
-	arch  string
-	sizes types.Sizes
-}{
-	{"amd64", types.SizesFor("gc", "amd64")},
-	{"arm64", types.SizesFor("gc", "arm64")},
-}
+// layoutSizes is the size model every layout is computed under. gc's
+// arm64 model is the same {WordSize: 8, MaxAlign: 8}, so one model covers
+// both targets.
+var layoutSizes = types.SizesFor("gc", "amd64")
 
 // cacheLineSize mirrors atomicx.CacheLineSize; the lint package cannot
 // import atomicx (fixtures load without it), so the constant is pinned
@@ -95,7 +85,7 @@ func (l *layoutAnalysis) classifyRoles() {
 	// Handshake protocol words: a store=/load= operand either names a
 	// function (its body's atomic writes/reads are the protocol's words)
 	// or, when no function in the package matches, a field the carrier
-	// itself accesses (store=parked names Worker.parked).
+	// itself accesses (store=status names Worker.status).
 	storeFns := map[*funcNode]bool{}
 	loadFns := map[*funcNode]bool{}
 	words := map[*types.Var]bool{}
@@ -117,12 +107,8 @@ func (l *layoutAnalysis) classifyRoles() {
 	}
 
 	for v, accs := range l.accesses {
-		disc, _, ok := declDiscipline(v.Type())
-		if !ok || disc == "plain" {
-			// Plain-declared fields assert "no concurrent access" (audited
-			// by abporder); undeclared fields have no atomic contract.
-			// Either way they are layout-cold.
-			continue
+		if _, _, ok := declDiscipline(v.Type()); !ok {
+			continue // no atomic contract: layout-cold
 		}
 		var cas, write, read, sharedWrite bool
 		handshake := words[v]
@@ -180,7 +166,7 @@ func (l *layoutAnalysis) roleOf(v *types.Var) string {
 	return role
 }
 
-// layoutField is one struct field under one size model.
+// layoutField is one struct field's place in its struct.
 type layoutField struct {
 	v    *types.Var
 	off  int64
@@ -191,31 +177,9 @@ type layoutField struct {
 }
 
 // checkStructs walks every named struct declaration and applies the four
-// layout checks under each size model, deduplicating findings that both
-// models agree on.
+// layout checks.
 func (l *layoutAnalysis) checkStructs() {
 	info := l.info
-
-	type finding struct {
-		pos    token.Pos
-		msg    string
-		models []string
-	}
-	findings := map[string]*finding{}
-	add := func(key string, pos token.Pos, arch, msg string) {
-		f := findings[key]
-		if f == nil {
-			f = &finding{pos: pos, msg: msg}
-			findings[key] = f
-		}
-		for _, m := range f.models {
-			if m == arch {
-				return
-			}
-		}
-		f.models = append(f.models, arch)
-	}
-
 	for _, file := range l.pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			ts, ok := n.(*ast.TypeSpec)
@@ -236,46 +200,29 @@ func (l *layoutAnalysis) checkStructs() {
 				}
 			}
 			sname := ts.Name.Name
-			for _, model := range layoutModels {
-				fields := structLayout(st, model.sizes)
-				l.checkFalseSharing(sname, fields, model.arch, add)
-				l.checkPads(sname, fields, model.arch, add)
-				l.checkElementPacking(sname, fields, model.sizes, model.arch, add)
-				l.checkStraddle(sname, fields, model.arch, add)
-			}
+			fields := structLayout(st)
+			l.checkFalseSharing(sname, fields)
+			l.checkPads(sname, fields)
+			l.checkElementPacking(sname, fields)
+			l.checkStraddle(sname, fields)
 			return true
 		})
 	}
-
-	ordered := make([]*finding, 0, len(findings))
-	for _, f := range findings {
-		ordered = append(ordered, f)
-	}
-	sort.Slice(ordered, func(i, j int) bool {
-		if ordered[i].pos != ordered[j].pos {
-			return ordered[i].pos < ordered[j].pos
-		}
-		return ordered[i].msg < ordered[j].msg
-	})
-	for _, f := range ordered {
-		sort.Strings(f.models)
-		l.pass.Reportf(f.pos, "%s [%s]", f.msg, strings.Join(f.models, ","))
-	}
 }
 
-// structLayout computes field offsets and sizes under one model.
-func structLayout(st *types.Struct, sizes types.Sizes) []layoutField {
+// structLayout computes field offsets and sizes.
+func structLayout(st *types.Struct) []layoutField {
 	vars := make([]*types.Var, st.NumFields())
 	for i := range vars {
 		vars[i] = st.Field(i)
 	}
-	offs := sizes.Offsetsof(vars)
+	offs := layoutSizes.Offsetsof(vars)
 	out := make([]layoutField, len(vars))
 	for i, v := range vars {
 		out[i] = layoutField{
 			v:    v,
 			off:  offs[i],
-			size: sizes.Sizeof(v.Type()),
+			size: layoutSizes.Sizeof(v.Type()),
 			pad:  v.Name() == "_",
 		}
 	}
@@ -299,7 +246,7 @@ func linesOverlap(a, b layoutField) bool {
 // invalidates the partner's readers). Owner-vs-owner and blind-counter
 // clusters are tolerated — co-written statistics sharing a line is the
 // idiom, not the bug (DESIGN.md §8 records the over-approximation).
-func (l *layoutAnalysis) checkFalseSharing(sname string, fields []layoutField, arch string, add func(string, token.Pos, string, string)) {
+func (l *layoutAnalysis) checkFalseSharing(sname string, fields []layoutField) {
 	for j := 1; j < len(fields); j++ {
 		fj := fields[j]
 		if fj.pad {
@@ -318,10 +265,8 @@ func (l *layoutAnalysis) checkFalseSharing(sname string, fields []layoutField, a
 			if !arbitrationRole(ri) && !arbitrationRole(rj) {
 				continue
 			}
-			key := fmt.Sprintf("fs:%s.%s/%s", sname, fi.v.Name(), fj.v.Name())
-			msg := fmt.Sprintf("false sharing in %s: %s (%s) and %s (%s) share cache line %d; separate them with atomicx.CacheLinePad or waive with //abp:layout-ignore",
+			l.pass.Reportf(fj.v.Pos(), "false sharing in %s: %s (%s) and %s (%s) share cache line %d; separate them with atomicx.CacheLinePad or waive with //abp:layout-ignore",
 				sname, fi.v.Name(), ri, fj.v.Name(), rj, lineOf(fj.off))
-			add(key, fj.v.Pos(), arch, msg)
 		}
 	}
 }
@@ -331,7 +276,7 @@ func (l *layoutAnalysis) checkFalseSharing(sname string, fields []layoutField, a
 // more (atomicx.CacheLinePad, `_ [64]byte`) always isolates its
 // neighbors — the flanking fields end up a full line apart no matter
 // their sizes — so only the hand-counted complements need auditing.
-func (l *layoutAnalysis) checkPads(sname string, fields []layoutField, arch string, add func(string, token.Pos, string, string)) {
+func (l *layoutAnalysis) checkPads(sname string, fields []layoutField) {
 	for i, f := range fields {
 		if !f.pad || f.size == 0 || f.size >= cacheLineSize || i+1 >= len(fields) {
 			continue
@@ -340,10 +285,8 @@ func (l *layoutAnalysis) checkPads(sname string, fields []layoutField, arch stri
 		if next.off%cacheLineSize == 0 {
 			continue
 		}
-		key := fmt.Sprintf("pad:%s/%d", sname, i)
-		msg := fmt.Sprintf("miscounted pad in %s: the %d-byte pad leaves %s at offset %d, not line-aligned; use atomicx.CacheLinePad, which isolates regardless of neighbor sizes",
+		l.pass.Reportf(f.v.Pos(), "miscounted pad in %s: the %d-byte pad leaves %s at offset %d, not line-aligned; use atomicx.CacheLinePad, which isolates regardless of neighbor sizes",
 			sname, f.size, next.v.Name(), next.off)
-		add(key, f.v.Pos(), arch, msg)
 	}
 }
 
@@ -354,7 +297,7 @@ func (l *layoutAnalysis) checkPads(sname string, fields []layoutField, arch stri
 // Slices of single atomic wrappers (a []atomicx.SCInt32 of join counters)
 // are exempt — a wrapper field is the deliberate dense-array idiom and
 // carries its own declared discipline.
-func (l *layoutAnalysis) checkElementPacking(sname string, fields []layoutField, sizes types.Sizes, arch string, add func(string, token.Pos, string, string)) {
+func (l *layoutAnalysis) checkElementPacking(sname string, fields []layoutField) {
 	for _, f := range fields {
 		if f.pad {
 			continue
@@ -389,21 +332,19 @@ func (l *layoutAnalysis) checkElementPacking(sname string, fields []layoutField,
 		if !hot {
 			continue
 		}
-		esize := sizes.Sizeof(elem)
+		esize := layoutSizes.Sizeof(elem)
 		if esize <= 0 || esize%cacheLineSize == 0 {
 			continue
 		}
-		key := fmt.Sprintf("pack:%s.%s", sname, f.v.Name())
-		msg := fmt.Sprintf("element packing in %s: %d-byte %s elements of %s pack %d per cache line, so neighbors written by different parties false-share; pad the element to a line multiple or waive with //abp:layout-ignore",
+		l.pass.Reportf(f.v.Pos(), "element packing in %s: %d-byte %s elements of %s pack %d per cache line, so neighbors written by different parties false-share; pad the element to a line multiple or waive with //abp:layout-ignore",
 			sname, esize, named.Obj().Name(), f.v.Name(), max(1, cacheLineSize/esize))
-		add(key, f.v.Pos(), arch, msg)
 	}
 }
 
 // checkStraddle flags arbitration-hot words (or aggregates of them, like
 // a [2]SCUint64 CAS'd per element) crossing a line boundary: the one CAS
 // target the paper's argument prices at a single line then costs two.
-func (l *layoutAnalysis) checkStraddle(sname string, fields []layoutField, arch string, add func(string, token.Pos, string, string)) {
+func (l *layoutAnalysis) checkStraddle(sname string, fields []layoutField) {
 	for _, f := range fields {
 		if f.pad || f.size == 0 || !arbitrationRole(l.roleOf(f.v)) {
 			continue
@@ -411,10 +352,8 @@ func (l *layoutAnalysis) checkStraddle(sname string, fields []layoutField, arch 
 		if f.off%cacheLineSize+f.size <= cacheLineSize {
 			continue
 		}
-		key := fmt.Sprintf("straddle:%s.%s", sname, f.v.Name())
-		msg := fmt.Sprintf("hot CAS word %s of %s straddles cache lines %d and %d (offset %d, size %d); align or pad it onto one line",
+		l.pass.Reportf(f.v.Pos(), "hot CAS word %s of %s straddles cache lines %d and %d (offset %d, size %d); align or pad it onto one line",
 			f.v.Name(), sname, lineOf(f.off), lineOf(f.off+f.size-1), f.off, f.size)
-		add(key, f.v.Pos(), arch, msg)
 	}
 }
 

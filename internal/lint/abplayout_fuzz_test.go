@@ -12,9 +12,7 @@ import (
 // layout computation and asserts its contract: structLayout never panics
 // on a struct whose fields are all sizeComputable, the result is
 // deterministic, offsets are nondecreasing with each field placed after
-// the previous one ends, both size models (amd64 and arm64 — both 64-bit
-// gc layouts) agree on every span, and a full-line blank pad really
-// isolates — fields on opposite sides of a >=64-byte pad never share a
+// the previous one ends, and a full-line blank pad really isolates — fields on opposite sides of a >=64-byte pad never share a
 // cache line. The declarations are typechecked hermetically, with the
 // same harness FuzzOrderClassifier uses.
 func FuzzLayoutClassifier(f *testing.F) {
@@ -68,62 +66,46 @@ func FuzzLayoutClassifier(f *testing.F) {
 				continue // the analyzer skips these structs; so does the fuzz
 			}
 
-			var spans [][]layoutField
-			for _, model := range layoutModels {
-				fields := structLayout(st, model.sizes) // must not panic
-				again := structLayout(st, model.sizes)
-				if len(fields) != st.NumFields() || len(again) != len(fields) {
-					t.Fatalf("%s/%s: %d fields laid out as %d/%d spans",
-						objName, model.arch, st.NumFields(), len(fields), len(again))
-				}
-				end := int64(0)
-				for i, fld := range fields {
-					if again[i].off != fld.off || again[i].size != fld.size || again[i].pad != fld.pad {
-						t.Fatalf("%s/%s field %d: nondeterministic layout (%d,%d,%v) then (%d,%d,%v)",
-							objName, model.arch, i, fld.off, fld.size, fld.pad,
-							again[i].off, again[i].size, again[i].pad)
-					}
-					if fld.size < 0 {
-						t.Fatalf("%s/%s field %d: negative size %d", objName, model.arch, i, fld.size)
-					}
-					if fld.off < end {
-						t.Fatalf("%s/%s field %d: offset %d overlaps previous end %d",
-							objName, model.arch, i, fld.off, end)
-					}
-					end = fld.off + fld.size
-					if (fld.v.Name() == "_") != fld.pad {
-						t.Fatalf("%s/%s field %d: pad flag %v for name %q",
-							objName, model.arch, i, fld.pad, fld.v.Name())
-					}
-				}
-				spans = append(spans, fields)
+			fields := structLayout(st) // must not panic
+			again := structLayout(st)
+			if len(fields) != st.NumFields() || len(again) != len(fields) {
+				t.Fatalf("%s: %d fields laid out as %d/%d spans",
+					objName, st.NumFields(), len(fields), len(again))
 			}
-			// Both models are 64-bit gc layouts: identical spans expected,
-			// and a divergence is exactly what checkStructs' per-model loop
-			// exists to catch — so the fuzz pins it too.
-			for i := range spans[0] {
-				a, b := spans[0][i], spans[1][i]
-				if a.off != b.off || a.size != b.size {
-					t.Fatalf("%s field %d: models disagree, amd64 (%d,%d) vs arm64 (%d,%d)",
-						objName, i, a.off, a.size, b.off, b.size)
+			end := int64(0)
+			for i, fld := range fields {
+				if again[i].off != fld.off || again[i].size != fld.size || again[i].pad != fld.pad {
+					t.Fatalf("%s field %d: nondeterministic layout (%d,%d,%v) then (%d,%d,%v)",
+						objName, i, fld.off, fld.size, fld.pad,
+						again[i].off, again[i].size, again[i].pad)
+				}
+				if fld.size < 0 {
+					t.Fatalf("%s field %d: negative size %d", objName, i, fld.size)
+				}
+				if fld.off < end {
+					t.Fatalf("%s field %d: offset %d overlaps previous end %d",
+						objName, i, fld.off, end)
+				}
+				end = fld.off + fld.size
+				if (fld.v.Name() == "_") != fld.pad {
+					t.Fatalf("%s field %d: pad flag %v for name %q",
+						objName, i, fld.pad, fld.v.Name())
 				}
 			}
 			// A full-line blank pad always isolates: no field before it may
 			// share a cache line with any field after it.
-			for _, fields := range spans {
-				for p, pad := range fields {
-					if !pad.pad || pad.size < cacheLineSize {
-						continue
-					}
-					for i := 0; i < p; i++ {
-						for j := p + 1; j < len(fields); j++ {
-							if fields[i].size == 0 || fields[j].size == 0 {
-								continue
-							}
-							if linesOverlap(fields[i], fields[j]) {
-								t.Fatalf("%s: fields %d and %d share a line across the %d-byte pad at field %d",
-									objName, i, j, pad.size, p)
-							}
+			for p, pad := range fields {
+				if !pad.pad || pad.size < cacheLineSize {
+					continue
+				}
+				for i := 0; i < p; i++ {
+					for j := p + 1; j < len(fields); j++ {
+						if fields[i].size == 0 || fields[j].size == 0 {
+							continue
+						}
+						if linesOverlap(fields[i], fields[j]) {
+							t.Fatalf("%s: fields %d and %d share a line across the %d-byte pad at field %d",
+								objName, i, j, pad.size, p)
 						}
 					}
 				}

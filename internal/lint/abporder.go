@@ -49,18 +49,18 @@ import (
 
 // AbpOrder reports atomic variables whose declared ordering discipline is
 // stronger than the proven requirement (over-synchronized) or weaker than
-// the evidence demands (under-synchronized), plus loop-invariant atomic
-// loads.
+// the evidence demands (under-synchronized), loop-invariant atomic loads,
+// and raw fields used with function-style atomics or accessed plainly too.
 var AbpOrder = &Analyzer{
 	Name: "abporder",
-	Doc:  "classifies the minimal memory-ordering discipline (plain/publish/sc) each atomic variable needs and reports declaration-vs-necessity mismatches and loop-invariant atomic loads",
+	Doc:  "classifies the minimal memory-ordering discipline (plain/publish/sc) each atomic variable needs and reports declaration-vs-necessity mismatches, loop-invariant atomic loads, and raw fields used with function-style atomics or accessed both atomically and plainly",
 	Run:  runAbpOrder,
 }
 
 // An orderDecl is one atomic variable declaration in scope.
 type orderDecl struct {
 	pos  token.Pos
-	disc string // "sc", "publish", "plain" (atomicx) or "raw" (sync/atomic)
+	disc string // "sc", "publish" (atomicx) or "raw" (sync/atomic)
 	typ  string // rendered type name for messages
 }
 
@@ -114,8 +114,6 @@ func declDiscipline(t types.Type) (disc, name string, ok bool) {
 			return "sc", "atomicx." + obj.Name(), true
 		case strings.HasPrefix(obj.Name(), "Publish"):
 			return "publish", "atomicx." + obj.Name(), true
-		case strings.HasPrefix(obj.Name(), "Plain"):
-			return "plain", "atomicx." + obj.Name(), true
 		}
 	}
 	return "", "", false
@@ -213,6 +211,7 @@ func (o *orderAnalysis) checkVars() {
 			// Function-style atomics on a raw integer field: an
 			// undeclared sc discipline, checkable all the same.
 			decl = &orderDecl{pos: v.Pos(), disc: "raw", typ: types.TypeString(v.Type(), func(p *types.Package) string { return p.Name() })}
+			o.checkRawField(v, accs)
 		}
 		if v.Pkg() != o.pkg {
 			continue // another package's declaration is its own analyzer run's job
@@ -224,22 +223,10 @@ func (o *orderAnalysis) checkVars() {
 		// Under-synchronization: hard evidence the declaration is too
 		// weak. Hidden writers only add requirements, so this check
 		// needs no mention-guard.
-		if (decl.disc == "publish" || decl.disc == "plain") && scEvidence != "" {
+		if decl.disc == "publish" && scEvidence != "" {
 			o.pass.Reportf(decl.pos,
 				"%s declares %s ordering (%s) but %s: sc discipline is required (suppress with //abp:order-ignore <justification>)",
 				desc, decl.disc, decl.typ, scEvidence)
-			continue
-		}
-		if decl.disc == "plain" {
-			// A declared-plain variable is verified the way abprace
-			// verifies a raw field: under the standard concurrency model
-			// with the full suppression set. A surviving conflicting pair
-			// means plain was the wrong declaration.
-			if x, y, _, _ := o.unorderedPair(accs, false, false); x != nil {
-				o.pass.Reportf(decl.pos,
-					"%s declares plain ordering (%s) but has concurrent conflicting accesses with no happens-before edge (%s in %s vs %s in %s): publish or sc discipline is required (suppress with //abp:order-ignore <justification>)",
-					desc, decl.typ, x.kind(), x.fn.name(), y.kind(), y.fn.name())
-			}
 			continue
 		}
 
@@ -253,7 +240,7 @@ func (o *orderAnalysis) checkVars() {
 		// Plain is proven when EVERY conflicting pair (atomicity of the ops
 		// themselves is what is on trial, so atomic-atomic pairs are not
 		// exempt) is ordered under the adversarial rules.
-		if x, _, _, _ := o.unorderedPair(accs, true, false); x != nil {
+		if x, _, _, _ := o.unorderedPair(accs, true); x != nil {
 			if decl.disc == "sc" {
 				o.pass.Reportf(decl.pos,
 					"%s declares sc ordering (%s) but participates in no CAS arbitration, consumed-result RMW, store→load sequence, or declared handshake: publish (release/acquire) discipline suffices (suppress with //abp:order-ignore <justification>)",
@@ -267,6 +254,44 @@ func (o *orderAnalysis) checkVars() {
 			o.pass.Reportf(decl.pos,
 				"%s declares %s ordering (%s) but every conflicting access pair is ordered by happens-before edges even under adversarial caller concurrency: plain discipline suffices (suppress with //abp:order-ignore <justification>)",
 				desc, decl.disc, decl.typ)
+		}
+	}
+}
+
+// checkRawField checks the contract the wrapper types enforce by
+// construction, on a raw field v: each function-style atomic on the field
+// itself (&s.f, not an element of it) is reported, and once there is one,
+// so is every plain selection of the field — unshared fresh objects
+// included, since the contract is syntactic: one plain access forfeits the
+// sequential consistency the parking handshake and the deque's argument
+// lean on. The atomicx package is exempt: its method bodies are the wrapper
+// layer, the one place function-style atomics on raw fields are the point.
+func (o *orderAnalysis) checkRawField(v *types.Var, accs []*raceAccess) {
+	if !v.IsField() || o.pkg.Name() == "atomicx" {
+		return
+	}
+	var first *raceAccess
+	for _, acc := range accs {
+		if !acc.fnStyle {
+			continue
+		}
+		if first == nil {
+			first = acc
+		}
+		o.pass.Reportf(acc.call.Pos(),
+			"field %s is manipulated with atomic.%s; use a sync/atomic wrapper type (atomic.Int64 et al.) so plain access is impossible",
+			v.Name(), acc.op)
+	}
+	if first == nil {
+		return
+	}
+	for _, list := range [][]*raceAccess{accs, o.fresh} {
+		for _, acc := range list {
+			if acc.v == v && !acc.atomic {
+				o.pass.Reportf(acc.pos,
+					"plain access to field %s, which is accessed atomically at %s; every access must go through sync/atomic",
+					v.Name(), o.pass.Fset.Position(first.call.Pos()))
+			}
 		}
 	}
 }

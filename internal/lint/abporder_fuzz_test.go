@@ -12,20 +12,20 @@ import (
 // FuzzOrderClassifier feeds arbitrary type declarations to abporder's
 // discipline classifier and asserts its contract: declDiscipline never
 // panics, a negative answer is fully zero, a positive answer names one of
-// the four disciplines with a wrapper name matching it, the result is
+// the three disciplines with a wrapper name matching it, the result is
 // deterministic, and one level of slice/array wrapping is transparent
 // (a []atomicx.SCUint64 field declares the same discipline as the scalar).
 // The declarations are checked twice — once as a package named atomicx,
 // once under the import path sync/atomic — because those are exactly the
 // two namespaces the classifier trusts: in the first, classification is
-// driven by the SC/Publish/Plain name prefix; in the second, every named
+// driven by the SC/Publish name prefix; in the second, every named
 // type must classify as the raw discipline regardless of its name.
 func FuzzOrderClassifier(f *testing.F) {
 	seeds := []string{
 		"type SCUint64 struct{ v uint64 }\ntype S struct {\n\ta SCUint64\n\tb []SCUint64\n\tc [4]SCUint64\n}",
 		"type PublishPointer[T any] struct{ p *T }\ntype W struct{ h PublishPointer[int] }",
-		"type PlainBool struct{ b bool }\ntype X struct{ f PlainBool }",
-		"type SC struct{}\ntype Publish struct{}\ntype Plain struct{}\ntype T struct {\n\ta SC\n\tb Publish\n\tc Plain\n}",
+		"type PublishBool struct{ b bool }\ntype X struct{ f PublishBool }",
+		"type SC struct{}\ntype Publish struct{}\ntype T struct {\n\ta SC\n\tb Publish\n}",
 		"type SCInt32 int32\nvar Top SCInt32\nvar Ring []SCInt32",
 		"type scLower struct{}\ntype T struct{ f scLower }",
 		"type SCCell[T any] struct{ v T }\ntype Q struct{ cells []SCCell[*int] }",
@@ -70,7 +70,6 @@ func FuzzOrderClassifier(f *testing.F) {
 					"raw":     "atomic.",
 					"sc":      "atomicx.SC",
 					"publish": "atomicx.Publish",
-					"plain":   "atomicx.Plain",
 				}[disc]
 				if wantPrefix == "" {
 					t.Fatalf("unknown discipline %q for %v", disc, tt)

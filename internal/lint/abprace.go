@@ -17,8 +17,8 @@ import (
 //  1. goroutine contexts (goroutine.go): every function/closure is tagged
 //     with the goroutine roots that can be executing it.
 //  2. the access set: every read/write of a struct field or package-level
-//     variable, classified plain vs sync/atomic (the set atomicmix,
-//     handshake, abporder and abplayout filter too).
+//     variable, classified plain vs sync/atomic (the set handshake,
+//     abporder and abplayout filter too).
 //  3. happens-before facts, per function along its CFG: channel
 //     sends/closes vs receives, WaitGroup deferred-Done -> Wait joins,
 //     mutex locksets (dominating Lock not killed by a dominated Unlock,
@@ -59,7 +59,7 @@ func runAbpRace(pass *Pass) error {
 	// One finding per location (the first unordered conflicting pair)
 	// keeps output stable.
 	for _, v := range f.vars {
-		if x, y, rx, ry := f.unorderedPair(f.accesses[v], false, true); x != nil {
+		if x, y, rx, ry := f.unorderedPair(f.accesses[v], false); x != nil {
 			reportRace(pass, x, y, rx, ry)
 		}
 	}
@@ -72,14 +72,14 @@ func runAbpRace(pass *Pass) error {
 // position order) that conflicts — at least one side writes — on concurrent
 // goroutine roots with no fact ordering it, or a nil x when every such pair
 // is ordered. It is the one pair iterator: abprace reports what it returns
-// under the standard rules with atomic-atomic pairs exempt, abporder's
-// declared-plain check does the same with no exemption (the atomicity of
-// the operations is what is on trial), and abporder's plain-suffices proof
-// demands a nil answer under the adversarial rules (see suppressed).
-func (f *pkgFacts) unorderedPair(accs []*raceAccess, adversarial, atomicPairsExempt bool) (x, y *raceAccess, rx, ry *gRoot) {
+// under the standard rules with atomic-atomic pairs exempt, and abporder's
+// plain-suffices proof demands a nil answer under the adversarial rules
+// (see suppressed) with no exemption — the atomicity of the operations is
+// what is on trial.
+func (f *pkgFacts) unorderedPair(accs []*raceAccess, adversarial bool) (x, y *raceAccess, rx, ry *gRoot) {
 	for i, x := range accs {
 		for _, y := range accs[i:] {
-			if !x.write && !y.write || atomicPairsExempt && x.atomic && y.atomic {
+			if !x.write && !y.write || !adversarial && x.atomic && y.atomic {
 				continue
 			}
 			for _, rx := range f.gs.ctx[x.fn] {
@@ -391,8 +391,9 @@ func (f *pkgFacts) lockExcluded(x, y *raceAccess) bool {
 // locksAtNode computes the locks held at a CFG node: the function's
 // inherited set plus every Lock that dominates the node and is not killed
 // by an Unlock on the path (a dominated Unlock that itself dominates the
-// node). Bits: 1 = exclusive, 2 = shared (RLock). Deferred Unlocks never
-// kill; conditional Unlocks off the dominating path are missed — an
+// node). Bits: 1 = exclusive, 2 = shared (RLock). A deferred operation
+// runs at return, so a deferred Unlock never kills and a deferred Lock never
+// holds; conditional Unlocks off the dominating path are missed — an
 // accepted over-approximation noted in DESIGN.md.
 func (f *pkgFacts) locksAtNode(fn *funcNode, node ast.Node) map[*types.Var]uint8 {
 	held := map[*types.Var]uint8{}
@@ -404,12 +405,12 @@ func (f *pkgFacts) locksAtNode(fn *funcNode, node ast.Node) map[*types.Var]uint8
 	}
 	ops, cfg := f.factsOf(fn), f.cfg(fn)
 	for _, l := range ops.locks {
-		if l.node == nil || !cfg.dominates(l.node, node) {
+		if l.node == nil || l.deferred() || !cfg.dominates(l.node, node) {
 			continue
 		}
 		killed := false
 		for _, u := range ops.unlocks {
-			if u.v != l.v || u.read != l.read || u.node == nil {
+			if u.v != l.v || u.read != l.read || u.node == nil || u.deferred() {
 				continue
 			}
 			if cfg.dominates(l.node, u.node) && cfg.dominates(u.node, node) {

@@ -1,5 +1,5 @@
 // abpwait: whole-package liveness analysis — the wait/signal counterpart
-// to abprace's happens-before machinery. Where the other eleven analyzers
+// to abprace's happens-before machinery. Where the other seven analyzers
 // guard safety properties (no races, no ABA, no false sharing), abpwait
 // guards the property the paper's §3.2/§6 bounds actually assert:
 // *progress*. Both historical shipped bugs in the park/wake machinery were
@@ -48,6 +48,10 @@
 //     forever. park, Future.Join, and the watchdog all carry such a
 //     case; this check turns that convention into a contract.
 //
+// and, over the same sites, the paper's central implementation claim
+// (reportNonBlocking): an //abp:nonblocking function neither waits nor
+// blocks at all.
+//
 // Escape channels are recognised by shape, not provenance: a receive from
 // a method call named Done (context.Context, Handle), a time.Timer/Ticker
 // .C field or time.After/Tick call, or a channel whose identity variable's
@@ -80,8 +84,9 @@ var AbpWait = &Analyzer{
 	Doc: "report liveness hazards over the package's wait/signal graph: naked-wait " +
 		"(no concurrent root can signal the awaited object), missed-signal (bare " +
 		"time.Sleep polling loops, the PR-6 nap bug shape), wait-cycle (static " +
-		"deadlock among goroutine roots), and unbounded-block (blocking select " +
-		"with no quit/abort/ctx.Done escape on a worker root)",
+		"deadlock among goroutine roots), unbounded-block (blocking select " +
+		"with no quit/abort/ctx.Done escape on a worker root), and any blocking " +
+		"operation inside an //abp:nonblocking function",
 	Run: runAbpWait,
 }
 
@@ -129,7 +134,10 @@ type signalSite struct {
 	// deferred signals run at their function's return — after every wait
 	// in its body, whatever the lexical order says.
 	deferred bool
-	op       string
+	// try marks a send that is a case of a select with a default: it
+	// never blocks.
+	try bool
+	op  string
 }
 
 // A waitGraph is the package's wait and signal sites over the fact
@@ -140,9 +148,18 @@ type waitGraph struct {
 	waits   []*waitSite
 	signals []*signalSite
 	byVar   map[*types.Var][]*signalSite
+	// faults holds the calls into the failpoint registry other than
+	// fault.Point, made outside package fault.
+	faults []faultCall
 	// loopy marks functions whose every execution may repeat: called
 	// from a call site on a caller's CFG cycle, transitively.
 	loopy map[*funcNode]bool
+}
+
+// A faultCall is one call into the failpoint registry.
+type faultCall struct {
+	fn   *funcNode
+	call *ast.CallExpr
 }
 
 func runAbpWait(pass *Pass) error {
@@ -151,6 +168,7 @@ func runAbpWait(pass *Pass) error {
 	a.reportMissedSignals()
 	a.reportWaitCycles()
 	a.reportUnboundedBlocks()
+	a.reportNonBlocking()
 	return nil
 }
 
@@ -253,8 +271,9 @@ func (a *waitGraph) scan(fn *funcNode) {
 	}
 	info := a.info
 	// Receives that are comm clauses of a select belong to the select's
-	// site, not to a standalone recv site; deferred calls are signals that
-	// fire at return, not at their lexical position.
+	// site, not to a standalone recv site, and sends that are comm clauses
+	// of a select with a default are try-sends; deferred calls are signals
+	// that fire at return, not at their lexical position.
 	inSelect := map[ast.Node]bool{}
 	deferCalls := map[*ast.CallExpr]bool{}
 	fn.inspectOwn(func(n ast.Node) bool {
@@ -290,7 +309,7 @@ func (a *waitGraph) scan(fn *funcNode) {
 		case *ast.SendStmt:
 			a.signals = append(a.signals, &signalSite{
 				fn: fn, node: x, v: leafVar(info, x.Chan),
-				typ: info.TypeOf(x.Chan), op: "send",
+				typ: info.TypeOf(x.Chan), try: inSelect[x], op: "send",
 			})
 		case *ast.CallExpr:
 			a.classifyCall(fn, x, deferCalls[x])
@@ -306,6 +325,7 @@ func (a *waitGraph) scan(fn *funcNode) {
 func (a *waitGraph) collectSelect(fn *funcNode, sel *ast.SelectStmt, inSelect map[ast.Node]bool) {
 	hasDefault := false
 	var objs []waitObj
+	var sends []ast.Node
 	escape := false
 	for _, c := range sel.Body.List {
 		clause, ok := c.(*ast.CommClause)
@@ -318,6 +338,8 @@ func (a *waitGraph) collectSelect(fn *funcNode, sel *ast.SelectStmt, inSelect ma
 		}
 		var recv ast.Expr
 		switch s := clause.Comm.(type) {
+		case *ast.SendStmt:
+			sends = append(sends, s)
 		case *ast.ExprStmt:
 			recv = s.X
 		case *ast.AssignStmt:
@@ -335,7 +357,11 @@ func (a *waitGraph) collectSelect(fn *funcNode, sel *ast.SelectStmt, inSelect ma
 		}
 	}
 	if hasDefault {
-		return // non-blocking: a token deposit / poll, not a wait
+		// Non-blocking: a token deposit / poll, not a wait.
+		for _, s := range sends {
+			inSelect[s] = true
+		}
+		return
 	}
 	a.waits = append(a.waits, &waitSite{
 		fn: fn, node: sel, kind: waitSelect, objs: objs, escape: escape,
@@ -359,6 +385,10 @@ func (a *waitGraph) classifyCall(fn *funcNode, call *ast.CallExpr, deferred bool
 		return
 	}
 	sig := callee.Type().(*types.Signature)
+	if callee.Pkg().Path() == faultPkgPath && a.pkg.Path() != faultPkgPath &&
+		!(sig.Recv() == nil && callee.Name() == "Point") {
+		a.faults = append(a.faults, faultCall{fn: fn, call: call})
+	}
 	if callee.Pkg().Path() == "time" && sig.Recv() == nil && callee.Name() == "Sleep" {
 		a.waits = append(a.waits, &waitSite{
 			fn: fn, node: call, kind: waitSleep, desc: "time.Sleep",
@@ -714,6 +744,76 @@ func (a *waitGraph) reportUnboundedBlocks() {
 			"unbounded block: select in %s on %s has no escape case — no quit/stop/abort channel, ctx.Done(), timer, or default — so a stopped pool strands this goroutine forever (//abp:wait-ignore with a justification to waive)",
 			w.fn.name(), goRoot.name())
 	}
+}
+
+// --- Non-blocking functions ---
+
+// faultPkgPath is the failpoint framework; fault.Point is the one call from
+// it permitted inside //abp:nonblocking functions.
+const faultPkgPath = "worksteal/internal/fault"
+
+// reportNonBlocking checks the paper's central implementation claim: the
+// Figure 5 deque operations and the scheduler's inner steal path never
+// block, so a process stalled mid-operation cannot keep another from
+// completing its own (Section 3.2; the premise of Rito & Paulino's
+// synchronization-overhead bounds). A function carrying //abp:nonblocking,
+// closures lexically inside it included, may contain no wait site, no
+// channel send outside a select with a default (the wake protocol's
+// try-send), no mutex operation — not even Unlock — and no call into the
+// fault registry but fault.Point: a disabled Point is one atomic load,
+// while every other fault function takes the registry lock. Package fault
+// itself is exempt: Point's armed slow path is the documented suspension of
+// the property. The check is not transitive; the directive on a helper is
+// the audit trail for which functions the claim covers.
+func (a *waitGraph) reportNonBlocking() {
+	report := func(fn *funcNode, pos token.Pos, op, note string) {
+		for fn.parent != nil {
+			fn = fn.parent
+		}
+		if hasDirective(fn.decl.Doc, "//abp:nonblocking") {
+			a.pass.Reportf(pos, "%s in //abp:nonblocking function %s%s", op, funcName(fn.decl), note)
+		}
+	}
+	for _, w := range a.waits {
+		report(w.fn, w.node.Pos(), a.blockingOp(w), "")
+	}
+	for _, s := range a.signals {
+		if s.op == "send" && !s.try {
+			report(s.fn, s.node.Pos(), "channel send", "")
+		}
+	}
+	shared := map[bool]string{true: "R"}
+	for _, fn := range a.graph.nodes {
+		ops := a.factsOf(fn)
+		for _, op := range ops.locks {
+			report(fn, op.node.Pos(), "sync."+shared[op.read]+"Lock", "")
+		}
+		for _, op := range ops.unlocks {
+			report(fn, op.node.Pos(), "sync."+shared[op.read]+"Unlock", "")
+		}
+	}
+	for _, c := range a.faults {
+		report(c.fn, c.call.Pos(), "fault."+calleeFunc(a.info, c.call).Name(),
+			" (only fault.Point is permitted: its disabled fast path is one atomic load)")
+	}
+}
+
+// blockingOp names a wait site's operation for the //abp:nonblocking
+// findings.
+func (a *waitGraph) blockingOp(w *waitSite) string {
+	switch w.kind {
+	case waitRecv:
+		return "channel receive"
+	case waitRange:
+		return "range over channel"
+	case waitSelect:
+		return "select without default"
+	case waitSleep:
+		return "time.Sleep"
+	}
+	// A WaitGroup or opaque Wait/Join call: sync.Wait, sched.Join, ...
+	fn := calleeFunc(a.info, w.node.(*ast.CallExpr))
+	return fn.Pkg().Name() + "." + fn.Name()
 }
 
 // rootNames renders a root list for diagnostics.

@@ -14,7 +14,7 @@ import (
 // FuzzWaitGraph feeds arbitrary goroutine/channel programs to abpwait's
 // wait/signal graph builder and asserts its contract: the fact pass,
 // collectWaits and
-// the four report passes never panic, the graph and the findings are
+// the five report passes never panic, the graph and the findings are
 // deterministic (two builds serialize identically), every collected site
 // is well-formed (attributed to a function node, with a registered node
 // and a known kind/op), and a select carrying a default clause is never
@@ -84,6 +84,7 @@ func FuzzWaitGraph(f *testing.F) {
 			a.reportMissedSignals()
 			a.reportWaitCycles()
 			a.reportUnboundedBlocks()
+			a.reportNonBlocking()
 			var shape []string
 			for _, w := range a.waits {
 				objs := make([]string, 0, len(w.objs))

@@ -6,11 +6,15 @@ import (
 	"testing"
 )
 
-func TestAtomicMix(t *testing.T) { runAnalyzerTest(t, AtomicMix, "atomicmix") }
+func TestAtomicMix(t *testing.T) {
+	runAnalyzerTest(t, onlyMatching(AbpOrder, "is manipulated with atomic.", "plain access to field"), "atomicmix")
+}
 func TestOwnerOnly(t *testing.T) {
 	runAnalyzerTest(t, onlyMatching(Owner, "outside an owner context"), "owneronly")
 }
-func TestNonBlocking(t *testing.T) { runAnalyzerTest(t, NonBlocking, "nonblocking") }
+func TestNonBlocking(t *testing.T) {
+	runAnalyzerTest(t, onlyMatching(AbpWait, "in //abp:nonblocking function"), "nonblocking")
+}
 func TestCASLoop(t *testing.T)     { runAnalyzerTest(t, CAS, "casloop") }
 func TestOwnerEscape(t *testing.T) { runAnalyzerTest(t, Owner, "ownerescape") }
 func TestHandshake(t *testing.T)   { runAnalyzerTest(t, Handshake, "handshake") }
@@ -22,14 +26,16 @@ func TestAbpLayout(t *testing.T)   { runAnalyzerTest(t, AbpLayout, "abplayout") 
 func TestAbpWait(t *testing.T)     { runAnalyzerTest(t, AbpWait, "abpwait") }
 
 // onlyMatching is a with its findings cut down to those whose message
-// contains substr: one check of a merged analyzer, for a fixture written
-// when that check was an analyzer of its own and which the other check has
-// findings on too (owneronly's spawner leaks its deque to show that
-// ownership stops at a go statement).
-func onlyMatching(a *Analyzer, substr string) *Analyzer {
+// contains one of substrs: one check of a merged analyzer, for a fixture
+// written when that check was an analyzer of its own and which the other
+// checks have findings on too (owneronly's spawner leaks its deque to show
+// that ownership stops at a go statement).
+func onlyMatching(a *Analyzer, substrs ...string) *Analyzer {
 	return &Analyzer{Name: a.Name, Doc: a.Doc, Run: func(pass *Pass) error {
 		err := a.Run(pass)
-		pass.diags = slices.DeleteFunc(pass.diags, func(d Diagnostic) bool { return !strings.Contains(d.Message, substr) })
+		pass.diags = slices.DeleteFunc(pass.diags, func(d Diagnostic) bool {
+			return !slices.ContainsFunc(substrs, func(s string) bool { return strings.Contains(d.Message, s) })
+		})
 		return err
 	}}
 }

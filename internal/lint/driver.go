@@ -30,9 +30,8 @@ func (t *Tool) Main(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	only := fs.String("only", "", "comma-separated subset of analyzers to run (default all)")
 	list := fs.Bool("list", false, "list available analyzers and exit")
-	jsonOut := fs.Bool("json", false, "write findings to stdout as a JSON report")
 	sarifPath := fs.String("sarif", "", "write findings as SARIF 2.1.0 to this `file` (\"-\" for stdout)")
-	unusedIgnores := fs.Bool("unused-ignores", false, "also report stale ignore directives addressed to the analyzers that ran")
+	unusedIgnores := fs.Bool("unused-ignores", false, "also report stale ignore directives addressed to the analyzers that ran, and those that name no analyzer")
 	dir := fs.String("C", ".", "load packages as if launched from `dir`")
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(), "usage: %s [flags] [packages]\n\n", t.Name)
@@ -86,10 +85,15 @@ func (t *Tool) Main(args []string, stdout, stderr io.Writer) int {
 
 	// ran scopes -unused-ignores: a directive addressed to an analyzer
 	// that did not run is not judged (it may suppress a finding this run
-	// never computed).
-	ran := map[string]bool{}
+	// never computed). One addressed to no analyzer of the suite — a
+	// misspelling, or one since merged into another — is stale whatever
+	// ran.
+	ran, known := map[string]bool{}, map[string]bool{}
 	for _, a := range analyzers {
 		ran[a.Name] = true
+	}
+	for _, a := range t.Analyzers {
+		known[a.Name] = true
 	}
 
 	var findings []Finding
@@ -110,10 +114,9 @@ func (t *Tool) Main(args []string, stdout, stderr io.Writer) int {
 		}
 		if *unusedIgnores {
 			for _, d := range ignores.Unused() {
-				if !ran[d.Analyzer] {
-					continue
+				if ran[d.Analyzer] || !known[d.Analyzer] {
+					findings = append(findings, UnusedIgnoreFinding(d, root, known[d.Analyzer]))
 				}
-				findings = append(findings, UnusedIgnoreFinding(d, root))
 			}
 		}
 	}
@@ -131,12 +134,6 @@ func (t *Tool) Main(args []string, stdout, stderr io.Writer) int {
 		return a.Analyzer < b.Analyzer
 	})
 
-	if *jsonOut {
-		if err := WriteJSON(stdout, findings); err != nil {
-			fmt.Fprintf(stderr, "%s: %v\n", t.Name, err)
-			return 2
-		}
-	}
 	if *sarifPath != "" {
 		rules := analyzers
 		if *unusedIgnores {
@@ -147,7 +144,7 @@ func (t *Tool) Main(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	}
-	if !*jsonOut && *sarifPath != "-" {
+	if *sarifPath != "-" {
 		for _, f := range findings {
 			fmt.Fprintln(stdout, f)
 		}

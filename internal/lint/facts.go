@@ -52,8 +52,8 @@ type pkgFacts struct {
 	accesses map[*types.Var][]*raceAccess
 	vars     []*types.Var
 	// fresh holds the plain accesses the fresh-object rule proves
-	// unshared. The race analyses never see them; atomicmix, whose
-	// contract is syntactic, does.
+	// unshared. The race analyses never see them; abporder's raw-field
+	// check, whose contract is syntactic, does.
 	fresh []*raceAccess
 
 	// Memos of the happens-before engine (abprace.go).
@@ -125,14 +125,21 @@ type syncOp struct {
 	read bool // RLock/RUnlock (shared mode)
 }
 
+// deferred reports whether the operation is a deferred call: it runs at
+// return, after every statement of the function body.
+func (op syncOp) deferred() bool {
+	_, ok := op.node.(*ast.DeferStmt)
+	return ok
+}
+
 // funcFacts are the per-function synchronization operations the
 // happens-before rules pair up.
 type funcFacts struct {
 	sends        []syncOp // channel sends and closes
 	recvs        []syncOp
 	waits        []syncOp // WaitGroup.Wait
-	locks        []syncOp
-	unlocks      []syncOp
+	locks        []syncOp // mutex Lock/RLock, deferred ones included
+	unlocks      []syncOp // mutex Unlock/RUnlock, deferred ones included
 	atomicW      []syncOp
 	atomicR      []syncOp
 	deferredDone []*types.Var
@@ -405,19 +412,9 @@ func (c *collector) classifyCall(call *ast.CallExpr) {
 			}
 		}
 	case isAtomicMethod(callee):
-		// w.parked.Store(true): the receiver chain is the atomic access.
+		// w.status.Store(v): the receiver chain is the atomic access.
 		if sel != nil {
 			atomicOperand(elemBase(ast.Unparen(sel.X)), callee.Name() != "Load", false)
-		}
-	case isAtomicxPlainMethod(callee):
-		// x.f.Set(v) on an atomicx.PlainPointer field f: a declared-plain
-		// access — the receiver chain is a plain write (Set) or plain read
-		// (Get), checked by the pair machinery exactly as a raw field
-		// access would be.
-		if sel != nil {
-			mk := c.mark(elemBase(ast.Unparen(sel.X)))
-			mk.write = mk.write || callee.Name() == "Set"
-			mk.op, mk.call = callee.Name(), call
 		}
 	case syncMethodRecv(callee) != "":
 		if sel == nil {
@@ -433,11 +430,9 @@ func (c *collector) classifyCall(call *ast.CallExpr) {
 		recvType := syncMethodRecv(callee)
 		mutex := recvType == "Mutex" || recvType == "RWMutex"
 		switch name := callee.Name(); {
-		case mutex && !deferred && (name == "Lock" || name == "RLock"):
+		case mutex && (name == "Lock" || name == "RLock"):
 			c.facts.locks = append(c.facts.locks, syncOp{v: v, node: n, read: name == "RLock"})
-		case mutex && !deferred && (name == "Unlock" || name == "RUnlock"):
-			// A deferred unlock releases at return: it never kills the
-			// lockset of statements inside the function.
+		case mutex && (name == "Unlock" || name == "RUnlock"):
 			c.facts.unlocks = append(c.facts.unlocks, syncOp{v: v, node: n, read: name == "RUnlock"})
 		case recvType == "WaitGroup" && !deferred && name == "Wait":
 			c.facts.waits = append(c.facts.waits, syncOp{v: v, node: n})

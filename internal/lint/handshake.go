@@ -22,7 +22,7 @@ import (
 // where each <name> matches, inside the annotated function's body:
 //
 //   - a sync/atomic operation on a struct field with that name, via wrapper
-//     method (w.parked.Store(true), p.idle.Load()) or function-style call
+//     method (w.status.Store(s), p.idle.Load()) or function-style call
 //     (atomic.StoreUint32(&s.f, 1)); or
 //   - a call to a function or method with that name (PushBottom,
 //     anyVisibleWork, signalWork, ...), for sides whose memory operation is

@@ -18,7 +18,7 @@
 // the goroutine roots and per-function contexts, memoized per-function CFGs
 // and reaching definitions, the access set over every function, the
 // per-function synchronization operations, and the resolved //abp:handshake
-// table. The ten analyzers read those facts and build none of their own.
+// table. The eight analyzers read those facts and build none of their own.
 //
 // Three comment directives put code in scope:
 //
@@ -90,13 +90,14 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.diags = append(p.diags, Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
 
-// All returns the abplint analyzer suite: the six contract analyzers of
-// PRs 2 and 3 (eight until PR 22 merged the two over the //abp:owner
-// closure and the two over CAS sites), PR 4's whole-package race detector,
-// PR 7's memory-ordering necessity analyzer, PR 8's cache-layout analyzer,
-// and PR 9's liveness analyzer, in alphabetical order.
+// All returns the abplint analyzer suite, in alphabetical order: the
+// contract analyzers cas, handshake, mustcheck and owner, the whole-package
+// race detector abprace, the memory-ordering analyzer abporder (which also
+// checks the all-atomic contract on raw fields), the cache-layout analyzer
+// abplayout, and the liveness analyzer abpwait (which also checks the
+// //abp:nonblocking functions).
 func All() []*Analyzer {
-	return []*Analyzer{AbpLayout, AbpOrder, AbpRace, AbpWait, AtomicMix, CAS, Handshake, MustCheck, NonBlocking, Owner}
+	return []*Analyzer{AbpLayout, AbpOrder, AbpRace, AbpWait, CAS, Handshake, MustCheck, Owner}
 }
 
 // Run applies one analyzer to a loaded package and returns its findings,
@@ -254,7 +255,8 @@ func (ig *Ignores) suppress(file string, line int, analyzer string) bool {
 // RunSuite sharing this index — stale suppressions that should be deleted
 // before they hide a future regression. Callers must scope the result to
 // the analyzers that actually ran (each directive names its analyzer): a
-// directive for an analyzer that did not run is unjudgeable, not stale —
+// directive for a suite analyzer that did not run is unjudgeable, not
+// stale, while one naming no analyzer of the suite is stale regardless —
 // the Tool driver applies exactly that filter for -unused-ignores.
 func (ig *Ignores) Unused() []*IgnoreDirective {
 	var out []*IgnoreDirective
@@ -304,9 +306,7 @@ func isAtomicFunc(fn *types.Func) bool {
 // isAtomicMethod reports whether fn is a fully atomic method of one of
 // sync/atomic's wrapper types (atomic.Int64, atomic.Pointer, ...) or of
 // the ordering-annotated atomicx wrappers (internal/atomicx; matched by
-// package name so testdata fixture copies resolve too). atomicx's plain
-// accessors (Get, Set) are deliberately excluded: Set is a plain write, not
-// an atomic one — see isAtomicxPlainMethod.
+// package name so testdata fixture copies resolve too).
 func isAtomicMethod(fn *types.Func) bool {
 	named := recvNamed(fn)
 	if named == nil {
@@ -320,22 +320,6 @@ func isAtomicMethod(fn *types.Func) bool {
 		case "Load", "Store", "Add", "Swap", "CompareAndSwap":
 			return true
 		}
-	}
-	return false
-}
-
-// isAtomicxPlainMethod reports whether fn is an accessor of an atomicx
-// Plain* type (Get, Set): deliberate plain loads and stores whose safety
-// rests on real happens-before edges, which abprace and abporder check
-// exactly as they would a raw field access.
-func isAtomicxPlainMethod(fn *types.Func) bool {
-	named := recvNamed(fn)
-	if named == nil || named.Obj().Pkg().Name() != "atomicx" {
-		return false
-	}
-	switch fn.Name() {
-	case "Get", "Set":
-		return true
 	}
 	return false
 }

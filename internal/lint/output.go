@@ -9,20 +9,20 @@ import (
 	"strings"
 )
 
-// This file is abplint's machine-readable output layer: a position-resolved
-// Finding record, a JSON report, and a minimal SARIF 2.1.0 emitter for
-// code-scanning upload. The emitters live in the library, not the command,
-// so tests can round-trip them without spawning processes.
+// This file is abplint's output layer: a position-resolved Finding record
+// and a minimal SARIF 2.1.0 emitter for code-scanning upload. The emitter
+// lives in the library, not the command, so tests can round-trip it without
+// spawning processes.
 
 // A Finding is one diagnostic resolved to a concrete location. File is
 // slash-separated and relative to the module root when the position falls
 // under it, so reports are stable across checkouts.
 type Finding struct {
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Message  string `json:"message"`
+	Analyzer string
+	File     string
+	Line     int
+	Column   int
+	Message  string
 }
 
 // String renders the finding in the classic vet line format.
@@ -52,18 +52,6 @@ func relPath(root, file string) string {
 	return filepath.ToSlash(file)
 }
 
-// A Report is the JSON document -json emits.
-type Report struct {
-	Findings []Finding `json:"findings"`
-}
-
-// WriteJSON writes the findings as an indented JSON Report.
-func WriteJSON(w io.Writer, findings []Finding) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(Report{Findings: findings})
-}
-
 // --- SARIF ---
 
 // The sarif* types model the minimal slice of SARIF 2.1.0 that GitHub code
@@ -86,9 +74,8 @@ type sarifTool struct {
 }
 
 type sarifDriver struct {
-	Name           string      `json:"name"`
-	InformationURI string      `json:"informationUri,omitempty"`
-	Rules          []sarifRule `json:"rules"`
+	Name  string      `json:"name"`
+	Rules []sarifRule `json:"rules"`
 }
 
 type sarifRule struct {
@@ -171,22 +158,26 @@ func WriteSARIF(w io.Writer, tool string, analyzers []*Analyzer, findings []Find
 // real suite and seeing which directives suppressed nothing.
 var UnusedIgnoreAnalyzer = &Analyzer{
 	Name: "unused-ignore",
-	Doc:  "reports //abp:ignore directives that no longer suppress any finding",
+	Doc:  "reports //abp:ignore directives that no longer suppress any finding or that name no analyzer",
 }
 
 // UnusedIgnoreFinding converts a stale directive into a Finding under the
-// unused-ignore rule.
-func UnusedIgnoreFinding(d *IgnoreDirective, root string) Finding {
+// unused-ignore rule; known says whether the analyzer it names exists.
+func UnusedIgnoreFinding(d *IgnoreDirective, root string, known bool) Finding {
 	form := d.Form
 	if form == "" {
 		form = "//abp:ignore " + d.Analyzer
+	}
+	why := "suppresses nothing"
+	if !known {
+		why = "names no analyzer"
 	}
 	return Finding{
 		Analyzer: UnusedIgnoreAnalyzer.Name,
 		File:     relPath(root, d.File),
 		Line:     d.Line,
 		Column:   1,
-		Message: fmt.Sprintf("%s suppresses nothing: delete the stale directive before it hides a future regression",
-			form),
+		Message: fmt.Sprintf("%s %s: delete the stale directive before it hides a future regression",
+			form, why),
 	}
 }

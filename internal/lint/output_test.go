@@ -45,29 +45,6 @@ func TestMakeFindingRelativizes(t *testing.T) {
 	}
 }
 
-func TestWriteJSONRoundTrip(t *testing.T) {
-	in := []Finding{
-		{Analyzer: "handshake", File: "a.go", Line: 1, Column: 2, Message: "m1"},
-		{Analyzer: "ownerescape", File: "b.go", Line: 3, Column: 4, Message: "m2"},
-	}
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, in); err != nil {
-		t.Fatal(err)
-	}
-	var rep Report
-	if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Findings) != len(in) {
-		t.Fatalf("round-trip lost findings: got %d, want %d", len(rep.Findings), len(in))
-	}
-	for i := range in {
-		if rep.Findings[i] != in[i] {
-			t.Errorf("finding %d: got %+v, want %+v", i, rep.Findings[i], in[i])
-		}
-	}
-}
-
 func TestWriteSARIFShape(t *testing.T) {
 	findings := []Finding{
 		{Analyzer: "tagaba", File: "internal/deque/deque.go", Line: 5, Column: 3, Message: "aba"},
@@ -116,7 +93,7 @@ func TestUnusedIgnoreFinding(t *testing.T) {
 		Line:     7,
 		Analyzer: "mustcheck",
 	}
-	f := UnusedIgnoreFinding(d, root)
+	f := UnusedIgnoreFinding(d, root, true)
 	if f.Analyzer != UnusedIgnoreAnalyzer.Name {
 		t.Errorf("analyzer = %q, want %q", f.Analyzer, UnusedIgnoreAnalyzer.Name)
 	}

@@ -2,8 +2,8 @@
 // and atomicx-declared variables whose every conflicting access pair is
 // ordered even under adversarial caller concurrency are reported as
 // over-synchronized, sc declarations with no arbitration or handshake
-// evidence are demoted to publish, publish/plain declarations with hard
-// sc evidence are reported as under-synchronized, loop-invariant atomic
+// evidence are demoted to publish, publish declarations with hard sc
+// evidence are reported as under-synchronized, loop-invariant atomic
 // loads of never-written variables are flagged at the load site — while
 // the paper's two load-bearing shapes (CAS arbitration and the Dekker
 // store→load handshake, §3.2/Figure 5) are accepted as sc, and the
@@ -138,40 +138,6 @@ func (p *parker) Park() { p.parked.Store(1) }
 
 // Scan observes parked workers.
 func (p *parker) Scan() int32 { return p.parked.Load() }
-
-// --- flagged: declared plain but concurrently accessed with no ordering ---
-
-type leaky struct {
-	slot atomicx.PlainPointer[int] // want `publish or sc discipline is required`
-}
-
-// Run launches the filler and reads the slot with nothing ordering the two.
-func (l *leaky) Run() *int {
-	go l.fill()
-	return l.slot.Get()
-}
-
-func (l *leaky) fill() { l.slot.Set(new(int)) }
-
-// --- accepted: declared plain, ordered by a channel handoff ---
-
-type handoff struct {
-	slot atomicx.PlainPointer[int]
-	ch   chan struct{}
-}
-
-// Start launches the producer and blocks on the channel before reading:
-// the send/receive pair carries the happens-before edge plain access needs.
-func (h *handoff) Start(v *int) *int {
-	go h.produce(v)
-	<-h.ch
-	return h.slot.Get()
-}
-
-func (h *handoff) produce(v *int) {
-	h.slot.Set(v)
-	h.ch <- struct{}{}
-}
 
 // --- suppressed: a justified //abp:order-ignore silences the finding ---
 

@@ -53,7 +53,7 @@ var (
 // pos; seq == pos+1 means it holds the value for the consumer at pos; the
 // consumer releases it for the next lap with seq = pos+capacity. The task
 // pointer itself is atomic so every cross-goroutine access in the package
-// is a sync/atomic operation (the abplint atomicmix contract), though the
+// is a sync/atomic operation (abporder's all-atomic contract), though the
 // seq protocol alone already orders it.
 // Both fields are publication-only (release/acquire): the cross-queue
 // Dekker visibility the parking protocol needs rides the sc reservation

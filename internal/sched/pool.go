@@ -328,7 +328,7 @@ type Worker struct {
 	// Per-worker counters, summed by Pool.Stats. Atomics so Stats is safe
 	// to call while the run is in flight. The Publish-declared ones are
 	// owner-only blind increments; the SC-declared ones are updated inside
-	// //abp:handshake carrier functions (Spawn, park), which abporder pins
+	// //abp:handshake carrier functions (spawn, park), which abporder pins
 	// to full ordering.
 	tasksRun      atomicx.Publish64
 	spawns        atomicx.Publish64
