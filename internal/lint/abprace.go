@@ -148,8 +148,58 @@ func (f *pkgFacts) ordered(x *raceAccess, rx *gRoot, y *raceAccess, ry *gRoot, a
 		return true
 	}
 	// Atomic release/acquire: x precedes an atomic store whose load
-	// precedes y (branch polarity is not verified: over-approximation).
-	return !adversarial && f.pairedVia(x, y, f.factsOf(x.fn).atomicW, f.factsOf(y.fn).atomicR)
+	// precedes y — the function's own, or one a static callee makes while
+	// the call runs (branch polarity is not verified: over-approximation).
+	return !adversarial && f.pairedVia(x, y, f.atomicOps(x.fn, true), f.atomicOps(y.fn, false))
+}
+
+// atomicOps returns fn's atomic stores (or loads), with those its static
+// callees make, transitively, placed at the call site.
+func (f *pkgFacts) atomicOps(fn *funcNode, write bool) []syncOp {
+	key := opsKey{fn, write}
+	if ops, ok := f.opsMemo[key]; ok {
+		return ops
+	}
+	ops := f.factsOf(fn).atomic(write)
+	ops = ops[:len(ops):len(ops)]
+	cfg := f.cfg(fn)
+	for _, e := range f.graph.edges[fn] {
+		if e.kind != callStatic {
+			continue
+		}
+		at := cfg.blockNodeAt(e.site.Pos())
+		for v := range f.atomicVars(e.to, write, map[*funcNode]bool{}) {
+			ops = append(ops, syncOp{v: v, node: at})
+		}
+	}
+	f.opsMemo[key] = ops
+	return ops
+}
+
+type opsKey struct {
+	fn    *funcNode
+	write bool
+}
+
+// atomicVars returns the variables fn and its static callees store (or
+// load) atomically. visited breaks recursion.
+func (f *pkgFacts) atomicVars(fn *funcNode, write bool, visited map[*funcNode]bool) map[*types.Var]bool {
+	out := map[*types.Var]bool{}
+	if visited[fn] {
+		return out
+	}
+	visited[fn] = true
+	for _, op := range f.factsOf(fn).atomic(write) {
+		out[op.v] = true
+	}
+	for _, e := range f.graph.edges[fn] {
+		if e.kind == callStatic {
+			for v := range f.atomicVars(e.to, write, visited) {
+				out[v] = true
+			}
+		}
+	}
+	return out
 }
 
 // pairedVia implements the shared release/acquire shape: some release op

@@ -55,6 +55,11 @@ type pkgFacts struct {
 	// unshared. The race analyses never see them; abporder's raw-field
 	// check, whose contract is syntactic, does.
 	fresh []*raceAccess
+	// held holds each function's lastHolds, and recycling the sync.Pools
+	// every Put of which is a last holder's: an object Get takes from one
+	// is as fresh as a new one.
+	held      map[*funcNode][]lastHold
+	recycling map[*types.Var]bool
 
 	// Memos of the happens-before engine (abprace.go).
 	preMemo       map[*gRoot]map[*funcNode]bool
@@ -62,6 +67,7 @@ type pkgFacts struct {
 	joinMemo      map[*gRoot]map[*types.Var]bool
 	inhMemo       map[*funcNode]map[*types.Var]uint8
 	inhInProgress map[*funcNode]bool
+	opsMemo       map[opsKey][]syncOp
 }
 
 // A funcFlow is one function's memoized flow analysis.
@@ -145,6 +151,14 @@ type funcFacts struct {
 	deferredDone []*types.Var
 }
 
+// atomic returns the atomic stores, or the loads.
+func (ff *funcFacts) atomic(stores bool) []syncOp {
+	if stores {
+		return ff.atomicW
+	}
+	return ff.atomicR
+}
+
 // buildFacts runs the fact pass over one type-checked package.
 func buildFacts(files []*ast.File, pkg *types.Package, info *types.Info) *pkgFacts {
 	g := newCallGraph(info, files)
@@ -164,6 +178,7 @@ func buildFacts(files []*ast.File, pkg *types.Package, info *types.Info) *pkgFac
 		joinMemo:      map[*gRoot]map[*types.Var]bool{},
 		inhMemo:       map[*funcNode]map[*types.Var]uint8{},
 		inhInProgress: map[*funcNode]bool{},
+		opsMemo:       map[opsKey][]syncOp{},
 	}
 	for _, from := range g.nodes {
 		for _, e := range g.edges[from] {
@@ -176,6 +191,7 @@ func buildFacts(files []*ast.File, pkg *types.Package, info *types.Info) *pkgFac
 		}
 	}
 	f.gs = inferGoroutines(g, f.cfg)
+	f.findRecycling()
 	for _, n := range g.nodes {
 		f.collect(n)
 	}
@@ -515,17 +531,36 @@ func (c *collector) fieldAccess(sel *ast.SelectorExpr) {
 	}
 	// Fresh-object rule: accesses through a local whose every reaching
 	// definition allocates a fresh object in this very function cannot be
-	// shared — unless the local escaped to another goroutine.
+	// shared — unless the local escaped to another goroutine. Nor can those
+	// its last holder makes of a recycled object, before it puts it back.
 	if base := baseIdent(sel.X); base != nil && !acc.atomic && acc.node != nil {
-		if bv, ok := info.Uses[base].(*types.Var); ok && c.isUnescapedLocal(bv) {
-			defs := c.reach(c.fn).defsReaching(acc.node, bv)
-			if len(defs) > 0 && c.allFresh(defs, bv) {
-				c.fresh = append(c.fresh, acc)
-				return
-			}
+		if bv, ok := info.Uses[base].(*types.Var); ok && (c.lastHolder(bv, sel) || c.freshLocal(bv, acc.node)) {
+			c.fresh = append(c.fresh, acc)
+			return
 		}
 	}
 	c.accesses[acc.v] = append(c.accesses[acc.v], acc)
+}
+
+// freshLocal reports whether, at node, every reaching definition of the
+// unescaped local v allocates a fresh object.
+func (c *collector) freshLocal(v *types.Var, node ast.Node) bool {
+	if !c.isUnescapedLocal(v) {
+		return false
+	}
+	defs := c.reach(c.fn).defsReaching(node, v)
+	return len(defs) > 0 && c.allFresh(defs, v)
+}
+
+// lastHolder reports whether n, an access through v, is in one of the
+// function's lastHolds on v.
+func (c *collector) lastHolder(v *types.Var, n ast.Node) bool {
+	for _, h := range c.held[c.fn] {
+		if h.covers(v, n) {
+			return true
+		}
+	}
+	return false
 }
 
 func (c *collector) globalAccess(id *ast.Ident) {
@@ -602,6 +637,14 @@ func (c *collector) freshRHS(e ast.Expr) bool {
 		return ok
 	case *ast.CompositeLit:
 		return true
+	case *ast.TypeAssertExpr:
+		// pool.Get().(*T) from a recycling pool: the last holder's put.
+		call, ok := ast.Unparen(x.X).(*ast.CallExpr)
+		if !ok || !isPoolMethod(calleeFunc(c.info, call), "Get") {
+			return false
+		}
+		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+		return ok && c.recycling[leafVar(c.info, sel.X)]
 	case *ast.CallExpr:
 		if id, ok := ast.Unparen(x.Fun).(*ast.Ident); ok && id.Name == "new" {
 			_, isBuiltin := c.info.Uses[id].(*types.Builtin)
@@ -609,6 +652,110 @@ func (c *collector) freshRHS(e ast.Expr) bool {
 		}
 	}
 	return false
+}
+
+// A lastHold is the body of an `if b.n.Add(d) == 0 { … pool.Put(b) … }`
+// statement, where n is an atomic count of b's holders: the consumed
+// decrement that reaches zero picks the last of them, which has b to itself
+// until its Put hands b on to the pool's next Get — the two edges, the
+// count's and sync.Pool's, that let a recycled object be used as a fresh one.
+type lastHold struct {
+	v    *types.Var // b
+	body *ast.BlockStmt
+}
+
+// covers reports whether n, a use of v, is in the region of h.
+func (h lastHold) covers(v *types.Var, n ast.Node) bool {
+	return h.v == v && h.body.Pos() <= n.Pos() && n.End() <= h.body.End()
+}
+
+// lastHolds returns fn's lastHold statements.
+func (f *pkgFacts) lastHolds(fn *funcNode) []lastHold {
+	var out []lastHold
+	fn.inspectOwn(func(x ast.Node) bool {
+		s, ok := x.(*ast.IfStmt)
+		if !ok {
+			return true
+		}
+		cond, ok := ast.Unparen(s.Cond).(*ast.BinaryExpr)
+		if !ok || cond.Op != token.EQL {
+			return true
+		}
+		if zero, ok := ast.Unparen(cond.Y).(*ast.BasicLit); !ok || zero.Value != "0" {
+			return true
+		}
+		call, ok := ast.Unparen(cond.X).(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		add := calleeFunc(f.info, call)
+		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+		if !ok || !isAtomicMethod(add) || add.Name() != "Add" {
+			return true
+		}
+		if base := baseIdent(sel.X); base != nil {
+			if v, ok := f.info.Uses[base].(*types.Var); ok && f.putsInto(s.Body, v) {
+				out = append(out, lastHold{v: v, body: s.Body})
+			}
+		}
+		return true
+	})
+	return out
+}
+
+// poolPut returns the pool and the object of n when n is a sync.Pool Put.
+func (f *pkgFacts) poolPut(n ast.Node) (pool, obj *types.Var) {
+	call, ok := n.(*ast.CallExpr)
+	if !ok || len(call.Args) != 1 || !isPoolMethod(calleeFunc(f.info, call), "Put") {
+		return nil, nil
+	}
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return nil, nil
+	}
+	return leafVar(f.info, sel.X), leafVar(f.info, call.Args[0])
+}
+
+// putsInto reports whether n puts v into a sync.Pool.
+func (f *pkgFacts) putsInto(n ast.Node, v *types.Var) bool {
+	found := false
+	ast.Inspect(n, func(x ast.Node) bool {
+		if pool, obj := f.poolPut(x); pool != nil && obj == v {
+			found = true
+		}
+		return !found
+	})
+	return found
+}
+
+// findRecycling fills held, and recycling with the sync.Pools every Put of
+// which is made in a lastHold on the object it puts.
+func (f *pkgFacts) findRecycling() {
+	f.held, f.recycling = map[*funcNode][]lastHold{}, map[*types.Var]bool{}
+	other := map[*types.Var]bool{}
+	for _, fn := range f.graph.nodes {
+		held := f.lastHolds(fn)
+		f.held[fn] = held
+		fn.inspectOwn(func(x ast.Node) bool {
+			pool, obj := f.poolPut(x)
+			if pool == nil {
+				return true
+			}
+			in := false
+			for _, h := range held {
+				in = in || h.covers(obj, x)
+			}
+			if in {
+				f.recycling[pool] = true
+			} else {
+				other[pool] = true
+			}
+			return true
+		})
+	}
+	for p := range other {
+		delete(f.recycling, p)
+	}
 }
 
 // onceVarOf resolves the sync.Once whose Do invokes fn, when fn is a
@@ -701,6 +848,11 @@ func syncMethodRecv(fn *types.Func) string {
 		return named.Obj().Name()
 	}
 	return ""
+}
+
+// isPoolMethod reports whether fn is the method name of sync.Pool.
+func isPoolMethod(fn *types.Func, name string) bool {
+	return syncMethodRecv(fn) == "Pool" && fn.Name() == name
 }
 
 // isSyncPkgType reports whether t is (a pointer to) a named type of

@@ -245,3 +245,123 @@ func StartLateFleet(f *lateFleet) {
 func (f *lateFleet) manager() { go f.worker() }
 
 func (f *lateFleet) worker() int { return f.cfg }
+
+// --- accepted: atomic release/acquire made by static callees — the store
+// inside end, the load inside ended ---
+
+type word struct{ set atomic.Bool }
+
+func (w *word) end()        { w.set.Store(true) }
+func (w *word) ended() bool { return w.set.Load() }
+
+type outcome struct {
+	w   word
+	err error
+}
+
+// Settle writes the outcome on a worker, then ends its word.
+func Settle(o *outcome, err error) {
+	go func() {
+		o.err = err
+		o.w.end()
+	}()
+}
+
+// Outcome reads the outcome once the word has ended.
+func Outcome(o *outcome) error {
+	if !o.w.ended() {
+		return nil
+	}
+	return o.err
+}
+
+// --- accepted: a recycled record. The consumed decrement that reaches zero
+// picks the last holder, which has the record to itself until its Put, and
+// Get hands what it put on as a fresh object ---
+
+type record struct {
+	holds atomic.Int32
+	val   int
+}
+
+var records = sync.Pool{New: func() any { return new(record) }}
+
+// take returns a record with two holders.
+func take(v int) *record {
+	r := records.Get().(*record)
+	r.val = v
+	r.holds.Store(2)
+	return r
+}
+
+// let ends one hold; the last clears the record and puts it back.
+func (r *record) let() {
+	if r.holds.Add(-1) == 0 {
+		r.val = 0
+		records.Put(r)
+	}
+}
+
+// use reads the record it holds, then lets go.
+func (r *record) use() int {
+	v := r.val
+	r.let()
+	return v
+}
+
+// Recycle shares a record with a holder on another goroutine.
+func Recycle() int {
+	r := take(1)
+	go r.use()
+	return r.use()
+}
+
+// --- flagged: written after its let, a record may be the next Get's ---
+
+type slate struct {
+	holds atomic.Int32
+	val   int
+}
+
+var slates = sync.Pool{New: func() any { return new(slate) }}
+
+func (s *slate) let() {
+	if s.holds.Add(-1) == 0 {
+		slates.Put(s)
+	}
+}
+
+func (s *slate) finish() {
+	s.let()
+	s.val = 1 // want `possible data race on field val of abprace.slate`
+}
+
+func (s *slate) read() int { return s.val }
+
+// Scribble finishes a slate on a goroutine and reads it on the caller's.
+func Scribble(s *slate) int {
+	go s.finish()
+	return s.read()
+}
+
+// --- flagged: a pool that takes objects with no count of their holders
+// hands nothing on as fresh ---
+
+type scrap struct{ val int }
+
+var scraps = sync.Pool{New: func() any { return new(scrap) }}
+
+// Drop puts a scrap back whoever else may hold it.
+func Drop(s *scrap) { scraps.Put(s) }
+
+// Reuse writes a scrap Get returned.
+func Reuse() *scrap {
+	s := scraps.Get().(*scrap)
+	s.val = 1 // want `possible data race on field val of abprace.scrap`
+	return s
+}
+
+func (s *scrap) peek() int { return s.val }
+
+// Watch reads a scrap on another goroutine.
+func Watch(s *scrap) { go s.peek() }

@@ -124,7 +124,7 @@ func TestCountsExactAfterHandleWait(t *testing.T) {
 					t.Fatalf("Submit: %v", err)
 				}
 				h.Done() // the channel a blocked Wait would install, for finish to close
-				for deadline := time.Now().Add(10 * time.Second); !h.r.done.isDone(); {
+				for deadline := time.Now().Add(10 * time.Second); !h.done.isDone(); {
 					if time.Now().After(deadline) {
 						t.Fatalf("round %d: %s never ended", round, tree.name)
 					}

@@ -31,9 +31,10 @@
 // after this run's register and Drain waits for it. If the re-load reads
 // draining, Submit can't know whether Drain's look caught the run, so it
 // self-aborts and reports ErrDraining — the submission counts as rejected,
-// never as an accepted handle that later fails. A stop is the same pairing
-// with endSession's store of stopping in the CAS's place and its abort of
-// the registry in the wait's. Either way, every Submit that returned a
+// never as an accepted handle that later fails; unless a worker completed
+// the run first, and then the submission ran and counts as accepted. A
+// stop is the same pairing with endSession's store of stopping in the
+// CAS's place and its abort of the registry in the wait's. Either way, every Submit that returned a
 // handle and nil error before Drain began is completed, not aborted.
 // phase_model_test.go checks the argument over every interleaving of a
 // Submit, two Drains, a stop and a restart.
@@ -45,8 +46,9 @@ import (
 )
 
 // ErrDraining reports a Submit on a pool whose Drain is in flight (or a
-// second concurrent Drain): admission is closed, the submission was not
-// enqueued and will never run.
+// second concurrent Drain): admission is closed, and the submission will
+// never run — or, when the Drain closed admission as Submit was pushing its
+// root, its root may have started, and the submission was aborted.
 var ErrDraining = errors.New("sched: pool is draining: submission rejected")
 
 // Drain gracefully stops the serving session: admission closes first
@@ -76,7 +78,10 @@ func (p *Pool) Drain(ctx context.Context) error {
 	p.runMu.Lock()
 	s := p.sess
 	won := p.phase.CompareAndSwap(phaseServing, phaseDraining)
-	accepted := p.inFlight()
+	var accepted []*run
+	if won {
+		accepted = p.inFlight()
+	}
 	p.runMu.Unlock()
 	if !won {
 		if p.phase.Load() == phaseDraining {
@@ -84,16 +89,22 @@ func (p *Pool) Drain(ctx context.Context) error {
 		}
 		return ErrNotServing
 	}
+	defer func() {
+		for _, r := range accepted {
+			r.let()
+		}
+	}()
 
 	var err error
 wait:
 	for _, r := range accepted {
+		h := r.h
 		select {
-		case <-r.done.waitChan():
+		case <-h.done.waitChan():
 			// Completed, panicked or cancelled, a run is finished as far as a
 			// drain goes. One a stop aborted is not: Serve's context was
 			// cancelled under the drain, which may not report success.
-			if e, _ := r.outcome(); e == ErrStopped {
+			if h.err == ErrStopped {
 				return ErrNotServing
 			}
 		case <-ctx.Done():

@@ -20,9 +20,9 @@ func (e poolAbortedError) Error() string { return "sched: pool run aborted" }
 // (help read a state that is not live) with the cause: the panic value of
 // a task panic, the error of a cancellation or service stop.
 func (r *run) panicAborted() {
-	err, cause := r.outcome()
-	if cause == nil {
-		cause = err
+	var cause any = r.outcome()
+	if pe, ok := cause.(PanicError); ok {
+		cause = pe.Value
 	}
 	panic(poolAbortedError{cause: cause})
 }
@@ -258,7 +258,7 @@ func (f *Future[T]) call(w *Worker) {
 	}
 	defer func() {
 		if rec := recover(); rec != nil {
-			s.run.finish(runPanicked, nil, rec)
+			s.run.finish(runPanicked, PanicError{Value: rec})
 			s.run.panicAborted()
 		}
 	}()
@@ -272,7 +272,7 @@ func (f *Future[T]) call(w *Worker) {
 func (f *Future[T]) block(r *run) {
 	select {
 	case <-f.ch.waitChan():
-	case <-r.done.waitChan():
+	case <-r.h.done.waitChan():
 	}
 }
 

@@ -134,7 +134,7 @@ func (g *Group) block(r *run) {
 	}
 	select {
 	case <-ch:
-	case <-r.done.waitChan():
+	case <-r.h.done.waitChan():
 	}
 }
 

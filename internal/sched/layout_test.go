@@ -102,9 +102,10 @@ func TestPoolLayoutPins(t *testing.T) {
 // to itself: scope is exactly one line, it leads the run record, and the
 // record is a whole number of lines (so the allocator keeps it
 // line-aligned), which leaves state, read by every worker for every task
-// of the submission, on another line — and done, which a waiter's install
-// and the finisher's Swap write, on a third (abplayout flags state,
-// shared-write, beside done, cas-hot).
+// of the submission, on another line — and the registry links, which the
+// register and unregister of the submissions around this one write, and
+// the hold count on a third. The completion word is the Handle's, apart
+// from the record.
 func TestRunLayoutPins(t *testing.T) {
 	var r run
 	if sz := unsafe.Sizeof(r.scope); sz != atomicx.CacheLineSize {
@@ -116,13 +117,19 @@ func TestRunLayoutPins(t *testing.T) {
 	if sz := unsafe.Sizeof(r); sz%atomicx.CacheLineSize != 0 {
 		t.Errorf("run is %d bytes, not a whole number of cache lines", sz)
 	}
-	state, done := unsafe.Offsetof(r.state), unsafe.Offsetof(r.done)
-	for name, off := range map[string]uintptr{"state": state, "done": done, "root": unsafe.Offsetof(r.root)} {
+	state := unsafe.Offsetof(r.state)
+	offs := map[string]uintptr{
+		"state": state, "root": unsafe.Offsetof(r.root), "holds": unsafe.Offsetof(r.holds),
+		"prev": unsafe.Offsetof(r.prev), "next": unsafe.Offsetof(r.next),
+	}
+	for name, off := range offs {
 		if layoutLine(off) == 0 {
 			t.Errorf("%s (offset %d) shares the root refs line", name, off)
 		}
 	}
-	if layoutLine(state) == layoutLine(done) {
-		t.Errorf("state (offset %d) and done (offset %d) share a cache line", state, done)
+	for _, name := range []string{"holds", "prev", "next"} {
+		if layoutLine(offs[name]) == layoutLine(state) {
+			t.Errorf("state (offset %d) shares a cache line with %s (offset %d)", state, name, offs[name])
+		}
 	}
 }

@@ -60,8 +60,9 @@ const injectorPollPeriod = 61
 
 // loop is the Figure 3 scheduling loop — pop the bottom of the local
 // deque; when empty, yield and steal from the top of a random victim —
-// extended with the injector polls that feed external submissions in and
-// wrapped in the parking lifecycle described above.
+// extended with the injector polls that feed external submissions in (one
+// ahead of the yield, when the deque is empty) and wrapped in the parking
+// lifecycle described above.
 //
 //abp:owner the worker goroutine is its deque's single owner for the run
 func (w *Worker) loop() {
@@ -101,14 +102,16 @@ func (w *Worker) loop() {
 			t = w.dq.PopBottom()
 		}
 		if t == nil {
+			// Idle: drain submissions ahead of stealing — an injected root
+			// is the oldest work in the system, and taking it costs no
+			// yield — then Figure 3's yield and one victim.
+			t = w.pool.inject.TryPop()
+		}
+		if t == nil {
 			w.yields.Add(1)
 			runtime.Gosched()
 			fault.Point(fpLoopBeforeSteal)
-			// Idle: drain submissions ahead of stealing — an injected root
-			// is the oldest work in the system — then try one victim.
-			if t = w.pool.inject.TryPop(); t == nil {
-				t, stolen = w.stealOnce(), true
-			}
+			t, stolen = w.stealOnce(), true
 		}
 		if t != nil {
 			fails = 0

@@ -6,22 +6,29 @@ import (
 )
 
 // This file model-checks the session phase word (pool.go, serve.go,
-// drain.go) on the explorer of model_test.go. The actors: a Submit (gate
-// load, register, push, re-load); two Drains (the CAS with the look at the
-// registry — one critical section, as in Drain — then the wait for the run
-// it saw there to end, which its deadline may cut short at any time, and
-// the read of how the run ended); a Serve that stops at any time — its
-// context may be cancelled, which covers the stop a Drain asks for — and
-// starts once more; a worker that pops the submission and ends it. Checked
-// on every path:
+// drain.go) and the holds of the run record on the explorer of
+// model_test.go. The actors: a Submit (gate load, register, push, re-load,
+// let go); two Drains (the CAS with the look at the registry — one critical
+// section, as in Drain — then the wait for the run it saw there to end,
+// which its deadline may cut short at any time, and the read of how the run
+// ended); a Serve that stops at any time — its context may be cancelled,
+// which covers the stop a Drain asks for — and starts once more; a worker
+// that pops the submission and ends it; the submission's context; and a
+// second Submit, which takes the first one's record once every holder has
+// let it go. Checked on every path:
 //
 //   - the phase only moves along the diagram, and one Drain wins a session;
 //   - a live handle is returned under serving only — none once a Drain's
 //     CAS or the store of stopping has closed admission;
 //   - a handle that was out and standing at a Drain's CAS is completed,
 //     never aborted, if that Drain reports success;
-//   - at quiescence no returned handle is left unfinished, and the
-//     registry, which every Drain to come waits on, is empty.
+//   - a Submit that returns an error never leaves a completed run;
+//   - every finish of the run, and every read of how it ended, is made by
+//     a current holder of its record — so never on a record the second
+//     Submit has taken;
+//   - at quiescence no returned handle is left unfinished, the registry,
+//     which every Drain to come waits on, is empty, and the record is let
+//     go by every holder but the root scope of a swept carcass.
 
 // How the submission ended: completed, or aborted — by its context
 // (ctx.Err()), by its own Submit reading draining after the push
@@ -35,15 +42,26 @@ const (
 	pmStopped
 )
 
+// The holders of the run record (run.holds), one bit each.
+const (
+	hSubmit uint8 = 1 << iota // the Submit, until it returns
+	hRoot                     // the root scope, until it empties
+	hWatch                    // the context watcher
+	hDrain                    // the first Drain's look; the second's is hDrain << 1
+	_
+	hStop // endSession's look
+)
+
 type pmState struct {
 	phase   uint32
 	pc      [4]int8 // steps taken by: the Submit, the two Drains, Serve
 	sess    int8    // session records published so far; the live one is the last
 	workers bool    // the live session's workers exist
-	// The submission: in the registry, its root in the injector, its handle
-	// returned to the caller, its outcome.
-	reg, queued, handle bool
-	out                 int8
+	// The submission: its record made, in the registry, its root in the
+	// injector, its handle returned to the caller — or an error — its
+	// outcome.
+	made, reg, queued, handle bool
+	out                       int8
 	// Its context: the watcher is armed, the context cancelled.
 	armed, cancelled bool
 	// Per session record (Serve runs twice): the Drains that won it.
@@ -52,15 +70,24 @@ type pmState struct {
 	// it then waits for — and whether a handle was out and standing at its
 	// CAS.
 	saw, covered [2]bool
+	// The record: who holds it; whether endSession's look found the run;
+	// whether a sweep discarded its root, whose count then never ends (as
+	// it does not for a root pushed after the last sweep); and whether the
+	// second Submit has taken it.
+	holds                 uint8
+	stopSaw, swept, taken bool
 }
 
 type phaseModel struct {
 	// The negative controls: Submit returns right after its push; Submit
 	// arms the cancellation before it registers (the order PR 22 fixed); a
-	// Drain takes the end of the run it waited for as its completion.
-	noReload, armFirst, noOutcomeRead bool
+	// Drain takes the end of the run it waited for as its completion; a
+	// Submit that reads draining reports ErrDraining even for a run a worker
+	// completed (the parent's branch); the Submit lets go at its push,
+	// before its re-load; a look at the registry takes no hold.
+	noReload, armFirst, noOutcomeRead, rejectCompleted, letAtPush, lookWithoutHold bool
 	// What the search came across, so the test can tell what it covered.
-	accepted, selfRejected, won, lost, okDrains, stoppedDrains, sweepAborts, cancelAborts int
+	accepted, selfRejected, lateAccepted, won, lost, okDrains, stoppedDrains, sweepAborts, cancelAborts, reuses int
 }
 
 // pmEdges is the diagram above the phase constants in pool.go.
@@ -80,53 +107,79 @@ func (s *pmState) move(to uint32) error {
 	return nil
 }
 
+// touch is a finish of the run or a read of how it ended, made by holder
+// by: it must hold the record.
+func (s *pmState) touch(by uint8) error {
+	if s.holds&by == 0 {
+		return fmt.Errorf("holder %b touches the record, held by %b (taken by another Submit: %v)", by, s.holds, s.taken)
+	}
+	return nil
+}
+
 // finish ends the submission if nothing has yet: finishOnce, with the
-// unregister inside it, and the completion word a Drain waits on.
-func (s *pmState) finish(out int8) {
+// unregister inside it, and the completion word a Drain waits on. A
+// watcher still armed is stopped, and its hold goes with it.
+func (s *pmState) finish(by uint8, out int8) error {
+	if err := s.touch(by); err != nil {
+		return err
+	}
 	if s.out == pmLive {
 		s.out, s.reg = out, false
+		if s.armed && !s.cancelled {
+			s.armed, s.holds = false, s.holds&^hWatch
+		}
 	}
+	return nil
 }
 
 // sweep is drainByRun: the root it finds it discards, aborting its run.
-func (m *phaseModel) sweep(s *pmState) {
+func (m *phaseModel) sweep(s *pmState) error {
 	if !s.queued {
-		return
+		return nil
 	}
 	if s.out == pmLive {
 		m.sweepAborts++
 	}
-	s.queued = false
-	s.finish(pmStopped)
+	s.queued, s.swept = false, true
+	return s.finish(hRoot, pmStopped)
 }
 
 // step is one step of actor a: 0 the Submit (SubmitContext), 1 and 2 the
 // Drains, 3 Serve — enter, startSession, open, and, whenever the search
-// schedules it, the four steps of endSession — 4 a worker, and 5 the
-// Submit's context.
+// schedules it, the five steps of endSession — 4 a worker, 5 the Submit's
+// context, and 6 the second Submit.
 func (m *phaseModel) step(s pmState, a int) ([]pmState, error) {
-	if a == 5 { // cancelled: the watcher aborts the submission
+	switch a {
+	case 6: // newRun: the record every holder has let go
+		if !s.made || s.holds != 0 || s.taken {
+			return nil, nil
+		}
+		s.taken = true
+		m.reuses++
+		return []pmState{s}, nil
+	case 5: // cancelled: the watcher aborts the submission, then lets go
 		if !s.armed || s.cancelled {
 			return nil, nil
 		}
 		if s.cancelled = true; s.out == pmLive {
 			m.cancelAborts++
 		}
-		s.finish(pmCancelled)
-		return []pmState{s}, nil
-	}
-	if a == 4 { // pop the root and run it — or discard it, its run aborted
+		err := s.finish(hWatch, pmCancelled)
+		s.armed, s.holds = false, s.holds&^hWatch
+		return []pmState{s}, err
+	case 4: // pop the root and run it — or discard it, its run aborted — and the root scope lets go
 		if !s.workers || !s.queued {
 			return nil, nil
 		}
 		s.queued = false
-		s.finish(pmCompleted)
-		return []pmState{s}, nil
+		err := s.finish(hRoot, pmCompleted)
+		s.holds &^= hRoot
+		return []pmState{s}, err
 	}
 	var err error
 	hand := func() { // Submit returns the handle to its caller
 		s.handle = true
-		if s.out == pmLive && s.phase != phaseServing {
+		if err == nil && s.out == pmLive && s.phase != phaseServing {
 			err = fmt.Errorf("a live handle was returned in phase %d", s.phase)
 		}
 	}
@@ -138,30 +191,46 @@ func (m *phaseModel) step(s pmState, a int) ([]pmState, error) {
 			if s.phase != phaseServing {
 				*pc = 4
 			}
-		case 1, 2: // register — whatever has happened to the run — then arm
+		case 1, 2: // newRun, then register — whatever has happened to the run — and arm
+			if *pc == 1 {
+				s.made, s.holds = true, hSubmit|hRoot
+			}
 			if (*pc == 1) != m.armFirst {
 				s.reg = true
 			} else {
-				s.armed = true
+				s.armed, s.holds = true, s.holds|hWatch
 			}
 		case 3: // the push
 			s.queued = true
+			if m.letAtPush {
+				s.holds &^= hSubmit
+			}
 			if m.noReload {
 				hand()
+				s.holds &^= hSubmit
 				*pc = 4
 			}
-		case 4: // the re-load
+		case 4: // the re-load, then the let
 			switch s.phase {
 			case phaseServing:
 				m.accepted++
 				hand()
-			case phaseDraining: // rejects itself: no handle
-				m.selfRejected++
-				s.finish(pmRejected)
+			case phaseDraining: // rejects itself, unless a worker completed the run first
+				err = s.finish(hSubmit, pmRejected)
+				switch {
+				case s.out != pmCompleted:
+					m.selfRejected++
+				case m.rejectCompleted:
+					err = fmt.Errorf("a Submit returned ErrDraining for a run a worker completed")
+				default:
+					m.lateAccepted++
+					hand()
+				}
 			default: // stopped: a handle, already aborted
-				s.finish(pmStopped)
+				err = s.finish(hSubmit, pmStopped)
 				hand()
 			}
+			s.holds &^= hSubmit
 		default:
 			return nil, nil
 		}
@@ -176,10 +245,17 @@ func (m *phaseModel) step(s pmState, a int) ([]pmState, error) {
 			m.won++
 			err = s.move(phaseDraining)
 			s.saw[d], s.covered[d] = s.reg, s.handle && (s.out == pmLive || s.out == pmCompleted)
+			if s.reg && !m.lookWithoutHold {
+				s.holds |= hDrain << d
+			}
 			if s.wins[s.sess]++; s.wins[s.sess] > 1 {
 				err = fmt.Errorf("two Drains won session %d", s.sess)
 			}
 		case 1: // the wait ends: the run it saw has ended, or the deadline cuts it short, promising nothing
+			if s.saw[d] {
+				err = s.touch(hDrain << d)
+				s.holds &^= hDrain << d
+			}
 			if s.saw[d] && s.out == pmLive {
 				break
 			}
@@ -199,20 +275,25 @@ func (m *phaseModel) step(s pmState, a int) ([]pmState, error) {
 		case 0:
 			err = s.move(phaseBatch)
 		case 1: // startSession: sweep, publish the record, fork
-			m.sweep(&s)
+			err = m.sweep(&s)
 			s.sess, s.workers = s.sess+1, true
 		case 2:
 			err = s.move(phaseServing)
 		case 3:
 			err = s.move(phaseStopping)
-		case 4: // abort the registry
-			if s.reg {
-				s.finish(pmStopped)
+		case 4: // the look at the registry
+			if s.stopSaw = s.reg; s.reg && !m.lookWithoutHold {
+				s.holds |= hStop
 			}
-		case 5: // quit, join, sweep
+		case 5: // abort what it found, and let go
+			if s.stopSaw {
+				err = s.finish(hStop, pmStopped)
+				s.stopSaw, s.holds = false, s.holds&^hStop
+			}
+		case 6: // quit, join, sweep
 			s.workers = false
-			m.sweep(&s)
-		case 6:
+			err = m.sweep(&s)
+		case 7:
 			if err = s.move(phaseIdle); s.sess < 2 {
 				*pc = -1 // Serve again
 			}
@@ -225,12 +306,15 @@ func (m *phaseModel) step(s pmState, a int) ([]pmState, error) {
 }
 
 func (m *phaseModel) explorer() *explorer[pmState] {
-	return &explorer[pmState]{actors: 6, step: m.step, final: func(s pmState) error {
+	return &explorer[pmState]{actors: 7, step: m.step, final: func(s pmState) error {
 		if s.handle && s.out == pmLive {
 			return fmt.Errorf("quiescent with the returned handle unfinished")
 		}
 		if s.reg {
 			return fmt.Errorf("quiescent with the run, which ended %d, still in the registry", s.out)
+		}
+		if held := s.holds; held != 0 && !(held == hRoot && (s.swept || s.queued)) {
+			return fmt.Errorf("quiescent with the record still held by %b", held)
 		}
 		return nil
 	}}
@@ -239,9 +323,11 @@ func (m *phaseModel) explorer() *explorer[pmState] {
 func TestPhaseModelExhaustive(t *testing.T) {
 	m := &phaseModel{}
 	m.explorer().verify(t, pmState{})
-	if m.accepted == 0 || m.selfRejected == 0 || m.won == 0 || m.lost == 0 || m.okDrains == 0 || m.stoppedDrains == 0 || m.sweepAborts == 0 || m.cancelAborts == 0 {
+	if m.accepted == 0 || m.selfRejected == 0 || m.lateAccepted == 0 || m.won == 0 || m.lost == 0 || m.okDrains == 0 ||
+		m.stoppedDrains == 0 || m.sweepAborts == 0 || m.cancelAborts == 0 || m.reuses == 0 {
 		t.Fatalf("the search covered %+v; want some of each", *m)
 	}
+	t.Logf("covered %+v", *m)
 }
 
 // The negative control: without the post-push re-load, a Submit whose gate
@@ -262,4 +348,23 @@ func TestPhaseModelCatchesArmBeforeRegister(t *testing.T) {
 // handle the stop aborted.
 func TestPhaseModelCatchesDrainOverAbort(t *testing.T) {
 	(&phaseModel{noOutcomeRead: true}).explorer().refute(t, pmState{})
+}
+
+// The negative control of the draining branch's outcome: a Submit that
+// reads draining after a worker has completed its run still reports
+// ErrDraining, for a submission that ran.
+func TestPhaseModelCatchesRejectOfCompletedRun(t *testing.T) {
+	(&phaseModel{rejectCompleted: true}).explorer().refute(t, pmState{})
+}
+
+// The negative control of the submitter's hold: let go at the push, the
+// record may be completed and recycled before the re-load's finish.
+func TestPhaseModelCatchesLetAtPush(t *testing.T) {
+	(&phaseModel{letAtPush: true}).explorer().refute(t, pmState{})
+}
+
+// The negative control of the looks' holds: a run a look found may be
+// completed and let go before the look's finish or its read of the outcome.
+func TestPhaseModelCatchesLookWithoutHold(t *testing.T) {
+	(&phaseModel{lookWithoutHold: true}).explorer().refute(t, pmState{})
 }

@@ -66,7 +66,7 @@ var (
 	fpLoopEnter = fault.Register("sched.loop.enter",
 		"worker loop: before the first pop (a crash here strands the root where startSession put it)")
 	fpLoopBeforeSteal = fault.Register("sched.loop.beforeSteal",
-		"worker loop: idle, about to poll the injector and attempt a steal (loop-level steals only)")
+		"worker loop: idle — deque and injector empty — and yielded, about to attempt a steal (loop-level steals only)")
 	fpStealBeforePopTop = fault.Register("sched.steal.beforePopTop",
 		"stealOnce: victim chosen, PopTop not yet issued (any steal, including Join helps)")
 	fpExecBeforeRun = fault.Register("sched.exec.beforeRun",
@@ -211,11 +211,13 @@ type Pool struct {
 	resizeMu sync.Mutex
 	target   int
 
-	// Active-submission registry: every in-flight run, registered at
-	// submission and removed by its finishOnce. endSession aborts the whole
-	// set, and a Drain waits for the ones it found there (inFlight).
+	// Active-submission registry: every in-flight run, linked in at
+	// submission and unlinked by its finishOnce — active is the head of a
+	// list threaded through the records (run.prev, run.next). endSession
+	// aborts the whole set, and a Drain waits for the ones it found there
+	// (inFlight).
 	runMu  sync.Mutex
-	active map[*run]struct{}
+	active *run
 
 	// sess is the live session's record, or the last one's between
 	// sessions (nil before the first). startSession replaces it holding
@@ -394,7 +396,6 @@ func New(cfg Config) *Pool {
 	p := &Pool{
 		cfg:    cfg,
 		inject: newInjector(cfg.InjectorCapacity),
-		active: map[*run]struct{}{},
 	}
 	if cfg.ParkThreshold == 0 {
 		// The one default a worker goroutine reads, so it is written through
@@ -458,30 +459,32 @@ func (p *Pool) RunContext(ctx context.Context, root func(*Worker)) error {
 	}
 	p.enter("Run/RunContext")
 	r := newRun(p, root)
+	h := r.h
 	p.register(r)
 	if err := ctx.Err(); err != nil {
 		// Already cancelled: abort before any worker starts, so the root
 		// is discarded (and counted) rather than executed.
-		r.finish(runCancelled, err, nil)
+		r.finish(runCancelled, err)
 	} else {
 		r.watch(ctx)
 	}
 	s := p.startSession(&r.root)
+	r.let() // the caller's hold: from here on it reads only the Handle
 	// The run ends — every task executed, or the submission aborted by a
 	// panic or a cancellation — or a worker loop dies (engineFail), and the
 	// session comes down: by then the run has ended, if only by endSession's
 	// abort. A task panic stops the session as a failed loop does, so that
-	// endSession re-raises it.
+	// endSession re-raises it; whenever the run ended in a panic, the
+	// session's cause is one, so only a run that did not gets to return.
 	select {
-	case <-r.done.waitChan():
-		if _, panicVal := r.outcome(); panicVal != nil {
-			s.stopWith(panicVal)
+	case <-h.done.waitChan():
+		if pe, ok := h.err.(PanicError); ok {
+			s.stopWith(pe.Value)
 		}
 	case <-s.stop:
 	}
 	p.endSession(s)
-	err, _ := r.outcome()
-	return err
+	return h.Err()
 }
 
 // enter claims the pool for a new session: the CAS out of idle that only
@@ -575,15 +578,16 @@ func (p *Pool) endSession(s *session) {
 	s.stopWith(nil)
 	<-s.stop // closed by now, after the write of cause that is read below
 	p.phase.Store(phaseStopping)
-	state, err := runCancelled, ErrStopped
+	state, err := runCancelled, error(ErrStopped)
 	if s.cause != nil {
-		state, err = runPanicked, nil
+		state, err = runPanicked, PanicError{Value: s.cause}
 	}
 	p.runMu.Lock()
 	rs := p.inFlight()
 	p.runMu.Unlock()
 	for _, r := range rs {
-		r.finish(state, err, s.cause)
+		r.finish(state, err)
+		r.let()
 	}
 	close(s.quit)
 	p.wg.Wait()
@@ -607,7 +611,7 @@ func (p *Pool) endSession(s *session) {
 func (p *Pool) drainByRun() {
 	account := func(t *Task) {
 		r := t.scope.run
-		r.finish(runCancelled, ErrStopped, nil)
+		r.finish(runCancelled, ErrStopped)
 		if r.state.Load() == runPanicked {
 			p.dropped.Add(1)
 		} else {
@@ -783,7 +787,7 @@ func (w *Worker) flush() {
 func (w *Worker) runTask(t *Task) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			t.scope.run.finish(runPanicked, nil, rec)
+			t.scope.run.finish(runPanicked, PanicError{Value: rec})
 		}
 	}()
 	fault.Point(fpExecBeforeRun)

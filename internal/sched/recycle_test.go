@@ -14,6 +14,7 @@ import (
 	"reflect"
 	"runtime"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -506,4 +507,157 @@ func TestRecycleAcrossShrinkAndGrow(t *testing.T) {
 		}
 		checkFreeLists(t, p, listed[int])
 	})
+}
+
+// The run records of sequential submissions come back from the pool of
+// records (serve.go, runRecords): on one worker, whichever of the root scope
+// and the submitter lets go last puts the record back, and the next Submit
+// takes it. sync.Pool keeps a record per processor and drops records on
+// purpose under the race detector, so this counts records, loosely.
+func TestRecycleRunReused(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops objects at random under the race detector")
+	}
+	p := New(Config{Workers: 1})
+	stop := startServing(t, p)
+	const subs = 100
+	seen := map[*run]bool{}
+	for i := 0; i < subs; i++ {
+		var r *run
+		h, err := p.Submit(func(w *Worker) { r = w.currentRun() })
+		if err != nil {
+			t.Fatalf("Submit %d: %v", i, err)
+		}
+		if err := h.Wait(); err != nil {
+			t.Fatalf("submission %d: %v", i, err)
+		}
+		seen[r] = true
+	}
+	if n := len(seen); n > 8 {
+		t.Errorf("%d sequential submissions ran in %d distinct run records, want a handful", subs, n)
+	}
+	if err := stop(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Serve returned %v", err)
+	}
+}
+
+// Recycled run records carry every kind of submission end across each
+// other: completed, cancelled while its root runs, panicked with its own
+// id, run on the caller by a full injector, and rejected by a Drain that
+// closes the first of two sessions — or, pushed as that session stops,
+// aborted by their own Submit. Each Handle must report its own
+// submission's fate — a record reused before a holder was done with it
+// would hand one submission's outcome, abort or completion to another — and
+// TasksRun must count exactly the tasks that ran on the pool's workers.
+func TestRecycleRunIsolation(t *testing.T) {
+	const submitters, subs = 4, 500
+	p := New(Config{Workers: 2, InjectorCapacity: 2, Overload: ShedCallerRuns})
+	serve := func() chan error {
+		ctx, cancel := context.WithCancel(context.Background())
+		t.Cleanup(cancel)
+		served := make(chan error, 1)
+		go func() { served <- p.Serve(ctx) }()
+		waitFor(t, 10*time.Second, "pool to start serving", inPhase(p, phaseServing))
+		return served
+	}
+	served := serve()
+	var onPool, next, done, stopped atomic.Int64
+	// task counts a task body, if it runs on one of the pool's workers
+	// (Join2's second function runs inline in its caller's task).
+	task := func(w *Worker) {
+		if w.ID() < len(p.workers) {
+			onPool.Add(1)
+		}
+	}
+	// submit makes one submission of kind id%4 and checks its fate, trying
+	// again while admission is closed.
+	submit := func(id int64) {
+		for {
+			ctx, cancel := context.WithCancel(context.Background())
+			var want error
+			var value atomic.Int64
+			root := func(w *Worker) {
+				task(w)
+				a, b := Join2(w, func(w *Worker) int64 { task(w); return id }, func(*Worker) int64 { return 1 })
+				value.Store(a + b)
+			}
+			switch id % 4 {
+			case 1: // cancelled while its root runs
+				want = context.Canceled
+				root = func(w *Worker) {
+					task(w)
+					cancel()
+					for w.currentRun().state.Load() == runLive {
+						runtime.Gosched()
+					}
+				}
+			case 2: // panics with its own id
+				want = PanicError{Value: id}
+				root = func(w *Worker) {
+					task(w)
+					panic(id)
+				}
+			}
+			h, err := p.SubmitContext(ctx, root)
+			if errors.Is(err, ErrDraining) || errors.Is(err, ErrNotServing) {
+				cancel()
+				runtime.Gosched()
+				continue
+			}
+			if err != nil {
+				cancel()
+				t.Errorf("submission %d: SubmitContext: %v", id, err)
+				return
+			}
+			err = h.Wait()
+			cancel()
+			switch {
+			case err == ErrStopped:
+				// Gated in the first session, pushed as it stopped: the
+				// Submit aborted its own run (SubmitContext's re-check).
+				stopped.Add(1)
+			case want != nil && err != want:
+				t.Errorf("submission %d of kind %d ended %v, want %v", id, id%4, err, want)
+			case want == nil && err != nil:
+				t.Errorf("submission %d ended %v, want nil", id, err)
+			case want == nil && value.Load() != id+1:
+				t.Errorf("submission %d completed with the result %d, want %d", id, value.Load(), id+1)
+			}
+			if done.Add(1) == submitters*subs/2 {
+				// Midway: the first session drains, and a second one serves
+				// the rest.
+				if err := p.Drain(context.Background()); err != nil {
+					t.Errorf("Drain: %v", err)
+				}
+				if err := <-served; err != nil {
+					t.Errorf("Serve after a Drain returned %v", err)
+				}
+				served = serve()
+			}
+			return
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < submitters; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < subs; i++ {
+				submit(next.Add(1))
+			}
+		}()
+	}
+	wg.Wait()
+	if err := p.Drain(context.Background()); err != nil {
+		t.Errorf("final Drain: %v", err)
+	}
+	if err := <-served; err != nil {
+		t.Errorf("Serve after the final Drain returned %v", err)
+	}
+	if n := stopped.Load(); n > submitters {
+		t.Errorf("%d submissions ended ErrStopped; at most one a submitter can race the restart", n)
+	}
+	if got, want := p.Stats().TasksRun, onPool.Load(); got != want {
+		t.Errorf("TasksRun = %d, but %d task bodies ran on the pool's workers", got, want)
+	}
 }

@@ -51,7 +51,7 @@ const (
 type rmState struct {
 	mWord
 	state int8 // run.state: 0 live, or the finisher that stored its abort
-	out   int8 // err and panicVal: the finisher that wrote them last
+	out   int8 // the Handle's err: the finisher that wrote it last
 	once  int8 // finishOnce: 0 free, the finisher inside it, or rmOnceDone
 	won   int8 // the finisher finishOnce let in
 	pc    [4]int8

@@ -63,11 +63,14 @@ func (s *scope) split() *scope {
 
 // release ends n tasks of s (or one emptied child). The release that
 // empties a scope releases its parent once in turn; emptying the root
-// completes the run, which is a no-op if an abort got there first.
+// completes the run, which is a no-op if an abort got there first, and
+// then lets go of the record: the root scope's hold.
 func (s *scope) release(n int64) {
 	for s.refs.Add(-n) == 0 {
 		if s.parent == nil {
-			s.run.complete()
+			r := s.run
+			r.complete()
+			r.let()
 			return
 		}
 		s, n = s.parent, 1

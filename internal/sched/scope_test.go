@@ -10,6 +10,7 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"runtime/debug"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -443,23 +444,33 @@ func TestSpawnPathAllocations(t *testing.T) {
 	})
 }
 
-// What a submission allocates, measured from the test goroutine: the run
-// record, and a channel only if somebody has to block before the
-// submission ends — which the runtime counts as two objects, the channel
-// and the cell holding it that the word points to (waitChan). A
+// What a submission allocates, measured over the whole process with the
+// collector off: its 24-byte Handle — the run record is recycled
+// (runRecords) — and a channel only if somebody has to block before the
+// submission ends, which the runtime counts as two objects, the channel and
+// the cell holding it that the word points to (waitChan). A
 // SubmitWithRetry admitted at its first attempt is a Submit: the jitter
 // source it used to seed on every call was three more objects, 5 KB.
 func TestSubmitAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
+	// A collection empties the pool of run records (the collector's
+	// victim cache keeps it for one).
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	// A worker that spins never parks, so each submission is picked up
 	// without a wake whatever the host's timing.
 	p := New(Config{Workers: 1, ParkThreshold: math.MaxInt})
 	stop := startServing(t, p)
 	type submitFunc func(func(*Worker)) (*Handle, error)
-	submit := func(via submitFunc, root func(*Worker), await func(*Handle)) float64 {
-		return testing.AllocsPerRun(200, func() {
+	// submit returns the objects and bytes one submission allocates, on
+	// average over 200 after one to warm up, on one processor as
+	// testing.AllocsPerRun measures: the pool of records keeps one per
+	// processor.
+	submit := func(via submitFunc, root func(*Worker), await func(*Handle)) (objects, bytes float64) {
+		const runs = 200
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		one := func() {
 			h, err := via(root)
 			if err != nil {
 				t.Fatalf("Submit: %v", err)
@@ -468,22 +479,30 @@ func TestSubmitAllocations(t *testing.T) {
 			if err := h.Wait(); err != nil {
 				t.Fatalf("Wait: %v", err)
 			}
-		})
+		}
+		one()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			one()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.Mallocs-before.Mallocs) / runs, float64(after.TotalAlloc-before.TotalAlloc) / runs
 	}
 	// Err installs nothing, so the Wait that follows finds the word ended.
 	poll := func(h *Handle) {
-		for !h.r.done.isDone() {
+		for !h.done.isDone() {
 			if err := h.Err(); err != nil {
 				t.Fatalf("Err of a live submission = %v", err)
 			}
 			runtime.Gosched()
 		}
 	}
-	polled := submit(p.Submit, func(*Worker) {}, poll)
-	if polled != 1 {
-		t.Errorf("Submit, then Wait on an ended handle, allocates %v objects, want 1 (the run record)", polled)
+	polled, bytes := submit(p.Submit, func(*Worker) {}, poll)
+	if polled != 1 || bytes != 24 {
+		t.Errorf("Submit, then Wait on an ended handle, allocates %v objects of %v bytes, want 1 of 24 (the Handle)", polled, bytes)
 	}
-	retried := submit(func(fn func(*Worker)) (*Handle, error) {
+	retried, _ := submit(func(fn func(*Worker)) (*Handle, error) {
 		return p.SubmitWithRetry(context.Background(), fn, RetryPolicy{})
 	}, func(*Worker) {}, poll)
 	if retried != polled {
@@ -491,14 +510,14 @@ func TestSubmitAllocations(t *testing.T) {
 	}
 	// The root does not return until a waiter's channel is in the word.
 	var cur atomic.Pointer[Handle]
-	blocked := submit(p.Submit, func(*Worker) {
-		for h := cur.Load(); h == nil || h.r.done.p.Load() == nil; h = cur.Load() {
+	blocked, _ := submit(p.Submit, func(*Worker) {
+		for h := cur.Load(); h == nil || h.done.p.Load() == nil; h = cur.Load() {
 			runtime.Gosched()
 		}
 		cur.Store(nil)
 	}, func(h *Handle) { cur.Store(h) })
 	if blocked != 3 {
-		t.Errorf("Submit, then a Wait that blocks, allocates %v objects, want 3 (the run record, the waiter's channel and its cell)", blocked)
+		t.Errorf("Submit, then a Wait that blocks, allocates %v objects, want 3 (the Handle, the waiter's channel and its cell)", blocked)
 	}
 	if err := stop(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Serve returned %v", err)

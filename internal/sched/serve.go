@@ -4,12 +4,12 @@
 // submissions; Submit may be called from any goroutine and enqueues a new
 // root onto the bounded injector (injector.go), which workers poll between
 // local pops and steals. Each submission carries its own run record — root
-// termination scope, abort cause, and the one completion word everything
-// that waits for it waits on (waitWord, future.go) — so cancellation,
-// panic isolation, the stall watchdog, and the chaos failpoints all apply
-// per submission instead of per batch. Run and RunContext (pool.go) are the
-// same session with one submission, so the entire batch test, chaos, and
-// bench surface exercises this engine.
+// termination scope and abort state — and its own Handle — the outcome and
+// the one completion word everything that waits for it waits on (waitWord,
+// future.go) — so cancellation, panic isolation, the stall watchdog, and
+// the chaos failpoints all apply per submission instead of per batch. Run
+// and RunContext (pool.go) are the same session with one submission, so the
+// entire batch test, chaos, and bench surface exercises this engine.
 //
 // The deviation from the paper's single-root model is bounded and
 // documented in DESIGN.md §7 ("The multi-root delta"): every submission is
@@ -79,35 +79,39 @@ const (
 
 // run is the per-submission record: everything that used to live on Pool
 // for the one batch run now lives here, one instance per Submit (and one
-// per Run/RunContext call) — and one allocation: the root task, the root
-// termination scope and the Handle are part of it, and it ends on a word,
-// so a channel is made only if somebody has to block. Every scope of the
-// submission points here, so a worker executing tasks of interleaved
-// submissions always observes the right abort.
+// per Run/RunContext call) — the root task, the root termination scope,
+// the abort state and the watcher. Every scope of the submission points
+// here, so a worker executing tasks of interleaved submissions always
+// observes the right abort. What the caller keeps is apart from it: the
+// Handle, which holds the completion word and the outcome, and is the one
+// object a submission allocates. The record itself is recycled (runRecords):
+// it has holders (holds; DESIGN.md §7, "Record recycling"), and the last to
+// let go puts it back for a later submission.
 //
 // Layout: scope comes first and is exactly one cache line (scope.go), and
 // the record is sized to a whole number of lines, which the allocator's
 // size classes keep line-aligned — so the root refs word, written at every
 // spawn and task end of the worker running in the root scope, never shares
 // a line with state, which every worker reads for every task of the
-// submission, nor state's line with done, which a waiter and the finisher
-// write (layout_test.go pins offsets and size).
+// submission, nor state's line with the registry links, which the
+// registering and finishing of other submissions write, and the hold count
+// (layout_test.go pins offsets and size).
 type run struct {
 	scope scope // the root scope: refs starts at 1, the root task
-	pool  *Pool
 	// state gates execution (see the constants above), and is how a Join or
 	// a Group.Wait of the submission learns of its abort (help). finish
-	// stores it after the outcome and before it ends done, so whoever reads
-	// it aborted, or reads it after done has ended, can go on to read the
-	// outcome. Publication ordering suffices: readers only gate on the
-	// value, no store→load shape involves it.
+	// stores it after the outcome and before it ends the Handle's word, so
+	// whoever reads it aborted, or reads it after the word has ended, can go
+	// on to read the outcome. Publication ordering suffices: readers only
+	// gate on the value, no store→load shape involves it.
 	state atomicx.Publish32
+	pool  *Pool
+	h     *Handle // what Submit returns; the completion word and the outcome
+	root  Task    // carries &scope
 	// finishOnce arbitrates the submission's single outcome: completion
 	// (the root scope emptied) or abort (task panic, cancellation, engine
 	// failure) — first caller wins, exactly like the old Pool.abortOnce.
 	finishOnce sync.Once
-	err        error
-	panicVal   any
 	// stopWatch holds the cancel function of the context.AfterFunc watcher
 	// of a submission with a cancellable context (watch); empty otherwise.
 	// Stored before the run is published to workers and called inside
@@ -116,84 +120,114 @@ type run struct {
 	// submitter is still arming it. Publication ordering suffices: the
 	// finisher only calls what it loads.
 	stopWatch atomicx.PublishPointer[func() bool]
-	// done ends when the submission does, either way: Handle.Wait,
-	// Handle.Done and the Run session controller block on it, and so do the
-	// submission's own Joins and Group.Waits, for which ended can only mean
-	// aborted (help).
-	done   waitWord
-	handle Handle // what Submit returns a pointer to
-	root   Task   // carries &scope
-	_      [24]byte
+	// holds counts who may still touch the record: the root scope until it
+	// empties, the submitter until it returns, the watcher, and each
+	// registry look (inFlight). Its consumed decrement picks the one holder
+	// that recycles it (let).
+	holds atomicx.SCInt32
+	// prev and next link the registry of in-flight runs (Pool.active),
+	// guarded by Pool.runMu.
+	prev, next *run
+	_          [32]byte
 }
 
-// newRun returns the record of a submission whose root task runs fn.
+// runRecords recycles run records: let puts one back once its last holder
+// is done with it, and newRun takes one.
+var runRecords = sync.Pool{New: func() any { return new(run) }}
+
+// newRun returns the record of a submission whose root task runs fn, held
+// by its root scope and by the caller, which lets go of it (let) once it is
+// done with it — and the Handle the record will end.
 func newRun(p *Pool, fn func(*Worker)) *run {
-	r := &run{pool: p}
+	r := runRecords.Get().(*run)
+	r.pool, r.h = p, &Handle{}
 	r.scope.run = r
 	r.scope.refs.Store(1) // the root
 	r.root = Task{body: taskFunc(fn), scope: &r.scope}
-	r.handle.r = r
+	r.state.Store(runLive)
+	r.finishOnce = sync.Once{}
+	r.holds.Store(2)
 	return r
 }
 
+// let ends one hold on r. The last one recycles the record, cleared of what
+// would keep the user's data alive: the root function, the Handle and the
+// watcher.
+func (r *run) let() {
+	if r.holds.Add(-1) == 0 {
+		r.root.body, r.h = nil, nil
+		r.stopWatch.Store(nil)
+		runRecords.Put(r)
+	}
+}
+
 // finish ends the submission, once: completed, with state runLive and no
-// cause (complete), or aborted. Whichever of completion, panic,
-// cancellation, or engine failure arrives first wins; later calls are
-// no-ops, preserving the original cause (the batch API's panic-beats-
-// cancel priority falls out of call order). The cause is written first,
-// then state, then the completion word: a joiner woken through done must
-// find state aborted (help; run_model_test.go moves the Swap up and fails).
-func (r *run) finish(state int32, err error, panicVal any) {
+// cause (complete), or aborted with err — a task panic's is a PanicError.
+// Whichever of completion, panic, cancellation, or engine failure arrives
+// first wins; later calls are no-ops, preserving the original cause (the
+// batch API's panic-beats-cancel priority falls out of call order). The
+// cause is written first, then state, then the completion word: a joiner
+// woken through the word must find state aborted (help; run_model_test.go
+// moves the Swap up and fails). The caller is a holder of r.
+func (r *run) finish(state int32, err error) {
 	r.finishOnce.Do(func() {
-		if f := r.stopWatch.Load(); f != nil {
-			(*f)()
+		if stop := r.stopWatch.Load(); stop != nil && (*stop)() {
+			r.let() // the watcher's: its callback will never run
 		}
-		r.err = err
-		r.panicVal = panicVal
+		r.h.err = err
 		r.pool.unregister(r)
 		r.state.Store(state)
-		r.done.finish()
+		r.h.done.finish()
 	})
 }
 
 // complete ends the submission successfully. Called by the release that
 // empties the root scope; a lost race against an abort is a no-op.
-func (r *run) complete() { r.finish(runLive, nil, nil) }
+func (r *run) complete() { r.finish(runLive, nil) }
 
 // outcome returns the abort cause of a submission the caller has seen
-// ended — an error, or the value of a task panic — or nothing for one that
-// completed. The load of state orders the reads after finish's writes.
-func (r *run) outcome() (err error, panicVal any) {
+// aborted (state), or nil for one that has not. The load of state orders
+// the read after finish's write.
+func (r *run) outcome() error {
 	if r.state.Load() == runLive {
-		return nil, nil
+		return nil
 	}
-	return r.err, r.panicVal
+	return r.h.err
 }
 
 // watch arms the submission's cancellation: when ctx is cancelled the
-// submission — and only it — aborts with ctx.Err(). It must run before the
-// root is published to workers: one may pop and complete the submission
-// the instant the push lands, and r's fields must be quiescent by then.
-// And it must run after register: a context cancelled already finishes the
-// run from here, and a finish that found nothing to unregister would leave
-// the register that followed it in the registry for good.
+// submission — and only it — aborts with ctx.Err(). The watcher holds the
+// record until its callback's finish returns, or until a finish stops it
+// first. watch must run before the root is published to workers: one may
+// pop and complete the submission the instant the push lands, and r's
+// fields must be quiescent by then. And it must run after register: a
+// context cancelled already finishes the run from here, and a finish that
+// found nothing to unregister would leave the register that followed it in
+// the registry for good.
 func (r *run) watch(ctx context.Context) {
 	if ctx.Done() == nil {
 		return
 	}
+	r.holds.Add(1)
 	stop := context.AfterFunc(ctx, func() {
-		r.finish(runCancelled, ctx.Err(), nil)
+		r.finish(runCancelled, ctx.Err())
+		r.let()
 	})
 	r.stopWatch.Store(&stop)
 }
 
-// Handle is the completion future of one submission.
-type Handle struct{ r *run }
+// Handle is the completion future of one submission: its completion word,
+// and the outcome finish writes before it ends the word. It is never reused
+// — a caller may keep it, and Wait on it, for as long as it likes.
+type Handle struct {
+	done waitWord
+	err  error
+}
 
 // Done returns a channel closed when the submission has ended — every
 // task executed, or the submission aborted. The first Done or Wait that
 // comes before the end makes the channel; Err never does.
-func (h *Handle) Done() <-chan struct{} { return h.r.done.waitChan() }
+func (h *Handle) Done() <-chan struct{} { return h.done.waitChan() }
 
 // Wait blocks until the submission ends and reports its outcome: nil when
 // the root and every transitively spawned task completed; a PanicError
@@ -201,26 +235,17 @@ func (h *Handle) Done() <-chan struct{} { return h.r.done.waitChan() }
 // context's error if it was cancelled; ErrStopped if the pool stopped
 // serving first. Wait is safe to call from any goroutine, repeatedly.
 func (h *Handle) Wait() error {
-	<-h.r.done.waitChan()
-	return h.result()
+	<-h.done.waitChan()
+	return h.err
 }
 
 // Err returns the submission outcome without blocking: nil until Done,
 // then exactly what Wait reports.
 func (h *Handle) Err() error {
-	if !h.r.done.isDone() {
+	if !h.done.isDone() {
 		return nil
 	}
-	return h.result()
-}
-
-// result is the outcome of an ended submission as Wait and Err report it.
-func (h *Handle) result() error {
-	err, panicVal := h.r.outcome()
-	if panicVal != nil {
-		return PanicError{Value: panicVal}
-	}
-	return err
+	return h.err
 }
 
 // Serve starts the workers and serves submissions until ctx is cancelled.
@@ -294,8 +319,11 @@ func (p *Pool) SubmitContext(ctx context.Context, fn func(*Worker)) (*Handle, er
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	// The submitter holds the record until it returns, and after the push
+	// it touches only the record's outcome: a worker may complete the run
+	// the instant the push lands.
 	r := newRun(p, fn)
-	t := &r.root
+	h, t := r.h, &r.root
 	p.register(r)
 	r.watch(ctx)
 	if !p.offer(t) {
@@ -303,9 +331,12 @@ func (p *Pool) SubmitContext(ctx context.Context, fn func(*Worker)) (*Handle, er
 		if p.cfg.Overload == ShedCallerRuns {
 			p.callerRuns.Add(1)
 			p.runOnCaller(t)
-			return &r.handle, nil
+			r.let()
+			return h, nil
 		}
-		r.finish(runCancelled, ErrOverloaded, nil)
+		r.finish(runCancelled, ErrOverloaded)
+		r.scope.release(1) // the root, which nobody else will ever hold
+		r.let()
 		p.rejected.Add(1)
 		return nil, ErrOverloaded
 	}
@@ -320,18 +351,23 @@ func (p *Pool) SubmitContext(ctx context.Context, fn func(*Worker)) (*Handle, er
 		// the registry may or may not have seen this run, so the submission
 		// must not stand: abort it and report a rejection — never an
 		// accepted handle a drain then fails. The task carcass is
-		// discarded, and counted, at pop or sweep time.
-		r.finish(runCancelled, ErrDraining, nil)
-		p.submitted.Add(-1)
-		p.rejected.Add(1)
-		return nil, ErrDraining
+		// discarded, and counted, at pop or sweep time. A worker may have
+		// completed the run since the push, and then the abort loses: the
+		// submission ran, and it is accepted.
+		if r.finish(runCancelled, ErrDraining); h.Err() != nil {
+			r.let()
+			p.submitted.Add(-1)
+			p.rejected.Add(1)
+			return nil, ErrDraining
+		}
 	default:
 		// The session stopped between the gate and here, and its abort of
 		// the registry may have missed this run. Abort it so its Handle can
 		// never wedge; the carcass goes the same way.
-		r.finish(runCancelled, ErrStopped, nil)
+		r.finish(runCancelled, ErrStopped)
 	}
-	return &r.handle, nil
+	r.let()
+	return h, nil
 }
 
 // runOnCaller executes a shed submission synchronously on the submitting
@@ -352,26 +388,41 @@ func (p *Pool) runOnCaller(t *Task) {
 	w.execOrDrop(t, false)
 }
 
-// register adds a run to the active set endSession aborts.
+// register links a run into the registry endSession aborts.
 func (p *Pool) register(r *run) {
 	p.runMu.Lock()
-	p.active[r] = struct{}{}
+	if r.next = p.active; r.next != nil {
+		r.next.prev = r
+	}
+	p.active = r
 	p.runMu.Unlock()
 }
 
-// unregister removes a finished run. Called from finishOnce only.
+// unregister unlinks a finished run. Called from finishOnce only, on a run
+// register linked.
 func (p *Pool) unregister(r *run) {
 	p.runMu.Lock()
-	delete(p.active, r)
+	if r.prev != nil {
+		r.prev.next = r.next
+	} else {
+		p.active = r.next
+	}
+	if r.next != nil {
+		r.next.prev = r.prev
+	}
+	r.prev, r.next = nil, nil
 	p.runMu.Unlock()
 }
 
-// inFlight returns the registered runs: what endSession aborts and what a
-// Drain waits for. A snapshot, so that finish's unregister does not mutate
-// the map under the caller's loop. The caller holds runMu.
+// inFlight returns the registered runs — what endSession aborts and what a
+// Drain waits for — each with a hold the caller lets go once it is done with
+// that run. A snapshot, so that finish's unregister does not unlink under the
+// caller's loop. A run is registered until its finish, so its root scope
+// still holds it here. The caller holds runMu.
 func (p *Pool) inFlight() []*run {
-	rs := make([]*run, 0, len(p.active))
-	for r := range p.active {
+	var rs []*run
+	for r := p.active; r != nil; r = r.next {
+		r.holds.Add(1)
 		rs = append(rs, r)
 	}
 	return rs

@@ -190,6 +190,17 @@ func (c *lateCancelCtx) Err() error {
 	return c.Context.Err()
 }
 
+// registered counts the runs in p's registry.
+func (p *Pool) registered() int {
+	p.runMu.Lock()
+	defer p.runMu.Unlock()
+	n := 0
+	for r := p.active; r != nil; r = r.next {
+		n++
+	}
+	return n
+}
+
 // A submission whose context cancels while SubmitContext is still at work
 // must not stay in the registry: armed before it was registered, its
 // watcher could finish it first, the unregister found nothing, and the
@@ -204,11 +215,6 @@ func TestCancelBetweenWatchAndRegisterDoesNotLeakRun(t *testing.T) {
 	stop := startServing(t, p)
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	registered := func() int {
-		p.runMu.Lock()
-		defer p.runMu.Unlock()
-		return len(p.active)
-	}
 	for i := 0; i < subs && !t.Failed(); i++ {
 		h, err := p.SubmitContext(&lateCancelCtx{Context: cancelled}, func(*Worker) {})
 		switch {
@@ -224,7 +230,7 @@ func TestCancelBetweenWatchAndRegisterDoesNotLeakRun(t *testing.T) {
 				t.Fatalf("submission %d: Wait = %v", i, err)
 			}
 		}
-		if n := registered(); n != 0 {
+		if n := p.registered(); n != 0 {
 			t.Errorf("after submission %d, %d finished submissions are still registered", i, n)
 		}
 	}
