@@ -217,12 +217,12 @@ func (m *phaseModel) step(s pmState, a int) ([]pmState, error) {
 				hand()
 			case phaseDraining: // rejects itself, unless a worker completed the run first
 				err = s.finish(hSubmit, pmRejected)
-				switch {
-				case s.out != pmCompleted:
+				if s.out != pmCompleted || m.rejectCompleted { // ErrDraining
 					m.selfRejected++
-				case m.rejectCompleted:
-					err = fmt.Errorf("a Submit returned ErrDraining for a run a worker completed")
-				default:
+					if s.out == pmCompleted && err == nil {
+						err = fmt.Errorf("a Submit that returned ErrDraining left a completed run")
+					}
+				} else {
 					m.lateAccepted++
 					hand()
 				}

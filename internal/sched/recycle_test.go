@@ -552,12 +552,19 @@ func TestRecycleRunReused(t *testing.T) {
 func TestRecycleRunIsolation(t *testing.T) {
 	const submitters, subs = 4, 500
 	p := New(Config{Workers: 2, InjectorCapacity: 2, Overload: ShedCallerRuns})
+	// serve starts a session; the second is started from a submitter's
+	// goroutine, so it reports with t.Error.
 	serve := func() chan error {
 		ctx, cancel := context.WithCancel(context.Background())
 		t.Cleanup(cancel)
 		served := make(chan error, 1)
 		go func() { served <- p.Serve(ctx) }()
-		waitFor(t, 10*time.Second, "pool to start serving", inPhase(p, phaseServing))
+		for deadline := time.Now().Add(10 * time.Second); !inPhase(p, phaseServing)(); runtime.Gosched() {
+			if time.Now().After(deadline) {
+				t.Error("the pool did not start serving within 10 s")
+				break
+			}
+		}
 		return served
 	}
 	served := serve()

@@ -319,10 +319,11 @@ func (p *Pool) SubmitContext(ctx context.Context, fn func(*Worker)) (*Handle, er
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// The submitter holds the record until it returns, and after the push
-	// it touches only the record's outcome: a worker may complete the run
-	// the instant the push lands.
+	// A worker may complete the run the instant the push lands; the
+	// submitter's hold keeps the record, which the re-check below may still
+	// finish, from being recycled under it until SubmitContext returns.
 	r := newRun(p, fn)
+	defer r.let()
 	h, t := r.h, &r.root
 	p.register(r)
 	r.watch(ctx)
@@ -331,12 +332,10 @@ func (p *Pool) SubmitContext(ctx context.Context, fn func(*Worker)) (*Handle, er
 		if p.cfg.Overload == ShedCallerRuns {
 			p.callerRuns.Add(1)
 			p.runOnCaller(t)
-			r.let()
 			return h, nil
 		}
 		r.finish(runCancelled, ErrOverloaded)
 		r.scope.release(1) // the root, which nobody else will ever hold
-		r.let()
 		p.rejected.Add(1)
 		return nil, ErrOverloaded
 	}
@@ -355,7 +354,6 @@ func (p *Pool) SubmitContext(ctx context.Context, fn func(*Worker)) (*Handle, er
 		// completed the run since the push, and then the abort loses: the
 		// submission ran, and it is accepted.
 		if r.finish(runCancelled, ErrDraining); h.Err() != nil {
-			r.let()
 			p.submitted.Add(-1)
 			p.rejected.Add(1)
 			return nil, ErrDraining
@@ -366,7 +364,6 @@ func (p *Pool) SubmitContext(ctx context.Context, fn func(*Worker)) (*Handle, er
 		// never wedge; the carcass goes the same way.
 		r.finish(runCancelled, ErrStopped)
 	}
-	r.let()
 	return h, nil
 }
 
