@@ -1,8 +1,10 @@
 // Package abprace exercises the happens-before race detector: plain
 // counters touched from two goroutine contexts are flagged, while every
 // ordering the analyzer understands — channel handoff, WaitGroup join,
-// mutex lockset, atomic access, atomic release/acquire publication — is
-// accepted, and the //abp:race-ignore escape hatch suppresses.
+// mutex lockset, atomic access, atomic release/acquire publication (its
+// own or a static callee's), a record recycled by its last holder through
+// a sync.Pool — is accepted, and the //abp:race-ignore escape hatch
+// suppresses.
 package abprace
 
 import (
