@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strings"
 )
@@ -86,13 +87,15 @@ type callEdge struct {
 // per function literal, with labelled edges for statically resolvable
 // calls. Calls through function values, interface methods that do not
 // resolve, and cross-package callees produce no edge — the analyzers treat
-// absence of an edge conservatively.
+// absence of an edge conservatively. The one function value that resolves
+// is a field the package only ever sets to one function (bound).
 type callGraph struct {
 	info     *types.Info
 	nodes    []*funcNode
 	declNode map[*types.Func]*funcNode
 	litNode  map[*ast.FuncLit]*funcNode
 	edges    map[*funcNode][]callEdge
+	bound    map[*types.Var]*types.Func
 
 	captured map[*ast.FuncLit][]*types.Var
 }
@@ -105,6 +108,7 @@ func newCallGraph(info *types.Info, files []*ast.File) *callGraph {
 		litNode:  map[*ast.FuncLit]*funcNode{},
 		edges:    map[*funcNode][]callEdge{},
 		captured: map[*ast.FuncLit][]*types.Var{},
+		bound:    boundFields(info, files),
 	}
 	// Phase 1: register every declaration so forward references resolve.
 	decls := declsOf(files)
@@ -163,7 +167,11 @@ func (g *callGraph) handleCall(from *funcNode, call *ast.CallExpr, kind callKind
 		g.edges[from] = append(g.edges[from], callEdge{to: child, kind: kind, site: site})
 		g.walk(child, lit.Body)
 	} else {
-		if fn := calleeFunc(g.info, call); fn != nil {
+		fn := calleeFunc(g.info, call)
+		if fn == nil {
+			fn = g.bound[fieldVar(g.info, call.Fun)]
+		}
+		if fn != nil {
 			if to, ok := g.declNode[fn]; ok {
 				g.edges[from] = append(g.edges[from], callEdge{to: to, kind: kind, site: site})
 			}
@@ -185,6 +193,73 @@ func (g *callGraph) handleCall(from *funcNode, call *ast.CallExpr, kind callKind
 	for _, arg := range call.Args {
 		g.walk(from, arg)
 	}
+}
+
+// boundFields maps each func-typed field that the package only ever sets to
+// one declared function or method value — x.f = y.m, T{f: y.m} — to that
+// function, so that a call through the field (go w.loopFn()) resolves as a
+// call of the function does. A field also set to anything else, or whose
+// address is taken, maps to nil.
+func boundFields(info *types.Info, files []*ast.File) map[*types.Var]*types.Func {
+	bound := map[*types.Var]*types.Func{}
+	bind := func(v *types.Var, value ast.Expr) {
+		if v == nil {
+			return
+		}
+		if _, ok := v.Type().Underlying().(*types.Signature); !ok {
+			return
+		}
+		var fn *types.Func
+		switch x := ast.Unparen(value).(type) {
+		case *ast.Ident:
+			fn, _ = info.Uses[x].(*types.Func)
+		case *ast.SelectorExpr:
+			fn, _ = info.Uses[x.Sel].(*types.Func)
+		}
+		if old, seen := bound[v]; seen && old != fn {
+			fn = nil
+		}
+		bound[v] = fn
+	}
+	for _, file := range files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.AssignStmt:
+				for i, lhs := range x.Lhs {
+					var value ast.Expr
+					if len(x.Rhs) == len(x.Lhs) {
+						value = x.Rhs[i]
+					}
+					bind(fieldVar(info, lhs), value)
+				}
+			case *ast.KeyValueExpr:
+				if id, ok := x.Key.(*ast.Ident); ok {
+					if v, ok := info.Uses[id].(*types.Var); ok && v.IsField() {
+						bind(v, x.Value)
+					}
+				}
+			case *ast.UnaryExpr:
+				if x.Op == token.AND {
+					bind(fieldVar(info, x.X), nil)
+				}
+			}
+			return true
+		})
+	}
+	return bound
+}
+
+// fieldVar returns the field e selects, or nil.
+func fieldVar(info *types.Info, e ast.Expr) *types.Var {
+	sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
+	if !ok {
+		return nil
+	}
+	if s, ok := info.Selections[sel]; ok && s.Kind() == types.FieldVal {
+		v, _ := s.Obj().(*types.Var)
+		return v
+	}
+	return nil
 }
 
 // reachable computes the set of nodes reachable from roots along edges

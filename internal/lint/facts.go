@@ -55,9 +55,10 @@ type pkgFacts struct {
 	// unshared. The race analyses never see them; abporder's raw-field
 	// check, whose contract is syntactic, does.
 	fresh []*raceAccess
-	// held holds each function's lastHolds, and recycling the sync.Pools
-	// every Put of which is a last holder's: an object Get takes from one
-	// is as fresh as a new one.
+	// held holds each function's lastHolds, and recycling the pools every
+	// Put of which is a last holder's — sync.Pools, and the package's own
+	// free lists (listOps) — : an object Get or a pop takes from one is as
+	// fresh as a new one.
 	held      map[*funcNode][]lastHold
 	recycling map[*types.Var]bool
 
@@ -650,15 +651,22 @@ func (c *collector) freshRHS(e ast.Expr) bool {
 			_, isBuiltin := c.info.Uses[id].(*types.Builtin)
 			return isBuiltin
 		}
+		// A pop off a free list every push onto which is a last holder's.
+		if _, pop := c.listOps(calleeFunc(c.info, x)); pop && len(x.Args) > 0 {
+			return c.recycling[addrVar(c.info, x.Args[0])]
+		}
 	}
 	return false
 }
 
 // A lastHold is the body of an `if b.n.Add(d) == 0 { … pool.Put(b) … }`
-// statement, where n is an atomic count of b's holders: the consumed
-// decrement that reaches zero picks the last of them, which has b to itself
-// until its Put hands b on to the pool's next Get — the two edges, the
-// count's and sync.Pool's, that let a recycled object be used as a fresh one.
+// statement, or of a `for` loop on that condition, where n is an atomic
+// count of b's holders: the consumed decrement that reaches zero picks the
+// last of them, which has b to itself until its Put hands b on to the
+// pool's next Get — the two edges, the count's and the pool's, that let a
+// recycled object be used as a fresh one. The pool may be a sync.Pool, or
+// a free list of the package's own, which its push and pop reach through
+// their first argument (listOps).
 type lastHold struct {
 	v    *types.Var // b
 	body *ast.BlockStmt
@@ -673,11 +681,17 @@ func (h lastHold) covers(v *types.Var, n ast.Node) bool {
 func (f *pkgFacts) lastHolds(fn *funcNode) []lastHold {
 	var out []lastHold
 	fn.inspectOwn(func(x ast.Node) bool {
-		s, ok := x.(*ast.IfStmt)
-		if !ok {
+		var test ast.Expr
+		var body *ast.BlockStmt
+		switch s := x.(type) {
+		case *ast.IfStmt:
+			test, body = s.Cond, s.Body
+		case *ast.ForStmt:
+			test, body = s.Cond, s.Body
+		default:
 			return true
 		}
-		cond, ok := ast.Unparen(s.Cond).(*ast.BinaryExpr)
+		cond, ok := ast.Unparen(test).(*ast.BinaryExpr)
 		if !ok || cond.Op != token.EQL {
 			return true
 		}
@@ -694,8 +708,8 @@ func (f *pkgFacts) lastHolds(fn *funcNode) []lastHold {
 			return true
 		}
 		if base := baseIdent(sel.X); base != nil {
-			if v, ok := f.info.Uses[base].(*types.Var); ok && f.putsInto(s.Body, v) {
-				out = append(out, lastHold{v: v, body: s.Body})
+			if v, ok := f.info.Uses[base].(*types.Var); ok && f.putsInto(body, v) {
+				out = append(out, lastHold{v: v, body: body})
 			}
 		}
 		return true
@@ -703,10 +717,18 @@ func (f *pkgFacts) lastHolds(fn *funcNode) []lastHold {
 	return out
 }
 
-// poolPut returns the pool and the object of n when n is a sync.Pool Put.
+// poolPut returns the pool and the object of n when n is a sync.Pool Put or
+// a push onto a free list (listOps).
 func (f *pkgFacts) poolPut(n ast.Node) (pool, obj *types.Var) {
 	call, ok := n.(*ast.CallExpr)
-	if !ok || len(call.Args) != 1 || !isPoolMethod(calleeFunc(f.info, call), "Put") {
+	if !ok || len(call.Args) == 0 {
+		return nil, nil
+	}
+	fn := calleeFunc(f.info, call)
+	if push, _ := f.listOps(fn); push {
+		return addrVar(f.info, call.Args[0]), leafVar(f.info, call.Args[len(call.Args)-1])
+	}
+	if len(call.Args) != 1 || !isPoolMethod(fn, "Put") {
 		return nil, nil
 	}
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
@@ -716,7 +738,59 @@ func (f *pkgFacts) poolPut(n ast.Node) (pool, obj *types.Var) {
 	return leafVar(f.info, sel.X), leafVar(f.info, call.Args[0])
 }
 
-// putsInto reports whether n puts v into a sync.Pool.
+// listOps reports whether fn, a function of the package, is a push onto a
+// free list — it stores its last parameter in an element of its first,
+// `slots[i] = r` — or a pop — it returns an element of its first,
+// `return slots[i]`. The list is what the caller's first argument names.
+func (f *pkgFacts) listOps(fn *types.Func) (push, pop bool) {
+	if fn == nil {
+		return false, false
+	}
+	node := f.graph.declNode[fn.Origin()]
+	if node == nil || node.decl.Body == nil {
+		return false, false
+	}
+	var params []*types.Var
+	for _, field := range node.decl.Type.Params.List {
+		for _, name := range field.Names {
+			v, _ := f.info.Defs[name].(*types.Var)
+			params = append(params, v)
+		}
+	}
+	if len(params) < 2 || params[0] == nil {
+		return false, false
+	}
+	elemOfFirst := func(e ast.Expr) bool {
+		ix, ok := ast.Unparen(e).(*ast.IndexExpr)
+		return ok && leafVar(f.info, ix.X) == params[0]
+	}
+	ast.Inspect(node.decl.Body, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.AssignStmt:
+			for i, lhs := range x.Lhs {
+				if len(x.Rhs) == len(x.Lhs) && elemOfFirst(lhs) && leafVar(f.info, x.Rhs[i]) == params[len(params)-1] {
+					push = true
+				}
+			}
+		case *ast.ReturnStmt:
+			if len(x.Results) == 1 && elemOfFirst(x.Results[0]) {
+				pop = true
+			}
+		}
+		return true
+	})
+	return push, pop
+}
+
+// addrVar is leafVar of e, or of x when e is &x.
+func addrVar(info *types.Info, e ast.Expr) *types.Var {
+	if u, ok := ast.Unparen(e).(*ast.UnaryExpr); ok && u.Op == token.AND {
+		e = u.X
+	}
+	return leafVar(info, e)
+}
+
+// putsInto reports whether n puts v into a sync.Pool or a free list.
 func (f *pkgFacts) putsInto(n ast.Node, v *types.Var) bool {
 	found := false
 	ast.Inspect(n, func(x ast.Node) bool {
@@ -728,8 +802,9 @@ func (f *pkgFacts) putsInto(n ast.Node, v *types.Var) bool {
 	return found
 }
 
-// findRecycling fills held, and recycling with the sync.Pools every Put of
-// which is made in a lastHold on the object it puts.
+// findRecycling fills held, and recycling with the pools — sync.Pools and
+// free lists — every Put of which is made in a lastHold on the object it
+// puts.
 func (f *pkgFacts) findRecycling() {
 	f.held, f.recycling = map[*funcNode][]lastHold{}, map[*types.Var]bool{}
 	other := map[*types.Var]bool{}
@@ -738,6 +813,14 @@ func (f *pkgFacts) findRecycling() {
 		f.held[fn] = held
 		fn.inspectOwn(func(x ast.Node) bool {
 			pool, obj := f.poolPut(x)
+			if a, ok := x.(*ast.AssignStmt); ok {
+				// A store into a list's slots other than a push's own.
+				for _, lhs := range a.Lhs {
+					if ix, ok := ast.Unparen(lhs).(*ast.IndexExpr); ok {
+						other[leafVar(f.info, ix.X)] = true
+					}
+				}
+			}
 			if pool == nil {
 				return true
 			}

@@ -3,8 +3,9 @@
 // ordering the analyzer understands — channel handoff, WaitGroup join,
 // mutex lockset, atomic access, atomic release/acquire publication (its
 // own or a static callee's), a record recycled by its last holder through
-// a sync.Pool — is accepted, and the //abp:race-ignore escape hatch
-// suppresses.
+// a sync.Pool or a free list of the package's own — is accepted, and the
+// //abp:race-ignore escape hatch suppresses. A goroutine launched through a
+// field the package sets to one method value is checked as that method.
 package abprace
 
 import (
@@ -367,3 +368,137 @@ func (s *scrap) peek() int { return s.val }
 
 // Watch reads a scrap on another goroutine.
 func Watch(s *scrap) { go s.peek() }
+
+// --- accepted: a record recycled through a free list of the package's
+// own. A loop on the consumed decrement pushes each record it empties, and
+// a pop hands the record on as a fresh one ---
+
+type tile struct {
+	holds atomic.Int32
+	up    *tile
+	val   int
+}
+
+// keeper is the free list of one goroutine.
+type keeper struct {
+	n     int
+	slots [4]*tile
+}
+
+func push[R any](slots *[4]*R, n *int, r *R) {
+	if *n < len(slots) {
+		slots[*n] = r
+		*n++
+	}
+}
+
+func pop[R any](slots *[4]*R, n *int) *R {
+	if *n == 0 {
+		return nil
+	}
+	*n--
+	return slots[*n]
+}
+
+// take returns a tile with two holders, under up.
+//
+//abp:owner each goroutine takes and lets go through a keeper of its own
+func (k *keeper) take(up *tile, v int) *tile {
+	t := pop(&k.slots, &k.n)
+	if t == nil {
+		t = new(tile)
+	}
+	t.up, t.val = up, v
+	t.holds.Store(2)
+	return t
+}
+
+// let ends one hold of t, and one of the tile above each tile it empties.
+//
+//abp:owner each goroutine takes and lets go through a keeper of its own
+func (k *keeper) let(t *tile) {
+	for t.holds.Add(-1) == 0 {
+		up := t.up
+		t.up, t.val = nil, 0
+		push(&k.slots, &k.n, t)
+		if up == nil {
+			return
+		}
+		t = up
+	}
+}
+
+func (t *tile) read() int { return t.val }
+
+// Tile lets go of a tile on another goroutine while it takes another.
+func Tile(k *keeper, t *tile) int {
+	go func() {
+		var mine keeper
+		_ = t.read()
+		mine.let(t)
+	}()
+	n := k.take(nil, 1)
+	v := n.read()
+	k.let(n)
+	return v
+}
+
+// --- flagged: a free list pushed onto outside a last hold hands nothing
+// on as fresh ---
+
+type chip struct{ val int }
+
+type bin struct {
+	n     int
+	slots [4]*chip
+}
+
+// drop lists a chip whoever else may hold it.
+//
+//abp:owner each goroutine drops and reuses through a bin of its own
+func (b *bin) drop(c *chip) { push(&b.slots, &b.n, c) }
+
+// reuse writes a chip it popped.
+//
+//abp:owner each goroutine drops and reuses through a bin of its own
+func (b *bin) reuse() *chip {
+	c := pop(&b.slots, &b.n)
+	if c == nil {
+		c = new(chip)
+	}
+	c.val = 1 // want `possible data race on field val of abprace.chip`
+	return c
+}
+
+func (c *chip) peek() int { return c.val }
+
+// Chip reads a chip on another goroutine while it reuses another.
+func Chip(b *bin, c *chip) *chip {
+	go c.peek()
+	d := b.reuse()
+	b.drop(c)
+	return d
+}
+
+// --- flagged: a goroutine launched through a field the package only ever
+// sets to one method value runs that method ---
+
+type ticker struct {
+	ticks int
+	run   func()
+}
+
+// Tick launches the ticker through its field and reads the count.
+func Tick() int {
+	t := newTicker()
+	go t.run()
+	return t.ticks // want `possible data race on field ticks of abprace.ticker`
+}
+
+func newTicker() *ticker {
+	t := &ticker{}
+	t.run = t.tick
+	return t
+}
+
+func (t *ticker) tick() { t.ticks++ }

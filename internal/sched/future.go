@@ -32,10 +32,11 @@ func (r *run) panicAborted() {
 // nil while what it stands for is pending and nobody waits, a channel a
 // waiter about to block installed, or doneWait once it has ended. The
 // completer's one Swap publishes what it wrote before and takes the
-// waiter's channel to close, so a channel exists only where somebody had
-// to block, and after the Swap the completer never touches the word's
-// record again. future_model_test.go and run_model_test.go check it over
-// every interleaving.
+// waiter's channel to close — or, if it is buffered, a single waiter's
+// token channel to send a token to (waitToken) — so a channel is made only
+// where somebody had to block, and after the Swap the completer never
+// touches the word's record again. future_model_test.go and
+// run_model_test.go check it over every interleaving.
 type waitWord struct {
 	p atomicx.SCPointer[chan struct{}]
 }
@@ -69,12 +70,41 @@ func (x *waitWord) waitChan() chan struct{} {
 	}
 }
 
+// waitToken is waitChan for a word with one waiter — the joiner of a
+// record from takeFuture or takeRange — which installs its worker's token
+// channel, tok, instead of making one. It drains tok first: the completer
+// of a record abandoned by an abort may have sent to it since. It drains
+// before the install, never after, when the send it must not eat may come;
+// a stale token that slips in between costs one spurious wake. A word that
+// is not nil holds tok, from an earlier round of this wait, or doneWait.
+func (x *waitWord) waitToken(tok *chan struct{}) chan struct{} {
+	if ch := x.p.Load(); ch != nil {
+		return *ch
+	}
+	select {
+	case <-*tok:
+	default:
+	}
+	if x.p.CompareAndSwap(nil, tok) {
+		return *tok
+	}
+	return *x.p.Load() // only finish writes a word a single waiter has left nil
+}
+
 // finish ends the word, once: whatever the caller wrote before is
 // published to every waiter and every isDone, and the channel a waiter
-// installed, if any, is closed.
+// installed, if any, is closed — or, a token channel (waitToken), sent a
+// token, unless one is pending already, which wakes the waiter as well.
 func (x *waitWord) finish() {
 	if ch := x.p.Swap(doneWait); ch != nil {
-		close(*ch)
+		if cap(*ch) == 0 {
+			close(*ch)
+			return
+		}
+		select {
+		case *ch <- struct{}{}:
+		default:
+		}
 	}
 }
 
@@ -82,9 +112,10 @@ func (x *waitWord) finish() {
 // anything.
 func (x *waitWord) isDone() bool { return x.p.Load() == doneWait }
 
-// maxFreeRecords is the slot count of each of a worker's three free lists
+// maxFreeRecords is the slot count of each of a worker's four free lists
 // (DESIGN.md §7, "Record recycling"): deep enough for the joins a fork-join
-// recursion has in flight on one worker and for a wide Group fan-out.
+// recursion has in flight on one worker, for a wide Group fan-out and for
+// the child scopes a burst of steals empties.
 //
 // A list is a stack of slots: a take only lowers its depth, and a free
 // writes the slot only if it names another record, so a fork-join
@@ -122,6 +153,36 @@ func putRecord[R comparable](slots *[maxFreeRecords]any, depth *int32, r R) {
 		return
 	}
 	if g, _ := slots[n].(R); g != r {
+		slots[n] = r
+	}
+	*depth = n + 1
+}
+
+// popFree pops the record on top of a free list of one type — the
+// records of spawned tasks, the emptied child scopes — or returns nil if
+// the list is empty.
+//
+//abp:owner the free lists belong to the goroutine running the worker
+func popFree[R any](slots *[maxFreeRecords]*R, depth *int32) *R {
+	n := *depth
+	if n == 0 {
+		return nil
+	}
+	*depth = n - 1
+	return slots[n-1]
+}
+
+// pushFree pushes r on a free list of one type, or drops it when the list
+// is at its bound — which is what keeps a thief that runs a long burst of
+// another worker's spawns from hoarding their records.
+//
+//abp:owner the free lists belong to the goroutine running the worker
+func pushFree[R any](slots *[maxFreeRecords]*R, depth *int32, r *R) {
+	n := *depth
+	if n == maxFreeRecords {
+		return
+	}
+	if slots[n] != r {
 		slots[n] = r
 	}
 	*depth = n + 1
@@ -222,15 +283,17 @@ func (f *Future[T]) Join(w *Worker) T {
 		f.ch.finish() // a public Future may have joiners on other workers
 		return f.result
 	}
-	return f.wait(w)
+	return f.wait(w, nil)
 }
 
-// wait is Join after its first round.
-func (f *Future[T]) wait(w *Worker) T {
+// wait is Join after its first round. tok is the token channel of the
+// joiner's worker when the joiner is the future's only waiter (joinFree),
+// and nil for a public Future, whose waiters each install a channel.
+func (f *Future[T]) wait(w *Worker, tok *chan struct{}) T {
 	r := w.currentRun()
 	for !f.Done() {
 		if w.help(r) {
-			f.block(r)
+			f.block(r, tok)
 		}
 	}
 	return f.result
@@ -268,10 +331,16 @@ func (f *Future[T]) call(w *Worker) {
 
 // block parks the joiner until the future completes or r ends — which,
 // under a live joiner, is r aborting (help). Join's loop re-checks both,
-// so a wake for any other reason is harmless.
-func (f *Future[T]) block(r *run) {
+// so a wake for any other reason — a stale token among them — is harmless.
+func (f *Future[T]) block(r *run, tok *chan struct{}) {
+	var ch chan struct{}
+	if tok != nil {
+		ch = f.ch.waitToken(tok)
+	} else {
+		ch = f.ch.waitChan()
+	}
 	select {
-	case <-f.ch.waitChan():
+	case <-ch:
 	case <-r.h.done.waitChan():
 	}
 }
@@ -282,12 +351,13 @@ func (f *Future[T]) Done() bool { return f.ch.isDone() }
 // joinFree is Join for a Future from takeFuture: the Future goes back to
 // w's free list once its result is out. A called task had no completer, so
 // the word is still nil; else the Swap has returned and the joiner resets it.
+// The joiner is the Future's only waiter, so a block waits on w's token.
 // rangeTask.joinFree is this join with the range record's free.
 func (f *Future[T]) joinFree(w *Worker) T {
 	if !f.Done() && w.popBack(&f.task) {
 		f.call(w)
 	} else {
-		f.wait(w)
+		f.wait(w, &w.joinCh)
 		f.ch.p.Store(nil)
 	}
 	v := f.result

@@ -33,9 +33,23 @@ import (
 // the word replaced (store done, then load the channel and close it), and
 // a relist that skips the reset after a stolen generation too, whose next
 // joiner reads a stale doneWait and with it a stale result.
+//
+// The token path is joinFree's: the joiner installs its worker's
+// capacity-1 token channel, one for every generation, and the completer
+// sends a token to it instead of closing — or drops the send when a token
+// is pending already. A joiner blocked in the first generation may be
+// unwound by its run's abort instead: it abandons the record with the
+// token in its word, and forks the second generation on a fresh record,
+// in a fresh run; the abandoned record's completer may send its token
+// into the second generation's wait. So the wait drains the channel
+// before the install. Checked on top: a joiner whose future has completed
+// never sleeps — it is never blocked on an empty channel with no send left
+// to come. The control drains after the install, and can eat the token of
+// its own completion.
 
 const (
 	fmDone  int8 = -1 // the word holds doneWait
+	fmTok   int8 = -2 // the word holds the joiner's token channel
 	fmMaxCh      = 4  // channels one search may install
 	fmGens       = 2
 )
@@ -53,6 +67,7 @@ const (
 	fjFree                 // joinFree: reset the word (two-word: the channel word) unless the task was called
 	fjFree2                // two-word only: reset the done flag
 	fjRefork               // fork the next generation
+	fjDrain                // token path: take a pending token, if any
 	fjFinished
 )
 
@@ -64,6 +79,7 @@ const (
 	fcPublish       // Swap doneWait in (two-word: store done)
 	fcLoadCh        // two-word only: load the channel word
 	fcClose         // close the channel taken
+	fcSend          // token path: send a token, or drop it on a full channel
 	fcFinished
 )
 
@@ -119,10 +135,15 @@ type fmState struct {
 	popped bool // the joiner has made this generation's first-round pop
 	called bool // ... and it returned the task, which the joiner ran
 	jpc    int8
-	jch    int8              // the channel the joiner blocks on
-	maker  [fmMaxCh + 1]int8 // the generation whose joiner installed the channel
-	freed  [fmGens + 1]bool
-	c      [fmGens + 1]fmCompleter
+	jch    int8 // the channel the joiner blocks on: fmTok on the token path
+	tok    int8 // tokens pending in the joiner's token channel, 0 or 1
+	// aborted says the joiner abandoned the first generation's record, and
+	// aword is that record's word, which its completer goes on to end.
+	aborted bool
+	aword   int8
+	maker   [fmMaxCh + 1]int8 // the generation whose joiner installed the channel
+	freed   [fmGens + 1]bool
+	c       [fmGens + 1]fmCompleter
 }
 
 type futureModel struct {
@@ -131,10 +152,15 @@ type futureModel struct {
 	// freed record, to show what such a step goes on to break. unreset
 	// relists every generation without a reset, a stolen one too.
 	twoWord, ignoreLate, unreset bool
+	// token selects the token path; drainLate, its control, drains after
+	// the install.
+	token, drainLate bool
 	// What the search came across, so the test can tell it covered the
 	// joiner blocking, losing the install to the Swap, and never waiting,
-	// and both ends of the race for the task.
+	// both ends of the race for the task, and on the token path a stale
+	// token drained and one that woke the joiner early.
 	blocks, lostInstalls, neverWaited, poppedBack, stolen int
+	staleDrains, staleWakes                               int
 }
 
 func (m *futureModel) initial() fmState {
@@ -173,10 +199,33 @@ func (m *futureModel) joinerStep(s fmState) ([]fmState, error) {
 			s.jpc = fjLoad
 		case s.word != 0:
 			s.jch, s.jpc = s.word, fjBlock
+		case m.token && !m.drainLate:
+			s.jpc = fjDrain
 		default:
 			s.jpc = fjInstCAS
 		}
+	case fjDrain:
+		if s.tok > 0 {
+			m.staleDrains++
+		}
+		s.tok = 0
+		s.jpc = fjInstCAS
+		if m.drainLate {
+			s.jpc = fjBlock
+		}
 	case fjInstCAS:
+		if m.token {
+			if s.word != 0 {
+				s.jpc = fjInstLoad
+				break
+			}
+			s.word, s.jch = fmTok, fmTok
+			s.jpc = fjBlock
+			if m.drainLate {
+				s.jpc = fjDrain
+			}
+			break
+		}
 		ch, err := s.install()
 		if err != nil {
 			return nil, err
@@ -196,6 +245,25 @@ func (m *futureModel) joinerStep(s fmState) ([]fmState, error) {
 			s.jpc = fjLoad
 		}
 	case fjBlock:
+		if s.jch == fmTok {
+			var next []fmState
+			if !s.aborted && s.gen == 1 { // the run's word wakes the joiner, which unwinds
+				n := s
+				n.aborted, n.aword, n.word = true, n.word, 0
+				n.jpc = fjRefork
+				next = append(next, n)
+			}
+			if s.tok == 0 {
+				return next, m.sleeping(s)
+			}
+			if s.word != fmDone {
+				m.staleWakes++
+			}
+			s.tok = 0
+			m.blocks++
+			s.jpc = fjLoad
+			return append(next, s), nil
+		}
 		if s.closed[s.jch] == 0 {
 			return nil, nil
 		}
@@ -205,7 +273,7 @@ func (m *futureModel) joinerStep(s fmState) ([]fmState, error) {
 		if s.result != s.gen {
 			return nil, fmt.Errorf("generation %d's joiner read generation %d's result", s.gen, s.result)
 		}
-		if s.jch == 0 || s.maker[s.jch] != s.gen {
+		if s.jch == 0 || s.jch > 0 && s.maker[s.jch] != s.gen {
 			m.neverWaited++
 		}
 		s.jpc = fjFree
@@ -228,6 +296,9 @@ func (m *futureModel) joinerStep(s fmState) ([]fmState, error) {
 	case fjRefork:
 		s.gen++
 		s.jpc = fjFinished
+		if m.token {
+			s.jch = 0
+		}
 		if s.gen <= fmGens {
 			s.jpc, s.c[s.gen].pc = fjLoad, fcSteal
 			s.dq, s.popped, s.called = s.gen, false, false
@@ -238,13 +309,27 @@ func (m *futureModel) joinerStep(s fmState) ([]fmState, error) {
 	return []fmState{s}, nil
 }
 
+// sleeping checks the joiner asleep on its token channel, empty: a send must
+// still be on its way, or the future must be pending.
+func (m *futureModel) sleeping(s fmState) error {
+	if s.word != fmDone {
+		return nil
+	}
+	for g := int8(1); g <= fmGens; g++ {
+		if s.c[g].pc == fcSend {
+			return nil
+		}
+	}
+	return fmt.Errorf("generation %d's joiner sleeps on an empty token channel though its future has completed", s.gen)
+}
+
 // completerStep moves generation g's completer one step, if it has one.
 func (m *futureModel) completerStep(s fmState, g int8) ([]fmState, error) {
 	c := &s.c[g]
 	if c.pc == fcUnforked || c.pc == fcFinished {
 		return nil, nil
 	}
-	if s.freed[g] && c.pc != fcSteal && !m.ignoreLate {
+	if s.freed[g] && c.pc != fcSteal && c.pc != fcSend && !m.ignoreLate {
 		return nil, fmt.Errorf("generation %d's completer takes step %d after the joiner freed the record", g, c.pc)
 	}
 	switch c.pc {
@@ -255,7 +340,9 @@ func (m *futureModel) completerStep(s fmState, g int8) ([]fmState, error) {
 			s.dq, c.pc = 0, fcWrite
 		}
 	case fcWrite:
-		s.result = g
+		if !s.aborted || g != 1 { // else the abandoned record's result
+			s.result = g
+		}
 		c.pc = fcPublish
 	case fcPublish:
 		if m.twoWord {
@@ -263,11 +350,26 @@ func (m *futureModel) completerStep(s fmState, g int8) ([]fmState, error) {
 			c.pc = fcLoadCh
 			break
 		}
+		if m.token {
+			word := &s.word
+			if s.aborted && g == 1 {
+				word = &s.aword
+			}
+			c.pc = fcFinished
+			if *word == fmTok {
+				c.pc = fcSend
+			}
+			*word = fmDone
+			break
+		}
 		c.ch = s.swapDone()
 		c.pc = fcFinished
 		if c.ch > 0 {
 			c.pc = fcClose
 		}
+	case fcSend:
+		s.tok = 1
+		c.pc = fcFinished
 	case fcLoadCh:
 		c.ch = s.word
 		c.pc = fcFinished
@@ -318,6 +420,26 @@ func TestFutureModelExhaustive(t *testing.T) {
 		t.Fatalf("the search reached %d blocked joins, %d installs lost to the Swap, %d joins that never waited, %d tasks popped back and %d stolen; want some of each",
 			m.blocks, m.lostInstalls, m.neverWaited, m.poppedBack, m.stolen)
 	}
+}
+
+// The token path: joinFree's joiner blocks on its worker's token channel,
+// which the completer of a record abandoned by an abort may send to while
+// the joiner waits for its next fork.
+func TestFutureModelToken(t *testing.T) {
+	m := &futureModel{token: true}
+	m.explorer().verify(t, m.initial())
+	if m.blocks == 0 || m.lostInstalls == 0 || m.neverWaited == 0 || m.staleDrains == 0 || m.staleWakes == 0 {
+		t.Fatalf("the search reached %d blocked joins, %d installs lost to the Swap, %d joins that never waited, %d stale tokens drained and %d early wakes; want some of each",
+			m.blocks, m.lostInstalls, m.neverWaited, m.staleDrains, m.staleWakes)
+	}
+}
+
+// The token path's control: a joiner that drains after its install may
+// take the token its own completer sent in between, and then sleep with
+// its future complete and nothing left to wake it.
+func TestFutureModelCatchesDrainAfterInstall(t *testing.T) {
+	m := &futureModel{token: true, drainLate: true}
+	m.explorer().refute(t, m.initial())
 }
 
 // The negative control: with completion on two words, the completer loads

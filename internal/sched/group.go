@@ -50,7 +50,7 @@ func (t *groupTask) runTask(w *Worker) {
 		defer t.g.done()
 	}
 	t.fn(w)
-	w.freeGroupTask(t)
+	t.free(w)
 }
 
 // Spawn schedules fn as part of the group.
@@ -59,32 +59,13 @@ func (g *Group) Spawn(w *Worker, fn func(*Worker)) {
 	w.spawnMember(g, fn)
 }
 
-// takeGroupTask returns an empty record: the one w freed last, or a new one.
+// free puts a record whose task has returned on w's list, cleared of its
+// group and function.
 //
 //abp:owner the free lists belong to the goroutine running the worker
-func (w *Worker) takeGroupTask() *groupTask {
-	if w.nGroupTasks == 0 {
-		return new(groupTask)
-	}
-	w.nGroupTasks--
-	return w.groupTasks[w.nGroupTasks]
-}
-
-// freeGroupTask puts a record whose task has returned on w's list, or
-// drops it when the list is at its bound — which is what keeps a thief
-// that runs a long burst of another worker's spawns from hoarding them.
-//
-//abp:owner the free lists belong to the goroutine running the worker
-func (w *Worker) freeGroupTask(t *groupTask) {
+func (t *groupTask) free(w *Worker) {
 	t.g, t.fn = nil, nil
-	n := w.nGroupTasks
-	if n == maxFreeRecords {
-		return
-	}
-	if w.groupTasks[n] != t {
-		w.groupTasks[n] = t
-	}
-	w.nGroupTasks = n + 1
+	pushFree(&w.groupTasks, &w.nGroupTasks, t)
 }
 
 // done ends one member. The one that empties the group takes the channel

@@ -31,17 +31,23 @@ func TestInjectorLayoutPins(t *testing.T) {
 // a cache line to itself, clear of the wiring every thief reads and of the
 // block only the owner writes, and that the owner's block starts on a line
 // boundary with the words a popped-back fork writes — the free-list
-// depths, the due counts and the fold count — on its first line.
+// depths, the due counts and the fold count — on its first line. The list
+// of emptied scopes, which only a steal moves, is in the owner block off
+// that line, and the join token, which completers on other workers read,
+// is in the wiring.
 func TestWorkerLayoutPins(t *testing.T) {
 	var w Worker
 	status := unsafe.Offsetof(w.status)
 	scope := unsafe.Offsetof(w.scope)
 	others := map[string]uintptr{
 		"pool": unsafe.Offsetof(w.pool), "dq": unsafe.Offsetof(w.dq), "parkCh": unsafe.Offsetof(w.parkCh),
-		"scope": scope, "nFutures": unsafe.Offsetof(w.nFutures), "nRanges": unsafe.Offsetof(w.nRanges),
+		"joinCh": unsafe.Offsetof(w.joinCh),
+		"scope":  scope, "nFutures": unsafe.Offsetof(w.nFutures), "nRanges": unsafe.Offsetof(w.nRanges),
 		"nGroupTasks": unsafe.Offsetof(w.nGroupTasks), "spawnsDue": unsafe.Offsetof(w.spawnsDue), "runsDue": unsafe.Offsetof(w.runsDue),
 		"folded": unsafe.Offsetof(w.folded), "futures": unsafe.Offsetof(w.futures), "groupTasksEnd": unsafe.Offsetof(w.groupTasks) + unsafe.Sizeof(w.groupTasks) - 1,
-		"progress": unsafe.Offsetof(w.progress), "tasksRun": unsafe.Offsetof(w.tasksRun),
+		"nScopes": unsafe.Offsetof(w.nScopes), "scopes": unsafe.Offsetof(w.scopes),
+		"scopesEnd": unsafe.Offsetof(w.scopes) + unsafe.Sizeof(w.scopes) - 1,
+		"progress":  unsafe.Offsetof(w.progress), "tasksRun": unsafe.Offsetof(w.tasksRun),
 		"wakes": unsafe.Offsetof(w.wakes),
 	}
 	for name, off := range others {
@@ -54,8 +60,8 @@ func TestWorkerLayoutPins(t *testing.T) {
 	// call, a depth and a slot per fork and per join — is on none of the
 	// lines other workers read.
 	firstLine := []string{"scope", "nFutures", "nRanges", "nGroupTasks", "spawnsDue", "runsDue", "folded"}
-	for _, shared := range []string{"pool", "dq", "parkCh"} {
-		for _, own := range append(firstLine, "futures", "groupTasksEnd", "wakes") {
+	for _, shared := range []string{"pool", "dq", "parkCh", "joinCh"} {
+		for _, own := range append(firstLine, "futures", "groupTasksEnd", "nScopes", "scopesEnd", "wakes") {
 			if layoutLine(others[own]) == layoutLine(others[shared]) {
 				t.Errorf("owner-written %s (offset %d) is on the line of %s (offset %d), which other workers read",
 					own, others[own], shared, others[shared])
@@ -69,6 +75,14 @@ func TestWorkerLayoutPins(t *testing.T) {
 		if layoutLine(others[own]) != layoutLine(scope) {
 			t.Errorf("%s (offset %d) leaves the owner block's first line (scope at %d)", own, others[own], scope)
 		}
+	}
+	for _, own := range []string{"nScopes", "scopes", "scopesEnd"} {
+		if line := layoutLine(others[own]); line == layoutLine(scope) || line > layoutLine(status) {
+			t.Errorf("%s (offset %d) is not in the owner block off its first line (scope at %d, status at %d)", own, others[own], scope, status)
+		}
+	}
+	if layoutLine(others["joinCh"]) <= layoutLine(status) {
+		t.Errorf("joinCh (offset %d) is not in the wiring after status (offset %d)", others["joinCh"], status)
 	}
 }
 

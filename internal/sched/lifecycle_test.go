@@ -12,8 +12,7 @@ import (
 )
 
 // A panic-aborted run drops its un-run tasks; the next Run must drain
-// them, or they execute in (and decrement the pending counter of) the
-// wrong run. Workers=1 makes it deterministic: with no thief, every
+// them, or they execute in (and release the scopes of) the wrong run. Workers=1 makes it deterministic: with no thief, every
 // spawned task is still in worker 0's deque when the root panics.
 func TestPoolReuseAfterPanicDropsStaleTasks(t *testing.T) {
 	p := New(Config{Workers: 1})

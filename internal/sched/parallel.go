@@ -52,7 +52,7 @@ func (r *rangeTask[T]) joinFree(w *Worker) T {
 	if !r.Done() && w.popBack(&r.task) {
 		r.call(w)
 	} else {
-		r.wait(w)
+		r.wait(w, &w.joinCh)
 		r.ch.p.Store(nil)
 	}
 	v := r.result

@@ -307,7 +307,7 @@ type Worker struct {
 	// join or run move a free list's depth.
 	scope *scope // termination scope of the task currently executing (exec)
 	// nFutures, nRanges and nGroupTasks are the depths of the stacks of
-	// records this worker may reuse (takeFuture, takeRange, takeGroupTask;
+	// records this worker may reuse (takeFuture, takeRange, spawnMember;
 	// DESIGN.md §7): futures below nFutures are Join2's Futures of one
 	// result type and ranges below nRanges are Reduce's and ParallelFor's
 	// range records of one result type — each held as any, the Worker not
@@ -320,6 +320,11 @@ type Worker struct {
 	futures                    [maxFreeRecords]any
 	ranges                     [maxFreeRecords]any
 	groupTasks                 [maxFreeRecords]*groupTask
+	// scopes below nScopes are child scopes this worker emptied, for its
+	// next split to reuse (scope.go). Only a steal moves the depth, so it is
+	// off the first line.
+	nScopes int32
+	scopes  [maxFreeRecords]*scope
 
 	// progress ticks on every loop iteration and task completion; the
 	// stall watchdog (watchdog.go) reads it to tell a live worker from one
@@ -352,12 +357,15 @@ type Worker struct {
 	_      atomicx.CacheLinePad
 
 	// The wiring: set by New and only read afterwards. Every thief's
-	// stealOnce and every deque scan comes through this line for dq.
+	// stealOnce and every deque scan comes through this line for dq, and the
+	// completer of a joinFree this worker blocks in reads joinCh.
 	pool   *Pool
 	id     int
 	dq     deque.Dequer[Task]
 	rng    *rand.Rand    // victim selection; nil on the caller-runs worker (stealOnce)
 	parkCh chan struct{} // capacity-1 wake token (lifecycle.go)
+	joinCh chan struct{} // capacity-1 wake token of a blocked joinFree (future.go)
+	loopFn func()        // loop as a method value, so startSession's go statement allocates nothing
 }
 
 // New builds a pool. The zero Config is valid.
@@ -412,7 +420,9 @@ func New(cfg Config) *Pool {
 			dq:     deque.NewWithCapacity[Task](cfg.DequeCapacity),
 			rng:    rand.New(rand.NewSource(seed + int64(i)*1_000_003)),
 			parkCh: make(chan struct{}, 1),
+			joinCh: make(chan struct{}, 1),
 		}
+		w.loopFn = w.loop
 		if i >= cfg.Workers {
 			w.status.Store(workerRetired)
 		}
@@ -550,7 +560,7 @@ func (p *Pool) startSession(root *Task) *session {
 	p.fleet.Store(int32(p.target))
 	p.wg.Add(len(p.workers))
 	for _, w := range p.workers {
-		go w.loop()
+		go w.loopFn()
 	}
 	if p.cfg.StallTimeout > 0 {
 		p.wg.Add(1)
@@ -726,7 +736,7 @@ func (w *Worker) execOrDrop(t *Task, stolen bool) (ran bool) {
 			w.pool.cancelledN.Add(1)
 		}
 		w.progress.Add(1)
-		t.scope.release(1) // a zero here is a no-op: the abort already finished the run
+		w.release(t.scope, 1) // a zero at the root is a no-op: the abort already finished the run
 		return false
 	}
 	w.exec(t, stolen)
@@ -755,7 +765,7 @@ func (w *Worker) execOrDrop(t *Task, stolen bool) (ran bool) {
 func (w *Worker) exec(t *Task, stolen bool) {
 	s := t.scope
 	if stolen {
-		s = s.split()
+		s = w.split(s)
 	}
 	prev, prevFolded := w.scope, w.folded
 	w.scope, w.folded = s, 0
@@ -764,7 +774,7 @@ func (w *Worker) exec(t *Task, stolen bool) {
 	w.scope, w.folded = prev, prevFolded
 	w.runsDue++
 	w.flush()
-	s.release(1 + k)
+	w.release(s, 1+k)
 }
 
 // flush adds the counts kept in w's owner block to the atomics Stats reads.
@@ -834,7 +844,10 @@ func (w *Worker) Spawn(fn func(*Worker)) { w.spawnMember(nil, fn) }
 // spawnMember spawns fn on a record from w's free list (group.go), as a
 // member of g, or of no group when g is nil.
 func (w *Worker) spawnMember(g *Group, fn func(*Worker)) {
-	t := w.takeGroupTask()
+	t := popFree(&w.groupTasks, &w.nGroupTasks)
+	if t == nil {
+		t = new(groupTask)
+	}
 	t.g, t.fn = g, fn
 	w.bind(&t.task, t)
 	w.spawn(&t.task)

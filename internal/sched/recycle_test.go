@@ -63,15 +63,16 @@ func listed[T any](t *testing.T, w *Worker, seen map[any]bool) (futures, ranges 
 // has ended (the workers have exited, so their plain fields are the
 // caller's to read): depths within the bound; Futures and range records as
 // above, each list of one of the result types whose listed is given; the
-// records of spawned tasks empty and listed once.
+// records of spawned tasks empty and listed once; the child scopes emptied,
+// cleared and listed once.
 func checkFreeLists(t *testing.T, p *Pool, types ...func(*testing.T, *Worker, map[any]bool) (bool, bool)) {
 	t.Helper()
 	seen := map[any]bool{}
 	for _, w := range p.workers {
-		for _, n := range []int32{w.nFutures, w.nRanges, w.nGroupTasks} {
+		for _, n := range []int32{w.nFutures, w.nRanges, w.nGroupTasks, w.nScopes} {
 			if n < 0 || n > maxFreeRecords {
-				t.Fatalf("worker %d lists %d Futures, %d range records and %d group records, bound %d",
-					w.id, w.nFutures, w.nRanges, w.nGroupTasks, maxFreeRecords)
+				t.Fatalf("worker %d lists %d Futures, %d range records, %d group records and %d scopes, bound %d",
+					w.id, w.nFutures, w.nRanges, w.nGroupTasks, w.nScopes, maxFreeRecords)
 			}
 		}
 		knownFutures, knownRanges := false, false
@@ -92,6 +93,15 @@ func checkFreeLists(t *testing.T, p *Pool, types ...func(*testing.T, *Worker, ma
 			seen[r] = true
 			if r.g != nil || r.fn != nil {
 				t.Errorf("worker %d lists a group record that still holds its group or function", w.id)
+			}
+		}
+		for _, s := range w.scopes[:w.nScopes] {
+			if seen[s] {
+				t.Errorf("worker %d lists a scope that is listed already", w.id)
+			}
+			seen[s] = true
+			if s.refs.Load() != 0 || s.parent != nil || s.run != nil {
+				t.Errorf("worker %d lists a scope that still counts tasks or names its parent or run", w.id)
 			}
 		}
 	}
@@ -160,6 +170,111 @@ func TestRecycleAcrossForcedSteals(t *testing.T) {
 		}
 		checkFreeLists(t, p, listed[int], listed[struct{}])
 	})
+}
+
+// Emptied child scopes go to the list of the worker whose release emptied
+// them, and that worker's next split takes one: round after round of
+// Join2, Reduce and ParallelFor trees on four workers, with failpoints in
+// front of every steal varying where the steals land, compute and count
+// exactly, and every listed scope is cleared and listed once.
+func TestRecycleScopes(t *testing.T) {
+	forEachDeque(t, func(t *testing.T, kind dequeKind) {
+		defer fault.Reset()
+		fault.Enable(fpStealBeforePopTop, fault.Rule{Action: fault.ActionYield, EveryNth: 2})
+		rounds := 20
+		if testing.Short() {
+			rounds = 5
+		}
+		p := newPool(kind, Config{Workers: 4})
+		before := p.Stats()
+		for round := 0; round < rounds; round++ {
+			for _, tree := range countTrees() {
+				start := p.Stats()
+				ok := false
+				runWithin(t, p, func(w *Worker) { ok = tree.run(w) })
+				if !ok {
+					t.Fatalf("round %d: %s computed wrong", round, tree.name)
+				}
+				checkCountDelta(t, tree.name, start, p.Stats(), tree.tasks)
+			}
+			fib := 0
+			runWithin(t, p, func(w *Worker) { fib = stolenFib(t, w, 12, 0) })
+			if fib != fibSerial(12) {
+				t.Fatalf("round %d: fib(12) = %d", round, fib)
+			}
+		}
+		scopes := int32(0)
+		for _, w := range p.workers {
+			scopes += w.nScopes
+		}
+		if steals := p.Stats().Steals - before.Steals; steals < int64(3*rounds) || scopes == 0 {
+			t.Errorf("%d steals and %d listed scopes after %d rounds, want 3 steals a round and a listed scope at least", steals, scopes, rounds)
+		}
+		checkFreeLists(t, p, listed[int], listed[struct{}])
+	})
+}
+
+// A joiner unwound by an abort leaves its worker's token installed in the
+// record it abandons, and that record's completer sends a token to it
+// later. The same joiner's next block, in a fresh Run, drains the stale
+// token before it installs: it sleeps until its own fork completes, and
+// wakes then. The pool starts each Run with worker 0 alone in the fleet,
+// so the root — the joiner — runs there, and grows it to two for a thief.
+func TestRecycleJoinToken(t *testing.T) {
+	p := New(Config{Workers: 1, MaxWorkers: 2})
+	w0 := p.workers[0]
+	one := func(*Worker) int { return 1 }
+	// blockedJoin forks a Join2 half that spins, stolen, until the joiner
+	// has installed its token in the half's Future, and then until done.
+	blockedJoin := func(w *Worker, done func() bool) int {
+		if w != w0 {
+			t.Errorf("the root runs on worker %d", w.ID())
+			return 0
+		}
+		if err := p.Resize(2); err != nil {
+			t.Errorf("Resize(2): %v", err)
+			return 0
+		}
+		Join2(w, one, one) // stocks the list with a Future[int]
+		f := w.futures[w.nFutures-1].(*Future[int])
+		var started atomic.Bool
+		got, _ := Join2(w, func(*Worker) int {
+			started.Store(true)
+			spinUntil(t, "the joiner to install its token", func() bool { return f.ch.p.Load() == &w0.joinCh })
+			spinUntil(t, "the joiner to be done waiting", done)
+			return 7
+		}, func(*Worker) int {
+			spinUntil(t, "the fork to be stolen", started.Load)
+			return 0
+		})
+		return got
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	var unwound atomic.Bool
+	err := p.RunContext(ctx, func(w *Worker) {
+		defer unwound.Store(true)
+		blockedJoin(w, func() bool { cancel(); return unwound.Load() })
+		t.Error("the join returned from an aborted Run")
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunContext = %v, want context.Canceled", err)
+	}
+	if len(w0.joinCh) != 1 {
+		t.Fatalf("%d tokens pending on the joiner's worker after the abandoned join's fork completed, want 1", len(w0.joinCh))
+	}
+
+	if err := p.Resize(1); err != nil {
+		t.Fatalf("Resize(1): %v", err)
+	}
+	got := 0
+	runWithin(t, p, func(w *Worker) { got = blockedJoin(w, func() bool { return true }) })
+	if got != 7 {
+		t.Fatalf("the join returned %d, want 7", got)
+	}
+	if len(w0.joinCh) != 0 {
+		t.Fatalf("%d tokens left pending after the join woke on its own", len(w0.joinCh))
+	}
 }
 
 // A range fork stolen mid-tree whose subtree panics: its task ends in the
@@ -452,7 +567,8 @@ func TestRecycleCallerRunsKeepsItsLists(t *testing.T) {
 			t.Fatalf("Stats.SubmitsCallerRun = %d, want 3", got)
 		}
 		for _, w := range p.workers {
-			if w.futures[0] != nil || w.ranges[0] != nil || w.groupTasks[0] != nil || w.nFutures != 0 || w.nRanges != 0 || w.nGroupTasks != 0 {
+			if w.futures[0] != nil || w.ranges[0] != nil || w.groupTasks[0] != nil || w.scopes[0] != nil ||
+				w.nFutures != 0 || w.nRanges != 0 || w.nGroupTasks != 0 || w.nScopes != 0 {
 				t.Errorf("worker %d, gated since the pool was made, has a free list", w.id)
 			}
 		}

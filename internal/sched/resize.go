@@ -186,9 +186,10 @@ func (w *Worker) sleepRetired() {
 // task leaves this worker for good, so it goes out in the scope a thief
 // would run it in (split): whoever polls it counts on a word of its own,
 // like the poller of a root. Reports whether the injector accepted the
-// task.
+// task; a refused one runs here in the scope it carries, and the child
+// split made for it is the collector's.
 func (w *Worker) republish(t *Task) bool {
-	if s := t.scope.split(); s != t.scope {
+	if s := w.split(t.scope); s != t.scope {
 		t = &Task{body: t.body, scope: s}
 	}
 	return w.pool.offer(t)

@@ -187,7 +187,7 @@ func TestRunContextTaskPanicRePanics(t *testing.T) {
 }
 
 // Two overlapping runs on one pool must panic loudly instead of corrupting
-// the pending counter.
+// the session.
 func TestConcurrentRunPanics(t *testing.T) {
 	p := New(Config{Workers: 2})
 	release := make(chan struct{})

@@ -14,7 +14,9 @@ import "worksteal/internal/atomicx"
 // scope is one node of a submission's termination tree. The root scope is
 // part of the run record; every other scope is made by split for a task
 // that leaves the worker that spawned it: by a steal (exec) or by a
-// retiring worker's republish.
+// retiring worker's republish. A child scope is recycled: the release that
+// empties it lists it on the releasing worker's free list (Worker.scopes),
+// and that worker's next split takes it from there.
 //
 // Invariant: refs ≥ the un-ended tasks that carry this scope + the child
 // scopes whose own refs is not yet zero, with equality whenever no exec
@@ -46,33 +48,51 @@ type scope struct {
 }
 
 // split returns the scope a task counted in s runs in once it has left
-// the worker that spawned it: a new child of s that counts that one task.
-// The exception keeps a chain of tasks that each spawn the next and end
-// from nesting one scope per steal: if refs is 1, the one is the task in
-// the caller's hands, so nothing else is counted in s — no task runs in
-// it, and none can start to — and the caller takes s over as it is. A
-// count that still holds folded calls only makes the take-over rarer.
-func (s *scope) split() *scope {
+// the worker that spawned it, for w to run it in: a child of s that counts
+// that one task, off w's free list or new. The exception keeps a chain of
+// tasks that each spawn the next and end from nesting one scope per steal:
+// if refs is 1, the one is the task in the caller's hands, so nothing else
+// is counted in s — no task runs in it, and none can start to — and the
+// caller takes s over as it is. A count that still holds folded calls only
+// makes the take-over rarer.
+//
+//abp:owner the free lists belong to the goroutine running the worker
+func (w *Worker) split(s *scope) *scope {
 	if s.refs.Load() == 1 {
 		return s
 	}
-	c := &scope{parent: s, run: s.run}
+	c := popFree(&w.scopes, &w.nScopes)
+	if c == nil {
+		c = new(scope)
+	}
+	c.parent, c.run = s, s.run
 	c.refs.Store(1)
 	return c
 }
 
-// release ends n tasks of s (or one emptied child). The release that
+// release ends n tasks of s (or one emptied child) on w. The release that
 // empties a scope releases its parent once in turn; emptying the root
 // completes the run, which is a no-op if an abort got there first, and
 // then lets go of the record: the root scope's hold.
-func (s *scope) release(n int64) {
+//
+// The release that empties a child is its last holder: it lists the child
+// on w's free list, cleared. Nothing touches it there: every task counted
+// in it has ended, and exec has restored Worker.scope before its release.
+// A listed record's Task may still name it, but only bind and popBack
+// compare that pointer, and neither loads through it.
+//
+//abp:owner the free lists belong to the goroutine running the worker
+func (w *Worker) release(s *scope, n int64) {
 	for s.refs.Add(-n) == 0 {
-		if s.parent == nil {
+		p := s.parent
+		if p == nil {
 			r := s.run
 			r.complete()
 			r.let()
 			return
 		}
-		s, n = s.parent, 1
+		s.parent, s.run = nil, nil
+		pushFree(&w.scopes, &w.nScopes, s)
+		s, n = p, 1
 	}
 }

@@ -27,6 +27,13 @@ import (
 // it, and run it as a call (Future.call) — which may pop back one of its
 // own — and a call ends with no decrement at all: the task it was called
 // under releases it, with itself, in one step of 1+k (exec's folded count).
+//
+// A child scope is recycled: the release that empties it lists it on the
+// releasing worker's free list, and a split on that worker takes it from
+// there. Checked on top: no step touches a scope while it is listed — not
+// a spawn's Add, a split's load, a release's decrement, nor the gate's
+// load through a popped task's scope — and at quiescence every child scope
+// is listed, once.
 
 const (
 	mMaxTasks   = 8
@@ -65,6 +72,8 @@ type mWorker struct {
 	unpub  int8 // a child counted by the Add but not yet pushed; -1 if none
 	deque  [mMaxTasks]int8
 	dlen   int8
+	free   [mMaxScopes]int8 // the scopes this worker emptied, a stack
+	nfree  int8
 }
 
 // mState is the whole model.
@@ -76,6 +85,7 @@ type mState struct {
 	ntasks    int8
 	w         [mMaxWorkers]mWorker
 	completes int8
+	listed    [mMaxScopes]bool // on some worker's free list
 }
 
 type scopeModel struct {
@@ -88,9 +98,21 @@ type scopeModel struct {
 	// keepFold is another: an exec does not reset the fold count, so the
 	// calls an earlier task folded are released in the next task's scope.
 	keepFold bool
+	// recycleEarly is another: a release lists a child scope on its first
+	// decrement, not on the one that reaches zero.
+	recycleEarly bool
 	// What the search came across, so the test can tell it covered both
-	// arms of split and calls nested in calls.
-	splits, takeovers, nestedCalls int
+	// arms of split, a split that reuses a listed scope, and calls nested
+	// in calls.
+	splits, takeovers, reuses, nestedCalls int
+}
+
+// touch is a step's access to scope c: none may come while c is listed.
+func touch(s *mState, c int8) error {
+	if s.listed[c] {
+		return fmt.Errorf("a step touches scope %d on a free list", c)
+	}
+	return nil
 }
 
 func (m *scopeModel) initial() mState {
@@ -112,10 +134,13 @@ func (m *scopeModel) successors(s mState, i int) (next []mState, err error) {
 	w := &s.w[i]
 	switch w.pc {
 	case mIdle:
-		if w.dlen > 0 { // PopBottom
+		if w.dlen > 0 { // PopBottom, and execOrDrop's gate loads through the task's scope
 			w.dlen--
 			m.begin(w, w.deque[w.dlen])
 			w.pc, w.scope = mBody, s.tasks[w.frames[0].task].scope
+			if err := touch(&s, w.scope); err != nil {
+				return nil, err
+			}
 			return []mState{s}, nil
 		}
 		for v := 0; v < m.workers; v++ { // PopTop of each possible victim
@@ -132,8 +157,11 @@ func (m *scopeModel) successors(s mState, i int) (next []mState, err error) {
 		}
 		return next, nil
 
-	case mSplit: // scope.split: one load, then (privately) a new scope
+	case mSplit: // Worker.split: one load, then (privately) a listed or a new scope
 		carried := s.tasks[w.frames[0].task].scope
+		if err := touch(&s, carried); err != nil {
+			return nil, err
+		}
 		w.pc = mBody
 		if s.refs[carried] == 1 && !m.moveCount {
 			m.takeovers++
@@ -141,8 +169,17 @@ func (m *scopeModel) successors(s mState, i int) (next []mState, err error) {
 			return []mState{s}, nil
 		}
 		m.splits++
-		c := s.nscopes
-		s.nscopes++
+		var c int8
+		if w.nfree > 0 {
+			m.reuses++
+			w.nfree--
+			c = w.free[w.nfree]
+			w.free[w.nfree] = 0
+			s.listed[c] = false
+		} else {
+			c = s.nscopes
+			s.nscopes++
+		}
 		s.refs[c], s.parent[c] = 1, carried
 		w.scope = c
 		if m.moveCount {
@@ -176,6 +213,9 @@ func (m *scopeModel) successors(s mState, i int) (next []mState, err error) {
 		}
 		switch {
 		case f.spawned < m.fan[t.depth]: // spawn: refs.Add(1)
+			if err := touch(&s, w.scope); err != nil {
+				return nil, err
+			}
 			s.refs[w.scope]++
 			s.tasks[s.ntasks] = mTask{scope: w.scope, depth: t.depth + 1}
 			w.unpub = s.ntasks
@@ -211,17 +251,27 @@ func (m *scopeModel) begin(w *mWorker, task int8) {
 	}
 }
 
-// release is one iteration of scope.release's loop on worker i's scope: n
-// is 1+k at a task's end, and 1 up the chain.
+// release is one iteration of Worker.release's loop on worker i's scope: n
+// is 1+k at a task's end, and 1 up the chain. The decrement that empties a
+// child lists it on worker i's free list.
 func (m *scopeModel) release(s mState, i int, n int8) ([]mState, error) {
 	w := &s.w[i]
+	if err := touch(&s, w.scope); err != nil {
+		return nil, err
+	}
 	s.refs[w.scope] -= n
+	if m.recycleEarly && s.parent[w.scope] >= 0 {
+		m.list(&s, i, w.scope)
+	}
 	switch {
 	case s.refs[w.scope] < 0:
 		return nil, fmt.Errorf("scope %d released below zero", w.scope)
 	case s.refs[w.scope] > 0:
 		w.pc = mIdle
 	case s.parent[w.scope] >= 0:
+		if !m.recycleEarly {
+			m.list(&s, i, w.scope)
+		}
 		w.pc, w.scope = mReleasing, s.parent[w.scope]
 	default:
 		w.pc = mIdle
@@ -236,6 +286,14 @@ func (m *scopeModel) release(s mState, i int, n int8) ([]mState, error) {
 		}
 	}
 	return []mState{s}, nil
+}
+
+// list pushes scope c on worker i's free list.
+func (m *scopeModel) list(s *mState, i int, c int8) {
+	w := &s.w[i]
+	w.free[w.nfree] = c
+	w.nfree++
+	s.listed[c] = true
 }
 
 // quiescent checks a state no worker can leave: no worker holds a task and
@@ -259,6 +317,16 @@ func (m *scopeModel) quiescent(s mState) error {
 		if s.refs[c] != 0 {
 			return fmt.Errorf("quiescent with scope %d at %d", c, s.refs[c])
 		}
+		if s.listed[c] != (c > 0) {
+			return fmt.Errorf("quiescent with scope %d listed %v", c, s.listed[c])
+		}
+	}
+	n := 0
+	for i := range s.w {
+		n += int(s.w[i].nfree)
+	}
+	if n != int(s.nscopes)-1 {
+		return fmt.Errorf("quiescent with %d scopes listed for %d child scopes", n, s.nscopes-1)
 	}
 	return nil
 }
@@ -268,6 +336,12 @@ func (m *scopeModel) explorer() *explorer[mState] {
 }
 
 func TestScopeModelExhaustive(t *testing.T) {
+	reuses := 0
+	defer func() {
+		if reuses == 0 {
+			t.Error("no search reached a split that reuses a listed scope")
+		}
+	}()
 	for _, tc := range []struct {
 		workers int
 		fan     []int8
@@ -286,6 +360,7 @@ func TestScopeModelExhaustive(t *testing.T) {
 				t.Fatalf("the search reached %d splits, %d take-overs and %d calls inside calls; want some of each",
 					m.splits, m.takeovers, m.nestedCalls)
 			}
+			reuses += m.reuses
 		})
 	}
 }
@@ -303,5 +378,13 @@ func TestScopeModelCatchesEarlyRelease(t *testing.T) {
 // which drives it below zero, or to zero while a task it counts still runs.
 func TestScopeModelCatchesFoldKeptAcrossTasks(t *testing.T) {
 	m := &scopeModel{workers: 2, fan: []int8{2, 1, 0}, keepFold: true}
+	m.explorer().refute(t, m.initial())
+}
+
+// The recycling control: a release that lists a child scope on its first
+// decrement, not on the one that reaches zero, lists it while tasks still
+// count in it, and a later spawn, split or release touches it there.
+func TestScopeModelCatchesRecycleOnFirstDecrement(t *testing.T) {
+	m := &scopeModel{workers: 2, fan: []int8{2, 1, 0}, recycleEarly: true}
 	m.explorer().refute(t, m.initial())
 }

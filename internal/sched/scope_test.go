@@ -444,6 +444,90 @@ func TestSpawnPathAllocations(t *testing.T) {
 	})
 }
 
+// stealAndBlock runs a Join2 and a two-leaf Reduce on w. With force set,
+// each fork is stolen and each join blocks: the inline half spins until the
+// fork has started on another worker, and the fork spins until its joiner
+// has installed its token in the fork's completion word. The forks take
+// the records on top of w's lists (a first round, which finds them empty,
+// forces only the steals). Without force, one worker pops both forks back.
+func stealAndBlock(t *testing.T, w *Worker, force bool) int {
+	var f *Future[int]
+	if w.nFutures > 0 {
+		f, _ = w.futures[w.nFutures-1].(*Future[int])
+	}
+	var r *rangeTask[int]
+	if w.nRanges > 0 {
+		r, _ = w.ranges[w.nRanges-1].(*rangeTask[int])
+	}
+	blocked := func(ch *waitWord) func() bool {
+		return func() bool { return ch == nil || ch.p.Load() != nil }
+	}
+	var fStarted, rStarted atomic.Bool
+	a, b := Join2(w, func(*Worker) int {
+		fStarted.Store(true)
+		if force && f != nil {
+			spinUntil(t, "the Join2 joiner to block", blocked(&f.ch))
+		}
+		return 1
+	}, func(*Worker) int {
+		if force {
+			spinUntil(t, "the Join2 fork to be stolen", fStarted.Load)
+		}
+		return 2
+	})
+	sum := Reduce(w, 0, 2, 1, func(i int) int {
+		if i == 1 {
+			rStarted.Store(true)
+			if force && r != nil {
+				spinUntil(t, "the Reduce joiner to block", blocked(&r.ch))
+			}
+		} else if force {
+			spinUntil(t, "the Reduce fork to be stolen", rStarted.Load)
+		}
+		return i + 3
+	}, func(x, y int) int { return x + y })
+	return a + b + sum
+}
+
+// A steal and a blocked join allocate nothing: on two workers, a Run whose
+// forks are stolen and whose joins block allocates exactly what the same
+// Run allocates on one worker, where nothing is stolen and no join blocks.
+// The thief's child scopes come off its list of emptied ones, a blocked
+// join waits on its worker's token, and the session's goroutines start
+// with no closure. Measured over the whole process with the collector off,
+// on one processor as testing.AllocsPerRun measures (the pool of run
+// records keeps one per processor).
+func TestStealPathAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	allocs := func(workers int) float64 {
+		p := New(Config{Workers: workers})
+		force := workers > 1
+		before := p.Stats()
+		root := func(w *Worker) {
+			if got := stealAndBlock(t, w, force); got != 10 {
+				t.Errorf("%d workers: computed %d, want 10", workers, got)
+			}
+		}
+		for i := 0; i < 3; i++ { // stock the lists, the goroutines and the run records
+			p.Run(root)
+		}
+		const runs = 20
+		n := testing.AllocsPerRun(runs, func() { p.Run(root) })
+		if steals := p.Stats().Steals - before.Steals; force && steals < 2*(3+runs+1) {
+			t.Errorf("%d steals over %d forced Runs, want 2 each", steals, 3+runs+1)
+		}
+		return n
+	}
+	one, two := allocs(1), allocs(2)
+	if one != two {
+		t.Errorf("a Run allocates %v objects on one worker and %v on two, whose forks are stolen and whose joins block", one, two)
+	}
+	t.Logf("a Run allocates %v objects on one worker, %v on two", one, two)
+}
+
 // What a submission allocates, measured over the whole process with the
 // collector off: its 24-byte Handle — the run record is recycled
 // (runRecords) — and a channel only if somebody has to block before the

@@ -335,7 +335,7 @@ func (p *Pool) SubmitContext(ctx context.Context, fn func(*Worker)) (*Handle, er
 			return h, nil
 		}
 		r.finish(runCancelled, ErrOverloaded)
-		r.scope.release(1) // the root, which nobody else will ever hold
+		r.let() // the root scope's hold: the root never runs, so its scope never empties
 		p.rejected.Add(1)
 		return nil, ErrOverloaded
 	}
@@ -381,6 +381,9 @@ func (p *Pool) runOnCaller(t *Task) {
 		pool: p,
 		id:   len(p.workers), // out of the victim range: never stolen from, excludes no victim
 		dq:   &deque.Deque[Task]{},
+		// Every fork here runs inline, so no joinFree should block on it,
+		// but one that did would sleep for good on a nil token.
+		joinCh: make(chan struct{}, 1),
 	}
 	w.execOrDrop(t, false)
 }
