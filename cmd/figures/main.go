@@ -19,7 +19,7 @@ import (
 
 func main() {
 	out := flag.String("o", "", "write the report to this file instead of stdout")
-	only := flag.String("only", "", "run a single experiment (E1..E14), e.g. -only E5")
+	only := flag.String("only", "", "run a single experiment (E1..E14, or E32, which the full report leaves out), e.g. -only E5")
 	flag.Parse()
 
 	var w io.Writer = os.Stdout
@@ -66,6 +66,8 @@ func main() {
 		experiments.E13Schedulers(w)
 	case "E14":
 		experiments.E14Space(w)
+	case "E32":
+		experiments.E32LazyExposure(w)
 	default:
 		fmt.Fprintf(os.Stderr, "figures: unknown experiment %q\n", *only)
 		os.Exit(2)

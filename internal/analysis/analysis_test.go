@@ -155,6 +155,26 @@ func TestStructuralLemmaHolds(t *testing.T) {
 	}
 }
 
+// The lemma holds on lazy exposure too: the region and the public part are
+// one deque to the owner (sim.DequeLazy), snapshotted bottom to top, and
+// the weights still strictly increase toward the top.
+func TestStructuralLemmaLazyDeque(t *testing.T) {
+	for _, spec := range workload.SmallCatalog() {
+		g := spec.Build()
+		chk := NewStructuralChecker(g.CriticalPath())
+		res := sim.NewEngine(sim.Config{
+			Graph: g, P: 4, Kernel: sim.BenignKernel{NumProcs: 4},
+			Deque: sim.DequeLazy, LazyK: 2, Seed: 31, ShuffleSteps: true, Observer: chk,
+		}).Run()
+		if !res.Completed || chk.Checks == 0 {
+			t.Fatalf("%s: completed %v after %d checks", spec.Name, res.Completed, chk.Checks)
+		}
+		if !chk.Ok() {
+			t.Fatalf("%s: structural lemma violated:\n%v", spec.Name, chk.Violations)
+		}
+	}
+}
+
 // Run the structural checker under the starvation-heavy adaptive adversary
 // and spawn-order ablation too: the lemma is invariant to those choices.
 func TestStructuralLemmaUnderAdversaryAndPolicy(t *testing.T) {

@@ -1,3 +1,5 @@
+//go:build !abpsync
+
 // Package atomicx provides ordering-annotated atomic wrappers: every type
 // names the weakest memory-ordering discipline its clients may rely on,
 // so a shared field's declaration states the synchronization role it plays

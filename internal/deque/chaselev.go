@@ -1,6 +1,8 @@
 package deque
 
 import (
+	"math"
+
 	"worksteal/internal/atomicx"
 	"worksteal/internal/fault"
 )
@@ -98,6 +100,11 @@ func (d *ChaseLev[T]) Len() int {
 	}
 	return int(b - t)
 }
+
+// Room returns math.MaxInt: the deque grows, so every push succeeds.
+//
+//abp:nonblocking
+func (d *ChaseLev[T]) Room() int { return math.MaxInt }
 
 // PushBottom appends node at the bottom, growing the buffer if needed. It
 // always succeeds (the deque is unbounded) and returns true, satisfying the

@@ -1,6 +1,7 @@
 package deque
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -38,8 +39,8 @@ func TestChaseLevGrowth(t *testing.T) {
 			t.Fatal("unbounded push failed")
 		}
 	}
-	if d.Len() != n {
-		t.Fatalf("Len = %d", d.Len())
+	if d.Len() != n || d.Room() != math.MaxInt {
+		t.Fatalf("Len = %d, Room = %d; want %d and unbounded", d.Len(), d.Room(), n)
 	}
 	// Order preserved across growth: bottom pops LIFO, top pops FIFO.
 	if got := d.PopTop(); got == nil || *got != 0 {

@@ -97,6 +97,16 @@ func NewWithCapacity[T any](capacity int) *Deque[T] {
 // Cap returns the deque's capacity.
 func (d *Deque[T]) Cap() int { return len(d.deq) }
 
+// Room returns how many more PushBottom calls succeed with no PopBottom
+// between them: the slots from bot to the capacity. PopTop moves top and
+// never bot, so a deque its thieves took from holds fewer than Cap less
+// Len more items until the owner's PopBottom empties it and resets bot.
+// Only the owner may call Room.
+//
+//abp:owner deque owner: the worker this deque belongs to
+//abp:nonblocking
+func (d *Deque[T]) Room() int { return len(d.deq) - int(d.bot.Load()) }
+
 // Len returns an instantaneous estimate of the number of items. It is exact
 // when called by the owner with no concurrent thieves; under concurrency it
 // may be stale but is never negative.

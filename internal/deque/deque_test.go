@@ -121,8 +121,8 @@ func TestZeroValueRefusesEveryPush(t *testing.T) {
 	if got := d.PopTop(); got != nil {
 		t.Errorf("PopTop on the zero deque = %v", got)
 	}
-	if d.Len() != 0 || d.Cap() != 0 {
-		t.Errorf("zero deque: Len %d, Cap %d, want 0 and 0", d.Len(), d.Cap())
+	if d.Len() != 0 || d.Cap() != 0 || d.Room() != 0 {
+		t.Errorf("zero deque: Len %d, Cap %d, Room %d, want 0, 0 and 0", d.Len(), d.Cap(), d.Room())
 	}
 }
 
@@ -147,6 +147,9 @@ func TestCapacityBound(t *testing.T) {
 	if d.PushBottom(intp(99)) {
 		t.Fatalf("push should still fail: bot index unchanged by steals")
 	}
+	if d.Len() != 3 || d.Room() != 0 {
+		t.Fatalf("after a steal: Len %d, Room %d, want 3 and 0 (Room is PushBottom's own bound)", d.Len(), d.Room())
+	}
 	// Draining from the bottom resets the indices at empty.
 	for i := 3; i >= 1; i-- {
 		if got := d.PopBottom(); got == nil || *got != i {
@@ -155,6 +158,9 @@ func TestCapacityBound(t *testing.T) {
 	}
 	if got := d.PopBottom(); got != nil {
 		t.Fatalf("PopBottom on drained deque = %v", got)
+	}
+	if d.Room() != 4 {
+		t.Fatalf("Room after reset = %d, want 4", d.Room())
 	}
 	for i := 0; i < 4; i++ {
 		if !d.PushBottom(intp(i)) {
@@ -176,6 +182,9 @@ func TestMutexCapacityBound(t *testing.T) {
 	}
 	if got := d.PopTop(); got == nil || *got != 1 {
 		t.Fatalf("PopTop = %v", got)
+	}
+	if d.Room() != 1 {
+		t.Fatalf("Room after popTop = %d, want 1", d.Room())
 	}
 	if !d.PushBottom(intp(3)) {
 		t.Fatal("push after popTop failed (mutex deque frees slots)")

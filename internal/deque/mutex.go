@@ -32,6 +32,10 @@ type Dequer[T any] interface {
 	// pushes and relies on sequentially consistent visibility of a
 	// PushBottom that precedes a status-word read (see Deque.Len).
 	Len() int
+	// Room is how many more PushBottom calls succeed with no pop between
+	// them; owner only. A bounded deque whose top thieves moved may take
+	// fewer than its capacity less Len (Deque.Room).
+	Room() int
 }
 
 var (
@@ -108,3 +112,10 @@ func (d *MutexDeque[T]) Len() int {
 
 // Cap returns the deque's capacity bound.
 func (d *MutexDeque[T]) Cap() int { return d.cap }
+
+// Room returns how many more items fit: the capacity less Len.
+func (d *MutexDeque[T]) Room() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.cap - len(d.items)
+}

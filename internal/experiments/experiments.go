@@ -204,6 +204,86 @@ func E6Adversaries(w io.Writer) []analysis.RunPoint {
 	return points
 }
 
+// E32LazyExposure runs E5's dedicated kernel and E6's three adversaries at
+// P = 8 on the ABP deque and on lazy exposure (sim.DequeLazy) with regions
+// of k = 1, 4 and 8, reporting for each, as a mean of three seeds, the bound ratio
+// steps·P_A/(T1 + Tinf·P) (E6's normalized column), the steals and the
+// fenced deque operations per node; then, per adversary and deque, the
+// range of the bound ratio and its largest ratio to the ABP run's. Lazy
+// exposure keeps its bounds if the adaptive rows stay in E6's band and
+// within 25 % of ABP's.
+func E32LazyExposure(w io.Writer) {
+	tb := table.New("E32: lazy exposure vs the ABP deque (P=8, mean of 3 seeds; bound_x = steps*P_A/(T1+Tinf*P))",
+		"workload", "adversary", "deque", "steps", "bound_x", "steals", "fences/node", "private/node")
+	const p = 8
+	type key struct{ adv, deque string }
+	type span struct{ lo, hi, worst, fences, nodes float64 }
+	spans := map[key]*span{}
+	var order []key
+	const seeds = 3
+	advs := []struct {
+		name string
+		k    func(sd int64) sim.Kernel
+		y    sim.YieldKind
+		seed int64
+	}{
+		{"dedicated", func(int64) sim.Kernel { return sim.DedicatedKernel{NumProcs: p} }, sim.YieldNone, 100 + p},
+		{"benign", func(int64) sim.Kernel { return sim.ConstBenign(p, 2) }, sim.YieldNone, 7},
+		{"oblivious", func(sd int64) sim.Kernel { return sim.NewSeededOblivious(p, 2, 61+sd) }, sim.YieldToRandom, 7},
+		{"adaptive", func(int64) sim.Kernel { return sim.StarveWorkersKernel{NumProcs: p} }, sim.YieldToAll, 7},
+	}
+	deques := []struct {
+		name string
+		kind sim.DequeKind
+		k    int
+	}{{"abp", sim.DequeABP, 0}, {"lazy k=1", sim.DequeLazy, 1}, {"lazy k=4", sim.DequeLazy, 4}, {"lazy k=8", sim.DequeLazy, 8}}
+	for _, spec := range Graphs() {
+		g := spec.Build()
+		work := float64(g.Work()) + float64(g.CriticalPath()*p)
+		nodes := float64(g.NumNodes())
+		for _, a := range advs {
+			abp := 0.0
+			for _, d := range deques {
+				var steps, bx, steals, fences, private float64
+				for sd := int64(0); sd < seeds; sd++ {
+					res := sim.NewEngine(sim.Config{Graph: g, P: p, Kernel: a.k(sd), Yield: a.y,
+						Deque: d.kind, LazyK: d.k, Seed: a.seed + sd*997}).Run()
+					if !res.Completed || res.NodesExecuted != g.NumNodes() {
+						panic(fmt.Sprintf("E32 %s/%s/%s did not complete", spec.Name, a.name, d.name))
+					}
+					steps += float64(res.Steps) / seeds
+					bx += float64(res.Steps) * res.PA / work / seeds
+					steals += float64(res.Steals) / seeds
+					fences += float64(res.Fences) / seeds
+					private += float64(res.PrivateOps) / seeds
+				}
+				tb.Row(spec.Name, a.name, d.name, int(steps), bx, steals, fences/nodes, private/nodes)
+				if d.kind == sim.DequeABP {
+					abp = bx
+				}
+				kk := key{a.name, d.name}
+				sp := spans[kk]
+				if sp == nil {
+					sp = &span{lo: bx, hi: bx}
+					spans[kk] = sp
+					order = append(order, kk)
+				}
+				sp.lo, sp.hi, sp.worst = min(sp.lo, bx), max(sp.hi, bx), max(sp.worst, bx/abp)
+				sp.fences += fences
+				sp.nodes += nodes
+			}
+		}
+	}
+	tb.Render(w)
+	sum := table.New("E32 summary: per adversary and deque, over the seven workloads",
+		"adversary", "deque", "bound_x min", "bound_x max", "max bound_x / abp", "fences/node")
+	for _, kk := range order {
+		sp := spans[kk]
+		sum.Row(kk.adv, kk.deque, sp.lo, sp.hi, sp.worst, sp.fences/sp.nodes)
+	}
+	sum.Render(w)
+}
+
 // E7Fit fits the constants of T = (C1*T1 + Cinf*Tinf*P)/P_A over the E5 and
 // E6 measurement grids: the Hood studies' "constant hidden in the big-Oh is
 // small" claim, with C1 here absorbing the scheduling loop's instructions

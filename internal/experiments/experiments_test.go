@@ -26,6 +26,7 @@ func TestExperimentsProduceOutput(t *testing.T) {
 		"E12": {E12SpeedupVsPA, []string{"efficiency", "speedup"}},
 		"E13": {E13Schedulers, []string{"pdf len", "serial spc"}},
 		"E14": {E14Space, []string{"S1*P", "max space"}},
+		"E32": {E32LazyExposure, []string{"lazy k=4", "adaptive", "summary"}},
 	}
 	for name, c := range cases {
 		t.Run(name, func(t *testing.T) {

@@ -649,6 +649,7 @@ func TestChaosKernelAdversary(t *testing.T) {
 		"sched.resize.beforeHandoff",
 		"sched.loop.beforeSteal",
 		"sched.park.beforeSleep",
+		"sched.spawn.beforePublish",
 	}
 	for _, tc := range []struct {
 		name string
@@ -724,7 +725,11 @@ func TestChaosKernelAdversary(t *testing.T) {
 							for j := 0; j < 3; j++ {
 								w.Spawn(func(*Worker) { chaosSpin(50); n.Add(1) })
 							}
-							n.Add(1)
+							// Forks above public spawns go private, and a
+							// thief's request or a full region publishes
+							// them: the sched.spawn.beforePublish window.
+							zero := func(int) int64 { chaosSpin(5); return 0 }
+							n.Add(1 + Reduce(w, 0, 16, 1, zero, func(a, b int64) int64 { return a + b }))
 						}, RetryPolicy{MaxAttempts: 50, Seed: int64(s + 1)})
 						if err != nil {
 							t.Errorf("submitter %d: submission %d: %v", s, i, err)

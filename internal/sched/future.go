@@ -217,20 +217,25 @@ type Future[T any] struct {
 // (takeFuture), and the forks of Reduce and ParallelFor are range records
 // that embed theirs (parallel.go); each is otherwise this.
 func Fork[T any](w *Worker, fn func(*Worker) T) *Future[T] {
-	return new(Future[T]).fork(w, fn)
+	f := &Future[T]{fn: fn}
+	w.bind(&f.task, f)
+	w.post(&f.task)
+	return f
 }
 
-// fork makes the pending Future f the task that runs fn, and spawns it.
+// fork makes the pending Future f, which never reaches user code, the task
+// that runs fn, and forks it.
 func (f *Future[T]) fork(w *Worker, fn func(*Worker) T) *Future[T] {
 	f.fn = fn
 	f.start(w)
 	return f
 }
 
-// start spawns the pending Future f as the task that runs f.fn.
+// start forks the pending Future f, which never reaches user code, as the
+// task that runs f.fn: it may go to w's private region (lazy.go).
 func (f *Future[T]) start(w *Worker) {
 	w.bind(&f.task, f)
-	w.spawn(&f.task)
+	w.fork(&f.task)
 }
 
 // takeFuture returns a pending Future for a fork whose Future never reaches
@@ -303,19 +308,17 @@ func (f *Future[T]) wait(w *Worker, tok *chan struct{}) T {
 // and runTask's recover but not their frames or w.scope writes (w runs in
 // the task's scope already). The task is counted before it runs, as exec
 // counts one that panics, in w's owner block — flushed by exec, and by
-// every callFlushPeriod-th call — and its scope release is folded into
-// that of the exec w runs under, whose own task, counted in the same scope
-// until then, keeps this one from ever emptying it. An abort unwinds as in
-// help.
+// every callFlushPeriod-th call — and whatever release it owes its scope
+// popBack has settled. An abort discards the task — a state never returns
+// to live — and unwinds as in help.
 //
 //abp:owner the counters are written only by the goroutine running the worker
 func (f *Future[T]) call(w *Worker) {
 	s := f.task.scope
-	if s.run.state.Load() != runLive {
-		w.execOrDrop(&f.task, false) // discards it: a state never returns to live
+	if st := s.run.state.Load(); st != runLive {
+		w.discard(st)
 		s.run.panicAborted()
 	}
-	w.folded++
 	if w.runsDue++; w.runsDue == callFlushPeriod {
 		w.flush()
 	}
@@ -366,7 +369,14 @@ func (f *Future[T]) joinFree(w *Worker) T {
 }
 
 // Join2 forks fa and runs fb inline, then joins: the classic binary
-// fork-join (for example fib(n-1) in parallel with fib(n-2)).
+// fork-join (for example fib(n-1) in parallel with fib(n-2)). The two
+// halves may run in either order, on one worker as on several: the fork
+// may wait in w's private region (lazy.go) until fb returns, or be stolen
+// and run first — as it could with a full deque or on one worker before —
+// so neither half may block on the other. The worker answers a thief's
+// request for its region only when it next forks or joins, so while fb
+// computes or blocks, fa may stay out of every other worker's reach, with
+// at most three more of w's youngest forks.
 func Join2[A, B any](w *Worker, fa func(*Worker) A, fb func(*Worker) B) (A, B) {
 	fut := takeFuture[A](w).fork(w, fa)
 	b := fb(w)

@@ -46,6 +46,16 @@ import (
 // never sleeps — it is never blocked on an empty channel with no send left
 // to come. The control drains after the install, and can eat the token of
 // its own completion.
+//
+// The lazy path is the private region's (lazy.go): each generation is
+// forked into the joiner's region, uncounted, where its thief cannot take
+// it but can ask; the joiner's poll then publishes it — an Add to the
+// joiner's scope, then the push. The model counts that scope: the joiner's
+// own task, and each published fork until a thief's release or the
+// joiner's own, which ends the task with the public calls it folded.
+// Checked on top: the scope never goes below zero, and empties only after
+// every task counted in it has ended. The control folds the call of a
+// private fork too, as if it had been counted.
 
 const (
 	fmDone  int8 = -1 // the word holds doneWait
@@ -56,18 +66,21 @@ const (
 
 // Joiner program counters.
 const (
-	fjLoad     int8 = iota // Join's loop: load the word (two-word: the done flag)
-	fjPop                  // popBack, the first round only: take the task back from the deque
-	fjCall                 // call: the joiner runs the task, writing the result
-	fjInstLoad             // waitChan: load the word
-	fjInstCAS              // waitChan: install a new channel against nil
-	fjRecheck              // two-word only: re-load done after the install
-	fjBlock                // blocked on the channel in hand
-	fjObserve              // done seen: read the result
-	fjFree                 // joinFree: reset the word (two-word: the channel word) unless the task was called
-	fjFree2                // two-word only: reset the done flag
-	fjRefork               // fork the next generation
-	fjDrain                // token path: take a pending token, if any
+	fjLoad       int8 = iota // Join's loop: load the word (two-word: the done flag)
+	fjPop                    // popBack, the first round only: take the task back from the deque
+	fjCall                   // call: the joiner runs the task, writing the result
+	fjInstLoad               // waitChan: load the word
+	fjInstCAS                // waitChan: install a new channel against nil
+	fjRecheck                // two-word only: re-load done after the install
+	fjBlock                  // blocked on the channel in hand
+	fjObserve                // done seen: read the result
+	fjFree                   // joinFree: reset the word (two-word: the channel word) unless the task was called
+	fjFree2                  // two-word only: reset the done flag
+	fjRefork                 // fork the next generation
+	fjDrain                  // token path: take a pending token, if any
+	fjExpose                 // lazy path: a thief asked; clear the word and Add the private fork
+	fjExposePush             // lazy path: push it
+	fjRelease                // lazy path: the joiner's task ends, releasing itself and its folded calls
 	fjFinished
 )
 
@@ -80,6 +93,7 @@ const (
 	fcLoadCh        // two-word only: load the channel word
 	fcClose         // close the channel taken
 	fcSend          // token path: send a token, or drop it on a full channel
+	fcRelease       // lazy path: the stolen task's release of the joiner's scope
 	fcFinished
 )
 
@@ -141,9 +155,17 @@ type fmState struct {
 	// aword is that record's word, which its completer goes on to end.
 	aborted bool
 	aword   int8
-	maker   [fmMaxCh + 1]int8 // the generation whose joiner installed the channel
-	freed   [fmGens + 1]bool
-	c       [fmGens + 1]fmCompleter
+	// The lazy path: priv is the generation whose task sits in the
+	// joiner's private region, uncounted, or 0; want is a thief's request;
+	// refs counts the joiner's scope — the joiner's own task, and each
+	// published fork until its exec or the joiner's release ends it — and
+	// fold the calls the joiner's release ends with its task.
+	priv       int8
+	want       bool
+	refs, fold int8
+	maker      [fmMaxCh + 1]int8 // the generation whose joiner installed the channel
+	freed      [fmGens + 1]bool
+	c          [fmGens + 1]fmCompleter
 }
 
 type futureModel struct {
@@ -155,19 +177,58 @@ type futureModel struct {
 	// token selects the token path; drainLate, its control, drains after
 	// the install.
 	token, drainLate bool
+	// lazy selects the private region: each generation is forked private,
+	// and published only when its thief asks. foldPrivate, its control,
+	// folds the call of a private fork into the joiner's release as if it
+	// had been counted.
+	lazy, foldPrivate bool
 	// What the search came across, so the test can tell it covered the
 	// joiner blocking, losing the install to the Swap, and never waiting,
 	// both ends of the race for the task, and on the token path a stale
 	// token drained and one that woke the joiner early.
 	blocks, lostInstalls, neverWaited, poppedBack, stolen int
 	staleDrains, staleWakes                               int
+	privateCalls, exposed                                 int
 }
 
 func (m *futureModel) initial() fmState {
 	var s fmState
 	s.gen, s.dq = 1, 1
 	s.c[1].pc = fcSteal
+	if m.lazy {
+		s.dq, s.priv, s.refs = 0, 1, 1
+	}
 	return s
+}
+
+// release is one release of the joiner's scope by n: it must not go below
+// zero, nor reach it while a task still counts there — the joiner's, or a
+// stolen one's not yet released.
+func (m *futureModel) release(s *fmState, n int8, party int) error {
+	if s.refs -= n; s.refs < 0 {
+		return fmt.Errorf("the joiner's scope released below zero")
+	}
+	if s.refs > 0 {
+		return nil
+	}
+	if party != 0 && s.jpc != fjFinished {
+		return fmt.Errorf("the joiner's scope emptied under the running joiner")
+	}
+	for g := int8(1); g <= fmGens; g++ {
+		if int(g) != party && s.c[g].pc != fcUnforked && s.c[g].pc != fcFinished && s.c[g].pc != fcSteal {
+			return fmt.Errorf("the joiner's scope emptied while generation %d's stolen task runs", g)
+		}
+	}
+	return nil
+}
+
+// finished is where a completer goes once it has ended the word: on the
+// lazy path, to release the scope its stolen task counted in.
+func (m *futureModel) finished() int8 {
+	if m.lazy {
+		return fcRelease
+	}
+	return fcFinished
 }
 
 // joinerStep moves the joiner one step, if it can move (it is not blocked,
@@ -176,6 +237,8 @@ func (m *futureModel) joinerStep(s fmState) ([]fmState, error) {
 	switch s.jpc {
 	case fjLoad:
 		switch {
+		case s.priv != 0 && s.want: // the poll: publish the region
+			s.jpc = fjExpose
 		case s.word == fmDone || (m.twoWord && s.done):
 			s.jpc = fjObserve
 		case !s.popped:
@@ -183,11 +246,29 @@ func (m *futureModel) joinerStep(s fmState) ([]fmState, error) {
 		default:
 			s.jpc = fjInstLoad
 		}
+	case fjExpose:
+		s.want, s.refs = false, s.refs+1
+		s.jpc = fjExposePush
+		m.exposed++
+	case fjExposePush:
+		s.dq, s.priv = s.priv, 0
+		s.jpc = fjLoad
 	case fjPop:
 		s.popped, s.jpc = true, fjLoad
-		if s.dq == s.gen {
+		switch {
+		case s.priv == s.gen: // uncounted: nothing to fold
+			m.poppedBack++
+			m.privateCalls++
+			s.priv, s.called, s.jpc = 0, true, fjCall
+			if m.foldPrivate {
+				s.fold++
+			}
+		case s.dq == s.gen:
 			m.poppedBack++
 			s.dq, s.called, s.jpc = 0, true, fjCall
+			if m.lazy {
+				s.fold++
+			}
 		}
 	case fjCall:
 		s.result = s.gen
@@ -296,12 +377,23 @@ func (m *futureModel) joinerStep(s fmState) ([]fmState, error) {
 	case fjRefork:
 		s.gen++
 		s.jpc = fjFinished
+		if m.lazy {
+			s.jpc = fjRelease
+		}
 		if m.token {
 			s.jch = 0
 		}
 		if s.gen <= fmGens {
 			s.jpc, s.c[s.gen].pc = fjLoad, fcSteal
 			s.dq, s.popped, s.called = s.gen, false, false
+			if m.lazy {
+				s.dq, s.priv = 0, s.gen
+			}
+		}
+	case fjRelease:
+		s.jpc = fjFinished
+		if err := m.release(&s, 1+s.fold, 0); err != nil {
+			return nil, err
 		}
 	case fjFinished:
 		return nil, nil
@@ -329,11 +421,18 @@ func (m *futureModel) completerStep(s fmState, g int8) ([]fmState, error) {
 	if c.pc == fcUnforked || c.pc == fcFinished {
 		return nil, nil
 	}
-	if s.freed[g] && c.pc != fcSteal && c.pc != fcSend && !m.ignoreLate {
+	if s.freed[g] && c.pc != fcSteal && c.pc != fcSend && c.pc != fcRelease && !m.ignoreLate { // a release touches the scope, not the record
 		return nil, fmt.Errorf("generation %d's completer takes step %d after the joiner freed the record", g, c.pc)
 	}
 	switch c.pc {
 	case fcSteal:
+		if s.priv == g { // out of reach: ask for it, once
+			if s.want {
+				return nil, nil
+			}
+			s.want = true
+			break
+		}
 		c.pc = fcFinished
 		if s.dq == g {
 			m.stolen++
@@ -363,7 +462,7 @@ func (m *futureModel) completerStep(s fmState, g int8) ([]fmState, error) {
 			break
 		}
 		c.ch = s.swapDone()
-		c.pc = fcFinished
+		c.pc = m.finished()
 		if c.ch > 0 {
 			c.pc = fcClose
 		}
@@ -383,7 +482,12 @@ func (m *futureModel) completerStep(s fmState, g int8) ([]fmState, error) {
 		if s.maker[c.ch] != g {
 			return nil, fmt.Errorf("generation %d's completer closed the channel of generation %d's joiner", g, s.maker[c.ch])
 		}
+		c.pc = m.finished()
+	case fcRelease:
 		c.pc = fcFinished
+		if err := m.release(&s, 1, int(g)); err != nil {
+			return nil, err
+		}
 	}
 	return []fmState{s}, nil
 }
@@ -407,6 +511,9 @@ func (m *futureModel) explorer() *explorer[fmState] {
 				if s.c[g].pc != fcFinished {
 					return fmt.Errorf("quiescent with generation %d's completer at step %d", g, s.c[g].pc)
 				}
+			}
+			if s.refs != 0 {
+				return fmt.Errorf("quiescent with the joiner's scope at %d", s.refs)
 			}
 			return nil
 		},
@@ -432,6 +539,27 @@ func TestFutureModelToken(t *testing.T) {
 		t.Fatalf("the search reached %d blocked joins, %d installs lost to the Swap, %d joins that never waited, %d stale tokens drained and %d early wakes; want some of each",
 			m.blocks, m.lostInstalls, m.neverWaited, m.staleDrains, m.staleWakes)
 	}
+}
+
+// The lazy path: each generation is forked into the joiner's private
+// region, uncounted, and its thief can only ask for it; the joiner's poll
+// publishes it — an Add, then the push — and it is stolen, or popped back
+// and called, counted, with its release folded into the joiner's. A
+// private fork popped back is called with nothing to fold.
+func TestFutureModelLazy(t *testing.T) {
+	m := &futureModel{lazy: true}
+	m.explorer().verify(t, m.initial())
+	if m.privateCalls == 0 || m.exposed == 0 || m.stolen == 0 || m.blocks == 0 || m.poppedBack == m.privateCalls {
+		t.Fatalf("the search reached %d private calls, %d exposures, %d steals, %d blocked joins and %d public calls; want some of each",
+			m.privateCalls, m.exposed, m.stolen, m.blocks, m.poppedBack-m.privateCalls)
+	}
+}
+
+// The lazy path's control: a private fork's call folded as if it had been
+// counted releases the joiner's scope once too often.
+func TestFutureModelCatchesFoldedPrivateCall(t *testing.T) {
+	m := &futureModel{lazy: true, foldPrivate: true}
+	m.explorer().refute(t, m.initial())
 }
 
 // The token path's control: a joiner that drains after its install may

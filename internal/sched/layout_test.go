@@ -31,10 +31,13 @@ func TestInjectorLayoutPins(t *testing.T) {
 // a cache line to itself, clear of the wiring every thief reads and of the
 // block only the owner writes, and that the owner's block starts on a line
 // boundary with the words a popped-back fork writes — the free-list
-// depths, the due counts and the fold count — on its first line. The list
-// of emptied scopes, which only a steal moves, is in the owner block off
-// that line, and the join token, which completers on other workers read,
-// is in the wiring.
+// depths, the due counts, the fold count and the private region's indices
+// — on its first line. The region's slots are in the owner block, the list
+// of emptied scopes, which only a steal moves, in that block off its first
+// line, and the join token, which completers on other workers read, in the
+// wiring.
+// wantWork, which thieves write and the owner polls at every fork, has a
+// line to itself.
 func TestWorkerLayoutPins(t *testing.T) {
 	var w Worker
 	status := unsafe.Offsetof(w.status)
@@ -48,7 +51,9 @@ func TestWorkerLayoutPins(t *testing.T) {
 		"nScopes": unsafe.Offsetof(w.nScopes), "scopes": unsafe.Offsetof(w.scopes),
 		"scopesEnd": unsafe.Offsetof(w.scopes) + unsafe.Sizeof(w.scopes) - 1,
 		"progress":  unsafe.Offsetof(w.progress), "tasksRun": unsafe.Offsetof(w.tasksRun),
-		"wakes": unsafe.Offsetof(w.wakes),
+		"wakes":    unsafe.Offsetof(w.wakes),
+		"lazyHead": unsafe.Offsetof(w.lazyHead), "lazyTail": unsafe.Offsetof(w.lazyTail),
+		"lazy": unsafe.Offsetof(w.lazy), "lazyEnd": unsafe.Offsetof(w.lazy) + unsafe.Sizeof(w.lazy) - 1,
 	}
 	for name, off := range others {
 		if layoutLine(off) == layoutLine(status) {
@@ -59,9 +64,9 @@ func TestWorkerLayoutPins(t *testing.T) {
 	// per task — scope and folded twice in exec, a count per fork and per
 	// call, a depth and a slot per fork and per join — is on none of the
 	// lines other workers read.
-	firstLine := []string{"scope", "nFutures", "nRanges", "nGroupTasks", "spawnsDue", "runsDue", "folded"}
+	firstLine := []string{"scope", "nFutures", "nRanges", "nGroupTasks", "spawnsDue", "runsDue", "folded", "lazyHead", "lazyTail"}
 	for _, shared := range []string{"pool", "dq", "parkCh", "joinCh"} {
-		for _, own := range append(firstLine, "futures", "groupTasksEnd", "nScopes", "scopesEnd", "wakes") {
+		for _, own := range append(firstLine, "futures", "groupTasksEnd", "nScopes", "scopesEnd", "wakes", "lazy", "lazyEnd") {
 			if layoutLine(others[own]) == layoutLine(others[shared]) {
 				t.Errorf("owner-written %s (offset %d) is on the line of %s (offset %d), which other workers read",
 					own, others[own], shared, others[shared])
@@ -79,6 +84,18 @@ func TestWorkerLayoutPins(t *testing.T) {
 	for _, own := range []string{"nScopes", "scopes", "scopesEnd"} {
 		if line := layoutLine(others[own]); line == layoutLine(scope) || line > layoutLine(status) {
 			t.Errorf("%s (offset %d) is not in the owner block off its first line (scope at %d, status at %d)", own, others[own], scope, status)
+		}
+	}
+	for _, own := range []string{"lazy", "lazyEnd"} {
+		if layoutLine(others[own]) >= layoutLine(status) {
+			t.Errorf("%s (offset %d) is not in the owner block (status at %d)", own, others[own], status)
+		}
+	}
+	want := unsafe.Offsetof(w.wantWork)
+	others["status"] = status
+	for name, off := range others {
+		if layoutLine(off) == layoutLine(want) {
+			t.Errorf("wantWork (offset %d) shares a cache line with %s (offset %d)", want, name, off)
 		}
 	}
 	if layoutLine(others["joinCh"]) <= layoutLine(status) {

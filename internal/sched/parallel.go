@@ -73,7 +73,8 @@ func (r *rangeTask[T]) free(w *Worker) {
 // ParallelFor executes body(i) for every i in [lo, hi), splitting the range
 // recursively until pieces are at most grain wide. Splitting forks the right
 // half and descends into the left, so un-stolen execution is a plain
-// left-to-right loop.
+// left-to-right loop. As with Join2, a stolen right half may run before,
+// after or beside the left one, so no body may block on another.
 func ParallelFor(w *Worker, lo, hi, grain int, body func(i int)) {
 	if grain < 1 {
 		grain = 1
@@ -92,7 +93,8 @@ func ParallelFor(w *Worker, lo, hi, grain int, body func(i int)) {
 
 // Reduce computes combine over leaf(i) for i in [lo, hi) with a parallel
 // divide-and-conquer tree. combine must be associative; leaves are combined
-// left to right.
+// left to right, but computed in any order: as with Join2, the two halves of
+// a split may run in either order, so no leaf may block on another.
 func Reduce[T any](w *Worker, lo, hi, grain int, leaf func(i int) T, combine func(a, b T) T) T {
 	if grain < 1 {
 		grain = 1

@@ -22,10 +22,13 @@
 // record (the Future is the task) that Join2, Reduce, ParallelFor, Spawn
 // and Group.Spawn take from and return to a free list of the worker's own
 // — Reduce's and ParallelFor's a range record that holds the right half's
-// arguments, so the library's own forks allocate nothing — one push, one
-// pop, and one count in the spawner's scope; a fork its joiner pops back
-// is a plain call (Join) whose counts stay in plain fields of the worker's
-// own until its joiner's task ends, and whose scope release is that
+// arguments, so the library's own forks allocate nothing. A public spawn
+// is one push, one pop, and one count in the spawner's scope; the
+// library's own forks go to a private region beneath the worker's deque
+// while the deque holds older work, uncounted and unfenced, until a thief
+// asks for them (lazy.go). A fork its joiner pops back is a plain call
+// (Join) whose counts stay in plain fields of the worker's own until its
+// joiner's task ends, and whose scope release, if it owes one, is that
 // task's.
 // The count of un-ended tasks that ends a run is kept in scopes split at
 // steals (scope.go), so workers meet where the paper's processes do — at
@@ -315,11 +318,18 @@ type Worker struct {
 	nFutures, nRanges, nGroupTasks int32
 	// spawnsDue and runsDue are the spawns and popped-back calls not yet
 	// added to spawns, tasksRun and progress (flush); folded is the calls
-	// whose scope release the exec in flight makes for them (Future.call).
+	// whose scope release the exec in flight makes for them (popBack).
 	spawnsDue, runsDue, folded int64
-	futures                    [maxFreeRecords]any
-	ranges                     [maxFreeRecords]any
-	groupTasks                 [maxFreeRecords]*groupTask
+	// The private region (DESIGN.md §7, "Lazy exposure"): the engine forks
+	// in lazy at sequence numbers [lazyHead, lazyTail), oldest first, are
+	// the bottom of this worker's deque, uncounted in their scopes and out
+	// of every thief's reach until publish pushes them; dq's Room bounds
+	// them (fork), so a publish never finds the deque full.
+	lazyHead, lazyTail uint32
+	lazy               [lazyK]*Task
+	futures            [maxFreeRecords]any
+	ranges             [maxFreeRecords]any
+	groupTasks         [maxFreeRecords]*groupTask
 	// scopes below nScopes are child scopes this worker emptied, for its
 	// next split to reuse (scope.go). Only a steal moves the depth, so it is
 	// off the first line.
@@ -355,6 +365,15 @@ type Worker struct {
 	_      atomicx.CacheLinePad
 	status atomicx.SCUint32
 	_      atomicx.CacheLinePad
+	// wantWork is a thief's request that the owner publish its region: set
+	// by a steal that missed this worker's empty public part, read by the
+	// owner at every fork and pop-back while its region holds forks, and
+	// cleared by the owner's expose (lazy.go). Thieves write it and the
+	// owner polls it, so it has a line of its own. publish: the request
+	// asks for work and orders nothing; a lost race costs the thief one
+	// more miss.
+	wantWork atomicx.Publish32
+	_        atomicx.CacheLinePad
 
 	// The wiring: set by New and only read afterwards. Every thief's
 	// stealOnce and every deque scan comes through this line for dq, and the
@@ -601,6 +620,9 @@ func (p *Pool) endSession(s *session) {
 	}
 	close(s.quit)
 	p.wg.Wait()
+	for _, w := range p.workers {
+		w.dropRegion()
+	}
 	p.drainByRun()
 	p.phase.Store(phaseIdle)
 	if s.cause != nil {
@@ -619,26 +641,29 @@ func (p *Pool) endSession(s *session) {
 //
 //abp:owner quiescent phase: every worker has exited before the sweep
 func (p *Pool) drainByRun() {
-	account := func(t *Task) {
-		r := t.scope.run
-		r.finish(runCancelled, ErrStopped)
-		if r.state.Load() == runPanicked {
-			p.dropped.Add(1)
-		} else {
-			p.cancelledN.Add(1)
-		}
-	}
 	for t := p.inject.TryPop(); t != nil; t = p.inject.TryPop() {
-		account(t)
+		p.account(t)
 	}
 	for _, w := range p.workers {
 		for t := w.dq.PopBottom(); t != nil; t = w.dq.PopBottom() {
-			account(t)
+			p.account(t)
 		}
 		select {
 		case <-w.parkCh:
 		default:
 		}
+	}
+}
+
+// account counts a task the sweep found under its run's abort, aborting
+// the run first if nothing has.
+func (p *Pool) account(t *Task) {
+	r := t.scope.run
+	r.finish(runCancelled, ErrStopped)
+	if r.state.Load() == runPanicked {
+		p.dropped.Add(1)
+	} else {
+		p.cancelledN.Add(1)
 	}
 }
 
@@ -709,9 +734,12 @@ func (w *Worker) stealOnce() *Task {
 	}
 	w.stealAttempts.Add(1)
 	fault.Point(fpStealBeforePopTop)
-	t := w.pool.workers[v].dq.PopTop()
+	o := w.pool.workers[v]
+	t := o.dq.PopTop()
 	if t != nil {
 		w.steals.Add(1)
+	} else if o.dq.Len() == 0 && o.wantWork.Load() == 0 {
+		o.wantWork.Store(1) // the public part is empty: ask for the region (lazy.go)
 	}
 	return t
 }
@@ -729,18 +757,26 @@ func (w *Worker) stealOnce() *Task {
 //
 //abp:owner runs only on the goroutine that owns the worker (its loop, a helping Join on it, or the submitter for the ephemeral caller-runs worker)
 func (w *Worker) execOrDrop(t *Task, stolen bool) (ran bool) {
-	if s := t.scope.run.state.Load(); s != runLive {
-		if s == runPanicked {
-			w.pool.dropped.Add(1)
-		} else {
-			w.pool.cancelledN.Add(1)
-		}
-		w.progress.Add(1)
+	if st := t.scope.run.state.Load(); st != runLive {
+		w.discard(st)
 		w.release(t.scope, 1) // a zero at the root is a no-op: the abort already finished the run
 		return false
 	}
 	w.exec(t, stolen)
 	return true
+}
+
+// discard counts a task that an abort, whose run state is st, keeps from
+// starting, under the counter the abort's cause selects.
+//
+//abp:owner the progress counter is written only by the goroutine running the worker
+func (w *Worker) discard(st int32) {
+	if st == runPanicked {
+		w.pool.dropped.Add(1)
+	} else {
+		w.pool.cancelledN.Add(1)
+	}
+	w.progress.Add(1)
 }
 
 // exec runs a task and performs termination accounting (scope.go). A task
@@ -770,6 +806,13 @@ func (w *Worker) exec(t *Task, stolen bool) {
 	prev, prevFolded := w.scope, w.folded
 	w.scope, w.folded = s, 0
 	w.runTask(t)
+	// Every exec ends with the region empty: what the task left unjoined
+	// when it unwound, and in an exec nested under a Join's help or popBack
+	// any outer frame's forks still there (only unstructured code leaves
+	// them), are published here, at an Add and a signalWork each.
+	if w.lazyTail != w.lazyHead {
+		w.publish(w.lazyTail - w.lazyHead)
+	}
 	k := w.folded
 	w.scope, w.folded = prev, prevFolded
 	w.runsDue++
@@ -850,19 +893,19 @@ func (w *Worker) spawnMember(g *Group, fn func(*Worker)) {
 	}
 	t.g, t.fn = g, fn
 	w.bind(&t.task, t)
-	w.spawn(&t.task)
+	w.post(&t.task)
 }
 
-// spawn publishes a task made by bind: it counts the task in the scope it
-// carries, the spawner's — a word no other worker writes between steals —
-// and pushes it. The handshake directive makes abplint verify the
-// producer half of the Dekker protocol: the push (PushBottom's internal
-// atomic store) must dominate the signalWork scan of the status words.
+// spawn publishes a task made by bind (post), or a private fork (publish):
+// it counts the task in the scope it carries, the spawner's — a word no
+// other worker writes between steals — and pushes it. The handshake
+// directive makes abplint verify the producer half of the Dekker protocol:
+// the push (PushBottom's internal atomic store) must dominate the
+// signalWork scan of the status words.
 //
 //abp:owner tasks execute only on worker goroutines, so the receiver owns w.dq
 //abp:handshake store=PushBottom load=signalWork
 func (w *Worker) spawn(t *Task) {
-	w.spawnsDue++
 	t.scope.refs.Add(1)
 	if !w.dq.PushBottom(t) {
 		if w.execOrDrop(t, false) {
@@ -890,7 +933,10 @@ func (w *Worker) help(r *run) (mayBlock bool) {
 	if r.state.Load() != runLive {
 		r.panicAborted()
 	}
-	t, stolen := w.dq.PopBottom(), false
+	t, stolen := w.takePrivate(), false
+	if t == nil {
+		t = w.dq.PopBottom()
+	}
 	if t == nil {
 		t, stolen = w.stealOnce(), true
 	}
@@ -901,14 +947,32 @@ func (w *Worker) help(r *run) (mayBlock bool) {
 	return w.settle()
 }
 
-// popBack pops w's deque bottom for a joiner: true if it was t, counted in
-// the scope w runs in, for the joiner to call; anything else starts here.
+// popBack pops w's deque bottom — the region's newest fork, if it holds
+// one — for a joiner: true if it was t, for the joiner to call (DESIGN.md
+// §7, "Work-first join"); anything else starts here. A private t was never
+// counted, so its call has nothing to release; a public one is counted in
+// the scope w runs in, and its release is folded into that of the exec w
+// runs under, whose own task, counted in the same scope until then, keeps
+// this one from ever emptying it.
 //
 //abp:owner tasks execute only on worker goroutines, so the receiver owns w.dq
 func (w *Worker) popBack(t *Task) bool {
+	if w.lazyTail != w.lazyHead && w.wantWork.Load() != 0 {
+		w.expose()
+	}
+	if w.lazyTail != w.lazyHead {
+		if w.lazy[(w.lazyTail-1)%lazyK] == t {
+			w.lazyTail--
+			return true
+		}
+		w.execOrDrop(w.takePrivate(), false)
+		return false
+	}
 	b := w.dq.PopBottom()
 	mine := b == t && t.scope == w.scope
-	if b != nil && !mine {
+	if mine {
+		w.folded++
+	} else if b != nil {
 		w.execOrDrop(b, false)
 	}
 	return mine

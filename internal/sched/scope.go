@@ -18,18 +18,24 @@ import "worksteal/internal/atomicx"
 // empties it lists it on the releasing worker's free list (Worker.scopes),
 // and that worker's next split takes it from there.
 //
-// Invariant: refs ≥ the un-ended tasks that carry this scope + the child
-// scopes whose own refs is not yet zero, with equality whenever no exec
-// running in the scope is in flight. A task is counted from its spawn
-// (or, for the root, from newRun) until exec or execOrDrop's discard
-// releases it; a fork its joiner calls (Future.call) has ended before it
-// is released, by the exec it was called under, which releases it with
-// its own task in one step and still counts that task meanwhile. When a
-// task is stolen its count stays where it is and stands for the child
-// scope the thief runs it in. Zero is therefore final — only a task
-// counted in the scope can add to it, by spawning while it runs there —
-// and the release that reaches zero passes one release on to the parent,
-// or completes the run at the root.
+// Invariant: refs ≥ the un-ended public tasks that carry this scope + the
+// child scopes whose own refs is not yet zero, with equality whenever no
+// exec running in the scope is in flight. A public task is counted from
+// its spawn or its publish (or, for the root, from newRun) until exec or
+// execOrDrop's discard releases it; a public fork its joiner calls
+// (Future.call) has ended before it is released, by the exec it was
+// called under, which releases it with its own task in one step and still
+// counts that task meanwhile. A private fork (lazy.go) carries the scope
+// uncounted while it sits in its worker's region, beneath the task that
+// forked it, which is counted here and running: every way out of the
+// region but that task's own pop-back — after which the fork has ended
+// inside the task — counts the fork first, and that task's exec publishes
+// what it left before its release, so no private fork outlives the count
+// that covers it. When a task is stolen its count stays where it is and
+// stands for the child scope the thief runs it in. Zero is therefore
+// final — only a task counted in the scope can add to it, by spawning or
+// publishing while it runs there — and the release that reaches zero
+// passes one release on to the parent, or completes the run at the root.
 //
 // Writers: the one worker that runs in the scope (an Add per spawn, a
 // release per exec — only the worker that made the scope, first ran

@@ -34,12 +34,23 @@ import (
 // a spawn's Add, a split's load, a release's decrement, nor the gate's
 // load through a popped task's scope — and at quiescence every child scope
 // is listed, once.
+//
+// Each worker has a private region of mRegion forks (lazy.go): a spawn
+// goes there, uncounted and out of the thieves' reach, while the worker's
+// deque holds a task and the region has room; otherwise the region's
+// oldest fork is published first — its Add, then its push — as it may be
+// at any step of the task, which is how a thief's request lands. A call of
+// a private child ends with no fold; a task that ends with forks left in
+// the region publishes them before its release. The control leaves them
+// uncounted: pushed without their Add, they drive the scope to zero while
+// they still run.
 
 const (
 	mMaxTasks   = 8
 	mMaxScopes  = 8
 	mMaxWorkers = 3
 	mMaxFrames  = 3 // the task exec runs, a call, and a call inside the call
+	mRegion     = 2 // the private region's bound (lazyK)
 )
 
 // Worker program counters.
@@ -61,6 +72,7 @@ type mFrame struct {
 	task    int8
 	spawned int8 // its children spawned so far
 	last    int8 // its child pushed last, which it may pop back; -1 if none
+	private bool // a call of a private child: it ends with nothing to fold
 }
 
 type mWorker struct {
@@ -70,10 +82,15 @@ type mWorker struct {
 	nframe int8 // frames[0] holds the stolen task (mSplit) or the task exec runs (mBody)
 	folded int8 // calls ended since the exec began, released with its task
 	unpub  int8 // a child counted by the Add but not yet pushed; -1 if none
-	deque  [mMaxTasks]int8
-	dlen   int8
-	free   [mMaxScopes]int8 // the scopes this worker emptied, a stack
-	nfree  int8
+	// republish says unpub is a private fork being published, not a spawn:
+	// its push leaves the frame's last child as it is.
+	republish bool
+	deque     [mMaxTasks]int8
+	dlen      int8
+	region    [mRegion]int8 // private forks, oldest first: uncounted
+	nregion   int8
+	free      [mMaxScopes]int8 // the scopes this worker emptied, a stack
+	nfree     int8
 }
 
 // mState is the whole model.
@@ -101,10 +118,15 @@ type scopeModel struct {
 	// recycleEarly is another: a release lists a child scope on its first
 	// decrement, not on the one that reaches zero.
 	recycleEarly bool
+	// uncountedLeftovers is another: a task that ends with forks in its
+	// region pushes them without their Add.
+	uncountedLeftovers bool
 	// What the search came across, so the test can tell it covered both
-	// arms of split, a split that reuses a listed scope, and calls nested
-	// in calls.
-	splits, takeovers, reuses, nestedCalls int
+	// arms of split, a split that reuses a listed scope, calls nested in
+	// calls, private spawns, calls of private children, publishes, and
+	// tasks that end with forks in the region.
+	splits, takeovers, reuses, nestedCalls      int
+	privates, privateCalls, publishes, leftover int
 }
 
 // touch is a step's access to scope c: none may come while c is listed.
@@ -192,27 +214,66 @@ func (m *scopeModel) successors(s mState, i int) (next []mState, err error) {
 		t := &s.tasks[f.task]
 		if w.unpub >= 0 { // PushBottom
 			w.deque[w.dlen] = w.unpub
-			f.last = w.unpub
+			if !w.republish {
+				f.last = w.unpub
+			}
 			w.dlen++
-			w.unpub = -1
+			w.unpub, w.republish = -1, false
 			return []mState{s}, nil
 		}
-		// popBack: the bottom is still the child this frame pushed last, so
-		// it carries the scope w runs in; a call of it is one more frame.
-		if w.nframe < mMaxFrames && w.dlen > 0 && w.deque[w.dlen-1] == f.last {
+		// popBack: the deque's bottom — the region's newest fork, if it
+		// holds one — is still the child this frame forked last, so it
+		// carries the scope w runs in; a call of it is one more frame.
+		private := w.nregion > 0 && w.region[w.nregion-1] == f.last
+		if w.nframe < mMaxFrames && (private || w.nregion == 0 && w.dlen > 0 && w.deque[w.dlen-1] == f.last) {
 			n := s
 			nw := &n.w[i]
-			nw.dlen--
+			if private {
+				nw.nregion--
+				m.privateCalls++
+			} else {
+				nw.dlen--
+			}
 			nw.frames[nw.nframe-1].last = -1
-			nw.frames[nw.nframe] = mFrame{task: f.last, last: -1}
+			nw.frames[nw.nframe] = mFrame{task: f.last, last: -1, private: private}
 			nw.nframe++
 			if nw.nframe == mMaxFrames {
 				m.nestedCalls++
 			}
 			next = append(next, n)
 		}
+		// publish: the region's oldest fork is counted, then pushed — at
+		// any step (a thief's request), and before a spawn that finds the
+		// deque empty or the region full, or the task's end.
+		if w.nregion > 0 {
+			n := s
+			nw := &n.w[i]
+			c := nw.region[0]
+			copy(nw.region[:], nw.region[1:nw.nregion])
+			nw.nregion--
+			nw.unpub, nw.republish = c, true
+			if !m.uncountedLeftovers || f.spawned < m.fan[t.depth] || nw.nframe > 1 {
+				if err := touch(&n, n.tasks[c].scope); err != nil {
+					return nil, err
+				}
+				n.refs[n.tasks[c].scope]++
+			}
+			m.publishes++
+			next = append(next, n)
+		}
+		spawning := f.spawned < m.fan[t.depth]
 		switch {
-		case f.spawned < m.fan[t.depth]: // spawn: refs.Add(1)
+		case spawning && w.dlen > 0 && w.nregion < mRegion: // a private spawn: no Add
+			s.tasks[s.ntasks] = mTask{scope: w.scope, depth: t.depth + 1}
+			w.region[w.nregion] = s.ntasks
+			w.nregion++
+			f.last = s.ntasks
+			s.ntasks++
+			f.spawned++
+			m.privates++
+		case spawning && w.nregion > 0: // the publish above comes first
+			return next, nil
+		case spawning: // spawn: refs.Add(1)
 			if err := touch(&s, w.scope); err != nil {
 				return nil, err
 			}
@@ -221,10 +282,15 @@ func (m *scopeModel) successors(s mState, i int) (next []mState, err error) {
 			w.unpub = s.ntasks
 			s.ntasks++
 			f.spawned++
-		case w.nframe > 1: // a call ends, folded: no decrement
+		case w.nframe > 1: // a call ends, folded — a private one has nothing to fold
 			t.ended = true
 			w.nframe--
-			w.folded++
+			if !f.private {
+				w.folded++
+			}
+		case w.nregion > 0: // exec publishes what the task left first
+			m.leftover++
+			return next, nil
 		default: // the task ends: the first decrement of its release, 1+k
 			t.ended = true
 			after, err := m.release(s, i, 1+w.folded)
@@ -313,6 +379,11 @@ func (m *scopeModel) quiescent(s mState) error {
 	if s.completes != 1 {
 		return fmt.Errorf("quiescent with complete fired %d times", s.completes)
 	}
+	for i := range s.w {
+		if s.w[i].nregion != 0 {
+			return fmt.Errorf("quiescent with %d forks in worker %d's region", s.w[i].nregion, i)
+		}
+	}
 	for c := int8(0); c < s.nscopes; c++ {
 		if s.refs[c] != 0 {
 			return fmt.Errorf("quiescent with scope %d at %d", c, s.refs[c])
@@ -336,10 +407,14 @@ func (m *scopeModel) explorer() *explorer[mState] {
 }
 
 func TestScopeModelExhaustive(t *testing.T) {
-	reuses := 0
+	var reached scopeModel
 	defer func() {
-		if reuses == 0 {
+		if reached.reuses == 0 {
 			t.Error("no search reached a split that reuses a listed scope")
+		}
+		if reached.privates == 0 || reached.privateCalls == 0 || reached.publishes == 0 || reached.leftover == 0 {
+			t.Errorf("the searches reached %d private spawns, %d private calls, %d publishes and %d tasks ending with a region; want some of each",
+				reached.privates, reached.privateCalls, reached.publishes, reached.leftover)
 		}
 	}()
 	for _, tc := range []struct {
@@ -360,7 +435,11 @@ func TestScopeModelExhaustive(t *testing.T) {
 				t.Fatalf("the search reached %d splits, %d take-overs and %d calls inside calls; want some of each",
 					m.splits, m.takeovers, m.nestedCalls)
 			}
-			reuses += m.reuses
+			reached.reuses += m.reuses
+			reached.privates += m.privates
+			reached.privateCalls += m.privateCalls
+			reached.publishes += m.publishes
+			reached.leftover += m.leftover
 		})
 	}
 }
@@ -386,5 +465,13 @@ func TestScopeModelCatchesFoldKeptAcrossTasks(t *testing.T) {
 // count in it, and a later spawn, split or release touches it there.
 func TestScopeModelCatchesRecycleOnFirstDecrement(t *testing.T) {
 	m := &scopeModel{workers: 2, fan: []int8{2, 1, 0}, recycleEarly: true}
+	m.explorer().refute(t, m.initial())
+}
+
+// The region's control: a task that ends with forks in its region pushes
+// them without counting them, so the task's release empties the scope —
+// and completes the run — while they are still to run.
+func TestScopeModelCatchesUncountedLeftovers(t *testing.T) {
+	m := &scopeModel{workers: 2, fan: []int8{2, 1, 0}, uncountedLeftovers: true}
 	m.explorer().refute(t, m.initial())
 }

@@ -26,6 +26,12 @@ import (
 //     model's status load and token send are one step, so it does not see
 //     a signaller stalled between the two, whose late token is spurious —
 //     harmless, like any other.
+//
+// The lazy producer is an owner whose work sits in its private region
+// (lazy.go): a worker's search that finds nothing asks for it (wantWork)
+// and goes on to park, and the owner's poll, once it sees the request,
+// clears it, pushes the work and signals. Its control signals before the
+// push, and sleeps through a requester whose re-check came in between.
 
 // Worker steps.
 const (
@@ -55,8 +61,10 @@ type smState struct {
 	sent       [2]bool // ... and a signalWork sent it, into an idle episode
 	stale      [2]bool // ... and that episode has ended
 	idle, work int8
-	prod, res  int8   // steps of the producer (from smBaton-1: the push) and of the Resize
+	prod, res  int8   // steps of the producer (from smBaton-1: the push; -1: the lazy owner's poll) and of the Resize
 	loaded     uint32 // the status the Resize's CAS expects
+	want       bool   // a worker's request for the lazy owner's work
+	pushed     bool   // the producer has pushed its work
 }
 
 type statusModel struct {
@@ -64,6 +72,8 @@ type statusModel struct {
 	noBaton      bool // negative control: retire does not pass the baton
 	tokenFirst   bool // negative control: a grow sends its token, then stores running
 	keepToken    bool // negative control: park's exit leaves a pending token in the channel
+	lazy         bool // the producer publishes its work only once a worker has asked
+	signalFirst  bool // negative control of lazy: the owner signals, then pushes
 	// What the search came across, so the test can tell what it covered.
 	refused, markedAsleep, reactivated, regrown, sleptAgain int
 }
@@ -119,11 +129,23 @@ func (m *statusModel) step(s smState, a int) ([]smState, error) {
 			return nil, fmt.Errorf("worker %d's park ends on a token sent into its previous idle episode: %+v", a, s)
 		}
 		next = m.worker(s, a)
+	case a == 2 && s.prod < 0: // the lazy owner's poll: nothing to do until asked
+		if !s.want {
+			return nil, nil
+		}
+		s.want, s.prod = false, 0
+		if m.signalFirst {
+			s.prod = smBaton
+		}
+		next = []smState{s}
 	case a == 2 && s.prod < smBaton:
-		s.work, s.prod = s.work+1, smBaton
+		s.work, s.prod, s.pushed = s.work+1, smBaton, true
 		next = []smState{s}
 	case a == 2 && s.prod < smDone:
 		next = signal(s, func(s *smState) *int8 { return &s.prod })
+	case a == 2 && !s.pushed: // signalFirst: the push after the signal
+		s.work, s.pushed = s.work+1, true
+		next = []smState{s}
 	case a == 3:
 		next = m.resize(s)
 	}
@@ -133,7 +155,7 @@ func (m *statusModel) step(s smState, a int) ([]smState, error) {
 				return nil, fmt.Errorf("worker %d's status moved %d → %d, off the diagram", w, before[w], st)
 			}
 		}
-		if n.work > 0 && n.prod == smDone && n.asleep(0) && n.asleep(1) {
+		if n.work > 0 && n.prod == smDone && n.pushed && n.asleep(0) && n.asleep(1) {
 			return nil, fmt.Errorf("lost wakeup: work is queued, the producer has returned, and no worker is awake or holds a token: %+v", n)
 		}
 	}
@@ -159,6 +181,8 @@ func (m *statusModel) worker(s smState, w int) []smState {
 	case smSearch:
 		if *pc = smEnter; s.work > 0 {
 			s.work, *pc = s.work-1, smTop
+		} else if m.lazy {
+			s.want = true // a steal that missed an empty public part
 		}
 	case smEnter:
 		if !s.cas(w, workerRunning, workerIdle) {
@@ -261,8 +285,8 @@ func (m *statusModel) resize(s smState) []smState {
 
 func (m *statusModel) explorer() *explorer[smState] {
 	return &explorer[smState]{actors: 4, step: m.step, final: func(s smState) error {
-		if s.work > 0 || s.pc[1] == smSleep && s.status[1] != workerIdle || s.pc[1] == smRetired {
-			return fmt.Errorf("quiescent with work queued, or with worker 1 asleep for good and not a wake target: %+v", s)
+		if s.work > 0 || !s.pushed || s.pc[1] == smSleep && s.status[1] != workerIdle || s.pc[1] == smRetired {
+			return fmt.Errorf("quiescent with work queued or never published, or with worker 1 asleep for good and not a wake target: %+v", s)
 		}
 		return nil
 	}}
@@ -298,4 +322,20 @@ func TestStatusModelCatchesTokenBeforeStore(t *testing.T) {
 // token the signal sent outlives the episode — the next park ends on it.
 func TestStatusModelCatchesStaleToken(t *testing.T) {
 	(&statusModel{keepToken: true}).explorer().refute(t, smState{})
+}
+
+// The lazy owner: its work is published only once a worker that found
+// nothing has asked, and that worker goes on to park meanwhile — the
+// request is a hint, not a handshake, so the push and the signal after it
+// must still meet the park's publish and re-check.
+func TestStatusModelLazyOwner(t *testing.T) {
+	m := &statusModel{lazy: true}
+	m.explorer().verify(t, smState{prod: -1})
+}
+
+// The lazy owner's control: a signal made before the push reads no idle
+// worker while the requester is on its way to park, whose re-check then
+// comes before the push — and it sleeps with the work queued.
+func TestStatusModelCatchesSignalBeforePush(t *testing.T) {
+	(&statusModel{lazy: true, signalFirst: true}).explorer().refute(t, smState{prod: -1})
 }

@@ -1,0 +1,82 @@
+//go:build abpsync
+
+package sched
+
+import (
+	"testing"
+	"time"
+
+	"worksteal/internal/atomicx"
+)
+
+// The fences of the fork paths, counted exactly: under the abpsync tag
+// atomicx counts every load, store and read-modify-write the engine issues
+// (go test -tags abpsync ./internal/sched/). On amd64 every store and every
+// read-modify-write is a fence, so stores+RMWs is what a path pays in
+// synchronization, and a count, unlike a time, does not move with the host.
+//
+// On one worker: an engine fork its joiner pops back — Join2's, a Reduce
+// split's — is private (lazy.go) and makes none; before the region it made
+// four (the scope's Add, pushBottom's slot and bot stores, popBottom's bot
+// store). A Spawn is its count, its slot and its bot; a Group.Spawn and the
+// Wait that runs the member, and a Submit and the Wait on its Handle with
+// the worker's whole wake-run-park round, are what they were before the
+// region too.
+func TestSyncOpsPerFork(t *testing.T) {
+	want := map[string]int64{"Join2": 0, "Reduce": 0, "Spawn": 3, "Group.Spawn+Wait": 10, "Submit+Wait": 42}
+	got := map[string]atomicx.SyncOps{}
+	measure := func(name string, f func()) {
+		c := atomicx.SyncCounts()
+		f()
+		got[name] = atomicx.SyncCounts().Sub(c)
+	}
+	one := func(*Worker) int { return 1 }
+	ident := func(i int) int { return i }
+	add := func(a, b int) int { return a + b }
+	New(Config{Workers: 1}).Run(func(w *Worker) {
+		Join2(w, one, func(c *Worker) int {
+			// The outer fork holds the public part, so the region takes
+			// the forks below.
+			measure("Join2", func() { Join2(c, one, one) })
+			measure("Reduce", func() { Reduce(c, 0, 2, 1, ident, add) })
+			measure("Group.Spawn+Wait", func() {
+				g := NewGroup()
+				g.Spawn(c, func(*Worker) {})
+				g.Wait(c)
+			})
+			measure("Spawn", func() { c.Spawn(func(*Worker) {}) })
+			return 1
+		})
+	})
+
+	// Submit and Wait on a parked one-worker pool, through to the worker's
+	// next park: the polls below only load.
+	p := New(Config{Workers: 1})
+	stop := startServing(t, p)
+	parked := func(n int64) func() bool {
+		return func() bool { return p.Stats().Parks >= n && p.workers[0].status.Load() == workerIdle }
+	}
+	waitFor(t, 10*time.Second, "the worker to park", parked(1))
+	time.Sleep(10 * time.Millisecond) // past the park's re-check, asleep in its select
+	measure("Submit+Wait", func() {
+		h, err := p.Submit(func(*Worker) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, 10*time.Second, "the submission", h.done.isDone)
+		if err := h.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, 10*time.Second, "the worker to park again", parked(2))
+		time.Sleep(10 * time.Millisecond)
+	})
+	stop()
+
+	for name, n := range want {
+		c := got[name]
+		t.Logf("%s: %d loads, %d stores, %d RMWs", name, c.Loads, c.Stores, c.RMWs)
+		if c.Fences() != n {
+			t.Errorf("%s: %d stores+RMWs, want %d", name, c.Fences(), n)
+		}
+	}
+}

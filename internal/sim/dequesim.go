@@ -59,6 +59,10 @@ type dequeOps interface {
 	// lockHolder returns the id of the process holding the deque's lock,
 	// or -1 (always -1 for the non-blocking deque).
 	lockHolder() int
+	// startPoll is what the owner's poll as it executes a node calls for:
+	// nil but on the lazy deque, whose answer to a thief's request is an
+	// operation that publishes its private region.
+	startPoll(caller int) op
 }
 
 // abpDeque is the simulator's ABP deque. tagMask limits the effective tag
@@ -71,6 +75,10 @@ type abpDeque struct {
 	tagMask uint32
 	// casFailures counts failed CAS instructions, for the contention stats.
 	casFailures int
+	// fences counts the stores and CASes: each a fence on amd64, where
+	// every store to a word another process reads is sequentially
+	// consistent.
+	fences int
 }
 
 func newABPDeque(capacity int, tagBits int) *abpDeque {
@@ -87,6 +95,8 @@ func newABPDeque(capacity int, tagBits int) *abpDeque {
 }
 
 func (d *abpDeque) lockHolder() int { return -1 }
+
+func (d *abpDeque) startPoll(int) op { return nil }
 
 func (d *abpDeque) size() int {
 	if d.bot <= d.age.Top {
@@ -126,10 +136,12 @@ func (o *pushBottomOp) step() bool {
 		return false
 	case 1: // store node -> deq[localBot]
 		o.d.deq[o.localBot] = o.node
+		o.d.fences++
 		o.pc++
 		return false
 	case 2: // store localBot+1 -> bot
 		o.d.bot = o.localBot + 1
+		o.d.fences++
 		o.pc++
 		return true
 	}
@@ -171,6 +183,7 @@ func (o *popTopOp) step() bool {
 		o.pc++
 		return false
 	case 3: // cas(age, oldAge, newAge)
+		o.d.fences++
 		newAge := Age{Tag: o.oldAge.Tag, Top: o.oldAge.Top + 1}
 		if o.d.age == o.oldAge {
 			o.d.age = newAge
@@ -217,6 +230,7 @@ func (o *popBottomOp) step() bool {
 		return false
 	case 1: // store localBot -> bot
 		o.d.bot = o.localBot
+		o.d.fences++
 		o.pc++
 		return false
 	case 2: // load node <- deq[localBot]
@@ -234,11 +248,13 @@ func (o *popBottomOp) step() bool {
 		return false
 	case 4: // store 0 -> bot
 		o.d.bot = 0
+		o.d.fences++
 		o.newAge = Age{Tag: (o.oldAge.Tag + 1) & o.d.tagMask, Top: 0}
 		o.pc++
 		return false
 	case 5: // if localBot == oldAge.top: cas(age, oldAge, newAge)
 		if o.localBot == o.oldAge.Top {
+			o.d.fences++
 			if o.d.age == o.oldAge {
 				o.d.age = o.newAge
 				o.res = o.node
@@ -251,6 +267,7 @@ func (o *popBottomOp) step() bool {
 		return false
 	case 6: // store newAge -> age; return NIL
 		o.d.age = o.newAge
+		o.d.fences++
 		o.res = dag.None
 		o.pc++
 		return true

@@ -45,11 +45,18 @@ const (
 	DequeABP DequeKind = iota
 	// DequeLocked is the blocking baseline: one spinlock per deque.
 	DequeLocked
+	// DequeLazy is lazy exposure (lazydeque.go): the ABP deque beneath a
+	// private region of Config.LazyK pushes, published on a thief's
+	// request — internal/sched's policy.
+	DequeLazy
 )
 
 func (d DequeKind) String() string {
-	if d == DequeLocked {
+	switch d {
+	case DequeLocked:
 		return "locked"
+	case DequeLazy:
+		return "lazy"
 	}
 	return "abp"
 }
@@ -109,6 +116,9 @@ type Config struct {
 	Kernel Kernel
 	Yield  YieldKind
 	Deque  DequeKind
+	// LazyK bounds DequeLazy's private region; 0 means 4, internal/sched's
+	// bound.
+	LazyK int
 	// TagBits is the effective tag width of the ABP deques: 32 (default
 	// via NewEngine) is realistic; 0 disables the tag and exposes the ABA
 	// failure.
@@ -167,6 +177,12 @@ type Result struct {
 	CASFailures int
 	// SpinSteps counts instructions burned spinning on deque locks.
 	SpinSteps int
+	// Fences counts the stores and CASes the ABP and lazy deques made on
+	// words other processes read: pushBottom's slot and bot, popBottom's
+	// bot and its last-item CAS and resets, popTop's CAS, and the lazy
+	// deque's request flag. PrivateOps counts the lazy deque's pushes and
+	// pops that stayed in the region and made none.
+	Fences, PrivateOps int
 	// Corruptions counts nodes observed executed twice; nonzero only when
 	// the tag is artificially narrowed (the ABA demonstration).
 	Corruptions int
@@ -237,6 +253,12 @@ func NewEngine(cfg Config) *Engine {
 	if cfg.InstrLo < 1 || cfg.InstrHi < cfg.InstrLo {
 		panic(fmt.Sprintf("sim: bad instruction budget [%d,%d]", cfg.InstrLo, cfg.InstrHi))
 	}
+	if cfg.LazyK == 0 {
+		cfg.LazyK = 4
+	}
+	if cfg.LazyK < 0 {
+		panic(fmt.Sprintf("sim: LazyK = %d", cfg.LazyK))
+	}
 	if cfg.MaxRounds == 0 {
 		// Generous default: enough rounds for the whole computation to run
 		// serially several times over, scaled by P so tiny graphs with many
@@ -255,9 +277,12 @@ func NewEngine(cfg Config) *Engine {
 	cap := cfg.Graph.NumNodes() + 1
 	for i := 0; i < cfg.P; i++ {
 		var d dequeOps
-		if cfg.Deque == DequeLocked {
+		switch cfg.Deque {
+		case DequeLocked:
 			d = newLockDeque(cap)
-		} else {
+		case DequeLazy:
+			d = newLazyDeque(cap, cfg.TagBits, cfg.LazyK)
+		default:
 			d = newABPDeque(cap, cfg.TagBits)
 		}
 		e.procs = append(e.procs, &process{id: i, deque: d, assigned: dag.None, next: dag.None})
@@ -395,6 +420,11 @@ func (e *Engine) result() Result {
 		switch d := p.deque.(type) {
 		case *abpDeque:
 			r.CASFailures += d.casFailures
+			r.Fences += d.fences
+		case *lazyDeque:
+			r.CASFailures += d.pub.casFailures
+			r.Fences += d.fences()
+			r.PrivateOps += d.privateOps
 		case *lockDeque:
 			r.SpinSteps += d.spinSteps
 		}

@@ -31,6 +31,8 @@ func (d *lockDeque) lockHolder() int {
 
 func (d *lockDeque) size() int { return len(d.items) }
 
+func (d *lockDeque) startPoll(int) op { return nil }
+
 // snapshot returns bottom..top order; items[0] is the top of the deque.
 func (d *lockDeque) snapshot() []dag.NodeID {
 	out := make([]dag.NodeID, 0, len(d.items))

@@ -22,6 +22,9 @@ const (
 	phYield
 	// phSteal: a popTop invocation on the victim is in flight (line 17).
 	phSteal
+	// phExpose: a lazy deque's owner publishes its region on a thief's
+	// request, between a node's execution and what the node called for.
+	phExpose
 	// phHalted: the process observed computationDone and stopped.
 	phHalted
 )
@@ -40,6 +43,8 @@ func (ph phase) String() string {
 		return "yield"
 	case phSteal:
 		return "steal"
+	case phExpose:
+		return "expose"
 	case phHalted:
 		return "halted"
 	default:
@@ -53,10 +58,12 @@ type process struct {
 	deque    dequeOps
 	assigned dag.NodeID
 	phase    phase
-	cur      op         // in-flight deque operation, when phase is phPopBottom/phPush/phSteal
-	next     dag.NodeID // node to assign once the in-flight push completes
-	victim   int        // victim of the in-flight steal
-	rrVictim int        // round-robin victim cursor (VictimRoundRobin)
+	cur      op           // in-flight deque operation, when phase is phPopBottom/phPush/phSteal
+	next     dag.NodeID   // node to assign once the in-flight push completes
+	enabled  []dag.NodeID // the children of from, acted on once phExpose ends
+	from     dag.NodeID
+	victim   int // victim of the in-flight steal
+	rrVictim int // round-robin victim cursor (VictimRoundRobin)
 
 	// Per-round milestone count (reset when the process is scheduled in a
 	// new round); used for the throw definition.
@@ -113,20 +120,21 @@ func (p *process) step(e *Engine) {
 		u := p.assigned
 		p.assigned = dag.None
 		enabled := e.executeNode(p, u)
-		switch len(enabled) {
-		case 0: // thread died or blocked: pop a new assigned node
-			p.cur = p.deque.startPopBottom(p.id)
-			p.phase = phPopBottom
-		case 1: // no synchronization: continue with the child
-			p.assigned = enabled[0]
-			p.phase = phCheckDone
-		case 2: // enable or spawn: push one child, keep the other
-			keep, push := e.chooseChild(u, enabled[0], enabled[1])
-			p.next = keep
-			p.cur = p.deque.startPushBottom(p.id, push)
-			p.phase = phPush
-		default:
-			panic(fmt.Sprintf("sim: node %d enabled %d children", u, len(enabled)))
+		if pl := p.deque.startPoll(p.id); pl != nil {
+			// The lazy deque's poll, made as the node executes: a thief
+			// asked for work the region holds, so the region is published
+			// first (phExpose).
+			p.cur, p.enabled, p.from = pl, enabled, u
+			p.phase = phExpose
+			break
+		}
+		p.afterExecute(e, u, enabled)
+
+	case phExpose:
+		if p.cur.step() {
+			p.cur = nil
+			p.afterExecute(e, p.from, p.enabled)
+			p.enabled = nil
 		}
 
 	case phPopBottom:
@@ -185,8 +193,28 @@ func (p *process) step(e *Engine) {
 	}
 }
 
+// afterExecute starts what the children node u enabled call for: a pop
+// when there are none, a push of one when there are two.
+func (p *process) afterExecute(e *Engine, u dag.NodeID, enabled []dag.NodeID) {
+	switch len(enabled) {
+	case 0: // thread died or blocked: pop a new assigned node
+		p.cur = p.deque.startPopBottom(p.id)
+		p.phase = phPopBottom
+	case 1: // no synchronization: continue with the child
+		p.assigned = enabled[0]
+		p.phase = phCheckDone
+	case 2: // enable or spawn: push one child, keep the other
+		keep, push := e.chooseChild(u, enabled[0], enabled[1])
+		p.next = keep
+		p.cur = p.deque.startPushBottom(p.id, push)
+		p.phase = phPush
+	default:
+		panic(fmt.Sprintf("sim: node %d enabled %d children", u, len(enabled)))
+	}
+}
+
 // busyWithDeque reports whether the process has a deque operation in flight
 // on its own deque, making the deque's snapshot transiently inconsistent.
 func (p *process) busyWithDeque() bool {
-	return p.phase == phPopBottom || p.phase == phPush
+	return p.phase == phPopBottom || p.phase == phPush || p.phase == phExpose
 }
