@@ -191,12 +191,9 @@ func TestChaosLoopPanicTerminatesRun(t *testing.T) {
 		// stops the session.
 		p.Run(func(w *Worker) {
 			spinUntil(t, "a worker loop to die", func() bool {
-				select {
-				case <-w.pool.sess.stop:
-					return true
-				default:
-					return false
-				}
+				w.pool.runMu.Lock()
+				defer w.pool.runMu.Unlock()
+				return w.pool.stopped
 			})
 		})
 	}()
@@ -540,10 +537,10 @@ func TestChaosParkWindowVisibleToSignal(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
-	// signalWork read idle and left a token; once resumed, the worker's
-	// select takes it — the only other case is the session's quit, which
-	// nothing closes before the submission resolves — and the submission
-	// runs.
+	// signalWork read idle and left a token for this sleep; once resumed,
+	// the worker takes it — the only other sender is the session's end,
+	// which does not come before the submission resolves — and the
+	// submission runs.
 	fault.Resume(fpParkBeforeSleep)
 	if werr := h.Wait(); werr != nil {
 		t.Fatalf("Wait: %v", werr)

@@ -17,11 +17,14 @@
 //     as a cancelled Serve would leave them. A stop under the drain ends
 //     the wait too, through the same words: it aborts what is in flight,
 //     and a run that ended ErrStopped is a drain that failed.
-//  3. Stop the fleet: stopWith(nil) wakes Serve's select as an engine
-//     failure would, with no cause; Serve runs the one teardown (its abort
-//     is a no-op on the happy path — the set is already empty) and returns
-//     nil, distinguishing a completed drain from a cancellation. The pool
-//     is reusable: the next Serve makes a session record of its own.
+//  3. Stop the fleet: stopWith, with no cause, sends the token Serve's
+//     select waits on, as an engine failure would; Serve runs the one
+//     teardown (its abort is a no-op on the happy path — the set is already
+//     empty) and returns nil, distinguishing a completed drain from a
+//     cancellation. The stop names the session the CAS drained (Pool.gen):
+//     one that has ended since, and any session after it, ignore it
+//     (phase_model_test.go lets it stop the next one and finds that). The
+//     pool is reusable: the next Serve starts a session of its own.
 //
 // The no-lost-submission argument is a Dekker pairing over one SC word,
 // the phase, and the runMu-guarded registry. Submit orders
@@ -61,22 +64,22 @@ var ErrDraining = errors.New("sched: pool is draining: submission rejected")
 // deadline fallback, ErrNotServing when no Serve is up (or Serve's own
 // context stopped the session under the drain, aborting what was still in
 // flight), and ErrDraining if it lost the race to a concurrent Drain. It
-// returns once the fleet stop is signalled; join the Serve goroutine itself
-// to observe full teardown, after which the pool is reusable (Serve
-// restarts cleanly).
+// returns once it has asked Serve to stop the fleet; join the Serve
+// goroutine itself to observe full teardown, after which the pool is
+// reusable (Serve restarts cleanly).
 func (p *Pool) Drain(ctx context.Context) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	// The CAS and the look at the registry share one critical section with
-	// the read of the session record: a session publishes its record under
-	// runMu before it reaches serving, so the record read here is the one
-	// the CAS drained, whatever stops and restarts around this call. The
-	// CAS comes before the look, so a submission the look misses reads
-	// draining on its post-push re-check and rejects itself (the file
+	// the read of the session's number: a session takes its number under
+	// runMu before it reaches serving, so the number read here is that of
+	// the session the CAS drained, whatever stops and restarts around this
+	// call. The CAS comes before the look, so a submission the look misses
+	// reads draining on its post-push re-check and rejects itself (the file
 	// comment's pairing).
 	p.runMu.Lock()
-	s := p.sess
+	gen := p.gen
 	won := p.phase.CompareAndSwap(phaseServing, phaseDraining)
 	var accepted []*run
 	if won {
@@ -114,9 +117,6 @@ wait:
 			break wait
 		}
 	}
-	s.stopWith(nil)
-	// Wait for the session to acknowledge (endSession closes quit as the
-	// workers are told to stop); the fleet stop is then underway.
-	<-s.quit
+	p.stopWith(gen, nil)
 	return err
 }

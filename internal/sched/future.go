@@ -71,19 +71,16 @@ func (x *waitWord) waitChan() chan struct{} {
 }
 
 // waitToken is waitChan for a word with one waiter — the joiner of a
-// record from takeFuture or takeRange — which installs its worker's token
-// channel, tok, instead of making one. It drains tok first: the completer
-// of a record abandoned by an abort may have sent to it since. It drains
-// before the install, never after, when the send it must not eat may come;
-// a stale token that slips in between costs one spurious wake. A word that
-// is not nil holds tok, from an earlier round of this wait, or doneWait.
+// record from takeFuture or takeRange, a Run's controller — which installs
+// a token channel that outlives the wait, tok, instead of making one. tok
+// has other senders (a run's abort, an abandoned record's completer, a
+// stop), so a token is a reason to look again, never one to drain: a drain
+// could eat the one the waiter must not miss, and a stale token costs one
+// spurious wake. A word that is not nil holds tok, from an earlier round of
+// this wait, or doneWait.
 func (x *waitWord) waitToken(tok *chan struct{}) chan struct{} {
 	if ch := x.p.Load(); ch != nil {
 		return *ch
-	}
-	select {
-	case <-*tok:
-	default:
 	}
 	if x.p.CompareAndSwap(nil, tok) {
 		return *tok
@@ -279,7 +276,7 @@ func (f *Future[T]) runTask(w *Worker) {
 // discipline as the worker loop (lifecycle.go) — and is woken by the forked
 // task's completion or, if the joiner's submission aborts (another of its
 // tasks panicked, its context was cancelled, the pool stopped), by the
-// submission's completion word, in which case it panics with
+// abort's token on its worker's joinCh, in which case it panics with
 // poolAbortedError so the abort also unwinds joiners that could otherwise
 // wait forever (help).
 func (f *Future[T]) Join(w *Worker) T {
@@ -298,7 +295,7 @@ func (f *Future[T]) wait(w *Worker, tok *chan struct{}) T {
 	r := w.currentRun()
 	for !f.Done() {
 		if w.help(r) {
-			f.block(r, tok)
+			f.block(w, r, tok)
 		}
 	}
 	return f.result
@@ -332,20 +329,29 @@ func (f *Future[T]) call(w *Worker) {
 	f.result = f.fn(w)
 }
 
-// block parks the joiner until the future completes or r ends — which,
-// under a live joiner, is r aborting (help). Join's loop re-checks both,
-// so a wake for any other reason — a stale token among them — is harmless.
-func (f *Future[T]) block(r *run, tok *chan struct{}) {
-	var ch chan struct{}
+// block parks the joiner w until the future completes or r ends — which,
+// under a live joiner, is r aborting (help): on tok, w's joinCh, which the
+// completer and r's abort both send to, or on a channel of its own and
+// abortCh. Join's loop re-checks both, so a stale token is harmless.
+func (f *Future[T]) block(w *Worker, r *run, tok *chan struct{}) {
 	if tok != nil {
-		ch = f.ch.waitToken(tok)
-	} else {
-		ch = f.ch.waitChan()
+		<-f.ch.waitToken(tok)
+		return
 	}
+	abort := w.abortCh(r)
 	select {
-	case <-ch:
-	case <-r.h.done.waitChan():
+	case <-f.ch.waitChan():
+	case <-abort:
 	}
+}
+
+// abortCh is the channel r's abort wakes a waiter on w through: w's joinCh,
+// or, on the caller-runs worker, which finish sends no token to, r's word.
+func (w *Worker) abortCh(r *run) chan struct{} {
+	if w.id < len(w.pool.workers) {
+		return w.joinCh
+	}
+	return r.h.done.waitChan()
 }
 
 // Done reports whether the result is available without blocking.

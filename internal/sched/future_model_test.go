@@ -37,15 +37,21 @@ import (
 // The token path is joinFree's: the joiner installs its worker's
 // capacity-1 token channel, one for every generation, and the completer
 // sends a token to it instead of closing — or drops the send when a token
-// is pending already. A joiner blocked in the first generation may be
-// unwound by its run's abort instead: it abandons the record with the
-// token in its word, and forks the second generation on a fresh record,
-// in a fresh run; the abandoned record's completer may send its token
-// into the second generation's wait. So the wait drains the channel
-// before the install. Checked on top: a joiner whose future has completed
-// never sleeps — it is never blocked on an empty channel with no send left
-// to come. The control drains after the install, and can eat the token of
-// its own completion.
+// is pending already. The first generation's run may abort while it is
+// pending (a fourth party: the store of the run's state, then a token to
+// the same channel), and then its task never completes: a thief that steals
+// it after the store discards it, and one running it may unwind through a
+// join of its own. The joiner's help reads the state
+// before each block and unwinds: it abandons the record with the token in
+// its word, and forks the second generation on a fresh record, in a fresh
+// run; the abandoned record's completer may send its token into the second
+// generation's wait, and so may the abort. So the wait never drains the
+// channel: a token is a reason to look again, and a stale one costs a
+// wake. Checked on top: a joiner whose future has completed never sleeps —
+// it is never blocked on an empty channel with no send left to come — and
+// one whose run aborted is not left asleep. The controls drain: before
+// the install, the parent's shape, which can eat the abort's token, and
+// after it, which can eat the token of its own completion.
 //
 // The lazy path is the private region's (lazy.go): each generation is
 // forked into the joiner's region, uncounted, where its thief cannot take
@@ -77,7 +83,8 @@ const (
 	fjFree                   // joinFree: reset the word (two-word: the channel word) unless the task was called
 	fjFree2                  // two-word only: reset the done flag
 	fjRefork                 // fork the next generation
-	fjDrain                  // token path: take a pending token, if any
+	fjDrain                  // token path, controls only: take a pending token, if any
+	fjHelp                   // token path: help's load of the run's state, before a block
 	fjExpose                 // lazy path: a thief asked; clear the word and Add the private fork
 	fjExposePush             // lazy path: push it
 	fjRelease                // lazy path: the joiner's task ends, releasing itself and its folded calls
@@ -155,6 +162,7 @@ type fmState struct {
 	// aword is that record's word, which its completer goes on to end.
 	aborted bool
 	aword   int8
+	ab      int8 // the first generation's run: 0 live, 1 aborted, 2 and its token sent
 	// The lazy path: priv is the generation whose task sits in the
 	// joiner's private region, uncounted, or 0; want is a thief's request;
 	// refs counts the joiner's scope — the joiner's own task, and each
@@ -174,9 +182,9 @@ type futureModel struct {
 	// freed record, to show what such a step goes on to break. unreset
 	// relists every generation without a reset, a stolen one too.
 	twoWord, ignoreLate, unreset bool
-	// token selects the token path; drainLate, its control, drains after
-	// the install.
-	token, drainLate bool
+	// token selects the token path; drainEarly and drainLate, its
+	// controls, drain before and after the install.
+	token, drainEarly, drainLate bool
 	// lazy selects the private region: each generation is forked private,
 	// and published only when its thief asks. foldPrivate, its control,
 	// folds the call of a private fork into the joiner's release as if it
@@ -187,7 +195,7 @@ type futureModel struct {
 	// both ends of the race for the task, and on the token path a stale
 	// token drained and one that woke the joiner early.
 	blocks, lostInstalls, neverWaited, poppedBack, stolen int
-	staleDrains, staleWakes                               int
+	staleWakes, unwound, discarded                        int
 	privateCalls, exposed                                 int
 }
 
@@ -243,8 +251,15 @@ func (m *futureModel) joinerStep(s fmState) ([]fmState, error) {
 			s.jpc = fjObserve
 		case !s.popped:
 			s.jpc = fjPop
+		case m.token:
+			s.jpc = fjHelp
 		default:
 			s.jpc = fjInstLoad
+		}
+	case fjHelp:
+		s.jpc = fjInstLoad
+		if s.gen == 1 && s.ab > 0 {
+			m.unwind(&s)
 		}
 	case fjExpose:
 		s.want, s.refs = false, s.refs+1
@@ -271,6 +286,11 @@ func (m *futureModel) joinerStep(s fmState) ([]fmState, error) {
 			}
 		}
 	case fjCall:
+		if m.token && s.gen == 1 && s.ab > 0 { // call's gate: the task is discarded
+			m.discarded++
+			m.unwind(&s)
+			break
+		}
 		s.result = s.gen
 		s.jpc = fjObserve
 	case fjInstLoad:
@@ -280,15 +300,12 @@ func (m *futureModel) joinerStep(s fmState) ([]fmState, error) {
 			s.jpc = fjLoad
 		case s.word != 0:
 			s.jch, s.jpc = s.word, fjBlock
-		case m.token && !m.drainLate:
+		case m.token && m.drainEarly:
 			s.jpc = fjDrain
 		default:
 			s.jpc = fjInstCAS
 		}
 	case fjDrain:
-		if s.tok > 0 {
-			m.staleDrains++
-		}
 		s.tok = 0
 		s.jpc = fjInstCAS
 		if m.drainLate {
@@ -327,23 +344,16 @@ func (m *futureModel) joinerStep(s fmState) ([]fmState, error) {
 		}
 	case fjBlock:
 		if s.jch == fmTok {
-			var next []fmState
-			if !s.aborted && s.gen == 1 { // the run's word wakes the joiner, which unwinds
-				n := s
-				n.aborted, n.aword, n.word = true, n.word, 0
-				n.jpc = fjRefork
-				next = append(next, n)
-			}
 			if s.tok == 0 {
-				return next, m.sleeping(s)
+				return nil, m.sleeping(s)
 			}
-			if s.word != fmDone {
+			if s.word != fmDone && (s.gen > 1 || s.ab == 0) {
 				m.staleWakes++
 			}
 			s.tok = 0
 			m.blocks++
 			s.jpc = fjLoad
-			return append(next, s), nil
+			break
 		}
 		if s.closed[s.jch] == 0 {
 			return nil, nil
@@ -401,6 +411,29 @@ func (m *futureModel) joinerStep(s fmState) ([]fmState, error) {
 	return []fmState{s}, nil
 }
 
+// unwind is the joiner's abort in the first generation: it abandons the
+// record, word and all, and goes on to fork the second on a fresh one.
+func (m *futureModel) unwind(s *fmState) {
+	m.unwound++
+	s.aborted, s.aword, s.word = true, s.word, 0
+	s.jpc = fjRefork
+}
+
+// abortStep moves the first generation's run through its abort, while that
+// generation is still pending: the store of the state, then the token.
+func (m *futureModel) abortStep(s fmState) []fmState {
+	switch {
+	case !m.token || s.ab == 2:
+		return nil
+	case s.ab == 0 && (s.gen != 1 || s.word == fmDone || s.called):
+		return nil
+	case s.ab == 1:
+		s.tok = 1
+	}
+	s.ab++
+	return []fmState{s}
+}
+
 // sleeping checks the joiner asleep on its token channel, empty: a send must
 // still be on its way, or the future must be pending.
 func (m *futureModel) sleeping(s fmState) error {
@@ -437,12 +470,23 @@ func (m *futureModel) completerStep(s fmState, g int8) ([]fmState, error) {
 		if s.dq == g {
 			m.stolen++
 			s.dq, c.pc = 0, fcWrite
+			if m.token && g == 1 && s.ab > 0 { // execOrDrop's gate: discarded, never completed
+				m.discarded++
+				c.pc = fcFinished
+			}
 		}
 	case fcWrite:
+		var died []fmState
+		if m.token && g == 1 && s.ab > 0 { // or the running task unwinds through the abort (a Join of its own)
+			n := s
+			n.c[g].pc = fcFinished
+			died = append(died, n)
+		}
 		if !s.aborted || g != 1 { // else the abandoned record's result
 			s.result = g
 		}
 		c.pc = fcPublish
+		return append(died, s), nil
 	case fcPublish:
 		if m.twoWord {
 			s.done = true
@@ -493,13 +537,16 @@ func (m *futureModel) completerStep(s fmState, g int8) ([]fmState, error) {
 }
 
 // explorer searches over the parties: 0 the joiner, g generation g's
-// completer.
+// completer, and on the token path the first generation's abort.
 func (m *futureModel) explorer() *explorer[fmState] {
 	return &explorer[fmState]{
-		actors: fmGens + 1,
+		actors: fmGens + 2,
 		step: func(s fmState, party int) ([]fmState, error) {
-			if party == 0 {
+			switch {
+			case party == 0:
 				return m.joinerStep(s)
+			case party > fmGens:
+				return m.abortStep(s), nil
 			}
 			return m.completerStep(s, int8(party))
 		},
@@ -530,15 +577,23 @@ func TestFutureModelExhaustive(t *testing.T) {
 }
 
 // The token path: joinFree's joiner blocks on its worker's token channel,
-// which the completer of a record abandoned by an abort may send to while
-// the joiner waits for its next fork.
+// which its run's abort sends to, and so may the completer of a record an
+// abort made it abandon, while it waits for its next fork.
 func TestFutureModelToken(t *testing.T) {
 	m := &futureModel{token: true}
 	m.explorer().verify(t, m.initial())
-	if m.blocks == 0 || m.lostInstalls == 0 || m.neverWaited == 0 || m.staleDrains == 0 || m.staleWakes == 0 {
-		t.Fatalf("the search reached %d blocked joins, %d installs lost to the Swap, %d joins that never waited, %d stale tokens drained and %d early wakes; want some of each",
-			m.blocks, m.lostInstalls, m.neverWaited, m.staleDrains, m.staleWakes)
+	if m.blocks == 0 || m.lostInstalls == 0 || m.neverWaited == 0 || m.staleWakes == 0 || m.unwound == 0 || m.discarded == 0 {
+		t.Fatalf("the search reached %d blocked joins, %d installs lost to the Swap, %d joins that never waited, %d early wakes, %d unwound joins and %d discarded tasks; want some of each",
+			m.blocks, m.lostInstalls, m.neverWaited, m.staleWakes, m.unwound, m.discarded)
 	}
+}
+
+// The token path's control of the parent's shape: a joiner that drains its
+// channel before the install may take the abort's token, sent after its
+// help read the run live, and then sleep on a fork its thief discards.
+func TestFutureModelCatchesDrainBeforeInstall(t *testing.T) {
+	m := &futureModel{token: true, drainEarly: true}
+	m.explorer().refute(t, m.initial())
 }
 
 // The lazy path: each generation is forked into the joiner's private

@@ -98,24 +98,25 @@ func (g *Group) Wait(w *Worker) {
 	r := w.currentRun()
 	for g.pending.Load() > 0 {
 		if w.help(r) {
-			g.block(r)
+			g.block(w, r)
 		}
 	}
 }
 
-// block parks the waiter until the group empties or r ends; Wait's loop
-// re-checks pending and the abort, so a wake meant for an earlier
-// generation is harmless.
+// block parks the waiter w until the group empties or r ends (abortCh);
+// Wait's loop re-checks pending and the abort, so a wake meant for an
+// earlier generation is harmless.
 //
 //abp:handshake store=waitChan load=pending
-func (g *Group) block(r *run) {
+func (g *Group) block(w *Worker, r *run) {
 	ch := g.ch.waitChan()
 	if g.pending.Load() == 0 {
 		return
 	}
+	abort := w.abortCh(r)
 	select {
 	case <-ch:
-	case <-r.h.done.waitChan():
+	case <-abort:
 	}
 }
 

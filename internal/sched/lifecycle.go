@@ -11,10 +11,10 @@
 // per-worker token channel. Spawn and Submit wake one idle worker whenever
 // they make new work available.
 //
-// To park, the worker moves its status word from running to idle (pool.go
-// has the word's diagram), counts itself in Pool.idle, re-checks for work,
-// and only then blocks, selecting on its wake token and the session's quit
-// channel.
+// To park, the worker numbers the sleep (Worker.sleep), moves its status
+// word from running to idle (pool.go has the word's diagram), counts itself
+// in Pool.idle, re-checks for work, and only then blocks on its token
+// channel, the one thing every sleep of a worker waits on.
 //
 // Lost-wakeup freedom is the usual Dekker argument over Go's sequentially
 // consistent atomics: a producer publishes work (an atomic store inside the
@@ -23,19 +23,22 @@
 // the count and then re-scans the injector and every deque. Whichever order
 // the two interleave in, one side must observe the other, so work published
 // while a worker is going to sleep either earns that worker a wake token or
-// is seen by its pre-block re-check. Spurious wake tokens are harmless (the
-// worker scans, finds nothing, and goes back to sleep); only lost ones
-// would be fatal. status_model_test.go explores the protocol, Resize's
-// edges of the word included, and catches the re-check moved ahead of the
-// publication.
+// is seen by its pre-block re-check. A token carries the number of the
+// sleep it was sent for, and only that sleep ends on it as a wake. Any
+// other token — an earlier sleep's, from a signalWork preempted between its
+// load of the word and its send, or a Resize's or endSession's — makes the
+// sleeper re-check its phase, its word and the work, which covers what such
+// a token, or one it kept out of the full channel, stood for.
+// status_model_test.go explores the protocol, Resize's edges of the word
+// and the session's end included, and catches the re-check moved ahead of
+// the publication and a sleep that ends on an earlier sleep's token.
 //
 // Termination needs no flag-spinning either: the session teardown
-// (Pool.endSession) closes the session's quit channel, waking every
-// parked or retired worker at once so the pool shuts down cleanly — the
-// stopping phase is only the loop-exit condition, never a spin target. A
-// retired worker's sleep (sleepRetired, resize.go) is the second on the same
-// two channels, and no part of the handshake: it is nobody's wake target,
-// and only the grow that stored running sends its token.
+// (Pool.endSession) stores the stopping phase and then leaves a token for
+// every slot, so each parked or retired worker wakes, reads the phase and
+// leaves. A retired worker's sleep (sleepRetired, resize.go) is the second
+// on the same channel, and no part of the handshake: it is nobody's wake
+// target, and only a grow and the session's end send its token.
 //
 // The paper's yield discipline is preserved where it matters: in the hot
 // phase (below the threshold) a thief still calls runtime.Gosched between
@@ -152,21 +155,23 @@ func (w *Worker) idleWait(fails int) bool {
 
 // park blocks the worker until signalled and reports whether it was woken
 // by a work signal. It is the consumer half of the Dekker protocol with
-// signalWork: publish the idle status and count, then re-check for work,
-// and only then sleep on the wake token. The handshake directive makes
-// abplint verify that ordering: the status CAS must dominate the
-// anyVisibleWork re-scan, and every access to the word must be atomic. The
-// entry CAS fails only against a retire mark: a marked worker does not fall
-// asleep, its loop retires it. The exit CAS fails only against one set
-// during the sleep, by a Resize that also sent a token: whatever ended the
-// select, that sleep ends as a wake does, at the loop top, which acts on
-// the mark. An exit CAS that succeeds drops a pending token instead. The
-// session quit channel (closed by endSession) bounds every sleep at
-// shutdown.
+// signalWork: number the sleep, publish the idle status and count, then
+// re-check for work, and only then sleep on the wake token. The handshake
+// directive makes abplint verify that ordering: the status CAS must
+// dominate the anyVisibleWork re-scan, and every access to the word must be
+// atomic. The entry CAS fails only against a retire mark: a marked worker
+// does not fall asleep, its loop retires it. The sleep ends on a token sent
+// for it; any other token ends it only if the re-check it makes then finds
+// a reason — the session's end, a retire mark, work. The exit CAS fails
+// only against a mark set during the sleep: that sleep ends as a wake does,
+// at the loop top, which acts on the mark. Nothing drops a token left in
+// the channel at the exit: it is no later sleep's, and the next sleep
+// re-checks past it.
 //
 //abp:handshake store=status load=anyVisibleWork
 func (w *Worker) park() bool {
 	p := w.pool
+	n := w.sleep.Add(1)
 	if !w.status.CompareAndSwap(workerRunning, workerIdle) {
 		return false
 	}
@@ -180,26 +185,19 @@ func (w *Worker) park() bool {
 		// arriving now must find the worker signallable, and a shutdown
 		// must still wake it.
 		fault.Point(fpParkBeforeSleep)
-		select {
-		case <-w.parkCh:
-			w.wakes.Add(1)
-			woke = true
-		case <-p.sess.quit: // session shutdown: run ended, Serve stopping, or abort
+		for {
+			if <-w.parkCh == n {
+				w.wakes.Add(1)
+				woke = true
+				break
+			}
+			if p.phase.Load() == phaseStopping || w.status.Load() != workerIdle || w.anyVisibleWork() {
+				break
+			}
 		}
 	}
 	if !w.status.CompareAndSwap(workerIdle, workerRunning) {
 		woke = true
-	} else {
-		// A token still in the channel was sent by a signalWork that read
-		// this worker idle after it was woken, or while its re-check saw
-		// the work, and before the CAS above. The work it stood for is this
-		// running worker's to find, and the next park's re-check sees
-		// whatever is left of it; left in the channel, the token would end
-		// that park at once, for a full set of hot rounds.
-		select {
-		case <-w.parkCh:
-		default:
-		}
 	}
 	p.idle.Add(-1)
 	return woke
@@ -227,24 +225,32 @@ func (p *Pool) signalWork() {
 	start := int((p.wakeRR.Add(1) - 1) % uint32(n))
 	for i := 0; i < n; i++ {
 		w := p.workers[(start+i)%n]
+		// The sleep number is loaded first: a status that reads idle then
+		// belongs to that sleep, or to a later one whose re-check comes
+		// after this signal's push, and which its token does not end.
+		sleep := w.sleep.Load()
 		// A retiring worker reads retiring, never idle, so no token goes to
 		// a wake that would end in retirement rather than work; one marked
 		// after its token was sent passes the baton on (retire, resize.go).
 		if w.status.Load() == workerIdle {
-			w.wake()
+			w.wake(sleep)
 			return
 		}
 	}
 }
 
 // wake leaves a token for the worker's sleep — park's or sleepRetired's — to
-// end on. The channel has capacity one, so a token sent to a worker with one
-// pending is absorbed rather than lost, and the send can never block.
+// end on: sleep is the number of the park it is for, or 0 for Resize's and
+// endSession's tokens, which a park re-checks on (0 numbers a park only
+// when the count wraps, and then such a token wakes it for nothing). The
+// channel has capacity one, so a token sent to a worker with one pending is
+// absorbed rather than lost — the pending one makes the sleeper look — and
+// the send can never block.
 //
 //abp:nonblocking
-func (w *Worker) wake() {
+func (w *Worker) wake(sleep uint32) {
 	select {
-	case w.parkCh <- struct{}{}:
+	case w.parkCh <- sleep:
 	default:
 	}
 }

@@ -305,10 +305,7 @@ func TestStatsString(t *testing.T) {
 // woke worker 0 every single time while the rest slept cold. The rotating
 // cursor spreads wakes; this test submits one task per fully-parked
 // round and asserts the wakes land on (nearly) the whole fleet. The
-// tolerance of one worker absorbs a token sent by a signaller that read a
-// worker idle just before that worker left its park — its re-check saw the
-// submission — and sent after the exit had dropped what was pending: the
-// worker's next park then takes it in place of the rotation's choice.
+// tolerance of one worker is slack for a wake that lands off the rotation.
 func TestSignalWorkWakeFairness(t *testing.T) {
 	const workers = 4
 	p := New(Config{Workers: workers, ParkThreshold: 2})
@@ -349,20 +346,30 @@ func TestSignalWorkWakeFairness(t *testing.T) {
 
 // A parked worker woken by a burst of spawns is the target of every
 // signalWork that reads it idle before it runs again: the first spawn's
-// token wakes it, and the second finds the channel empty and leaves one
-// there. Unless park's exit drops that token, the worker's next park ends
-// on it at once — a wake with no work, and a second park, for one burst.
+// token wakes it, and a later one, sent into the channel the wake emptied
+// — before the worker's exit, or after it by a signaller preempted between
+// its load of the status and its send — is a token for a sleep that has
+// ended. Unless the worker's next park tells that token from its own (the
+// sleep number it carries), it ends at once — a wake with no work, and a
+// second park, for one burst. Each task of the burst waits for the whole
+// burst to be pushed, so the woken worker's hot rounds cannot run out
+// between two spawns, which would be a wake per spawn, each with work.
 func TestWokenWorkerBlocksAtNextPark(t *testing.T) {
 	p := New(Config{Workers: 2})
 	var ran atomic.Int64
+	var pushed atomic.Bool
 	p.Run(func(w *Worker) {
 		other := p.workers[1-w.id]
 		spinUntil(t, "the other worker to park", func() bool { return isIdle(other) && other.parks.Load() > 0 })
 		time.Sleep(5 * time.Millisecond) // past the re-check, into the select
 		parks, wakes := other.parks.Load(), other.wakes.Load()
 		for i := 0; i < 4; i++ {
-			w.Spawn(func(*Worker) { ran.Add(1) })
+			w.Spawn(func(*Worker) {
+				spinUntil(t, "the whole burst to be pushed", pushed.Load)
+				ran.Add(1)
+			})
 		}
+		pushed.Store(true)
 		spinUntil(t, "the woken worker to run the burst and park again", func() bool {
 			return ran.Load() == 4 && isIdle(other) && other.parks.Load() > parks
 		})

@@ -8,11 +8,12 @@ import (
 // This file model-checks the session phase word (pool.go, serve.go,
 // drain.go) and the holds of the run record on the explorer of
 // model_test.go. The actors: a Submit (gate load, register, push, re-load,
-// let go); two Drains (the CAS with the look at the registry — one critical
-// section, as in Drain — then the wait for the run it saw there to end,
-// which its deadline may cut short at any time, and the read of how the run
-// ended); a Serve that stops at any time — its context may be cancelled,
-// which covers the stop a Drain asks for — and starts once more; a worker
+// let go); two Drains (the CAS with the look at the registry and the read
+// of the session's number — one critical section, as in Drain — then the
+// wait for the run it saw there to end, which its deadline may cut short at
+// any time, the read of how the run ended, and the stop it asks for); a
+// Serve that stops at any time — its context may be cancelled, which covers
+// the stop a Drain asks for — and starts once more; a worker
 // that pops the submission and ends it; the submission's context; and a
 // second Submit, which takes the first one's record once every holder has
 // let it go. Checked on every path:
@@ -23,6 +24,8 @@ import (
 //   - a handle that was out and standing at a Drain's CAS is completed,
 //     never aborted, if that Drain reports success;
 //   - a Submit that returns an error never leaves a completed run;
+//   - a Drain's stop lands in the session it drained or nowhere: never in
+//     the next one, which a stop that took no session number may reach;
 //   - every finish of the run, and every read of how it ended, is made by
 //     a current holder of its record — so never on a record the second
 //     Submit has taken;
@@ -55,7 +58,7 @@ const (
 type pmState struct {
 	phase   uint32
 	pc      [4]int8 // steps taken by: the Submit, the two Drains, Serve
-	sess    int8    // session records published so far; the live one is the last
+	sess    int8    // sessions started so far (Pool.gen); the live one is the last
 	workers bool    // the live session's workers exist
 	// The submission: its record made, in the registry, its root in the
 	// injector, its handle returned to the caller — or an error — its
@@ -64,8 +67,14 @@ type pmState struct {
 	out                       int8
 	// Its context: the watcher is armed, the context cancelled.
 	armed, cancelled bool
-	// Per session record (Serve runs twice): the Drains that won it.
-	wins [3]int8
+	// Per session (Serve runs twice): the Drains that won it, and whether
+	// it was marked stopped — by a Drain's stop, or by endSession.
+	wins    [3]int8
+	stopped [3]bool
+	// Per Drain: the session whose number its CAS read, and whether it
+	// goes on to ask for the stop.
+	gen  [2]int8
+	asks [2]bool
 	// Per Drain: whether its look found the run in the registry — the run
 	// it then waits for — and whether a handle was out and standing at its
 	// CAS.
@@ -84,10 +93,11 @@ type phaseModel struct {
 	// Drain takes the end of the run it waited for as its completion; a
 	// Submit that reads draining reports ErrDraining even for a run a worker
 	// completed (the parent's branch); the Submit lets go at its push,
-	// before its re-load; a look at the registry takes no hold.
-	noReload, armFirst, noOutcomeRead, rejectCompleted, letAtPush, lookWithoutHold bool
+	// before its re-load; a look at the registry takes no hold; a Drain's
+	// stop names no session, and stops whichever is live.
+	noReload, armFirst, noOutcomeRead, rejectCompleted, letAtPush, lookWithoutHold, noGen bool
 	// What the search came across, so the test can tell what it covered.
-	accepted, selfRejected, lateAccepted, won, lost, okDrains, stoppedDrains, sweepAborts, cancelAborts, reuses int
+	accepted, selfRejected, lateAccepted, won, lost, okDrains, stoppedDrains, sweepAborts, cancelAborts, reuses, staleStops int
 }
 
 // pmEdges is the diagram above the phase constants in pool.go.
@@ -243,6 +253,7 @@ func (m *phaseModel) step(s pmState, a int) ([]pmState, error) {
 				break
 			}
 			m.won++
+			s.gen[d] = s.sess
 			err = s.move(phaseDraining)
 			s.saw[d], s.covered[d] = s.reg, s.handle && (s.out == pmLive || s.out == pmCompleted)
 			if s.reg && !m.lookWithoutHold {
@@ -257,6 +268,7 @@ func (m *phaseModel) step(s pmState, a int) ([]pmState, error) {
 				s.holds &^= hDrain << d
 			}
 			if s.saw[d] && s.out == pmLive {
+				s.asks[d] = true
 				break
 			}
 			if s.saw[d] && s.out == pmStopped && !m.noOutcomeRead { // a stop ended the run: ErrNotServing
@@ -264,9 +276,27 @@ func (m *phaseModel) step(s pmState, a int) ([]pmState, error) {
 				break
 			}
 			m.okDrains++
+			s.asks[d] = true
 			if s.covered[d] && s.out != pmCompleted && s.out != pmCancelled {
 				err = fmt.Errorf("a Drain reports success, and the handle that was out at its CAS ended %d", s.out)
 			}
+		case 2: // stopWith: a no-op unless the session it names is live and not yet stopped
+			if !s.asks[d] {
+				return nil, nil
+			}
+			s.asks[d] = false
+			gen := s.gen[d]
+			if m.noGen {
+				gen = s.sess
+			}
+			if gen != s.sess || s.stopped[gen] {
+				m.staleStops++
+				break
+			}
+			if gen != s.gen[d] {
+				err = fmt.Errorf("a Drain of session %d stopped session %d", s.gen[d], gen)
+			}
+			s.stopped[gen] = true
 		default:
 			return nil, nil
 		}
@@ -279,7 +309,8 @@ func (m *phaseModel) step(s pmState, a int) ([]pmState, error) {
 			s.sess, s.workers = s.sess+1, true
 		case 2:
 			err = s.move(phaseServing)
-		case 3:
+		case 3: // mark the session stopped, and store stopping
+			s.stopped[s.sess] = true
 			err = s.move(phaseStopping)
 		case 4: // the look at the registry
 			if s.stopSaw = s.reg; s.reg && !m.lookWithoutHold {
@@ -290,7 +321,7 @@ func (m *phaseModel) step(s pmState, a int) ([]pmState, error) {
 				err = s.finish(hStop, pmStopped)
 				s.stopSaw, s.holds = false, s.holds&^hStop
 			}
-		case 6: // quit, join, sweep
+		case 6: // the tokens, join, sweep
 			s.workers = false
 			err = m.sweep(&s)
 		case 7:
@@ -324,7 +355,7 @@ func TestPhaseModelExhaustive(t *testing.T) {
 	m := &phaseModel{}
 	m.explorer().verify(t, pmState{})
 	if m.accepted == 0 || m.selfRejected == 0 || m.lateAccepted == 0 || m.won == 0 || m.lost == 0 || m.okDrains == 0 ||
-		m.stoppedDrains == 0 || m.sweepAborts == 0 || m.cancelAborts == 0 || m.reuses == 0 {
+		m.stoppedDrains == 0 || m.sweepAborts == 0 || m.cancelAborts == 0 || m.reuses == 0 || m.staleStops == 0 {
 		t.Fatalf("the search covered %+v; want some of each", *m)
 	}
 	t.Logf("covered %+v", *m)
@@ -367,4 +398,11 @@ func TestPhaseModelCatchesLetAtPush(t *testing.T) {
 // completed and let go before the look's finish or its read of the outcome.
 func TestPhaseModelCatchesLookWithoutHold(t *testing.T) {
 	(&phaseModel{lookWithoutHold: true}).explorer().refute(t, pmState{})
+}
+
+// The negative control of the session's number: a Drain whose stop names no
+// session, held up until its own session has ended and the next has
+// started, stops that one.
+func TestPhaseModelCatchesStaleDrainStop(t *testing.T) {
+	(&phaseModel{noGen: true}).explorer().refute(t, pmState{})
 }

@@ -154,12 +154,11 @@ func (fn taskFunc) runTask(w *Worker) { fn(w) }
 // sequence — or start the service engine with Serve and feed it with
 // Submit from any goroutine (serve.go). Either way the pool hosts one
 // session at a time: the workers, from startSession to endSession. What is
-// true of the session that is live right now is two fields — phase, the
-// one word that says how far it has got, and sess, the record of what
-// lives exactly as long as its workers do — and everything else here
-// outlives sessions. Overlapping Run/RunContext/Serve calls fail the
-// entry CAS on phase and panic with a clear error rather than corrupting
-// the session.
+// true of the session that is live right now is phase, the one word that
+// says how far it has got, and the fields that say whether it was asked to
+// stop (gen, stopped, cause); everything else here outlives sessions.
+// Overlapping Run/RunContext/Serve calls fail the entry CAS on phase and
+// panic with a clear error rather than corrupting the session.
 type Pool struct {
 	cfg     Config // New's argument with every default filled in
 	workers []*Worker
@@ -222,12 +221,22 @@ type Pool struct {
 	runMu  sync.Mutex
 	active *run
 
-	// sess is the live session's record, or the last one's between
-	// sessions (nil before the first). startSession replaces it holding
-	// runMu, which Drain reads it under. The session's own goroutines read
-	// it without — the go statements that start them are after the write,
-	// and the next write is after endSession has joined them.
-	sess *session
+	// Also under runMu: gen numbers the sessions startSession has begun,
+	// and stopped and cause say whether session gen was asked to stop, and
+	// with what (stopWith). The session's own goroutines read gen without
+	// the lock: the go statements that start them come after the write,
+	// and the next write after endSession has joined them.
+	gen     uint64
+	stopped bool
+	cause   any
+	// The capacity-1 token channels New makes for a session's controller
+	// (stopWith and a Run's end send to it; a Run's controller installs ctl
+	// in the batch Handle's word) and its watchdog (endSession's).
+	ctl   *chan struct{}
+	dogCh chan struct{}
+	// batch is the Handle of a Run's submission, the pool's own: RunContext
+	// resets it and endSession reads its outcome before the phase is idle.
+	batch Handle
 }
 
 // The session phases, stored in Pool.phase:
@@ -249,29 +258,20 @@ const (
 	phaseStopping               // endSession: workers exit, in-flight submissions abort
 )
 
-// session is what lives exactly as long as one session's workers do, made
-// by startSession. Its channels are the two halves of a session's end: stop
-// asks the controller (Run's or Serve's select) to bring the session down,
-// quit is the controller, in endSession, telling everybody else that it is.
-type session struct {
-	// stop is closed by the first stopWith, after it wrote cause: the panic
-	// value of what failed — a worker loop (engineFail), a task of a Run — or
-	// nil: a finished Drain's stop, or endSession's own.
-	stop     chan struct{}
-	stopOnce sync.Once
-	cause    any
-	// quit is closed by endSession: it wakes every worker asleep — parked
-	// or retired — stops the watchdog and releases a Drain.
-	quit chan struct{}
-}
-
-// stopWith asks the session's controller to bring it down. First caller
-// wins: a later cause is dropped, as a run's later abort is (finish).
-func (s *session) stopWith(cause any) {
-	s.stopOnce.Do(func() {
-		s.cause = cause
-		close(s.stop)
-	})
+// stopWith asks the controller of session gen to bring it down, unless
+// that session has ended or was asked already: a later cause is dropped, as
+// a run's later abort is (finish). cause is the panic value of what failed
+// — a worker loop (engineFail), a task of a Run — or nil: a Drain's stop.
+func (p *Pool) stopWith(gen uint64, cause any) {
+	p.runMu.Lock()
+	if gen == p.gen && !p.stopped {
+		p.stopped, p.cause = true, cause
+		select {
+		case *p.ctl <- struct{}{}:
+		default:
+		}
+	}
+	p.runMu.Unlock()
 }
 
 // The worker statuses, stored in Worker.status — the one word that says
@@ -361,9 +361,13 @@ type Worker struct {
 	// Resize and the worker arbitrate retirement on, hence sc. Every
 	// producer's signalWork scans it, so it has a cache line to itself:
 	// neither the owner-hot block above nor the wiring below, which every
-	// thief reads, may share the line the whole pool polls.
+	// thief reads, may share the line the whole pool polls. sleep numbers
+	// the worker's parks (park adds one before its entry CAS), for the
+	// tokens signalWork sends (lifecycle.go); its Add is another line's.
 	_      atomicx.CacheLinePad
 	status atomicx.SCUint32
+	_      atomicx.CacheLinePad
+	sleep  atomicx.SCUint32
 	_      atomicx.CacheLinePad
 	// wantWork is a thief's request that the owner publish its region: set
 	// by a steal that missed this worker's empty public part, read by the
@@ -382,8 +386,8 @@ type Worker struct {
 	id     int
 	dq     deque.Dequer[Task]
 	rng    *rand.Rand    // victim selection; nil on the caller-runs worker (stealOnce)
-	parkCh chan struct{} // capacity-1 wake token (lifecycle.go)
-	joinCh chan struct{} // capacity-1 wake token of a blocked joinFree (future.go)
+	parkCh chan uint32   // capacity-1 wake token, carrying the sleep it was sent for (lifecycle.go)
+	joinCh chan struct{} // capacity-1 wake token of a blocked join: its future's end, its run's abort (future.go)
 	loopFn func()        // loop as a method value, so startSession's go statement allocates nothing
 }
 
@@ -420,9 +424,12 @@ func New(cfg Config) *Pool {
 	if seed == 0 {
 		seed = 0x5EED
 	}
+	ctl := make(chan struct{}, 1)
 	p := &Pool{
 		cfg:    cfg,
 		inject: newInjector(cfg.InjectorCapacity),
+		ctl:    &ctl,
+		dogCh:  make(chan struct{}, 1),
 	}
 	if cfg.ParkThreshold == 0 {
 		// The one default a worker goroutine reads, so it is written through
@@ -438,7 +445,7 @@ func New(cfg Config) *Pool {
 			id:     i,
 			dq:     deque.NewWithCapacity[Task](cfg.DequeCapacity),
 			rng:    rand.New(rand.NewSource(seed + int64(i)*1_000_003)),
-			parkCh: make(chan struct{}, 1),
+			parkCh: make(chan uint32, 1),
 			joinCh: make(chan struct{}, 1),
 		}
 		w.loopFn = w.loop
@@ -487,8 +494,10 @@ func (p *Pool) RunContext(ctx context.Context, root func(*Worker)) error {
 		ctx = context.Background()
 	}
 	p.enter("Run/RunContext")
-	r := newRun(p, root)
-	h := r.h
+	h := &p.batch
+	h.done.p.Store(nil)
+	h.err = nil
+	r := newRun(p, root, h)
 	p.register(r)
 	if err := ctx.Err(); err != nil {
 		// Already cancelled: abort before any worker starts, so the root
@@ -497,23 +506,22 @@ func (p *Pool) RunContext(ctx context.Context, root func(*Worker)) error {
 	} else {
 		r.watch(ctx)
 	}
-	s := p.startSession(&r.root)
+	p.startSession(&r.root)
 	r.let() // the caller's hold: from here on it reads only the Handle
 	// The run ends — every task executed, or the submission aborted by a
 	// panic or a cancellation — or a worker loop dies (engineFail), and the
 	// session comes down: by then the run has ended, if only by endSession's
-	// abort. A task panic stops the session as a failed loop does, so that
-	// endSession re-raises it; whenever the run ended in a panic, the
-	// session's cause is one, so only a run that did not gets to return.
-	select {
-	case <-h.done.waitChan():
+	// abort. Both send the controller's token, the run's end through the
+	// Handle's word. A task panic stops the session as a failed loop does,
+	// so that endSession re-raises it; whenever the run ended in a panic,
+	// the session's cause is one, so only a run that did not gets to return.
+	<-h.done.waitToken(p.ctl)
+	if h.done.isDone() {
 		if pe, ok := h.err.(PanicError); ok {
-			s.stopWith(pe.Value)
+			p.stopWith(p.gen, pe.Value)
 		}
-	case <-s.stop:
 	}
-	p.endSession(s)
-	return h.Err()
+	return p.endSession()
 }
 
 // enter claims the pool for a new session: the CAS out of idle that only
@@ -524,7 +532,7 @@ func (p *Pool) enter(api string) {
 	}
 }
 
-// startSession makes the session record, sweeps what raced the previous
+// startSession numbers the session, sweeps what raced the previous
 // session's stop (a Submit that pushed after the end sweep), so stale work
 // can neither execute in the new session nor corrupt its accounting,
 // delivers the batch API's root (if any), and forks the session's
@@ -547,8 +555,7 @@ func (p *Pool) enter(api string) {
 // like a submission's.
 //
 //abp:owner quiescent phase: workers have not been started yet
-func (p *Pool) startSession(root *Task) *session {
-	s := &session{stop: make(chan struct{}), quit: make(chan struct{})}
+func (p *Pool) startSession(root *Task) {
 	p.drainByRun()
 	// A restarted Serve behaves like a fresh pool: it does not inherit the
 	// previous session's wake-scan position (the Serve→Stop→Serve
@@ -558,7 +565,8 @@ func (p *Pool) startSession(root *Task) *session {
 		panic("sched: a swept deque and the swept injector both refused the root")
 	}
 	p.runMu.Lock()
-	p.sess = s
+	p.gen++
+	p.stopped, p.cause = false, nil
 	p.runMu.Unlock()
 	// Store every status word and the victim range afresh from the target
 	// and fork one loop per slot, all under resizeMu: a concurrent Resize
@@ -566,8 +574,8 @@ func (p *Pool) startSession(root *Task) *session {
 	// after (it finds the goroutines it wakes). The words need the store: a
 	// shrink the previous session did not live to complete — or one made
 	// between sessions — left its suffix retiring. Every goroutine of the
-	// session holds a slot of wg and leaves on quit (the workers: on the
-	// stopping phase quit wakes them to see).
+	// session holds a slot of wg and leaves on a token of endSession's (the
+	// workers: on the stopping phase the token wakes them to see).
 	p.resizeMu.Lock()
 	for i, w := range p.workers {
 		if i < p.target {
@@ -583,51 +591,60 @@ func (p *Pool) startSession(root *Task) *session {
 	}
 	if p.cfg.StallTimeout > 0 {
 		p.wg.Add(1)
-		go p.watchdog(s.quit)
+		go p.watchdog()
 	}
 	p.resizeMu.Unlock()
-	return s
 }
 
-// endSession is the one teardown: it stops the session if nothing has yet
-// — which is also what lets it read the cause — closes admission and tells
-// the workers to leave (the stopping phase), aborts whatever is still in
-// flight — with the cause if the session is ending in a panic, else
-// ErrStopped; first abort wins, so a cause a run recorded earlier is
-// preserved, and after a Run or a completed Drain the set is already empty
-// — wakes every sleeper (quit), joins the session's goroutines, sweeps, and
+// endSession is the one teardown: it marks the session stopped — which is
+// also what lets it read the cause — closes admission and tells the
+// workers to leave (the stopping phase), aborts whatever is still in flight
+// — with the cause if the session is ending in a panic, else ErrStopped;
+// first abort wins, so a cause a run recorded earlier is preserved, and
+// after a Run or a completed Drain the set is already empty — leaves a
+// token for every slot and the watchdog, after the store of stopping that a
+// sleeper it wakes must read (status_model_test.go sends them first and
+// finds one asleep for good), joins the session's goroutines, sweeps, and
 // returns the pool to idle. A non-nil cause — a task panic of a Run, a
 // worker-loop failure of either API — is re-raised once the pool is
-// reusable. This is the only place the registry is aborted.
+// reusable; else endSession returns the batch Handle's outcome, a Run's.
+// This is the only place the registry is aborted.
 //
 // The sweep rule: every session ends swept — the deques and the injector
 // hold nothing when the pool is idle, but for what a Submit that lost its
 // race with the stop pushes afterwards, which startSession's sweep is for.
-func (p *Pool) endSession(s *session) {
-	s.stopWith(nil)
-	<-s.stop // closed by now, after the write of cause that is read below
-	p.phase.Store(phaseStopping)
-	state, err := runCancelled, error(ErrStopped)
-	if s.cause != nil {
-		state, err = runPanicked, PanicError{Value: s.cause}
-	}
+func (p *Pool) endSession() error {
 	p.runMu.Lock()
+	p.stopped = true
+	cause := p.cause
+	p.phase.Store(phaseStopping)
 	rs := p.inFlight()
 	p.runMu.Unlock()
+	state, err := runCancelled, error(ErrStopped)
+	if cause != nil {
+		state, err = runPanicked, PanicError{Value: cause}
+	}
 	for _, r := range rs {
 		r.finish(state, err)
 		r.let()
 	}
-	close(s.quit)
+	for _, w := range p.workers {
+		w.wake(0)
+	}
+	if p.cfg.StallTimeout > 0 {
+		p.dogCh <- struct{}{} // the watchdog's one token: empty since the last session's took it
+	}
 	p.wg.Wait()
 	for _, w := range p.workers {
 		w.dropRegion()
 	}
 	p.drainByRun()
+	batch := p.batch.Err()
 	p.phase.Store(phaseIdle)
-	if s.cause != nil {
-		panic(s.cause)
+	if cause != nil {
+		panic(cause)
 	}
+	return batch
 }
 
 // drainByRun is the quiescent-phase sweep (endSession states the rule): it
@@ -637,7 +654,8 @@ func (p *Pool) endSession(s *session) {
 // only belong to aborted submissions (a completed one has, by the scope
 // invariant, no tasks left anywhere); the one a Submit pushed so late that
 // no abort sweep saw its run is aborted here, so its Handle reports
-// ErrStopped instead of waiting on a task nobody holds.
+// ErrStopped instead of waiting on a task nobody holds. It also drops the
+// tokens left behind: each slot's, and the controller's.
 //
 //abp:owner quiescent phase: every worker has exited before the sweep
 func (p *Pool) drainByRun() {
@@ -652,6 +670,10 @@ func (p *Pool) drainByRun() {
 		case <-w.parkCh:
 		default:
 		}
+	}
+	select {
+	case <-*p.ctl:
+	default:
 	}
 }
 

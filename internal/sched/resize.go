@@ -89,7 +89,7 @@ func (p *Pool) Resize(n int) error {
 				s = w.status.Load()
 			}
 			if s == workerIdle {
-				w.wake()
+				w.wake(0) // no sleep's number: the park re-checks, and reads the mark
 			}
 		}
 		p.trimVictims()
@@ -112,7 +112,7 @@ func (p *Pool) Resize(n int) error {
 		// when the token wakes it, and one that read retired would sleep on
 		// (status_model_test.go sends the token first and finds that).
 		w.status.Store(workerRunning)
-		w.wake()
+		w.wake(0)
 	}
 	return nil
 }
@@ -172,15 +172,11 @@ func (w *Worker) retire() {
 }
 
 // sleepRetired is where a retired slot's goroutine waits: for the token of
-// the grow that stored running, or for the session to end. The loop re-reads
-// the status word after either, so a stale token — a shrink's, sent to a
-// sleep that had ended by itself — sleeps again.
-func (w *Worker) sleepRetired() {
-	select {
-	case <-w.parkCh:
-	case <-w.pool.sess.quit:
-	}
-}
+// the grow that stored running, or of the session's end, which stored
+// stopping. The loop re-reads the phase and the status word after any
+// token, so a stale one — a shrink's, or a signalWork's sent to a park that
+// had ended by itself — sleeps again.
+func (w *Worker) sleepRetired() { <-w.parkCh }
 
 // republish hands one drained task back through the injector (offer). The
 // task leaves this worker for good, so it goes out in the scope a thief

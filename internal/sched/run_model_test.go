@@ -8,14 +8,15 @@ import (
 // This file model-checks how a run record ends (serve.go: finish, outcome;
 // pool.go: help) on the explorer of model_test.go, with the completion
 // word's steps of future_model_test.go (mWord). The actors: a joiner of the
-// submission, about to block on a future that may or may not arrive; a
-// Handle waiter; a completer, which can start only once the joiner has returned —
-// a live joiner is a task of the submission, so the root scope cannot empty
-// under it — and an aborter, racing the completer through finishOnce.
-// Checked on every path:
+// submission, about to block on its worker's token channel (joinCh) for a
+// future that may or may not arrive; a Handle waiter, on the run's word; a
+// completer, which can start only once the joiner has returned — a live
+// joiner is a task of the submission, so the root scope cannot empty under
+// it — and an aborter, racing the completer through finishOnce, whose
+// finish ends with a token for the joiner's worker. Checked on every path:
 //
 //   - no channel is closed twice, and at quiescence nobody is left blocked;
-//   - a joiner woken through the run's word reads a state that is not live;
+//   - a joiner woken by the abort's token reads a state that is not live;
 //   - whoever reads the outcome reads the one finishOnce's winner wrote:
 //     the read is ordered after the write.
 
@@ -27,13 +28,13 @@ const (
 	rmOnceDone int8 = -1
 )
 
-// The steps of a waiter — the joiner's block and Handle.Wait share them —
-// and of a finisher.
+// The steps of a waiter — the joiner's block (rwState, rwBlock) and
+// Handle.Wait share them — and of a finisher.
 const (
 	rwLoad    int8 = iota // waitChan: load the word
 	rwCAS                 // waitChan: install a channel against nil
-	rwBlock               // blocked on the channel in hand
-	rwState               // joiner only: help's load of state, after a block
+	rwBlock               // blocked on the channel in hand; the joiner on its token channel
+	rwState               // joiner only: help's load of state, before a block
 	rwOutcome             // outcome: load state, read the cause
 	rwFinished
 )
@@ -44,6 +45,7 @@ const (
 	rfStore             // state.Store
 	rfSwap              // the word's Swap
 	rfClose             // close the channel taken
+	rfToken             // an abort: the token for the joiner's worker
 	rfLeave             // finishOnce done
 	rfFinished
 )
@@ -56,11 +58,13 @@ type rmState struct {
 	won   int8 // the finisher finishOnce let in
 	pc    [4]int8
 	ch    [4]int8 // the channel a waiter blocks on, a finisher must close
-	woken bool    // the joiner's block ended through the run's word
+	tok   bool    // a token is pending in the joiner's worker's joinCh
+	woken bool    // the joiner's block ended on that token
 }
 
 type runModel struct {
 	swapFirst       bool   // the negative control: Swap, then state.Store
+	tokenFirst      bool   // the negative control: the abort's token, then state.Store
 	blocks, unwound int    // what the search covered, with ended
 	ended           [2]int // by the completer, by the aborter
 }
@@ -74,9 +78,9 @@ func (m *runModel) waiterStep(s rmState, a int) ([]rmState, error) {
 		case s.state != 0:
 			*pc = rwOutcome
 		case s.woken:
-			return nil, fmt.Errorf("the joiner was woken through the run's word and reads a live state")
+			return nil, fmt.Errorf("the joiner was woken by the abort's token and reads a live state")
 		default:
-			*pc = rwLoad
+			*pc = rwBlock
 		}
 	case rwLoad:
 		switch {
@@ -99,21 +103,22 @@ func (m *runModel) waiterStep(s rmState, a int) ([]rmState, error) {
 			*pc = rwLoad
 		}
 	case rwBlock:
-		var next []rmState
-		if a == rmJoiner { // the future it joins may arrive: Join returns
+		if a == rmJoiner { // the future it joins may arrive, and Join returns; or a token
 			arrived := s
 			arrived.pc[a] = rwFinished
-			next = append(next, arrived)
+			next := []rmState{arrived}
+			if !s.tok {
+				return next, nil
+			}
+			m.blocks++
+			s.tok, s.woken, *pc = false, true, rwState
+			return append(next, s), nil
 		}
 		if s.closed[s.ch[a]] == 0 {
-			return next, nil
+			return nil, nil
 		}
 		m.blocks++
 		*pc = rwOutcome
-		if a == rmJoiner {
-			s.woken, *pc = true, rwState
-		}
-		return append(next, s), nil
 	case rwOutcome: // state.Load, then the reads it orders
 		if a == rmJoiner {
 			m.unwound++
@@ -144,6 +149,9 @@ func (m *runModel) finisherStep(s rmState, a int) ([]rmState, error) {
 		s.once, s.won = me, me
 	case rfWrite:
 		s.out = me - int8(rmCompleter)
+		if m.tokenFirst && a == rmAborter {
+			s.tok = true
+		}
 	case rfStore, rfSwap:
 		if (*pc == rfStore) != m.swapFirst {
 			s.state = me - int8(rmCompleter)
@@ -155,6 +163,10 @@ func (m *runModel) finisherStep(s rmState, a int) ([]rmState, error) {
 			if err := s.close(s.ch[a]); err != nil {
 				return nil, err
 			}
+		}
+	case rfToken:
+		if a == rmAborter && !m.tokenFirst { // a completion sends none
+			s.tok = true
 		}
 	case rfLeave:
 		s.once = rmOnceDone
@@ -186,15 +198,21 @@ func (m *runModel) explorer() *explorer[rmState] {
 
 func TestRunModelExhaustive(t *testing.T) {
 	m := &runModel{}
-	m.explorer().verify(t, rmState{})
+	m.explorer().verify(t, rmState{pc: [4]int8{rwState, rwLoad}})
 	if m.blocks == 0 || m.unwound == 0 || m.ended[0] == 0 || m.ended[1] == 0 {
 		t.Fatalf("the search covered %+v; want some of each", *m)
 	}
 }
 
 // The negative control: with the word ended before the state is stored, a
-// joiner woken through it reads a live state and blocks on a word that will
-// not wake it again, and a Handle.Wait reports an abort as a completion.
+// Handle.Wait woken through it reports an abort as a completion.
 func TestRunModelCatchesSwapBeforeState(t *testing.T) {
-	(&runModel{swapFirst: true}).explorer().refute(t, rmState{})
+	(&runModel{swapFirst: true}).explorer().refute(t, rmState{pc: [4]int8{rwState, rwLoad}})
+}
+
+// The negative control of the abort's token: sent before the state is
+// stored, it wakes a joiner that reads a live state and blocks again, with
+// no token left to come.
+func TestRunModelCatchesTokenBeforeState(t *testing.T) {
+	(&runModel{tokenFirst: true}).explorer().refute(t, rmState{pc: [4]int8{rwState, rwLoad}})
 }

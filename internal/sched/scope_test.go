@@ -525,7 +525,46 @@ func TestStealPathAllocations(t *testing.T) {
 	if one != two {
 		t.Errorf("a Run allocates %v objects on one worker and %v on two, whose forks are stolen and whose joins block", one, two)
 	}
+	// What is left is the test's own: stealAndBlock's two flags, which its
+	// closures capture, and the two closures that capture a flag and more.
+	if one != 4 {
+		t.Errorf("a Run of stealAndBlock allocates %v objects, want 4 (the test's flags and closures)", one)
+	}
 	t.Logf("a Run allocates %v objects on one worker, %v on two", one, two)
+}
+
+// A Run allocates nothing of the engine's own: the run record is recycled
+// (runRecords), the Handle is the pool's (Pool.batch), and the controller
+// and every sleeper of the session wait on token channels New made
+// (Pool.ctl, Worker.parkCh, Worker.joinCh). Measured as
+// TestStealPathAllocations measures — a warm pool, the collector off, one
+// processor — on one worker and on two, with roots that capture nothing.
+func TestRunAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	empty := func(*Worker) {}
+	reduce := func(w *Worker) {
+		if got := Reduce(w, 0, 512, 1, func(i int) int { return i }, func(a, b int) int { return a + b }); got != 512*511/2 {
+			panic("Reduce computed wrong")
+		}
+	}
+	for _, workers := range []int{1, 2} {
+		p := New(Config{Workers: workers})
+		for name, run := range map[string]func(){
+			"Run":        func() { p.Run(empty) },
+			"RunContext": func() { _ = p.RunContext(context.Background(), empty) },
+			"Reduce":     func() { p.Run(reduce) },
+		} {
+			for i := 0; i < 3; i++ { // stock the lists, the goroutines and the run records
+				run()
+			}
+			if n := testing.AllocsPerRun(20, run); n != 0 {
+				t.Errorf("%d workers: %s allocates %v objects, want 0", workers, name, n)
+			}
+		}
+	}
 }
 
 // What a submission allocates, measured over the whole process with the

@@ -137,10 +137,11 @@ var runRecords = sync.Pool{New: func() any { return new(run) }}
 
 // newRun returns the record of a submission whose root task runs fn, held
 // by its root scope and by the caller, which lets go of it (let) once it is
-// done with it — and the Handle the record will end.
-func newRun(p *Pool, fn func(*Worker)) *run {
+// done with it, and which will end h: a Submit's new Handle, or the pool's
+// own for a Run.
+func newRun(p *Pool, fn func(*Worker), h *Handle) *run {
 	r := runRecords.Get().(*run)
-	r.pool, r.h = p, &Handle{}
+	r.pool, r.h = p, h
 	r.scope.run = r
 	r.scope.refs.Store(1) // the root
 	r.root = Task{body: taskFunc(fn), scope: &r.scope}
@@ -166,9 +167,11 @@ func (r *run) let() {
 // Whichever of completion, panic, cancellation, or engine failure arrives
 // first wins; later calls are no-ops, preserving the original cause (the
 // batch API's panic-beats-cancel priority falls out of call order). The
-// cause is written first, then state, then the completion word: a joiner
-// woken through the word must find state aborted (help; run_model_test.go
-// moves the Swap up and fails). The caller is a holder of r.
+// cause is written first, then state, then the completion word and, for an
+// abort, a token for every worker's joinCh — which of them has a join of r
+// blocked is nobody's to know: whoever the word or a token wakes must find
+// state aborted (help; run_model_test.go moves the Swap up, and the token,
+// and fails). The caller is a holder of r.
 func (r *run) finish(state int32, err error) {
 	r.finishOnce.Do(func() {
 		if stop := r.stopWatch.Load(); stop != nil && (*stop)() {
@@ -178,6 +181,14 @@ func (r *run) finish(state int32, err error) {
 		r.pool.unregister(r)
 		r.state.Store(state)
 		r.h.done.finish()
+		if state != runLive {
+			for _, w := range r.pool.workers {
+				select {
+				case w.joinCh <- struct{}{}:
+				default:
+				}
+			}
+		}
 	})
 }
 
@@ -267,7 +278,7 @@ func (p *Pool) Serve(ctx context.Context) error {
 		ctx = context.Background()
 	}
 	p.enter("Serve")
-	s := p.startSession(nil)
+	p.startSession(nil)
 	// Open for business only now that the workers exist — and the start
 	// sweep is over, which would discard a submission pushed under it.
 	p.phase.Store(phaseServing)
@@ -276,14 +287,15 @@ func (p *Pool) Serve(ctx context.Context) error {
 	select {
 	case <-ctx.Done():
 		err = ctx.Err()
-	case <-s.stop:
-		// A Drain (drain.go): admission is already closed and — unless the
-		// drain's deadline expired first — every accepted submission has
-		// completed, so endSession's abort is a no-op on the happy path and
-		// exactly the ErrStopped fallback on expiry. Or a worker loop died
-		// (engineFail), and endSession re-raises what it died of.
+	case <-*p.ctl:
+		// A stop. A Drain's (drain.go): admission is already closed and —
+		// unless the drain's deadline expired first — every accepted
+		// submission has completed, so endSession's abort is a no-op on the
+		// happy path and exactly the ErrStopped fallback on expiry. Or a
+		// worker loop died (engineFail), and endSession re-raises what it
+		// died of.
 	}
-	p.endSession(s)
+	p.endSession() // the batch Handle's outcome is a Run's, not Serve's
 	return err
 }
 
@@ -322,7 +334,7 @@ func (p *Pool) SubmitContext(ctx context.Context, fn func(*Worker)) (*Handle, er
 	// A worker may complete the run the instant the push lands; the
 	// submitter's hold keeps the record, which the re-check below may still
 	// finish, from being recycled under it until SubmitContext returns.
-	r := newRun(p, fn)
+	r := newRun(p, fn, new(Handle))
 	defer r.let()
 	h, t := r.h, &r.root
 	p.register(r)
@@ -429,5 +441,5 @@ func (p *Pool) inFlight() []*run {
 }
 
 // engineFail stops the session with a worker-loop panic — a failure of the
-// engine, not of any one task. First stop wins.
-func (p *Pool) engineFail(v any) { p.sess.stopWith(v) }
+// engine, not of any one task, of the session whose goroutine it is.
+func (p *Pool) engineFail(v any) { p.stopWith(p.gen, v) }

@@ -8,11 +8,14 @@ import (
 // This file model-checks the worker status word (pool.go, lifecycle.go,
 // resize.go) on the explorer of model_test.go. The actors: two workers
 // (loop top with its read of the word, a search that takes the work if
-// there is any, park — entry CAS, idle count, re-check, sleep, exit CAS —
-// retire with its baton, and the retired sleep);
-// a producer (push, idle load, status scan in either rotation, token); and
-// a Resize that shrinks worker 1 away and grows it back — the reactivating
-// CAS, or the store and then the token — at any time. Checked:
+// there is any, park — the sleep's number, entry CAS, idle count,
+// re-check, sleep, the re-check a token not its own makes, exit CAS —
+// retire with its baton, and the retired sleep); a producer (push, idle
+// load, and per worker of the scan, in either rotation, the load of its
+// sleep number, the load of its status and the token); and a Resize that
+// shrinks worker 1 away and grows it back — the reactivating CAS, or the
+// store and then the token — at any time. A token carries the number of
+// the sleep its signaller loaded, or none (Resize's). Checked:
 //
 //   - the status words only move along the diagram;
 //   - no lost wakeup: once the producer has returned, unclaimed work never
@@ -21,61 +24,92 @@ import (
 //     then retires without passing the baton leaves behind;
 //   - at quiescence no worker sleeps on without being a wake target, and
 //     worker 1, grown back, does not sleep retired;
-//   - no stale wake: a park never ends on a token a signalWork sent into the
-//     worker's previous idle episode. The exit drops such a token; the
-//     model's status load and token send are one step, so it does not see
-//     a signaller stalled between the two, whose late token is spurious —
-//     harmless, like any other.
+//   - no stale wake: a park never ends on a token sent for an earlier
+//     sleep. A signaller stalled between its load of the status and its
+//     send — a step apart here — sends such a token; the park takes it,
+//     re-checks, and sleeps on. Today's shape before the numbers, which
+//     took any token as its wake and dropped what was pending at its exit,
+//     is refuted, and so is a scan that loads the status before the number.
 //
 // The lazy producer is an owner whose work sits in its private region
 // (lazy.go): a worker's search that finds nothing asks for it (wantWork)
 // and goes on to park, and the owner's poll, once it sees the request,
 // clears it, pushes the work and signals. Its control signals before the
 // push, and sleeps through a requester whose re-check came in between.
+//
+// The session's end (endSession) is a fifth actor in its own search: the
+// store of stopping, then a token for each worker, at any time. Checked on
+// top: at quiescence both workers have left their loops — no sleep, parked
+// or retired, outlives the session. Its control sends the tokens first, and
+// a sleeper that re-checked before the store sleeps on.
 
 // Worker steps.
 const (
-	smTop     int8 = iota // loop top: the load of the status word
+	smTop     int8 = iota // loop top: the phase's load, then the status word's
 	smSearch              // pop, poll, steal
+	smNumber              // park: sleep.Add(1), the number of this sleep
 	smEnter               // park: the entry CAS
 	smCount               // idle.Add(1)
-	smRecheck             // anyVisibleWork
-	smSleep               // blocked in the select
+	smRecheck             // the phase, and anyVisibleWork
+	smSleep               // blocked on the token channel
+	smReload              // a token not this sleep's: the phase, the status word, anyVisibleWork
 	smExit                // the exit CAS
-	smDrain               // the exit CAS succeeded: drop a pending token
+	smDrain               // today's shape only: the exit CAS succeeded, drop a pending token
 	smUncount             // idle.Add(-1)
 	smRetire              // retire: the CAS to retired
-	smRetired             // sleepRetired: blocked in the select
-	smBaton               // retire's signalWork, and the producer's: the idle load, then smScan's status loads
-	smDone    = smBaton + 5
+	smRetired             // sleepRetired: blocked on the token channel
+	smGone                // the loop read stopping and returned
+	smBaton               // retire's signalWork, and the producer's: the idle load, then the scan (smScanPC)
+	smDone    = smBaton + 13
 )
 
-// smScan is whom a signalWork's status loads read, in either rotation of
-// wakeRR: worker 0 then 1 (steps smBaton+1, +2), or 1 then 0 (+3, +4).
-var smScan = [4]int{0, 1, 1, 0}
+// smScan is the order a signalWork scans the two workers in, per rotation
+// of wakeRR. A scan's step is smBaton+1 + 6*rotation + 3*position + sub,
+// where sub is the load of the worker's sleep number (0), of its status
+// (1), and the token (2).
+var smScan = [2][2]int{{0, 1}, {1, 0}}
+
+// smTarget is the worker a signal at step pc is scanning.
+func smTarget(pc int8) int {
+	k := pc - smBaton - 1
+	return smScan[k/6][k%6/3]
+}
 
 type smState struct {
-	status     [2]uint32
-	pc         [2]int8
-	token      [2]bool // a token is in parkCh
-	sent       [2]bool // ... and a signalWork sent it, into an idle episode
-	stale      [2]bool // ... and that episode has ended
+	status [2]uint32
+	pc     [2]int8
+	token  [2]bool // a token is in parkCh
+	tokSig [2]bool // ... and a signalWork sent it
+	tokCur [2]bool // ... carrying the number of the sleep the worker is in or entering now
+	tokNow [2]bool // ... having read the idle status of that sleep
+	// fresh and saw say that a signaller — the batons of workers 0 and 1,
+	// and the producer — has loaded the sleep number, and the idle status,
+	// of the worker it is scanning since that worker last numbered a sleep.
+	fresh, saw [3]bool
 	idle, work int8
 	prod, res  int8   // steps of the producer (from smBaton-1: the push; -1: the lazy owner's poll) and of the Resize
 	loaded     uint32 // the status the Resize's CAS expects
 	want       bool   // a worker's request for the lazy owner's work
 	pushed     bool   // the producer has pushed its work
+	stopping   bool   // the phase is stopping
+	end        int8   // steps of endSession
 }
 
 type statusModel struct {
 	recheckFirst bool // negative control: park's only look for work is the one before it publishes idle
 	noBaton      bool // negative control: retire does not pass the baton
 	tokenFirst   bool // negative control: a grow sends its token, then stores running
-	keepToken    bool // negative control: park's exit leaves a pending token in the channel
-	lazy         bool // the producer publishes its work only once a worker has asked
-	signalFirst  bool // negative control of lazy: the owner signals, then pushes
+	// untagged is today's shape before the sleep numbers: any token ends a
+	// park as its wake, and the exit drops what is pending. keepToken, the
+	// older control, does not drop it either.
+	untagged, keepToken bool
+	numberLate          bool // negative control: the scan loads a worker's status, then its sleep number
+	lazy                bool // the producer publishes its work only once a worker has asked
+	signalFirst         bool // negative control of lazy: the owner signals, then pushes
+	end                 bool // endSession runs, at any time
+	endTokensFirst      bool // negative control of end: the tokens, then the store of stopping
 	// What the search came across, so the test can tell what it covered.
-	refused, markedAsleep, reactivated, regrown, sleptAgain int
+	refused, markedAsleep, reactivated, regrown, sleptAgain, foreign, ended int
 }
 
 // smEdges is the diagram above the status constants in pool.go.
@@ -86,10 +120,13 @@ var smEdges = map[[2]uint32]bool{
 	{workerRetired, workerRunning}: true,
 }
 
-// send leaves a token for worker w: a signalWork's, or a Resize's. It
-// renews a pending one, which now stands for this send.
-func (s *smState) send(w int, signal bool) {
-	s.token[w], s.sent[w], s.stale[w] = true, signal, false
+// send leaves a token for worker w — signaller j's, for the sleep number it
+// loaded, or a Resize's or endSession's (j < 0), for none — unless one is
+// pending: a send to a full channel is dropped.
+func (s *smState) send(w, j int) {
+	if !s.token[w] {
+		s.token[w], s.tokSig[w], s.tokCur[w], s.tokNow[w] = true, j >= 0, j >= 0 && s.fresh[j], j >= 0 && s.saw[j]
+	}
 }
 
 // cas is a CompareAndSwap on worker w's status.
@@ -101,21 +138,46 @@ func (s *smState) cas(w int, from, to uint32) bool {
 	return true
 }
 
-// signal is one step of the signalWork whose step counter pc finds in a
-// state; an idle load that finds sleepers leads into either rotation.
-func signal(s smState, pc func(*smState) *int8) []smState {
-	switch k := *pc(&s) - smBaton; {
-	case k == 0 && s.idle > 0:
+// signal is one step of the signalWork of signaller j (smState.fresh); an
+// idle load that finds sleepers leads into either rotation.
+func (m *statusModel) signal(s smState, j int) []smState {
+	pc := &s.prod
+	if j < 2 {
+		pc = &s.pc[j]
+	}
+	k := *pc - smBaton
+	if k == 0 {
+		if s.idle == 0 {
+			*pc = smDone
+			return []smState{s}
+		}
+		*pc = smBaton + 1
 		rot := s
-		*pc(&s), *pc(&rot) = smBaton+1, smBaton+3
+		if j < 2 {
+			rot.pc[j] = smBaton + 7
+		} else {
+			rot.prod = smBaton + 7
+		}
 		return []smState{s, rot}
-	case k > 0 && s.status[smScan[k-1]] == workerIdle:
-		s.send(smScan[k-1], true)
-		*pc(&s) = smDone
-	case k%2 == 0: // no sleepers, or the scan's second load found none
-		*pc(&s) = smDone
+	}
+	w := smTarget(*pc)
+	switch sub := (k - 1) % 3; {
+	case sub == 0 && m.numberLate, sub == 1 && !m.numberLate: // the status: idle, or on to the next worker, or done
+		s.saw[j] = true
+		switch {
+		case s.status[w] == workerIdle:
+			*pc++
+		case (k-1)%6 < 3:
+			*pc += 3 - sub
+		default:
+			*pc = smDone
+		}
+	case sub < 2: // the sleep number
+		s.fresh[j] = true
+		*pc++
 	default:
-		*pc(&s)++
+		s.send(w, j)
+		*pc = smDone
 	}
 	return []smState{s}
 }
@@ -123,12 +185,10 @@ func signal(s smState, pc func(*smState) *int8) []smState {
 func (m *statusModel) step(s smState, a int) ([]smState, error) {
 	before := s.status
 	var next []smState
+	var err error
 	switch {
 	case a < 2:
-		if s.pc[a] == smSleep && s.token[a] && s.stale[a] {
-			return nil, fmt.Errorf("worker %d's park ends on a token sent into its previous idle episode: %+v", a, s)
-		}
-		next = m.worker(s, a)
+		next, err = m.worker(s, a)
 	case a == 2 && s.prod < 0: // the lazy owner's poll: nothing to do until asked
 		if !s.want {
 			return nil, nil
@@ -142,12 +202,17 @@ func (m *statusModel) step(s smState, a int) ([]smState, error) {
 		s.work, s.prod, s.pushed = s.work+1, smBaton, true
 		next = []smState{s}
 	case a == 2 && s.prod < smDone:
-		next = signal(s, func(s *smState) *int8 { return &s.prod })
+		next = m.signal(s, 2)
 	case a == 2 && !s.pushed: // signalFirst: the push after the signal
 		s.work, s.pushed = s.work+1, true
 		next = []smState{s}
 	case a == 3:
 		next = m.resize(s)
+	case a == 4:
+		next = m.endSession(s)
+	}
+	if err != nil {
+		return nil, err
 	}
 	for _, n := range next {
 		for w, st := range n.status {
@@ -168,10 +233,14 @@ func (s *smState) asleep(w int) bool {
 	return s.pc[w] == smSleep && !s.token[w] || s.pc[w] == smRetired && (!s.token[w] || s.status[w] == workerRetired)
 }
 
-func (m *statusModel) worker(s smState, w int) []smState {
+func (m *statusModel) worker(s smState, w int) ([]smState, error) {
 	pc := &s.pc[w]
 	switch *pc {
 	case smTop:
+		if s.stopping {
+			*pc = smGone
+			break
+		}
 		switch *pc = smSearch; s.status[w] {
 		case workerRetiring:
 			*pc = smRetire
@@ -179,11 +248,25 @@ func (m *statusModel) worker(s smState, w int) []smState {
 			*pc = smRetired
 		}
 	case smSearch:
-		if *pc = smEnter; s.work > 0 {
+		if *pc = smNumber; s.work > 0 {
 			s.work, *pc = s.work-1, smTop
 		} else if m.lazy {
 			s.want = true // a steal that missed an empty public part
 		}
+	case smNumber:
+		// A new number: what was loaded or sent for an earlier one is not
+		// this sleep's.
+		s.tokCur[w], s.tokNow[w] = false, false
+		for j := range s.fresh {
+			jpc := s.prod
+			if j < 2 {
+				jpc = s.pc[j]
+			}
+			if jpc > smBaton && jpc < smDone && smTarget(jpc) == w {
+				s.fresh[j], s.saw[j] = false, false
+			}
+		}
+		*pc = smEnter
 	case smEnter:
 		if !s.cas(w, workerRunning, workerIdle) {
 			m.refused++
@@ -196,24 +279,35 @@ func (m *statusModel) worker(s smState, w int) []smState {
 			*pc = smSleep
 		}
 	case smRecheck:
-		if *pc = smSleep; s.work > 0 {
+		if *pc = smSleep; s.stopping || s.work > 0 {
 			*pc = smExit
 		}
-	case smSleep: // the select: the token, or not yet
+	case smSleep: // the receive: a token, or not yet
 		if !s.token[w] {
-			return nil
+			return nil, nil
 		}
-		s.token[w], *pc = false, smExit
+		sig, cur, now := s.tokSig[w], s.tokCur[w], s.tokNow[w]
+		s.token[w] = false
+		if !cur && !m.untagged && !m.keepToken {
+			m.foreign++
+			*pc = smReload
+			break
+		}
+		if sig && !now {
+			return nil, fmt.Errorf("worker %d's park ends on a token sent for an earlier sleep: %+v", w, s)
+		}
+		*pc = smExit
+	case smReload:
+		if *pc = smSleep; s.stopping || s.status[w] != workerIdle || s.work > 0 {
+			*pc = smExit
+		}
 	case smExit:
 		*pc = smUncount
-		if s.cas(w, workerIdle, workerRunning) {
-			s.stale[w] = s.token[w] && s.sent[w]
-			if !m.keepToken {
-				*pc = smDrain
-			}
+		if s.cas(w, workerIdle, workerRunning) && m.untagged {
+			*pc = smDrain
 		}
 	case smDrain:
-		s.token[w], s.stale[w], *pc = false, false, smUncount
+		s.token[w], *pc = false, smUncount
 	case smUncount:
 		s.idle, *pc = s.idle-1, smTop
 	case smRetire:
@@ -226,24 +320,26 @@ func (m *statusModel) worker(s smState, w int) []smState {
 		default:
 			*pc = smBaton
 		}
-	case smRetired: // the select: the token, or not yet
+	case smRetired: // the receive: a token, or not yet
 		if !s.token[w] {
-			return nil
+			return nil, nil
 		}
-		if s.status[w] == workerRetired {
+		if s.status[w] == workerRetired && !s.stopping {
 			m.sleptAgain++
 		}
-		s.token[w], s.stale[w], *pc = false, false, smTop
+		s.token[w], *pc = false, smTop
+	case smGone:
+		return nil, nil
 	default: // the baton, and back to the loop top
-		next := signal(s, func(s *smState) *int8 { return &s.pc[w] })
+		next := m.signal(s, w)
 		for i := range next {
 			if next[i].pc[w] == smDone {
 				next[i].pc[w] = smTop
 			}
 		}
-		return next
+		return next, nil
 	}
-	return []smState{s}
+	return []smState{s}, nil
 }
 
 // resize is Resize(1) then Resize(2) of a fleet of two: the mark's load,
@@ -263,7 +359,7 @@ func (m *statusModel) resize(s smState) []smState {
 			s.res++ // marked running: no token
 		}
 	case 2:
-		s.send(1, false)
+		s.send(1, -1)
 	case 3:
 		if s.cas(1, workerRetiring, workerRunning) {
 			s.res = 5
@@ -274,7 +370,7 @@ func (m *statusModel) resize(s smState) []smState {
 		if (s.res == 4) != m.tokenFirst {
 			s.status[1] = workerRunning
 		} else {
-			s.send(1, false)
+			s.send(1, -1)
 		}
 	default:
 		return nil
@@ -283,8 +379,41 @@ func (m *statusModel) resize(s smState) []smState {
 	return []smState{s}
 }
 
+// endSession is the store of stopping, then a token for each worker; the
+// other way round under endTokensFirst.
+func (m *statusModel) endSession(s smState) []smState {
+	if !m.end || s.end == 3 {
+		return nil
+	}
+	store := int8(0)
+	if m.endTokensFirst {
+		store = 2
+	}
+	switch {
+	case s.end == store:
+		s.stopping = true
+		m.ended++
+	case s.end < store:
+		s.send(int(s.end), -1)
+	default:
+		s.send(int(s.end-1), -1)
+	}
+	s.end++
+	return []smState{s}
+}
+
 func (m *statusModel) explorer() *explorer[smState] {
-	return &explorer[smState]{actors: 4, step: m.step, final: func(s smState) error {
+	actors := 4
+	if m.end {
+		actors = 5
+	}
+	return &explorer[smState]{actors: actors, step: m.step, final: func(s smState) error {
+		if m.end && s.stopping {
+			if s.pc != [2]int8{smGone, smGone} {
+				return fmt.Errorf("quiescent after the session's end with a worker still in its loop: %+v", s)
+			}
+			return nil
+		}
 		if s.work > 0 || !s.pushed || s.pc[1] == smSleep && s.status[1] != workerIdle || s.pc[1] == smRetired {
 			return fmt.Errorf("quiescent with work queued or never published, or with worker 1 asleep for good and not a wake target: %+v", s)
 		}
@@ -295,7 +424,7 @@ func (m *statusModel) explorer() *explorer[smState] {
 func TestStatusModelExhaustive(t *testing.T) {
 	m := &statusModel{}
 	m.explorer().verify(t, smState{})
-	if m.refused == 0 || m.markedAsleep == 0 || m.reactivated == 0 || m.regrown == 0 || m.sleptAgain == 0 {
+	if m.refused == 0 || m.markedAsleep == 0 || m.reactivated == 0 || m.regrown == 0 || m.sleptAgain == 0 || m.foreign == 0 {
 		t.Fatalf("the search covered %+v; want some of each", *m)
 	}
 }
@@ -317,11 +446,28 @@ func TestStatusModelCatchesTokenBeforeStore(t *testing.T) {
 	(&statusModel{tokenFirst: true}).explorer().refute(t, smState{})
 }
 
-// A park whose exit keeps a pending token: the worker parks, the producer's
-// push and signal land while its re-check already sees the work, and the
-// token the signal sent outlives the episode — the next park ends on it.
+// A park that takes any token as its wake and keeps what is pending at its
+// exit: the worker parks, the producer's push and signal land while its
+// re-check already sees the work, and the token the signal sent outlives
+// the sleep — the next park ends on it.
 func TestStatusModelCatchesStaleToken(t *testing.T) {
 	(&statusModel{keepToken: true}).explorer().refute(t, smState{})
+}
+
+// Today's shape before the sleep numbers: a park that takes any token as
+// its wake, and drops what is pending at its exit. A signaller that loaded
+// the worker's idle status and stalled before its send leaves its token
+// after the drop, and the next park ends on it.
+func TestStatusModelCatchesUntaggedToken(t *testing.T) {
+	(&statusModel{untagged: true}).explorer().refute(t, smState{})
+}
+
+// The order of the scan's loads: a signaller that loads the status before
+// the sleep number reads an earlier sleep's idle, stalls while the worker
+// wakes, runs and parks again, and then loads the new sleep's number — the
+// token it sends ends a sleep it was not sent for.
+func TestStatusModelCatchesNumberAfterStatus(t *testing.T) {
+	(&statusModel{numberLate: true}).explorer().refute(t, smState{})
 }
 
 // The lazy owner: its work is published only once a worker that found
@@ -338,4 +484,22 @@ func TestStatusModelLazyOwner(t *testing.T) {
 // comes before the push — and it sleeps with the work queued.
 func TestStatusModelCatchesSignalBeforePush(t *testing.T) {
 	(&statusModel{lazy: true, signalFirst: true}).explorer().refute(t, smState{prod: -1})
+}
+
+// The session's end: the store of stopping, then a token for each slot, at
+// any time — both workers leave their loops, whatever sleep the end finds
+// them in, parked or retired.
+func TestStatusModelSessionEnd(t *testing.T) {
+	m := &statusModel{end: true}
+	m.explorer().verify(t, smState{})
+	if m.ended == 0 || m.foreign == 0 || m.sleptAgain == 0 {
+		t.Fatalf("the search covered %+v; want some of each", *m)
+	}
+}
+
+// The session end's control: tokens sent before the store of stopping. A
+// parked worker takes its token as one not its own, re-checks before the
+// store, and sleeps on with nothing left to wake it.
+func TestStatusModelCatchesTokensBeforeStopping(t *testing.T) {
+	(&statusModel{end: true, endTokensFirst: true}).explorer().refute(t, smState{})
 }

@@ -3,6 +3,9 @@
 package sched
 
 import (
+	"runtime"
+	"runtime/debug"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -21,9 +24,16 @@ import (
 // store). A Spawn is its count, its slot and its bot; a Group.Spawn and the
 // Wait that runs the member, and a Submit and the Wait on its Handle with
 // the worker's whole wake-run-park round, are what they were before the
-// region too.
+// region too, but for the one RMW that numbers a park (Worker.sleep).
+//
+// A session's own paths: an empty Run on one worker, from entry to return,
+// less the worker's idle rounds (below); and one park-and-wake round on two
+// workers — a spawn that wakes the parked one, which steals the task, runs
+// it and parks again. Each reads one more than before the session's end
+// moved to token channels: the Run resets the pool's Handle, and the park
+// numbers its sleep.
 func TestSyncOpsPerFork(t *testing.T) {
-	want := map[string]int64{"Join2": 0, "Reduce": 0, "Spawn": 3, "Group.Spawn+Wait": 10, "Submit+Wait": 42}
+	want := map[string]int64{"Join2": 0, "Reduce": 0, "Spawn": 3, "Group.Spawn+Wait": 10, "Submit+Wait": 43, "Run": 25, "park+wake": 45}
 	got := map[string]atomicx.SyncOps{}
 	measure := func(name string, f func()) {
 		c := atomicx.SyncCounts()
@@ -46,6 +56,41 @@ func TestSyncOpsPerFork(t *testing.T) {
 			})
 			measure("Spawn", func() { c.Spawn(func(*Worker) {}) })
 			return 1
+		})
+	})
+
+	// The worker of an empty Run goes on with idle rounds — a count of
+	// progress and one of yields each — until the controller stores
+	// stopping, and how many it makes depends on when the controller gets
+	// the processor: the row leaves them out.
+	empty := New(Config{Workers: 1})
+	empty.Run(func(*Worker) {})
+	func() {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		yields := empty.Stats().Yields
+		measure("Run", func() { empty.Run(func(*Worker) {}) })
+		c := got["Run"]
+		c.RMWs -= 2 * (empty.Stats().Yields - yields)
+		got["Run"] = c
+	}()
+
+	// The root polls with loads only, and the other worker's deque is its
+	// only victim.
+	pair := New(Config{Workers: 2})
+	pair.Run(func(w *Worker) {
+		other := pair.workers[1-w.id]
+		isParked := func(n int64) func() bool {
+			return func() bool { return other.parks.Load() >= n && other.status.Load() == workerIdle }
+		}
+		spinUntil(t, "the other worker to park", isParked(1))
+		time.Sleep(10 * time.Millisecond) // past its re-check, asleep
+		parks := other.parks.Load()
+		var ran atomic.Bool
+		measure("park+wake", func() {
+			w.Spawn(func(*Worker) { ran.Store(true) })
+			spinUntil(t, "the woken worker to run the task and park again", func() bool { return ran.Load() && isParked(parks+1)() })
+			time.Sleep(10 * time.Millisecond)
 		})
 	})
 

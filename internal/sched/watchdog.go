@@ -36,11 +36,11 @@ type StallReport struct {
 	Stalled time.Duration
 }
 
-// watchdog polls worker progress until the session's quit closes,
-// reporting stalls per the file comment. It is one of the session's
-// goroutines — startSession starts it when Config.StallTimeout > 0 and
-// endSession joins it, like the workers.
-func (p *Pool) watchdog(quit <-chan struct{}) {
+// watchdog polls worker progress until endSession leaves its token
+// (Pool.dogCh), reporting stalls per the file comment. It is one of the
+// session's goroutines — startSession starts it when Config.StallTimeout > 0
+// and endSession joins it, like the workers.
+func (p *Pool) watchdog() {
 	defer p.wg.Done()
 	window := p.cfg.StallTimeout
 	interval := window / 4
@@ -61,7 +61,7 @@ func (p *Pool) watchdog(quit <-chan struct{}) {
 	}
 	for {
 		select {
-		case <-quit:
+		case <-p.dogCh:
 			return
 		case now = <-ticker.C:
 		}
