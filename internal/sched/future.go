@@ -29,25 +29,32 @@ func (r *run) panicAborted() {
 
 // waitWord is a completion word, the one wait protocol of a Future and of
 // a run record (and the slot a Group's waiters install into, group.go):
-// nil while what it stands for is pending and nobody waits, a channel a
-// waiter about to block installed, or doneWait once it has ended. The
-// completer's one Swap publishes what it wrote before and takes the
-// waiter's channel to close — or, if it is buffered, a single waiter's
-// token channel to send a token to (waitToken) — so a channel is made only
-// where somebody had to block, and after the Swap the completer never
-// touches the word's record again. future_model_test.go and
-// run_model_test.go check it over every interleaving.
+// nil while what it stands for is pending and nobody waits, the waiter
+// one about to block installed, or doneWait once it has ended. The
+// completer's one Swap publishes what it wrote before and takes the waiter
+// to wake, so a channel is made only where somebody had to block, and after
+// the Swap the completer never touches the word's record again.
+// future_model_test.go and run_model_test.go check it over every
+// interleaving.
 type waitWord struct {
-	p atomicx.SCPointer[chan struct{}]
+	p atomicx.SCPointer[waiter]
 }
 
-// doneWait is the ended state of a waitWord: a pointer no waiter installs,
-// to a channel that is closed from the start, so a waiter that loads it
+// waiter is a channel c that finish closes, or the sleep s of the word's
+// one waiter — a joiner's (waitToken), the Run controller's — that it
+// wakes.
+type waiter struct {
+	c chan struct{}
+	s *sleep
+}
+
+// doneWait is the ended state of a waitWord: a waiter nobody installs,
+// whose channel is closed from the start, so a waiter that loads it
 // (waitChan) falls through its receive.
-var doneWait = func() *chan struct{} {
+var doneWait = func() *waiter {
 	ch := make(chan struct{})
 	close(ch)
-	return &ch
+	return &waiter{c: ch}
 }()
 
 // waitChan returns the channel a waiter about to block receives from,
@@ -60,48 +67,58 @@ var doneWait = func() *chan struct{} {
 // the same Dekker shape as park against signalWork.
 func (x *waitWord) waitChan() chan struct{} {
 	for {
-		if ch := x.p.Load(); ch != nil {
-			return *ch
+		if w := x.p.Load(); w != nil {
+			return w.c
 		}
-		ch := make(chan struct{})
-		if x.p.CompareAndSwap(nil, &ch) {
-			return ch
+		w := &waiter{c: make(chan struct{})}
+		if x.p.CompareAndSwap(nil, w) {
+			return w.c
 		}
 	}
 }
 
-// waitToken is waitChan for a word with one waiter — the joiner of a
-// record from takeFuture or takeRange, a Run's controller — which installs
-// a token channel that outlives the wait, tok, instead of making one. tok
-// has other senders (a run's abort, an abandoned record's completer, a
-// stop), so a token is a reason to look again, never one to drain: a drain
-// could eat the one the waiter must not miss, and a stale token costs one
-// spurious wake. A word that is not nil holds tok, from an earlier round of
-// this wait, or doneWait.
-func (x *waitWord) waitToken(tok *chan struct{}) chan struct{} {
-	if ch := x.p.Load(); ch != nil {
-		return *ch
+// waitToken sleeps w, the word's one waiter — the joiner of a record from
+// takeFuture or takeRange — until the word ends or r aborts, with nothing
+// made: the sleep is what it installs, and it takes itself back out of a
+// word that has not ended, so that the completer of a record its joiner
+// left wakes no later sleep of w's.
+func (x *waitWord) waitToken(w *Worker, r *run) {
+	s := &w.sleep
+	n := s.begin()
+	if !x.p.CompareAndSwap(nil, &s.join) {
+		return // only finish writes a word its one waiter left nil
 	}
-	if x.p.CompareAndSwap(nil, tok) {
-		return *tok
+	over := func() bool { return x.isDone() || r.aborted() }
+	if !over() {
+		s.wait(n, nil, over)
 	}
-	return *x.p.Load() // only finish writes a word a single waiter has left nil
+	for !x.isDone() { // the CAS fails only against finish's Swap
+		if x.p.CompareAndSwap(&s.join, nil) {
+			return
+		}
+	}
 }
 
 // finish ends the word, once: whatever the caller wrote before is
-// published to every waiter and every isDone, and the channel a waiter
-// installed, if any, is closed — or, a token channel (waitToken), sent a
-// token, unless one is pending already, which wakes the waiter as well.
+// published to every waiter and every isDone, and the waiter installed, if
+// any, is woken. A sleep's number is loaded before the Swap, while the
+// sleep is in the word; one installed after that load is sent 0, on which
+// it re-checks and finds the word ended.
 func (x *waitWord) finish() {
-	if ch := x.p.Swap(doneWait); ch != nil {
-		if cap(*ch) == 0 {
-			close(*ch)
-			return
+	var n uint32
+	old := x.p.Load()
+	if old != nil && old.s != nil {
+		n = old.s.n.Load()
+	}
+	switch w := x.p.Swap(doneWait); {
+	case w == nil:
+	case w.s != nil:
+		if w != old {
+			n = 0
 		}
-		select {
-		case *ch <- struct{}{}:
-		default:
-		}
+		w.s.wake(n)
+	default:
+		close(w.c)
 	}
 }
 
@@ -271,12 +288,12 @@ func (f *Future[T]) runTask(w *Worker) {
 // available. It must be called from a task running on the pool (pass the
 // current worker). A forked task still at the bottom of the joiner's deque
 // is popped back and called (DESIGN.md §7, "Work-first join"). When no
-// deque holds work it could take, Join blocks on a channel it installs in
+// deque holds work it could take, Join sleeps on a channel it installs in
 // the future rather than spinning — the same park-instead-of-spin
 // discipline as the worker loop (lifecycle.go) — and is woken by the forked
 // task's completion or, if the joiner's submission aborts (another of its
 // tasks panicked, its context was cancelled, the pool stopped), by the
-// abort's token on its worker's joinCh, in which case it panics with
+// abort's token to its worker's sleep, in which case it panics with
 // poolAbortedError so the abort also unwinds joiners that could otherwise
 // wait forever (help).
 func (f *Future[T]) Join(w *Worker) T {
@@ -285,17 +302,23 @@ func (f *Future[T]) Join(w *Worker) T {
 		f.ch.finish() // a public Future may have joiners on other workers
 		return f.result
 	}
-	return f.wait(w, nil)
+	return f.wait(w, false)
 }
 
-// wait is Join after its first round. tok is the token channel of the
-// joiner's worker when the joiner is the future's only waiter (joinFree),
-// and nil for a public Future, whose waiters each install a channel.
-func (f *Future[T]) wait(w *Worker, tok *chan struct{}) T {
+// wait is Join after its first round. Once help finds nothing to run, the
+// joiner sleeps until the future completes or r ends — which, under a live
+// joiner, is r aborting (help): in the word if it is the future's one
+// waiter (one: joinFree), else on a channel it installs, which r's abort's
+// token also ends.
+func (f *Future[T]) wait(w *Worker, one bool) T {
 	r := w.currentRun()
 	for !f.Done() {
-		if w.help(r) {
-			f.block(w, r, tok)
+		switch {
+		case !w.help(r):
+		case one:
+			f.ch.waitToken(w, r)
+		default:
+			w.sleep.wait(w.sleep.begin(), f.ch.waitChan(), r.aborted)
 		}
 	}
 	return f.result
@@ -329,44 +352,18 @@ func (f *Future[T]) call(w *Worker) {
 	f.result = f.fn(w)
 }
 
-// block parks the joiner w until the future completes or r ends — which,
-// under a live joiner, is r aborting (help): on tok, w's joinCh, which the
-// completer and r's abort both send to, or on a channel of its own and
-// abortCh. Join's loop re-checks both, so a stale token is harmless.
-func (f *Future[T]) block(w *Worker, r *run, tok *chan struct{}) {
-	if tok != nil {
-		<-f.ch.waitToken(tok)
-		return
-	}
-	abort := w.abortCh(r)
-	select {
-	case <-f.ch.waitChan():
-	case <-abort:
-	}
-}
-
-// abortCh is the channel r's abort wakes a waiter on w through: w's joinCh,
-// or, on the caller-runs worker, which finish sends no token to, r's word.
-func (w *Worker) abortCh(r *run) chan struct{} {
-	if w.id < len(w.pool.workers) {
-		return w.joinCh
-	}
-	return r.h.done.waitChan()
-}
-
 // Done reports whether the result is available without blocking.
 func (f *Future[T]) Done() bool { return f.ch.isDone() }
 
 // joinFree is Join for a Future from takeFuture: the Future goes back to
 // w's free list once its result is out. A called task had no completer, so
-// the word is still nil; else the Swap has returned and the joiner resets it.
-// The joiner is the Future's only waiter, so a block waits on w's token.
-// rangeTask.joinFree is this join with the range record's free.
+// the word is still nil; else the Swap has returned and the joiner resets
+// it. rangeTask.joinFree is this join with the range record's free.
 func (f *Future[T]) joinFree(w *Worker) T {
 	if !f.Done() && w.popBack(&f.task) {
 		f.call(w)
 	} else {
-		f.wait(w, &w.joinCh)
+		f.wait(w, true)
 		f.ch.p.Store(nil)
 	}
 	v := f.result

@@ -34,25 +34,29 @@ import (
 // a relist that skips the reset after a stolen generation too, whose next
 // joiner reads a stale doneWait and with it a stale result.
 //
-// The token path is joinFree's: the joiner installs its worker's
-// capacity-1 token channel, one for every generation, and the completer
-// sends a token to it instead of closing — or drops the send when a token
-// is pending already. The first generation's run may abort while it is
-// pending (a fourth party: the store of the run's state, then a token to
-// the same channel), and then its task never completes: a thief that steals
-// it after the store discards it, and one running it may unwind through a
-// join of its own. The joiner's help reads the state
-// before each block and unwinds: it abandons the record with the token in
-// its word, and forks the second generation on a fresh record, in a fresh
-// run; the abandoned record's completer may send its token into the second
-// generation's wait, and so may the abort. So the wait never drains the
-// channel: a token is a reason to look again, and a stale one costs a
-// wake. Checked on top: a joiner whose future has completed never sleeps —
-// it is never blocked on an empty channel with no send left to come — and
-// one whose run aborted is not left asleep. The controls drain: before
-// the install, the parent's shape, which can eat the abort's token, and
-// after it, which can eat the token of its own completion.
-//
+// The token path is joinFree's (waitWord.waitToken): the joiner puts its
+// worker's sleep in the word, one for every generation, re-checks — the
+// word, the run's state — and sleeps; the completer sends its sleep a token
+// instead of closing, or drops the send when a token is pending already.
+// The token is one step here: sleep_model_test.go shows that its number
+// never ends a later sleep as a wake, and any token makes the sleep look
+// again, ending it if the word has ended or the run aborted, whereupon it
+// takes itself back out of a word that has not ended. The first
+// generation's run may abort while it is pending (a fourth party: the store
+// of the run's state, then a token to the same channel), and then its task
+// never completes: a thief that steals it after the store discards it, and
+// one running it may unwind through a join of its own. The joiner's help
+// reads the state before each block and unwinds: it abandons the record,
+// and forks the second generation on a fresh record, in a fresh run; the
+// abort's token may reach the second generation's sleep. So nothing drains
+// the channel. Checked on top: a joiner whose future has completed never
+// sleeps — it is never blocked on an empty channel with no send left to
+// come — one whose run aborted is not left asleep, and an abandoned record
+// holds no sleep of the joiner's for its completer to wake. The controls
+// run the parent's shape — no look, no take-back, and any token back to
+// Join's loop — and drain: before the install, which can eat the abort's
+// token, and after it, which can eat the token of its own completion.
+
 // The lazy path is the private region's (lazy.go): each generation is
 // forked into the joiner's region, uncounted, where its thief cannot take
 // it but can ask; the joiner's poll then publishes it — an Add to the
@@ -85,6 +89,8 @@ const (
 	fjRefork                 // fork the next generation
 	fjDrain                  // token path, controls only: take a pending token, if any
 	fjHelp                   // token path: help's load of the run's state, before a block
+	fjLook                   // token path: the sleep's re-check — the word, the run's state — after the install and on a token
+	fjWithdraw               // token path: the sleep takes itself back out of a word that has not ended
 	fjExpose                 // lazy path: a thief asked; clear the word and Add the private fork
 	fjExposePush             // lazy path: push it
 	fjRelease                // lazy path: the joiner's task ends, releasing itself and its folded calls
@@ -259,7 +265,9 @@ func (m *futureModel) joinerStep(s fmState) ([]fmState, error) {
 	case fjHelp:
 		s.jpc = fjInstLoad
 		if s.gen == 1 && s.ab > 0 {
-			m.unwind(&s)
+			if err := m.unwind(&s); err != nil {
+				return nil, err
+			}
 		}
 	case fjExpose:
 		s.want, s.refs = false, s.refs+1
@@ -288,7 +296,9 @@ func (m *futureModel) joinerStep(s fmState) ([]fmState, error) {
 	case fjCall:
 		if m.token && s.gen == 1 && s.ab > 0 { // call's gate: the task is discarded
 			m.discarded++
-			m.unwind(&s)
+			if err := m.unwind(&s); err != nil {
+				return nil, err
+			}
 			break
 		}
 		s.result = s.gen
@@ -318,9 +328,13 @@ func (m *futureModel) joinerStep(s fmState) ([]fmState, error) {
 				break
 			}
 			s.word, s.jch = fmTok, fmTok
-			s.jpc = fjBlock
-			if m.drainLate {
+			switch {
+			case m.drainLate:
 				s.jpc = fjDrain
+			case m.drainEarly:
+				s.jpc = fjBlock
+			default:
+				s.jpc = fjLook
 			}
 			break
 		}
@@ -352,13 +366,26 @@ func (m *futureModel) joinerStep(s fmState) ([]fmState, error) {
 			}
 			s.tok = 0
 			m.blocks++
-			s.jpc = fjLoad
+			s.jpc = fjLook
+			if m.drainEarly || m.drainLate {
+				s.jpc = fjLoad
+			}
 			break
 		}
 		if s.closed[s.jch] == 0 {
 			return nil, nil
 		}
 		m.blocks++
+		s.jpc = fjLoad
+	case fjLook:
+		s.jpc = fjBlock
+		if s.word == fmDone || s.gen == 1 && s.ab > 0 {
+			s.jpc = fjWithdraw
+		}
+	case fjWithdraw:
+		if s.word == fmTok {
+			s.word = 0
+		}
 		s.jpc = fjLoad
 	case fjObserve:
 		if s.result != s.gen {
@@ -412,11 +439,17 @@ func (m *futureModel) joinerStep(s fmState) ([]fmState, error) {
 }
 
 // unwind is the joiner's abort in the first generation: it abandons the
-// record, word and all, and goes on to fork the second on a fresh one.
-func (m *futureModel) unwind(s *fmState) {
+// record, word and all, and goes on to fork the second on a fresh one. A
+// sleep took itself back out of the word, so the record's completer has no
+// token to send; the controls, the parent's shape, leave it there.
+func (m *futureModel) unwind(s *fmState) error {
+	if s.word == fmTok && !m.drainEarly && !m.drainLate {
+		return fmt.Errorf("the joiner abandons a record whose word holds its sleep: %+v", *s)
+	}
 	m.unwound++
 	s.aborted, s.aword, s.word = true, s.word, 0
 	s.jpc = fjRefork
+	return nil
 }
 
 // abortStep moves the first generation's run through its abort, while that
@@ -576,9 +609,9 @@ func TestFutureModelExhaustive(t *testing.T) {
 	}
 }
 
-// The token path: joinFree's joiner blocks on its worker's token channel,
-// which its run's abort sends to, and so may the completer of a record an
-// abort made it abandon, while it waits for its next fork.
+// The token path: joinFree's joiner sleeps in its future's word, and its
+// run's abort sends its sleep a token too, which may reach the sleep of the
+// next fork's join.
 func TestFutureModelToken(t *testing.T) {
 	m := &futureModel{token: true}
 	m.explorer().verify(t, m.initial())

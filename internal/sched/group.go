@@ -86,8 +86,8 @@ func (g *Group) done() {
 // finish: it closes the channel in the word, if any, and leaves the word
 // empty rather than ended, because a Group has generations.
 func (x *waitWord) take() {
-	if ch := x.p.Load(); ch != nil && x.p.CompareAndSwap(ch, nil) {
-		close(*ch)
+	if w := x.p.Load(); w != nil && x.p.CompareAndSwap(w, nil) {
+		close(w.c)
 	}
 }
 
@@ -103,20 +103,15 @@ func (g *Group) Wait(w *Worker) {
 	}
 }
 
-// block parks the waiter w until the group empties or r ends (abortCh);
-// Wait's loop re-checks pending and the abort, so a wake meant for an
-// earlier generation is harmless.
+// block sleeps the waiter w until the group empties or r aborts; Wait's
+// loop re-checks both, so a wake meant for an earlier generation is
+// harmless.
 //
 //abp:handshake store=waitChan load=pending
 func (g *Group) block(w *Worker, r *run) {
-	ch := g.ch.waitChan()
-	if g.pending.Load() == 0 {
-		return
-	}
-	abort := w.abortCh(r)
-	select {
-	case <-ch:
-	case <-abort:
+	n := w.sleep.begin()
+	if ch := g.ch.waitChan(); g.pending.Load() != 0 {
+		w.sleep.wait(n, ch, r.aborted)
 	}
 }
 

@@ -34,18 +34,18 @@ func TestInjectorLayoutPins(t *testing.T) {
 // depths, the due counts, the fold count and the private region's indices
 // — on its first line. The region's slots are in the owner block, the list
 // of emptied scopes, which only a steal moves, in that block off its first
-// line, and the join token, which completers on other workers read, in the
-// wiring.
-// wantWork, which thieves write and the owner polls at every fork, has a
-// line to itself.
+// line. The sleep — its number, which the worker's sleeps write, and its
+// token channel, which every waker reads with the number — and wantWork,
+// which thieves write and the owner polls at every fork, each have their
+// lines to themselves.
 func TestWorkerLayoutPins(t *testing.T) {
 	var w Worker
 	status := unsafe.Offsetof(w.status)
 	scope := unsafe.Offsetof(w.scope)
 	others := map[string]uintptr{
-		"pool": unsafe.Offsetof(w.pool), "dq": unsafe.Offsetof(w.dq), "parkCh": unsafe.Offsetof(w.parkCh),
-		"joinCh": unsafe.Offsetof(w.joinCh),
-		"scope":  scope, "nFutures": unsafe.Offsetof(w.nFutures), "nRanges": unsafe.Offsetof(w.nRanges),
+		"pool": unsafe.Offsetof(w.pool), "dq": unsafe.Offsetof(w.dq), "sleep": unsafe.Offsetof(w.sleep),
+		"sleepEnd": unsafe.Offsetof(w.sleep) + unsafe.Sizeof(w.sleep) - 1,
+		"scope":    scope, "nFutures": unsafe.Offsetof(w.nFutures), "nRanges": unsafe.Offsetof(w.nRanges),
 		"nGroupTasks": unsafe.Offsetof(w.nGroupTasks), "spawnsDue": unsafe.Offsetof(w.spawnsDue), "runsDue": unsafe.Offsetof(w.runsDue),
 		"folded": unsafe.Offsetof(w.folded), "futures": unsafe.Offsetof(w.futures), "groupTasksEnd": unsafe.Offsetof(w.groupTasks) + unsafe.Sizeof(w.groupTasks) - 1,
 		"nScopes": unsafe.Offsetof(w.nScopes), "scopes": unsafe.Offsetof(w.scopes),
@@ -65,7 +65,7 @@ func TestWorkerLayoutPins(t *testing.T) {
 	// call, a depth and a slot per fork and per join — is on none of the
 	// lines other workers read.
 	firstLine := []string{"scope", "nFutures", "nRanges", "nGroupTasks", "spawnsDue", "runsDue", "folded", "lazyHead", "lazyTail"}
-	for _, shared := range []string{"pool", "dq", "parkCh", "joinCh"} {
+	for _, shared := range []string{"pool", "dq", "sleep", "sleepEnd"} {
 		for _, own := range append(firstLine, "futures", "groupTasksEnd", "nScopes", "scopesEnd", "wakes", "lazy", "lazyEnd") {
 			if layoutLine(others[own]) == layoutLine(others[shared]) {
 				t.Errorf("owner-written %s (offset %d) is on the line of %s (offset %d), which other workers read",
@@ -98,8 +98,10 @@ func TestWorkerLayoutPins(t *testing.T) {
 			t.Errorf("wantWork (offset %d) shares a cache line with %s (offset %d)", want, name, off)
 		}
 	}
-	if layoutLine(others["joinCh"]) <= layoutLine(status) {
-		t.Errorf("joinCh (offset %d) is not in the wiring after status (offset %d)", others["joinCh"], status)
+	for name, off := range others {
+		if line := layoutLine(off); name != "sleep" && name != "sleepEnd" && (line == layoutLine(others["sleep"]) || line == layoutLine(others["sleepEnd"])) {
+			t.Errorf("%s (offset %d) shares a cache line with the sleep (offsets %d to %d)", name, off, others["sleep"], others["sleepEnd"])
+		}
 	}
 }
 

@@ -195,6 +195,40 @@ func TestLazyRegionFitsStolenDeque(t *testing.T) {
 	})
 }
 
+// A blocked owner strands no fork: help takes the region before it lets a
+// wait block, so a Group.Wait — or a Join — sleeps with the region empty.
+// The group's member is the owner's public part, so the Join2's F goes to
+// the region; the other worker steals the member, and the Join2's second
+// half waits for it: F runs, on the owner, before the owner sleeps in the
+// group's word, though nothing public is left for the wait to run.
+func TestLazyBlockedWaitRunsRegionFirst(t *testing.T) {
+	p := New(Config{Workers: 2})
+	var fRan, memberStarted atomic.Bool
+	g := NewGroup()
+	p.Run(func(w *Worker) {
+		release := occupy(t, w)
+		g.Spawn(w, func(*Worker) {
+			memberStarted.Store(true)
+			spinUntil(t, "the owner to sleep in the group's wait", func() bool { return g.ch.p.Load() != nil })
+			if !fRan.Load() {
+				t.Error("the owner went to sleep with F in its region")
+			}
+		})
+		Join2(w, func(*Worker) int { fRan.Store(true); return 0 }, func(c *Worker) int {
+			if n := w.lazyTail - w.lazyHead; n != 1 {
+				t.Errorf("the region holds %d forks, want F alone", n)
+			}
+			release()
+			spinUntil(t, "the other worker to take the member", memberStarted.Load)
+			g.Wait(c)
+			return 0
+		})
+	})
+	if s := p.Stats(); s.TasksRun != 4 || s.Spawns != 3 {
+		t.Errorf("TasksRun = %d, Spawns = %d; want 4 and 3", s.TasksRun, s.Spawns)
+	}
+}
+
 // A running owner strands its region too: the owner polls wantWork only at
 // a fork or a pop-back, so a leaf that spins holds its private forks out of
 // reach for as long as it runs. What it holds is bounded all the same — the

@@ -1,4 +1,5 @@
-// Worker lifecycle: parking for idle workers.
+// Worker lifecycle: parking for idle workers, and the one sleep every wait
+// of a worker is.
 //
 // The paper's Figure 3 loop spins forever — pop, yield, steal — because in
 // its model the kernel already charges a spinning thief's steal attempts
@@ -7,38 +8,19 @@
 // program's problem: every idle worker pins a full core at 100%. This file
 // adds the standard remedy, the one Go's own runtime (findRunnable ->
 // stopm/wakep) and ForkJoinPool use atop the same ABP-style deques: after
-// ParkThreshold consecutive failed steal attempts a worker parks on a
-// per-worker token channel. Spawn and Submit wake one idle worker whenever
-// they make new work available.
+// ParkThreshold consecutive failed steal attempts a worker parks. Spawn and
+// Submit wake one idle worker whenever they make new work available.
 //
-// To park, the worker numbers the sleep (Worker.sleep), moves its status
-// word from running to idle (pool.go has the word's diagram), counts itself
-// in Pool.idle, re-checks for work, and only then blocks on its token
-// channel, the one thing every sleep of a worker waits on.
-//
-// Lost-wakeup freedom is the usual Dekker argument over Go's sequentially
-// consistent atomics: a producer publishes work (an atomic store inside the
-// deque's PushBottom, or the injector's reservation CAS) and then reads the
-// idle count and the status words; an idle worker publishes its status and
-// the count and then re-scans the injector and every deque. Whichever order
-// the two interleave in, one side must observe the other, so work published
-// while a worker is going to sleep either earns that worker a wake token or
-// is seen by its pre-block re-check. A token carries the number of the
-// sleep it was sent for, and only that sleep ends on it as a wake. Any
-// other token — an earlier sleep's, from a signalWork preempted between its
-// load of the word and its send, or a Resize's or endSession's — makes the
-// sleeper re-check its phase, its word and the work, which covers what such
-// a token, or one it kept out of the full channel, stood for.
-// status_model_test.go explores the protocol, Resize's edges of the word
-// and the session's end included, and catches the re-check moved ahead of
-// the publication and a sleep that ends on an earlier sleep's token.
-//
-// Termination needs no flag-spinning either: the session teardown
-// (Pool.endSession) stores the stopping phase and then leaves a token for
-// every slot, so each parked or retired worker wakes, reads the phase and
-// leaves. A retired worker's sleep (sleepRetired, resize.go) is the second
-// on the same channel, and no part of the handshake: it is nobody's wake
-// target, and only a grow and the session's end send its token.
+// A park is one sleep of the worker's sleep (DESIGN.md §7, "Sleep and
+// wake"), published in the status word, and it is the consumer half of a
+// Dekker handshake over Go's sequentially consistent atomics: a producer
+// publishes work (PushBottom's store, or the injector's reservation CAS)
+// and then reads the idle count and the status words; a parker publishes
+// its status and the count and then re-scans the injector and every deque.
+// Whichever order the two interleave in, one side observes the other, so
+// work published while a worker goes to sleep either earns it a wake token
+// or is seen by its re-check. status_model_test.go explores the protocol,
+// Resize's edges of the word and the session's end included.
 //
 // The paper's yield discipline is preserved where it matters: in the hot
 // phase (below the threshold) a thief still calls runtime.Gosched between
@@ -51,6 +33,7 @@ package sched
 import (
 	"runtime"
 
+	"worksteal/internal/atomicx"
 	"worksteal/internal/fault"
 )
 
@@ -121,9 +104,10 @@ func (w *Worker) loop() {
 			w.execOrDrop(t, stolen)
 			continue
 		}
-		fails++
-		if w.idleWait(fails) {
-			fails = 0 // woken by a work signal: restart the hot phase
+		// Hot rounds, then a park; a park that did not end on a work
+		// signal parks again at the next failed round.
+		if fails++; fails >= w.pool.cfg.ParkThreshold && w.park() {
+			fails = 0
 		}
 	}
 }
@@ -144,34 +128,21 @@ func (w *Worker) recoverLoopPanic() {
 	}
 }
 
-// idleWait is an idle worker's lifecycle: hot rounds below ParkThreshold,
-// then a park. It reports whether the worker was woken by a work signal (the
-// caller restarts the hot phase); a park that ended otherwise — the re-check
-// saw work, a retire mark, the session's end — leaves the count where it
-// is, so the next failed round parks again.
-func (w *Worker) idleWait(fails int) bool {
-	return fails >= w.pool.cfg.ParkThreshold && w.park()
-}
-
 // park blocks the worker until signalled and reports whether it was woken
-// by a work signal. It is the consumer half of the Dekker protocol with
-// signalWork: number the sleep, publish the idle status and count, then
-// re-check for work, and only then sleep on the wake token. The handshake
-// directive makes abplint verify that ordering: the status CAS must
-// dominate the anyVisibleWork re-scan, and every access to the word must be
-// atomic. The entry CAS fails only against a retire mark: a marked worker
-// does not fall asleep, its loop retires it. The sleep ends on a token sent
-// for it; any other token ends it only if the re-check it makes then finds
-// a reason — the session's end, a retire mark, work. The exit CAS fails
-// only against a mark set during the sleep: that sleep ends as a wake does,
-// at the loop top, which acts on the mark. Nothing drops a token left in
-// the channel at the exit: it is no later sleep's, and the next sleep
-// re-checks past it.
+// by a work signal: number the sleep, publish the idle status and count,
+// re-check for work, and only then sleep. The handshake directive makes
+// abplint verify that ordering: the status CAS must dominate the
+// anyVisibleWork re-scan, and every access to the word must be atomic. The
+// entry CAS fails only against a retire mark: a marked worker does not fall
+// asleep, its loop retires it. A token not the sleep's own ends it only if
+// the re-check finds the session's end, a retire mark or work. The exit CAS
+// fails only against a mark set during the sleep: that sleep ends as a wake
+// does, at the loop top, which acts on the mark.
 //
 //abp:handshake store=status load=anyVisibleWork
 func (w *Worker) park() bool {
 	p := w.pool
-	n := w.sleep.Add(1)
+	n := w.sleep.begin()
 	if !w.status.CompareAndSwap(workerRunning, workerIdle) {
 		return false
 	}
@@ -185,15 +156,10 @@ func (w *Worker) park() bool {
 		// arriving now must find the worker signallable, and a shutdown
 		// must still wake it.
 		fault.Point(fpParkBeforeSleep)
-		for {
-			if <-w.parkCh == n {
-				w.wakes.Add(1)
-				woke = true
-				break
-			}
-			if p.phase.Load() == phaseStopping || w.status.Load() != workerIdle || w.anyVisibleWork() {
-				break
-			}
+		if woke = w.sleep.wait(n, nil, func() bool {
+			return p.phase.Load() == phaseStopping || w.status.Load() != workerIdle || w.anyVisibleWork()
+		}); woke {
+			w.wakes.Add(1)
 		}
 	}
 	if !w.status.CompareAndSwap(workerIdle, workerRunning) {
@@ -224,33 +190,81 @@ func (p *Pool) signalWork() {
 	n := len(p.workers)
 	start := int((p.wakeRR.Add(1) - 1) % uint32(n))
 	for i := 0; i < n; i++ {
-		w := p.workers[(start+i)%n]
-		// The sleep number is loaded first: a status that reads idle then
-		// belongs to that sleep, or to a later one whose re-check comes
-		// after this signal's push, and which its token does not end.
-		sleep := w.sleep.Load()
 		// A retiring worker reads retiring, never idle, so no token goes to
 		// a wake that would end in retirement rather than work; one marked
 		// after its token was sent passes the baton on (retire, resize.go).
-		if w.status.Load() == workerIdle {
-			w.wake(sleep)
+		if p.workers[(start+i)%n].wakeIf(1 << workerIdle) {
 			return
 		}
 	}
 }
 
-// wake leaves a token for the worker's sleep — park's or sleepRetired's — to
-// end on: sleep is the number of the park it is for, or 0 for Resize's and
-// endSession's tokens, which a park re-checks on (0 numbers a park only
-// when the count wraps, and then such a token wakes it for nothing). The
-// channel has capacity one, so a token sent to a worker with one pending is
-// absorbed rather than lost — the pending one makes the sleeper look — and
-// the send can never block.
+// wakeIf wakes w's sleep if w's status is in the set st (a bit per
+// status) and reports whether it did: signalWork's set is idle, a run's
+// abort's the two a task runs under, running and retiring. The number is
+// loaded first, so a status read in the set belongs to that sleep or to a
+// later one, which the token does not end.
 //
 //abp:nonblocking
-func (w *Worker) wake(sleep uint32) {
+func (w *Worker) wakeIf(st uint32) bool {
+	n := w.sleep.n.Load()
+	if 1<<w.status.Load()&st == 0 {
+		return false
+	}
+	w.sleep.wake(n)
+	return true
+}
+
+// sleep is a worker's one way to block, and wake the one way to end it
+// (DESIGN.md §7, "Sleep and wake"): park, the retired sleep and a blocked
+// join all take a number (begin), publish where their waker looks, re-check
+// and wait; a waker loads the number, reads what the sleeper published and
+// sends the number it loaded — or 0, no sleep's, to make it look again. A
+// sleep ends as a wake only on its own number, and any other token makes
+// it re-check, so nothing drains the channel (sleep_model_test.go).
+type sleep struct {
+	n  atomicx.SCUint32
+	ch chan uint32 // capacity one; nil on the caller-runs worker
+	// join is what a join that is its word's one waiter installs in the
+	// word (waitToken): this sleep, for finish to wake.
+	join waiter
+}
+
+// begin takes the number of a new sleep.
+func (s *sleep) begin() uint32 { return s.n.Add(1) }
+
+// wait blocks sleep n until a token carrying n arrives, which it reports as
+// a wake, or until done, if not nil, is closed, or another token makes
+// recheck find a reason to stop sleeping. A worker with no channel — the
+// caller-runs worker, which no waker can find — yields instead, and its
+// caller looks again: Figure 3's idle action.
+func (s *sleep) wait(n uint32, done <-chan struct{}, recheck func() bool) bool {
+	if s.ch == nil {
+		runtime.Gosched()
+		return false
+	}
+	for {
+		select {
+		case t := <-s.ch:
+			if t == n {
+				return true
+			}
+		case <-done:
+			return false
+		}
+		if recheck() {
+			return false
+		}
+	}
+}
+
+// wake leaves a token carrying n. A send to a full channel is dropped —
+// the pending token makes the sleeper look — so it never blocks.
+//
+//abp:nonblocking
+func (s *sleep) wake(n uint32) {
 	select {
-	case w.parkCh <- sleep:
+	case s.ch <- n:
 	default:
 	}
 }

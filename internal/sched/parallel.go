@@ -47,12 +47,13 @@ func takeRange[T any](w *Worker) *rangeTask[T] {
 
 // joinFree is Future.joinFree for a range record, which goes back to w's
 // list of range records. The join is written out in both, not shared: a
-// call frame more per join costs Join2 a measurable share of a fork.
+// generic helper calls the record's free through its dictionary, a call
+// per join that the method's own free is not.
 func (r *rangeTask[T]) joinFree(w *Worker) T {
 	if !r.Done() && w.popBack(&r.task) {
 		r.call(w)
 	} else {
-		r.wait(w, &w.joinCh)
+		r.wait(w, true)
 		r.ch.p.Store(nil)
 	}
 	v := r.result

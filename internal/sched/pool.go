@@ -84,7 +84,7 @@ type Config struct {
 	// Defaults to runtime.GOMAXPROCS(0).
 	Workers int
 	// MaxWorkers caps Pool.Resize growth (resize.go): worker structures —
-	// deque, rng, park channel — are pre-allocated up to this bound at New
+	// deque, rng, sleep — are pre-allocated up to this bound at New
 	// time, and a session holds one goroutine per slot, MaxWorkers of them,
 	// the retired ones asleep: a mid-Serve grow is a store and a wake. Slots
 	// in [Workers, MaxWorkers) begin retired. 0 defaults to Workers (a fixed
@@ -229,10 +229,10 @@ type Pool struct {
 	gen     uint64
 	stopped bool
 	cause   any
-	// The capacity-1 token channels New makes for a session's controller
-	// (stopWith and a Run's end send to it; a Run's controller installs ctl
-	// in the batch Handle's word) and its watchdog (endSession's).
-	ctl   *chan struct{}
+	// The controller's sleep — its number stays 0, and the sweep drops its
+	// stale token — which stopWith and a Run's end wake, and the watchdog's
+	// token channel, endSession's.
+	ctl   *sleep
 	dogCh chan struct{}
 	// batch is the Handle of a Run's submission, the pool's own: RunContext
 	// resets it and endSession reads its outcome before the phase is idle.
@@ -266,10 +266,7 @@ func (p *Pool) stopWith(gen uint64, cause any) {
 	p.runMu.Lock()
 	if gen == p.gen && !p.stopped {
 		p.stopped, p.cause = true, cause
-		select {
-		case *p.ctl <- struct{}{}:
-		default:
-		}
+		p.ctl.wake(0)
 	}
 	p.runMu.Unlock()
 }
@@ -288,8 +285,7 @@ func (p *Pool) stopWith(gen uint64, cause any) {
 // one can become idle: park's entry CAS fails against a retire mark, so a
 // marked worker cannot fall asleep, and one marked in its sleep is woken by
 // the Resize that marked it. A retired worker sleeps too (sleepRetired), but
-// as nobody's wake target: only a grow's token, sent after its store, ends
-// that sleep. Running and idle are the fleet's members
+// as nobody's wake target. Running and idle are the fleet's members
 // (Stats.ActiveWorkers). workerRunning is the zero value, so New's workers
 // start running. Between sessions no goroutine holds a slot, and
 // startSession stores every word afresh from the target.
@@ -361,13 +357,13 @@ type Worker struct {
 	// Resize and the worker arbitrate retirement on, hence sc. Every
 	// producer's signalWork scans it, so it has a cache line to itself:
 	// neither the owner-hot block above nor the wiring below, which every
-	// thief reads, may share the line the whole pool polls. sleep numbers
-	// the worker's parks (park adds one before its entry CAS), for the
-	// tokens signalWork sends (lifecycle.go); its Add is another line's.
+	// thief reads, may share the line the whole pool polls. sleep, the
+	// worker's one way to block (lifecycle.go), has its own line: every
+	// waker reads its number and channel, and only its sleeps write it.
 	_      atomicx.CacheLinePad
 	status atomicx.SCUint32
 	_      atomicx.CacheLinePad
-	sleep  atomicx.SCUint32
+	sleep  sleep
 	_      atomicx.CacheLinePad
 	// wantWork is a thief's request that the owner publish its region: set
 	// by a steal that missed this worker's empty public part, read by the
@@ -380,15 +376,12 @@ type Worker struct {
 	_        atomicx.CacheLinePad
 
 	// The wiring: set by New and only read afterwards. Every thief's
-	// stealOnce and every deque scan comes through this line for dq, and the
-	// completer of a joinFree this worker blocks in reads joinCh.
+	// stealOnce and every deque scan comes through this line for dq.
 	pool   *Pool
 	id     int
 	dq     deque.Dequer[Task]
-	rng    *rand.Rand    // victim selection; nil on the caller-runs worker (stealOnce)
-	parkCh chan uint32   // capacity-1 wake token, carrying the sleep it was sent for (lifecycle.go)
-	joinCh chan struct{} // capacity-1 wake token of a blocked join: its future's end, its run's abort (future.go)
-	loopFn func()        // loop as a method value, so startSession's go statement allocates nothing
+	rng    *rand.Rand // victim selection; nil on the caller-runs worker (stealOnce)
+	loopFn func()     // loop as a method value, so startSession's go statement allocates nothing
 }
 
 // New builds a pool. The zero Config is valid.
@@ -424,13 +417,13 @@ func New(cfg Config) *Pool {
 	if seed == 0 {
 		seed = 0x5EED
 	}
-	ctl := make(chan struct{}, 1)
 	p := &Pool{
 		cfg:    cfg,
 		inject: newInjector(cfg.InjectorCapacity),
-		ctl:    &ctl,
+		ctl:    &sleep{ch: make(chan uint32, 1)},
 		dogCh:  make(chan struct{}, 1),
 	}
+	p.ctl.join.s = p.ctl
 	if cfg.ParkThreshold == 0 {
 		// The one default a worker goroutine reads, so it is written through
 		// p, which nothing shares yet (abprace's fresh-object rule).
@@ -441,13 +434,13 @@ func New(cfg Config) *Pool {
 	// session until a Resize activates them.
 	for i := 0; i < cfg.MaxWorkers; i++ {
 		w := &Worker{
-			pool:   p,
-			id:     i,
-			dq:     deque.NewWithCapacity[Task](cfg.DequeCapacity),
-			rng:    rand.New(rand.NewSource(seed + int64(i)*1_000_003)),
-			parkCh: make(chan uint32, 1),
-			joinCh: make(chan struct{}, 1),
+			pool:  p,
+			id:    i,
+			dq:    deque.NewWithCapacity[Task](cfg.DequeCapacity),
+			rng:   rand.New(rand.NewSource(seed + int64(i)*1_000_003)),
+			sleep: sleep{ch: make(chan uint32, 1)},
 		}
+		w.sleep.join.s = &w.sleep
 		w.loopFn = w.loop
 		if i >= cfg.Workers {
 			w.status.Store(workerRetired)
@@ -515,7 +508,9 @@ func (p *Pool) RunContext(ctx context.Context, root func(*Worker)) error {
 	// Handle's word. A task panic stops the session as a failed loop does,
 	// so that endSession re-raises it; whenever the run ended in a panic,
 	// the session's cause is one, so only a run that did not gets to return.
-	<-h.done.waitToken(p.ctl)
+	if h.done.p.CompareAndSwap(nil, &p.ctl.join) {
+		<-p.ctl.ch
+	}
 	if h.done.isDone() {
 		if pe, ok := h.err.(PanicError); ok {
 			p.stopWith(p.gen, pe.Value)
@@ -574,8 +569,7 @@ func (p *Pool) startSession(root *Task) {
 	// after (it finds the goroutines it wakes). The words need the store: a
 	// shrink the previous session did not live to complete — or one made
 	// between sessions — left its suffix retiring. Every goroutine of the
-	// session holds a slot of wg and leaves on a token of endSession's (the
-	// workers: on the stopping phase the token wakes them to see).
+	// session holds a slot of wg and leaves on a token of endSession's.
 	p.resizeMu.Lock()
 	for i, w := range p.workers {
 		if i < p.target {
@@ -603,8 +597,7 @@ func (p *Pool) startSession(root *Task) {
 // first abort wins, so a cause a run recorded earlier is preserved, and
 // after a Run or a completed Drain the set is already empty — leaves a
 // token for every slot and the watchdog, after the store of stopping that a
-// sleeper it wakes must read (status_model_test.go sends them first and
-// finds one asleep for good), joins the session's goroutines, sweeps, and
+// sleeper it wakes must read, joins the session's goroutines, sweeps, and
 // returns the pool to idle. A non-nil cause — a task panic of a Run, a
 // worker-loop failure of either API — is re-raised once the pool is
 // reusable; else endSession returns the batch Handle's outcome, a Run's.
@@ -629,7 +622,7 @@ func (p *Pool) endSession() error {
 		r.let()
 	}
 	for _, w := range p.workers {
-		w.wake(0)
+		w.sleep.wake(0)
 	}
 	if p.cfg.StallTimeout > 0 {
 		p.dogCh <- struct{}{} // the watchdog's one token: empty since the last session's took it
@@ -655,7 +648,7 @@ func (p *Pool) endSession() error {
 // invariant, no tasks left anywhere); the one a Submit pushed so late that
 // no abort sweep saw its run is aborted here, so its Handle reports
 // ErrStopped instead of waiting on a task nobody holds. It also drops the
-// tokens left behind: each slot's, and the controller's.
+// controller's token, if one is left behind.
 //
 //abp:owner quiescent phase: every worker has exited before the sweep
 func (p *Pool) drainByRun() {
@@ -666,13 +659,9 @@ func (p *Pool) drainByRun() {
 		for t := w.dq.PopBottom(); t != nil; t = w.dq.PopBottom() {
 			p.account(t)
 		}
-		select {
-		case <-w.parkCh:
-		default:
-		}
 	}
 	select {
-	case <-*p.ctl:
+	case <-p.ctl.ch:
 	default:
 	}
 }
@@ -952,7 +941,7 @@ func (w *Worker) spawn(t *Task) {
 //
 //abp:owner tasks execute only on worker goroutines, so the receiver owns w.dq
 func (w *Worker) help(r *run) (mayBlock bool) {
-	if r.state.Load() != runLive {
+	if r.aborted() {
 		r.panicAborted()
 	}
 	t, stolen := w.takePrivate(), false

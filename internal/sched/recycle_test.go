@@ -214,20 +214,22 @@ func TestRecycleScopes(t *testing.T) {
 	})
 }
 
-// A joiner unwound by an abort — woken by the abort's token on its
-// worker's joinCh — leaves that token installed in the record it abandons,
-// and that record's completer sends a token to it later. The same joiner's
-// next block, in a fresh Run, does not drain the stale token, which might
-// as well have been an abort's: it wakes on it, finds its fork still
-// running, and blocks again until its own fork completes. The pool starts each Run with worker 0 alone in the fleet,
-// so the root — the joiner — runs there, and grows it to two for a thief.
+// A joiner unwound by an abort — woken by the abort's token to its
+// worker's sleep — takes its sleep back out of the record it abandons, so
+// that record's completer sends it nothing. And a token that reaches a
+// later join's sleep for an earlier sleep of its worker — a waker's that
+// was preempted between its load of the number and its send — does not end
+// that sleep as a wake: the joiner re-checks, finds its fork still running,
+// and sleeps on, with no round of help, which would count a steal attempt.
+// The pool starts each Run with worker 0 alone in the fleet, so the root —
+// the joiner — runs there, and grows it to two for a thief.
 func TestRecycleJoinToken(t *testing.T) {
 	p := New(Config{Workers: 1, MaxWorkers: 2})
 	w0 := p.workers[0]
 	one := func(*Worker) int { return 1 }
 	// blockedJoin forks a Join2 half that spins, stolen, until the joiner
-	// has installed its token in the half's Future, and then until done.
-	blockedJoin := func(w *Worker, done func() bool) int {
+	// sleeps in the half's Future, then runs during and returns 7.
+	blockedJoin := func(w *Worker, during func(f *Future[int])) int {
 		if w != w0 {
 			t.Errorf("the root runs on worker %d", w.ID())
 			return 0
@@ -241,8 +243,8 @@ func TestRecycleJoinToken(t *testing.T) {
 		var started atomic.Bool
 		got, _ := Join2(w, func(*Worker) int {
 			started.Store(true)
-			spinUntil(t, "the joiner to install its token", func() bool { return f.ch.p.Load() == &w0.joinCh })
-			spinUntil(t, "the joiner to be done waiting", done)
+			spinUntil(t, "the joiner to sleep in the fork's word", func() bool { return f.ch.p.Load() == &w0.sleep.join })
+			during(f)
 			return 7
 		}, func(*Worker) int {
 			spinUntil(t, "the fork to be stolen", started.Load)
@@ -255,23 +257,34 @@ func TestRecycleJoinToken(t *testing.T) {
 	var unwound atomic.Bool
 	err := p.RunContext(ctx, func(w *Worker) {
 		defer unwound.Store(true)
-		blockedJoin(w, func() bool { cancel(); return unwound.Load() })
+		blockedJoin(w, func(f *Future[int]) {
+			cancel()
+			spinUntil(t, "the joiner to unwind", unwound.Load)
+			if f.ch.p.Load() != nil {
+				t.Error("the unwound joiner left its sleep in the record it abandoned")
+			}
+		})
 		t.Error("the join returned from an aborted Run")
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("RunContext = %v, want context.Canceled", err)
 	}
-	if len(w0.joinCh) != 1 {
-		t.Fatalf("%d tokens pending on the joiner's worker after the abandoned join's fork completed, want 1", len(w0.joinCh))
-	}
 
 	if err := p.Resize(1); err != nil {
 		t.Fatalf("Resize(1): %v", err)
 	}
-	// The fork completes only once the blocked joiner has taken the stale
-	// token, which nothing but its receive takes from the channel.
 	got := 0
-	runWithin(t, p, func(w *Worker) { got = blockedJoin(w, func() bool { return len(w0.joinCh) == 0 }) })
+	runWithin(t, p, func(w *Worker) {
+		got = blockedJoin(w, func(*Future[int]) {
+			attempts := w0.stealAttempts.Load()
+			w0.sleep.wake(w0.sleep.n.Load() - 1)
+			spinUntil(t, "the joiner to take the stale token", func() bool { return len(w0.sleep.ch) == 0 })
+			time.Sleep(10 * time.Millisecond)
+			if n := w0.stealAttempts.Load() - attempts; n != 0 {
+				t.Errorf("a token for an earlier sleep ended the join's sleep as a wake: %d steal attempts before its fork completed", n)
+			}
+		})
+	})
 	if got != 7 {
 		t.Fatalf("the join returned %d, want 7", got)
 	}

@@ -12,7 +12,7 @@
 //
 //   - Grow brings a retired slot back with a store of running and then a
 //     token for its sleeper (sleepRetired), which re-reads the word. The
-//     slot's structures (deque, rng, park channel) exist from New.
+//     slot's structures (deque, rng, sleep) exist from New.
 //   - Shrink marks suffix workers retiring and wakes them. A retiring
 //     worker retires itself at a safe point — the top of its loop, never
 //     mid-task: it drains its own deque into the injector (running tasks
@@ -89,7 +89,7 @@ func (p *Pool) Resize(n int) error {
 				s = w.status.Load()
 			}
 			if s == workerIdle {
-				w.wake(0) // no sleep's number: the park re-checks, and reads the mark
+				w.sleep.wake(0) // no sleep's number: the park re-checks, and reads the mark
 			}
 		}
 		p.trimVictims()
@@ -112,7 +112,7 @@ func (p *Pool) Resize(n int) error {
 		// when the token wakes it, and one that read retired would sleep on
 		// (status_model_test.go sends the token first and finds that).
 		w.status.Store(workerRunning)
-		w.wake(0)
+		w.sleep.wake(0)
 	}
 	return nil
 }
@@ -171,12 +171,15 @@ func (w *Worker) retire() {
 	p.signalWork()
 }
 
-// sleepRetired is where a retired slot's goroutine waits: for the token of
-// the grow that stored running, or of the session's end, which stored
-// stopping. The loop re-reads the phase and the status word after any
-// token, so a stale one — a shrink's, or a signalWork's sent to a park that
-// had ended by itself — sleeps again.
-func (w *Worker) sleepRetired() { <-w.parkCh }
+// sleepRetired is where a retired slot's goroutine sleeps until a grow's
+// token or the session's end's, each sent after its store, makes it look;
+// no one sends it its number. It takes no look first: a token sent before
+// it began is in the channel still, or kept out by one that is.
+func (w *Worker) sleepRetired() {
+	w.sleep.wait(w.sleep.begin(), nil, func() bool {
+		return w.pool.phase.Load() == phaseStopping || w.status.Load() != workerRetired
+	})
+}
 
 // republish hands one drained task back through the injector (offer). The
 // task leaves this worker for good, so it goes out in the scope a thief

@@ -8,12 +8,13 @@ import (
 // This file model-checks how a run record ends (serve.go: finish, outcome;
 // pool.go: help) on the explorer of model_test.go, with the completion
 // word's steps of future_model_test.go (mWord). The actors: a joiner of the
-// submission, about to block on its worker's token channel (joinCh) for a
+// submission, about to sleep on its worker's sleep (lifecycle.go) for a
 // future that may or may not arrive; a Handle waiter, on the run's word; a
 // completer, which can start only once the joiner has returned — a live
 // joiner is a task of the submission, so the root scope cannot empty under
 // it — and an aborter, racing the completer through finishOnce, whose
-// finish ends with a token for the joiner's worker. Checked on every path:
+// finish ends with a token for the joiner's sleep, one step here
+// (sleep_model_test.go has its number). Checked on every path:
 //
 //   - no channel is closed twice, and at quiescence nobody is left blocked;
 //   - a joiner woken by the abort's token reads a state that is not live;
@@ -33,7 +34,7 @@ const (
 const (
 	rwLoad    int8 = iota // waitChan: load the word
 	rwCAS                 // waitChan: install a channel against nil
-	rwBlock               // blocked on the channel in hand; the joiner on its token channel
+	rwBlock               // blocked on the channel in hand; the joiner in its sleep
 	rwState               // joiner only: help's load of state, before a block
 	rwOutcome             // outcome: load state, read the cause
 	rwFinished
@@ -58,7 +59,7 @@ type rmState struct {
 	won   int8 // the finisher finishOnce let in
 	pc    [4]int8
 	ch    [4]int8 // the channel a waiter blocks on, a finisher must close
-	tok   bool    // a token is pending in the joiner's worker's joinCh
+	tok   bool    // a token is pending in the joiner's worker's sleep
 	woken bool    // the joiner's block ended on that token
 }
 

@@ -536,7 +536,7 @@ func TestStealPathAllocations(t *testing.T) {
 // A Run allocates nothing of the engine's own: the run record is recycled
 // (runRecords), the Handle is the pool's (Pool.batch), and the controller
 // and every sleeper of the session wait on token channels New made
-// (Pool.ctl, Worker.parkCh, Worker.joinCh). Measured as
+// (Pool.ctl, Worker.sleep). Measured as
 // TestStealPathAllocations measures — a warm pool, the collector off, one
 // processor — on one worker and on two, with roots that capture nothing.
 func TestRunAllocations(t *testing.T) {

@@ -168,10 +168,11 @@ func (r *run) let() {
 // first wins; later calls are no-ops, preserving the original cause (the
 // batch API's panic-beats-cancel priority falls out of call order). The
 // cause is written first, then state, then the completion word and, for an
-// abort, a token for every worker's joinCh — which of them has a join of r
-// blocked is nobody's to know: whoever the word or a token wakes must find
-// state aborted (help; run_model_test.go moves the Swap up, and the token,
-// and fails). The caller is a holder of r.
+// abort, a token for the sleep of every worker that may be running a task,
+// its status running or retiring — which of them has a join of r blocked
+// is nobody's to know: whoever the word or a token wakes must find state
+// aborted (help; run_model_test.go moves the Swap up, and the token, and
+// fails). The caller is a holder of r.
 func (r *run) finish(state int32, err error) {
 	r.finishOnce.Do(func() {
 		if stop := r.stopWatch.Load(); stop != nil && (*stop)() {
@@ -183,10 +184,7 @@ func (r *run) finish(state int32, err error) {
 		r.h.done.finish()
 		if state != runLive {
 			for _, w := range r.pool.workers {
-				select {
-				case w.joinCh <- struct{}{}:
-				default:
-				}
+				w.wakeIf(1<<workerRunning | 1<<workerRetiring)
 			}
 		}
 	})
@@ -195,6 +193,10 @@ func (r *run) finish(state int32, err error) {
 // complete ends the submission successfully. Called by the release that
 // empties the root scope; a lost race against an abort is a no-op.
 func (r *run) complete() { r.finish(runLive, nil) }
+
+// aborted reports whether the submission has aborted: the re-check of a
+// sleep of one of its joiners.
+func (r *run) aborted() bool { return r.state.Load() != runLive }
 
 // outcome returns the abort cause of a submission the caller has seen
 // aborted (state), or nil for one that has not. The load of state orders
@@ -287,7 +289,7 @@ func (p *Pool) Serve(ctx context.Context) error {
 	select {
 	case <-ctx.Done():
 		err = ctx.Err()
-	case <-*p.ctl:
+	case <-p.ctl.ch:
 		// A stop. A Drain's (drain.go): admission is already closed and —
 		// unless the drain's deadline expired first — every accepted
 		// submission has completed, so endSession's abort is a no-op on the
@@ -381,21 +383,20 @@ func (p *Pool) SubmitContext(ctx context.Context, fn func(*Worker)) (*Handle, er
 
 // runOnCaller executes a shed submission synchronously on the submitting
 // goroutine: an ephemeral worker whose deque is the zero deque.Deque, of
-// capacity zero, refuses every push and so makes all spawns run inline, so the whole submission executes depth-first to
-// completion before Submit returns (its Handle is already Done). The
-// ephemeral worker is not in Pool.workers: nothing steals from it and its
-// per-task counters are not folded into Stats — Stats.SubmitsCallerRun
-// counts the shed submissions themselves. It may still have to wait — a
-// Join or a Group.Wait on work a pool worker holds — and then it helps like
-// any worker, stealing from the fleet's deques (stealOnce).
+// capacity zero, refuses every push and so makes all spawns run inline, so
+// the whole submission executes depth-first to completion before Submit
+// returns (its Handle is already Done). The ephemeral worker is not in
+// Pool.workers: nothing steals from it and its per-task counters are not
+// folded into Stats — Stats.SubmitsCallerRun counts the shed submissions
+// themselves. It may still have to wait — a Join or a Group.Wait on work a
+// pool worker holds — and then it helps like any worker, stealing from the
+// fleet's deques (stealOnce), and yields where one would sleep: no waker
+// can find its sleep, which has no channel (sleep.wait).
 func (p *Pool) runOnCaller(t *Task) {
 	w := &Worker{
 		pool: p,
 		id:   len(p.workers), // out of the victim range: never stolen from, excludes no victim
 		dq:   &deque.Deque[Task]{},
-		// Every fork here runs inline, so no joinFree should block on it,
-		// but one that did would sleep for good on a nil token.
-		joinCh: make(chan struct{}, 1),
 	}
 	w.execOrDrop(t, false)
 }

@@ -24,7 +24,7 @@ type Stats struct {
 	Steals         int64
 	StealAttempts  int64
 	Yields         int64
-	Parks          int64 // times an idle worker blocked on its park channel
+	Parks          int64 // times an idle worker blocked on its token channel
 	Wakes          int64 // parked workers woken by a work signal
 	// BackoffNanos is always 0. It was the time idle workers spent in
 	// timed naps on their way to a park; a worker now parks straight after

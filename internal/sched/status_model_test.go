@@ -38,10 +38,14 @@ import (
 // push, and sleeps through a requester whose re-check came in between.
 //
 // The session's end (endSession) is a fifth actor in its own search: the
-// store of stopping, then a token for each worker, at any time. Checked on
-// top: at quiescence both workers have left their loops — no sleep, parked
-// or retired, outlives the session. Its control sends the tokens first, and
-// a sleeper that re-checked before the store sleeps on.
+// store of stopping, the abort of what is in flight — a token for the
+// current sleep of each worker whose status is running or retiring, the
+// statuses a task, and so a blocked join, runs under; a park not yet past
+// its entry CAS may end on it as a wake — then a token for each worker, at
+// any time. Checked on top: at quiescence both workers have left their
+// loops — no sleep, parked or retired, outlives the session. Its control
+// sends the tokens first, and a sleeper that re-checked before the store
+// sleeps on.
 
 // Worker steps.
 const (
@@ -78,7 +82,7 @@ func smTarget(pc int8) int {
 type smState struct {
 	status [2]uint32
 	pc     [2]int8
-	token  [2]bool // a token is in parkCh
+	token  [2]bool // a token is in the worker's sleep
 	tokSig [2]bool // ... and a signalWork sent it
 	tokCur [2]bool // ... carrying the number of the sleep the worker is in or entering now
 	tokNow [2]bool // ... having read the idle status of that sleep
@@ -109,7 +113,7 @@ type statusModel struct {
 	end                 bool // endSession runs, at any time
 	endTokensFirst      bool // negative control of end: the tokens, then the store of stopping
 	// What the search came across, so the test can tell what it covered.
-	refused, markedAsleep, reactivated, regrown, sleptAgain, foreign, ended int
+	refused, markedAsleep, reactivated, regrown, sleptAgain, foreign, ended, aborts int
 }
 
 // smEdges is the diagram above the status constants in pool.go.
@@ -379,8 +383,12 @@ func (m *statusModel) resize(s smState) []smState {
 	return []smState{s}
 }
 
-// endSession is the store of stopping, then a token for each worker; the
-// other way round under endTokensFirst.
+// endSession is the store of stopping, then, per worker, the abort of what
+// is in flight and the token of the end: the abort sends a token for the
+// worker's current sleep if its status is one a task runs under (wakeIf),
+// which ends a park whose entry CAS is still to come as a wake, and then
+// the token of the end, which that one keeps out; else the token of the
+// end alone. The tokens come first under endTokensFirst.
 func (m *statusModel) endSession(s smState) []smState {
 	if !m.end || s.end == 3 {
 		return nil
@@ -389,14 +397,19 @@ func (m *statusModel) endSession(s smState) []smState {
 	if m.endTokensFirst {
 		store = 2
 	}
+	w := int(s.end)
+	if s.end > store {
+		w--
+	}
 	switch {
 	case s.end == store:
 		s.stopping = true
 		m.ended++
-	case s.end < store:
-		s.send(int(s.end), -1)
+	case (s.status[w] == workerRunning || s.status[w] == workerRetiring) && !s.token[w]:
+		m.aborts++
+		s.token[w], s.tokSig[w], s.tokCur[w], s.tokNow[w] = true, false, true, false
 	default:
-		s.send(int(s.end-1), -1)
+		s.send(w, -1)
 	}
 	s.end++
 	return []smState{s}
@@ -492,7 +505,7 @@ func TestStatusModelCatchesSignalBeforePush(t *testing.T) {
 func TestStatusModelSessionEnd(t *testing.T) {
 	m := &statusModel{end: true}
 	m.explorer().verify(t, smState{})
-	if m.ended == 0 || m.foreign == 0 || m.sleptAgain == 0 {
+	if m.ended == 0 || m.foreign == 0 || m.sleptAgain == 0 || m.aborts == 0 {
 		t.Fatalf("the search covered %+v; want some of each", *m)
 	}
 }
