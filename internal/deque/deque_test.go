@@ -108,8 +108,7 @@ func TestEmptyDeque(t *testing.T) {
 }
 
 // The zero Deque is a deque of capacity zero: it refuses every push and
-// pops nothing, without writing a word — the scheduler's caller-runs worker
-// runs every spawn inline on one.
+// pops nothing, without writing a word.
 func TestZeroValueRefusesEveryPush(t *testing.T) {
 	var d Deque[int]
 	if d.PushBottom(intp(1)) {

@@ -718,7 +718,7 @@ func TestChaosKernelAdversary(t *testing.T) {
 					for i := 0; i < perSub || !exercised(); i++ {
 						started.Add(1)
 						var n atomic.Int64
-						h, err := p.SubmitWithRetry(context.Background(), func(w *Worker) {
+						fn := func(w *Worker) {
 							for j := 0; j < 3; j++ {
 								w.Spawn(func(*Worker) { chaosSpin(50); n.Add(1) })
 							}
@@ -727,7 +727,12 @@ func TestChaosKernelAdversary(t *testing.T) {
 							// them: the sched.spawn.beforePublish window.
 							zero := func(int) int64 { chaosSpin(5); return 0 }
 							n.Add(1 + Reduce(w, 0, 16, 1, zero, func(a, b int64) int64 { return a + b }))
-						}, RetryPolicy{MaxAttempts: 50, Seed: int64(s + 1)})
+						}
+						h, err := p.Submit(fn)
+						for errors.Is(err, ErrOverloaded) { // a full injector: submit again shortly
+							time.Sleep(100 * time.Microsecond)
+							h, err = p.Submit(fn)
+						}
 						if err != nil {
 							t.Errorf("submitter %d: submission %d: %v", s, i, err)
 							return

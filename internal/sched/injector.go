@@ -26,8 +26,8 @@
 // publication (see the Dekker note on Pool.offer).
 //
 // Capacity is the admission-control bound: a full ring makes TryPush
-// return false and Submit reject with ErrOverloaded (or shed to the
-// caller, Config.Overload) instead of queueing unboundedly.
+// return false and Submit reject with ErrOverloaded instead of queueing
+// unboundedly.
 package sched
 
 import (

@@ -34,11 +34,9 @@
 //     (execOrDrop) then releases it, and the publish of what a task left
 //     when it unwound (exec). endSession accounts what a dead loop left
 //     under its run's abort, as drainByRun does a deque's leftovers
-//     (dropRegion). Retire and the caller-runs worker never hold one: the
-//     loop top, where retire starts, follows an exec, which emptied the
-//     region, and the caller-runs worker's deque has no Room. A private
-//     fork its joiner pops back is called with nothing to release
-//     (popBack).
+//     (dropRegion). Retire never holds one: the loop top, where retire
+//     starts, follows an exec, which emptied the region. A private fork
+//     its joiner pops back is called with nothing to release (popBack).
 //
 // The public deque and the region are one deque to the owner: every pop
 // takes the newest fork, public or private, and the region stays under the

@@ -224,7 +224,7 @@ func (w *Worker) wakeIf(st uint32) bool {
 // it re-check, so nothing drains the channel (sleep_model_test.go).
 type sleep struct {
 	n  atomicx.SCUint32
-	ch chan uint32 // capacity one; nil on the caller-runs worker
+	ch chan uint32 // capacity one, made by New
 	// join is what a join that is its word's one waiter installs in the
 	// word (waitToken): this sleep, for finish to wake.
 	join waiter
@@ -235,14 +235,8 @@ func (s *sleep) begin() uint32 { return s.n.Add(1) }
 
 // wait blocks sleep n until a token carrying n arrives, which it reports as
 // a wake, or until done, if not nil, is closed, or another token makes
-// recheck find a reason to stop sleeping. A worker with no channel — the
-// caller-runs worker, which no waker can find — yields instead, and its
-// caller looks again: Figure 3's idle action.
+// recheck find a reason to stop sleeping.
 func (s *sleep) wait(n uint32, done <-chan struct{}, recheck func() bool) bool {
-	if s.ch == nil {
-		runtime.Gosched()
-		return false
-	}
 	for {
 		select {
 		case t := <-s.ch:

@@ -97,13 +97,10 @@ type Config struct {
 	DequeCapacity int
 	// InjectorCapacity bounds the injector, the MPMC ring external
 	// submissions (Pool.Submit) enter through (rounded up to a power of
-	// two, minimum 2); a submission finding it full is shed per Overload.
-	// This is the service mode's admission-control knob. Defaults to 1024.
+	// two, minimum 2); a submission finding it full is rejected with
+	// ErrOverloaded. This is the service mode's admission-control knob.
+	// Defaults to 1024.
 	InjectorCapacity int
-	// Overload selects the shed policy for submissions that find the
-	// injector full: ShedReject (default) returns ErrOverloaded,
-	// ShedCallerRuns executes the submission on the submitting goroutine.
-	Overload OverloadPolicy
 	// ParkThreshold is the number of consecutive failed steal attempts
 	// after which an idle worker parks (lifecycle.go). 0 means the
 	// default, max(8, 2*Workers), enough hot rounds that a random thief
@@ -201,8 +198,7 @@ type Pool struct {
 	resizes    atomicx.Publish64 // Resize calls that changed the fleet target
 	retiredN   atomicx.Publish64 // workers that completed retirement (resize.go)
 	submitted  atomicx.SCInt64   // submissions accepted onto the injector
-	rejected   atomicx.Publish64 // submissions rejected with ErrOverloaded
-	callerRuns atomicx.Publish64 // submissions shed to the caller (ShedCallerRuns)
+	rejected   atomicx.Publish64 // submissions turned away after the gate (Stats.SubmitsRejected)
 	wg         sync.WaitGroup    // the session's goroutines: one per worker slot, and the watchdog
 
 	// resizeMu serializes Resize calls against each other, against a session
@@ -380,7 +376,7 @@ type Worker struct {
 	pool   *Pool
 	id     int
 	dq     deque.Dequer[Task]
-	rng    *rand.Rand // victim selection; nil on the caller-runs worker (stealOnce)
+	rng    *rand.Rand // victim selection (stealOnce)
 	loopFn func()     // loop as a method value, so startSession's go statement allocates nothing
 }
 
@@ -682,15 +678,14 @@ func (p *Pool) account(t *Task) {
 // is safe to call concurrently with a running Run.
 func (p *Pool) Stats() Stats {
 	s := Stats{
-		TasksDropped:     p.dropped.Load(),
-		TasksCancelled:   p.cancelledN.Load(),
-		StallsDetected:   p.stalls.Load(),
-		Resizes:          p.resizes.Load(),
-		WorkersRetired:   p.retiredN.Load(),
-		Submitted:        p.submitted.Load(),
-		SubmitsRejected:  p.rejected.Load(),
-		SubmitsCallerRun: p.callerRuns.Load(),
-		InjectorBacklog:  int64(p.inject.Len()), // momentary, like every mid-flight Stats read
+		TasksDropped:    p.dropped.Load(),
+		TasksCancelled:  p.cancelledN.Load(),
+		StallsDetected:  p.stalls.Load(),
+		Resizes:         p.resizes.Load(),
+		WorkersRetired:  p.retiredN.Load(),
+		Submitted:       p.submitted.Load(),
+		SubmitsRejected: p.rejected.Load(),
+		InjectorBacklog: int64(p.inject.Len()), // momentary, like every mid-flight Stats read
 	}
 	for _, w := range p.workers {
 		if st := w.status.Load(); st == workerRunning || st == workerIdle {
@@ -710,11 +705,7 @@ func (p *Pool) Stats() Stats {
 
 // stealOnce performs one steal attempt against a uniformly random victim
 // (Figure 3 line 16). The steal counters are owner-only: this worker's
-// goroutine is their sole writer. The caller-runs worker (runOnCaller) has
-// no rng — a rand.Source per shed submission would cost more than the
-// submission — and rotates through the victims by its attempt count
-// instead: it steals only to help a Join or Wait along, which needs a
-// victim that holds work, not a uniformly drawn one.
+// goroutine is their sole writer.
 //
 //abp:owner steal counters belong to the stealing worker's own goroutine
 //abp:nonblocking
@@ -722,25 +713,17 @@ func (w *Worker) stealOnce() *Task {
 	// Victims are drawn from [0, fleet), which holds every deque that may
 	// hold work (resize.go): a retiring worker's is not empty until it has
 	// retired, so the range keeps it; a retired slot's is, so aiming steals
-	// at it would only waste attempts. A worker outside the range — the
-	// caller-runs one — steals from all of it; one inside excludes itself.
+	// at it would only waste attempts. A worker that steals is inside the
+	// range — fleet drops only past a retired slot, and only the slot's own
+	// goroutine retires it, at its loop top — and excludes itself.
 	// The read races Resize harmlessly: a stale fleet at worst aims one
 	// steal at an empty (or freshly re-activated) deque.
-	n := int(w.pool.fleet.Load())
-	pick := n
-	if w.id < n {
-		pick = n - 1
-	}
-	if pick == 0 {
+	n := int(w.pool.fleet.Load()) - 1
+	if n <= 0 {
 		return nil
 	}
-	var v int
-	if w.rng != nil {
-		v = w.rng.Intn(pick)
-	} else {
-		v = int(w.stealAttempts.Load() % int64(pick))
-	}
-	if w.id < n && v >= w.id {
+	v := w.rng.Intn(n)
+	if v >= w.id {
 		v++
 	}
 	w.stealAttempts.Add(1)
@@ -766,7 +749,7 @@ func (w *Worker) stealOnce() *Task {
 // here — a pop, a steal, an injector poll, and the inline run of a spawn no
 // deque took — and the return says whether the task ran.
 //
-//abp:owner runs only on the goroutine that owns the worker (its loop, a helping Join on it, or the submitter for the ephemeral caller-runs worker)
+//abp:owner runs only on the goroutine that owns the worker (its loop, or a helping Join on it)
 func (w *Worker) execOrDrop(t *Task, stolen bool) (ran bool) {
 	if st := t.scope.run.state.Load(); st != runLive {
 		w.discard(st)
@@ -808,7 +791,7 @@ func (w *Worker) discard(st int32) {
 // around the task like w.scope, since a Join's help runs tasks of other
 // scopes under it.
 //
-//abp:owner exec runs only on the goroutine that owns the worker (its loop, or the submitter for the ephemeral caller-runs worker)
+//abp:owner exec runs only on the goroutine that owns the worker
 func (w *Worker) exec(t *Task, stolen bool) {
 	s := t.scope
 	if stolen {
@@ -858,9 +841,7 @@ func (w *Worker) runTask(t *Task) {
 	t.body.runTask(w)
 }
 
-// ID returns the worker's index in [0, MaxWorkers). The worker a shed
-// submission runs on under ShedCallerRuns — the submitter's goroutine, not
-// one of the pool's — reports MaxWorkers.
+// ID returns the worker's index in [0, MaxWorkers).
 func (w *Worker) ID() int { return w.id }
 
 // currentRun returns the run record of the task currently executing on

@@ -2,10 +2,9 @@
 // §7, "Record recycling"): the Futures inside Join2, the range records of
 // Reduce and ParallelFor and the records of spawned tasks are reused by the
 // worker that freed them, so these tests reuse them across steals, aborts,
-// result types, a thief's long burst, the caller-runs worker and a fleet
-// that shrinks and grows — on all three deques, and meant for the race
-// detector: a record touched after it was freed is a data race with its
-// next user.
+// result types, a thief's long burst and a fleet that shrinks and grows —
+// on all three deques, and meant for the race detector: a record touched
+// after it was freed is a data race with its next user.
 package sched
 
 import (
@@ -553,45 +552,6 @@ func fibAndFanOut(ok *atomic.Int64) func(*Worker) {
 	}
 }
 
-// The caller-runs worker is made for one shed submission and dropped after
-// it, lists and all: with the pool's own workers pinned in gated tasks, a
-// shed submission computes right and leaves their lists as empty as a new
-// pool's.
-func TestRecycleCallerRunsKeepsItsLists(t *testing.T) {
-	forEachDeque(t, func(t *testing.T, kind dequeKind) {
-		p := newPool(kind, Config{Workers: 2, InjectorCapacity: 2, Overload: ShedCallerRuns})
-		stop := startServing(t, p)
-		release := plugWorkers(t, p)
-		for i := 0; i < 2; i++ { // fill the two-slot injector
-			if _, err := p.Submit(func(*Worker) {}); err != nil {
-				t.Fatalf("fill Submit %d: %v", i, err)
-			}
-		}
-		var ok atomic.Int64
-		for i := 0; i < 3; i++ {
-			if _, err := p.Submit(fibAndFanOut(&ok)); err != nil {
-				t.Fatalf("caller-runs Submit: %v", err)
-			}
-		}
-		if got := ok.Load(); got != 3 {
-			t.Fatalf("%d of 3 shed submissions computed right before Submit returned", got)
-		}
-		if got := p.Stats().SubmitsCallerRun; got != 3 {
-			t.Fatalf("Stats.SubmitsCallerRun = %d, want 3", got)
-		}
-		for _, w := range p.workers {
-			if w.futures[0] != nil || w.ranges[0] != nil || w.groupTasks[0] != nil || w.scopes[0] != nil ||
-				w.nFutures != 0 || w.nRanges != 0 || w.nGroupTasks != 0 || w.nScopes != 0 {
-				t.Errorf("worker %d, gated since the pool was made, has a free list", w.id)
-			}
-		}
-		release()
-		if err := stop(); !errors.Is(err, context.Canceled) {
-			t.Fatalf("Serve returned %v", err)
-		}
-	})
-}
-
 // A worker that retires sleeps on its lists — the slot keeps its goroutine —
 // and has them when a grow wakes it, and no record is ever on two workers'
 // lists.
@@ -672,15 +632,17 @@ func TestRecycleRunReused(t *testing.T) {
 
 // Recycled run records carry every kind of submission end across each
 // other: completed, cancelled while its root runs, panicked with its own
-// id, run on the caller by a full injector, and rejected by a Drain that
-// closes the first of two sessions — or, pushed as that session stops,
-// aborted by their own Submit. Each Handle must report its own
-// submission's fate — a record reused before a holder was done with it
-// would hand one submission's outcome, abort or completion to another — and
-// TasksRun must count exactly the tasks that ran on the pool's workers.
+// id, rejected by a full injector, and rejected by a Drain that closes the
+// first of two sessions — or, pushed as that session stops, aborted by
+// their own Submit. Each Handle must report its own submission's fate — a
+// record reused before a holder was done with it would hand one
+// submission's outcome, abort or completion to another — TasksRun must
+// count exactly the task bodies that ran, Submitted exactly the calls that
+// returned a Handle, and SubmitsRejected every ErrOverloaded and no more
+// than the ErrDraining returns besides.
 func TestRecycleRunIsolation(t *testing.T) {
 	const submitters, subs = 4, 500
-	p := New(Config{Workers: 2, InjectorCapacity: 2, Overload: ShedCallerRuns})
+	p := New(Config{Workers: 2, InjectorCapacity: 2})
 	// serve starts a session; the second is started from a submitter's
 	// goroutine, so it reports with t.Error.
 	serve := func() chan error {
@@ -697,16 +659,12 @@ func TestRecycleRunIsolation(t *testing.T) {
 		return served
 	}
 	served := serve()
-	var onPool, next, done, stopped atomic.Int64
-	// task counts a task body, if it runs on one of the pool's workers
-	// (Join2's second function runs inline in its caller's task).
-	task := func(w *Worker) {
-		if w.ID() < len(p.workers) {
-			onPool.Add(1)
-		}
-	}
+	var ran, next, done, stopped, handles, overloaded, draining atomic.Int64
+	// task counts a task body (Join2's second function runs inline in its
+	// caller's task).
+	task := func(*Worker) { ran.Add(1) }
 	// submit makes one submission of kind id%4 and checks its fate, trying
-	// again while admission is closed.
+	// again while admission is closed or the injector is full.
 	submit := func(id int64) {
 		for {
 			ctx, cancel := context.WithCancel(context.Background())
@@ -735,7 +693,13 @@ func TestRecycleRunIsolation(t *testing.T) {
 				}
 			}
 			h, err := p.SubmitContext(ctx, root)
-			if errors.Is(err, ErrDraining) || errors.Is(err, ErrNotServing) {
+			switch {
+			case errors.Is(err, ErrOverloaded):
+				overloaded.Add(1)
+			case errors.Is(err, ErrDraining):
+				draining.Add(1)
+			}
+			if errors.Is(err, ErrOverloaded) || errors.Is(err, ErrDraining) || errors.Is(err, ErrNotServing) {
 				cancel()
 				runtime.Gosched()
 				continue
@@ -745,6 +709,7 @@ func TestRecycleRunIsolation(t *testing.T) {
 				t.Errorf("submission %d: SubmitContext: %v", id, err)
 				return
 			}
+			handles.Add(1)
 			err = h.Wait()
 			cancel()
 			switch {
@@ -793,7 +758,16 @@ func TestRecycleRunIsolation(t *testing.T) {
 	if n := stopped.Load(); n > submitters {
 		t.Errorf("%d submissions ended ErrStopped; at most one a submitter can race the restart", n)
 	}
-	if got, want := p.Stats().TasksRun, onPool.Load(); got != want {
-		t.Errorf("TasksRun = %d, but %d task bodies ran on the pool's workers", got, want)
+	st := p.Stats()
+	if got, want := st.TasksRun, ran.Load(); got != want {
+		t.Errorf("TasksRun = %d, but %d task bodies ran", got, want)
 	}
+	if got, want := st.Submitted, handles.Load(); got != want {
+		t.Errorf("Submitted = %d, but %d SubmitContext calls returned a Handle", got, want)
+	}
+	if got, lo, hi := st.SubmitsRejected, overloaded.Load(), overloaded.Load()+draining.Load(); got < lo || got > hi {
+		t.Errorf("SubmitsRejected = %d, want within [%d, %d]: the %d ErrOverloaded returns, and at most the %d ErrDraining ones besides",
+			got, lo, hi, lo, hi-lo)
+	}
+	t.Logf("%d ErrOverloaded and %d ErrDraining returns", overloaded.Load(), draining.Load())
 }

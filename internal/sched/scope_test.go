@@ -571,9 +571,7 @@ func TestRunAllocations(t *testing.T) {
 // collector off: its 24-byte Handle — the run record is recycled
 // (runRecords) — and a channel only if somebody has to block before the
 // submission ends, which the runtime counts as two objects, the channel and
-// the cell holding it that the word points to (waitChan). A
-// SubmitWithRetry admitted at its first attempt is a Submit: the jitter
-// source it used to seed on every call was three more objects, 5 KB.
+// the cell holding it that the word points to (waitChan).
 func TestSubmitAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -585,16 +583,15 @@ func TestSubmitAllocations(t *testing.T) {
 	// without a wake whatever the host's timing.
 	p := New(Config{Workers: 1, ParkThreshold: math.MaxInt})
 	stop := startServing(t, p)
-	type submitFunc func(func(*Worker)) (*Handle, error)
 	// submit returns the objects and bytes one submission allocates, on
 	// average over 200 after one to warm up, on one processor as
 	// testing.AllocsPerRun measures: the pool of records keeps one per
 	// processor.
-	submit := func(via submitFunc, root func(*Worker), await func(*Handle)) (objects, bytes float64) {
+	submit := func(root func(*Worker), await func(*Handle)) (objects, bytes float64) {
 		const runs = 200
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 		one := func() {
-			h, err := via(root)
+			h, err := p.Submit(root)
 			if err != nil {
 				t.Fatalf("Submit: %v", err)
 			}
@@ -621,19 +618,13 @@ func TestSubmitAllocations(t *testing.T) {
 			runtime.Gosched()
 		}
 	}
-	polled, bytes := submit(p.Submit, func(*Worker) {}, poll)
+	polled, bytes := submit(func(*Worker) {}, poll)
 	if polled != 1 || bytes != 24 {
 		t.Errorf("Submit, then Wait on an ended handle, allocates %v objects of %v bytes, want 1 of 24 (the Handle)", polled, bytes)
 	}
-	retried, _ := submit(func(fn func(*Worker)) (*Handle, error) {
-		return p.SubmitWithRetry(context.Background(), fn, RetryPolicy{})
-	}, func(*Worker) {}, poll)
-	if retried != polled {
-		t.Errorf("SubmitWithRetry admitted at the first attempt allocates %v objects, Submit %v", retried, polled)
-	}
 	// The root does not return until a waiter's channel is in the word.
 	var cur atomic.Pointer[Handle]
-	blocked, _ := submit(p.Submit, func(*Worker) {
+	blocked, _ := submit(func(*Worker) {
 		for h := cur.Load(); h == nil || h.done.p.Load() == nil; h = cur.Load() {
 			runtime.Gosched()
 		}

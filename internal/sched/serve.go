@@ -26,16 +26,15 @@ import (
 	"sync"
 
 	"worksteal/internal/atomicx"
-	"worksteal/internal/deque"
 )
 
 // Errors returned by Submit and Handle.Wait.
 var (
 	// ErrOverloaded reports that the injector was full at submission
-	// time and Config.Overload is ShedReject: the submission
-	// was not enqueued and will never run. Rejection is the backpressure
-	// signal — a rejected submission is never silently dropped into a
-	// wedged Handle, it simply has no Handle.
+	// time: the submission was not enqueued and will never run. Rejection
+	// is the backpressure signal — a rejected submission is never silently
+	// dropped into a wedged Handle, it simply has no Handle. A caller that
+	// would rather wait than shed calls Submit again later.
 	ErrOverloaded = errors.New("sched: injector full: submission rejected")
 	// ErrNotServing reports a Submit on a pool with no Serve in flight.
 	ErrNotServing = errors.New("sched: pool is not serving (start Pool.Serve first)")
@@ -51,19 +50,6 @@ var (
 type PanicError struct{ Value any }
 
 func (e PanicError) Error() string { return fmt.Sprintf("sched: task panicked: %v", e.Value) }
-
-// OverloadPolicy selects what Submit does when the injector is full.
-type OverloadPolicy uint8
-
-const (
-	// ShedReject (the default) makes Submit return ErrOverloaded.
-	ShedReject OverloadPolicy = iota
-	// ShedCallerRuns executes the submission synchronously on the calling
-	// goroutine (depth-first, spawns run inline) — the classic
-	// caller-runs backpressure: the submitter pays for its own work, which
-	// throttles the arrival rate without dropping anything.
-	ShedCallerRuns
-)
 
 // Run states, stored in run.state. The state is the atomic gate workers
 // read before executing a popped task (execOrDrop): anything other than
@@ -305,7 +291,7 @@ func (p *Pool) Serve(ctx context.Context) error {
 // Handle. It is callable from any goroutine, including from tasks already
 // running on the pool. The returned Handle is nil exactly when the error
 // is non-nil: ErrNotServing if no Serve is in flight, ErrOverloaded if
-// the injector is full under the default ShedReject policy.
+// the injector is full.
 func (p *Pool) Submit(fn func(*Worker)) (*Handle, error) {
 	return p.SubmitContext(context.Background(), fn)
 }
@@ -343,11 +329,6 @@ func (p *Pool) SubmitContext(ctx context.Context, fn func(*Worker)) (*Handle, er
 	r.watch(ctx)
 	if !p.offer(t) {
 		// Full: shed.
-		if p.cfg.Overload == ShedCallerRuns {
-			p.callerRuns.Add(1)
-			p.runOnCaller(t)
-			return h, nil
-		}
 		r.finish(runCancelled, ErrOverloaded)
 		r.let() // the root scope's hold: the root never runs, so its scope never empties
 		p.rejected.Add(1)
@@ -379,26 +360,6 @@ func (p *Pool) SubmitContext(ctx context.Context, fn func(*Worker)) (*Handle, er
 		r.finish(runCancelled, ErrStopped)
 	}
 	return h, nil
-}
-
-// runOnCaller executes a shed submission synchronously on the submitting
-// goroutine: an ephemeral worker whose deque is the zero deque.Deque, of
-// capacity zero, refuses every push and so makes all spawns run inline, so
-// the whole submission executes depth-first to completion before Submit
-// returns (its Handle is already Done). The ephemeral worker is not in
-// Pool.workers: nothing steals from it and its per-task counters are not
-// folded into Stats — Stats.SubmitsCallerRun counts the shed submissions
-// themselves. It may still have to wait — a Join or a Group.Wait on work a
-// pool worker holds — and then it helps like any worker, stealing from the
-// fleet's deques (stealOnce), and yields where one would sleep: no waker
-// can find its sleep, which has no channel (sleep.wait).
-func (p *Pool) runOnCaller(t *Task) {
-	w := &Worker{
-		pool: p,
-		id:   len(p.workers), // out of the victim range: never stolen from, excludes no victim
-		dq:   &deque.Deque[Task]{},
-	}
-	w.execOrDrop(t, false)
 }
 
 // register links a run into the registry endSession aborts.

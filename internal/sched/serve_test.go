@@ -397,10 +397,9 @@ func plugWorkers(t *testing.T, p *Pool) func() {
 	}
 }
 
-// The overload contract under the default ShedReject policy: a full
-// injector rejects with ErrOverloaded and a nil Handle — never a silent
-// drop — and every accepted submission still completes (never a wedged
-// Wait).
+// The overload contract: a full injector rejects with ErrOverloaded and a
+// nil Handle — never a silent drop — and every accepted submission still
+// completes (never a wedged Wait).
 func TestSubmitOverloadReject(t *testing.T) {
 	p := New(Config{Workers: 2, InjectorCapacity: 2})
 	stop := startServing(t, p)
@@ -434,171 +433,6 @@ func TestSubmitOverloadReject(t *testing.T) {
 	}
 	if err := stop(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Serve returned %v", err)
-	}
-}
-
-// Under ShedCallerRuns an overflow submission executes synchronously on
-// the submitting goroutine — spawns and all, depth-first — and its Handle
-// is already resolved when Submit returns.
-func TestSubmitOverloadCallerRuns(t *testing.T) {
-	p := New(Config{Workers: 2, InjectorCapacity: 2, Overload: ShedCallerRuns})
-	stop := startServing(t, p)
-	release := plugWorkers(t, p)
-
-	for i := 0; i < 2; i++ {
-		if _, err := p.Submit(func(*Worker) {}); err != nil {
-			t.Fatalf("fill Submit %d: %v", i, err)
-		}
-	}
-	var onCaller atomic.Int64
-	h, err := p.Submit(func(w *Worker) {
-		w.Spawn(func(*Worker) { onCaller.Add(1) })
-		onCaller.Add(1)
-	})
-	if err != nil {
-		t.Fatalf("caller-runs Submit: %v", err)
-	}
-	if h == nil {
-		t.Fatal("caller-runs Submit returned a nil Handle")
-	}
-	// The shed submission ran to completion before Submit returned.
-	if got := onCaller.Load(); got != 2 {
-		t.Fatalf("caller-runs submission ran %d of its 2 tasks before Submit returned", got)
-	}
-	if err := h.Err(); err != nil {
-		t.Fatalf("caller-runs Handle.Err = %v immediately after Submit", err)
-	}
-	if got := p.Stats().SubmitsCallerRun; got != 1 {
-		t.Fatalf("Stats.SubmitsCallerRun = %d, want 1", got)
-	}
-	release()
-	if err := stop(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Serve returned %v", err)
-	}
-}
-
-// A shed submission is aborted like any other: its spawns run inline, the
-// caller-runs worker's deque refusing every push, and the inline run is a
-// task start, which the abort gate guards. The root cancels its own
-// context; the children it spawns afterwards are discarded and counted —
-// not run, and not counted as inline runs — and its Join on one of them
-// unwinds through help.
-func TestCallerRunsSpawnsMeetTheAbortGate(t *testing.T) {
-	p := New(Config{Workers: 1, InjectorCapacity: 2, Overload: ShedCallerRuns})
-	stop := startServing(t, p)
-	release := plugWorkers(t, p)
-	for i := 0; i < 2; i++ {
-		if _, err := p.Submit(func(*Worker) {}); err != nil {
-			t.Fatalf("fill Submit %d: %v", i, err)
-		}
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	before := p.Stats()
-	var ran, joined atomic.Int64
-	h, err := p.SubmitContext(ctx, func(w *Worker) {
-		cancel()
-		awaitAbort(t, w)
-		for i := 0; i < 10; i++ {
-			w.Spawn(func(*Worker) { ran.Add(1) })
-		}
-		Fork(w, func(*Worker) int { return int(ran.Add(1)) }).Join(w)
-		joined.Add(1)
-	})
-	if err != nil {
-		t.Fatalf("caller-runs SubmitContext: %v", err)
-	}
-	if err := h.Err(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Handle.Err = %v after Submit returned, want context.Canceled", err)
-	}
-	if got := ran.Load(); got != 0 {
-		t.Errorf("%d of 11 children spawned after the abort ran", got)
-	}
-	if joined.Load() != 0 {
-		t.Error("a Join on a discarded child returned instead of unwinding")
-	}
-	after := p.Stats()
-	if got := after.TasksCancelled - before.TasksCancelled; got != 11 {
-		t.Errorf("TasksCancelled grew by %d, want 11", got)
-	}
-	if got := after.InlineRuns - before.InlineRuns; got != 0 {
-		t.Errorf("InlineRuns grew by %d for spawns that were discarded", got)
-	}
-	release()
-	if err := stop(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Serve returned %v", err)
-	}
-}
-
-// A shed submission's root may have to wait for work a pool worker holds:
-// the caller-runs worker must help like any worker, though it has no
-// victim rng — a Wait or a Join on it reaches stealOnce, and a nil
-// dereference there would surface as a PanicError from the shed Handle.
-// The one pool worker is blocked on a gate with the awaited task still in
-// its deque, so the only way the shed root can return is to steal that
-// task and run it.
-func TestCallerRunsWorkerHelpsWhileItWaits(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		// fork makes the awaited task on the pool worker; the wait it
-		// returns is what the shed root then runs on the caller.
-		fork func(w *Worker, body func()) (wait func(*Worker))
-	}{
-		{"Group.Wait", func(w *Worker, body func()) func(*Worker) {
-			g := NewGroup()
-			g.Spawn(w, func(*Worker) { body() })
-			return g.Wait
-		}},
-		{"Future.Join", func(w *Worker, body func()) func(*Worker) {
-			f := Fork(w, func(*Worker) int { body(); return 7 })
-			return func(w *Worker) {
-				if got := f.Join(w); got != 7 {
-					t.Errorf("Join on the caller-runs worker = %d, want 7", got)
-				}
-			}
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			p := New(Config{Workers: 1, InjectorCapacity: 2, Overload: ShedCallerRuns})
-			stop := startServing(t, p)
-			gate := make(chan struct{})
-			forked := make(chan func(*Worker), 1)
-			var ran atomic.Int64
-			first, err := p.Submit(func(w *Worker) {
-				forked <- tc.fork(w, func() { ran.Add(1) })
-				<-gate
-			})
-			if err != nil {
-				t.Fatalf("Submit: %v", err)
-			}
-			wait := <-forked
-			for i := 0; i < 2; i++ { // fill the two-slot injector behind the blocked worker
-				if _, err := p.Submit(func(*Worker) {}); err != nil {
-					t.Fatalf("fill Submit %d: %v", i, err)
-				}
-			}
-			var shedID int
-			h, err := p.Submit(func(w *Worker) { shedID = w.ID(); wait(w) })
-			if err != nil {
-				t.Fatalf("caller-runs Submit: %v", err)
-			}
-			if err := h.Wait(); err != nil {
-				t.Fatalf("caller-runs Handle.Wait = %v", err)
-			}
-			if got := ran.Load(); got != 1 {
-				t.Fatalf("the awaited task ran %d times before the shed root returned, want 1", got)
-			}
-			if shedID != 1 {
-				t.Fatalf("caller-runs Worker.ID = %d, want MaxWorkers (1)", shedID)
-			}
-			close(gate)
-			if err := first.Wait(); err != nil {
-				t.Fatalf("first submission: Wait = %v", err)
-			}
-			if err := stop(); !errors.Is(err, context.Canceled) {
-				t.Fatalf("Serve returned %v", err)
-			}
-		})
 	}
 }
 

@@ -35,10 +35,14 @@ type Stats struct {
 	BackoffNanos int64
 
 	// Service-mode counters (serve.go).
-	Submitted        int64 // submissions accepted onto the injector
-	SubmitsRejected  int64 // submissions rejected (ErrOverloaded under ShedReject, or ErrDraining)
-	SubmitsCallerRun int64 // submissions shed to the caller (ShedCallerRuns)
-	InjectorBacklog  int64 // momentary injector occupancy at the Stats call
+	Submitted int64 // submissions whose Submit returned a Handle
+	// SubmitsRejected counts the submissions that reached the injector and
+	// were turned away there: ErrOverloaded from a full injector, and the
+	// ErrDraining of a Drain that closed admission while the push landed.
+	// A Submit refused at the gate, before the push — ErrDraining,
+	// ErrNotServing, or a context already done — is not counted.
+	SubmitsRejected int64
+	InjectorBacklog int64 // momentary injector occupancy at the Stats call
 
 	// Elastic-fleet counters (resize.go).
 	Resizes        int64 // Resize calls that changed the fleet target
@@ -64,7 +68,6 @@ func (s Stats) String() string {
 	row("wakes", s.Wakes)
 	row("submitted", s.Submitted)
 	row("submits-rejected", s.SubmitsRejected)
-	row("submits-callerrun", s.SubmitsCallerRun)
 	row("injector-backlog", s.InjectorBacklog)
 	row("resizes", s.Resizes)
 	row("workers-retired", s.WorkersRetired)

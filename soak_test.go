@@ -3,6 +3,7 @@ package worksteal
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -222,12 +223,17 @@ func TestSoakResizeChurn(t *testing.T) {
 			go func(round, s int) {
 				defer wg.Done()
 				for i := 0; i < perRound; i++ {
-					h, err := p.SubmitWithRetry(context.Background(), func(w *sched.Worker) {
+					fn := func(w *sched.Worker) {
 						for j := 0; j < 4; j++ {
 							w.Spawn(func(*sched.Worker) { ran.Add(1) })
 						}
 						ran.Add(1)
-					}, sched.RetryPolicy{MaxAttempts: 50})
+					}
+					h, err := p.Submit(fn)
+					for errors.Is(err, sched.ErrOverloaded) { // a full injector: submit again shortly
+						time.Sleep(100 * time.Microsecond)
+						h, err = p.Submit(fn)
+					}
 					if err != nil {
 						t.Errorf("round %d submitter %d: %v", round, s, err)
 						return
