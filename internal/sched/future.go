@@ -28,12 +28,11 @@ func (r *run) panicAborted() {
 }
 
 // waitWord is a completion word, the one wait protocol of a Future and of
-// a run record (and the slot a Group's waiters install into, group.go):
-// nil while what it stands for is pending and nobody waits, the waiter
-// one about to block installed, or doneWait once it has ended. The
-// completer's one Swap publishes what it wrote before and takes the waiter
-// to wake, so a channel is made only where somebody had to block, and after
-// the Swap the completer never touches the word's record again.
+// a run record: nil while what it stands for is pending and nobody waits,
+// the waiter one about to block installed, or doneWait once it has ended.
+// The completer's one Swap publishes what it wrote before and takes the
+// waiter to wake, so a channel is made only where somebody had to block,
+// and after the Swap the completer never touches the word's record again.
 // future_model_test.go and run_model_test.go check it over every
 // interleaving.
 type waitWord struct {
@@ -60,11 +59,7 @@ var doneWait = func() *waiter {
 // waitChan returns the channel a waiter about to block receives from,
 // installing one if none is there: the install either precedes finish's
 // Swap, which then hands the channel to the completer to close, or fails
-// against it and finds doneWait's channel, which is closed already. For a
-// Group, whose completers empty the slot instead (take), it is the store
-// half of the waiter's side of the wait handshake — install the channel,
-// then re-load pending — against Group.done's store pending, then take:
-// the same Dekker shape as park against signalWork.
+// against it and finds doneWait's channel, which is closed already.
 func (x *waitWord) waitChan() chan struct{} {
 	for {
 		if w := x.p.Load(); w != nil {
@@ -126,10 +121,11 @@ func (x *waitWord) finish() {
 // anything.
 func (x *waitWord) isDone() bool { return x.p.Load() == doneWait }
 
-// maxFreeRecords is the slot count of each of a worker's four free lists
+// maxFreeRecords is the slot count of each of a worker's five free lists
 // (DESIGN.md §7, "Record recycling"): deep enough for the joins a fork-join
-// recursion has in flight on one worker, for a wide Group fan-out and for
-// the child scopes a burst of steals empties.
+// recursion has in flight on one worker, for a wide Group fan-out, for the
+// Groups a recursion has open on one worker and for the child scopes a
+// burst of steals empties.
 //
 // A list is a stack of slots: a take only lowers its depth, and a free
 // writes the slot only if it names another record, so a fork-join
@@ -173,8 +169,8 @@ func putRecord[R comparable](slots *[maxFreeRecords]any, depth *int32, r R) {
 }
 
 // popFree pops the record on top of a free list of one type — the
-// records of spawned tasks, the emptied child scopes — or returns nil if
-// the list is empty.
+// records of spawned tasks, Groups' generations, the emptied child scopes —
+// or returns nil if the list is empty.
 //
 //abp:owner the free lists belong to the goroutine running the worker
 func popFree[R any](slots *[maxFreeRecords]*R, depth *int32) *R {

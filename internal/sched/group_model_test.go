@@ -5,33 +5,54 @@ import (
 	"testing"
 )
 
-// This file model-checks Group's two-word wait (group.go: done, take, Wait,
-// block) on the explorer of model_test.go, with the slot's install and
-// close steps of future_model_test.go (mWord). One waiter owns the group
-// through two generations: two members, Wait, then one more member spawned
-// into the same Group, Wait again. Each member's done is an actor — the
-// Add(-1) and, for the one that reads zero, take's load, its CAS and the
-// close — so the done that emptied the first generation may still sit
-// between its Add(-1) and its take while the second is waited for, and
-// then takes that generation's channel. Checked on every path:
+// This file model-checks a Group's wait (group.go: groupRec's done and
+// block, Group.Wait) on the explorer of model_test.go, over a recycled
+// record. Two generations run on one record: the first is group A's — two
+// members, and A's Wait, which ends the generation and puts the record on
+// its worker's list — and the second is group B's, whose first Spawn takes
+// the record back off that list, with one member and B's Wait. Both Waits
+// run on one worker, so the slot holds the same worker either way — the
+// case in which a late CAS cannot tell the generations apart — and its
+// sleep's numbers run on from A's Wait to B's. A Wait that blocks numbers
+// a sleep, installs its worker in the slot, re-loads pending, takes
+// tokens — its own ends the sleep as a wake, any other makes it look at
+// pending and at the slot, and end if the group has emptied or its worker
+// is no longer in the slot — and takes its worker back out of the slot (a
+// store of nil) when its sleep ends. Each member's done is an actor: the
+// Add(-1) and, for the one that reads zero, the load of the slot, the
+// load of the sleep's number, the CAS that empties the slot and the token;
+// the channel holds one token and drops a send that finds it full. So the
+// done that emptied the first generation may still sit before its load of
+// the slot while B waits, and then takes B's install, with A's number or
+// B's. Checked on every path:
 //
-//   - no channel is closed twice;
-//   - a wake meant for an earlier generation is harmless: the waiter finds
-//     pending above zero and blocks again;
-//   - at quiescence both Waits have returned: the waiter is never left
-//     asleep with the group empty and nobody to close its channel.
+//   - no record is on a free list while its pending is above zero;
+//   - no sleep is woken by a slot its waiter has left: a token ends a sleep
+//     as a wake only if the CAS that sent it took that sleep's install;
+//   - a take-back never clears another sleep's install;
+//   - at quiescence both Waits have returned: no waiter is left asleep.
 //
-// The negative control is block without its re-load of pending.
+// The negative controls: a block without its re-load of pending sleeps
+// through a done that loaded the slot empty; a look that reads pending
+// alone sleeps on after A's late done took B's install with A's number,
+// and B's member finds the slot empty; a Wait that lists the record
+// as soon as its sleep ends, before it loads pending as zero, lists B's
+// record under its member when A's late done wakes B; and a waiter that
+// skips the take-back leaves A's install in the slot, which A's late done
+// takes with the number of B's sleep.
 
 const gmMembers = 3 // two of the first generation, one of the second
 
 // Waiter steps.
 const (
 	gwLoad     int8 = iota // Wait's loop: load pending
-	gwInstLoad             // waitChan: load the slot
-	gwInstCAS              // waitChan: install a new channel against nil
+	gwBegin                // block: number the sleep (sleep.begin)
+	gwInstall              // block: store the worker in the slot
 	gwRecheck              // block: re-load pending
-	gwSleep                // blocked on the channel in hand
+	gwSleep                // blocked on the token channel
+	gwLook                 // a token not this sleep's: the re-check of pending and the slot
+	gwTakeBack             // block: store nil in the slot
+	gwFree                 // Wait: list the record, ending the generation
 	gwFinished
 )
 
@@ -39,26 +60,40 @@ const (
 const (
 	gdUnspawned int8 = iota
 	gdAdd            // done: pending.Add(-1)
-	gdTakeLoad       // take: load the slot
-	gdTakeCAS        // take: empty the slot, if it still holds what was loaded
-	gdClose          // close the channel taken
+	gdLoad           // done: load the slot
+	gdNumber         // done: load the number of the sleep of the worker in it
+	gdCAS            // done: empty the slot, if it still holds the worker
+	gdSend           // sleep.wake: the token, or nothing on a full channel
 	gdFinished
 )
 
 type gmState struct {
-	mWord
 	pending int8
-	gen     int8 // the generation the waiter waits for
+	gen     int8 // the generation the waiter waits for: 1 A's, 2 B's
+	listed  bool // the record is on the worker's free list
 	wpc     int8
-	wch     int8 // the channel the waiter blocks on
-	dpc     [gmMembers]int8
-	dch     [gmMembers]int8 // the channel a member's take loaded
+	n       int8 // the number of the waiter's current sleep
+	ended   bool // the current sleep ended on a token (a wake or a look)
+	// slot is 0 when the slot is nil, else the number of the sleep whose
+	// install put the worker there: the slot holds the worker either way,
+	// and the number is the model's record of whose install it is.
+	slot   int8
+	tok    bool // a token is in the channel
+	tokN   int8 // ... carrying this number
+	tokFor int8 // ... sent by a done whose CAS took this sleep's install
+	dpc    [gmMembers]int8
+	dn     [gmMembers]int8 // the number a member loaded
+	dfor   [gmMembers]int8 // the install its CAS took
 }
 
 type groupModel struct {
-	noRecheck bool // negative control: block sleeps without re-loading pending
+	// The negative controls: block sleeps without re-loading pending;
+	// a look ends the sleep only on pending, not on an empty slot; Wait
+	// lists the record as soon as a sleep ends on a token; block skips the
+	// take-back.
+	noRecheck, staySlotless, earlyFree, noTakeBack bool
 	// What the search came across, so the test can tell what it covered.
-	blocks, earlyWakes, lateTakes int
+	wakes, earlyWakes, looks, lateTakes, dropped int
 }
 
 func (m *groupModel) initial() gmState {
@@ -68,40 +103,64 @@ func (m *groupModel) initial() gmState {
 func (m *groupModel) waiterStep(s gmState) ([]gmState, error) {
 	switch s.wpc {
 	case gwLoad:
-		switch {
-		case s.pending > 0:
-			s.wpc = gwInstLoad
-		case s.gen == 1: // Wait returns; the group is reused: Spawn's Add(1)
-			s.gen, s.pending, s.dpc[2] = 2, 1, gdAdd
-		default:
-			s.wpc = gwFinished
+		s.wpc = gwBegin
+		if s.pending == 0 {
+			s.wpc = gwFree
 		}
-	case gwInstLoad:
-		if s.wpc = gwInstCAS; s.word != 0 {
-			s.wch, s.wpc = s.word, gwRecheck
-		}
-	case gwInstCAS:
-		ch, err := s.install()
-		if err != nil {
-			return nil, err
-		}
-		if s.wpc = gwInstLoad; ch != 0 {
-			s.wch, s.wpc = ch, gwRecheck
-		}
+	case gwBegin:
+		s.n++
+		s.ended, s.wpc = false, gwInstall
+	case gwInstall:
+		s.slot, s.wpc = s.n, gwRecheck
 	case gwRecheck:
-		if s.wpc = gwSleep; s.pending == 0 && !m.noRecheck {
-			s.wpc = gwLoad
+		s.wpc = gwSleep
+		if s.pending == 0 && !m.noRecheck {
+			s.wpc = gwTakeBack
 		}
 	case gwSleep:
-		if s.closed[s.wch] == 0 {
+		if !s.tok {
 			return nil, nil
 		}
-		m.blocks++
+		s.tok, s.ended = false, true
+		if s.tokN != s.n {
+			m.looks++
+			s.wpc = gwLook
+			break
+		}
+		if s.tokFor != s.n {
+			return nil, fmt.Errorf("sleep %d ends as a wake on a token whose CAS took sleep %d's install: %+v", s.n, s.tokFor, s)
+		}
+		m.wakes++
 		if s.pending > 0 {
 			m.earlyWakes++
 		}
+		s.wpc = gwTakeBack
+	case gwLook:
+		s.wpc = gwSleep
+		if s.pending == 0 || s.slot == 0 && !m.staySlotless {
+			s.wpc = gwTakeBack
+		}
+	case gwTakeBack:
 		s.wpc = gwLoad
-	case gwFinished:
+		if m.earlyFree && s.ended {
+			s.wpc = gwFree
+		}
+		if m.noTakeBack {
+			break
+		}
+		if s.slot != 0 && s.slot != s.n {
+			return nil, fmt.Errorf("sleep %d's take-back clears sleep %d's install: %+v", s.n, s.slot, s)
+		}
+		s.slot = 0
+	case gwFree:
+		if s.pending > 0 {
+			return nil, fmt.Errorf("generation %d's record is listed with %d members pending: %+v", s.gen, s.pending, s)
+		}
+		s.listed, s.wpc = true, gwFinished
+		if s.gen == 1 { // B's first Spawn takes the record, and Adds
+			s.listed, s.gen, s.pending, s.dpc[2], s.wpc = false, 2, 1, gdAdd, gwLoad
+		}
+	default:
 		return nil, nil
 	}
 	return []gmState{s}, nil
@@ -113,25 +172,28 @@ func (m *groupModel) memberStep(s gmState, d int) ([]gmState, error) {
 	case gdAdd:
 		s.pending--
 		if *pc = gdFinished; s.pending == 0 {
-			*pc = gdTakeLoad
+			*pc = gdLoad
 		}
-	case gdTakeLoad:
-		if d < 2 && s.gen == 2 {
-			m.lateTakes++
+	case gdLoad:
+		if *pc = gdFinished; s.slot != 0 {
+			*pc = gdNumber
 		}
-		s.dch[d] = s.word
-		if *pc = gdFinished; s.word != 0 {
-			*pc = gdTakeCAS
+	case gdNumber:
+		s.dn[d], *pc = s.n, gdCAS
+	case gdCAS:
+		if *pc = gdFinished; s.slot != 0 {
+			if d < 2 && s.gen == 2 {
+				m.lateTakes++
+			}
+			s.dfor[d], s.slot, *pc = s.slot, 0, gdSend
 		}
-	case gdTakeCAS:
-		if *pc = gdFinished; s.word == s.dch[d] {
-			s.word, *pc = 0, gdClose
-		}
-	case gdClose:
-		if err := s.close(s.dch[d]); err != nil {
-			return nil, err
-		}
+	case gdSend:
 		*pc = gdFinished
+		if s.tok {
+			m.dropped++
+			break
+		}
+		s.tok, s.tokN, s.tokFor = true, s.dn[d], s.dfor[d]
 	default:
 		return nil, nil
 	}
@@ -143,10 +205,19 @@ func (m *groupModel) explorer() *explorer[gmState] {
 	return &explorer[gmState]{
 		actors: gmMembers + 1,
 		step: func(s gmState, a int) ([]gmState, error) {
+			var next []gmState
+			var err error
 			if a == 0 {
-				return m.waiterStep(s)
+				next, err = m.waiterStep(s)
+			} else {
+				next, err = m.memberStep(s, a-1)
 			}
-			return m.memberStep(s, a-1)
+			for _, n := range next {
+				if n.listed && n.pending > 0 {
+					return nil, fmt.Errorf("a listed record has %d members pending: %+v", n.pending, n)
+				}
+			}
+			return next, err
 		},
 		final: func(s gmState) error {
 			if s.wpc != gwFinished {
@@ -160,15 +231,37 @@ func (m *groupModel) explorer() *explorer[gmState] {
 func TestGroupModelExhaustive(t *testing.T) {
 	m := &groupModel{}
 	m.explorer().verify(t, m.initial())
-	if m.blocks == 0 || m.earlyWakes == 0 || m.lateTakes == 0 {
-		t.Fatalf("the search reached %d blocks, %d wakes meant for an earlier generation and %d takes delayed into the next; want some of each",
-			m.blocks, m.earlyWakes, m.lateTakes)
+	if m.wakes == 0 || m.earlyWakes == 0 || m.looks == 0 || m.lateTakes == 0 || m.dropped == 0 {
+		t.Fatalf("the search reached %d wakes, %d of them early, %d looks on another sleep's token, %d takes delayed into the next generation and %d dropped tokens; want some of each",
+			m.wakes, m.earlyWakes, m.looks, m.lateTakes, m.dropped)
 	}
 }
 
 // The negative control: a block that does not re-load pending after its
-// install sleeps through a done whose take loaded the empty slot.
+// install sleeps through a done that loaded the slot empty.
 func TestGroupModelCatchesBlockWithoutRecheck(t *testing.T) {
 	m := &groupModel{noRecheck: true}
+	m.explorer().refute(t, m.initial())
+}
+
+// A sleep that looks only at pending on another sleep's token sleeps on
+// after A's late done took B's install with A's number: B's member then
+// finds the slot empty, and nothing wakes B.
+func TestGroupModelCatchesLookWithoutSlot(t *testing.T) {
+	m := &groupModel{staySlotless: true}
+	m.explorer().refute(t, m.initial())
+}
+
+// A Wait that lists the record as soon as its sleep ends lists B's record
+// with B's member pending when A's late done wakes B's sleep.
+func TestGroupModelCatchesFreeOnWake(t *testing.T) {
+	m := &groupModel{earlyFree: true}
+	m.explorer().refute(t, m.initial())
+}
+
+// A waiter that leaves its worker in the slot lets A's late done take A's
+// install with the number of B's sleep, and wake B through a slot A left.
+func TestGroupModelCatchesNoTakeBack(t *testing.T) {
+	m := &groupModel{noTakeBack: true}
 	m.explorer().refute(t, m.initial())
 }

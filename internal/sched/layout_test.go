@@ -46,8 +46,9 @@ func TestWorkerLayoutPins(t *testing.T) {
 		"pool": unsafe.Offsetof(w.pool), "dq": unsafe.Offsetof(w.dq), "sleep": unsafe.Offsetof(w.sleep),
 		"sleepEnd": unsafe.Offsetof(w.sleep) + unsafe.Sizeof(w.sleep) - 1,
 		"scope":    scope, "nFutures": unsafe.Offsetof(w.nFutures), "nRanges": unsafe.Offsetof(w.nRanges),
-		"nGroupTasks": unsafe.Offsetof(w.nGroupTasks), "spawnsDue": unsafe.Offsetof(w.spawnsDue), "runsDue": unsafe.Offsetof(w.runsDue),
-		"folded": unsafe.Offsetof(w.folded), "futures": unsafe.Offsetof(w.futures), "groupTasksEnd": unsafe.Offsetof(w.groupTasks) + unsafe.Sizeof(w.groupTasks) - 1,
+		"nGroupTasks": unsafe.Offsetof(w.nGroupTasks), "nGroupRecs": unsafe.Offsetof(w.nGroupRecs),
+		"spawnsDue": unsafe.Offsetof(w.spawnsDue), "runsDue": unsafe.Offsetof(w.runsDue),
+		"folded": unsafe.Offsetof(w.folded), "futures": unsafe.Offsetof(w.futures), "groupRecsEnd": unsafe.Offsetof(w.groupRecs) + unsafe.Sizeof(w.groupRecs) - 1,
 		"nScopes": unsafe.Offsetof(w.nScopes), "scopes": unsafe.Offsetof(w.scopes),
 		"scopesEnd": unsafe.Offsetof(w.scopes) + unsafe.Sizeof(w.scopes) - 1,
 		"progress":  unsafe.Offsetof(w.progress), "tasksRun": unsafe.Offsetof(w.tasksRun),
@@ -64,9 +65,9 @@ func TestWorkerLayoutPins(t *testing.T) {
 	// per task — scope and folded twice in exec, a count per fork and per
 	// call, a depth and a slot per fork and per join — is on none of the
 	// lines other workers read.
-	firstLine := []string{"scope", "nFutures", "nRanges", "nGroupTasks", "spawnsDue", "runsDue", "folded", "lazyHead", "lazyTail"}
+	firstLine := []string{"scope", "nFutures", "nRanges", "nGroupTasks", "nGroupRecs", "spawnsDue", "runsDue", "folded", "lazyHead", "lazyTail"}
 	for _, shared := range []string{"pool", "dq", "sleep", "sleepEnd"} {
-		for _, own := range append(firstLine, "futures", "groupTasksEnd", "nScopes", "scopesEnd", "wakes", "lazy", "lazyEnd") {
+		for _, own := range append(firstLine, "futures", "groupRecsEnd", "nScopes", "scopesEnd", "wakes", "lazy", "lazyEnd") {
 			if layoutLine(others[own]) == layoutLine(others[shared]) {
 				t.Errorf("owner-written %s (offset %d) is on the line of %s (offset %d), which other workers read",
 					own, others[own], shared, others[shared])

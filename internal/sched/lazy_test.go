@@ -200,7 +200,7 @@ func TestLazyRegionFitsStolenDeque(t *testing.T) {
 // The group's member is the owner's public part, so the Join2's F goes to
 // the region; the other worker steals the member, and the Join2's second
 // half waits for it: F runs, on the owner, before the owner sleeps in the
-// group's word, though nothing public is left for the wait to run.
+// group's slot, though nothing public is left for the wait to run.
 func TestLazyBlockedWaitRunsRegionFirst(t *testing.T) {
 	p := New(Config{Workers: 2})
 	var fRan, memberStarted atomic.Bool
@@ -209,7 +209,7 @@ func TestLazyBlockedWaitRunsRegionFirst(t *testing.T) {
 		release := occupy(t, w)
 		g.Spawn(w, func(*Worker) {
 			memberStarted.Store(true)
-			spinUntil(t, "the owner to sleep in the group's wait", func() bool { return g.ch.p.Load() != nil })
+			spinUntil(t, "the owner to sleep in the group's wait", func() bool { return g.rec.sleeper.Load() != nil })
 			if !fRan.Load() {
 				t.Error("the owner went to sleep with F in its region")
 			}

@@ -301,13 +301,15 @@ type Worker struct {
 	// spawnsDue, a call in runsDue and folded, and a fork or a spawn and its
 	// join or run move a free list's depth.
 	scope *scope // termination scope of the task currently executing (exec)
-	// nFutures, nRanges and nGroupTasks are the depths of the stacks of
-	// records this worker may reuse (takeFuture, takeRange, spawnMember;
-	// DESIGN.md §7): futures below nFutures are Join2's Futures of one
-	// result type and ranges below nRanges are Reduce's and ParallelFor's
-	// range records of one result type — each held as any, the Worker not
-	// being generic — and groupTasks below nGroupTasks are spawned tasks.
-	nFutures, nRanges, nGroupTasks int32
+	// nFutures, nRanges, nGroupTasks and nGroupRecs are the depths of the
+	// stacks of records this worker may reuse (takeFuture, takeRange,
+	// spawnMember, Group.Spawn; DESIGN.md §7): futures below nFutures are
+	// Join2's Futures of one result type and ranges below nRanges are
+	// Reduce's and ParallelFor's range records of one result type — each
+	// held as any, the Worker not being generic — groupTasks below
+	// nGroupTasks are spawned tasks, and groupRecs below nGroupRecs are the
+	// generations of Groups whose Wait ended here.
+	nFutures, nRanges, nGroupTasks, nGroupRecs int32
 	// spawnsDue and runsDue are the spawns and popped-back calls not yet
 	// added to spawns, tasksRun and progress (flush); folded is the calls
 	// whose scope release the exec in flight makes for them (popBack).
@@ -322,6 +324,7 @@ type Worker struct {
 	futures            [maxFreeRecords]any
 	ranges             [maxFreeRecords]any
 	groupTasks         [maxFreeRecords]*groupTask
+	groupRecs          [maxFreeRecords]*groupRec
 	// scopes below nScopes are child scopes this worker emptied, for its
 	// next split to reuse (scope.go). Only a steal moves the depth, so it is
 	// off the first line.
@@ -877,8 +880,8 @@ func (w *Worker) Pool() *Pool { return w.pool }
 func (w *Worker) Spawn(fn func(*Worker)) { w.spawnMember(nil, fn) }
 
 // spawnMember spawns fn on a record from w's free list (group.go), as a
-// member of g, or of no group when g is nil.
-func (w *Worker) spawnMember(g *Group, fn func(*Worker)) {
+// member of the group whose generation is g, or of no group when g is nil.
+func (w *Worker) spawnMember(g *groupRec, fn func(*Worker)) {
 	t := popFree(&w.groupTasks, &w.nGroupTasks)
 	if t == nil {
 		t = new(groupTask)

@@ -1,10 +1,11 @@
 // Tests for record recycling (future.go, parallel.go, group.go; DESIGN.md
 // §7, "Record recycling"): the Futures inside Join2, the range records of
-// Reduce and ParallelFor and the records of spawned tasks are reused by the
-// worker that freed them, so these tests reuse them across steals, aborts,
-// result types, a thief's long burst and a fleet that shrinks and grows —
-// on all three deques, and meant for the race detector: a record touched
-// after it was freed is a data race with its next user.
+// Reduce and ParallelFor, the records of spawned tasks and Groups'
+// generations are reused by the worker that freed them, so these tests
+// reuse them across steals, aborts, result types, a thief's long burst and
+// a fleet that shrinks and grows — on all three deques, and meant for the
+// race detector: a record touched after it was freed is a data race with
+// its next user.
 package sched
 
 import (
@@ -62,16 +63,17 @@ func listed[T any](t *testing.T, w *Worker, seen map[any]bool) (futures, ranges 
 // has ended (the workers have exited, so their plain fields are the
 // caller's to read): depths within the bound; Futures and range records as
 // above, each list of one of the result types whose listed is given; the
-// records of spawned tasks empty and listed once; the child scopes emptied,
-// cleared and listed once.
+// records of spawned tasks empty and listed once; Groups' generations
+// ended — no member pending, no waiter in the slot — and listed once; the
+// child scopes emptied, cleared and listed once.
 func checkFreeLists(t *testing.T, p *Pool, types ...func(*testing.T, *Worker, map[any]bool) (bool, bool)) {
 	t.Helper()
 	seen := map[any]bool{}
 	for _, w := range p.workers {
-		for _, n := range []int32{w.nFutures, w.nRanges, w.nGroupTasks, w.nScopes} {
+		for _, n := range []int32{w.nFutures, w.nRanges, w.nGroupTasks, w.nGroupRecs, w.nScopes} {
 			if n < 0 || n > maxFreeRecords {
-				t.Fatalf("worker %d lists %d Futures, %d range records, %d group records and %d scopes, bound %d",
-					w.id, w.nFutures, w.nRanges, w.nGroupTasks, w.nScopes, maxFreeRecords)
+				t.Fatalf("worker %d lists %d Futures, %d range records, %d spawned tasks, %d group generations and %d scopes, bound %d",
+					w.id, w.nFutures, w.nRanges, w.nGroupTasks, w.nGroupRecs, w.nScopes, maxFreeRecords)
 			}
 		}
 		knownFutures, knownRanges := false, false
@@ -87,11 +89,20 @@ func checkFreeLists(t *testing.T, p *Pool, types ...func(*testing.T, *Worker, ma
 		}
 		for _, r := range w.groupTasks[:w.nGroupTasks] {
 			if seen[r] {
-				t.Errorf("worker %d lists a group record that is listed already", w.id)
+				t.Errorf("worker %d lists a spawned task's record that is listed already", w.id)
 			}
 			seen[r] = true
 			if r.g != nil || r.fn != nil {
-				t.Errorf("worker %d lists a group record that still holds its group or function", w.id)
+				t.Errorf("worker %d lists a spawned task's record that still holds its group or function", w.id)
+			}
+		}
+		for _, r := range w.groupRecs[:w.nGroupRecs] {
+			if seen[r] {
+				t.Errorf("worker %d lists a group generation that is listed already", w.id)
+			}
+			seen[r] = true
+			if r.pending.Load() != 0 || r.sleeper.Load() != nil {
+				t.Errorf("worker %d lists a group generation with %d members pending or a waiter in its slot", w.id, r.pending.Load())
 			}
 		}
 		for _, s := range w.scopes[:w.nScopes] {
@@ -287,6 +298,70 @@ func TestRecycleJoinToken(t *testing.T) {
 	if got != 7 {
 		t.Fatalf("the join returned %d, want 7", got)
 	}
+}
+
+// The same for a blocked Group.Wait, which sleeps on its worker's token as
+// a join does: a waiter unwound by an abort takes its worker back out of
+// the slot of the record it abandons, and a token for an earlier sleep of
+// its worker does not end the Wait's sleep as a wake — no round of help,
+// which would count a steal attempt. The root, the waiter, runs on worker
+// 0, and a grow to two brings the thief that runs the member.
+func TestRecycleGroupWaitToken(t *testing.T) {
+	p := New(Config{Workers: 1, MaxWorkers: 2})
+	w0 := p.workers[0]
+	// blockedWait spawns a member that is stolen, and spins until the
+	// root's Wait has put w0 in the group's slot, then runs during.
+	blockedWait := func(w *Worker, during func(g *Group)) {
+		if w != w0 {
+			t.Errorf("the root runs on worker %d", w.ID())
+			return
+		}
+		if err := p.Resize(2); err != nil {
+			t.Errorf("Resize(2): %v", err)
+			return
+		}
+		var g Group
+		var started atomic.Bool
+		g.Spawn(w, func(*Worker) {
+			started.Store(true)
+			spinUntil(t, "the waiter to sleep in the group's slot", func() bool { return g.rec.sleeper.Load() == w0 })
+			during(&g)
+		})
+		spinUntil(t, "the member to be stolen", started.Load)
+		g.Wait(w)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	var unwound atomic.Bool
+	err := p.RunContext(ctx, func(w *Worker) {
+		defer unwound.Store(true)
+		blockedWait(w, func(g *Group) {
+			cancel()
+			spinUntil(t, "the waiter to unwind", unwound.Load)
+			if g.rec.sleeper.Load() != nil {
+				t.Error("the unwound waiter left its worker in the slot of the record it abandoned")
+			}
+		})
+		t.Error("the Wait returned from an aborted Run")
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunContext = %v, want context.Canceled", err)
+	}
+
+	if err := p.Resize(1); err != nil {
+		t.Fatalf("Resize(1): %v", err)
+	}
+	runWithin(t, p, func(w *Worker) {
+		blockedWait(w, func(*Group) {
+			attempts := w0.stealAttempts.Load()
+			w0.sleep.wake(w0.sleep.n.Load() - 1)
+			spinUntil(t, "the waiter to take the stale token", func() bool { return len(w0.sleep.ch) == 0 })
+			time.Sleep(10 * time.Millisecond)
+			if n := w0.stealAttempts.Load() - attempts; n != 0 {
+				t.Errorf("a token for an earlier sleep ended the Wait's sleep as a wake: %d steal attempts before its member returned", n)
+			}
+		})
+	})
 }
 
 // A range fork stolen mid-tree whose subtree panics: its task ends in the
@@ -531,8 +606,93 @@ func TestRecycleGroupBurstRunByThief(t *testing.T) {
 		}
 		checkFreeLists(t, p, listed[int])
 		if n := spawner.nGroupTasks; n != 0 {
-			t.Errorf("the spawner lists %d group records, having run none", n)
+			t.Errorf("the spawner lists %d spawned tasks' records, having run none", n)
 		}
+	})
+}
+
+// Two Groups on two workers, over many generations, with their records
+// moving between the workers' lists: each generation a Join2 whose fork is
+// stolen opens one group on the thief — its first Spawn takes the thief's
+// record — and the other here, and a second Join2 waits for both, the
+// group opened on the thief from here. The Wait that ends a generation
+// lists its record where it ran, so the next group opened on that worker
+// may take a record the other group used, possibly while a done of the
+// earlier generation is still on its way to the slot. Members spawn a
+// child into their own group from wherever they run, and in every third
+// generation one member stays until its waiter has blocked. Every Wait
+// returns with its exact member count.
+func TestRecycleGroupRecords(t *testing.T) {
+	gens := 300
+	if testing.Short() {
+		gens = 100
+	}
+	const members = 3 // each spawns one child: 6 a generation
+	forEachDeque(t, func(t *testing.T, kind dequeKind) {
+		p := newPool(kind, Config{Workers: 2})
+		var groups [2]Group
+		var counts [2]atomic.Int32
+		var blocked atomic.Int32
+		moves, shared := 0, 0
+		open := func(c *Worker, x, gen int) {
+			g := &groups[x]
+			for i := 0; i < members; i++ {
+				g.Spawn(c, func(m *Worker) {
+					g.Spawn(m, func(*Worker) { counts[x].Add(1) })
+					if i == 0 && gen%3 == 0 {
+						deadline := time.Now().Add(2 * time.Millisecond)
+						for g.rec.sleeper.Load() == nil && time.Now().Before(deadline) {
+							runtime.Gosched()
+						}
+						if g.rec.sleeper.Load() != nil {
+							blocked.Add(1)
+						}
+					}
+					counts[x].Add(1)
+				})
+			}
+		}
+		wait := func(c *Worker, x, gen int) int {
+			groups[x].Wait(c)
+			if got := counts[x].Swap(0); got != 2*members {
+				t.Errorf("generation %d: group %d's Wait returned with %d of %d members done", gen, x, got, 2*members)
+			}
+			return c.ID()
+		}
+		used := map[*groupRec]int{}
+		p.Run(func(w *Worker) {
+			for gen := 0; gen < gens; gen++ {
+				away := gen % 2 // the group opened on the thief
+				var started atomic.Bool
+				thief, _ := Join2(w, func(c *Worker) int {
+					started.Store(true)
+					open(c, away, gen)
+					return c.ID()
+				}, func(c *Worker) int {
+					spinUntil(t, "the fork to be stolen", started.Load)
+					open(c, 1-away, gen)
+					return 0
+				})
+				for x := range groups {
+					if last, ok := used[groups[x].rec]; ok && last != x {
+						shared++
+					}
+					used[groups[x].rec] = x
+				}
+				_, waiter := Join2(w,
+					func(c *Worker) int { return wait(c, 1-away, gen) },
+					func(c *Worker) int { return wait(c, away, gen) })
+				if thief != waiter {
+					moves++
+				}
+			}
+		})
+		if moves < gens || shared == 0 || blocked.Load() == 0 {
+			t.Errorf("over %d generations: %d records moved between workers, %d taken by the other group, %d waiters seen blocked; want one move a generation, and some of each",
+				gens, moves, shared, blocked.Load())
+		}
+		t.Logf("%d generations: %d records taken by the other group, %d waiters seen blocked", gens, shared, blocked.Load())
+		checkFreeLists(t, p, listed[int])
 	})
 }
 

@@ -429,6 +429,9 @@ func TestSpawnPathAllocations(t *testing.T) {
 		add := func(a, b int) int { return a + b }
 		pin("Reduce over 64 leaves", testing.AllocsPerRun(50, func() { Reduce(w, 0, leaves, 1, leaf, add) }), 0)
 		pin("ParallelFor over 64 pieces", testing.AllocsPerRun(50, func() { ParallelFor(w, 0, leaves, 1, func(int) {}) }), 0)
+		// A Group's count and slot are a record the Wait that ends its
+		// generation lists, so a Group the caller does not leak stays on
+		// the stack.
 		g := NewGroup()
 		pin("Group.Spawn", testing.AllocsPerRun(200, func() { g.Spawn(w, nop); g.Wait(w) }), 0)
 		pin("NewGroup + 4 x Spawn + Wait", testing.AllocsPerRun(200, func() {
@@ -437,7 +440,14 @@ func TestSpawnPathAllocations(t *testing.T) {
 				g.Spawn(w, nop)
 			}
 			g.Wait(w)
-		}), 1)
+		}), 0)
+		pin("Invoke of three functions", testing.AllocsPerRun(200, func() { Invoke(w, nop, nop, nop) }), 0)
+		pin("a zero Group, 2 x Spawn + Wait", testing.AllocsPerRun(200, func() {
+			var g Group
+			g.Spawn(w, nop)
+			g.Spawn(w, nop)
+			g.Wait(w)
+		}), 0)
 		// A bare spawn's record goes back to the list of the worker that
 		// ran it: here help, which pops it.
 		pin("Spawn", testing.AllocsPerRun(200, func() { w.Spawn(nop); w.help(w.currentRun()) }), 0)
@@ -531,6 +541,53 @@ func TestStealPathAllocations(t *testing.T) {
 		t.Errorf("a Run of stealAndBlock allocates %v objects, want 4 (the test's flags and closures)", one)
 	}
 	t.Logf("a Run allocates %v objects on one worker, %v on two", one, two)
+}
+
+// A blocked Group.Wait allocates nothing, as a blocked join does
+// (TestStealPathAllocations): the group's record comes off the waiter's
+// list and the waiter sleeps on its worker's token. On two workers, with
+// the collector off and on one processor, as testing.AllocsPerRun
+// measures (a channel receive that blocks may take the runtime's per-P
+// cache of waiting records empty), a Wait whose one member is stolen and
+// spins until the waiter has blocked allocates 0 objects, counted over the
+// whole process across the Wait.
+func TestBlockedGroupWaitAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	p := New(Config{Workers: 2})
+	var g Group
+	var before, after runtime.MemStats
+	mallocs := uint64(0)
+	root := func(w *Worker) {
+		var started atomic.Bool
+		g.Spawn(w, func(*Worker) {
+			started.Store(true)
+			spinUntil(t, "the waiter to block in the group", func() bool { return g.rec.sleeper.Load() != nil })
+		})
+		spinUntil(t, "the member to be stolen", started.Load)
+		runtime.ReadMemStats(&before)
+		g.Wait(w)
+		runtime.ReadMemStats(&after)
+		mallocs += after.Mallocs - before.Mallocs
+	}
+	for i := 0; i < 3; i++ { // stock the lists, the goroutines and the run records
+		p.Run(root)
+	}
+	const runs = 20
+	mallocs = 0
+	steals := p.Stats().Steals
+	for i := 0; i < runs; i++ {
+		p.Run(root)
+	}
+	if mallocs != 0 {
+		t.Errorf("%d blocked Group.Waits allocate %d objects, want 0", runs, mallocs)
+	}
+	if n := p.Stats().Steals - steals; n < runs {
+		t.Errorf("%d steals over %d forced Runs, want 1 each", n, runs)
+	}
 }
 
 // A Run allocates nothing of the engine's own: the run record is recycled
