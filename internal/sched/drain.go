@@ -107,7 +107,7 @@ wait:
 			// Completed, panicked or cancelled, a run is finished as far as a
 			// drain goes. One a stop aborted is not: Serve's context was
 			// cancelled under the drain, which may not report success.
-			if h.err == ErrStopped {
+			if h.Err() == ErrStopped {
 				return ErrNotServing
 			}
 		case <-ctx.Done():

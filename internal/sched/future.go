@@ -1,9 +1,11 @@
-// Futures, and the completion word a Future and a run record both end on
+// Futures, and the completion word a Future and a Handle both end on
 // (waitWord): the one place the install-or-load, finish and is-done steps
 // of the lazy-wait protocol are written (DESIGN.md §7, "Lazy wait").
 package sched
 
 import (
+	"context"
+
 	"worksteal/internal/atomicx"
 	"worksteal/internal/fault"
 )
@@ -28,9 +30,11 @@ func (r *run) panicAborted() {
 }
 
 // waitWord is a completion word, the one wait protocol of a Future and of
-// a run record: nil while what it stands for is pending and nobody waits,
-// the waiter one about to block installed, or doneWait once it has ended.
-// The completer's one Swap publishes what it wrote before and takes the
+// a submission's Handle: nil while what it stands for is pending and
+// nobody waits, the waiter one about to block installed, or, once it has
+// ended, the record it ended on — doneWait, or an aborted submission's end
+// record (endRecord), which carries the outcome. The completer's one Swap
+// installs that record, publishes what it wrote before and takes the
 // waiter to wake, so a channel is made only where somebody had to block,
 // and after the Swap the completer never touches the word's record again.
 // future_model_test.go and run_model_test.go check it over every
@@ -41,20 +45,60 @@ type waitWord struct {
 
 // waiter is a channel c that finish closes, or the sleep s of the word's
 // one waiter — a joiner's (waitToken), the Run controller's — that it
-// wakes.
+// wakes; or an end record: doneWait's closed channel, and err, the outcome
+// of the submission that ended on it.
 type waiter struct {
-	c chan struct{}
-	s *sleep
+	c   chan struct{}
+	s   *sleep
+	err error
 }
 
-// doneWait is the ended state of a waitWord: a waiter nobody installs,
-// whose channel is closed from the start, so a waiter that loads it
-// (waitChan) falls through its receive.
+// doneWait is the ended state of a waitWord, and the end record of a
+// submission that completed: a waiter nobody installs, whose channel is
+// closed from the start, so a waiter that loads it (waitChan) falls
+// through its receive.
 var doneWait = func() *waiter {
 	ch := make(chan struct{})
 	close(ch)
 	return &waiter{c: ch}
 }()
+
+// The end records of the fixed causes of an abort, which every submission
+// that ends on one shares.
+var (
+	endOverloaded = abortRecord(ErrOverloaded)
+	endStopped    = abortRecord(ErrStopped)
+	endDraining   = abortRecord(ErrDraining)
+	endCanceled   = abortRecord(context.Canceled)
+	endDeadline   = abortRecord(context.DeadlineExceeded)
+)
+
+// abortRecord makes the end record of a submission aborted with err.
+func abortRecord(err error) *waiter { return &waiter{c: doneWait.c, err: err} }
+
+// endRecord returns the record a submission with outcome err ends on:
+// doneWait for a completion, a fixed cause's own, and a new one only for
+// another cause — a task panic's PanicError, or the error of a context of
+// the caller's own making. A switch and not a map keyed by the error:
+// hashing a PanicError whose Value is a slice panics, and an interface
+// compare of two different dynamic types does not.
+func endRecord(err error) *waiter {
+	switch err {
+	case nil:
+		return doneWait
+	case ErrOverloaded:
+		return endOverloaded
+	case ErrStopped:
+		return endStopped
+	case ErrDraining:
+		return endDraining
+	case context.Canceled:
+		return endCanceled
+	case context.DeadlineExceeded:
+		return endDeadline
+	}
+	return abortRecord(err)
+}
 
 // waitChan returns the channel a waiter about to block receives from,
 // installing one if none is there: the install either precedes finish's
@@ -94,18 +138,18 @@ func (x *waitWord) waitToken(w *Worker, r *run) {
 	}
 }
 
-// finish ends the word, once: whatever the caller wrote before is
-// published to every waiter and every isDone, and the waiter installed, if
-// any, is woken. A sleep's number is loaded before the Swap, while the
-// sleep is in the word; one installed after that load is sent 0, on which
-// it re-checks and finds the word ended.
-func (x *waitWord) finish() {
+// finish ends the word, once, on the record end: whatever the caller
+// wrote before is published to every waiter and every load of the record,
+// and the waiter installed, if any, is woken. A sleep's number is loaded
+// before the Swap, while the sleep is in the word; one installed after
+// that load is sent 0, on which it re-checks and finds the word ended.
+func (x *waitWord) finish(end *waiter) {
 	var n uint32
 	old := x.p.Load()
 	if old != nil && old.s != nil {
 		n = old.s.n.Load()
 	}
-	switch w := x.p.Swap(doneWait); {
+	switch w := x.p.Swap(end); {
 	case w == nil:
 	case w.s != nil:
 		if w != old {
@@ -117,8 +161,10 @@ func (x *waitWord) finish() {
 	}
 }
 
-// isDone reports whether finish has run, without blocking or installing
-// anything.
+// isDone reports whether finish has ended the word on doneWait, without
+// blocking or installing anything: whether a Future's word has ended, the
+// only record it ends on. A Handle's word may end on another, which
+// Handle.Err reads.
 func (x *waitWord) isDone() bool { return x.p.Load() == doneWait }
 
 // maxFreeRecords is the slot count of each of a worker's five free lists
@@ -277,7 +323,7 @@ func (f *Future[T]) free(w *Worker) {
 // forever pending; its joiners unwind through the submission's abort.
 func (f *Future[T]) runTask(w *Worker) {
 	f.result = f.fn(w)
-	f.ch.finish()
+	f.ch.finish(doneWait)
 }
 
 // Join returns the future's result, helping to run other tasks until it is
@@ -295,7 +341,7 @@ func (f *Future[T]) runTask(w *Worker) {
 func (f *Future[T]) Join(w *Worker) T {
 	if !f.Done() && w.popBack(&f.task) {
 		f.call(w)
-		f.ch.finish() // a public Future may have joiners on other workers
+		f.ch.finish(doneWait) // a public Future may have joiners on other workers
 		return f.result
 	}
 	return f.wait(w, false)

@@ -136,9 +136,10 @@ func TestPoolLayoutPins(t *testing.T) {
 // to itself: scope is exactly one line, it leads the run record, and the
 // record is a whole number of lines (so the allocator keeps it
 // line-aligned), which leaves state, read by every worker for every task
-// of the submission, on another line — and the registry links, which the
+// of the submission, on another line — end, the claim every finish of the
+// submission contends on, on a third, and the registry links, which the
 // register and unregister of the submissions around this one write, and
-// the hold count on a third. The completion word is the Handle's, apart
+// the hold count on a fourth. The completion word is the Handle's, apart
 // from the record.
 func TestRunLayoutPins(t *testing.T) {
 	var r run
@@ -153,7 +154,7 @@ func TestRunLayoutPins(t *testing.T) {
 	}
 	state := unsafe.Offsetof(r.state)
 	offs := map[string]uintptr{
-		"state": state, "root": unsafe.Offsetof(r.root), "holds": unsafe.Offsetof(r.holds),
+		"state": state, "end": unsafe.Offsetof(r.end), "root": unsafe.Offsetof(r.root), "holds": unsafe.Offsetof(r.holds),
 		"prev": unsafe.Offsetof(r.prev), "next": unsafe.Offsetof(r.next),
 	}
 	for name, off := range offs {
@@ -161,9 +162,11 @@ func TestRunLayoutPins(t *testing.T) {
 			t.Errorf("%s (offset %d) shares the root refs line", name, off)
 		}
 	}
-	for _, name := range []string{"holds", "prev", "next"} {
-		if layoutLine(offs[name]) == layoutLine(state) {
-			t.Errorf("state (offset %d) shares a cache line with %s (offset %d)", state, name, offs[name])
+	for i, name := range []string{"state", "end", "holds", "prev", "next"} {
+		for _, other := range []string{"state", "end", "holds"}[:min(i, 2)] {
+			if layoutLine(offs[name]) == layoutLine(offs[other]) {
+				t.Errorf("%s (offset %d) shares a cache line with %s (offset %d)", other, offs[other], name, offs[name])
+			}
 		}
 	}
 }

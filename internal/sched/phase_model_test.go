@@ -126,9 +126,11 @@ func (s *pmState) touch(by uint8) error {
 	return nil
 }
 
-// finish ends the submission if nothing has yet: finishOnce, with the
-// unregister inside it, and the completion word a Drain waits on. A
-// watcher still armed is stopped, and its hold goes with it.
+// finish ends the submission if nothing has yet: the claim of the run's
+// end, in one step with the unregister and the completion word a Drain
+// waits on — a caller that reads the outcome after its own finish reads
+// the claim (run.outcome), not the word. A watcher still armed is
+// stopped, and its hold goes with it.
 func (s *pmState) finish(by uint8, out int8) error {
 	if err := s.touch(by); err != nil {
 		return err

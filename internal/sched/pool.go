@@ -210,10 +210,10 @@ type Pool struct {
 	target   int
 
 	// Active-submission registry: every in-flight run, linked in at
-	// submission and unlinked by its finishOnce — active is the head of a
-	// list threaded through the records (run.prev, run.next). endSession
-	// aborts the whole set, and a Drain waits for the ones it found there
-	// (inFlight).
+	// submission and unlinked by the finish that claims its end — active is
+	// the head of a list threaded through the records (run.prev, run.next).
+	// endSession aborts the whole set, and a Drain waits for the ones it
+	// found there (inFlight).
 	runMu  sync.Mutex
 	active *run
 
@@ -488,7 +488,6 @@ func (p *Pool) RunContext(ctx context.Context, root func(*Worker)) error {
 	p.enter("Run/RunContext")
 	h := &p.batch
 	h.done.p.Store(nil)
-	h.err = nil
 	r := newRun(p, root, h)
 	p.register(r)
 	if err := ctx.Err(); err != nil {
@@ -510,10 +509,8 @@ func (p *Pool) RunContext(ctx context.Context, root func(*Worker)) error {
 	if h.done.p.CompareAndSwap(nil, &p.ctl.join) {
 		<-p.ctl.ch
 	}
-	if h.done.isDone() {
-		if pe, ok := h.err.(PanicError); ok {
-			p.stopWith(p.gen, pe.Value)
-		}
+	if pe, ok := h.Err().(PanicError); ok {
+		p.stopWith(p.gen, pe.Value)
 	}
 	return p.endSession()
 }
@@ -620,6 +617,14 @@ func (p *Pool) endSession() error {
 		r.finish(state, err)
 		r.let()
 	}
+	// A Run's controller that a stop woke before its run ended waits here
+	// for the batch Handle's word to end: some finish has claimed the run by
+	// now — this abort, or one that had already unregistered it — but a
+	// claim's winner may still be on its way to the word, which the next Run
+	// resets. The winner's Swap comes before its token.
+	for p.batch.done.p.Load() == &p.ctl.join {
+		<-p.ctl.ch
+	}
 	for _, w := range p.workers {
 		w.sleep.wake(0)
 	}
@@ -666,11 +671,13 @@ func (p *Pool) drainByRun() {
 }
 
 // account counts a task the sweep found under its run's abort, aborting
-// the run first if nothing has.
+// the run first if nothing has. The counter is the outcome's, which the
+// claim settled — a lost claim returns before the winner stores state —
+// and a panic's is the only PanicError.
 func (p *Pool) account(t *Task) {
 	r := t.scope.run
 	r.finish(runCancelled, ErrStopped)
-	if r.state.Load() == runPanicked {
+	if _, ok := r.outcome().(PanicError); ok {
 		p.dropped.Add(1)
 	} else {
 		p.cancelledN.Add(1)

@@ -931,3 +931,212 @@ func TestRecycleRunIsolation(t *testing.T) {
 	}
 	t.Logf("%d ErrOverloaded and %d ErrDraining returns", overloaded.Load(), draining.Load())
 }
+
+// Recycled run records carry every way a submission ends — completed,
+// panicked with a comparable value or with a slice, cancelled while its root
+// runs, refused by a Drain that races its Submit — and none of it stays in
+// the record: each Handle's word ends on its own end record (endRecord), so
+// every Err and Wait reports its own submission's outcome, then and after
+// its record has served others. Every other session's Drain overtakes a
+// Submit held between its gate and its push, so the re-check's refusal is
+// in every run, whatever the race of the others. The discards are exact: TasksDropped gains
+// the tasks of the panicked submissions that never started, and
+// TasksCancelled those of the cancelled ones and the root each refusal of
+// the re-check left in the injector.
+func TestRecycleRunOutcomes(t *testing.T) {
+	const workers, sessions, submitters, subs, kids = 2, 3, 2, 40, 3
+	const (
+		completes = iota
+		panicsComparable
+		panicsSlice
+		cancelled
+		kinds
+	)
+	type sub struct {
+		h       *Handle
+		kind    int
+		id      int64
+		started atomic.Int64 // the tasks of the submission whose bodies ran
+	}
+	// root spawns kids, then ends as kind says; cancel cancels its context.
+	root := func(s *sub, cancel func()) func(*Worker) {
+		return func(w *Worker) {
+			s.started.Add(1)
+			for range kids {
+				w.Spawn(func(*Worker) { s.started.Add(1) })
+			}
+			switch s.kind {
+			case panicsComparable:
+				panic(s.id)
+			case panicsSlice:
+				panic([]int64{s.id})
+			case cancelled:
+				cancel()
+				for w.currentRun().state.Load() == runLive {
+					runtime.Gosched()
+				}
+			}
+		}
+	}
+	// own reports whether err is s's outcome; a compare with == would panic
+	// on a PanicError that holds a slice.
+	own := func(s *sub, err error) bool {
+		switch s.kind {
+		case completes:
+			return err == nil
+		case panicsComparable:
+			return err == PanicError{Value: s.id}
+		case panicsSlice:
+			pe, ok := err.(PanicError)
+			v, isSlice := pe.Value.([]int64)
+			return ok && isSlice && len(v) == 1 && v[0] == s.id
+		}
+		return err == context.Canceled
+	}
+	p := New(Config{Workers: workers})
+	var (
+		mu        sync.Mutex
+		all       []*sub // guarded by mu
+		next      atomic.Int64
+		carcasses int64
+	)
+	keep := func(s *sub) {
+		mu.Lock()
+		all = append(all, s)
+		mu.Unlock()
+	}
+	t.Cleanup(fault.Reset)
+	for sess := range sessions {
+		served := make(chan error, 1)
+		go func() { served <- p.Serve(context.Background()) }()
+		waitFor(t, 10*time.Second, "the pool to serve", inPhase(p, phaseServing))
+		var wg sync.WaitGroup
+		for range submitters {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := range subs {
+					s := &sub{kind: i % kinds, id: next.Add(1)}
+					ctx, cancel := context.WithCancel(context.Background())
+					h, err := p.SubmitContext(ctx, root(s, cancel))
+					if err != nil {
+						cancel()
+						t.Errorf("submission %d: SubmitContext: %v", s.id, err)
+						return
+					}
+					s.h = h
+					err = h.Wait()
+					cancel()
+					if !own(s, err) || !own(s, h.Err()) {
+						t.Errorf("submission %d of kind %d: Wait = %v, Err = %v", s.id, s.kind, err, h.Err())
+					}
+					keep(s)
+				}
+			}()
+		}
+		wg.Wait()
+
+		// Every worker held in a root, so nothing pops the injector: a
+		// refused Submit left a root there exactly when the injector grew.
+		hold := make(chan struct{})
+		var holding sync.WaitGroup
+		holders := make([]*Handle, workers)
+		for i := range holders {
+			holding.Add(1)
+			h, err := p.Submit(func(*Worker) { holding.Done(); <-hold })
+			if err != nil {
+				t.Fatalf("Submit: %v", err)
+			}
+			holders[i] = h
+		}
+		holding.Wait()
+		drained := make(chan error, 1)
+		drain := func() { drained <- p.Drain(context.Background()) }
+		if sess%2 == 1 {
+			// The Drain closes admission under a Submit suspended past its
+			// gate, before its push: the re-check refuses it.
+			fault.Enable(fpInjectorBeforePush, fault.Rule{Action: fault.ActionSuspend, OneShot: true})
+			queued := p.inject.Len()
+			refused := make(chan error, 1)
+			go func() {
+				_, err := p.SubmitContext(context.Background(), root(&sub{kind: completes, id: next.Add(1)}, nil))
+				refused <- err
+			}()
+			waitFor(t, 10*time.Second, "the Submit to stop before its push", func() bool { return fault.Suspended(fpInjectorBeforePush) == 1 })
+			go drain()
+			waitFor(t, 10*time.Second, "the Drain to close admission", inPhase(p, phaseDraining))
+			fault.Disable(fpInjectorBeforePush)
+			if err := <-refused; !errors.Is(err, ErrDraining) {
+				t.Errorf("a Submit the Drain overtook returned %v, want ErrDraining", err)
+			}
+			if p.inject.Len() != queued+1 {
+				t.Errorf("the injector holds %d roots after the refused push, want %d", p.inject.Len(), queued+1)
+			}
+			carcasses++
+		} else {
+			// The Drain races a Submit loop.
+			go drain()
+			for {
+				queued := p.inject.Len()
+				s := &sub{kind: completes, id: next.Add(1)}
+				h, err := p.SubmitContext(context.Background(), root(s, nil))
+				if errors.Is(err, ErrDraining) {
+					if p.inject.Len() == queued+1 {
+						carcasses++
+					}
+					break
+				}
+				if errors.Is(err, ErrOverloaded) {
+					runtime.Gosched()
+					continue
+				}
+				if err != nil {
+					t.Fatalf("SubmitContext under a Drain: %v", err)
+				}
+				s.h = h
+				keep(s)
+				runtime.Gosched() // the Drain's turn
+			}
+		}
+		close(hold)
+		if err := <-drained; err != nil {
+			t.Errorf("Drain: %v", err)
+		}
+		if err := <-served; err != nil {
+			t.Errorf("Serve after a Drain returned %v", err)
+		}
+		for _, h := range holders {
+			if err := h.Wait(); err != nil {
+				t.Errorf("a holder ended %v", err)
+			}
+		}
+	}
+
+	var dropped, cancels int64
+	for _, s := range all {
+		err := s.h.Wait()
+		if !own(s, err) || !own(s, s.h.Err()) {
+			t.Errorf("submission %d of kind %d, its record recycled: Wait = %v, Err = %v", s.id, s.kind, err, s.h.Err())
+		}
+		unrun := 1 + kids - s.started.Load()
+		switch s.kind {
+		case completes:
+			if unrun != 0 {
+				t.Errorf("submission %d completed with %d of its tasks never run", s.id, unrun)
+			}
+		case cancelled:
+			cancels += unrun
+		default:
+			dropped += unrun
+		}
+	}
+	st := p.Stats()
+	if st.TasksDropped != dropped {
+		t.Errorf("TasksDropped = %d, want %d: the tasks of panicked submissions that never ran", st.TasksDropped, dropped)
+	}
+	if want := cancels + carcasses; st.TasksCancelled != want {
+		t.Errorf("TasksCancelled = %d, want %d: %d tasks of cancelled submissions that never ran, %d roots of refused ones",
+			st.TasksCancelled, want, cancels, carcasses)
+	}
+	t.Logf("%d submissions; %d dropped, %d cancelled, %d refused roots", len(all), dropped, cancels, carcasses)
+}

@@ -9,24 +9,30 @@ import (
 // pool.go: help) on the explorer of model_test.go, with the completion
 // word's steps of future_model_test.go (mWord). The actors: a joiner of the
 // submission, about to sleep on its worker's sleep (lifecycle.go) for a
-// future that may or may not arrive; a Handle waiter, on the run's word; a
-// completer, which can start only once the joiner has returned — a live
+// future that may or may not arrive; a Handle waiter, on the Handle's word;
+// a completer, which can start only once the joiner has returned — a live
 // joiner is a task of the submission, so the root scope cannot empty under
-// it — and an aborter, racing the completer through finishOnce, whose
-// finish ends with a token for the joiner's sleep, one step here
+// it — and two aborters racing it for the claim of the run's end word: a
+// stop's, and a draining Submit's re-check (SubmitContext), which reads the
+// outcome once its finish returns to decide whether its submission was
+// accepted. A finish that loses the claim returns at once; the winner's
+// ends with a token for the joiner's sleep, one step here
 // (sleep_model_test.go has its number). Checked on every path:
 //
 //   - no channel is closed twice, and at quiescence nobody is left blocked;
-//   - a joiner woken by the abort's token reads a state that is not live;
-//   - whoever reads the outcome reads the one finishOnce's winner wrote:
-//     the read is ordered after the write.
+//   - a joiner woken by an abort's token reads a state that is not live;
+//   - whoever reads the outcome reads the record the claim's winner
+//     installed, a Handle waiter that reads an abort reads it after the
+//     state — the gate every task start reads — has closed, and the
+//     draining submitter accepts only a submission that completed.
 
 const (
 	rmJoiner int = iota
 	rmWaiter
 	rmCompleter
 	rmAborter
-	rmOnceDone int8 = -1
+	rmSubmitter
+	rmActors
 )
 
 // The steps of a waiter — the joiner's block (rwState, rwBlock) and
@@ -36,38 +42,39 @@ const (
 	rwCAS                 // waitChan: install a channel against nil
 	rwBlock               // blocked on the channel in hand; the joiner in its sleep
 	rwState               // joiner only: help's load of state, before a block
-	rwOutcome             // outcome: load state, read the cause
+	rwOutcome             // the joiner: load state, read end; the waiter: load the word's record
 	rwFinished
 )
 
 const (
-	rfOnce  int8 = iota // finishOnce: enter, wait for whoever is inside, or return
-	rfWrite             // write the outcome
-	rfStore             // state.Store
-	rfSwap              // the word's Swap
-	rfClose             // close the channel taken
-	rfToken             // an abort: the token for the joiner's worker
-	rfLeave             // finishOnce done
+	rfClaim   int8 = iota // end's CAS: a loser returns at once
+	rfStore               // state.Store
+	rfSwap                // the word's Swap of the record
+	rfClose               // close the channel taken
+	rfToken               // an abort: the token for the joiner's worker
+	rfOutcome             // the submitter only: read the outcome, accept or reject
 	rfFinished
 )
 
 type rmState struct {
 	mWord
-	state int8 // run.state: 0 live, or the finisher that stored its abort
-	out   int8 // the Handle's err: the finisher that wrote it last
-	once  int8 // finishOnce: 0 free, the finisher inside it, or rmOnceDone
-	won   int8 // the finisher finishOnce let in
-	pc    [4]int8
-	ch    [4]int8 // the channel a waiter blocks on, a finisher must close
-	tok   bool    // a token is pending in the joiner's worker's sleep
-	woken bool    // the joiner's block ended on that token
+	end   int8 // run.end: 0 nil, or the finisher whose record the claim installed
+	rec   int8 // the finisher whose record the Handle's word ended on
+	state int8 // run.state: 0 live, or the aborter that stored its abort
+	pc    [rmActors]int8
+	ch    [rmActors]int8 // the channel a waiter blocks on, a finisher must close
+	tok   bool           // a token is pending in the joiner's worker's sleep
+	woken bool           // the joiner's block ended on that token
 }
 
 type runModel struct {
 	swapFirst       bool   // the negative control: Swap, then state.Store
 	tokenFirst      bool   // the negative control: the abort's token, then state.Store
-	blocks, unwound int    // what the search covered, with ended
-	ended           [2]int // by the completer, by the aborter
+	handleRead      bool   // the negative control: the submitter reads the Handle's word, not end
+	blocks, unwound int    // what the search covered, with the rest
+	ended           [3]int // claims won by the completer, the aborter, the submitter
+	lost            int    // claims lost
+	accepts         [2]int // the submitter's reads: rejected, accepted
 }
 
 // waiterStep moves the joiner or the Handle waiter one step.
@@ -85,8 +92,6 @@ func (m *runModel) waiterStep(s rmState, a int) ([]rmState, error) {
 		}
 	case rwLoad:
 		switch {
-		case s.word == fmDone && a == rmJoiner: // closed already: block falls through
-			s.woken, *pc = true, rwState
 		case s.word == fmDone:
 			*pc = rwOutcome
 		case s.word != 0:
@@ -120,12 +125,19 @@ func (m *runModel) waiterStep(s rmState, a int) ([]rmState, error) {
 		}
 		m.blocks++
 		*pc = rwOutcome
-	case rwOutcome: // state.Load, then the reads it orders
-		if a == rmJoiner {
+	case rwOutcome:
+		read := s.rec
+		if a == rmJoiner { // panicAborted: outcome, after the load of state
 			m.unwound++
+			read = s.end
 		}
-		if read := min(s.state, s.out); read != s.won-int8(rmCompleter) {
-			return nil, fmt.Errorf("actor %d reads outcome %d of a submission finisher %d ended", a, read, s.won)
+		switch {
+		case read != s.end:
+			return nil, fmt.Errorf("actor %d reads the outcome of finisher %d, of a submission finisher %d ended", a, read, s.end)
+		case a == rmJoiner && read == int8(rmCompleter):
+			return nil, fmt.Errorf("the joiner unwinds from a submission that completed")
+		case read != int8(rmCompleter) && s.state == 0:
+			return nil, fmt.Errorf("actor %d reads the abort of finisher %d while the state is live", a, read)
 		}
 		*pc = rwFinished
 	default:
@@ -134,30 +146,33 @@ func (m *runModel) waiterStep(s rmState, a int) ([]rmState, error) {
 	return []rmState{s}, nil
 }
 
-// finisherStep moves the completer or the aborter one step through finish.
-// The completer writes no cause and stores runLive: outcome 0.
+// finisherStep moves the completer or an aborter one step through finish,
+// and the submitter through its read of the outcome. The completer stores
+// runLive: state 0.
 func (m *runModel) finisherStep(s rmState, a int) ([]rmState, error) {
 	pc, me := &s.pc[a], int8(a)
 	switch *pc {
-	case rfOnce:
+	case rfClaim:
 		switch {
-		case a == rmCompleter && s.pc[rmJoiner] != rwFinished, s.once > 0:
-			return nil, nil // not yet possible; or Do waits for the one inside
-		case s.once == rmOnceDone:
-			*pc = rfFinished
+		case a == rmCompleter && s.pc[rmJoiner] != rwFinished:
+			return nil, nil // not yet possible
+		case s.end != 0:
+			m.lost++
+			*pc = rfOutcome
 			return []rmState{s}, nil
 		}
-		s.once, s.won = me, me
-	case rfWrite:
-		s.out = me - int8(rmCompleter)
-		if m.tokenFirst && a == rmAborter {
+		s.end = me
+		m.ended[a-rmCompleter]++
+		if m.tokenFirst && a != rmCompleter {
 			s.tok = true
 		}
 	case rfStore, rfSwap:
 		if (*pc == rfStore) != m.swapFirst {
-			s.state = me - int8(rmCompleter)
+			if a != rmCompleter {
+				s.state = me
+			}
 		} else {
-			s.ch[a] = s.swapDone()
+			s.ch[a], s.rec = s.swapDone(), me
 		}
 	case rfClose:
 		if s.ch[a] > 0 {
@@ -166,12 +181,29 @@ func (m *runModel) finisherStep(s rmState, a int) ([]rmState, error) {
 			}
 		}
 	case rfToken:
-		if a == rmAborter && !m.tokenFirst { // a completion sends none
+		if a != rmCompleter && !m.tokenFirst { // a completion sends none
 			s.tok = true
 		}
-	case rfLeave:
-		s.once = rmOnceDone
-		m.ended[a-rmCompleter]++
+	case rfOutcome:
+		if a != rmSubmitter {
+			break
+		}
+		read := s.end     // outcome: end, which the claim settled
+		if m.handleRead { // Handle.Err: the word's record, or nil before it ends
+			read = 0
+			if s.word == fmDone {
+				read = s.rec
+			}
+		}
+		accepted := read == 0 || read == int8(rmCompleter)
+		if accepted && s.end != int8(rmCompleter) {
+			return nil, fmt.Errorf("the draining submitter accepts a submission that finisher %d aborted", s.end)
+		}
+		if accepted {
+			m.accepts[1]++
+		} else {
+			m.accepts[0]++
+		}
 	default:
 		return nil, nil
 	}
@@ -181,7 +213,7 @@ func (m *runModel) finisherStep(s rmState, a int) ([]rmState, error) {
 
 func (m *runModel) explorer() *explorer[rmState] {
 	return &explorer[rmState]{
-		actors: 4,
+		actors: rmActors,
 		step: func(s rmState, a int) ([]rmState, error) {
 			if a <= rmWaiter {
 				return m.waiterStep(s, a)
@@ -189,7 +221,7 @@ func (m *runModel) explorer() *explorer[rmState] {
 			return m.finisherStep(s, a)
 		},
 		final: func(s rmState) error {
-			if s.pc != [4]int8{rwFinished, rwFinished, rfFinished, rfFinished} {
+			if s.pc != [rmActors]int8{rwFinished, rwFinished, rfFinished, rfFinished, rfFinished} {
 				return fmt.Errorf("quiescent with the actors at steps %v", s.pc)
 			}
 			return nil
@@ -197,23 +229,34 @@ func (m *runModel) explorer() *explorer[rmState] {
 	}
 }
 
+var rmInit = rmState{pc: [rmActors]int8{rwState, rwLoad}}
+
 func TestRunModelExhaustive(t *testing.T) {
 	m := &runModel{}
-	m.explorer().verify(t, rmState{pc: [4]int8{rwState, rwLoad}})
-	if m.blocks == 0 || m.unwound == 0 || m.ended[0] == 0 || m.ended[1] == 0 {
+	m.explorer().verify(t, rmInit)
+	if m.blocks == 0 || m.unwound == 0 || m.lost == 0 || m.accepts[0] == 0 || m.accepts[1] == 0 ||
+		m.ended[0] == 0 || m.ended[1] == 0 || m.ended[2] == 0 {
 		t.Fatalf("the search covered %+v; want some of each", *m)
 	}
 }
 
 // The negative control: with the word ended before the state is stored, a
-// Handle.Wait woken through it reports an abort as a completion.
+// Handle.Wait woken through it reports an abort while tasks of the
+// submission may still start.
 func TestRunModelCatchesSwapBeforeState(t *testing.T) {
-	(&runModel{swapFirst: true}).explorer().refute(t, rmState{pc: [4]int8{rwState, rwLoad}})
+	(&runModel{swapFirst: true}).explorer().refute(t, rmInit)
 }
 
 // The negative control of the abort's token: sent before the state is
 // stored, it wakes a joiner that reads a live state and blocks again, with
 // no token left to come.
 func TestRunModelCatchesTokenBeforeState(t *testing.T) {
-	(&runModel{tokenFirst: true}).explorer().refute(t, rmState{pc: [4]int8{rwState, rwLoad}})
+	(&runModel{tokenFirst: true}).explorer().refute(t, rmInit)
+}
+
+// The negative control of the draining Submit's read: a lost claim returns
+// before the winner ends the Handle's word, so a submitter that reads the
+// word finds it nil, and accepts a submission the stop's abort then ends.
+func TestRunModelCatchesHandleReadAfterLostClaim(t *testing.T) {
+	(&runModel{handleRead: true}).explorer().refute(t, rmInit)
 }

@@ -625,10 +625,13 @@ func TestRunAllocations(t *testing.T) {
 }
 
 // What a submission allocates, measured over the whole process with the
-// collector off: its 24-byte Handle — the run record is recycled
-// (runRecords) — and a channel only if somebody has to block before the
-// submission ends, which the runtime counts as two objects, the channel and
-// the cell holding it that the word points to (waitChan).
+// collector off: its 8-byte Handle, one completion word — the run record is
+// recycled (runRecords), and the record the word ends on is doneWait or a
+// fixed cause's (endRecord) — and a channel only if somebody has to block
+// before the submission ends, which the runtime counts as two objects, the
+// channel and the cell holding it that the word points to (waitChan). A
+// Submit the full injector refuses allocates its Handle too, and nothing
+// else.
 func TestSubmitAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -636,27 +639,13 @@ func TestSubmitAllocations(t *testing.T) {
 	// A collection empties the pool of run records (the collector's
 	// victim cache keeps it for one).
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	// A worker that spins never parks, so each submission is picked up
-	// without a wake whatever the host's timing.
-	p := New(Config{Workers: 1, ParkThreshold: math.MaxInt})
-	stop := startServing(t, p)
-	// submit returns the objects and bytes one submission allocates, on
+	// measure returns the objects and bytes one call of one allocates, on
 	// average over 200 after one to warm up, on one processor as
 	// testing.AllocsPerRun measures: the pool of records keeps one per
 	// processor.
-	submit := func(root func(*Worker), await func(*Handle)) (objects, bytes float64) {
+	measure := func(one func()) (objects, bytes float64) {
 		const runs = 200
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-		one := func() {
-			h, err := p.Submit(root)
-			if err != nil {
-				t.Fatalf("Submit: %v", err)
-			}
-			await(h)
-			if err := h.Wait(); err != nil {
-				t.Fatalf("Wait: %v", err)
-			}
-		}
 		one()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -665,6 +654,22 @@ func TestSubmitAllocations(t *testing.T) {
 		}
 		runtime.ReadMemStats(&after)
 		return float64(after.Mallocs-before.Mallocs) / runs, float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	// A worker that spins never parks, so each submission is picked up
+	// without a wake whatever the host's timing.
+	p := New(Config{Workers: 1, ParkThreshold: math.MaxInt})
+	stop := startServing(t, p)
+	submit := func(root func(*Worker), await func(*Handle)) (objects, bytes float64) {
+		return measure(func() {
+			h, err := p.Submit(root)
+			if err != nil {
+				t.Fatalf("Submit: %v", err)
+			}
+			await(h)
+			if err := h.Wait(); err != nil {
+				t.Fatalf("Wait: %v", err)
+			}
+		})
 	}
 	// Err installs nothing, so the Wait that follows finds the word ended.
 	poll := func(h *Handle) {
@@ -676,19 +681,56 @@ func TestSubmitAllocations(t *testing.T) {
 		}
 	}
 	polled, bytes := submit(func(*Worker) {}, poll)
-	if polled != 1 || bytes != 24 {
-		t.Errorf("Submit, then Wait on an ended handle, allocates %v objects of %v bytes, want 1 of 24 (the Handle)", polled, bytes)
+	if polled != 1 || bytes != 8 {
+		t.Errorf("Submit, then Wait on an ended handle, allocates %v objects of %v bytes, want 1 of 8 (the Handle)", polled, bytes)
 	}
 	// The root does not return until a waiter's channel is in the word.
 	var cur atomic.Pointer[Handle]
-	blocked, _ := submit(func(*Worker) {
+	blocked, bytes := submit(func(*Worker) {
 		for h := cur.Load(); h == nil || h.done.p.Load() == nil; h = cur.Load() {
 			runtime.Gosched()
 		}
 		cur.Store(nil)
 	}, func(h *Handle) { cur.Store(h) })
-	if blocked != 3 {
-		t.Errorf("Submit, then a Wait that blocks, allocates %v objects, want 3 (the Handle, the waiter's channel and its cell)", blocked)
+	if blocked != 3 || bytes != 152 {
+		t.Errorf("Submit, then a Wait that blocks, allocates %v objects of %v bytes, want 3 of 152 (the Handle, 8, the waiter's channel, 112, and its cell, 32)", blocked, bytes)
+	}
+	if err := stop(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Serve returned %v", err)
+	}
+
+	// The smallest injector, held full behind a root that holds the worker.
+	full := New(Config{Workers: 1, InjectorCapacity: 1})
+	stop = startServing(t, full)
+	hold, running := make(chan struct{}), make(chan struct{})
+	if _, err := full.Submit(func(*Worker) { close(running); <-hold }); err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	<-running
+	var queued []*Handle
+	for {
+		h, err := full.Submit(func(*Worker) {})
+		if errors.Is(err, ErrOverloaded) {
+			break
+		}
+		if err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		queued = append(queued, h)
+	}
+	refused, bytes := measure(func() {
+		if h, err := full.Submit(func(*Worker) {}); h != nil || !errors.Is(err, ErrOverloaded) {
+			t.Fatalf("Submit on a full injector = %v, %v; want nil, ErrOverloaded", h, err)
+		}
+	})
+	if refused != 1 || bytes != 8 {
+		t.Errorf("a Submit refused with ErrOverloaded allocates %v objects of %v bytes, want 1 of 8 (its Handle)", refused, bytes)
+	}
+	close(hold)
+	for _, h := range queued {
+		if err := h.Wait(); err != nil {
+			t.Fatalf("a queued submission ended %v", err)
+		}
 	}
 	if err := stop(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Serve returned %v", err)

@@ -4,9 +4,9 @@
 // submissions; Submit may be called from any goroutine and enqueues a new
 // root onto the bounded injector (injector.go), which workers poll between
 // local pops and steals. Each submission carries its own run record — root
-// termination scope and abort state — and its own Handle — the outcome and
-// the one completion word everything that waits for it waits on (waitWord,
-// future.go) — so cancellation, panic isolation, the stall watchdog, and
+// termination scope and abort state — and its own Handle — the one
+// completion word everything that waits for it waits on, which ends on the
+// record of its outcome (waitWord, future.go) — so cancellation, panic isolation, the stall watchdog, and
 // the chaos failpoints all apply per submission instead of per batch. Run
 // and RunContext (pool.go) are the same session with one submission, so the
 // entire batch test, chaos, and bench surface exercises this engine.
@@ -69,43 +69,50 @@ const (
 // the abort state and the watcher. Every scope of the submission points
 // here, so a worker executing tasks of interleaved submissions always
 // observes the right abort. What the caller keeps is apart from it: the
-// Handle, which holds the completion word and the outcome, and is the one
-// object a submission allocates. The record itself is recycled (runRecords):
-// it has holders (holds; DESIGN.md §7, "Record recycling"), and the last to
-// let go puts it back for a later submission.
+// Handle, one completion word, which ends on the record that carries the
+// outcome (endRecord), and is the one object a submission allocates. The
+// record itself is recycled (runRecords): it has holders (holds; DESIGN.md
+// §7, "Record recycling"), and the last to let go puts it back for a later
+// submission.
 //
 // Layout: scope comes first and is exactly one cache line (scope.go), and
 // the record is sized to a whole number of lines, which the allocator's
 // size classes keep line-aligned — so the root refs word, written at every
 // spawn and task end of the worker running in the root scope, never shares
 // a line with state, which every worker reads for every task of the
-// submission, nor state's line with the registry links, which the
+// submission, nor state's line with end, the claim every finish of the
+// submission contends on, nor with the registry links, which the
 // registering and finishing of other submissions write, and the hold count
 // (layout_test.go pins offsets and size).
 type run struct {
 	scope scope // the root scope: refs starts at 1, the root task
 	// state gates execution (see the constants above), and is how a Join or
 	// a Group.Wait of the submission learns of its abort (help). finish
-	// stores it after the outcome and before it ends the Handle's word, so
-	// whoever reads it aborted, or reads it after the word has ended, can go
-	// on to read the outcome. Publication ordering suffices: readers only
-	// gate on the value, no store→load shape involves it.
+	// stores it after its claim of end and before it ends the Handle's word,
+	// so whoever reads it aborted can go on to read the outcome, and a
+	// Handle that reports an abort reports it after the gate has closed.
+	// Publication ordering suffices: readers only gate on the value, no
+	// store→load shape involves it.
 	state atomicx.Publish32
 	pool  *Pool
-	h     *Handle // what Submit returns; the completion word and the outcome
+	h     *Handle // what Submit returns: the completion word
 	root  Task    // carries &scope
-	// finishOnce arbitrates the submission's single outcome: completion
-	// (the root scope emptied) or abort (task panic, cancellation, engine
-	// failure) — first caller wins, exactly like the old Pool.abortOnce.
-	finishOnce sync.Once
 	// stopWatch holds the cancel function of the context.AfterFunc watcher
 	// of a submission with a cancellable context (watch); empty otherwise.
-	// Stored before the run is published to workers and called inside
-	// finishOnce; atomic because an abort from another goroutine (an engine
-	// failure, a session stop) may finish the submission while its
-	// submitter is still arming it. Publication ordering suffices: the
-	// finisher only calls what it loads.
+	// Stored before the run is published to workers and called by the
+	// finish that claims end; atomic because an abort from another
+	// goroutine (an engine failure, a session stop) may finish the
+	// submission while its submitter is still arming it. Publication
+	// ordering suffices: the finisher only calls what it loads.
 	stopWatch atomicx.PublishPointer[func() bool]
+	_         [8]byte
+	// end is the submission's end record (endRecord), nil until a finish
+	// claims it: the claim arbitrates the single outcome — completion (the
+	// root scope emptied) or abort (task panic, cancellation, engine
+	// failure) — first caller wins, and the record it installs is the
+	// outcome the Handle's word ends on.
+	end atomicx.SCPointer[waiter]
+	_   [56]byte
 	// holds counts who may still touch the record: the root scope until it
 	// empties, the submitter until it returns, the watcher, and each
 	// registry look (inFlight). Its consumed decrement picks the one holder
@@ -114,7 +121,7 @@ type run struct {
 	// prev and next link the registry of in-flight runs (Pool.active),
 	// guarded by Pool.runMu.
 	prev, next *run
-	_          [32]byte
+	_          [40]byte
 }
 
 // runRecords recycles run records: let puts one back once its last holder
@@ -132,7 +139,7 @@ func newRun(p *Pool, fn func(*Worker), h *Handle) *run {
 	r.scope.refs.Store(1) // the root
 	r.root = Task{body: taskFunc(fn), scope: &r.scope}
 	r.state.Store(runLive)
-	r.finishOnce = sync.Once{}
+	r.end.Store(nil)
 	r.holds.Store(2)
 	return r
 }
@@ -150,30 +157,34 @@ func (r *run) let() {
 
 // finish ends the submission, once: completed, with state runLive and no
 // cause (complete), or aborted with err — a task panic's is a PanicError.
-// Whichever of completion, panic, cancellation, or engine failure arrives
-// first wins; later calls are no-ops, preserving the original cause (the
-// batch API's panic-beats-cancel priority falls out of call order). The
-// cause is written first, then state, then the completion word and, for an
-// abort, a token for the sleep of every worker that may be running a task,
+// Whichever of completion, panic, cancellation, or engine failure claims
+// end first wins, with the record that carries its outcome; a later call
+// returns at once, preserving the original cause (the batch API's
+// panic-beats-cancel priority falls out of call order) — it may return
+// before the winner has ended the Handle's word, so a caller that reads
+// the outcome after its own finish reads end (outcome). The winner stores
+// state, then ends the Handle's word on its record and, for an abort,
+// sends a token for the sleep of every worker that may be running a task,
 // its status running or retiring — which of them has a join of r blocked
 // is nobody's to know: whoever the word or a token wakes must find state
 // aborted (help; run_model_test.go moves the Swap up, and the token, and
 // fails). The caller is a holder of r.
 func (r *run) finish(state int32, err error) {
-	r.finishOnce.Do(func() {
-		if stop := r.stopWatch.Load(); stop != nil && (*stop)() {
-			r.let() // the watcher's: its callback will never run
+	end := endRecord(err)
+	if !r.end.CompareAndSwap(nil, end) {
+		return
+	}
+	if stop := r.stopWatch.Load(); stop != nil && (*stop)() {
+		r.let() // the watcher's: its callback will never run
+	}
+	r.pool.unregister(r)
+	r.state.Store(state)
+	r.h.done.finish(end)
+	if state != runLive {
+		for _, w := range r.pool.workers {
+			w.wakeIf(1<<workerRunning | 1<<workerRetiring)
 		}
-		r.h.err = err
-		r.pool.unregister(r)
-		r.state.Store(state)
-		r.h.done.finish()
-		if state != runLive {
-			for _, w := range r.pool.workers {
-				w.wakeIf(1<<workerRunning | 1<<workerRetiring)
-			}
-		}
-	})
+	}
 }
 
 // complete ends the submission successfully. Called by the release that
@@ -184,15 +195,11 @@ func (r *run) complete() { r.finish(runLive, nil) }
 // sleep of one of its joiners.
 func (r *run) aborted() bool { return r.state.Load() != runLive }
 
-// outcome returns the abort cause of a submission the caller has seen
-// aborted (state), or nil for one that has not. The load of state orders
-// the read after finish's write.
-func (r *run) outcome() error {
-	if r.state.Load() == runLive {
-		return nil
-	}
-	return r.h.err
-}
+// outcome returns the abort cause of a submission that has ended, nil for
+// a completion, from the record its finish claimed: what a caller that has
+// seen it aborted (state) reads, and what one that has called finish
+// itself reads, whoever won — the Handle's word may not have ended yet.
+func (r *run) outcome() error { return r.end.Load().err }
 
 // watch arms the submission's cancellation: when ctx is cancelled the
 // submission — and only it — aborts with ctx.Err(). The watcher holds the
@@ -216,11 +223,10 @@ func (r *run) watch(ctx context.Context) {
 }
 
 // Handle is the completion future of one submission: its completion word,
-// and the outcome finish writes before it ends the word. It is never reused
-// — a caller may keep it, and Wait on it, for as long as it likes.
+// which finish ends on the record that carries the outcome. It is never
+// reused — a caller may keep it, and Wait on it, for as long as it likes.
 type Handle struct {
 	done waitWord
-	err  error
 }
 
 // Done returns a channel closed when the submission has ended — every
@@ -235,16 +241,17 @@ func (h *Handle) Done() <-chan struct{} { return h.done.waitChan() }
 // serving first. Wait is safe to call from any goroutine, repeatedly.
 func (h *Handle) Wait() error {
 	<-h.done.waitChan()
-	return h.err
+	return h.Err()
 }
 
 // Err returns the submission outcome without blocking: nil until Done,
-// then exactly what Wait reports.
+// then exactly what Wait reports. Only an end record carries an error; a
+// waiter installed in the word carries none.
 func (h *Handle) Err() error {
-	if !h.done.isDone() {
-		return nil
+	if w := h.done.p.Load(); w != nil {
+		return w.err
 	}
-	return h.err
+	return nil
 }
 
 // Serve starts the workers and serves submissions until ctx is cancelled.
@@ -347,8 +354,10 @@ func (p *Pool) SubmitContext(ctx context.Context, fn func(*Worker)) (*Handle, er
 		// accepted handle a drain then fails. The task carcass is
 		// discarded, and counted, at pop or sweep time. A worker may have
 		// completed the run since the push, and then the abort loses: the
-		// submission ran, and it is accepted.
-		if r.finish(runCancelled, ErrDraining); h.Err() != nil {
+		// submission ran, and it is accepted. The outcome is end's, which
+		// the claim settled: a lost claim returns before the winner ends the
+		// Handle's word, which a stop's abort may yet end aborted.
+		if r.finish(runCancelled, ErrDraining); r.outcome() != nil {
 			p.submitted.Add(-1)
 			p.rejected.Add(1)
 			return nil, ErrDraining
@@ -372,8 +381,8 @@ func (p *Pool) register(r *run) {
 	p.runMu.Unlock()
 }
 
-// unregister unlinks a finished run. Called from finishOnce only, on a run
-// register linked.
+// unregister unlinks a finished run. Called only by the finish that
+// claimed the run's end, on a run register linked.
 func (p *Pool) unregister(r *run) {
 	p.runMu.Lock()
 	if r.prev != nil {

@@ -31,9 +31,14 @@ import (
 // workers — a spawn that wakes the parked one, which steals the task, runs
 // it and parks again. Each reads one more than before the session's end
 // moved to token channels: the Run resets the pool's Handle, and the park
-// numbers its sleep.
+// numbers its sleep. A submission's end costs two more than sync.Once's,
+// which this count never saw, so the Run and Submit+Wait rows each read 2
+// above it (25 and 43 before): newRun's reset of the run's end word, a
+// store, and finish's claim of it, an RMW. Neither row counts the Lock and
+// Unlock of runMu in register and unregister: a sync.Mutex is outside
+// atomicx.
 func TestSyncOpsPerFork(t *testing.T) {
-	want := map[string]int64{"Join2": 0, "Reduce": 0, "Spawn": 3, "Group.Spawn+Wait": 10, "Submit+Wait": 43, "Run": 25, "park+wake": 45}
+	want := map[string]int64{"Join2": 0, "Reduce": 0, "Spawn": 3, "Group.Spawn+Wait": 10, "Submit+Wait": 45, "Run": 27, "park+wake": 45}
 	got := map[string]atomicx.SyncOps{}
 	measure := func(name string, f func()) {
 		c := atomicx.SyncCounts()
@@ -122,6 +127,70 @@ func TestSyncOpsPerFork(t *testing.T) {
 		t.Logf("%s: %d loads, %d stores, %d RMWs", name, c.Loads, c.Stores, c.RMWs)
 		if c.Fences() != n {
 			t.Errorf("%s: %d stores+RMWs, want %d", name, c.Fences(), n)
+		}
+	}
+}
+
+// The fences of whole runs. On one worker, exact: a fork-join recursion —
+// Join2's fib(25), every fork popped back — and a 512-leaf Reduce, from the
+// Run's entry to its return, less the worker's idle rounds, as the Run row
+// of TestSyncOpsPerFork leaves them out. What is left is that row and the
+// flushes of the counts of the popped-back calls (Future.call) and of the
+// tasks. On two workers a run pays for its steals and parks on top: fib(22)'s
+// fences, its idle rounds left out, stay within the same run's on one
+// worker, the Run row again for the second worker's session, and two
+// park+wake rounds a steal or a park — the thief's round and the victim's,
+// whose join of the stolen fork may block. runMu's Lock and Unlock in
+// register and unregister are outside the count here too.
+func TestSyncOpsPerRun(t *testing.T) {
+	const run, parkWake = 27, 45 // TestSyncOpsPerFork's rows
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	// fences returns the stores and RMWs of one Run of root on p, less the
+	// two RMWs of each idle round, and the steals and parks it made.
+	fences := func(p *Pool, root func(*Worker)) (n, steals, parks int64) {
+		before := p.Stats()
+		c := atomicx.SyncCounts()
+		p.Run(root)
+		ops := atomicx.SyncCounts().Sub(c)
+		after := p.Stats()
+		idle := after.Yields - before.Yields
+		t.Logf("%d loads, %d stores, %d RMWs, %d idle rounds", ops.Loads, ops.Stores, ops.RMWs, idle)
+		return ops.Fences() - 2*idle, after.Steals - before.Steals, after.Parks - before.Parks
+	}
+	fib := func(n int) func(*Worker) {
+		return func(w *Worker) {
+			if got := fibPar(w, n, 2); got != fibSerial(n) {
+				panic("fib computed wrong")
+			}
+		}
+	}
+	reduce := func(w *Worker) {
+		if got := Reduce(w, 0, 512, 1, func(i int) int { return i }, func(a, b int) int { return a + b }); got != 512*511/2 {
+			panic("Reduce computed wrong")
+		}
+	}
+	one := New(Config{Workers: 1})
+	one.Run(func(*Worker) {})
+	for _, row := range []struct {
+		name string
+		root func(*Worker)
+		want int64
+	}{{"Join2 fib(25)", fib(25), 16128}, {"Reduce of 512 leaves", reduce, 207}} {
+		if got, _, _ := fences(one, row.root); got != row.want {
+			t.Errorf("%s on one worker: %d stores+RMWs, want %d", row.name, got, row.want)
+		}
+	}
+	alone, _, _ := fences(one, fib(22))
+
+	runtime.GOMAXPROCS(2)
+	pair := New(Config{Workers: 2})
+	pair.Run(func(*Worker) {})
+	for range 5 {
+		got, steals, parks := fences(pair, fib(22))
+		t.Logf("Join2 fib(22): %d stores+RMWs on two workers, %d steals, %d parks; %d on one", got, steals, parks, alone)
+		if bound := alone + run + 2*parkWake*(steals+parks); got > bound {
+			t.Errorf("Join2 fib(22) on two workers: %d stores+RMWs with %d steals and %d parks, want at most %d", got, steals, parks, bound)
 		}
 	}
 }
