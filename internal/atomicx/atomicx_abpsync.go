@@ -6,8 +6,9 @@
 // CompareAndSwap) — in program-wide counters that SyncCounts reads. On
 // amd64 every store and every read-modify-write is a fence, so their sum
 // is the synchronization cost a path pays, as an exact count that host
-// noise cannot move (internal/sched's TestSyncOpsPerFork pins it). The
-// counters are sync/atomic words of their own, outside the count.
+// noise cannot move (internal/sched's cost table, testdata/costs.golden,
+// pins it). The counters are sync/atomic words of their own, outside the
+// count.
 package atomicx
 
 import "sync/atomic"

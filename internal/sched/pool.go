@@ -76,6 +76,8 @@ var (
 		"exec: termination accounting armed, task function not yet entered")
 	fpParkBeforeSleep = fault.Register("sched.park.beforeSleep",
 		"park: idle status published and re-check passed, not yet blocked on the token channel")
+	fpRunAfterClaim = fault.Register("sched.run.afterClaim",
+		"run.finish: the claim CAS on end won, the Handle's word not yet ended (only the winner gets here)")
 )
 
 // Config configures a Pool.

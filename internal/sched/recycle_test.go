@@ -417,28 +417,6 @@ func TestRecycleStolenRangePanicAbandonsRecord(t *testing.T) {
 	})
 }
 
-// A Reduce whose leaves Join2 over its own result type takes range records
-// and Futures of one type from two lists: neither empties the other, so
-// once both are stocked nothing is allocated.
-func TestRecycleReduceOfJoin2AllocatesNothing(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector's instrumentation allocates")
-	}
-	const leaves = 64
-	one := func(*Worker) int { return 1 }
-	add := func(a, b int) int { return a + b }
-	New(Config{Workers: 1}).Run(func(w *Worker) {
-		leaf := func(int) int { return add(Join2(w, one, one)) } // one worker: w runs every leaf
-		got := 0
-		if allocs := testing.AllocsPerRun(50, func() { got = Reduce(w, 0, leaves, 1, leaf, add) }); allocs != 0 {
-			t.Errorf("a Reduce over %d leaves that Join2 allocates %v objects, want 0", leaves, allocs)
-		}
-		if got != 2*leaves {
-			t.Errorf("sum = %d, want %d", got, 2*leaves)
-		}
-	})
-}
-
 // A panic or a cancellation in the middle of a tree of joins and groups:
 // the records in flight — forked and not joined, spawned and not run, or
 // running when their joiner unwound — are left to the collector, so what
@@ -537,19 +515,6 @@ func TestRecycleJoin2AlternatingResultTypes(t *testing.T) {
 				t.Errorf("%d workers: ran %d tasks, want %d", workers, ran, fibSerial(n+1))
 			}
 			checkFreeLists(t, p, listed[int], listed[string])
-		}
-	})
-	if raceEnabled {
-		return // the race detector's instrumentation allocates
-	}
-	one := func(*Worker) int { return 1 }
-	str := func(*Worker) string { return "1" }
-	New(Config{Workers: 1}).Run(func(w *Worker) {
-		if got := testing.AllocsPerRun(100, func() { Join2(w, one, one); Join2(w, str, one) }); got != 2 {
-			t.Errorf("two joins of alternating result types allocate %v objects, want 2 (a Future each)", got)
-		}
-		if got := testing.AllocsPerRun(100, func() { Join2(w, str, one); Join2(w, str, one) }); got != 0 {
-			t.Errorf("two joins of one result type allocate %v objects, want 0", got)
 		}
 	})
 }

@@ -12,6 +12,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"worksteal/internal/fault"
 )
 
 func TestResizeInvalidArgs(t *testing.T) {
@@ -628,5 +630,42 @@ func TestServeStopServeRestart(t *testing.T) {
 		if err := stop(); !errors.Is(err, context.Canceled) {
 			t.Fatalf("session %d: Serve returned %v", session, err)
 		}
+	}
+}
+
+// SubmitContext's draining branch reads its outcome from the run's claimed
+// end, not from the Handle: a claim it loses returns before the winner ends
+// the Handle's word. Pause the submitter before its push, start a Drain,
+// and let the submission's context watcher claim the run and freeze before
+// the word: the resumed SubmitContext must refuse with ErrDraining, never
+// hand back a Handle that then fails.
+func TestSubmitDrainingReadsClaimedEnd(t *testing.T) {
+	defer fault.Reset()
+	p := New(Config{Workers: 2})
+	stop := startServing(t, p)
+	ctx, cancel := context.WithCancel(context.Background())
+	var h *Handle
+	var err error
+	submitted := make(chan struct{})
+	fault.Enable(fpInjectorBeforePush, fault.Rule{Action: fault.ActionSuspend, OneShot: true})
+	go func() { h, err = p.SubmitContext(ctx, func(*Worker) {}); close(submitted) }()
+	waitFor(t, 10*time.Second, "the submitter paused before its push", func() bool { return fault.Suspended(fpInjectorBeforePush) == 1 })
+	drained := make(chan error, 1)
+	go func() { drained <- p.Drain(context.Background()) }()
+	waitFor(t, 10*time.Second, "the drain to close admission", inPhase(p, phaseDraining))
+	fault.Enable(fpRunAfterClaim, fault.Rule{Action: fault.ActionSuspend, OneShot: true})
+	cancel()
+	waitFor(t, 10*time.Second, "the watcher frozen after its claim", func() bool { return fault.Suspended(fpRunAfterClaim) == 1 })
+	fault.Resume(fpInjectorBeforePush)
+	<-submitted // while the claim's winner is still frozen
+	fault.Resume(fpRunAfterClaim)
+	if h != nil || !errors.Is(err, ErrDraining) {
+		t.Errorf("SubmitContext under a drain, its run claimed by its watcher = %v, %v; want nil, ErrDraining", h, err)
+	}
+	if err := <-drained; err != nil {
+		t.Errorf("Drain = %v", err)
+	}
+	if err := stop(); err != nil && !errors.Is(err, context.Canceled) {
+		t.Errorf("Serve = %v", err)
 	}
 }

@@ -12,6 +12,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"worksteal/internal/fault"
 )
 
 // A nil context means context.Background(), as it does for Serve and Drain:
@@ -344,5 +346,51 @@ func TestRunContextCancelDropsInlineSpawns(t *testing.T) {
 	st := p.Stats()
 	if st.TasksCancelled != 10 || st.InlineRuns != 0 {
 		t.Errorf("TasksCancelled = %d, InlineRuns = %d; want 10 discarded spawns and no inline run", st.TasksCancelled, st.InlineRuns)
+	}
+}
+
+// A Run's controller that a stop woke before its run ended waits for the
+// batch Handle's word (endSession): a finish that won the claim of the
+// run's end may still be on its way to the word, which the next Run
+// resets. Freeze a RunContext's context watcher between its winning claim
+// and the word, stop the session with an injected loop panic, and the
+// RunContext must not return until the watcher goes on; the next Run then
+// ends with its own outcome, not the frozen watcher's.
+func TestSessionEndWaitsForClaimWinner(t *testing.T) {
+	defer fault.Reset()
+	p := New(Config{Workers: 2})
+	ctx, cancel := context.WithCancel(context.Background())
+	var started, armed, returned atomic.Bool
+	var recovered any
+	fault.Enable(fpRunAfterClaim, fault.Rule{Action: fault.ActionSuspend, OneShot: true})
+	go func() {
+		defer returned.Store(true)
+		defer func() { recovered = recover() }()
+		_ = p.RunContext(ctx, func(w *Worker) {
+			// The root holds its worker until the loop panic is armed, so
+			// that the worker trips it in its first idle round.
+			started.Store(true)
+			spinUntil(t, "the loop panic to be armed", armed.Load)
+		})
+	}()
+	// Cancelled once the root runs, so that the watcher, not RunContext's
+	// own check of a context cancelled already, claims the run.
+	waitFor(t, 10*time.Second, "the root to start", started.Load)
+	cancel()
+	waitFor(t, 10*time.Second, "the watcher frozen after its claim", func() bool { return fault.Suspended(fpRunAfterClaim) == 1 })
+	fault.Enable(fpLoopBeforeSteal, fault.Rule{Action: fault.ActionPanic, OneShot: true})
+	armed.Store(true)
+	waitFor(t, 10*time.Second, "the session to stop", func() bool { return returned.Load() || p.phase.Load() == phaseStopping })
+	if time.Sleep(50 * time.Millisecond); returned.Load() {
+		t.Fatal("RunContext returned while the finish that claimed its run had not ended the Handle's word")
+	}
+	fault.Resume(fpRunAfterClaim)
+	waitFor(t, 10*time.Second, "RunContext to return once the watcher went on", returned.Load)
+	if ip, ok := recovered.(fault.InjectedPanic); !ok || ip.Point != fpLoopBeforeSteal {
+		t.Fatalf("RunContext panicked with %v, want the InjectedPanic at %s", recovered, fpLoopBeforeSteal)
+	}
+	var ran atomic.Bool
+	if err := p.RunContext(context.Background(), func(*Worker) { ran.Store(true) }); err != nil || !ran.Load() {
+		t.Fatalf("the next RunContext = %v, root ran: %v; want nil, true", err, ran.Load())
 	}
 }

@@ -8,9 +8,7 @@ package sched
 import (
 	"context"
 	"errors"
-	"math"
 	"runtime"
-	"runtime/debug"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -390,349 +388,4 @@ func TestGroupReuseAcrossGenerations(t *testing.T) {
 			}
 		}
 	})
-}
-
-// The allocation pins: what the fork and spawn paths allocate, measured on
-// a one-worker pool (nothing is stolen, so no scope is split off) from
-// inside the root task.
-func TestSpawnPathAllocations(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector's instrumentation allocates")
-	}
-	one := func(*Worker) int { return 1 }
-	nop := func(*Worker) {}
-	pin := func(name string, got, want float64) {
-		t.Helper()
-		if got != want {
-			t.Errorf("%s allocates %v objects, want %v", name, got, want)
-		}
-	}
-	p := New(Config{Workers: 1})
-	p.Run(func(w *Worker) {
-		// The caller holds what Fork returns, so that Future is the
-		// collector's; the one inside Join2, the range records of Reduce and
-		// ParallelFor and the record of a spawned task come off the worker's
-		// free lists (AllocsPerRun's warm-up call stocks them).
-		pin("Fork+Join", testing.AllocsPerRun(200, func() { Fork(w, one).Join(w) }), 1)
-		k := 0
-		pin("Fork+Join of a capturing closure", testing.AllocsPerRun(200, func() {
-			k++
-			Fork(w, func(*Worker) int { return k }).Join(w)
-		}), 2)
-		pin("Join2", testing.AllocsPerRun(200, func() { Join2(w, one, one) }), 0)
-		pin("Join2 of a capturing closure", testing.AllocsPerRun(200, func() {
-			k++
-			Join2(w, func(*Worker) int { return k }, one)
-		}), 1)
-		const leaves = 64 // 63 splits, each on a range record
-		leaf := func(i int) int { return i }
-		add := func(a, b int) int { return a + b }
-		pin("Reduce over 64 leaves", testing.AllocsPerRun(50, func() { Reduce(w, 0, leaves, 1, leaf, add) }), 0)
-		pin("ParallelFor over 64 pieces", testing.AllocsPerRun(50, func() { ParallelFor(w, 0, leaves, 1, func(int) {}) }), 0)
-		// A Group's count and slot are a record the Wait that ends its
-		// generation lists, so a Group the caller does not leak stays on
-		// the stack.
-		g := NewGroup()
-		pin("Group.Spawn", testing.AllocsPerRun(200, func() { g.Spawn(w, nop); g.Wait(w) }), 0)
-		pin("NewGroup + 4 x Spawn + Wait", testing.AllocsPerRun(200, func() {
-			g := NewGroup()
-			for i := 0; i < 4; i++ {
-				g.Spawn(w, nop)
-			}
-			g.Wait(w)
-		}), 0)
-		pin("Invoke of three functions", testing.AllocsPerRun(200, func() { Invoke(w, nop, nop, nop) }), 0)
-		pin("a zero Group, 2 x Spawn + Wait", testing.AllocsPerRun(200, func() {
-			var g Group
-			g.Spawn(w, nop)
-			g.Spawn(w, nop)
-			g.Wait(w)
-		}), 0)
-		// A bare spawn's record goes back to the list of the worker that
-		// ran it: here help, which pops it.
-		pin("Spawn", testing.AllocsPerRun(200, func() { w.Spawn(nop); w.help(w.currentRun()) }), 0)
-	})
-}
-
-// stealAndBlock runs a Join2 and a two-leaf Reduce on w. With force set,
-// each fork is stolen and each join blocks: the inline half spins until the
-// fork has started on another worker, and the fork spins until its joiner
-// has installed its token in the fork's completion word. The forks take
-// the records on top of w's lists (a first round, which finds them empty,
-// forces only the steals). Without force, one worker pops both forks back.
-func stealAndBlock(t *testing.T, w *Worker, force bool) int {
-	var f *Future[int]
-	if w.nFutures > 0 {
-		f, _ = w.futures[w.nFutures-1].(*Future[int])
-	}
-	var r *rangeTask[int]
-	if w.nRanges > 0 {
-		r, _ = w.ranges[w.nRanges-1].(*rangeTask[int])
-	}
-	blocked := func(ch *waitWord) func() bool {
-		return func() bool { return ch == nil || ch.p.Load() != nil }
-	}
-	var fStarted, rStarted atomic.Bool
-	a, b := Join2(w, func(*Worker) int {
-		fStarted.Store(true)
-		if force && f != nil {
-			spinUntil(t, "the Join2 joiner to block", blocked(&f.ch))
-		}
-		return 1
-	}, func(*Worker) int {
-		if force {
-			spinUntil(t, "the Join2 fork to be stolen", fStarted.Load)
-		}
-		return 2
-	})
-	sum := Reduce(w, 0, 2, 1, func(i int) int {
-		if i == 1 {
-			rStarted.Store(true)
-			if force && r != nil {
-				spinUntil(t, "the Reduce joiner to block", blocked(&r.ch))
-			}
-		} else if force {
-			spinUntil(t, "the Reduce fork to be stolen", rStarted.Load)
-		}
-		return i + 3
-	}, func(x, y int) int { return x + y })
-	return a + b + sum
-}
-
-// A steal and a blocked join allocate nothing: on two workers, a Run whose
-// forks are stolen and whose joins block allocates exactly what the same
-// Run allocates on one worker, where nothing is stolen and no join blocks.
-// The thief's child scopes come off its list of emptied ones, a blocked
-// join waits on its worker's token, and the session's goroutines start
-// with no closure. Measured over the whole process with the collector off,
-// on one processor as testing.AllocsPerRun measures (the pool of run
-// records keeps one per processor).
-func TestStealPathAllocations(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector's instrumentation allocates")
-	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	allocs := func(workers int) float64 {
-		p := New(Config{Workers: workers})
-		force := workers > 1
-		before := p.Stats()
-		root := func(w *Worker) {
-			if got := stealAndBlock(t, w, force); got != 10 {
-				t.Errorf("%d workers: computed %d, want 10", workers, got)
-			}
-		}
-		for i := 0; i < 3; i++ { // stock the lists, the goroutines and the run records
-			p.Run(root)
-		}
-		const runs = 20
-		n := testing.AllocsPerRun(runs, func() { p.Run(root) })
-		if steals := p.Stats().Steals - before.Steals; force && steals < 2*(3+runs+1) {
-			t.Errorf("%d steals over %d forced Runs, want 2 each", steals, 3+runs+1)
-		}
-		return n
-	}
-	one, two := allocs(1), allocs(2)
-	if one != two {
-		t.Errorf("a Run allocates %v objects on one worker and %v on two, whose forks are stolen and whose joins block", one, two)
-	}
-	// What is left is the test's own: stealAndBlock's two flags, which its
-	// closures capture, and the two closures that capture a flag and more.
-	if one != 4 {
-		t.Errorf("a Run of stealAndBlock allocates %v objects, want 4 (the test's flags and closures)", one)
-	}
-	t.Logf("a Run allocates %v objects on one worker, %v on two", one, two)
-}
-
-// A blocked Group.Wait allocates nothing, as a blocked join does
-// (TestStealPathAllocations): the group's record comes off the waiter's
-// list and the waiter sleeps on its worker's token. On two workers, with
-// the collector off and on one processor, as testing.AllocsPerRun
-// measures (a channel receive that blocks may take the runtime's per-P
-// cache of waiting records empty), a Wait whose one member is stolen and
-// spins until the waiter has blocked allocates 0 objects, counted over the
-// whole process across the Wait.
-func TestBlockedGroupWaitAllocations(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector's instrumentation allocates")
-	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	p := New(Config{Workers: 2})
-	var g Group
-	var before, after runtime.MemStats
-	mallocs := uint64(0)
-	root := func(w *Worker) {
-		var started atomic.Bool
-		g.Spawn(w, func(*Worker) {
-			started.Store(true)
-			spinUntil(t, "the waiter to block in the group", func() bool { return g.rec.sleeper.Load() != nil })
-		})
-		spinUntil(t, "the member to be stolen", started.Load)
-		runtime.ReadMemStats(&before)
-		g.Wait(w)
-		runtime.ReadMemStats(&after)
-		mallocs += after.Mallocs - before.Mallocs
-	}
-	for i := 0; i < 3; i++ { // stock the lists, the goroutines and the run records
-		p.Run(root)
-	}
-	const runs = 20
-	mallocs = 0
-	steals := p.Stats().Steals
-	for i := 0; i < runs; i++ {
-		p.Run(root)
-	}
-	if mallocs != 0 {
-		t.Errorf("%d blocked Group.Waits allocate %d objects, want 0", runs, mallocs)
-	}
-	if n := p.Stats().Steals - steals; n < runs {
-		t.Errorf("%d steals over %d forced Runs, want 1 each", n, runs)
-	}
-}
-
-// A Run allocates nothing of the engine's own: the run record is recycled
-// (runRecords), the Handle is the pool's (Pool.batch), and the controller
-// and every sleeper of the session wait on token channels New made
-// (Pool.ctl, Worker.sleep). Measured as
-// TestStealPathAllocations measures — a warm pool, the collector off, one
-// processor — on one worker and on two, with roots that capture nothing.
-func TestRunAllocations(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector's instrumentation allocates")
-	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	empty := func(*Worker) {}
-	reduce := func(w *Worker) {
-		if got := Reduce(w, 0, 512, 1, func(i int) int { return i }, func(a, b int) int { return a + b }); got != 512*511/2 {
-			panic("Reduce computed wrong")
-		}
-	}
-	for _, workers := range []int{1, 2} {
-		p := New(Config{Workers: workers})
-		for name, run := range map[string]func(){
-			"Run":        func() { p.Run(empty) },
-			"RunContext": func() { _ = p.RunContext(context.Background(), empty) },
-			"Reduce":     func() { p.Run(reduce) },
-		} {
-			for i := 0; i < 3; i++ { // stock the lists, the goroutines and the run records
-				run()
-			}
-			if n := testing.AllocsPerRun(20, run); n != 0 {
-				t.Errorf("%d workers: %s allocates %v objects, want 0", workers, name, n)
-			}
-		}
-	}
-}
-
-// What a submission allocates, measured over the whole process with the
-// collector off: its 8-byte Handle, one completion word — the run record is
-// recycled (runRecords), and the record the word ends on is doneWait or a
-// fixed cause's (endRecord) — and a channel only if somebody has to block
-// before the submission ends, which the runtime counts as two objects, the
-// channel and the cell holding it that the word points to (waitChan). A
-// Submit the full injector refuses allocates its Handle too, and nothing
-// else.
-func TestSubmitAllocations(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector's instrumentation allocates")
-	}
-	// A collection empties the pool of run records (the collector's
-	// victim cache keeps it for one).
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	// measure returns the objects and bytes one call of one allocates, on
-	// average over 200 after one to warm up, on one processor as
-	// testing.AllocsPerRun measures: the pool of records keeps one per
-	// processor.
-	measure := func(one func()) (objects, bytes float64) {
-		const runs = 200
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-		one()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < runs; i++ {
-			one()
-		}
-		runtime.ReadMemStats(&after)
-		return float64(after.Mallocs-before.Mallocs) / runs, float64(after.TotalAlloc-before.TotalAlloc) / runs
-	}
-	// A worker that spins never parks, so each submission is picked up
-	// without a wake whatever the host's timing.
-	p := New(Config{Workers: 1, ParkThreshold: math.MaxInt})
-	stop := startServing(t, p)
-	submit := func(root func(*Worker), await func(*Handle)) (objects, bytes float64) {
-		return measure(func() {
-			h, err := p.Submit(root)
-			if err != nil {
-				t.Fatalf("Submit: %v", err)
-			}
-			await(h)
-			if err := h.Wait(); err != nil {
-				t.Fatalf("Wait: %v", err)
-			}
-		})
-	}
-	// Err installs nothing, so the Wait that follows finds the word ended.
-	poll := func(h *Handle) {
-		for !h.done.isDone() {
-			if err := h.Err(); err != nil {
-				t.Fatalf("Err of a live submission = %v", err)
-			}
-			runtime.Gosched()
-		}
-	}
-	polled, bytes := submit(func(*Worker) {}, poll)
-	if polled != 1 || bytes != 8 {
-		t.Errorf("Submit, then Wait on an ended handle, allocates %v objects of %v bytes, want 1 of 8 (the Handle)", polled, bytes)
-	}
-	// The root does not return until a waiter's channel is in the word.
-	var cur atomic.Pointer[Handle]
-	blocked, bytes := submit(func(*Worker) {
-		for h := cur.Load(); h == nil || h.done.p.Load() == nil; h = cur.Load() {
-			runtime.Gosched()
-		}
-		cur.Store(nil)
-	}, func(h *Handle) { cur.Store(h) })
-	if blocked != 3 || bytes != 152 {
-		t.Errorf("Submit, then a Wait that blocks, allocates %v objects of %v bytes, want 3 of 152 (the Handle, 8, the waiter's channel, 112, and its cell, 32)", blocked, bytes)
-	}
-	if err := stop(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Serve returned %v", err)
-	}
-
-	// The smallest injector, held full behind a root that holds the worker.
-	full := New(Config{Workers: 1, InjectorCapacity: 1})
-	stop = startServing(t, full)
-	hold, running := make(chan struct{}), make(chan struct{})
-	if _, err := full.Submit(func(*Worker) { close(running); <-hold }); err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	<-running
-	var queued []*Handle
-	for {
-		h, err := full.Submit(func(*Worker) {})
-		if errors.Is(err, ErrOverloaded) {
-			break
-		}
-		if err != nil {
-			t.Fatalf("Submit: %v", err)
-		}
-		queued = append(queued, h)
-	}
-	refused, bytes := measure(func() {
-		if h, err := full.Submit(func(*Worker) {}); h != nil || !errors.Is(err, ErrOverloaded) {
-			t.Fatalf("Submit on a full injector = %v, %v; want nil, ErrOverloaded", h, err)
-		}
-	})
-	if refused != 1 || bytes != 8 {
-		t.Errorf("a Submit refused with ErrOverloaded allocates %v objects of %v bytes, want 1 of 8 (its Handle)", refused, bytes)
-	}
-	close(hold)
-	for _, h := range queued {
-		if err := h.Wait(); err != nil {
-			t.Fatalf("a queued submission ended %v", err)
-		}
-	}
-	if err := stop(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Serve returned %v", err)
-	}
 }

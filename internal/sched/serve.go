@@ -26,6 +26,7 @@ import (
 	"sync"
 
 	"worksteal/internal/atomicx"
+	"worksteal/internal/fault"
 )
 
 // Errors returned by Submit and Handle.Wait.
@@ -174,6 +175,7 @@ func (r *run) finish(state int32, err error) {
 	if !r.end.CompareAndSwap(nil, end) {
 		return
 	}
+	fault.Point(fpRunAfterClaim)
 	if stop := r.stopWatch.Load(); stop != nil && (*stop)() {
 		r.let() // the watcher's: its callback will never run
 	}
