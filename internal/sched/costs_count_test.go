@@ -34,12 +34,21 @@ func TestSyncOpsPerRun(t *testing.T) {
 	alone, run := fences("`Run` of `Join2` fib(22) on 1"), fences("an empty `Run` on 1")
 	parkWake := fences("park+wake: a `Spawn` the parked worker steals on 2")
 	var steals, parks int64
-	row := costRow{op: "Join2 fib(22)", workers: 2, at: atCaller, procs: 2, idle: true,
-		prep:  func(e *costEnv) { s := e.p.Stats(); steals, parks = s.Steals, s.Parks },
-		do:    func(e *costEnv) { e.p.Run(func(w *Worker) { fibPar(w, 22, 2) }) },
-		check: func(e *costEnv) bool { s := e.p.Stats(); steals, parks = s.Steals-steals, s.Parks-parks; return true }}
+	want := fibSerial(22)
+	row := costRow{op: "Join2 fib(22)", workers: 2, at: atCaller, procs: 2, steals: -1, idle: true,
+		prep: func(e *costEnv) { s := e.p.Stats(); steals, parks = s.Steals, s.Parks },
+		do: func(e *costEnv) {
+			e.p.Run(func(w *Worker) {
+				if got := fibPar(w, 22, 2); got != want {
+					t.Errorf("fib(22) = %d, want %d", got, want)
+				}
+			})
+		}}
 	for range 5 {
-		c := row.measure(&costEnv{t: t})
+		e := &costEnv{t: t}
+		c := row.measure(e) // one window, after prep's snapshot
+		s := e.p.Stats()
+		steals, parks = s.Steals-steals, s.Parks-parks
 		got := c[colStores] + c[colRMWs]
 		if bound := alone + run + 2*parkWake*(steals+parks); got > bound {
 			t.Errorf("Join2 fib(22) on two workers: %d stores+RMWs with %d steals and %d parks, want at most %d", got, steals, parks, bound)

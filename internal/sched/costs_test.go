@@ -38,7 +38,6 @@ const (
 	colLoads, colStores, colRMWs = 2, 3, 4
 	syncCols                     = 1<<colLoads | 1<<colStores | 1<<colRMWs
 	idleRoundLoads               = 6 // phase, status, deque, injector, and the steal with no victim
-	settle                       = time.Millisecond
 )
 
 // Where a row's operations run.
@@ -51,30 +50,30 @@ const (
 )
 
 // costEnv is what a row's functions work on: its pool, the worker its
-// operations run on, the one that parks and wakes, and prep's snapshots.
+// operations run on, the one that parks and wakes, and prep's snapshot of
+// that one's parks.
 type costEnv struct {
-	t                    *testing.T
-	p                    *Pool
-	w, other             *Worker
-	event                atomic.Bool // what an operation saw that check cannot
-	g                    Group
-	steals, parks, slept int64
+	t        *testing.T
+	p        *Pool
+	w, other *Worker
+	g        Group
+	parks    int64
 }
 
 // A costRow prices one operation: its windows' sum per window, after three
 // that stock the lists, the goroutines and the run records. A window is
-// prep, outside it; do, in it; and check, outside: false if the event the
-// row prices — a steal, a park, a blocked wait — did not happen, which
-// voids the window.
+// prep, outside it, and do, in it, which makes the event the row prices —
+// a steal, a park, a blocked wait — certain by a handshake before it
+// returns. A window that steals other than steals times is run again.
 type costRow struct {
 	op                       string
 	workers, at, procs, runs int // procs: GOMAXPROCS, if not one
 	cfg                      Config
-	prep, do                 func(e *costEnv)
-	check                    func(e *costEnv) bool
-	idle                     bool   // leave out the idle rounds, two RMWs each, whose number is the scheduler's
-	free                     int    // the columns the schedule decides, a bit each: not golden
-	by                       string // the test that measures the row, if not TestCostTable
+	prep, do                 func(e *costEnv) // prep may be nil
+	steals                   int64            // each window's; -1: the schedule's
+	idle                     bool             // leave out the idle rounds, two RMWs each, whose number is the scheduler's
+	free                     int              // the columns the schedule decides, a bit each: not golden
+	by                       string           // the test that measures the row, if not TestCostTable
 }
 
 // stockWaitRecords fills the processor's cache of sudogs, the runtime's
@@ -110,28 +109,35 @@ func (row costRow) measure(e *costEnv) (c cost) {
 			s := syncOps()
 			return cost{int64(m.Mallocs), int64(m.TotalAlloc), s[0], s[1], s[2]}
 		}
-		for i, attempt := -3, 1; i < runs; attempt++ {
-			if attempt > 5 {
-				e.t.Errorf("%s: the event the row prices did not happen in 5 windows", row.op)
-				return
+		for i, missed := -3, 0; i < runs; {
+			if row.prep != nil {
+				row.prep(e)
 			}
-			row.prep(e)
-			yields := p.Stats().Yields
+			s := p.Stats()
 			before := counts()
 			row.do(e)
 			d := counts()
+			after := p.Stats()
+			if steals := after.Steals - s.Steals; row.steals >= 0 && steals != row.steals {
+				// On two workers, a host that takes the processor's thread
+				// away for a time slice lets the other worker steal the
+				// root or a piece: a Run the row does not price.
+				if missed++; missed == 5 {
+					e.t.Errorf("%s on %d workers: 5 windows in a row stole %d times, want %d", row.op, row.workers, steals, row.steals)
+					return
+				}
+				continue
+			}
+			if missed, i = 0, i+1; i <= 0 {
+				continue
+			}
 			if row.idle && countingBuild {
-				idle := p.Stats().Yields - yields
+				idle := after.Yields - s.Yields
 				d[colRMWs] -= 2 * idle
 				d[colLoads] -= idleRoundLoads * idle
 			}
-			if row.check == nil || row.check(e) {
-				for j := range c {
-					if i >= 0 {
-						c[j] += d[j] - before[j]
-					}
-				}
-				i, attempt = i+1, 0
+			for j := range c {
+				c[j] += d[j] - before[j]
 			}
 		}
 	}
@@ -148,9 +154,10 @@ func (row costRow) measure(e *costEnv) (c cost) {
 		stop := startServing(e.t, p)
 		hold, running := make(chan struct{}), make(chan struct{})
 		if row.at == servingFull {
-			if _, err := p.Submit(func(*Worker) { close(running); <-hold }); err == nil {
-				<-running
+			if _, err := p.Submit(func(*Worker) { close(running); <-hold }); err != nil {
+				e.t.Fatalf("Submit: %v", err)
 			}
+			<-running
 			for _, err := p.Submit(func(*Worker) {}); err == nil; _, err = p.Submit(func(*Worker) {}) {
 			}
 		}
@@ -169,23 +176,23 @@ func (row costRow) measure(e *costEnv) (c cost) {
 	return c
 }
 
-// parkedOther waits, outside the window, until e.other is asleep in a
-// park, and snapshots what check compares.
-func parkedOther(e *costEnv) {
+// parked waits, outside the window, until e.other has parked, and
+// snapshots its parks. The count is the last operation a park counts
+// before it blocks: the select it then blocks in counts nothing and, with
+// the sudog cache stocked, allocates nothing, and a token sent before it
+// blocks is taken at once, by the same operations.
+func parked(e *costEnv) {
 	spinUntil(e.t, "the other worker to park", func() bool { return e.other.status.Load() == workerIdle && e.other.parks.Load() > 0 })
-	time.Sleep(settle) // past its re-check, asleep
-	e.steals, e.parks, e.slept = e.p.Stats().Steals, e.other.parks.Load(), int64(e.w.sleep.n.Load())
+	e.parks = e.other.parks.Load()
 }
 
-// woke reports that e.other woke, took what e.w made (n steals) and parked.
-func woke(n int64) func(e *costEnv) bool {
-	return func(e *costEnv) bool {
-		return e.p.Stats().Steals == e.steals+n && e.other.parks.Load() == e.parks+1 && e.other.status.Load() == workerIdle
-	}
+// reparked waits, in the window, until e.other has parked once more since
+// parked: it woke, took what the window gave it and parked again.
+func reparked(e *costEnv) {
+	spinUntil(e.t, "the other worker to park again", func() bool {
+		return e.other.status.Load() == workerIdle && e.other.parks.Load() == e.parks+1
+	})
 }
-
-// blocked reports that e.other stole what e.w made and e.w slept in its wait.
-func blocked(e *costEnv) bool { return woke(1)(e) && int64(e.w.sleep.n.Load()) > e.slept }
 
 // stealAndBlock runs a Join2 and a two-leaf Reduce on w. With force set,
 // each fork is stolen and each join blocks: the inline half spins until the
@@ -245,14 +252,13 @@ func costRows(e *costEnv) []costRow {
 	in := func(op string, do func(e *costEnv)) costRow {
 		return costRow{op: op, workers: 1, at: inTask, runs: 100, prep: flushed, do: do}
 	}
-	// A Run counts only if nothing was stolen, but where the row forces
-	// steals: a steal hands records to the thief's lists, which start
-	// empty. A nil root is an empty RunContext.
+	// A Run steals nothing, but where the row forces steals: a steal hands
+	// records to the thief's lists, which start empty, and a window on two
+	// workers that steals otherwise is run again. A nil root is an empty
+	// RunContext.
 	run := func(op string, workers int, steals int64, root func(*Worker)) costRow {
-		row := costRow{op: op, workers: workers, at: atCaller, runs: 3, idle: true,
-			prep:  func(e *costEnv) { e.steals = e.p.Stats().Steals },
-			check: func(e *costEnv) bool { return e.p.Stats().Steals == e.steals+steals },
-			do:    func(e *costEnv) { e.p.Run(root) }}
+		row := costRow{op: op, workers: workers, at: atCaller, runs: 3, steals: steals, idle: true,
+			do: func(e *costEnv) { e.p.Run(root) }}
 		if root == nil {
 			row.do = func(e *costEnv) { _ = e.p.RunContext(context.Background(), nop) }
 		}
@@ -261,35 +267,98 @@ func costRows(e *costEnv) []costRow {
 		}
 		return row
 	}
-	fib := func(n int) func(*Worker) { return func(w *Worker) { fibPar(w, n, 2) } }
-	reduce := func(w *Worker) { Reduce(w, 0, 512, 1, ident, add) }
-	stealRoot := func(w *Worker) { stealAndBlock(e.t, w, len(e.p.workers) > 1) }
-	// Two workers, the other parked: its wake, the steal, and a wait that
-	// blocks on what it stole. One: a submission to the parked worker,
-	// through to its next park.
-	parked := func(op string, at int, check func(e *costEnv) bool, do func(e *costEnv)) costRow {
-		return costRow{op: op, workers: map[int]int{atRoot: 2, serving: 1}[at], at: at, runs: 3,
-			free: 1 << colLoads, prep: parkedOther, check: check, do: do}
-	}
-	blockedWait := parked("blocked `Group.Wait` on a stolen member", atRoot, blocked, func(e *costEnv) { e.g.Wait(e.w); time.Sleep(settle) })
-	blockedWait.prep = func(e *costEnv) {
-		parkedOther(e)
-		e.g.Spawn(e.w, func(*Worker) { time.Sleep(3 * settle) })
-		time.Sleep(settle)
-	}
-	// A Submit the parked worker ends before the Wait, or one whose Wait
-	// blocks first, installing a channel: two objects, the channel and the
-	// cell the word points to (waitChan).
-	submit := func(op string, root func(*Worker), ended bool) costRow {
-		return parked(op, serving, func(e *costEnv) bool { return e.event.Load() && woke(0)(e) }, func(e *costEnv) {
-			h, _ := e.p.Submit(root)
-			if ended {
-				time.Sleep(settle)
+	fib := func(n int) func(*Worker) {
+		want := fibSerial(n)
+		return func(w *Worker) {
+			if got := fibPar(w, n, 2); got != want {
+				e.t.Errorf("fib(%d) = %d, want %d", n, got, want)
 			}
-			e.event.Store(h.done.isDone() == ended)
-			_ = h.Wait()
-			time.Sleep(settle)
+		}
+	}
+	reduce := func(w *Worker) {
+		if got := Reduce(w, 0, 512, 1, ident, add); got != 512*511/2 {
+			e.t.Errorf("a Reduce over 512 leaves computed %d, want %d", got, 512*511/2)
+		}
+	}
+	stealRoot := func(w *Worker) {
+		if got := stealAndBlock(e.t, w, len(e.p.workers) > 1); got != 10 {
+			e.t.Errorf("stealAndBlock computed %d, want 10", got)
+		}
+	}
+	// Two workers, the other parked: its wake, the steal, a wait that
+	// blocks on what it stole, and its next park. One: a submission to the
+	// parked worker, through to its next park. The polls load.
+	wake := func(op string, at int, steals int64, do func(e *costEnv)) costRow {
+		return costRow{op: op, workers: map[int]int{atRoot: 2, serving: 1}[at], at: at, runs: 3, steals: steals,
+			free: 1 << colLoads, prep: parked, do: func(e *costEnv) { do(e); reparked(e) }}
+	}
+	// The fork spins until its joiner's token is in the word of the Future
+	// on top of e.w's list, which the fork takes, and the inline half until
+	// the fork is stolen: stealAndBlock's handshake, on closures made once.
+	var forked atomic.Bool
+	var top *Future[int]
+	fork := func(*Worker) int {
+		forked.Store(true)
+		spinUntil(e.t, "the Join2 joiner to block", func() bool { return top == nil || top.ch.p.Load() != nil })
+		return 1
+	}
+	inline := func(*Worker) int { spinUntil(e.t, "the Join2 fork to be stolen", forked.Load); return 2 }
+	stolenJoin2 := wake("stolen `Join2`, its join blocked", atRoot, 1, func(e *costEnv) {
+		if a, b := Join2(e.w, fork, inline); a+b != 3 {
+			e.t.Errorf("a stolen Join2 computed %d and %d, want 1 and 2", a, b)
+		}
+	})
+	stolenJoin2.prep = func(e *costEnv) {
+		parked(e)
+		forked.Store(false)
+		top = nil
+		if e.w.nFutures > 0 {
+			top, _ = e.w.futures[e.w.nFutures-1].(*Future[int])
+		}
+	}
+	// The member is stolen before the window and spins until the waiter
+	// has blocked in the group.
+	var started atomic.Bool
+	blockedWait := wake("blocked `Group.Wait` on a stolen member", atRoot, 0, func(e *costEnv) { e.g.Wait(e.w) })
+	blockedWait.prep = func(e *costEnv) {
+		parked(e)
+		started.Store(false)
+		e.g.Spawn(e.w, func(*Worker) {
+			started.Store(true)
+			r := e.g.rec
+			spinUntil(e.t, "the waiter to block in the group", func() bool { return r.sleeper.Load() != nil })
 		})
+		spinUntil(e.t, "the member to be stolen", started.Load)
+	}
+	// A Submit the parked worker ends before the Wait, and one whose root
+	// spins until the Wait has installed a channel: two objects, the
+	// channel and the cell the word points to (waitChan).
+	var blocking atomic.Pointer[Handle]
+	submit := func(op string, root func(*Worker), await func(h *Handle)) costRow {
+		return wake(op, serving, 0, func(e *costEnv) {
+			h, err := e.p.Submit(root)
+			if err != nil {
+				e.t.Fatalf("Submit: %v", err)
+			}
+			await(h)
+			if err := h.Wait(); err != nil {
+				e.t.Fatalf("Wait: %v", err)
+			}
+		})
+	}
+	poll := func(h *Handle) { // Err installs nothing
+		for !h.done.isDone() {
+			if err := h.Err(); err != nil {
+				e.t.Fatalf("Err of a live submission = %v", err)
+			}
+			runtime.Gosched()
+		}
+	}
+	awaitWaiter := func(*Worker) {
+		for h := blocking.Load(); h == nil || h.done.p.Load() == nil; h = blocking.Load() {
+			runtime.Gosched()
+		}
+		blocking.Store(nil)
 	}
 	const forced = "`Run` of `Join2`+`Reduce` split, stolen on 2"
 	// The tests that measure a theme's rows, each against its rows of the
@@ -316,9 +385,10 @@ func costRows(e *costEnv) []costRow {
 			}
 		})),
 		by(spawnPath, in("`ParallelFor` over 64 pieces", func(e *costEnv) { ParallelFor(e.w, 0, 64, 1, func(int) {}) })),
-		// The task goes back to the list of the worker that runs it: help.
-		{op: "`Spawn`", workers: 1, at: inTask, runs: 100, prep: flushed, do: func(e *costEnv) { e.w.Spawn(nop) },
-			check: func(e *costEnv) bool { return !e.w.help(e.w.currentRun()) }, by: spawnPath},
+		// The task goes back to the list of the worker that runs it: the next
+		// window's help.
+		{op: "`Spawn`", workers: 1, at: inTask, runs: 100, by: spawnPath, do: func(e *costEnv) { e.w.Spawn(nop) },
+			prep: func(e *costEnv) { e.w.help(e.w.currentRun()); e.w.flush() }},
 		by(spawnPath, in("`Group.Spawn`+`Wait`", func(e *costEnv) { g := NewGroup(); g.Spawn(e.w, nop); g.Wait(e.w) })),
 		by(spawnPath, in("`NewGroup`+4 `Spawn`+`Wait`", func(e *costEnv) {
 			g := NewGroup()
@@ -332,18 +402,16 @@ func costRows(e *costEnv) []costRow {
 		// The caller holds what Fork returns: that Future is the collector's.
 		by(spawnPath, in("`Fork`+`Join`", func(e *costEnv) { Fork(e.w, one).Join(e.w) })),
 		by(spawnPath, in("`Fork`+`Join` of a capturing closure", func(e *costEnv) { Fork(e.w, func(*Worker) int { return e.w.id }).Join(e.w) })),
-		parked("park+wake: a `Spawn` the parked worker steals", atRoot, woke(1), func(e *costEnv) { e.w.Spawn(nop); time.Sleep(settle) }),
-		parked("stolen `Join2`, its join blocked", atRoot, blocked, func(e *costEnv) {
-			Join2(e.w, func(*Worker) int { time.Sleep(3 * settle); return 1 }, func(*Worker) int { time.Sleep(settle); return 1 })
-			time.Sleep(settle)
-		}),
+		wake("park+wake: a `Spawn` the parked worker steals", atRoot, 1, func(e *costEnv) { e.w.Spawn(nop) }),
+		stolenJoin2,
 		by(groupWait, blockedWait),
-		by(submits, submit("`Submit`+`Wait`, ended", nop, true)),
-		by(submits, submit("`Submit`+`Wait`, blocking", func(*Worker) { time.Sleep(settle) }, false)),
-		{op: "`Submit`, refused", workers: 1, at: servingFull, cfg: Config{InjectorCapacity: 1}, runs: 100, prep: func(*costEnv) {},
-			check: func(e *costEnv) bool { return e.event.Load() }, do: func(e *costEnv) {
-				h, err := e.p.Submit(nop)
-				e.event.Store(h == nil && errors.Is(err, ErrOverloaded))
+		by(submits, submit("`Submit`+`Wait`, ended", nop, poll)),
+		by(submits, submit("`Submit`+`Wait`, blocking", awaitWaiter, blocking.Store)),
+		{op: "`Submit`, refused", workers: 1, at: servingFull, cfg: Config{InjectorCapacity: 1}, runs: 100,
+			do: func(e *costEnv) {
+				if h, err := e.p.Submit(nop); h != nil || !errors.Is(err, ErrOverloaded) {
+					e.t.Fatalf("Submit on a full injector = %v, %v; want nil, ErrOverloaded", h, err)
+				}
 			}, by: submits},
 		by(runs, run("an empty `Run`", 1, 0, nop)),
 		by(runs, run("an empty `RunContext`", 1, 0, nil)),
