@@ -1,8 +1,8 @@
 // Command abplint is the canonical front end for the repository's
-// concurrency-contract analyzer suite (package internal/lint): all eight
+// concurrency-contract analyzer suite (package internal/lint): all seven
 // analyzers — the syntactic contract checks, the flow-aware owner/CAS
-// analyses, the whole-package race detector, and the memory-ordering,
-// cache-layout, and liveness analyzers — in one run, in the manner of a
+// analyses, the whole-package race detector, and the memory-ordering and
+// liveness analyzers — in one run, in the manner of a
 // golang.org/x/tools/go/analysis multichecker but with zero dependencies
 // outside the standard library. -only runs a subset: -only abprace is the
 // race detector alone.
@@ -21,10 +21,9 @@
 // operational failure (bad flags, load or type-check errors, unwritable
 // output). Findings can be suppressed case by case with a justified
 // directive — //abp:ignore for the suite, or the analyzer-specific
-// //abp:race-ignore, //abp:order-ignore, //abp:layout-ignore, and
-// //abp:wait-ignore forms (see package internal/lint); -unused-ignores
-// reports directives that no longer suppress anything or that name no
-// analyzer.
+// //abp:race-ignore, //abp:order-ignore and //abp:wait-ignore forms (see
+// package internal/lint); -unused-ignores reports directives that no
+// longer suppress anything or that name no analyzer.
 package main
 
 import (

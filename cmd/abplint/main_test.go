@@ -96,15 +96,15 @@ func TestExitOperationalErrorIsTwo(t *testing.T) {
 
 // The name is from when the suite had twelve analyzers; two pairs were
 // merged, then atomicmix and nonblocking folded into abporder and abpwait,
-// and the name stayed.
+// then abplayout was deleted (EXPERIMENTS.md E40), and the name stayed.
 func TestListNamesAllTwelve(t *testing.T) {
 	code, stdout, _ := runCLI(t, "-list")
 	if code != 0 {
 		t.Fatalf("exit = %d, want 0", code)
 	}
 	all := lint.All()
-	if len(all) != 8 {
-		t.Fatalf("suite has %d analyzers, want 8", len(all))
+	if len(all) != 7 {
+		t.Fatalf("suite has %d analyzers, want 7", len(all))
 	}
 	for _, a := range all {
 		if !strings.Contains(stdout, a.Name) {

@@ -48,8 +48,8 @@ import "sync/atomic"
 // CacheLineSize is the coherence granule the layout discipline assumes:
 // 64 bytes on every architecture this repository targets (x86-64, and
 // arm64 server cores; Apple M-series L2 lines are 128B, for which one
-// line of slack is an accepted approximation). The abplayout analyzer
-// and the layout pin tests both derive from this one constant.
+// line of slack is an accepted approximation). The layout pin tests
+// derive from this one constant.
 const CacheLineSize = 64
 
 // CacheLinePad is a full cache line of padding. Declared between two
@@ -57,10 +57,7 @@ const CacheLineSize = 64
 // fields end up at least CacheLineSize bytes apart regardless of their
 // own sizes or alignment — which is a stronger and simpler invariant
 // than a hand-counted `_ [56]byte` complement that silently stops
-// isolating when a neighbor changes size. abplayout treats a blank
-// CacheLinePad (or any blank pad of at least CacheLineSize bytes) as an
-// always-valid separator and flags smaller hand-counted pads whose
-// arithmetic has gone stale.
+// isolating when a neighbor changes size.
 type CacheLinePad struct{ _ [CacheLineSize]byte }
 
 // SCUint32 is a sequentially consistent uint32 (e.g. the ABP deque's bot

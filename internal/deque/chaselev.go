@@ -36,8 +36,8 @@ type ChaseLev[T any] struct {
 	// race), so it stays sequentially consistent.
 	top atomicx.SCInt64 // next index to steal; monotonically increasing
 	// The thieves' CAS line must not be invalidated by the owner's
-	// per-push bottom stores (the abplayout false-sharing finding this
-	// pad resolves: top is thief-CAS-hot, bottom is owner-store-hot).
+	// per-push bottom stores (the false sharing this pad resolves: top is
+	// thief-CAS-hot, bottom is owner-store-hot; layout_test.go pins it).
 	_ atomicx.CacheLinePad
 	// bottom's store in popBottom is the first half of a Dekker
 	// store(bottom)→load(top) handshake, so it is declared sc.

@@ -67,9 +67,8 @@ type Deque[T any] struct {
 	// Padding separates the thieves' CAS target (age) from the owner's
 	// high-frequency store target (bot), avoiding false sharing between
 	// the one cache line every thief hammers and the one the owner owns.
-	// A full-line pad isolates regardless of the neighbors' sizes, so the
-	// abplayout analyzer can guard it structurally instead of checking
-	// hand-counted complement arithmetic.
+	// A full-line pad isolates regardless of the neighbors' sizes;
+	// layout_test.go pins the isolation.
 	_ atomicx.CacheLinePad
 	// bot is written only by the owner but participates in the same Dekker
 	// handshake (store bot, then load age), so it is declared sc.

@@ -7,10 +7,9 @@ import (
 	"worksteal/internal/atomicx"
 )
 
-// The layout pin tests are the dynamic mirror of the abplayout analyzer:
-// the analyzer proves line isolation from go/types Sizes models, these
-// assert it with unsafe.Offsetof on the host architecture, so a layout
-// regression fails even where the static suite does not run.
+// The layout pin tests assert the deques' line isolation with
+// unsafe.Offsetof on the host architecture: they are the layout's only
+// guard (EXPERIMENTS.md E40).
 
 func lineOf(off uintptr) uintptr { return off / atomicx.CacheLineSize }
 
@@ -42,8 +41,7 @@ func TestDequeLayoutPins(t *testing.T) {
 
 // TestChaseLevLayoutPins asserts the Chase-Lev isolation PR 8 added: the
 // thief-CAS'd top, the owner-stored bottom, and the thief-read ring
-// pointer pairwise on distinct lines (the pre-PR adjacency is the seeded
-// abplayout fixture).
+// pointer pairwise on distinct lines.
 func TestChaseLevLayoutPins(t *testing.T) {
 	var d ChaseLev[int]
 	top := unsafe.Offsetof(d.top)

@@ -49,11 +49,11 @@ import (
 
 // AbpOrder reports atomic variables whose declared ordering discipline is
 // stronger than the proven requirement (over-synchronized) or weaker than
-// the evidence demands (under-synchronized), loop-invariant atomic loads,
-// and raw fields used with function-style atomics or accessed plainly too.
+// the evidence demands (under-synchronized), and loop-invariant atomic
+// loads.
 var AbpOrder = &Analyzer{
 	Name: "abporder",
-	Doc:  "classifies the minimal memory-ordering discipline (plain/publish/sc) each atomic variable needs and reports declaration-vs-necessity mismatches, loop-invariant atomic loads, and raw fields used with function-style atomics or accessed both atomically and plainly",
+	Doc:  "classifies the minimal memory-ordering discipline (plain/publish/sc) each atomic variable needs and reports declaration-vs-necessity mismatches and loop-invariant atomic loads",
 	Run:  runAbpOrder,
 }
 
@@ -211,7 +211,6 @@ func (o *orderAnalysis) checkVars() {
 			// Function-style atomics on a raw integer field: an
 			// undeclared sc discipline, checkable all the same.
 			decl = &orderDecl{pos: v.Pos(), disc: "raw", typ: types.TypeString(v.Type(), func(p *types.Package) string { return p.Name() })}
-			o.checkRawField(v, accs)
 		}
 		if v.Pkg() != o.pkg {
 			continue // another package's declaration is its own analyzer run's job
@@ -254,44 +253,6 @@ func (o *orderAnalysis) checkVars() {
 			o.pass.Reportf(decl.pos,
 				"%s declares %s ordering (%s) but every conflicting access pair is ordered by happens-before edges even under adversarial caller concurrency: plain discipline suffices (suppress with //abp:order-ignore <justification>)",
 				desc, decl.disc, decl.typ)
-		}
-	}
-}
-
-// checkRawField checks the contract the wrapper types enforce by
-// construction, on a raw field v: each function-style atomic on the field
-// itself (&s.f, not an element of it) is reported, and once there is one,
-// so is every plain selection of the field — unshared fresh objects
-// included, since the contract is syntactic: one plain access forfeits the
-// sequential consistency the parking handshake and the deque's argument
-// lean on. The atomicx package is exempt: its method bodies are the wrapper
-// layer, the one place function-style atomics on raw fields are the point.
-func (o *orderAnalysis) checkRawField(v *types.Var, accs []*raceAccess) {
-	if !v.IsField() || o.pkg.Name() == "atomicx" {
-		return
-	}
-	var first *raceAccess
-	for _, acc := range accs {
-		if !acc.fnStyle {
-			continue
-		}
-		if first == nil {
-			first = acc
-		}
-		o.pass.Reportf(acc.call.Pos(),
-			"field %s is manipulated with atomic.%s; use a sync/atomic wrapper type (atomic.Int64 et al.) so plain access is impossible",
-			v.Name(), acc.op)
-	}
-	if first == nil {
-		return
-	}
-	for _, list := range [][]*raceAccess{accs, o.fresh} {
-		for _, acc := range list {
-			if acc.v == v && !acc.atomic {
-				o.pass.Reportf(acc.pos,
-					"plain access to field %s, which is accessed atomically at %s; every access must go through sync/atomic",
-					v.Name(), o.pass.Fset.Position(first.call.Pos()))
-			}
 		}
 	}
 }

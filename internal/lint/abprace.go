@@ -17,8 +17,8 @@ import (
 //  1. goroutine contexts (goroutine.go): every function/closure is tagged
 //     with the goroutine roots that can be executing it.
 //  2. the access set: every read/write of a struct field or package-level
-//     variable, classified plain vs sync/atomic (the set handshake,
-//     abporder and abplayout filter too).
+//     variable, classified plain vs sync/atomic (the set handshake and
+//     abporder filter too).
 //  3. happens-before facts, per function along its CFG: channel
 //     sends/closes vs receives, WaitGroup deferred-Done -> Wait joins,
 //     mutex locksets (dominating Lock not killed by a dominated Unlock,

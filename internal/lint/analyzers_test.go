@@ -6,30 +6,22 @@ import (
 	"testing"
 )
 
-func TestAtomicMix(t *testing.T) {
-	runAnalyzerTest(t, onlyMatching(AbpOrder, "is manipulated with atomic.", "plain access to field"), "atomicmix")
-}
-func TestOwnerOnly(t *testing.T) {
-	runAnalyzerTest(t, onlyMatching(Owner, "outside an owner context"), "owneronly")
-}
+func TestOwnerOnly(t *testing.T) { runAnalyzerTest(t, Owner, "owneronly") }
 func TestNonBlocking(t *testing.T) {
 	runAnalyzerTest(t, onlyMatching(AbpWait, "in //abp:nonblocking function"), "nonblocking")
 }
-func TestCASLoop(t *testing.T)     { runAnalyzerTest(t, CAS, "casloop") }
-func TestOwnerEscape(t *testing.T) { runAnalyzerTest(t, Owner, "ownerescape") }
-func TestHandshake(t *testing.T)   { runAnalyzerTest(t, Handshake, "handshake") }
-func TestMustCheck(t *testing.T)   { runAnalyzerTest(t, MustCheck, "mustcheck") }
-func TestTagABA(t *testing.T)      { runAnalyzerTest(t, CAS, "tagaba") }
-func TestAbpRace(t *testing.T)     { runAnalyzerTest(t, AbpRace, "abprace") }
-func TestAbpOrder(t *testing.T)    { runAnalyzerTest(t, AbpOrder, "abporder") }
-func TestAbpLayout(t *testing.T)   { runAnalyzerTest(t, AbpLayout, "abplayout") }
-func TestAbpWait(t *testing.T)     { runAnalyzerTest(t, AbpWait, "abpwait") }
+func TestCASLoop(t *testing.T)   { runAnalyzerTest(t, CAS, "casloop") }
+func TestHandshake(t *testing.T) { runAnalyzerTest(t, Handshake, "handshake") }
+func TestMustCheck(t *testing.T) { runAnalyzerTest(t, MustCheck, "mustcheck") }
+func TestAbpRace(t *testing.T)   { runAnalyzerTest(t, AbpRace, "abprace") }
+func TestAbpOrder(t *testing.T)  { runAnalyzerTest(t, AbpOrder, "abporder") }
+func TestAbpWait(t *testing.T)   { runAnalyzerTest(t, AbpWait, "abpwait") }
 
 // onlyMatching is a with its findings cut down to those whose message
 // contains one of substrs: one check of a merged analyzer, for a fixture
 // written when that check was an analyzer of its own and which the other
-// checks have findings on too (owneronly's spawner leaks its deque to show
-// that ownership stops at a go statement).
+// checks have findings on too (nonblocking's, which abpwait's liveness
+// rules also read).
 func onlyMatching(a *Analyzer, substrs ...string) *Analyzer {
 	return &Analyzer{Name: a.Name, Doc: a.Doc, Run: func(pass *Pass) error {
 		err := a.Run(pass)
@@ -77,32 +69,6 @@ func TestSeededWait(t *testing.T) {
 	}
 	if missed == 0 {
 		t.Fatal("abpwait reported no missed signal on the seeded bare-sleep backoff: the PR-6 invisible-nap class would ship again")
-	}
-}
-
-// TestSeededLayout replays the pre-PR-8 Chase-Lev layout — the
-// thief-CAS'd top packed against the owner-stored bottom and the ring
-// pointer — and asserts abplayout flags the false sharing. The explicit
-// count below keeps the fixture from degrading into a vacuously passing
-// one: if this reports nothing, the padding in internal/deque/chaselev.go
-// is no longer guarded against reverts.
-func TestSeededLayout(t *testing.T) {
-	runAnalyzerTest(t, AbpLayout, "seededlayout")
-
-	pkgs, err := NewLoader().Load("testdata/src/seededlayout", ".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, pkg := range pkgs {
-		diags, err := Run(AbpLayout, pkg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		total += len(diags)
-	}
-	if total == 0 {
-		t.Fatal("abplayout reported nothing on the seeded pre-PR Chase-Lev layout: the top/bottom false-sharing class would ship again")
 	}
 }
 

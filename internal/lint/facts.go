@@ -100,9 +100,6 @@ type raceAccess struct {
 	// accesses.
 	op   string
 	call *ast.CallExpr
-	// fnStyle marks a function-style atomic whose operand is the
-	// selector itself: atomic.AddInt64(&s.f, 1), not &s.arr[i].
-	fnStyle bool
 	// used marks an operation whose result is consumed: anything but a
 	// bare expression statement or a go/defer call.
 	used bool
@@ -256,7 +253,6 @@ type exprMark struct {
 	syncRecv bool // receiver of a sync.* method call: its ops became facts
 	op       string
 	call     *ast.CallExpr
-	fnStyle  bool
 	used     bool
 }
 
@@ -402,10 +398,10 @@ func (c *collector) classifyCall(call *ast.CallExpr) {
 	callee := calleeFunc(info, call)
 	// atomicOperand records t as the operand of the atomic operation call
 	// performs: an atomic access of the field, and a release or acquire.
-	atomicOperand := func(t ast.Expr, write, fnStyle bool) {
+	atomicOperand := func(t ast.Expr, write bool) {
 		mk := c.mark(t)
 		mk.atomic, mk.write = true, mk.write || write
-		mk.op, mk.call, mk.fnStyle, mk.used = callee.Name(), call, fnStyle, !c.discarded[call]
+		mk.op, mk.call, mk.used = callee.Name(), call, !c.discarded[call]
 		if v := leafVar(info, t); v != nil {
 			op := syncOp{v: v, node: c.node(call)}
 			if write {
@@ -422,16 +418,14 @@ func (c *collector) classifyCall(call *ast.CallExpr) {
 		// atomic access of the field.
 		if len(call.Args) > 0 {
 			if ue, ok := ast.Unparen(call.Args[0]).(*ast.UnaryExpr); ok && ue.Op == token.AND {
-				x := ast.Unparen(ue.X)
-				t := elemBase(x)
 				c.consumed[ue] = true
-				atomicOperand(t, !strings.HasPrefix(callee.Name(), "Load"), t == x)
+				atomicOperand(elemBase(ast.Unparen(ue.X)), !strings.HasPrefix(callee.Name(), "Load"))
 			}
 		}
 	case isAtomicMethod(callee):
 		// w.status.Store(v): the receiver chain is the atomic access.
 		if sel != nil {
-			atomicOperand(elemBase(ast.Unparen(sel.X)), callee.Name() != "Load", false)
+			atomicOperand(elemBase(ast.Unparen(sel.X)), callee.Name() != "Load")
 		}
 	case syncMethodRecv(callee) != "":
 		if sel == nil {
@@ -501,7 +495,7 @@ func (c *collector) access(v *types.Var, e ast.Expr, desc string) *raceAccess {
 	return &raceAccess{
 		v: v.Origin(), fn: c.fn, node: c.g.blockNodeAt(e.Pos()), pos: e.Pos(),
 		write: mk.write, atomic: mk.atomic,
-		op: mk.op, call: mk.call, fnStyle: mk.fnStyle, used: mk.used,
+		op: mk.op, call: mk.call, used: mk.used,
 		onceVar: c.once, desc: desc,
 	}
 }

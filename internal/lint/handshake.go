@@ -56,9 +56,8 @@ type handshakeDecl struct {
 
 // A handshakeTable is the package's //abp:handshake directives, parsed and
 // resolved once by the fact pass. handshake checks each declaration,
-// abprace trusts pairs of carriers, abporder holds every involved
-// function's atomics to sc, and abplayout reads the protocol's words off
-// the resolved operands.
+// abprace trusts pairs of carriers, and abporder holds every involved
+// function's atomics to sc.
 type handshakeTable struct {
 	decls []*handshakeDecl
 	// carriers are the functions carrying the directive, well-formed or

@@ -18,7 +18,7 @@
 // the goroutine roots and per-function contexts, memoized per-function CFGs
 // and reaching definitions, the access set over every function, the
 // per-function synchronization operations, and the resolved //abp:handshake
-// table. The eight analyzers read those facts and build none of their own.
+// table. The seven analyzers read those facts and build none of their own.
 //
 // Three comment directives put code in scope:
 //
@@ -34,10 +34,10 @@
 // directly above) the flagged line:
 //
 //	//abp:ignore <analyzer> <justification>
-//	//abp:<race|order|layout|wait>-ignore <justification>
+//	//abp:<race|order|wait>-ignore <justification>
 //
 // The second form is shorthand for the first with the analyzer abprace,
-// abporder, abplayout or abpwait (ignoreShorthands is the whole table). A
+// abporder or abpwait (ignoreShorthands is the whole table). A
 // directive is its exact spelling alone or followed by a space — a
 // misspelled //abp:race-ignored is no directive at all — and the
 // justification text is mandatory in every form: a bare ignore does not
@@ -92,12 +92,11 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // All returns the abplint analyzer suite, in alphabetical order: the
 // contract analyzers cas, handshake, mustcheck and owner, the whole-package
-// race detector abprace, the memory-ordering analyzer abporder (which also
-// checks the all-atomic contract on raw fields), the cache-layout analyzer
-// abplayout, and the liveness analyzer abpwait (which also checks the
-// //abp:nonblocking functions).
+// race detector abprace, the memory-ordering analyzer abporder, and the
+// liveness analyzer abpwait (which also checks the //abp:nonblocking
+// functions).
 func All() []*Analyzer {
-	return []*Analyzer{AbpLayout, AbpOrder, AbpRace, AbpWait, CAS, Handshake, MustCheck, Owner}
+	return []*Analyzer{AbpOrder, AbpRace, AbpWait, CAS, Handshake, MustCheck, Owner}
 }
 
 // Run applies one analyzer to a loaded package and returns its findings,
@@ -183,13 +182,12 @@ type Ignores struct {
 // ignoreShorthands maps X in //abp:X-ignore to the analyzer that form
 // addresses.
 var ignoreShorthands = map[string]string{
-	"race":   "abprace",
-	"order":  "abporder",
-	"layout": "abplayout",
-	"wait":   "abpwait",
+	"race":  "abprace",
+	"order": "abporder",
+	"wait":  "abpwait",
 }
 
-// parseIgnore parses one comment as an ignore directive, any of the five
+// parseIgnore parses one comment as an ignore directive, any of the four
 // forms. The directive word must stand alone or be followed by a space
 // (hasDirective's rule), and a justification must follow; anything else is
 // no directive.

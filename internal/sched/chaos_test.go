@@ -347,6 +347,37 @@ func TestAbortWakesWorkerSuspendedEnteringPark(t *testing.T) {
 	}
 }
 
+// A worker about to park has looked at the injector and is frozen before
+// its last steal attempt while a submission goes in, so the submission's
+// signal finds no idle worker and sends nothing. Only park's re-check,
+// made after the worker publishes its idle status, finds the submission: a
+// park that slept without it would strand it until the next signal.
+func TestParkedWorkerRechecksAfterPublish(t *testing.T) {
+	defer fault.Reset()
+	fault.Enable(fpLoopBeforeSteal, fault.Rule{Action: fault.ActionSuspend, OneShot: true})
+	p := New(Config{Workers: 1, ParkThreshold: 1})
+	stop := startServing(t, p)
+	defer stop()
+	waitFor(t, 10*time.Second, "the worker to freeze before its steal attempt", func() bool {
+		return fault.Suspended(fpLoopBeforeSteal) == 1
+	})
+	h, err := p.Submit(func(*Worker) {})
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	fault.Resume(fpLoopBeforeSteal)
+	done := make(chan error, 1)
+	go func() { done <- h.Wait() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("Wait: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the submission was stranded: the worker slept without re-checking for work after publishing its idle status")
+	}
+}
+
 // The watchdog must surface a worker frozen mid-task (here: suspended just
 // before entering the task function) via OnStall and Stats.StallsDetected,
 // while exempting the healthy parked worker.

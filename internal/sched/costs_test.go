@@ -316,6 +316,57 @@ func costRows(e *costEnv) []costRow {
 			top, _ = e.w.futures[e.w.nFutures-1].(*Future[int])
 		}
 	}
+	// A fork in the region (lazy.go) leaves it only on request: the woken
+	// worker steals the public fork, misses the owner's empty public part
+	// and asks, and the owner's next fork publishes the private one, which
+	// it then waits to see stolen and ended, so that its join finds it done.
+	// The inner Join2 takes the second Future of e.w's list. The closures
+	// are made once.
+	var publicRan atomic.Bool
+	var private *Future[int]
+	public := func(*Worker) int { publicRan.Store(true); return 1 }
+	asked := func() bool { return publicRan.Load() && e.w.wantWork.Load() != 0 }
+	ended := func() bool { return private == nil || private.Done() }
+	expose := func(c *Worker) int {
+		spinUntil(e.t, "the thief to ask for the region", asked)
+		Join2(c, one, one) // its fork publishes the region
+		spinUntil(e.t, "the private fork to be stolen and end", ended)
+		return 1
+	}
+	inner := func(c *Worker) int { x, y := Join2(c, one, expose); return x + y }
+	stolenPrivate := wake("a private `Join2` fork stolen on request", atRoot, 2, func(e *costEnv) {
+		if a, b := Join2(e.w, public, inner); a+b != 3 {
+			e.t.Errorf("a Join2 whose private fork was stolen computed %d and %d, want 1 and 2", a, b)
+		}
+	})
+	stolenPrivate.prep = func(e *costEnv) {
+		parked(e)
+		publicRan.Store(false)
+		e.w.wantWork.Store(0) // the parked worker's last miss asked
+		private = nil
+		if n := e.w.nFutures; n > 1 {
+			private, _ = e.w.futures[n-2].(*Future[int])
+		}
+	}
+	// A Spawn whose signal finds the other worker idle with its token
+	// already sent — by prep's Spawn; on one processor the woken worker has
+	// not run yet. Its signal moves the wake cursor and sends nothing: what
+	// every public spawn pays while a woken worker is still on its way
+	// (TestSyncOpsPerRun). The worker takes both tasks before its next park.
+	var woken int64
+	var wokenOn *Pool
+	signalled := costRow{op: "a `Spawn` signalled to a worker woken already", workers: 2, at: atRoot, runs: 3, free: 1 << colLoads,
+		prep: func(e *costEnv) {
+			if wokenOn != e.p {
+				wokenOn, woken = e.p, 0
+			}
+			spinUntil(e.t, "the other worker to park", func() bool {
+				return e.other.status.Load() == workerIdle && e.other.parks.Load() > woken
+			})
+			woken = e.other.parks.Load()
+			e.w.Spawn(nop)
+		},
+		do: func(e *costEnv) { e.w.Spawn(nop) }}
 	// The member is stolen before the window and spins until the waiter
 	// has blocked in the group.
 	var started atomic.Bool
@@ -403,7 +454,9 @@ func costRows(e *costEnv) []costRow {
 		by(spawnPath, in("`Fork`+`Join`", func(e *costEnv) { Fork(e.w, one).Join(e.w) })),
 		by(spawnPath, in("`Fork`+`Join` of a capturing closure", func(e *costEnv) { Fork(e.w, func(*Worker) int { return e.w.id }).Join(e.w) })),
 		wake("park+wake: a `Spawn` the parked worker steals", atRoot, 1, func(e *costEnv) { e.w.Spawn(nop) }),
+		signalled,
 		stolenJoin2,
+		stolenPrivate,
 		by(groupWait, blockedWait),
 		by(submits, submit("`Submit`+`Wait`, ended", nop, poll)),
 		by(submits, submit("`Submit`+`Wait`, blocking", awaitWaiter, blocking.Store)),

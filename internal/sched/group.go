@@ -46,7 +46,6 @@ type groupRec struct {
 	// and the waiter re-loads pending right after its install, so each
 	// party dirties the two words in one ordered sequence — one miss, not
 	// two.
-	//abp:layout-ignore pending and sleeper are written in one sequence by the waiter and by the single winning waker per generation; a pad between them would make each of those sequences miss twice
 	sleeper atomicx.SCPointer[Worker]
 }
 

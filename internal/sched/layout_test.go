@@ -7,10 +7,10 @@ import (
 	"worksteal/internal/atomicx"
 )
 
-// Dynamic mirror of the abplayout analyzer for the scheduler's hot
-// structs (see internal/deque/layout_test.go for the deque halves): the
-// declared line isolation is asserted with unsafe.Offsetof on the host
-// architecture.
+// The layout pins of the scheduler's hot structs (internal/deque's
+// layout_test.go has the deques'): the declared line isolation is
+// asserted with unsafe.Offsetof on the host architecture. They are the
+// layout's only guard (EXPERIMENTS.md E40).
 
 func layoutLine(off uintptr) uintptr { return off / atomicx.CacheLineSize }
 

@@ -170,7 +170,7 @@ type Pool struct {
 	// Publish-declared counters are blind increments read only by Stats —
 	// release/acquire publication suffices.
 	//
-	// Layout discipline (abplayout, DESIGN.md §8): the words written often
+	// Layout discipline (layout_test.go pins it): the words written often
 	// — wakeRR's per-signal Add, idle's park/signal Dekker pair — and the
 	// words every worker reads on every loop iteration and steal — phase,
 	// fleet — each sit on a cache line of their own, so a read-mostly word

@@ -2,6 +2,11 @@ package sched
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os"
+	"strings"
 	"testing"
 )
 
@@ -245,6 +250,37 @@ func TestRunModelExhaustive(t *testing.T) {
 // submission may still start.
 func TestRunModelCatchesSwapBeforeState(t *testing.T) {
 	(&runModel{swapFirst: true}).explorer().refute(t, rmInit)
+}
+
+// The model's order of a finish's last steps is the code's: (*run).finish
+// in serve.go stores the state, then ends the Handle's word, then sends the
+// abort's tokens. A schedule that shows a swap of the first two — a Handle
+// waiter woken before the gate closes — lasts a few instructions, which no
+// test can hold open, so the order is read off the source.
+func TestRunModelOrderIsFinishOrder(t *testing.T) {
+	src, err := os.ReadFile("serve.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "serve.go", src, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body string
+	for _, d := range f.Decls {
+		if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.Name == "finish" && fd.Recv != nil {
+			body = string(src[fset.Position(fd.Body.Pos()).Offset:fset.Position(fd.Body.End()).Offset])
+		}
+	}
+	last := -1
+	for _, step := range []string{"r.state.Store(state)", "r.h.done.finish(end)", ".wakeIf("} {
+		at := strings.Index(body, step)
+		if at <= last {
+			t.Fatalf("(*run).finish: %q is missing or not after the step before it; the run model's order is state, Handle's word, tokens", step)
+		}
+		last = at
+	}
 }
 
 // The negative control of the abort's token: sent before the state is
