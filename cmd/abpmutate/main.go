@@ -39,8 +39,6 @@ type guard struct {
 	cmds [][]string // each a directory and a command line; the first to fail fails the guard
 }
 
-const chaosPark = "TestParked|TestAbortWakesWorkerSuspendedEnteringPark|TestChaos.*Park|TestSignalWorkWakeFairness|TestWokenWorker|TestSleepModel|TestRecycleJoinToken|TestRecycleGroupWaitToken|TestJoinUnblocksOnAbort|TestJoinAbortSurfacesWhileWorkersParked|TestJoinBlocksOnSlowTask|TestGroupWaitBlocksOnSlowTask|TestJoinFromAnotherWorker|TestLazyBlockedWaitRunsRegionFirst|TestDrain|TestServeStop|TestRunContextCancel|TestChaosLoopPanic|TestSessionGoroutines|TestSessionEndWaitsForClaimWinner|TestSubmitDrainingReadsClaimedEnd"
-
 func guards() []guard {
 	var gs []guard
 	const sched = "internal/sched"
@@ -51,25 +49,36 @@ func guards() []guard {
 		gs = append(gs, guard{"model:" + m, [][]string{{sched, "bin/sched.test", "-test.run", "^Test" + m + "Model", "-test.timeout", "120s"}}})
 	}
 	return append(gs,
-		guard{"chaos", [][]string{
-			{sched, "bin/race.test", "-test.count=20", "-test.run", "TestRecycle|TestWorkFirst|TestCounts", "-test.skip", "/ChaseLev|//ChaseLev", "-test.timeout", "200s"},
-			{sched, "bin/race.test", "-test.count=20", "-test.run", chaosPark, "-test.timeout", "200s"}}},
-		guard{"layout", [][]string{
-			{sched, "bin/sched.test", "-test.run", "LayoutPins"},
-			{"internal/deque", "bin/deque.test", "-test.run", "LayoutPins|CacheLinePadPins"}}},
+		guard{"chaos", chaosSteps()},
+		guard{"layout", [][]string{{".", "go", "test", "-count=1", "-run", "LayoutPins|CacheLinePadPins", "./internal/..."}}},
 		guard{"abpsync", [][]string{{sched, "bin/sync.test", "-test.run", "TestCostTable|Allocat|TestSyncOpsPerRun", "-test.timeout", "60s"}}},
 		guard{"rest", [][]string{{".", "go", "test", "-count=1", "-timeout", "90s", "-skip", "Test[A-Za-z]*Model|LayoutPins|CacheLinePadPins", "./internal/..."}}},
 	)
+}
+
+// chaosSteps returns CI's chaos steps, its workflow's go test -race
+// -count=20 lines, as they are written there.
+func chaosSteps() (cmds [][]string) {
+	b, err := os.ReadFile(".github/workflows/ci.yml")
+	check(err)
+	for _, line := range strings.Split(string(b), "\n") {
+		if _, step, ok := strings.Cut(line, "run: go test -race -count=20 "); ok {
+			cmds = append(cmds, []string{".", "sh", "-c", "go test -timeout 200s -race -count=20 " + step})
+		}
+	}
+	if cmds == nil {
+		check(fmt.Errorf("ci.yml has no chaos step"))
+	}
+	return cmds
 }
 
 func main() {
 	only := flag.String("m", "", "comma-separated mutation ids to run, HEAD for the unmutated tree (default all)")
 	gpat := flag.String("g", "", "run only the guards whose name matches this regexp")
 	logs := flag.String("logs", "", "directory for the output of each failing guard run")
-	data := flag.String("mutations", "cmd/abpmutate/mutations.json", "the mutations file")
 	flag.Parse()
 	var all, ms []mutation
-	b, err := os.ReadFile(*data)
+	b, err := os.ReadFile("cmd/abpmutate/mutations.json")
 	check(err)
 	check(json.Unmarshal(b, &all))
 	for _, m := range append([]mutation{{ID: "HEAD", Invariant: "none: the unmutated tree"}}, all...) {
@@ -78,10 +87,10 @@ func main() {
 		}
 	}
 	var gs []guard
-	var names []string
+	header := "| mutation |"
 	for _, g := range guards() {
 		if regexp.MustCompile(*gpat).MatchString(g.name) {
-			gs, names = append(gs, g), append(names, g.name)
+			gs, header = append(gs, g), header+" "+g.name+" |"
 		}
 	}
 
@@ -100,7 +109,7 @@ func main() {
 	}
 	check(run(dir, nil, "go", "build", "-o", "bin/abplint", "./cmd/abplint"))
 
-	fmt.Printf("| mutation | %s |\n|---|%s\n", strings.Join(names, " | "), strings.Repeat("---|", len(gs)))
+	fmt.Printf("%s\n|---|%s\n", header, strings.Repeat("---|", len(gs)))
 	for _, m := range ms {
 		restore := apply(dir, m)
 		row := strings.Split(strings.Repeat("B", len(gs)), "")
@@ -149,17 +158,10 @@ func apply(dir string, m mutation) (restore func()) {
 
 // build compiles the test binaries the guards run.
 func build(dir string) error {
-	for _, c := range [][]string{
-		{"go", "test", "-c", "-o", "bin/sched.test", "./internal/sched/"},
-		{"go", "test", "-race", "-c", "-o", "bin/race.test", "./internal/sched/"},
-		{"go", "test", "-tags", "abpsync", "-c", "-o", "bin/sync.test", "./internal/sched/"},
-		{"go", "test", "-c", "-o", "bin/deque.test", "./internal/deque/"},
-	} {
-		if err := run(dir, nil, c[0], c[1:]...); err != nil {
-			return err
-		}
+	if err := run(dir, nil, "go", "test", "-c", "-o", "bin/sched.test", "./internal/sched/"); err != nil {
+		return err
 	}
-	return nil
+	return run(dir, nil, "go", "test", "-tags", "abpsync", "-c", "-o", "bin/sync.test", "./internal/sched/")
 }
 
 // fails runs g's commands in the copy dir.

@@ -107,7 +107,7 @@ type satSolver struct {
 	// at every node; nodes is incremented by every branch at every node.
 	// Unpadded they share a line, so each nodes.Add would invalidate the
 	// found line every solver goroutine is polling — the textbook false
-	// sharing abplayout flags (DESIGN.md §8).
+	// sharing TestSatSolverLayoutPins rules out.
 	found atomic.Pointer[[]bool]
 	_     atomicx.CacheLinePad
 	nodes atomic.Int64

@@ -4,9 +4,22 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"unsafe"
 
+	"worksteal/internal/atomicx"
 	"worksteal/internal/sched"
 )
+
+// TestSatSolverLayoutPins asserts found, polled by every branch at every
+// node, and nodes, which every branch bumps at every node, are on
+// different cache lines.
+func TestSatSolverLayoutPins(t *testing.T) {
+	var s satSolver
+	found, nodes := unsafe.Offsetof(s.found), unsafe.Offsetof(s.nodes)
+	if found/atomicx.CacheLineSize == nodes/atomicx.CacheLineSize {
+		t.Errorf("found (offset %d) and nodes (offset %d) share a cache line", found, nodes)
+	}
+}
 
 // pigeonhole returns the (unsatisfiable for holes < pigeons) pigeonhole
 // formula PHP(pigeons, holes): every pigeon in some hole, no two pigeons in

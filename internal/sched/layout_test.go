@@ -16,13 +16,28 @@ func layoutLine(off uintptr) uintptr { return off / atomicx.CacheLineSize }
 
 // TestInjectorLayoutPins asserts the producer and consumer positions of
 // the MPMC injector live on distinct cache lines, so a submission burst
-// and a draining worker do not false-share.
+// and a draining worker do not false-share, and that a ring cell is
+// exactly one line, so a producer publishing one cell and a consumer
+// releasing its neighbour do not either (E16 measured the packed cells
+// ~35% slower on contended submit).
 func TestInjectorLayoutPins(t *testing.T) {
 	var q injector
 	enq := unsafe.Offsetof(q.enq)
 	deq := unsafe.Offsetof(q.deq)
 	if layoutLine(enq) == layoutLine(deq) {
 		t.Errorf("enq (offset %d) and deq (offset %d) share a cache line", enq, deq)
+	}
+	if sz := unsafe.Sizeof(injectorCell{}); sz != atomicx.CacheLineSize {
+		t.Errorf("injectorCell is %d bytes, want exactly one cache line", sz)
+	}
+}
+
+// TestGraphRunLayoutPins asserts a worker's executed-node count is exactly
+// one line, so the per-worker counters RunGraph bumps at every node do not
+// share one.
+func TestGraphRunLayoutPins(t *testing.T) {
+	if sz := unsafe.Sizeof(nodeCount{}); sz != atomicx.CacheLineSize {
+		t.Errorf("nodeCount is %d bytes, want exactly one cache line", sz)
 	}
 }
 
