@@ -48,8 +48,10 @@ func guards() []guard {
 	for _, m := range []string{"Future", "Group", "Phase", "Run", "Scope", "Sleep", "Status"} {
 		gs = append(gs, guard{"model:" + m, [][]string{{sched, "bin/sched.test", "-test.run", "^Test" + m + "Model", "-test.timeout", "120s"}}})
 	}
+	chaos, err := chaosSteps()
+	check(err)
 	return append(gs,
-		guard{"chaos", chaosSteps()},
+		guard{"chaos", chaos},
 		guard{"layout", [][]string{{".", "go", "test", "-count=1", "-run", "LayoutPins|CacheLinePadPins", "./internal/..."}}},
 		guard{"abpsync", [][]string{{sched, "bin/sync.test", "-test.run", "TestCostTable|Allocat|TestSyncOpsPerRun", "-test.timeout", "60s"}}},
 		guard{"rest", [][]string{{".", "go", "test", "-count=1", "-timeout", "90s", "-skip", "Test[A-Za-z]*Model|LayoutPins|CacheLinePadPins", "./internal/..."}}},
@@ -58,18 +60,20 @@ func guards() []guard {
 
 // chaosSteps returns CI's chaos steps, its workflow's go test -race
 // -count=20 lines, as they are written there.
-func chaosSteps() (cmds [][]string) {
+func chaosSteps() (cmds [][]string, err error) {
 	b, err := os.ReadFile(".github/workflows/ci.yml")
-	check(err)
+	if err != nil {
+		return nil, err
+	}
 	for _, line := range strings.Split(string(b), "\n") {
 		if _, step, ok := strings.Cut(line, "run: go test -race -count=20 "); ok {
 			cmds = append(cmds, []string{".", "sh", "-c", "go test -timeout 200s -race -count=20 " + step})
 		}
 	}
 	if cmds == nil {
-		check(fmt.Errorf("ci.yml has no chaos step"))
+		err = fmt.Errorf("ci.yml has no chaos step")
 	}
-	return cmds
+	return cmds, err
 }
 
 func main() {
@@ -77,10 +81,9 @@ func main() {
 	gpat := flag.String("g", "", "run only the guards whose name matches this regexp")
 	logs := flag.String("logs", "", "directory for the output of each failing guard run")
 	flag.Parse()
-	var all, ms []mutation
-	b, err := os.ReadFile("cmd/abpmutate/mutations.json")
+	var ms []mutation
+	all, err := readMutations()
 	check(err)
-	check(json.Unmarshal(b, &all))
 	for _, m := range append([]mutation{{ID: "HEAD", Invariant: "none: the unmutated tree"}}, all...) {
 		if *only == "" || strings.Contains(","+*only+",", ","+m.ID+",") {
 			ms = append(ms, m)
@@ -144,16 +147,35 @@ func apply(dir string, m mutation) (restore func()) {
 		if _, ok := saved[p]; !ok {
 			saved[p] = b
 		}
-		if n := strings.Count(string(b), e.Old); n != 1 {
-			check(fmt.Errorf("%s: old text occurs %d times in %s", m.ID, n, e.File))
+		src, err := applyEdit(string(b), e)
+		if err != nil {
+			check(fmt.Errorf("%s: %v", m.ID, err))
 		}
-		check(os.WriteFile(p, []byte(strings.Replace(string(b), e.Old, e.New, 1)), 0o644))
+		check(os.WriteFile(p, []byte(src), 0o644))
 	}
 	return func() {
 		for p, b := range saved {
 			check(os.WriteFile(p, b, 0o644))
 		}
 	}
+}
+
+// readMutations reads the campaign's mutations.
+func readMutations() (all []mutation, err error) {
+	b, err := os.ReadFile("cmd/abpmutate/mutations.json")
+	if err == nil {
+		err = json.Unmarshal(b, &all)
+	}
+	return all, err
+}
+
+// applyEdit returns src with e made, whose old text must occur in it
+// exactly once.
+func applyEdit(src string, e edit) (string, error) {
+	if n := strings.Count(src, e.Old); n != 1 {
+		return "", fmt.Errorf("old text occurs %d times in %s", n, e.File)
+	}
+	return strings.Replace(src, e.Old, e.New, 1), nil
 }
 
 // build compiles the test binaries the guards run.

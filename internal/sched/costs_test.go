@@ -71,7 +71,7 @@ type costRow struct {
 	cfg                      Config
 	prep, do                 func(e *costEnv) // prep may be nil
 	steals                   int64            // each window's; -1: the schedule's
-	idle                     bool             // leave out the idle rounds, two RMWs each, whose number is the scheduler's
+	idle                     bool             // leave out the idle rounds, whose number is the scheduler's: a yield's count each, and on two workers a steal attempt's
 	free                     int              // the columns the schedule decides, a bit each: not golden
 	by                       string           // the test that measures the row, if not TestCostTable
 }
@@ -133,7 +133,7 @@ func (row costRow) measure(e *costEnv) (c cost) {
 			}
 			if row.idle && countingBuild {
 				idle := after.Yields - s.Yields
-				d[colRMWs] -= 2 * idle
+				d[colRMWs] -= idle * int64(min(row.workers, 2))
 				d[colLoads] -= idleRoundLoads * idle
 			}
 			for j := range c {
@@ -350,8 +350,9 @@ func costRows(e *costEnv) []costRow {
 	}
 	// A Spawn whose signal finds the other worker idle with its token
 	// already sent — by prep's Spawn; on one processor the woken worker has
-	// not run yet. Its signal moves the wake cursor and sends nothing: what
-	// every public spawn pays while a woken worker is still on its way
+	// not run yet. Its signal loads the idle count and the status words and
+	// sends nothing: what every public spawn pays while a woken worker is
+	// still on its way, no store or RMW beyond a Spawn's on one worker
 	// (TestSyncOpsPerRun). The worker takes both tasks before its next park.
 	var woken int64
 	var wokenOn *Pool

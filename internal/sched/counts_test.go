@@ -4,7 +4,7 @@
 // leaves its release to the exec it runs under, so these tests pin what
 // that must not change — Stats is exact once a submission has ended, a
 // nested exec folds into its own scope only, and a long recursion of calls
-// still shows the watchdog progress — on all three deques.
+// still moves what the watchdog reads — on all three deques.
 //
 // The mutants each test catches:
 //
@@ -28,6 +28,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"worksteal/internal/fault"
 )
 
 // countTree is a computation of known size: its task count, the root
@@ -195,29 +197,69 @@ func TestCountsNestedExecInJoin(t *testing.T) {
 	})
 }
 
-// A one-worker root that does nothing but pop back its forks for more than
-// four StallTimeouts is making progress: its calls are flushed every
-// callFlushPeriod, so the watchdog never reports it.
+// A one-worker root that does nothing but pop back its forks is making
+// progress: its calls are flushed every callFlushPeriod, so each batch of
+// them moves what the stall check reads (motion) by at least the batch's
+// calls less callFlushPeriod, and the watchdog never reports it.
 func TestCountsLongCallRecursionNoStall(t *testing.T) {
 	forEachDeque(t, func(t *testing.T, kind dequeKind) {
-		const window = 40 * time.Millisecond
-		var reports atomic.Int64
-		p := newPool(kind, Config{Workers: 1, StallTimeout: window, OnStall: func(StallReport) { reports.Add(1) }})
+		const batches = 20
+		batch := int64(fibSerial(17) - 1)
+		p := newPool(kind, Config{Workers: 1})
 		var calls int64
 		runWithin(t, p, func(w *Worker) {
-			for start := time.Now(); time.Since(start) < 5*window; {
+			for range batches {
+				before := p.motion(w)
 				if fibPar(w, 16, 2) != fibSerial(16) {
 					t.Error("fib computed wrong")
 					return
 				}
-				calls += int64(fibSerial(17) - 1)
+				calls += batch
+				if moved := p.motion(w) - before; moved < batch-callFlushPeriod {
+					t.Errorf("%d popped-back calls moved the stall check's counts by %d, want at least %d", batch, moved, batch-callFlushPeriod)
+					return
+				}
 			}
 		})
-		if n, s := reports.Load(), p.Stats().StallsDetected; n != 0 || s != 0 {
-			t.Fatalf("%d stall reports (Stats.StallsDetected %d) over %d popped-back calls", n, s, calls)
-		}
 		if got := p.Stats().TasksRun; got != calls+1 {
 			t.Errorf("TasksRun = %d, want %d", got, calls+1)
 		}
+	})
+}
+
+// Every step a running worker takes moves what the stall check reads
+// (motion): an exec's flush, a popped-back call's flush, a yield, a steal
+// attempt and a discard. The other worker is frozen at its loop's entry,
+// so nothing but the step moves the counts; its first round, once let go,
+// is held just after its yield.
+func TestWatchdogMotion(t *testing.T) {
+	defer fault.Reset()
+	p := New(Config{Workers: 2})
+	fault.Enable(fpLoopEnter, fault.Rule{Action: fault.ActionSuspend, OneShot: true})
+	runWithin(t, p, func(w *Worker) {
+		other := p.workers[1-w.id]
+		spinUntil(t, "the other worker to freeze at its loop's entry", func() bool { return fault.Suspended(fpLoopEnter) == 1 })
+		step := func(what string, who *Worker, do func()) {
+			before := p.motion(who)
+			if do(); p.motion(who) == before {
+				t.Errorf("%s did not move the stall check's counts", what)
+			}
+		}
+		var g Group
+		g.Spawn(w, func(*Worker) {})
+		step("an exec's flush", w, func() { g.Wait(w) })
+		step("a popped-back call's flush", w, func() {
+			for range callFlushPeriod {
+				Join2(w, func(*Worker) int { return 1 }, func(*Worker) int { return 2 })
+			}
+		})
+		step("a steal attempt", w, func() { w.stealOnce() })
+		step("a discard", w, func() { w.discard(runCancelled) })
+		step("a yield", other, func() {
+			fault.Enable(fpLoopBeforeSteal, fault.Rule{Action: fault.ActionSuspend, OneShot: true})
+			fault.Resume(fpLoopEnter)
+			spinUntil(t, "the other worker to yield", func() bool { return fault.Suspended(fpLoopBeforeSteal) == 1 })
+		})
+		fault.Resume(fpLoopBeforeSteal)
 	})
 }

@@ -66,8 +66,7 @@ func TestWorkerLayoutPins(t *testing.T) {
 		"folded": unsafe.Offsetof(w.folded), "futures": unsafe.Offsetof(w.futures), "groupRecsEnd": unsafe.Offsetof(w.groupRecs) + unsafe.Sizeof(w.groupRecs) - 1,
 		"nScopes": unsafe.Offsetof(w.nScopes), "scopes": unsafe.Offsetof(w.scopes),
 		"scopesEnd": unsafe.Offsetof(w.scopes) + unsafe.Sizeof(w.scopes) - 1,
-		"progress":  unsafe.Offsetof(w.progress), "tasksRun": unsafe.Offsetof(w.tasksRun),
-		"wakes":    unsafe.Offsetof(w.wakes),
+		"tasksRun":  unsafe.Offsetof(w.tasksRun), "wakes": unsafe.Offsetof(w.wakes),
 		"lazyHead": unsafe.Offsetof(w.lazyHead), "lazyTail": unsafe.Offsetof(w.lazyTail),
 		"lazy": unsafe.Offsetof(w.lazy), "lazyEnd": unsafe.Offsetof(w.lazy) + unsafe.Sizeof(w.lazy) - 1,
 	}
@@ -121,20 +120,20 @@ func TestWorkerLayoutPins(t *testing.T) {
 	}
 }
 
-// TestPoolLayoutPins asserts that no frequently written word — wakeRR's
-// per-signal Add, idle's park/signal pair — shares a line with a word
-// every worker reads per iteration — phase, fleet — and that all four are
-// clear of each other and of the shared counters.
+// TestPoolLayoutPins asserts that the frequently written word — idle,
+// the park/signal pair's — shares no line with a word every worker reads
+// per iteration — phase, fleet — and that all three are clear of each
+// other and of the shared counters. A signal writes no word of the pool:
+// its scan starts at a random position (signalWork).
 func TestPoolLayoutPins(t *testing.T) {
 	var p Pool
 	offs := map[string]uintptr{
 		"phase":   unsafe.Offsetof(p.phase),
-		"wakeRR":  unsafe.Offsetof(p.wakeRR),
 		"idle":    unsafe.Offsetof(p.idle),
 		"fleet":   unsafe.Offsetof(p.fleet),
 		"dropped": unsafe.Offsetof(p.dropped),
 	}
-	for _, hot := range []string{"phase", "wakeRR", "idle", "fleet"} {
+	for _, hot := range []string{"phase", "idle", "fleet"} {
 		for name, off := range offs {
 			if name == hot {
 				continue

@@ -31,6 +31,7 @@
 package sched
 
 import (
+	"math/rand/v2"
 	"runtime"
 
 	"worksteal/internal/atomicx"
@@ -55,8 +56,7 @@ func (w *Worker) loop() {
 	defer w.pool.wg.Done()
 	defer w.recoverLoopPanic()
 	fault.Point(fpLoopEnter)
-	fails := 0
-	ticks := 0
+	fails, ticks, woken := 0, 0, false
 	for w.pool.phase.Load() != phaseStopping {
 		// The shrink safe point (resize.go): a worker marked retiring
 		// re-publishes its deque through the injector and retires, and a
@@ -72,7 +72,6 @@ func (w *Worker) loop() {
 			w.sleepRetired()
 			continue
 		}
-		w.progress.Add(1)
 		ticks++
 		// stolen travels with t to exec: true only for a task taken from
 		// another worker's deque. What the injector hands over — a root, or
@@ -100,14 +99,19 @@ func (w *Worker) loop() {
 			t, stolen = w.stealOnce(), true
 		}
 		if t != nil {
-			fails = 0
+			if fails = 0; woken && w.anyVisibleWork() {
+				// A woken worker passes a wake on while work is left: each
+				// signal of a burst may have found it idle, leaving its park.
+				w.pool.signalWork()
+			}
+			woken = false
 			w.execOrDrop(t, stolen)
 			continue
 		}
 		// Hot rounds, then a park; a park that did not end on a work
 		// signal parks again at the next failed round.
 		if fails++; fails >= w.pool.cfg.ParkThreshold && w.park() {
-			fails = 0
+			fails, woken = 0, true
 		}
 	}
 }
@@ -173,14 +177,13 @@ func (w *Worker) park() bool {
 // made the new work visible (pushed it onto a deque or reserved an injector
 // cell); see the Dekker argument in the file comment.
 //
-// The scan starts at a rotating cursor rather than index zero: a fixed
+// The scan starts at a random position rather than index zero: a fixed
 // start always wakes the lowest-indexed parked worker, so under a trickle
 // of submissions worker 0 absorbs every wake while the rest of the fleet
-// sleeps cold (stale deque affinity, cold stacks). Rotating spreads wakes
-// across the fleet; the cursor is a plain consumed Add, with no fairness
-// guarantee needed beyond breaking the fixed bias. It wraps: the modulo is
-// taken before the conversion, which on a 32-bit int would go negative
-// past 2^31 signals.
+// sleeps cold (stale deque affinity, cold stacks). The runtime's
+// per-thread random source spreads wakes across the fleet with no shared
+// word to write, so a signal costs no fence of its own; no fairness
+// guarantee is needed beyond breaking the fixed bias.
 //
 //abp:nonblocking
 func (p *Pool) signalWork() {
@@ -188,7 +191,7 @@ func (p *Pool) signalWork() {
 		return
 	}
 	n := len(p.workers)
-	start := int((p.wakeRR.Add(1) - 1) % uint32(n))
+	start := rand.IntN(n)
 	for i := 0; i < n; i++ {
 		// A retiring worker reads retiring, never idle, so no token goes to
 		// a wake that would end in retirement rather than work; one marked

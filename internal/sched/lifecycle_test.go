@@ -300,12 +300,12 @@ func TestStatsString(t *testing.T) {
 	}
 }
 
-// signalWork used to scan the fleet from index zero on every call, so a
-// trickle of submissions — each arriving with the whole fleet parked —
-// woke worker 0 every single time while the rest slept cold. The rotating
-// cursor spreads wakes; this test submits one task per fully-parked
-// round and asserts the wakes land on (nearly) the whole fleet. The
-// tolerance of one worker is slack for a wake that lands off the rotation.
+// A signalWork that scans the fleet from index zero on every call wakes
+// worker 0 for every one of a trickle of submissions — each arriving with
+// the whole fleet parked — while the rest sleep cold. The scan's random
+// start spreads wakes; this test submits one task per fully-parked round
+// and asserts the wakes land on (nearly) the whole fleet. The tolerance of
+// one worker is slack for a worker the draws happen to miss.
 func TestSignalWorkWakeFairness(t *testing.T) {
 	const workers = 4
 	p := New(Config{Workers: workers, ParkThreshold: 2})
@@ -337,7 +337,7 @@ func TestSignalWorkWakeFairness(t *testing.T) {
 		}
 	}
 	if woken < workers-1 {
-		t.Fatalf("wakes landed on %d of %d workers: signalWork is scanning from a fixed start, not rotating", woken, workers)
+		t.Fatalf("wakes landed on %d of %d workers: signalWork is scanning from a fixed start", woken, workers)
 	}
 	if err := stop(); err == nil {
 		t.Fatal("Serve returned nil after cancellation")

@@ -78,6 +78,8 @@ var (
 		"park: idle status published and re-check passed, not yet blocked on the token channel")
 	fpRunAfterClaim = fault.Register("sched.run.afterClaim",
 		"run.finish: the claim CAS on end won, the Handle's word not yet ended (only the winner gets here)")
+	fpRunBeforeWake = fault.Register("sched.run.beforeWake",
+		"run.finish: the state stored, the Handle's word not yet ended and no abort token sent (only the winner gets here)")
 )
 
 // Config configures a Pool.
@@ -163,29 +165,27 @@ type Pool struct {
 	workers []*Worker
 	inject  *injector
 	// Ordering disciplines (internal/atomicx, checked by abporder): the
-	// SC-declared fields either arbitrate (phase's entry and drain CASes,
-	// wakeRR's consumed Add) or participate in the park/wake handshake
-	// (phase and idle are read or written inside //abp:handshake carrier
-	// functions, whose store→load shape needs the full ordering). The
-	// Publish-declared counters are blind increments read only by Stats —
+	// SC-declared fields either arbitrate (phase's entry and drain CASes)
+	// or participate in the park/wake handshake (phase and idle are read or
+	// written inside //abp:handshake carrier functions, whose store→load
+	// shape needs the full ordering). The Publish-declared counters are
+	// blind increments read only by Stats and the watchdog —
 	// release/acquire publication suffices.
 	//
-	// Layout discipline (layout_test.go pins it): the words written often
-	// — wakeRR's per-signal Add, idle's park/signal Dekker pair — and the
-	// words every worker reads on every loop iteration and steal — phase,
-	// fleet — each sit on a cache line of their own, so a read-mostly word
-	// is never invalidated by the written ones or by the counters; the
-	// blindly incremented counters may share lines freely among themselves.
+	// Layout discipline (layout_test.go pins it): the word written often —
+	// idle, the park/signal Dekker pair's — and the words every worker
+	// reads on every loop iteration and steal — phase, fleet — each sit on
+	// a cache line of their own, so a read-mostly word is never invalidated
+	// by the written one or by the counters; the blindly incremented
+	// counters may share lines freely among themselves.
 	//
 	// phase is the session's state (the phase constants below): written
 	// only at a session's few transitions, read by the worker loop's exit
 	// test, park's re-check, and Submit's gate and post-push re-check.
-	phase  atomicx.SCUint32
-	_      atomicx.CacheLinePad
-	wakeRR atomicx.SCUint32 // wake scan rotation (signalWork, lifecycle.go)
-	_      atomicx.CacheLinePad
-	idle   atomicx.SCInt32 // workers parked or on the way in or out of park (lifecycle.go)
-	_      atomicx.CacheLinePad
+	phase atomicx.SCUint32
+	_     atomicx.CacheLinePad
+	idle  atomicx.SCInt32 // workers parked or on the way in or out of park (lifecycle.go)
+	_     atomicx.CacheLinePad
 	// fleet bounds the victim range: stealOnce draws from workers
 	// [0, fleet), and every non-empty deque is inside it (resize.go has the
 	// invariant). Written rarely — under resizeMu, raised by a grow and
@@ -313,7 +313,7 @@ type Worker struct {
 	// generations of Groups whose Wait ended here.
 	nFutures, nRanges, nGroupTasks, nGroupRecs int32
 	// spawnsDue and runsDue are the spawns and popped-back calls not yet
-	// added to spawns, tasksRun and progress (flush); folded is the calls
+	// added to spawns and tasksRun (flush); folded is the calls
 	// whose scope release the exec in flight makes for them (popBack).
 	spawnsDue, runsDue, folded int64
 	// The private region (DESIGN.md §7, "Lazy exposure"): the engine forks
@@ -333,15 +333,10 @@ type Worker struct {
 	nScopes int32
 	scopes  [maxFreeRecords]*scope
 
-	// progress ticks on every loop iteration and task completion; the
-	// stall watchdog (watchdog.go) reads it to tell a live worker from one
-	// frozen mid-operation. Written only by the worker's own goroutine
-	// (loop/flush/execOrDrop, all //abp:owner).
-	progress atomicx.Publish64
-
-	// Per-worker counters, summed by Pool.Stats. Atomics so Stats is safe
-	// to call while the run is in flight. The Publish-declared ones are
-	// owner-only blind increments; the SC-declared ones are updated inside
+	// Per-worker counters, summed by Pool.Stats; three are also the stall
+	// watchdog's motion (watchdog.go). Atomics so Stats is safe to call
+	// while the run is in flight. The Publish-declared ones are owner-only
+	// blind increments; the SC-declared ones are updated inside
 	// //abp:handshake carrier functions (spawn, park), which abporder pins
 	// to full ordering.
 	tasksRun      atomicx.Publish64
@@ -550,10 +545,6 @@ func (p *Pool) enter(api string) {
 //abp:owner quiescent phase: workers have not been started yet
 func (p *Pool) startSession(root *Task) {
 	p.drainByRun()
-	// A restarted Serve behaves like a fresh pool: it does not inherit the
-	// previous session's wake-scan position (the Serve→Stop→Serve
-	// restartability regression pins this).
-	p.wakeRR.Store(0)
 	if root != nil && !p.workers[0].dq.PushBottom(root) && !p.offer(root) {
 		panic("sched: a swept deque and the swept injector both refused the root")
 	}
@@ -774,15 +765,12 @@ func (w *Worker) execOrDrop(t *Task, stolen bool) (ran bool) {
 
 // discard counts a task that an abort, whose run state is st, keeps from
 // starting, under the counter the abort's cause selects.
-//
-//abp:owner the progress counter is written only by the goroutine running the worker
 func (w *Worker) discard(st int32) {
 	if st == runPanicked {
 		w.pool.dropped.Add(1)
 	} else {
 		w.pool.cancelledN.Add(1)
 	}
-	w.progress.Add(1)
 }
 
 // exec runs a task and performs termination accounting (scope.go). A task
@@ -835,7 +823,6 @@ func (w *Worker) flush() {
 		w.spawnsDue = 0
 	}
 	w.tasksRun.Add(w.runsDue)
-	w.progress.Add(w.runsDue)
 	w.runsDue = 0
 }
 

@@ -598,17 +598,12 @@ func TestDrainRacesServeStop(t *testing.T) {
 	t.Logf("%d rounds completed under the drain, %d were stopped first", completed, stopped)
 }
 
-// The satellite-1 regression: a Serve→stop→Serve cycle must behave like a
-// fresh pool. The second session's wake-scan cursor starts from zero (the
-// white-box half) and submissions complete exactly as in the first (the
-// behavioral half).
+// A Serve→stop→Serve cycle must behave like a fresh pool: submissions
+// complete exactly as in the first session.
 func TestServeStopServeRestart(t *testing.T) {
 	p := New(Config{Workers: 4, ParkThreshold: 2})
 	for session := 0; session < 3; session++ {
 		stop := startServing(t, p)
-		if got := p.wakeRR.Load(); got != 0 {
-			t.Fatalf("session %d: wakeRR = %d at session start, want 0", session, got)
-		}
 		var ran atomic.Int64
 		for i := 0; i < 20; i++ {
 			h, err := p.Submit(func(w *Worker) {

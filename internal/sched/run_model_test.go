@@ -1,13 +1,14 @@
 package sched
 
 import (
+	"context"
+	"errors"
 	"fmt"
-	"go/ast"
-	"go/parser"
-	"go/token"
-	"os"
-	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
+
+	"worksteal/internal/fault"
 )
 
 // This file model-checks how a run record ends (serve.go: finish, outcome;
@@ -254,32 +255,47 @@ func TestRunModelCatchesSwapBeforeState(t *testing.T) {
 
 // The model's order of a finish's last steps is the code's: (*run).finish
 // in serve.go stores the state, then ends the Handle's word, then sends the
-// abort's tokens. A schedule that shows a swap of the first two — a Handle
-// waiter woken before the gate closes — lasts a few instructions, which no
-// test can hold open, so the order is read off the source.
-func TestRunModelOrderIsFinishOrder(t *testing.T) {
-	src, err := os.ReadFile("serve.go")
+// abort's tokens. Hold a cancelled submission's finisher between the state
+// and the word, at sched.run.beforeWake: the state reads aborted, the
+// Handle has not ended, and the worker running the root, blocked in it
+// outside any sleep, has no token yet.
+func TestRunFinishStoresStateBeforeWake(t *testing.T) {
+	defer fault.Reset()
+	p := New(Config{Workers: 2})
+	stop := startServing(t, p)
+	ctx, cancel := context.WithCancel(context.Background())
+	var on atomic.Pointer[Worker]
+	release := make(chan struct{})
+	h, err := p.SubmitContext(ctx, func(w *Worker) {
+		on.Store(w)
+		<-release
+	})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("SubmitContext: %v", err)
 	}
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "serve.go", src, 0)
-	if err != nil {
-		t.Fatal(err)
+	waitFor(t, 10*time.Second, "the root to start", func() bool { return on.Load() != nil })
+	r := on.Load().currentRun()
+	fault.Enable(fpRunBeforeWake, fault.Rule{Action: fault.ActionSuspend, OneShot: true})
+	cancel()
+	waitFor(t, 10*time.Second, "the watcher held before the Handle's word", func() bool { return fault.Suspended(fpRunBeforeWake) == 1 })
+	if st := r.state.Load(); st != runCancelled {
+		t.Errorf("the run's state is %d with its finisher held before the Handle's word, want aborted (%d)", st, runCancelled)
 	}
-	var body string
-	for _, d := range f.Decls {
-		if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.Name == "finish" && fd.Recv != nil {
-			body = string(src[fset.Position(fd.Body.Pos()).Offset:fset.Position(fd.Body.End()).Offset])
-		}
+	select {
+	case <-h.Done():
+		t.Error("the Handle ended before its finisher stored the run's state")
+	default:
 	}
-	last := -1
-	for _, step := range []string{"r.state.Store(state)", "r.h.done.finish(end)", ".wakeIf("} {
-		at := strings.Index(body, step)
-		if at <= last {
-			t.Fatalf("(*run).finish: %q is missing or not after the step before it; the run model's order is state, Handle's word, tokens", step)
-		}
-		last = at
+	if n := len(on.Load().sleep.ch); n != 0 {
+		t.Errorf("the root's worker holds %d tokens before its run's Handle ended, want 0", n)
+	}
+	fault.Resume(fpRunBeforeWake)
+	close(release)
+	if err := h.Wait(); !errors.Is(err, context.Canceled) {
+		t.Errorf("Wait = %v, want context.Canceled", err)
+	}
+	if err := stop(); !errors.Is(err, context.Canceled) {
+		t.Errorf("Serve = %v", err)
 	}
 }
 

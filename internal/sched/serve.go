@@ -181,6 +181,7 @@ func (r *run) finish(state int32, err error) {
 	}
 	r.pool.unregister(r)
 	r.state.Store(state)
+	fault.Point(fpRunBeforeWake)
 	r.h.done.finish(end)
 	if state != runLive {
 		for _, w := range r.pool.workers {

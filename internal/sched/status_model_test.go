@@ -11,7 +11,7 @@ import (
 // there is any, park — the sleep's number, entry CAS, idle count,
 // re-check, sleep, the re-check a token not its own makes, exit CAS —
 // retire with its baton, and the retired sleep); a producer (push, idle
-// load, and per worker of the scan, in either rotation, the load of its
+// load, and per worker of the scan, from either start, the load of its
 // sleep number, the load of its status and the token); and a Resize that
 // shrinks worker 1 away and grows it back — the reactivating CAS, or the
 // store and then the token — at any time. A token carries the number of
@@ -67,10 +67,10 @@ const (
 	smDone    = smBaton + 13
 )
 
-// smScan is the order a signalWork scans the two workers in, per rotation
-// of wakeRR. A scan's step is smBaton+1 + 6*rotation + 3*position + sub,
-// where sub is the load of the worker's sleep number (0), of its status
-// (1), and the token (2).
+// smScan is the order a signalWork scans the two workers in, per start:
+// signalWork draws its start at random, so the model takes both. A scan's
+// step is smBaton+1 + 6*start + 3*position + sub, where sub is the load of
+// the worker's sleep number (0), of its status (1), and the token (2).
 var smScan = [2][2]int{{0, 1}, {1, 0}}
 
 // smTarget is the worker a signal at step pc is scanning.
@@ -143,7 +143,7 @@ func (s *smState) cas(w int, from, to uint32) bool {
 }
 
 // signal is one step of the signalWork of signaller j (smState.fresh); an
-// idle load that finds sleepers leads into either rotation.
+// idle load that finds sleepers leads into either start.
 func (m *statusModel) signal(s smState, j int) []smState {
 	pc := &s.prod
 	if j < 2 {

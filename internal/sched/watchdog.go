@@ -12,9 +12,12 @@
 // covers every submission at once: a stall is a property of a worker, not
 // of any particular submission, and the report carries the worker index.
 //
-// Progress is the per-worker progress counter, ticked on every loop
-// iteration and every task completion. Idle workers are exempt (waiting
-// for work is the healthy idle state, and the Dekker handshake in
+// Progress is motion: the counts Stats sums that a running worker moves
+// at every step — tasksRun at every flush, yields at every idle round,
+// stealAttempts at every steal — and the pool's discards, which a worker
+// makes without a count of its own (so while any worker discards, every
+// running worker reads as moving). Idle workers are exempt (waiting for
+// work is the healthy idle state, and the Dekker handshake in
 // lifecycle.go guarantees they cannot be waiting on lost work). What
 // remains — running and motionless — is either a worker frozen
 // mid-operation (the chaos scenario) or a single task running (or blocked
@@ -36,7 +39,12 @@ type StallReport struct {
 	Stalled time.Duration
 }
 
-// watchdog polls worker progress until endSession leaves its token
+// motion is what the stall check reads of w (the file comment).
+func (p *Pool) motion(w *Worker) int64 {
+	return w.tasksRun.Load() + w.yields.Load() + w.stealAttempts.Load() + p.dropped.Load() + p.cancelledN.Load()
+}
+
+// watchdog polls worker motion until endSession leaves its token
 // (Pool.dogCh), reporting stalls per the file comment. It is one of the
 // session's goroutines — startSession starts it when Config.StallTimeout > 0
 // and endSession joins it, like the workers.
@@ -56,7 +64,7 @@ func (p *Pool) watchdog() {
 	reported := make([]bool, n)
 	now := time.Now()
 	for i, w := range p.workers {
-		last[i] = w.progress.Load()
+		last[i] = p.motion(w)
 		since[i] = now
 	}
 	for {
@@ -66,7 +74,7 @@ func (p *Pool) watchdog() {
 		case now = <-ticker.C:
 		}
 		for i, w := range p.workers {
-			cur := w.progress.Load()
+			cur := p.motion(w)
 			// Only a running worker can stall: an idle one is waiting for
 			// work, a retired one is asleep until a grow wakes it, and a
 			// retiring worker may legitimately sit motionless at the
