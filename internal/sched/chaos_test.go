@@ -587,6 +587,82 @@ func TestChaosParkWindowVisibleToSignal(t *testing.T) {
 	}
 }
 
+// signalWork starts its scan at random, so a burst's two signals can both
+// find one worker idle, and only that worker's pass-on (loop) wakes the
+// other. Each trial holds one worker in its park before the re-check and
+// the other, its re-check passed, before its sleep, and submits two plugs,
+// each of which blocks until both run. A trial in which both signals went
+// to the first worker — whose park then ends on its re-check, not on a
+// wake — must still run both plugs: the second must not wait in the
+// injector while the other worker sleeps. Trials repeat until one has that
+// draw, a quarter of them.
+func TestChaosBurstOnOneParkWakesBoth(t *testing.T) {
+	defer fault.Reset()
+	arm := func() {
+		fault.Enable(fpParkBeforeRecheck, fault.Rule{Action: fault.ActionSuspend, OneShot: true})
+		fault.Enable(fpParkBeforeSleep, fault.Rule{Action: fault.ActionSuspend, OneShot: true})
+	}
+	arm() // before the workers start, so the first to park is held first
+	p := New(Config{Workers: 2})
+	stop := startServing(t, p)
+	var parks [2]int64 // each worker's, before the trial's parks
+	for trial, drawn := 0, false; !drawn; trial++ {
+		if trial == 64 {
+			t.Fatal("in 64 trials no burst sent both its signals to one worker")
+		}
+		waitFor(t, 10*time.Second, "a worker held before its re-check and one before its sleep", func() bool {
+			return fault.Suspended(fpParkBeforeRecheck) == 1 && fault.Suspended(fpParkBeforeSleep) == 1
+		})
+		sleeper := p.workers[0] // the one past its re-check: its park counted
+		if sleeper.parks.Load() == parks[0] {
+			sleeper = p.workers[1]
+		}
+		select {
+		case <-sleeper.sleep.ch: // a token an earlier trial sent it
+		default:
+		}
+		var running atomic.Int32
+		release := make(chan struct{})
+		plug := func(*Worker) {
+			running.Add(1)
+			<-release
+		}
+		hs := make([]*Handle, 2)
+		for i := range hs {
+			h, err := p.Submit(plug)
+			if err != nil {
+				t.Fatalf("Submit: %v", err)
+			}
+			hs[i] = h
+		}
+		drawn = len(sleeper.sleep.ch) == 0
+		fault.Resume(fpParkBeforeSleep)
+		fault.Resume(fpParkBeforeRecheck)
+		for deadline := time.Now().Add(10 * time.Second); running.Load() < 2 && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		both := running.Load() == 2
+		if both && !drawn {
+			for i, w := range p.workers {
+				parks[i] = w.parks.Load()
+			}
+			arm() // both workers run a plug: neither is in a park
+		}
+		close(release)
+		for _, h := range hs {
+			if err := h.Wait(); err != nil {
+				t.Fatalf("plug Wait: %v", err)
+			}
+		}
+		if !both {
+			t.Fatalf("trial %d (both signals to one worker: %v): the second plug waited while a worker slept", trial, drawn)
+		}
+	}
+	if err := stop(); err == nil {
+		t.Fatal("Serve returned nil after cancellation")
+	}
+}
+
 // BenchmarkChaosSuspendedWorkers sweeps throughput against the number of
 // worker goroutines frozen at the loop-level steal point: the quantitative
 // form of the non-blocking claim (k frozen workers cost at most their k
@@ -676,6 +752,7 @@ func TestChaosKernelAdversary(t *testing.T) {
 		"sched.resize.beforeRetire",
 		"sched.resize.beforeHandoff",
 		"sched.loop.beforeSteal",
+		"sched.park.beforeRecheck",
 		"sched.park.beforeSleep",
 		"sched.spawn.beforePublish",
 	}

@@ -20,10 +20,11 @@ func syncOps() [3]int64 {
 // A whole run on two workers, whose steals and parks are the schedule's:
 // Join2 fib(22)'s fences, idle rounds left out, stay within the table's
 // same run on one worker, its empty Run for the second worker's session,
-// and, a steal or a park, the table's stolen private fork (a request, an
-// exposure, two steals, the thief's wake and park) and one park-and-wake
-// round more (the victim's join may block). Up to 70 fences a steal were
-// measured, over 2 000 windows on two CPUs. A signal that wakes nobody
+// and what a steal or a park adds. A steal here takes a private fork on
+// request, which the table prices whole — a request, an exposure, two
+// steals, the thief's wake and park — and the victim's join of it may
+// block: one park-and-wake round more. A steal measured 27 to 69 fences,
+// median 53, over 300 windows on two CPUs. A signal that wakes nobody
 // costs what a Spawn on one worker does, which the first term holds: it
 // writes no word of its own (signalWork). runMu's Lock and Unlock are
 // uncounted.

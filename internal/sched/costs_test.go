@@ -71,7 +71,7 @@ type costRow struct {
 	cfg                      Config
 	prep, do                 func(e *costEnv) // prep may be nil
 	steals                   int64            // each window's; -1: the schedule's
-	idle                     bool             // leave out the idle rounds, whose number is the scheduler's: a yield's count each, and on two workers a steal attempt's
+	idle                     bool             // leave out the idle rounds, one RMW each (the yield's count), whose number is the scheduler's
 	free                     int              // the columns the schedule decides, a bit each: not golden
 	by                       string           // the test that measures the row, if not TestCostTable
 }
@@ -133,7 +133,7 @@ func (row costRow) measure(e *costEnv) (c cost) {
 			}
 			if row.idle && countingBuild {
 				idle := after.Yields - s.Yields
-				d[colRMWs] -= idle * int64(min(row.workers, 2))
+				d[colRMWs] -= idle
 				d[colLoads] -= idleRoundLoads * idle
 			}
 			for j := range c {

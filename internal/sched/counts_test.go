@@ -229,9 +229,9 @@ func TestCountsLongCallRecursionNoStall(t *testing.T) {
 
 // Every step a running worker takes moves what the stall check reads
 // (motion): an exec's flush, a popped-back call's flush, a yield, a steal
-// attempt and a discard. The other worker is frozen at its loop's entry,
-// so nothing but the step moves the counts; its first round, once let go,
-// is held just after its yield.
+// attempt and a discard — the worker's own, not another's. The other
+// worker is frozen at its loop's entry, so nothing but the step moves the
+// counts; its first round, once let go, is held just after its yield.
 func TestWatchdogMotion(t *testing.T) {
 	defer fault.Reset()
 	p := New(Config{Workers: 2})
@@ -255,6 +255,10 @@ func TestWatchdogMotion(t *testing.T) {
 		})
 		step("a steal attempt", w, func() { w.stealOnce() })
 		step("a discard", w, func() { w.discard(runCancelled) })
+		before := p.motion(other)
+		if w.discard(runPanicked); p.motion(other) != before {
+			t.Error("a discard moved another worker's stall check counts")
+		}
 		step("a yield", other, func() {
 			fault.Enable(fpLoopBeforeSteal, fault.Rule{Action: fault.ActionSuspend, OneShot: true})
 			fault.Resume(fpLoopEnter)

@@ -56,7 +56,7 @@ func (w *Worker) loop() {
 	defer w.pool.wg.Done()
 	defer w.recoverLoopPanic()
 	fault.Point(fpLoopEnter)
-	fails, ticks, woken := 0, 0, false
+	fails, ticks, parked := 0, 0, false
 	for w.pool.phase.Load() != phaseStopping {
 		// The shrink safe point (resize.go): a worker marked retiring
 		// re-publishes its deque through the injector and retires, and a
@@ -99,19 +99,19 @@ func (w *Worker) loop() {
 			t, stolen = w.stealOnce(), true
 		}
 		if t != nil {
-			if fails = 0; woken && w.anyVisibleWork() {
-				// A woken worker passes a wake on while work is left: each
-				// signal of a burst may have found it idle, leaving its park.
+			if fails = 0; parked && w.anyVisibleWork() {
+				// Back from a park, pass a wake on while work is left: each
+				// signal of a burst may have found this worker idle.
 				w.pool.signalWork()
 			}
-			woken = false
+			parked = false
 			w.execOrDrop(t, stolen)
 			continue
 		}
-		// Hot rounds, then a park; a park that did not end on a work
-		// signal parks again at the next failed round.
+		// Hot rounds, then a park; the loop top acts on a retire mark that
+		// refused one.
 		if fails++; fails >= w.pool.cfg.ParkThreshold && w.park() {
-			fails, woken = 0, true
+			fails, parked = 0, true
 		}
 	}
 }
@@ -132,16 +132,14 @@ func (w *Worker) recoverLoopPanic() {
 	}
 }
 
-// park blocks the worker until signalled and reports whether it was woken
-// by a work signal: number the sleep, publish the idle status and count,
-// re-check for work, and only then sleep. The handshake directive makes
-// abplint verify that ordering: the status CAS must dominate the
-// anyVisibleWork re-scan, and every access to the word must be atomic. The
-// entry CAS fails only against a retire mark: a marked worker does not fall
-// asleep, its loop retires it. A token not the sleep's own ends it only if
-// the re-check finds the session's end, a retire mark or work. The exit CAS
-// fails only against a mark set during the sleep: that sleep ends as a wake
-// does, at the loop top, which acts on the mark.
+// park blocks the worker until signalled: number the sleep, publish the
+// idle status and count, re-check for work, and only then sleep. It reports
+// whether the worker published its status, which signals may have found,
+// and took it back. The handshake directive makes abplint verify that
+// ordering: the status CAS must dominate the anyVisibleWork re-scan, and
+// every access to the word must be atomic. Both CASes fail only against a
+// retire mark, which the loop top acts on. A token not the sleep's own ends
+// it only if the re-check finds the session's end, a retire mark or work.
 //
 //abp:handshake store=status load=anyVisibleWork
 func (w *Worker) park() bool {
@@ -151,7 +149,7 @@ func (w *Worker) park() bool {
 		return false
 	}
 	p.idle.Add(1)
-	woke := false
+	fault.Point(fpParkBeforeRecheck)
 	if p.phase.Load() != phaseStopping && !w.anyVisibleWork() {
 		w.parks.Add(1)
 		// The chaos window: status and count are published and the re-check
@@ -160,17 +158,15 @@ func (w *Worker) park() bool {
 		// arriving now must find the worker signallable, and a shutdown
 		// must still wake it.
 		fault.Point(fpParkBeforeSleep)
-		if woke = w.sleep.wait(n, nil, func() bool {
+		if w.sleep.wait(n, nil, func() bool {
 			return p.phase.Load() == phaseStopping || w.status.Load() != workerIdle || w.anyVisibleWork()
-		}); woke {
+		}) {
 			w.wakes.Add(1)
 		}
 	}
-	if !w.status.CompareAndSwap(workerIdle, workerRunning) {
-		woke = true
-	}
+	back := w.status.CompareAndSwap(workerIdle, workerRunning)
 	p.idle.Add(-1)
-	return woke
+	return back
 }
 
 // signalWork wakes one idle worker, if any. The caller must already have
@@ -181,9 +177,8 @@ func (w *Worker) park() bool {
 // start always wakes the lowest-indexed parked worker, so under a trickle
 // of submissions worker 0 absorbs every wake while the rest of the fleet
 // sleeps cold (stale deque affinity, cold stacks). The runtime's
-// per-thread random source spreads wakes across the fleet with no shared
-// word to write, so a signal costs no fence of its own; no fairness
-// guarantee is needed beyond breaking the fixed bias.
+// per-thread random source spreads wakes with no shared word to write; no
+// fairness guarantee is needed beyond breaking the fixed bias.
 //
 //abp:nonblocking
 func (p *Pool) signalWork() {

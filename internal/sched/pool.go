@@ -74,6 +74,8 @@ var (
 		"stealOnce: victim chosen, PopTop not yet issued (any steal, including Join helps)")
 	fpExecBeforeRun = fault.Register("sched.exec.beforeRun",
 		"exec: termination accounting armed, task function not yet entered")
+	fpParkBeforeRecheck = fault.Register("sched.park.beforeRecheck",
+		"park: idle status and count published, the re-check for work not yet made")
 	fpParkBeforeSleep = fault.Register("sched.park.beforeSleep",
 		"park: idle status published and re-check passed, not yet blocked on the token channel")
 	fpRunAfterClaim = fault.Register("sched.run.afterClaim",
@@ -194,8 +196,8 @@ type Pool struct {
 	// state words (CAS'd, sc) carry the retire arbitration.
 	fleet      atomicx.Publish32
 	_          atomicx.CacheLinePad
-	dropped    atomicx.Publish64 // tasks discarded after a panic-aborted submission
-	cancelledN atomicx.Publish64 // tasks discarded by a cancelled/stopped submission
+	dropped    atomicx.Publish64 // tasks the sweep discarded after a panic-aborted submission
+	cancelledN atomicx.Publish64 // tasks the sweep discarded of a cancelled/stopped submission
 	stalls     atomicx.Publish64 // stall episodes surfaced by the watchdog
 	resizes    atomicx.Publish64 // Resize calls that changed the fleet target
 	retiredN   atomicx.Publish64 // workers that completed retirement (resize.go)
@@ -333,20 +335,21 @@ type Worker struct {
 	nScopes int32
 	scopes  [maxFreeRecords]*scope
 
-	// Per-worker counters, summed by Pool.Stats; three are also the stall
+	// Per-worker counters, summed by Pool.Stats; five are also the stall
 	// watchdog's motion (watchdog.go). Atomics so Stats is safe to call
 	// while the run is in flight. The Publish-declared ones are owner-only
 	// blind increments; the SC-declared ones are updated inside
 	// //abp:handshake carrier functions (spawn, park), which abporder pins
 	// to full ordering.
-	tasksRun      atomicx.Publish64
-	spawns        atomicx.Publish64
-	inlineRuns    atomicx.SCInt64
-	steals        atomicx.Publish64
-	stealAttempts atomicx.Publish64
-	yields        atomicx.Publish64
-	parks         atomicx.SCInt64
-	wakes         atomicx.SCInt64
+	tasksRun           atomicx.Publish64
+	spawns             atomicx.Publish64
+	inlineRuns         atomicx.SCInt64
+	steals             atomicx.Publish64
+	stealAttempts      atomicx.Publish64
+	yields             atomicx.Publish64
+	parks              atomicx.SCInt64
+	wakes              atomicx.SCInt64
+	dropped, cancelled atomicx.Publish64 // its discards (discard); the sweep's are the pool's
 
 	// status (the constants above) is park's half of the wake handshake
 	// (//abp:handshake store=status load=anyVisibleWork) and the word
@@ -702,6 +705,8 @@ func (p *Pool) Stats() Stats {
 		s.Yields += w.yields.Load()
 		s.Parks += w.parks.Load()
 		s.Wakes += w.wakes.Load()
+		s.TasksDropped += w.dropped.Load()
+		s.TasksCancelled += w.cancelled.Load()
 	}
 	return s
 }
@@ -765,11 +770,13 @@ func (w *Worker) execOrDrop(t *Task, stolen bool) (ran bool) {
 
 // discard counts a task that an abort, whose run state is st, keeps from
 // starting, under the counter the abort's cause selects.
+//
+//abp:owner the discard counters are written only by the goroutine running the worker
 func (w *Worker) discard(st int32) {
 	if st == runPanicked {
-		w.pool.dropped.Add(1)
+		w.dropped.Add(1)
 	} else {
-		w.pool.cancelledN.Add(1)
+		w.cancelled.Add(1)
 	}
 }
 

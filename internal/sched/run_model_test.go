@@ -258,21 +258,29 @@ func TestRunModelCatchesSwapBeforeState(t *testing.T) {
 // abort's tokens. Hold a cancelled submission's finisher between the state
 // and the word, at sched.run.beforeWake: the state reads aborted, the
 // Handle has not ended, and the worker running the root, blocked in it
-// outside any sleep, has no token yet.
+// outside any sleep, has no token yet. The root first drops a token the
+// Submit's own signal may have left it: that signal can find the worker
+// still idle on its way out of its park, and nothing drains the channel.
 func TestRunFinishStoresStateBeforeWake(t *testing.T) {
 	defer fault.Reset()
 	p := New(Config{Workers: 2})
 	stop := startServing(t, p)
 	ctx, cancel := context.WithCancel(context.Background())
 	var on atomic.Pointer[Worker]
-	release := make(chan struct{})
+	submitted, release := make(chan struct{}), make(chan struct{})
 	h, err := p.SubmitContext(ctx, func(w *Worker) {
+		<-submitted
+		select {
+		case <-w.sleep.ch:
+		default:
+		}
 		on.Store(w)
 		<-release
 	})
 	if err != nil {
 		t.Fatalf("SubmitContext: %v", err)
 	}
+	close(submitted)
 	waitFor(t, 10*time.Second, "the root to start", func() bool { return on.Load() != nil })
 	r := on.Load().currentRun()
 	fault.Enable(fpRunBeforeWake, fault.Rule{Action: fault.ActionSuspend, OneShot: true})

@@ -14,18 +14,16 @@
 //
 // Progress is motion: the counts Stats sums that a running worker moves
 // at every step — tasksRun at every flush, yields at every idle round,
-// stealAttempts at every steal — and the pool's discards, which a worker
-// makes without a count of its own (so while any worker discards, every
-// running worker reads as moving). Idle workers are exempt (waiting for
-// work is the healthy idle state, and the Dekker handshake in
-// lifecycle.go guarantees they cannot be waiting on lost work). What
-// remains — running and motionless — is either a worker frozen
-// mid-operation (the chaos scenario) or a single task running (or blocked
-// in a Join) longer than the window; both are exactly what an operator
-// wants surfaced. Detection is intentionally report-only: the watchdog
-// never kills or unwinds anything, it increments Stats.StallsDetected and
-// invokes Config.OnStall once per stall episode (re-arming when the worker
-// makes progress again).
+// stealAttempts at every steal, dropped and cancelled at every discard.
+// Idle workers are exempt (waiting for work is the healthy idle state, and
+// the Dekker handshake in lifecycle.go guarantees they cannot be waiting
+// on lost work). What remains — running and motionless — is either a
+// worker frozen mid-operation (the chaos scenario) or a single task
+// running (or blocked in a Join) longer than the window; both are exactly
+// what an operator wants surfaced. Detection is intentionally report-only:
+// the watchdog never kills or unwinds anything, it increments
+// Stats.StallsDetected and invokes Config.OnStall once per stall episode
+// (re-arming when the worker makes progress again).
 package sched
 
 import "time"
@@ -41,7 +39,7 @@ type StallReport struct {
 
 // motion is what the stall check reads of w (the file comment).
 func (p *Pool) motion(w *Worker) int64 {
-	return w.tasksRun.Load() + w.yields.Load() + w.stealAttempts.Load() + p.dropped.Load() + p.cancelledN.Load()
+	return w.tasksRun.Load() + w.yields.Load() + w.stealAttempts.Load() + w.dropped.Load() + w.cancelled.Load()
 }
 
 // watchdog polls worker motion until endSession leaves its token
