@@ -1,10 +1,11 @@
 // Command abpmutate measures which guard catches which bug. It applies each
 // seeded mutation of mutations.json (a file, an old text, its new text and
 // the invariant the change breaks) to a scratch copy of the module and runs
-// every guard on its own: each analyzer of abplint, each protocol model,
-// the chaos -race steps of CI, the layout pins, the cost table under
-// -tags abpsync and the rest of go test ./internal/... . A guard that fails
-// runs a second time, and it catches the mutation only if both runs fail.
+// every guard on its own: each analyzer of abplint, each protocol model
+// (the Test<Name>Model tests of internal/sched), the chaos -race steps of
+// CI, the layout pins, the cost table under -tags abpsync and the rest of
+// go test ./internal/... . A guard that fails runs a second time, and it
+// catches the mutation only if both runs fail.
 // The unmutated tree is the first row, run twice through every guard, and
 // every guard must pass it. The output is the mutation × guard matrix in
 // Markdown: x a catch, ~ one failure of two, . a pass, and a row of B for
@@ -24,6 +25,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 )
 
@@ -45,7 +47,9 @@ func guards() []guard {
 	for _, a := range []string{"owner", "cas", "handshake", "mustcheck", "abprace", "abporder", "abpwait"} {
 		gs = append(gs, guard{a, [][]string{{".", "bin/abplint", "-only", a, "./..."}}})
 	}
-	for _, m := range []string{"Future", "Group", "Phase", "Run", "Scope", "Sleep", "Status"} {
+	models, err := modelNames()
+	check(err)
+	for _, m := range models {
 		gs = append(gs, guard{"model:" + m, [][]string{{sched, "bin/sched.test", "-test.run", "^Test" + m + "Model", "-test.timeout", "120s"}}})
 	}
 	chaos, err := chaosSteps()
@@ -57,6 +61,32 @@ func guards() []guard {
 		guard{"rest", [][]string{{".", "go", "test", "-count=1", "-timeout", "90s", "-skip", "Test[A-Za-z]*Model|LayoutPins|CacheLinePadPins", "./internal/..."}}},
 	)
 }
+
+// modelNames returns the protocol models of internal/sched, each the Name
+// of its Test<Name>Model tests, in order.
+func modelNames() (names []string, err error) {
+	files, err := filepath.Glob("internal/sched/*_test.go")
+	seen := map[string]bool{}
+	for _, f := range files {
+		b, err := os.ReadFile(f)
+		if err != nil {
+			return nil, err
+		}
+		for _, m := range modelTest.FindAllSubmatch(b, -1) {
+			if n := string(m[1]); !seen[n] {
+				seen[n] = true
+				names = append(names, n)
+			}
+		}
+	}
+	sort.Strings(names)
+	if err == nil && names == nil {
+		err = fmt.Errorf("internal/sched has no Test<Name>Model test")
+	}
+	return names, err
+}
+
+var modelTest = regexp.MustCompile(`(?m)^func Test([A-Z][a-z]+)Model[A-Za-z]*\(`)
 
 // chaosSteps returns CI's chaos steps, its workflow's go test -race
 // -count=20 lines, as they are written there.

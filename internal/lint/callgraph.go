@@ -343,9 +343,30 @@ func (g *callGraph) ownerRoots() []*funcNode {
 // starting from //abp:owner declarations, ownership extends
 // along static and defer edges (same goroutine) but never along go edges
 // (a new goroutine is by definition not the single owner) and never to a
-// literal that merely escapes as a value (no edge exists for those).
+// literal that merely escapes as a value (no edge exists for those). A
+// function some caller outside the closure also reaches — by any edge, or
+// one inside it by a go edge — is not owned: it runs on that caller's
+// goroutine too. Dropping it may drop its callees in turn, so the rule
+// iterates to a fixed point.
 func (g *callGraph) ownedNodes() map[*funcNode]bool {
-	return g.reachable(g.ownerRoots(), func(k callKind) bool { return k != callGo })
+	roots := g.ownerRoots()
+	owned := g.reachable(roots, func(k callKind) bool { return k != callGo })
+	root := map[*funcNode]bool{}
+	for _, r := range roots {
+		root[r] = true
+	}
+	for changed := true; changed; {
+		changed = false
+		for from, edges := range g.edges {
+			for _, e := range edges {
+				if owned[e.to] && !root[e.to] && (!owned[from] || e.kind == callGo) {
+					delete(owned, e.to)
+					changed = true
+				}
+			}
+		}
+	}
+	return owned
 }
 
 // isCASShaped reports whether fn is a compare-and-swap-shaped or

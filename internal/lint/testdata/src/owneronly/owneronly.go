@@ -1,6 +1,7 @@
 // Package owneronly is the analysistest fixture for the owneronly
 // analyzer: PushBottom/PopBottom references must sit in a function that is
-// annotated //abp:owner or statically reachable from one.
+// annotated //abp:owner, or statically reachable from one and from no
+// caller outside that closure.
 package owneronly
 
 type deque struct{ items []*int }
@@ -78,7 +79,32 @@ func inline(d *deque) {
 	fn()
 }
 
+// ring is a submission queue any goroutine may push to.
+type ring struct{ items []*int }
+
+func (r *ring) TryPush(v *int) bool { return len(r.items) < 0 }
+
+// offer is the injector's push, written once for a submitting goroutine
+// (submit) and for a worker handing its tasks on (retire, an owner root):
+// reachable from an owner, but a caller outside the closure reaches it
+// too, so its overflow onto a worker's deque is a violation (E40's
+// owner-offer-overflow).
+func offer(r *ring, d *deque, v *int) bool {
+	return r.TryPush(v) || d.PushBottom(v) // want `PushBottom called outside an owner context`
+}
+
+func submit(r *ring, d *deque) bool { return offer(r, d, new(int)) }
+
+//abp:owner
+func retire(r *ring, d *deque) {
+	for v := d.PopBottom(); v != nil; v = d.PopBottom() { // accepted: annotated owner root
+		offer(r, d, v)
+	}
+}
+
 var _ = run
 var _ = rogue
 var _ = spawner
 var _ = inline
+var _ = submit
+var _ = retire

@@ -3,11 +3,13 @@ package sched
 import (
 	"fmt"
 	"testing"
+
+	"worksteal/internal/modelcheck"
 )
 
 // This file model-checks the completion word of a recycled Future
-// (future.go) by exhaustive interleaving enumeration (the explorer of
-// model_test.go): one record lives through two generations — forked,
+// (future.go) by exhaustive interleaving enumeration
+// (internal/modelcheck): one record lives through two generations — forked,
 // joined and freed by its owner, forked again — and every atomic operation
 // of the real protocol is one step of one party. Each generation's task
 // sits in a one-item deque until one CAS decides its fate: a thief — the
@@ -569,12 +571,12 @@ func (m *futureModel) completerStep(s fmState, g int8) ([]fmState, error) {
 	return []fmState{s}, nil
 }
 
-// explorer searches over the parties: 0 the joiner, g generation g's
+// model searches over the parties: 0 the joiner, g generation g's
 // completer, and on the token path the first generation's abort.
-func (m *futureModel) explorer() *explorer[fmState] {
-	return &explorer[fmState]{
-		actors: fmGens + 2,
-		step: func(s fmState, party int) ([]fmState, error) {
+func (m *futureModel) model() modelcheck.Model[fmState] {
+	return modelcheck.Model[fmState]{
+		Actors: fmGens + 2,
+		Step: func(s fmState, party int) ([]fmState, error) {
 			switch {
 			case party == 0:
 				return m.joinerStep(s)
@@ -583,7 +585,7 @@ func (m *futureModel) explorer() *explorer[fmState] {
 			}
 			return m.completerStep(s, int8(party))
 		},
-		final: func(s fmState) error {
+		Final: func(s fmState) error {
 			if s.jpc != fjFinished {
 				return fmt.Errorf("generation %d's joiner is left at step %d with nothing to wake it", s.gen, s.jpc)
 			}
@@ -602,7 +604,7 @@ func (m *futureModel) explorer() *explorer[fmState] {
 
 func TestFutureModelExhaustive(t *testing.T) {
 	m := &futureModel{}
-	m.explorer().verify(t, m.initial())
+	m.model().Verify(t, m.initial(), 171, 8)
 	if m.blocks == 0 || m.lostInstalls == 0 || m.neverWaited == 0 || m.poppedBack == 0 || m.stolen == 0 {
 		t.Fatalf("the search reached %d blocked joins, %d installs lost to the Swap, %d joins that never waited, %d tasks popped back and %d stolen; want some of each",
 			m.blocks, m.lostInstalls, m.neverWaited, m.poppedBack, m.stolen)
@@ -614,7 +616,7 @@ func TestFutureModelExhaustive(t *testing.T) {
 // next fork's join.
 func TestFutureModelToken(t *testing.T) {
 	m := &futureModel{token: true}
-	m.explorer().verify(t, m.initial())
+	m.model().Verify(t, m.initial(), 1815, 24)
 	if m.blocks == 0 || m.lostInstalls == 0 || m.neverWaited == 0 || m.staleWakes == 0 || m.unwound == 0 || m.discarded == 0 {
 		t.Fatalf("the search reached %d blocked joins, %d installs lost to the Swap, %d joins that never waited, %d early wakes, %d unwound joins and %d discarded tasks; want some of each",
 			m.blocks, m.lostInstalls, m.neverWaited, m.staleWakes, m.unwound, m.discarded)
@@ -626,7 +628,7 @@ func TestFutureModelToken(t *testing.T) {
 // help read the run live, and then sleep on a fork its thief discards.
 func TestFutureModelCatchesDrainBeforeInstall(t *testing.T) {
 	m := &futureModel{token: true, drainEarly: true}
-	m.explorer().refute(t, m.initial())
+	m.model().Refute(t, m.initial())
 }
 
 // The lazy path: each generation is forked into the joiner's private
@@ -636,7 +638,7 @@ func TestFutureModelCatchesDrainBeforeInstall(t *testing.T) {
 // private fork popped back is called with nothing to fold.
 func TestFutureModelLazy(t *testing.T) {
 	m := &futureModel{lazy: true}
-	m.explorer().verify(t, m.initial())
+	m.model().Verify(t, m.initial(), 1296, 28)
 	if m.privateCalls == 0 || m.exposed == 0 || m.stolen == 0 || m.blocks == 0 || m.poppedBack == m.privateCalls {
 		t.Fatalf("the search reached %d private calls, %d exposures, %d steals, %d blocked joins and %d public calls; want some of each",
 			m.privateCalls, m.exposed, m.stolen, m.blocks, m.poppedBack-m.privateCalls)
@@ -647,7 +649,7 @@ func TestFutureModelLazy(t *testing.T) {
 // counted releases the joiner's scope once too often.
 func TestFutureModelCatchesFoldedPrivateCall(t *testing.T) {
 	m := &futureModel{lazy: true, foldPrivate: true}
-	m.explorer().refute(t, m.initial())
+	m.model().Refute(t, m.initial())
 }
 
 // The token path's control: a joiner that drains after its install may
@@ -655,7 +657,7 @@ func TestFutureModelCatchesFoldedPrivateCall(t *testing.T) {
 // its future complete and nothing left to wake it.
 func TestFutureModelCatchesDrainAfterInstall(t *testing.T) {
 	m := &futureModel{token: true, drainLate: true}
-	m.explorer().refute(t, m.initial())
+	m.model().Refute(t, m.initial())
 }
 
 // The negative control: with completion on two words, the completer loads
@@ -666,7 +668,7 @@ func TestFutureModelCatchesDrainAfterInstall(t *testing.T) {
 func TestFutureModelCatchesTwoWordCompletion(t *testing.T) {
 	for _, ignoreLate := range []bool{false, true} {
 		m := &futureModel{twoWord: true, ignoreLate: ignoreLate}
-		m.explorer().refute(t, m.initial())
+		m.model().Refute(t, m.initial())
 	}
 }
 
@@ -676,5 +678,5 @@ func TestFutureModelCatchesTwoWordCompletion(t *testing.T) {
 // the stale doneWait for its own completion and read the stale result.
 func TestFutureModelCatchesUnresetRelist(t *testing.T) {
 	m := &futureModel{unreset: true}
-	m.explorer().refute(t, m.initial())
+	m.model().Refute(t, m.initial())
 }

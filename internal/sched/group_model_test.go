@@ -3,10 +3,12 @@ package sched
 import (
 	"fmt"
 	"testing"
+
+	"worksteal/internal/modelcheck"
 )
 
 // This file model-checks a Group's wait (group.go: groupRec's done and
-// block, Group.Wait) on the explorer of model_test.go, over a recycled
+// block, Group.Wait) on internal/modelcheck, over a recycled
 // record. Two generations run on one record: the first is group A's — two
 // members, and A's Wait, which ends the generation and puts the record on
 // its worker's list — and the second is group B's, whose first Spawn takes
@@ -200,11 +202,11 @@ func (m *groupModel) memberStep(s gmState, d int) ([]gmState, error) {
 	return []gmState{s}, nil
 }
 
-// explorer searches over the parties: 0 the waiter, d+1 member d.
-func (m *groupModel) explorer() *explorer[gmState] {
-	return &explorer[gmState]{
-		actors: gmMembers + 1,
-		step: func(s gmState, a int) ([]gmState, error) {
+// model searches over the parties: 0 the waiter, d+1 member d.
+func (m *groupModel) model() modelcheck.Model[gmState] {
+	return modelcheck.Model[gmState]{
+		Actors: gmMembers + 1,
+		Step: func(s gmState, a int) ([]gmState, error) {
 			var next []gmState
 			var err error
 			if a == 0 {
@@ -219,7 +221,7 @@ func (m *groupModel) explorer() *explorer[gmState] {
 			}
 			return next, err
 		},
-		final: func(s gmState) error {
+		Final: func(s gmState) error {
 			if s.wpc != gwFinished {
 				return fmt.Errorf("the waiter is left at step %d of generation %d with pending %d and nobody to wake it: %+v", s.wpc, s.gen, s.pending, s)
 			}
@@ -230,7 +232,7 @@ func (m *groupModel) explorer() *explorer[gmState] {
 
 func TestGroupModelExhaustive(t *testing.T) {
 	m := &groupModel{}
-	m.explorer().verify(t, m.initial())
+	m.model().Verify(t, m.initial(), 2265, 97)
 	if m.wakes == 0 || m.earlyWakes == 0 || m.looks == 0 || m.lateTakes == 0 || m.dropped == 0 {
 		t.Fatalf("the search reached %d wakes, %d of them early, %d looks on another sleep's token, %d takes delayed into the next generation and %d dropped tokens; want some of each",
 			m.wakes, m.earlyWakes, m.looks, m.lateTakes, m.dropped)
@@ -241,7 +243,7 @@ func TestGroupModelExhaustive(t *testing.T) {
 // install sleeps through a done that loaded the slot empty.
 func TestGroupModelCatchesBlockWithoutRecheck(t *testing.T) {
 	m := &groupModel{noRecheck: true}
-	m.explorer().refute(t, m.initial())
+	m.model().Refute(t, m.initial())
 }
 
 // A sleep that looks only at pending on another sleep's token sleeps on
@@ -249,19 +251,19 @@ func TestGroupModelCatchesBlockWithoutRecheck(t *testing.T) {
 // finds the slot empty, and nothing wakes B.
 func TestGroupModelCatchesLookWithoutSlot(t *testing.T) {
 	m := &groupModel{staySlotless: true}
-	m.explorer().refute(t, m.initial())
+	m.model().Refute(t, m.initial())
 }
 
 // A Wait that lists the record as soon as its sleep ends lists B's record
 // with B's member pending when A's late done wakes B's sleep.
 func TestGroupModelCatchesFreeOnWake(t *testing.T) {
 	m := &groupModel{earlyFree: true}
-	m.explorer().refute(t, m.initial())
+	m.model().Refute(t, m.initial())
 }
 
 // A waiter that leaves its worker in the slot lets A's late done take A's
 // install with the number of B's sleep, and wake B through a slot A left.
 func TestGroupModelCatchesNoTakeBack(t *testing.T) {
 	m := &groupModel{noTakeBack: true}
-	m.explorer().refute(t, m.initial())
+	m.model().Refute(t, m.initial())
 }

@@ -3,11 +3,13 @@ package sched
 import (
 	"fmt"
 	"testing"
+
+	"worksteal/internal/modelcheck"
 )
 
 // This file model-checks the session phase word (pool.go, serve.go,
-// drain.go) and the holds of the run record on the explorer of
-// model_test.go. The actors: a Submit (gate load, register, push, re-load,
+// drain.go) and the holds of the run record on internal/modelcheck.
+// The actors: a Submit (gate load, register, push, re-load,
 // let go); two Drains (the CAS with the look at the registry and the read
 // of the session's number — one critical section, as in Drain — then the
 // wait for the run it saw there to end, which its deadline may cut short at
@@ -338,8 +340,8 @@ func (m *phaseModel) step(s pmState, a int) ([]pmState, error) {
 	return []pmState{s}, err
 }
 
-func (m *phaseModel) explorer() *explorer[pmState] {
-	return &explorer[pmState]{actors: 7, step: m.step, final: func(s pmState) error {
+func (m *phaseModel) model() modelcheck.Model[pmState] {
+	return modelcheck.Model[pmState]{Actors: 7, Step: m.step, Final: func(s pmState) error {
 		if s.handle && s.out == pmLive {
 			return fmt.Errorf("quiescent with the returned handle unfinished")
 		}
@@ -355,7 +357,7 @@ func (m *phaseModel) explorer() *explorer[pmState] {
 
 func TestPhaseModelExhaustive(t *testing.T) {
 	m := &phaseModel{}
-	m.explorer().verify(t, pmState{})
+	m.model().Verify(t, pmState{}, 43954, 359)
 	if m.accepted == 0 || m.selfRejected == 0 || m.lateAccepted == 0 || m.won == 0 || m.lost == 0 || m.okDrains == 0 ||
 		m.stoppedDrains == 0 || m.sweepAborts == 0 || m.cancelAborts == 0 || m.reuses == 0 || m.staleStops == 0 {
 		t.Fatalf("the search covered %+v; want some of each", *m)
@@ -366,45 +368,45 @@ func TestPhaseModelExhaustive(t *testing.T) {
 // The negative control: without the post-push re-load, a Submit whose gate
 // read serving returns its handle whatever a Drain or a stop did since.
 func TestPhaseModelCatchesMissingRecheck(t *testing.T) {
-	(&phaseModel{noReload: true}).explorer().refute(t, pmState{})
+	(&phaseModel{noReload: true}).model().Refute(t, pmState{})
 }
 
 // The negative control of the order in SubmitContext: armed before it is
 // registered, a run whose context cancels in between is finished — its
 // unregister finds nothing — and then registered for good.
 func TestPhaseModelCatchesArmBeforeRegister(t *testing.T) {
-	(&phaseModel{armFirst: true}).explorer().refute(t, pmState{})
+	(&phaseModel{armFirst: true}).model().Refute(t, pmState{})
 }
 
 // The negative control of the read in Drain's wait: a Drain that takes the
 // end of the run it waited for as its completion reports success over a
 // handle the stop aborted.
 func TestPhaseModelCatchesDrainOverAbort(t *testing.T) {
-	(&phaseModel{noOutcomeRead: true}).explorer().refute(t, pmState{})
+	(&phaseModel{noOutcomeRead: true}).model().Refute(t, pmState{})
 }
 
 // The negative control of the draining branch's outcome: a Submit that
 // reads draining after a worker has completed its run still reports
 // ErrDraining, for a submission that ran.
 func TestPhaseModelCatchesRejectOfCompletedRun(t *testing.T) {
-	(&phaseModel{rejectCompleted: true}).explorer().refute(t, pmState{})
+	(&phaseModel{rejectCompleted: true}).model().Refute(t, pmState{})
 }
 
 // The negative control of the submitter's hold: let go at the push, the
 // record may be completed and recycled before the re-load's finish.
 func TestPhaseModelCatchesLetAtPush(t *testing.T) {
-	(&phaseModel{letAtPush: true}).explorer().refute(t, pmState{})
+	(&phaseModel{letAtPush: true}).model().Refute(t, pmState{})
 }
 
 // The negative control of the looks' holds: a run a look found may be
 // completed and let go before the look's finish or its read of the outcome.
 func TestPhaseModelCatchesLookWithoutHold(t *testing.T) {
-	(&phaseModel{lookWithoutHold: true}).explorer().refute(t, pmState{})
+	(&phaseModel{lookWithoutHold: true}).model().Refute(t, pmState{})
 }
 
 // The negative control of the session's number: a Drain whose stop names no
 // session, held up until its own session has ended and the next has
 // started, stops that one.
 func TestPhaseModelCatchesStaleDrainStop(t *testing.T) {
-	(&phaseModel{noGen: true}).explorer().refute(t, pmState{})
+	(&phaseModel{noGen: true}).model().Refute(t, pmState{})
 }

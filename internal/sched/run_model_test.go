@@ -9,10 +9,11 @@ import (
 	"time"
 
 	"worksteal/internal/fault"
+	"worksteal/internal/modelcheck"
 )
 
 // This file model-checks how a run record ends (serve.go: finish, outcome;
-// pool.go: help) on the explorer of model_test.go, with the completion
+// pool.go: help) on internal/modelcheck, with the completion
 // word's steps of future_model_test.go (mWord). The actors: a joiner of the
 // submission, about to sleep on its worker's sleep (lifecycle.go) for a
 // future that may or may not arrive; a Handle waiter, on the Handle's word;
@@ -217,16 +218,16 @@ func (m *runModel) finisherStep(s rmState, a int) ([]rmState, error) {
 	return []rmState{s}, nil
 }
 
-func (m *runModel) explorer() *explorer[rmState] {
-	return &explorer[rmState]{
-		actors: rmActors,
-		step: func(s rmState, a int) ([]rmState, error) {
+func (m *runModel) model() modelcheck.Model[rmState] {
+	return modelcheck.Model[rmState]{
+		Actors: rmActors,
+		Step: func(s rmState, a int) ([]rmState, error) {
 			if a <= rmWaiter {
 				return m.waiterStep(s, a)
 			}
 			return m.finisherStep(s, a)
 		},
-		final: func(s rmState) error {
+		Final: func(s rmState) error {
 			if s.pc != [rmActors]int8{rwFinished, rwFinished, rfFinished, rfFinished, rfFinished} {
 				return fmt.Errorf("quiescent with the actors at steps %v", s.pc)
 			}
@@ -239,7 +240,7 @@ var rmInit = rmState{pc: [rmActors]int8{rwState, rwLoad}}
 
 func TestRunModelExhaustive(t *testing.T) {
 	m := &runModel{}
-	m.explorer().verify(t, rmInit)
+	m.model().Verify(t, rmInit, 1851, 10)
 	if m.blocks == 0 || m.unwound == 0 || m.lost == 0 || m.accepts[0] == 0 || m.accepts[1] == 0 ||
 		m.ended[0] == 0 || m.ended[1] == 0 || m.ended[2] == 0 {
 		t.Fatalf("the search covered %+v; want some of each", *m)
@@ -250,7 +251,7 @@ func TestRunModelExhaustive(t *testing.T) {
 // Handle.Wait woken through it reports an abort while tasks of the
 // submission may still start.
 func TestRunModelCatchesSwapBeforeState(t *testing.T) {
-	(&runModel{swapFirst: true}).explorer().refute(t, rmInit)
+	(&runModel{swapFirst: true}).model().Refute(t, rmInit)
 }
 
 // The model's order of a finish's last steps is the code's: (*run).finish
@@ -311,12 +312,12 @@ func TestRunFinishStoresStateBeforeWake(t *testing.T) {
 // stored, it wakes a joiner that reads a live state and blocks again, with
 // no token left to come.
 func TestRunModelCatchesTokenBeforeState(t *testing.T) {
-	(&runModel{tokenFirst: true}).explorer().refute(t, rmInit)
+	(&runModel{tokenFirst: true}).model().Refute(t, rmInit)
 }
 
 // The negative control of the draining Submit's read: a lost claim returns
 // before the winner ends the Handle's word, so a submitter that reads the
 // word finds it nil, and accepts a submission the stop's abort then ends.
 func TestRunModelCatchesHandleReadAfterLostClaim(t *testing.T) {
-	(&runModel{handleRead: true}).explorer().refute(t, rmInit)
+	(&runModel{handleRead: true}).model().Refute(t, rmInit)
 }

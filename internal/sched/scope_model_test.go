@@ -3,10 +3,12 @@ package sched
 import (
 	"fmt"
 	"testing"
+
+	"worksteal/internal/modelcheck"
 )
 
 // This file model-checks the termination accounting of scope.go by
-// exhaustive interleaving enumeration (the explorer of model_test.go): a
+// exhaustive interleaving enumeration (internal/modelcheck): a
 // few workers execute a small task tree over abstract counters, every
 // atomic operation of the real protocol — the spawn's Add, the push that
 // makes the task stealable, the thief's load in split, each decrement of a
@@ -402,8 +404,8 @@ func (m *scopeModel) quiescent(s mState) error {
 	return nil
 }
 
-func (m *scopeModel) explorer() *explorer[mState] {
-	return &explorer[mState]{actors: m.workers, step: m.successors, final: m.quiescent}
+func (m *scopeModel) model() modelcheck.Model[mState] {
+	return modelcheck.Model[mState]{Actors: m.workers, Step: m.successors, Final: m.quiescent}
 }
 
 func TestScopeModelExhaustive(t *testing.T) {
@@ -418,19 +420,20 @@ func TestScopeModelExhaustive(t *testing.T) {
 		}
 	}()
 	for _, tc := range []struct {
-		workers int
-		fan     []int8
+		workers           int
+		fan               []int8
+		states, quiescent int
 	}{
-		{2, []int8{2, 1, 0}},    // a root with two children, a grandchild each
-		{2, []int8{1, 1, 1, 0}}, // a chain: the take-over case of split
-		{3, []int8{2, 1, 0}},
-		{3, []int8{1, 1, 1, 0}},
-		{3, []int8{1, 2, 0}},
-		{2, []int8{2, 2, 0}},
+		{2, []int8{2, 1, 0}, 13538, 1362}, // a root with two children, a grandchild each
+		{2, []int8{1, 1, 1, 0}, 888, 124}, // a chain: the take-over case of split
+		{3, []int8{2, 1, 0}, 261057, 19089},
+		{3, []int8{1, 1, 1, 0}, 5634, 738},
+		{3, []int8{1, 2, 0}, 16638, 1650},
+		{2, []int8{2, 2, 0}, 629442, 54152},
 	} {
 		t.Run(fmt.Sprintf("P=%d/fan=%v", tc.workers, tc.fan), func(t *testing.T) {
 			m := &scopeModel{workers: tc.workers, fan: tc.fan}
-			m.explorer().verify(t, m.initial())
+			m.model().Verify(t, m.initial(), tc.states, tc.quiescent)
 			if m.splits == 0 || m.takeovers == 0 || m.nestedCalls == 0 {
 				t.Fatalf("the search reached %d splits, %d take-overs and %d calls inside calls; want some of each",
 					m.splits, m.takeovers, m.nestedCalls)
@@ -449,7 +452,7 @@ func TestScopeModelExhaustive(t *testing.T) {
 // run complete — while the stolen subtree still runs.
 func TestScopeModelCatchesEarlyRelease(t *testing.T) {
 	m := &scopeModel{workers: 2, fan: []int8{2, 1, 0}, moveCount: true}
-	m.explorer().refute(t, m.initial())
+	m.model().Refute(t, m.initial())
 }
 
 // The fold's control: an exec that does not reset the fold count releases
@@ -457,7 +460,7 @@ func TestScopeModelCatchesEarlyRelease(t *testing.T) {
 // which drives it below zero, or to zero while a task it counts still runs.
 func TestScopeModelCatchesFoldKeptAcrossTasks(t *testing.T) {
 	m := &scopeModel{workers: 2, fan: []int8{2, 1, 0}, keepFold: true}
-	m.explorer().refute(t, m.initial())
+	m.model().Refute(t, m.initial())
 }
 
 // The recycling control: a release that lists a child scope on its first
@@ -465,7 +468,7 @@ func TestScopeModelCatchesFoldKeptAcrossTasks(t *testing.T) {
 // count in it, and a later spawn, split or release touches it there.
 func TestScopeModelCatchesRecycleOnFirstDecrement(t *testing.T) {
 	m := &scopeModel{workers: 2, fan: []int8{2, 1, 0}, recycleEarly: true}
-	m.explorer().refute(t, m.initial())
+	m.model().Refute(t, m.initial())
 }
 
 // The region's control: a task that ends with forks in its region pushes
@@ -473,5 +476,5 @@ func TestScopeModelCatchesRecycleOnFirstDecrement(t *testing.T) {
 // and completes the run — while they are still to run.
 func TestScopeModelCatchesUncountedLeftovers(t *testing.T) {
 	m := &scopeModel{workers: 2, fan: []int8{2, 1, 0}, uncountedLeftovers: true}
-	m.explorer().refute(t, m.initial())
+	m.model().Refute(t, m.initial())
 }

@@ -3,11 +3,13 @@ package sched
 import (
 	"fmt"
 	"testing"
+
+	"worksteal/internal/modelcheck"
 )
 
 // This file model-checks a worker's sleep (lifecycle.go: sleep, wakeIf) on
-// the explorer of model_test.go, once for every sleeper: park, the retired
-// sleep and a blocked join take the token as one step in their own models.
+// internal/modelcheck, once for every sleeper: park, the retired sleep and
+// a blocked join take the token as one step in their own models.
 // The actors: a sleeper that makes two sleeps — take a number, publish that
 // it sleeps, re-check, then take tokens until one carries its number or
 // the re-check it makes on any other token finds a reason — and two wakers,
@@ -149,16 +151,16 @@ func (m *sleepModel) waker(s slState, j int) []slState {
 	return []slState{s}
 }
 
-func (m *sleepModel) explorer() *explorer[slState] {
-	return &explorer[slState]{
-		actors: 4,
-		step: func(s slState, a int) ([]slState, error) {
+func (m *sleepModel) model() modelcheck.Model[slState] {
+	return modelcheck.Model[slState]{
+		Actors: 4,
+		Step: func(s slState, a int) ([]slState, error) {
 			if a == 0 {
 				return m.sleeper(s)
 			}
 			return m.waker(s, a-1), nil
 		},
-		final: func(s slState) error {
+		Final: func(s slState) error {
 			if s.pc == slWait && s.reasons > 0 {
 				return fmt.Errorf("sleep %d sleeps on with a reason no sleep has taken: %+v", s.n, s)
 			}
@@ -169,7 +171,7 @@ func (m *sleepModel) explorer() *explorer[slState] {
 
 func TestSleepModelExhaustive(t *testing.T) {
 	m := &sleepModel{}
-	m.explorer().verify(t, slState{})
+	m.model().Verify(t, slState{}, 23554, 531)
 	if m.wakes == 0 || m.looks == 0 || m.dropped == 0 || m.stale == 0 {
 		t.Fatalf("the search covered %+v; want some of each", *m)
 	}
@@ -179,11 +181,11 @@ func TestSleepModelExhaustive(t *testing.T) {
 // read the first sleep's publication and stalled ends the second as a
 // wake.
 func TestSleepModelCatchesUnnumberedToken(t *testing.T) {
-	(&sleepModel{unnumbered: true}).explorer().refute(t, slState{})
+	(&sleepModel{unnumbered: true}).model().Refute(t, slState{})
 }
 
 // The control of the second half: a sleep that does not look on another
 // token sleeps on past a stale one that kept its own out of the channel.
 func TestSleepModelCatchesNoLook(t *testing.T) {
-	(&sleepModel{noLook: true}).explorer().refute(t, slState{})
+	(&sleepModel{noLook: true}).model().Refute(t, slState{})
 }

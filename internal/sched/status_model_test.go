@@ -3,10 +3,12 @@ package sched
 import (
 	"fmt"
 	"testing"
+
+	"worksteal/internal/modelcheck"
 )
 
 // This file model-checks the worker status word (pool.go, lifecycle.go,
-// resize.go) on the explorer of model_test.go. The actors: two workers
+// resize.go) on internal/modelcheck. The actors: two workers
 // (loop top with its read of the word, a search that takes the work if
 // there is any, park — the sleep's number, entry CAS, idle count,
 // re-check, sleep, the re-check a token not its own makes, exit CAS —
@@ -46,6 +48,20 @@ import (
 // loops — no sleep, parked or retired, outlives the session. Its control
 // sends the tokens first, and a sleeper that re-checked before the store
 // sleeps on.
+//
+// The burst is a search of its own, with no Resize: the producer pushes and
+// signals twice, and a task blocks its worker for good, as the plugs of
+// TestChaosBurstOnOneParkWakesBoth do. A worker whose park published its
+// status and took it back passes one wake on when it takes a task and still
+// sees work (loop, lifecycle.go). Checked on top: two signals made while
+// both workers sleep wake both — the lost wakeup above, with a worker in its
+// task counted as asleep. Its control passes a wake on only after a park
+// that ended on its own token, and a park whose re-check saw the first push
+// leaves the other worker asleep.
+//
+// The search stores a state as the word key packs, and prunes interleavings
+// by the footprint of each step (footprint); the counts pinned below are
+// those of the full search.
 
 // Worker steps.
 const (
@@ -63,7 +79,9 @@ const (
 	smRetire              // retire: the CAS to retired
 	smRetired             // sleepRetired: blocked on the token channel
 	smGone                // the loop read stopping and returned
-	smBaton               // retire's signalWork, and the producer's: the idle load, then the scan (smScanPC)
+	smPass                // burst: back from a park with a task, the look for more work
+	smBusy                // burst: in its task, which blocks until the burst's last task runs
+	smBaton               // retire's signalWork, the producer's, and a passed-on wake: the idle load, then the scan (smScan)
 	smDone    = smBaton + 13
 )
 
@@ -97,6 +115,10 @@ type smState struct {
 	pushed     bool   // the producer has pushed its work
 	stopping   bool   // the phase is stopping
 	end        int8   // steps of endSession
+	more       bool   // burst: the producer's second push and signal are to come
+	// parked is the loop's flag: the worker's last park published its
+	// status and took it back (under passOnWake: ended on its own token).
+	parked [2]bool
 }
 
 type statusModel struct {
@@ -112,16 +134,25 @@ type statusModel struct {
 	signalFirst         bool // negative control of lazy: the owner signals, then pushes
 	end                 bool // endSession runs, at any time
 	endTokensFirst      bool // negative control of end: the tokens, then the store of stopping
+	burst               bool // the producer pushes and signals twice, and each task blocks its worker
+	passOnWake          bool // negative control of burst: only a park that ended on a wake passes one on
 	// What the search came across, so the test can tell what it covered.
 	refused, markedAsleep, reactivated, regrown, sleptAgain, foreign, ended, aborts int
+	buf                                                                             []smState
+}
+
+// out returns the successors next, in a buffer the next step reuses.
+func (m *statusModel) out(next ...smState) []smState {
+	m.buf = append(m.buf[:0], next...)
+	return m.buf
 }
 
 // smEdges is the diagram above the status constants in pool.go.
-var smEdges = map[[2]uint32]bool{
-	{workerRunning, workerIdle}: true, {workerIdle, workerRunning}: true,
-	{workerRunning, workerRetiring}: true, {workerIdle, workerRetiring}: true,
-	{workerRetiring, workerRunning}: true, {workerRetiring, workerRetired}: true,
-	{workerRetired, workerRunning}: true,
+var smEdges = [4][4]bool{
+	workerRunning:  {workerIdle: true, workerRetiring: true},
+	workerIdle:     {workerRunning: true, workerRetiring: true},
+	workerRetiring: {workerRunning: true, workerRetired: true},
+	workerRetired:  {workerRunning: true},
 }
 
 // send leaves a token for worker w — signaller j's, for the sleep number it
@@ -153,7 +184,7 @@ func (m *statusModel) signal(s smState, j int) []smState {
 	if k == 0 {
 		if s.idle == 0 {
 			*pc = smDone
-			return []smState{s}
+			return m.out(s)
 		}
 		*pc = smBaton + 1
 		rot := s
@@ -162,7 +193,7 @@ func (m *statusModel) signal(s smState, j int) []smState {
 		} else {
 			rot.prod = smBaton + 7
 		}
-		return []smState{s, rot}
+		return m.out(s, rot)
 	}
 	w := smTarget(*pc)
 	switch sub := (k - 1) % 3; {
@@ -183,7 +214,7 @@ func (m *statusModel) signal(s smState, j int) []smState {
 		s.send(w, j)
 		*pc = smDone
 	}
-	return []smState{s}
+	return m.out(s)
 }
 
 func (m *statusModel) step(s smState, a int) ([]smState, error) {
@@ -201,15 +232,20 @@ func (m *statusModel) step(s smState, a int) ([]smState, error) {
 		if m.signalFirst {
 			s.prod = smBaton
 		}
-		next = []smState{s}
+		next = m.out(s)
 	case a == 2 && s.prod < smBaton:
 		s.work, s.prod, s.pushed = s.work+1, smBaton, true
-		next = []smState{s}
+		next = m.out(s)
 	case a == 2 && s.prod < smDone:
 		next = m.signal(s, 2)
+		for i := range next {
+			if next[i].prod == smDone && next[i].more {
+				next[i].prod, next[i].more = 0, false
+			}
+		}
 	case a == 2 && !s.pushed: // signalFirst: the push after the signal
 		s.work, s.pushed = s.work+1, true
-		next = []smState{s}
+		next = m.out(s)
 	case a == 3:
 		next = m.resize(s)
 	case a == 4:
@@ -218,23 +254,34 @@ func (m *statusModel) step(s smState, a int) ([]smState, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, n := range next {
+	for i := range next {
+		n := &next[i]
 		for w, st := range n.status {
-			if st != before[w] && !smEdges[[2]uint32{before[w], st}] {
+			if st != before[w] && !smEdges[before[w]][st] {
 				return nil, fmt.Errorf("worker %d's status moved %d → %d, off the diagram", w, before[w], st)
 			}
 		}
 		if n.work > 0 && n.prod == smDone && n.pushed && n.asleep(0) && n.asleep(1) {
-			return nil, fmt.Errorf("lost wakeup: work is queued, the producer has returned, and no worker is awake or holds a token: %+v", n)
+			return nil, fmt.Errorf("lost wakeup: work is queued, the producer has returned, and no worker is awake or holds a token: %+v", *n)
 		}
 	}
 	return next, nil
 }
 
+// scanning says signaller j's scan is at worker w.
+func (s *smState) scanning(j, w int) bool {
+	pc := s.prod
+	if j < 2 {
+		pc = s.pc[j]
+	}
+	return pc > smBaton && pc < smDone && smTarget(pc) == w
+}
+
 // asleep: worker w will not look for work unless something wakes it. A
-// token wakes a retired sleeper only to read its word and sleep again.
+// token wakes a retired sleeper only to read its word and sleep again. A
+// burst's task blocks its worker for good.
 func (s *smState) asleep(w int) bool {
-	return s.pc[w] == smSleep && !s.token[w] || s.pc[w] == smRetired && (!s.token[w] || s.status[w] == workerRetired)
+	return s.pc[w] == smBusy || s.pc[w] == smSleep && !s.token[w] || s.pc[w] == smRetired && (!s.token[w] || s.status[w] == workerRetired)
 }
 
 func (m *statusModel) worker(s smState, w int) ([]smState, error) {
@@ -254,6 +301,12 @@ func (m *statusModel) worker(s smState, w int) ([]smState, error) {
 	case smSearch:
 		if *pc = smNumber; s.work > 0 {
 			s.work, *pc = s.work-1, smTop
+			if m.burst {
+				if *pc = smBusy; s.parked[w] {
+					*pc = smPass
+				}
+				s.parked[w] = false
+			}
 		} else if m.lazy {
 			s.want = true // a steal that missed an empty public part
 		}
@@ -262,11 +315,7 @@ func (m *statusModel) worker(s smState, w int) ([]smState, error) {
 		// this sleep's.
 		s.tokCur[w], s.tokNow[w] = false, false
 		for j := range s.fresh {
-			jpc := s.prod
-			if j < 2 {
-				jpc = s.pc[j]
-			}
-			if jpc > smBaton && jpc < smDone && smTarget(jpc) == w {
+			if s.scanning(j, w) {
 				s.fresh[j], s.saw[j] = false, false
 			}
 		}
@@ -300,6 +349,7 @@ func (m *statusModel) worker(s smState, w int) ([]smState, error) {
 		if sig && !now {
 			return nil, fmt.Errorf("worker %d's park ends on a token sent for an earlier sleep: %+v", w, s)
 		}
+		s.parked[w] = s.parked[w] || m.passOnWake
 		*pc = smExit
 	case smReload:
 		if *pc = smSleep; s.stopping || s.status[w] != workerIdle || s.work > 0 {
@@ -307,8 +357,12 @@ func (m *statusModel) worker(s smState, w int) ([]smState, error) {
 		}
 	case smExit:
 		*pc = smUncount
-		if s.cas(w, workerIdle, workerRunning) && m.untagged {
+		back := s.cas(w, workerIdle, workerRunning)
+		if back && m.untagged {
 			*pc = smDrain
+		}
+		if back && m.burst && !m.passOnWake {
+			s.parked[w] = true
 		}
 	case smDrain:
 		s.token[w], *pc = false, smUncount
@@ -332,18 +386,25 @@ func (m *statusModel) worker(s smState, w int) ([]smState, error) {
 			m.sleptAgain++
 		}
 		s.token[w], *pc = false, smTop
-	case smGone:
+	case smPass:
+		if *pc = smBusy; s.work > 0 {
+			*pc = smBaton
+		}
+	case smGone, smBusy:
 		return nil, nil
-	default: // the baton, and back to the loop top
+	default: // the baton or the passed-on wake, and back to the loop top or into the task
 		next := m.signal(s, w)
 		for i := range next {
 			if next[i].pc[w] == smDone {
 				next[i].pc[w] = smTop
+				if m.burst {
+					next[i].pc[w] = smBusy
+				}
 			}
 		}
 		return next, nil
 	}
-	return []smState{s}, nil
+	return m.out(s), nil
 }
 
 // resize is Resize(1) then Resize(2) of a fleet of two: the mark's load,
@@ -380,7 +441,7 @@ func (m *statusModel) resize(s smState) []smState {
 		return nil
 	}
 	s.res++
-	return []smState{s}
+	return m.out(s)
 }
 
 // endSession is the store of stopping, then, per worker, the abort of what
@@ -412,15 +473,15 @@ func (m *statusModel) endSession(s smState) []smState {
 		s.send(w, -1)
 	}
 	s.end++
-	return []smState{s}
+	return m.out(s)
 }
 
-func (m *statusModel) explorer() *explorer[smState] {
+func (m *statusModel) model() modelcheck.Model[smState] {
 	actors := 4
 	if m.end {
 		actors = 5
 	}
-	return &explorer[smState]{actors: actors, step: m.step, final: func(s smState) error {
+	return modelcheck.Model[smState]{Actors: actors, Step: m.step, Key: smState.key, Footprint: m.footprint, Final: func(s smState) error {
 		if m.end && s.stopping {
 			if s.pc != [2]int8{smGone, smGone} {
 				return fmt.Errorf("quiescent after the session's end with a worker still in its loop: %+v", s)
@@ -434,9 +495,128 @@ func (m *statusModel) explorer() *explorer[smState] {
 	}}
 }
 
+func (s smState) key() uint64 {
+	var p modelcheck.Packer
+	for w := range 2 {
+		p = p.Put(int(s.status[w]), 2).Put(int(s.pc[w]), 5)
+		p = p.Bool(s.token[w]).Bool(s.tokSig[w]).Bool(s.tokCur[w]).Bool(s.tokNow[w]).Bool(s.parked[w])
+	}
+	for j := range 3 {
+		p = p.Bool(s.fresh[j]).Bool(s.saw[j])
+	}
+	p = p.Put(int(s.idle), 2).Put(int(s.work), 2).Put(int(s.prod)+1, 5).Put(int(s.res)+1, 3).Put(int(s.loaded), 2)
+	return p.Bool(s.want).Bool(s.pushed).Bool(s.stopping).Put(int(s.end), 2).Bool(s.more).Key()
+}
+
+// The variables of the status model's footprints: per worker its status
+// word and its token, with what the token carries; per signaller its fresh
+// and saw, and per signaller and worker whether the scan is at the worker,
+// which a worker's numbering reads; the shared counts and flags. An actor's
+// program counter and locals no other step reads.
+const (
+	smvStatus = 0 // + worker
+	smvToken  = 2 // + worker
+	smvFresh  = 4 // + signaller
+	smvScan   = 7 // + 2*signaller + worker
+	smvIdle   = 13
+	smvWork   = 14
+	smvWant   = 15
+	smvStop   = 16
+)
+
+// footprint is what the step of actor a from s reads and writes. A write
+// that leaves the variable as it is — a failed CAS, a send to a full
+// channel, a flag set again — is only a read.
+func (m *statusModel) footprint(s smState, a int) (f modelcheck.Footprint) {
+	rd := func(v int) { f.Reads |= 1 << v }
+	wr := func(v int, changes bool) {
+		if changes {
+			f.Writes |= 1 << v
+		} else {
+			rd(v)
+		}
+	}
+	pc, st := s.prod, s.status[a%2]
+	if a < 2 {
+		pc = s.pc[a]
+	}
+	switch {
+	case a == 3 && (s.res == 2 || s.res >= 4 && (s.res == 4) == m.tokenFirst): // a token for worker 1
+		wr(smvToken+1, !s.token[1])
+	case a == 3: // worker 1's status: the load, a CAS or the store
+		wr(smvStatus+1, s.res == 1 && st == s.loaded || s.res == 3 && st == workerRetiring || s.res >= 4 && st != workerRunning)
+	case a == 4: // the store of stopping, or worker t's token
+		store, t := int8(0), int(s.end)-1
+		if m.endTokensFirst {
+			store, t = 2, t+1
+		}
+		if s.end == store {
+			wr(smvStop, !s.stopping)
+		} else {
+			rd(smvStatus + t)
+			wr(smvToken+t, !s.token[t])
+		}
+	case a == 2 && pc < 0: // the lazy owner's poll
+		wr(smvWant, true)
+	case a == 2 && (pc < smBaton || pc == smDone): // a push
+		wr(smvWork, true)
+	case pc == smTop:
+		rd(smvStop)
+		rd(smvStatus + a)
+	case pc == smPass, pc == smRecheck:
+		rd(smvStop)
+		rd(smvWork)
+	case pc == smReload:
+		rd(smvStop)
+		rd(smvStatus + a)
+		rd(smvWork)
+	case pc == smSearch:
+		wr(smvWork, s.work > 0)
+		wr(smvWant, m.lazy && s.work == 0 && !s.want)
+	case pc == smNumber:
+		wr(smvToken+a, s.tokCur[a] || s.tokNow[a])
+		for j := range 3 {
+			rd(smvScan + 2*j + a)
+			if s.scanning(j, a) {
+				wr(smvFresh+j, s.fresh[j] || s.saw[j])
+			}
+		}
+	case pc == smEnter:
+		wr(smvStatus+a, st == workerRunning)
+	case pc == smExit:
+		wr(smvStatus+a, st == workerIdle)
+	case pc == smRetire:
+		wr(smvStatus+a, st == workerRetiring)
+	case pc == smCount, pc == smUncount:
+		wr(smvIdle, true)
+	case pc == smSleep, pc == smDrain, pc == smRetired:
+		wr(smvToken+a, s.token[a])
+	case pc == smBaton: // the idle load, and into the scan at either start
+		rd(smvIdle)
+		wr(smvScan+2*a, s.idle > 0)
+		wr(smvScan+2*a+1, s.idle > 0)
+	default: // a scan's step at worker t
+		t, k := smTarget(pc), pc-smBaton-1
+		switch sub := k % 3; {
+		case sub == 2: // the token, and out of the scan
+			rd(smvFresh + a)
+			wr(smvToken+t, !s.token[t])
+			wr(smvScan+2*a+t, true)
+		case (sub == 1) != m.numberLate: // the status, and unless idle on to the next worker or out
+			rd(smvStatus + t)
+			wr(smvFresh+a, !s.saw[a])
+			wr(smvScan+2*a+t, s.status[t] != workerIdle)
+			wr(smvScan+2*a+1-t, s.status[t] != workerIdle && k%6 < 3)
+		default: // the sleep number
+			wr(smvFresh+a, !s.fresh[a])
+		}
+	}
+	return f
+}
+
 func TestStatusModelExhaustive(t *testing.T) {
 	m := &statusModel{}
-	m.explorer().verify(t, smState{})
+	m.model().Verify(t, smState{}, 333953, 94)
 	if m.refused == 0 || m.markedAsleep == 0 || m.reactivated == 0 || m.regrown == 0 || m.sleptAgain == 0 || m.foreign == 0 {
 		t.Fatalf("the search covered %+v; want some of each", *m)
 	}
@@ -448,15 +628,15 @@ func TestStatusModelExhaustive(t *testing.T) {
 // grow whose token comes before its store wakes a sleeper that reads retired
 // and sleeps on, in a slot marked running.
 func TestStatusModelCatchesRecheckBeforeCAS(t *testing.T) {
-	(&statusModel{recheckFirst: true}).explorer().refute(t, smState{})
+	(&statusModel{recheckFirst: true}).model().Refute(t, smState{})
 }
 
 func TestStatusModelCatchesMissingBaton(t *testing.T) {
-	(&statusModel{noBaton: true}).explorer().refute(t, smState{})
+	(&statusModel{noBaton: true}).model().Refute(t, smState{})
 }
 
 func TestStatusModelCatchesTokenBeforeStore(t *testing.T) {
-	(&statusModel{tokenFirst: true}).explorer().refute(t, smState{})
+	(&statusModel{tokenFirst: true}).model().Refute(t, smState{})
 }
 
 // A park that takes any token as its wake and keeps what is pending at its
@@ -464,7 +644,7 @@ func TestStatusModelCatchesTokenBeforeStore(t *testing.T) {
 // re-check already sees the work, and the token the signal sent outlives
 // the sleep — the next park ends on it.
 func TestStatusModelCatchesStaleToken(t *testing.T) {
-	(&statusModel{keepToken: true}).explorer().refute(t, smState{})
+	(&statusModel{keepToken: true}).model().Refute(t, smState{})
 }
 
 // Today's shape before the sleep numbers: a park that takes any token as
@@ -472,7 +652,7 @@ func TestStatusModelCatchesStaleToken(t *testing.T) {
 // the worker's idle status and stalled before its send leaves its token
 // after the drop, and the next park ends on it.
 func TestStatusModelCatchesUntaggedToken(t *testing.T) {
-	(&statusModel{untagged: true}).explorer().refute(t, smState{})
+	(&statusModel{untagged: true}).model().Refute(t, smState{})
 }
 
 // The order of the scan's loads: a signaller that loads the status before
@@ -480,7 +660,7 @@ func TestStatusModelCatchesUntaggedToken(t *testing.T) {
 // wakes, runs and parks again, and then loads the new sleep's number — the
 // token it sends ends a sleep it was not sent for.
 func TestStatusModelCatchesNumberAfterStatus(t *testing.T) {
-	(&statusModel{numberLate: true}).explorer().refute(t, smState{})
+	(&statusModel{numberLate: true}).model().Refute(t, smState{})
 }
 
 // The lazy owner: its work is published only once a worker that found
@@ -489,14 +669,14 @@ func TestStatusModelCatchesNumberAfterStatus(t *testing.T) {
 // must still meet the park's publish and re-check.
 func TestStatusModelLazyOwner(t *testing.T) {
 	m := &statusModel{lazy: true}
-	m.explorer().verify(t, smState{prod: -1})
+	m.model().Verify(t, smState{prod: -1}, 463083, 94)
 }
 
 // The lazy owner's control: a signal made before the push reads no idle
 // worker while the requester is on its way to park, whose re-check then
 // comes before the push — and it sleeps with the work queued.
 func TestStatusModelCatchesSignalBeforePush(t *testing.T) {
-	(&statusModel{lazy: true, signalFirst: true}).explorer().refute(t, smState{prod: -1})
+	(&statusModel{lazy: true, signalFirst: true}).model().Refute(t, smState{prod: -1})
 }
 
 // The session's end: the store of stopping, then a token for each slot, at
@@ -504,7 +684,7 @@ func TestStatusModelCatchesSignalBeforePush(t *testing.T) {
 // them in, parked or retired.
 func TestStatusModelSessionEnd(t *testing.T) {
 	m := &statusModel{end: true}
-	m.explorer().verify(t, smState{})
+	m.model().Verify(t, smState{}, 3188970, 1134)
 	if m.ended == 0 || m.foreign == 0 || m.sleptAgain == 0 || m.aborts == 0 {
 		t.Fatalf("the search covered %+v; want some of each", *m)
 	}
@@ -514,5 +694,24 @@ func TestStatusModelSessionEnd(t *testing.T) {
 // parked worker takes its token as one not its own, re-checks before the
 // store, and sleeps on with nothing left to wake it.
 func TestStatusModelCatchesTokensBeforeStopping(t *testing.T) {
-	(&statusModel{end: true, endTokensFirst: true}).explorer().refute(t, smState{})
+	(&statusModel{end: true, endTokensFirst: true}).model().Refute(t, smState{})
+}
+
+// A burst: the producer pushes and signals twice, and a task blocks its
+// worker until the burst's last task runs — here, for good. A signal's
+// random start may find one worker idle both times, on its way into a
+// park or out of one, and leave the other asleep; the worker whose park
+// published its status and took it back passes one wake on when it takes
+// its task and still sees work. Checked: two signals made while two workers
+// sleep wake both — the lost wakeup above, with a blocked worker asleep.
+func TestStatusModelBurst(t *testing.T) {
+	(&statusModel{burst: true}).model().Verify(t, smState{res: 6, more: true}, 63854, 121)
+}
+
+// The burst's control, the pass-on's first shape: only a park that ended on
+// a wake passes one on. A worker whose re-check sees the burst's first push
+// leaves its park without sleeping while both signals find it idle, takes
+// the first task, and the other worker sleeps through the second.
+func TestStatusModelCatchesPassOnOnlyAfterWake(t *testing.T) {
+	(&statusModel{burst: true, passOnWake: true}).model().Refute(t, smState{res: 6, more: true})
 }

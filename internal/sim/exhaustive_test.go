@@ -5,273 +5,217 @@ import (
 	"testing"
 
 	"worksteal/internal/dag"
+	"worksteal/internal/modelcheck"
 )
 
 // This file model-checks the deque implementation by exhaustive
-// interleaving enumeration — the executable analogue of the paper's
-// companion correctness proof (Blumofe, Plaxton and Ray, "Verification of a
-// concurrent deque implementation", UT TR-99-11). Because the simulator's
-// deque operations are explicit state machines, we can enumerate EVERY
-// interleaving of concurrent operations on small initial states and check
-// the relaxed-semantics contract on each:
+// interleaving enumeration (internal/modelcheck) — the executable analogue
+// of the paper's companion correctness proof (Blumofe, Plaxton and Ray,
+// "Verification of a concurrent deque implementation", UT TR-99-11).
+// Because the simulator's deque operations are explicit state machines, one
+// instruction per step, the search takes every interleaving of concurrent
+// operations on small initial deques and checks the relaxed-semantics
+// contract at the end of each:
 //
 //   - no node is returned by two different operations (no duplication);
 //   - every node is either returned by exactly one operation or still in
 //     the deque afterwards (no loss);
 //   - the owner's popBottom returns NIL only if the deque was empty at some
-//     point or a thief took the last item;
-//   - a thief's popTop may return NIL only if at some point the deque was
-//     empty or the topmost item was removed by another process (we verify
-//     the weaker consequence: popTop never returns NIL when it ran with no
-//     concurrency and the deque was non-empty).
+//     point or a thief took the last item (checked as: never with more
+//     items than thieves);
+//   - thieves alone never take more items than there are, and on a
+//     non-empty deque at least one of them succeeds (a CAS only fails
+//     because another succeeded).
 
-// opSpec describes one operation to run in an interleaving.
-type opSpec struct {
-	name  string
-	make  func(d *abpDeque) op
-	owner bool // owner ops must not interleave with each other
+// dqState is the deque and the operations in flight, by value: each op is
+// a pushBottomOp, popBottomOp or popTopOp with no deque bound, or nil once
+// it has returned its result.
+type dqState struct {
+	age     Age
+	bot     uint32
+	deq     [4]dag.NodeID
+	ops     [3]any
+	results [3]dag.NodeID
 }
 
-// The length of an op's instruction path depends on the interleaving, so
-// the enumeration is lazy: the schedule chooses which op steps next, and
-// state is cloned at each branch. maxOpSteps caps per-op steps (the longest
-// Figure 5 path is 7 instructions).
-const maxOpSteps = 8
-
-// lazyEnumerate explores every interleaving of the ops built by factories
-// on a fresh deque per branch. visit receives the deque and results.
-func lazyEnumerate(t *testing.T, initial []dag.NodeID, factories []opSpec,
-	visit func(label string, d *abpDeque, results []dag.NodeID)) {
-	var explore func(label string, d *abpDeque, ops []op, done []bool, results []dag.NodeID, depth int)
-	explore = func(label string, d *abpDeque, ops []op, done []bool, results []dag.NodeID, depth int) {
-		if depth > maxOpSteps*len(ops) {
-			t.Fatalf("interleaving too deep: %s", label)
-		}
-		anyPending := false
-		for i := range ops {
-			if done[i] {
-				continue
-			}
-			anyPending = true
-			// Branch: op i executes the next instruction. Clone state.
-			d2 := cloneDeque(d)
-			ops2 := make([]op, len(ops))
-			done2 := append([]bool(nil), done...)
-			results2 := append([]dag.NodeID(nil), results...)
-			for j := range ops {
-				if !done[j] {
-					ops2[j] = cloneOp(ops[j], d2)
-				}
-			}
-			if ops2[i].step() {
-				done2[i] = true
-				results2[i] = ops2[i].result()
-			}
-			explore(fmt.Sprintf("%s,%d", label, i), d2, ops2, done2, results2, depth+1)
-		}
-		if !anyPending {
-			visit(label, d, results)
-		}
+// step executes op i's next instruction on s's deque.
+func (s dqState) step(i int) []dqState {
+	if s.ops[i] == nil {
+		return nil
 	}
+	d := &abpDeque{age: s.age, bot: s.bot, deq: s.deq[:], tagMask: ^uint32(0)}
+	var done bool
+	var res dag.NodeID
+	switch o := s.ops[i].(type) {
+	case pushBottomOp:
+		o.d = d
+		done, res = o.step(), o.result()
+		o.d = nil
+		s.ops[i] = o
+	case popBottomOp:
+		o.d = d
+		done, res = o.step(), o.result()
+		o.d = nil
+		s.ops[i] = o
+	case popTopOp:
+		o.d = d
+		done, res = o.step(), o.result()
+		o.d = nil
+		s.ops[i] = o
+	}
+	if done {
+		s.ops[i], s.results[i] = nil, res
+	}
+	s.age, s.bot = d.age, d.bot
+	return []dqState{s}
+}
 
-	d := newABPDeque(16, 32)
-	for i := 0; i < len(initial); i++ {
-		// initial[0] ends at the top, initial[len-1] at the bottom.
-		o := d.startPushBottom(0, initial[i])
+// deque is s's deque, for its snapshot.
+func (s dqState) deque() *abpDeque {
+	return &abpDeque{age: s.age, bot: s.bot, deq: s.deq[:]}
+}
+
+// dequeModel searches every interleaving of ops on a deque holding initial
+// (initial[0] at the top), checking the outcome of each with check, after
+// the no-loss and no-duplication checks.
+func dequeModel(initial, pushed []dag.NodeID, ops []any, check func(results []dag.NodeID) error) (modelcheck.Model[dqState], dqState) {
+	d := newABPDeque(len(dqState{}.deq), 32)
+	for _, v := range initial {
+		o := d.startPushBottom(0, v)
 		for !o.step() {
 		}
 	}
-	ops := make([]op, len(factories))
-	for i, f := range factories {
-		ops[i] = f.make(d)
-	}
-	explore("", d, ops, make([]bool, len(factories)), make([]dag.NodeID, len(factories)), 0)
-}
-
-// cloneDeque deep-copies deque state.
-func cloneDeque(d *abpDeque) *abpDeque {
-	nd := &abpDeque{age: d.age, bot: d.bot, tagMask: d.tagMask}
-	nd.deq = append([]dag.NodeID(nil), d.deq...)
-	return nd
-}
-
-// cloneOp copies an in-flight op, retargeting it at the cloned deque.
-func cloneOp(o op, d *abpDeque) op {
-	switch x := o.(type) {
-	case *pushBottomOp:
-		c := *x
-		c.d = d
-		return &c
-	case *popBottomOp:
-		c := *x
-		c.d = d
-		return &c
-	case *popTopOp:
-		c := *x
-		c.d = d
-		return &c
-	default:
-		panic("unknown op type")
-	}
+	init := dqState{age: d.age, bot: d.bot}
+	copy(init.deq[:], d.deq)
+	copy(init.ops[:], ops)
+	return modelcheck.Model[dqState]{
+		Actors: len(ops),
+		Step:   func(s dqState, a int) ([]dqState, error) { return s.step(a), nil },
+		Final: func(s dqState) error {
+			results := s.results[:len(ops)]
+			if err := checkOutcome(append(append([]dag.NodeID(nil), initial...), pushed...), s.deque().snapshot(), results); err != nil {
+				return err
+			}
+			return check(results)
+		},
+	}, init
 }
 
 // checkOutcome verifies no-duplication and no-loss for a finished
-// interleaving: initial items = returned items (each at most once) + items
+// interleaving: the nodes all = returned items (each at most once) + items
 // remaining in the deque.
-func checkOutcome(t *testing.T, label string, initial []dag.NodeID, pushed []dag.NodeID,
-	d *abpDeque, results []dag.NodeID) {
-	t.Helper()
+func checkOutcome(all, snapshot, results []dag.NodeID) error {
+	n := len(snapshot)
 	returned := map[dag.NodeID]int{}
 	for _, r := range results {
 		if r != dag.None {
 			returned[r]++
-		}
-	}
-	for v, n := range returned {
-		if n > 1 {
-			t.Fatalf("%s: node %d returned %d times", label, v, n)
+			n++
 		}
 	}
 	inDeque := map[dag.NodeID]int{}
-	for _, v := range d.snapshot() {
+	for _, v := range snapshot {
 		inDeque[v]++
 	}
-	for v, n := range inDeque {
-		if n > 1 {
-			t.Fatalf("%s: node %d appears %d times in the deque", label, v, n)
-		}
-		if returned[v] > 0 {
-			t.Fatalf("%s: node %d both returned and still in deque", label, v)
-		}
+	if n != len(all) {
+		return fmt.Errorf("%d nodes returned or in the deque, want %d; results=%v snapshot=%v", n, len(all), results, snapshot)
 	}
-	all := append(append([]dag.NodeID(nil), initial...), pushed...)
 	for _, v := range all {
 		if returned[v]+inDeque[v] != 1 {
-			t.Fatalf("%s: node %d accounted %d times (returned %d, in deque %d)\nresults=%v snapshot=%v",
-				label, v, returned[v]+inDeque[v], returned[v], inDeque[v], results, d.snapshot())
+			return fmt.Errorf("node %d accounted %d times (returned %d, in deque %d); results=%v snapshot=%v",
+				v, returned[v]+inDeque[v], returned[v], inDeque[v], results, snapshot)
 		}
 	}
+	return nil
 }
 
-// TestExhaustivePopBottomVsThieves enumerates all interleavings of the
-// owner's popBottom against one and two concurrent popTops, over initial
-// deque sizes 0..3.
+func nodes(n int) []dag.NodeID {
+	initial := make([]dag.NodeID, n)
+	for i := range initial {
+		initial[i] = dag.NodeID(i + 1)
+	}
+	return initial
+}
+
+// TestExhaustivePopBottomVsThieves searches the owner's popBottom against
+// one and two concurrent popTops, over initial deque sizes 0..3.
 func TestExhaustivePopBottomVsThieves(t *testing.T) {
-	for size := 0; size <= 3; size++ {
-		for thieves := 1; thieves <= 2; thieves++ {
-			initial := make([]dag.NodeID, size)
-			for i := range initial {
-				initial[i] = dag.NodeID(i + 1)
+	for _, tc := range []struct{ size, thieves, states, quiescent int }{
+		{0, 1, 6, 1}, {0, 2, 18, 1}, {1, 1, 45, 2}, {1, 2, 302, 3},
+		{2, 1, 28, 2}, {2, 2, 228, 6}, {3, 1, 25, 1}, {3, 2, 176, 6},
+	} {
+		t.Run(fmt.Sprintf("size=%d/thieves=%d", tc.size, tc.thieves), func(t *testing.T) {
+			ops := []any{popBottomOp{res: dag.None}}
+			for range tc.thieves {
+				ops = append(ops, popTopOp{res: dag.None})
 			}
-			factories := []opSpec{{name: "popBottom", owner: true,
-				make: func(d *abpDeque) op { return d.startPopBottom(0) }}}
-			for k := 0; k < thieves; k++ {
-				id := k + 1
-				factories = append(factories, opSpec{name: "popTop",
-					make: func(d *abpDeque) op { return d.startPopTop(id) }})
-			}
-			count := 0
-			lazyEnumerate(t, initial, factories, func(label string, d *abpDeque, results []dag.NodeID) {
-				count++
-				checkOutcome(t, fmt.Sprintf("size=%d thieves=%d%s", size, thieves, label),
-					initial, nil, d, results)
-				// Owner semantics: with size > thieves items, the owner can
-				// never come back empty-handed.
-				if size > thieves && results[0] == dag.None {
-					t.Fatalf("size=%d thieves=%d%s: popBottom returned NIL with %d items and %d thieves",
-						size, thieves, label, size, thieves)
+			m, init := dequeModel(nodes(tc.size), nil, ops, func(results []dag.NodeID) error {
+				if tc.size > tc.thieves && results[0] == dag.None {
+					return fmt.Errorf("popBottom returned NIL with %d items and %d thieves", tc.size, tc.thieves)
 				}
+				return nil
 			})
-			if count == 0 {
-				t.Fatalf("no interleavings explored")
-			}
-			t.Logf("size=%d thieves=%d: %d interleavings verified", size, thieves, count)
-		}
+			m.Verify(t, init, tc.states, tc.quiescent)
+		})
 	}
 }
 
-// TestExhaustivePushBottomVsThieves enumerates pushBottom racing thieves.
+// TestExhaustivePushBottomVsThieves searches pushBottom racing two thieves.
 func TestExhaustivePushBottomVsThieves(t *testing.T) {
-	for size := 0; size <= 2; size++ {
-		initial := make([]dag.NodeID, size)
-		for i := range initial {
-			initial[i] = dag.NodeID(i + 1)
-		}
-		pushed := []dag.NodeID{99}
-		factories := []opSpec{
-			{name: "pushBottom", owner: true,
-				make: func(d *abpDeque) op { return d.startPushBottom(0, 99) }},
-			{name: "popTop", make: func(d *abpDeque) op { return d.startPopTop(1) }},
-			{name: "popTop", make: func(d *abpDeque) op { return d.startPopTop(2) }},
-		}
-		count := 0
-		lazyEnumerate(t, initial, factories, func(label string, d *abpDeque, results []dag.NodeID) {
-			count++
-			checkOutcome(t, fmt.Sprintf("push size=%d%s", size, label), initial, pushed, d, results)
+	for _, tc := range []struct{ size, states, quiescent int }{{0, 64, 3}, {1, 118, 4}, {2, 136, 4}} {
+		t.Run(fmt.Sprintf("size=%d", tc.size), func(t *testing.T) {
+			ops := []any{pushBottomOp{node: 99}, popTopOp{res: dag.None}, popTopOp{res: dag.None}}
+			m, init := dequeModel(nodes(tc.size), []dag.NodeID{99}, ops, func([]dag.NodeID) error { return nil })
+			m.Verify(t, init, tc.states, tc.quiescent)
 		})
-		t.Logf("push size=%d: %d interleavings verified", size, count)
 	}
 }
 
-// TestExhaustiveThievesOnly enumerates pure thief contention: successes
-// never exceed the items available, and at least one thief succeeds on a
-// non-empty deque (a CAS only fails because another succeeded).
+// TestExhaustiveThievesOnly searches pure thief contention. The relaxed
+// semantics allow spurious NILs under contention (two thieves racing for
+// the same top item: the loser returns NIL even though a second item sits
+// below), but successes never exceed the items available, and at least one
+// thief succeeds on a non-empty deque.
 func TestExhaustiveThievesOnly(t *testing.T) {
-	for size := 0; size <= 2; size++ {
-		initial := make([]dag.NodeID, size)
-		for i := range initial {
-			initial[i] = dag.NodeID(i + 1)
-		}
-		factories := []opSpec{
-			{name: "popTop", make: func(d *abpDeque) op { return d.startPopTop(1) }},
-			{name: "popTop", make: func(d *abpDeque) op { return d.startPopTop(2) }},
-			{name: "popTop", make: func(d *abpDeque) op { return d.startPopTop(3) }},
-		}
-		lazyEnumerate(t, initial, factories, func(label string, d *abpDeque, results []dag.NodeID) {
-			checkOutcome(t, fmt.Sprintf("thieves size=%d%s", size, label), initial, nil, d, results)
-			got := 0
-			for _, r := range results {
-				if r != dag.None {
-					got++
+	for _, tc := range []struct{ size, states, quiescent int }{{0, 27, 1}, {1, 172, 3}, {2, 310, 9}} {
+		t.Run(fmt.Sprintf("size=%d", tc.size), func(t *testing.T) {
+			ops := []any{popTopOp{res: dag.None}, popTopOp{res: dag.None}, popTopOp{res: dag.None}}
+			m, init := dequeModel(nodes(tc.size), nil, ops, func(results []dag.NodeID) error {
+				got := 0
+				for _, r := range results {
+					if r != dag.None {
+						got++
+					}
 				}
-			}
-			// The relaxed semantics allow spurious NILs under contention
-			// (two thieves racing for the same top item: the loser returns
-			// NIL even though a second item sits below). But at least one
-			// thief must succeed on a non-empty deque, and successes never
-			// exceed the items available.
-			max := size
-			if max > 3 {
-				max = 3
-			}
-			if got > max {
-				t.Fatalf("thieves size=%d%s: %d successes exceed %d items", size, label, got, max)
-			}
-			if size > 0 && got == 0 {
-				t.Fatalf("thieves size=%d%s: every thief failed on a non-empty deque (a CAS can only fail if another succeeded)", size, label)
-			}
+				if got > tc.size {
+					return fmt.Errorf("%d successes exceed %d items", got, tc.size)
+				}
+				if tc.size > 0 && got == 0 {
+					return fmt.Errorf("every thief failed on a non-empty deque")
+				}
+				return nil
+			})
+			m.Verify(t, init, tc.states, tc.quiescent)
 		})
 	}
 }
 
-// TestExhaustiveSequentialOwnerOps sanity-checks the enumeration machinery
-// itself: a single owner op explores exactly one interleaving and matches
+// TestExhaustiveSequentialOwnerOps sanity-checks the search itself: a
+// single owner op has one schedule, its four instructions, and matches
 // direct execution.
 func TestExhaustiveSequentialOwnerOps(t *testing.T) {
-	initial := []dag.NodeID{1, 2}
-	count := 0
-	lazyEnumerate(t, initial, []opSpec{{name: "popBottom", owner: true,
-		make: func(d *abpDeque) op { return d.startPopBottom(0) }}},
-		func(label string, d *abpDeque, results []dag.NodeID) {
-			count++
-			if results[0] != 2 {
-				t.Fatalf("popBottom = %v, want 2 (bottom)", results[0])
-			}
-			if len(d.snapshot()) != 1 || d.snapshot()[0] != 1 {
-				t.Fatalf("snapshot = %v", d.snapshot())
-			}
-		})
-	if count != 1 {
-		t.Fatalf("%d interleavings for a single op", count)
+	m, init := dequeModel(nodes(2), nil, []any{popBottomOp{res: dag.None}}, func(results []dag.NodeID) error {
+		if results[0] != 2 {
+			return fmt.Errorf("popBottom = %v, want 2 (bottom)", results[0])
+		}
+		return nil
+	})
+	final := m.Final
+	m.Final = func(s dqState) error {
+		if snap := s.deque().snapshot(); len(snap) != 1 || snap[0] != 1 {
+			return fmt.Errorf("snapshot = %v", snap)
+		}
+		return final(s)
 	}
+	m.Verify(t, init, 5, 1)
 }
