@@ -68,6 +68,68 @@ func TestVerifyPrunesTransitionsNotStates(t *testing.T) {
 	}
 }
 
+// spinState is a model that sleep sets with a plain set of visited states
+// get wrong (found by a random search over such programs, then shrunk):
+// three actors run two steps each on three bits, a step that sets a bit to
+// 0 or 1 (a choice), or one that loads a bit and goes back to the first
+// step on a given value. Bit 1 is never set, so actor 1 never finishes.
+// Keeping the sleep set of a state's first visit loses 4 of the 48 states;
+// Verify reaches them because a later visit that finds an actor awake that
+// the first found asleep expands the state by that actor.
+type spinState struct{ pc, bit [3]int8 }
+
+var spinProgs = [3][2]struct {
+	choose   bool
+	bit, ret int8 // the bit, and the value a load goes back on
+}{
+	{{false, 2, 0}, {true, 0, 0}},
+	{{true, 2, 0}, {false, 1, 0}},
+	{{true, 2, 0}, {false, 0, 1}},
+}
+
+func spinModel(footprints bool) Model[spinState] {
+	m := Model[spinState]{
+		Actors: 3,
+		Step: func(s spinState, a int) ([]spinState, error) {
+			if s.pc[a] == 2 {
+				return nil, nil
+			}
+			op := spinProgs[a][s.pc[a]]
+			s.pc[a]++
+			if op.choose {
+				t := s
+				s.bit[op.bit], t.bit[op.bit] = 0, 1
+				return []spinState{s, t}, nil
+			}
+			if s.bit[op.bit] == op.ret {
+				s.pc[a] = 0
+			}
+			return []spinState{s}, nil
+		},
+		Final: func(spinState) error { return nil },
+	}
+	if footprints {
+		m.Footprint = func(s spinState, a int) Footprint {
+			op := spinProgs[a][s.pc[a]]
+			if op.choose {
+				return Footprint{Writes: 1 << op.bit}
+			}
+			return Footprint{Reads: 1 << op.bit}
+		}
+	}
+	return m
+}
+
+func TestVerifyExpandsWokenActors(t *testing.T) {
+	full, err := spinModel(false).search(spinState{})
+	if err != nil || full.States != 48 {
+		t.Fatalf("the full search: %+v, %v; want 48 states", full, err)
+	}
+	if c := spinModel(true).Verify(t, spinState{}, 48, 0); c.Transitions >= full.Transitions {
+		t.Errorf("%d transitions with footprints, %d without; want fewer", c.Transitions, full.Transitions)
+	}
+}
+
 // Refute reports a shortest schedule: the depth-first order would reach
 // the bad state through actor 0's two steps first.
 func TestRefuteReportsShortestSchedule(t *testing.T) {
