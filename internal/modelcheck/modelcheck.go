@@ -16,8 +16,10 @@
 // stored sleep set a later path does not cover is expanded again by the
 // actors it left out — so the counts of states and of quiescent states are
 // those of the full search, and Verify pins them: a model that drifted, or a
-// footprint that left a read out, fails on the counts. So the counts a new
-// footprint is pinned to are those of the model's search without one.
+// footprint that left out a read its successors depend on, fails on the
+// counts. So the counts a new footprint is pinned to are those of the
+// model's search without one. A read that only a step's own check makes
+// moves no count, which is why a footprint must name it too.
 // Refute is a plain breadth-first search, so the schedule it reports is a
 // shortest one.
 package modelcheck
