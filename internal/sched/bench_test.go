@@ -1,7 +1,10 @@
 package sched
 
 import (
+	"context"
 	"fmt"
+	"runtime"
+	"sync/atomic"
 	"testing"
 )
 
@@ -73,5 +76,67 @@ func benchLeaves(b *testing.B, tree func(w *Worker, leaves int) bool) {
 				b.Fatal("wrong result")
 			}
 		})
+	}
+}
+
+// BenchmarkSubmitWait is a Submit to a serving one-worker pool and a Wait
+// that finds its Handle ended: a submission's path as its caller sees it,
+// the worker's wake included. B/op is the Handle's share of its chunk
+// (nextHandle), 8 bytes, and allocs/op its 1/64 of an allocation.
+func BenchmarkSubmitWait(b *testing.B) {
+	p := New(Config{Workers: 1})
+	ctx, cancel := context.WithCancel(context.Background())
+	served := make(chan error, 1)
+	go func() { served <- p.Serve(ctx) }()
+	for p.phase.Load() != phaseServing {
+		runtime.Gosched()
+	}
+	nop := func(*Worker) {}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h, err := p.Submit(nop)
+		if err != nil {
+			b.Fatalf("Submit: %v", err)
+		}
+		for !h.done.isDone() {
+			runtime.Gosched()
+		}
+		if err := h.Wait(); err != nil {
+			b.Fatalf("Wait: %v", err)
+		}
+	}
+	b.StopTimer()
+	cancel()
+	<-served
+}
+
+// BenchmarkSpawnStolen is a Spawn on one of two workers that the other
+// steals and runs while the spawner waits for it, so every spawn is stolen:
+// the stolen spawn's path, the thief's wake included. allocs/op is the
+// spawner's records: none, once each comes back to it (giveBack).
+func BenchmarkSpawnStolen(b *testing.B) {
+	p := New(Config{Workers: 2})
+	var ran atomic.Int64
+	task := func(*Worker) { ran.Add(1) }
+	b.ReportAllocs()
+	b.ResetTimer()
+	p.Run(func(w *Worker) {
+		for i := int64(1); i <= int64(b.N); i++ {
+			w.Spawn(task)
+			for ran.Load() < i {
+				runtime.Gosched()
+			}
+			// The ABP deque starts over from slot zero only when its owner
+			// pops it empty: without this pop every spawn past its capacity
+			// would run inline.
+			if t := w.dq.PopBottom(); t != nil {
+				b.Error("a stolen spawn was still in the deque")
+				return
+			}
+		}
+	})
+	if got := p.Stats().Steals; got < int64(b.N) { // the root may be stolen too
+		b.Fatalf("%d steals for %d spawns", got, b.N)
 	}
 }

@@ -384,17 +384,25 @@ func costRows(e *costEnv) []costRow {
 	}
 	// A Submit the parked worker ends before the Wait, and one whose root
 	// spins until the Wait has installed a channel: two objects, the
-	// channel and the cell the word points to (waitChan).
+	// channel and the cell the word points to (waitChan). A window is a
+	// chunk's worth of them, each through to the worker's next park, so it
+	// makes one chunk of Handles (nextHandle) whatever the cursor.
 	var blocking atomic.Pointer[Handle]
 	submit := func(op string, root func(*Worker), await func(h *Handle)) costRow {
 		return wake(op, serving, 0, func(e *costEnv) {
-			h, err := e.p.Submit(root)
-			if err != nil {
-				e.t.Fatalf("Submit: %v", err)
-			}
-			await(h)
-			if err := h.Wait(); err != nil {
-				e.t.Fatalf("Wait: %v", err)
+			for i := range handleChunk {
+				if i > 0 {
+					reparked(e)
+					e.parks++
+				}
+				h, err := e.p.Submit(root)
+				if err != nil {
+					e.t.Fatalf("Submit: %v", err)
+				}
+				await(h)
+				if err := h.Wait(); err != nil {
+					e.t.Fatalf("Wait: %v", err)
+				}
 			}
 		})
 	}
@@ -459,12 +467,14 @@ func costRows(e *costEnv) []costRow {
 		stolenJoin2,
 		stolenPrivate,
 		by(groupWait, blockedWait),
-		by(submits, submit("`Submit`+`Wait`, ended", nop, poll)),
-		by(submits, submit("`Submit`+`Wait`, blocking", awaitWaiter, blocking.Store)),
-		{op: "`Submit`, refused", workers: 1, at: servingFull, cfg: Config{InjectorCapacity: 1}, runs: 100,
+		by(submits, submit("64 `Submit`+`Wait`, ended", nop, poll)),
+		by(submits, submit("64 `Submit`+`Wait`, blocking", awaitWaiter, blocking.Store)),
+		{op: "64 `Submit`, refused", workers: 1, at: servingFull, cfg: Config{InjectorCapacity: 1}, runs: 100,
 			do: func(e *costEnv) {
-				if h, err := e.p.Submit(nop); h != nil || !errors.Is(err, ErrOverloaded) {
-					e.t.Fatalf("Submit on a full injector = %v, %v; want nil, ErrOverloaded", h, err)
+				for range handleChunk {
+					if h, err := e.p.Submit(nop); h != nil || !errors.Is(err, ErrOverloaded) {
+						e.t.Fatalf("Submit on a full injector = %v, %v; want nil, ErrOverloaded", h, err)
+					}
 				}
 			}, by: submits},
 		by(runs, run("an empty `Run`", 1, 0, nop)),

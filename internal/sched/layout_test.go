@@ -50,9 +50,10 @@ func TestGraphRunLayoutPins(t *testing.T) {
 // — on its first line. The region's slots are in the owner block, the list
 // of emptied scopes, which only a steal moves, in that block off its first
 // line. The sleep — its number, which the worker's sleeps write, and its
-// token channel, which every waker reads with the number — and wantWork,
-// which thieves write and the owner polls at every fork, each have their
-// lines to themselves.
+// token channel, which every waker reads with the number — has its line to
+// itself, and so do wantWork, which thieves write and the owner polls at
+// every fork, and the return stack's head, which thieves push on and the
+// owner takes when its list runs dry: the two share one line.
 func TestWorkerLayoutPins(t *testing.T) {
 	var w Worker
 	status := unsafe.Offsetof(w.status)
@@ -106,12 +107,18 @@ func TestWorkerLayoutPins(t *testing.T) {
 			t.Errorf("%s (offset %d) is not in the owner block (status at %d)", own, others[own], status)
 		}
 	}
-	want := unsafe.Offsetof(w.wantWork)
+	want, returned := unsafe.Offsetof(w.wantWork), unsafe.Offsetof(w.returned)
 	others["status"] = status
 	for name, off := range others {
 		if layoutLine(off) == layoutLine(want) {
 			t.Errorf("wantWork (offset %d) shares a cache line with %s (offset %d)", want, name, off)
 		}
+		if layoutLine(off) == layoutLine(returned) {
+			t.Errorf("the return stack's head (offset %d) shares a cache line with %s (offset %d)", returned, name, off)
+		}
+	}
+	if layoutLine(want) != layoutLine(returned) {
+		t.Errorf("wantWork (offset %d) and the return stack's head (offset %d) are on two lines", want, returned)
 	}
 	for name, off := range others {
 		if line := layoutLine(off); name != "sleep" && name != "sleepEnd" && (line == layoutLine(others["sleep"]) || line == layoutLine(others["sleepEnd"])) {
@@ -152,9 +159,9 @@ func TestPoolLayoutPins(t *testing.T) {
 // line-aligned), which leaves state, read by every worker for every task
 // of the submission, on another line — end, the claim every finish of the
 // submission contends on, on a third, and the registry links, which the
-// register and unregister of the submissions around this one write, and
-// the hold count on a fourth. The completion word is the Handle's, apart
-// from the record.
+// register and unregister of the submissions around this one write, the
+// hold count and the submitter's Handle chunk on a fourth, the last. The
+// completion word is the Handle's, apart from the record.
 func TestRunLayoutPins(t *testing.T) {
 	var r run
 	if sz := unsafe.Sizeof(r.scope); sz != atomicx.CacheLineSize {
@@ -163,20 +170,20 @@ func TestRunLayoutPins(t *testing.T) {
 	if off := unsafe.Offsetof(r.scope) + unsafe.Offsetof(r.scope.refs); off != 0 {
 		t.Errorf("root refs at offset %d, want 0", off)
 	}
-	if sz := unsafe.Sizeof(r); sz%atomicx.CacheLineSize != 0 {
-		t.Errorf("run is %d bytes, not a whole number of cache lines", sz)
+	if sz := unsafe.Sizeof(r); sz != 4*atomicx.CacheLineSize {
+		t.Errorf("run is %d bytes, want four cache lines", sz)
 	}
 	state := unsafe.Offsetof(r.state)
 	offs := map[string]uintptr{
 		"state": state, "end": unsafe.Offsetof(r.end), "root": unsafe.Offsetof(r.root), "holds": unsafe.Offsetof(r.holds),
-		"prev": unsafe.Offsetof(r.prev), "next": unsafe.Offsetof(r.next),
+		"prev": unsafe.Offsetof(r.prev), "next": unsafe.Offsetof(r.next), "handles": unsafe.Offsetof(r.handles),
 	}
 	for name, off := range offs {
 		if layoutLine(off) == 0 {
 			t.Errorf("%s (offset %d) shares the root refs line", name, off)
 		}
 	}
-	for i, name := range []string{"state", "end", "holds", "prev", "next"} {
+	for i, name := range []string{"state", "end", "holds", "prev", "next", "handles"} {
 		for _, other := range []string{"state", "end", "holds"}[:min(i, 2)] {
 			if layoutLine(offs[name]) == layoutLine(offs[other]) {
 				t.Errorf("%s (offset %d) shares a cache line with %s (offset %d)", other, offs[other], name, offs[name])

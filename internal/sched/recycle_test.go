@@ -92,8 +92,11 @@ func checkFreeLists(t *testing.T, p *Pool, types ...func(*testing.T, *Worker, ma
 				t.Errorf("worker %d lists a spawned task's record that is listed already", w.id)
 			}
 			seen[r] = true
-			if r.g != nil || r.fn != nil {
-				t.Errorf("worker %d lists a spawned task's record that still holds its group or function", w.id)
+			if r.g != nil || r.fn != nil || r.next != nil {
+				t.Errorf("worker %d lists a spawned task's record that still holds its group, function or link", w.id)
+			}
+			if r.home != w {
+				t.Errorf("worker %d lists a spawned task's record whose home is another worker", w.id)
 			}
 		}
 		for _, r := range w.groupRecs[:w.nGroupRecs] {
@@ -520,9 +523,10 @@ func TestRecycleJoin2AlternatingResultTypes(t *testing.T) {
 }
 
 // One worker spawns a long burst of group members and stays in its task, so
-// the other runs every one of them: the spawner's list stays empty, the
-// thief's stops at the bound, and the records in between are garbage — the
-// heap is as large after the burst as before it.
+// the other runs every one of them and gives every record back to the
+// spawner's return stack: the thief lists none, the spawner's list stops at
+// the bound, and what it cannot hold is garbage — the heap is as large
+// after the burst as before it.
 func TestRecycleGroupBurstRunByThief(t *testing.T) {
 	members := 100_000
 	if testing.Short() {
@@ -564,16 +568,81 @@ func TestRecycleGroupBurstRunByThief(t *testing.T) {
 		if ran.Load() != int64(members) || elsewhere.Load() != int64(members) {
 			t.Fatalf("%d of %d members ran, %d of them on the other worker", ran.Load(), members, elsewhere.Load())
 		}
-		// Keeping every record (48 bytes) would hold 4.8 MB, 0.96 MB in
+		// Keeping every record (64 bytes) would hold 6.4 MB, 1.28 MB in
 		// short mode.
 		if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > 256<<10 {
 			t.Errorf("heap grew by %d bytes over a burst of %d members", grew, members)
 		}
 		checkFreeLists(t, p, listed[int])
-		if n := spawner.nGroupTasks; n != 0 {
-			t.Errorf("the spawner lists %d spawned tasks' records, having run none", n)
+		if n := p.workers[1-spawner.id].nGroupTasks; n != 0 {
+			t.Errorf("the thief lists %d spawned tasks' records, all of them the spawner's", n)
 		}
 	})
+}
+
+// A spawner's records come home: each round the spawner spawns members one
+// at a time, each once the one before it has run on one of two thieves, so
+// its list soon runs dry and it drains its return stack while a thief
+// gives the last member's record back. Once the round's Wait returns,
+// every member has been freed, and each record the spawner ever had is on
+// its list or on its return stack, once: none is lost to a drain that
+// raced a give-back, and none is on a thief's list. A round takes no more
+// records than it spawns.
+func TestRecycleStolenSpawnsComeHome(t *testing.T) {
+	rounds := 500
+	if testing.Short() {
+		rounds = 100
+	}
+	const spawns = 16
+	p := New(Config{Workers: 3})
+	var ran atomic.Int64
+	member := func(*Worker) { ran.Add(1) }
+	// home is what w holds of its records; the thieves are idle, having
+	// freed every member before its done.
+	home := func(w *Worker) map[*groupTask]bool {
+		on, n := map[*groupTask]bool{}, int(w.nGroupTasks)
+		for _, r := range w.groupTasks[:n] {
+			on[r] = true
+		}
+		for r := w.returned.Load(); r != nil; r = r.next {
+			on[r] = true
+			n++
+		}
+		if len(on) != n {
+			t.Errorf("the spawner holds %d records %d times", len(on), n)
+		}
+		return on
+	}
+	p.Run(func(w *Worker) {
+		var g Group
+		var had map[*groupTask]bool
+		for i := range rounds {
+			for k := range spawns {
+				g.Spawn(w, member)
+				spinUntil(t, "the member to run", func() bool { return ran.Load() > int64(i*spawns+k) })
+			}
+			g.Wait(w)
+			// The ABP deque starts over from slot zero only when its owner
+			// pops it empty.
+			if w.dq.PopBottom() != nil {
+				t.Error("a member was still in the deque after its Wait")
+			}
+			has := home(w)
+			for r := range had {
+				if !has[r] {
+					t.Errorf("round %d: a record of the spawner's is neither on its list nor on its return stack", i)
+					return
+				}
+			}
+			if len(has) > spawns {
+				t.Errorf("round %d: the spawner holds %d records for rounds of %d spawns", i, len(has), spawns)
+				return
+			}
+			had = has
+		}
+	})
+	t.Logf("%d of %d spawns stolen", p.Stats().Steals, rounds*spawns)
+	checkFreeLists(t, p, listed[int])
 }
 
 // Two Groups on two workers, over many generations, with their records
@@ -755,6 +824,89 @@ func TestRecycleRunReused(t *testing.T) {
 	}
 	if n := len(seen); n > 8 {
 		t.Errorf("%d sequential submissions ran in %d distinct run records, want a handful", subs, n)
+	}
+	if err := stop(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Serve returned %v", err)
+	}
+}
+
+// Handles come a chunk at a time from the run records (nextHandle), and a
+// record carries its chunk from one submission to the next: four
+// submitters make three chunks' worth of submissions each — completed,
+// panicking with their id, cancelled while their root runs — and keep every
+// Handle. Each is a Handle no other submission had, and each reports its
+// own outcome then and after every later chunk; a panicking submission's
+// Handle from the first chunk still returns its own PanicError at the end.
+func TestRecycleHandleChunk(t *testing.T) {
+	const submitters, subs = 4, 3 * handleChunk
+	const (
+		completes = iota
+		panics
+		cancelled
+		kinds
+	)
+	p := New(Config{Workers: 2})
+	stop := startServing(t, p)
+	own := func(kind int, id int64, err error) bool {
+		switch kind {
+		case completes:
+			return err == nil
+		case panics:
+			return err == PanicError{Value: id}
+		}
+		return err == context.Canceled
+	}
+	handles := make([][subs]*Handle, submitters)
+	var wg sync.WaitGroup
+	for g := range submitters {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range subs {
+				id, kind := int64(g*subs+i), i%kinds
+				ctx, cancel := context.WithCancel(context.Background())
+				h, err := p.SubmitContext(ctx, func(w *Worker) {
+					switch kind {
+					case panics:
+						panic(id)
+					case cancelled:
+						cancel()
+						for w.currentRun().state.Load() == runLive {
+							runtime.Gosched()
+						}
+					}
+				})
+				if err != nil {
+					cancel()
+					t.Errorf("submission %d: SubmitContext: %v", id, err)
+					return
+				}
+				if err := h.Wait(); !own(kind, id, err) {
+					t.Errorf("submission %d of kind %d: Wait = %v", id, kind, err)
+				}
+				cancel()
+				handles[g][i] = h
+			}
+		}()
+	}
+	wg.Wait()
+	seen := map[*Handle]bool{}
+	for g := range submitters {
+		for i, h := range handles[g] {
+			if h == nil {
+				continue // its submitter failed already
+			}
+			if seen[h] {
+				t.Errorf("submission %d got a Handle another submission had", g*subs+i)
+			}
+			seen[h] = true
+			if id, kind := int64(g*subs+i), i%kinds; !own(kind, id, h.Wait()) || !own(kind, id, h.Err()) {
+				t.Errorf("submission %d of kind %d: after every chunk, Wait = %v and Err = %v", id, kind, h.Wait(), h.Err())
+			}
+		}
+		if h := handles[g][panics]; h != nil && h.Wait() != (PanicError{Value: int64(g*subs + panics)}) {
+			t.Errorf("the first chunk's panicking submission of submitter %d reports %v", g, h.Wait())
+		}
 	}
 	if err := stop(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Serve returned %v", err)

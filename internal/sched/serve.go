@@ -71,10 +71,11 @@ const (
 // here, so a worker executing tasks of interleaved submissions always
 // observes the right abort. What the caller keeps is apart from it: the
 // Handle, one completion word, which ends on the record that carries the
-// outcome (endRecord), and is the one object a submission allocates. The
-// record itself is recycled (runRecords): it has holders (holds; DESIGN.md
-// §7, "Record recycling"), and the last to let go puts it back for a later
-// submission.
+// outcome (endRecord). Handles come handleChunk to an allocation, from a
+// chunk the record carries (nextHandle), so a submission allocates only its
+// share of one. The record itself is recycled (runRecords): it has holders
+// (holds; DESIGN.md §7, "Record recycling"), and the last to let go puts it
+// back for a later submission.
 //
 // Layout: scope comes first and is exactly one cache line (scope.go), and
 // the record is sized to a whole number of lines, which the allocator's
@@ -83,7 +84,8 @@ const (
 // a line with state, which every worker reads for every task of the
 // submission, nor state's line with end, the claim every finish of the
 // submission contends on, nor with the registry links, which the
-// registering and finishing of other submissions write, and the hold count
+// registering and finishing of other submissions write, and the hold count,
+// which shares its line with the registry links and the Handle chunk
 // (layout_test.go pins offsets and size).
 type run struct {
 	scope scope // the root scope: refs starts at 1, the root task
@@ -122,8 +124,16 @@ type run struct {
 	// prev and next link the registry of in-flight runs (Pool.active),
 	// guarded by Pool.runMu.
 	prev, next *run
-	_          [40]byte
+	// handles are the chunk's Handles no submission has had yet. Only the
+	// submitter touches them, between newRun and the push that publishes
+	// the record, so the cursor is a plain slice.
+	handles []Handle
+	_       [16]byte
 }
+
+// handleChunk is how many Handles one allocation makes: 64 of 8 bytes, one
+// 512-byte object.
+const handleChunk = 64
 
 // runRecords recycles run records: let puts one back once its last holder
 // is done with it, and newRun takes one.
@@ -131,10 +141,13 @@ var runRecords = sync.Pool{New: func() any { return new(run) }}
 
 // newRun returns the record of a submission whose root task runs fn, held
 // by its root scope and by the caller, which lets go of it (let) once it is
-// done with it, and which will end h: a Submit's new Handle, or the pool's
-// own for a Run.
+// done with it, and which will end h: the pool's own for a Run, or, if h is
+// nil, a Submit's new Handle (nextHandle).
 func newRun(p *Pool, fn func(*Worker), h *Handle) *run {
 	r := runRecords.Get().(*run)
+	if h == nil {
+		h = r.nextHandle()
+	}
 	r.pool, r.h = p, h
 	r.scope.run = r
 	r.scope.refs.Store(1) // the root
@@ -143,6 +156,19 @@ func newRun(p *Pool, fn func(*Worker), h *Handle) *run {
 	r.end.Store(nil)
 	r.holds.Store(2)
 	return r
+}
+
+// nextHandle hands out the next Handle of r's chunk, and allocates a chunk
+// when none is left. Each slot is handed out once and never again, so a
+// caller may keep its Handle for as long as it likes; what it keeps alive
+// is the chunk, 512 bytes.
+func (r *run) nextHandle() *Handle {
+	if len(r.handles) == 0 {
+		r.handles = make([]Handle, handleChunk)
+	}
+	h := &r.handles[0]
+	r.handles = r.handles[1:]
+	return h
 }
 
 // let ends one hold on r. The last one recycles the record, cleared of what
@@ -332,7 +358,7 @@ func (p *Pool) SubmitContext(ctx context.Context, fn func(*Worker)) (*Handle, er
 	// A worker may complete the run the instant the push lands; the
 	// submitter's hold keeps the record, which the re-check below may still
 	// finish, from being recycled under it until SubmitContext returns.
-	r := newRun(p, fn, new(Handle))
+	r := newRun(p, fn, nil)
 	defer r.let()
 	h, t := r.h, &r.root
 	p.register(r)
