@@ -47,7 +47,7 @@ func TestMutationsApply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := strings.Join(models, " "); got != "Future Group Injector Phase Return Run Scope Sleep Status" {
+	if got := strings.Join(models, " "); got != "Future Group Injector Phase Run Scope Sleep Status" {
 		t.Errorf("model guards %q, want one per Test<Name>Model family", got)
 	}
 }

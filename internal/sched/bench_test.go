@@ -114,7 +114,8 @@ func BenchmarkSubmitWait(b *testing.B) {
 // BenchmarkSpawnStolen is a Spawn on one of two workers that the other
 // steals and runs while the spawner waits for it, so every spawn is stolen:
 // the stolen spawn's path, the thief's wake included. allocs/op is the
-// spawner's records: none, once each comes back to it (giveBack).
+// spawner's records: the thief lists each one it runs, so the spawner's
+// list stays empty and every spawn allocates one.
 func BenchmarkSpawnStolen(b *testing.B) {
 	p := New(Config{Workers: 2})
 	var ran atomic.Int64

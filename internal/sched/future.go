@@ -100,6 +100,17 @@ func endRecord(err error) *waiter {
 	return abortRecord(err)
 }
 
+// userEnd reports whether e is an end record endRecord made for its cause
+// alone, which holds the user's data: a PanicError, or the error of a
+// context of the caller's own making.
+func userEnd(e *waiter) bool {
+	switch e {
+	case doneWait, endOverloaded, endStopped, endDraining, endCanceled, endDeadline:
+		return false
+	}
+	return true
+}
+
 // waitChan returns the channel a waiter about to block receives from,
 // installing one if none is there: the install either precedes finish's
 // Swap, which then hands the channel to the completer to close, or fails

@@ -51,21 +51,18 @@ type groupRec struct {
 
 // groupTask is a spawned task: the task, its body and its group's record —
 // nil for Worker.Spawn's — in one record, which never reaches user code
-// and is recycled through the free list of its home, the worker that made
-// it (DESIGN.md §7, "Record recycling"): a record another worker ran goes
-// back on its home's return stack (giveBack), linked through next.
+// and is recycled through the workers' free lists (DESIGN.md §7, "Record
+// recycling").
 type groupTask struct {
 	task Task
 	g    *groupRec
 	fn   func(*Worker)
-	home *Worker
-	next *groupTask
 }
 
-// runTask runs the task and, if it returns, frees the record: popping the
-// task made this worker its only holder, and exec does not look at the
-// task again. A task that panics leaves its record to the collector; a
-// member ends in its group either way.
+// runTask runs the task and, if it returns, gives the record to the worker
+// that ran it: popping the task made this worker its only holder, and exec
+// does not look at the task again. A task that panics leaves its record to
+// the collector; a member ends in its group either way.
 func (t *groupTask) runTask(w *Worker) {
 	if t.g != nil {
 		defer t.g.done()
@@ -88,52 +85,13 @@ func (g *Group) Spawn(w *Worker, fn func(*Worker)) {
 	w.spawnMember(r, fn)
 }
 
-// free clears the group and function of a record whose task returned on
-// w, and lists it on w if w is its home, else gives it back to its home.
+// free puts a record whose task has returned on w's list, cleared of its
+// group and function.
 //
 //abp:owner the free lists belong to the goroutine running the worker
 func (t *groupTask) free(w *Worker) {
 	t.g, t.fn = nil, nil
-	if t.home != w {
-		t.home.giveBack(t)
-		return
-	}
 	pushFree(&w.groupTasks, &w.nGroupTasks, t)
-}
-
-// giveBack pushes t, a record of w's that another worker ran, on w's
-// return stack: one CAS, retried while other thieves push. Only w takes
-// from the stack, and it takes all of it (takeReturned), so a head that
-// reads the same as the one loaded is the same stack: no ABA.
-func (w *Worker) giveBack(t *groupTask) {
-	for {
-		top := w.returned.Load()
-		t.next = top
-		if w.returned.CompareAndSwap(top, t) {
-			return
-		}
-	}
-}
-
-// takeReturned takes w's whole return stack with one Swap, once w's list
-// has run dry: it keeps the top record for the caller and lists as many of
-// the rest as the list holds, or makes a record if the stack is empty.
-// What the list cannot hold is the collector's.
-//
-//abp:owner the free lists belong to the goroutine running the worker
-func (w *Worker) takeReturned() *groupTask {
-	t := w.returned.Swap(nil)
-	if t == nil {
-		return &groupTask{home: w}
-	}
-	for r := t.next; r != nil && w.nGroupTasks < maxFreeRecords; {
-		next := r.next
-		r.next = nil
-		pushFree(&w.groupTasks, &w.nGroupTasks, r)
-		r = next
-	}
-	t.next = nil
-	return t
 }
 
 // done ends one member. The one that empties the group takes the worker

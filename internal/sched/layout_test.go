@@ -50,10 +50,9 @@ func TestGraphRunLayoutPins(t *testing.T) {
 // — on its first line. The region's slots are in the owner block, the list
 // of emptied scopes, which only a steal moves, in that block off its first
 // line. The sleep — its number, which the worker's sleeps write, and its
-// token channel, which every waker reads with the number — has its line to
-// itself, and so do wantWork, which thieves write and the owner polls at
-// every fork, and the return stack's head, which thieves push on and the
-// owner takes when its list runs dry: the two share one line.
+// token channel, which every waker reads with the number — and wantWork,
+// which thieves write and the owner polls at every fork, each have their
+// lines to themselves.
 func TestWorkerLayoutPins(t *testing.T) {
 	var w Worker
 	status := unsafe.Offsetof(w.status)
@@ -107,18 +106,12 @@ func TestWorkerLayoutPins(t *testing.T) {
 			t.Errorf("%s (offset %d) is not in the owner block (status at %d)", own, others[own], status)
 		}
 	}
-	want, returned := unsafe.Offsetof(w.wantWork), unsafe.Offsetof(w.returned)
+	want := unsafe.Offsetof(w.wantWork)
 	others["status"] = status
 	for name, off := range others {
 		if layoutLine(off) == layoutLine(want) {
 			t.Errorf("wantWork (offset %d) shares a cache line with %s (offset %d)", want, name, off)
 		}
-		if layoutLine(off) == layoutLine(returned) {
-			t.Errorf("the return stack's head (offset %d) shares a cache line with %s (offset %d)", returned, name, off)
-		}
-	}
-	if layoutLine(want) != layoutLine(returned) {
-		t.Errorf("wantWork (offset %d) and the return stack's head (offset %d) are on two lines", want, returned)
 	}
 	for name, off := range others {
 		if line := layoutLine(off); name != "sleep" && name != "sleepEnd" && (line == layoutLine(others["sleep"]) || line == layoutLine(others["sleepEnd"])) {

@@ -22,9 +22,7 @@
 // record (the Future is the task) that Join2, Reduce, ParallelFor, Spawn
 // and Group.Spawn take from and return to a free list of the worker's own
 // — Reduce's and ParallelFor's a range record that holds the right half's
-// arguments, so the library's own forks allocate nothing. A spawned task's
-// record that another worker ran goes back to its spawner's return stack,
-// which the spawner takes only once its list has run dry (group.go). A public spawn
+// arguments, so the library's own forks allocate nothing. A public spawn
 // is one push, one pop, and one count in the spawner's scope; the
 // library's own forks go to a private region beneath the worker's deque
 // while the deque holds older work, uncounted and unfenced, until a thief
@@ -369,14 +367,10 @@ type Worker struct {
 	// wantWork is a thief's request that the owner publish its region: set
 	// by a steal that missed this worker's empty public part, read by the
 	// owner at every fork and pop-back while its region holds forks, and
-	// cleared by the owner's expose (lazy.go). publish: the request asks for
-	// work and orders nothing; a lost race costs the thief one more miss.
-	// returned is the head of the stack of this worker's spawned tasks'
-	// records that other workers ran (giveBack): thieves push by CAS, and
-	// the owner takes the whole stack with a Swap when its list runs dry
-	// (takeReturned). Both are written by thieves and read by the owner, so
-	// they share a line of their own.
-	returned atomicx.SCPointer[groupTask]
+	// cleared by the owner's expose (lazy.go). Thieves write it and the
+	// owner polls it, so it has a line of its own. publish: the request
+	// asks for work and orders nothing; a lost race costs the thief one
+	// more miss.
 	wantWork atomicx.Publish32
 	_        atomicx.CacheLinePad
 
@@ -888,13 +882,12 @@ func (w *Worker) Pool() *Pool { return w.pool }
 // not stealable).
 func (w *Worker) Spawn(fn func(*Worker)) { w.spawnMember(nil, fn) }
 
-// spawnMember spawns fn on a record from w's free list, or from its
-// return stack once the list has run dry (group.go), as a member of the
-// group whose generation is g, or of no group when g is nil.
+// spawnMember spawns fn on a record from w's free list (group.go), as a
+// member of the group whose generation is g, or of no group when g is nil.
 func (w *Worker) spawnMember(g *groupRec, fn func(*Worker)) {
 	t := popFree(&w.groupTasks, &w.nGroupTasks)
 	if t == nil {
-		t = w.takeReturned()
+		t = new(groupTask)
 	}
 	t.g, t.fn = g, fn
 	w.bind(&t.task, t)

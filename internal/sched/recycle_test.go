@@ -92,11 +92,8 @@ func checkFreeLists(t *testing.T, p *Pool, types ...func(*testing.T, *Worker, ma
 				t.Errorf("worker %d lists a spawned task's record that is listed already", w.id)
 			}
 			seen[r] = true
-			if r.g != nil || r.fn != nil || r.next != nil {
-				t.Errorf("worker %d lists a spawned task's record that still holds its group, function or link", w.id)
-			}
-			if r.home != w {
-				t.Errorf("worker %d lists a spawned task's record whose home is another worker", w.id)
+			if r.g != nil || r.fn != nil {
+				t.Errorf("worker %d lists a spawned task's record that still holds its group or function", w.id)
 			}
 		}
 		for _, r := range w.groupRecs[:w.nGroupRecs] {
@@ -523,10 +520,9 @@ func TestRecycleJoin2AlternatingResultTypes(t *testing.T) {
 }
 
 // One worker spawns a long burst of group members and stays in its task, so
-// the other runs every one of them and gives every record back to the
-// spawner's return stack: the thief lists none, the spawner's list stops at
-// the bound, and what it cannot hold is garbage — the heap is as large
-// after the burst as before it.
+// the other runs every one of them: the spawner's list stays empty, the
+// thief's stops at the bound, and the records in between are garbage — the
+// heap is as large after the burst as before it.
 func TestRecycleGroupBurstRunByThief(t *testing.T) {
 	members := 100_000
 	if testing.Short() {
@@ -568,81 +564,16 @@ func TestRecycleGroupBurstRunByThief(t *testing.T) {
 		if ran.Load() != int64(members) || elsewhere.Load() != int64(members) {
 			t.Fatalf("%d of %d members ran, %d of them on the other worker", ran.Load(), members, elsewhere.Load())
 		}
-		// Keeping every record (64 bytes) would hold 6.4 MB, 1.28 MB in
+		// Keeping every record (48 bytes) would hold 4.8 MB, 0.96 MB in
 		// short mode.
 		if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > 256<<10 {
 			t.Errorf("heap grew by %d bytes over a burst of %d members", grew, members)
 		}
 		checkFreeLists(t, p, listed[int])
-		if n := p.workers[1-spawner.id].nGroupTasks; n != 0 {
-			t.Errorf("the thief lists %d spawned tasks' records, all of them the spawner's", n)
+		if n := spawner.nGroupTasks; n != 0 {
+			t.Errorf("the spawner lists %d spawned tasks' records, having run none", n)
 		}
 	})
-}
-
-// A spawner's records come home: each round the spawner spawns members one
-// at a time, each once the one before it has run on one of two thieves, so
-// its list soon runs dry and it drains its return stack while a thief
-// gives the last member's record back. Once the round's Wait returns,
-// every member has been freed, and each record the spawner ever had is on
-// its list or on its return stack, once: none is lost to a drain that
-// raced a give-back, and none is on a thief's list. A round takes no more
-// records than it spawns.
-func TestRecycleStolenSpawnsComeHome(t *testing.T) {
-	rounds := 500
-	if testing.Short() {
-		rounds = 100
-	}
-	const spawns = 16
-	p := New(Config{Workers: 3})
-	var ran atomic.Int64
-	member := func(*Worker) { ran.Add(1) }
-	// home is what w holds of its records; the thieves are idle, having
-	// freed every member before its done.
-	home := func(w *Worker) map[*groupTask]bool {
-		on, n := map[*groupTask]bool{}, int(w.nGroupTasks)
-		for _, r := range w.groupTasks[:n] {
-			on[r] = true
-		}
-		for r := w.returned.Load(); r != nil; r = r.next {
-			on[r] = true
-			n++
-		}
-		if len(on) != n {
-			t.Errorf("the spawner holds %d records %d times", len(on), n)
-		}
-		return on
-	}
-	p.Run(func(w *Worker) {
-		var g Group
-		var had map[*groupTask]bool
-		for i := range rounds {
-			for k := range spawns {
-				g.Spawn(w, member)
-				spinUntil(t, "the member to run", func() bool { return ran.Load() > int64(i*spawns+k) })
-			}
-			g.Wait(w)
-			// The ABP deque starts over from slot zero only when its owner
-			// pops it empty.
-			if w.dq.PopBottom() != nil {
-				t.Error("a member was still in the deque after its Wait")
-			}
-			has := home(w)
-			for r := range had {
-				if !has[r] {
-					t.Errorf("round %d: a record of the spawner's is neither on its list nor on its return stack", i)
-					return
-				}
-			}
-			if len(has) > spawns {
-				t.Errorf("round %d: the spawner holds %d records for rounds of %d spawns", i, len(has), spawns)
-				return
-			}
-			had = has
-		}
-	})
-	t.Logf("%d of %d spawns stolen", p.Stats().Steals, rounds*spawns)
-	checkFreeLists(t, p, listed[int])
 }
 
 // Two Groups on two workers, over many generations, with their records
@@ -911,6 +842,68 @@ func TestRecycleHandleChunk(t *testing.T) {
 	if err := stop(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Serve returned %v", err)
 	}
+}
+
+// A submission that ends on the user's data leaves none of it on its run
+// record: the last let clears the end record and drops the rest of the
+// record's Handle chunk, so the record's later submissions, whose Handles
+// would come from that chunk, do not keep the outcome alive. Once its
+// Handle is dropped, the panic value is garbage within a collection or two
+// of the record's release, though the test keeps the record.
+func TestRecycleRunDropsPanicValue(t *testing.T) {
+	p := New(Config{Workers: 1})
+	stop := startServing(t, p)
+	collected := make(chan struct{})
+	rec := submitPanic(t, p, collected)
+	waitFor(t, 10*time.Second, "the record's last holder to let go", func() bool { return rec.holds.Load() == 0 })
+	// The last holder clears the record just after its decrement, so a
+	// collection may yet find the value reachable: allow a few.
+	gone := func() bool {
+		select {
+		case <-collected:
+			return true
+		case <-time.After(100 * time.Millisecond):
+			return false
+		}
+	}
+	const most = 4
+	gcs := 0
+	for ; gcs < most; gcs++ {
+		runtime.GC()
+		if gone() {
+			break
+		}
+	}
+	if gcs == most {
+		t.Errorf("a dropped Handle's panic value outlived %d collections", most)
+	}
+	runtime.KeepAlive(rec)
+	if err := stop(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Serve returned %v", err)
+	}
+}
+
+// submitPanic makes a submission that panics with a value whose finalizer
+// closes collected, checks its outcome, and returns its run record; the
+// value and the Handle are dropped when it returns.
+//
+//go:noinline
+func submitPanic(t *testing.T, p *Pool, collected chan struct{}) *run {
+	type payload struct{ b [64]byte }
+	v := new(payload)
+	runtime.SetFinalizer(v, func(*payload) { close(collected) })
+	var rec *run
+	h, err := p.Submit(func(w *Worker) {
+		rec = w.currentRun()
+		panic(v)
+	})
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if err := h.Wait(); err != (PanicError{Value: v}) {
+		t.Fatalf("Wait = %v, want the submission's PanicError", err)
+	}
+	return rec
 }
 
 // Recycled run records carry every kind of submission end across each

@@ -125,8 +125,9 @@ type run struct {
 	// guarded by Pool.runMu.
 	prev, next *run
 	// handles are the chunk's Handles no submission has had yet. Only the
-	// submitter touches them, between newRun and the push that publishes
-	// the record, so the cursor is a plain slice.
+	// submitter takes them, between newRun and the push that publishes
+	// the record, and only the last let drops them, so the cursor is a
+	// plain slice.
 	handles []Handle
 	_       [16]byte
 }
@@ -153,7 +154,6 @@ func newRun(p *Pool, fn func(*Worker), h *Handle) *run {
 	r.scope.refs.Store(1) // the root
 	r.root = Task{body: taskFunc(fn), scope: &r.scope}
 	r.state.Store(runLive)
-	r.end.Store(nil)
 	r.holds.Store(2)
 	return r
 }
@@ -172,12 +172,17 @@ func (r *run) nextHandle() *Handle {
 }
 
 // let ends one hold on r. The last one recycles the record, cleared of what
-// would keep the user's data alive: the root function, the Handle and the
-// watcher.
+// would keep the user's data alive: the root function, the Handle, the
+// watcher and the end record, and, if that record holds the user's data,
+// the rest of the Handle chunk, which would keep it alive through this
+// submission's Handle: the record's later submissions take a new chunk.
 func (r *run) let() {
 	if r.holds.Add(-1) == 0 {
 		r.root.body, r.h = nil, nil
 		r.stopWatch.Store(nil)
+		if userEnd(r.end.Swap(nil)) {
+			r.handles = nil
+		}
 		runRecords.Put(r)
 	}
 }
