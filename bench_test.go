@@ -2,8 +2,8 @@
 // experiment in DESIGN.md's per-experiment index (E1-E14 regenerate the
 // paper's figure/table analogues), the simulator ablations of the design
 // choices DESIGN.md section 5 calls out, and the internal/apps kernels. The
-// native Pool path and the deque are measured by benchmark/ (BENCHMARK.json)
-// and gated by abpbench -experiment hotpath.
+// native Pool path and the deque are measured by benchmark/ (BENCHMARK.json;
+// --trace 1 adds the per-layer rows, deque.pushpop_ns among them).
 //
 // Run everything with:
 //

@@ -9,7 +9,10 @@
 // The unmutated tree is the first row, run twice through every guard, and
 // every guard must pass it. The output is the mutation × guard matrix in
 // Markdown: x a catch, ~ one failure of two, . a pass, and a row of B for
-// a mutation that does not build.
+// a mutation that does not build. The test guards run under go test -json,
+// and the per-test table follows: each test's lines, its seconds in HEAD's
+// first run and the mutations it failed in both runs (x), in one (~), or
+// never reached because its package died first (?).
 //
 // Usage (three to ten minutes a mutation on two cores, the more the longer
 // its hung tests wait for their timeouts; CI does not run it):
@@ -56,9 +59,9 @@ func guards() []guard {
 	check(err)
 	return append(gs,
 		guard{"chaos", chaos},
-		guard{"layout", [][]string{{".", "go", "test", "-count=1", "-run", "LayoutPins|CacheLinePadPins", "./internal/..."}}},
-		guard{"abpsync", [][]string{{sched, "bin/sync.test", "-test.run", "TestCostTable|Allocat|TestSyncOpsPerRun", "-test.timeout", "60s"}}},
-		guard{"rest", [][]string{{".", "go", "test", "-count=1", "-timeout", "90s", "-skip", "Test[A-Za-z]*Model|LayoutPins|CacheLinePadPins", "./internal/..."}}},
+		guard{"layout", [][]string{{".", "go", "test", "-json", "-count=1", "-run", "LayoutPins|CacheLinePadPins", "./internal/..."}}},
+		guard{"abpsync", [][]string{{".", "go", "test", "-json", "-count=1", "-tags", "abpsync", "-timeout", "60s", "-run", "TestCostTable|Allocat|TestSyncOpsPerRun", "./" + sched}}},
+		guard{"rest", [][]string{{".", "go", "test", "-json", "-count=1", "-timeout", "90s", "-skip", "Test[A-Za-z]*Model|LayoutPins|CacheLinePadPins", "./internal/..."}}},
 	)
 }
 
@@ -97,7 +100,7 @@ func chaosSteps() (cmds [][]string, err error) {
 	}
 	for _, line := range strings.Split(string(b), "\n") {
 		if _, step, ok := strings.Cut(line, "run: go test -race -count=20 "); ok {
-			cmds = append(cmds, []string{".", "sh", "-c", "go test -timeout 200s -race -count=20 " + step})
+			cmds = append(cmds, []string{".", "sh", "-c", "go test -json -timeout 200s -race -count=20 " + step})
 		}
 	}
 	if cmds == nil {
@@ -143,6 +146,7 @@ func main() {
 	check(run(dir, nil, "go", "build", "-o", "bin/abplint", "./cmd/abplint"))
 
 	fmt.Printf("%s\n|---|%s\n", header, strings.Repeat("---|", len(gs)))
+	tab := perTest{}
 	for _, m := range ms {
 		restore := apply(dir, m)
 		row := strings.Split(strings.Repeat("B", len(gs)), "")
@@ -150,20 +154,20 @@ func main() {
 			fmt.Fprintf(os.Stderr, "%s: does not build: %v\n", m.ID, err)
 		} else {
 			for i, g := range gs {
-				failed := 0
+				var runs []result
 				for run := 1; run <= 2; run++ {
-					if g.fails(dir, *logs, m.ID, run) {
-						failed++
-					} else if m.ID != "HEAD" {
+					r := g.run(dir, *logs, m.ID, run)
+					if runs = append(runs, r); !r.failed && m.ID != "HEAD" {
 						break
 					}
 				}
-				row[i] = []string{".", "~", "x"}[failed]
+				row[i] = tab.add(g, m.ID, runs)
 			}
 		}
 		fmt.Printf("| %s | %s |\n", m.ID, strings.Join(row, " | "))
 		restore()
 	}
+	tab.print()
 }
 
 // apply writes m's edits into the copy and returns what puts it back; an
@@ -208,7 +212,7 @@ func applyEdit(src string, e edit) (string, error) {
 	return strings.Replace(src, e.Old, e.New, 1), nil
 }
 
-// build compiles the test binaries the guards run.
+// build compiles the model guards' test binary, and the counting build's.
 func build(dir string) error {
 	if err := run(dir, nil, "go", "test", "-c", "-o", "bin/sched.test", "./internal/sched/"); err != nil {
 		return err
@@ -216,25 +220,174 @@ func build(dir string) error {
 	return run(dir, nil, "go", "test", "-tags", "abpsync", "-c", "-o", "bin/sync.test", "./internal/sched/")
 }
 
-// fails runs g's commands in the copy dir.
-func (g guard) fails(dir, logs, id string, n int) bool {
+// result is one run of a guard, with each test's outcome under go test -json.
+type result struct {
+	failed bool
+	tests  map[string]*outcome
+}
+
+// run runs g's commands in the copy dir.
+func (g guard) run(dir, logs, id string, n int) (r result) {
 	var log strings.Builder
-	failed := false
 	for _, c := range g.cmds {
 		prog := c[1]
 		if strings.HasPrefix(prog, "bin/") {
 			prog = filepath.Join(dir, prog)
 		}
-		if failed = run(filepath.Join(dir, c[0]), &log, prog, c[2:]...) != nil; failed {
+		if r.failed = run(filepath.Join(dir, c[0]), &log, prog, c[2:]...) != nil; r.failed {
 			break
 		}
 	}
-	if failed && logs != "" {
+	tests, out := parseJSON(log.String())
+	if r.tests = tests; r.failed && logs != "" {
 		name := fmt.Sprintf("%s.%s.%d.log", id, strings.ReplaceAll(g.name, ":", "-"), n)
-		check(os.WriteFile(filepath.Join(logs, name), []byte(log.String()), 0o644))
+		check(os.WriteFile(filepath.Join(logs, name), []byte(out), 0o644))
 	}
-	return failed
+	return r
 }
+
+// outcome folds a test's events, its subtests' and -count repetitions'
+// included; open counts the runs still going when the stream ended.
+type outcome struct {
+	open   int
+	failed bool
+	secs   float64
+}
+
+// parseJSON reads a go test -json stream into each test's outcome and the
+// plain output it carries; a line that is not an event is kept as it is.
+func parseJSON(out string) (map[string]*outcome, string) {
+	tests := map[string]*outcome{}
+	var plain strings.Builder
+	for _, line := range strings.SplitAfter(out, "\n") {
+		var ev struct {
+			Action, Package, Test, Output string
+			Elapsed                       float64
+		}
+		if json.Unmarshal([]byte(line), &ev) != nil || ev.Action == "" {
+			plain.WriteString(line)
+			continue
+		}
+		plain.WriteString(ev.Output)
+		name, sub, _ := strings.Cut(ev.Test, "/")
+		if name == "" {
+			continue
+		}
+		key := strings.TrimPrefix(ev.Package, "worksteal/") + "." + name
+		o := tests[key]
+		if o == nil {
+			o = &outcome{}
+			tests[key] = o
+		}
+		o.failed = o.failed || ev.Action == "fail"
+		switch {
+		case sub != "":
+		case ev.Action == "run":
+			o.open++
+		case ev.Action == "pass" || ev.Action == "fail" || ev.Action == "skip":
+			o.open--
+			o.secs += ev.Elapsed
+		}
+	}
+	return tests, plain.String()
+}
+
+// perTest is the per-test table, a row per test guard and test.
+type perTest map[string]*testRow // keyed "guard pkg.Test"
+
+type testRow struct {
+	secs             float64
+	x, once, unknown []string
+}
+
+// add records mutation id's runs of g and returns g's matrix cell. A test
+// fails a run if it failed or was still running when its package died; it
+// is unknown in a failed run that never reached it.
+func (tab perTest) add(g guard, id string, runs []result) string {
+	failed := 0
+	for _, r := range runs {
+		if r.failed {
+			failed++
+		}
+		for test := range r.tests {
+			if tab[g.name+" "+test] == nil {
+				tab[g.name+" "+test] = &testRow{}
+			}
+		}
+	}
+	for key, row := range tab {
+		guard, test, _ := strings.Cut(key, " ")
+		if guard != g.name {
+			continue
+		}
+		f, u := 0, 0
+		for _, r := range runs {
+			if o := r.tests[test]; o == nil && r.failed {
+				u++
+			} else if o != nil && (o.failed || o.open > 0) {
+				f++
+			}
+		}
+		if o := runs[0].tests[test]; id == "HEAD" && o != nil {
+			row.secs = o.secs
+		}
+		switch {
+		case f == 2:
+			row.x = append(row.x, id)
+		case u > 0:
+			row.unknown = append(row.unknown, id)
+		case f == 1:
+			row.once = append(row.once, id)
+		}
+	}
+	return ".~x"[failed : failed+1]
+}
+
+// print writes the per-test table in Markdown, by guard and test.
+func (tab perTest) print() {
+	var keys []string
+	for k := range tab {
+		keys = append(keys, k)
+	}
+	if keys == nil {
+		return
+	}
+	sort.Strings(keys)
+	fmt.Printf("\n| guard | test | lines | s | x | ~ | ? |\n|---|---|--:|--:|---|---|---|\n")
+	lines := map[string]map[string]int{}
+	for _, k := range keys {
+		guard, test, _ := strings.Cut(k, " ")
+		dir, name, _ := strings.Cut(test, ".")
+		if lines[dir] == nil {
+			lines[dir] = funcLines(dir)
+		}
+		r := tab[k]
+		fmt.Printf("| %s | %s | %d | %.2f | %s | %s | %s |\n", guard, test, lines[dir][name], r.secs,
+			strings.Join(r.x, " "), strings.Join(r.once, " "), strings.Join(r.unknown, " "))
+	}
+}
+
+// funcLines returns the lines of each top-level function that the
+// _test.go files of dir declare, whatever their build tags.
+func funcLines(dir string) map[string]int {
+	lines := map[string]int{}
+	files, _ := filepath.Glob(filepath.Join(dir, "*_test.go"))
+	for _, f := range files {
+		b, _ := os.ReadFile(f)
+		name, start := "", 0
+		for i, l := range strings.Split(string(b), "\n") {
+			if m := funcDecl.FindStringSubmatch(l); m != nil {
+				name, start = m[1], i
+			}
+			if name != "" && (l == "}" || i == start && strings.HasSuffix(l, "}")) {
+				lines[name], name = i-start+1, ""
+			}
+		}
+	}
+	return lines
+}
+
+var funcDecl = regexp.MustCompile(`^func (\w+)\(`)
 
 func run(dir string, log *strings.Builder, name string, args ...string) error {
 	cmd := exec.Command(name, args...)

@@ -22,8 +22,9 @@
 // package-level counter of armed rules: when zero (the steady state) it
 // returns immediately, with no map lookup, no allocation, and no lock. The
 // overhead gate in overhead_test.go (run by CI's chaos job) asserts this
-// stays in the low-nanosecond range; the gated push+pop column of abpbench
-// -experiment hotpath bounds the end-to-end effect on the deque.
+// stays in the low-nanosecond range; the benchmark's per-layer rows
+// (benchmark/, --trace 1) deque.pushpop_ns and fault.point_disabled_ns show
+// the end-to-end effect on the deque.
 //
 // # Armed semantics
 //

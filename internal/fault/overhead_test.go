@@ -27,8 +27,8 @@ func BenchmarkPointArmedOtherPoint(b *testing.B) {
 
 // TestDisabledPointOverheadGate is the CI gate for the zero-overhead-when-
 // disabled claim (DESIGN.md §9): the disabled fast path must stay within
-// the noise of a deque push+pop pair (~15 ns; abpbench -experiment
-// hotpath). An atomic load plus a predicted branch is ~1-2ns on any
+// the noise of a deque push+pop pair (~15 ns; the benchmark's per-layer
+// deque.pushpop_ns row, benchmark/ with --trace 1). An atomic load plus a predicted branch is ~1-2ns on any
 // supported hardware; the bound
 // is set an order of magnitude above that so the gate catches structural
 // regressions (a map lookup, an allocation, a lock on the fast path)

@@ -172,40 +172,3 @@ func TestRunGraphChaseLev(t *testing.T) {
 		t.Fatalf("executed %d of %d", res.NodesExecuted, g.NumNodes())
 	}
 }
-
-func TestRunGraphNodeFunc(t *testing.T) {
-	// Wavefront DP on a grid dag: cell (i,j) sums its north and west
-	// neighbours (binomial coefficients). The dag's edges are exactly the
-	// data dependencies, so the result is deterministic.
-	const rows, cols = 8, 10
-	g := workload.Grid(rows, cols)
-	dp := make([]int64, rows*cols)
-	res := RunGraph(GraphConfig{Graph: g, Workers: 4, Seed: 5,
-		NodeFunc: func(u dag.NodeID) {
-			i, j := int(u)/cols, int(u)%cols
-			switch {
-			case i == 0 || j == 0:
-				dp[u] = 1
-			default:
-				dp[u] = dp[(i-1)*cols+j] + dp[i*cols+(j-1)]
-			}
-		}})
-	if res.NodesExecuted != rows*cols {
-		t.Fatal("incomplete")
-	}
-	// dp[i][j] = C(i+j, i); check a few cells.
-	if dp[1*cols+1] != 2 || dp[2*cols+2] != 6 || dp[(rows-1)*cols+cols-1] == 0 {
-		t.Fatalf("dp wrong: %v", dp)
-	}
-	var binom func(n, k int) int64
-	binom = func(n, k int) int64 {
-		r := int64(1)
-		for i := 0; i < k; i++ {
-			r = r * int64(n-i) / int64(i+1)
-		}
-		return r
-	}
-	if want := binom(rows-1+cols-1, rows-1); dp[(rows-1)*cols+cols-1] != want {
-		t.Fatalf("corner = %d, want %d", dp[(rows-1)*cols+cols-1], want)
-	}
-}

@@ -11,44 +11,6 @@ import (
 	"worksteal/internal/deque"
 )
 
-// A panic-aborted run drops its un-run tasks; the next Run must drain
-// them, or they execute in (and release the scopes of) the wrong run. Workers=1 makes it deterministic: with no thief, every
-// spawned task is still in worker 0's deque when the root panics.
-func TestPoolReuseAfterPanicDropsStaleTasks(t *testing.T) {
-	p := New(Config{Workers: 1})
-	var stale atomic.Int64
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("panic did not propagate")
-			}
-		}()
-		p.Run(func(w *Worker) {
-			for i := 0; i < 100; i++ {
-				w.Spawn(func(*Worker) { stale.Add(1) })
-			}
-			panic("abort mid-run")
-		})
-	}()
-	ranInAbortedRun := stale.Load()
-
-	var count atomic.Int64
-	for round := 0; round < 3; round++ {
-		p.Run(func(w *Worker) {
-			ParallelFor(w, 0, 50, 4, func(int) { count.Add(1) })
-		})
-	}
-	if count.Load() != 150 {
-		t.Fatalf("post-panic runs executed %d of 150 tasks", count.Load())
-	}
-	if got := stale.Load(); got != ranInAbortedRun {
-		t.Fatalf("%d stale tasks from the aborted run executed in later runs", got-ranInAbortedRun)
-	}
-	if s := p.Stats(); s.TasksDropped != 100 {
-		t.Fatalf("TasksDropped = %d, want 100", s.TasksDropped)
-	}
-}
-
 // rejectFirstPush wraps a deque and refuses exactly one PushBottom,
 // simulating a full deque at root-submission time.
 type rejectFirstPush struct {

@@ -74,139 +74,6 @@ func TestResizeIdlePool(t *testing.T) {
 	}
 }
 
-// Growing mid-Serve wakes the slots' sleeping goroutines: the widened fleet
-// must both execute work and show up in the stats.
-func TestResizeGrowMidServe(t *testing.T) {
-	p := New(Config{Workers: 2, MaxWorkers: 8, ParkThreshold: 2})
-	stop := startServing(t, p)
-	if err := p.Resize(8); err != nil {
-		t.Fatalf("Resize(8): %v", err)
-	}
-	waitFor(t, 10*time.Second, "grown fleet to report active", func() bool {
-		return p.Stats().ActiveWorkers == 8
-	})
-	var ran atomic.Int64
-	const subs = 40
-	for i := 0; i < subs; i++ {
-		h, err := p.Submit(func(w *Worker) {
-			for j := 0; j < 8; j++ {
-				w.Spawn(func(*Worker) { chaosSpin(50); ran.Add(1) })
-			}
-			ran.Add(1)
-		})
-		if err != nil {
-			t.Fatalf("Submit %d: %v", i, err)
-		}
-		if err := h.Wait(); err != nil {
-			t.Fatalf("Wait %d: %v", i, err)
-		}
-	}
-	if got := ran.Load(); got != subs*9 {
-		t.Fatalf("ran %d of %d tasks on the grown fleet", got, subs*9)
-	}
-	if got := p.Stats().Resizes; got != 1 {
-		t.Fatalf("Stats.Resizes = %d, want 1", got)
-	}
-	if err := stop(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Serve returned %v", err)
-	}
-}
-
-// Shrinking mid-Serve retires the suffix at safe points — every
-// in-flight and subsequent submission still completes, nothing is
-// dropped, and the retired workers leave the active count.
-func TestResizeShrinkMidServe(t *testing.T) {
-	p := New(Config{Workers: 8, ParkThreshold: 2})
-	stop := startServing(t, p)
-	var ran atomic.Int64
-	const subs = 40
-	handles := make([]*Handle, 0, subs)
-	for i := 0; i < subs; i++ {
-		h, err := p.Submit(func(w *Worker) {
-			for j := 0; j < 8; j++ {
-				w.Spawn(func(*Worker) { chaosSpin(200); ran.Add(1) })
-			}
-			ran.Add(1)
-		})
-		if err != nil {
-			t.Fatalf("Submit %d: %v", i, err)
-		}
-		handles = append(handles, h)
-		if i == subs/2 {
-			if err := p.Resize(1); err != nil {
-				t.Fatalf("Resize(1): %v", err)
-			}
-		}
-	}
-	for i, h := range handles {
-		if err := h.Wait(); err != nil {
-			t.Fatalf("submission %d: Wait = %v across the shrink", i, err)
-		}
-	}
-	if got := ran.Load(); got != subs*9 {
-		t.Fatalf("ran %d of %d tasks across the shrink", got, subs*9)
-	}
-	waitFor(t, 10*time.Second, "suffix workers to retire", func() bool {
-		s := p.Stats()
-		return s.ActiveWorkers == 1 && s.WorkersRetired == 7
-	})
-	if got := p.Stats().TasksDropped; got != 0 {
-		t.Fatalf("%d tasks dropped during a clean shrink", got)
-	}
-	// The shrunken fleet still serves.
-	h, err := p.Submit(func(*Worker) { ran.Add(1) })
-	if err != nil {
-		t.Fatalf("post-shrink Submit: %v", err)
-	}
-	if err := h.Wait(); err != nil {
-		t.Fatalf("post-shrink Wait: %v", err)
-	}
-	if err := stop(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Serve returned %v", err)
-	}
-}
-
-// A shrink immediately regrown reactivates workers mid-retirement (the
-// retiring→running CAS path): run it many times so both the reactivation
-// and the woken-sleeper path get exercised, and assert no work is ever
-// lost and the fleet lands on the final target.
-func TestResizeShrinkGrowRace(t *testing.T) {
-	p := New(Config{Workers: 4, MaxWorkers: 8, ParkThreshold: 2})
-	stop := startServing(t, p)
-	var ran atomic.Int64
-	var want int64
-	for round := 0; round < 50; round++ {
-		h, err := p.Submit(func(w *Worker) {
-			for j := 0; j < 4; j++ {
-				w.Spawn(func(*Worker) { ran.Add(1) })
-			}
-			ran.Add(1)
-		})
-		if err != nil {
-			t.Fatalf("round %d: Submit: %v", round, err)
-		}
-		want += 5
-		if err := p.Resize(1); err != nil {
-			t.Fatalf("round %d: shrink: %v", round, err)
-		}
-		if err := p.Resize(8); err != nil {
-			t.Fatalf("round %d: grow: %v", round, err)
-		}
-		if err := h.Wait(); err != nil {
-			t.Fatalf("round %d: Wait: %v", round, err)
-		}
-	}
-	if got := ran.Load(); got != want {
-		t.Fatalf("ran %d of %d tasks across the shrink/grow churn", got, want)
-	}
-	waitFor(t, 10*time.Second, "fleet to settle on the final target", func() bool {
-		return p.Stats().ActiveWorkers == 8
-	})
-	if err := stop(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Serve returned %v", err)
-	}
-}
-
 // A worker Resize has marked cannot fall asleep: park's entry CAS is from
 // running, so against the mark it fails and the worker goes back to its
 // loop top — without counting itself idle, parking, or touching the session
